@@ -3,19 +3,18 @@
 //!
 //! Two axes per size:
 //!
-//! * `frontier/{N}x{M}` — the incremental-frontier scale path
+//! * `frontier/{N}x{M}` — the product kernel with clustering
 //!   ([`slrh::ScaleMode`]): worklist-driven startable maintenance,
 //!   ETC-similarity machine clusters with spill, and the bound-ordered
 //!   candidate scan.
-//! * `rebuild/{N}x{M}` — the paper-faithful pool path (per-query pool
-//!   construction with the incremental pool cache), the configuration
-//!   every golden fixture runs. Only benched at the smallest size: the
-//!   pool path is quadratic-ish in the frontier width and takes minutes
-//!   per run at 16k+, which is the point of the scale path.
+//! * `rebuild/{N}x{M}` — the paper's per-query pool walk, through the
+//!   `slrh::reference` `Scratch` oracle. Only benched at the smallest
+//!   size: the walk is quadratic-ish in the frontier width and takes
+//!   minutes per run at 16k+, which is why it is an oracle and not a
+//!   product path.
 //!
-//! Both paths commit byte-identical schedules
-//! (`crates/stress/src/scale.rs` proves it per seed), so the ratio is a
-//! pure kernel speedup. Numbers are recorded in `BENCH_scale.json` at
+//! At `clusters: 1` both commit byte-identical schedules
+//! (`crates/stress/src/scale.rs` proves it per seed). Numbers are recorded in `BENCH_scale.json` at
 //! the repository root via `cargo run -p bench --release --bin scale_ab`
 //! (see EXPERIMENTS.md for the interleaved A/B methodology — criterion
 //! rounds here are for local iteration, the JSON is the record).
@@ -23,7 +22,8 @@
 use adhoc_grid::scale::ScaleParams;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lagrange::weights::Weights;
-use slrh::{run_slrh, ScaleMode, SlrhConfig, SlrhVariant};
+use slrh::reference::{self, Kind};
+use slrh::{run_slrh, RunContext, ScaleMode, SlrhConfig, SlrhVariant};
 
 fn weights() -> Weights {
     Weights::new(0.5, 0.25).expect("static weights")
@@ -45,7 +45,6 @@ fn bench_frontier(c: &mut Criterion) {
         let sc = ScaleParams::new(tasks, machines).generate(0, 0);
         let cfg = SlrhConfig::paper(SlrhVariant::V1, weights()).with_scale(ScaleMode {
             clusters,
-            spill_after: 8,
             ..ScaleMode::default()
         });
         g.bench_with_input(
@@ -59,7 +58,6 @@ fn bench_frontier(c: &mut Criterion) {
         let sc = ScaleParams::new(tasks, machines).generate(0, 0);
         let cfg = SlrhConfig::paper(SlrhVariant::V1, weights()).with_scale(ScaleMode {
             clusters,
-            spill_after: 8,
             ..ScaleMode::default()
         });
         g.sample_size(10);
@@ -81,7 +79,11 @@ fn bench_rebuild(c: &mut Criterion) {
     g.bench_with_input(
         BenchmarkId::new("rebuild", format!("{tasks}x{machines}")),
         &sc,
-        |b, sc| b.iter(|| run_slrh(sc, &cfg).metrics()),
+        |b, sc| {
+            b.iter(|| {
+                reference::run(Kind::Scratch, sc, &cfg, &[], &[], &mut RunContext::new()).metrics()
+            })
+        },
     );
     g.finish();
 }

@@ -88,34 +88,11 @@ fn bench_dt_effect(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_pool_cache(c: &mut Criterion) {
-    // Incremental pool cache vs from-scratch rebuild on the paper's
-    // largest workload (1024 subtasks, Case B). The two runs produce the
-    // same schedule; only the candidate-planning work differs. With the
-    // cache, SLRH-1 plans ~10x fewer candidates here (the acceptance
-    // test in `slrh` pins the >= 2x floor together with metric equality).
-    let mut g = c.benchmark_group("pool_cache_1024_case_b");
-    g.sample_size(10);
-    let sc = scenario(1024, GridCase::B);
-    for variant in [SlrhVariant::V1, SlrhVariant::V3] {
-        let cached = SlrhConfig::paper(variant, weights());
-        let rebuild = cached.without_pool_cache();
-        g.bench_with_input(BenchmarkId::new("cached", variant.name()), &sc, |b, sc| {
-            b.iter(|| run_slrh(sc, &cached).metrics())
-        });
-        g.bench_with_input(BenchmarkId::new("rebuild", variant.name()), &sc, |b, sc| {
-            b.iter(|| run_slrh(sc, &rebuild).metrics())
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_slrh_variants,
     bench_slrh_cases,
     bench_static_baselines,
-    bench_dt_effect,
-    bench_pool_cache
+    bench_dt_effect
 );
 criterion_main!(benches);

@@ -4,7 +4,7 @@
 //! Four cases, all on the paper's largest workload (1024 subtasks):
 //!
 //! * `slrh1_end_to_end/{Case A,B,C}` — a complete SLRH-1 run with the
-//!   paper configuration (pool cache on). This exercises the whole
+//!   paper configuration. This exercises the whole
 //!   kernel: CSR DAG precedence walks, ready-set maintenance, indexed
 //!   schedule lookups, and scratch-reused candidate planning.
 //! * `churn_cascade/1024_case_a` — the same workload with two machine

@@ -1,56 +1,41 @@
-//! Interleaved, feature-ablated A/B timing for the scale path,
-//! recorded in `BENCH_scale.json` at the repository root.
+//! Interleaved A/B timing for the frontier kernel at scale, recorded in
+//! `BENCH_scale.json` at the repository root.
 //!
-//! Four arms run from this one binary, interleaved within each round so
-//! background-load drift hits every arm equally:
+//! Two arms run from this one binary, interleaved within each round so
+//! background-load drift hits both equally:
 //!
-//! * **pool** — the paper-faithful per-query pool build (the
-//!   configuration every golden fixture runs). This is the recorded
-//!   `before`. Only timed where it fits the 30 s ceiling; beyond that
-//!   the case carries an explicit `"before": "not run …"` marker.
-//! * **resort** — `ScaleMode { cached_orders: false, scan_threads: 1 }`:
-//!   the incremental frontier re-filtering and re-sorting its bound
-//!   order every query (the pre-cached-order scale path).
-//! * **cached_scan1** — cached per-(machine, list) bound orders, scan
-//!   chunking off. Isolates the cached-order win over `resort`.
-//! * **cached_scan4** — cached orders plus the chunked candidate scan
-//!   at 4 workers. This is the recorded `after`; against `cached_scan1`
-//!   it isolates the parallel-scan win.
+//! * **resort** — the `slrh::reference` `Resort` oracle: the incremental
+//!   frontier with every cached bound order shed, re-gating and
+//!   re-sorting its visible lists every query.
+//! * **cached** — the product kernel (`run_slrh`), at the ambient rayon
+//!   width. This is the recorded `after`; against `resort` it isolates
+//!   the cached-order win.
 //!
-//! Every arm commits a byte-identical schedule
+//! Both arms commit a byte-identical schedule
 //! (`crates/stress/src/scale.rs` and the sweep equivalence proptests
-//! assert it), so each ratio is a pure kernel speedup. Per-case
-//! summaries use min-of-rounds (robust to host variance); all rounds
-//! are listed, and every full run appends a commit-stamped entry to the
-//! file's `history` array instead of erasing the past.
+//! assert it), so the ratio is a pure kernel speedup. Per-case summaries
+//! use min-of-rounds (robust to host variance); all rounds are listed,
+//! and every full run appends a commit-stamped entry to the file's
+//! `history` array instead of erasing the past.
 //!
 //! ```text
 //! cargo run -p bench --release --bin scale_ab              # full A/B, rewrites BENCH_scale.json (history preserved)
-//! cargo run -p bench --release --bin scale_ab -- --check   # CI ratchet: one A/B round, asserts the speedup floor,
-//!                                                          # the 65k ceiling and the 1.3x after_min_ms regression gate
+//! cargo run -p bench --release --bin scale_ab -- --check   # CI ratchet: the 1.3x after_min_ms regression gate
+//!                                                          # at 16k and the 65k wall-clock ceiling
 //! cargo run -p bench --release --bin scale_ab -- --smoke   # 65k frontier run, asserts the wall-clock ceiling
 //! ```
 
 use adhoc_grid::scale::ScaleParams;
 use adhoc_grid::workload::Scenario;
 use lagrange::weights::Weights;
-use slrh::{run_slrh, ScaleMode, SlrhConfig, SlrhVariant};
+use slrh::reference::{self, Kind};
+use slrh::{run_slrh, RunContext, ScaleMode, SlrhConfig, SlrhVariant};
 use std::time::Instant;
 
-/// (tasks, machines, clusters, pool-arm timed?) per A/B case.
-const AB_SIZES: [(usize, usize, u32, bool); 3] = [
-    (1024, 16, 4, true),
-    (16_384, 64, 8, true),
-    (65_536, 256, 16, false),
-];
+/// (tasks, machines, clusters) per A/B case.
+const AB_SIZES: [(usize, usize, u32); 3] = [(1024, 16, 4), (16_384, 64, 8), (65_536, 256, 16)];
 /// The design-point size: one `after`-arm round, recorded end to end.
 const DESIGN_POINT: (usize, usize, u32) = (100_000, 1000, 64);
-/// Marker recorded in place of pool-arm rounds where that arm is not
-/// affordable; `scripts/bench_ratchet.sh` treats such cases as
-/// floor-only (ceiling check, no before/after ratio).
-const BEFORE_MARKER: &str = "not run (pool path exceeds 30 s ceiling)";
-/// `--check` fails below this end-to-end pool-vs-after speedup at 16k.
-const CHECK_MIN_SPEEDUP: f64 = 5.0;
 /// `--check`/`--smoke` fail past this 65k wall clock in seconds.
 const CHECK_MAX_SMOKE_SECS: f64 = 30.0;
 /// `--check` fails when the fresh 16k `after` round regresses more than
@@ -60,63 +45,43 @@ const CHECK_MAX_REGRESSION: f64 = 1.3;
 /// The case the regression gate ratchets on.
 const RATCHET_CASE: &str = "kernel_scale/16384x64";
 
-fn weights() -> Weights {
-    Weights::new(0.5, 0.25).expect("static weights")
+fn config(clusters: u32) -> SlrhConfig {
+    let weights = Weights::new(0.5, 0.25).expect("static weights");
+    SlrhConfig::paper(SlrhVariant::V1, weights).with_scale(ScaleMode {
+        clusters,
+        ..ScaleMode::default()
+    })
 }
 
-/// The four arms, in within-round execution order.
+/// The two arms, in within-round execution order.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Arm {
-    Pool,
     Resort,
-    CachedScan1,
-    CachedScan4,
+    Cached,
 }
 
 impl Arm {
-    const ALL: [Arm; 4] = [Arm::Pool, Arm::Resort, Arm::CachedScan1, Arm::CachedScan4];
+    const ALL: [Arm; 2] = [Arm::Resort, Arm::Cached];
 
     fn name(self) -> &'static str {
         match self {
-            Arm::Pool => "pool",
             Arm::Resort => "resort",
-            Arm::CachedScan1 => "cached_scan1",
-            Arm::CachedScan4 => "cached_scan4",
+            Arm::Cached => "cached",
         }
-    }
-
-    fn config(self, clusters: u32) -> SlrhConfig {
-        let base = SlrhConfig::paper(SlrhVariant::V1, weights());
-        let scale = match self {
-            Arm::Pool => return base,
-            Arm::Resort => ScaleMode {
-                clusters,
-                spill_after: 8,
-                scan_threads: 1,
-                cached_orders: false,
-            },
-            Arm::CachedScan1 => ScaleMode {
-                clusters,
-                spill_after: 8,
-                scan_threads: 1,
-                cached_orders: true,
-            },
-            Arm::CachedScan4 => ScaleMode {
-                clusters,
-                spill_after: 8,
-                scan_threads: 4,
-                cached_orders: true,
-            },
-        };
-        base.with_scale(scale)
     }
 }
 
-fn timed_run(sc: &Scenario, cfg: &SlrhConfig, tasks: usize) -> f64 {
+fn timed_run(sc: &Scenario, arm: Arm, clusters: u32, tasks: usize) -> f64 {
+    let cfg = config(clusters);
     let t = Instant::now();
-    let out = run_slrh(sc, cfg);
+    let mapped = match arm {
+        Arm::Cached => run_slrh(sc, &cfg).metrics().mapped,
+        Arm::Resort => reference::run(Kind::Resort, sc, &cfg, &[], &[], &mut RunContext::new())
+            .metrics()
+            .mapped,
+    };
     let ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(out.metrics().mapped, tasks, "run must map every subtask");
+    assert_eq!(mapped, tasks, "run must map every subtask");
     ms
 }
 
@@ -145,32 +110,29 @@ fn median_of(rounds: &[f64]) -> f64 {
 
 struct CaseResult {
     name: String,
-    /// `None` for the pool arm on frontier-only cases.
     rounds_ms: Vec<(Arm, Vec<f64>)>,
 }
 
 impl CaseResult {
-    fn arm(&self, arm: Arm) -> Option<&[f64]> {
-        self.rounds_ms
+    fn arm(&self, arm: Arm) -> &[f64] {
+        let (_, rounds) = self
+            .rounds_ms
             .iter()
             .find(|(a, _)| *a == arm)
-            .map(|(_, r)| r.as_slice())
+            .expect("every arm runs on every case");
+        rounds
     }
 }
 
-fn run_case(tasks: usize, machines: usize, clusters: u32, with_pool: bool, rounds: usize) -> CaseResult {
+fn run_case(tasks: usize, machines: usize, clusters: u32, rounds: usize) -> CaseResult {
     let sc = ScaleParams::new(tasks, machines).generate(0, 0);
-    let arms: Vec<Arm> = Arm::ALL
-        .into_iter()
-        .filter(|&a| with_pool || a != Arm::Pool)
-        .collect();
     let mut case = CaseResult {
         name: format!("kernel_scale/{tasks}x{machines}"),
-        rounds_ms: arms.iter().map(|&a| (a, Vec::new())).collect(),
+        rounds_ms: Arm::ALL.iter().map(|&a| (a, Vec::new())).collect(),
     };
     for round in 0..rounds {
         for (arm, rounds_ms) in &mut case.rounds_ms {
-            let ms = timed_run(&sc, &arm.config(clusters), tasks);
+            let ms = timed_run(&sc, *arm, clusters, tasks);
             eprintln!(
                 "{} round {}: {} {:.2} ms",
                 case.name,
@@ -187,7 +149,7 @@ fn run_case(tasks: usize, machines: usize, clusters: u32, with_pool: bool, round
 fn run_design_point() -> f64 {
     let (tasks, machines, clusters) = DESIGN_POINT;
     let sc = ScaleParams::new(tasks, machines).generate(0, 0);
-    let ms = timed_run(&sc, &Arm::CachedScan4.config(clusters), tasks);
+    let ms = timed_run(&sc, Arm::Cached, clusters, tasks);
     eprintln!("kernel_scale/{tasks}x{machines} after: {:.2} ms", ms);
     ms
 }
@@ -265,65 +227,34 @@ fn write_json(path: &str, results: &[CaseResult], design_ms: f64, rounds: usize)
     let date = git_short(&["date", "+%Y-%m-%d"], "unknown");
     let commit = git_short(&["git", "rev-parse", "--short", "HEAD"], "unknown");
     let methodology = format!(
-        "Interleaved, feature-ablated A/B from one binary on the same host: per round, the \
-         pool path (SlrhConfig::paper, the configuration every golden fixture runs), the \
-         resort ablation (ScaleMode cached_orders=false), the cached-bound-order path at \
-         scan_threads=1 and the full path at scan_threads=4 run back to back, {rounds} rounds \
-         per case, so background-load drift hits every arm equally. 'before' is the pool arm, \
-         'after' is cached_scan4; resort-vs-cached_scan1 isolates the cached-order win and \
-         cached_scan1-vs-cached_scan4 the chunked-scan win. Per-case summary uses \
+        "Interleaved A/B from one binary on the same host: per round, the resort reference \
+         (slrh::reference Kind::Resort: the frontier with every cached bound order shed) and \
+         the product kernel (run_slrh, ambient rayon width) run back to back, {rounds} rounds \
+         per case, so background-load drift hits both arms equally. 'after' is the product \
+         kernel; resort-vs-cached isolates the cached-order win. Per-case summary uses \
          min-of-rounds; all rounds are listed. Workloads: ScaleParams::new(tasks, \
-         machines).generate(0, 0), SLRH-1 end-to-end, weights (0.5, 0.25). Every arm commits \
+         machines).generate(0, 0), SLRH-1 end-to-end, weights (0.5, 0.25). Both arms commit \
          a byte-identical schedule (crates/stress/src/scale.rs and the sweep equivalence \
-         proptests assert it). Cases marked 'before: {BEFORE_MARKER}' are frontier-only: the \
-         pool path is unaffordable there, which is the point of the scale path; the 16384x64 \
-         case pins the before/after ratio. kernel_scale/100000x1000 is the ROADMAP design \
-         point, recorded as a single after-arm round. The history array accumulates one \
+         proptests assert it). History entries up to d0d882a timed the same kernel with a \
+         since-retired forced 4-worker scan and, as 'before', the retired per-query pool \
+         path (4023 ms at 16384x64). kernel_scale/100000x1000 is the ROADMAP design point, \
+         recorded as a single after-arm round. The history array accumulates one \
          commit-stamped summary per scripts/perf_append.sh run; the CI ratchet fails when a \
          fresh 16384x64 after round regresses past 1.3x the best recorded after_min_ms."
     );
     let mut cases = Vec::new();
     for case in results {
         let mut fields = Vec::new();
-        let after = case.arm(Arm::CachedScan4).expect("after arm always runs");
-        match case.arm(Arm::Pool) {
-            Some(before) => {
-                fields.push(format!(
-                    "      \"before_rounds_ms\": {}",
-                    json_list(before)
-                ));
-                fields.push(format!(
-                    "      \"before_min_ms\": {}",
-                    round2(min_of(before))
-                ));
-                fields.push(format!(
-                    "      \"before_median_ms\": {}",
-                    round2(median_of(before))
-                ));
-            }
-            None => {
-                fields.push(format!("      \"before\": \"{BEFORE_MARKER}\""));
-            }
-        }
+        let after = case.arm(Arm::Cached);
         fields.push(format!("      \"after_rounds_ms\": {}", json_list(after)));
         fields.push(format!("      \"after_min_ms\": {}", round2(min_of(after))));
         fields.push(format!(
             "      \"after_median_ms\": {}",
             round2(median_of(after))
         ));
-        if let Some(before) = case.arm(Arm::Pool) {
-            fields.push(format!(
-                "      \"speedup_min\": {}",
-                round2(min_of(before) / min_of(after))
-            ));
-            fields.push(format!(
-                "      \"speedup_median\": {}",
-                round2(median_of(before) / median_of(after))
-            ));
-        }
         let mut arms = Vec::new();
-        for &arm in &[Arm::Resort, Arm::CachedScan1, Arm::CachedScan4] {
-            let rounds_ms = case.arm(arm).expect("frontier arms always run");
+        for arm in Arm::ALL {
+            let rounds_ms = case.arm(arm);
             arms.push(format!(
                 "        \"{}\": {{\n          \"rounds_ms\": [{}],\n          \"min_ms\": {}\n        }}",
                 arm.name(),
@@ -344,7 +275,7 @@ fn write_json(path: &str, results: &[CaseResult], design_ms: f64, rounds: usize)
     }
     let (tasks, machines, _) = DESIGN_POINT;
     cases.push(format!(
-        "    \"kernel_scale/{tasks}x{machines}\": {{\n      \"before\": \"{BEFORE_MARKER}\",\n      \"after_rounds_ms\": [{}],\n      \"after_min_ms\": {}\n    }}",
+        "    \"kernel_scale/{tasks}x{machines}\": {{\n      \"after_rounds_ms\": [{}],\n      \"after_min_ms\": {}\n    }}",
         round2(design_ms),
         round2(design_ms),
     ));
@@ -352,8 +283,7 @@ fn write_json(path: &str, results: &[CaseResult], design_ms: f64, rounds: usize)
     let ratchet = results
         .iter()
         .find(|c| c.name == RATCHET_CASE)
-        .map(|c| c.arm(Arm::CachedScan4).expect("after arm always runs"))
-        .map(|r| round2(min_of(r)))
+        .map(|c| round2(min_of(c.arm(Arm::Cached))))
         .unwrap_or(f64::NAN);
     history.push(format!(
         "{{\"commit\": \"{commit}\", \"date\": \"{date}\", \"case\": \"{RATCHET_CASE}\", \"after_min_ms\": {ratchet}}}"
@@ -373,9 +303,9 @@ fn write_json(path: &str, results: &[CaseResult], design_ms: f64, rounds: usize)
 }
 
 fn run_smoke() -> f64 {
-    let (tasks, machines, clusters, _) = AB_SIZES[2];
+    let (tasks, machines, clusters) = AB_SIZES[2];
     let sc = ScaleParams::new(tasks, machines).generate(0, 0);
-    let ms = timed_run(&sc, &Arm::CachedScan4.config(clusters), tasks);
+    let ms = timed_run(&sc, Arm::Cached, clusters, tasks);
     eprintln!("kernel_scale/{tasks}x{machines} after: {:.2} ms", ms);
     ms
 }
@@ -407,32 +337,18 @@ fn main() {
     }
 
     if args.iter().any(|a| a == "--check") {
-        // One interleaved round at 16k pins the pool-vs-after ratchet
-        // and the recorded-best regression gate; the 65k run pins the
-        // absolute wall clock.
-        let (tasks, machines, clusters, with_pool) = AB_SIZES[1];
-        let case = run_case(tasks, machines, clusters, with_pool, 1);
-        let before = case.arm(Arm::Pool).expect("16k times the pool arm")[0];
-        let mut after = case.arm(Arm::CachedScan4).expect("after arm always runs")[0];
-        let speedup = before / after;
-        println!("{}: speedup {:.1}x", case.name, speedup);
-        assert!(
-            speedup >= CHECK_MIN_SPEEDUP,
-            "{} speedup {:.1}x fell below the {CHECK_MIN_SPEEDUP}x ratchet",
-            case.name,
-            speedup
-        );
+        // The 16k after arm pins the recorded-best regression gate; the
+        // 65k run pins the absolute wall clock.
+        let (tasks, machines, clusters) = AB_SIZES[1];
         if let Some(best) = best_recorded_after_min(&out, RATCHET_CASE) {
             // The regression gate compares min-of-rounds against
             // min-of-rounds: run-to-run noise on shared hosts is
             // +-15%, so a single round would flake against a recorded
-            // best that is itself a min. Two extra after-arm rounds
-            // are cheap (~0.4 s each).
+            // best that is itself a min (~0.4 s per round).
             let sc = ScaleParams::new(tasks, machines).generate(0, 0);
-            let cfg = Arm::CachedScan4.config(clusters);
-            for _ in 0..2 {
-                after = after.min(timed_run(&sc, &cfg, tasks));
-            }
+            let after = (0..3)
+                .map(|_| timed_run(&sc, Arm::Cached, clusters, tasks))
+                .fold(f64::INFINITY, f64::min);
             println!(
                 "{RATCHET_CASE}: after {:.1} ms (min of 3) vs best recorded {:.1} ms",
                 after, best
@@ -451,30 +367,23 @@ fn main() {
             "65k smoke took {:.1} s, ceiling is {CHECK_MAX_SMOKE_SECS} s",
             ms / 1e3
         );
-        println!("check ok: 16k {:.1}x, 65k {:.2} s", speedup, ms / 1e3);
+        println!("check ok: 65k {:.2} s", ms / 1e3);
         return;
     }
 
     let results: Vec<CaseResult> = AB_SIZES
         .iter()
-        .map(|&(tasks, machines, clusters, with_pool)| {
-            run_case(tasks, machines, clusters, with_pool, rounds)
-        })
+        .map(|&(tasks, machines, clusters)| run_case(tasks, machines, clusters, rounds))
         .collect();
     let design_ms = run_design_point();
     write_json(&out, &results, design_ms, rounds);
     for case in &results {
-        let after = case.arm(Arm::CachedScan4).expect("after arm always runs");
-        match case.arm(Arm::Pool) {
-            Some(before) => println!(
-                "{}: {:.2} ms -> {:.2} ms (min), speedup {:.1}x",
-                case.name,
-                min_of(before),
-                min_of(after),
-                min_of(before) / min_of(after)
-            ),
-            None => println!("{}: after {:.2} ms (min; {BEFORE_MARKER})", case.name, min_of(after)),
-        }
+        println!(
+            "{}: resort {:.2} ms -> cached {:.2} ms (min)",
+            case.name,
+            min_of(case.arm(Arm::Resort)),
+            min_of(case.arm(Arm::Cached)),
+        );
     }
     println!(
         "kernel_scale/{}x{} after: {:.2} s",

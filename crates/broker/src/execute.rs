@@ -320,8 +320,8 @@ pub fn execute_open(
     ctx: &mut RunContext,
     emit: &mut dyn FnMut(Event),
 ) -> Result<MapResponse, String> {
-    if req.config.scale.is_some() {
-        return Err("open-system runs do not support the scale path".into());
+    if req.config.scale.clusters > 1 {
+        return Err("open-system runs do not support the clustered (clusters > 1) kernel".into());
     }
     if req.jobs.is_empty() {
         return Err("open-request needs at least one job".into());

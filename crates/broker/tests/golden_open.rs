@@ -151,6 +151,20 @@ fn dbc_report_matches_fixture_at_1_and_4_threads() {
     assert_golden("dbc_report.txt", &one);
 }
 
+/// The approximate clustered kernel has no open-mode oracle, so an open
+/// request naming it is refused up front (the exact kernel is what every
+/// other open test runs).
+#[test]
+fn clustered_open_requests_are_rejected() {
+    let mut req = open_request();
+    req.config = req.config.with_scale(slrh::ScaleMode {
+        clusters: 2,
+        ..slrh::ScaleMode::default()
+    });
+    let err = execute_open(0, &req, &mut RunContext::new(), &mut |_| {}).unwrap_err();
+    assert!(err.contains("clusters > 1"), "{err}");
+}
+
 /// Submitting the open request to a live daemon returns byte-for-byte
 /// the report the one-shot CLI path prints, and the daemon's job events
 /// match the local emission except for the daemon-assigned job id.

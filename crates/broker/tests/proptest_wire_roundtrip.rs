@@ -71,15 +71,15 @@ fn configs() -> impl Strategy<Value = SlrhConfig> {
         prop::sample::select(&[SlrhVariant::V1, SlrhVariant::V2, SlrhVariant::V3][..]),
         weights(),
         (1u64..500, 1u64..2000),
-        (any::<bool>(), any::<bool>()),
+        (any::<bool>(), 1u32..9, 0u64..32),
         adaptations(),
     )
-        .prop_map(|(variant, w, (dt, h), (secondary, cache), adaptation)| {
+        .prop_map(|(variant, w, (dt, h), (secondary, clusters, spill_after), adaptation)| {
             let mut cfg = SlrhConfig::paper(variant, w);
             cfg.dt = Dur(dt);
             cfg.horizon = Dur(h);
             cfg.allow_secondary = secondary;
-            cfg.use_pool_cache = cache;
+            cfg.scale = slrh::ScaleMode { clusters, spill_after };
             cfg.adaptation = adaptation;
             cfg
         })

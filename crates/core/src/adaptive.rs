@@ -33,8 +33,8 @@ use lagrange::step::StepRule;
 use lagrange::weights::Weights;
 
 use crate::config::{Adaptation, SlrhConfig};
-use crate::mapper::{drive_with, RunStats};
-use crate::pool::PoolCache;
+use crate::frontier::Frontier;
+use crate::mapper::{drive, RunStats};
 
 /// Configuration of an adaptive SLRH run.
 #[derive(Copy, Clone, PartialEq, Debug)]
@@ -122,18 +122,16 @@ impl gridsim::MappingOutcome for AdaptiveOutcome<'_> {
 pub fn run_adaptive_slrh<'a>(scenario: &'a Scenario, cfg: &AdaptiveConfig) -> AdaptiveOutcome<'a> {
     let mut run = cfg.as_slrh_config().armed();
     let mut state = SimState::new(scenario);
-    // The cache survives weight updates: a cached entry's *plans* don't
-    // depend on the weights (only its objective values do, and those are
-    // recomputed on every query), so controller steps evict nothing.
-    let mut cache = (run.use_pool_cache && run.scale.is_none())
-        .then(|| PoolCache::new(&state, run.allow_secondary));
+    // One frontier spans every sampling segment, so segmentation costs
+    // (and changes) nothing.
+    let mut frontier = Frontier::new(&state, run.scale);
     let mut stats = RunStats::default();
     let mut trace = vec![(Time::ZERO, run.objective.weights)];
 
     let mut now = Time::ZERO;
     loop {
         let stop = now.saturating_add(cfg.control_interval);
-        now = drive_with(&mut state, &mut run, &mut stats, cache.as_mut(), now, Some(stop), None);
+        now = drive(&mut state, &mut run, &mut stats, &mut frontier, now, Some(stop), None);
         if state.all_mapped() || now > scenario.tau {
             if trace.last().map(|&(_, w)| w) != Some(run.objective.weights) {
                 trace.push((now, run.objective.weights));

@@ -168,48 +168,33 @@ impl Adaptation {
     }
 }
 
-/// Opt-in large-scale kernel mode: incremental frontier maintenance plus
-/// hierarchical machine clustering (ROADMAP item 4).
+/// The candidate-frontier kernel's partitioning knobs.
 ///
-/// With a `ScaleMode`, the clock loop keeps the ready/candidate frontier
-/// alive across ticks (maintained from the [`gridsim::state::StateDelta`]
-/// stream instead of re-scanned from the DAG), partitions the machines
-/// into `clusters` groups by ETC-column similarity, homes contiguous
-/// DAG-region task blocks onto clusters, and costs candidates only
-/// against their home cluster's machines until they *spill* — after
+/// The clock loop keeps the ready/candidate frontier alive across ticks
+/// (maintained from the [`gridsim::state::StateDelta`] stream instead of
+/// re-scanned from the DAG). With `clusters > 1` it also partitions the
+/// machines into `clusters` groups by ETC-column similarity, homes
+/// contiguous DAG-region task blocks onto clusters, and costs candidates
+/// only against their home cluster's machines until they *spill* — after
 /// `spill_after` ticks on the frontier a candidate becomes visible to
 /// every cluster, so nothing can be stranded by the partition.
 ///
-/// With `clusters = 1` the partition is trivial and the frontier kernel
-/// is **schedule-identical** to the default pool-building kernel (the
-/// per-machine commit is the same argmax under the same tie-breaks); the
-/// stress harness proves this differentially on every generated case.
-/// With `clusters > 1` the schedule may differ (that is the point: each
-/// machine examines ~`|U|/clusters` candidates), which is why the whole
-/// mode is opt-in and `None` everywhere by default.
+/// With `clusters = 1` (the default, and the only value
+/// [`SlrhConfig::paper`] produces) the partition is trivial and every
+/// commit is **exactly** the paper's pool walk — the argmax under the
+/// same tie-breaks; the stress harness proves this differentially
+/// against [`crate::reference`] on every generated case. With
+/// `clusters > 1` the schedule may differ (that is the point: each
+/// machine examines ~`|U|/clusters` candidates), which is why the
+/// approximate mode is opt-in.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct ScaleMode {
     /// Number of machine clusters (>= 1; clamped to the machine count).
     /// 1 disables partitioning and keeps the kernel exact.
     pub clusters: u32,
     /// Ticks a ready candidate stays visible only to its home cluster
-    /// before spilling to every cluster.
+    /// before spilling to every cluster (inert with one cluster).
     pub spill_after: u64,
-    /// Worker threads for the intra-tick candidate scan. `0` (the
-    /// default) inherits the `compat/rayon` thread count
-    /// (`RAYON_NUM_THREADS` / pool override) at frontier construction.
-    /// Purely an *execution* knob: the scan is chunked so every computed
-    /// value is independent of the chunking, making the committed
-    /// schedule — and even the run stats — bit-identical at any thread
-    /// count.
-    pub scan_threads: u32,
-    /// Serve queries from per-(machine, list) cached bound orders
-    /// (sorted candidate permutations maintained incrementally off the
-    /// delta stream and floor raises) instead of re-filtering and
-    /// re-sorting from scratch each query. Output-identical either way;
-    /// `false` is only useful as a measurement baseline and as the
-    /// differential oracle's reference arm.
-    pub cached_orders: bool,
 }
 
 impl Default for ScaleMode {
@@ -218,8 +203,6 @@ impl Default for ScaleMode {
         ScaleMode {
             clusters: 1,
             spill_after: 8,
-            scan_threads: 0,
-            cached_orders: true,
         }
     }
 }
@@ -255,19 +238,13 @@ pub struct SlrhConfig {
     /// them is the secondary-availability ablation: the pool's
     /// feasibility gate then requires the *primary* version to fit.
     pub allow_secondary: bool,
-    /// Maintain candidate pools incrementally across clock ticks
-    /// ([`crate::pool::PoolCache`]) instead of rebuilding them from
-    /// scratch on every query. Output-identical either way; off is only
-    /// useful as a measurement baseline.
-    pub use_pool_cache: bool,
     /// Online weight adaptation. `None` (the default, and the only value
     /// [`SlrhConfig::paper`] produces) keeps the legacy fixed-weight
     /// loop byte-identical.
     pub adaptation: Option<Adaptation>,
-    /// Large-scale frontier kernel. `None` (the default, and the only
-    /// value [`SlrhConfig::paper`] produces) keeps the legacy pool-build
-    /// loop byte-identical.
-    pub scale: Option<ScaleMode>,
+    /// Frontier partitioning. [`ScaleMode::default`] (the only value
+    /// [`SlrhConfig::paper`] produces) is the exact kernel.
+    pub scale: ScaleMode,
 }
 
 impl SlrhConfig {
@@ -281,9 +258,8 @@ impl SlrhConfig {
             dt: Dur(10),
             horizon: Dur(100),
             allow_secondary: true,
-            use_pool_cache: true,
             adaptation: None,
-            scale: None,
+            scale: ScaleMode::default(),
         }
     }
 
@@ -341,13 +317,6 @@ impl SlrhConfig {
         self
     }
 
-    /// Rebuild candidate pools from scratch on every query instead of
-    /// maintaining them incrementally (measurement baseline).
-    pub fn without_pool_cache(mut self) -> SlrhConfig {
-        self.use_pool_cache = false;
-        self
-    }
-
     /// Enable online weight adaptation with the given block.
     ///
     /// # Panics
@@ -361,7 +330,8 @@ impl SlrhConfig {
         self
     }
 
-    /// Enable the large-scale frontier kernel with the given block.
+    /// Override the frontier partitioning (`clusters > 1` is the
+    /// approximate large-scale mode).
     ///
     /// # Panics
     /// Panics on a malformed block; use [`SlrhConfigBuilder::scale`] for
@@ -370,16 +340,8 @@ impl SlrhConfig {
         if let Err(e) = scale.check() {
             panic!("{e}");
         }
-        self.scale = Some(scale);
+        self.scale = scale;
         self
-    }
-
-    /// Enable the *exact* frontier kernel ([`ScaleMode::default`]:
-    /// incremental maintenance, no clustering) — schedule-identical to
-    /// the default kernel, used by the differential oracles and as the
-    /// entry point for the scale benchmarks.
-    pub fn with_frontier(self) -> SlrhConfig {
-        self.with_scale(ScaleMode::default())
     }
 
     /// The run-local working copy a driver should start from: the
@@ -453,7 +415,7 @@ impl std::fmt::Display for SlrhConfig {
     /// The canonical one-line rendering of a full configuration:
     ///
     /// ```text
-    /// SLRH-1; w=(α=0.5, β=0.3, γ=0.2); aet=+; trigger=clock; order=numerical; dt=10; h=100; secondary=on; cache=on
+    /// SLRH-1; w=(α=0.5, β=0.3, γ=0.2); aet=+; trigger=clock; order=numerical; dt=10; h=100; secondary=on
     /// ```
     ///
     /// Every field is printed (floats shortest-round-trip), so
@@ -462,15 +424,14 @@ impl std::fmt::Display for SlrhConfig {
     /// fixture headers all name configurations through this one form.
     ///
     /// The adaptation components (`adapt=`, `every=`, `amin=`, `lmax=`,
-    /// `warm=`) and the scale components (`frontier=`, `clusters=`,
-    /// `spill=`) are appended **only** when the respective block is
-    /// enabled, so the rendering of every pre-existing configuration —
-    /// and therefore every golden fixture and wire frame that embeds one
-    /// — is byte-identical to the legacy form.
+    /// `warm=`) and the scale components (`frontier=on; clusters=;
+    /// spill=`) are appended **only** when the respective block differs
+    /// from its default, so an exact fixed-weight configuration renders
+    /// as the bare prefix above.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}; w={}; aet={}; trigger={}; order={}; dt={}; h={}; secondary={}; cache={}",
+            "{}; w={}; aet={}; trigger={}; order={}; dt={}; h={}; secondary={}",
             self.variant,
             self.objective.weights,
             match self.objective.aet_sign {
@@ -482,7 +443,6 @@ impl std::fmt::Display for SlrhConfig {
             self.dt.0,
             self.horizon.0,
             if self.allow_secondary { "on" } else { "off" },
-            if self.use_pool_cache { "on" } else { "off" },
         )?;
         if let Some(a) = &self.adaptation {
             write!(
@@ -494,21 +454,12 @@ impl std::fmt::Display for SlrhConfig {
                 write!(f, "; warm={w}")?;
             }
         }
-        if let Some(s) = &self.scale {
+        if self.scale != ScaleMode::default() {
             write!(
                 f,
                 "; frontier=on; clusters={}; spill={}",
-                s.clusters, s.spill_after
+                self.scale.clusters, self.scale.spill_after
             )?;
-            // Newer knobs are emitted only when non-default so every
-            // pre-existing rendering (fixtures, wire frames, checkpoint
-            // fingerprints) stays byte-identical.
-            if s.scan_threads != 0 {
-                write!(f, "; scan={}", s.scan_threads)?;
-            }
-            if !s.cached_orders {
-                write!(f, "; orders=off")?;
-            }
         }
         Ok(())
     }
@@ -521,6 +472,11 @@ impl std::str::FromStr for SlrhConfig {
     /// every other component is optional and defaults to the paper
     /// value, so `"SLRH-1; w=(0.5, 0.3)"` is a valid terse spelling.
     /// Unknown components and duplicate keys are hard errors.
+    ///
+    /// The retired kernel-selection components `cache=on|off`,
+    /// `frontier=on|off`, `scan=N` and `orders=on|off` are still
+    /// accepted (value shape checked) and discarded, so v1 requests and
+    /// fixture headers recorded while they existed keep parsing.
     fn from_str(s: &str) -> Result<SlrhConfig, String> {
         let mut parts = s.split(';').map(str::trim);
         let variant: SlrhVariant = parts
@@ -536,11 +492,6 @@ impl std::str::FromStr for SlrhConfig {
         let mut adapt_amin: Option<f64> = None;
         let mut adapt_lmax: Option<f64> = None;
         let mut adapt_warm: Option<Weights> = None;
-        let mut frontier_on: Option<bool> = None;
-        let mut scale_clusters: Option<u32> = None;
-        let mut scale_spill: Option<u64> = None;
-        let mut scale_scan: Option<u32> = None;
-        let mut scale_orders: Option<bool> = None;
         for part in parts {
             if part.is_empty() {
                 continue;
@@ -572,7 +523,14 @@ impl std::str::FromStr for SlrhConfig {
                         Dur(value.parse().map_err(|e| format!("bad h {value:?}: {e}"))?)
                 }
                 "secondary" => config.allow_secondary = parse_on_off("secondary", value)?,
-                "cache" => config.use_pool_cache = parse_on_off("cache", value)?,
+                "cache" | "frontier" | "orders" => {
+                    parse_on_off(key, value)?;
+                }
+                "scan" => {
+                    value
+                        .parse::<u32>()
+                        .map_err(|e| format!("bad scan {value:?}: {e}"))?;
+                }
                 "adapt" => adapt_rule = Some(value.parse()?),
                 "every" => {
                     adapt_every =
@@ -587,29 +545,16 @@ impl std::str::FromStr for SlrhConfig {
                         Some(value.parse().map_err(|e| format!("bad lmax {value:?}: {e}"))?)
                 }
                 "warm" => adapt_warm = Some(value.parse()?),
-                "frontier" => frontier_on = Some(parse_on_off("frontier", value)?),
                 "clusters" => {
-                    scale_clusters = Some(
-                        value
-                            .parse()
-                            .map_err(|e| format!("bad clusters {value:?}: {e}"))?,
-                    )
+                    config.scale.clusters = value
+                        .parse()
+                        .map_err(|e| format!("bad clusters {value:?}: {e}"))?
                 }
                 "spill" => {
-                    scale_spill = Some(
-                        value
-                            .parse()
-                            .map_err(|e| format!("bad spill {value:?}: {e}"))?,
-                    )
+                    config.scale.spill_after = value
+                        .parse()
+                        .map_err(|e| format!("bad spill {value:?}: {e}"))?
                 }
-                "scan" => {
-                    scale_scan = Some(
-                        value
-                            .parse()
-                            .map_err(|e| format!("bad scan {value:?}: {e}"))?,
-                    )
-                }
-                "orders" => scale_orders = Some(parse_on_off("orders", value)?),
                 other => return Err(format!("unknown SLRH config component {other:?}")),
             }
         }
@@ -643,35 +588,7 @@ impl std::str::FromStr for SlrhConfig {
                 }
             }
         }
-        match frontier_on {
-            Some(true) => {
-                let defaults = ScaleMode::default();
-                let scale = ScaleMode {
-                    clusters: scale_clusters.unwrap_or(defaults.clusters),
-                    spill_after: scale_spill.unwrap_or(defaults.spill_after),
-                    scan_threads: scale_scan.unwrap_or(defaults.scan_threads),
-                    cached_orders: scale_orders.unwrap_or(defaults.cached_orders),
-                };
-                scale.check().map_err(|e| e.to_string())?;
-                config.scale = Some(scale);
-            }
-            // `frontier=off` is accepted (and round-trips to the absent
-            // form); the satellite keys still require it to be present.
-            Some(false) | None => {
-                for (key, present) in [
-                    ("clusters", scale_clusters.is_some()),
-                    ("spill", scale_spill.is_some()),
-                    ("scan", scale_scan.is_some()),
-                    ("orders", scale_orders.is_some()),
-                ] {
-                    if present {
-                        return Err(format!(
-                            "SLRH config component {key:?} requires frontier=on"
-                        ));
-                    }
-                }
-            }
-        }
+        config.scale.check().map_err(|e| e.to_string())?;
         if config.dt.is_zero() {
             return Err(ConfigError::ZeroDt.to_string());
         }
@@ -766,21 +683,14 @@ impl SlrhConfigBuilder {
         self
     }
 
-    /// Maintain pools incrementally or rebuild per query (default:
-    /// incrementally; the results are identical).
-    pub fn use_pool_cache(mut self, use_cache: bool) -> SlrhConfigBuilder {
-        self.config.use_pool_cache = use_cache;
-        self
-    }
-
     /// Enable (or, with `None`, disable) online weight adaptation.
     pub fn adaptation(mut self, adaptation: Option<Adaptation>) -> SlrhConfigBuilder {
         self.config.adaptation = adaptation;
         self
     }
 
-    /// Enable (or, with `None`, disable) the large-scale frontier kernel.
-    pub fn scale(mut self, scale: Option<ScaleMode>) -> SlrhConfigBuilder {
+    /// Set the frontier partitioning (default: exact, one cluster).
+    pub fn scale(mut self, scale: ScaleMode) -> SlrhConfigBuilder {
         self.config.scale = scale;
         self
     }
@@ -796,9 +706,7 @@ impl SlrhConfigBuilder {
         if let Some(adaptation) = &self.config.adaptation {
             adaptation.check()?;
         }
-        if let Some(scale) = &self.config.scale {
-            scale.check()?;
-        }
+        self.config.scale.check()?;
         Ok(self.config)
     }
 }
@@ -815,7 +723,7 @@ mod tests {
         assert_eq!(c.variant, SlrhVariant::V1);
         assert_eq!(c.trigger, Trigger::Clock);
         assert!(c.allow_secondary);
-        assert!(c.use_pool_cache);
+        assert_eq!(c.scale, ScaleMode::default());
     }
 
     #[test]
@@ -834,7 +742,7 @@ mod tests {
             .dt(Dur(3))
             .horizon(Dur(42))
             .allow_secondary(false)
-            .use_pool_cache(false)
+            .scale(ScaleMode { clusters: 4, spill_after: 2 })
             .build()
             .unwrap();
         assert_eq!(c.trigger, Trigger::MachineAvailable);
@@ -842,7 +750,7 @@ mod tests {
         assert_eq!(c.dt, Dur(3));
         assert_eq!(c.horizon, Dur(42));
         assert!(!c.allow_secondary);
-        assert!(!c.use_pool_cache);
+        assert_eq!(c.scale, ScaleMode { clusters: 4, spill_after: 2 });
     }
 
     #[test]
@@ -896,13 +804,43 @@ mod tests {
     }
 
     #[test]
-    fn legacy_display_is_untouched_without_adaptation() {
+    fn default_display_is_the_bare_prefix() {
         let c = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap());
         assert_eq!(
             c.to_string(),
             "SLRH-1; w=(α=0.5, β=0.3, γ=0.2); aet=+; trigger=clock; order=numerical; \
-             dt=10; h=100; secondary=on; cache=on"
+             dt=10; h=100; secondary=on"
         );
+    }
+
+    #[test]
+    fn retired_components_parse_and_are_discarded() {
+        let paper = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap());
+        // The exact default line every pre-removal fixture and v1 request
+        // carries.
+        let legacy: SlrhConfig = "SLRH-1; w=(α=0.5, β=0.3, γ=0.2); aet=+; trigger=clock; \
+                                  order=numerical; dt=10; h=100; secondary=on; cache=on"
+            .parse()
+            .expect("pre-removal default line parses");
+        assert_eq!(legacy, paper);
+        // Every retired kernel selector, at either value, changes nothing.
+        for s in [
+            "SLRH-1; w=(0.5, 0.3); cache=off",
+            "SLRH-1; w=(0.5, 0.3); frontier=on",
+            "SLRH-1; w=(0.5, 0.3); frontier=off",
+            "SLRH-1; w=(0.5, 0.3); frontier=on; scan=4; orders=off",
+        ] {
+            assert_eq!(s.parse::<SlrhConfig>().expect(s), paper, "{s}");
+        }
+        // Shape is still validated and duplicates are still errors.
+        for s in [
+            "SLRH-1; w=(0.5, 0.3); cache=maybe",
+            "SLRH-1; w=(0.5, 0.3); scan=many",
+            "SLRH-1; w=(0.5, 0.3); orders=1",
+            "SLRH-1; w=(0.5, 0.3); cache=on; cache=on",
+        ] {
+            assert!(s.parse::<SlrhConfig>().is_err(), "accepted {s:?}");
+        }
     }
 
     #[test]
@@ -986,62 +924,38 @@ mod tests {
 
     #[test]
     fn scale_display_round_trips() {
-        let mut c = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap());
-        c.scale = Some(ScaleMode {
-            clusters: 16,
-            spill_after: 4,
-            ..ScaleMode::default()
-        });
-        let text = c.to_string();
-        assert!(text.ends_with("; frontier=on; clusters=16; spill=4"), "{text}");
-        let back: SlrhConfig = text.parse().expect("scale config parses");
-        assert_eq!(back, c);
-        // Non-default scan/orders knobs round-trip and stay absent at
-        // their defaults (fixture byte-identity).
-        c.scale = Some(ScaleMode {
-            clusters: 16,
-            spill_after: 4,
-            scan_threads: 4,
-            cached_orders: false,
-        });
-        let text = c.to_string();
-        assert!(
-            text.ends_with("; frontier=on; clusters=16; spill=4; scan=4; orders=off"),
-            "{text}"
+        let c = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap()).with_scale(
+            ScaleMode {
+                clusters: 16,
+                spill_after: 4,
+            },
         );
-        let back: SlrhConfig = text.parse().expect("scan/orders config parses");
-        assert_eq!(back, c);
-        // The legacy prefix is untouched.
-        assert!(text.starts_with(
+        let text = c.to_string();
+        assert_eq!(
+            text,
             "SLRH-1; w=(α=0.5, β=0.3, γ=0.2); aet=+; trigger=clock; order=numerical; \
-             dt=10; h=100; secondary=on; cache=on"
-        ));
+             dt=10; h=100; secondary=on; frontier=on; clusters=16; spill=4"
+        );
+        assert_eq!(text.parse::<SlrhConfig>().expect("scale config parses"), c);
+        // A non-default spill delay alone still round-trips.
+        let c = c.with_scale(ScaleMode {
+            clusters: 1,
+            spill_after: 4,
+        });
+        assert_eq!(c.to_string().parse::<SlrhConfig>().expect("parses"), c);
     }
 
     #[test]
-    fn scale_components_default_from_the_block_defaults() {
-        let c: SlrhConfig = "SLRH-1; w=(0.5, 0.3); frontier=on"
-            .parse()
-            .expect("terse scale config parses");
-        assert_eq!(c.scale, Some(ScaleMode::default()));
-        // frontier=off round-trips to the absent form.
-        let off: SlrhConfig = "SLRH-1; w=(0.5, 0.3); frontier=off".parse().unwrap();
-        assert_eq!(off.scale, None);
-    }
-
-    #[test]
-    fn scale_satellite_keys_require_the_switch() {
-        for s in [
-            "SLRH-1; w=(0.5, 0.3); clusters=4",
-            "SLRH-1; w=(0.5, 0.3); spill=2",
-            "SLRH-1; w=(0.5, 0.3); frontier=off; clusters=4",
-            "SLRH-1; w=(0.5, 0.3); scan=4",
-            "SLRH-1; w=(0.5, 0.3); orders=off",
-        ] {
-            let err = s.parse::<SlrhConfig>().unwrap_err();
-            assert!(err.contains("requires frontier=on"), "{s}: {err}");
-        }
-        assert!("SLRH-1; w=(0.5, 0.3); frontier=on; clusters=0"
+    fn scale_components_stand_alone() {
+        let c: SlrhConfig = "SLRH-1; w=(0.5, 0.3); clusters=4".parse().unwrap();
+        assert_eq!(
+            c.scale,
+            ScaleMode {
+                clusters: 4,
+                ..ScaleMode::default()
+            }
+        );
+        assert!("SLRH-1; w=(0.5, 0.3); clusters=0"
             .parse::<SlrhConfig>()
             .is_err());
     }
@@ -1050,21 +964,12 @@ mod tests {
     fn builder_validates_scale() {
         let w = Weights::new(0.5, 0.2).unwrap();
         let bad = SlrhConfig::builder(SlrhVariant::V1, w)
-            .scale(Some(ScaleMode {
+            .scale(ScaleMode {
                 clusters: 0,
                 ..ScaleMode::default()
-            }))
+            })
             .build();
         assert_eq!(bad.unwrap_err(), ConfigError::ZeroClusters);
-        let ok = SlrhConfig::builder(SlrhVariant::V1, w)
-            .scale(Some(ScaleMode::default()))
-            .build()
-            .unwrap();
-        assert_eq!(ok.scale, Some(ScaleMode::default()));
-        assert_eq!(
-            SlrhConfig::paper(SlrhVariant::V1, w).with_frontier().scale,
-            Some(ScaleMode::default())
-        );
     }
 
     #[test]

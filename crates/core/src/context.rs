@@ -1,10 +1,11 @@
 //! Reusable per-run storage for campaign-style drivers.
 //!
 //! A single SLRH (or baseline) run allocates a [`SimState`]'s dozen-odd
-//! backing vectors plus — with the pool cache on — a `machines × tasks`
-//! slot table and planner scratch. The Figure 3 weight search executes
-//! *hundreds* of complete runs per scenario and the campaign thousands
-//! overall, so that per-run churn dominates the allocator. A
+//! backing vectors plus the candidate frontier's per-task and
+//! per-(task, machine) tables and planner scratch. The Figure 3 weight
+//! search executes *hundreds* of complete runs per scenario, the
+//! campaign thousands overall, and an open-system stream one run per
+//! arriving job, so that per-run churn dominates the allocator. A
 //! [`RunContext`] owns all of it once: build each run's state on the
 //! context ([`RunContext::state`]), run, snapshot what you need, and
 //! hand the state back ([`RunContext::reclaim`]) so the next run
@@ -14,16 +15,18 @@
 //!
 //! The context carries **capacity, never content**: every run begins by
 //! resetting each buffer from the scenario ([`SimState::new_in`],
-//! [`PoolCache::reset`]), re-deriving all values exactly as the fresh
+//! `Frontier::reset`), re-deriving all values exactly as the fresh
 //! constructors do. The golden differential suite
 //! (`grid-sweep/tests/golden_run_context.rs`) pins byte-identical
 //! campaign and weight-search reports against pre-reuse references, at
-//! 1 and 4 worker threads.
+//! 1 and 4 worker threads, and the stress harness compares a fresh
+//! context against a campaign-long one on every case.
 
 use adhoc_grid::workload::Scenario;
 use gridsim::state::{SimState, StateBuffers};
 
-use crate::pool::PoolCache;
+use crate::config::ScaleMode;
+use crate::frontier::Frontier;
 
 /// Every buffer a heuristic run needs, reusable across consecutive runs.
 ///
@@ -35,7 +38,7 @@ use crate::pool::PoolCache;
 #[derive(Default)]
 pub struct RunContext {
     buffers: StateBuffers,
-    cache: PoolCache,
+    frontier: Frontier,
 }
 
 impl RunContext {
@@ -65,14 +68,10 @@ impl RunContext {
         self.buffers = state.into_buffers();
     }
 
-    /// The context's pool cache, re-synchronised to `state` for a new
-    /// run (see [`PoolCache::reset`]).
-    pub fn cache_for(
-        &mut self,
-        state: &SimState<'_>,
-        allow_secondary: bool,
-    ) -> &mut PoolCache {
-        self.cache.reset(state, allow_secondary);
-        &mut self.cache
+    /// The context's candidate frontier, re-synchronised to `state` for
+    /// a new run (see `Frontier::reset`).
+    pub(crate) fn frontier_for(&mut self, state: &SimState<'_>, mode: ScaleMode) -> &mut Frontier {
+        self.frontier.reset(state, mode);
+        &mut self.frontier
     }
 }

@@ -36,8 +36,7 @@ use gridsim::state::SimState;
 
 use crate::config::SlrhConfig;
 use crate::context::RunContext;
-use crate::mapper::{drive_with, RunStats};
-use crate::pool::PoolCache;
+use crate::mapper::{drive, Kernel, RunStats, TickEvent};
 
 /// A machine disappearing from the grid.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -145,7 +144,7 @@ pub fn run_slrh_churn_observed<'a>(
     losses: &[MachineLossEvent],
     arrivals: &[MachineArrivalEvent],
     ctx: &mut RunContext,
-    observer: &mut dyn FnMut(crate::mapper::TickEvent),
+    observer: &mut dyn FnMut(TickEvent),
 ) -> DynamicOutcome<'a> {
     churn_inner(scenario, config, losses, arrivals, ctx, Some(observer))
 }
@@ -156,8 +155,24 @@ fn churn_inner<'a>(
     losses: &[MachineLossEvent],
     arrivals: &[MachineArrivalEvent],
     ctx: &mut RunContext,
-    mut observer: Option<&mut dyn FnMut(crate::mapper::TickEvent)>,
+    observer: Option<&mut dyn FnMut(TickEvent)>,
 ) -> DynamicOutcome<'a> {
+    let (state, losses) = prepare(scenario, losses, arrivals, ctx);
+    // One frontier for the whole run, synchronised *after* the arrival
+    // blocks: what it learns survives segment boundaries.
+    let frontier = ctx.frontier_for(&state, config.scale);
+    drive_segments(state, config, &losses, frontier, Time::ZERO, observer)
+}
+
+/// Check the churn trace and build the run's initial state on `ctx`:
+/// arriving machines blocked until they join. Returns the state and the
+/// losses in `(at, machine)` order.
+pub(crate) fn prepare<'a>(
+    scenario: &'a Scenario,
+    losses: &[MachineLossEvent],
+    arrivals: &[MachineArrivalEvent],
+    ctx: &mut RunContext,
+) -> (SimState<'a>, Vec<MachineLossEvent>) {
     let mut arrivals = arrivals.to_vec();
     arrivals.sort_by_key(|e| (e.machine, e.at));
     for w in arrivals.windows(2) {
@@ -190,31 +205,37 @@ fn churn_inner<'a>(
             state.block_until(a.machine, a.at);
         }
     }
-    // One pool cache for the whole run: `drive_with` keeps it fed with
-    // commit deltas and `apply_loss_tracked` with invalidation deltas, so
-    // surviving entries carry across segments and loss events. It is
-    // synchronised *after* the arrival blocks, like the fresh-cache path
-    // always was. Frontier (scale) runs skip it: each `drive_with`
-    // segment rebuilds its frontier from the then-current ready set, and
-    // the cache would never be queried.
-    let mut cache = (config.use_pool_cache && config.scale.is_none())
-        .then(|| ctx.cache_for(&state, config.allow_secondary));
+    (state, events)
+}
+
+/// Drive the clock loop from `start` across the `(at, machine)`-sorted
+/// loss events: one segment up to each loss, the loss cascade, then the
+/// tail segment. Every loss is applied, so `disruptions` lines up with
+/// `losses` one to one.
+pub(crate) fn drive_segments<'a, K: Kernel>(
+    mut state: SimState<'a>,
+    config: &SlrhConfig,
+    losses: &[MachineLossEvent],
+    kernel: &mut K,
+    start: Time,
+    mut observer: Option<&mut dyn FnMut(TickEvent)>,
+) -> DynamicOutcome<'a> {
     let mut stats = RunStats::default();
     let mut disruptions = Vec::new();
-    let mut now = Time::ZERO;
+    let mut now = start;
     // One armed copy spans every segment, so adapted weights (and the
     // tick schedule carried by `stats.clock_steps`) survive loss events.
     let mut run = config.armed();
 
-    for ev in &events {
+    for ev in losses {
         // Manual reborrow: `as_deref_mut` would pin the trait object's
         // lifetime to the outer borrow; `&mut **o` lets it shorten.
         #[allow(clippy::manual_map)] // a `map` closure cannot return the reborrow
         let obs = match observer {
-            Some(ref mut o) => Some(&mut **o as &mut dyn FnMut(crate::mapper::TickEvent)),
+            Some(ref mut o) => Some(&mut **o as &mut dyn FnMut(TickEvent)),
             None => None,
         };
-        now = drive_with(&mut state, &mut run, &mut stats, cache.as_deref_mut(), now, Some(ev.at), obs);
+        now = drive(&mut state, &mut run, &mut stats, kernel, now, Some(ev.at), obs);
         // The loss takes effect at the clock tick the driver stopped on.
         // Every event is applied, even past τ: mappings only happen at
         // clocks <= τ, but work mapped near τ can still be *executing*
@@ -222,10 +243,9 @@ fn churn_inner<'a>(
         // (`apply_loss` is a cheap no-op when everything already
         // finished before the loss).
         let effective = now.max(ev.at);
-        let n = apply_loss_tracked(&mut state, cache.as_deref_mut(), &mut stats, ev.machine, effective);
-        disruptions.push((effective, n));
+        disruptions.push((effective, apply_loss(&mut state, ev.machine, effective)));
     }
-    drive_with(&mut state, &mut run, &mut stats, cache, now, None, observer);
+    drive(&mut state, &mut run, &mut stats, kernel, now, None, observer);
 
     DynamicOutcome {
         state,
@@ -237,25 +257,12 @@ fn churn_inner<'a>(
 
 /// Invalidate everything machine `j`'s disappearance at `at` disrupts and
 /// unmap it. Returns the number of invalidated subtasks.
+///
+/// The cascade's deltas are not reported to the candidate kernel: it
+/// notices the revision gap on its next tick and rebuilds from the
+/// surviving ready set, once, however many subtasks were unmapped.
 pub fn apply_loss(state: &mut SimState<'_>, j: MachineId, at: Time) -> usize {
-    apply_loss_tracked(state, None, &mut RunStats::default(), j, at)
-}
-
-/// [`apply_loss`] variant that keeps a [`PoolCache`] synchronised by
-/// feeding it every [`gridsim::state::StateDelta`] the loss cascade
-/// produces (the `mark_lost` plus one `unmap` per invalidated subtask),
-/// so only the entries those mutations could affect are evicted.
-pub fn apply_loss_tracked(
-    state: &mut SimState<'_>,
-    mut cache: Option<&mut PoolCache>,
-    stats: &mut RunStats,
-    j: MachineId,
-    at: Time,
-) -> usize {
-    let delta = state.mark_lost(j, at);
-    if let Some(c) = cache.as_deref_mut() {
-        c.apply(&delta, stats);
-    }
+    state.mark_lost(j, at);
     let sc = state.scenario();
     let invalid = invalidation_closure(state, sc, j, at);
 
@@ -281,9 +288,6 @@ pub fn apply_loss_tracked(
                 // documented `unmap` contract), so the ordered set absorbs
                 // it without any re-sort.
                 let delta = state.unmap(t);
-                if let Some(c) = cache.as_deref_mut() {
-                    c.apply(&delta, stats);
-                }
                 pending.remove(&t);
                 for p in delta.starved_parents {
                     // A starved parent must re-run, so everything mapped

@@ -1,18 +1,20 @@
-//! Incremental candidate-frontier maintenance for the large-scale kernel
-//! (ROADMAP item 4, opt-in via [`crate::config::ScaleMode`]).
+//! The candidate-selection kernel: an incrementally maintained
+//! ready-frontier answering "best startable candidate for machine `j`
+//! now" for every driver ([`crate::mapper`], [`crate::dynamic`],
+//! [`crate::adaptive`], [`crate::open`]).
 //!
-//! The default kernel re-derives the candidate pool `U` from the ready
-//! set on every `(machine, tick)` query: O(|U|·|M|) planning work per
-//! tick, which is fine at the paper's 4–16 machines and fatal at 1000.
-//! The frontier attacks that product on three fronts:
+//! The paper's definition re-derives the candidate pool `U` from the
+//! ready set on every `(machine, tick)` query ([`crate::pool`]):
+//! O(|U|·|M|) planning work per tick, slow at the paper's 4–16 machines
+//! and fatal at 1000. The frontier attacks that product on five fronts:
 //!
 //! 1. **Incremental maintenance** — the ready/candidate frontier is kept
 //!    alive across ticks, updated from the [`StateDelta`] stream that
 //!    every [`SimState`] mutation already emits (a commit removes one
 //!    task and inserts its newly-ready children; a worklist, never a
-//!    rescan). If a delta goes missing the frontier notices the revision
-//!    gap and lazily rebuilds from [`SimState::ready_tasks`], exactly
-//!    like [`crate::pool::PoolCache`] resynchronises.
+//!    rescan). If a delta goes missing — drivers deliberately do not
+//!    report a machine-loss cascade — the frontier notices the revision
+//!    gap and lazily rebuilds from [`SimState::ready_tasks`].
 //! 2. **Hierarchical machine clustering** — machines are partitioned
 //!    into `clusters` groups by ETC-column similarity (mean column
 //!    seconds, ties toward the lower id), and contiguous task-id blocks
@@ -31,11 +33,9 @@
 //!    horizon this tick: pruning it *before* planning is exact. This is
 //!    what kills the spin phase — SLRH maps far ahead of the clock, so
 //!    most ready tasks are waiting for a parent's scheduled finish to
-//!    drift inside the horizon, and the frontier now skips them with
-//!    one comparison instead of a full placement search. The pruned
-//!    *startable* slice is computed once per `(tick, list)` and cached
-//!    ([`Frontier::collect_startable`]); `lb` itself is cached across
-//!    ticks and invalidated by reinsertion (a parent remap always
+//!    drift inside the horizon, and the frontier skips them with one
+//!    comparison instead of a full placement search. `lb` is cached
+//!    across ticks and invalidated by reinsertion (a parent remap always
 //!    removes and reinserts the child, via the delta's `invalidated`
 //!    set). A second, per-(task, machine) refinement
 //!    ([`SimState::start_floor`]) adds minimum transfer durations and
@@ -43,10 +43,19 @@
 //!    transfer-bound candidates — whose parents have finished but whose
 //!    data cannot arrive inside the horizon — before paying for the
 //!    planner's placement search.
-//! 4. **Batch feasibility gating** — each query then runs the §IV
-//!    energy gate over the startable slice as one flat pass over the
-//!    demand table ([`SimState::feasible_candidates`]), and only the
-//!    survivors are planned.
+//! 4. **Batch feasibility gating** — newcomers run the §IV energy gate
+//!    as one flat pass over the demand table
+//!    ([`SimState::feasible_candidates`]), rejections are remembered in
+//!    a self-validating per-machine bitset, and only the survivors are
+//!    ever bounded or planned.
+//! 5. **Cached bound orders** — each machine's two visible lists keep a
+//!    sorted permutation of gate-passing candidates by objective upper
+//!    bound alive across queries ([`View`]), served under a conservative
+//!    drift bound, so a query plans one or two candidates instead of
+//!    re-gating, re-bounding and re-sorting the frontier. A view shed by
+//!    the [`VIEW_ENTRY_CAP`] memory cap falls back to a per-query resort
+//!    of its list ([`Frontier::build_scratch`]), bit-identical to the
+//!    slice it replaces.
 //!
 //! The spill path is what keeps the partition *complete*: a candidate
 //! that has sat on the frontier for `spill_after` ticks without being
@@ -57,7 +66,7 @@
 //! # Exactness at `clusters = 1`
 //!
 //! With a single cluster every machine sees the whole frontier, and each
-//! query selects the same candidate the default kernel's
+//! query selects the same candidate the paper's
 //! [`crate::pool::Pool::first_startable`] walk selects: the pool sorts
 //! by (objective desc, task asc) and takes the first entry able to start
 //! within the horizon, which is precisely an argmax over startable
@@ -65,9 +74,9 @@
 //! [`Frontier::best_startable`] replays the same tie-breaks, the plans
 //! come from the same [`SimState::plan_with`], and the version choice
 //! replays [`crate::pool::build_pool_with`]'s primary-competes rule. The
-//! stress harness (`frontier` differential arm) proves schedule
-//! identity on every generated case; `clusters > 1` intentionally
-//! trades that identity for the ÷k candidate count.
+//! stress harness proves schedule identity against [`crate::reference`]
+//! on every generated case; `clusters > 1` intentionally trades that
+//! identity for the ÷k candidate count.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -80,7 +89,7 @@ use gridsim::state::{DeltaKind, SimState, StateDelta};
 use lagrange::weights::Objective;
 
 use crate::config::ScaleMode;
-use crate::mapper::RunStats;
+use crate::mapper::{Kernel, RunStats};
 use crate::pool::plan_objective;
 use lagrange::weights::{AetSign, ObjectiveInputs};
 
@@ -99,7 +108,7 @@ const FLOOR_CACHE_MAX: usize = 1 << 25;
 /// storage is released and its list is served by the per-query resort
 /// scan until the next epoch, so worst-case memory is bounded without a
 /// correctness cliff — the resort scan is the same bit-exact path the
-/// `cached_orders = false` ablation runs.
+/// [`crate::reference`] `Resort` oracle forces on every view.
 const VIEW_ENTRY_CAP: usize = 1 << 23;
 
 /// Minimum combined upper-bound evaluations per query before the eval
@@ -148,6 +157,7 @@ struct ViewEntry {
 /// off [`StateDelta`] inserts/removes and floor raises; invalidated
 /// wholesale by an epoch bump (rebuilds, unmap deltas, horizon
 /// regression) and per machine by a §IV gate-row flush.
+#[derive(Default)]
 struct View {
     /// Matches [`Frontier::view_epoch`] when structurally valid.
     epoch: u64,
@@ -182,27 +192,20 @@ struct View {
     overflow: bool,
 }
 
-impl Default for View {
-    fn default() -> View {
-        View {
-            epoch: 0,
-            struct_rev: 0,
-            log_cursor: 0,
-            entries: Vec::new(),
-            deferred: BinaryHeap::new(),
-            pend: Vec::new(),
-            ub_obj: None,
-            t100_snap: 0,
-            tec_snap: 0.0,
-            aet_snap: Time::ZERO,
-            h_snap: Time::ZERO,
-            refresh: false,
-            overflow: false,
-        }
-    }
-}
-
 impl View {
+    /// Back to the just-born state, keeping heap capacity. The drift
+    /// snapshots need no reset: they are only read under a `ub_obj` that
+    /// a full refresh sets together with them.
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.deferred.clear();
+        self.pend.clear();
+        self.log_cursor = 0;
+        self.ub_obj = None;
+        self.refresh = false;
+        self.overflow = false;
+    }
+
     /// Strict (ub desc, task asc) ordering — the same total order the
     /// resort scan sorts by, so a two-way merge of per-list slices
     /// replays the global sort exactly.
@@ -213,6 +216,11 @@ impl View {
 
 /// The live candidate frontier: every ready task, partitioned into
 /// per-cluster lists plus the shared spill list. See the module docs.
+///
+/// `Default` is detached storage synchronised to nothing — only useful
+/// as the donor for [`Frontier::reset`] ([`crate::RunContext`] keeps one
+/// per worker).
+#[derive(Default)]
 pub(crate) struct Frontier {
     /// Ticks a candidate stays home-only before spilling.
     spill_after: u64,
@@ -273,8 +281,6 @@ pub(crate) struct Frontier {
     /// phase. Cleared whenever occupation can shrink (rebuilds, unmap
     /// deltas); empty above [`FLOOR_CACHE_MAX`].
     floor_cache: Vec<Time>,
-    /// Reusable per-query `(objective upper bound, task)` scoreboard.
-    ub_buf: Vec<(f64, TaskId)>,
     /// Per-(machine, task) §IV gate-rejection bitset, rows of
     /// [`Frontier::gate_row_words`] words per machine. A set bit means
     /// the gate version's demand exceeded the machine's afford limit at
@@ -315,15 +321,11 @@ pub(crate) struct Frontier {
     /// stamp 0 is always stale.
     ptuple_gen: u64,
 
-    // ---- cached-bound-order machinery (ScaleMode::cached_orders) ----
-    /// Query path selector: cached per-(machine, list) bound orders
-    /// (default) vs the per-query resort scan (reference / ablation).
-    cached_orders: bool,
-    /// Resolved intra-query scan worker cap (`ScaleMode::scan_threads`,
-    /// 0 inheriting the compat/rayon thread count). Execution-only: it
-    /// bounds how many workers the eval batch may chunk over and can
-    /// never change a computed value.
-    scan_workers: usize,
+    // ---- cached-bound-order machinery ----
+    /// Born-shed views: every list is served by the per-query resort
+    /// scan, as if [`VIEW_ENTRY_CAP`] were zero. Only
+    /// [`Frontier::resort_only`] (the reference oracle) sets it.
+    shed_all: bool,
     /// Generation counter for views, logs and per-list startability
     /// structures; bumped by rebuilds, unmap deltas and (defensively)
     /// horizon regression. Starts at 1 so every epoch-0 structure is
@@ -398,6 +400,32 @@ impl Frontier {
     /// Build the frontier for `state`'s current ready set, clustering
     /// the scenario's machines by ETC-column similarity.
     pub fn new(state: &SimState<'_>, mode: ScaleMode) -> Frontier {
+        let mut frontier = Frontier::default();
+        frontier.reset(state, mode);
+        frontier
+    }
+
+    /// Serve every query through the per-list resort scan instead of the
+    /// cached bound orders — the `Resort` reference oracle. Not
+    /// reachable from any configuration.
+    pub fn resort_only(mut self) -> Frontier {
+        self.shed_all = true;
+        self
+    }
+
+    /// Re-synchronise with `state` for a new run: every value is
+    /// re-derived from the scenario exactly as a fresh frontier would
+    /// derive it, while the backing vectors keep their heap capacity —
+    /// the [`crate::RunContext`] capacity-never-content contract.
+    pub fn reset(&mut self, state: &SimState<'_>, mode: ScaleMode) {
+        fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+            v.clear();
+            v.resize(n, value);
+        }
+        fn refill_lists<T>(v: &mut Vec<Vec<T>>, n: usize) {
+            v.resize_with(n, Vec::new);
+            v.iter_mut().for_each(Vec::clear);
+        }
         let sc = state.scenario();
         let machines = sc.grid.len();
         let tasks = sc.tasks();
@@ -414,79 +442,75 @@ impl Frontier {
                 .expect("ETC means are finite")
                 .then(a.cmp(&b))
         });
-        let mut cluster_of = vec![0u32; machines];
+        refill(&mut self.cluster_of, machines, 0);
         for (rank, &j) in ranked.iter().enumerate() {
-            cluster_of[j] = (rank * clusters / machines) as u32;
+            self.cluster_of[j] = (rank * clusters / machines) as u32;
         }
 
         // DAG regions: task ids are topologically ordered, so contiguous
         // id blocks are contiguous DAG regions; block `c` is homed on
         // cluster `c`.
-        let home_of = (0..tasks).map(|t| (t * clusters / tasks) as u32).collect();
+        self.home_of.clear();
+        self.home_of
+            .extend((0..tasks).map(|t| (t * clusters / tasks) as u32));
 
-        let mut frontier = Frontier {
-            spill_after: mode.spill_after,
-            cluster_of,
-            home_of,
-            lists: vec![Vec::new(); clusters + 1],
-            list_of: vec![ABSENT; tasks],
-            pos: vec![0; tasks],
-            pending: VecDeque::new(),
-            tick: 0,
-            last_revision: state.revision(),
-            stale: false,
-            scratch: PlanScratch::default(),
-            gate_buf: Vec::new(),
-            lb: vec![Time::MAX; tasks],
-            // stamp starts ahead of every startable_stamp so the caches
-            // are stale until the first query builds them.
-            stamp: 1,
-            startable: vec![Vec::new(); clusters + 1],
-            startable_stamp: vec![0; clusters + 1],
-            startable_horizon: Time::MAX,
-            start_buf: Vec::new(),
-            floor_cache: if tasks.saturating_mul(machines) <= FLOOR_CACHE_MAX {
-                vec![Time::ZERO; tasks * machines]
-            } else {
-                Vec::new()
-            },
-            ub_buf: Vec::new(),
-            gate_dead: vec![0; machines * tasks.div_ceil(64)],
-            gate_row_words: tasks.div_ceil(64),
-            gate_limit: vec![f64::INFINITY; machines],
-            ptuples: vec![Vec::new(); tasks],
-            ptuple_stamp: vec![0; tasks],
-            ptuple_gen: 1,
-            cached_orders: mode.cached_orders,
-            scan_workers: if mode.scan_threads == 0 {
-                rayon::current_num_threads()
-            } else {
-                mode.scan_threads as usize
-            },
-            view_epoch: 1,
-            sgen: vec![0; tasks],
-            list_epoch: vec![0; clusters + 1],
-            fresh: vec![Vec::new(); clusters + 1],
-            waiting: vec![Vec::new(); clusters + 1],
-            slog: vec![Vec::new(); clusters + 1],
-            views: (0..machines * 2).map(|_| View::default()).collect(),
-            idle: vec![None; machines],
-            view_entries: 0,
-            last_horizon: Time::ZERO,
-            last_secondary: None,
-            eval_jobs: Vec::new(),
-            scratch_orders: [Vec::new(), Vec::new()],
-            defer_buf: [Vec::new(), Vec::new()],
-            wb_buf: [Vec::new(), Vec::new()],
-        };
-        for &t in state.ready_tasks() {
-            frontier.insert(t);
+        self.spill_after = mode.spill_after;
+        refill_lists(&mut self.lists, clusters + 1);
+        refill(&mut self.list_of, tasks, ABSENT);
+        refill(&mut self.pos, tasks, 0);
+        self.pending.clear();
+        self.tick = 0;
+        self.last_revision = state.revision();
+        self.stale = false;
+        refill(&mut self.lb, tasks, Time::MAX);
+        // stamp starts ahead of every startable_stamp so the caches
+        // are stale until the first query builds them.
+        self.stamp = 1;
+        refill_lists(&mut self.startable, clusters + 1);
+        refill(&mut self.startable_stamp, clusters + 1, 0);
+        self.startable_horizon = Time::MAX;
+        let floors = tasks.saturating_mul(machines);
+        refill(
+            &mut self.floor_cache,
+            if floors <= FLOOR_CACHE_MAX { floors } else { 0 },
+            Time::ZERO,
+        );
+        self.gate_row_words = tasks.div_ceil(64);
+        refill(&mut self.gate_dead, machines * self.gate_row_words, 0);
+        refill(&mut self.gate_limit, machines, f64::INFINITY);
+        refill_lists(&mut self.ptuples, tasks);
+        refill(&mut self.ptuple_stamp, tasks, 0);
+        self.ptuple_gen = 1;
+        self.shed_all = false;
+        self.view_epoch = 1;
+        refill(&mut self.sgen, tasks, 0);
+        refill(&mut self.list_epoch, clusters + 1, 0);
+        refill_lists(&mut self.fresh, clusters + 1);
+        refill_lists(&mut self.waiting, clusters + 1);
+        refill_lists(&mut self.slog, clusters + 1);
+        self.views.resize_with(machines * 2, View::default);
+        for v in &mut self.views {
+            v.clear();
+            // Stale against `view_epoch`: the first sync re-arms the view.
+            v.epoch = 0;
         }
-        frontier
+        refill(&mut self.idle, machines, None);
+        self.view_entries = 0;
+        self.last_horizon = Time::ZERO;
+        self.last_secondary = None;
+        for &t in state.ready_tasks() {
+            self.insert(t);
+        }
     }
 
     fn clusters(&self) -> usize {
         self.lists.len() - 1
+    }
+
+    /// Total candidates currently on the frontier.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.lists.iter().map(Vec::len).sum()
     }
 
     /// Put `t` on its home list (no-op if already on the frontier) and,
@@ -503,9 +527,7 @@ impl Frontier {
         // A (re)insert starts a fresh startable generation: any log,
         // waiting or view entry carrying the old one is now stale.
         self.sgen[t.0] = self.sgen[t.0].wrapping_add(1);
-        if self.cached_orders {
-            self.fresh[li].push((t, self.sgen[t.0]));
-        }
+        self.fresh[li].push((t, self.sgen[t.0]));
         // Reinsertion after a parent remap: the parents' placements may
         // have changed, so any cached costing tuples are stale.
         self.ptuple_stamp[t.0] = 0;
@@ -552,9 +574,7 @@ impl Frontier {
         // Same generation, new list: home-list log/view entries go
         // stale through the list check; the spill list scores the task
         // through its own fresh queue (the lb is already cached).
-        if self.cached_orders {
-            self.fresh[spill as usize].push((t, self.sgen[t.0]));
-        }
+        self.fresh[spill as usize].push((t, self.sgen[t.0]));
     }
 
     /// Rebuild the lists from the state's ready set (the resync path —
@@ -705,61 +725,6 @@ impl Frontier {
         }
     }
 
-    /// Start a clock tick: record the tick index and promote every
-    /// candidate whose spill timer is due.
-    pub fn begin_tick(&mut self, state: &SimState<'_>, tick: u64) {
-        self.tick = tick;
-        self.stamp = self.stamp.wrapping_add(1);
-        self.resync(state);
-        while let Some(&(due, t)) = self.pending.front() {
-            if due > tick {
-                break;
-            }
-            self.pending.pop_front();
-            self.promote_to_spill(t);
-        }
-    }
-
-    /// Ingest one [`StateDelta`]: the delta's `invalidated` tasks leave
-    /// the frontier, its `newly_ready` tasks join it — the exact
-    /// readiness semantics [`SimState`]'s mutators report. Machine-loss
-    /// and blocking deltas change no readiness and touch nothing. A gap
-    /// in the revision stream marks the frontier stale (rebuilt on the
-    /// next query) instead of serving a drifted list.
-    pub fn apply(&mut self, delta: &StateDelta) {
-        if delta.revision != self.last_revision + 1 {
-            self.last_revision = delta.revision;
-            self.stale = true;
-            return;
-        }
-        self.last_revision = delta.revision;
-        match delta.kind {
-            // Loss and blocking add (or merely flag) occupation; floors
-            // can only rise, so the start-floor cache stays valid.
-            DeltaKind::MachineLost | DeltaKind::Blocked => {}
-            DeltaKind::Commit | DeltaKind::Unmap => {
-                // An unmap *removes* occupation: earlier gaps can open,
-                // so every cached start floor — and every cached parent
-                // finish — is suspect.
-                if delta.kind == DeltaKind::Unmap {
-                    self.floor_cache.fill(Time::ZERO);
-                    self.ptuple_gen = self.ptuple_gen.wrapping_add(1);
-                    // Deferred view entries hold floor copies; cached
-                    // ubs and gate results survive (revision-guarded),
-                    // but the epoch bump is the one mechanism that
-                    // reaches every deferred heap.
-                    self.view_epoch = self.view_epoch.wrapping_add(1);
-                }
-                for &t in &delta.invalidated {
-                    self.remove(t);
-                }
-                for &t in &delta.newly_ready {
-                    self.insert(t);
-                }
-            }
-        }
-    }
-
     /// The lists machine `j` sees: its home cluster's, then the spill
     /// list.
     fn visible_lists(&self, j: MachineId) -> [usize; 2] {
@@ -823,218 +788,6 @@ impl Frontier {
                 out.push(t);
             }
         }
-    }
-
-    /// The best committable candidate for machine `j`: among the visible
-    /// candidates that pass the §IV gate and whose chosen-version plan
-    /// can start within the horizon, the one maximising the objective
-    /// (ties toward the lower task id). Returns the ready-to-commit
-    /// plan. Replays [`crate::pool::build_pool_with`]'s version choice
-    /// and [`crate::pool::Pool::first_startable`]'s selection exactly —
-    /// see the module docs.
-    ///
-    /// Two implementations produce the same answer: the cached-order
-    /// path (default) serves each query from incrementally maintained
-    /// per-(machine, list) bound orders, and the resort path rebuilds
-    /// and re-sorts the candidate scoreboard per query. The stress
-    /// harness's differential oracles hold them bit-identical —
-    /// including [`RunStats`] whenever the start-floor cache is active
-    /// (below [`FLOOR_CACHE_MAX`]); past the cap the cached path's
-    /// deferred floors prune re-plans the resort path repeats, so only
-    /// `candidates_evaluated` may drop, never the committed schedule.
-    #[allow(clippy::too_many_arguments)]
-    pub fn best_startable(
-        &mut self,
-        state: &SimState<'_>,
-        objective: &Objective,
-        j: MachineId,
-        now: Time,
-        horizon_end: Time,
-        allow_secondary: bool,
-        stats: &mut RunStats,
-    ) -> Option<MappingPlan> {
-        if self.cached_orders {
-            self.best_startable_cached(state, objective, j, now, horizon_end, allow_secondary, stats)
-        } else {
-            self.best_startable_resort(state, objective, j, now, horizon_end, allow_secondary, stats)
-        }
-    }
-
-    /// The per-query resort scan: collect → prune → gate → bound →
-    /// sort → plan, from scratch each query. Reference arm for the
-    /// cached-order path and the `cached_orders = false` ablation.
-    #[allow(clippy::too_many_arguments)]
-    fn best_startable_resort(
-        &mut self,
-        state: &SimState<'_>,
-        objective: &Objective,
-        j: MachineId,
-        now: Time,
-        horizon_end: Time,
-        allow_secondary: bool,
-        stats: &mut RunStats,
-    ) -> Option<MappingPlan> {
-        self.resync(state);
-        stats.pool_builds += 1;
-        let gate_version = if allow_secondary {
-            Version::Secondary
-        } else {
-            Version::Primary
-        };
-        let placement = Placement::Append { not_before: now };
-        let sc = state.scenario();
-        let m = state.metrics();
-        let tasks_f = m.tasks as f64;
-        let tau_s = m.tau.as_seconds();
-        let positive = matches!(objective.aet_sign, AetSign::Positive);
-
-        // Phase 1 — score every surviving candidate with an upper bound
-        // on the objective any plan for it could reach, *without*
-        // planning. The bound is exact arithmetic over the planner's own
-        // start-independent quantities (`T100` and `TEC` never depend on
-        // the placement; transfer energies depend only on sizes and link
-        // rates) plus the extremal admissible execution start for the
-        // `AET` term: `horizon_end` under the paper's positive sign
-        // (later finishes score higher, and starts past the horizon are
-        // rejected anyway), the start floor under the negative ablation.
-        // Every input either matches the real evaluation bit-for-bit or
-        // bounds it through operations that are monotone in IEEE
-        // arithmetic, so `ub ≥ obj` holds exactly, never approximately.
-        let mut cand = std::mem::take(&mut self.start_buf);
-        let mut gate = std::mem::take(&mut self.gate_buf);
-        let mut ubs = std::mem::take(&mut self.ub_buf);
-        ubs.clear();
-        let (limit, _) = self.gate_row_guard(state, j);
-        for li in self.visible_lists(j) {
-            cand.clear();
-            self.collect_startable(state, li, horizon_end, &mut cand);
-            // Cheapest prunes first: a recorded §IV rejection (valid
-            // under the row guard above) and a previously observed floor
-            // (or actual planned start) past the horizon both still hold
-            // — demand is static, timelines only fill in within a
-            // segment. Running them before the gate matters at sizes
-            // past the demand-table cap, where each gate check
-            // re-derives the worst-case energy per candidate.
-            cand.retain(|&t| !self.gate_dead_bit(t, j) && self.cached_floor(t, j) <= horizon_end);
-            gate.clear();
-            state.feasible_candidates(&cand, gate_version, j, &mut gate);
-            self.mark_gate_rejections(&cand, &gate, j, limit);
-            // Extremal admissible start for the bound: `horizon_end`
-            // when a later start raises the objective, otherwise a
-            // cheap lower bound on the per-candidate floor (the floor
-            // itself starts from this max before adding transfers).
-            let start_lb = now.max(state.compute_ready(j));
-            let bound_start = if positive { horizon_end } else { start_lb };
-            for &t in &gate {
-                // Transfer energy is bounded below by zero rather than
-                // computed: the exact per-parent durations cost a
-                // divide each, and at scale the floor they feed prunes
-                // almost nothing. The bound stays valid — a smaller
-                // `tec` term can only raise it — and the plan phase
-                // rejects floor-infeasible candidates exactly.
-                let ub_for = |v: Version| {
-                    let exec_dur = sc.etc.exec_dur(t, j, v);
-                    let exec_energy = sc.grid.machine(j).compute_energy(exec_dur);
-                    objective.evaluate(&ObjectiveInputs {
-                        t100_frac: (m.t100 + usize::from(v.is_primary())) as f64 / tasks_f,
-                        tec_frac: (m.tec + exec_energy) / m.tse,
-                        aet_frac: m.aet.max(bound_start + exec_dur).as_seconds() / tau_s,
-                    })
-                };
-                // The bound covers the same version contest the plan
-                // phase runs. The primary is included *unconditionally*
-                // (its battery check would cost a demand evaluation per
-                // candidate): when it is actually infeasible the bound
-                // is merely looser — the scan plans a few extra
-                // candidates before breaking, and the plan phase
-                // re-checks feasibility exactly, so the selected commit
-                // is unchanged.
-                let mut ub = ub_for(gate_version);
-                if allow_secondary {
-                    ub = ub.max(ub_for(Version::Primary));
-                }
-                debug_assert!(ub.is_finite(), "objective bounds are finite");
-                ubs.push((ub, t));
-            }
-        }
-
-        // Phase 2 — plan in bound order and stop as soon as the
-        // incumbent provably beats everything left: a candidate whose
-        // bound is below the incumbent (or equal with a higher task id)
-        // cannot win the (objective desc, task asc) argmax. Equal-bound
-        // entries are visited in ascending task order, so the first
-        // losing entry ends the scan. In the common mid-run regime the
-        // grid-wide `AET` already exceeds any reachable finish, the
-        // bound is the exact objective, and the argmax resolves after
-        // planning one or two candidates instead of the whole frontier.
-        ubs.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .expect("objective bounds are finite")
-                .then(a.1.cmp(&b.1))
-        });
-        let mut best: Option<(f64, TaskId, MappingPlan)> = None;
-        for &(ub, t) in &ubs {
-            if let Some((best_obj, best_task, _)) = &best {
-                if ub < *best_obj || (ub == *best_obj && t > *best_task) {
-                    break;
-                }
-            }
-            // Per-(task, machine) refinement of the lb prune, deferred
-            // to the plan phase: the floor adds minimum transfer
-            // durations and the machine's compute availability, still
-            // strictly below any achievable plan start — a floor past
-            // the horizon means no plan for (t, j) can commit this
-            // tick, so the (much costlier) plan itself is skipped.
-            let (floor, _) = self.floor_cost(state, t, j, now);
-            if floor > horizon_end {
-                self.raise_floor(t, j, floor);
-                continue;
-            }
-            stats.candidates_evaluated += 1;
-            let gated = state.plan_with(t, gate_version, j, placement, &mut self.scratch);
-            let gated_obj = plan_objective(state, objective, &gated);
-            // The primary competes only when it fits the battery
-            // too; ties go to the primary (same rule as the pool).
-            let (obj, plan) = if allow_secondary && state.version_feasible(t, Version::Primary, j)
-            {
-                let primary =
-                    state.plan_with(t, Version::Primary, j, placement, &mut self.scratch);
-                let primary_obj = plan_objective(state, objective, &primary);
-                if primary_obj >= gated_obj {
-                    (primary_obj, primary)
-                } else {
-                    (gated_obj, gated)
-                }
-            } else {
-                (gated_obj, gated)
-            };
-            debug_assert!(obj.is_finite(), "objective values are finite");
-            // Execution starts under `Append` are version-independent
-            // (versions change the duration, transfers neither), so the
-            // observed start floors every future plan for the pair.
-            self.raise_floor(t, j, plan.start);
-            if plan.start > horizon_end {
-                // Not committable this tick — and exempt from the bound
-                // check below: under the positive `AET` sign the bound
-                // assumes starts at most `horizon_end`, which this plan
-                // exceeds.
-                continue;
-            }
-            debug_assert!(obj <= ub, "upper bound {ub} below objective {obj} for {t}");
-            let better = match &best {
-                None => true,
-                Some((best_obj, best_task, _)) => {
-                    obj > *best_obj || (obj == *best_obj && t < *best_task)
-                }
-            };
-            if better {
-                best = Some((obj, t, plan));
-            }
-        }
-        self.start_buf = cand;
-        self.gate_buf = gate;
-        self.ub_buf = ubs;
-        best.map(|(_, _, plan)| plan)
     }
 
     /// Bring list `li`'s startability structures up to the horizon:
@@ -1110,13 +863,8 @@ impl Frontier {
     ) {
         if v.epoch != self.view_epoch {
             self.view_entries -= v.entries.len() + v.deferred.len();
-            v.entries.clear();
-            v.deferred.clear();
-            v.pend.clear();
-            v.log_cursor = 0;
-            v.ub_obj = None;
-            v.refresh = false;
-            v.overflow = false;
+            v.clear();
+            v.overflow = self.shed_all;
             v.epoch = self.view_epoch;
         }
         if v.overflow {
@@ -1218,12 +966,7 @@ impl Frontier {
             // Shed: release the storage and serve this list through the
             // resort scan until the next epoch retries.
             self.view_entries -= v.entries.len() + v.deferred.len();
-            v.entries.clear();
-            v.deferred.clear();
-            v.pend.clear();
-            v.log_cursor = 0;
-            v.ub_obj = None;
-            v.refresh = false;
+            v.clear();
             v.overflow = true;
             return;
         }
@@ -1337,16 +1080,10 @@ impl Frontier {
     /// revived bit-excluded candidates, so the alive set must rebuild
     /// from the log; the log itself and the list structures survive).
     fn reset_view(&mut self, slot: usize) {
-        let held = self.views[slot].entries.len() + self.views[slot].deferred.len();
-        self.view_entries -= held;
         let v = &mut self.views[slot];
-        v.entries.clear();
-        v.deferred.clear();
-        v.pend.clear();
-        v.log_cursor = 0;
-        v.ub_obj = None;
-        v.refresh = false;
-        v.overflow = false;
+        self.view_entries -= v.entries.len() + v.deferred.len();
+        v.clear();
+        v.overflow = self.shed_all;
     }
 
     /// Write lazily evaluated exact ubs back into the alive set with
@@ -1440,9 +1177,10 @@ impl Frontier {
     }
 
     /// Build one list's sorted bound order from scratch — the resort
-    /// scan's phase 1 for a single list. Serves lists whose view was
-    /// shed by the memory cap, bit-identical to the cached slice it
-    /// replaces.
+    /// scan: collect → prune → gate → bound → sort, per query. Serves
+    /// lists whose view was shed by the memory cap (and every list of
+    /// the `Resort` reference oracle), bit-identical to the cached slice
+    /// it replaces.
     #[allow(clippy::too_many_arguments)]
     fn build_scratch(
         &mut self,
@@ -1506,28 +1244,96 @@ impl Frontier {
         });
     }
 
-    /// The cached-order query path: serve machine `j` from its two
-    /// per-list views. Structure is reconciled incrementally (log
-    /// drains, deferral revivals, revision-guarded membership); cached
-    /// bound values are refreshed in full only when the scan itself
-    /// signals that lazy re-evaluation got expensive. Between
-    /// refreshes, the scan walks the cached permutations under a
-    /// conservative drift bound ([`Frontier::drift_bound`]): a
-    /// candidate is skipped only when its snapshot bound plus the
-    /// drift sits strictly below the incumbent — and since the true ub
-    /// never exceeds that sum, every skipped candidate's objective is
-    /// strictly below the incumbent's, so the argmax (and its task-id
-    /// tie-break) is exactly the exhaustive scan's. The schedule is
-    /// therefore byte-identical to the `cached_orders = false` resort
-    /// path at any thread count; `candidates_evaluated` may differ
-    /// (the two paths plan different provably-losing candidates).
+}
+
+impl Kernel for Frontier {
+    /// Start a clock tick: record the tick index and promote every
+    /// candidate whose spill timer is due.
+    fn begin_tick(&mut self, state: &SimState<'_>, tick: u64) {
+        self.tick = tick;
+        self.stamp = self.stamp.wrapping_add(1);
+        self.resync(state);
+        while let Some(&(due, t)) = self.pending.front() {
+            if due > tick {
+                break;
+            }
+            self.pending.pop_front();
+            self.promote_to_spill(t);
+        }
+    }
+
+    /// Ingest one [`StateDelta`]: the delta's `invalidated` tasks leave
+    /// the frontier, its `newly_ready` tasks join it — the exact
+    /// readiness semantics [`SimState`]'s mutators report. Machine-loss
+    /// and blocking deltas change no readiness and touch nothing. A gap
+    /// in the revision stream marks the frontier stale (rebuilt on the
+    /// next query) instead of serving a drifted list.
+    fn apply(&mut self, delta: &StateDelta) {
+        if delta.revision != self.last_revision + 1 {
+            self.last_revision = delta.revision;
+            self.stale = true;
+            return;
+        }
+        self.last_revision = delta.revision;
+        match delta.kind {
+            // Loss and blocking add (or merely flag) occupation; floors
+            // can only rise, so the start-floor cache stays valid.
+            DeltaKind::MachineLost | DeltaKind::Blocked => {}
+            DeltaKind::Commit | DeltaKind::Unmap => {
+                // An unmap *removes* occupation: earlier gaps can open,
+                // so every cached start floor — and every cached parent
+                // finish — is suspect.
+                if delta.kind == DeltaKind::Unmap {
+                    self.floor_cache.fill(Time::ZERO);
+                    self.ptuple_gen = self.ptuple_gen.wrapping_add(1);
+                    // Deferred view entries hold floor copies; cached
+                    // ubs and gate results survive (revision-guarded),
+                    // but the epoch bump is the one mechanism that
+                    // reaches every deferred heap.
+                    self.view_epoch = self.view_epoch.wrapping_add(1);
+                }
+                for &t in &delta.invalidated {
+                    self.remove(t);
+                }
+                for &t in &delta.newly_ready {
+                    self.insert(t);
+                }
+            }
+        }
+    }
+
+    /// The best committable candidate for machine `j`: among the visible
+    /// candidates that pass the §IV gate and whose chosen-version plan
+    /// can start within the horizon, the one maximising the objective
+    /// (ties toward the lower task id). Returns the ready-to-commit
+    /// plan. Replays [`crate::pool::build_pool_with`]'s version choice
+    /// and [`crate::pool::Pool::first_startable`]'s selection exactly —
+    /// see the module docs.
     ///
-    /// The refresh eval batch is the one parallel section: chunked
-    /// over at most `scan_threads` compat/rayon workers, each job a
-    /// pure `(index, task) → bound` map re-assembled in index order,
-    /// so any worker count computes identical bytes.
+    /// Machine `j` is served from its two per-list views. Structure is
+    /// reconciled incrementally (log drains, deferral revivals,
+    /// revision-guarded membership); cached bound values are refreshed
+    /// in full only when the scan itself signals that lazy
+    /// re-evaluation got expensive. Between refreshes, the scan walks
+    /// the cached permutations under a conservative drift bound
+    /// ([`Frontier::drift_bound`]): a candidate is skipped only when its
+    /// snapshot bound plus the drift sits strictly below the incumbent —
+    /// and since the true ub never exceeds that sum, every skipped
+    /// candidate's objective is strictly below the incumbent's, so the
+    /// argmax (and its task-id tie-break) is exactly the exhaustive
+    /// scan's. The schedule is therefore byte-identical to the
+    /// all-views-shed resort scan at any thread count — and so are the
+    /// [`RunStats`] whenever the start-floor cache is active (below
+    /// [`FLOOR_CACHE_MAX`]); past the cap the deferred floors prune
+    /// re-plans the resort scan repeats, so only `candidates_evaluated`
+    /// may drop.
+    ///
+    /// The refresh eval batch is the one parallel section: chunked over
+    /// the ambient compat/rayon width, each job a pure `(index, task) →
+    /// bound` map re-assembled in index order, so any worker count
+    /// computes identical bytes.
     #[allow(clippy::too_many_arguments)]
-    fn best_startable_cached(
+    fn best_startable(
         &mut self,
         state: &SimState<'_>,
         objective: &Objective,
@@ -1538,7 +1344,7 @@ impl Frontier {
         stats: &mut RunStats,
     ) -> Option<MappingPlan> {
         self.resync(state);
-        stats.pool_builds += 1;
+        stats.queries += 1;
         // Defensive invalidation: a gate-version flip poisons cached
         // gate results, a horizon regression poisons the lb/floor
         // deferrals and the drift bound's monotonicity argument.
@@ -1596,8 +1402,23 @@ impl Frontier {
         } else {
             now.max(state.compute_ready(j))
         };
-        // The exact bound — the identical expression (and expression
-        // order) the resort scan evaluates, so reused values, refresh
+        // An upper bound on the objective any plan for the candidate
+        // could reach, *without* planning: exact arithmetic over the
+        // planner's own start-independent quantities (`T100` and `TEC`
+        // never depend on the placement) plus the extremal admissible
+        // execution start for the `AET` term — `horizon_end` under the
+        // paper's positive sign (later finishes score higher, and starts
+        // past the horizon are rejected anyway), a cheap start floor
+        // under the negative ablation. Transfer energy is bounded below
+        // by zero rather than computed (a smaller `tec` term can only
+        // raise the bound), and the primary is included unconditionally
+        // (when it is actually infeasible the bound is merely looser —
+        // the plan phase re-checks feasibility exactly). Every input
+        // either matches the real evaluation bit-for-bit or bounds it
+        // through operations that are monotone in IEEE arithmetic, so
+        // `ub ≥ obj` holds exactly, never approximately. The resort
+        // scan ([`Frontier::build_scratch`]) evaluates the identical
+        // expression in the identical order, so reused values, refresh
         // batches and lazy per-visit evaluations are all bit-equal.
         let eval = |tu: u32| -> f64 {
             let t = TaskId(tu as usize);
@@ -1658,8 +1479,8 @@ impl Frontier {
         }
         let results: Vec<f64> = if jobs.is_empty() {
             Vec::new()
-        } else if jobs.len() >= PAR_EVAL_MIN && self.scan_workers > 1 {
-            rayon::map_bounded(std::mem::take(&mut jobs), self.scan_workers, |_, tu| eval(tu))
+        } else if jobs.len() >= PAR_EVAL_MIN && rayon::current_num_threads() > 1 {
+            rayon::map_bounded(std::mem::take(&mut jobs), usize::MAX, |_, tu| eval(tu))
         } else {
             jobs.iter().map(|&tu| eval(tu)).collect()
         };
@@ -1718,7 +1539,7 @@ impl Frontier {
             Self::drift_bound(&vb, objective, &m, horizon_end, positive, tasks_f, tau_s)
         };
 
-        // Phase 2 — scan the two cached permutations by descending
+        // Scan the two cached permutations by descending
         // drift-padded bound, exact-evaluating only the entries the
         // incumbent cannot already rule out.
         let [mut defer_a, mut defer_b] = std::mem::take(&mut self.defer_buf);
@@ -1856,10 +1677,9 @@ impl Frontier {
                 if let Some((best_obj, best_task, _)) = &best {
                     // Exact-bound skip: this candidate cannot win, but a
                     // later lower-snapshot entry still might — keep
-                    // scanning without planning it. (The resort scan
-                    // exits here instead; both behaviours plan every
-                    // candidate that could beat the incumbent, so the
-                    // argmax is identical.)
+                    // scanning without planning it. (On a fresh side the
+                    // bound *is* the exact ub, so the early exit above
+                    // already fired.)
                     if fresh_ub < *best_obj || (fresh_ub == *best_obj && t > *best_task) {
                         continue;
                     }
@@ -1982,7 +1802,7 @@ impl Frontier {
     /// and then rejects without committing, so the commit sequence is
     /// unchanged.
     #[allow(clippy::too_many_arguments)]
-    pub fn frozen_order(
+    fn frozen_order(
         &mut self,
         state: &SimState<'_>,
         objective: &Objective,
@@ -1994,7 +1814,7 @@ impl Frontier {
         out: &mut Vec<(f64, TaskId, Version)>,
     ) {
         self.resync(state);
-        stats.pool_builds += 1;
+        stats.queries += 1;
         let gate_version = if allow_secondary {
             Version::Secondary
         } else {
@@ -2060,7 +1880,7 @@ impl Frontier {
     /// candidate homed elsewhere is invisible to `j` *today* but spills
     /// within `spill_after` ticks, so only the all-machines ×
     /// all-candidates product proves no future invocation can progress.
-    pub fn any_gate_feasible(
+    fn any_gate_feasible(
         &mut self,
         state: &SimState<'_>,
         gate_version: Version,
@@ -2070,12 +1890,6 @@ impl Frontier {
         self.lists
             .iter()
             .any(|list| state.any_feasible_candidate(list, gate_version, j))
-    }
-
-    /// Total candidates currently on the frontier (tests/diagnostics).
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.lists.iter().map(Vec::len).sum()
     }
 }
 
@@ -2148,7 +1962,7 @@ mod tests {
     fn membership_tracks_the_ready_set() {
         let sc = scenario(24);
         let mut state = SimState::new(&sc);
-        let mut fr = Frontier::new(&state, ScaleMode { clusters: 2, spill_after: 1, ..ScaleMode::default() });
+        let mut fr = Frontier::new(&state, ScaleMode { clusters: 2, spill_after: 1 });
         for step in 0..64u64 {
             fr.begin_tick(&state, step);
             let Some(&t) = state.ready_tasks().first() else {
@@ -2344,7 +2158,7 @@ mod tests {
         let sc = scenario(32);
         let state = SimState::new(&sc);
         let spill_after = 3;
-        let mut fr = Frontier::new(&state, ScaleMode { clusters: 2, spill_after, ..ScaleMode::default() });
+        let mut fr = Frontier::new(&state, ScaleMode { clusters: 2, spill_after });
         let spill_list = fr.clusters();
         assert!(fr.lists[spill_list].is_empty(), "nothing spilled at birth");
         let total = fr.len();
@@ -2364,8 +2178,8 @@ mod tests {
     fn clustering_is_deterministic_and_clamped() {
         let sc = scenario(16);
         let state = SimState::new(&sc);
-        let a = Frontier::new(&state, ScaleMode { clusters: 99, spill_after: 8, ..ScaleMode::default() });
-        let b = Frontier::new(&state, ScaleMode { clusters: 99, spill_after: 8, ..ScaleMode::default() });
+        let a = Frontier::new(&state, ScaleMode { clusters: 99, spill_after: 8 });
+        let b = Frontier::new(&state, ScaleMode { clusters: 99, spill_after: 8 });
         assert_eq!(a.cluster_of, b.cluster_of);
         assert_eq!(a.clusters(), sc.grid.len(), "clamped to |M|");
         // Every cluster is non-empty under the clamped partition.

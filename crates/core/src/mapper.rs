@@ -3,30 +3,31 @@
 //! The heuristic is clock-driven: it runs at fixed intervals of ΔT ticks
 //! rather than whenever a machine frees up. At each invocation it walks
 //! the machines in numerical order; for every machine that is *available*
-//! (no computation scheduled at or beyond the current clock) it builds the
-//! candidate pool, walks it in decreasing objective order, and commits the
-//! first candidate able to start within the horizon `H`. The variants
-//! differ only in how many pairs a machine may receive per invocation —
-//! see [`crate::config::SlrhVariant`].
+//! (no computation scheduled at or beyond the current clock) it commits
+//! what the paper's pool walk ([`crate::pool`]) would pick — the
+//! maximum-objective candidate able to start within the horizon `H` —
+//! as answered by the incremental frontier kernel. The variants differ
+//! only in how many pairs a machine may receive per invocation — see
+//! [`crate::config::SlrhVariant`].
 //!
 //! The loop ends when every subtask is mapped, when the clock passes the
 //! deadline τ, or — a pure optimization, unreachable in the paper's
 //! configurations — when provably no future invocation can make progress
-//! (all machines already available, every pool empty: the pools depend
-//! only on energy and precedence state, which only mappings can change).
+//! (all machines already available, no candidate passing any energy
+//! gate: the gates depend only on energy and precedence state, which
+//! only mappings can change).
 
+use adhoc_grid::config::MachineId;
+use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::{Dur, Time};
 use adhoc_grid::workload::Scenario;
 use gridsim::metrics::Metrics;
-use gridsim::state::SimState;
-use lagrange::weights::Weights;
+use gridsim::plan::{MappingPlan, Placement};
+use gridsim::state::{SimState, StateDelta};
+use lagrange::weights::{Objective, Weights};
 
 use crate::config::{SlrhConfig, SlrhVariant, Trigger};
-use adhoc_grid::config::MachineId;
-use adhoc_grid::task::Version;
 use crate::context::RunContext;
-use crate::frontier::Frontier;
-use crate::pool::{build_pool_with, Pool, PoolCache};
 
 /// Counters describing one run's work (the paper's "heuristic execution
 /// time" proxy that is independent of the host machine).
@@ -34,21 +35,16 @@ use crate::pool::{build_pool_with, Pool, PoolCache};
 pub struct RunStats {
     /// Clock-loop iterations executed.
     pub clock_steps: u64,
-    /// Candidate pools built (or served from the pool cache).
-    pub pool_builds: u64,
-    /// Candidate (task, version) pairs *planned* and evaluated against
-    /// the objective. With the pool cache on, only freshly-planned
-    /// candidates count here; reused ones count as
-    /// [`RunStats::pool_cache_hits`].
+    /// Kernel queries: one per "best startable candidate for machine
+    /// `j` now" question, plus one per machine probed by the stuck
+    /// check.
+    pub queries: u64,
+    /// Candidate (task, machine) pairs actually *planned* and evaluated
+    /// against the objective — everything the kernel's bounds could not
+    /// rule out first.
     pub candidates_evaluated: u64,
     /// Mappings committed.
     pub commits: u64,
-    /// Pool entries served from the incremental cache instead of being
-    /// replanned (zero when the cache is disabled).
-    pub pool_cache_hits: u64,
-    /// Cached pool entries dropped because a state mutation could have
-    /// affected them (zero when the cache is disabled).
-    pub pool_cache_invalidations: u64,
     /// Online weight-adaptation steps that actually changed the weights
     /// (zero whenever [`crate::config::SlrhConfig::adaptation`] is off
     /// — and also when every step was a fixed point).
@@ -101,15 +97,7 @@ impl gridsim::MappingOutcome for SlrhOutcome<'_> {
 /// assert!(m.t100 <= m.mapped);
 /// ```
 pub fn run_slrh<'a>(scenario: &'a Scenario, config: &SlrhConfig) -> SlrhOutcome<'a> {
-    let mut state = SimState::new(scenario);
-    let mut stats = RunStats::default();
-    let mut run = config.armed();
-    drive(&mut state, &mut run, &mut stats, Time::ZERO, None, None);
-    SlrhOutcome {
-        state,
-        stats,
-        final_weights: run.objective.weights,
-    }
+    run_slrh_in(scenario, config, &mut RunContext::new())
 }
 
 /// One executed clock tick, as observed by [`run_slrh_observed`].
@@ -137,33 +125,12 @@ pub fn run_slrh_observed<'a>(
     ctx: &mut RunContext,
     observer: &mut dyn FnMut(TickEvent),
 ) -> SlrhOutcome<'a> {
-    let mut state = ctx.state(scenario);
-    let mut stats = RunStats::default();
-    let mut run = config.armed();
-    if run.use_pool_cache && run.scale.is_none() {
-        let cache = ctx.cache_for(&state, run.allow_secondary);
-        drive_with(
-            &mut state,
-            &mut run,
-            &mut stats,
-            Some(cache),
-            Time::ZERO,
-            None,
-            Some(observer),
-        );
-    } else {
-        drive_with(&mut state, &mut run, &mut stats, None, Time::ZERO, None, Some(observer));
-    }
-    SlrhOutcome {
-        state,
-        stats,
-        final_weights: run.objective.weights,
-    }
+    run_inner(scenario, config, ctx, Some(observer))
 }
 
-/// [`run_slrh`] on a reusable [`RunContext`]: the state and (when
-/// configured) the pool cache are built on the context's recycled
-/// buffers instead of fresh allocations. Results are bit-identical to
+/// [`run_slrh`] on a reusable [`RunContext`]: the state and the
+/// candidate frontier are built on the context's recycled buffers
+/// instead of fresh allocations. Results are bit-identical to
 /// [`run_slrh`]. Reclaim the outcome's state with
 /// [`RunContext::reclaim`] to keep the buffers cycling.
 pub fn run_slrh_in<'a>(
@@ -171,15 +138,20 @@ pub fn run_slrh_in<'a>(
     config: &SlrhConfig,
     ctx: &mut RunContext,
 ) -> SlrhOutcome<'a> {
+    run_inner(scenario, config, ctx, None)
+}
+
+fn run_inner<'a>(
+    scenario: &'a Scenario,
+    config: &SlrhConfig,
+    ctx: &mut RunContext,
+    observer: Option<&mut dyn FnMut(TickEvent)>,
+) -> SlrhOutcome<'a> {
     let mut state = ctx.state(scenario);
     let mut stats = RunStats::default();
     let mut run = config.armed();
-    if run.use_pool_cache && run.scale.is_none() {
-        let cache = ctx.cache_for(&state, run.allow_secondary);
-        drive_with(&mut state, &mut run, &mut stats, Some(cache), Time::ZERO, None, None);
-    } else {
-        drive_with(&mut state, &mut run, &mut stats, None, Time::ZERO, None, None);
-    }
+    let frontier = ctx.frontier_for(&state, run.scale);
+    drive(&mut state, &mut run, &mut stats, frontier, Time::ZERO, None, observer);
     SlrhOutcome {
         state,
         stats,
@@ -187,29 +159,59 @@ pub fn run_slrh_in<'a>(
     }
 }
 
-/// [`drive_with`] behind a freshly-created pool cache (when the config
-/// asks for one). Single-segment runs use this; multi-segment drivers
-/// (adaptive, dynamic) create the cache once and call [`drive_with`] per
-/// segment so it survives across segments.
-pub(crate) fn drive(
-    state: &mut SimState<'_>,
-    config: &mut SlrhConfig,
-    stats: &mut RunStats,
-    start_clock: Time,
-    stop_at: Option<Time>,
-    observer: Option<&mut dyn FnMut(TickEvent)>,
-) -> Time {
-    // The frontier kernel never queries the pool cache, so a scale run
-    // skips building the |M| × |T| slot table entirely.
-    let mut cache = (config.use_pool_cache && config.scale.is_none())
-        .then(|| PoolCache::new(state, config.allow_secondary));
-    drive_with(state, config, stats, cache.as_mut(), start_clock, stop_at, observer)
+/// The candidate-selection kernel the clock loop queries. Every product
+/// driver runs the [`crate::frontier::Frontier`]; the trait exists so
+/// [`crate::reference`] can drive the *same* loop over the paper's
+/// from-scratch pool walk as an independent oracle.
+pub(crate) trait Kernel {
+    /// Start clock tick number `tick`.
+    fn begin_tick(&mut self, state: &SimState<'_>, tick: u64);
+
+    /// Ingest the delta of a commit the loop just made. Mutations the
+    /// loop does not report (a machine-loss cascade between segments)
+    /// are noticed through the state's revision counter.
+    fn apply(&mut self, delta: &StateDelta);
+
+    /// The ready-to-commit plan of the visible, §IV-feasible candidate
+    /// maximising the objective among those able to start on `j` by
+    /// `horizon_end` (ties toward the lower task id), if any.
+    #[allow(clippy::too_many_arguments)]
+    fn best_startable(
+        &mut self,
+        state: &SimState<'_>,
+        objective: &Objective,
+        j: MachineId,
+        now: Time,
+        horizon_end: Time,
+        allow_secondary: bool,
+        stats: &mut RunStats,
+    ) -> Option<MappingPlan>;
+
+    /// SLRH-2's frozen walk: every visible feasible candidate with its
+    /// chosen version and objective, (objective desc, task asc).
+    #[allow(clippy::too_many_arguments)]
+    fn frozen_order(
+        &mut self,
+        state: &SimState<'_>,
+        objective: &Objective,
+        j: MachineId,
+        now: Time,
+        horizon_end: Time,
+        allow_secondary: bool,
+        stats: &mut RunStats,
+        out: &mut Vec<(f64, TaskId, Version)>,
+    );
+
+    /// Whether any ready candidate at all passes the §IV gate on `j`
+    /// (the stuck check — no planning).
+    fn any_gate_feasible(&mut self, state: &SimState<'_>, gate_version: Version, j: MachineId)
+        -> bool;
 }
 
 /// Advance the SLRH clock loop on an existing state from `start_clock`
 /// until completion, τ, or `stop_at` (exclusive). Returns the clock value
 /// at which the loop stopped. This is the building block shared by the
-/// plain, adaptive and dynamic drivers.
+/// plain, adaptive, dynamic and open drivers.
 ///
 /// The configuration is mutable because online adaptation (when the
 /// config carries an [`crate::config::Adaptation`] block) rewrites the
@@ -219,31 +221,22 @@ pub(crate) fn drive(
 /// `stats.clock_steps`, which is monotone across the segments of a
 /// multi-segment (churn) run.
 ///
-/// With a `cache`, every pool query goes through it and every commit's
-/// [`gridsim::state::StateDelta`] is fed back into it; the resulting
-/// schedule is identical to the uncached one by the cache's invariant.
-/// Weight updates evict nothing: cached entries store *plans*, and
-/// objective values are recomputed against the live weights per query.
-///
-/// With [`SlrhConfig::scale`] set, the loop runs the incremental
-/// [`Frontier`] kernel instead: a frontier is built here (one O(|ready|)
-/// pass — multi-segment drivers re-enter per segment, and each segment
-/// rebuilds from the then-current ready set), maintained from the delta
-/// stream within the segment, and the passed-in `cache` is ignored
-/// (callers skip creating one). In frontier mode
-/// [`RunStats::pool_builds`] counts frontier queries and
-/// [`RunStats::candidates_evaluated`] counts planned candidates; the
-/// cache counters stay zero.
-pub(crate) fn drive_with(
+/// Every candidate query goes through `kernel` and every commit's
+/// [`StateDelta`] is fed back into it. Multi-segment drivers build the
+/// kernel once per run (or per open-system job) and pass it to every
+/// segment, so what it has learned — bound orders, start floors, gate
+/// rejections — survives segment boundaries, and a zero-tick segment
+/// costs nothing. Weight updates invalidate nothing structural: the
+/// frontier re-bounds its views when it sees a new objective.
+pub(crate) fn drive<K: Kernel>(
     state: &mut SimState<'_>,
     config: &mut SlrhConfig,
     stats: &mut RunStats,
-    mut cache: Option<&mut PoolCache>,
+    kernel: &mut K,
     start_clock: Time,
     stop_at: Option<Time>,
     mut observer: Option<&mut dyn FnMut(TickEvent)>,
 ) -> Time {
-    let mut frontier = config.scale.map(|mode| Frontier::new(state, mode));
     let tau = state.scenario().tau;
     let mut now = start_clock;
     loop {
@@ -281,12 +274,9 @@ pub(crate) fn drive_with(
             }
         }
         let commits_before = stats.commits;
-        let mut any_commit = false;
         let mut every_live_machine_available = true;
 
-        if let Some(fr) = frontier.as_mut() {
-            fr.begin_tick(state, tick);
-        }
+        kernel.begin_tick(state, tick);
         let order = config
             .machine_order
             .order(state.scenario().grid.len(), tick);
@@ -301,14 +291,9 @@ pub(crate) fn drive_with(
                 every_live_machine_available = false;
                 continue;
             }
-            let committed = match frontier.as_mut() {
-                Some(fr) => map_on_machine_frontier(state, config, stats, fr, j, now),
-                None => map_on_machine(state, config, stats, cache.as_deref_mut(), j, now),
-            };
-            if committed > 0 {
-                any_commit = true;
-            }
+            map_on_machine(state, config, stats, kernel, j, now);
         }
+        let any_commit = stats.commits > commits_before;
 
         // Observation is pure — it sees the tick, it cannot steer it.
         if let Some(obs) = observer.as_mut() {
@@ -321,48 +306,31 @@ pub(crate) fn drive_with(
         }
 
         // Early exit (pure optimization): nothing was mapped although every
-        // live machine was idle. If on top of that every pool is empty, the
-        // blocker is energy infeasibility — pools depend only on energy and
-        // precedence, neither of which the clock can change — so no future
-        // invocation can make progress. (A non-empty pool here means a
-        // horizon miss, which the advancing clock *can* resolve.)
+        // live machine was idle. If on top of that no ready candidate
+        // passes any live machine's §IV gate, the blocker is energy
+        // infeasibility — the gate depends only on energy and precedence,
+        // neither of which the clock can change — so no future invocation
+        // can make progress. (A gate-feasible candidate here means a
+        // horizon miss, which the advancing clock *can* resolve.) The
+        // probe plans nothing and looks across the *whole* frontier, not
+        // just the lists visible to each machine: a candidate homed on
+        // another cluster spills within `spill_after` ticks, so it still
+        // disproves being stuck.
         if !any_commit && every_live_machine_available && !state.all_mapped() {
+            let gate_version = if config.allow_secondary {
+                Version::Secondary
+            } else {
+                Version::Primary
+            };
             let mut stuck = true;
-            match frontier.as_mut() {
-                Some(fr) => {
-                    // Gate-only probe, no planning — and across the
-                    // *whole* frontier, not just the lists visible to
-                    // each machine: a candidate homed on another cluster
-                    // spills within `spill_after` ticks, so it still
-                    // disproves being stuck.
-                    let gate_version = if config.allow_secondary {
-                        Version::Secondary
-                    } else {
-                        Version::Primary
-                    };
-                    for j in state.scenario().grid.ids() {
-                        if !state.is_alive(j) {
-                            continue;
-                        }
-                        stats.pool_builds += 1;
-                        if fr.any_gate_feasible(state, gate_version, j) {
-                            stuck = false;
-                            break;
-                        }
-                    }
+            for j in state.scenario().grid.ids() {
+                if !state.is_alive(j) {
+                    continue;
                 }
-                None => {
-                    for j in state.scenario().grid.ids() {
-                        if !state.is_alive(j) {
-                            continue;
-                        }
-                        let pool =
-                            build_and_count(state, config, stats, cache.as_deref_mut(), j, now);
-                        if !pool.is_empty() {
-                            stuck = false;
-                            break;
-                        }
-                    }
+                stats.queries += 1;
+                if kernel.any_gate_feasible(state, gate_version, j) {
+                    stuck = false;
+                    break;
                 }
             }
             if stuck {
@@ -391,194 +359,67 @@ pub(crate) fn drive_with(
 }
 
 /// Map candidates onto one available machine at the current clock,
-/// following the variant's repetition rule. Returns the number of commits.
-fn map_on_machine(
+/// following the variant's repetition rule.
+fn map_on_machine<K: Kernel>(
     state: &mut SimState<'_>,
     config: &SlrhConfig,
     stats: &mut RunStats,
-    mut cache: Option<&mut PoolCache>,
+    kernel: &mut K,
     j: MachineId,
     now: Time,
-) -> u64 {
+) {
     let horizon_end = now.saturating_add(config.horizon);
-    let mut commits = 0u64;
-
+    let objective = &config.objective;
+    let secondary = config.allow_secondary;
     match config.variant {
         SlrhVariant::V1 => {
-            let pool = build_and_count(state, config, stats, cache.as_deref_mut(), j, now);
-            if let Some(e) = pool.first_startable(horizon_end) {
-                commit_tracked(state, stats, cache, &e.plan);
-                commits += 1;
+            if let Some(plan) =
+                kernel.best_startable(state, objective, j, now, horizon_end, secondary, stats)
+            {
+                commit(state, stats, kernel, &plan);
             }
         }
         SlrhVariant::V2 => {
-            // One pool, consumed in its original order; plans are re-made
+            // One candidate order, consumed as frozen; plans are re-made
             // per entry because earlier commits shift the machine's
             // availability, but membership, version choice and ordering
-            // are frozen — the defining simplification of SLRH-2.
-            let pool = build_and_count(state, config, stats, cache.as_deref_mut(), j, now);
-            for e in &pool {
-                if state.is_mapped(e.task) {
-                    continue;
-                }
-                if !state.version_feasible(e.task, e.version, j) {
-                    continue;
-                }
-                let plan = state.plan(
-                    e.task,
-                    e.version,
-                    j,
-                    gridsim::plan::Placement::Append { not_before: now },
-                );
-                if plan.start <= horizon_end {
-                    commit_tracked(state, stats, cache.as_deref_mut(), &plan);
-                    commits += 1;
-                }
-            }
-        }
-        SlrhVariant::V3 => {
-            // Recreate and re-evaluate the pool after every assignment,
-            // admitting newly-ready children immediately.
-            loop {
-                let pool = build_and_count(state, config, stats, cache.as_deref_mut(), j, now);
-                let Some(e) = pool.first_startable(horizon_end) else {
-                    break;
-                };
-                commit_tracked(state, stats, cache.as_deref_mut(), &e.plan);
-                commits += 1;
-            }
-        }
-    }
-    commits
-}
-
-/// [`map_on_machine`] for the frontier kernel: same variant semantics,
-/// but candidates come from the machine's visible frontier slice and
-/// every commit's delta maintains the frontier in place. With a single
-/// cluster each commit decision is identical to the pool walk's (see
-/// [`Frontier`]); with more clusters only the visible slice shrinks.
-fn map_on_machine_frontier(
-    state: &mut SimState<'_>,
-    config: &SlrhConfig,
-    stats: &mut RunStats,
-    frontier: &mut Frontier,
-    j: MachineId,
-    now: Time,
-) -> u64 {
-    let horizon_end = now.saturating_add(config.horizon);
-    let mut commits = 0u64;
-
-    match config.variant {
-        SlrhVariant::V1 => {
-            if let Some(plan) = frontier.best_startable(
-                state,
-                &config.objective,
-                j,
-                now,
-                horizon_end,
-                config.allow_secondary,
-                stats,
-            ) {
-                commit_frontier(state, stats, frontier, &plan);
-                commits += 1;
-            }
-        }
-        SlrhVariant::V2 => {
-            // Same frozen-pool semantics as the default V2 walk:
-            // membership, version choice and ordering fixed up front,
-            // plans re-made per entry as earlier commits shift the
-            // machine's availability.
+            // are fixed up front — the defining simplification of SLRH-2.
             let mut order = Vec::new();
-            frontier.frozen_order(
-                state,
-                &config.objective,
-                j,
-                now,
-                horizon_end,
-                config.allow_secondary,
-                stats,
-                &mut order,
+            kernel.frozen_order(
+                state, objective, j, now, horizon_end, secondary, stats, &mut order,
             );
             for &(_, t, v) in &order {
-                if state.is_mapped(t) {
+                if state.is_mapped(t) || !state.version_feasible(t, v, j) {
                     continue;
                 }
-                if !state.version_feasible(t, v, j) {
-                    continue;
-                }
-                let plan = state.plan(
-                    t,
-                    v,
-                    j,
-                    gridsim::plan::Placement::Append { not_before: now },
-                );
+                let plan = state.plan(t, v, j, Placement::Append { not_before: now });
                 if plan.start <= horizon_end {
-                    commit_frontier(state, stats, frontier, &plan);
-                    commits += 1;
+                    commit(state, stats, kernel, &plan);
                 }
             }
         }
         SlrhVariant::V3 => {
-            while let Some(plan) = frontier.best_startable(
-                state,
-                &config.objective,
-                j,
-                now,
-                horizon_end,
-                config.allow_secondary,
-                stats,
-            ) {
-                commit_frontier(state, stats, frontier, &plan);
-                commits += 1;
+            // Re-query after every assignment, admitting newly-ready
+            // children immediately.
+            while let Some(plan) =
+                kernel.best_startable(state, objective, j, now, horizon_end, secondary, stats)
+            {
+                commit(state, stats, kernel, &plan);
             }
         }
     }
-    commits
 }
 
-/// Commit a plan and feed the resulting delta into the frontier.
-fn commit_frontier(
+/// Commit a plan and feed the resulting delta into the kernel.
+fn commit<K: Kernel>(
     state: &mut SimState<'_>,
     stats: &mut RunStats,
-    frontier: &mut Frontier,
-    plan: &gridsim::plan::MappingPlan,
+    kernel: &mut K,
+    plan: &MappingPlan,
 ) {
     let delta = state.commit(plan);
-    frontier.apply(&delta);
+    kernel.apply(&delta);
     stats.commits += 1;
-}
-
-/// Commit a plan and feed the resulting delta into the pool cache.
-fn commit_tracked(
-    state: &mut SimState<'_>,
-    stats: &mut RunStats,
-    cache: Option<&mut PoolCache>,
-    plan: &gridsim::plan::MappingPlan,
-) {
-    let delta = state.commit(plan);
-    if let Some(c) = cache {
-        c.apply(&delta, stats);
-    }
-    stats.commits += 1;
-}
-
-fn build_and_count(
-    state: &SimState<'_>,
-    config: &SlrhConfig,
-    stats: &mut RunStats,
-    cache: Option<&mut PoolCache>,
-    j: MachineId,
-    now: Time,
-) -> Pool {
-    match cache {
-        Some(c) => c.pool(state, &config.objective, j, now, stats),
-        None => {
-            let pool = build_pool_with(state, &config.objective, j, now, config.allow_secondary);
-            stats.pool_builds += 1;
-            stats.candidates_evaluated += pool.len() as u64;
-            pool
-        }
-    }
 }
 
 /// Predicted constraint violations from a mid-run snapshot: the energy
@@ -696,31 +537,6 @@ mod tests {
         let out = run_slrh(&sc, &config(SlrhVariant::V1));
         // V1 commits at most |M| pairs per clock step.
         assert!(out.stats.commits <= out.stats.clock_steps * sc.grid.len() as u64);
-    }
-
-    #[test]
-    fn pool_cache_is_output_invariant() {
-        // The incremental cache must be invisible in the results: same
-        // schedule, same loop trajectory, strictly less planning work.
-        let sc = scenario(64);
-        for variant in SlrhVariant::ALL {
-            let cfg = config(variant);
-            let cached = run_slrh(&sc, &cfg);
-            let scratch = run_slrh(&sc, &cfg.without_pool_cache());
-            assert_eq!(cached.metrics(), scratch.metrics(), "{variant}");
-            assert_eq!(cached.stats.commits, scratch.stats.commits, "{variant}");
-            assert_eq!(cached.stats.clock_steps, scratch.stats.clock_steps, "{variant}");
-            assert_eq!(cached.stats.pool_builds, scratch.stats.pool_builds, "{variant}");
-            // Every candidate the scratch path plans is either planned or
-            // served from cache on the cached path — never dropped.
-            assert_eq!(
-                cached.stats.candidates_evaluated + cached.stats.pool_cache_hits,
-                scratch.stats.candidates_evaluated,
-                "{variant}"
-            );
-            assert_eq!(scratch.stats.pool_cache_hits, 0);
-            assert!(cached.stats.pool_cache_hits > 0, "{variant}");
-        }
     }
 
     #[test]

@@ -49,8 +49,8 @@ use gridsim::state::SimState;
 
 use crate::config::SlrhConfig;
 use crate::context::RunContext;
-use crate::dynamic::{apply_loss_tracked, MachineArrivalEvent, MachineLossEvent};
-use crate::mapper::{drive_with, RunStats};
+use crate::dynamic::{drive_segments, MachineArrivalEvent, MachineLossEvent};
+use crate::mapper::RunStats;
 
 /// Slack applied to budget comparisons (float sums of priced seconds).
 pub const COST_EPS: f64 = 1e-9;
@@ -160,11 +160,9 @@ impl OpenOutcome {
 
 fn add_stats(total: &mut RunStats, part: &RunStats) {
     total.clock_steps += part.clock_steps;
-    total.pool_builds += part.pool_builds;
+    total.queries += part.queries;
     total.candidates_evaluated += part.candidates_evaluated;
     total.commits += part.commits;
-    total.pool_cache_hits += part.pool_cache_hits;
-    total.pool_cache_invalidations += part.pool_cache_invalidations;
     total.weight_updates += part.weight_updates;
 }
 
@@ -182,9 +180,8 @@ pub type JobHook<'a> = &'a mut dyn FnMut(&SimState<'_>, &OpenJobReport);
 ///
 /// # Panics
 /// Panics on duplicate job ids, on churn traces the churn API rejects,
-/// and on a config carrying a [`crate::config::ScaleMode`] (the open
-/// mode schedules many small jobs; the scale path is a closed-system
-/// optimization).
+/// and on a config with `clusters > 1` (the approximate clustered mode
+/// has no open-system oracle).
 pub fn run_open_in(
     params: &OpenParams,
     config: &SlrhConfig,
@@ -194,8 +191,8 @@ pub fn run_open_in(
     mut on_job: Option<JobHook<'_>>,
 ) -> OpenOutcome {
     assert!(
-        config.scale.is_none(),
-        "open-system runs do not support the scale path"
+        config.scale.clusters <= 1,
+        "open-system runs do not support the clustered (clusters > 1) kernel"
     );
     let machines = adhoc_grid::config::GridConfig::case(params.case).len();
 
@@ -253,39 +250,19 @@ pub fn run_open_in(
             }
         }
 
-        let mut cache = (config.use_pool_cache && config.scale.is_none())
-            .then(|| ctx.cache_for(&state, config.allow_secondary));
-        let mut jstats = RunStats::default();
-        // A fresh armed copy per job: each job's loop adapts (when
-        // configured) from the configured starting weights.
-        let mut run = config.armed();
+        let frontier = ctx.frontier_for(&state, config.scale);
         // First tick: the job's arrival rounded up to the ΔT lattice,
-        // so every job shares the closed-system tick grid.
-        let mut now = Time(job.at.0.div_ceil(config.dt.0) * config.dt.0);
+        // so every job shares the closed-system tick grid. Each job's
+        // loop adapts (when configured) from the configured starting
+        // weights, and every loss is applied to every job.
+        let start = Time(job.at.0.div_ceil(config.dt.0) * config.dt.0);
+        let out = drive_segments(state, config, &losses, frontier, start, None);
+        let state = out.state;
         let mut job_invalidated = 0usize;
-
-        for (i, ev) in losses.iter().enumerate() {
-            now = drive_with(
-                &mut state,
-                &mut run,
-                &mut jstats,
-                cache.as_deref_mut(),
-                now,
-                Some(ev.at),
-                None,
-            );
-            let effective = now.max(ev.at);
-            let n = apply_loss_tracked(
-                &mut state,
-                cache.as_deref_mut(),
-                &mut jstats,
-                ev.machine,
-                effective,
-            );
-            disruptions[i].1 += n;
+        for (total, &(_, n)) in disruptions.iter_mut().zip(&out.disruptions) {
+            total.1 += n;
             job_invalidated += n;
         }
-        drive_with(&mut state, &mut run, &mut jstats, cache, now, None, None);
 
         let cost = schedule_cost(&sc, state.schedule());
         let completed = state.all_mapped();
@@ -324,7 +301,7 @@ pub fn run_open_in(
             }
         }
 
-        add_stats(&mut stats, &jstats);
+        add_stats(&mut stats, &out.stats);
         if let Some(hook) = on_job.as_mut() {
             hook(&state, &report);
         }

@@ -16,15 +16,19 @@
 //! remaining energy. Finally the pool is ordered by objective value from
 //! maximum to minimum (ties broken toward the lower task id for
 //! determinism).
+//!
+//! This from-scratch walk is the paper's definition and the **reference
+//! oracle**: the product clock loop selects candidates through the
+//! incremental frontier kernel, which is pinned to pick exactly
+//! [`Pool::first_startable`]'s entry; only [`crate::reference`] (tests,
+//! the stress harness, benches) still drives a run through this module.
 
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::Time;
 use gridsim::plan::{MappingPlan, Placement, PlanScratch};
-use gridsim::state::{DeltaKind, SimState, StateDelta};
+use gridsim::state::SimState;
 use lagrange::weights::{Objective, ObjectiveInputs};
-
-use crate::mapper::RunStats;
 
 /// One evaluated pool member: the chosen version, its ready-to-commit
 /// plan, and its objective value.
@@ -45,8 +49,7 @@ pub struct PoolEntry {
 /// # Sort invariant
 ///
 /// Entries are ordered by **objective value, maximum first**, with ties
-/// broken toward the lower task id (both builders enforce this with the
-/// same comparator). The order is what the paper's pool walk consumes;
+/// broken toward the lower task id. The order is what the paper's pool walk consumes;
 /// note that plan *start times* are **not** monotone along it — a
 /// high-objective candidate may start late (big transfers) while a
 /// low-objective one starts now — so the mapper's "first entry able to
@@ -201,355 +204,6 @@ pub fn build_pool_with(
     Pool::from_sorted(pool)
 }
 
-/// Incrementally maintained candidate pools, one per machine.
-///
-/// [`build_pool_with`] replans every ready task from scratch on every
-/// query, even though most of a [`MappingPlan`] — the per-edge transfer
-/// sizes, durations and energies, the settlement amounts, the worst-case
-/// child reservations, the execution duration and energy — produces
-/// exactly the same answer tick after tick. `PoolCache` keeps that
-/// *costed skeleton* alive per `(task, machine)` pair across clock
-/// ticks, re-anchoring only the time-dependent placement on each query,
-/// and uses the [`StateDelta`] stream emitted by [`SimState`]'s mutators
-/// to evict the few entries whose costing a mutation can actually
-/// invalidate.
-///
-/// # Invariant
-///
-/// For any query, [`PoolCache::pool`] returns a pool **identical** (same
-/// entries, same plans, same order) to what [`build_pool_with`] would
-/// build from scratch on the same state, provided every state mutation
-/// since the cache was created was reported via [`PoolCache::apply`].
-///
-/// The split that makes this exact: everything *costed* in a plan
-/// depends only on the scenario\'s static tables and on which
-/// `(machine, version)` each parent is committed to — never on the
-/// clock or the timelines. Everything *placed* — transfer starts, the
-/// execution start — plus the derived global quantities (`t100_after`,
-/// `tec_after`, `aet_after`) is recomputed on every query by
-/// [`SimState::reanchor`], which replays the planner\'s first-fit
-/// placement against the live timelines. A cached costing therefore
-/// goes stale only when a parent\'s assignment changes, and every such
-/// change moves the task out of (and later back into) the ready set,
-/// reported in a delta\'s `invalidated`/`newly_ready` lists — exactly
-/// what [`PoolCache::apply`] evicts by. The §IV feasibility gate and
-/// the gated-versus-primary choice read the moving energy ledger, so
-/// they are re-evaluated on every query.
-///
-/// If the state\'s revision counter disagrees with the delta stream (a
-/// mutation bypassed the cache), the cache clears itself and resumes
-/// from the current revision rather than serving stale plans.
-///
-/// # Eviction is epoch-based, O(delta) not O(|M| · delta)
-///
-/// Evicting a task used to sweep its slot across **every** machine row
-/// (an O(|M|) rescan per invalidated task per delta — ruinous at 1000
-/// machines, where a single commit's eviction walk would touch more
-/// slots than the query it was saving). Instead, eviction bumps a
-/// per-task *floor* on a monotone epoch clock and each slot records the
-/// epoch it was computed at: a slot is live iff `born >= `
-/// `max(task floor, global floor)`. Stale slots are refreshed lazily,
-/// in place, by the next query that reaches them — physically dropping
-/// them is never needed. The per-task `present` counters keep
-/// [`RunStats::pool_cache_invalidations`] exactly what the sweeping
-/// implementation reported: an eviction event counts every slot that was
-/// live at that moment, and a lazy refresh counts as the ordinary miss
-/// the old implementation would have had after dropping the slot.
-pub struct PoolCache {
-    allow_secondary: bool,
-    last_revision: u64,
-    /// `slots[j][t]` caches the costed plans for task `t` on machine `j`.
-    slots: Vec<Vec<Option<Box<CachedPlans>>>>,
-    /// Monotone invalidation clock; bumped by every eviction event.
-    epoch: u64,
-    /// Slots of task `t` born before `task_floor[t]` are stale.
-    task_floor: Vec<u64>,
-    /// Slots born before this are stale regardless of task (clear-all).
-    global_floor: u64,
-    /// Live (non-stale) slot count per task, across all machine rows —
-    /// the bookkeeping that keeps invalidation counters exact without
-    /// sweeping rows.
-    present: Vec<u32>,
-    /// Reusable planner buffers for the query path (results never carry
-    /// over between plans — see [`PlanScratch`]).
-    scratch: PlanScratch,
-}
-
-#[derive(Clone, Debug)]
-struct CachedPlans {
-    /// Plan at the gate version (secondary, or primary under A5).
-    gated: MappingPlan,
-    /// Primary-version plan (`None` when the gate is already primary).
-    /// Cached unconditionally; whether it *competes* is re-decided per
-    /// query by the primary\'s own feasibility check.
-    primary: Option<MappingPlan>,
-    /// The [`PoolCache::epoch`] value this costing was (re)computed at.
-    born: u64,
-}
-
-/// `Default` is a detached cache: no slots, synchronised to nothing.
-/// Only useful as donated storage for [`PoolCache::reset`] (the
-/// run-context reuse path keeps one detached cache per worker).
-impl Default for PoolCache {
-    fn default() -> PoolCache {
-        PoolCache {
-            allow_secondary: true,
-            last_revision: 0,
-            slots: Vec::new(),
-            epoch: 0,
-            task_floor: Vec::new(),
-            global_floor: 0,
-            present: Vec::new(),
-            scratch: PlanScratch::default(),
-        }
-    }
-}
-
-impl PoolCache {
-    /// A cache synchronised with `state`\'s current revision, with no
-    /// entries yet.
-    pub fn new(state: &SimState<'_>, allow_secondary: bool) -> PoolCache {
-        let mut cache = PoolCache::default();
-        cache.reset(state, allow_secondary);
-        cache
-    }
-
-    /// Re-synchronise the cache with `state` for a new run: every cached
-    /// plan is dropped (they were costed against another run\'s
-    /// assignments), the slot table is resized for `state`\'s scenario,
-    /// and the revision anchor is moved to `state.revision()`. The outer
-    /// slot table and the planner scratch keep their heap capacity, so a
-    /// reset cache behaves exactly like [`PoolCache::new`] without
-    /// re-allocating the per-machine rows. Dropped entries are *not*
-    /// counted as [`RunStats::pool_cache_invalidations`] — a reset is a
-    /// run boundary, not an in-run eviction.
-    pub fn reset(&mut self, state: &SimState<'_>, allow_secondary: bool) {
-        self.allow_secondary = allow_secondary;
-        self.last_revision = state.revision();
-        let machines = state.scenario().grid.len();
-        let tasks = state.scenario().tasks();
-        self.slots.resize_with(machines, Vec::new);
-        for row in &mut self.slots {
-            row.clear();
-            row.resize(tasks, None);
-        }
-        self.epoch = 0;
-        self.global_floor = 0;
-        self.task_floor.clear();
-        self.task_floor.resize(tasks, 0);
-        self.present.clear();
-        self.present.resize(tasks, 0);
-    }
-
-    /// Ingest one [`StateDelta`], evicting every entry whose cached
-    /// costing the mutation could have invalidated: a costing depends
-    /// only on the task\'s parents\' assignments, and any assignment
-    /// change moves the affected tasks out of or into the ready set —
-    /// so the entries to drop are exactly those of the delta\'s
-    /// `invalidated` and `newly_ready` tasks, on every machine.
-    /// [`DeltaKind::MachineLost`] and [`DeltaKind::Blocked`] change only
-    /// liveness and timeline occupation, which the query path re-reads,
-    /// so they evict nothing.
-    ///
-    /// Deltas must arrive exactly once each and in revision order; a gap
-    /// in the sequence clears the whole cache (debug builds assert).
-    pub fn apply(&mut self, delta: &StateDelta, stats: &mut RunStats) {
-        debug_assert_eq!(
-            delta.revision,
-            self.last_revision + 1,
-            "PoolCache::apply must see every delta exactly once, in order",
-        );
-        if delta.revision != self.last_revision + 1 {
-            self.clear_all(stats);
-            self.last_revision = delta.revision;
-            return;
-        }
-        self.last_revision = delta.revision;
-        match delta.kind {
-            DeltaKind::MachineLost | DeltaKind::Blocked => {}
-            DeltaKind::Commit | DeltaKind::Unmap => {
-                // O(#tasks in the delta), machine-count independent: raise
-                // each task's floor past every existing slot and let the
-                // query path refresh lazily. The `present` counter is the
-                // number of slots this eviction just made stale.
-                self.epoch += 1;
-                for &t in delta.invalidated.iter().chain(&delta.newly_ready) {
-                    stats.pool_cache_invalidations += u64::from(self.present[t.0]);
-                    self.present[t.0] = 0;
-                    self.task_floor[t.0] = self.epoch;
-                }
-            }
-        }
-    }
-
-    /// The ordered candidate pool for machine `j` at clock `now` —
-    /// identical to [`build_pool_with`]\'s output on the same state.
-    ///
-    /// Tasks whose costed plans were reused (re-anchored at `now`) count
-    /// toward [`RunStats::pool_cache_hits`]; tasks planned and costed
-    /// from scratch count toward [`RunStats::candidates_evaluated`],
-    /// exactly as the uncached path does.
-    pub fn pool(
-        &mut self,
-        state: &SimState<'_>,
-        objective: &Objective,
-        j: MachineId,
-        now: Time,
-        stats: &mut RunStats,
-    ) -> Pool {
-        if state.revision() != self.last_revision {
-            // A mutation bypassed `apply` (e.g. a driver unmapped tasks
-            // without threading the cache through): resynchronise.
-            self.clear_all(stats);
-            self.last_revision = state.revision();
-        }
-        stats.pool_builds += 1;
-        let allow_secondary = self.allow_secondary;
-        let gate_version = if allow_secondary {
-            Version::Secondary
-        } else {
-            Version::Primary
-        };
-        let placement = Placement::Append { not_before: now };
-        // Disjoint field borrows: the slot row is mutated per task while
-        // the scratch feeds every plan/re-anchor in the loop.
-        let scratch = &mut self.scratch;
-        let row = &mut self.slots[j.0];
-        let present = &mut self.present;
-        let task_floor = &self.task_floor;
-        let global_floor = self.global_floor;
-        let born = self.epoch;
-        let mut pool: Vec<PoolEntry> = Vec::new();
-
-        for &t in state.ready_tasks() {
-            // The feasibility gate reads `j`\'s moving ledger and
-            // liveness: always evaluated fresh. A rejected task costs no
-            // planning on either path, and its slot (if any) is kept —
-            // the verdict may flip back when a settlement refunds the
-            // machine.
-            if !state.version_feasible(t, gate_version, j) {
-                continue;
-            }
-            let slot = &mut row[t.0];
-            let live = match slot {
-                Some(p) => p.born >= task_floor[t.0].max(global_floor),
-                None => false,
-            };
-            let p = if live {
-                let p = slot.as_mut().expect("live slots are occupied");
-                stats.pool_cache_hits += 1;
-                state.reanchor_with(&mut p.gated, p.primary.as_mut(), now, scratch);
-                p
-            } else {
-                // Empty or evicted-by-floor: either way the old sweeping
-                // implementation would find no slot here, so this is an
-                // ordinary miss. The refresh makes the slot live again.
-                stats.candidates_evaluated += 1;
-                present[t.0] += 1;
-                slot.insert(compute_slot(
-                    state,
-                    t,
-                    gate_version,
-                    allow_secondary,
-                    j,
-                    placement,
-                    scratch,
-                    born,
-                ))
-            };
-
-            let gated_obj = plan_objective(state, objective, &p.gated);
-            // The primary competes only when it fits the battery too, as
-            // in `build_pool_with`; ties go to the primary.
-            let primary_ok = allow_secondary && state.version_feasible(t, Version::Primary, j);
-            let entry = if primary_ok {
-                let primary = p
-                    .primary
-                    .as_ref()
-                    .expect("secondary-gated slots always cache a primary plan");
-                let primary_obj = plan_objective(state, objective, primary);
-                if primary_obj >= gated_obj {
-                    PoolEntry {
-                        task: t,
-                        version: Version::Primary,
-                        plan: primary.clone(),
-                        objective: primary_obj,
-                    }
-                } else {
-                    PoolEntry {
-                        task: t,
-                        version: Version::Secondary,
-                        plan: p.gated.clone(),
-                        objective: gated_obj,
-                    }
-                }
-            } else {
-                PoolEntry {
-                    task: t,
-                    version: p.gated.version,
-                    plan: p.gated.clone(),
-                    objective: gated_obj,
-                }
-            };
-            pool.push(entry);
-        }
-
-        pool.sort_by(|a, b| {
-            b.objective
-                .partial_cmp(&a.objective)
-                .expect("objective values are finite")
-                .then(a.task.cmp(&b.task))
-        });
-        Pool::from_sorted(pool)
-    }
-
-    /// The revision this cache is synchronised to.
-    pub fn revision(&self) -> u64 {
-        self.last_revision
-    }
-
-    fn clear_all(&mut self, stats: &mut RunStats) {
-        self.epoch += 1;
-        self.global_floor = self.epoch;
-        for p in &mut self.present {
-            stats.pool_cache_invalidations += u64::from(*p);
-            *p = 0;
-        }
-    }
-}
-
-/// Plan and cost task `t` on machine `j` from scratch, mirroring one
-/// loop iteration of [`build_pool_with`] but keeping *both* version
-/// plans so the winner can be re-decided cheaply as the ledger and
-/// objective move.
-#[allow(clippy::too_many_arguments)]
-fn compute_slot(
-    state: &SimState<'_>,
-    t: TaskId,
-    gate_version: Version,
-    allow_secondary: bool,
-    j: MachineId,
-    placement: Placement,
-    scratch: &mut PlanScratch,
-    born: u64,
-) -> Box<CachedPlans> {
-    let gated = state.plan_with(t, gate_version, j, placement, scratch);
-    let primary =
-        allow_secondary.then(|| state.plan_with(t, Version::Primary, j, placement, scratch));
-    // The transfer schedule is version-independent — item sizes scale
-    // with the *parent\'s* committed version, and both plans search the
-    // same timelines — which is what lets `reanchor` re-place the twin
-    // without a second gap search.
-    if let Some(p) = &primary {
-        debug_assert_eq!(p.transfers, gated.transfers);
-    }
-    Box::new(CachedPlans {
-        gated,
-        primary,
-        born,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,68 +269,6 @@ mod tests {
         for e in &pool {
             assert!(e.plan.start >= now);
         }
-    }
-
-    fn assert_pools_identical(cached: &[PoolEntry], fresh: &[PoolEntry]) {
-        assert_eq!(cached.len(), fresh.len());
-        for (c, f) in cached.iter().zip(fresh) {
-            assert_eq!(c.task, f.task);
-            assert_eq!(c.version, f.version);
-            assert_eq!(c.plan, f.plan);
-            assert_eq!(c.objective.to_bits(), f.objective.to_bits());
-        }
-    }
-
-    #[test]
-    fn cache_matches_from_scratch_across_commits() {
-        use adhoc_grid::units::Dur;
-        let sc = scenario();
-        for allow_secondary in [true, false] {
-            let mut state = SimState::new(&sc);
-            let objective = obj(0.6, 0.2);
-            let mut cache = PoolCache::new(&state, allow_secondary);
-            let mut stats = RunStats::default();
-            let mut now = Time::ZERO;
-            for round in 0..24 {
-                for j in (0..sc.grid.len()).map(MachineId) {
-                    let fresh = build_pool_with(&state, &objective, j, now, allow_secondary);
-                    let cached = cache.pool(&state, &objective, j, now, &mut stats);
-                    assert_pools_identical(&cached, &fresh);
-                    // Commit on alternating rounds so the cache sees both
-                    // mutation-heavy and idle (pure-reuse) queries.
-                    if round % 2 == 0 {
-                        if let Some(e) = fresh.first() {
-                            let delta = state.commit(&e.plan);
-                            cache.apply(&delta, &mut stats);
-                        }
-                    }
-                }
-                now += Dur(7);
-            }
-            assert!(stats.pool_cache_hits > 0, "idle rounds must hit the cache");
-            assert!(stats.candidates_evaluated > 0);
-        }
-    }
-
-    #[test]
-    fn cache_resynchronises_after_unreported_mutations() {
-        let sc = scenario();
-        let mut state = SimState::new(&sc);
-        let objective = obj(0.6, 0.2);
-        let mut cache = PoolCache::new(&state, true);
-        let mut stats = RunStats::default();
-        let j = MachineId(0);
-        let pool = cache.pool(&state, &objective, j, Time::ZERO, &mut stats);
-        let first = pool.first().expect("roots are ready").clone();
-        // Mutate behind the cache's back: commit then unmap, deltas
-        // dropped on the floor.
-        state.commit(&first.plan);
-        state.unmap(first.task);
-        let now = Time::from_seconds(3);
-        let fresh = build_pool(&state, &objective, j, now);
-        let cached = cache.pool(&state, &objective, j, now, &mut stats);
-        assert_pools_identical(&cached, &fresh);
-        assert_eq!(cache.revision(), state.revision());
     }
 
     #[test]

@@ -1,0 +1,138 @@
+//! Reference oracles for the candidate-selection kernel.
+//!
+//! Every product driver selects candidates through the cached-order
+//! frontier. This module drives the *same* clock loop, churn segments
+//! and loss cascades over two independent answers to "best startable
+//! candidate for machine `j` now", so differential tests can pin the
+//! kernel without trusting it:
+//!
+//! * [`Kind::Scratch`] — the paper's definition: rebuild the whole
+//!   candidate pool from the ready set on every query
+//!   ([`crate::pool::build_pool_with`]) and take its first startable
+//!   entry. Shares no code with the frontier. Exact-mode only: it is
+//!   what `clusters: 1` must replay bit for bit.
+//! * [`Kind::Resort`] — the frontier with every cached bound order
+//!   shed, so each query re-gates, re-bounds and re-sorts its visible
+//!   lists from scratch. Same membership and clustering as the product
+//!   kernel (so it also checks `clusters > 1`), none of its view
+//!   caching.
+//!
+//! Nothing here is reachable from an [`SlrhConfig`] field, a config
+//! string, a wire key or a CLI flag; the callers are the stress
+//! harness, the proptests, the golden fixtures and the scale benchmark.
+
+use adhoc_grid::config::MachineId;
+use adhoc_grid::task::{TaskId, Version};
+use adhoc_grid::units::Time;
+use adhoc_grid::workload::Scenario;
+use gridsim::plan::MappingPlan;
+use gridsim::state::{SimState, StateDelta};
+use lagrange::weights::Objective;
+
+use crate::config::SlrhConfig;
+use crate::context::RunContext;
+use crate::dynamic::{
+    drive_segments, prepare, DynamicOutcome, MachineArrivalEvent, MachineLossEvent,
+};
+use crate::frontier::Frontier;
+use crate::mapper::{Kernel, RunStats};
+use crate::pool::{build_pool_with, Pool};
+
+/// Which reference kernel to run.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Kind {
+    /// The from-scratch pool walk.
+    Scratch,
+    /// The frontier with every view shed to the per-query resort scan.
+    Resort,
+}
+
+/// [`crate::dynamic::run_slrh_churn_in`] with the candidate kernel
+/// replaced by reference `kind` (no losses and no arrivals is the closed
+/// system). Schedule, metrics, disruptions, `clock_steps` and `commits`
+/// must equal the product run's; the work counters legitimately differ.
+pub fn run<'a>(
+    kind: Kind,
+    scenario: &'a Scenario,
+    config: &SlrhConfig,
+    losses: &[MachineLossEvent],
+    arrivals: &[MachineArrivalEvent],
+    ctx: &mut RunContext,
+) -> DynamicOutcome<'a> {
+    let (state, losses) = prepare(scenario, losses, arrivals, ctx);
+    match kind {
+        Kind::Scratch => drive_segments(state, config, &losses, &mut Scratch, Time::ZERO, None),
+        Kind::Resort => {
+            let mut frontier = Frontier::new(&state, config.scale).resort_only();
+            drive_segments(state, config, &losses, &mut frontier, Time::ZERO, None)
+        }
+    }
+}
+
+/// The stateless from-scratch kernel: every query rebuilds the pool.
+struct Scratch;
+
+impl Scratch {
+    fn pool(
+        state: &SimState<'_>,
+        objective: &Objective,
+        j: MachineId,
+        now: Time,
+        allow_secondary: bool,
+        stats: &mut RunStats,
+    ) -> Pool {
+        let pool = build_pool_with(state, objective, j, now, allow_secondary);
+        stats.queries += 1;
+        stats.candidates_evaluated += pool.len() as u64;
+        pool
+    }
+}
+
+impl Kernel for Scratch {
+    fn begin_tick(&mut self, _state: &SimState<'_>, _tick: u64) {}
+
+    fn apply(&mut self, _delta: &StateDelta) {}
+
+    fn best_startable(
+        &mut self,
+        state: &SimState<'_>,
+        objective: &Objective,
+        j: MachineId,
+        now: Time,
+        horizon_end: Time,
+        allow_secondary: bool,
+        stats: &mut RunStats,
+    ) -> Option<MappingPlan> {
+        Scratch::pool(state, objective, j, now, allow_secondary, stats)
+            .first_startable(horizon_end)
+            .map(|e| e.plan.clone())
+    }
+
+    fn frozen_order(
+        &mut self,
+        state: &SimState<'_>,
+        objective: &Objective,
+        j: MachineId,
+        now: Time,
+        _horizon_end: Time,
+        allow_secondary: bool,
+        stats: &mut RunStats,
+        out: &mut Vec<(f64, TaskId, Version)>,
+    ) {
+        let pool = Scratch::pool(state, objective, j, now, allow_secondary, stats);
+        out.clear();
+        out.extend(pool.iter().map(|e| (e.objective, e.task, e.version)));
+    }
+
+    fn any_gate_feasible(
+        &mut self,
+        state: &SimState<'_>,
+        gate_version: Version,
+        j: MachineId,
+    ) -> bool {
+        state
+            .ready_tasks()
+            .iter()
+            .any(|&t| state.version_feasible(t, gate_version, j))
+    }
+}

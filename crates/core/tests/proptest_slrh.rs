@@ -4,17 +4,14 @@
 //! machine-loss schedules.
 
 use adhoc_grid::config::{GridCase, MachineId};
-use adhoc_grid::task::TaskId;
 use adhoc_grid::units::{Dur, Time};
 use adhoc_grid::workload::{Scenario, ScenarioParams};
-use gridsim::state::SimState;
 use gridsim::validate::validate;
-use lagrange::weights::{Objective, Weights};
+use lagrange::weights::Weights;
 use proptest::prelude::*;
-use slrh::dynamic::{apply_loss_tracked, validate_loss};
-use slrh::mapper::RunStats;
-use slrh::pool::{build_pool_with, PoolCache, PoolEntry};
-use slrh::{run_slrh, run_slrh_dynamic, MachineLossEvent, SlrhConfig, SlrhVariant};
+use slrh::dynamic::validate_loss;
+use slrh::reference::{self, Kind};
+use slrh::{run_slrh, run_slrh_dynamic, MachineLossEvent, RunContext, SlrhConfig, SlrhVariant};
 
 fn weights() -> impl Strategy<Value = Weights> {
     (0.0f64..1.0, 0.0f64..1.0)
@@ -23,54 +20,6 @@ fn weights() -> impl Strategy<Value = Weights> {
 
 fn variant() -> impl Strategy<Value = SlrhVariant> {
     prop::sample::select(&SlrhVariant::ALL[..])
-}
-
-/// Byte-level pool equality: same tasks, versions, plans and objective
-/// bits in the same order.
-fn pools_identical(cached: &[PoolEntry], fresh: &[PoolEntry]) -> Result<(), TestCaseError> {
-    prop_assert_eq!(cached.len(), fresh.len());
-    for (c, f) in cached.iter().zip(fresh) {
-        prop_assert_eq!(c.task, f.task);
-        prop_assert_eq!(c.version, f.version);
-        prop_assert!(c.plan == f.plan, "plan mismatch for {}", c.task);
-        prop_assert_eq!(c.objective.to_bits(), f.objective.to_bits());
-    }
-    Ok(())
-}
-
-/// Unmap `root` plus everything the ledger cascade drags along, in a
-/// children-first order, feeding every delta to `cache`.
-fn unmap_cascade(
-    state: &mut SimState<'_>,
-    cache: &mut PoolCache,
-    stats: &mut RunStats,
-    root: TaskId,
-) {
-    let sc = state.scenario();
-    let mut pending = std::collections::BTreeSet::from([root]);
-    // Starved parents may have *other* mapped children (outside the
-    // pending set); those must be dragged in before the parent can go.
-    while let Some(&t) = pending.iter().find(|&&t| {
-        sc.dag.children(t).iter().all(|&c| !state.is_mapped(c))
-    }) {
-        pending.remove(&t);
-        if !state.is_mapped(t) {
-            continue;
-        }
-        let delta = state.unmap(t);
-        cache.apply(&delta, stats);
-        for p in delta.starved_parents {
-            // The parent must re-run, so every mapped descendant must be
-            // unmapped first (children-first discipline).
-            let mut stack = vec![p];
-            while let Some(x) = stack.pop() {
-                if state.is_mapped(x) && pending.insert(x) {
-                    stack.extend(sc.dag.children(x).iter().copied());
-                }
-            }
-        }
-    }
-    assert!(pending.is_empty(), "unmap cascade failed to make progress");
 }
 
 proptest! {
@@ -173,91 +122,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The incremental `PoolCache` stays byte-identical to the
-    /// from-scratch `build_pool_with` reference through arbitrary
-    /// sequences of commits, cascading unmaps, machine-loss cascades and
-    /// idle clock advances — on every machine, at every step.
+    /// End-to-end: a dynamic run (machine loss mid-flight) through the
+    /// frontier kernel is indistinguishable from both reference kernels
+    /// — same schedule, metrics, disruption log and loop trajectory.
     #[test]
-    fn pool_cache_equals_reference_under_arbitrary_mutations(
-        w in weights(),
-        case_idx in 0usize..3,
-        dag_id in 0usize..3,
-        allow_secondary in any::<bool>(),
-        ops in prop::collection::vec((0u8..4, 0usize..16, 1u64..40), 1..20),
-    ) {
-        let sc = Scenario::generate(
-            &ScenarioParams::paper_scaled(24),
-            GridCase::ALL[case_idx],
-            0,
-            dag_id,
-        );
-        let objective = Objective::paper(w);
-        let mut state = SimState::new(&sc);
-        let mut cache = PoolCache::new(&state, allow_secondary);
-        let mut stats = RunStats::default();
-        let mut now = Time::ZERO;
-        let m = sc.grid.len();
-
-        for (op, pick, dt) in ops {
-            for j in (0..m).map(MachineId) {
-                let fresh = build_pool_with(&state, &objective, j, now, allow_secondary);
-                let cached = cache.pool(&state, &objective, j, now, &mut stats);
-                pools_identical(&cached, &fresh)?;
-            }
-            match op {
-                // Commit the best candidate on some machine.
-                0 => {
-                    let j = MachineId(pick % m);
-                    if state.is_alive(j) {
-                        let pool = cache.pool(&state, &objective, j, now, &mut stats);
-                        if let Some(e) = pool.first() {
-                            let delta = state.commit(&e.plan);
-                            cache.apply(&delta, &mut stats);
-                        }
-                    }
-                }
-                // Unmap a leaf-most mapped task (full ledger cascade).
-                1 => {
-                    let leaves: Vec<TaskId> = (0..sc.tasks())
-                        .map(TaskId)
-                        .filter(|&t| {
-                            state.is_mapped(t)
-                                && sc.dag.children(t).iter().all(|&c| !state.is_mapped(c))
-                        })
-                        .collect();
-                    if !leaves.is_empty() {
-                        unmap_cascade(
-                            &mut state,
-                            &mut cache,
-                            &mut stats,
-                            leaves[pick % leaves.len()],
-                        );
-                    }
-                }
-                // Lose a machine (invalidation cascade through the cache).
-                2 => {
-                    let alive: Vec<MachineId> =
-                        (0..m).map(MachineId).filter(|&j| state.is_alive(j)).collect();
-                    if alive.len() > 1 {
-                        let j = alive[pick % alive.len()];
-                        apply_loss_tracked(&mut state, Some(&mut cache), &mut stats, j, now);
-                    }
-                }
-                // Idle: just let the clock advance.
-                _ => {}
-            }
-            now += Dur(dt);
-        }
-        // The ledger survived whatever the sequence did.
-        prop_assert!(state.ledger().check_invariants().is_ok());
-    }
-
-    /// End-to-end: a cached dynamic run (machine losses mid-flight) is
-    /// indistinguishable from the uncached one — same schedule metrics,
-    /// same commits, and the §IV work identity
-    /// `cached.evaluated + cached.hits == scratch.evaluated` holds.
-    #[test]
-    fn cached_dynamic_run_is_output_invariant(
+    fn dynamic_run_matches_the_reference_kernels(
         w in weights(),
         v in variant(),
         machine in 0usize..4,
@@ -269,17 +138,20 @@ proptest! {
             machine: MachineId(machine),
             at: Time(sc.tau.0 / frac),
         }];
-        let cached = run_slrh_dynamic(&sc, &cfg, &events);
-        let scratch = run_slrh_dynamic(&sc, &cfg.without_pool_cache(), &events);
-        prop_assert_eq!(cached.metrics(), scratch.metrics());
-        prop_assert_eq!(&cached.disruptions, &scratch.disruptions);
-        prop_assert_eq!(cached.stats.commits, scratch.stats.commits);
-        prop_assert_eq!(cached.stats.pool_builds, scratch.stats.pool_builds);
-        prop_assert_eq!(
-            cached.stats.candidates_evaluated + cached.stats.pool_cache_hits,
-            scratch.stats.candidates_evaluated
-        );
-        prop_assert_eq!(scratch.stats.pool_cache_hits, 0);
+        let product = run_slrh_dynamic(&sc, &cfg, &events);
+        for kind in [Kind::Scratch, Kind::Resort] {
+            let oracle = reference::run(kind, &sc, &cfg, &events, &[], &mut RunContext::new());
+            prop_assert_eq!(
+                format!("{:?}", product.state.schedule()),
+                format!("{:?}", oracle.state.schedule()),
+                "{:?}", kind
+            );
+            prop_assert_eq!(product.metrics(), oracle.metrics());
+            prop_assert_eq!(&product.disruptions, &oracle.disruptions);
+            prop_assert_eq!(product.stats.commits, oracle.stats.commits);
+            prop_assert_eq!(product.stats.clock_steps, oracle.stats.clock_steps);
+            prop_assert_eq!(product.stats.queries, oracle.stats.queries);
+        }
     }
 }
 

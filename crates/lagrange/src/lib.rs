@@ -25,25 +25,16 @@
 //! * [`dual`] — Lagrangian relaxation of *separable* selection problems
 //!   (each item independently picks one option once the coupling
 //!   capacity constraints are priced), the structure used by the
-//!   [LuH93]-style static scheduling baseline;
-//! * [`surrogate`] — the surrogate subgradient method (Zhao, Luh &
-//!   Wang): multiplier updates after re-optimizing only a rotating
-//!   subset of subproblems, the standard large-scale acceleration of
-//!   Lagrangian scheduling;
-//! * [`lrnn`] — the Lagrangian relaxation neural network dynamics of
-//!   [LuZ00]: coupled gradient descent on the primal and ascent on the
-//!   dual variables of a Lagrangian.
+//!   [LuH93]-style static scheduling baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dual;
-pub mod lrnn;
 pub mod multipliers;
 pub mod online;
 pub mod step;
 pub mod subgradient;
-pub mod surrogate;
 pub mod weights;
 
 pub use dual::{SeparableProblem, Selection};
@@ -51,5 +42,4 @@ pub use multipliers::MultiplierVector;
 pub use online::{adapt_step, OnlineProjection};
 pub use step::StepRule;
 pub use subgradient::{DualOracle, SubgradientResult, SubgradientSolver};
-pub use surrogate::{SurrogateOutcome, SurrogateSolver};
 pub use weights::{AetSign, Objective, ObjectiveInputs, WeightError, Weights};

@@ -27,7 +27,7 @@
 //! computation) and then *commit* it. Every mutation bumps the state's
 //! monotonic revision counter and returns a [`state::StateDelta`]
 //! describing exactly which tasks and machines it affected, which is what
-//! lets the SLRH candidate-pool cache invalidate incrementally instead of
+//! lets the SLRH candidate frontier stay current incrementally instead of
 //! rescanning. The [`validate`] module re-checks finished schedules from
 //! scratch, so every experiment run can assert its output obeys the
 //! physical model.

@@ -119,13 +119,12 @@ impl MappingPlan {
 
 /// Reusable buffers for the planner's transfer-placement search.
 ///
-/// Every plan (and re-anchor) runs a first-fit search that accumulates
+/// Every plan runs a first-fit search that accumulates
 /// per-plan link overlays; with a fresh `Vec` per call the SLRH inner
 /// loop — thousands of plans per run — spends a measurable share of its
-/// time in the allocator. Callers that plan in a loop (the candidate-pool
-/// builders) hold one `PlanScratch` and pass it to
-/// [`SimState::plan_with`] / [`SimState::reanchor_with`]; the buffers are
-/// cleared, never shrunk, so steady state performs no allocation at all.
+/// time in the allocator. Callers that plan in a loop (the candidate
+/// kernels) hold one `PlanScratch` and pass it to
+/// [`SimState::plan_with`]; the buffers are cleared, never shrunk, so steady state performs no allocation at all.
 ///
 /// The scratch carries no results across calls — only capacity. Using one
 /// scratch for every plan in a pool build is therefore observationally
@@ -264,108 +263,6 @@ pub(crate) fn plan_mapping(
         tec_after,
         aet_after,
     }
-}
-
-/// Re-anchor a previously produced plan at clock `not_before` under
-/// [`Placement::Append`] semantics: recompute its transfer placements
-/// (the same parent-by-parent first-fit search as [`plan_mapping`],
-/// against the *live* timelines), its execution start, and the derived
-/// global quantities. The static costing — transfer sizes, durations and
-/// energies, settlements, child reservations, execution duration and
-/// energy — is left untouched: none of it depends on the clock or the
-/// timelines, only on which `(machine, version)` each parent is
-/// committed to, which the caller guarantees is unchanged.
-///
-/// `twin`, when given, must be the same `(task, machine)` planned at the
-/// other version. The transfer schedule is version-independent (item
-/// sizes scale with the *parent's* committed version), so the twin is
-/// re-placed by copying the transfer starts — no second gap search.
-pub(crate) fn reanchor_mapping(
-    state: &SimState<'_>,
-    plan: &mut MappingPlan,
-    twin: Option<&mut MappingPlan>,
-    not_before: Time,
-    scratch: &mut PlanScratch,
-) {
-    let sc = state.scenario();
-    let task = plan.task;
-    let machine = plan.machine;
-    scratch.reset();
-    let PlanScratch {
-        tx_overlays,
-        rx_overlay,
-        tx_extra,
-    } = scratch;
-    let mut arrival = not_before;
-    let mut k = 0;
-
-    for &p in sc.dag.parents(task) {
-        let pa = state
-            .schedule()
-            .assignment(p)
-            .unwrap_or_else(|| panic!("parent {p} of {task} is not mapped"));
-        if pa.machine == machine {
-            arrival = arrival.max(pa.finish());
-            continue;
-        }
-        let tr = &mut plan.transfers[k];
-        k += 1;
-        debug_assert_eq!(tr.parent, p);
-        debug_assert_eq!(tr.from, pa.machine);
-        debug_assert_eq!(
-            tr.size,
-            sc.data.edge(&sc.dag, p, task).scaled(pa.version.data_factor()),
-            "cached transfer costing is stale — the parent's assignment changed"
-        );
-        tx_extra.clear();
-        tx_extra.extend(
-            tx_overlays
-                .iter()
-                .filter(|&&(m, _)| m == pa.machine)
-                .map(|&(_, iv)| iv),
-        );
-        let earliest = pa.finish().max(not_before);
-        let start = earliest_common_gap(
-            state.tx_timeline(pa.machine),
-            tx_extra,
-            state.rx_timeline(machine),
-            rx_overlay,
-            earliest,
-            tr.dur,
-        );
-        let iv = Interval::new(start, tr.dur);
-        tx_overlays.push((pa.machine, iv));
-        rx_overlay.push(iv);
-        arrival = arrival.max(start + tr.dur);
-        tr.start = start;
-    }
-    debug_assert_eq!(k, plan.transfers.len());
-
-    plan.start = arrival.max(not_before).max(state.compute_ready(machine));
-    set_derived(state, plan);
-
-    if let Some(sib) = twin {
-        debug_assert_eq!(sib.task, plan.task);
-        debug_assert_eq!(sib.machine, plan.machine);
-        debug_assert_eq!(sib.transfers.len(), plan.transfers.len());
-        for (s, g) in sib.transfers.iter_mut().zip(&plan.transfers) {
-            debug_assert_eq!(s.dur, g.dur);
-            s.start = g.start;
-        }
-        sib.start = arrival.max(not_before).max(state.compute_ready(machine));
-        set_derived(state, sib);
-    }
-}
-
-/// Recompute a plan's derived global fields with the exact operation
-/// order of [`plan_mapping`], so re-anchored and from-scratch plans stay
-/// bit-identical.
-fn set_derived(state: &SimState<'_>, plan: &mut MappingPlan) {
-    plan.t100_after = state.t100() + usize::from(plan.version.is_primary());
-    plan.tec_after = state.tec()
-        + plan.exec_energy
-        + plan.transfers.iter().map(|t| t.energy).sum::<Energy>();
-    plan.aet_after = state.aet().max(plan.start + plan.exec_dur);
 }
 
 /// Total §IV worst-case outgoing energy for `(task, version)` on

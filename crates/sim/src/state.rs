@@ -20,8 +20,8 @@
 //! monotonic [`SimState::revision`] counter and returns a [`StateDelta`]
 //! describing exactly what changed: which tasks entered or left the ready
 //! set and which machines had a timeline or energy-ledger change.
-//! Incremental consumers (the `slrh` candidate-pool cache) key their
-//! invalidation off these deltas instead of rescanning the whole state;
+//! Incremental consumers (the `slrh` candidate frontier) key their
+//! maintenance off these deltas instead of rescanning the whole state;
 //! the revision counter lets them assert they have seen every mutation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -878,40 +878,6 @@ impl<'a> SimState<'a> {
         scratch: &mut PlanScratch,
     ) -> MappingPlan {
         plan::plan_mapping(self, t, v, j, placement, scratch)
-    }
-
-    /// Re-anchor a plan produced by [`SimState::plan`] at clock
-    /// `not_before` under [`Placement::Append`] semantics: its transfer
-    /// placements, execution start and derived global quantities are
-    /// recomputed against the current timelines; its static costing
-    /// (sizes, durations, energies, settlements, reservations) is kept.
-    /// The result is exactly what re-planning from scratch would produce,
-    /// **provided** every parent of the task is still committed to the
-    /// same machine and version as when the plan was made (debug builds
-    /// assert this).
-    ///
-    /// `twin`, when given, must be the same `(task, machine)` planned at
-    /// the other version; it shares the version-independent transfer
-    /// schedule and is re-placed without a second gap search.
-    pub fn reanchor(
-        &self,
-        plan: &mut MappingPlan,
-        twin: Option<&mut MappingPlan>,
-        not_before: Time,
-    ) {
-        plan::reanchor_mapping(self, plan, twin, not_before, &mut PlanScratch::default());
-    }
-
-    /// [`SimState::reanchor`] with caller-provided scratch buffers; see
-    /// [`SimState::plan_with`].
-    pub fn reanchor_with(
-        &self,
-        plan: &mut MappingPlan,
-        twin: Option<&mut MappingPlan>,
-        not_before: Time,
-        scratch: &mut PlanScratch,
-    ) {
-        plan::reanchor_mapping(self, plan, twin, not_before, scratch);
     }
 
     /// Commit a plan produced by [`SimState::plan`] against the *current*

@@ -18,8 +18,9 @@
 //!   receding-horizon gate on every SLRH commit, and the objective
 //!   recomputed from the schedule alone;
 //! * **differential oracles** ([`runner`]) — fresh `RunContext` vs
-//!   reused, incremental `PoolCache` vs from-scratch pool builds, fresh
-//!   vs reused baseline state buffers, and the heuristic registry under
+//!   reused, the frontier kernel vs the from-scratch pool walk and the
+//!   resort scan (`slrh::reference`), fresh vs reused baseline state
+//!   buffers, and the heuristic registry under
 //!   a 1-thread vs 4-thread rayon pool: all byte-identical, compared on
 //!   bit-exact (`f64::to_bits`) canonical signatures.
 //!
@@ -39,8 +40,9 @@
 //! `--scale-max-tasks`) fuzzes the frontier/clustering scale path on
 //! grids far beyond the paper's cases — up to 100k subtasks and 1000
 //! machines — with machine losses mid-run, the invariant oracle battery
-//! on every final state, and a frontier-vs-rebuild differential arm on
-//! cases small enough to afford the quadratic rebuild.
+//! on every final state, a cached-order-vs-resort differential at every
+//! clustering, and a frontier-vs-pool-walk arm on exact-mode cases small
+//! enough to afford the quadratic rebuild.
 //!
 //! A second fuzzing target ([`wire`], `--wire-seeds N`) hammers the
 //! broker's wire protocol instead of the churn machinery: generated

@@ -9,15 +9,13 @@
 //!   long-lived context. The context recycles buffers across *every*
 //!   case of the campaign, so a single stale carry-over anywhere shows
 //!   up as a signature mismatch here.
-//! * **incremental pool cache vs from-scratch pools** — the same run
-//!   with [`SlrhConfig::without_pool_cache`]. Schedules, metrics and
-//!   disruption logs must be identical, and the work counters must
-//!   satisfy `cached.candidates + cached.cache_hits == scratch.candidates`.
-//! * **incremental frontier vs full rebuild** — the same run with
-//!   [`SlrhConfig::with_frontier`] (single cluster, exact mode). The
-//!   worklist-maintained frontier must replay the per-tick pool rebuild
-//!   bit-for-bit: identical schedule, metrics, disruptions, commit count
-//!   and clock trajectory (work counters legitimately differ — the
+//! * **frontier vs reference kernels** — the same run through
+//!   [`slrh::reference::run`] with the paper's from-scratch pool walk
+//!   ([`Kind::Scratch`]) and with the frontier's every view shed to the
+//!   per-query resort scan ([`Kind::Resort`]). The cached-order frontier
+//!   must replay both bit-for-bit: identical schedule, metrics,
+//!   disruptions, final weights, commit count, query count and clock
+//!   trajectory (`candidates_evaluated` legitimately differs — the
 //!   frontier plans fewer candidates; that is the point).
 //! * **fresh vs reused state buffers** for every static baseline.
 //! * **1-thread vs 4-thread** execution of the whole heuristic registry
@@ -45,9 +43,9 @@ use lagrange::step::StepRule;
 use lagrange::weights::Objective;
 use rayon::prelude::*;
 use slrh::open::{run_open, run_open_in, OpenJobReport, OpenOutcome, COST_EPS};
+use slrh::reference::{self, Kind};
 use slrh::{
-    run_slrh_churn, run_slrh_churn_in, Adaptation, DynamicOutcome, RunContext, RunStats,
-    SlrhVariant,
+    run_slrh_churn, run_slrh_churn_in, Adaptation, DynamicOutcome, RunContext, SlrhVariant,
 };
 
 use crate::oracle;
@@ -113,34 +111,10 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
             ));
         }
 
-        let scratch_cfg = config.without_pool_cache();
-        let scratch = run_slrh_churn_in(&sc, &scratch_cfg, &losses, &arrivals, ctx);
-        if dynamic_signature(&fresh, false) != dynamic_signature(&scratch, false) {
-            failures.push(format!(
-                "{tag}: differential-poolcache: cached and from-scratch runs diverge"
-            ));
-        }
-        if let Some(f) = accounting_identity(&tag, &fresh.stats, &scratch.stats) {
-            failures.push(f);
-        }
-
-        let frontier_cfg = config.with_frontier();
-        let frontier = run_slrh_churn_in(&sc, &frontier_cfg, &losses, &arrivals, ctx);
-        if dynamic_signature(&fresh, false) != dynamic_signature(&frontier, false) {
-            failures.push(format!(
-                "{tag}: differential-frontier: incremental-frontier and rebuild runs diverge"
-            ));
-        }
-        if frontier.stats.commits != fresh.stats.commits
-            || frontier.stats.clock_steps != fresh.stats.clock_steps
-        {
-            failures.push(format!(
-                "{tag}: differential-frontier: trajectory differs ({} commits/{} steps vs {}/{})",
-                frontier.stats.commits,
-                frontier.stats.clock_steps,
-                fresh.stats.commits,
-                fresh.stats.clock_steps,
-            ));
+        for kind in [Kind::Scratch, Kind::Resort] {
+            let oracle = reference::run(kind, &sc, &config, &losses, &arrivals, ctx);
+            failures.extend(reference_mismatch(&tag, kind, &fresh, &oracle));
+            ctx.reclaim(oracle.state);
         }
 
         for f in oracle::check_all(&fresh.state, weights, Some(&config), &losses, &arrivals) {
@@ -150,8 +124,6 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         clock_steps += fresh.stats.clock_steps;
         fingerprint.update(&fresh_sig);
         ctx.reclaim(reused.state);
-        ctx.reclaim(scratch.state);
-        ctx.reclaim(frontier.state);
         ctx.reclaim(fresh.state);
     }
 
@@ -194,11 +166,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
     if spec.adaptation.is_some() {
         let config = spec.config(SlrhVariant::V1);
         let adaptive_under = |threads: usize| -> String {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool");
-            pool.install(|| {
+            pool(threads).install(|| {
                 let out = run_slrh_churn(&sc, &config, &losses, &arrivals);
                 dynamic_signature(&out, true)
             })
@@ -312,11 +280,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
 
         // 1-thread vs 4-thread forced rayon pools.
         let open_under = |threads: usize| -> OpenOutcome {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool");
-            pool.install(|| run_open(&params, &config, &losses, &arrivals))
+            pool(threads).install(|| run_open(&params, &config, &losses, &arrivals))
         };
         if open_under(1) != open_under(4) {
             failures.push(format!(
@@ -338,6 +302,9 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         let open_one = run_open_in(&degenerate, &config, &[], &[], ctx, None);
         let sc_one = degenerate.job_scenario(&first);
         let closed = run_slrh_churn_in(&sc_one, &config, &[], &[], ctx);
+        let oracle = reference::run(Kind::Scratch, &sc_one, &config, &[], &[], ctx);
+        failures.extend(reference_mismatch(tag, Kind::Scratch, &closed, &oracle));
+        ctx.reclaim(oracle.state);
         let r = &open_one.jobs[0];
         let m = closed.state.metrics();
         if r.mapped != m.mapped
@@ -436,11 +403,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
 
     // --- the registry under 1-thread and 4-thread rayon pools ------------
     let registry = |threads: usize| -> Vec<String> {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool");
-        pool.install(|| {
+        pool(threads).install(|| {
             Heuristic::ALL
                 .par_iter()
                 .map(|&h| {
@@ -476,20 +439,33 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
     }
 }
 
-/// The pool-cache work-accounting identity: every candidate the cached
-/// run served from its cache is a candidate the from-scratch run had to
-/// replan, and the scratch run never hits a cache.
-fn accounting_identity(tag: &str, cached: &RunStats, scratch: &RunStats) -> Option<String> {
-    if scratch.pool_cache_hits != 0 {
+/// A rayon pool forcing `threads` workers on whatever it `install`s.
+pub(crate) fn pool(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("thread pool")
+}
+
+/// The frontier-vs-reference differential: everything but the planning
+/// work counter must agree between the product run and the oracle run.
+pub(crate) fn reference_mismatch(
+    tag: &str,
+    kind: Kind,
+    product: &DynamicOutcome<'_>,
+    oracle: &DynamicOutcome<'_>,
+) -> Option<String> {
+    if dynamic_signature(product, false) != dynamic_signature(oracle, false) {
         return Some(format!(
-            "{tag}: accounting: scratch run reports {} cache hits with the cache disabled",
-            scratch.pool_cache_hits
+            "{tag}: differential-reference: frontier and {kind:?} reference runs diverge"
         ));
     }
-    if cached.candidates_evaluated + cached.pool_cache_hits != scratch.candidates_evaluated {
+    let (p, o) = (&product.stats, &oracle.stats);
+    if (p.commits, p.clock_steps, p.queries) != (o.commits, o.clock_steps, o.queries) {
         return Some(format!(
-            "{tag}: accounting: cached {} evaluated + {} hits != scratch {} evaluated",
-            cached.candidates_evaluated, cached.pool_cache_hits, scratch.candidates_evaluated
+            "{tag}: differential-reference: trajectory differs from the {kind:?} reference \
+             ({}/{}/{} commits/steps/queries vs {}/{}/{})",
+            p.commits, p.clock_steps, p.queries, o.commits, o.clock_steps, o.queries,
         ));
     }
     None
@@ -498,7 +474,7 @@ fn accounting_identity(tag: &str, cached: &RunStats, scratch: &RunStats) -> Opti
 /// Canonical signature of a dynamic (churn) outcome. With `with_stats`
 /// the work counters are included (fresh-vs-reused-context must agree on
 /// everything); without, only schedule + metrics + disruptions (the
-/// pool-cache arms legitimately differ in work accounting).
+/// reference arms legitimately differ in work accounting).
 pub(crate) fn dynamic_signature(out: &DynamicOutcome<'_>, with_stats: bool) -> String {
     let mut s = String::new();
     push_schedule(&mut s, out.state.schedule());
@@ -521,13 +497,11 @@ pub(crate) fn dynamic_signature(out: &DynamicOutcome<'_>, with_stats: bool) -> S
         let st = &out.stats;
         let _ = write!(
             s,
-            "steps={} builds={} cand={} commits={} hits={} inval={} wu={} ",
+            "steps={} queries={} cand={} commits={} wu={} ",
             st.clock_steps,
-            st.pool_builds,
+            st.queries,
             st.candidates_evaluated,
             st.commits,
-            st.pool_cache_hits,
-            st.pool_cache_invalidations,
             st.weight_updates,
         );
     }

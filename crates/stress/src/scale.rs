@@ -4,21 +4,24 @@
 //! tasks) where every heuristic and every differential arm is cheap. This
 //! module fuzzes the other end: thousands to 100k subtasks on grids of up
 //! to 1000 machines, built by [`adhoc_grid::scale::ScaleParams`], driven
-//! through the SLRH frontier path ([`slrh::SlrhConfig::with_scale`]) with
+//! through the SLRH frontier kernel ([`slrh::SlrhConfig::with_scale`]) with
 //! machine losses mid-run. Oracles per seed:
 //!
 //! * **invariants** — the full [`crate::oracle::check_all`] battery on
 //!   the final state (independent validator, churn rules, battery
 //!   conservation, horizon gate, objective recomputation);
 //! * **differential, exact mode** — for cases small enough to afford the
-//!   quadratic rebuild path (≤ [`DIFF_MAX_TASKS`] tasks), the
-//!   single-cluster frontier run must match the per-tick rebuild run
-//!   byte-for-byte (schedule, metrics, disruptions);
-//! * **differential, ablation arms** — up to
-//!   [`ABLATION_DIFF_MAX_TASKS`] tasks, the `cached_orders = false`
-//!   resort run and a `scan_threads = 4` run must both replay the main
-//!   run byte-for-byte: the cached bound orders and the chunked scan
-//!   are query-plan/execution optimizations with no output surface;
+//!   quadratic pool walk (≤ [`DIFF_MAX_TASKS`] tasks), the
+//!   single-cluster frontier run must match the
+//!   [`Kind::Scratch`] reference byte-for-byte (schedule, metrics,
+//!   disruptions);
+//! * **differential, cached vs resort** — up to
+//!   [`ABLATION_DIFF_MAX_TASKS`] tasks, the [`Kind::Resort`] reference
+//!   (every view shed to the per-query resort scan) and a forced
+//!   4-thread run must both replay the 1-thread main run
+//!   byte-for-byte at every clustering: the cached bound orders and the
+//!   chunked scan are query-plan/execution optimizations with no output
+//!   surface;
 //! * **progress** — a scale run must actually map work (a silently empty
 //!   schedule would pass every conservation oracle).
 //!
@@ -33,22 +36,26 @@ use adhoc_grid::units::Time;
 use lagrange::weights::Weights;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use slrh::{run_slrh_churn_in, MachineLossEvent, RunContext, ScaleMode, SlrhConfig, SlrhVariant};
+use slrh::reference::{self, Kind};
+use slrh::{
+    run_slrh_churn, run_slrh_churn_in, MachineLossEvent, RunContext, ScaleMode, SlrhConfig,
+    SlrhVariant,
+};
 
 use crate::oracle;
-use crate::runner::dynamic_signature;
+use crate::runner::{dynamic_signature, pool, reference_mismatch};
 
 /// Seed-stream tag for the scale generator (distinct from
 /// [`crate::gen::STREAM_FUZZ`]).
 pub const STREAM_SCALE: u64 = 0x5CA1E;
 
-/// Largest case the rebuild-vs-frontier differential arm runs on: the
-/// rebuild path is O(|U|·|M|) per tick, so the arm is restricted to
+/// Largest case the frontier-vs-pool-walk differential arm runs on: the
+/// from-scratch walk is O(|U|·|M|) per tick, so the arm is restricted to
 /// sizes where that is still cheap.
 pub const DIFF_MAX_TASKS: usize = 2048;
 
-/// Largest case the scale-mode ablation arms (cached-order-vs-resort,
-/// 1-vs-4 `scan_threads`) run on. Both arms are full frontier runs —
+/// Largest case the execution-only arms (cached-order-vs-resort, 1-vs-4
+/// scan threads) run on. Both arms are full frontier runs —
 /// merely a constant factor over the main run — so they cover a far
 /// wider band than the quadratic rebuild differential.
 pub const ABLATION_DIFF_MAX_TASKS: usize = 16_384;
@@ -166,11 +173,11 @@ pub fn run_scale_seed(case: &ScaleCase, ctx: &mut RunContext) -> ScaleReport {
     let config = SlrhConfig::paper(SlrhVariant::V1, case.weights).with_scale(ScaleMode {
         clusters: case.clusters,
         spill_after: case.spill_after,
-        ..ScaleMode::default()
     });
-
     let mut failures = Vec::new();
-    let frontier = run_slrh_churn_in(&sc, &config, &losses, &[], ctx);
+    // The main run is pinned to one scan thread so the 4-thread arm below
+    // is a real differential whatever the ambient width.
+    let frontier = pool(1).install(|| run_slrh_churn_in(&sc, &config, &losses, &[], ctx));
     let metrics = frontier.state.metrics();
     if metrics.mapped == 0 {
         failures.push("scale: progress: the frontier run mapped nothing".to_string());
@@ -180,59 +187,31 @@ pub fn run_scale_seed(case: &ScaleCase, ctx: &mut RunContext) -> ScaleReport {
     }
 
     // Exact-mode differential: at k = 1 the frontier is a pure
-    // optimization of the rebuild path and must replay it bit-for-bit.
-    // Bounded to sizes where the rebuild arm is affordable.
+    // optimization of the paper's pool walk and must replay it
+    // bit-for-bit. Bounded to sizes where the walk is affordable.
     if case.tasks <= DIFF_MAX_TASKS && case.clusters == 1 {
-        let rebuild_cfg = SlrhConfig::paper(SlrhVariant::V1, case.weights);
-        let rebuild = run_slrh_churn_in(&sc, &rebuild_cfg, &losses, &[], ctx);
-        if dynamic_signature(&frontier, false) != dynamic_signature(&rebuild, false) {
-            failures.push(
-                "scale: differential-frontier: incremental-frontier and rebuild runs diverge"
-                    .to_string(),
-            );
-        }
-        ctx.reclaim(rebuild.state);
+        let walk = reference::run(Kind::Scratch, &sc, &config, &losses, &[], ctx);
+        failures.extend(reference_mismatch("scale", Kind::Scratch, &frontier, &walk));
+        ctx.reclaim(walk.state);
     }
 
-    // Scale-mode ablation differentials: the cached bound orders and the
-    // chunked scan are pure query-plan/execution optimizations, so both
-    // ablated arms must replay the main run's schedule, metrics and
-    // disruptions byte-for-byte at every clustering. (Run stats such as
-    // `candidates_evaluated` legitimately diverge — the cached path
-    // plans fewer dominated candidates — so the signatures exclude
-    // stats.)
+    // Execution-only differentials: the cached bound orders and the
+    // chunked scan are pure query-plan/execution optimizations, so the
+    // resort reference and the 4-thread run must replay the main run's
+    // schedule, metrics and disruptions byte-for-byte at every
+    // clustering.
     if case.tasks <= ABLATION_DIFF_MAX_TASKS {
-        let main_sig = dynamic_signature(&frontier, false);
-        let resort_cfg =
-            SlrhConfig::paper(SlrhVariant::V1, case.weights).with_scale(ScaleMode {
-                clusters: case.clusters,
-                spill_after: case.spill_after,
-                cached_orders: false,
-                ..ScaleMode::default()
-            });
-        let resort = run_slrh_churn_in(&sc, &resort_cfg, &losses, &[], ctx);
-        if main_sig != dynamic_signature(&resort, false) {
-            failures.push(
-                "scale: differential-orders: cached-order and resort runs diverge".to_string(),
-            );
-        }
+        let resort = reference::run(Kind::Resort, &sc, &config, &losses, &[], ctx);
+        failures.extend(reference_mismatch("scale", Kind::Resort, &frontier, &resort));
         ctx.reclaim(resort.state);
 
-        let scan4_cfg =
-            SlrhConfig::paper(SlrhVariant::V1, case.weights).with_scale(ScaleMode {
-                clusters: case.clusters,
-                spill_after: case.spill_after,
-                scan_threads: 4,
-                ..ScaleMode::default()
-            });
-        let scan4 = run_slrh_churn_in(&sc, &scan4_cfg, &losses, &[], ctx);
-        if main_sig != dynamic_signature(&scan4, false) {
+        let quad = pool(4).install(|| run_slrh_churn(&sc, &config, &losses, &[]));
+        if dynamic_signature(&frontier, true) != dynamic_signature(&quad, true) {
             failures.push(
-                "scale: differential-scan: scan_threads=4 diverges from the inherited-width run"
+                "scale: differential-scan: the 4-thread run diverges from the 1-thread run"
                     .to_string(),
             );
         }
-        ctx.reclaim(scan4.state);
     }
 
     let clock_steps = frontier.stats.clock_steps;

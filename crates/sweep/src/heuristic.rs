@@ -131,7 +131,7 @@ impl Heuristic {
     }
 
     /// [`Heuristic::run`] on a reusable [`RunContext`]: the run's
-    /// simulation state (and, for SLRH, the pool cache) is built on the
+    /// simulation state (and, for SLRH, the candidate frontier) is built on the
     /// context's recycled buffers and reclaimed before returning, so
     /// consecutive calls through one context allocate almost nothing.
     /// Results are bit-identical to [`Heuristic::run`] — the context

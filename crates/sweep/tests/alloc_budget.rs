@@ -85,7 +85,7 @@ fn reused_context_stays_within_allocation_budget() {
     });
 
     // Differential: the per-run setup (state vectors, schedule and
-    // timeline storage, ledger, pool-cache slot table) is what the
+    // timeline storage, ledger, the frontier's tables) is what the
     // context amortises; the mapping itself still allocates transient
     // per-candidate plan vectors, which both arms pay equally. Ten runs
     // of setup cost several hundred allocations — require reuse to

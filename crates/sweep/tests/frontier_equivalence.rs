@@ -1,22 +1,25 @@
-//! Incremental-frontier ≡ full-rebuild equivalence under churn
-//! cascades, at 1 and 4 worker threads.
+//! Frontier ≡ reference equivalence under churn cascades, at 1 and 4
+//! worker threads.
 //!
-//! The scale path ([`slrh::ScaleMode`]) replaces the per-tick pool
-//! rebuild with worklist-driven frontier maintenance, cached start
-//! floors, the §IV gate-rejection bitset and a bound-ordered candidate
-//! scan. At `clusters: 1` every one of those is a pure pruning of the
-//! same argmax, so a frontier run must replay the rebuild run
-//! **byte-for-byte** — schedule, metrics, disruption counts, final
-//! weights — including across machine-loss cascades that unmap most of
-//! the schedule and force frontier re-seeding. At `clusters > 1` the
-//! machine partition intentionally changes visibility, so equality with
-//! the rebuild path is not required — but the run must still be
-//! deterministic: bit-identical across repeats and across thread
-//! counts.
+//! The product kernel ([`slrh::ScaleMode`]) replaces the paper's
+//! per-query pool rebuild with worklist-driven frontier maintenance,
+//! cached start floors, the §IV gate-rejection bitset and cached
+//! bound-ordered candidate scans. At `clusters: 1` every one of those
+//! is a pure pruning of the same argmax, so a frontier run must replay
+//! the `slrh::reference` pool walk **byte-for-byte** — schedule,
+//! metrics, disruption counts, final weights, loop trajectory —
+//! including across machine-loss cascades that unmap most of the
+//! schedule and force frontier re-seeding, and under every loop knob
+//! (primary-only gate, event-driven trigger, machine visit orders). At
+//! `clusters > 1` the machine partition intentionally changes
+//! visibility, so equality with the pool walk is not required — but the
+//! cached bound orders must still replay the resort reference, and the
+//! run must be deterministic: bit-identical across repeats and across
+//! thread counts.
 //!
-//! The kernel itself is sequential; running under 1- and 4-thread rayon
-//! pools pins the embedding the campaign sweeps use (a worker-local
-//! `RunContext` must not leak state between arms).
+//! Running under 1- and 4-thread rayon pools pins both the chunked scan
+//! (execution-only at any width) and the embedding the campaign sweeps
+//! use (a worker-local `RunContext` must not leak state between arms).
 
 use std::fmt::Write as _;
 
@@ -25,7 +28,11 @@ use adhoc_grid::scale::ScaleParams;
 use adhoc_grid::units::Time;
 use lagrange::weights::Weights;
 use proptest::prelude::*;
-use slrh::{run_slrh_churn, DynamicOutcome, MachineLossEvent, ScaleMode, SlrhConfig, SlrhVariant};
+use slrh::reference::{self, Kind};
+use slrh::{
+    run_slrh_churn, DynamicOutcome, MachineArrivalEvent, MachineLossEvent, MachineOrder,
+    RunContext, ScaleMode, SlrhConfig, SlrhVariant,
+};
 
 fn pool(threads: usize) -> rayon::ThreadPool {
     rayon::ThreadPoolBuilder::new()
@@ -35,14 +42,20 @@ fn pool(threads: usize) -> rayon::ThreadPool {
 }
 
 /// Deterministic full serialization of a churn run. `{:?}` on floats is
-/// shortest-roundtrip, so byte equality is bit equality. Work counters
-/// (`RunStats`) are deliberately excluded: the frontier path prunes
-/// candidates the rebuild path plans, so the counts differ even though
-/// every output bit matches.
+/// shortest-roundtrip, so byte equality is bit equality. Of the work
+/// counters only the loop trajectory is included: the frontier prunes
+/// candidates the pool walk plans, so `candidates_evaluated` differs
+/// even though every output bit matches.
 fn canonical(out: &DynamicOutcome<'_>) -> String {
     let mut s = String::new();
     writeln!(s, "metrics: {:?}", out.state.metrics()).unwrap();
     writeln!(s, "disruptions: {:?}", out.disruptions).unwrap();
+    writeln!(
+        s,
+        "trajectory: {} steps, {} commits",
+        out.stats.clock_steps, out.stats.commits
+    )
+    .unwrap();
     writeln!(
         s,
         "final_weights: {:016x}/{:016x}",
@@ -95,15 +108,11 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         })
 }
 
-fn run_case(case: &Case, scale: Option<ScaleMode>) -> String {
-    let params = ScaleParams::new(case.tasks, case.machines);
-    let sc = params.generate(case.etc_id, case.dag_id);
-    let tau = params.tau().0;
-    // Dedup by machine (a machine is lost at most once) and never lose
-    // the whole grid.
+/// The case's loss events: deduped by machine (a machine is lost at
+/// most once), never the whole grid.
+fn losses(case: &Case, tau: u64) -> Vec<MachineLossEvent> {
     let mut seen = std::collections::HashSet::new();
-    let losses: Vec<MachineLossEvent> = case
-        .losses
+    case.losses
         .iter()
         .filter_map(|&(m, frac)| {
             let m = m % case.machines;
@@ -113,33 +122,89 @@ fn run_case(case: &Case, scale: Option<ScaleMode>) -> String {
             })
         })
         .take(case.machines - 1)
-        .collect();
-    let mut cfg = SlrhConfig::paper(SlrhVariant::V1, case.weights);
-    if let Some(mode) = scale {
-        cfg = cfg.with_scale(mode);
-    }
-    canonical(&run_slrh_churn(&sc, &cfg, &losses, &[]))
+        .collect()
+}
+
+/// Run `cfg` on the case through the product kernel (`kind: None`) or a
+/// reference oracle.
+fn run_with(
+    case: &Case,
+    cfg: &SlrhConfig,
+    arrivals: &[MachineArrivalEvent],
+    kind: Option<Kind>,
+) -> String {
+    let params = ScaleParams::new(case.tasks, case.machines);
+    let sc = params.generate(case.etc_id, case.dag_id);
+    let losses = losses(case, params.tau().0);
+    canonical(&match kind {
+        None => run_slrh_churn(&sc, cfg, &losses, arrivals),
+        Some(kind) => reference::run(kind, &sc, cfg, &losses, arrivals, &mut RunContext::new()),
+    })
+}
+
+fn run_case(case: &Case, scale: ScaleMode, kind: Option<Kind>) -> String {
+    let cfg = SlrhConfig::paper(SlrhVariant::V1, case.weights).with_scale(scale);
+    run_with(case, &cfg, &[], kind)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Exact mode: the frontier at `clusters: 1` replays the rebuild
-    /// path bit-for-bit through loss cascades, under both pool widths.
+    /// Exact mode: the frontier at `clusters: 1` replays the reference
+    /// pool walk bit-for-bit through loss cascades, under both pool
+    /// widths.
     #[test]
-    fn frontier_matches_rebuild_under_churn(case in case_strategy()) {
-        let exact = ScaleMode { clusters: 1, spill_after: 8, ..ScaleMode::default() };
-        let rebuild = pool(1).install(|| run_case(&case, None));
-        let frontier = pool(1).install(|| run_case(&case, Some(exact)));
+    fn frontier_matches_the_pool_walk_under_churn(case in case_strategy()) {
+        let exact = ScaleMode::default();
+        let walk = pool(1).install(|| run_case(&case, exact, Some(Kind::Scratch)));
+        let frontier = pool(1).install(|| run_case(&case, exact, None));
         prop_assert_eq!(
-            &rebuild, &frontier,
-            "frontier (k=1) diverged from the rebuild path"
+            &walk, &frontier,
+            "frontier (k=1) diverged from the reference pool walk"
         );
-        let frontier4 = pool(4).install(|| run_case(&case, Some(exact)));
+        let frontier4 = pool(4).install(|| run_case(&case, exact, None));
         prop_assert_eq!(
             &frontier, &frontier4,
             "frontier run differs between 1 and 4 threads"
         );
+    }
+
+    /// The knobs only the frontier serves now: the primary-only gate,
+    /// the event-driven trigger and the non-default machine visit
+    /// orders, alone and combined, through one loss and one arrival —
+    /// still the pool walk's schedule, metrics, disruptions and loop
+    /// trajectory, at 1 and 4 threads.
+    #[test]
+    fn frontier_matches_the_pool_walk_under_every_loop_knob(
+        case in case_strategy(),
+        variant in prop::sample::select(&SlrhVariant::ALL[..]),
+        lost in 0usize..12,
+        loss_frac in 0.3f64..0.9,
+        arrival_frac in 0.02f64..0.25,
+    ) {
+        let tau = ScaleParams::new(case.tasks, case.machines).tau().0 as f64;
+        let lost = lost % case.machines;
+        let case = Case { losses: vec![(lost, loss_frac)], ..case };
+        let arrivals = [MachineArrivalEvent {
+            machine: MachineId((lost + 1) % case.machines),
+            at: Time(((tau * arrival_frac) as u64).max(1)),
+        }];
+        let base = SlrhConfig::paper(variant, case.weights);
+        let knobs = [
+            base.primary_only(),
+            base.event_driven(),
+            base.with_machine_order(MachineOrder::Reversed),
+            base.with_machine_order(MachineOrder::Rotating),
+            base.primary_only().event_driven().with_machine_order(MachineOrder::Reversed),
+            base.primary_only().event_driven().with_machine_order(MachineOrder::Rotating),
+        ];
+        for cfg in &knobs {
+            let walk = pool(1).install(|| run_with(&case, cfg, &arrivals, Some(Kind::Scratch)));
+            let frontier = pool(1).install(|| run_with(&case, cfg, &arrivals, None));
+            prop_assert_eq!(&walk, &frontier, "frontier diverged from the pool walk under {}", cfg);
+            let frontier4 = pool(4).install(|| run_with(&case, cfg, &arrivals, None));
+            prop_assert_eq!(&frontier, &frontier4, "1 and 4 threads differ under {}", cfg);
+        }
     }
 
     /// Clustered mode: visibility partitioning may change the schedule,
@@ -150,61 +215,27 @@ proptest! {
         clusters in 2u32..=8,
         spill_after in prop::sample::select(&[1u64, 4, 16]),
     ) {
-        let mode = ScaleMode { clusters, spill_after, ..ScaleMode::default() };
-        let first = pool(1).install(|| run_case(&case, Some(mode)));
-        let again = pool(1).install(|| run_case(&case, Some(mode)));
+        let mode = ScaleMode { clusters, spill_after };
+        let first = pool(1).install(|| run_case(&case, mode, None));
+        let again = pool(1).install(|| run_case(&case, mode, None));
         prop_assert_eq!(&first, &again, "clustered run is not reproducible");
-        let wide = pool(4).install(|| run_case(&case, Some(mode)));
+        let wide = pool(4).install(|| run_case(&case, mode, None));
         prop_assert_eq!(&first, &wide, "clustered run differs between 1 and 4 threads");
     }
 
-    /// `scan_threads` determinism contract: the intra-tick scan is
-    /// chunk-parallel but execution-only, so a 1-worker and a 4-worker
-    /// scan commit byte-identical runs through the same churn cascades —
-    /// at every clustering, and regardless of the ambient pool width
-    /// the scan inherits its default from.
+    /// Serving queries from the cached per-(machine, list) bound orders
+    /// is a query-plan change only — the resort reference replays the
+    /// same run byte-for-byte through loss cascades, at every
+    /// clustering.
     #[test]
-    fn scan_threads_one_vs_four_byte_identical(
+    fn cached_views_match_resort_under_churn(
         case in case_strategy(),
         clusters in prop::sample::select(&[1u32, 2, 4, 8]),
         spill_after in prop::sample::select(&[1u64, 4, 16]),
     ) {
-        let narrow = ScaleMode {
-            clusters,
-            spill_after,
-            scan_threads: 1,
-            ..ScaleMode::default()
-        };
-        let wide = ScaleMode { scan_threads: 4, ..narrow };
-        let one = pool(1).install(|| run_case(&case, Some(narrow)));
-        let four = pool(1).install(|| run_case(&case, Some(wide)));
-        prop_assert_eq!(
-            &one, &four,
-            "scan_threads=4 diverged from scan_threads=1"
-        );
-        // Same contract when the ambient rayon pool is itself wide (the
-        // sweep embedding: scan threads nested under sweep workers).
-        let four_nested = pool(4).install(|| run_case(&case, Some(wide)));
-        prop_assert_eq!(
-            &one, &four_nested,
-            "nested wide-pool scan diverged from the sequential scan"
-        );
-    }
-
-    /// Cached-bound-order ablation: serving queries from the cached
-    /// per-(machine, list) orders is a query-plan change only — the
-    /// resort ablation replays the same run byte-for-byte through loss
-    /// cascades.
-    #[test]
-    fn cached_orders_match_resort_under_churn(
-        case in case_strategy(),
-        clusters in prop::sample::select(&[1u32, 2, 4, 8]),
-        spill_after in prop::sample::select(&[1u64, 4, 16]),
-    ) {
-        let cached = ScaleMode { clusters, spill_after, ..ScaleMode::default() };
-        let resort = ScaleMode { cached_orders: false, ..cached };
-        let a = pool(1).install(|| run_case(&case, Some(cached)));
-        let b = pool(1).install(|| run_case(&case, Some(resort)));
-        prop_assert_eq!(&a, &b, "cached-order run diverged from the resort ablation");
+        let mode = ScaleMode { clusters, spill_after };
+        let cached = pool(1).install(|| run_case(&case, mode, None));
+        let resort = pool(1).install(|| run_case(&case, mode, Some(Kind::Resort)));
+        prop_assert_eq!(&cached, &resort, "cached-order run diverged from the resort reference");
     }
 }

@@ -23,7 +23,11 @@ use grid_sweep::weight_search::optimal_weights_with_steps;
 use grid_sweep::{canonical_report, run_campaign, CampaignConfig, Heuristic};
 use lagrange::weights::Weights;
 use rayon::ThreadPool;
-use slrh::{run_slrh_churn, DynamicOutcome, MachineArrivalEvent, MachineLossEvent, SlrhConfig, SlrhVariant};
+use slrh::reference::{self, Kind};
+use slrh::{
+    run_slrh_churn, DynamicOutcome, MachineArrivalEvent, MachineLossEvent, RunContext, SlrhConfig,
+    SlrhVariant,
+};
 
 fn pool(threads: usize) -> ThreadPool {
     rayon::ThreadPoolBuilder::new()
@@ -159,19 +163,18 @@ fn churn_matches_pre_refactor_reference() {
 }
 
 #[test]
-fn churn_without_pool_cache_matches_pre_refactor_reference() {
-    // The same churn trajectory through the uncached planner: covers the
-    // from-scratch `build_pool_with` path (and its scratch reuse) rather
-    // than the `PoolCache` re-anchoring path.
+fn churn_through_the_reference_walk_matches_pre_refactor_reference() {
+    // A churn trajectory through the reference oracle: covers the
+    // from-scratch `build_pool_with` walk (and its scratch reuse) rather
+    // than the frontier kernel.
     assert_golden_differential("churn_nocache.txt", || {
         let sc = Scenario::generate(&ScenarioParams::paper_scaled(192), GridCase::A, 0, 0);
-        let cfg = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap())
-            .without_pool_cache();
+        let cfg = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap());
         let losses = [MachineLossEvent {
             machine: MachineId(0),
             at: Time(sc.tau.0 / 3),
         }];
-        let out = run_slrh_churn(&sc, &cfg, &losses, &[]);
+        let out = reference::run(Kind::Scratch, &sc, &cfg, &losses, &[], &mut RunContext::new());
         churn_canonical(&out)
     });
 }

@@ -1,6 +1,6 @@
 //! Golden differential suite for the run-context reuse refactor.
 //!
-//! Reusing one `RunContext` (SimState buffers, pool cache, plan scratch)
+//! Reusing one `RunContext` (SimState buffers, candidate frontier, plan scratch)
 //! across thousands of heuristic runs — and memoizing weight-search
 //! evaluations between the coarse and fine stages — must not move a
 //! single *semantic* output bit: the winning weights, their `T100`, and

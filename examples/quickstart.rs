@@ -57,8 +57,8 @@ fn main() {
         m.tse.units()
     );
     println!(
-        "heuristic work: {} clock steps, {} pools, {} candidates evaluated",
-        outcome.stats.clock_steps, outcome.stats.pool_builds, outcome.stats.candidates_evaluated
+        "heuristic work: {} clock steps, {} kernel queries, {} candidates planned",
+        outcome.stats.clock_steps, outcome.stats.queries, outcome.stats.candidates_evaluated
     );
 
     // Every example double-checks its schedule against the independent

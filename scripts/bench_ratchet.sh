@@ -1,18 +1,11 @@
 #!/usr/bin/env bash
-# Scale-path performance ratchet: fails when the incremental-frontier
-# path regresses against the pool path, the 65k wall-clock ceiling, or
-# 1.3x the best after_min_ms recorded for 16384x64 in BENCH_scale.json
-# (cases and history entries both count).
+# Frontier-kernel performance ratchet: fails when a fresh 16384x64 run
+# regresses past 1.3x the best after_min_ms recorded for that case in
+# BENCH_scale.json (cases and history entries both count), or when the
+# 65k run exceeds its 30 s wall-clock ceiling.
 #
-#   scripts/bench_ratchet.sh           # one interleaved A/B round + 65k smoke + regression gate
+#   scripts/bench_ratchet.sh           # 16k min-of-3 regression gate + 65k smoke
 #   scripts/bench_ratchet.sh --smoke   # 65k smoke only (fast CI lane)
-#
-# Frontier-only cases (65536x256, 100000x1000) carry an explicit
-# '"before": "not run (pool path exceeds 30 s ceiling)"' marker in
-# BENCH_scale.json: the pool arm is unaffordable there, so those cases
-# are floor-only — the ratchet checks their absolute wall-clock ceiling
-# and never a before/after ratio. The 16384x64 case, where both arms
-# run, pins the ratio.
 #
 # The recorded numbers live in BENCH_scale.json; regenerate with
 #   cargo run -p bench --release --bin scale_ab

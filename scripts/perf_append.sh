@@ -2,7 +2,7 @@
 # Append a commit-stamped measurement round to the BENCH_*.json
 # performance trails.
 #
-#   scripts/perf_append.sh             # full interleaved A/B (3 rounds/case) + 100k design point,
+#   scripts/perf_append.sh             # interleaved resort-vs-cached A/B (3 rounds/case) + 100k design point,
 #                                      # then a mapper-kernel history round
 #   scripts/perf_append.sh --rounds 5  # more rounds per case (both files)
 #

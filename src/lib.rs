@@ -11,7 +11,7 @@
 //! * [`sim`] — the clock-driven grid simulator: timelines, communication
 //!   links, the energy ledger, schedules, validation and metrics;
 //! * [`lagrange`] — the Lagrangian optimization substrate: multiplier
-//!   state, subgradient methods, dual decomposition, LRNN dynamics;
+//!   state, subgradient methods, dual decomposition;
 //! * [`slrh`] — the paper's core contribution: the SLRH-1/2/3 heuristics
 //!   plus the adaptive-multiplier and dynamic-remapping extensions;
 //! * [`baselines`] — static comparators: Max-Max, greedy, MCT/OLB/Min-Min
@@ -51,25 +51,26 @@
 //! println!("mapped {} of {} subtasks at the primary level", m.t100, scenario.tasks());
 //! ```
 //!
-//! ## Revisions, deltas, and the incremental pool cache
+//! ## Revisions, deltas, and the one candidate kernel
 //!
 //! Every mutation of the simulator's [`sim::SimState`] — committing a
 //! plan, unmapping a subtask, losing a machine, blocking a timeline —
 //! bumps a monotonic revision counter and returns a
 //! [`sim::StateDelta`] naming exactly the subtasks and machines it
-//! affected. The SLRH clock loop feeds those deltas into
-//! [`slrh::PoolCache`], which keeps per-machine candidate pools alive
-//! across clock ticks under one invariant: the *costed* part of a
-//! cached plan (transfer sizes, durations, energies, reservations)
-//! depends only on static scenario tables and on where each parent is
-//! committed, so a delta's `invalidated`/`newly_ready` lists are
-//! precisely the slots to evict, while start times are re-anchored
-//! against the live timelines on every query
-//! ([`sim::SimState::reanchor`]). Cached pools are byte-identical to
-//! the from-scratch reference ([`slrh::build_pool`]) — property-tested
-//! under arbitrary mutation sequences, including machine-loss
-//! invalidation cascades — and cut the candidates planned by ~10× on
-//! the paper's largest workload.
+//! affected. Every SLRH driver — closed runs, churn, online adaptation
+//! and the open stream — answers "best startable candidate for machine
+//! *j* now" through one kernel: the ready *frontier*, kept alive across
+//! clock ticks from that delta stream (a commit removes one task and
+//! inserts its newly-ready children), pruned by start lower bounds and
+//! cached §IV gate rejections, and served from cached per-machine bound
+//! orders so a query plans one or two candidates instead of the whole
+//! ready set. With one machine cluster (the default) each commit is
+//! exactly the paper's pool walk's pick; the from-scratch walk
+//! ([`slrh::build_pool`]) survives only as the reference oracle the
+//! stress harness and the proptests compare against, and no
+//! configuration field, wire key or CLI flag can select it.
+//! [`ScaleMode`] `{ clusters > 1 }` opts into the approximate
+//! machine-clustered mode for 100k-subtask grids.
 
 pub use adhoc_grid as grid;
 pub use grid_baselines as baselines;
