@@ -4,11 +4,15 @@
 //! Submissions stream their events through a caller-supplied callback
 //! and return the final response; the connection can then be reused for
 //! the next request.
+//!
+//! A job's reply is thousands of small event frames, so the receive
+//! path reuses its storage from one frame to the next
+//! ([`FrameReader`]): reading a tick event allocates nothing.
 
 use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use adhoc_grid::io::wire::{read_frame, Frame};
+use adhoc_grid::io::wire::FrameReader;
 
 use crate::proto::{
     CampaignRequest, CampaignResponse, Event, MapRequest, MapResponse, OpenRequest, Request,
@@ -18,27 +22,38 @@ use crate::proto::{
 /// A client connection to a broker daemon.
 pub struct Connection {
     reader: BufReader<TcpStream>,
+    frames: FrameReader,
     writer: TcpStream,
+    /// The request being sent; kept for its capacity.
+    outgoing: String,
 }
 
 impl Connection {
     /// Connect to a daemon.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Connection> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
-        Ok(Connection { reader, writer })
+        Ok(Connection {
+            reader,
+            frames: FrameReader::new(),
+            writer,
+            outgoing: String::new(),
+        })
     }
 
-    fn send(&mut self, frame: &Frame) -> Result<(), String> {
+    /// A request leaves in one write on the unbuffered socket.
+    fn send(&mut self, request: &Request) -> Result<(), String> {
+        self.outgoing.clear();
+        request.encode_into(&mut self.outgoing);
         self.writer
-            .write_all(frame.encode().as_bytes())
-            .and_then(|_| self.writer.flush())
+            .write_all(self.outgoing.as_bytes())
             .map_err(|e| format!("sending to daemon: {e}"))
     }
 
     fn recv(&mut self) -> Result<ServerMsg, String> {
-        match read_frame(&mut self.reader) {
-            Ok(Some(frame)) => ServerMsg::from_frame(&frame).map_err(|e| e.to_string()),
+        match self.frames.read(&mut self.reader) {
+            Ok(Some(frame)) => ServerMsg::from_frame(frame).map_err(|e| e.to_string()),
             Ok(None) => Err("daemon closed the connection".into()),
             Err(e) => Err(format!("reading from daemon: {e}")),
         }
@@ -52,7 +67,7 @@ impl Connection {
         request: &Request,
         on_event: &mut dyn FnMut(&Event),
     ) -> Result<ServerMsg, String> {
-        self.send(&request.to_frame())?;
+        self.send(request)?;
         loop {
             match self.recv()? {
                 ServerMsg::Event(event) => on_event(&event),

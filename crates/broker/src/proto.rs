@@ -10,11 +10,16 @@
 //! pairs — [`Heuristic`], [`GridCase`], [`SlrhConfig`] (which carries
 //! the weights bit-exactly) — so a value printed on either side of the
 //! wire re-parses to the identical value on the other.
+//!
+//! A daemon's messages state their fields once, against
+//! [`FieldSink`]: `to_frame()` collects them into a [`Frame`] (the typed
+//! API), [`ServerMsg::encode_into`] writes the same bytes straight into
+//! a reused buffer (the reply path: one message per clock tick).
 
 use adhoc_grid::arrival::{BackgroundParams, JobArrival, OpenParams};
 use adhoc_grid::config::{GridCase, MachineId};
 use adhoc_grid::io::kv::{self, KvError};
-use adhoc_grid::io::wire::Frame;
+use adhoc_grid::io::wire::{FieldSink, Frame, FrameWriter};
 use adhoc_grid::units::Time;
 use adhoc_grid::workload::{Scenario, ScenarioParams};
 use grid_sweep::heuristic::Heuristic;
@@ -662,17 +667,12 @@ impl Event {
         }
     }
 
-    /// Encode to a wire frame.
-    pub fn to_frame(&self) -> Frame {
-        let mut f = Frame::new(KIND_EVENT);
-        f.push("job", self.job().to_string());
+    /// The fields of the event, in wire order.
+    fn fields(&self, s: &mut impl FieldSink) {
+        s.put("job", self.job());
         match self {
-            Event::Queued { .. } => {
-                f.push("event", "queued");
-            }
-            Event::Started { .. } => {
-                f.push("event", "started");
-            }
+            Event::Queued { .. } => s.put("event", "queued"),
+            Event::Started { .. } => s.put("event", "started"),
             Event::Tick {
                 clock,
                 tick,
@@ -680,18 +680,18 @@ impl Event {
                 commits,
                 ..
             } => {
-                f.push("event", "tick")
-                    .push("clock", clock.to_string())
-                    .push("tick", tick.to_string())
-                    .push("mapped", mapped.to_string())
-                    .push("commits", commits.to_string());
+                s.put("event", "tick");
+                s.put("clock", clock);
+                s.put("tick", tick);
+                s.put("mapped", mapped);
+                s.put("commits", commits);
             }
             Event::Disruption {
                 at, invalidated, ..
             } => {
-                f.push("event", "disruption")
-                    .push("at", at.to_string())
-                    .push("invalidated", invalidated.to_string());
+                s.put("event", "disruption");
+                s.put("at", at);
+                s.put("invalidated", invalidated);
             }
             Event::Job {
                 id,
@@ -701,25 +701,29 @@ impl Event {
                 cost,
                 ..
             } => {
-                f.push("event", "job")
-                    .push("id", id.to_string())
-                    .push("mapped", mapped.to_string())
-                    .push("tasks", tasks.to_string())
-                    .push("hit", if *hit { "yes" } else { "no" })
-                    .push("cost", kv::format_f64_bits(*cost));
+                s.put("event", "job");
+                s.put("id", id);
+                s.put("mapped", mapped);
+                s.put("tasks", tasks);
+                s.put("hit", if *hit { "yes" } else { "no" });
+                s.put("cost", kv::F64Bits(*cost));
             }
             Event::Unit {
                 index, total, row, ..
             } => {
-                f.push("event", "unit")
-                    .push("index", index.to_string())
-                    .push("total", total.to_string())
-                    .push("row", row.clone());
+                s.put("event", "unit");
+                s.put("index", index);
+                s.put("total", total);
+                s.put("row", row);
             }
-            Event::Done { .. } => {
-                f.push("event", "done");
-            }
+            Event::Done { .. } => s.put("event", "done"),
         }
+    }
+
+    /// Encode to a wire frame.
+    pub fn to_frame(&self) -> Frame {
+        let mut f = Frame::new(KIND_EVENT);
+        self.fields(&mut f);
         f
     }
 
@@ -786,11 +790,15 @@ pub struct MapResponse {
 }
 
 impl MapResponse {
+    fn fields(&self, s: &mut impl FieldSink) {
+        s.put("job", self.job);
+        s.put_block("report", &self.report);
+    }
+
     /// Encode to a wire frame.
     pub fn to_frame(&self) -> Frame {
         let mut f = Frame::new(KIND_MAP_RESPONSE);
-        f.push("job", self.job.to_string());
-        f.block("report", self.report.clone());
+        self.fields(&mut f);
         f
     }
 
@@ -820,12 +828,16 @@ pub struct CampaignResponse {
 }
 
 impl CampaignResponse {
+    fn fields(&self, s: &mut impl FieldSink) {
+        s.put("job", self.job);
+        s.put("resumed", self.resumed);
+        s.put_block("report", &self.report);
+    }
+
     /// Encode to a wire frame.
     pub fn to_frame(&self) -> Frame {
         let mut f = Frame::new(KIND_CAMPAIGN_RESPONSE);
-        f.push("job", self.job.to_string())
-            .push("resumed", self.resumed.to_string());
-        f.block("report", self.report.clone());
+        self.fields(&mut f);
         f
     }
 
@@ -860,13 +872,17 @@ pub struct StatusResponse {
 }
 
 impl StatusResponse {
+    fn fields(&self, s: &mut impl FieldSink) {
+        s.put("queued", self.queued);
+        s.put("running", self.running);
+        s.put("completed", self.completed);
+        s.put("workers", self.workers);
+    }
+
     /// Encode to a wire frame.
     pub fn to_frame(&self) -> Frame {
         let mut f = Frame::new(KIND_STATUS_RESPONSE);
-        f.push("queued", self.queued.to_string())
-            .push("running", self.running.to_string())
-            .push("completed", self.completed.to_string())
-            .push("workers", self.workers.to_string());
+        self.fields(&mut f);
         f
     }
 
@@ -915,14 +931,18 @@ pub struct ErrorResponse {
 }
 
 impl ErrorResponse {
-    /// Encode to a wire frame. Error text travels in a raw block so it
-    /// may contain anything.
+    /// Error text travels in a raw block so it may contain anything.
+    fn fields(&self, s: &mut impl FieldSink) {
+        if let Some(job) = self.job {
+            s.put("job", job);
+        }
+        s.put_block("message", &self.message);
+    }
+
+    /// Encode to a wire frame.
     pub fn to_frame(&self) -> Frame {
         let mut f = Frame::new(KIND_ERROR);
-        if let Some(job) = self.job {
-            f.push("job", job.to_string());
-        }
-        f.block("message", self.message.clone());
+        self.fields(&mut f);
         f
     }
 
@@ -973,6 +993,12 @@ impl Request {
         }
     }
 
+    /// Append the wire text of the request to `out`. Requests travel
+    /// once per job, so they go through their frame.
+    pub fn encode_into(&self, out: &mut String) {
+        self.to_frame().encode_into(out);
+    }
+
     /// Decode from a wire frame, dispatching on the kind.
     pub fn from_frame(frame: &Frame) -> Result<Request, KvError> {
         match frame.kind.as_str() {
@@ -1004,16 +1030,43 @@ pub enum ServerMsg {
 }
 
 impl ServerMsg {
+    fn kind(&self) -> &'static str {
+        match self {
+            ServerMsg::Event(_) => KIND_EVENT,
+            ServerMsg::Map(_) => KIND_MAP_RESPONSE,
+            ServerMsg::Campaign(_) => KIND_CAMPAIGN_RESPONSE,
+            ServerMsg::Status(_) => KIND_STATUS_RESPONSE,
+            ServerMsg::Error(_) => KIND_ERROR,
+            ServerMsg::Ok => KIND_OK,
+        }
+    }
+
+    fn fields(&self, s: &mut impl FieldSink) {
+        match self {
+            ServerMsg::Event(m) => m.fields(s),
+            ServerMsg::Map(m) => m.fields(s),
+            ServerMsg::Campaign(m) => m.fields(s),
+            ServerMsg::Status(m) => m.fields(s),
+            ServerMsg::Error(m) => m.fields(s),
+            ServerMsg::Ok => {}
+        }
+    }
+
     /// Encode to a wire frame.
     pub fn to_frame(&self) -> Frame {
-        match self {
-            ServerMsg::Event(m) => m.to_frame(),
-            ServerMsg::Map(m) => m.to_frame(),
-            ServerMsg::Campaign(m) => m.to_frame(),
-            ServerMsg::Status(m) => m.to_frame(),
-            ServerMsg::Error(m) => m.to_frame(),
-            ServerMsg::Ok => Frame::new(KIND_OK),
-        }
+        let mut f = Frame::new(self.kind());
+        self.fields(&mut f);
+        f
+    }
+
+    /// Append the wire text of the message to `out`, whatever it
+    /// already holds: the same bytes as `to_frame().encode()`, written
+    /// without building the frame. This is the daemon's reply path — a
+    /// job streams one of these per clock tick.
+    pub fn encode_into(&self, out: &mut String) {
+        let mut w = FrameWriter::begin(out, self.kind());
+        self.fields(&mut w);
+        w.end();
     }
 
     /// Decode from a wire frame, dispatching on the kind.

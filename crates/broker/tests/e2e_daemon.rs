@@ -1,7 +1,8 @@
 //! End-to-end daemon tests: concurrent submissions, byte-identity with
 //! local execution, event-stream well-formedness, checkpointed campaign
-//! resume across daemon restarts, status counters and graceful
-//! shutdown.
+//! resume across daemon restarts, status counters, graceful shutdown
+//! (a reply in flight is delivered in full), and the byte stream a
+//! client reads being exactly the typed encoding of the job's messages.
 
 use std::sync::Arc;
 
@@ -358,6 +359,105 @@ fn shutdown_refuses_new_work_but_drains_accepted_jobs() {
         Ok(d) => d.join(),
         Err(_) => unreachable!("runner thread has exited"),
     }
+}
+
+/// What the daemon writes for a job is, byte for byte, the typed
+/// encoding of `queued`, `started`, the events the job emits
+/// in-process, `done` and the response — however the server batches and
+/// flushes them.
+#[test]
+fn raw_reply_bytes_are_the_typed_encoding_of_the_jobs_messages() {
+    use grid_broker::proto::{Request, ServerMsg, StatusRequest};
+    use std::io::{Read, Write};
+
+    let mut req = map_request("raw", Heuristic::Slrh1, 48, 5);
+    req.losses = vec![(1, 400)]; // a disruption event among the ticks
+
+    // The first job of a fresh daemon is job 1.
+    let mut expected = Event::Queued { job: 1 }.to_frame().encode();
+    expected.push_str(&Event::Started { job: 1 }.to_frame().encode());
+    let response = execute_map(1, &req, &mut RunContext::new(), &mut |event| {
+        expected.push_str(&event.to_frame().encode())
+    })
+    .expect("local run");
+    expected.push_str(&Event::Done { job: 1 }.to_frame().encode());
+    expected.push_str(&ServerMsg::Map(response).to_frame().encode());
+    assert!(expected.contains("event=tick") && expected.contains("event=disruption"));
+
+    let daemon = daemon(1);
+    let mut stream = std::net::TcpStream::connect(daemon.addr()).expect("connect");
+    stream
+        .write_all(Request::Map(req).to_frame().encode().as_bytes())
+        .expect("send");
+    let mut got = vec![0u8; expected.len()];
+    stream.read_exact(&mut got).expect("the whole reply");
+    assert_eq!(String::from_utf8(got).expect("wire text"), expected);
+
+    // Nothing trails the response: the next bytes answer the next request.
+    stream
+        .write_all(
+            Request::Status(StatusRequest)
+                .to_frame()
+                .encode()
+                .as_bytes(),
+        )
+        .expect("send");
+    let mut reader = std::io::BufReader::new(stream);
+    let frame = adhoc_grid::io::wire::read_frame(&mut reader)
+        .expect("read")
+        .expect("status reply");
+    assert_eq!(frame.kind, "status-response");
+
+    daemon.shutdown();
+    daemon.join();
+}
+
+/// A shutdown that arrives while a paper-scale job is streaming its
+/// ten thousand and more events drains it: the client gets every event and the same
+/// report a local run renders. (That `join` also outlasts the last
+/// write is only observable from another process;
+/// `scripts/broker_smoke.sh` pins it through the real binary.)
+#[test]
+fn shutdown_during_a_paper_scale_job_delivers_the_whole_stream() {
+    let daemon = daemon(1);
+    let addr = daemon.addr();
+    let req = map_request("paper", Heuristic::Slrh1, 1024, 9);
+
+    let runner = {
+        let req = req.clone();
+        std::thread::spawn(move || {
+            let mut events = Vec::new();
+            let mut conn = Connection::connect(addr).expect("connect");
+            let resp = conn
+                .submit_map(&req, |e| events.push(e.clone()))
+                .expect("accepted job completes");
+            (events, resp)
+        })
+    };
+
+    let mut conn = Connection::connect(addr).expect("connect");
+    while conn.status().expect("status").running == 0 {
+        std::thread::yield_now();
+    }
+    conn.shutdown().expect("shutdown");
+
+    let mut local_events = 0usize;
+    let local = execute_map(0, &req, &mut RunContext::new(), &mut |_| local_events += 1)
+        .expect("local run");
+
+    let (events, resp) = runner.join().expect("runner thread");
+    check_stream(&events, resp.job, true);
+    assert!(
+        local_events > 10_000,
+        "{local_events} events is not paper scale"
+    );
+    assert_eq!(
+        events.len(),
+        local_events + 3,
+        "queued + started + ticks + done"
+    );
+    assert_eq!(resp.report, local.report);
+    daemon.join();
 }
 
 #[test]

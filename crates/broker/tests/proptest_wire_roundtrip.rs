@@ -4,13 +4,21 @@
 //! message values, not just the unit tests' samples. Floats (the
 //! weights inside a config, a campaign's search steps) must survive bit
 //! for bit.
+//!
+//! The same generators pin the allocation-free paths to the typed API:
+//! `encode_into` a dirty buffer appends exactly `to_frame().encode()`,
+//! and one [`FrameReader`] reused across a stream returns what a fresh
+//! [`read_frame`] per frame returns — frames and errors alike, on valid
+//! streams and on mutated, truncated and spliced ones.
 
+use adhoc_grid::arrival::{BackgroundParams, JobArrival, JobKind};
 use adhoc_grid::config::GridCase;
-use adhoc_grid::io::wire::Frame;
-use adhoc_grid::units::Dur;
+use adhoc_grid::io::kv::KvError;
+use adhoc_grid::io::wire::{read_frame, Frame, FrameReader};
+use adhoc_grid::units::{Dur, Time};
 use grid_broker::proto::{
-    CampaignRequest, CampaignResponse, ErrorResponse, Event, MapRequest, MapResponse, Request,
-    ScenarioSpec, ServerMsg, StatusResponse,
+    CampaignRequest, CampaignResponse, ErrorResponse, Event, MapRequest, MapResponse, OpenRequest,
+    Request, ScenarioSpec, ServerMsg, StatusRequest, StatusResponse,
 };
 use grid_sweep::heuristic::Heuristic;
 use grid_sweep::SearcherKind;
@@ -177,7 +185,7 @@ fn campaign_requests() -> impl Strategy<Value = CampaignRequest> {
 
 fn events() -> impl Strategy<Value = Event> {
     (
-        (0usize..6, 1u64..1_000_000),
+        (0usize..7, 1u64..1_000_000),
         (0u64..1_000_000, 1u64..100_000, 0usize..10_000, 0u64..100),
         (0usize..100, 1usize..100, heuristics(), cases(), 0.0f64..1e6),
     )
@@ -204,6 +212,14 @@ fn events() -> impl Strategy<Value = Event> {
                     // A realistic canonical row as the payload.
                     row: format!("{h}|{c}|t100={t100:?}|ub_frac=0.5|feasible=2/2"),
                 },
+                5 => Event::Job {
+                    job,
+                    id: tick,
+                    mapped: mapped.min(extra),
+                    tasks: extra,
+                    hit: commits % 2 == 0,
+                    cost: t100,
+                },
                 _ => Event::Done { job },
             },
         )
@@ -219,6 +235,228 @@ fn reports() -> impl Strategy<Value = String> {
         ][..],
     )
     .prop_map(str::to_string)
+}
+
+fn open_requests() -> impl Strategy<Value = OpenRequest> {
+    (
+        (names(), configs(), cases(), any::<u64>()),
+        prop::collection::vec(
+            (
+                1u64..5_000,
+                any::<bool>(),
+                1usize..64,
+                1u64..1_000_000,
+                (any::<bool>(), 1.0f64..1e6),
+            ),
+            1..5,
+        ),
+        (any::<bool>(), 1u64..1_000_000, 0u8..7, any::<u64>()),
+        (churn(), churn()),
+    )
+        .prop_map(
+            |(
+                (client, config, case, seed),
+                gaps,
+                (loaded, max_offset, util, bg_seed),
+                (losses, arrivals),
+            )| {
+                let mut at = 0;
+                let jobs = gaps
+                    .into_iter()
+                    .enumerate()
+                    .map(|(id, (gap, dag, tasks, deadline, (capped, budget)))| {
+                        at += gap;
+                        JobArrival {
+                            id: id as u64,
+                            at: Time(at),
+                            kind: if dag { JobKind::Dag } else { JobKind::Bag },
+                            tasks,
+                            deadline: Dur(deadline),
+                            budget: capped.then_some(budget),
+                        }
+                    })
+                    .collect();
+                OpenRequest {
+                    client,
+                    label: "stream".into(),
+                    config,
+                    case,
+                    seed,
+                    jobs,
+                    // Inert (omitted on the wire) or visibly loaded.
+                    bg: if loaded {
+                        BackgroundParams {
+                            max_offset,
+                            max_util_eighths: util,
+                            seed: bg_seed,
+                        }
+                    } else {
+                        BackgroundParams::none()
+                    },
+                    losses,
+                    arrivals,
+                }
+            },
+        )
+}
+
+/// Every request variant.
+fn requests() -> impl Strategy<Value = Request> {
+    (
+        0usize..5,
+        map_requests(),
+        campaign_requests(),
+        open_requests(),
+    )
+        .prop_map(|(tag, map, campaign, open)| match tag {
+            0 => Request::Map(map),
+            1 => Request::Campaign(campaign),
+            2 => Request::Open(open),
+            3 => Request::Status(StatusRequest),
+            _ => Request::Shutdown,
+        })
+}
+
+/// Every server message variant (and, through `events`, every event).
+fn server_msgs() -> impl Strategy<Value = ServerMsg> {
+    (
+        0usize..9,
+        events(),
+        (1u64..1_000_000, 0usize..100, reports()),
+        (0usize..100, 0usize..8, 0u64..10_000),
+        (
+            any::<bool>(),
+            prop::sample::select(&["bad integer \"x\"", "two\nlines", "# not a comment", ""][..]),
+        ),
+    )
+        .prop_map(
+            |(
+                tag,
+                event,
+                (job, resumed, report),
+                (queued, running, completed),
+                (with_job, message),
+            )| {
+                match tag {
+                    // Events are most of what a daemon sends.
+                    0..=3 => ServerMsg::Event(event),
+                    4 => ServerMsg::Map(MapResponse { job, report }),
+                    5 => ServerMsg::Campaign(CampaignResponse {
+                        job,
+                        resumed,
+                        report,
+                    }),
+                    6 => ServerMsg::Status(StatusResponse {
+                        queued,
+                        running,
+                        completed,
+                        workers: running.max(1),
+                    }),
+                    7 => ServerMsg::Error(ErrorResponse {
+                        job: with_job.then_some(job),
+                        message: message.to_string(),
+                    }),
+                    _ => ServerMsg::Ok,
+                }
+            },
+        )
+}
+
+/// What a stream yields: its frames in order, then how it ended.
+type Transcript = (Vec<Frame>, Option<KvError>);
+
+/// Read `bytes` to the end (or the first error) with one reused reader.
+fn read_reusing(bytes: &[u8]) -> Transcript {
+    let mut input = bytes;
+    let mut frames = FrameReader::new();
+    let mut seen = Vec::new();
+    loop {
+        match frames.read(&mut input) {
+            Ok(Some(frame)) => seen.push(frame.clone()),
+            Ok(None) => return (seen, None),
+            Err(e) => return (seen, Some(e)),
+        }
+    }
+}
+
+/// The same with a fresh `read_frame` per frame.
+fn read_fresh(bytes: &[u8]) -> Transcript {
+    let mut input = bytes;
+    let mut seen = Vec::new();
+    loop {
+        match read_frame(&mut input) {
+            Ok(Some(frame)) => seen.push(frame),
+            Ok(None) => return (seen, None),
+            Err(e) => return (seen, Some(e)),
+        }
+    }
+}
+
+/// One edit of a wire stream, as a hostile or dying peer would make it.
+#[derive(Clone, Debug)]
+enum Mutation {
+    Truncate,
+    Replace(u8),
+    Insert(Vec<u8>),
+    DeleteLine,
+    DuplicateLine,
+    /// Append a prefix of the stream to itself.
+    Splice,
+}
+
+/// Bytes a mutation injects: protocol syntax, and 0xff (never valid
+/// UTF-8).
+const HOSTILE: &[u8] = b"=@# 019azZ|/\\\"'\t\n\x7f\xff";
+
+fn mutations() -> impl Strategy<Value = (Mutation, usize)> {
+    (
+        0usize..6,
+        prop::sample::select(HOSTILE),
+        prop::collection::vec(prop::sample::select(HOSTILE), 1..12),
+        0usize..1 << 16,
+    )
+        .prop_map(|(tag, byte, run, at)| {
+            let mutation = match tag {
+                0 => Mutation::Truncate,
+                1 => Mutation::Replace(byte),
+                2 => Mutation::Insert(run),
+                3 => Mutation::DeleteLine,
+                4 => Mutation::DuplicateLine,
+                _ => Mutation::Splice,
+            };
+            (mutation, at)
+        })
+}
+
+/// Apply `mutation` at a position derived from `at`.
+fn mutate(stream: &[u8], mutation: &Mutation, at: usize) -> Vec<u8> {
+    let mut out = stream.to_vec();
+    let pos = at % (stream.len() + 1);
+    match mutation {
+        Mutation::Truncate => out.truncate(pos),
+        Mutation::Replace(b) => {
+            if let Some(slot) = out.get_mut(pos) {
+                *slot = *b;
+            }
+        }
+        Mutation::Insert(run) => {
+            out.splice(pos..pos, run.iter().copied());
+        }
+        Mutation::DeleteLine | Mutation::DuplicateLine => {
+            let mut lines: Vec<&[u8]> = stream.split_inclusive(|&b| b == b'\n').collect();
+            if !lines.is_empty() {
+                let i = at % lines.len();
+                if matches!(mutation, Mutation::DeleteLine) {
+                    lines.remove(i);
+                } else {
+                    lines.insert(i, lines[i]);
+                }
+            }
+            out = lines.concat();
+        }
+        Mutation::Splice => out.extend_from_slice(&stream[..pos]),
+    }
+    out
 }
 
 /// Round-trip helper: typed → frame → text → frame → typed.
@@ -308,5 +546,75 @@ proptest! {
         let envelope = ServerMsg::Event(event);
         let back = wire_round_trip(&envelope, ServerMsg::from_frame, envelope.to_frame());
         prop_assert_eq!(back, envelope);
+    }
+
+    #[test]
+    fn requests_encode_into_a_dirty_buffer_as_their_frame_encodes(
+        req in requests(),
+        before in reports(),
+    ) {
+        let mut buf = before.clone();
+        req.encode_into(&mut buf);
+        prop_assert_eq!(buf, before + &req.to_frame().encode());
+    }
+
+    #[test]
+    fn server_msgs_encode_into_a_dirty_buffer_as_their_frame_encodes(
+        msgs in prop::collection::vec(server_msgs(), 1..6),
+        before in reports(),
+    ) {
+        // One buffer across messages, as a connection reuses it.
+        let mut buf = before.clone();
+        let mut expected = before;
+        for msg in &msgs {
+            msg.encode_into(&mut buf);
+            expected.push_str(&msg.to_frame().encode());
+        }
+        prop_assert_eq!(buf, expected);
+    }
+
+    #[test]
+    fn reused_reader_matches_read_frame_on_valid_streams(
+        msgs in prop::collection::vec(server_msgs(), 0..8),
+        req in requests(),
+        commented in any::<bool>(),
+    ) {
+        let mut stream = String::new();
+        req.encode_into(&mut stream);
+        for msg in &msgs {
+            if commented {
+                stream.push_str("\n# between frames\n");
+            }
+            msg.encode_into(&mut stream);
+        }
+        let (frames, end) = read_reusing(stream.as_bytes());
+        prop_assert_eq!(end.clone(), None);
+        prop_assert_eq!(frames.len(), msgs.len() + 1);
+        // Storage reused from earlier frames never leaks into later ones.
+        prop_assert_eq!(Request::from_frame(&frames[0]).unwrap(), req);
+        for (frame, msg) in frames[1..].iter().zip(&msgs) {
+            prop_assert_eq!(&ServerMsg::from_frame(frame).unwrap(), msg);
+        }
+        prop_assert_eq!((frames, end), read_fresh(stream.as_bytes()));
+    }
+
+    #[test]
+    fn reused_reader_matches_read_frame_on_hostile_streams(
+        msgs in prop::collection::vec(server_msgs(), 1..6),
+        req in requests(),
+        edits in prop::collection::vec(mutations(), 1..4),
+    ) {
+        let mut stream = String::new();
+        for msg in &msgs {
+            msg.encode_into(&mut stream);
+        }
+        req.encode_into(&mut stream);
+        let mut bytes = stream.into_bytes();
+        for (mutation, at) in &edits {
+            bytes = mutate(&bytes, mutation, *at);
+        }
+        // Same frames, then the same error (line and message) or the
+        // same clean end.
+        prop_assert_eq!(read_reusing(&bytes), read_fresh(&bytes));
     }
 }

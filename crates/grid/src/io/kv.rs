@@ -110,9 +110,19 @@ pub fn parse_usize(s: &str) -> Result<usize, String> {
     parse_u64(s).map(|v| v as usize)
 }
 
+/// An `f64` that displays as its raw bit pattern in hex (16 digits),
+/// for writers that format into a buffer of their own.
+pub struct F64Bits(pub f64);
+
+impl std::fmt::Display for F64Bits {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:016x}", self.0.to_bits())
+    }
+}
+
 /// Format an `f64` as its raw bit pattern in hex (16 digits).
 pub fn format_f64_bits(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+    F64Bits(v).to_string()
 }
 
 /// Parse an `f64` from its raw bit pattern in hex.

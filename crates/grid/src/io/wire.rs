@@ -33,10 +33,20 @@
 //!
 //! ## Robustness limits
 //!
-//! [`read_frame`] enforces hard caps on line length, entry count and
-//! raw-block size so a malformed or hostile peer cannot make the
-//! daemon buffer unbounded input.
+//! [`FrameReader`] (and [`read_frame`] on top of it) enforces hard caps
+//! on line length, entry count and raw-block size so a malformed or
+//! hostile peer cannot make the daemon buffer unbounded input.
+//!
+//! ## One text emitter, one parser
+//!
+//! [`FrameWriter`] is the only code that produces wire text and
+//! [`FrameReader`] the only code that parses it. A typed message states
+//! its fields once, against [`FieldSink`]: into a [`Frame`] it becomes
+//! the typed value tests and tools inspect, into a [`FrameWriter`] it
+//! becomes bytes in a caller-owned buffer with no allocation in
+//! between — which is what the daemon's event stream uses.
 
+use std::fmt::{Display, Write as _};
 use std::io::BufRead;
 
 use super::kv::{split_pair, KvError};
@@ -57,7 +67,7 @@ pub const MAX_ENTRIES: usize = 1 << 16;
 pub const MAX_BLOCK_LINES: usize = 1 << 20;
 
 /// A decoded (or to-be-encoded) frame.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct Frame {
     /// The message kind from the header line.
     pub kind: String,
@@ -83,7 +93,8 @@ impl Frame {
     pub fn push(&mut self, key: &str, value: impl Into<String>) -> &mut Frame {
         let value = value.into();
         debug_assert!(
-            key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-'),
+            key.chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-'),
             "bad wire key {key:?}"
         );
         assert!(
@@ -150,25 +161,20 @@ impl Frame {
     /// frame ([`Frame::decode`]), which the stress harness fuzzes.
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        out.push_str(WIRE_MAGIC);
-        out.push(' ');
-        out.push_str(WIRE_VERSION);
-        out.push(' ');
-        out.push_str(&self.kind);
-        out.push('\n');
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the wire text to `out`, whatever it already holds.
+    pub fn encode_into(&self, out: &mut String) {
+        let mut w = FrameWriter::begin(out, &self.kind);
         for (k, v) in &self.entries {
-            out.push_str(k);
-            out.push('=');
-            out.push_str(v);
-            out.push('\n');
+            w.put(k, v);
         }
         for (name, text) in &self.blocks {
-            let lines = text.lines().count();
-            out.push_str(&format!("raw {name} {lines}\n"));
-            out.push_str(text);
+            w.put_block(name, text);
         }
-        out.push_str("end\n");
-        out
+        w.end();
     }
 
     /// Decode a single frame from a complete text.
@@ -181,23 +187,214 @@ impl Frame {
     }
 }
 
-/// Read one frame from `reader`.
-///
-/// Returns `Ok(None)` on clean end-of-stream (no bytes before EOF),
-/// an error on a truncated or malformed frame. Blank and comment-only
-/// lines between frames and between entries are skipped; raw-block
-/// lines are verbatim.
-pub fn read_frame(reader: &mut impl BufRead) -> Result<Option<Frame>, KvError> {
-    // Locate the header, skipping blank/comment lines between frames.
-    let header = loop {
-        let Some(line) = read_line(reader, 0)? else {
-            return Ok(None);
-        };
-        let meaningful = line.split('#').next().unwrap_or("").trim().to_string();
-        if !meaningful.is_empty() {
-            break meaningful;
+/// Where a typed message puts its fields, in wire order: entries
+/// first, raw blocks after them.
+pub trait FieldSink {
+    /// One `key=value` entry. The rendered value must be a single line
+    /// without `#` (the comment delimiter); both sinks enforce it, so
+    /// every encoded frame re-parses.
+    fn put(&mut self, key: &str, value: impl Display);
+
+    /// One raw block, carried verbatim line by line; a missing final
+    /// newline is added.
+    fn put_block(&mut self, name: &str, text: &str);
+}
+
+impl FieldSink for Frame {
+    fn put(&mut self, key: &str, value: impl Display) {
+        self.push(key, value.to_string());
+    }
+
+    fn put_block(&mut self, name: &str, text: &str) {
+        self.block(name, text);
+    }
+}
+
+/// Writes one frame's wire text straight into a caller-owned buffer.
+pub struct FrameWriter<'a> {
+    out: &'a mut String,
+}
+
+impl<'a> FrameWriter<'a> {
+    /// Append the header line of a `kind` frame to `out`.
+    pub fn begin(out: &'a mut String, kind: &str) -> FrameWriter<'a> {
+        out.push_str(WIRE_MAGIC);
+        out.push(' ');
+        out.push_str(WIRE_VERSION);
+        out.push(' ');
+        out.push_str(kind);
+        out.push('\n');
+        FrameWriter { out }
+    }
+
+    /// Append the `end` line.
+    pub fn end(self) {
+        self.out.push_str("end\n");
+    }
+}
+
+impl FieldSink for FrameWriter<'_> {
+    fn put(&mut self, key: &str, value: impl Display) {
+        debug_assert!(
+            key.chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-'),
+            "bad wire key {key:?}"
+        );
+        self.out.push_str(key);
+        self.out.push('=');
+        let start = self.out.len();
+        write!(self.out, "{value}").expect("writing to a String cannot fail");
+        let written = &self.out[start..];
+        assert!(
+            !written.contains(['\n', '#']),
+            "wire value for {key:?} contains a newline or '#': {written:?}"
+        );
+        self.out.push('\n');
+    }
+
+    fn put_block(&mut self, name: &str, text: &str) {
+        let lines = text.lines().count();
+        writeln!(self.out, "raw {name} {lines}").expect("writing to a String cannot fail");
+        self.out.push_str(text);
+        if !text.is_empty() && !text.ends_with('\n') {
+            self.out.push('\n');
         }
-    };
+    }
+}
+
+/// Most entry pairs a [`FrameReader`] keeps for reuse between frames.
+const SPARE_ENTRIES: usize = 16;
+
+/// Largest entry pair (key plus value capacity, in bytes) worth keeping.
+const SPARE_ENTRY_BYTES: usize = 256;
+
+/// Line-buffer capacity a [`FrameReader`] keeps between frames.
+const SPARE_LINE_BYTES: usize = 4096;
+
+/// Reads frames off a stream, reusing its line buffer and the previous
+/// frame's storage: in the steady state of an event stream (small
+/// frames of a few entries) reading a frame allocates nothing. What is
+/// kept between frames is bounded by the three constants above, so one
+/// oversized frame from a hostile peer is not held for the life of the
+/// connection.
+#[derive(Default)]
+pub struct FrameReader {
+    line: Vec<u8>,
+    frame: Frame,
+    /// Entry strings of earlier frames, kept for their capacity.
+    spare: Vec<(String, String)>,
+}
+
+impl FrameReader {
+    /// A reader with nothing buffered.
+    pub fn new() -> FrameReader {
+        FrameReader::default()
+    }
+
+    /// Read one frame from `reader`. The frame lives until the next
+    /// call.
+    ///
+    /// Returns `Ok(None)` on clean end-of-stream (no bytes before EOF),
+    /// an error on a truncated or malformed frame. Blank and
+    /// comment-only lines between frames and between entries are
+    /// skipped; raw-block lines are verbatim.
+    pub fn read(&mut self, reader: &mut impl BufRead) -> Result<Option<&Frame>, KvError> {
+        let FrameReader { line, frame, spare } = self;
+        for pair in frame.entries.drain(..) {
+            if spare.len() < SPARE_ENTRIES
+                && pair.0.capacity() + pair.1.capacity() <= SPARE_ENTRY_BYTES
+            {
+                spare.push(pair);
+            }
+        }
+        frame.entries.shrink_to(SPARE_ENTRIES);
+        frame.blocks.clear();
+        frame.blocks.shrink_to(SPARE_ENTRIES);
+        frame.kind.clear();
+        line.shrink_to(SPARE_LINE_BYTES);
+
+        // Locate the header, skipping blank/comment lines between frames.
+        loop {
+            let Some(raw) = read_line(reader, 0, line)? else {
+                return Ok(None);
+            };
+            let header = meaningful(raw);
+            if !header.is_empty() {
+                parse_header(header, &mut frame.kind)?;
+                break;
+            }
+        }
+
+        let mut line_no = 1usize;
+        loop {
+            let Some(raw) = read_line(reader, line_no, line)? else {
+                return super::kv::err(0, format!("{} frame truncated before end", frame.kind));
+            };
+            line_no += 1;
+            let entry = meaningful(raw);
+            if entry.is_empty() {
+                continue;
+            }
+            if entry == "end" {
+                return Ok(Some(frame));
+            }
+            if let Some(rest) = entry.strip_prefix("raw ") {
+                let mut p = rest.split_whitespace();
+                let (name, count) = match (p.next(), p.next(), p.next()) {
+                    (Some(n), Some(c), None) => (n.to_string(), c),
+                    _ => return super::kv::err(line_no, format!("bad raw block header {raw:?}")),
+                };
+                let count: usize = count.parse().map_err(|_| KvError {
+                    line: line_no,
+                    message: format!("bad raw block line count {count:?}"),
+                })?;
+                if count > MAX_BLOCK_LINES {
+                    return super::kv::err(
+                        line_no,
+                        format!("raw block of {count} lines exceeds cap"),
+                    );
+                }
+                let mut text = String::new();
+                for _ in 0..count {
+                    let Some(raw) = read_line(reader, line_no, line)? else {
+                        return super::kv::err(0, format!("raw block {name:?} truncated"));
+                    };
+                    line_no += 1;
+                    text.push_str(raw);
+                    text.push('\n');
+                }
+                frame.blocks.push((name, text));
+                continue;
+            }
+            let (k, v) = split_pair(line_no, entry)?;
+            if frame.entries.len() >= MAX_ENTRIES {
+                return super::kv::err(line_no, "frame exceeds entry cap");
+            }
+            let mut pair = spare.pop().unwrap_or_default();
+            pair.0.clear();
+            pair.0.push_str(k);
+            pair.1.clear();
+            pair.1.push_str(v);
+            frame.entries.push(pair);
+        }
+    }
+}
+
+/// Read one frame from `reader` into a frame of its own; see
+/// [`FrameReader::read`], which this is one call of.
+pub fn read_frame(reader: &mut impl BufRead) -> Result<Option<Frame>, KvError> {
+    let mut frames = FrameReader::new();
+    let complete = frames.read(reader)?.is_some();
+    Ok(complete.then_some(frames.frame))
+}
+
+/// A line with its `#` comment and surrounding whitespace removed.
+fn meaningful(line: &str) -> &str {
+    line.split('#').next().unwrap_or("").trim()
+}
+
+/// Check a header line and store the kind it names in `kind`.
+fn parse_header(header: &str, kind: &mut String) -> Result<(), KvError> {
     let mut parts = header.split_whitespace();
     if parts.next() != Some(WIRE_MAGIC) {
         return super::kv::err(1, format!("bad wire header {header:?}"));
@@ -212,66 +409,24 @@ pub fn read_frame(reader: &mut impl BufRead) -> Result<Option<Frame>, KvError> {
         }
         None => return super::kv::err(1, format!("wire header {header:?} names no version")),
     }
-    let Some(kind) = parts.next() else {
+    let Some(name) = parts.next() else {
         return super::kv::err(1, format!("wire header {header:?} names no kind"));
     };
     if parts.next().is_some() {
         return super::kv::err(1, format!("trailing tokens in wire header {header:?}"));
     }
-
-    let mut frame = Frame::new(kind);
-    let mut line_no = 1usize;
-    loop {
-        let Some(raw) = read_line(reader, line_no)? else {
-            return super::kv::err(0, format!("{kind} frame truncated before end"));
-        };
-        line_no += 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line == "end" {
-            return Ok(Some(frame));
-        }
-        if let Some(rest) = line.strip_prefix("raw ") {
-            let mut p = rest.split_whitespace();
-            let (name, count) = match (p.next(), p.next(), p.next()) {
-                (Some(n), Some(c), None) => (n.to_string(), c),
-                _ => return super::kv::err(line_no, format!("bad raw block header {raw:?}")),
-            };
-            let count: usize = count
-                .parse()
-                .map_err(|_| KvError {
-                    line: line_no,
-                    message: format!("bad raw block line count {count:?}"),
-                })?;
-            if count > MAX_BLOCK_LINES {
-                return super::kv::err(line_no, format!("raw block of {count} lines exceeds cap"));
-            }
-            let mut text = String::new();
-            for _ in 0..count {
-                let Some(raw) = read_line(reader, line_no)? else {
-                    return super::kv::err(0, format!("raw block {name:?} truncated"));
-                };
-                line_no += 1;
-                text.push_str(&raw);
-                text.push('\n');
-            }
-            frame.blocks.push((name, text));
-            continue;
-        }
-        let (k, v) = split_pair(line_no, line)?;
-        if frame.entries.len() >= MAX_ENTRIES {
-            return super::kv::err(line_no, "frame exceeds entry cap");
-        }
-        frame.entries.push((k.to_string(), v.to_string()));
-    }
+    kind.push_str(name);
+    Ok(())
 }
 
-/// Read one `\n`-terminated line (without the terminator), enforcing the
-/// length cap. `Ok(None)` on EOF before any byte.
-fn read_line(reader: &mut impl BufRead, at: usize) -> Result<Option<String>, KvError> {
-    let mut buf = Vec::new();
+/// Read one `\n`-terminated line (without the terminator) into `buf`,
+/// enforcing the length cap. `Ok(None)` on EOF before any byte.
+fn read_line<'a>(
+    reader: &mut impl BufRead,
+    at: usize,
+    buf: &'a mut Vec<u8>,
+) -> Result<Option<&'a str>, KvError> {
+    buf.clear();
     let mut total = 0usize;
     loop {
         let chunk = reader.fill_buf().map_err(|e| KvError {
@@ -301,12 +456,10 @@ fn read_line(reader: &mut impl BufRead, at: usize) -> Result<Option<String>, KvE
             }
         }
     }
-    String::from_utf8(buf)
-        .map(Some)
-        .map_err(|_| KvError {
-            line: at,
-            message: "line is not valid UTF-8".into(),
-        })
+    std::str::from_utf8(buf).map(Some).map_err(|_| KvError {
+        line: at,
+        message: "line is not valid UTF-8".into(),
+    })
 }
 
 #[cfg(test)]
@@ -370,7 +523,47 @@ mod tests {
         let mut f = Frame::new("x");
         f.block("b", "  indented # not a comment\n\nblank kept\n");
         let back = Frame::decode(&f.encode()).unwrap();
-        assert_eq!(back.raw("b").unwrap(), "  indented # not a comment\n\nblank kept\n");
+        assert_eq!(
+            back.raw("b").unwrap(),
+            "  indented # not a comment\n\nblank kept\n"
+        );
+    }
+
+    #[test]
+    fn writer_rejects_what_push_rejects() {
+        let mut out = String::new();
+        let mut w = FrameWriter::begin(&mut out, "x");
+        let hostile = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.put("k", "a#b")));
+        assert!(hostile.is_err(), "a '#' in a value must not reach the wire");
+    }
+
+    #[test]
+    fn reused_reader_reads_what_fresh_readers_read_and_keeps_little() {
+        let mut big = Frame::new("big");
+        for i in 0..100 {
+            big.push("k", format!("{i}"));
+        }
+        big.push("long", "x".repeat(10_000));
+        big.block("b", "one\ntwo\n");
+        let text = format!("{}{}{}", big.encode(), sample().encode(), big.encode());
+
+        let mut reused = text.as_bytes();
+        let mut fresh = text.as_bytes();
+        let mut frames = FrameReader::new();
+        for _ in 0..3 {
+            let expected = read_frame(&mut fresh).unwrap().unwrap();
+            assert_eq!(frames.read(&mut reused).unwrap(), Some(&expected));
+        }
+        assert_eq!(frames.read(&mut reused).unwrap(), None);
+
+        // What an oversized frame leaves behind is bounded.
+        assert!(frames.spare.len() <= SPARE_ENTRIES);
+        assert!(frames
+            .spare
+            .iter()
+            .all(|(k, v)| k.capacity() + v.capacity() <= SPARE_ENTRY_BYTES));
+        assert!(frames.frame.entries.capacity() <= SPARE_ENTRIES);
+        assert!(frames.line.capacity() <= SPARE_LINE_BYTES);
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //!   typed decoders must return `Ok` or `Err`, never panic. The daemon
 //!   feeds these decoders straight from a socket, so any panicking
 //!   input is a remote crash.
+//! * **reuse oracle** — on the same inputs, one [`FrameReader`] reused
+//!   across the stream (what the daemon and the client hold per
+//!   connection) must yield what a fresh [`read_frame`] per frame
+//!   yields: the same frames, then the same error or the same clean
+//!   end. Storage carried from one frame to the next must never show.
 //!
 //! Values are drawn from the protocol's value charset (`#` opens a
 //! comment and a newline ends an entry, so neither can appear inside a
@@ -24,7 +29,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use adhoc_grid::arrival::{BackgroundParams, JobArrival, JobKind};
 use adhoc_grid::config::GridCase;
-use adhoc_grid::io::wire::{read_frame, Frame};
+use adhoc_grid::io::wire::{read_frame, Frame, FrameReader};
 use adhoc_grid::seed;
 use adhoc_grid::units::{Dur, Time};
 use grid_broker::proto::{
@@ -193,8 +198,16 @@ where
     }
 }
 
-/// The no-panic oracle: every decoder must return, not unwind.
+/// The no-panic and reuse oracles: every decoder must return, not
+/// unwind, and the reused reader must agree with the fresh one.
 fn decode_must_not_panic(input: &str, failures: &mut Vec<String>) {
+    let shown = || {
+        format!(
+            "({} bytes): {:?}...",
+            input.len(),
+            &input[..input.len().min(120)]
+        )
+    };
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if let Ok(frame) = Frame::decode(input) {
             // A structurally sound mutant may still be a valid message;
@@ -202,21 +215,29 @@ fn decode_must_not_panic(input: &str, failures: &mut Vec<String>) {
             let _ = Request::from_frame(&frame);
             let _ = ServerMsg::from_frame(&frame);
         }
-        // The streaming reader sees the same bytes as a socket would.
-        let mut reader = BufReader::new(input.as_bytes());
+        // The streaming readers see the same bytes as a socket would.
+        let mut fresh = BufReader::new(input.as_bytes());
+        let mut reused = BufReader::new(input.as_bytes());
+        let mut frames = FrameReader::new();
         for _ in 0..10_000 {
-            match read_frame(&mut reader) {
-                Ok(Some(_)) => {}
-                Ok(None) | Err(_) => break,
+            let expected = read_frame(&mut fresh);
+            let got = frames.read(&mut reused).map(|frame| frame.cloned());
+            if got != expected {
+                return Some(format!("{got:?} where read_frame returns {expected:?}"));
+            }
+            if !matches!(expected, Ok(Some(_))) {
+                break;
             }
         }
+        None
     }));
-    if outcome.is_err() {
-        failures.push(format!(
-            "decoder panicked on input ({} bytes): {:?}...",
-            input.len(),
-            &input[..input.len().min(120)]
-        ));
+    match outcome {
+        Ok(None) => {}
+        Ok(Some(diff)) => failures.push(format!(
+            "reused reader diverged on input {}: {diff}",
+            shown()
+        )),
+        Err(_) => failures.push(format!("decoder panicked on input {}", shown())),
     }
 }
 
