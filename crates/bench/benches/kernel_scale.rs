@@ -81,7 +81,7 @@ fn bench_rebuild(c: &mut Criterion) {
         &sc,
         |b, sc| {
             b.iter(|| {
-                reference::run(Kind::Scratch, sc, &cfg, &[], &[], &mut RunContext::new()).metrics()
+                reference::run(Kind::Scratch, sc, &cfg, &[], &[], &mut RunContext::new(), None).metrics()
             })
         },
     );

@@ -76,7 +76,7 @@ fn timed_run(sc: &Scenario, arm: Arm, clusters: u32, tasks: usize) -> f64 {
     let t = Instant::now();
     let mapped = match arm {
         Arm::Cached => run_slrh(sc, &cfg).metrics().mapped,
-        Arm::Resort => reference::run(Kind::Resort, sc, &cfg, &[], &[], &mut RunContext::new())
+        Arm::Resort => reference::run(Kind::Resort, sc, &cfg, &[], &[], &mut RunContext::new(), None)
             .metrics()
             .mapped,
     };

@@ -16,7 +16,7 @@ use grid_sweep::campaign::{canonical_report, run_case_unit, CampaignConfig, Case
 use grid_sweep::heuristic::Heuristic;
 use adhoc_grid::workload::{ScenarioParams, ScenarioSet};
 use slrh::{
-    run_slrh_churn_observed, run_slrh_observed, RunContext, SlrhVariant, TickEvent,
+    run_slrh_churn_observed, run_slrh_observed, RunContext, RunStats, SlrhVariant, TickEvent,
 };
 
 use slrh::open::{run_open_in, OpenOutcome};
@@ -77,16 +77,15 @@ fn validate_churn(
 struct ReportBody<'a> {
     metrics: &'a Metrics,
     case: adhoc_grid::config::GridCase,
-    clock_steps: u64,
-    commits: u64,
-    candidates: u64,
+    /// Work counters. `sweeps_elided` is never rendered: it describes
+    /// how the loop did its work, not what the work was.
+    stats: RunStats,
     disruptions: &'a [(u64, usize)],
     valid: bool,
-    /// Weights in force when the run finished, and how many times the
-    /// online adaptation moved them. Rendered only for adaptive
-    /// requests so legacy reports stay byte-identical.
+    /// Weights in force when the run finished. Rendered (with
+    /// `stats.weight_updates`) only for adaptive requests so legacy
+    /// reports stay byte-identical.
     final_weights: lagrange::weights::Weights,
-    weight_updates: u64,
 }
 
 /// Render the deterministic report for a finished mapping run.
@@ -94,13 +93,10 @@ fn render_report(req: &MapRequest, body: &ReportBody) -> String {
     let ReportBody {
         metrics: m,
         case,
-        clock_steps,
-        commits,
-        candidates,
+        stats,
         disruptions,
         valid,
         final_weights,
-        weight_updates,
     } = *body;
     let mut s = String::new();
     s.push_str("lrh-grid report v1\n");
@@ -120,16 +116,16 @@ fn render_report(req: &MapRequest, body: &ReportBody) -> String {
         if m.constraints_met() { "met" } else { "violated" }
     ));
     s.push_str(&format!("valid={}\n", if valid { "yes" } else { "no" }));
-    s.push_str(&format!("clock-steps={clock_steps}\n"));
-    s.push_str(&format!("commits={commits}\n"));
-    s.push_str(&format!("candidates={candidates}\n"));
+    s.push_str(&format!("clock-steps={}\n", stats.clock_steps));
+    s.push_str(&format!("commits={}\n", stats.commits));
+    s.push_str(&format!("candidates={}\n", stats.candidates_evaluated));
     if !disruptions.is_empty() {
         let invalidated: usize = disruptions.iter().map(|&(_, n)| n).sum();
         s.push_str(&format!("disruptions={}\n", disruptions.len()));
         s.push_str(&format!("invalidated={invalidated}\n"));
     }
     if req.config.adaptation.is_some() {
-        s.push_str(&format!("weight-updates={weight_updates}\n"));
+        s.push_str(&format!("weight-updates={}\n", stats.weight_updates));
         s.push_str(&format!("final-weights={final_weights}\n"));
     }
     s
@@ -144,11 +140,23 @@ pub fn execute_map(
     ctx: &mut RunContext,
     emit: &mut dyn FnMut(Event),
 ) -> Result<MapResponse, String> {
+    execute_map_counted(job, req, ctx, emit).map(|(response, _)| response)
+}
+
+/// [`execute_map`] plus the run's work counters, including the one the
+/// report leaves out (`sweeps_elided`): the CLI prints it on stderr,
+/// nothing puts it on the wire.
+pub fn execute_map_counted(
+    job: u64,
+    req: &MapRequest,
+    ctx: &mut RunContext,
+    emit: &mut dyn FnMut(Event),
+) -> Result<(MapResponse, RunStats), String> {
     let scenario = req.scenario.build()?;
     let case = scenario.case;
     let variant = slrh_variant(req.heuristic);
 
-    let report = match variant {
+    let (report, stats) = match variant {
         Some(variant) => {
             if req.config.variant != variant {
                 return Err(format!(
@@ -174,17 +182,14 @@ pub fn execute_map(
                     &ReportBody {
                         metrics: &out.state.metrics(),
                         case,
-                        clock_steps: out.stats.clock_steps,
-                        commits: out.stats.commits,
-                        candidates: out.stats.candidates_evaluated,
+                        stats: out.stats,
                         disruptions: &[],
                         valid,
                         final_weights: out.final_weights,
-                        weight_updates: out.stats.weight_updates,
                     },
                 );
                 ctx.reclaim(out.state);
-                report
+                (report, out.stats)
             } else {
                 let losses = req.loss_events();
                 let arrivals = req.arrival_events();
@@ -214,17 +219,14 @@ pub fn execute_map(
                     &ReportBody {
                         metrics: &out.state.metrics(),
                         case,
-                        clock_steps: out.stats.clock_steps,
-                        commits: out.stats.commits,
-                        candidates: out.stats.candidates_evaluated,
+                        stats: out.stats,
                         disruptions: &disruptions,
                         valid,
                         final_weights: out.final_weights,
-                        weight_updates: out.stats.weight_updates,
                     },
                 );
                 ctx.reclaim(out.state);
-                report
+                (report, out.stats)
             }
         }
         None => {
@@ -237,23 +239,25 @@ pub fn execute_map(
             let r = req
                 .heuristic
                 .run_in(&scenario, req.config.objective.weights, ctx);
-            render_report(
+            let stats = RunStats {
+                candidates_evaluated: r.work,
+                ..RunStats::default()
+            };
+            let report = render_report(
                 req,
                 &ReportBody {
                     metrics: &r.metrics,
                     case,
-                    clock_steps: 0,
-                    commits: 0,
-                    candidates: r.work,
+                    stats,
                     disruptions: &[],
                     valid: r.valid,
                     final_weights: req.config.objective.weights,
-                    weight_updates: 0,
                 },
-            )
+            );
+            (report, stats)
         }
     };
-    Ok(MapResponse { job, report })
+    Ok((MapResponse { job, report }, stats))
 }
 
 /// Render the deterministic report for a finished open-system run.

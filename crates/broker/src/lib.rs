@@ -36,7 +36,7 @@ pub mod server;
 
 pub use checkpoint::Checkpoint;
 pub use client::Connection;
-pub use execute::{execute_campaign, execute_map, execute_open};
+pub use execute::{execute_campaign, execute_map, execute_map_counted, execute_open};
 pub use proto::{
     CampaignRequest, CampaignResponse, ErrorResponse, Event, MapRequest, MapResponse, OpenRequest,
     Request, ScenarioSpec, ServerMsg, StatusRequest, StatusResponse,

@@ -1891,6 +1891,37 @@ impl Kernel for Frontier {
             .iter()
             .any(|list| state.any_feasible_candidate(list, gate_version, j))
     }
+
+    /// Read the idle latch forward in time. While `j`'s latch stamp is
+    /// current, [`Frontier::best_startable`] keeps answering `None`
+    /// without touching a view until the horizon reaches the latched
+    /// deferred floor or the next `waiting` candidate of a visible list
+    /// (whose drain into the startable log breaks the stamp). Everything
+    /// else that breaks it — a commit or unmap (revision, epoch, log
+    /// arrivals, `fresh` inserts), an energy refund lifting the afford
+    /// limit over the gate row's watermark, a spill promotion coming due
+    /// — is checked here, so a `Some` is a proof for exactly this
+    /// `state`. SLRH-2 never latches and a shed view never does either,
+    /// so both are asked every tick.
+    fn wake(&self, state: &SimState<'_>, j: MachineId) -> Option<Time> {
+        let (epoch, n0, n1, floor) = self.idle[j.0]?;
+        let [l0, l1] = self.visible_lists(j);
+        let list_current = |li: usize, logged: usize| {
+            self.list_epoch[li] == self.view_epoch
+                && self.fresh[li].is_empty()
+                && self.slog[li].len() == logged
+        };
+        let current = !self.stale
+            && state.revision() == self.last_revision
+            && epoch == self.view_epoch
+            && list_current(l0, n0)
+            && list_current(l1, n1)
+            && state.ledger().afford_limit(j) <= self.gate_limit[j.0]
+            && self.pending.is_empty();
+        let next_waiting =
+            |li: usize| self.waiting[li].last().map_or(Time::MAX, |&(lb, _, _)| lb);
+        current.then(|| floor.min(next_waiting(l0)).min(next_waiting(l1)))
+    }
 }
 
 #[cfg(test)]
@@ -2149,6 +2180,265 @@ mod tests {
             reference.first_startable(park).is_some(),
             "the pool admits t below the stale floor, so the ladder has teeth"
         );
+    }
+
+    // ---- wake-time regression tests: everything that must cut a
+    // sleep short (DESIGN.md §19) ----
+
+    const DT: adhoc_grid::units::Dur = adhoc_grid::units::Dur(10);
+    const H: adhoc_grid::units::Dur = adhoc_grid::units::Dur(100);
+
+    /// Three DAG levels (10 / 12 / 10 subtasks), so committing a child
+    /// can ready a grandchild.
+    fn layered() -> Scenario {
+        Scenario::generate(&ScenarioParams::paper_scaled(32), GridCase::A, 0, 2)
+    }
+
+    /// A state the clock has to wait on: every root is committed on
+    /// machine 1 starting `park` from now, so each ready subtask is a
+    /// child whose start lower bound sits at or past `park`.
+    fn parked<'a>(sc: &'a Scenario, park: Time) -> (SimState<'a>, Frontier) {
+        let mut state = SimState::new(sc);
+        let mut fr = Frontier::new(&state, ScaleMode::default());
+        fr.begin_tick(&state, 0);
+        while let Some(&root) = state
+            .ready_tasks()
+            .iter()
+            .find(|&&t| sc.dag.parents(t).is_empty())
+        {
+            commit_on(&mut fr, &mut state, root, Version::Secondary, MachineId(1), park);
+        }
+        assert!(!state.ready_tasks().is_empty(), "the roots have children");
+        (state, fr)
+    }
+
+    /// Commit `t` at the end of machine `j`'s queue and tell the
+    /// frontier.
+    fn commit_on(
+        fr: &mut Frontier,
+        state: &mut SimState<'_>,
+        t: TaskId,
+        v: Version,
+        j: MachineId,
+        not_before: Time,
+    ) -> StateDelta {
+        let plan = state.plan(t, v, j, Placement::Append { not_before });
+        let delta = state.commit(&plan);
+        fr.apply(&delta);
+        delta
+    }
+
+    /// One sweep's worth of work for machine `j` at `clock`, as
+    /// `mapper::drive` issues it.
+    fn query(
+        fr: &mut Frontier,
+        state: &SimState<'_>,
+        j: MachineId,
+        tick: u64,
+        clock: Time,
+    ) -> Option<MappingPlan> {
+        fr.begin_tick(state, tick);
+        let mut stats = RunStats::default();
+        fr.best_startable(state, &objective(), j, clock, clock + H, true, &mut stats)
+    }
+
+    /// Tick machine `j` over the unchanged `state` from `(tick, clock)`
+    /// until a plan appears and return that sweep's horizon end. Every
+    /// wake time reported on the way is held to its word: no plan while
+    /// the horizon is short of it.
+    fn first_plan_horizon(
+        fr: &mut Frontier,
+        state: &SimState<'_>,
+        j: MachineId,
+        mut tick: u64,
+        mut clock: Time,
+    ) -> Time {
+        let mut proven = Time::ZERO;
+        loop {
+            let horizon_end = clock + H;
+            if query(fr, state, j, tick, clock).is_some() {
+                assert!(
+                    horizon_end >= proven,
+                    "a plan at horizon {horizon_end} inside a sleep proven to {proven}"
+                );
+                return horizon_end;
+            }
+            if let Some(w) = fr.wake(state, j) {
+                assert!(w > horizon_end, "a wake time in the past");
+                proven = proven.max(w);
+            }
+            tick += 1;
+            clock += DT;
+            assert!(clock <= state.scenario().tau, "no plan before τ");
+        }
+    }
+
+    /// The contract, for a wake time read off *before* ticking on: `None`,
+    /// or no later than the sweep at which the ticking loop first gets a
+    /// plan.
+    fn assert_wake_is_sound(wake: Option<Time>, first_plan: Time) {
+        if let Some(w) = wake {
+            assert!(w <= first_plan, "slept to {w}, past the plan at {first_plan}");
+        }
+    }
+
+    #[test]
+    fn wake_is_the_earliest_waiting_lower_bound() {
+        let sc = layered();
+        let park = Time(3000);
+        let (state, mut fr) = parked(&sc, park);
+        let m0 = MachineId(0);
+        assert!(query(&mut fr, &state, m0, 1, Time::ZERO).is_none());
+        let &(next_lb, _, _) = fr.waiting[0].last().expect("every candidate waits on its lb");
+        assert!(next_lb >= park);
+        let wake = fr.wake(&state, m0);
+        assert_eq!(wake, Some(next_lb), "nothing deferred: the next lb is the wake time");
+        // Other machines have not been asked, so nothing is proven of them.
+        assert_eq!(fr.wake(&state, MachineId(2)), None);
+        let first = first_plan_horizon(&mut fr, &state, m0, 2, Time(10));
+        assert_wake_is_sound(wake, first);
+        assert!(first >= next_lb);
+    }
+
+    #[test]
+    fn wake_is_capped_by_the_earliest_deferred_floor() {
+        let sc = layered();
+        let (state, mut fr) = parked(&sc, Time(3000));
+        let m0 = MachineId(0);
+        assert!(query(&mut fr, &state, m0, 1, Time::ZERO).is_none());
+        let next_lb = fr.wake(&state, m0).expect("latched on the waiting set");
+        // The sweep the loop wakes for: the horizon clears the earliest
+        // lb exactly, but that candidate's parents sit on machine 1 and
+        // the transfer still has to fit — it is deferred to its floor.
+        let clock = Time(next_lb.0 - H.0);
+        assert!(
+            query(&mut fr, &state, m0, 2, clock).is_none(),
+            "data-bound: cleared its lb, cannot start inside the horizon"
+        );
+        let &Reverse((floor, _, _)) = fr.views[0].deferred.peek().expect("one deferral");
+        assert!(floor > next_lb);
+        let next_waiting = fr.waiting[0].last().map_or(Time::MAX, |&(lb, _, _)| lb);
+        let wake = fr.wake(&state, m0);
+        assert_eq!(wake, Some(floor.min(next_waiting)));
+        let first = first_plan_horizon(&mut fr, &state, m0, 3, clock + DT);
+        assert_wake_is_sound(wake, first);
+    }
+
+    #[test]
+    fn a_commit_that_readies_a_child_ends_the_sleep() {
+        let sc = layered();
+        let (mut state, mut fr) = parked(&sc, Time(3000));
+        let m0 = MachineId(0);
+        assert!(query(&mut fr, &state, m0, 1, Time::ZERO).is_none());
+        assert!(fr.wake(&state, m0).is_some());
+        // Another machine commits ready subtasks until one of them
+        // readies a child: a new arrival on the list machine 0 watches.
+        loop {
+            let &t = state.ready_tasks().first().expect("a child is readied first");
+            let delta =
+                commit_on(&mut fr, &mut state, t, Version::Secondary, MachineId(1), Time::ZERO);
+            if !delta.newly_ready.is_empty() {
+                break;
+            }
+        }
+        let wake = fr.wake(&state, m0);
+        assert_eq!(wake, None, "an unscored arrival may start at once");
+        let first = first_plan_horizon(&mut fr, &state, m0, 2, Time(10));
+        assert_wake_is_sound(wake, first);
+    }
+
+    #[test]
+    fn an_unmap_ends_the_sleep() {
+        let sc = layered();
+        let (mut state, mut fr) = parked(&sc, Time(3000));
+        let m0 = MachineId(0);
+        assert!(query(&mut fr, &state, m0, 1, Time::ZERO).is_none());
+        assert!(fr.wake(&state, m0).is_some());
+        // A root whose children are all unmapped goes back: its children
+        // leave the frontier, it re-enters with lb 0 — and every floor
+        // the latch rests on is void (`view_epoch` bump).
+        let root = (0..sc.tasks())
+            .map(TaskId)
+            .find(|&t| {
+                state.is_mapped(t) && sc.dag.children(t).iter().all(|&c| !state.is_mapped(c))
+            })
+            .expect("a mapped leaf of the mapped set");
+        let epoch = fr.view_epoch;
+        fr.apply(&state.unmap(root));
+        assert_ne!(fr.view_epoch, epoch);
+        let wake = fr.wake(&state, m0);
+        assert_eq!(wake, None);
+        let first = first_plan_horizon(&mut fr, &state, m0, 2, Time(10));
+        assert_eq!(first, Time(10) + H, "the unmapped root starts at once");
+        // Unreported mutations (a loss cascade between segments) are
+        // caught by the revision check instead.
+        let (mut state, mut fr) = parked(&sc, Time(3000));
+        assert!(query(&mut fr, &state, m0, 1, Time::ZERO).is_none());
+        assert!(fr.wake(&state, m0).is_some());
+        state.unmap(root);
+        assert_eq!(fr.wake(&state, m0), None);
+    }
+
+    #[test]
+    fn an_energy_refund_ends_the_sleep() {
+        let sc = layered();
+        let mut state = SimState::new(&sc);
+        let mut fr = Frontier::new(&state, ScaleMode::default());
+        fr.begin_tick(&state, 0);
+        let m0 = MachineId(0);
+        // Drain machine 0's battery: it takes whatever still passes its
+        // gate until no ready subtask does.
+        while let Some((t, v)) = [Version::Primary, Version::Secondary].into_iter().find_map(|v| {
+            let ready = state.ready_tasks().iter();
+            ready.copied().find(|&t| state.version_feasible(t, v, m0)).map(|t| (t, v))
+        }) {
+            commit_on(&mut fr, &mut state, t, v, m0, Time::ZERO);
+        }
+        assert!(!state.ready_tasks().is_empty(), "the battery ran out first");
+        let free = state.compute_ready(m0);
+        assert!(query(&mut fr, &state, m0, 1, free).is_none());
+        assert_eq!(
+            fr.wake(&state, m0),
+            Some(Time::MAX),
+            "gate-dead across the board: no clock can help, only a commit"
+        );
+        let watermark = fr.gate_limit[0];
+        assert!(state.ledger().afford_limit(m0) <= watermark);
+        // A child of a machine-0 subtask lands on machine 1: the
+        // worst-case transfer reservation machine 0 held for that edge
+        // settles at the real link's cost and the rest comes back.
+        let on_m0 = |p: &TaskId| state.schedule().assignment(*p).is_some_and(|a| a.machine == m0);
+        let child = state
+            .ready_tasks()
+            .iter()
+            .copied()
+            .find(|&c| sc.dag.parents(c).iter().any(on_m0))
+            .expect("a ready child of a machine-0 subtask");
+        commit_on(&mut fr, &mut state, child, Version::Secondary, MachineId(1), Time::ZERO);
+        assert!(
+            state.ledger().afford_limit(m0) > watermark,
+            "the refund lifted the limit over every recorded rejection"
+        );
+        assert_eq!(fr.wake(&state, m0), None);
+    }
+
+    #[test]
+    fn a_pending_spill_promotion_keeps_the_loop_ticking() {
+        let sc = layered();
+        let state = SimState::new(&sc);
+        let spill_after = 3;
+        let mut fr = Frontier::new(&state, ScaleMode { clusters: 2, spill_after });
+        // Every root is homed on cluster 0 (the low half of the ids): a
+        // cluster-1 machine sees nothing until they spill.
+        assert!(fr.lists[1].is_empty() && !fr.lists[0].is_empty());
+        let j = MachineId(fr.cluster_of.iter().position(|&c| c == 1).unwrap());
+        assert!(query(&mut fr, &state, j, 0, Time::ZERO).is_none());
+        assert!(fr.idle[j.0].is_some(), "latched: both visible lists are empty");
+        let wake = fr.wake(&state, j);
+        assert_eq!(wake, None, "a promotion is queued; the tick count, not the clock, brings it");
+        let first = first_plan_horizon(&mut fr, &state, j, 1, Time(10));
+        assert_eq!(first, Time(spill_after * DT.0) + H);
+        assert_wake_is_sound(wake, first);
     }
 
     /// With clusters > 1 every unspilled candidate is visible to exactly

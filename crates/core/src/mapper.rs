@@ -16,6 +16,13 @@
 //! (all machines already available, no candidate passing any energy
 //! gate: the gates depend only on energy and precedence state, which
 //! only mappings can change).
+//!
+//! The clock keeps its ΔT lattice, but the *work* is event-triggered: a
+//! sweep that committed nothing is not repeated until the kernel's
+//! answer can have changed ([`Kernel::wake`]); the ticks in between run
+//! as bookkeeping only, with every counter and observer event exactly
+//! what the repeated sweep would have produced
+//! ([`RunStats::sweeps_elided`], DESIGN.md §19).
 
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
@@ -49,6 +56,12 @@ pub struct RunStats {
     /// (zero whenever [`crate::config::SlrhConfig::adaptation`] is off
     /// — and also when every step was a fixed point).
     pub weight_updates: u64,
+    /// Clock ticks run as bookkeeping only: the kernel had already
+    /// proven the machine sweep's outcome (every query `None`), so the
+    /// loop skipped it. Counted inside [`RunStats::clock_steps`]; a
+    /// kernel work counter like `candidates_evaluated`, so the
+    /// reference oracles — which never elide — legitimately report 0.
+    pub sweeps_elided: u64,
 }
 
 /// The result of an SLRH run: the final simulation state plus counters.
@@ -206,6 +219,14 @@ pub(crate) trait Kernel {
     /// (the stuck check — no planning).
     fn any_gate_feasible(&mut self, state: &SimState<'_>, gate_version: Version, j: MachineId)
         -> bool;
+
+    /// After [`Kernel::best_startable`] answered `None` for available
+    /// machine `j` on an unchanged `state`: the earliest horizon end at
+    /// which that answer can change without a commit ([`Time::MAX`] =
+    /// only a commit can change it). The loop does not query `j` again
+    /// — and counts the queries it skipped — until its horizon gets
+    /// there. `None` means "ask me every tick".
+    fn wake(&self, state: &SimState<'_>, j: MachineId) -> Option<Time>;
 }
 
 /// Advance the SLRH clock loop on an existing state from `start_clock`
@@ -239,6 +260,14 @@ pub(crate) fn drive<K: Kernel>(
 ) -> Time {
     let tau = state.scenario().tau;
     let mut now = start_clock;
+    // Wake-time elision (DESIGN.md §19): after a sweep that queried the
+    // kernel and committed nothing, `wake` is the earliest clock at
+    // which any live machine's answer can change, and `idle_queries`
+    // is what every sweep before it would add to `stats.queries`.
+    // Locals on purpose: nothing proven about one segment survives a
+    // loss cascade or a job boundary.
+    let mut wake = Time::ZERO;
+    let mut idle_queries = 0;
     loop {
         if state.all_mapped() || now > tau {
             return now;
@@ -273,7 +302,26 @@ pub(crate) fn drive<K: Kernel>(
                 }
             }
         }
+        // The kernel has already answered this sweep: the same machines
+        // are available, each would be told `None` again, and the stuck
+        // probes would find the same gate-feasible candidate. Keep the
+        // books and the observer exactly as the sweep would have.
+        if now < wake {
+            stats.sweeps_elided += 1;
+            stats.queries += idle_queries;
+            if let Some(obs) = observer.as_mut() {
+                obs(TickEvent {
+                    clock: now,
+                    tick,
+                    mapped: state.mapped_count(),
+                    commits: 0,
+                });
+            }
+            now += config.dt;
+            continue;
+        }
         let commits_before = stats.commits;
+        let queries_before = stats.queries;
         let mut every_live_machine_available = true;
 
         kernel.begin_tick(state, tick);
@@ -338,6 +386,14 @@ pub(crate) fn drive<K: Kernel>(
             }
         }
 
+        // A sweep that asked the kernel nothing (no live machine
+        // available) proves nothing and is re-run every tick.
+        wake = Time::ZERO;
+        if !any_commit && stats.queries > queries_before && config.trigger == Trigger::Clock {
+            idle_queries = stats.queries - queries_before;
+            wake = sweep_wake(state, config, kernel, now);
+        }
+
         now = match config.trigger {
             Trigger::Clock => now + config.dt,
             Trigger::MachineAvailable => {
@@ -356,6 +412,33 @@ pub(crate) fn drive<K: Kernel>(
             }
         };
     }
+}
+
+/// The earliest clock at which a machine sweep over the unchanged
+/// `state` can differ from the commit-free one just run at `now`: a busy
+/// machine frees up, or an available machine's horizon reaches the point
+/// the kernel named. [`Time::ZERO`] as soon as one machine's kernel
+/// answer carries no such proof.
+fn sweep_wake<K: Kernel>(
+    state: &SimState<'_>,
+    config: &SlrhConfig,
+    kernel: &K,
+    now: Time,
+) -> Time {
+    let mut wake = Time::MAX;
+    for j in state.scenario().grid.ids().filter(|&j| state.is_alive(j)) {
+        let ready = state.compute_ready(j);
+        let at = if ready > now {
+            ready
+        } else {
+            match kernel.wake(state, j) {
+                Some(horizon_end) => Time(horizon_end.0.saturating_sub(config.horizon.0)),
+                None => return Time::ZERO,
+            }
+        };
+        wake = wake.min(at);
+    }
+    wake
 }
 
 /// Map candidates onto one available machine at the current clock,
@@ -617,6 +700,226 @@ mod tests {
         let out = run_slrh(&sc, &cfg);
         assert_eq!(out.final_weights, cfg.objective.weights);
         assert_eq!(out.stats.weight_updates, 0);
+    }
+
+    /// A kernel with nothing to offer and a scripted answer to "when
+    /// could that change": never a candidate, always a gate-feasible one
+    /// (so the stuck check never fires), every call recorded.
+    struct Scripted {
+        wake: Option<Time>,
+        begun: Vec<u64>,
+        queried: Vec<Time>,
+        probes: u64,
+    }
+
+    impl Kernel for Scripted {
+        fn begin_tick(&mut self, _state: &SimState<'_>, tick: u64) {
+            self.begun.push(tick);
+        }
+
+        fn apply(&mut self, _delta: &StateDelta) {
+            unreachable!("the scripted kernel never offers a plan to commit");
+        }
+
+        fn best_startable(
+            &mut self,
+            _state: &SimState<'_>,
+            _objective: &Objective,
+            _j: MachineId,
+            now: Time,
+            _horizon_end: Time,
+            _allow_secondary: bool,
+            stats: &mut RunStats,
+        ) -> Option<MappingPlan> {
+            stats.queries += 1;
+            self.queried.push(now);
+            None
+        }
+
+        fn frozen_order(
+            &mut self,
+            _state: &SimState<'_>,
+            _objective: &Objective,
+            _j: MachineId,
+            _now: Time,
+            _horizon_end: Time,
+            _allow_secondary: bool,
+            _stats: &mut RunStats,
+            _out: &mut Vec<(f64, TaskId, Version)>,
+        ) {
+            unreachable!("the scripted runs are SLRH-1");
+        }
+
+        fn any_gate_feasible(&mut self, _: &SimState<'_>, _: Version, _: MachineId) -> bool {
+            self.probes += 1;
+            true
+        }
+
+        fn wake(&self, _state: &SimState<'_>, _j: MachineId) -> Option<Time> {
+            self.wake
+        }
+    }
+
+    /// What one scripted `drive` call left behind.
+    struct ScriptedRun {
+        kernel: Scripted,
+        stats: RunStats,
+        events: Vec<TickEvent>,
+        end: Time,
+        weights: Weights,
+        /// When machine 0 — busy with the one pre-committed subtask —
+        /// frees up.
+        busy_until: Time,
+    }
+
+    /// Drive the scripted kernel over a state with one subtask already
+    /// committed on machine 0 (a busy machine, and progress for the
+    /// adaptation step to extrapolate from).
+    fn scripted_run(
+        wake: Option<Time>,
+        stop_at: Option<Time>,
+        adapt_every: Option<u64>,
+    ) -> ScriptedRun {
+        use crate::config::Adaptation;
+        use lagrange::step::StepRule;
+        let sc = scenario(16);
+        let mut state = SimState::new(&sc);
+        let root = state.ready_tasks()[0];
+        let plan = state.plan(
+            root,
+            Version::Primary,
+            MachineId(0),
+            Placement::Append { not_before: Time::ZERO },
+        );
+        state.commit(&plan);
+        let busy_until = state.compute_ready(MachineId(0));
+        let mut cfg = config(SlrhVariant::V1);
+        if let Some(every) = adapt_every {
+            cfg = cfg.with_adaptation(Adaptation {
+                rule: StepRule::Constant { a: 0.5 },
+                every,
+                ..Adaptation::default()
+            });
+        }
+        let mut run = cfg.armed();
+        let mut kernel = Scripted {
+            wake,
+            begun: Vec::new(),
+            queried: Vec::new(),
+            probes: 0,
+        };
+        let mut stats = RunStats::default();
+        let mut events = Vec::new();
+        let end = drive(
+            &mut state,
+            &mut run,
+            &mut stats,
+            &mut kernel,
+            Time::ZERO,
+            stop_at,
+            Some(&mut |e| events.push(e)),
+        );
+        ScriptedRun {
+            kernel,
+            stats,
+            events,
+            end,
+            weights: run.objective.weights,
+            busy_until,
+        }
+    }
+
+    /// Everything an elided span must leave exactly as the ticking loop
+    /// leaves it: counters, the observer's stream, the exit clock and
+    /// the adapted weights.
+    fn assert_same_books(ticking: &ScriptedRun, eliding: &ScriptedRun) {
+        assert_eq!(ticking.stats.sweeps_elided, 0);
+        assert_eq!(
+            RunStats {
+                sweeps_elided: 0,
+                ..eliding.stats
+            },
+            ticking.stats
+        );
+        assert_eq!(eliding.events, ticking.events);
+        assert_eq!(eliding.end, ticking.end);
+        assert_eq!(eliding.weights, ticking.weights);
+        for w in eliding.events.windows(2) {
+            assert_eq!(w[0].tick + 1, w[1].tick);
+            assert!(w[0].clock < w[1].clock);
+        }
+        assert!(eliding.events.iter().all(|e| e.commits == 0));
+    }
+
+    #[test]
+    fn a_scripted_wake_elides_exactly_the_sweeps_before_it() {
+        let cfg = config(SlrhVariant::V1);
+        let ticking = scripted_run(None, None, None);
+        // The kernel names a horizon end past the busy machine's release,
+        // so the loop sleeps twice: until machine 0 frees up, then until
+        // the horizon reaches the scripted point; from there on the
+        // answer is stale at once and every tick is swept again.
+        let horizon_end = Time(ticking.busy_until.0 + 4000);
+        let second_wake = Time(horizon_end.0 - cfg.horizon.0);
+        let eliding = scripted_run(Some(horizon_end), None, None);
+        assert_same_books(&ticking, &eliding);
+        let tau = scenario(16).tau;
+        assert_eq!(ticking.end.0, tau.0 / cfg.dt.0 * cfg.dt.0 + cfg.dt.0, "τ exit");
+
+        let asleep = |clock: Time| {
+            (clock > Time::ZERO && clock < ticking.busy_until)
+                || (clock >= Time(ticking.busy_until.0.div_ceil(cfg.dt.0) * cfg.dt.0 + cfg.dt.0)
+                    && clock < second_wake)
+        };
+        let clocks = || ticking.events.iter().map(|e| e.clock);
+        let slept = clocks().filter(|&c| asleep(c)).count() as u64;
+        assert!(slept > 100, "the script leaves two real spans ({slept} ticks)");
+        assert_eq!(eliding.stats.sweeps_elided, slept);
+        // Not one kernel call inside a span.
+        assert!(eliding.kernel.queried.iter().all(|&c| !asleep(c)));
+        assert!(eliding
+            .kernel
+            .begun
+            .iter()
+            .all(|&tick| !asleep(Time(tick * cfg.dt.0))));
+        assert_eq!(
+            eliding.kernel.begun.len() as u64 + slept,
+            eliding.stats.clock_steps
+        );
+        // The stuck probes the skipped sweeps would have made are in
+        // `queries` all the same (`assert_same_books`), though never made.
+        assert!(eliding.kernel.probes < ticking.kernel.probes);
+        assert_eq!(
+            ticking.kernel.probes,
+            clocks().filter(|&c| c >= ticking.busy_until).count() as u64
+        );
+    }
+
+    #[test]
+    fn an_elided_span_keeps_the_stop_and_the_adaptation_schedule() {
+        // `Time::MAX`: only a commit could change the answer, so after
+        // machine 0 frees up the loop sleeps to whichever exit comes first.
+        let forever = Some(Time::MAX);
+        let ticking = scripted_run(None, None, Some(7));
+        let eliding = scripted_run(forever, None, Some(7));
+        assert_same_books(&ticking, &eliding);
+        assert!(eliding.stats.sweeps_elided > eliding.stats.clock_steps / 2);
+        assert!(
+            eliding.stats.weight_updates > 0
+                && eliding.weights != config(SlrhVariant::V1).objective.weights,
+            "adaptation steps landed inside the spans"
+        );
+
+        // A segment boundary in the middle of a span, on and off the ΔT
+        // lattice.
+        for past_release in [1000, 1003] {
+            let stop = Time(ticking.busy_until.0 + past_release);
+            let ticking = scripted_run(None, Some(stop), Some(7));
+            let eliding = scripted_run(forever, Some(stop), Some(7));
+            assert_same_books(&ticking, &eliding);
+            assert!(eliding.end >= stop && eliding.end.0 < stop.0 + 10);
+            assert!(eliding.stats.sweeps_elided > 0);
+        }
     }
 
     #[test]

@@ -164,6 +164,7 @@ fn add_stats(total: &mut RunStats, part: &RunStats) {
     total.candidates_evaluated += part.candidates_evaluated;
     total.commits += part.commits;
     total.weight_updates += part.weight_updates;
+    total.sweeps_elided += part.sweeps_elided;
 }
 
 /// Per-job observation hook: sees each job's final [`SimState`]

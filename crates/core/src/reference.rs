@@ -35,7 +35,7 @@ use crate::dynamic::{
     drive_segments, prepare, DynamicOutcome, MachineArrivalEvent, MachineLossEvent,
 };
 use crate::frontier::Frontier;
-use crate::mapper::{Kernel, RunStats};
+use crate::mapper::{Kernel, RunStats, TickEvent};
 use crate::pool::{build_pool_with, Pool};
 
 /// Which reference kernel to run.
@@ -50,7 +50,10 @@ pub enum Kind {
 /// [`crate::dynamic::run_slrh_churn_in`] with the candidate kernel
 /// replaced by reference `kind` (no losses and no arrivals is the closed
 /// system). Schedule, metrics, disruptions, `clock_steps` and `commits`
-/// must equal the product run's; the work counters legitimately differ.
+/// must equal the product run's — and so must the [`TickEvent`] stream
+/// `observer` sees, tick for tick: neither reference kernel ever hands
+/// the loop a wake time, so they run every sweep the product loop
+/// elides. The work counters legitimately differ.
 pub fn run<'a>(
     kind: Kind,
     scenario: &'a Scenario,
@@ -58,13 +61,14 @@ pub fn run<'a>(
     losses: &[MachineLossEvent],
     arrivals: &[MachineArrivalEvent],
     ctx: &mut RunContext,
+    observer: Option<&mut dyn FnMut(TickEvent)>,
 ) -> DynamicOutcome<'a> {
     let (state, losses) = prepare(scenario, losses, arrivals, ctx);
     match kind {
-        Kind::Scratch => drive_segments(state, config, &losses, &mut Scratch, Time::ZERO, None),
+        Kind::Scratch => drive_segments(state, config, &losses, &mut Scratch, Time::ZERO, observer),
         Kind::Resort => {
             let mut frontier = Frontier::new(&state, config.scale).resort_only();
-            drive_segments(state, config, &losses, &mut frontier, Time::ZERO, None)
+            drive_segments(state, config, &losses, &mut frontier, Time::ZERO, observer)
         }
     }
 }
@@ -134,5 +138,13 @@ impl Kernel for Scratch {
             .ready_tasks()
             .iter()
             .any(|&t| state.version_feasible(t, gate_version, j))
+    }
+
+    /// Stateless: nothing is remembered, so nothing is proven. Keeps
+    /// the oracle ticking every tick, which is what makes its
+    /// `clock_steps`/`queries`/event-stream differentials against the
+    /// eliding product loop a proof that elision is exact.
+    fn wake(&self, _state: &SimState<'_>, _j: MachineId) -> Option<Time> {
+        None
     }
 }

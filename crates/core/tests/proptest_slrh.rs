@@ -140,7 +140,7 @@ proptest! {
         }];
         let product = run_slrh_dynamic(&sc, &cfg, &events);
         for kind in [Kind::Scratch, Kind::Resort] {
-            let oracle = reference::run(kind, &sc, &cfg, &events, &[], &mut RunContext::new());
+            let oracle = reference::run(kind, &sc, &cfg, &events, &[], &mut RunContext::new(), None);
             prop_assert_eq!(
                 format!("{:?}", product.state.schedule()),
                 format!("{:?}", oracle.state.schedule()),

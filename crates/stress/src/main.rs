@@ -112,11 +112,12 @@ fn main() -> ExitCode {
         };
         let report = run_seed(&spec, &mut ctx);
         println!(
-            "replay {}: seed {} signature {} ({} clock steps)",
+            "replay {}: seed {} signature {} ({} clock steps, {} sweeps elided)",
             path.display(),
             report.seed,
             report.signature,
-            report.clock_steps
+            report.clock_steps,
+            report.sweeps_elided
         );
         return if report.passed() {
             println!("PASS");
@@ -160,13 +161,15 @@ fn main() -> ExitCode {
         let report = stress::run_scale_seed(&case, &mut ctx);
         if report.passed() {
             println!(
-                "scale seed {seed}: ok ({} tasks, {} machines, k={}, {} losses, {} mapped, {} steps)",
+                "scale seed {seed}: ok ({} tasks, {} machines, k={}, {} losses, {} mapped, {} steps, \
+                 {} elided)",
                 case.tasks,
                 case.machines,
                 case.clusters,
                 case.losses.len(),
                 report.mapped,
-                report.clock_steps
+                report.clock_steps,
+                report.sweeps_elided
             );
             continue;
         }
@@ -187,6 +190,7 @@ fn main() -> ExitCode {
     }
 
     let mut ticks_spent = 0u64;
+    let mut sweeps_elided = 0u64;
     let mut ran = 0u64;
     let mut failing: Vec<u64> = Vec::new();
 
@@ -202,6 +206,7 @@ fn main() -> ExitCode {
         let spec = generate(seed);
         let report = run_seed(&spec, &mut ctx);
         ticks_spent += report.clock_steps;
+        sweeps_elided += report.sweeps_elided;
         ran += 1;
 
         if report.passed() {
@@ -257,6 +262,12 @@ fn main() -> ExitCode {
         println!("{} scale seeds failed: {scale_failing:?}", scale_failing.len());
         return ExitCode::FAILURE;
     }
-    println!("all {ran} seeds green ({ticks_spent} clock steps)");
+    // The frontier ≡ reference differentials are the proof that eliding
+    // a sweep is exact — but only over sweeps that were elided.
+    if ran >= 64 && sweeps_elided == 0 {
+        println!("{ran} seeds and not one sweep elided: the elision differentials ran vacuously");
+        return ExitCode::FAILURE;
+    }
+    println!("all {ran} seeds green ({ticks_spent} clock steps, {sweeps_elided} sweeps elided)");
     ExitCode::SUCCESS
 }

@@ -64,6 +64,11 @@ pub struct RunReport {
     /// Total SLRH clock steps across the case (the `--ticks-budget`
     /// currency).
     pub clock_steps: u64,
+    /// How many of those steps the product loop ran as bookkeeping only.
+    /// Every one of them was swept in full by the reference arms, so a
+    /// campaign total of zero means the differentials proved nothing
+    /// about elision.
+    pub sweeps_elided: u64,
 }
 
 impl RunReport {
@@ -84,6 +89,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
             failures: vec![format!("spec: {e}")],
             signature: String::new(),
             clock_steps: 0,
+            sweeps_elided: 0,
         };
     }
 
@@ -95,6 +101,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
     let mut failures = Vec::new();
     let mut fingerprint = Fnv::new();
     let mut clock_steps = 0u64;
+    let mut sweeps_elided = 0u64;
 
     // --- SLRH churn arms -------------------------------------------------
     for variant in [SlrhVariant::V1, SlrhVariant::V2, SlrhVariant::V3] {
@@ -112,7 +119,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         }
 
         for kind in [Kind::Scratch, Kind::Resort] {
-            let oracle = reference::run(kind, &sc, &config, &losses, &arrivals, ctx);
+            let oracle = reference::run(kind, &sc, &config, &losses, &arrivals, ctx, None);
             failures.extend(reference_mismatch(&tag, kind, &fresh, &oracle));
             ctx.reclaim(oracle.state);
         }
@@ -122,6 +129,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         }
 
         clock_steps += fresh.stats.clock_steps;
+        sweeps_elided += fresh.stats.sweeps_elided;
         fingerprint.update(&fresh_sig);
         ctx.reclaim(reused.state);
         ctx.reclaim(fresh.state);
@@ -155,6 +163,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
             ));
         }
         clock_steps += legacy.stats.clock_steps;
+        sweeps_elided += legacy.stats.sweeps_elided;
         fingerprint.update(&legacy_sig);
         ctx.reclaim(legacy.state);
         ctx.reclaim(inert.state);
@@ -302,7 +311,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         let open_one = run_open_in(&degenerate, &config, &[], &[], ctx, None);
         let sc_one = degenerate.job_scenario(&first);
         let closed = run_slrh_churn_in(&sc_one, &config, &[], &[], ctx);
-        let oracle = reference::run(Kind::Scratch, &sc_one, &config, &[], &[], ctx);
+        let oracle = reference::run(Kind::Scratch, &sc_one, &config, &[], &[], ctx, None);
         failures.extend(reference_mismatch(tag, Kind::Scratch, &closed, &oracle));
         ctx.reclaim(oracle.state);
         let r = &open_one.jobs[0];
@@ -357,6 +366,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
             met.makespan.0,
         );
         clock_steps += fresh.stats.clock_steps;
+        sweeps_elided += fresh.stats.sweeps_elided;
         fingerprint.update(&sig);
     }
 
@@ -436,6 +446,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         failures,
         signature: format!("{:016x}", fingerprint.finish()),
         clock_steps,
+        sweeps_elided,
     }
 }
 
@@ -497,12 +508,13 @@ pub(crate) fn dynamic_signature(out: &DynamicOutcome<'_>, with_stats: bool) -> S
         let st = &out.stats;
         let _ = write!(
             s,
-            "steps={} queries={} cand={} commits={} wu={} ",
+            "steps={} queries={} cand={} commits={} wu={} elided={} ",
             st.clock_steps,
             st.queries,
             st.candidates_evaluated,
             st.commits,
             st.weight_updates,
+            st.sweeps_elided,
         );
     }
     s

@@ -92,6 +92,8 @@ pub struct ScaleReport {
     pub failures: Vec<String>,
     /// Clock steps spent by the frontier run.
     pub clock_steps: u64,
+    /// How many of them it ran as bookkeeping only.
+    pub sweeps_elided: u64,
     /// Subtasks mapped by the frontier run.
     pub mapped: usize,
 }
@@ -190,7 +192,7 @@ pub fn run_scale_seed(case: &ScaleCase, ctx: &mut RunContext) -> ScaleReport {
     // optimization of the paper's pool walk and must replay it
     // bit-for-bit. Bounded to sizes where the walk is affordable.
     if case.tasks <= DIFF_MAX_TASKS && case.clusters == 1 {
-        let walk = reference::run(Kind::Scratch, &sc, &config, &losses, &[], ctx);
+        let walk = reference::run(Kind::Scratch, &sc, &config, &losses, &[], ctx, None);
         failures.extend(reference_mismatch("scale", Kind::Scratch, &frontier, &walk));
         ctx.reclaim(walk.state);
     }
@@ -201,7 +203,7 @@ pub fn run_scale_seed(case: &ScaleCase, ctx: &mut RunContext) -> ScaleReport {
     // schedule, metrics and disruptions byte-for-byte at every
     // clustering.
     if case.tasks <= ABLATION_DIFF_MAX_TASKS {
-        let resort = reference::run(Kind::Resort, &sc, &config, &losses, &[], ctx);
+        let resort = reference::run(Kind::Resort, &sc, &config, &losses, &[], ctx, None);
         failures.extend(reference_mismatch("scale", Kind::Resort, &frontier, &resort));
         ctx.reclaim(resort.state);
 
@@ -214,14 +216,15 @@ pub fn run_scale_seed(case: &ScaleCase, ctx: &mut RunContext) -> ScaleReport {
         }
     }
 
-    let clock_steps = frontier.stats.clock_steps;
+    let stats = frontier.stats;
     ctx.reclaim(frontier.state);
     failures.sort();
     failures.dedup();
     ScaleReport {
         case: case.clone(),
         failures,
-        clock_steps,
+        clock_steps: stats.clock_steps,
+        sweeps_elided: stats.sweeps_elided,
         mapped: metrics.mapped,
     }
 }

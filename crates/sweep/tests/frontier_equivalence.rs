@@ -17,21 +17,30 @@
 //! run must be deterministic: bit-identical across repeats and across
 //! thread counts.
 //!
+//! The product loop also *elides* sweeps the frontier has already
+//! answered (DESIGN.md §19) while both reference kernels are swept on
+//! every tick, so the equalities above — and the `TickEvent` stream
+//! differential below — are what prove the elision exact; the pinned
+//! case keeps that proof from going vacuous.
+//!
 //! Running under 1- and 4-thread rayon pools pins both the chunked scan
 //! (execution-only at any width) and the embedding the campaign sweeps
 //! use (a worker-local `RunContext` must not leak state between arms).
 
 use std::fmt::Write as _;
 
-use adhoc_grid::config::MachineId;
+use adhoc_grid::config::{GridCase, MachineId};
 use adhoc_grid::scale::ScaleParams;
 use adhoc_grid::units::Time;
+use adhoc_grid::workload::{Scenario, ScenarioParams};
+use lagrange::step::StepRule;
 use lagrange::weights::Weights;
 use proptest::prelude::*;
 use slrh::reference::{self, Kind};
 use slrh::{
-    run_slrh_churn, DynamicOutcome, MachineArrivalEvent, MachineLossEvent, MachineOrder,
-    RunContext, ScaleMode, SlrhConfig, SlrhVariant,
+    run_slrh, run_slrh_churn, run_slrh_churn_observed, Adaptation, DynamicOutcome,
+    MachineArrivalEvent, MachineLossEvent, MachineOrder, RunContext, ScaleMode, SlrhConfig,
+    SlrhVariant, TickEvent,
 };
 
 fn pool(threads: usize) -> rayon::ThreadPool {
@@ -125,6 +134,14 @@ fn losses(case: &Case, tau: u64) -> Vec<MachineLossEvent> {
         .collect()
 }
 
+/// The case's scale scenario and its loss events.
+fn scenario_and_losses(case: &Case) -> (Scenario, Vec<MachineLossEvent>) {
+    let params = ScaleParams::new(case.tasks, case.machines);
+    let sc = params.generate(case.etc_id, case.dag_id);
+    let losses = losses(case, params.tau().0);
+    (sc, losses)
+}
+
 /// Run `cfg` on the case through the product kernel (`kind: None`) or a
 /// reference oracle.
 fn run_with(
@@ -133,13 +150,33 @@ fn run_with(
     arrivals: &[MachineArrivalEvent],
     kind: Option<Kind>,
 ) -> String {
-    let params = ScaleParams::new(case.tasks, case.machines);
-    let sc = params.generate(case.etc_id, case.dag_id);
-    let losses = losses(case, params.tau().0);
+    let (sc, losses) = scenario_and_losses(case);
     canonical(&match kind {
         None => run_slrh_churn(&sc, cfg, &losses, arrivals),
-        Some(kind) => reference::run(kind, &sc, cfg, &losses, arrivals, &mut RunContext::new()),
+        Some(kind) => {
+            reference::run(kind, &sc, cfg, &losses, arrivals, &mut RunContext::new(), None)
+        }
     })
+}
+
+/// [`run_with`] observed: the `TickEvent` stream, the loop's counters
+/// (`clock_steps`, `queries`) and how many of the ticks were elided.
+fn observe(
+    case: &Case,
+    cfg: &SlrhConfig,
+    arrivals: &[MachineArrivalEvent],
+    kind: Option<Kind>,
+) -> (Vec<TickEvent>, (u64, u64), u64) {
+    let (sc, losses) = scenario_and_losses(case);
+    let mut events = Vec::new();
+    let mut observer = |e: TickEvent| events.push(e);
+    let ctx = &mut RunContext::new();
+    let out = match kind {
+        None => run_slrh_churn_observed(&sc, cfg, &losses, arrivals, ctx, &mut observer),
+        Some(kind) => reference::run(kind, &sc, cfg, &losses, arrivals, ctx, Some(&mut observer)),
+    };
+    let st = out.stats;
+    (events, (st.clock_steps, st.queries), st.sweeps_elided)
 }
 
 fn run_case(case: &Case, scale: ScaleMode, kind: Option<Kind>) -> String {
@@ -207,6 +244,45 @@ proptest! {
         }
     }
 
+    /// The observer cannot tell an elided sweep from a swept one: the
+    /// product's `TickEvent` stream equals the pool walk's (which is
+    /// swept on every tick) event for event, and so do the counters an
+    /// elided tick has to keep — through one loss and one arrival (three
+    /// segments, each opening with a real sweep), fixed weights and
+    /// online adaptation (whose steps land inside elided spans).
+    #[test]
+    fn elided_sweeps_are_invisible_to_the_observer(
+        case in case_strategy(),
+        variant in prop::sample::select(&[SlrhVariant::V1, SlrhVariant::V3][..]),
+        lost in 0usize..12,
+        loss_frac in 0.3f64..0.9,
+        arrival_frac in 0.02f64..0.25,
+        adapt_every in prop::sample::select(&[1u64, 5, 16]),
+    ) {
+        let tau = ScaleParams::new(case.tasks, case.machines).tau().0 as f64;
+        let lost = lost % case.machines;
+        let case = Case { losses: vec![(lost, loss_frac)], ..case };
+        let arrivals = [MachineArrivalEvent {
+            machine: MachineId((lost + 1) % case.machines),
+            at: Time(((tau * arrival_frac) as u64).max(1)),
+        }];
+        let fixed = SlrhConfig::paper(variant, case.weights);
+        let adaptive = fixed.with_adaptation(Adaptation {
+            rule: StepRule::Diminishing { a: 0.2 },
+            every: adapt_every,
+            ..Adaptation::default()
+        });
+        for cfg in [fixed, adaptive] {
+            let (walk_events, walk_counters, walk_elided) =
+                observe(&case, &cfg, &arrivals, Some(Kind::Scratch));
+            let (events, counters, _) = observe(&case, &cfg, &arrivals, None);
+            prop_assert_eq!(walk_elided, 0, "the reference never elides");
+            prop_assert_eq!(events.len() as u64, counters.0, "one event per clock step");
+            prop_assert_eq!(&events, &walk_events, "event streams differ under {}", cfg);
+            prop_assert_eq!(counters, walk_counters, "(clock_steps, queries) differ under {}", cfg);
+        }
+    }
+
     /// Clustered mode: visibility partitioning may change the schedule,
     /// but never determinism — repeats and thread counts agree.
     #[test]
@@ -238,4 +314,39 @@ proptest! {
         let resort = pool(1).install(|| run_case(&case, mode, Some(Kind::Resort)));
         prop_assert_eq!(&cached, &resort, "cached-order run diverged from the resort reference");
     }
+}
+
+/// The differentials above prove elision exact only if it happens. On
+/// the paper-scale Case A job (`paper_suite`'s weights) the clock spends
+/// most of its ticks waiting on scheduled finishes to drift inside the
+/// horizon, and the product loop must sleep through at least half of
+/// them; the two reference kernels and SLRH-2 (whose frozen walk never
+/// latches) must not sleep at all — same clock steps, every one swept.
+#[test]
+fn the_paper_scale_job_elides_most_sweeps_and_the_oracles_none() {
+    let sc = Scenario::generate(&ScenarioParams::paper_scaled(1024), GridCase::A, 0, 0);
+    let cfg = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.25).unwrap());
+    let product = run_slrh(&sc, &cfg).stats;
+    assert!(
+        product.sweeps_elided >= product.clock_steps / 2,
+        "{} of {} sweeps elided",
+        product.sweeps_elided,
+        product.clock_steps
+    );
+    for kind in [Kind::Scratch, Kind::Resort] {
+        let oracle = reference::run(kind, &sc, &cfg, &[], &[], &mut RunContext::new(), None).stats;
+        assert_eq!(oracle.sweeps_elided, 0, "{kind:?}");
+        assert_eq!(
+            (oracle.clock_steps, oracle.queries, oracle.commits),
+            (product.clock_steps, product.queries, product.commits),
+            "{kind:?}"
+        );
+    }
+    let frozen = SlrhConfig {
+        variant: SlrhVariant::V2,
+        ..cfg
+    };
+    let v2 = run_slrh(&sc, &frozen).stats;
+    assert!(v2.clock_steps > 0);
+    assert_eq!(v2.sweeps_elided, 0, "SLRH-2 never latches");
 }

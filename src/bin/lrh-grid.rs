@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use lrh_grid::broker::proto::{Event, MapRequest};
 use lrh_grid::broker::server::{serve, BrokerConfig};
-use lrh_grid::broker::{execute_map, execute_open, Connection};
+use lrh_grid::broker::{execute_map_counted, execute_open, Connection};
 use lrh_grid::cli::{self, Addr, Command, Export, Job, OpenJob, Remote, RemoteJob, Serve, Tune};
 use lrh_grid::grid::io;
 use lrh_grid::sim::trace::Trace;
@@ -57,7 +57,7 @@ fn run_local(job: &Job) -> i32 {
     let mut ctx = RunContext::new();
     let mut ticks = 0usize;
     let mut invalidated = 0usize;
-    let outcome = execute_map(0, &job.request, &mut ctx, &mut |event| match event {
+    let outcome = execute_map_counted(0, &job.request, &mut ctx, &mut |event| match event {
         Event::Tick { .. } => ticks += 1,
         Event::Disruption {
             invalidated: n, ..
@@ -65,11 +65,13 @@ fn run_local(job: &Job) -> i32 {
         _ => {}
     });
     match outcome {
-        Ok(resp) => {
+        Ok((resp, stats)) => {
             print!("{}", resp.report);
             eprintln!(
-                "mapped in {:?} ({ticks} clock ticks, {invalidated} mappings invalidated)",
-                started.elapsed()
+                "mapped in {:?} ({ticks} clock ticks, {} sweeps elided, {invalidated} mappings \
+                 invalidated)",
+                started.elapsed(),
+                stats.sweeps_elided
             );
             if job.gantt {
                 render_gantt(&job.request);
