@@ -23,7 +23,7 @@ use adhoc_grid::scale::ScaleParams;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lagrange::weights::Weights;
 use slrh::reference::{self, Kind};
-use slrh::{run_slrh, RunContext, ScaleMode, SlrhConfig, SlrhVariant};
+use slrh::{run_slrh, Churn, RunContext, ScaleMode, SlrhConfig, SlrhVariant};
 
 fn weights() -> Weights {
     Weights::new(0.5, 0.25).expect("static weights")
@@ -81,7 +81,7 @@ fn bench_rebuild(c: &mut Criterion) {
         &sc,
         |b, sc| {
             b.iter(|| {
-                reference::run(Kind::Scratch, sc, &cfg, &[], &[], &mut RunContext::new(), None).metrics()
+                reference::run(Kind::Scratch, sc, &cfg, &Churn::default(), &mut RunContext::new(), None).metrics()
             })
         },
     );

@@ -23,7 +23,7 @@ use adhoc_grid::units::Time;
 use adhoc_grid::workload::{Scenario, ScenarioParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lagrange::weights::Weights;
-use slrh::{run_slrh, run_slrh_dynamic, MachineLossEvent, SlrhConfig, SlrhVariant};
+use slrh::{run_slrh, run_slrh_churn, MachineLossEvent, SlrhConfig, SlrhVariant};
 
 fn scenario(tasks: usize, case: GridCase) -> Scenario {
     Scenario::generate(&ScenarioParams::paper_scaled(tasks), case, 0, 0)
@@ -70,7 +70,7 @@ fn bench_churn_cascade(c: &mut Criterion) {
     g.bench_with_input(
         BenchmarkId::new("churn_cascade", "1024_case_a"),
         &sc,
-        |b, sc| b.iter(|| run_slrh_dynamic(sc, &cfg, &events).metrics()),
+        |b, sc| b.iter(|| run_slrh_churn(sc, &cfg, &events, &[]).metrics()),
     );
     g.finish();
 }

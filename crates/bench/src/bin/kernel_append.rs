@@ -21,7 +21,7 @@ use adhoc_grid::config::{GridCase, MachineId};
 use adhoc_grid::units::Time;
 use adhoc_grid::workload::{Scenario, ScenarioParams};
 use lagrange::weights::Weights;
-use slrh::{run_slrh, run_slrh_dynamic, MachineLossEvent, SlrhConfig, SlrhVariant};
+use slrh::{run_slrh, run_slrh_churn, MachineLossEvent, SlrhConfig, SlrhVariant};
 use std::time::Instant;
 
 fn scenario(case: GridCase) -> Scenario {
@@ -78,7 +78,7 @@ fn time_cases(rounds: usize) -> Vec<(String, f64)> {
             mins[i].1 = mins[i].1.min(round2(ms));
         }
         let t = Instant::now();
-        let out = run_slrh_dynamic(&churn_sc, &cfg, &losses);
+        let out = run_slrh_churn(&churn_sc, &cfg, &losses, &[]);
         let ms = t.elapsed().as_secs_f64() * 1e3;
         assert!(out.metrics().mapped > 0, "churn run must map work");
         let last = mins.len() - 1;

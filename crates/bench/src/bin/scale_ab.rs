@@ -29,7 +29,7 @@ use adhoc_grid::scale::ScaleParams;
 use adhoc_grid::workload::Scenario;
 use lagrange::weights::Weights;
 use slrh::reference::{self, Kind};
-use slrh::{run_slrh, RunContext, ScaleMode, SlrhConfig, SlrhVariant};
+use slrh::{run_slrh, Churn, RunContext, ScaleMode, SlrhConfig, SlrhVariant};
 use std::time::Instant;
 
 /// (tasks, machines, clusters) per A/B case.
@@ -76,7 +76,7 @@ fn timed_run(sc: &Scenario, arm: Arm, clusters: u32, tasks: usize) -> f64 {
     let t = Instant::now();
     let mapped = match arm {
         Arm::Cached => run_slrh(sc, &cfg).metrics().mapped,
-        Arm::Resort => reference::run(Kind::Resort, sc, &cfg, &[], &[], &mut RunContext::new(), None)
+        Arm::Resort => reference::run(Kind::Resort, sc, &cfg, &Churn::default(), &mut RunContext::new(), None)
             .metrics()
             .mapped,
     };

@@ -13,64 +13,14 @@ use adhoc_grid::io::kv;
 use gridsim::metrics::Metrics;
 use gridsim::validate::validate;
 use grid_sweep::campaign::{canonical_report, run_case_unit, CampaignConfig, CaseRow};
-use grid_sweep::heuristic::Heuristic;
 use adhoc_grid::workload::{ScenarioParams, ScenarioSet};
-use slrh::{
-    run_slrh_churn_observed, run_slrh_observed, RunContext, RunStats, SlrhVariant, TickEvent,
-};
-
 use slrh::open::{run_open_in, OpenOutcome};
+use slrh::{run_slrh_with, Churn, RunContext, RunStats, TickEvent};
 
 use crate::checkpoint::Checkpoint;
 use crate::proto::{
     CampaignRequest, CampaignResponse, Event, MapRequest, MapResponse, OpenRequest,
 };
-
-/// The SLRH variant behind a heuristic, when there is one.
-fn slrh_variant(h: Heuristic) -> Option<SlrhVariant> {
-    match h {
-        Heuristic::Slrh1 => Some(SlrhVariant::V1),
-        Heuristic::Slrh2 => Some(SlrhVariant::V2),
-        Heuristic::Slrh3 => Some(SlrhVariant::V3),
-        _ => None,
-    }
-}
-
-/// Reject a churn trace the churn API would panic on: out-of-range
-/// machines, duplicate machines, losing the whole grid, or an arrival
-/// at/after the same machine's loss.
-fn validate_churn(
-    losses: &[(usize, u64)],
-    arrivals: &[(usize, u64)],
-    grid_len: usize,
-) -> Result<(), String> {
-    if losses.len() >= grid_len && !losses.is_empty() {
-        return Err("cannot lose every machine".into());
-    }
-    for (list, what) in [(losses, "loss"), (arrivals, "arrival")] {
-        for &(machine, _) in list.iter() {
-            if machine >= grid_len {
-                return Err(format!("{what} names machine {machine} of {grid_len}"));
-            }
-        }
-        let mut ms: Vec<usize> = list.iter().map(|&(m, _)| m).collect();
-        ms.sort_unstable();
-        ms.dedup();
-        if ms.len() != list.len() {
-            return Err(format!("duplicate {what} machine"));
-        }
-    }
-    for &(machine, at) in arrivals {
-        if let Some(&(_, lost)) = losses.iter().find(|&&(m, _)| m == machine) {
-            if at >= lost {
-                return Err(format!(
-                    "machine {machine} lost at {lost} before arriving at {at}"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
 
 /// The run-dependent fields of a report, bundled so call sites read as
 /// a literal instead of a positional argument list.
@@ -154,9 +104,7 @@ pub fn execute_map_counted(
 ) -> Result<(MapResponse, RunStats), String> {
     let scenario = req.scenario.build()?;
     let case = scenario.case;
-    let variant = slrh_variant(req.heuristic);
-
-    let (report, stats) = match variant {
+    let (report, stats) = match req.heuristic.slrh_variant() {
         Some(variant) => {
             if req.config.variant != variant {
                 return Err(format!(
@@ -164,7 +112,7 @@ pub fn execute_map_counted(
                     req.config.variant, req.heuristic
                 ));
             }
-            validate_churn(&req.losses, &req.arrivals, scenario.grid.len())?;
+            let churn = req.churn(scenario.grid.len()).map_err(|e| e.to_string())?;
             let mut observer = |t: TickEvent| {
                 emit(Event::Tick {
                     job,
@@ -174,60 +122,30 @@ pub fn execute_map_counted(
                     commits: t.commits,
                 })
             };
-            if req.losses.is_empty() && req.arrivals.is_empty() {
-                let out = run_slrh_observed(&scenario, &req.config, ctx, &mut observer);
-                let valid = validate(&out.state).is_empty();
-                let report = render_report(
-                    req,
-                    &ReportBody {
-                        metrics: &out.state.metrics(),
-                        case,
-                        stats: out.stats,
-                        disruptions: &[],
-                        valid,
-                        final_weights: out.final_weights,
-                    },
-                );
-                ctx.reclaim(out.state);
-                (report, out.stats)
-            } else {
-                let losses = req.loss_events();
-                let arrivals = req.arrival_events();
-                let out = run_slrh_churn_observed(
-                    &scenario,
-                    &req.config,
-                    &losses,
-                    &arrivals,
-                    ctx,
-                    &mut observer,
-                );
-                let disruptions: Vec<(u64, usize)> = out
-                    .disruptions
-                    .iter()
-                    .map(|&(at, n)| (at.0, n))
-                    .collect();
-                for &(at, invalidated) in &disruptions {
-                    emit(Event::Disruption {
-                        job,
-                        at,
-                        invalidated,
-                    });
-                }
-                let valid = validate(&out.state).is_empty();
-                let report = render_report(
-                    req,
-                    &ReportBody {
-                        metrics: &out.state.metrics(),
-                        case,
-                        stats: out.stats,
-                        disruptions: &disruptions,
-                        valid,
-                        final_weights: out.final_weights,
-                    },
-                );
-                ctx.reclaim(out.state);
-                (report, out.stats)
+            let out = run_slrh_with(&scenario, &req.config, &churn, ctx, Some(&mut observer));
+            let disruptions: Vec<(u64, usize)> =
+                out.disruptions.iter().map(|&(at, n)| (at.0, n)).collect();
+            for &(at, invalidated) in &disruptions {
+                emit(Event::Disruption {
+                    job,
+                    at,
+                    invalidated,
+                });
             }
+            let valid = validate(&out.state).is_empty();
+            let report = render_report(
+                req,
+                &ReportBody {
+                    metrics: &out.state.metrics(),
+                    case,
+                    stats: out.stats,
+                    disruptions: &disruptions,
+                    valid,
+                    final_weights: out.final_weights,
+                },
+            );
+            ctx.reclaim(out.state);
+            (report, out.stats)
         }
         None => {
             if !req.losses.is_empty() || !req.arrivals.is_empty() {
@@ -327,38 +245,17 @@ pub fn execute_open(
     if req.config.scale.clusters > 1 {
         return Err("open-system runs do not support the clustered (clusters > 1) kernel".into());
     }
-    if req.jobs.is_empty() {
-        return Err("open-request needs at least one job".into());
-    }
-    let mut ids: Vec<u64> = req.jobs.iter().map(|j| j.id).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    if ids.len() != req.jobs.len() {
-        return Err("duplicate job id in arrival trace".into());
-    }
-    for j in &req.jobs {
-        if j.tasks == 0 {
-            return Err(format!("job {} has no tasks", j.id));
-        }
-        if j.deadline.0 == 0 {
-            return Err(format!("job {} has a zero deadline", j.id));
-        }
-    }
-    if req.bg.max_util_eighths > 6 {
-        return Err("background utilization capped at 6/8".into());
-    }
     let params = req.open_params();
+    params.check()?;
     let grid_len = adhoc_grid::config::GridConfig::case(req.case).len();
-    validate_churn(&req.losses, &req.arrivals, grid_len)?;
+    let churn = Churn::from_pairs(req.losses.iter().copied(), req.arrivals.iter().copied(), grid_len)
+        .map_err(|e| e.to_string())?;
 
-    let losses = req.loss_events();
-    let arrivals = req.arrival_events();
     let mut all_valid = true;
     let out = run_open_in(
         &params,
         &req.config,
-        &losses,
-        &arrivals,
+        &churn,
         ctx,
         Some(&mut |state: &gridsim::state::SimState<'_>, r: &slrh::open::OpenJobReport| {
             all_valid &= validate(state).is_empty();
@@ -453,11 +350,12 @@ mod tests {
     use super::*;
     use crate::proto::ScenarioSpec;
     use adhoc_grid::config::GridCase;
+    use grid_sweep::heuristic::Heuristic;
     use lagrange::weights::Weights;
-    use slrh::SlrhConfig;
+    use slrh::{SlrhConfig, SlrhVariant};
 
     fn request(h: Heuristic) -> MapRequest {
-        let variant = slrh_variant(h).unwrap_or(SlrhVariant::V1);
+        let variant = h.slrh_variant().unwrap_or(SlrhVariant::V1);
         MapRequest {
             client: "test".into(),
             label: "t".into(),

@@ -17,14 +17,14 @@
 //! a reused buffer (the reply path: one message per clock tick).
 
 use adhoc_grid::arrival::{BackgroundParams, JobArrival, OpenParams};
-use adhoc_grid::config::{GridCase, MachineId};
+use adhoc_grid::config::GridCase;
 use adhoc_grid::io::kv::{self, KvError};
 use adhoc_grid::io::wire::{FieldSink, Frame, FrameWriter};
 use adhoc_grid::units::Time;
 use adhoc_grid::workload::{Scenario, ScenarioParams};
 use grid_sweep::heuristic::Heuristic;
 use grid_sweep::SearcherKind;
-use slrh::{MachineArrivalEvent, MachineLossEvent, SlrhConfig};
+use slrh::{Churn, ChurnError, MachineArrivalEvent, MachineLossEvent, SlrhConfig};
 
 /// Frame kind of [`MapRequest`].
 pub const KIND_MAP_REQUEST: &str = "map-request";
@@ -211,26 +211,24 @@ pub struct MapRequest {
 }
 
 impl MapRequest {
-    /// The losses as the churn API's event type.
+    /// The losses as the churn API's event type (unchecked).
     pub fn loss_events(&self) -> Vec<MachineLossEvent> {
-        self.losses
-            .iter()
-            .map(|&(machine, at)| MachineLossEvent {
-                machine: MachineId(machine),
-                at: Time(at),
-            })
-            .collect()
+        self.losses.iter().map(|&pair| pair.into()).collect()
     }
 
-    /// The arrivals as the churn API's event type.
+    /// The arrivals as the churn API's event type (unchecked).
     pub fn arrival_events(&self) -> Vec<MachineArrivalEvent> {
-        self.arrivals
-            .iter()
-            .map(|&(machine, at)| MachineArrivalEvent {
-                machine: MachineId(machine),
-                at: Time(at),
-            })
-            .collect()
+        self.arrivals.iter().map(|&pair| pair.into()).collect()
+    }
+
+    /// The request's churn trace, checked against a grid of `machines`
+    /// machines.
+    pub fn churn(&self, machines: usize) -> Result<Churn, ChurnError> {
+        Churn::from_pairs(
+            self.losses.iter().copied(),
+            self.arrivals.iter().copied(),
+            machines,
+        )
     }
 
     /// Encode to a wire frame.
@@ -326,28 +324,6 @@ impl OpenRequest {
             jobs: self.jobs.clone(),
             bg: self.bg,
         }
-    }
-
-    /// The losses as the churn API's event type.
-    pub fn loss_events(&self) -> Vec<MachineLossEvent> {
-        self.losses
-            .iter()
-            .map(|&(machine, at)| MachineLossEvent {
-                machine: MachineId(machine),
-                at: Time(at),
-            })
-            .collect()
-    }
-
-    /// The arrivals as the churn API's event type.
-    pub fn arrival_events(&self) -> Vec<MachineArrivalEvent> {
-        self.arrivals
-            .iter()
-            .map(|&(machine, at)| MachineArrivalEvent {
-                machine: MachineId(machine),
-                at: Time(at),
-            })
-            .collect()
     }
 
     /// Encode to a wire frame. The background key is omitted when the

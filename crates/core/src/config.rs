@@ -153,7 +153,42 @@ impl Adaptation {
         }
     }
 
-    /// Validate the block (shared by the builder and `FromStr`).
+    /// Assemble a block from the optional parts every textual surface
+    /// carries (config string, CLI flags, corpus keys): no rule means no
+    /// adaptation, and then no other part may be present; with a rule,
+    /// missing parts take [`Adaptation::default`]'s values and the
+    /// result is [checked](Adaptation::check).
+    pub fn from_parts(
+        rule: Option<StepRule>,
+        every: Option<u64>,
+        min_alpha: Option<f64>,
+        max_multiplier: Option<f64>,
+        warm_start: Option<Weights>,
+    ) -> Result<Option<Adaptation>, ConfigError> {
+        let Some(rule) = rule else {
+            let orphan = every.is_some()
+                || min_alpha.is_some()
+                || max_multiplier.is_some()
+                || warm_start.is_some();
+            return if orphan {
+                Err(ConfigError::AdaptWithoutRule)
+            } else {
+                Ok(None)
+            };
+        };
+        let defaults = Adaptation::default();
+        let adaptation = Adaptation {
+            rule,
+            every: every.unwrap_or(defaults.every),
+            min_alpha: min_alpha.unwrap_or(defaults.min_alpha),
+            max_multiplier: max_multiplier.unwrap_or(defaults.max_multiplier),
+            warm_start,
+        };
+        adaptation.check()?;
+        Ok(Some(adaptation))
+    }
+
+    /// Validate the block.
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.every == 0 {
             return Err(ConfigError::ZeroAdaptEvery);
@@ -208,7 +243,7 @@ impl Default for ScaleMode {
 }
 
 impl ScaleMode {
-    /// Validate the block (shared by the builder and `FromStr`).
+    /// Validate the block.
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.clusters == 0 {
             return Err(ConfigError::ZeroClusters);
@@ -304,17 +339,48 @@ impl SlrhConfig {
         self
     }
 
-    /// Override ΔT (Figure 2 sweep).
-    pub fn with_dt(mut self, dt: Dur) -> SlrhConfig {
-        assert!(!dt.is_zero(), "ΔT must be at least one tick");
-        self.dt = dt;
+    /// The one validity rule of a configuration, behind
+    /// [`SlrhConfigBuilder::build`], `FromStr`, the panicking `with_*`
+    /// setters and the CLI: ΔT and H of at least one tick, a well-formed
+    /// adaptation block, at least one machine cluster.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        if self.dt.is_zero() {
+            return Err(ConfigError::ZeroDt);
+        }
+        if self.horizon.is_zero() {
+            return Err(ConfigError::ZeroHorizon);
+        }
+        if let Some(adaptation) = &self.adaptation {
+            adaptation.check()?;
+        }
+        self.scale.check()
+    }
+
+    fn checked(self) -> SlrhConfig {
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
         self
     }
 
+    /// Override ΔT (Figure 2 sweep).
+    ///
+    /// # Panics
+    /// Panics on a zero step; use [`SlrhConfigBuilder::dt`] for fallible
+    /// construction.
+    pub fn with_dt(mut self, dt: Dur) -> SlrhConfig {
+        self.dt = dt;
+        self.checked()
+    }
+
     /// Override the horizon (ablation A3).
+    ///
+    /// # Panics
+    /// Panics on a zero horizon; use [`SlrhConfigBuilder::horizon`] for
+    /// fallible construction.
     pub fn with_horizon(mut self, horizon: Dur) -> SlrhConfig {
         self.horizon = horizon;
-        self
+        self.checked()
     }
 
     /// Enable online weight adaptation with the given block.
@@ -323,11 +389,8 @@ impl SlrhConfig {
     /// Panics on a malformed block; use
     /// [`SlrhConfigBuilder::adaptation`] for fallible construction.
     pub fn with_adaptation(mut self, adaptation: Adaptation) -> SlrhConfig {
-        if let Err(e) = adaptation.check() {
-            panic!("{e}");
-        }
         self.adaptation = Some(adaptation);
-        self
+        self.checked()
     }
 
     /// Override the frontier partitioning (`clusters > 1` is the
@@ -337,11 +400,8 @@ impl SlrhConfig {
     /// Panics on a malformed block; use [`SlrhConfigBuilder::scale`] for
     /// fallible construction.
     pub fn with_scale(mut self, scale: ScaleMode) -> SlrhConfig {
-        if let Err(e) = scale.check() {
-            panic!("{e}");
-        }
         self.scale = scale;
-        self
+        self.checked()
     }
 
     /// The run-local working copy a driver should start from: the
@@ -560,41 +620,10 @@ impl std::str::FromStr for SlrhConfig {
         }
         config.objective.weights =
             weights.ok_or_else(|| format!("SLRH config {s:?} names no weights (w=...)"))?;
-        match adapt_rule {
-            Some(rule) => {
-                let defaults = Adaptation::default();
-                let adaptation = Adaptation {
-                    rule,
-                    every: adapt_every.unwrap_or(defaults.every),
-                    min_alpha: adapt_amin.unwrap_or(defaults.min_alpha),
-                    max_multiplier: adapt_lmax.unwrap_or(defaults.max_multiplier),
-                    warm_start: adapt_warm,
-                };
-                adaptation.check().map_err(|e| e.to_string())?;
-                config.adaptation = Some(adaptation);
-            }
-            None => {
-                for (key, present) in [
-                    ("every", adapt_every.is_some()),
-                    ("amin", adapt_amin.is_some()),
-                    ("lmax", adapt_lmax.is_some()),
-                    ("warm", adapt_warm.is_some()),
-                ] {
-                    if present {
-                        return Err(format!(
-                            "SLRH config component {key:?} requires adapt=<rule>"
-                        ));
-                    }
-                }
-            }
-        }
-        config.scale.check().map_err(|e| e.to_string())?;
-        if config.dt.is_zero() {
-            return Err(ConfigError::ZeroDt.to_string());
-        }
-        if config.horizon.is_zero() {
-            return Err(ConfigError::ZeroHorizon.to_string());
-        }
+        config.adaptation =
+            Adaptation::from_parts(adapt_rule, adapt_every, adapt_amin, adapt_lmax, adapt_warm)
+                .map_err(|e| e.to_string())?;
+        config.check().map_err(|e| e.to_string())?;
         Ok(config)
     }
 }
@@ -622,6 +651,9 @@ pub enum ConfigError {
     BadAdaptProjection,
     /// The scale mode needs at least one machine cluster.
     ZeroClusters,
+    /// A cadence, projection bound or warm start was given without the
+    /// step rule that switches adaptation on.
+    AdaptWithoutRule,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -638,6 +670,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroClusters => {
                 f.write_str("the scale mode (clusters=) needs at least one machine cluster")
             }
+            ConfigError::AdaptWithoutRule => f.write_str(
+                "the adaptation settings (every, amin, lmax, warm) require an adaptation rule",
+            ),
         }
     }
 }
@@ -697,16 +732,7 @@ impl SlrhConfigBuilder {
 
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<SlrhConfig, ConfigError> {
-        if self.config.dt.is_zero() {
-            return Err(ConfigError::ZeroDt);
-        }
-        if self.config.horizon.is_zero() {
-            return Err(ConfigError::ZeroHorizon);
-        }
-        if let Some(adaptation) = &self.config.adaptation {
-            adaptation.check()?;
-        }
-        self.config.scale.check()?;
+        self.config.check()?;
         Ok(self.config)
     }
 }
@@ -886,7 +912,7 @@ mod tests {
             "SLRH-1; w=(0.5, 0.3); warm=(0.4, 0.2)",
         ] {
             let err = s.parse::<SlrhConfig>().unwrap_err();
-            assert!(err.contains("requires adapt="), "{s}: {err}");
+            assert_eq!(err, ConfigError::AdaptWithoutRule.to_string(), "{s}");
         }
     }
 

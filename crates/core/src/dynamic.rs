@@ -25,8 +25,13 @@
 //! Events are processed on the heuristic's clock: a loss at time `a`
 //! takes effect at the first clock tick `>= a` (granularity ΔT), matching
 //! the paper's clock-driven design.
+//!
+//! A trace reaches the loop as a [`Churn`]: the one place its
+//! preconditions are checked ([`Churn::new`]), for the library, the
+//! CLI, the broker and the stress harness alike.
 
 use std::collections::BTreeSet;
+use std::fmt;
 
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::TaskId;
@@ -36,7 +41,7 @@ use gridsim::state::SimState;
 
 use crate::config::SlrhConfig;
 use crate::context::RunContext;
-use crate::mapper::{drive, Kernel, RunStats, TickEvent};
+use crate::mapper::{drive, run_slrh_with, Kernel, RunStats, SlrhOutcome, TickEvent};
 
 /// A machine disappearing from the grid.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -57,155 +62,229 @@ pub struct MachineArrivalEvent {
     pub at: Time,
 }
 
-/// The result of a dynamic run.
-#[derive(Debug)]
-pub struct DynamicOutcome<'a> {
-    /// Final simulation state.
-    pub state: SimState<'a>,
-    /// Work counters across all segments.
-    pub stats: RunStats,
-    /// Per event: `(effective time, subtasks invalidated)`.
-    pub disruptions: Vec<(Time, usize)>,
-    /// The objective weights in force when the run ended. Online
-    /// adaptation carries its weights *across* loss segments (one armed
-    /// configuration spans the whole run); without adaptation these are
-    /// just the configured weights.
-    pub final_weights: lagrange::weights::Weights,
-}
-
-impl DynamicOutcome<'_> {
-    /// The run's metrics.
-    pub fn metrics(&self) -> gridsim::metrics::Metrics {
-        self.state.metrics()
+impl From<(usize, u64)> for MachineLossEvent {
+    /// `(machine index, tick)` — the shape churn events have on the CLI,
+    /// the wire and in corpus files.
+    fn from((machine, at): (usize, u64)) -> MachineLossEvent {
+        MachineLossEvent {
+            machine: MachineId(machine),
+            at: Time(at),
+        }
     }
 }
 
-impl gridsim::MappingOutcome for DynamicOutcome<'_> {
-    fn state(&self) -> &SimState<'_> {
-        &self.state
-    }
-
-    fn candidates_evaluated(&self) -> u64 {
-        self.stats.candidates_evaluated
+impl From<(usize, u64)> for MachineArrivalEvent {
+    /// See [`MachineLossEvent`]'s conversion.
+    fn from((machine, at): (usize, u64)) -> MachineArrivalEvent {
+        MachineArrivalEvent {
+            machine: MachineId(machine),
+            at: Time(at),
+        }
     }
 }
 
-/// Run SLRH on `scenario` while losing machines per `events`.
-///
-/// # Panics
-/// Panics if two events name the same machine.
-pub fn run_slrh_dynamic<'a>(
-    scenario: &'a Scenario,
-    config: &SlrhConfig,
-    events: &[MachineLossEvent],
-) -> DynamicOutcome<'a> {
-    run_slrh_churn(scenario, config, events, &[])
+/// Why a churn trace was rejected. `Display` is the message clients of
+/// the broker see.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum ChurnError {
+    /// Every machine of the grid is lost at some point.
+    WholeGridLost,
+    /// An event names a machine the grid does not have.
+    UnknownMachine {
+        /// `"loss"` or `"arrival"`.
+        event: &'static str,
+        /// The machine index named.
+        machine: usize,
+        /// The grid size.
+        machines: usize,
+    },
+    /// Two events of one list name the same machine.
+    Duplicate {
+        /// `"loss"` or `"arrival"`.
+        event: &'static str,
+    },
+    /// A machine both arrives and is lost, and not strictly in that order.
+    LostBeforeArrival {
+        /// The machine index.
+        machine: usize,
+        /// Its loss time.
+        lost: Time,
+        /// Its arrival time.
+        arrives: Time,
+    },
+}
+
+impl fmt::Display for ChurnError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ChurnError::WholeGridLost => f.write_str("cannot lose every machine"),
+            ChurnError::UnknownMachine {
+                event,
+                machine,
+                machines,
+            } => write!(f, "{event} names machine {machine} of {machines}"),
+            ChurnError::Duplicate { event } => write!(f, "duplicate {event} machine"),
+            ChurnError::LostBeforeArrival {
+                machine,
+                lost,
+                arrives,
+            } => write!(
+                f,
+                "machine {machine} lost at {} before arriving at {}",
+                lost.0, arrives.0
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ChurnError {}
+
+/// A churn trace — machines joining and leaving at arbitrary times —
+/// checked once against a grid size. Every driver takes a `&Churn` and
+/// relies on what [`Churn::new`] established: every machine index is in
+/// range, no machine appears twice in either list, at least one machine
+/// is never lost, and a machine that both arrives and is lost arrives
+/// strictly first. The default value is the frozen grid.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct Churn {
+    /// In `(at, machine)` order — the order the loop applies them in.
+    losses: Vec<MachineLossEvent>,
+    /// In `(machine, at)` order.
+    arrivals: Vec<MachineArrivalEvent>,
+    /// The grid size the trace was checked against.
+    machines: usize,
+}
+
+impl Churn {
+    /// Check `losses` and `arrivals` against a grid of `machines`
+    /// machines and sort them into application order.
+    pub fn new(
+        losses: &[MachineLossEvent],
+        arrivals: &[MachineArrivalEvent],
+        machines: usize,
+    ) -> Result<Churn, ChurnError> {
+        Churn::checked(losses.to_vec(), arrivals.to_vec(), machines)
+    }
+
+    /// [`Churn::new`] from `(machine index, tick)` pairs.
+    pub fn from_pairs(
+        losses: impl IntoIterator<Item = (usize, u64)>,
+        arrivals: impl IntoIterator<Item = (usize, u64)>,
+        machines: usize,
+    ) -> Result<Churn, ChurnError> {
+        Churn::checked(
+            losses.into_iter().map(Into::into).collect(),
+            arrivals.into_iter().map(Into::into).collect(),
+            machines,
+        )
+    }
+
+    fn checked(
+        mut losses: Vec<MachineLossEvent>,
+        mut arrivals: Vec<MachineArrivalEvent>,
+        machines: usize,
+    ) -> Result<Churn, ChurnError> {
+        if !losses.is_empty() && losses.len() >= machines {
+            return Err(ChurnError::WholeGridLost);
+        }
+        check_machines("loss", losses.iter().map(|e| e.machine.0).collect(), machines)?;
+        check_machines("arrival", arrivals.iter().map(|e| e.machine.0).collect(), machines)?;
+        for a in &arrivals {
+            if let Some(l) = losses.iter().find(|l| l.machine == a.machine) {
+                if a.at >= l.at {
+                    return Err(ChurnError::LostBeforeArrival {
+                        machine: a.machine.0,
+                        lost: l.at,
+                        arrives: a.at,
+                    });
+                }
+            }
+        }
+        losses.sort_by_key(|e| (e.at, e.machine));
+        arrivals.sort_by_key(|e| (e.machine, e.at));
+        Ok(Churn {
+            losses,
+            arrivals,
+            machines,
+        })
+    }
+
+    /// The losses, in `(at, machine)` order.
+    pub fn losses(&self) -> &[MachineLossEvent] {
+        &self.losses
+    }
+
+    /// The arrivals, in `(machine, at)` order.
+    pub fn arrivals(&self) -> &[MachineArrivalEvent] {
+        &self.arrivals
+    }
+
+    /// A trace checked for one grid is good for any grid at least as
+    /// large; on a smaller one its indices and its "one machine
+    /// survives" guarantee mean nothing.
+    pub(crate) fn assert_fits(&self, machines: usize) {
+        assert!(
+            self.machines <= machines,
+            "churn trace checked against {} machines, the grid has {machines}",
+            self.machines
+        );
+    }
+
+    /// Build a run's initial state on `ctx`: arriving machines are
+    /// scenario members whose timelines are blocked until they join, so
+    /// they contribute no capacity before that and the mapper's
+    /// availability check excludes them naturally.
+    pub(crate) fn initial_state<'a>(
+        &self,
+        scenario: &'a Scenario,
+        ctx: &mut RunContext,
+    ) -> SimState<'a> {
+        self.assert_fits(scenario.grid.len());
+        let mut state = ctx.state(scenario);
+        for a in &self.arrivals {
+            if a.at > Time::ZERO {
+                state.block_until(a.machine, a.at);
+            }
+        }
+        state
+    }
+}
+
+/// Range first (the first offender in input order), then duplicates.
+fn check_machines(
+    event: &'static str,
+    mut ids: Vec<usize>,
+    machines: usize,
+) -> Result<(), ChurnError> {
+    if let Some(&machine) = ids.iter().find(|&&m| m >= machines) {
+        return Err(ChurnError::UnknownMachine {
+            event,
+            machine,
+            machines,
+        });
+    }
+    ids.sort_unstable();
+    if ids.windows(2).any(|w| w[0] == w[1]) {
+        return Err(ChurnError::Duplicate { event });
+    }
+    Ok(())
 }
 
 /// Run SLRH on `scenario` with full churn: machines joining (`arrivals`)
-/// and leaving (`losses`) at arbitrary times.
-///
-/// Arriving machines are scenario members whose timelines are blocked
-/// until their arrival instant — they contribute no capacity before it
-/// and the mapper's availability check excludes them naturally. The same
-/// machine may arrive and later be lost (arrival strictly first).
+/// and leaving (`losses`) at arbitrary times — [`run_slrh_with`] on a
+/// throwaway context, with the trace checked by [`Churn::new`].
 ///
 /// # Panics
-/// Panics on duplicate machines within either event list, on losing every
-/// machine, or on a machine lost before it arrives.
+/// Panics with the [`ChurnError`] when the trace is rejected.
 pub fn run_slrh_churn<'a>(
     scenario: &'a Scenario,
     config: &SlrhConfig,
     losses: &[MachineLossEvent],
     arrivals: &[MachineArrivalEvent],
-) -> DynamicOutcome<'a> {
-    run_slrh_churn_in(scenario, config, losses, arrivals, &mut RunContext::new())
-}
-
-/// [`run_slrh_churn`] on a reusable [`RunContext`] (see
-/// [`crate::mapper::run_slrh_in`]); results are bit-identical.
-pub fn run_slrh_churn_in<'a>(
-    scenario: &'a Scenario,
-    config: &SlrhConfig,
-    losses: &[MachineLossEvent],
-    arrivals: &[MachineArrivalEvent],
-    ctx: &mut RunContext,
-) -> DynamicOutcome<'a> {
-    churn_inner(scenario, config, losses, arrivals, ctx, None)
-}
-
-/// [`run_slrh_churn_in`] with a per-tick observer (see
-/// [`crate::mapper::run_slrh_observed`]): every executed clock tick of
-/// every segment is reported, in clock order across loss boundaries.
-/// Results are bit-identical to the unobserved run.
-pub fn run_slrh_churn_observed<'a>(
-    scenario: &'a Scenario,
-    config: &SlrhConfig,
-    losses: &[MachineLossEvent],
-    arrivals: &[MachineArrivalEvent],
-    ctx: &mut RunContext,
-    observer: &mut dyn FnMut(TickEvent),
-) -> DynamicOutcome<'a> {
-    churn_inner(scenario, config, losses, arrivals, ctx, Some(observer))
-}
-
-fn churn_inner<'a>(
-    scenario: &'a Scenario,
-    config: &SlrhConfig,
-    losses: &[MachineLossEvent],
-    arrivals: &[MachineArrivalEvent],
-    ctx: &mut RunContext,
-    observer: Option<&mut dyn FnMut(TickEvent)>,
-) -> DynamicOutcome<'a> {
-    let (state, losses) = prepare(scenario, losses, arrivals, ctx);
-    // One frontier for the whole run, synchronised *after* the arrival
-    // blocks: what it learns survives segment boundaries.
-    let frontier = ctx.frontier_for(&state, config.scale);
-    drive_segments(state, config, &losses, frontier, Time::ZERO, observer)
-}
-
-/// Check the churn trace and build the run's initial state on `ctx`:
-/// arriving machines blocked until they join. Returns the state and the
-/// losses in `(at, machine)` order.
-pub(crate) fn prepare<'a>(
-    scenario: &'a Scenario,
-    losses: &[MachineLossEvent],
-    arrivals: &[MachineArrivalEvent],
-    ctx: &mut RunContext,
-) -> (SimState<'a>, Vec<MachineLossEvent>) {
-    let mut arrivals = arrivals.to_vec();
-    arrivals.sort_by_key(|e| (e.machine, e.at));
-    for w in arrivals.windows(2) {
-        assert_ne!(w[0].machine, w[1].machine, "machine arrives twice");
-    }
-    for a in &arrivals {
-        if let Some(l) = losses.iter().find(|l| l.machine == a.machine) {
-            assert!(
-                a.at < l.at,
-                "{} lost at {} before arriving at {}",
-                a.machine,
-                l.at,
-                a.at
-            );
-        }
-    }
-    let mut events = losses.to_vec();
-    events.sort_by_key(|e| (e.at, e.machine));
-    for w in events.windows(2) {
-        assert_ne!(w[0].machine, w[1].machine, "machine lost twice");
-    }
-    assert!(
-        events.len() < scenario.grid.len(),
-        "cannot lose every machine"
-    );
-
-    let mut state = ctx.state(scenario);
-    for a in &arrivals {
-        if a.at > Time::ZERO {
-            state.block_until(a.machine, a.at);
-        }
-    }
-    (state, events)
+) -> SlrhOutcome<'a> {
+    let churn =
+        Churn::new(losses, arrivals, scenario.grid.len()).unwrap_or_else(|e| panic!("{e}"));
+    run_slrh_with(scenario, config, &churn, &mut RunContext::new(), None)
 }
 
 /// Drive the clock loop from `start` across the `(at, machine)`-sorted
@@ -219,7 +298,7 @@ pub(crate) fn drive_segments<'a, K: Kernel>(
     kernel: &mut K,
     start: Time,
     mut observer: Option<&mut dyn FnMut(TickEvent)>,
-) -> DynamicOutcome<'a> {
+) -> SlrhOutcome<'a> {
     let mut stats = RunStats::default();
     let mut disruptions = Vec::new();
     let mut now = start;
@@ -247,7 +326,7 @@ pub(crate) fn drive_segments<'a, K: Kernel>(
     }
     drive(&mut state, &mut run, &mut stats, kernel, now, None, observer);
 
-    DynamicOutcome {
+    SlrhOutcome {
         state,
         stats,
         disruptions,
@@ -499,7 +578,7 @@ mod tests {
             machine: MachineId(3),
             at,
         }];
-        let out = run_slrh_dynamic(&sc, &config(), &events);
+        let out = run_slrh_churn(&sc, &config(), &events, &[]);
         let errs = validate(&out.state);
         assert!(errs.is_empty(), "{errs:?}");
         let loss_errs = validate_loss(&out.state, &events);
@@ -519,7 +598,7 @@ mod tests {
             machine: MachineId(1),
             at: Time::ZERO,
         }];
-        let out = run_slrh_dynamic(&sc, &config(), &events);
+        let out = run_slrh_churn(&sc, &config(), &events, &[]);
         assert!(validate(&out.state).is_empty());
         assert!(out
             .state
@@ -537,7 +616,7 @@ mod tests {
             machine: MachineId(0),
             at: Time(sc.tau.0 / 8),
         }];
-        let out = run_slrh_dynamic(&sc, &config(), &events);
+        let out = run_slrh_churn(&sc, &config(), &events, &[]);
         assert!(validate(&out.state).is_empty());
         assert!(
             out.metrics().t100 <= baseline.metrics().t100,
@@ -555,7 +634,7 @@ mod tests {
             machine: MachineId(2),
             at: aet + adhoc_grid::units::Dur(1_000),
         }];
-        let out = run_slrh_dynamic(&sc, &config(), &events);
+        let out = run_slrh_churn(&sc, &config(), &events, &[]);
         assert_eq!(out.metrics().t100, baseline.metrics().t100);
         assert_eq!(out.metrics().mapped, baseline.metrics().mapped);
     }
@@ -598,50 +677,57 @@ mod tests {
         assert!(validate_loss(&out.state, &losses).is_empty());
     }
 
+    /// Every way a trace is rejected, with the message a broker client
+    /// sees for it, plus the accepted arrive-then-lose case.
     #[test]
-    #[should_panic(expected = "lost at")]
-    fn loss_before_arrival_rejected() {
-        let sc = scenario(16);
-        let arrivals = [MachineArrivalEvent {
-            machine: MachineId(2),
-            at: Time(1_000),
-        }];
-        let losses = [MachineLossEvent {
-            machine: MachineId(2),
-            at: Time(500),
-        }];
-        let _ = run_slrh_churn(&sc, &config(), &losses, &arrivals);
-    }
-
-    #[test]
-    #[should_panic(expected = "machine lost twice")]
-    fn duplicate_events_rejected() {
-        let sc = scenario(16);
-        let events = [
-            MachineLossEvent {
-                machine: MachineId(0),
-                at: Time(10),
-            },
-            MachineLossEvent {
-                machine: MachineId(0),
-                at: Time(20),
-            },
+    fn churn_new_rejects_each_malformed_trace_with_its_message() {
+        type Pairs = &'static [(usize, u64)];
+        let cases: [(Pairs, Pairs, &str); 7] = [
+            (&[(99, 10)], &[], "loss names machine 99 of 4"),
+            (&[], &[(4, 10)], "arrival names machine 4 of 4"),
+            (&[(0, 10), (0, 20)], &[], "duplicate loss machine"),
+            (&[], &[(1, 10), (1, 20)], "duplicate arrival machine"),
+            (
+                &[(0, 10), (1, 10), (2, 10), (3, 10)],
+                &[],
+                "cannot lose every machine",
+            ),
+            (
+                &[(2, 500)],
+                &[(2, 1_000)],
+                "machine 2 lost at 500 before arriving at 1000",
+            ),
+            (
+                &[(2, 500)],
+                &[(2, 500)],
+                "machine 2 lost at 500 before arriving at 500",
+            ),
         ];
-        let _ = run_slrh_dynamic(&sc, &config(), &events);
+        for (losses, arrivals, message) in cases {
+            let err = Churn::from_pairs(losses.iter().copied(), arrivals.iter().copied(), 4)
+                .expect_err(message);
+            assert_eq!(err.to_string(), message);
+        }
+        let ok = Churn::from_pairs([(3, 900), (1, 400)], [(3, 100)], 4).expect("arrive, then lose");
+        assert_eq!(ok.losses()[0], MachineLossEvent::from((1, 400)), "sorted by time");
+        assert_eq!(ok.arrivals(), [MachineArrivalEvent::from((3, 100))]);
+        assert_eq!(Churn::new(&[], &[], 0), Ok(Churn::default()));
+    }
+
+    /// A machine the grid does not have used to surface as a slice-index
+    /// panic inside `SimState::mark_lost`.
+    #[test]
+    #[should_panic(expected = "loss names machine 99 of 4")]
+    fn an_out_of_range_machine_is_a_churn_error_not_an_index_panic() {
+        let sc = scenario(16);
+        let _ = run_slrh_churn(&sc, &config(), &[MachineLossEvent::from((99, 10))], &[]);
     }
 
     #[test]
-    #[should_panic(expected = "cannot lose every machine")]
-    fn losing_all_machines_rejected() {
-        let sc = scenario(16);
-        let events: Vec<MachineLossEvent> = sc
-            .grid
-            .ids()
-            .map(|machine| MachineLossEvent {
-                machine,
-                at: Time(10),
-            })
-            .collect();
-        let _ = run_slrh_dynamic(&sc, &config(), &events);
+    #[should_panic(expected = "churn trace checked against 4 machines, the grid has 3")]
+    fn a_trace_checked_for_a_larger_grid_is_refused() {
+        let sc = Scenario::generate(&ScenarioParams::paper_scaled(16), GridCase::B, 0, 0);
+        let churn = Churn::from_pairs([(3, 10)], [], 4).unwrap();
+        let _ = run_slrh_with(&sc, &config(), &churn, &mut RunContext::new(), None);
     }
 }

@@ -1,7 +1,7 @@
 //! The candidate-selection kernel: an incrementally maintained
 //! ready-frontier answering "best startable candidate for machine `j`
 //! now" for every driver ([`crate::mapper`], [`crate::dynamic`],
-//! [`crate::adaptive`], [`crate::open`]).
+//! [`crate::open`]).
 //!
 //! The paper's definition re-derives the candidate pool `U` from the
 //! ready set on every `(machine, tick)` query ([`crate::pool`]):

@@ -35,6 +35,7 @@ use lagrange::weights::{Objective, Weights};
 
 use crate::config::{SlrhConfig, SlrhVariant, Trigger};
 use crate::context::RunContext;
+use crate::dynamic::{drive_segments, Churn};
 
 /// Counters describing one run's work (the paper's "heuristic execution
 /// time" proxy that is independent of the host machine).
@@ -64,15 +65,21 @@ pub struct RunStats {
     pub sweeps_elided: u64,
 }
 
-/// The result of an SLRH run: the final simulation state plus counters.
+/// The result of an SLRH run — the only outcome type, whatever the grid
+/// did meanwhile: the final simulation state plus counters.
 #[derive(Debug)]
 pub struct SlrhOutcome<'a> {
     /// Final state (schedule, ledger, metrics).
     pub state: SimState<'a>,
-    /// Work counters.
+    /// Work counters, summed across every churn segment.
     pub stats: RunStats,
+    /// Per machine loss, in the order applied: `(effective time,
+    /// subtasks invalidated)`. Empty on a frozen grid.
+    pub disruptions: Vec<(Time, usize)>,
     /// The objective weights in force when the run ended. Identical to
-    /// the configured weights unless online adaptation moved them.
+    /// the configured weights unless online adaptation moved them; one
+    /// armed configuration spans the whole run, so adapted weights carry
+    /// *across* loss segments.
     pub final_weights: Weights,
 }
 
@@ -93,7 +100,9 @@ impl gridsim::MappingOutcome for SlrhOutcome<'_> {
     }
 }
 
-/// Run the configured SLRH variant to completion on `scenario`.
+/// Run the configured SLRH variant to completion on `scenario`, on a
+/// frozen grid: [`run_slrh_with`] with no churn, a throwaway context
+/// and no observer.
 ///
 /// ```
 /// use adhoc_grid::workload::{Scenario, ScenarioParams};
@@ -110,15 +119,16 @@ impl gridsim::MappingOutcome for SlrhOutcome<'_> {
 /// assert!(m.t100 <= m.mapped);
 /// ```
 pub fn run_slrh<'a>(scenario: &'a Scenario, config: &SlrhConfig) -> SlrhOutcome<'a> {
-    run_slrh_in(scenario, config, &mut RunContext::new())
+    run_slrh_with(scenario, config, &Churn::default(), &mut RunContext::new(), None)
 }
 
-/// One executed clock tick, as observed by [`run_slrh_observed`].
+/// One executed clock tick, as seen by [`run_slrh_with`]'s observer.
 ///
-/// Emitted once per tick the loop actually ran, in clock order, after
-/// the tick's machine sweep. Observation is pure: an observed run is
-/// bit-identical to the same run without an observer.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+/// Emitted once per tick the loop actually ran, in clock order (across
+/// loss boundaries too), after the tick's machine sweep. Observation is
+/// pure: an observed run is bit-identical to the same run without an
+/// observer.
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct TickEvent {
     /// The clock value the tick ran at.
     pub clock: Time,
@@ -128,48 +138,34 @@ pub struct TickEvent {
     pub mapped: usize,
     /// Mappings committed during this tick.
     pub commits: u64,
+    /// The objective weights the tick's sweep ran on — after the tick's
+    /// adaptation step, when it had one. Sampling this is how a caller
+    /// records the weight trajectory of an adaptive run.
+    pub weights: Weights,
 }
 
-/// [`run_slrh_in`] with a per-tick observer — the hook the broker daemon
-/// uses to stream live progress events to clients while a mapping runs.
-pub fn run_slrh_observed<'a>(
+/// The one way to run SLRH: map `scenario` under `config` while the grid
+/// churns per `churn` (the default [`Churn`] is the paper's frozen
+/// grid), on `ctx`'s recycled buffers, reporting every executed clock
+/// tick to `observer` when one is given — the hook the broker daemon
+/// uses to stream live progress while a mapping runs.
+///
+/// The state and the candidate frontier are built on the context's
+/// storage instead of fresh allocations; results are bit-identical
+/// whatever the context held before. Reclaim the outcome's state with
+/// [`RunContext::reclaim`] to keep the buffers cycling. One frontier
+/// spans the whole run, synchronised *after* the arrival blocks, so what
+/// it learns survives segment boundaries.
+pub fn run_slrh_with<'a>(
     scenario: &'a Scenario,
     config: &SlrhConfig,
-    ctx: &mut RunContext,
-    observer: &mut dyn FnMut(TickEvent),
-) -> SlrhOutcome<'a> {
-    run_inner(scenario, config, ctx, Some(observer))
-}
-
-/// [`run_slrh`] on a reusable [`RunContext`]: the state and the
-/// candidate frontier are built on the context's recycled buffers
-/// instead of fresh allocations. Results are bit-identical to
-/// [`run_slrh`]. Reclaim the outcome's state with
-/// [`RunContext::reclaim`] to keep the buffers cycling.
-pub fn run_slrh_in<'a>(
-    scenario: &'a Scenario,
-    config: &SlrhConfig,
-    ctx: &mut RunContext,
-) -> SlrhOutcome<'a> {
-    run_inner(scenario, config, ctx, None)
-}
-
-fn run_inner<'a>(
-    scenario: &'a Scenario,
-    config: &SlrhConfig,
+    churn: &Churn,
     ctx: &mut RunContext,
     observer: Option<&mut dyn FnMut(TickEvent)>,
 ) -> SlrhOutcome<'a> {
-    let mut state = ctx.state(scenario);
-    let mut stats = RunStats::default();
-    let mut run = config.armed();
-    let frontier = ctx.frontier_for(&state, run.scale);
-    drive(&mut state, &mut run, &mut stats, frontier, Time::ZERO, None, observer);
-    SlrhOutcome {
-        state,
-        stats,
-        final_weights: run.objective.weights,
-    }
+    let state = churn.initial_state(scenario, ctx);
+    let frontier = ctx.frontier_for(&state, config.scale);
+    drive_segments(state, config, churn.losses(), frontier, Time::ZERO, observer)
 }
 
 /// The candidate-selection kernel the clock loop queries. Every product
@@ -231,8 +227,9 @@ pub(crate) trait Kernel {
 
 /// Advance the SLRH clock loop on an existing state from `start_clock`
 /// until completion, τ, or `stop_at` (exclusive). Returns the clock value
-/// at which the loop stopped. This is the building block shared by the
-/// plain, adaptive, dynamic and open drivers.
+/// at which the loop stopped. This is the building block under
+/// [`crate::dynamic::drive_segments`], which every driver (closed, churn,
+/// open, reference) goes through.
 ///
 /// The configuration is mutable because online adaptation (when the
 /// config carries an [`crate::config::Adaptation`] block) rewrites the
@@ -315,6 +312,7 @@ pub(crate) fn drive<K: Kernel>(
                     tick,
                     mapped: state.mapped_count(),
                     commits: 0,
+                    weights: config.objective.weights,
                 });
             }
             now += config.dt;
@@ -350,6 +348,7 @@ pub(crate) fn drive<K: Kernel>(
                 tick,
                 mapped: state.mapped_count(),
                 commits: stats.commits - commits_before,
+                weights: config.objective.weights,
             });
         }
 
@@ -554,8 +553,13 @@ mod tests {
             let cfg = config(variant);
             let plain = run_slrh(&sc, &cfg);
             let mut events = Vec::new();
-            let observed =
-                run_slrh_observed(&sc, &cfg, &mut RunContext::new(), &mut |e| events.push(e));
+            let observed = run_slrh_with(
+                &sc,
+                &cfg,
+                &Churn::default(),
+                &mut RunContext::new(),
+                Some(&mut |e| events.push(e)),
+            );
             assert_eq!(format!("{:?}", observed.state.schedule()), format!("{:?}", plain.state.schedule()));
             assert_eq!(observed.stats, plain.stats);
             assert_eq!(events.len() as u64, plain.stats.clock_steps, "{variant}");
@@ -567,6 +571,8 @@ mod tests {
             let total: u64 = events.iter().map(|e| e.commits).sum();
             assert_eq!(total, plain.stats.commits, "{variant}");
             assert_eq!(events.last().unwrap().mapped, plain.state.mapped_count());
+            assert!(events.iter().all(|e| e.weights == cfg.objective.weights));
+            assert!(plain.disruptions.is_empty());
         }
     }
 
@@ -920,6 +926,51 @@ mod tests {
             assert!(eliding.end >= stop && eliding.end.0 < stop.0 + 10);
             assert!(eliding.stats.sweeps_elided > 0);
         }
+    }
+
+    /// The adaptive configuration the retired trace front end built:
+    /// constant steps of 0.25 once per `interval` ticks of clock.
+    fn adaptive(base: SlrhConfig, interval: u64) -> SlrhConfig {
+        use crate::config::Adaptation;
+        base.with_adaptation(Adaptation {
+            every: interval / base.dt.0,
+            ..Adaptation::default()
+        })
+    }
+
+    #[test]
+    fn adaptive_run_completes_and_validates() {
+        let sc = scenario(64);
+        let base = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.2).unwrap());
+        let out = run_slrh(&sc, &adaptive(base, 500));
+        assert!(out.metrics().fully_mapped());
+        let errs = validate(&out.state);
+        assert!(errs.is_empty(), "{errs:?}");
+    }
+
+    #[test]
+    fn slack_run_decays_penalties() {
+        // Plenty of time and energy: predicted violations are negative,
+        // so λ decays and α grows toward 1.
+        let params = ScenarioParams::paper_scaled(48).with_tau(Time::from_seconds(1_000_000));
+        let sc = Scenario::generate(&params, GridCase::A, 0, 0);
+        let base = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.4, 0.4).unwrap());
+        let out = run_slrh(&sc, &adaptive(base, 100));
+        if out.stats.weight_updates > 0 {
+            let w = out.final_weights;
+            assert!(
+                w.alpha() >= 0.4 - 1e-9,
+                "alpha should not shrink in a slack run, got {w}"
+            );
+        }
+    }
+
+    #[test]
+    fn violation_prediction_extrapolates() {
+        let sc = scenario(32);
+        let state = SimState::new(&sc);
+        // Nothing mapped: no signal.
+        assert_eq!(predicted_violations(&state, Time::ZERO), [0.0, 0.0]);
     }
 
     #[test]

@@ -49,7 +49,7 @@ use gridsim::state::SimState;
 
 use crate::config::SlrhConfig;
 use crate::context::RunContext;
-use crate::dynamic::{drive_segments, MachineArrivalEvent, MachineLossEvent};
+use crate::dynamic::{drive_segments, Churn};
 use crate::mapper::RunStats;
 
 /// Slack applied to budget comparisons (float sums of priced seconds).
@@ -172,22 +172,20 @@ fn add_stats(total: &mut RunStats, part: &RunStats) {
 pub type JobHook<'a> = &'a mut dyn FnMut(&SimState<'_>, &OpenJobReport);
 
 /// Run the open system: schedule every job in `params.jobs` with the
-/// SLRH configuration `config` on the shared grid, under machine churn
-/// (`losses`/`arrivals`, same preconditions as
-/// [`crate::dynamic::run_slrh_churn`]). `on_job` (when given) observes
-/// each job's final [`SimState`] alongside its report before the
-/// state's buffers are recycled — the stress harness's per-job oracle
-/// hook.
+/// SLRH configuration `config` on the shared grid, under the machine
+/// churn of `churn` (checked against the grid of `params.case`).
+/// `on_job` (when given) observes each job's final [`SimState`]
+/// alongside its report before the state's buffers are recycled — the
+/// stress harness's per-job oracle hook.
 ///
 /// # Panics
-/// Panics on duplicate job ids, on churn traces the churn API rejects,
-/// and on a config with `clusters > 1` (the approximate clustered mode
-/// has no open-system oracle).
+/// Panics when [`OpenParams::check`] rejects the trace, and on a config
+/// with `clusters > 1` (the approximate clustered mode has no
+/// open-system oracle).
 pub fn run_open_in(
     params: &OpenParams,
     config: &SlrhConfig,
-    losses: &[MachineLossEvent],
-    arrivals: &[MachineArrivalEvent],
+    churn: &Churn,
     ctx: &mut RunContext,
     mut on_job: Option<JobHook<'_>>,
 ) -> OpenOutcome {
@@ -195,37 +193,15 @@ pub fn run_open_in(
         config.scale.clusters <= 1,
         "open-system runs do not support the clustered (clusters > 1) kernel"
     );
+    if let Err(e) = params.check() {
+        panic!("{e}");
+    }
     let machines = adhoc_grid::config::GridConfig::case(params.case).len();
-
-    // Same churn preconditions as `churn_inner`, checked once up front.
-    let mut arrivals = arrivals.to_vec();
-    arrivals.sort_by_key(|e| (e.machine, e.at));
-    for w in arrivals.windows(2) {
-        assert_ne!(w[0].machine, w[1].machine, "machine arrives twice");
-    }
-    for a in &arrivals {
-        if let Some(l) = losses.iter().find(|l| l.machine == a.machine) {
-            assert!(
-                a.at < l.at,
-                "{} lost at {} before arriving at {}",
-                a.machine,
-                l.at,
-                a.at
-            );
-        }
-    }
-    let mut losses = losses.to_vec();
-    losses.sort_by_key(|e| (e.at, e.machine));
-    for w in losses.windows(2) {
-        assert_ne!(w[0].machine, w[1].machine, "machine lost twice");
-    }
-    assert!(losses.len() < machines, "cannot lose every machine");
+    churn.assert_fits(machines);
+    let (losses, arrivals) = (churn.losses(), churn.arrivals());
 
     let mut jobs = params.jobs.clone();
     jobs.sort_by_key(|j| (j.at, j.id));
-    for w in jobs.windows(2) {
-        assert_ne!(w[0].id, w[1].id, "duplicate job id");
-    }
 
     let bg = Background::generate(machines, &params.bg);
     let mut next_free = vec![Time::ZERO; machines];
@@ -257,7 +233,7 @@ pub fn run_open_in(
         // loop adapts (when configured) from the configured starting
         // weights, and every loss is applied to every job.
         let start = Time(job.at.0.div_ceil(config.dt.0) * config.dt.0);
-        let out = drive_segments(state, config, &losses, frontier, start, None);
+        let out = drive_segments(state, config, losses, frontier, start, None);
         let state = out.state;
         let mut job_invalidated = 0usize;
         for (total, &(_, n)) in disruptions.iter_mut().zip(&out.disruptions) {
@@ -319,13 +295,8 @@ pub fn run_open_in(
 }
 
 /// [`run_open_in`] on a throwaway context.
-pub fn run_open(
-    params: &OpenParams,
-    config: &SlrhConfig,
-    losses: &[MachineLossEvent],
-    arrivals: &[MachineArrivalEvent],
-) -> OpenOutcome {
-    run_open_in(params, config, losses, arrivals, &mut RunContext::new(), None)
+pub fn run_open(params: &OpenParams, config: &SlrhConfig, churn: &Churn) -> OpenOutcome {
+    run_open_in(params, config, churn, &mut RunContext::new(), None)
 }
 
 #[cfg(test)]
@@ -368,7 +339,7 @@ mod tests {
             vec![job(3, 0, JobKind::Dag, 24, 300_000)],
             BackgroundParams::none(),
         );
-        let open = run_open(&p, &config(), &[], &[]);
+        let open = run_open(&p, &config(), &Churn::default());
         assert_eq!(open.jobs.len(), 1);
 
         let sc = p.job_scenario(&p.jobs[0]);
@@ -396,8 +367,7 @@ mod tests {
         let out = run_open_in(
             &p,
             &config(),
-            &[],
-            &[],
+            &Churn::default(),
             &mut RunContext::new(),
             Some(&mut |state: &SimState<'_>, r: &OpenJobReport| {
                 assert!(validate(state).is_empty());
@@ -434,8 +404,7 @@ mod tests {
         run_open_in(
             &p,
             &config(),
-            &[],
-            &[],
+            &Churn::default(),
             &mut RunContext::new(),
             Some(&mut |state: &SimState<'_>, _r: &OpenJobReport| {
                 for a in state.schedule().assignments() {
@@ -454,11 +423,11 @@ mod tests {
     fn budget_verdicts_follow_cost() {
         let mut j = job(0, 0, JobKind::Bag, 10, 300_000);
         j.budget = Some(1e12);
-        let generous = run_open(&p_with(j), &config(), &[], &[]);
+        let generous = run_open(&p_with(j), &config(), &Churn::default());
         assert_eq!(generous.jobs[0].within_budget, Some(true));
 
         j.budget = Some(0.5);
-        let stingy = run_open(&p_with(j), &config(), &[], &[]);
+        let stingy = run_open(&p_with(j), &config(), &Churn::default());
         assert_eq!(stingy.jobs[0].within_budget, Some(false));
         assert!(stingy.jobs[0].cost > 0.5);
 
@@ -479,29 +448,31 @@ mod tests {
             job(1, 2_000, JobKind::Dag, 16, 300_000),
         ];
         let p = open_params(jobs, BackgroundParams::none());
-        let losses = [MachineLossEvent {
-            machine: MachineId(3),
-            at: Time(10_000),
-        }];
+        let churn = Churn::from_pairs([(3, 10_000)], [], 4).unwrap();
         let out = run_open_in(
             &p,
             &config(),
-            &losses,
-            &[],
+            &churn,
             &mut RunContext::new(),
             Some(&mut |state: &SimState<'_>, _r: &OpenJobReport| {
                 assert!(validate(state).is_empty());
-                let errs = crate::dynamic::validate_loss(
-                    state,
-                    &[MachineLossEvent {
-                        machine: MachineId(3),
-                        at: Time(10_000),
-                    }],
-                );
+                let errs = crate::dynamic::validate_loss(state, churn.losses());
                 assert!(errs.is_empty(), "{errs:?}");
             }),
         );
         assert_eq!(out.disruptions.len(), 1);
+    }
+
+    /// An out-of-range machine cannot reach the driver unchecked (it
+    /// used to die in `SimState::mark_lost`): `Churn::new` rejects it,
+    /// and a trace checked for a bigger grid is refused up front.
+    #[test]
+    #[should_panic(expected = "churn trace checked against 4 machines, the grid has 3")]
+    fn a_trace_checked_for_a_larger_grid_is_refused() {
+        let mut p = open_params(vec![job(0, 0, JobKind::Dag, 8, 100_000)], BackgroundParams::none());
+        p.case = GridCase::B;
+        let churn = Churn::from_pairs([(3, 10_000)], [], 4).unwrap();
+        let _ = run_open(&p, &config(), &churn);
     }
 
     #[test]
@@ -520,12 +491,11 @@ mod tests {
             seed: 5,
         };
         let p = open_params(trace, bg);
-        let a = run_open(&p, &config(), &[], &[]);
+        let a = run_open(&p, &config(), &Churn::default());
         let b = run_open_in(
             &p,
             &config(),
-            &[],
-            &[],
+            &Churn::default(),
             &mut RunContext::new(),
             None,
         );
@@ -541,6 +511,6 @@ mod tests {
             job(0, 50, JobKind::Dag, 8, 1_000),
         ];
         let p = open_params(jobs, BackgroundParams::none());
-        let _ = run_open(&p, &config(), &[], &[]);
+        let _ = run_open(&p, &config(), &Churn::default());
     }
 }

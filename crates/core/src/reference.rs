@@ -31,11 +31,9 @@ use lagrange::weights::Objective;
 
 use crate::config::SlrhConfig;
 use crate::context::RunContext;
-use crate::dynamic::{
-    drive_segments, prepare, DynamicOutcome, MachineArrivalEvent, MachineLossEvent,
-};
+use crate::dynamic::{drive_segments, Churn};
 use crate::frontier::Frontier;
-use crate::mapper::{Kernel, RunStats, TickEvent};
+use crate::mapper::{Kernel, RunStats, SlrhOutcome, TickEvent};
 use crate::pool::{build_pool_with, Pool};
 
 /// Which reference kernel to run.
@@ -47,28 +45,28 @@ pub enum Kind {
     Resort,
 }
 
-/// [`crate::dynamic::run_slrh_churn_in`] with the candidate kernel
-/// replaced by reference `kind` (no losses and no arrivals is the closed
-/// system). Schedule, metrics, disruptions, `clock_steps` and `commits`
-/// must equal the product run's — and so must the [`TickEvent`] stream
-/// `observer` sees, tick for tick: neither reference kernel ever hands
-/// the loop a wake time, so they run every sweep the product loop
-/// elides. The work counters legitimately differ.
+/// [`crate::mapper::run_slrh_with`] with the candidate kernel replaced
+/// by reference `kind`. Schedule, metrics, disruptions, `clock_steps` and
+/// `commits` must equal the product run's — and so must the
+/// [`TickEvent`] stream `observer` sees, tick for tick, adapted weights
+/// included: neither reference kernel ever hands the loop a wake time,
+/// so they run every sweep the product loop elides. The work counters
+/// legitimately differ.
 pub fn run<'a>(
     kind: Kind,
     scenario: &'a Scenario,
     config: &SlrhConfig,
-    losses: &[MachineLossEvent],
-    arrivals: &[MachineArrivalEvent],
+    churn: &Churn,
     ctx: &mut RunContext,
     observer: Option<&mut dyn FnMut(TickEvent)>,
-) -> DynamicOutcome<'a> {
-    let (state, losses) = prepare(scenario, losses, arrivals, ctx);
+) -> SlrhOutcome<'a> {
+    let state = churn.initial_state(scenario, ctx);
+    let losses = churn.losses();
     match kind {
-        Kind::Scratch => drive_segments(state, config, &losses, &mut Scratch, Time::ZERO, observer),
+        Kind::Scratch => drive_segments(state, config, losses, &mut Scratch, Time::ZERO, observer),
         Kind::Resort => {
             let mut frontier = Frontier::new(&state, config.scale).resort_only();
-            drive_segments(state, config, &losses, &mut frontier, Time::ZERO, observer)
+            drive_segments(state, config, losses, &mut frontier, Time::ZERO, observer)
         }
     }
 }

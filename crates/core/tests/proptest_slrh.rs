@@ -11,7 +11,10 @@ use lagrange::weights::Weights;
 use proptest::prelude::*;
 use slrh::dynamic::validate_loss;
 use slrh::reference::{self, Kind};
-use slrh::{run_slrh, run_slrh_dynamic, MachineLossEvent, RunContext, SlrhConfig, SlrhVariant};
+use slrh::{
+    run_slrh, run_slrh_churn, run_slrh_with, Adaptation, Churn, MachineLossEvent, RunContext,
+    SlrhConfig, SlrhVariant,
+};
 
 fn weights() -> impl Strategy<Value = Weights> {
     (0.0f64..1.0, 0.0f64..1.0)
@@ -90,7 +93,7 @@ proptest! {
                 events.push(MachineLossEvent { machine: MachineId(bit), at });
             }
         }
-        let out = run_slrh_dynamic(&sc, &cfg, &events);
+        let out = run_slrh_churn(&sc, &cfg, &events, &[]);
         let errs = validate(&out.state);
         prop_assert!(errs.is_empty(), "physical: {errs:?}");
         let loss_errs = validate_loss(&out.state, &events);
@@ -108,7 +111,7 @@ proptest! {
             machine: MachineId(machine),
             at: Time::ZERO,
         }];
-        let out = run_slrh_dynamic(&sc, &cfg, &events);
+        let out = run_slrh_churn(&sc, &cfg, &events, &[]);
         prop_assert!(out
             .state
             .schedule()
@@ -138,9 +141,10 @@ proptest! {
             machine: MachineId(machine),
             at: Time(sc.tau.0 / frac),
         }];
-        let product = run_slrh_dynamic(&sc, &cfg, &events);
+        let churn = Churn::new(&events, &[], sc.grid.len()).expect("one loss on four machines");
+        let product = run_slrh_with(&sc, &cfg, &churn, &mut RunContext::new(), None);
         for kind in [Kind::Scratch, Kind::Resort] {
-            let oracle = reference::run(kind, &sc, &cfg, &events, &[], &mut RunContext::new(), None);
+            let oracle = reference::run(kind, &sc, &cfg, &churn, &mut RunContext::new(), None);
             prop_assert_eq!(
                 format!("{:?}", product.state.schedule()),
                 format!("{:?}", oracle.state.schedule()),
@@ -183,15 +187,24 @@ proptest! {
         w in weights(),
         interval in 50u64..2_000,
     ) {
-        use slrh::{run_adaptive_slrh, AdaptiveConfig};
         let sc = Scenario::generate(&ScenarioParams::paper_scaled(24), GridCase::C, 1, 0);
-        let mut cfg = AdaptiveConfig::new(SlrhConfig::paper(SlrhVariant::V1, w));
-        cfg.control_interval = Dur(interval);
-        let out = run_adaptive_slrh(&sc, &cfg);
+        let base = SlrhConfig::paper(SlrhVariant::V1, w);
+        let cfg = base.with_adaptation(Adaptation {
+            every: interval / base.dt.0,
+            ..Adaptation::default()
+        });
+        let mut trace = Vec::new();
+        let out = run_slrh_with(
+            &sc,
+            &cfg,
+            &Churn::default(),
+            &mut RunContext::new(),
+            Some(&mut |e| trace.push(e.weights)),
+        );
         let errs = validate(&out.state);
         prop_assert!(errs.is_empty(), "{errs:?}");
-        // Every traced weight stays on the simplex.
-        for (_, tw) in &out.weight_trace {
+        // Every weight the loop ran on stays on the simplex.
+        for tw in &trace {
             prop_assert!(tw.alpha() + tw.beta() <= 1.0 + 1e-9);
             prop_assert!(tw.gamma() >= -1e-12);
         }

@@ -343,6 +343,34 @@ pub struct OpenParams {
 }
 
 impl OpenParams {
+    /// The preconditions of an open-system run, checked here for the
+    /// driver, the CLI, the broker and the stress harness alike: a
+    /// non-empty trace of uniquely-numbered jobs, each with at least one
+    /// subtask and a positive deadline, under a background model the
+    /// inflation formula can bound.
+    pub fn check(&self) -> Result<(), String> {
+        if self.jobs.is_empty() {
+            return Err("arrival trace needs at least one job".into());
+        }
+        let mut ids: Vec<u64> = self.jobs.iter().map(|j| j.id).collect();
+        ids.sort_unstable();
+        if ids.windows(2).any(|w| w[0] == w[1]) {
+            return Err("duplicate job id in arrival trace".into());
+        }
+        for j in &self.jobs {
+            if j.tasks == 0 {
+                return Err(format!("job {} has no tasks", j.id));
+            }
+            if j.deadline.0 == 0 {
+                return Err(format!("job {} has a zero deadline", j.id));
+            }
+        }
+        if self.bg.max_util_eighths > 6 {
+            return Err("background utilization capped at 6/8".into());
+        }
+        Ok(())
+    }
+
     /// The job's self-contained scenario on the shared grid: its own
     /// ETC/DAG/data artifacts (seeded by the job id), τ set to the
     /// job's *absolute* deadline, and machines carrying their full
@@ -510,6 +538,38 @@ mod tests {
         });
         assert_eq!(bag.dag.edge_count(), 0);
         assert_eq!(bag.tasks(), 16);
+    }
+
+    #[test]
+    fn check_names_each_broken_precondition() {
+        let job = |id: u64| JobArrival {
+            id,
+            at: Time(10 * id),
+            kind: JobKind::Dag,
+            tasks: 8,
+            deadline: Dur(1000),
+            budget: None,
+        };
+        let good = OpenParams {
+            case: GridCase::A,
+            master_seed: seed::MASTER_SEED,
+            jobs: vec![job(0), job(1)],
+            bg: BackgroundParams::none(),
+        };
+        assert_eq!(good.check(), Ok(()));
+        let broken = |edit: &dyn Fn(&mut OpenParams)| {
+            let mut p = good.clone();
+            edit(&mut p);
+            p.check().unwrap_err()
+        };
+        assert_eq!(broken(&|p| p.jobs.clear()), "arrival trace needs at least one job");
+        assert_eq!(broken(&|p| p.jobs[1].id = 0), "duplicate job id in arrival trace");
+        assert_eq!(broken(&|p| p.jobs[1].tasks = 0), "job 1 has no tasks");
+        assert_eq!(broken(&|p| p.jobs[0].deadline = Dur(0)), "job 0 has a zero deadline");
+        assert_eq!(
+            broken(&|p| p.bg.max_util_eighths = 7),
+            "background utilization capped at 6/8"
+        );
     }
 
     #[test]

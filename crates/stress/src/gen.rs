@@ -26,10 +26,7 @@ pub const STREAM_FUZZ: u64 = 0xF022;
 
 /// Number of machines in each grid case's machine mix.
 pub fn grid_len(case: GridCase) -> usize {
-    match case {
-        GridCase::A => 4,
-        GridCase::B | GridCase::C => 3,
-    }
+    adhoc_grid::config::GridConfig::case(case).len()
 }
 
 /// Deterministically generate the fuzz case for `fuzz_seed`.

@@ -14,7 +14,7 @@ use gridsim::validate::validate;
 use lagrange::weights::{Objective, ObjectiveInputs, Weights};
 use slrh::{
     dynamic::{validate_arrivals, validate_loss},
-    MachineArrivalEvent, MachineLossEvent, SlrhConfig, Trigger,
+    Churn, SlrhConfig, Trigger,
 };
 
 /// Relative float tolerance for cross-checks that re-sum energies in a
@@ -41,17 +41,13 @@ pub fn check_validator(state: &SimState<'_>) -> Vec<String> {
 /// The churn contract: nothing remains on a lost machine from its loss
 /// instant onward, and nothing touches an arriving machine before its
 /// arrival instant.
-pub fn check_churn(
-    state: &SimState<'_>,
-    losses: &[MachineLossEvent],
-    arrivals: &[MachineArrivalEvent],
-) -> Vec<String> {
-    let mut failures: Vec<String> = validate_loss(state, losses)
+pub fn check_churn(state: &SimState<'_>, churn: &Churn) -> Vec<String> {
+    let mut failures: Vec<String> = validate_loss(state, churn.losses())
         .into_iter()
         .map(|e| format!("churn-loss: {e}"))
         .collect();
     failures.extend(
-        validate_arrivals(state, arrivals)
+        validate_arrivals(state, churn.arrivals())
             .into_iter()
             .map(|e| format!("churn-arrival: {e}")),
     );
@@ -196,11 +192,10 @@ pub fn check_all(
     state: &SimState<'_>,
     weights: Weights,
     config: Option<&SlrhConfig>,
-    losses: &[MachineLossEvent],
-    arrivals: &[MachineArrivalEvent],
+    churn: &Churn,
 ) -> Vec<String> {
     let mut failures = check_validator(state);
-    failures.extend(check_churn(state, losses, arrivals));
+    failures.extend(check_churn(state, churn));
     failures.extend(check_battery(state));
     if let Some(config) = config {
         failures.extend(check_horizon_gate(state, config));
@@ -227,7 +222,7 @@ mod tests {
         let sc = Scenario::generate(&ScenarioParams::paper_scaled(24), GridCase::A, 0, 0);
         let config = SlrhConfig::paper(SlrhVariant::V2, weights());
         let out = slrh::run_slrh(&sc, &config);
-        let failures = check_all(&out.state, weights(), Some(&config), &[], &[]);
+        let failures = check_all(&out.state, weights(), Some(&config), &Churn::default());
         assert_eq!(failures, Vec::<String>::new());
     }
 
@@ -235,16 +230,9 @@ mod tests {
     fn churned_run_passes_every_oracle() {
         let sc = Scenario::generate(&ScenarioParams::paper_scaled(24), GridCase::A, 1, 1);
         let config = SlrhConfig::paper(SlrhVariant::V1, weights());
-        let losses = [MachineLossEvent {
-            machine: MachineId(1),
-            at: Time(57),
-        }];
-        let arrivals = [MachineArrivalEvent {
-            machine: MachineId(3),
-            at: Time(57),
-        }];
-        let out = slrh::run_slrh_churn(&sc, &config, &losses, &arrivals);
-        let failures = check_all(&out.state, weights(), Some(&config), &losses, &arrivals);
+        let churn = Churn::from_pairs([(1, 57)], [(3, 57)], sc.grid.len()).unwrap();
+        let out = slrh::run_slrh_with(&sc, &config, &churn, &mut slrh::RunContext::new(), None);
+        let failures = check_all(&out.state, weights(), Some(&config), &churn);
         assert_eq!(failures, Vec::<String>::new());
     }
 
@@ -276,11 +264,8 @@ mod tests {
         });
         st.commit(&plan);
         // Claim machine 0 was lost before that work finished.
-        let losses = [MachineLossEvent {
-            machine: MachineId(0),
-            at: Time(10),
-        }];
-        let failures = check_churn(&st, &losses, &[]);
+        let churn = Churn::from_pairs([(0, 10)], [], sc.grid.len()).unwrap();
+        let failures = check_churn(&st, &churn);
         assert!(
             failures.iter().any(|f| f.starts_with("churn-loss:")),
             "{failures:?}"

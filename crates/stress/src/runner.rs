@@ -4,9 +4,9 @@
 //!
 //! Differential arms per case:
 //!
-//! * **fresh vs reused context** — `run_slrh_churn` on a throwaway
-//!   [`RunContext`] against `run_slrh_churn_in` on the campaign's
-//!   long-lived context. The context recycles buffers across *every*
+//! * **fresh vs reused context** — `run_slrh_with` on a throwaway
+//!   [`RunContext`] against the same call on the campaign's long-lived
+//!   context. The context recycles buffers across *every*
 //!   case of the campaign, so a single stale carry-over anywhere shows
 //!   up as a signature mismatch here.
 //! * **frontier vs reference kernels** — the same run through
@@ -44,9 +44,7 @@ use lagrange::weights::Objective;
 use rayon::prelude::*;
 use slrh::open::{run_open, run_open_in, OpenJobReport, OpenOutcome, COST_EPS};
 use slrh::reference::{self, Kind};
-use slrh::{
-    run_slrh_churn, run_slrh_churn_in, Adaptation, DynamicOutcome, RunContext, SlrhVariant,
-};
+use slrh::{run_slrh_with, Adaptation, Churn, RunContext, SlrhOutcome, SlrhVariant};
 
 use crate::oracle;
 use crate::spec::CaseSpec;
@@ -83,19 +81,22 @@ impl RunReport {
 /// `ctx` should be the campaign's long-lived context — its reuse across
 /// cases is itself under test.
 pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
-    if let Err(e) = spec.check() {
-        return RunReport {
-            seed: spec.seed,
-            failures: vec![format!("spec: {e}")],
-            signature: String::new(),
-            clock_steps: 0,
-            sweeps_elided: 0,
-        };
-    }
+    let churn = match spec.check().and_then(|()| spec.churn().map_err(|e| e.to_string())) {
+        Ok(churn) => churn,
+        Err(e) => {
+            return RunReport {
+                seed: spec.seed,
+                failures: vec![format!("spec: {e}")],
+                signature: String::new(),
+                clock_steps: 0,
+                sweeps_elided: 0,
+            }
+        }
+    };
+    let churn = &churn;
+    let no_churn = &Churn::default();
 
     let sc = spec.scenario();
-    let losses = spec.loss_events();
-    let arrivals = spec.arrival_events();
     let weights = spec.weights();
 
     let mut failures = Vec::new();
@@ -108,8 +109,8 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         let tag = format!("slrh-{variant:?}");
         let config = spec.config(variant);
 
-        let fresh = run_slrh_churn(&sc, &config, &losses, &arrivals);
-        let reused = run_slrh_churn_in(&sc, &config, &losses, &arrivals, ctx);
+        let fresh = run_slrh_with(&sc, &config, churn, &mut RunContext::new(), None);
+        let reused = run_slrh_with(&sc, &config, churn, ctx, None);
         let fresh_sig = dynamic_signature(&fresh, true);
         let reused_sig = dynamic_signature(&reused, true);
         if fresh_sig != reused_sig {
@@ -119,12 +120,12 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         }
 
         for kind in [Kind::Scratch, Kind::Resort] {
-            let oracle = reference::run(kind, &sc, &config, &losses, &arrivals, ctx, None);
+            let oracle = reference::run(kind, &sc, &config, churn, ctx, None);
             failures.extend(reference_mismatch(&tag, kind, &fresh, &oracle));
             ctx.reclaim(oracle.state);
         }
 
-        for f in oracle::check_all(&fresh.state, weights, Some(&config), &losses, &arrivals) {
+        for f in oracle::check_all(&fresh.state, weights, Some(&config), churn) {
             failures.push(format!("{tag}: {f}"));
         }
 
@@ -148,8 +149,8 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
             rule: StepRule::Constant { a: 0.0 },
             ..Adaptation::default()
         });
-        let legacy = run_slrh_churn_in(&sc, &legacy_cfg, &losses, &arrivals, ctx);
-        let inert = run_slrh_churn_in(&sc, &inert_cfg, &losses, &arrivals, ctx);
+        let legacy = run_slrh_with(&sc, &legacy_cfg, churn, ctx, None);
+        let inert = run_slrh_with(&sc, &inert_cfg, churn, ctx, None);
         let legacy_sig = dynamic_signature(&legacy, true);
         if legacy_sig != dynamic_signature(&inert, true) {
             failures.push(format!(
@@ -176,7 +177,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         let config = spec.config(SlrhVariant::V1);
         let adaptive_under = |threads: usize| -> String {
             pool(threads).install(|| {
-                let out = run_slrh_churn(&sc, &config, &losses, &arrivals);
+                let out = run_slrh_with(&sc, &config, churn, &mut RunContext::new(), None);
                 dynamic_signature(&out, true)
             })
         };
@@ -216,7 +217,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
             let jtag = format!("{tag}: job {}", r.job.id);
             for f in oracle::check_validator(state)
                 .into_iter()
-                .chain(oracle::check_churn(state, &losses, &arrivals))
+                .chain(oracle::check_churn(state, churn))
                 .chain(oracle::check_battery(state))
                 .chain(oracle::check_horizon_gate(state, &config))
             {
@@ -257,14 +258,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
                 ledger[t.from.0] += t.energy;
             }
         };
-        let fresh = run_open_in(
-            &params,
-            &config,
-            &losses,
-            &arrivals,
-            &mut RunContext::new(),
-            Some(&mut hook),
-        );
+        let fresh = run_open_in(&params, &config, churn, &mut RunContext::new(), Some(&mut hook));
         failures.extend(job_failures);
 
         // Multi-job ledger conservation: the outcome's final per-machine
@@ -280,7 +274,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
 
         // Fresh vs campaign-long-lived context, on full outcome equality
         // (reports, stats, disruptions and the energy ledger).
-        let reused = run_open_in(&params, &config, &losses, &arrivals, ctx, None);
+        let reused = run_open_in(&params, &config, churn, ctx, None);
         if fresh != reused {
             failures.push(format!(
                 "{tag}: differential-context: fresh and reused-context open runs diverge"
@@ -289,7 +283,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
 
         // 1-thread vs 4-thread forced rayon pools.
         let open_under = |threads: usize| -> OpenOutcome {
-            pool(threads).install(|| run_open(&params, &config, &losses, &arrivals))
+            pool(threads).install(|| run_open(&params, &config, churn))
         };
         if open_under(1) != open_under(4) {
             failures.push(format!(
@@ -308,10 +302,10 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
             bg: BackgroundParams::none(),
             ..params.clone()
         };
-        let open_one = run_open_in(&degenerate, &config, &[], &[], ctx, None);
+        let open_one = run_open_in(&degenerate, &config, no_churn, ctx, None);
         let sc_one = degenerate.job_scenario(&first);
-        let closed = run_slrh_churn_in(&sc_one, &config, &[], &[], ctx);
-        let oracle = reference::run(Kind::Scratch, &sc_one, &config, &[], &[], ctx, None);
+        let closed = run_slrh_with(&sc_one, &config, no_churn, ctx, None);
+        let oracle = reference::run(Kind::Scratch, &sc_one, &config, no_churn, ctx, None);
         failures.extend(reference_mismatch(tag, Kind::Scratch, &closed, &oracle));
         ctx.reclaim(oracle.state);
         let r = &open_one.jobs[0];
@@ -387,7 +381,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
                     $name
                 ));
             }
-            for f in oracle::check_all(&fresh.state, weights, None, &[], &[]) {
+            for f in oracle::check_all(&fresh.state, weights, None, no_churn) {
                 failures.push(format!("{}: {f}", $name));
             }
             fingerprint.update(&fresh_sig);
@@ -463,8 +457,8 @@ pub(crate) fn pool(threads: usize) -> rayon::ThreadPool {
 pub(crate) fn reference_mismatch(
     tag: &str,
     kind: Kind,
-    product: &DynamicOutcome<'_>,
-    oracle: &DynamicOutcome<'_>,
+    product: &SlrhOutcome<'_>,
+    oracle: &SlrhOutcome<'_>,
 ) -> Option<String> {
     if dynamic_signature(product, false) != dynamic_signature(oracle, false) {
         return Some(format!(
@@ -486,7 +480,7 @@ pub(crate) fn reference_mismatch(
 /// the work counters are included (fresh-vs-reused-context must agree on
 /// everything); without, only schedule + metrics + disruptions (the
 /// reference arms legitimately differ in work accounting).
-pub(crate) fn dynamic_signature(out: &DynamicOutcome<'_>, with_stats: bool) -> String {
+pub(crate) fn dynamic_signature(out: &SlrhOutcome<'_>, with_stats: bool) -> String {
     let mut s = String::new();
     push_schedule(&mut s, out.state.schedule());
     push_metrics(&mut s, &out.state.metrics());

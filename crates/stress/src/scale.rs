@@ -29,18 +29,13 @@
 //! so CI smoke runs stay bounded while the full ladder reaches the
 //! 100k-task / 1000-machine design point.
 
-use adhoc_grid::config::MachineId;
 use adhoc_grid::scale::ScaleParams;
 use adhoc_grid::seed;
-use adhoc_grid::units::Time;
 use lagrange::weights::Weights;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slrh::reference::{self, Kind};
-use slrh::{
-    run_slrh_churn, run_slrh_churn_in, MachineLossEvent, RunContext, ScaleMode, SlrhConfig,
-    SlrhVariant,
-};
+use slrh::{run_slrh_with, Churn, RunContext, ScaleMode, SlrhConfig, SlrhVariant};
 
 use crate::oracle;
 use crate::runner::{dynamic_signature, pool, reference_mismatch};
@@ -163,14 +158,8 @@ pub fn generate_scale(fuzz_seed: u64, max_tasks: usize) -> ScaleCase {
 /// Run one scale case through every oracle.
 pub fn run_scale_seed(case: &ScaleCase, ctx: &mut RunContext) -> ScaleReport {
     let sc = ScaleParams::new(case.tasks, case.machines).generate(case.etc_id, case.dag_id);
-    let losses: Vec<MachineLossEvent> = case
-        .losses
-        .iter()
-        .map(|&(m, at)| MachineLossEvent {
-            machine: MachineId(m),
-            at: Time(at),
-        })
-        .collect();
+    let churn = &Churn::from_pairs(case.losses.iter().copied(), [], case.machines)
+        .expect("the generator loses each machine at most once and never all of them");
 
     let config = SlrhConfig::paper(SlrhVariant::V1, case.weights).with_scale(ScaleMode {
         clusters: case.clusters,
@@ -179,12 +168,12 @@ pub fn run_scale_seed(case: &ScaleCase, ctx: &mut RunContext) -> ScaleReport {
     let mut failures = Vec::new();
     // The main run is pinned to one scan thread so the 4-thread arm below
     // is a real differential whatever the ambient width.
-    let frontier = pool(1).install(|| run_slrh_churn_in(&sc, &config, &losses, &[], ctx));
+    let frontier = pool(1).install(|| run_slrh_with(&sc, &config, churn, ctx, None));
     let metrics = frontier.state.metrics();
     if metrics.mapped == 0 {
         failures.push("scale: progress: the frontier run mapped nothing".to_string());
     }
-    for f in oracle::check_all(&frontier.state, case.weights, Some(&config), &losses, &[]) {
+    for f in oracle::check_all(&frontier.state, case.weights, Some(&config), churn) {
         failures.push(format!("scale: {f}"));
     }
 
@@ -192,7 +181,7 @@ pub fn run_scale_seed(case: &ScaleCase, ctx: &mut RunContext) -> ScaleReport {
     // optimization of the paper's pool walk and must replay it
     // bit-for-bit. Bounded to sizes where the walk is affordable.
     if case.tasks <= DIFF_MAX_TASKS && case.clusters == 1 {
-        let walk = reference::run(Kind::Scratch, &sc, &config, &losses, &[], ctx, None);
+        let walk = reference::run(Kind::Scratch, &sc, &config, churn, ctx, None);
         failures.extend(reference_mismatch("scale", Kind::Scratch, &frontier, &walk));
         ctx.reclaim(walk.state);
     }
@@ -203,11 +192,12 @@ pub fn run_scale_seed(case: &ScaleCase, ctx: &mut RunContext) -> ScaleReport {
     // schedule, metrics and disruptions byte-for-byte at every
     // clustering.
     if case.tasks <= ABLATION_DIFF_MAX_TASKS {
-        let resort = reference::run(Kind::Resort, &sc, &config, &losses, &[], ctx, None);
+        let resort = reference::run(Kind::Resort, &sc, &config, churn, ctx, None);
         failures.extend(reference_mismatch("scale", Kind::Resort, &frontier, &resort));
         ctx.reclaim(resort.state);
 
-        let quad = pool(4).install(|| run_slrh_churn(&sc, &config, &losses, &[]));
+        let quad =
+            pool(4).install(|| run_slrh_with(&sc, &config, churn, &mut RunContext::new(), None));
         if dynamic_signature(&frontier, true) != dynamic_signature(&quad, true) {
             failures.push(
                 "scale: differential-scan: the 4-thread run diverges from the 1-thread run"

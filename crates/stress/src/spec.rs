@@ -11,12 +11,12 @@
 //! `f64` bit patterns (hex), so a decoded spec re-runs bit-identically.
 
 use adhoc_grid::arrival::{BackgroundParams, JobArrival, OpenParams};
-use adhoc_grid::config::{GridCase, MachineId};
+use adhoc_grid::config::{GridCase, GridConfig};
 use adhoc_grid::io::kv;
 use adhoc_grid::units::{Dur, Time};
 use adhoc_grid::workload::{Scenario, ScenarioParams};
 use lagrange::weights::Weights;
-use slrh::{Adaptation, MachineArrivalEvent, MachineLossEvent, SlrhConfig, SlrhVariant};
+use slrh::{Adaptation, Churn, ChurnError, SlrhConfig, SlrhVariant};
 
 /// One churn event: machine `machine` at tick `at`.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -111,26 +111,16 @@ impl CaseSpec {
         cfg
     }
 
-    /// The loss events, in spec order.
-    pub fn loss_events(&self) -> Vec<MachineLossEvent> {
-        self.losses
-            .iter()
-            .map(|e| MachineLossEvent {
-                machine: MachineId(e.machine),
-                at: Time(e.at),
-            })
-            .collect()
-    }
-
-    /// The arrival events, in spec order.
-    pub fn arrival_events(&self) -> Vec<MachineArrivalEvent> {
-        self.arrivals
-            .iter()
-            .map(|e| MachineArrivalEvent {
-                machine: MachineId(e.machine),
-                at: Time(e.at),
-            })
-            .collect()
+    /// The case's churn trace, checked against its grid case.
+    pub fn churn(&self) -> Result<Churn, ChurnError> {
+        fn pairs(events: &[ChurnEvent]) -> impl Iterator<Item = (usize, u64)> + '_ {
+            events.iter().map(|e| (e.machine, e.at))
+        }
+        Churn::from_pairs(
+            pairs(&self.losses),
+            pairs(&self.arrivals),
+            GridConfig::case(self.case).len(),
+        )
     }
 
     /// The open-system instance the case names, when it carries one.
@@ -287,30 +277,9 @@ impl CaseSpec {
         fn req<T>(name: &str, v: Option<T>) -> Result<T, String> {
             v.ok_or_else(|| format!("missing {name}"))
         }
-        let adaptation = match adapt_rule {
-            Some(rule) => {
-                let defaults = Adaptation::default();
-                Some(Adaptation {
-                    rule,
-                    every: adapt_every.unwrap_or(defaults.every),
-                    min_alpha: adapt_amin.unwrap_or(defaults.min_alpha),
-                    max_multiplier: adapt_lmax.unwrap_or(defaults.max_multiplier),
-                    warm_start: adapt_warm,
-                })
-            }
-            None => {
-                if adapt_every.is_some()
-                    || adapt_amin.is_some()
-                    || adapt_lmax.is_some()
-                    || adapt_warm.is_some()
-                {
-                    return Err("adapt_every/adapt_amin/adapt_lmax/adapt_warm \
-                                require adapt_rule"
-                        .into());
-                }
-                None
-            }
-        };
+        let adaptation =
+            Adaptation::from_parts(adapt_rule, adapt_every, adapt_amin, adapt_lmax, adapt_warm)
+                .map_err(|e| format!("adaptation: {e}"))?;
         let open = match (open_jobs.is_empty(), open_bg) {
             (false, Some(bg)) => Some(OpenSpec { jobs: open_jobs, bg }),
             (true, None) => None,
@@ -336,74 +305,25 @@ impl CaseSpec {
         })
     }
 
-    /// Sanity-check the spec against the churn API's preconditions
-    /// (duplicate machines, losing the whole grid, loss before arrival),
-    /// so corpus edits fail with a message instead of a panic mid-run.
+    /// Check the spec against every precondition of the APIs it drives,
+    /// each by calling the rule's owner, so corpus edits fail with a
+    /// message instead of a panic mid-run.
     pub fn check(&self) -> Result<(), String> {
-        let grid_len = match self.case {
-            GridCase::A => 4,
-            GridCase::B | GridCase::C => 3,
-        };
         if self.tasks == 0 {
             return Err("tasks must be positive".into());
         }
-        if self.dt == 0 || self.horizon == 0 {
-            return Err("dt and horizon must be positive".into());
+        let weights = Weights::new(self.alpha, self.beta)
+            .map_err(|_| format!("invalid weights ({}, {})", self.alpha, self.beta))?;
+        SlrhConfig::builder(SlrhVariant::V1, weights)
+            .dt(Dur(self.dt))
+            .horizon(Dur(self.horizon))
+            .adaptation(self.adaptation)
+            .build()
+            .map_err(|e| format!("config: {e}"))?;
+        if let Some(params) = self.open_params() {
+            params.check().map_err(|e| format!("open: {e}"))?;
         }
-        if Weights::new(self.alpha, self.beta).is_err() {
-            return Err(format!("invalid weights ({}, {})", self.alpha, self.beta));
-        }
-        if let Some(ad) = &self.adaptation {
-            ad.check().map_err(|e| format!("adaptation: {e}"))?;
-        }
-        if let Some(open) = &self.open {
-            if open.jobs.is_empty() {
-                return Err("open block carries no jobs".into());
-            }
-            let mut ids: Vec<u64> = open.jobs.iter().map(|j| j.id).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            if ids.len() != open.jobs.len() {
-                return Err("duplicate open job id".into());
-            }
-            for j in &open.jobs {
-                if j.tasks == 0 {
-                    return Err(format!("open job {} has no subtasks", j.id));
-                }
-                if j.deadline == Dur(0) {
-                    return Err(format!("open job {} has a zero deadline", j.id));
-                }
-            }
-            if open.bg.max_util_eighths > 6 {
-                return Err("open background utilization capped at 6/8".into());
-            }
-        }
-        if self.losses.len() >= grid_len {
-            return Err("cannot lose every machine".into());
-        }
-        for (list, what) in [(&self.losses, "loss"), (&self.arrivals, "arrival")] {
-            for e in list.iter() {
-                if e.machine >= grid_len {
-                    return Err(format!("{what} names machine {} of {grid_len}", e.machine));
-                }
-            }
-            let mut ms: Vec<usize> = list.iter().map(|e| e.machine).collect();
-            ms.sort_unstable();
-            ms.dedup();
-            if ms.len() != list.len() {
-                return Err(format!("duplicate {what} machine"));
-            }
-        }
-        for a in &self.arrivals {
-            if let Some(l) = self.losses.iter().find(|l| l.machine == a.machine) {
-                if a.at >= l.at {
-                    return Err(format!(
-                        "machine {} lost at {} before arriving at {}",
-                        a.machine, l.at, a.at
-                    ));
-                }
-            }
-        }
+        self.churn().map_err(|e| e.to_string())?;
         Ok(())
     }
 }
@@ -512,7 +432,7 @@ mod tests {
         let text = format!("{}adapt_every=3\n", spec.encode());
         assert!(CaseSpec::decode(&text)
             .unwrap_err()
-            .contains("require adapt_rule"));
+            .contains("require an adaptation rule"));
         let mut bad = sample();
         bad.adaptation = Some(Adaptation { every: 0, ..Adaptation::default() });
         assert!(bad.check().unwrap_err().contains("adaptation"));
@@ -558,10 +478,10 @@ mod tests {
         assert_eq!(spec.check(), Ok(()));
         let mut dup = spec.clone();
         dup.open.as_mut().unwrap().jobs[1].id = 0;
-        assert!(dup.check().unwrap_err().contains("duplicate open job"));
+        assert!(dup.check().unwrap_err().contains("open: duplicate job id"));
         let mut empty = spec.clone();
         empty.open.as_mut().unwrap().jobs.clear();
-        assert!(empty.check().unwrap_err().contains("no jobs"));
+        assert!(empty.check().unwrap_err().contains("at least one job"));
         let mut zero = spec.clone();
         zero.open.as_mut().unwrap().jobs[0].deadline = Dur(0);
         assert!(zero.check().unwrap_err().contains("zero deadline"));

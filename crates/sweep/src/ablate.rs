@@ -21,7 +21,7 @@ use adhoc_grid::workload::{Scenario, ScenarioParams};
 use gridsim::metrics::Metrics;
 use lagrange::weights::{AetSign, Weights};
 use slrh::{
-    run_adaptive_slrh, run_slrh_in, AdaptiveConfig, MachineOrder, RunContext, SlrhConfig,
+    run_slrh_with, Adaptation, Churn, MachineOrder, RunContext, SlrhConfig, SlrhOutcome,
     SlrhVariant,
 };
 
@@ -29,10 +29,14 @@ use slrh::{
 /// Every ablation arm below runs the mapper several times back to back;
 /// sharing one [`RunContext`] keeps those arms allocation-flat.
 fn metrics_in(scenario: &Scenario, cfg: &SlrhConfig, ctx: &mut RunContext) -> Metrics {
-    let out = run_slrh_in(scenario, cfg, ctx);
+    let out = run_in(scenario, cfg, ctx);
     let m = out.metrics();
     ctx.reclaim(out.state);
     m
+}
+
+fn run_in<'a>(scenario: &'a Scenario, cfg: &SlrhConfig, ctx: &mut RunContext) -> SlrhOutcome<'a> {
+    run_slrh_with(scenario, cfg, &Churn::default(), ctx, None)
 }
 
 /// A2: run SLRH-1 with both AET-term signs at the same weights.
@@ -97,10 +101,10 @@ pub fn trigger_mode(
     let clock_cfg = SlrhConfig::paper(SlrhVariant::V1, weights);
     let event_cfg = clock_cfg.event_driven();
     let mut ctx = RunContext::new();
-    let clock = run_slrh_in(scenario, &clock_cfg, &mut ctx);
+    let clock = run_in(scenario, &clock_cfg, &mut ctx);
     let (clock_metrics, clock_steps) = (clock.metrics(), clock.stats.clock_steps);
     ctx.reclaim(clock.state);
-    let event = run_slrh_in(scenario, &event_cfg, &mut ctx);
+    let event = run_in(scenario, &event_cfg, &mut ctx);
     let (event_metrics, event_steps) = (event.metrics(), event.stats.clock_steps);
     ctx.reclaim(event.state);
     (clock_metrics, clock_steps, event_metrics, event_steps)
@@ -156,7 +160,9 @@ pub fn machine_order(
 
 /// A4: on each case, compare SLRH-1 at fixed default weights, at
 /// case-tuned weights, and with the adaptive controller started from the
-/// defaults. Returns `(fixed_default, fixed_tuned, adaptive)` metrics.
+/// defaults (constant steps of 0.25 every 50 ticks of the loop, i.e.
+/// every 500 clock cycles). Returns `(fixed_default, fixed_tuned,
+/// adaptive)` metrics.
 pub fn adaptive_vs_fixed(
     scenario: &Scenario,
     default_weights: Weights,
@@ -164,12 +170,15 @@ pub fn adaptive_vs_fixed(
 ) -> (Metrics, Metrics, Metrics) {
     let default_cfg = SlrhConfig::paper(SlrhVariant::V1, default_weights);
     let tuned_cfg = SlrhConfig::paper(SlrhVariant::V1, tuned_weights);
-    let adaptive_cfg = AdaptiveConfig::new(default_cfg);
+    let adaptive_cfg = default_cfg.with_adaptation(Adaptation {
+        every: 50,
+        ..Adaptation::default()
+    });
     let mut ctx = RunContext::new();
     (
         metrics_in(scenario, &default_cfg, &mut ctx),
         metrics_in(scenario, &tuned_cfg, &mut ctx),
-        run_adaptive_slrh(scenario, &adaptive_cfg).metrics(),
+        metrics_in(scenario, &adaptive_cfg, &mut ctx),
     )
 }
 

@@ -10,7 +10,7 @@ use grid_baselines::{
 use gridsim::metrics::Metrics;
 use gridsim::MappingOutcome;
 use lagrange::weights::{Objective, Weights};
-use slrh::{run_slrh_in, RunContext, SlrhConfig, SlrhVariant};
+use slrh::{run_slrh_with, Churn, RunContext, SlrhConfig, SlrhVariant};
 
 /// Every heuristic the harness can run.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -111,6 +111,16 @@ impl Heuristic {
         matches!(self, Heuristic::DbcCost | Heuristic::DbcTime)
     }
 
+    /// The SLRH variant behind the heuristic, when there is one.
+    pub fn slrh_variant(self) -> Option<SlrhVariant> {
+        match self {
+            Heuristic::Slrh1 => Some(SlrhVariant::V1),
+            Heuristic::Slrh2 => Some(SlrhVariant::V2),
+            Heuristic::Slrh3 => Some(SlrhVariant::V3),
+            _ => None,
+        }
+    }
+
     /// True when the heuristic's behaviour depends on the objective
     /// weights (and therefore needs the Figure 3 weight search).
     pub fn uses_weights(self) -> bool {
@@ -138,93 +148,56 @@ impl Heuristic {
     /// carries capacity, never content.
     pub fn run_in(self, scenario: &Scenario, weights: Weights, ctx: &mut RunContext) -> RunResult {
         let start = Instant::now();
-        let mut cost = None;
-        // Each arm runs, times the mapping, snapshots the outcome and
-        // hands the state's buffers back to the context. The outcome
-        // types differ per arm (and own their state), so the snapshot
-        // is taken concretely rather than through `Box<dyn
-        // MappingOutcome>` — reclaiming requires moving the state out.
-        let (metrics, wall, work, valid) = match self {
-            Heuristic::Slrh1 | Heuristic::Slrh2 | Heuristic::Slrh3 => {
-                let variant = match self {
-                    Heuristic::Slrh1 => SlrhVariant::V1,
-                    Heuristic::Slrh2 => SlrhVariant::V2,
-                    _ => SlrhVariant::V3,
-                };
-                let out = run_slrh_in(scenario, &SlrhConfig::paper(variant, weights), ctx);
-                let snap = snapshot(&out, start);
-                ctx.reclaim(out.state);
-                snap
-            }
-            Heuristic::MaxMax => {
-                let out = run_maxmax_in(scenario, &Objective::paper(weights), ctx.buffers_mut());
-                let snap = snapshot(&out, start);
-                ctx.reclaim(out.state);
-                snap
-            }
-            Heuristic::Greedy => {
-                let out = run_greedy_in(scenario, ctx.buffers_mut());
-                let snap = snapshot(&out, start);
-                ctx.reclaim(out.state);
-                snap
-            }
-            Heuristic::Olb => {
-                let out = run_olb_in(scenario, ctx.buffers_mut());
-                let snap = snapshot(&out, start);
-                ctx.reclaim(out.state);
-                snap
-            }
-            Heuristic::MinMin => {
-                let out = run_minmin_in(scenario, ctx.buffers_mut());
-                let snap = snapshot(&out, start);
-                ctx.reclaim(out.state);
-                snap
-            }
-            Heuristic::Heft => {
-                let out = run_heft_in(scenario, ctx.buffers_mut());
-                let snap = snapshot(&out, start);
-                ctx.reclaim(out.state);
-                snap
-            }
+        if let Some(variant) = self.slrh_variant() {
+            let config = SlrhConfig::paper(variant, weights);
+            let out = run_slrh_with(scenario, &config, &Churn::default(), ctx, None);
+            let result = snapshot(&out, start);
+            ctx.reclaim(out.state);
+            return result;
+        }
+        // Every baseline returns the same outcome type: pick it, then
+        // snapshot and hand the state's buffers back once.
+        let buffers = ctx.buffers_mut();
+        let out = match self {
+            Heuristic::MaxMax => run_maxmax_in(scenario, &Objective::paper(weights), buffers),
+            Heuristic::Greedy => run_greedy_in(scenario, buffers),
+            Heuristic::Olb => run_olb_in(scenario, buffers),
+            Heuristic::MinMin => run_minmin_in(scenario, buffers),
+            Heuristic::Heft => run_heft_in(scenario, buffers),
             Heuristic::LrList => {
                 let cfg = LrListConfig {
                     weights,
                     ..LrListConfig::default()
                 };
-                let out = run_lr_list_in(scenario, &cfg, ctx.buffers_mut());
-                let snap = snapshot(&out, start);
-                ctx.reclaim(out.state);
-                snap
+                run_lr_list_in(scenario, &cfg, buffers)
             }
-            Heuristic::DbcCost | Heuristic::DbcTime => {
-                let mode = if self == Heuristic::DbcCost {
-                    DbcMode::Cost
-                } else {
-                    DbcMode::Time
-                };
-                let out = run_dbc_in(scenario, mode, ctx.buffers_mut());
-                let snap = snapshot(&out, start);
-                cost = Some(gridsim::cost::schedule_cost(scenario, out.state.schedule()));
-                ctx.reclaim(out.state);
-                snap
+            Heuristic::DbcCost => run_dbc_in(scenario, DbcMode::Cost, buffers),
+            Heuristic::DbcTime => run_dbc_in(scenario, DbcMode::Time, buffers),
+            Heuristic::Slrh1 | Heuristic::Slrh2 | Heuristic::Slrh3 => {
+                unreachable!("the SLRH variants returned above")
             }
         };
-        RunResult {
-            metrics,
-            wall,
-            work,
-            valid,
-            cost,
+        let mut result = snapshot(&out, start);
+        if self.prices_cost() {
+            result.cost = Some(gridsim::cost::schedule_cost(scenario, out.state.schedule()));
         }
+        ctx.reclaim(out.state);
+        result
     }
 }
 
-/// Snapshot a finished mapping outcome into the [`RunResult`] fields,
+/// Snapshot a finished mapping outcome into a [`RunResult`] (no cost),
 /// stopping the wall clock first so validation stays outside the timed
 /// section (matching [`Heuristic::run`]'s historical contract).
-fn snapshot(out: &impl MappingOutcome, start: Instant) -> (Metrics, Duration, u64, bool) {
+fn snapshot(out: &impl MappingOutcome, start: Instant) -> RunResult {
     let wall = start.elapsed();
-    (out.metrics(), wall, out.candidates_evaluated(), out.is_valid())
+    RunResult {
+        metrics: out.metrics(),
+        wall,
+        work: out.candidates_evaluated(),
+        valid: out.is_valid(),
+        cost: None,
+    }
 }
 
 impl std::fmt::Display for Heuristic {

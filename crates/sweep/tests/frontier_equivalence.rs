@@ -38,9 +38,8 @@ use lagrange::weights::Weights;
 use proptest::prelude::*;
 use slrh::reference::{self, Kind};
 use slrh::{
-    run_slrh, run_slrh_churn, run_slrh_churn_observed, Adaptation, DynamicOutcome,
-    MachineArrivalEvent, MachineLossEvent, MachineOrder, RunContext, ScaleMode, SlrhConfig,
-    SlrhVariant, TickEvent,
+    run_slrh, run_slrh_with, Adaptation, Churn, MachineArrivalEvent, MachineLossEvent,
+    MachineOrder, RunContext, ScaleMode, SlrhConfig, SlrhOutcome, SlrhVariant, TickEvent,
 };
 
 fn pool(threads: usize) -> rayon::ThreadPool {
@@ -55,7 +54,7 @@ fn pool(threads: usize) -> rayon::ThreadPool {
 /// counters only the loop trajectory is included: the frontier prunes
 /// candidates the pool walk plans, so `candidates_evaluated` differs
 /// even though every output bit matches.
-fn canonical(out: &DynamicOutcome<'_>) -> String {
+fn canonical(out: &SlrhOutcome<'_>) -> String {
     let mut s = String::new();
     writeln!(s, "metrics: {:?}", out.state.metrics()).unwrap();
     writeln!(s, "disruptions: {:?}", out.disruptions).unwrap();
@@ -134,48 +133,53 @@ fn losses(case: &Case, tau: u64) -> Vec<MachineLossEvent> {
         .collect()
 }
 
-/// The case's scale scenario and its loss events.
-fn scenario_and_losses(case: &Case) -> (Scenario, Vec<MachineLossEvent>) {
+/// The case's scale scenario and its checked churn trace.
+fn scenario_and_churn(case: &Case, arrivals: &[MachineArrivalEvent]) -> (Scenario, Churn) {
     let params = ScaleParams::new(case.tasks, case.machines);
     let sc = params.generate(case.etc_id, case.dag_id);
-    let losses = losses(case, params.tau().0);
-    (sc, losses)
+    let churn = Churn::new(&losses(case, params.tau().0), arrivals, case.machines)
+        .expect("generated traces are well-formed");
+    (sc, churn)
 }
 
 /// Run `cfg` on the case through the product kernel (`kind: None`) or a
-/// reference oracle.
+/// reference oracle, reporting every tick to `observer`.
+fn run_observed<'a>(
+    sc: &'a Scenario,
+    cfg: &SlrhConfig,
+    churn: &Churn,
+    kind: Option<Kind>,
+    observer: Option<&mut dyn FnMut(TickEvent)>,
+) -> SlrhOutcome<'a> {
+    let ctx = &mut RunContext::new();
+    match kind {
+        None => run_slrh_with(sc, cfg, churn, ctx, observer),
+        Some(kind) => reference::run(kind, sc, cfg, churn, ctx, observer),
+    }
+}
+
 fn run_with(
     case: &Case,
     cfg: &SlrhConfig,
     arrivals: &[MachineArrivalEvent],
     kind: Option<Kind>,
 ) -> String {
-    let (sc, losses) = scenario_and_losses(case);
-    canonical(&match kind {
-        None => run_slrh_churn(&sc, cfg, &losses, arrivals),
-        Some(kind) => {
-            reference::run(kind, &sc, cfg, &losses, arrivals, &mut RunContext::new(), None)
-        }
-    })
+    let (sc, churn) = scenario_and_churn(case, arrivals);
+    canonical(&run_observed(&sc, cfg, &churn, kind, None))
 }
 
-/// [`run_with`] observed: the `TickEvent` stream, the loop's counters
-/// (`clock_steps`, `queries`) and how many of the ticks were elided.
+/// [`run_with`] observed: the `TickEvent` stream — clock, commits and
+/// the weights each tick ran on — the loop's counters (`clock_steps`,
+/// `queries`) and how many of the ticks were elided.
 fn observe(
     case: &Case,
     cfg: &SlrhConfig,
     arrivals: &[MachineArrivalEvent],
     kind: Option<Kind>,
 ) -> (Vec<TickEvent>, (u64, u64), u64) {
-    let (sc, losses) = scenario_and_losses(case);
+    let (sc, churn) = scenario_and_churn(case, arrivals);
     let mut events = Vec::new();
-    let mut observer = |e: TickEvent| events.push(e);
-    let ctx = &mut RunContext::new();
-    let out = match kind {
-        None => run_slrh_churn_observed(&sc, cfg, &losses, arrivals, ctx, &mut observer),
-        Some(kind) => reference::run(kind, &sc, cfg, &losses, arrivals, ctx, Some(&mut observer)),
-    };
-    let st = out.stats;
+    let st = run_observed(&sc, cfg, &churn, kind, Some(&mut |e| events.push(e))).stats;
     (events, (st.clock_steps, st.queries), st.sweeps_elided)
 }
 
@@ -249,7 +253,10 @@ proptest! {
     /// swept on every tick) event for event, and so do the counters an
     /// elided tick has to keep — through one loss and one arrival (three
     /// segments, each opening with a real sweep), fixed weights and
-    /// online adaptation (whose steps land inside elided spans).
+    /// online adaptation (whose steps land inside elided spans). Every
+    /// event carries the weights its tick ran on, so stream equality
+    /// also proves the adapted weights agree with the reference's tick
+    /// for tick, not just at the end of the run.
     #[test]
     fn elided_sweeps_are_invisible_to_the_observer(
         case in case_strategy(),
@@ -334,7 +341,7 @@ fn the_paper_scale_job_elides_most_sweeps_and_the_oracles_none() {
         product.clock_steps
     );
     for kind in [Kind::Scratch, Kind::Resort] {
-        let oracle = reference::run(kind, &sc, &cfg, &[], &[], &mut RunContext::new(), None).stats;
+        let oracle = run_observed(&sc, &cfg, &Churn::default(), Some(kind), None).stats;
         assert_eq!(oracle.sweeps_elided, 0, "{kind:?}");
         assert_eq!(
             (oracle.clock_steps, oracle.queries, oracle.commits),

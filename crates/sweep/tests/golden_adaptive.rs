@@ -1,10 +1,15 @@
 //! Golden fixtures for the online-adaptation loop and the SA searcher.
 //!
-//! Two committed references pin the new behaviour bit-for-bit:
+//! Three committed references pin the behaviour bit-for-bit:
 //!
 //! * `golden/adaptive_run.txt` — a churn run with a live adaptation
 //!   block: full schedule, stats (including `weight_updates`), the
 //!   adapted final weights, under 1 and 4 worker threads;
+//! * `golden/adaptive_trace.txt` — the `(clock, weights)` trajectory,
+//!   stats and schedule the retired trace-recording front end
+//!   produced, blessed from it at the last commit that had it (PR 14)
+//!   and reproduced here by the one entry point plus an observer. Never
+//!   re-bless this one: its producer is gone;
 //! * `golden/sa_search.txt` — the seeded annealing search's winner,
 //!   `T100` and unique-evaluation count across a small scenario grid.
 //!
@@ -28,8 +33,8 @@ use lagrange::step::StepRule;
 use lagrange::weights::Weights;
 use rayon::ThreadPool;
 use slrh::{
-    run_slrh_churn, Adaptation, DynamicOutcome, MachineArrivalEvent, MachineLossEvent,
-    SlrhConfig, SlrhVariant,
+    run_slrh_churn, run_slrh_with, Adaptation, Churn, MachineArrivalEvent, MachineLossEvent,
+    RunContext, SlrhConfig, SlrhOutcome, SlrhVariant, TickEvent,
 };
 
 fn pool(threads: usize) -> ThreadPool {
@@ -70,7 +75,7 @@ fn assert_golden_differential<F: Fn() -> String>(name: &str, f: F) {
 /// Full deterministic serialization of a churn run, exactly the legacy
 /// golden suite's form plus the final-weights line (`{:?}` floats are
 /// shortest-roundtrip, so byte equality is bit equality).
-fn adaptive_canonical(out: &DynamicOutcome<'_>) -> String {
+fn adaptive_canonical(out: &SlrhOutcome<'_>) -> String {
     let mut s = String::new();
     let m = out.state.metrics();
     writeln!(s, "metrics: {m:?}").unwrap();
@@ -148,6 +153,76 @@ fn adaptive_churn_run_matches_blessed_reference() {
         );
         adaptive_canonical(&out)
     });
+}
+
+/// The retired front end cut the run into `control_interval`-tick
+/// segments and recorded the weights *between* segments: the starting
+/// weights at clock 0, then at each boundary the weights the segment
+/// just finished ran on, then — if the last adaptation step moved them —
+/// the final weights at the clock the loop stopped on. The in-loop
+/// controller steps at the *start* of each boundary tick, so the weights
+/// sampled from that tick's event are the next boundary's entry.
+fn weight_trace(sc: &Scenario, cfg: &SlrhConfig, out: &mut String) {
+    let every = cfg.adaptation.expect("an adaptive configuration").every;
+    let mut trace = Vec::new();
+    let mut sampled = cfg.objective.weights;
+    let mut last: Option<TickEvent> = None;
+    let mut observer = |e: TickEvent| {
+        if e.tick.is_multiple_of(every) {
+            trace.push((e.clock, sampled));
+            sampled = e.weights;
+        }
+        last = Some(e);
+    };
+    let run = run_slrh_with(sc, cfg, &Churn::default(), &mut RunContext::new(), Some(&mut observer));
+    let last = last.expect("the run ticked");
+    if trace.last().map(|&(_, w)| w) != Some(last.weights) {
+        trace.push((last.clock + cfg.dt, last.weights));
+    }
+    assert_eq!(run.final_weights, last.weights);
+
+    for (at, w) in &trace {
+        writeln!(out, "trace {} {:016x} {:016x}", at.0, w.alpha().to_bits(), w.beta().to_bits())
+            .unwrap();
+    }
+    // The legacy serialization minus its final-weights and disruptions
+    // lines: the trace ends on the former, a frozen grid has none of the
+    // latter.
+    for l in adaptive_canonical(&run).lines() {
+        if !l.starts_with("final-weights:") && !l.starts_with("disruptions:") {
+            writeln!(out, "{l}").unwrap();
+        }
+    }
+}
+
+#[test]
+fn the_retired_trace_front_end_is_reproduced_by_an_observer() {
+    let path = golden_path("adaptive_trace.txt");
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing fixture {path:?} ({e}); it cannot be re-blessed"));
+    let reproduce = || {
+        let mut out = String::new();
+        for case in [GridCase::A, GridCase::C] {
+            for interval in [100u64, 500] {
+                let sc = Scenario::generate(&ScenarioParams::paper_scaled(64), case, 0, 0);
+                let base = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap());
+                let cfg = base.with_adaptation(Adaptation {
+                    every: interval / base.dt.0,
+                    ..Adaptation::default()
+                });
+                writeln!(out, "== {case} control-interval={interval}").unwrap();
+                weight_trace(&sc, &cfg, &mut out);
+            }
+        }
+        out
+    };
+    for threads in [1, 4] {
+        assert_eq!(
+            pool(threads).install(reproduce),
+            expected,
+            "{threads} thread(s): the observer no longer reproduces the retired front end"
+        );
+    }
 }
 
 #[test]

@@ -25,8 +25,8 @@ use lagrange::weights::Weights;
 use rayon::ThreadPool;
 use slrh::reference::{self, Kind};
 use slrh::{
-    run_slrh_churn, DynamicOutcome, MachineArrivalEvent, MachineLossEvent, RunContext, SlrhConfig,
-    SlrhVariant,
+    run_slrh_churn, Churn, MachineArrivalEvent, MachineLossEvent, RunContext, SlrhConfig,
+    SlrhOutcome, SlrhVariant,
 };
 
 fn pool(threads: usize) -> ThreadPool {
@@ -76,7 +76,7 @@ fn assert_golden_differential<F: Fn() -> String>(name: &str, f: F) {
 /// counters, disruption sizes, and the complete schedule (assignments in
 /// task-id order, transfers in commit order). `{:?}` on floats is
 /// shortest-roundtrip, so byte equality is bit equality.
-fn churn_canonical(out: &DynamicOutcome<'_>) -> String {
+fn churn_canonical(out: &SlrhOutcome<'_>) -> String {
     let mut s = String::new();
     let m = out.state.metrics();
     writeln!(s, "metrics: {m:?}").unwrap();
@@ -184,7 +184,8 @@ fn churn_through_the_reference_walk_matches_pre_refactor_reference() {
             machine: MachineId(0),
             at: Time(sc.tau.0 / 3),
         }];
-        let out = reference::run(Kind::Scratch, &sc, &cfg, &losses, &[], &mut RunContext::new(), None);
+        let churn = Churn::new(&losses, &[], sc.grid.len()).expect("one loss on four machines");
+        let out = reference::run(Kind::Scratch, &sc, &cfg, &churn, &mut RunContext::new(), None);
         churn_canonical(&out)
     });
 }

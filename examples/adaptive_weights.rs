@@ -10,17 +10,19 @@
 //!
 //! 1. fixed default weights (what a deployment that cannot re-tune uses),
 //! 2. fixed per-case tuned weights (the paper's exhaustive search), and
-//! 3. the adaptive controller: weights re-derived every 50 simulated
-//!    seconds by projected dual ascent on the predicted energy/time
-//!    constraint violations,
+//! 3. the adaptive controller: an `Adaptation` block on the same
+//!    configuration, re-deriving the weights every 50 simulated seconds
+//!    by projected dual ascent on the predicted energy/time constraint
+//!    violations,
 //!
 //! and prints how close adaptation gets to the tuned optimum without any
-//! per-case search.
+//! per-case search. The weight trajectory is what an observer samples
+//! from the loop's per-tick events.
 
 use lrh_grid::grid::{GridCase, Scenario, ScenarioParams};
 use lrh_grid::lagrange::weights::Weights;
 use lrh_grid::slrh::{
-    run_adaptive_slrh, run_slrh, AdaptiveConfig, SlrhConfig, SlrhVariant,
+    run_slrh, run_slrh_with, Adaptation, Churn, RunContext, SlrhConfig, SlrhVariant, TickEvent,
 };
 use lrh_grid::sweep::heuristic::Heuristic;
 use lrh_grid::sweep::weight_search::optimal_weights_with_steps;
@@ -52,23 +54,32 @@ fn main() {
             tuned.mapped, tuned.tasks, tuned.t100
         );
 
-        let adaptive_cfg = AdaptiveConfig::new(fixed_cfg);
-        let adaptive = run_adaptive_slrh(&scenario, &adaptive_cfg);
+        // One step per 50 ticks of the loop: 500 clock cycles at ΔT = 10.
+        let every = 50;
+        let adaptive_cfg = fixed_cfg.with_adaptation(Adaptation {
+            every,
+            ..Adaptation::default()
+        });
+        let mut trace = Vec::new();
+        let mut sample = |e: TickEvent| {
+            if e.tick.is_multiple_of(every) {
+                trace.push((e.clock, e.weights));
+            }
+        };
+        let adaptive = run_slrh_with(
+            &scenario,
+            &adaptive_cfg,
+            &Churn::default(),
+            &mut RunContext::new(),
+            Some(&mut sample),
+        );
         let am = adaptive.metrics();
         println!(
             "adaptive      {} -> {}: mapped {}/{} T100 {}",
-            default_weights,
-            adaptive.final_weights(),
-            am.mapped,
-            am.tasks,
-            am.t100
+            default_weights, adaptive.final_weights, am.mapped, am.tasks, am.t100
         );
-        println!("weight trajectory ({} control steps):", adaptive.weight_trace.len());
-        for (t, w) in adaptive
-            .weight_trace
-            .iter()
-            .step_by(adaptive.weight_trace.len().div_ceil(5).max(1))
-        {
+        println!("weight trajectory ({} control steps):", trace.len());
+        for (t, w) in trace.iter().step_by(trace.len().div_ceil(5).max(1)) {
             println!("  t = {:>6.0}s  {w}", t.as_seconds());
         }
     }

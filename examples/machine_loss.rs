@@ -14,9 +14,7 @@
 use lrh_grid::grid::{GridCase, MachineId, Scenario, ScenarioParams, Time};
 use lrh_grid::lagrange::weights::Weights;
 use lrh_grid::sim::validate::validate;
-use lrh_grid::slrh::{
-    run_slrh, run_slrh_dynamic, MachineLossEvent, SlrhConfig, SlrhVariant,
-};
+use lrh_grid::slrh::{run_slrh, run_slrh_churn, MachineLossEvent, SlrhConfig, SlrhVariant};
 
 fn main() {
     let params = ScenarioParams::paper_scaled(256);
@@ -40,7 +38,7 @@ fn main() {
     for (label, machine) in [("fast machine m0", MachineId(0)), ("slow machine m3", MachineId(3))] {
         let at = Time(scenario.tau.0 / 4);
         let events = [MachineLossEvent { machine, at }];
-        let out = run_slrh_dynamic(&scenario, &config, &events);
+        let out = run_slrh_churn(&scenario, &config, &events, &[]);
         let m = out.metrics();
         let (when, invalidated) = out.disruptions[0];
         println!(

@@ -1,0 +1,51 @@
+#!/usr/bin/env bash
+# Tripwire for the SLRH driver surface (DESIGN.md section 20): there is
+# one way to run SLRH and one owner per request check, and this script
+# fails when a second one grows back.
+#
+#  * none of the retired entry points, outcome types or validators
+#    reappears anywhere in the workspace's code;
+#  * `slrh`'s root re-exports exactly the five run functions and the one
+#    SLRH outcome type;
+#  * the churn-trace messages live in one product source file (the
+#    `ChurnError` display), not in a re-typed copy of the rule.
+#
+# Plain grep, run from the repository root.
+set -euo pipefail
+
+status=0
+fail() {
+    echo "api_surface: $*" >&2
+    status=1
+}
+
+retired='run_slrh_in|run_slrh_observed|run_slrh_dynamic|run_slrh_churn_in|run_slrh_churn_observed|run_adaptive_slrh|AdaptiveConfig|AdaptiveOutcome|DynamicOutcome|validate_churn'
+if hits=$(grep -rnwE "$retired" crates src tests examples --include='*.rs'); then
+    fail "retired names are back:"$'\n'"$hits"
+fi
+
+if [ -e crates/core/src/adaptive.rs ]; then
+    fail "crates/core/src/adaptive.rs is back"
+fi
+
+exports=$(grep -E '^pub use ' crates/core/src/lib.rs)
+runs=$(grep -oE '\brun_[a-z_]+' <<<"$exports" | sort -u | tr '\n' ' ')
+want_runs='run_open run_open_in run_slrh run_slrh_churn run_slrh_with '
+if [ "$runs" != "$want_runs" ]; then
+    fail "slrh re-exports run functions [ $runs] (want [ $want_runs])"
+fi
+outcomes=$(grep -oE '\b[A-Za-z]*Slrh[A-Za-z]*Outcome|\b(Dynamic|Adaptive)Outcome' <<<"$exports" | sort -u | tr '\n' ' ')
+if [ "$outcomes" != 'SlrhOutcome ' ]; then
+    fail "slrh re-exports SLRH outcome types [ $outcomes] (want [ SlrhOutcome ])"
+fi
+
+# Product sources only: tests may quote a message they expect.
+for message in 'machine lost twice' 'cannot lose every machine'; do
+    files=$(grep -rlF "\"$message\"" crates/*/src src --include='*.rs' || true)
+    if [ "$(grep -c . <<<"$files")" -gt 1 ]; then
+        fail "\"$message\" is spelled in more than one source file:"$'\n'"$files"
+    fi
+done
+
+[ "$status" -eq 0 ] && echo "api_surface: ok"
+exit "$status"

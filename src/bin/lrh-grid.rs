@@ -17,8 +17,7 @@ use lrh_grid::broker::{execute_map_counted, execute_open, Connection};
 use lrh_grid::cli::{self, Addr, Command, Export, Job, OpenJob, Remote, RemoteJob, Serve, Tune};
 use lrh_grid::grid::io;
 use lrh_grid::sim::trace::Trace;
-use lrh_grid::slrh::{run_slrh, RunContext, SlrhConfig, SlrhVariant};
-use lrh_grid::sweep::heuristic::Heuristic;
+use lrh_grid::slrh::{run_slrh_with, RunContext, SlrhConfig};
 use lrh_grid::sweep::weight_search::optimal_weights_with_steps;
 use lrh_grid::sweep::{anneal_weights, AnnealConfig, SearcherKind};
 
@@ -113,13 +112,7 @@ fn run_open_local(job: &OpenJob) -> i32 {
 /// state, which the executor recycles, so the SLRH run is repeated; the
 /// report on stdout is untouched either way.
 fn render_gantt(request: &MapRequest) {
-    let variant = match request.heuristic {
-        Heuristic::Slrh1 => Some(SlrhVariant::V1),
-        Heuristic::Slrh2 => Some(SlrhVariant::V2),
-        Heuristic::Slrh3 => Some(SlrhVariant::V3),
-        _ => None,
-    };
-    let Some(variant) = variant else {
+    let Some(variant) = request.heuristic.slrh_variant() else {
         eprintln!("(--gantt is available for the SLRH heuristics)");
         return;
     };
@@ -134,17 +127,14 @@ fn render_gantt(request: &MapRequest) {
         variant,
         ..request.config
     };
-    let state = if request.losses.is_empty() && request.arrivals.is_empty() {
-        run_slrh(&scenario, &config).state
-    } else {
-        lrh_grid::slrh::run_slrh_churn(
-            &scenario,
-            &config,
-            &request.loss_events(),
-            &request.arrival_events(),
-        )
-        .state
+    let churn = match request.churn(scenario.grid.len()) {
+        Ok(churn) => churn,
+        Err(e) => {
+            eprintln!("(--gantt skipped: {e})");
+            return;
+        }
     };
+    let state = run_slrh_with(&scenario, &config, &churn, &mut RunContext::new(), None).state;
     let trace = Trace::from_state(&state);
     eprint!("{}", trace.render_gantt(state.schedule(), 64));
 }

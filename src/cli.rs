@@ -23,7 +23,7 @@ use grid_sweep::heuristic::Heuristic;
 use grid_sweep::{AnnealConfig, SearcherKind};
 use lagrange::step::StepRule;
 use lagrange::weights::Weights;
-use slrh::{Adaptation, SlrhConfig, SlrhVariant};
+use slrh::{Adaptation, ConfigError, SlrhConfig, SlrhVariant};
 
 /// Usage text printed under every argument error (and for `--help`).
 pub const USAGE: &str = "\
@@ -491,21 +491,7 @@ fn parse_open(cmd: &str, argv: &[String], remote: bool) -> Result<ParsedOpen, Cl
         explicit
     };
 
-    let weights =
-        Weights::new(alpha, beta).map_err(|e| CliError::new(format!("invalid weights: {e}")))?;
-    let mut config = SlrhConfig::paper(SlrhVariant::V1, weights);
-    if let Some(dt) = dt {
-        if dt == 0 {
-            return Err(CliError::new("--dt must be positive"));
-        }
-        config.dt = Dur(dt);
-    }
-    if let Some(h) = horizon {
-        if h == 0 {
-            return Err(CliError::new("--horizon must be positive"));
-        }
-        config.horizon = Dur(h);
-    }
+    let config = slrh_config(SlrhVariant::V1, (alpha, beta), dt, horizon, None)?;
 
     Ok(ParsedOpen {
         job: OpenJob {
@@ -523,6 +509,27 @@ fn parse_open(cmd: &str, argv: &[String], remote: bool) -> Result<ParsedOpen, Cl
         },
         addr: addr.unwrap_or_else(|| DEFAULT_ADDR.into()),
     })
+}
+
+/// The SLRH configuration the flags name: paper defaults under the
+/// given overrides, validated by the configuration's own rule.
+fn slrh_config(
+    variant: SlrhVariant,
+    (alpha, beta): (f64, f64),
+    dt: Option<u64>,
+    horizon: Option<u64>,
+    adaptation: Option<Adaptation>,
+) -> Result<SlrhConfig, CliError> {
+    let weights =
+        Weights::new(alpha, beta).map_err(|e| CliError::new(format!("invalid weights: {e}")))?;
+    let mut config = SlrhConfig::paper(variant, weights);
+    config.dt = dt.map_or(config.dt, Dur);
+    config.horizon = horizon.map_or(config.horizon, Dur);
+    config.adaptation = adaptation;
+    config
+        .check()
+        .map_err(|e| CliError::new(format!("invalid configuration: {e}")))?;
+    Ok(config)
 }
 
 fn parse_job(cmd: &str, argv: &[String], remote: bool) -> Result<ParsedJob, CliError> {
@@ -572,56 +579,19 @@ fn parse_job(cmd: &str, argv: &[String], remote: bool) -> Result<ParsedJob, CliE
         }
     }
 
-    let weights =
-        Weights::new(alpha, beta).map_err(|e| CliError::new(format!("invalid weights: {e}")))?;
-    let variant = match heuristic {
-        Heuristic::Slrh2 => SlrhVariant::V2,
-        Heuristic::Slrh3 => SlrhVariant::V3,
-        // Baselines read only the weights out of the config; the
-        // variant field is inert for them.
-        _ => SlrhVariant::V1,
-    };
-    let mut config = SlrhConfig::paper(variant, weights);
-    if let Some(dt) = dt {
-        if dt == 0 {
-            return Err(CliError::new("--dt must be positive"));
-        }
-        config.dt = Dur(dt);
-    }
-    if let Some(h) = horizon {
-        if h == 0 {
-            return Err(CliError::new("--horizon must be positive"));
-        }
-        config.horizon = Dur(h);
-    }
-    match adapt_rule {
-        Some(rule) => {
-            let defaults = Adaptation::default();
-            let adaptation = Adaptation {
-                rule,
-                every: adapt_every.unwrap_or(defaults.every),
-                min_alpha: adapt_amin.unwrap_or(defaults.min_alpha),
-                max_multiplier: adapt_lmax.unwrap_or(defaults.max_multiplier),
-                warm_start: adapt_warm,
-            };
-            adaptation
-                .check()
-                .map_err(|e| CliError::new(format!("invalid adaptation: {e}")))?;
-            config.adaptation = Some(adaptation);
-        }
-        None => {
-            if adapt_every.is_some()
-                || adapt_amin.is_some()
-                || adapt_lmax.is_some()
-                || adapt_warm.is_some()
-            {
-                return Err(CliError::new(
+    // Baselines read only the weights out of the config; the variant
+    // field is inert for them.
+    let variant = heuristic.slrh_variant().unwrap_or(SlrhVariant::V1);
+    let adaptation =
+        Adaptation::from_parts(adapt_rule, adapt_every, adapt_amin, adapt_lmax, adapt_warm)
+            .map_err(|e| match e {
+                ConfigError::AdaptWithoutRule => CliError::new(
                     "--adapt-every/--adapt-amin/--adapt-lmax/--adapt-warm \
                      require --adapt RULE",
-                ));
-            }
-        }
-    }
+                ),
+                e => CliError::new(format!("invalid adaptation: {e}")),
+            })?;
+    let config = slrh_config(variant, (alpha, beta), dt, horizon, adaptation)?;
 
     Ok(ParsedJob {
         job: Job {

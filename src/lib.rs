@@ -13,7 +13,10 @@
 //! * [`lagrange`] — the Lagrangian optimization substrate: multiplier
 //!   state, subgradient methods, dual decomposition;
 //! * [`slrh`] — the paper's core contribution: the SLRH-1/2/3 heuristics
-//!   plus the adaptive-multiplier and dynamic-remapping extensions;
+//!   behind one entry point, [`slrh::run_slrh_with`], whose inputs cover
+//!   the extensions too — a checked churn trace ([`slrh::Churn`]) for
+//!   machines leaving and joining mid-run, an [`slrh::Adaptation`] block
+//!   for online multiplier adjustment — plus the open-system job stream;
 //! * [`baselines`] — static comparators: Max-Max, greedy, MCT/OLB/Min-Min
 //!   and a Lagrangian-relaxation list scheduler;
 //! * [`bounds`] — the equivalent-computing-cycles upper bound;
@@ -51,15 +54,46 @@
 //! println!("mapped {} of {} subtasks at the primary level", m.t100, scenario.tasks());
 //! ```
 //!
+//! [`run_slrh`] is the frozen-grid convenience over the one full-signature
+//! entry. The same call with everything spelled out — a churn trace
+//! checked once by [`slrh::Churn`], online weight adaptation switched on
+//! in the configuration, a reusable context and a per-tick observer
+//! sampling the weight trajectory:
+//!
+//! ```
+//! use lrh_grid::grid::{GridCase, ScenarioParams, Scenario};
+//! use lrh_grid::lagrange::Weights;
+//! use lrh_grid::slrh::{run_slrh_with, Adaptation, Churn, RunContext, TickEvent};
+//! use lrh_grid::{SlrhConfig, SlrhVariant};
+//!
+//! let scenario = Scenario::generate(&ScenarioParams::paper_scaled(64), GridCase::A, 0, 0);
+//! let config = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.6, 0.2).unwrap())
+//!     .with_adaptation(Adaptation { every: 50, ..Adaptation::default() });
+//! // Machine 1 vanishes at tick 4000; machine 3 only joins at tick 900.
+//! let churn = Churn::from_pairs([(1, 4_000)], [(3, 900)], scenario.grid.len()).unwrap();
+//! let mut trajectory = Vec::new();
+//! let outcome = run_slrh_with(
+//!     &scenario,
+//!     &config,
+//!     &churn,
+//!     &mut RunContext::new(),
+//!     Some(&mut |e: TickEvent| trajectory.push((e.clock, e.weights))),
+//! );
+//! assert_eq!(outcome.disruptions.len(), 1);
+//! assert_eq!(trajectory.last().unwrap().1, outcome.final_weights);
+//! // A trace the grid cannot honour is an error value, not a panic mid-run.
+//! assert!(Churn::from_pairs([(99, 10)], [], scenario.grid.len()).is_err());
+//! ```
+//!
 //! ## Revisions, deltas, and the one candidate kernel
 //!
 //! Every mutation of the simulator's [`sim::SimState`] — committing a
 //! plan, unmapping a subtask, losing a machine, blocking a timeline —
 //! bumps a monotonic revision counter and returns a
 //! [`sim::StateDelta`] naming exactly the subtasks and machines it
-//! affected. Every SLRH driver — closed runs, churn, online adaptation
-//! and the open stream — answers "best startable candidate for machine
-//! *j* now" through one kernel: the ready *frontier*, kept alive across
+//! affected. Every SLRH run — frozen grid or churn, fixed or adapted
+//! weights, one job or the open stream — answers "best startable
+//! candidate for machine *j* now" through one kernel: the ready *frontier*, kept alive across
 //! clock ticks from that delta stream (a commit removes one task and
 //! inserts its newly-ready children), pruned by start lower bounds and
 //! cached §IV gate rejections, and served from cached per-machine bound

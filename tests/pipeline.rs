@@ -6,7 +6,7 @@ use lrh_grid::grid::{GridCase, MachineId, Scenario, ScenarioParams, Time};
 use lrh_grid::lagrange::weights::Weights;
 use lrh_grid::sim::validate::{validate, validate_schedule};
 use lrh_grid::slrh::{
-    run_adaptive_slrh, run_slrh, run_slrh_dynamic, AdaptiveConfig, MachineLossEvent,
+    run_slrh, run_slrh_churn, run_slrh_with, Adaptation, Churn, MachineLossEvent, RunContext,
     SlrhConfig, SlrhVariant,
 };
 use lrh_grid::sweep::heuristic::Heuristic;
@@ -73,13 +73,26 @@ fn slrh_then_dynamic_then_adaptive_share_substrate() {
         machine: MachineId(1),
         at: Time(sc.tau.0 / 3),
     }];
-    let dynamic = run_slrh_dynamic(&sc, &cfg, &events);
+    let dynamic = run_slrh_churn(&sc, &cfg, &events, &[]);
     assert!(validate(&dynamic.state).is_empty());
     assert!(lrh_grid::slrh::dynamic::validate_loss(&dynamic.state, &events).is_empty());
 
-    let adaptive = run_adaptive_slrh(&sc, &AdaptiveConfig::new(cfg));
+    // Adaptation is a block on the same configuration, through the same
+    // entry; an observer sees the weights every tick ran on.
+    let adaptive_cfg = cfg.with_adaptation(Adaptation {
+        every: 50,
+        ..Adaptation::default()
+    });
+    let mut weight_trace = Vec::new();
+    let adaptive = run_slrh_with(
+        &sc,
+        &adaptive_cfg,
+        &Churn::default(),
+        &mut RunContext::new(),
+        Some(&mut |e| weight_trace.push(e.weights)),
+    );
     assert!(validate(&adaptive.state).is_empty());
-    assert!(!adaptive.weight_trace.is_empty());
+    assert_eq!(weight_trace.last(), Some(&adaptive.final_weights));
 }
 
 #[test]
