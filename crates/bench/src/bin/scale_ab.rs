@@ -7,9 +7,8 @@
 //! * **resort** — the `slrh::reference` `Resort` oracle: the incremental
 //!   frontier with every cached bound order shed, re-gating and
 //!   re-sorting its visible lists every query.
-//! * **cached** — the product kernel (`run_slrh`), at the ambient rayon
-//!   width. This is the recorded `after`; against `resort` it isolates
-//!   the cached-order win.
+//! * **cached** — the product kernel (`run_slrh`). This is the recorded
+//!   `after`; against `resort` it isolates the cached-order win.
 //!
 //! Both arms commit a byte-identical schedule
 //! (`crates/stress/src/scale.rs` and the sweep equivalence proptests
@@ -229,9 +228,17 @@ fn write_json(path: &str, results: &[CaseResult], design_ms: f64, rounds: usize)
     let methodology = format!(
         "Interleaved A/B from one binary on the same host: per round, the resort reference \
          (slrh::reference Kind::Resort: the frontier with every cached bound order shed) and \
-         the product kernel (run_slrh, ambient rayon width) run back to back, {rounds} rounds \
-         per case, so background-load drift hits both arms equally. 'after' is the product \
-         kernel; resort-vs-cached isolates the cached-order win. Per-case summary uses \
+         the product kernel (run_slrh) run back to back, {rounds} rounds per case, so \
+         background-load drift hits both arms equally. 'after' is the product kernel; \
+         resort-vs-cached isolates the cached-order win. The resort arm is an oracle timing, \
+         not a product number: from the PR 16 rounds on it filters each visible list per \
+         query (its per-tick startable cache was deleted with the kernel's second \
+         startability structure), so its rounds are not comparable with earlier ones. The \
+         kernel is sequential: the chunked parallel scan earlier rounds could reach at 65k \
+         and 100k was measured and removed (DESIGN.md section 17). Rounds stamped with \
+         different commits come from different host sessions, so they are a trail, not an \
+         A/B: the same-session parent-vs-PR 16 timing at 65536x256 and 100000x1000 is in \
+         EXPERIMENTS.md (Scale benchmark). Per-case summary uses \
          min-of-rounds; all rounds are listed. Workloads: ScaleParams::new(tasks, \
          machines).generate(0, 0), SLRH-1 end-to-end, weights (0.5, 0.25). Both arms commit \
          a byte-identical schedule (crates/stress/src/scale.rs and the sweep equivalence \

@@ -53,11 +53,40 @@ fn bad<T>(msg: impl Into<String>) -> Result<T, KvError> {
     kv::err(0, msg)
 }
 
+/// A `kind` frame holding whatever `fields` puts into it.
+fn framed(kind: &str, fields: impl FnOnce(&mut Frame)) -> Frame {
+    let mut f = Frame::new(kind);
+    fields(&mut f);
+    f
+}
+
 fn expect_kind(frame: &Frame, kind: &str) -> Result<(), KvError> {
     if frame.kind == kind {
         Ok(())
     } else {
         bad(format!("expected a {kind} frame, got {:?}", frame.kind))
+    }
+}
+
+/// The submitter identity every job request opens with.
+fn put_identity(s: &mut impl FieldSink, client: &str, label: &str) {
+    s.put("client", client);
+    s.put("label", label);
+}
+
+/// [`put_identity`] read back, with the defaults of a frame that omits
+/// them: `(client, label)`.
+fn identity(frame: &Frame) -> (String, String) {
+    let or = |key, default: &str| frame.get(key).unwrap_or(default).to_string();
+    (or("client", "anon"), or("label", ""))
+}
+
+/// The churn trace of a request: `loss` then `arrival` entries.
+fn put_churn(s: &mut impl FieldSink, losses: &[(usize, u64)], arrivals: &[(usize, u64)]) {
+    for (key, events) in [("loss", losses), ("arrival", arrivals)] {
+        for (m, t) in events {
+            s.put(key, format_args!("{m}@{t}"));
+        }
     }
 }
 
@@ -115,7 +144,7 @@ impl ScenarioSpec {
         }
     }
 
-    fn encode_into(&self, f: &mut Frame) {
+    fn fields(&self, s: &mut impl FieldSink) {
         match self {
             ScenarioSpec::Generate {
                 tasks,
@@ -125,20 +154,18 @@ impl ScenarioSpec {
                 seed,
                 tau,
             } => {
-                f.push("tasks", tasks.to_string())
-                    .push("case", case.to_string())
-                    .push("etc", etc.to_string())
-                    .push("dag", dag.to_string());
+                s.put("tasks", tasks);
+                s.put("case", case);
+                s.put("etc", etc);
+                s.put("dag", dag);
                 if let Some(seed) = seed {
-                    f.push("seed", format!("0x{seed:016x}"));
+                    s.put("seed", format_args!("0x{seed:016x}"));
                 }
                 if let Some(tau) = tau {
-                    f.push("tau", tau.to_string());
+                    s.put("tau", tau);
                 }
             }
-            ScenarioSpec::Inline(text) => {
-                f.block("scenario", text.clone());
-            }
+            ScenarioSpec::Inline(text) => s.put_block("scenario", text),
         }
     }
 
@@ -146,43 +173,13 @@ impl ScenarioSpec {
         if let Some(text) = frame.raw("scenario") {
             return Ok(ScenarioSpec::Inline(text.to_string()));
         }
-        let tasks = kv::parse_usize(frame.req("tasks")?).map_err(|e| KvError {
-            line: 0,
-            message: format!("tasks: {e}"),
-        })?;
-        let case: GridCase = frame
-            .req("case")?
-            .parse()
-            .map_err(|e| KvError { line: 0, message: e })?;
-        let etc = kv::parse_usize(frame.req("etc")?).map_err(|e| KvError {
-            line: 0,
-            message: format!("etc: {e}"),
-        })?;
-        let dag = kv::parse_usize(frame.req("dag")?).map_err(|e| KvError {
-            line: 0,
-            message: format!("dag: {e}"),
-        })?;
-        let seed = match frame.get("seed") {
-            Some(s) => Some(kv::parse_u64(s).map_err(|e| KvError {
-                line: 0,
-                message: format!("seed: {e}"),
-            })?),
-            None => None,
-        };
-        let tau = match frame.get("tau") {
-            Some(s) => Some(kv::parse_u64(s).map_err(|e| KvError {
-                line: 0,
-                message: format!("tau: {e}"),
-            })?),
-            None => None,
-        };
         Ok(ScenarioSpec::Generate {
-            tasks,
-            case,
-            etc,
-            dag,
-            seed,
-            tau,
+            tasks: frame.parse("tasks", kv::parse_usize)?,
+            case: frame.parse("case", str::parse)?,
+            etc: frame.parse("etc", kv::parse_usize)?,
+            dag: frame.parse("dag", kv::parse_usize)?,
+            seed: frame.parse_opt("seed", kv::parse_u64)?,
+            tau: frame.parse_opt("tau", kv::parse_u64)?,
         })
     }
 }
@@ -231,58 +228,33 @@ impl MapRequest {
         )
     }
 
+    fn fields(&self, s: &mut impl FieldSink) {
+        put_identity(s, &self.client, &self.label);
+        s.put("heuristic", self.heuristic.flag_name());
+        s.put("config", self.config);
+        self.scenario.fields(s);
+        put_churn(s, &self.losses, &self.arrivals);
+    }
+
     /// Encode to a wire frame.
     pub fn to_frame(&self) -> Frame {
-        let mut f = Frame::new(KIND_MAP_REQUEST);
-        f.push("client", self.client.clone())
-            .push("label", self.label.clone())
-            .push("heuristic", self.heuristic.flag_name())
-            .push("config", self.config.to_string());
-        self.scenario.encode_into(&mut f);
-        for &(m, t) in &self.losses {
-            f.push("loss", format!("{m}@{t}"));
-        }
-        for &(m, t) in &self.arrivals {
-            f.push("arrival", format!("{m}@{t}"));
-        }
-        f
+        framed(KIND_MAP_REQUEST, |f| self.fields(f))
     }
 
     /// Decode from a wire frame.
     pub fn from_frame(frame: &Frame) -> Result<MapRequest, KvError> {
         expect_kind(frame, KIND_MAP_REQUEST)?;
-        let heuristic: Heuristic = frame
-            .req("heuristic")?
-            .parse()
-            .map_err(|e| KvError { line: 0, message: e })?;
-        let config: SlrhConfig = frame
-            .req("config")?
-            .parse()
-            .map_err(|e: String| KvError {
-                line: 0,
-                message: format!("config: {e}"),
-            })?;
-        let events = |key: &str| -> Result<Vec<(usize, u64)>, KvError> {
-            frame
-                .all(key)
-                .map(|s| {
-                    kv::parse_at_pair(s).map_err(|e| KvError {
-                        line: 0,
-                        message: format!("{key}: {e}"),
-                    })
-                })
-                .collect()
-        };
-        let losses = events("loss")?;
-        let arrivals = events("arrival")?;
+        let (client, label) = identity(frame);
         Ok(MapRequest {
-            client: frame.get("client").unwrap_or("anon").to_string(),
-            label: frame.get("label").unwrap_or("").to_string(),
-            heuristic,
-            config,
+            client,
+            label,
+            heuristic: frame.parse("heuristic", str::parse)?,
+            config: frame.parse("config", str::parse)?,
+            // Written order is error order, and clients see the text: a
+            // frame with several bad fields names the churn trace first.
+            losses: frame.parse_all("loss", kv::parse_at_pair)?,
+            arrivals: frame.parse_all("arrival", kv::parse_at_pair)?,
             scenario: ScenarioSpec::decode_from(frame)?,
-            losses,
-            arrivals,
         })
     }
 }
@@ -330,85 +302,46 @@ impl OpenRequest {
     /// model is inert, mirroring how every other optional rides the
     /// wire.
     pub fn to_frame(&self) -> Frame {
-        let mut f = Frame::new(KIND_OPEN_REQUEST);
-        f.push("client", self.client.clone())
-            .push("label", self.label.clone())
-            .push("config", self.config.to_string())
-            .push("case", self.case.to_string())
-            .push("seed", format!("0x{:016x}", self.seed));
+        framed(KIND_OPEN_REQUEST, |f| self.fields(f))
+    }
+
+    fn fields(&self, s: &mut impl FieldSink) {
+        put_identity(s, &self.client, &self.label);
+        s.put("config", self.config);
+        s.put("case", self.case);
+        s.put("seed", format_args!("0x{:016x}", self.seed));
         for job in &self.jobs {
-            f.push("job", job.encode());
+            s.put("job", job.encode());
         }
         if !self.bg.is_none() {
-            f.push("background", self.bg.encode());
+            s.put("background", self.bg.encode());
         }
-        for &(m, t) in &self.losses {
-            f.push("loss", format!("{m}@{t}"));
-        }
-        for &(m, t) in &self.arrivals {
-            f.push("arrival", format!("{m}@{t}"));
-        }
-        f
+        put_churn(s, &self.losses, &self.arrivals);
     }
 
     /// Decode from a wire frame.
     pub fn from_frame(frame: &Frame) -> Result<OpenRequest, KvError> {
         expect_kind(frame, KIND_OPEN_REQUEST)?;
-        let config: SlrhConfig = frame
-            .req("config")?
-            .parse()
-            .map_err(|e: String| KvError {
-                line: 0,
-                message: format!("config: {e}"),
-            })?;
-        let case: GridCase = frame
-            .req("case")?
-            .parse()
-            .map_err(|e| KvError { line: 0, message: e })?;
-        let seed = kv::parse_u64(frame.req("seed")?).map_err(|e| KvError {
-            line: 0,
-            message: format!("seed: {e}"),
-        })?;
-        let jobs: Vec<JobArrival> = frame
-            .all("job")
-            .map(|s| {
-                JobArrival::decode(s).map_err(|e| KvError {
-                    line: 0,
-                    message: format!("job: {e}"),
-                })
-            })
-            .collect::<Result<_, _>>()?;
+        let (client, label) = identity(frame);
+        let config = frame.parse("config", str::parse)?;
+        let case = frame.parse("case", str::parse)?;
+        let seed = frame.parse("seed", kv::parse_u64)?;
+        let jobs = frame.parse_all("job", JobArrival::decode)?;
         if jobs.is_empty() {
             return bad("open-request needs at least one job");
         }
-        let bg = match frame.get("background") {
-            Some(s) => BackgroundParams::decode(s).map_err(|e| KvError {
-                line: 0,
-                message: format!("background: {e}"),
-            })?,
-            None => BackgroundParams::none(),
-        };
-        let events = |key: &str| -> Result<Vec<(usize, u64)>, KvError> {
-            frame
-                .all(key)
-                .map(|s| {
-                    kv::parse_at_pair(s).map_err(|e| KvError {
-                        line: 0,
-                        message: format!("{key}: {e}"),
-                    })
-                })
-                .collect()
-        };
         Ok(OpenRequest {
-            client: frame.get("client").unwrap_or("anon").to_string(),
-            label: frame.get("label").unwrap_or("").to_string(),
+            client,
+            label,
             config,
             case,
             seed,
             jobs,
-            bg,
-            losses: events("loss")?,
-            arrivals: events("arrival")?,
+            bg: frame
+                .parse_opt("background", BackgroundParams::decode)?
+                .unwrap_or_else(BackgroundParams::none),
+            losses: frame.parse_all("loss", kv::parse_at_pair)?,
+            arrivals: frame.parse_all("arrival", kv::parse_at_pair)?,
         })
     }
 }
@@ -486,71 +419,52 @@ impl CampaignRequest {
         out
     }
 
-    /// Encode to a wire frame.
-    pub fn to_frame(&self) -> Frame {
-        let mut f = Frame::new(KIND_CAMPAIGN_REQUEST);
-        f.push("client", self.client.clone())
-            .push("label", self.label.clone())
-            .push("tasks", self.tasks.to_string())
-            .push("etc-count", self.etc_count.to_string())
-            .push("dag-count", self.dag_count.to_string())
-            .push("coarse", kv::format_f64(self.coarse))
-            .push("fine", kv::format_f64(self.fine));
+    fn fields(&self, s: &mut impl FieldSink) {
+        put_identity(s, &self.client, &self.label);
+        s.put("tasks", self.tasks);
+        s.put("etc-count", self.etc_count);
+        s.put("dag-count", self.dag_count);
+        s.put("coarse", kv::format_f64(self.coarse));
+        s.put("fine", kv::format_f64(self.fine));
         if self.searcher != SearcherKind::Grid {
-            f.push("searcher", self.searcher.to_string());
+            s.put("searcher", self.searcher);
         }
         for h in &self.heuristics {
-            f.push("heuristic", h.flag_name());
+            s.put("heuristic", h.flag_name());
         }
         for c in &self.cases {
-            f.push("case", c.to_string());
+            s.put("case", c);
         }
         if let Some(cp) = &self.checkpoint {
-            f.push("checkpoint", cp.clone());
+            s.put("checkpoint", cp);
         }
-        f
+    }
+
+    /// Encode to a wire frame.
+    pub fn to_frame(&self) -> Frame {
+        framed(KIND_CAMPAIGN_REQUEST, |f| self.fields(f))
     }
 
     /// Decode from a wire frame.
     pub fn from_frame(frame: &Frame) -> Result<CampaignRequest, KvError> {
         expect_kind(frame, KIND_CAMPAIGN_REQUEST)?;
-        let num = |key: &str| -> Result<usize, KvError> {
-            kv::parse_usize(frame.req(key)?).map_err(|e| KvError {
-                line: 0,
-                message: format!("{key}: {e}"),
-            })
-        };
-        let float = |key: &str| -> Result<f64, KvError> {
-            kv::parse_f64(frame.req(key)?).map_err(|e| KvError {
-                line: 0,
-                message: format!("{key}: {e}"),
-            })
-        };
-        let heuristics: Vec<Heuristic> = frame
-            .all("heuristic")
-            .map(|s| s.parse().map_err(|e| KvError { line: 0, message: e }))
-            .collect::<Result<_, _>>()?;
-        let cases: Vec<GridCase> = frame
-            .all("case")
-            .map(|s| s.parse().map_err(|e| KvError { line: 0, message: e }))
-            .collect::<Result<_, _>>()?;
+        let (client, label) = identity(frame);
+        let heuristics = frame.parse_all("heuristic", str::parse)?;
+        let cases = frame.parse_all("case", str::parse)?;
         if heuristics.is_empty() || cases.is_empty() {
             return bad("campaign-request needs at least one heuristic and one case");
         }
         Ok(CampaignRequest {
-            client: frame.get("client").unwrap_or("anon").to_string(),
-            label: frame.get("label").unwrap_or("").to_string(),
-            tasks: num("tasks")?,
-            etc_count: num("etc-count")?,
-            dag_count: num("dag-count")?,
+            client,
+            label,
+            tasks: frame.parse("tasks", kv::parse_usize)?,
+            etc_count: frame.parse("etc-count", kv::parse_usize)?,
+            dag_count: frame.parse("dag-count", kv::parse_usize)?,
             heuristics,
             cases,
-            coarse: float("coarse")?,
-            fine: float("fine")?,
-            searcher: match frame.get("searcher") {
-                Some(s) => s.parse().map_err(|e| KvError { line: 0, message: e })?,
-                None => SearcherKind::Grid,
-            },
+            coarse: frame.parse("coarse", kv::parse_f64)?,
+            fine: frame.parse("fine", kv::parse_f64)?,
+            searcher: frame.parse_opt("searcher", str::parse)?.unwrap_or(SearcherKind::Grid),
             checkpoint: frame.get("checkpoint").map(str::to_string),
         })
     }
@@ -698,20 +612,14 @@ impl Event {
 
     /// Encode to a wire frame.
     pub fn to_frame(&self) -> Frame {
-        let mut f = Frame::new(KIND_EVENT);
-        self.fields(&mut f);
-        f
+        framed(KIND_EVENT, |f| self.fields(f))
     }
 
     /// Decode from a wire frame.
     pub fn from_frame(frame: &Frame) -> Result<Event, KvError> {
         expect_kind(frame, KIND_EVENT)?;
-        let num = |key: &str| -> Result<u64, KvError> {
-            kv::parse_u64(frame.req(key)?).map_err(|e| KvError {
-                line: 0,
-                message: format!("{key}: {e}"),
-            })
-        };
+        let num = |key| frame.parse(key, kv::parse_u64);
+        let count = |key| frame.parse(key, kv::parse_usize);
         let job = num("job")?;
         match frame.req("event")? {
             "queued" => Ok(Event::Queued { job }),
@@ -720,33 +628,30 @@ impl Event {
                 job,
                 clock: num("clock")?,
                 tick: num("tick")?,
-                mapped: num("mapped")? as usize,
+                mapped: count("mapped")?,
                 commits: num("commits")?,
             }),
             "disruption" => Ok(Event::Disruption {
                 job,
                 at: num("at")?,
-                invalidated: num("invalidated")? as usize,
+                invalidated: count("invalidated")?,
             }),
             "job" => Ok(Event::Job {
                 job,
                 id: num("id")?,
-                mapped: num("mapped")? as usize,
-                tasks: num("tasks")? as usize,
+                mapped: count("mapped")?,
+                tasks: count("tasks")?,
                 hit: match frame.req("hit")? {
                     "yes" => true,
                     "no" => false,
                     other => return bad(format!("bad hit flag {other:?}")),
                 },
-                cost: kv::parse_f64_bits(frame.req("cost")?).map_err(|e| KvError {
-                    line: 0,
-                    message: format!("cost: {e}"),
-                })?,
+                cost: frame.parse("cost", kv::parse_f64_bits)?,
             }),
             "unit" => Ok(Event::Unit {
                 job,
-                index: num("index")? as usize,
-                total: num("total")? as usize,
+                index: count("index")?,
+                total: count("total")?,
                 row: frame.req("row")?.to_string(),
             }),
             "done" => Ok(Event::Done { job }),
@@ -773,19 +678,14 @@ impl MapResponse {
 
     /// Encode to a wire frame.
     pub fn to_frame(&self) -> Frame {
-        let mut f = Frame::new(KIND_MAP_RESPONSE);
-        self.fields(&mut f);
-        f
+        framed(KIND_MAP_RESPONSE, |f| self.fields(f))
     }
 
     /// Decode from a wire frame.
     pub fn from_frame(frame: &Frame) -> Result<MapResponse, KvError> {
         expect_kind(frame, KIND_MAP_RESPONSE)?;
         Ok(MapResponse {
-            job: kv::parse_u64(frame.req("job")?).map_err(|e| KvError {
-                line: 0,
-                message: format!("job: {e}"),
-            })?,
+            job: frame.parse("job", kv::parse_u64)?,
             report: frame.req_raw("report")?.to_string(),
         })
     }
@@ -812,23 +712,15 @@ impl CampaignResponse {
 
     /// Encode to a wire frame.
     pub fn to_frame(&self) -> Frame {
-        let mut f = Frame::new(KIND_CAMPAIGN_RESPONSE);
-        self.fields(&mut f);
-        f
+        framed(KIND_CAMPAIGN_RESPONSE, |f| self.fields(f))
     }
 
     /// Decode from a wire frame.
     pub fn from_frame(frame: &Frame) -> Result<CampaignResponse, KvError> {
         expect_kind(frame, KIND_CAMPAIGN_RESPONSE)?;
-        let num = |key: &str| -> Result<u64, KvError> {
-            kv::parse_u64(frame.req(key)?).map_err(|e| KvError {
-                line: 0,
-                message: format!("{key}: {e}"),
-            })
-        };
         Ok(CampaignResponse {
-            job: num("job")?,
-            resumed: num("resumed")? as usize,
+            job: frame.parse("job", kv::parse_u64)?,
+            resumed: frame.parse("resumed", kv::parse_usize)?,
             report: frame.req_raw("report")?.to_string(),
         })
     }
@@ -857,25 +749,17 @@ impl StatusResponse {
 
     /// Encode to a wire frame.
     pub fn to_frame(&self) -> Frame {
-        let mut f = Frame::new(KIND_STATUS_RESPONSE);
-        self.fields(&mut f);
-        f
+        framed(KIND_STATUS_RESPONSE, |f| self.fields(f))
     }
 
     /// Decode from a wire frame.
     pub fn from_frame(frame: &Frame) -> Result<StatusResponse, KvError> {
         expect_kind(frame, KIND_STATUS_RESPONSE)?;
-        let num = |key: &str| -> Result<u64, KvError> {
-            kv::parse_u64(frame.req(key)?).map_err(|e| KvError {
-                line: 0,
-                message: format!("{key}: {e}"),
-            })
-        };
         Ok(StatusResponse {
-            queued: num("queued")? as usize,
-            running: num("running")? as usize,
-            completed: num("completed")?,
-            workers: num("workers")? as usize,
+            queued: frame.parse("queued", kv::parse_usize)?,
+            running: frame.parse("running", kv::parse_usize)?,
+            completed: frame.parse("completed", kv::parse_u64)?,
+            workers: frame.parse("workers", kv::parse_usize)?,
         })
     }
 }
@@ -917,23 +801,14 @@ impl ErrorResponse {
 
     /// Encode to a wire frame.
     pub fn to_frame(&self) -> Frame {
-        let mut f = Frame::new(KIND_ERROR);
-        self.fields(&mut f);
-        f
+        framed(KIND_ERROR, |f| self.fields(f))
     }
 
     /// Decode from a wire frame.
     pub fn from_frame(frame: &Frame) -> Result<ErrorResponse, KvError> {
         expect_kind(frame, KIND_ERROR)?;
-        let job = match frame.get("job") {
-            Some(s) => Some(kv::parse_u64(s).map_err(|e| KvError {
-                line: 0,
-                message: format!("job: {e}"),
-            })?),
-            None => None,
-        };
         Ok(ErrorResponse {
-            job,
+            job: frame.parse_opt("job", kv::parse_u64)?,
             message: frame
                 .req_raw("message")?
                 .trim_end_matches('\n')
@@ -1030,9 +905,7 @@ impl ServerMsg {
 
     /// Encode to a wire frame.
     pub fn to_frame(&self) -> Frame {
-        let mut f = Frame::new(self.kind());
-        self.fields(&mut f);
-        f
+        framed(self.kind(), |f| self.fields(f))
     }
 
     /// Append the wire text of the message to `out`, whatever it
@@ -1180,6 +1053,38 @@ mod tests {
         let f = Frame::new("no-such-kind");
         assert!(Request::from_frame(&f).is_err());
         assert!(ServerMsg::from_frame(&f).is_err());
+    }
+
+    /// Decode errors reach clients as `ErrorResponse` text, so which of
+    /// several bad fields is reported is part of the protocol: a row's
+    /// error surfaces once every row above it is repaired.
+    #[test]
+    fn the_first_decode_error_of_a_frame_is_pinned() {
+        let first_error = |kind: &str, rows: &[(&str, &str, &str)], repaired: usize| {
+            let mut f = Frame::new(kind);
+            for (i, (key, bad, good)) in rows.iter().enumerate() {
+                f.push(key, if i < repaired { *good } else { *bad });
+            }
+            Request::from_frame(&f).unwrap_err().message
+        };
+        let cfg = map_request().config.to_string();
+        let cfg = cfg.as_str();
+        // (key, a bad value, a good one), in the order their errors surface.
+        let map = [
+            ("heuristic", "x", "slrh1"),
+            ("config", "x", cfg),
+            ("loss", "x", "1@5"),
+            ("arrival", "x", "2@3"),
+            ("tasks", "x", ""),
+        ];
+        let open = [("config", "x", cfg), ("case", "x", "B"), ("seed", "x", "7"), ("background", "x", "")];
+        for (kind, rows, keyed) in [(KIND_MAP_REQUEST, &map[..], 5), (KIND_OPEN_REQUEST, &open[..], 3)] {
+            for (i, (key, ..)) in rows.iter().enumerate().take(keyed) {
+                let msg = first_error(kind, rows, i);
+                assert!(msg.starts_with(&format!("{key}: ")), "{key}: {msg}");
+            }
+        }
+        assert_eq!(first_error(KIND_OPEN_REQUEST, &open, 3), "open-request needs at least one job");
     }
 
     #[test]

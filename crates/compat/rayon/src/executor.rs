@@ -114,79 +114,6 @@ where
     })
 }
 
-/// Ordered, bounded chunk map: run `map` over every item of `items`,
-/// splitting the work across at most `max_workers` scoped threads, and
-/// return the results **in item order**. `map` receives each item's
-/// global index alongside the item.
-///
-/// This is the entry point for callers that parallelise *inside* an
-/// outer parallel region (e.g. a per-tick scan inside a sweep worker):
-/// the standard nested-parallelism policy applies, so a call made from
-/// inside a worker — or with `max_workers <= 1`, or with fewer than
-/// [`SPAWN_THRESHOLD`] items — runs inline on the calling thread with
-/// zero spawns, keeping the live thread count bounded by one level of
-/// real parallelism. The chunking can never change the result: `map`
-/// runs once per item with the same `(index, item)` pair regardless of
-/// worker count, and results are re-assembled in index order.
-pub fn map_bounded<T, R, F>(items: Vec<T>, max_workers: usize, map: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let workers = max_workers
-        .min(effective_workers(items.len()))
-        .max(1)
-        .min(items.len().max(1));
-    if workers <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| map(i, item))
-            .collect();
-    }
-    let per_chunk = items.len().div_ceil(workers);
-    let mut chunks: Vec<(usize, Vec<T>)> = Vec::with_capacity(workers);
-    let mut rest = items;
-    let mut base = 0;
-    while rest.len() > per_chunk {
-        let tail = rest.split_off(per_chunk);
-        chunks.push((base, std::mem::replace(&mut rest, tail)));
-        base += per_chunk;
-    }
-    chunks.push((base, rest));
-    run_chunks(chunks, |(start, chunk): (usize, Vec<T>)| {
-        chunk
-            .into_iter()
-            .enumerate()
-            .map(|(offset, item)| map(start + offset, item))
-            .collect::<Vec<R>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// [`map_bounded`] followed by a **sequential, item-order fold** of the
-/// mapped results on the calling thread. The reduction order is defined
-/// — index 0 first, then 1, … — so a non-commutative `reduce` (argmax
-/// with positional tie-breaks, say) gets the same answer at any worker
-/// count. Returns `None` on an empty source.
-pub fn map_reduce_bounded<T, A, M, R>(
-    items: Vec<T>,
-    max_workers: usize,
-    map: M,
-    reduce: R,
-) -> Option<A>
-where
-    T: Send,
-    A: Send,
-    M: Fn(usize, T) -> A + Sync,
-    R: Fn(A, A) -> A,
-{
-    map_bounded(items, max_workers, map).into_iter().reduce(reduce)
-}
-
 /// Fold a borrowed slice in parallel chunks (driver for `par_iter`).
 pub(crate) fn fold_slice<'a, T, A, ID, F>(slice: &'a [T], init: &ID, fold: &F) -> Vec<A>
 where

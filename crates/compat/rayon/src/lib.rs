@@ -34,8 +34,8 @@ mod executor;
 pub mod iter;
 
 pub use executor::{
-    current_num_threads, current_thread_index, map_bounded, map_reduce_bounded, ThreadPool,
-    ThreadPoolBuildError, ThreadPoolBuilder,
+    current_num_threads, current_thread_index, ThreadPool, ThreadPoolBuildError,
+    ThreadPoolBuilder,
 };
 
 pub mod prelude {
@@ -69,61 +69,6 @@ mod tests {
 
         let none = Vec::<u32>::new().par_iter().copied().reduce_with(|a, b| a + b);
         assert_eq!(none, None);
-    }
-
-    #[test]
-    fn map_bounded_is_ordered_and_worker_capped() {
-        let input: Vec<u32> = (0..257).collect();
-        let seq: Vec<u64> = input.iter().map(|&x| u64::from(x) * 3).collect();
-        for cap in [0usize, 1, 2, 5, 64] {
-            let got: Vec<u64> =
-                crate::map_bounded(input.clone(), cap, |i, x| {
-                    assert_eq!(i as u32, x, "index matches item position");
-                    u64::from(x) * 3
-                });
-            assert_eq!(got, seq, "cap {cap}");
-        }
-        assert_eq!(crate::map_bounded(Vec::<u32>::new(), 4, |_, x| x), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn map_bounded_runs_inline_inside_a_worker() {
-        let pool = crate::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let nested: Vec<Vec<bool>> = pool.install(|| {
-            (0..8usize)
-                .collect::<Vec<_>>()
-                .par_iter()
-                .map(|_| {
-                    crate::map_bounded((0..16usize).collect(), 4, |_, _| {
-                        // Inside a worker the nested call must not spawn:
-                        // the worker index is still the outer one.
-                        crate::current_thread_index().is_some()
-                    })
-                })
-                .collect()
-        });
-        assert!(nested.iter().flatten().all(|&inline| inline));
-    }
-
-    #[test]
-    fn map_reduce_bounded_folds_in_item_order() {
-        // A non-commutative fold (string concat) pins the order.
-        let items: Vec<usize> = (0..64).collect();
-        for cap in [1usize, 3, 8] {
-            let got = crate::map_reduce_bounded(
-                items.clone(),
-                cap,
-                |i, x| format!("{i}:{x};"),
-                |a, b| a + &b,
-            )
-            .unwrap();
-            let want: String = items.iter().map(|&x| format!("{x}:{x};")).collect();
-            assert_eq!(got, want, "cap {cap}");
-        }
-        assert_eq!(
-            crate::map_reduce_bounded(Vec::<u32>::new(), 4, |_, x| x, |a, _| a),
-            None
-        );
     }
 
     #[test]

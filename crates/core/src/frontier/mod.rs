@@ -1,0 +1,566 @@
+//! The candidate-selection kernel: an incrementally maintained
+//! ready-frontier answering "best startable candidate for machine `j`
+//! now" for every driver ([`crate::mapper`], [`crate::dynamic`],
+//! [`crate::open`]).
+//!
+//! The paper's definition re-derives the candidate pool `U` from the
+//! ready set on every `(machine, tick)` query ([`crate::pool`]):
+//! O(|U|·|M|) planning work per tick, slow at the paper's 4–16 machines
+//! and fatal at 1000. The frontier attacks that product on five fronts,
+//! one sequential pipeline split over this module's layers:
+//!
+//! 1. **Incremental maintenance** (`membership`) — the frontier is kept
+//!    alive across ticks, updated from the [`StateDelta`] stream every
+//!    [`SimState`] mutation already emits (a worklist, never a rescan).
+//!    If a delta goes missing — drivers deliberately do not report a
+//!    machine-loss cascade — the frontier notices the revision gap and
+//!    lazily rebuilds from [`SimState::ready_tasks`].
+//! 2. **Hierarchical machine clustering** (`membership`) — machines are
+//!    partitioned into `clusters` groups by ETC-column similarity, and
+//!    contiguous task-id blocks (DAG regions: ids are topologically
+//!    ordered) are homed onto clusters. A machine costs only its own
+//!    cluster's slice plus the shared *spill* list: ~|U|/clusters
+//!    candidates per query. A candidate no home machine commits within
+//!    `spill_after` ticks is promoted to the spill list, where every
+//!    machine sees it — so the partition stays *complete*: at worst a
+//!    candidate is delayed, never stranded.
+//! 3. **Start-lower-bound pruning** (`tables`) — no plan for `t` can
+//!    start before any parent's scheduled finish, on *any* machine, so
+//!    `lb(t) = max_p finish(p)` past the horizon prunes `t` *before*
+//!    planning, exactly. This is what kills the spin phase: SLRH maps
+//!    far ahead of the clock, so most ready tasks are waiting for a
+//!    parent's finish to drift inside the horizon, and cost one
+//!    comparison instead of a placement search. A per-(task, machine)
+//!    start floor adds minimum transfer durations and the machine's
+//!    availability, discarding transfer-bound candidates too.
+//! 4. **Feasibility gating with memory** (`tables`) — newcomers run
+//!    the §IV energy gate as one table lookup each
+//!    ([`SimState::gate_feasible`]), rejections are remembered in a
+//!    self-validating per-machine bitset, and only the survivors are
+//!    ever bounded or planned.
+//! 5. **Cached bound orders** (`view`, walked by `scan`, put to sleep by
+//!    `latch`) — each machine's two visible lists keep a permutation of
+//!    gate-passing candidates sorted by objective upper bound alive
+//!    across queries, served under a conservative drift bound, so a
+//!    query plans one or two candidates instead of re-gating,
+//!    re-bounding and re-sorting the frontier. A view shed by the memory
+//!    cap falls back to a per-query resort of its list, bit-identical to
+//!    the slice it replaces.
+//!
+//! # Exactness at `clusters = 1`
+//!
+//! With a single cluster every machine sees the whole frontier, and each
+//! query selects the candidate the paper's
+//! [`crate::pool::Pool::first_startable`] walk selects: an argmax over
+//! startable candidates under (objective desc, task asc), with the same
+//! tie-breaks, plans from the same [`SimState::plan_with`] and
+//! [`crate::pool::build_pool_with`]'s primary-competes version choice.
+//! The stress harness proves schedule identity against
+//! [`crate::reference`] on every generated case; `clusters > 1`
+//! intentionally trades that identity for the ÷k candidate count.
+
+mod latch;
+mod membership;
+mod scan;
+mod tables;
+mod view;
+
+use std::collections::VecDeque;
+
+use adhoc_grid::config::MachineId;
+use adhoc_grid::task::{TaskId, Version};
+use adhoc_grid::units::Time;
+use gridsim::plan::{MappingPlan, PlanScratch};
+use gridsim::state::{DeltaKind, SimState, StateDelta};
+use lagrange::weights::Objective;
+
+use crate::config::ScaleMode;
+use crate::mapper::{gate_version, Kernel, RunStats};
+
+use self::scan::{Side, SideBuf};
+use self::tables::{ParentCost, FLOOR_CACHE_MAX};
+use self::view::{Bound, View};
+
+/// Sentinel for "not on the frontier" in [`Frontier::list_of`].
+const ABSENT: u32 = u32::MAX;
+
+/// The live candidate frontier: every ready task, partitioned into
+/// per-cluster lists plus the shared spill list. See the module docs.
+///
+/// `Default` is detached storage synchronised to nothing — only useful
+/// as the donor for [`Frontier::reset`] ([`crate::RunContext`] keeps one
+/// per worker).
+#[derive(Default)]
+pub(crate) struct Frontier {
+    // ---- membership + spill ----
+    /// Ticks a candidate stays home-only before spilling.
+    spill_after: u64,
+    /// Per-machine cluster index (`< clusters`).
+    cluster_of: Vec<u32>,
+    /// Per-task home cluster (contiguous task-id blocks).
+    home_of: Vec<u32>,
+    /// `lists[c]`, `c < clusters`: candidates visible only to cluster
+    /// `c`. `lists[clusters]`: the spill list, visible to every machine.
+    lists: Vec<Vec<TaskId>>,
+    /// Which list each task is on (`ABSENT` when not on the frontier).
+    list_of: Vec<u32>,
+    /// Index of each frontier task within its list.
+    pos: Vec<u32>,
+    /// FIFO of `(due_tick, task)` spill promotions; entries for tasks
+    /// that left the frontier in the meantime are skipped on pop.
+    /// Unused (kept empty) with a single cluster.
+    pending: VecDeque<(u64, TaskId)>,
+    /// Clock-tick index, advanced by [`Frontier::begin_tick`].
+    tick: u64,
+    /// The [`SimState::revision`] the lists are synchronised to.
+    last_revision: u64,
+    /// Set on a delta-stream gap; forces a rebuild on the next query.
+    stale: bool,
+    /// Generation counter for views, logs and per-list startability
+    /// structures; bumped by rebuilds and unmap deltas. Starts at 1 so
+    /// every epoch-0 structure is born stale.
+    view_epoch: u64,
+    /// Per-task startable generation, bumped on every (re)insert; log,
+    /// waiting and view entries carry the generation they were made at
+    /// and are stale on mismatch.
+    sgen: Vec<u32>,
+    /// The [`Frontier::view_epoch`] each list's log/waiting/fresh
+    /// structures are valid for.
+    list_epoch: Vec<u64>,
+    /// Per-list inserts not yet scored against the horizon
+    /// (`(task, gen)`, drained by [`Frontier::sync_list`]).
+    fresh: Vec<Vec<(TaskId, u32)>>,
+    /// Per-list candidates whose start lower bound still exceeds the
+    /// horizon (`(lb, task, gen)`, sorted lb-descending so the tail is
+    /// the next to become startable).
+    waiting: Vec<Vec<(Time, TaskId, u32)>>,
+    /// Per-list append-only startable log (`(task, gen)`): tasks whose
+    /// lb cleared the horizon, in arrival order. Views consume it
+    /// through their cursor; cleared on epoch bumps.
+    slog: Vec<Vec<(TaskId, u32)>>,
+
+    // ---- tables ----
+    /// Per-task start lower bound `max_p finish(p)` ([`Time::MAX`] =
+    /// not yet computed). Valid while the task stays on the frontier:
+    /// any parent remap removes and reinserts it, resetting the slot.
+    lb: Vec<Time>,
+    /// Per-(task, machine) lower bound on the execution start any
+    /// `Append` plan for that pair can achieve, indexed `j * tasks + t`
+    /// ([`Time::ZERO`] = nothing known). Seeded from computed floors and
+    /// tightened to actual planned starts: within one churn segment
+    /// timelines only fill in, parents never re-assign and the clock
+    /// only advances, so a once observed plan start is a valid floor for
+    /// every later tick — which stops the query loop from re-planning
+    /// the same contention-bound candidate on every tick of a spin
+    /// phase. Cleared whenever occupation can shrink (rebuilds, unmap
+    /// deltas); empty above [`FLOOR_CACHE_MAX`].
+    floor_cache: Vec<Time>,
+    /// Per-(machine, task) §IV gate-rejection bitset, rows of
+    /// `gate_row_words` words per machine. A set bit means the gate
+    /// version's demand exceeded the machine's afford limit at some past
+    /// query. Demand is static per scenario, so the rejection stays
+    /// valid until the limit *rises* above the value it had when the bit
+    /// was set — which `gate_limit` watches, making the cache
+    /// self-validating: no delta hooks, no segment-boundary clears.
+    gate_dead: Vec<u64>,
+    /// `tasks.div_ceil(64)`: rows are word-aligned, so a flush is one
+    /// slice fill.
+    gate_row_words: usize,
+    /// Lowest afford limit at which any of machine `j`'s dead bits was
+    /// recorded (`f64::INFINITY` = row empty): while the current limit
+    /// stays `≤ gate_limit[j]` every bit still implies rejection.
+    /// Reservation settlement *refunds* energy, so the limit can rise; a
+    /// query seeing it above the watermark flushes the row.
+    gate_limit: Vec<f64>,
+    /// Per-task parent costing tuples for the floor probe, valid while
+    /// `ptuple_stamp[t] == ptuple_gen`: per parent, in parent order, the
+    /// assignment's machine and finish and the edge size scaled by the
+    /// mapped version. All static while `t` sits ready on the frontier
+    /// (any unmap of a parent removes and reinserts `t`, resetting the
+    /// stamp), so the probe skips the per-parent assignment and
+    /// O(fan-in) edge-size lookups.
+    ptuples: Vec<Vec<ParentCost>>,
+    ptuple_stamp: Vec<u64>,
+    /// Bumped whenever scheduled finishes can move (rebuilds, unmap
+    /// deltas) — the events that clear the start-floor cache. Starts at
+    /// 1 so stamp 0 is always stale.
+    ptuple_gen: u64,
+    /// Reusable per-query candidate buffer.
+    start_buf: Vec<TaskId>,
+    /// Reusable planner buffers for the query path.
+    scratch: PlanScratch,
+
+    // ---- views + scan + latch ----
+    /// Born-shed views: every list is served by the per-query resort
+    /// scan, as if the view memory cap were zero. Only
+    /// [`Frontier::resort_only`] (the reference oracle) sets it.
+    shed_all: bool,
+    /// Per-(machine, visible-slot) views: `views[2j]` tracks machine
+    /// `j`'s home-cluster list, `views[2j + 1]` the spill list.
+    views: Vec<View>,
+    /// Live entries (alive + deferred) across all views, for the view
+    /// memory cap.
+    view_entries: usize,
+    /// Reusable per-side scan buffers (scratch order, removals,
+    /// write-backs).
+    side_bufs: [SideBuf; 2],
+    /// Per-machine idle latch (see the `latch` layer): the inputs of the
+    /// last `None` answer — `(epoch, slog_len(l0), slog_len(l1), min
+    /// deferred floor)`.
+    idle: Vec<Option<(u64, usize, usize, Time)>>,
+}
+
+impl Frontier {
+    /// Build the frontier for `state`'s current ready set, clustering
+    /// the scenario's machines by ETC-column similarity.
+    pub fn new(state: &SimState<'_>, mode: ScaleMode) -> Frontier {
+        let mut frontier = Frontier::default();
+        frontier.reset(state, mode);
+        frontier
+    }
+
+    /// Serve every query through the per-list resort scan instead of the
+    /// cached bound orders — the `Resort` reference oracle. Not
+    /// reachable from any configuration.
+    pub fn resort_only(mut self) -> Frontier {
+        self.shed_all = true;
+        self
+    }
+
+    /// Re-synchronise with `state` for a new run: every value is
+    /// re-derived from the scenario exactly as a fresh frontier would
+    /// derive it, while the backing vectors keep their heap capacity —
+    /// the [`crate::RunContext`] capacity-never-content contract.
+    pub fn reset(&mut self, state: &SimState<'_>, mode: ScaleMode) {
+        fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+            v.clear();
+            v.resize(n, value);
+        }
+        fn refill_lists<T>(v: &mut Vec<Vec<T>>, n: usize) {
+            v.resize_with(n, Vec::new);
+            v.iter_mut().for_each(Vec::clear);
+        }
+        let sc = state.scenario();
+        let machines = sc.grid.len();
+        let tasks = sc.tasks();
+        let clusters = (mode.clusters.max(1) as usize).min(machines);
+
+        // ETC-similarity clustering: rank machines by mean column
+        // seconds (ties toward the lower id — deterministic) and cut the
+        // ranking into `clusters` near-equal contiguous groups.
+        let means = sc.etc.machine_mean_seconds();
+        let mut ranked: Vec<usize> = (0..machines).collect();
+        ranked.sort_by(|&a, &b| {
+            means[a]
+                .partial_cmp(&means[b])
+                .expect("ETC means are finite")
+                .then(a.cmp(&b))
+        });
+        refill(&mut self.cluster_of, machines, 0);
+        for (rank, &j) in ranked.iter().enumerate() {
+            self.cluster_of[j] = (rank * clusters / machines) as u32;
+        }
+
+        // DAG regions: task ids are topologically ordered, so contiguous
+        // id blocks are contiguous DAG regions; block `c` is homed on
+        // cluster `c`.
+        self.home_of.clear();
+        self.home_of
+            .extend((0..tasks).map(|t| (t * clusters / tasks) as u32));
+
+        self.spill_after = mode.spill_after;
+        refill_lists(&mut self.lists, clusters + 1);
+        refill(&mut self.list_of, tasks, ABSENT);
+        refill(&mut self.pos, tasks, 0);
+        self.pending.clear();
+        self.tick = 0;
+        self.last_revision = state.revision();
+        self.stale = false;
+        self.view_epoch = 1;
+        refill(&mut self.sgen, tasks, 0);
+        refill(&mut self.list_epoch, clusters + 1, 0);
+        refill_lists(&mut self.fresh, clusters + 1);
+        refill_lists(&mut self.waiting, clusters + 1);
+        refill_lists(&mut self.slog, clusters + 1);
+
+        refill(&mut self.lb, tasks, Time::MAX);
+        let floors = tasks.saturating_mul(machines);
+        refill(
+            &mut self.floor_cache,
+            if floors <= FLOOR_CACHE_MAX { floors } else { 0 },
+            Time::ZERO,
+        );
+        self.gate_row_words = tasks.div_ceil(64);
+        refill(&mut self.gate_dead, machines * self.gate_row_words, 0);
+        refill(&mut self.gate_limit, machines, f64::INFINITY);
+        refill_lists(&mut self.ptuples, tasks);
+        refill(&mut self.ptuple_stamp, tasks, 0);
+        self.ptuple_gen = 1;
+
+        self.shed_all = false;
+        self.views.resize_with(machines * 2, View::default);
+        for v in &mut self.views {
+            v.clear();
+            // Stale against `view_epoch`: the first sync re-arms the view.
+            v.epoch = 0;
+        }
+        self.view_entries = 0;
+        refill(&mut self.idle, machines, None);
+        for &t in state.ready_tasks() {
+            self.insert(t);
+        }
+    }
+
+    /// Open a query for machine `j`: catch up with unreported mutations
+    /// and validate `j`'s gate-rejection row.
+    fn open_query<'q>(
+        &mut self,
+        state: &'q SimState<'q>,
+        objective: &'q Objective,
+        j: MachineId,
+        now: Time,
+        horizon_end: Time,
+        allow_secondary: bool,
+    ) -> Query<'q> {
+        debug_assert!(state.is_alive(j), "drivers never query a lost machine");
+        self.resync(state);
+        let gate_version = gate_version(allow_secondary);
+        let limit = self.gate_row_guard(state, j);
+        Query { state, objective, j, now, horizon_end, allow_secondary, gate_version, limit }
+    }
+}
+
+/// One query's constants, as every layer reads them.
+#[derive(Copy, Clone)]
+struct Query<'q> {
+    state: &'q SimState<'q>,
+    objective: &'q Objective,
+    j: MachineId,
+    now: Time,
+    horizon_end: Time,
+    allow_secondary: bool,
+    /// The version the §IV gate tests ([`gate_version`]).
+    gate_version: Version,
+    /// `j`'s afford limit, its gate-rejection row validated against it.
+    limit: f64,
+}
+
+impl Kernel for Frontier {
+    /// Start a clock tick: record the tick index and promote every
+    /// candidate whose spill timer is due.
+    fn begin_tick(&mut self, state: &SimState<'_>, tick: u64) {
+        self.tick = tick;
+        self.resync(state);
+        while let Some(&(due, t)) = self.pending.front() {
+            if due > tick {
+                break;
+            }
+            self.pending.pop_front();
+            self.promote_to_spill(t);
+        }
+    }
+
+    /// Ingest one [`StateDelta`]: the delta's `invalidated` tasks leave
+    /// the frontier, its `newly_ready` tasks join it — the exact
+    /// readiness semantics [`SimState`]'s mutators report. Machine-loss
+    /// and blocking deltas change no readiness and touch nothing. A gap
+    /// in the revision stream marks the frontier stale (rebuilt on the
+    /// next query) instead of serving a drifted list.
+    fn apply(&mut self, delta: &StateDelta) {
+        if delta.revision != self.last_revision + 1 {
+            self.last_revision = delta.revision;
+            self.stale = true;
+            return;
+        }
+        self.last_revision = delta.revision;
+        // Loss and blocking add (or merely flag) occupation; floors can
+        // only rise, so the start-floor cache stays valid — and neither
+        // reports a readiness change.
+        if delta.kind == DeltaKind::Unmap {
+            self.forget_occupation();
+        }
+        for &t in &delta.invalidated {
+            self.remove(t);
+        }
+        for &t in &delta.newly_ready {
+            self.insert(t);
+        }
+    }
+
+    /// The best committable candidate for machine `j`: among the visible
+    /// candidates that pass the §IV gate and whose chosen-version plan
+    /// can start within the horizon, the one maximising the objective
+    /// (ties toward the lower task id), as a ready-to-commit plan —
+    /// [`crate::pool::Pool::first_startable`]'s selection exactly (see
+    /// the module docs), in four phases over `j`'s two per-list views.
+    /// The schedule is byte-identical to the all-views-shed resort scan —
+    /// and so are the [`RunStats`] whenever the start-floor cache is
+    /// active (below [`FLOOR_CACHE_MAX`]); past the cap the deferred
+    /// floors prune re-plans the resort scan repeats, so only
+    /// `candidates_evaluated` may drop.
+    fn best_startable(
+        &mut self,
+        state: &SimState<'_>,
+        objective: &Objective,
+        j: MachineId,
+        now: Time,
+        horizon_end: Time,
+        allow_secondary: bool,
+        stats: &mut RunStats,
+    ) -> Option<MappingPlan> {
+        stats.queries += 1;
+        let q = self.open_query(state, objective, j, now, horizon_end, allow_secondary);
+        // Filled in place: returning the two views by value through an
+        // `Option<[Side; 2]>` measured ~5 % of a paper-scale job.
+        let mut sides = <[Side; 2]>::default();
+        if !self.reconcile(&q, &mut sides) {
+            return None;
+        }
+        let bound = Bound::new(&q);
+        self.refresh(&bound, &mut sides);
+        let best = self.scan(&bound, &mut sides, stats);
+        self.settle(&bound, &mut sides, best.is_none());
+        best
+    }
+
+    /// See [`Frontier::freeze`].
+    fn frozen_order(
+        &mut self,
+        state: &SimState<'_>,
+        objective: &Objective,
+        j: MachineId,
+        now: Time,
+        horizon_end: Time,
+        allow_secondary: bool,
+        stats: &mut RunStats,
+        out: &mut Vec<(f64, TaskId, Version)>,
+    ) {
+        stats.queries += 1;
+        let q = self.open_query(state, objective, j, now, horizon_end, allow_secondary);
+        self.freeze(&q, stats, out);
+    }
+
+    /// Looks across the whole frontier, not just the lists visible to
+    /// `j`: a candidate homed elsewhere is invisible to `j` *today* but
+    /// spills within `spill_after` ticks, so only the all-machines ×
+    /// all-candidates product proves no future invocation can progress.
+    fn any_gate_feasible(
+        &mut self,
+        state: &SimState<'_>,
+        gate_version: Version,
+        j: MachineId,
+    ) -> bool {
+        self.resync(state);
+        self.lists
+            .iter()
+            .any(|list| state.any_feasible_candidate(list, gate_version, j))
+    }
+
+    /// See [`Frontier::latched_until`].
+    fn wake(&self, state: &SimState<'_>, j: MachineId) -> Option<Time> {
+        self.latched_until(state, j)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Fixtures shared by the layers' unit tests, and the test of the
+    //! one thing this file owns: [`Frontier::reset`]'s clustering.
+
+    pub(super) use super::*;
+    pub(super) use adhoc_grid::config::GridCase;
+    pub(super) use adhoc_grid::units::Dur;
+    pub(super) use adhoc_grid::workload::{Scenario, ScenarioParams};
+    pub(super) use gridsim::plan::Placement;
+    use lagrange::weights::Weights;
+
+    pub(super) const DT: Dur = Dur(10);
+    pub(super) const H: Dur = Dur(100);
+
+    pub(super) fn scenario(tasks: usize) -> Scenario {
+        Scenario::generate(&ScenarioParams::paper_scaled(tasks), GridCase::A, 0, 0)
+    }
+
+    /// Three DAG levels (10 / 12 / 10 subtasks), so committing a child
+    /// can ready a grandchild.
+    pub(super) fn layered() -> Scenario {
+        Scenario::generate(&ScenarioParams::paper_scaled(32), GridCase::A, 0, 2)
+    }
+
+    pub(super) fn objective() -> Objective {
+        Objective::paper(Weights::new(0.5, 0.2).unwrap())
+    }
+
+    /// Commit `t` at the end of machine `j`'s queue and tell the
+    /// frontier.
+    pub(super) fn commit_on(
+        fr: &mut Frontier,
+        state: &mut SimState<'_>,
+        t: TaskId,
+        v: Version,
+        j: MachineId,
+        not_before: Time,
+    ) -> StateDelta {
+        let plan = state.plan(t, v, j, Placement::Append { not_before });
+        let delta = state.commit(&plan);
+        fr.apply(&delta);
+        delta
+    }
+
+    /// A state the clock has to wait on: every root is committed on
+    /// machine 1 starting `park` from now, so each ready subtask is a
+    /// child whose start lower bound sits at or past `park`.
+    pub(super) fn parked<'a>(sc: &'a Scenario, park: Time) -> (SimState<'a>, Frontier) {
+        let mut state = SimState::new(sc);
+        let mut fr = Frontier::new(&state, ScaleMode::default());
+        fr.begin_tick(&state, 0);
+        while let Some(&root) = state
+            .ready_tasks()
+            .iter()
+            .find(|&&t| sc.dag.parents(t).is_empty())
+        {
+            commit_on(&mut fr, &mut state, root, Version::Secondary, MachineId(1), park);
+        }
+        assert!(!state.ready_tasks().is_empty(), "the roots have children");
+        (state, fr)
+    }
+
+    /// One query for machine `j` with secondaries allowed, uncounted.
+    pub(super) fn ask(
+        fr: &mut Frontier,
+        state: &SimState<'_>,
+        j: MachineId,
+        now: Time,
+        horizon_end: Time,
+    ) -> Option<MappingPlan> {
+        let mut stats = RunStats::default();
+        fr.best_startable(state, &objective(), j, now, horizon_end, true, &mut stats)
+    }
+
+    /// What the paper's pool walk answers for the same query.
+    pub(super) fn pool_answer(
+        state: &SimState<'_>,
+        j: MachineId,
+        now: Time,
+        horizon_end: Time,
+    ) -> Option<MappingPlan> {
+        crate::pool::build_pool_with(state, &objective(), j, now, true)
+            .first_startable(horizon_end)
+            .map(|e| e.plan.clone())
+    }
+
+    /// Clustering is deterministic and clamped to the machine count.
+    #[test]
+    fn clustering_is_deterministic_and_clamped() {
+        let sc = scenario(16);
+        let state = SimState::new(&sc);
+        let a = Frontier::new(&state, ScaleMode { clusters: 99, spill_after: 8 });
+        let b = Frontier::new(&state, ScaleMode { clusters: 99, spill_after: 8 });
+        assert_eq!(a.cluster_of, b.cluster_of);
+        assert_eq!(a.clusters(), sc.grid.len(), "clamped to |M|");
+        // Every cluster is non-empty under the clamped partition.
+        for c in 0..a.clusters() {
+            assert!(a.cluster_of.iter().any(|&x| x as usize == c));
+        }
+    }
+}

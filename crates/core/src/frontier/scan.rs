@@ -1,0 +1,432 @@
+//! Scan: the four phases of a query over a machine's two views —
+//! reconcile → refresh → scan → settle — and SLRH-2's frozen order.
+
+use adhoc_grid::task::{TaskId, Version};
+use adhoc_grid::units::Time;
+use gridsim::plan::{MappingPlan, Placement};
+
+use super::view::{Bound, View, ViewEntry};
+use super::{Frontier, Query};
+use crate::mapper::RunStats;
+use crate::pool::plan_objective;
+
+/// Reusable per-side scan buffers.
+#[derive(Default)]
+pub(super) struct SideBuf {
+    /// The scratch bound order of a shed (resort-served) list.
+    order: Vec<ViewEntry>,
+    /// Removal records from the scan: entry index plus `Some(floor)` to
+    /// defer (floor past the horizon) or `None` to drop outright (stale
+    /// or gate-dead).
+    removals: Vec<(u32, Option<Time>)>,
+    /// `(entry index, exact ub)` of every lazy evaluation, written back
+    /// so the next query's per-entry drift starts from zero instead of
+    /// re-paying the evaluation.
+    wb: Vec<(u32, f64)>,
+}
+
+/// One visible list's share of a query: the list index, the machine's
+/// view of it (taken out of the frontier for the duration of the query)
+/// and a set of buffers.
+#[derive(Default)]
+pub(super) struct Side {
+    li: usize,
+    view: View,
+    buf: SideBuf,
+    /// Every value was computed *this query* (a full refresh or a
+    /// scratch-built order): no lazy re-evaluation, zero drift, and
+    /// membership and — for a scratch order — the §IV gate are current.
+    fresh: bool,
+    /// The refresh phase changed the alive set.
+    touched: bool,
+    /// The view-level drift pad of a side that is not fresh.
+    drift: f64,
+    /// Lazy evaluations this scan — the expensive part of a visit.
+    levals: usize,
+}
+
+impl Side {
+    /// The bound order the scan walks: the view's alive set, or the
+    /// scratch slice standing in for a shed view — the same bytes the
+    /// view would have held.
+    fn order(&mut self) -> &mut Vec<ViewEntry> {
+        if self.view.overflow {
+            &mut self.buf.order
+        } else {
+            &mut self.view.entries
+        }
+    }
+
+    /// Record that the scan found entry `idx` dead (`None`) or unable to
+    /// start before `Some(floor)`. A scratch order is rebuilt per query
+    /// and keeps no records.
+    fn remove(&mut self, idx: usize, floor: Option<Time>) {
+        if !self.view.overflow {
+            self.buf.removals.push((idx as u32, floor));
+        }
+    }
+}
+
+/// The incumbent of a scan: `(objective, task, plan)`.
+type Best = Option<(f64, TaskId, MappingPlan)>;
+
+/// Whether a candidate whose objective is at most `value` cannot
+/// displace the incumbent: strictly below it, or tied and losing the
+/// lower-task-id tie-break.
+fn loses(best: &Best, value: f64, t: TaskId) -> bool {
+    best.as_ref()
+        .is_some_and(|(obj, task, _)| value < *obj || (value == *obj && t > *task))
+}
+
+impl Frontier {
+    /// Phase 1: bring both visible lists' startability logs and the
+    /// machine's two views structurally up to date, the views taken out
+    /// into `sides` for the query. `false` (nothing taken) when the idle
+    /// latch proves the answer is still `None`.
+    pub(super) fn reconcile(&mut self, q: &Query<'_>, sides: &mut [Side; 2]) -> bool {
+        let lists = self.visible_lists(q.j);
+        for li in lists {
+            self.sync_list(q.state, li, q.horizon_end);
+        }
+        if self.latch_holds(q, lists) {
+            return false;
+        }
+        self.idle[q.j.0] = None;
+        for (k, s) in sides.iter_mut().enumerate() {
+            s.li = lists[k];
+            std::mem::swap(&mut s.view, &mut self.views[q.j.0 * 2 + k]);
+            std::mem::swap(&mut s.buf, &mut self.side_bufs[k]);
+            s.buf.removals.clear();
+            s.buf.wb.clear();
+            self.sync_view(&mut s.view, q, s.li);
+        }
+        true
+    }
+
+    /// Phase 2: make every bound value servable. A shed list gets its
+    /// scratch order. A view due a full refresh — new or reset, the
+    /// objective changed (online weight adaptation), or the last scan's
+    /// cost signal — first purges stale membership (otherwise caught
+    /// lazily at scan time: no point evaluating the dead) and is
+    /// re-bounded; any other view only bounds its newcomers and is
+    /// served under its drift pad.
+    pub(super) fn refresh(&mut self, b: &Bound<'_>, sides: &mut [Side; 2]) {
+        for s in sides {
+            if s.view.overflow {
+                self.build_scratch(b, s.li, &mut s.buf.order);
+                s.fresh = true;
+                continue;
+            }
+            s.fresh = s.view.ub_obj != Some(*b.q.objective) || s.view.refresh;
+            if s.fresh {
+                let before = s.view.entries.len();
+                s.view
+                    .entries
+                    .retain(|e| self.is_current(TaskId(e.t as usize), e.gen, s.li));
+                self.view_entries -= before - s.view.entries.len();
+            }
+            s.touched = s.view.evaluate(s.fresh, b);
+            if !s.fresh {
+                s.drift = s.view.drift(b);
+            }
+        }
+    }
+
+    /// Phase 3: walk the two bound orders merged by descending
+    /// drift-padded bound (ties toward the lower task id),
+    /// exact-evaluating and planning only the entries the incumbent
+    /// cannot already rule out. A candidate is skipped only when its
+    /// cached bound plus the drift sits strictly below the incumbent (or
+    /// ties it and loses the task-id tie-break) — and since the true ub
+    /// never exceeds that sum, the argmax is exactly the exhaustive
+    /// scan's. Per entry: membership kill → per-entry tight bound → §IV
+    /// gate → lazy exact eval → exact-bound skip → floor defer → plan →
+    /// incumbent update.
+    pub(super) fn scan(
+        &mut self,
+        b: &Bound<'_>,
+        sides: &mut [Side; 2],
+        stats: &mut RunStats,
+    ) -> Option<MappingPlan> {
+        let q = &b.q;
+        // The walk's own state — the two orders (lent out of the sides
+        // until the walk ends), their drift pads and cursors — lives in
+        // locals: read through the `&mut` sides it is re-fetched from
+        // memory every step, ~2 % of a 65 536 × 256 run.
+        let orders = [std::mem::take(sides[0].order()), std::mem::take(sides[1].order())];
+        let drift = [sides[0].drift, sides[1].drift];
+        let mut next = [0usize; 2];
+        let mut best: Best = None;
+        loop {
+            // The next unvisited `(drift-padded bound, task)` per side.
+            let head = |k: usize| orders[k].get(next[k]).map(|e| (e.ub + drift[k], e.t));
+            let k = match (head(0), head(1)) {
+                (None, None) => break,
+                (Some(_), None) => 0,
+                (None, Some(_)) => 1,
+                (Some((bx, tx)), Some((by, ty))) => {
+                    usize::from(!(bx > by || (bx == by && tx < ty)))
+                }
+            };
+            let idx = next[k];
+            let e = orders[k][idx];
+            let t = TaskId(e.t as usize);
+            // Sound early exit: every remaining entry's exact ub is at
+            // most its drift-padded bound, so nothing left can beat (or
+            // task-tie-break) the incumbent.
+            let padded = e.ub + drift[k];
+            if loses(&best, padded, t) {
+                break;
+            }
+            next[k] += 1;
+            let s = &mut sides[k];
+            if !s.fresh {
+                // Lazy membership: a committed (or re-homed) task's
+                // entry is dropped when the scan reaches it; until then
+                // its stale ub is a valid upper bound (the task can no
+                // longer win at all).
+                if !self.is_current(t, e.gen, s.li) {
+                    s.remove(idx, None);
+                    continue;
+                }
+                // Checked before the gate, so entries the incumbent
+                // already dominates cost no gate probe and no
+                // evaluation.
+                if best.is_some() && loses(&best, e.ub + b.entry_drift(&e), t) {
+                    continue;
+                }
+            }
+            // A value refresh does not re-gate; only a scratch order
+            // (gated when it was built, this query) may skip.
+            if !s.view.overflow && !self.gate_passes(q, t) {
+                s.remove(idx, None);
+                continue;
+            }
+            let ub = if s.fresh {
+                e.ub
+            } else {
+                let exact = b.ub(t);
+                s.levals += 1;
+                s.buf.wb.push((idx as u32, exact));
+                exact
+            };
+            debug_assert!(ub <= padded, "drift bound {padded} below exact ub {ub} for {t}");
+            // Exact-bound skip: this candidate cannot win, but a later
+            // lower-snapshot entry still might — keep scanning without
+            // planning it. (On a fresh side the padded bound *is* the
+            // exact ub, so the early exit above already fired.)
+            if loses(&best, ub, t) {
+                continue;
+            }
+            if let Some(floor) = self.floor_past_horizon(q, t) {
+                s.remove(idx, Some(floor));
+                continue;
+            }
+            let (obj, plan) = self.plan_chosen(q, t, stats);
+            if plan.start > q.horizon_end {
+                s.remove(idx, Some(plan.start));
+                continue;
+            }
+            debug_assert!(obj <= ub, "upper bound {ub} below objective {obj} for {t}");
+            if !loses(&best, obj, t) {
+                best = Some((obj, t, plan));
+            }
+        }
+        for (s, order) in sides.iter_mut().zip(orders) {
+            *s.order() = order;
+        }
+        best.map(|(_, _, plan)| plan)
+    }
+
+    /// Phase 4: fold what the scan learned back into the views — the
+    /// scan-cost signal (lazy evaluation ran deep into a cached order:
+    /// reset its drift with a full refresh next query), write-backs,
+    /// removals, the refolded drift basis — hand views and buffers back,
+    /// and arm the idle latch after a `None`.
+    pub(super) fn settle(&mut self, b: &Bound<'_>, sides: &mut [Side; 2], idle: bool) {
+        let lists = [sides[0].li, sides[1].li];
+        let mut latch = idle.then_some(Time::MAX);
+        for (k, s) in sides.iter_mut().enumerate() {
+            let v = &mut s.view;
+            if v.overflow {
+                // A shed view proves nothing about the next query.
+                latch = None;
+            } else {
+                if !s.fresh && s.levals > 8 + v.entries.len() / 4 {
+                    v.refresh = true;
+                }
+                self.view_entries -= v.settle(&s.buf.wb, &s.buf.removals, b.basis());
+                if s.touched || !s.buf.removals.is_empty() || !s.buf.wb.is_empty() {
+                    v.refold_basis(b.basis());
+                }
+                debug_assert!(
+                    !idle || v.entries.is_empty(),
+                    "an incumbent-free scan consumes every entry"
+                );
+                latch = latch.map(|floor| floor.min(v.earliest_deferral()));
+            }
+            std::mem::swap(&mut self.views[b.q.j.0 * 2 + k], &mut s.view);
+            std::mem::swap(&mut self.side_bufs[k], &mut s.buf);
+        }
+        if let Some(floor) = latch {
+            self.arm_latch(b.q.j, lists, floor);
+        }
+    }
+
+    /// Plan `t` on the query's machine at the version
+    /// [`crate::pool::build_pool_with`] keeps: the gate version, unless
+    /// the primary is allowed, fits the battery too and scores at least
+    /// as well (ties go to the primary: `T100` is the study's
+    /// objective). The planned start — version-independent under
+    /// `Append` — is remembered as the pair's start floor.
+    fn plan_chosen(
+        &mut self,
+        q: &Query<'_>,
+        t: TaskId,
+        stats: &mut RunStats,
+    ) -> (f64, MappingPlan) {
+        stats.candidates_evaluated += 1;
+        let placement = Placement::Append { not_before: q.now };
+        let gated = q.state.plan_with(t, q.gate_version, q.j, placement, &mut self.scratch);
+        let mut chosen = (plan_objective(q.state, q.objective, &gated), gated);
+        if q.allow_secondary && q.state.version_feasible(t, Version::Primary, q.j) {
+            let primary = q.state.plan_with(t, Version::Primary, q.j, placement, &mut self.scratch);
+            let primary_obj = plan_objective(q.state, q.objective, &primary);
+            if primary_obj >= chosen.0 {
+                chosen = (primary_obj, primary);
+            }
+        }
+        debug_assert!(chosen.0.is_finite(), "objective values are finite");
+        self.raise_floor(t, q.j, chosen.1.start);
+        chosen
+    }
+
+    /// SLRH-2's frozen walk order: every visible gate-passing
+    /// *startable* candidate with its chosen version and objective,
+    /// (objective desc, task asc) — what [`crate::pool::build_pool_with`]
+    /// freezes, without keeping the plans. Both visible lists are
+    /// filtered from scratch like the resort scan's. The lb and floor
+    /// prunes narrow membership relative to the frozen pool, but only by
+    /// entries whose plans start past the horizon: the walk re-plans
+    /// after its own commits, those only push starts later, so it would
+    /// reject them anyway and the commit sequence is unchanged.
+    pub(super) fn freeze(
+        &mut self,
+        q: &Query<'_>,
+        stats: &mut RunStats,
+        out: &mut Vec<(f64, TaskId, Version)>,
+    ) {
+        out.clear();
+        let mut cand = std::mem::take(&mut self.start_buf);
+        for li in self.visible_lists(q.j) {
+            self.collect_startable(q, li, &mut cand);
+            for &t in &cand {
+                if self.floor_past_horizon(q, t).is_none() {
+                    let (obj, plan) = self.plan_chosen(q, t, stats);
+                    out.push((obj, t, plan.version));
+                }
+            }
+        }
+        self.start_buf = cand;
+        out.sort_by(|a, b| {
+            b.0.partial_cmp(&a.0)
+                .expect("objective values are finite")
+                .then(a.1.cmp(&b.1))
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::*;
+    use crate::pool::build_pool_with;
+
+    /// The k = 1 frontier query must pick exactly the pool's
+    /// `first_startable` entry, across an entire greedy drain.
+    #[test]
+    fn best_startable_matches_first_startable_across_a_drain() {
+        let sc = scenario(32);
+        let mut state = SimState::new(&sc);
+        let mut fr = Frontier::new(&state, ScaleMode::default());
+        let mut now = Time::ZERO;
+        let mut guard = 0;
+        let mut total_commits = 0u64;
+        loop {
+            fr.begin_tick(&state, guard);
+            let mut committed = false;
+            for j in sc.grid.ids() {
+                let horizon_end = now.saturating_add(H);
+                let expected = pool_answer(&state, j, now, horizon_end);
+                let got = ask(&mut fr, &state, j, now, horizon_end);
+                assert_eq!(expected, got, "machine {j}");
+                if let Some(plan) = got {
+                    let delta = state.commit(&plan);
+                    fr.apply(&delta);
+                    committed = true;
+                    total_commits += 1;
+                }
+            }
+            if state.all_mapped() || !committed {
+                break;
+            }
+            now += DT;
+            guard += 1;
+            assert!(guard < 512, "drain did not terminate");
+        }
+        // The drain ends either fully mapped or energy-gated; in both
+        // cases every query agreed with the pool and the frontier must
+        // still agree with the state's ready set.
+        assert!(total_commits > 0, "drain never committed anything");
+        assert_eq!(fr.len(), state.ready_tasks().len());
+    }
+
+    /// Regression: a child made ready by a commit *mid-tick* must be
+    /// offered to the machines queried later in the same tick by the two
+    /// per-query paths that filter the lists themselves — SLRH-2's
+    /// frozen order and the resort scan. (Both once read a per-tick
+    /// startable cache that had to be patched on insert; now they walk
+    /// the live list.)
+    #[test]
+    fn a_child_readied_mid_tick_is_offered_later_in_the_same_tick() {
+        let sc = layered();
+        let wide = Time(sc.tau.0 * 4);
+        for resort in [false, true] {
+            let mut state = SimState::new(&sc);
+            let mut fr = Frontier::new(&state, ScaleMode::default());
+            if resort {
+                fr = fr.resort_only();
+            }
+            let mut stats = RunStats::default();
+            let mut order = Vec::new();
+            fr.begin_tick(&state, 0);
+            // Machine 0 is served first: whatever is cached per tick or
+            // per list is built now, before the child exists.
+            fr.frozen_order(&state, &objective(), MachineId(0), Time::ZERO, wide, true, &mut stats, &mut order);
+            assert!(ask(&mut fr, &state, MachineId(0), Time::ZERO, wide).is_some());
+            // It commits until a child becomes ready, then takes every
+            // other ready subtask too: the child is the sole candidate.
+            let mut child = None;
+            while child.is_none() {
+                let &t = state.ready_tasks().first().expect("a root readies a child");
+                let delta =
+                    commit_on(&mut fr, &mut state, t, Version::Secondary, MachineId(0), Time::ZERO);
+                child = delta.newly_ready.first().copied();
+            }
+            let child = child.unwrap();
+            while let Some(&r) = state.ready_tasks().iter().find(|&&r| r != child) {
+                commit_on(&mut fr, &mut state, r, Version::Secondary, MachineId(0), Time::ZERO);
+            }
+            assert_eq!(state.ready_tasks(), &[child]);
+            // Same tick, next machine.
+            let m1 = MachineId(1);
+            fr.frozen_order(&state, &objective(), m1, Time::ZERO, wide, true, &mut stats, &mut order);
+            let pool = build_pool_with(&state, &objective(), m1, Time::ZERO, true);
+            let frozen: Vec<_> = pool.iter().map(|e| (e.objective, e.task, e.version)).collect();
+            assert_eq!(frozen.len(), 1, "the child passes machine 1's gate");
+            assert_eq!(order, frozen, "frozen order (resort: {resort})");
+            let got = ask(&mut fr, &state, m1, Time::ZERO, wide);
+            assert_eq!(got.as_ref().map(|p| p.task), Some(child), "scan (resort: {resort})");
+            assert_eq!(got, pool_answer(&state, m1, Time::ZERO, wide));
+        }
+    }
+}

@@ -168,6 +168,16 @@ pub fn run_slrh_with<'a>(
     drive_segments(state, config, churn.losses(), frontier, Time::ZERO, observer)
 }
 
+/// The version the §IV gate tests: at least the cheapest admissible
+/// version must fit the machine's remaining energy.
+pub(crate) fn gate_version(allow_secondary: bool) -> Version {
+    if allow_secondary {
+        Version::Secondary
+    } else {
+        Version::Primary
+    }
+}
+
 /// The candidate-selection kernel the clock loop queries. Every product
 /// driver runs the [`crate::frontier::Frontier`]; the trait exists so
 /// [`crate::reference`] can drive the *same* loop over the paper's
@@ -364,11 +374,7 @@ pub(crate) fn drive<K: Kernel>(
         // another cluster spills within `spill_after` ticks, so it still
         // disproves being stuck.
         if !any_commit && every_live_machine_available && !state.all_mapped() {
-            let gate_version = if config.allow_secondary {
-                Version::Secondary
-            } else {
-                Version::Primary
-            };
+            let gate_version = gate_version(config.allow_secondary);
             let mut stuck = true;
             for j in state.scenario().grid.ids() {
                 if !state.is_alive(j) {

@@ -141,6 +141,38 @@ impl Frame {
             .map(|(_, v)| v.as_str())
     }
 
+    /// The required value of `key` through `parser`; a parse failure is
+    /// a structural [`KvError`] prefixed with the key.
+    pub fn parse<T, E: Display>(
+        &self,
+        key: &str,
+        parser: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Result<T, KvError> {
+        parser(self.req(key)?).map_err(|e| keyed(key, e))
+    }
+
+    /// [`Frame::parse`] for an optional key: `None` when it is absent.
+    pub fn parse_opt<T, E: Display>(
+        &self,
+        key: &str,
+        parser: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Result<Option<T>, KvError> {
+        self.get(key)
+            .map(|s| parser(s).map_err(|e| keyed(key, e)))
+            .transpose()
+    }
+
+    /// [`Frame::parse`] for a repeated key: every value, in order.
+    pub fn parse_all<T, E: Display>(
+        &self,
+        key: &str,
+        parser: impl Fn(&str) -> Result<T, E>,
+    ) -> Result<Vec<T>, KvError> {
+        self.all(key)
+            .map(|s| parser(s).map_err(|e| keyed(key, e)))
+            .collect()
+    }
+
     /// First raw block named `name`, if present.
     pub fn raw(&self, name: &str) -> Option<&str> {
         self.blocks
@@ -184,6 +216,14 @@ impl Frame {
             Some(frame) => Ok(frame),
             None => super::kv::err(0, "empty input where a frame was expected"),
         }
+    }
+}
+
+/// A value of `key` that did not parse.
+fn keyed(key: &str, e: impl Display) -> KvError {
+    KvError {
+        line: 0,
+        message: format!("{key}: {e}"),
     }
 }
 
@@ -516,6 +556,24 @@ mod tests {
         for cut in [text.len() / 3, text.len() / 2, text.len() - 2] {
             assert!(Frame::decode(&text[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn parsed_values_name_their_key_in_errors() {
+        let f = sample();
+        let int = |s: &str| s.parse::<u64>();
+        assert_eq!(f.parse("job", int), Ok(7));
+        assert_eq!(f.parse_opt("job", int), Ok(Some(7)));
+        assert_eq!(f.parse_opt("absent", int), Ok(None));
+        let pairs = f.parse_all("loss", crate::io::kv::parse_at_pair);
+        assert_eq!(pairs, Ok(vec![(0, 100), (1, 200)]));
+        assert!(f.parse("absent", int).unwrap_err().message.contains("missing required key"));
+        let bad = [
+            f.parse("heuristic", int).unwrap_err(),
+            f.parse_opt("heuristic", int).unwrap_err(),
+            f.parse_all("heuristic", int).unwrap_err(),
+        ];
+        assert!(bad.iter().all(|e| e.message.starts_with("heuristic: ")), "{bad:?}");
     }
 
     #[test]

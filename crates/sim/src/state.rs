@@ -297,7 +297,7 @@ pub struct SimState<'a> {
     /// Per-`(task, version)` upper bound on the §IV demand across every
     /// machine (`demand_ub[t * 2 + version] ≥ demand_of(t, v, j)` for
     /// all `j`), built alongside [`SimState::out_durs`] for above-cap
-    /// scenarios. The batch gate compares it against the afford limit
+    /// scenarios. The §IV gate compares it against the afford limit
     /// first: a bound under the limit proves feasibility without
     /// evaluating the per-machine demand — the common case on grids
     /// whose batteries are far from exhaustion, which is exactly where
@@ -696,84 +696,29 @@ impl<'a> SimState<'a> {
         self.demand[self.demand_idx(t, v, j)]
     }
 
-    /// Batch §IV feasibility pre-mask: append to `out` every task of
-    /// `tasks` (order preserved) whose `(t, v)` mapping is feasible on
-    /// `j`. Equivalent to filtering by [`SimState::version_feasible`],
-    /// but the liveness check and the ledger's affordability threshold
-    /// are hoisted out of the loop, so the table-backed path is one flat
-    /// strided pass over the demand array with a single compare per
-    /// candidate — the shape the scale kernel gates whole cluster
-    /// frontiers with.
-    pub fn feasible_candidates(
-        &self,
-        tasks: &[TaskId],
-        v: Version,
-        j: MachineId,
-        out: &mut Vec<TaskId>,
-    ) {
-        if !self.is_alive(j) {
-            return;
-        }
-        let limit = self.ledger.afford_limit(j);
-        if self.demand.is_empty() {
-            // Above-cap lazy path: the grid-wide per-(task, version)
-            // demand bound settles most candidates with one compare; the
-            // exact per-machine demand is only evaluated when the bound
-            // is inconclusive. Same accept set either way — the bound
-            // dominates the demand (see [`SimState::demand_ub`]).
-            let vbit = usize::from(!v.is_primary());
-            out.extend(tasks.iter().copied().filter(|&t| {
-                self.demand_ub[t.0 * 2 + vbit].units() <= limit
-                    || self.demand_of(t, v, j).units() <= limit
-            }));
-            return;
-        }
-        let stride = self.sc.grid.len() * 2;
-        let base = j.0 * 2 + usize::from(!v.is_primary());
-        out.extend(
-            tasks
-                .iter()
-                .copied()
-                .filter(|&t| self.demand[t.0 * stride + base].units() <= limit),
-        );
-    }
-
-    /// Single-candidate form of [`SimState::feasible_candidates`]: the
-    /// exact per-candidate demand-vs-`limit` predicate, with liveness
-    /// and the limit hoisted by the caller. The scale kernel's lazy
-    /// gate re-checks individual cached candidates against a fallen
-    /// afford limit with this — accept sets match the batch gate's
-    /// bit for bit.
+    /// The §IV demand-vs-`limit` predicate for one candidate, with
+    /// liveness and the machine's afford limit hoisted by the caller
+    /// (the scale kernel re-checks cached candidates against a fallen
+    /// limit with this). Table-backed it is one strided lookup and one
+    /// compare; above the table cap the grid-wide per-(task, version)
+    /// demand bound settles most candidates with one compare and the
+    /// exact per-machine demand is only evaluated when the bound is
+    /// inconclusive — same accept set either way, since the bound
+    /// dominates the demand (see [`SimState::demand_ub`]).
     pub fn gate_feasible(&self, t: TaskId, v: Version, j: MachineId, limit: f64) -> bool {
         if self.demand.is_empty() {
-            let vbit = usize::from(!v.is_primary());
-            return self.demand_ub[t.0 * 2 + vbit].units() <= limit
+            return self.demand_ub[t.0 * 2 + usize::from(!v.is_primary())].units() <= limit
                 || self.demand_of(t, v, j).units() <= limit;
         }
-        let stride = self.sc.grid.len() * 2;
-        self.demand[t.0 * stride + j.0 * 2 + usize::from(!v.is_primary())].units() <= limit
+        self.demand[self.demand_idx(t, v, j)].units() <= limit
     }
 
     /// Whether *any* task of `tasks` passes the `(v, j)` feasibility
-    /// gate — [`SimState::feasible_candidates`] with an early exit and no
-    /// output, for emptiness probes (the clock loop's stuck check).
+    /// gate ([`SimState::version_feasible`]'s accept set, liveness and
+    /// the limit hoisted out of the loop) — the clock loop's stuck check.
     pub fn any_feasible_candidate(&self, tasks: &[TaskId], v: Version, j: MachineId) -> bool {
-        if !self.is_alive(j) {
-            return false;
-        }
         let limit = self.ledger.afford_limit(j);
-        if self.demand.is_empty() {
-            let vbit = usize::from(!v.is_primary());
-            return tasks.iter().any(|&t| {
-                self.demand_ub[t.0 * 2 + vbit].units() <= limit
-                    || self.demand_of(t, v, j).units() <= limit
-            });
-        }
-        let stride = self.sc.grid.len() * 2;
-        let base = j.0 * 2 + usize::from(!v.is_primary());
-        tasks
-            .iter()
-            .any(|&t| self.demand[t.0 * stride + base].units() <= limit)
+        self.is_alive(j) && tasks.iter().any(|&t| self.gate_feasible(t, v, j, limit))
     }
 
     /// The energy feasibility test for mapping `(t, v)` on `j`: the
@@ -785,20 +730,7 @@ impl<'a> SimState<'a> {
     /// is static for the whole run and served from a lookup table; only
     /// liveness and the machine's remaining energy are read live.
     pub fn version_feasible(&self, t: TaskId, v: Version, j: MachineId) -> bool {
-        if !self.is_alive(j) {
-            return false;
-        }
-        // Above-cap fast accept: affording the grid-wide demand bound
-        // proves affording the per-machine demand (same monotonicity
-        // argument as the batch gate).
-        if !self.demand_ub.is_empty()
-            && self
-                .ledger
-                .can_afford(j, self.demand_ub[t.0 * 2 + usize::from(!v.is_primary())])
-        {
-            return true;
-        }
-        self.ledger.can_afford(j, self.feasibility_demand(t, v, j))
+        self.is_alive(j) && self.gate_feasible(t, v, j, self.ledger.afford_limit(j))
     }
 
     /// Plan mapping `(t, v)` onto `j` under `placement`. Pure: no state
@@ -808,60 +740,6 @@ impl<'a> SimState<'a> {
     /// Panics if `t` is mapped or any parent of `t` is unmapped.
     pub fn plan(&self, t: TaskId, v: Version, j: MachineId, placement: Placement) -> MappingPlan {
         plan::plan_mapping(self, t, v, j, placement, &mut PlanScratch::default())
-    }
-
-    /// A lower bound on the execution start any [`Placement::Append`]
-    /// plan for `t` on `j` at clock `not_before` can achieve — each term
-    /// the planner enforces (parent finishes, minimum cross-machine
-    /// transfer durations, the machine's compute availability), without
-    /// the channel-contention gap search, which can only push the start
-    /// later. O(parents) arithmetic against an O(|timeline| log) full
-    /// plan: the scale kernel uses it to discard candidates that cannot
-    /// make the receding horizon before paying for a placement search.
-    ///
-    /// # Panics
-    /// Panics if any parent of `t` is unmapped.
-    pub fn start_floor(&self, t: TaskId, j: MachineId, not_before: Time) -> Time {
-        self.candidate_floor_cost(t, j, not_before).0
-    }
-
-    /// [`SimState::start_floor`] plus the total transmit energy the
-    /// plan's incoming cross-machine transfers would charge — both need
-    /// the same walk over `t`'s parents, and the scale kernel wants both
-    /// per probe. The energy is accumulated in parent order with the
-    /// same expression the planner uses, so it is bit-identical to a
-    /// [`MappingPlan`]'s `transfers` energy sum; it is independent of
-    /// the execution start (transfer durations depend only on sizes and
-    /// link rates), which is what makes the objective boundable without
-    /// a placement search.
-    ///
-    /// # Panics
-    /// Panics if any parent of `t` is unmapped.
-    pub fn candidate_floor_cost(
-        &self,
-        t: TaskId,
-        j: MachineId,
-        not_before: Time,
-    ) -> (Time, Energy) {
-        let sc = self.sc;
-        let mut floor = not_before.max(self.compute_ready(j));
-        let mut tx_energy = Energy::ZERO;
-        for &p in sc.dag.parents(t) {
-            let pa = self
-                .schedule()
-                .assignment(p)
-                .unwrap_or_else(|| panic!("parent {p} of {t} is not mapped"));
-            if pa.machine == j {
-                floor = floor.max(pa.finish());
-                continue;
-            }
-            let size = sc.data.edge(&sc.dag, p, t).scaled(pa.version.data_factor());
-            let from_spec = sc.grid.machine(pa.machine);
-            let dur = from_spec.transfer_dur(sc.grid.machine(j), size);
-            floor = floor.max(pa.finish().max(not_before) + dur);
-            tx_energy += from_spec.transmit_energy(dur);
-        }
-        (floor, tx_energy)
     }
 
     /// [`SimState::plan`] with caller-provided scratch buffers, for tight
@@ -1496,22 +1374,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_gate_matches_version_feasible() {
+    fn hoisted_gate_matches_version_feasible() {
         let sc = tiny_scenario();
         let mut st = SimState::new(&sc);
         let tasks: Vec<TaskId> = sc.dag.tasks().collect();
-        let mut out = Vec::new();
         // Exercise full, partially drained, and dead-machine ledgers.
         for round in 0..3 {
             for j in sc.grid.ids() {
                 for v in Version::BOTH {
-                    let expected: Vec<TaskId> = tasks
-                        .iter()
-                        .copied()
-                        .filter(|&t| st.version_feasible(t, v, j))
-                        .collect();
-                    out.clear();
-                    st.feasible_candidates(&tasks, v, j, &mut out);
+                    // The definition: the ledger's own predicate over the
+                    // §IV demand, on a live machine.
+                    let affords = |&t: &TaskId| {
+                        st.is_alive(j) && st.ledger().can_afford(j, st.feasibility_demand(t, v, j))
+                    };
+                    let expected: Vec<TaskId> = tasks.iter().copied().filter(affords).collect();
+                    let gated = |&t: &TaskId| st.version_feasible(t, v, j);
+                    let out: Vec<TaskId> = tasks.iter().copied().filter(gated).collect();
                     assert_eq!(out, expected, "round {round}, ({v:?}, {j})");
                     assert_eq!(
                         st.any_feasible_candidate(&tasks, v, j),

@@ -59,8 +59,8 @@
 //! job's arrival; the report's cost/deadline/budget claims recomputed
 //! bit-exactly from the schedule; the multi-job energy ledger conserved
 //! across the stream), and differential arms pin fresh-vs-reused
-//! contexts, 1-vs-4-thread pools, and the one-job-at-zero degenerate
-//! case against the closed-system driver.
+//! contexts and the one-job-at-zero degenerate case against the
+//! closed-system driver.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -42,7 +42,7 @@ use gridsim::state::SimState;
 use lagrange::step::StepRule;
 use lagrange::weights::Objective;
 use rayon::prelude::*;
-use slrh::open::{run_open, run_open_in, OpenJobReport, OpenOutcome, COST_EPS};
+use slrh::open::{run_open_in, OpenJobReport, COST_EPS};
 use slrh::reference::{self, Kind};
 use slrh::{run_slrh_with, Adaptation, Churn, RunContext, SlrhOutcome, SlrhVariant};
 
@@ -170,29 +170,6 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         ctx.reclaim(inert.state);
     }
 
-    // Adaptive runs must be byte-identical under 1-thread and 4-thread
-    // forced rayon pools: the multiplier update is driven purely by the
-    // (state, tick) pair, never by scheduling order inside a tick.
-    if spec.adaptation.is_some() {
-        let config = spec.config(SlrhVariant::V1);
-        let adaptive_under = |threads: usize| -> String {
-            pool(threads).install(|| {
-                let out = run_slrh_with(&sc, &config, churn, &mut RunContext::new(), None);
-                dynamic_signature(&out, true)
-            })
-        };
-        let single = adaptive_under(1);
-        let quad = adaptive_under(4);
-        if single != quad {
-            failures.push(
-                "slrh-V1-adaptive: differential-threads: 1-thread and 4-thread adaptive runs \
-                 diverge"
-                    .to_string(),
-            );
-        }
-        fingerprint.update(&single);
-    }
-
     // --- open-system arms -------------------------------------------------
     // When the case carries an open block, stream its job trace through
     // the open driver under the case's churn trace, with per-job
@@ -278,16 +255,6 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         if fresh != reused {
             failures.push(format!(
                 "{tag}: differential-context: fresh and reused-context open runs diverge"
-            ));
-        }
-
-        // 1-thread vs 4-thread forced rayon pools.
-        let open_under = |threads: usize| -> OpenOutcome {
-            pool(threads).install(|| run_open(&params, &config, churn))
-        };
-        if open_under(1) != open_under(4) {
-            failures.push(format!(
-                "{tag}: differential-threads: 1-thread and 4-thread open runs diverge"
             ));
         }
 
@@ -407,7 +374,8 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
 
     // --- the registry under 1-thread and 4-thread rayon pools ------------
     let registry = |threads: usize| -> Vec<String> {
-        pool(threads).install(|| {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+        pool.expect("thread pool").install(|| {
             Heuristic::ALL
                 .par_iter()
                 .map(|&h| {
@@ -442,14 +410,6 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         clock_steps,
         sweeps_elided,
     }
-}
-
-/// A rayon pool forcing `threads` workers on whatever it `install`s.
-pub(crate) fn pool(threads: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool")
 }
 
 /// The frontier-vs-reference differential: everything but the planning

@@ -17,11 +17,9 @@
 //!   disruptions);
 //! * **differential, cached vs resort** — up to
 //!   [`ABLATION_DIFF_MAX_TASKS`] tasks, the [`Kind::Resort`] reference
-//!   (every view shed to the per-query resort scan) and a forced
-//!   4-thread run must both replay the 1-thread main run
-//!   byte-for-byte at every clustering: the cached bound orders and the
-//!   chunked scan are query-plan/execution optimizations with no output
-//!   surface;
+//!   (every view shed to the per-query resort scan) must replay the
+//!   main run byte-for-byte at every clustering: the cached bound
+//!   orders are a query-plan optimization with no output surface;
 //! * **progress** — a scale run must actually map work (a silently empty
 //!   schedule would pass every conservation oracle).
 //!
@@ -38,7 +36,7 @@ use slrh::reference::{self, Kind};
 use slrh::{run_slrh_with, Churn, RunContext, ScaleMode, SlrhConfig, SlrhVariant};
 
 use crate::oracle;
-use crate::runner::{dynamic_signature, pool, reference_mismatch};
+use crate::runner::reference_mismatch;
 
 /// Seed-stream tag for the scale generator (distinct from
 /// [`crate::gen::STREAM_FUZZ`]).
@@ -49,10 +47,9 @@ pub const STREAM_SCALE: u64 = 0x5CA1E;
 /// sizes where that is still cheap.
 pub const DIFF_MAX_TASKS: usize = 2048;
 
-/// Largest case the execution-only arms (cached-order-vs-resort, 1-vs-4
-/// scan threads) run on. Both arms are full frontier runs —
-/// merely a constant factor over the main run — so they cover a far
-/// wider band than the quadratic rebuild differential.
+/// Largest case the cached-order-vs-resort arm runs on. It is a full
+/// frontier run — merely a constant factor over the main run — so it
+/// covers a far wider band than the quadratic rebuild differential.
 pub const ABLATION_DIFF_MAX_TASKS: usize = 16_384;
 
 /// One generated scale case.
@@ -166,9 +163,7 @@ pub fn run_scale_seed(case: &ScaleCase, ctx: &mut RunContext) -> ScaleReport {
         spill_after: case.spill_after,
     });
     let mut failures = Vec::new();
-    // The main run is pinned to one scan thread so the 4-thread arm below
-    // is a real differential whatever the ambient width.
-    let frontier = pool(1).install(|| run_slrh_with(&sc, &config, churn, ctx, None));
+    let frontier = run_slrh_with(&sc, &config, churn, ctx, None);
     let metrics = frontier.state.metrics();
     if metrics.mapped == 0 {
         failures.push("scale: progress: the frontier run mapped nothing".to_string());
@@ -186,24 +181,13 @@ pub fn run_scale_seed(case: &ScaleCase, ctx: &mut RunContext) -> ScaleReport {
         ctx.reclaim(walk.state);
     }
 
-    // Execution-only differentials: the cached bound orders and the
-    // chunked scan are pure query-plan/execution optimizations, so the
-    // resort reference and the 4-thread run must replay the main run's
-    // schedule, metrics and disruptions byte-for-byte at every
-    // clustering.
+    // The cached bound orders are a pure query-plan optimization, so
+    // the resort reference must replay the main run's schedule, metrics
+    // and disruptions byte-for-byte at every clustering.
     if case.tasks <= ABLATION_DIFF_MAX_TASKS {
         let resort = reference::run(Kind::Resort, &sc, &config, churn, ctx, None);
         failures.extend(reference_mismatch("scale", Kind::Resort, &frontier, &resort));
         ctx.reclaim(resort.state);
-
-        let quad =
-            pool(4).install(|| run_slrh_with(&sc, &config, churn, &mut RunContext::new(), None));
-        if dynamic_signature(&frontier, true) != dynamic_signature(&quad, true) {
-            failures.push(
-                "scale: differential-scan: the 4-thread run diverges from the 1-thread run"
-                    .to_string(),
-            );
-        }
     }
 
     let stats = frontier.stats;

@@ -1,5 +1,4 @@
-//! Frontier ≡ reference equivalence under churn cascades, at 1 and 4
-//! worker threads.
+//! Frontier ≡ reference equivalence under churn cascades.
 //!
 //! The product kernel ([`slrh::ScaleMode`]) replaces the paper's
 //! per-query pool rebuild with worklist-driven frontier maintenance,
@@ -14,8 +13,7 @@
 //! `clusters > 1` the machine partition intentionally changes
 //! visibility, so equality with the pool walk is not required — but the
 //! cached bound orders must still replay the resort reference, and the
-//! run must be deterministic: bit-identical across repeats and across
-//! thread counts.
+//! run must be deterministic: bit-identical across repeats.
 //!
 //! The product loop also *elides* sweeps the frontier has already
 //! answered (DESIGN.md §19) while both reference kernels are swept on
@@ -23,9 +21,10 @@
 //! differential below — are what prove the elision exact; the pinned
 //! case keeps that proof from going vacuous.
 //!
-//! Running under 1- and 4-thread rayon pools pins both the chunked scan
-//! (execution-only at any width) and the embedding the campaign sweeps
-//! use (a worker-local `RunContext` must not leak state between arms).
+//! The kernel is sequential and `slrh` links no thread pool
+//! (`scripts/api_surface.sh` holds that line), so there is no pool-width
+//! arm here; the campaign sweeps' embedding — worker-local `RunContext`s
+//! under a real rayon pool — is pinned by `differential_determinism.rs`.
 
 use std::fmt::Write as _;
 
@@ -41,13 +40,6 @@ use slrh::{
     run_slrh, run_slrh_with, Adaptation, Churn, MachineArrivalEvent, MachineLossEvent,
     MachineOrder, RunContext, ScaleMode, SlrhConfig, SlrhOutcome, SlrhVariant, TickEvent,
 };
-
-fn pool(threads: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("pool")
-}
 
 /// Deterministic full serialization of a churn run. `{:?}` on floats is
 /// shortest-roundtrip, so byte equality is bit equality. Of the work
@@ -192,21 +184,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Exact mode: the frontier at `clusters: 1` replays the reference
-    /// pool walk bit-for-bit through loss cascades, under both pool
-    /// widths.
+    /// pool walk bit-for-bit through loss cascades.
     #[test]
     fn frontier_matches_the_pool_walk_under_churn(case in case_strategy()) {
         let exact = ScaleMode::default();
-        let walk = pool(1).install(|| run_case(&case, exact, Some(Kind::Scratch)));
-        let frontier = pool(1).install(|| run_case(&case, exact, None));
+        let walk = run_case(&case, exact, Some(Kind::Scratch));
+        let frontier = run_case(&case, exact, None);
         prop_assert_eq!(
             &walk, &frontier,
             "frontier (k=1) diverged from the reference pool walk"
-        );
-        let frontier4 = pool(4).install(|| run_case(&case, exact, None));
-        prop_assert_eq!(
-            &frontier, &frontier4,
-            "frontier run differs between 1 and 4 threads"
         );
     }
 
@@ -214,7 +200,7 @@ proptest! {
     /// the event-driven trigger and the non-default machine visit
     /// orders, alone and combined, through one loss and one arrival —
     /// still the pool walk's schedule, metrics, disruptions and loop
-    /// trajectory, at 1 and 4 threads.
+    /// trajectory.
     #[test]
     fn frontier_matches_the_pool_walk_under_every_loop_knob(
         case in case_strategy(),
@@ -240,11 +226,9 @@ proptest! {
             base.primary_only().event_driven().with_machine_order(MachineOrder::Rotating),
         ];
         for cfg in &knobs {
-            let walk = pool(1).install(|| run_with(&case, cfg, &arrivals, Some(Kind::Scratch)));
-            let frontier = pool(1).install(|| run_with(&case, cfg, &arrivals, None));
+            let walk = run_with(&case, cfg, &arrivals, Some(Kind::Scratch));
+            let frontier = run_with(&case, cfg, &arrivals, None);
             prop_assert_eq!(&walk, &frontier, "frontier diverged from the pool walk under {}", cfg);
-            let frontier4 = pool(4).install(|| run_with(&case, cfg, &arrivals, None));
-            prop_assert_eq!(&frontier, &frontier4, "1 and 4 threads differ under {}", cfg);
         }
     }
 
@@ -291,7 +275,7 @@ proptest! {
     }
 
     /// Clustered mode: visibility partitioning may change the schedule,
-    /// but never determinism — repeats and thread counts agree.
+    /// but never determinism — repeats agree.
     #[test]
     fn clustered_frontier_is_deterministic(
         case in case_strategy(),
@@ -299,11 +283,9 @@ proptest! {
         spill_after in prop::sample::select(&[1u64, 4, 16]),
     ) {
         let mode = ScaleMode { clusters, spill_after };
-        let first = pool(1).install(|| run_case(&case, mode, None));
-        let again = pool(1).install(|| run_case(&case, mode, None));
+        let first = run_case(&case, mode, None);
+        let again = run_case(&case, mode, None);
         prop_assert_eq!(&first, &again, "clustered run is not reproducible");
-        let wide = pool(4).install(|| run_case(&case, mode, None));
-        prop_assert_eq!(&first, &wide, "clustered run differs between 1 and 4 threads");
     }
 
     /// Serving queries from the cached per-(machine, list) bound orders
@@ -317,8 +299,8 @@ proptest! {
         spill_after in prop::sample::select(&[1u64, 4, 16]),
     ) {
         let mode = ScaleMode { clusters, spill_after };
-        let cached = pool(1).install(|| run_case(&case, mode, None));
-        let resort = pool(1).install(|| run_case(&case, mode, Some(Kind::Resort)));
+        let cached = run_case(&case, mode, None);
+        let resort = run_case(&case, mode, Some(Kind::Resort));
         prop_assert_eq!(&cached, &resort, "cached-order run diverged from the resort reference");
     }
 }

@@ -8,7 +8,13 @@
 #  * `slrh`'s root re-exports exactly the five run functions and the one
 #    SLRH outcome type;
 #  * the churn-trace messages live in one product source file (the
-#    `ChurnError` display), not in a re-typed copy of the rule.
+#    `ChurnError` display), not in a re-typed copy of the rule;
+#  * the mapping kernel stays sequential: no crate under the clock loop
+#    (`slrh`, `gridsim`, `adhoc-grid`, `lagrange`) depends on rayon, and
+#    the bounded chunk map that existed only to feed the kernel's
+#    never-executed parallel scan stays gone (DESIGN.md section 17) —
+#    the compile-time fact that replaced the 1- vs 4-thread kernel
+#    differentials.
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -46,6 +52,13 @@ for message in 'machine lost twice' 'cannot lose every machine'; do
         fail "\"$message\" is spelled in more than one source file:"$'\n'"$files"
     fi
 done
+
+if hits=$(grep -n 'rayon' crates/{core,sim,grid,lagrange}/Cargo.toml); then
+    fail "a crate under the clock loop depends on rayon:"$'\n'"$hits"
+fi
+if hits=$(grep -rn 'map_bounded' crates src tests examples benchmark/src --include='*.rs'); then
+    fail "the bounded chunk map is back:"$'\n'"$hits"
+fi
 
 [ "$status" -eq 0 ] && echo "api_surface: ok"
 exit "$status"

@@ -43,7 +43,9 @@ mapping options (run, replay, churn, submit, watch):
   --dt T --horizon T  receding-horizon knobs in ticks (paper defaults)
   --lose M@T          machine M lost at tick T (repeatable; SLRH only)
   --join M@T          machine M arrives at tick T (repeatable; SLRH only)
-  --label NAME        job label echoed in the report (default \"job\")
+  --label NAME        job label echoed in the report (default \"job\");
+                      no '#' or newline, here or in --client: each
+                      travels to a daemon as one wire value
   --gantt             render a Gantt chart to stderr after the report
 
 adaptation options (run, replay, churn, submit, watch; SLRH only):
@@ -294,6 +296,19 @@ fn parse_seed(flag: &str, raw: &str) -> Result<u64, CliError> {
         .map_err(|e| CliError::new(format!("bad value {raw:?} for {flag}: {e}")))
 }
 
+/// Parse a job label or client name: free text that rides the wire as
+/// one entry value, where `#` starts a comment and a newline ends the
+/// entry. Refused for local commands too, so `run` and `submit` accept
+/// the same requests.
+fn parse_name(flag: &str, raw: &str) -> Result<String, CliError> {
+    if raw.contains(['#', '\n']) {
+        return Err(CliError::new(format!(
+            "bad value {raw:?} for {flag}: must not contain '#' or a newline"
+        )));
+    }
+    Ok(raw.to_string())
+}
+
 /// Parse a churn event `M@T` (machine id at tick).
 fn parse_event(flag: &str, raw: &str) -> Result<(usize, u64), CliError> {
     let Some((m, t)) = raw.split_once('@') else {
@@ -447,9 +462,9 @@ fn parse_open(cmd: &str, argv: &[String], remote: bool) -> Result<ParsedOpen, Cl
             "--horizon" => horizon = Some(typed(flag, cursor.value(flag)?)?),
             "--lose" => losses.push(parse_event(flag, cursor.value(flag)?)?),
             "--join" => arrivals.push(parse_event(flag, cursor.value(flag)?)?),
-            "--label" => label = Some(cursor.value(flag)?.to_string()),
+            "--label" => label = Some(parse_name(flag, cursor.value(flag)?)?),
             "--open" if remote => {} // the mode marker itself
-            "--client" if remote => client = Some(cursor.value(flag)?.to_string()),
+            "--client" if remote => client = Some(parse_name(flag, cursor.value(flag)?)?),
             "--addr" if remote => addr = Some(cursor.value(flag)?.to_string()),
             other => {
                 return Err(CliError::new(format!("unknown flag {other:?} for {cmd}")));
@@ -570,8 +585,8 @@ fn parse_job(cmd: &str, argv: &[String], remote: bool) -> Result<ParsedJob, CliE
             "--adapt-lmax" => adapt_lmax = Some(typed(flag, cursor.value(flag)?)?),
             "--adapt-warm" => adapt_warm = Some(parse_weight_pair(flag, cursor.value(flag)?)?),
             "--gantt" => gantt = true,
-            "--label" => label = Some(cursor.value(flag)?.to_string()),
-            "--client" if remote => client = Some(cursor.value(flag)?.to_string()),
+            "--label" => label = Some(parse_name(flag, cursor.value(flag)?)?),
+            "--client" if remote => client = Some(parse_name(flag, cursor.value(flag)?)?),
             "--addr" if remote => addr = Some(cursor.value(flag)?.to_string()),
             other => {
                 return Err(CliError::new(format!("unknown flag {other:?} for {cmd}")));
@@ -784,6 +799,40 @@ mod tests {
                 "{cmd} {flag}: {err}"
             );
         }
+    }
+
+    /// A label or client name that cannot ride the wire as one entry
+    /// value is refused up front — by the local commands too, so `run`
+    /// and `submit` accept exactly the same requests (a `#` used to
+    /// print a report from `run` and panic in `submit`'s frame encoder).
+    #[test]
+    fn names_that_cannot_ride_the_wire_are_hard_errors() {
+        let argv = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+        for value in ["a#b", "#", "two\nlines"] {
+            for (cmd, flag) in [
+                ("run", "--label"),
+                ("churn", "--label"),
+                ("open", "--label"),
+                ("submit", "--label"),
+                ("submit", "--client"),
+                ("watch", "--client"),
+            ] {
+                let err = parse(&argv(&[cmd, flag, value])).unwrap_err();
+                assert!(
+                    err.message.contains(flag) && err.message.contains("'#' or a newline"),
+                    "{cmd} {flag} {value:?}: {err}"
+                );
+            }
+            assert!(parse(&argv(&["submit", "--open", "--client", value])).is_err());
+        }
+        // Everything else is still free text, and survives the frame.
+        let Ok(Command::Submit(Remote { job: RemoteJob::Map(job), .. })) =
+            parse(&argv(&["submit", "--label", "a b=c@d;e"]))
+        else {
+            panic!("a label without '#' or newline parses");
+        };
+        let decoded = MapRequest::from_frame(&job.request.to_frame()).unwrap();
+        assert_eq!(decoded.label, "a b=c@d;e");
     }
 
     #[test]
