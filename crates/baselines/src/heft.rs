@@ -13,7 +13,6 @@
 //! outgoing-communication reservation) cannot fund the primary, exactly
 //! like the other static baselines here.
 
-use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::Time;
 use adhoc_grid::workload::Scenario;
@@ -134,25 +133,6 @@ pub fn run_heft_in<'a>(scenario: &'a Scenario, buffers: &mut StateBuffers) -> St
     }
 }
 
-/// Convenience: the machine HEFT would rank as the overall fastest (used
-/// in tests and examples).
-pub fn fastest_machine(scenario: &Scenario) -> MachineId {
-    scenario
-        .grid
-        .ids()
-        .min_by(|&a, &b| {
-            let mean = |j: MachineId| {
-                scenario
-                    .dag
-                    .tasks()
-                    .map(|t| scenario.etc.seconds(t, j))
-                    .sum::<f64>()
-            };
-            mean(a).partial_cmp(&mean(b)).expect("finite")
-        })
-        .expect("grid is non-empty")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,15 +201,5 @@ mod tests {
     fn deterministic() {
         let sc = scenario(48);
         assert_eq!(run_heft(&sc).metrics(), run_heft(&sc).metrics());
-    }
-
-    #[test]
-    fn fastest_machine_is_fast_class() {
-        let sc = scenario(32);
-        let j = fastest_machine(&sc);
-        assert_eq!(
-            sc.grid.machine(j).class,
-            adhoc_grid::machine::MachineClass::Fast
-        );
     }
 }

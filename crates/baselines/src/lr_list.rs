@@ -209,21 +209,6 @@ pub fn run_lr_list_in<'a>(
     }
 }
 
-/// The Lagrangian dual bound on the relaxed (precedence-free) problem —
-/// an upper bound on the weighted objective any mapping can achieve,
-/// useful for gauging the repair pass's optimality gap.
-pub fn dual_bound(scenario: &Scenario, config: &LrListConfig) -> f64 {
-    let problem = build_problem(scenario, &config.weights);
-    let solver = SubgradientSolver {
-        rule: StepRule::Diminishing { a: config.step },
-        max_iters: config.dual_iters,
-        tol: 1e-12,
-    };
-    problem
-        .solve_dual(&solver, vec![0.0; problem.resources()])
-        .upper_bound
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,21 +245,6 @@ mod tests {
         assert!(out.metrics().fully_mapped());
         let errs = validate(&out.state);
         assert!(errs.is_empty(), "{errs:?}");
-    }
-
-    #[test]
-    fn achieved_weighted_value_below_dual_bound() {
-        let sc = scenario(48);
-        let cfg = LrListConfig::default();
-        let out = run_lr_list(&sc, &cfg);
-        let m = out.metrics();
-        let achieved =
-            cfg.weights.alpha() * m.t100_fraction() - cfg.weights.beta() * m.tec_fraction();
-        let bound = dual_bound(&sc, &cfg);
-        assert!(
-            achieved <= bound + 1e-6,
-            "achieved {achieved} exceeds Lagrangian bound {bound}"
-        );
     }
 
     #[test]

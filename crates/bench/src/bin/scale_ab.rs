@@ -1,5 +1,8 @@
-//! Interleaved A/B timing for the frontier kernel at scale, recorded in
-//! `BENCH_scale.json` at the repository root.
+//! Frontier-kernel timing beyond what `BENCHMARK.json` reaches, recorded
+//! in `BENCH_scale.json` at the repository root: the interleaved
+//! resort-vs-cached oracle A/B and the 65 536×256 / 100 000×1000 design
+//! points. Everything at or below 16 384×64 as a *product* number is
+//! `benchmark/`'s (`scale_16k`, `paper_suite`, `paper_churn`).
 //!
 //! Two arms run from this one binary, interleaved within each round so
 //! background-load drift hits both equally:
@@ -14,35 +17,34 @@
 //! (`crates/stress/src/scale.rs` and the sweep equivalence proptests
 //! assert it), so the ratio is a pure kernel speedup. Per-case summaries
 //! use min-of-rounds (robust to host variance); all rounds are listed,
-//! and every full run appends a commit-stamped entry to the file's
-//! `history` array instead of erasing the past.
+//! and every full run appends one row per case, stamped with
+//! `git describe --always --dirty`, to the file's `history` array
+//! instead of erasing the past.
 //!
 //! ```text
 //! cargo run -p bench --release --bin scale_ab              # full A/B, rewrites BENCH_scale.json (history preserved)
-//! cargo run -p bench --release --bin scale_ab -- --check   # CI ratchet: the 1.3x after_min_ms regression gate
-//!                                                          # at 16k and the 65k wall-clock ceiling
-//! cargo run -p bench --release --bin scale_ab -- --smoke   # 65k frontier run, asserts the wall-clock ceiling
+//! cargo run -p bench --release --bin scale_ab -- --smoke   # one 65k product run, fails past the wall-clock ceiling
 //! ```
 
 use adhoc_grid::scale::ScaleParams;
-use adhoc_grid::workload::Scenario;
 use lagrange::weights::Weights;
 use slrh::reference::{self, Kind};
 use slrh::{run_slrh, Churn, RunContext, ScaleMode, SlrhConfig, SlrhVariant};
 use std::time::Instant;
 
-/// (tasks, machines, clusters) per A/B case.
-const AB_SIZES: [(usize, usize, u32); 3] = [(1024, 16, 4), (16_384, 64, 8), (65_536, 256, 16)];
-/// The design-point size: one `after`-arm round, recorded end to end.
-const DESIGN_POINT: (usize, usize, u32) = (100_000, 1000, 64);
-/// `--check`/`--smoke` fail past this 65k wall clock in seconds.
-const CHECK_MAX_SMOKE_SECS: f64 = 30.0;
-/// `--check` fails when the fresh 16k `after` round regresses more than
-/// this factor past the best `after_min_ms` recorded in
-/// BENCH_scale.json (cases and history both count).
-const CHECK_MAX_REGRESSION: f64 = 1.3;
-/// The case the regression gate ratchets on.
-const RATCHET_CASE: &str = "kernel_scale/16384x64";
+/// (tasks, machines, clusters) of one case.
+type Size = (usize, usize, u32);
+
+const AB_SIZES: [Size; 3] = [(1024, 16, 4), (16_384, 64, 8), (65_536, 256, 16)];
+/// The design-point size: one `cached` round, recorded end to end.
+const DESIGN_POINT: Size = (100_000, 1000, 64);
+/// `--smoke` runs this size once and fails past `SMOKE_MAX_SECS`. A
+/// regime tripwire, not a ratchet: the frontier maps 65k in about 5 s,
+/// the per-query pool walk it replaced needed minutes.
+const SMOKE_SIZE: Size = AB_SIZES[2];
+const SMOKE_MAX_SECS: f64 = 30.0;
+
+const USAGE: &str = "usage: scale_ab [--smoke] [--rounds N] [--out PATH]";
 
 fn config(clusters: u32) -> SlrhConfig {
     let weights = Weights::new(0.5, 0.25).expect("static weights");
@@ -53,44 +55,14 @@ fn config(clusters: u32) -> SlrhConfig {
 }
 
 /// The two arms, in within-round execution order.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Arm {
     Resort,
     Cached,
 }
 
 impl Arm {
-    const ALL: [Arm; 2] = [Arm::Resort, Arm::Cached];
-
-    fn name(self) -> &'static str {
-        match self {
-            Arm::Resort => "resort",
-            Arm::Cached => "cached",
-        }
-    }
-}
-
-fn timed_run(sc: &Scenario, arm: Arm, clusters: u32, tasks: usize) -> f64 {
-    let cfg = config(clusters);
-    let t = Instant::now();
-    let mapped = match arm {
-        Arm::Cached => run_slrh(sc, &cfg).metrics().mapped,
-        Arm::Resort => reference::run(Kind::Resort, sc, &cfg, &Churn::default(), &mut RunContext::new(), None)
-            .metrics()
-            .mapped,
-    };
-    let ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(mapped, tasks, "run must map every subtask");
-    ms
-}
-
-fn median(sorted: &[f64]) -> f64 {
-    let n = sorted.len();
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-    }
+    const BOTH: [Arm; 2] = [Arm::Resort, Arm::Cached];
 }
 
 fn round2(x: f64) -> f64 {
@@ -104,127 +76,68 @@ fn min_of(rounds: &[f64]) -> f64 {
 fn median_of(rounds: &[f64]) -> f64 {
     let mut sorted = rounds.to_vec();
     sorted.sort_by(|x, y| x.partial_cmp(y).expect("finite timings"));
-    median(&sorted)
-}
-
-struct CaseResult {
-    name: String,
-    rounds_ms: Vec<(Arm, Vec<f64>)>,
-}
-
-impl CaseResult {
-    fn arm(&self, arm: Arm) -> &[f64] {
-        let (_, rounds) = self
-            .rounds_ms
-            .iter()
-            .find(|(a, _)| *a == arm)
-            .expect("every arm runs on every case");
-        rounds
+    let n = sorted.len();
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
     }
 }
 
-fn run_case(tasks: usize, machines: usize, clusters: u32, rounds: usize) -> CaseResult {
+/// One case's rounds in ms. `resort_ms` is empty when only the product
+/// arm ran (the design point).
+struct CaseResult {
+    name: String,
+    resort_ms: Vec<f64>,
+    cached_ms: Vec<f64>,
+}
+
+fn run_case((tasks, machines, clusters): Size, rounds: usize, arms: &[Arm]) -> CaseResult {
     let sc = ScaleParams::new(tasks, machines).generate(0, 0);
+    let cfg = config(clusters);
     let mut case = CaseResult {
         name: format!("kernel_scale/{tasks}x{machines}"),
-        rounds_ms: Arm::ALL.iter().map(|&a| (a, Vec::new())).collect(),
+        resort_ms: Vec::new(),
+        cached_ms: Vec::new(),
     };
-    for round in 0..rounds {
-        for (arm, rounds_ms) in &mut case.rounds_ms {
-            let ms = timed_run(&sc, *arm, clusters, tasks);
-            eprintln!(
-                "{} round {}: {} {:.2} ms",
-                case.name,
-                round + 1,
-                arm.name(),
-                ms
-            );
+    for round in 1..=rounds {
+        for &arm in arms {
+            let t = Instant::now();
+            let (label, mapped, rounds_ms) = match arm {
+                Arm::Cached => ("cached", run_slrh(&sc, &cfg).metrics().mapped, &mut case.cached_ms),
+                Arm::Resort => {
+                    let ctx = &mut RunContext::new();
+                    let out = reference::run(Kind::Resort, &sc, &cfg, &Churn::default(), ctx, None);
+                    ("resort", out.metrics().mapped, &mut case.resort_ms)
+                }
+            };
+            let ms = t.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(mapped, tasks, "run must map every subtask");
+            eprintln!("{} round {round}: {label} {ms:.2} ms", case.name);
             rounds_ms.push(round2(ms));
         }
     }
     case
 }
 
-fn run_design_point() -> f64 {
-    let (tasks, machines, clusters) = DESIGN_POINT;
-    let sc = ScaleParams::new(tasks, machines).generate(0, 0);
-    let ms = timed_run(&sc, Arm::Cached, clusters, tasks);
-    eprintln!("kernel_scale/{tasks}x{machines} after: {:.2} ms", ms);
-    ms
+/// The raw row lines of an existing file's `history` array (one object
+/// per line, the format [`render`] writes).
+fn history_lines(text: &str) -> Vec<&str> {
+    text.lines()
+        .skip_while(|l| !l.trim_start().starts_with("\"history\""))
+        .skip(1)
+        .take_while(|l| !l.trim_start().starts_with(']'))
+        .collect()
 }
 
-fn json_list(values: &[f64]) -> String {
-    let inner: Vec<String> = values.iter().map(|v| format!("        {v}")).collect();
-    format!("[\n{}\n      ]", inner.join(",\n"))
+fn join_ms(rounds: &[f64], sep: &str) -> String {
+    rounds.iter().map(f64::to_string).collect::<Vec<_>>().join(sep)
 }
 
-/// Pull the `history` array's entry lines (one object per line, the
-/// format this binary writes) out of an existing BENCH_scale.json.
-fn read_history(path: &str) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let mut in_history = false;
-    let mut entries = Vec::new();
-    for line in text.lines() {
-        if in_history {
-            let t = line.trim();
-            if t.starts_with('{') {
-                entries.push(t.trim_end_matches(',').to_string());
-            } else if t.starts_with(']') {
-                break;
-            }
-        } else if line.trim_start().starts_with("\"history\"") {
-            in_history = true;
-        }
-    }
-    entries
-}
-
-/// Best (smallest) `after_min_ms` recorded for `case` in an existing
-/// BENCH_scale.json — from the case block and every history entry.
-fn best_recorded_after_min(path: &str, case: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let num_after = |hay: &str, key: &str| -> Option<f64> {
-        let at = hay.find(key)?;
-        let rest = &hay[at + key.len()..];
-        let end = rest
-            .find(|c: char| c != ' ' && !c.is_ascii_digit() && c != '.' && c != '-')
-            .unwrap_or(rest.len());
-        rest[..end].trim().parse().ok()
-    };
-    let mut best: Option<f64> = None;
-    let mut push = |v: Option<f64>| {
-        if let Some(v) = v {
-            best = Some(best.map_or(v, |b: f64| b.min(v)));
-        }
-    };
-    // The case block: the first after_min_ms following the case key.
-    if let Some(at) = text.find(&format!("\"{case}\"")) {
-        push(num_after(&text[at..], "\"after_min_ms\":"));
-    }
-    // History entries: single-line objects naming the case.
-    for entry in read_history(path) {
-        if entry.contains(&format!("\"case\": \"{case}\"")) {
-            push(num_after(&entry, "\"after_min_ms\":"));
-        }
-    }
-    best
-}
-
-fn git_short(args: &[&str], fallback: &str) -> String {
-    std::process::Command::new(args[0])
-        .args(&args[1..])
-        .output()
-        .ok()
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| fallback.to_string())
-}
-
-fn write_json(path: &str, results: &[CaseResult], design_ms: f64, rounds: usize) {
-    let date = git_short(&["date", "+%Y-%m-%d"], "unknown");
-    let commit = git_short(&["git", "rev-parse", "--short", "HEAD"], "unknown");
+/// The whole of BENCH_scale.json for one round: fresh `cases` blocks,
+/// and `existing`'s history rows carried forward byte for byte with one
+/// `{commit, date, case, after_min_ms}` row appended per case.
+fn render(existing: &str, commit: &str, date: &str, results: &[CaseResult], rounds: usize) -> String {
     let methodology = format!(
         "Interleaved A/B from one binary on the same host: per round, the resort reference \
          (slrh::reference Kind::Resort: the frontier with every cached bound order shed) and \
@@ -245,157 +158,181 @@ fn write_json(path: &str, results: &[CaseResult], design_ms: f64, rounds: usize)
          proptests assert it). History entries up to d0d882a timed the same kernel with a \
          since-retired forced 4-worker scan and, as 'before', the retired per-query pool \
          path (4023 ms at 16384x64). kernel_scale/100000x1000 is the ROADMAP design point, \
-         recorded as a single after-arm round. The history array accumulates one \
-         commit-stamped summary per scripts/perf_append.sh run; the CI ratchet fails when a \
-         fresh 16384x64 after round regresses past 1.3x the best recorded after_min_ms."
+         recorded as a single after-arm round. The history array accumulates one row per \
+         case per scripts/perf_append.sh round (rounds before PR 19 recorded 16384x64 \
+         only), stamped with git describe --always --dirty, so a -dirty suffix marks a \
+         round taken on an uncommitted tree. No gate reads this file: the per-PR same-host \
+         regression check at 16384x64 is BENCHMARK.json's scale_16k, and CI runs only \
+         scale_ab --smoke (65536x256 under 30 s)."
     );
-    let mut cases = Vec::new();
-    for case in results {
-        let mut fields = Vec::new();
-        let after = case.arm(Arm::Cached);
-        fields.push(format!("      \"after_rounds_ms\": {}", json_list(after)));
-        fields.push(format!("      \"after_min_ms\": {}", round2(min_of(after))));
-        fields.push(format!(
-            "      \"after_median_ms\": {}",
-            round2(median_of(after))
-        ));
-        let mut arms = Vec::new();
-        for arm in Arm::ALL {
-            let rounds_ms = case.arm(arm);
-            arms.push(format!(
-                "        \"{}\": {{\n          \"rounds_ms\": [{}],\n          \"min_ms\": {}\n        }}",
-                arm.name(),
-                rounds_ms
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                round2(min_of(rounds_ms)),
-            ));
-        }
-        fields.push(format!("      \"arms\": {{\n{}\n      }}", arms.join(",\n")));
-        cases.push(format!(
-            "    \"{}\": {{\n{}\n    }}",
+    let cases: Vec<String> = results
+        .iter()
+        .map(|case| {
+            let after = &case.cached_ms;
+            if case.resort_ms.is_empty() {
+                return format!(
+                    "    \"{}\": {{\n      \"after_rounds_ms\": [{}],\n      \"after_min_ms\": {}\n    }}",
+                    case.name,
+                    join_ms(after, ", "),
+                    min_of(after),
+                );
+            }
+            let arm = |label: &str, rounds_ms: &[f64]| {
+                format!(
+                    "        \"{label}\": {{\n          \"rounds_ms\": [{}],\n          \"min_ms\": {}\n        }}",
+                    join_ms(rounds_ms, ", "),
+                    min_of(rounds_ms),
+                )
+            };
+            format!(
+                "    \"{}\": {{\n      \"after_rounds_ms\": [\n        {}\n      ],\n      \
+                 \"after_min_ms\": {},\n      \"after_median_ms\": {},\n      \
+                 \"arms\": {{\n{},\n{}\n      }}\n    }}",
+                case.name,
+                join_ms(after, ",\n        "),
+                min_of(after),
+                round2(median_of(after)),
+                arm("resort", &case.resort_ms),
+                arm("cached", after),
+            )
+        })
+        .collect();
+    let mut history: Vec<String> = history_lines(existing)
+        .iter()
+        .map(|row| row.trim_end_matches(',').to_string())
+        .collect();
+    history.extend(results.iter().map(|case| {
+        format!(
+            "    {{\"commit\": \"{commit}\", \"date\": \"{date}\", \"case\": \"{}\", \"after_min_ms\": {}}}",
             case.name,
-            fields.join(",\n")
-        ));
-    }
-    let (tasks, machines, _) = DESIGN_POINT;
-    cases.push(format!(
-        "    \"kernel_scale/{tasks}x{machines}\": {{\n      \"after_rounds_ms\": [{}],\n      \"after_min_ms\": {}\n    }}",
-        round2(design_ms),
-        round2(design_ms),
-    ));
-    let mut history = read_history(path);
-    let ratchet = results
-        .iter()
-        .find(|c| c.name == RATCHET_CASE)
-        .map(|c| round2(min_of(c.arm(Arm::Cached))))
-        .unwrap_or(f64::NAN);
-    history.push(format!(
-        "{{\"commit\": \"{commit}\", \"date\": \"{date}\", \"case\": \"{RATCHET_CASE}\", \"after_min_ms\": {ratchet}}}"
-    ));
-    let history_block = history
-        .iter()
-        .map(|e| format!("    {e}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"bench\": \"kernel_scale\",\n  \"date\": \"{date}\",\n  \"commit\": \"{commit}\",\n  \"methodology\": \"{methodology}\",\n  \"cases\": {{\n{}\n  }},\n  \"history\": [\n{}\n  ]\n}}\n",
+            min_of(&case.cached_ms),
+        )
+    }));
+    format!(
+        "{{\n  \"bench\": \"kernel_scale\",\n  \"date\": \"{date}\",\n  \"commit\": \"{commit}\",\n  \
+         \"methodology\": \"{methodology}\",\n  \"cases\": {{\n{}\n  }},\n  \"history\": [\n{}\n  ]\n}}\n",
         cases.join(",\n"),
-        history_block,
-    );
-    std::fs::write(path, json).expect("BENCH_scale.json is writable");
-    eprintln!("wrote {path}");
+        history.join(",\n"),
+    )
 }
 
-fn run_smoke() -> f64 {
-    let (tasks, machines, clusters) = AB_SIZES[2];
-    let sc = ScaleParams::new(tasks, machines).generate(0, 0);
-    let ms = timed_run(&sc, Arm::Cached, clusters, tasks);
-    eprintln!("kernel_scale/{tasks}x{machines} after: {:.2} ms", ms);
-    ms
+/// A command's stdout, trimmed, or "unknown" when it cannot be had.
+fn stdout_of(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let rounds = args
-        .iter()
-        .position(|a| a == "--rounds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(3);
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_scale.json".to_string());
+    let mut rounds = 3usize;
+    let mut out = "BENCH_scale.json".to_string();
+    let mut smoke = false;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--rounds" => {
+                rounds = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| usage_error("--rounds needs a positive integer"))
+            }
+            "--out" => out = args.next().unwrap_or_else(|| usage_error("--out needs a path")),
+            other => usage_error(&format!("unknown argument {other:?}")),
+        }
+    }
 
-    if args.iter().any(|a| a == "--smoke") {
-        let ms = run_smoke();
+    if smoke {
+        let secs = run_case(SMOKE_SIZE, 1, &[Arm::Cached]).cached_ms[0] / 1e3;
         assert!(
-            ms / 1e3 < CHECK_MAX_SMOKE_SECS,
-            "65k smoke took {:.1} s, ceiling is {CHECK_MAX_SMOKE_SECS} s",
-            ms / 1e3
+            secs < SMOKE_MAX_SECS,
+            "65k smoke took {secs:.1} s, ceiling is {SMOKE_MAX_SECS} s"
         );
-        println!("smoke ok: {:.2} s", ms / 1e3);
+        println!("smoke ok: {secs:.2} s");
         return;
     }
 
-    if args.iter().any(|a| a == "--check") {
-        // The 16k after arm pins the recorded-best regression gate; the
-        // 65k run pins the absolute wall clock.
-        let (tasks, machines, clusters) = AB_SIZES[1];
-        if let Some(best) = best_recorded_after_min(&out, RATCHET_CASE) {
-            // The regression gate compares min-of-rounds against
-            // min-of-rounds: run-to-run noise on shared hosts is
-            // +-15%, so a single round would flake against a recorded
-            // best that is itself a min (~0.4 s per round).
-            let sc = ScaleParams::new(tasks, machines).generate(0, 0);
-            let after = (0..3)
-                .map(|_| timed_run(&sc, Arm::Cached, clusters, tasks))
-                .fold(f64::INFINITY, f64::min);
+    let mut results: Vec<CaseResult> = AB_SIZES
+        .iter()
+        .map(|&size| run_case(size, rounds, &Arm::BOTH))
+        .collect();
+    results.push(run_case(DESIGN_POINT, 1, &[Arm::Cached]));
+    let existing = std::fs::read_to_string(&out).unwrap_or_default();
+    let commit = stdout_of("git", &["describe", "--always", "--dirty"]);
+    let date = stdout_of("date", &["+%Y-%m-%d"]);
+    std::fs::write(&out, render(&existing, &commit, &date, &results, rounds))
+        .expect("BENCH_scale.json is writable");
+    eprintln!("wrote {out}");
+    for case in &results {
+        if case.resort_ms.is_empty() {
+            println!("{} after: {:.2} s", case.name, min_of(&case.cached_ms) / 1e3);
+        } else {
             println!(
-                "{RATCHET_CASE}: after {:.1} ms (min of 3) vs best recorded {:.1} ms",
-                after, best
-            );
-            assert!(
-                after <= best * CHECK_MAX_REGRESSION,
-                "{RATCHET_CASE} after min-of-3 {:.1} ms regressed past {CHECK_MAX_REGRESSION}x \
-                 the best recorded after_min_ms ({:.1} ms)",
-                after,
-                best
+                "{}: resort {:.2} ms -> cached {:.2} ms (min)",
+                case.name,
+                min_of(&case.resort_ms),
+                min_of(&case.cached_ms),
             );
         }
-        let ms = run_smoke();
-        assert!(
-            ms / 1e3 < CHECK_MAX_SMOKE_SECS,
-            "65k smoke took {:.1} s, ceiling is {CHECK_MAX_SMOKE_SECS} s",
-            ms / 1e3
-        );
-        println!("check ok: 65k {:.2} s", ms / 1e3);
-        return;
     }
+}
 
-    let results: Vec<CaseResult> = AB_SIZES
-        .iter()
-        .map(|&(tasks, machines, clusters)| run_case(tasks, machines, clusters, rounds))
-        .collect();
-    let design_ms = run_design_point();
-    write_json(&out, &results, design_ms, rounds);
-    for case in &results {
-        println!(
-            "{}: resort {:.2} ms -> cached {:.2} ms (min)",
-            case.name,
-            min_of(case.arm(Arm::Resort)),
-            min_of(case.arm(Arm::Cached)),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A round's history rows cover every case it ran, and whatever the
+    /// file's `history` array already held comes first, byte for byte.
+    #[test]
+    fn a_round_appends_one_row_per_case_and_carries_history_verbatim() {
+        // Rows as earlier versions wrote them, plus one with a field
+        // this version does not know: carried, never re-rendered.
+        let old_rows = "    {\"commit\": \"d0d882a\", \"date\": \"2026-08-09\", \"case\": \"kernel_scale/16384x64\", \"after_min_ms\": 340.48},\n\
+                        \t{\"commit\": \"67d86a2\",  \"case\": \"kernel_scale/16384x64\", \"after_min_ms\": 331.53, \"note\": \"x\"}";
+        let existing = format!(
+            "{{\n  \"cases\": {{\n    \"kernel_scale/1024x16\": {{ \"after_min_ms\": 1 }}\n  }},\n  \
+             \"history\": [\n{old_rows}\n  ]\n}}\n"
         );
+        let case = |name: &str, resort_ms: &[f64], cached_ms: &[f64]| CaseResult {
+            name: name.to_string(),
+            resort_ms: resort_ms.to_vec(),
+            cached_ms: cached_ms.to_vec(),
+        };
+        let results = [
+            case("kernel_scale/1024x16", &[14.5, 12.83], &[6.98, 5.96]),
+            case("kernel_scale/16384x64", &[448.47, 405.6], &[365.86, 331.53]),
+            case("kernel_scale/65536x256", &[6491.51, 6901.53], &[5039.46, 4635.17]),
+            case("kernel_scale/100000x1000", &[], &[11012.25]),
+        ];
+        let text = render(&existing, "abc1234-dirty", "2026-10-02", &results, 2);
+
+        let history_at = text.find("  \"history\": [\n").expect("a history array");
+        let block = &text[history_at + "  \"history\": [\n".len()..];
+        assert!(block.starts_with(&format!("{old_rows},\n")), "{block}");
+        let rows = history_lines(&text);
+        assert_eq!(rows.len(), 2 + results.len());
+        for (row, case) in rows[2..].iter().zip(&results) {
+            let min = min_of(&case.cached_ms);
+            assert_eq!(
+                row.trim_end_matches(','),
+                format!(
+                    "    {{\"commit\": \"abc1234-dirty\", \"date\": \"2026-10-02\", \"case\": \"{}\", \"after_min_ms\": {min}}}",
+                    case.name
+                )
+            );
+        }
+        assert!(text.ends_with("}\n  ]\n}\n"), "{text}");
+        // No history yet (first run, unreadable file): the round's rows alone.
+        assert_eq!(history_lines(&render("", "abc1234", "2026-10-02", &results, 2)).len(), 4);
     }
-    println!(
-        "kernel_scale/{}x{} after: {:.2} s",
-        DESIGN_POINT.0,
-        DESIGN_POINT.1,
-        design_ms / 1e3
-    );
 }

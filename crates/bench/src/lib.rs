@@ -1,6 +1,6 @@
 //! # bench — reproduction harness support
 //!
-//! Shared scale presets for the `repro` binary and the criterion benches.
+//! Scale presets for the `repro` binary.
 //! Run `cargo run -p bench --release --bin repro -- help` for the list of
 //! regenerable tables and figures.
 

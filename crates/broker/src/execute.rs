@@ -13,6 +13,7 @@ use adhoc_grid::io::kv;
 use gridsim::metrics::Metrics;
 use gridsim::validate::validate;
 use grid_sweep::campaign::{canonical_report, run_case_unit, CampaignConfig, CaseRow};
+use grid_sweep::weight_search::check_steps;
 use adhoc_grid::workload::{ScenarioParams, ScenarioSet};
 use slrh::open::{run_open_in, OpenOutcome};
 use slrh::{run_slrh_with, Churn, RunContext, RunStats, TickEvent};
@@ -102,6 +103,7 @@ pub fn execute_map_counted(
     ctx: &mut RunContext,
     emit: &mut dyn FnMut(Event),
 ) -> Result<(MapResponse, RunStats), String> {
+    req.config.check().map_err(|e| e.to_string())?;
     let scenario = req.scenario.build()?;
     let case = scenario.case;
     let (report, stats) = match req.heuristic.slrh_variant() {
@@ -242,6 +244,7 @@ pub fn execute_open(
     ctx: &mut RunContext,
     emit: &mut dyn FnMut(Event),
 ) -> Result<MapResponse, String> {
+    req.config.check().map_err(|e| e.to_string())?;
     if req.config.scale.clusters > 1 {
         return Err("open-system runs do not support the clustered (clusters > 1) kernel".into());
     }
@@ -292,9 +295,7 @@ pub fn execute_campaign(
     if req.tasks == 0 {
         return Err("tasks must be positive".into());
     }
-    if !(req.coarse > 0.0 && req.fine > 0.0) {
-        return Err("search steps must be positive".into());
-    }
+    check_steps(req.coarse, req.fine)?;
     let cfg = CampaignConfig {
         set: ScenarioSet::new(ScenarioParams::paper_scaled(req.tasks), req.etc_count, req.dag_count),
         heuristics: req.heuristics.clone(),
@@ -350,8 +351,9 @@ mod tests {
     use super::*;
     use crate::proto::ScenarioSpec;
     use adhoc_grid::config::GridCase;
+    use adhoc_grid::units::{Dur, Time, MAX_INPUT_TICKS};
     use grid_sweep::heuristic::Heuristic;
-    use lagrange::weights::Weights;
+    use lagrange::weights::{AetSign, Weights};
     use slrh::{SlrhConfig, SlrhVariant};
 
     fn request(h: Heuristic) -> MapRequest {
@@ -445,6 +447,113 @@ mod tests {
             .contains("config names"));
     }
 
+    fn open_request(at: u64, deadline: u64) -> OpenRequest {
+        OpenRequest {
+            client: "test".into(),
+            label: "o".into(),
+            config: SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap()),
+            case: GridCase::A,
+            seed: 7,
+            jobs: vec![adhoc_grid::arrival::JobArrival {
+                id: 1,
+                at: Time(at),
+                kind: adhoc_grid::arrival::JobKind::Dag,
+                tasks: 4,
+                deadline: Dur(deadline),
+                budget: None,
+            }],
+            bg: adhoc_grid::arrival::BackgroundParams::none(),
+            losses: vec![],
+            arrivals: vec![],
+        }
+    }
+
+    fn set_tau(req: &mut MapRequest, value: u64) {
+        let ScenarioSpec::Generate { tau, .. } = &mut req.scenario else { unreachable!() };
+        *tau = Some(value);
+    }
+
+    fn campaign_request(coarse: f64, fine: f64) -> CampaignRequest {
+        CampaignRequest {
+            client: "test".into(),
+            label: "sweep".into(),
+            tasks: 32,
+            etc_count: 1,
+            dag_count: 2,
+            heuristics: vec![Heuristic::Slrh1, Heuristic::MaxMax],
+            cases: vec![GridCase::A],
+            coarse,
+            fine,
+            searcher: grid_sweep::SearcherKind::Grid,
+            checkpoint: None,
+        }
+    }
+
+    /// What a well-formed frame can carry that used to panic the worker
+    /// running it: search steps out of order, and clock values whose
+    /// checked sums overflow. Each is refused by its owner's rule.
+    #[test]
+    fn disordered_steps_and_clock_values_past_the_cap_are_errors() {
+        let map = |edit: &dyn Fn(&mut MapRequest)| {
+            let mut req = request(Heuristic::Slrh1);
+            edit(&mut req);
+            execute_map(1, &req, &mut RunContext::new(), &mut |_| {}).unwrap_err()
+        };
+        assert!(map(&|r| r.config.horizon = Dur(u64::MAX)).contains("horizon H"));
+        let err = map(&|r| {
+            set_tau(r, u64::MAX);
+            r.config.dt = Dur(1 << 63);
+        });
+        assert!(err.contains("ΔT"), "{err}");
+        assert!(map(&|r| set_tau(r, MAX_INPUT_TICKS + 1)).contains("tau must be at most"));
+        // A baseline reads only the weights, but the request is refused all the same.
+        let mut req = request(Heuristic::MaxMax);
+        req.config.dt = Dur(u64::MAX);
+        assert!(execute_map(1, &req, &mut RunContext::new(), &mut |_| {}).is_err());
+
+        let open = |req: &OpenRequest| execute_open(1, req, &mut RunContext::new(), &mut |_| {});
+        for (at, deadline) in [(1 << 63, u64::MAX), (MAX_INPUT_TICKS + 1, 100), (0, u64::MAX)] {
+            let err = open(&open_request(at, deadline)).unwrap_err();
+            assert!(err.contains("job 1 arrives or is due past"), "{err}");
+        }
+        let mut req = open_request(0, 100);
+        req.config.horizon = Dur(u64::MAX);
+        assert!(open(&req).unwrap_err().contains("horizon H"));
+
+        for (coarse, fine) in [(0.1, 0.2), (0.0, 0.0), (f64::INFINITY, 0.1), (f64::NAN, 0.1)] {
+            let err = execute_campaign(1, &campaign_request(coarse, fine), &mut |_| {}).unwrap_err();
+            assert!(err.contains("fine <= coarse"), "{coarse}/{fine}: {err}");
+        }
+    }
+
+    /// The largest ΔT, H, τ, arrival and deadline the rules accept run to
+    /// completion, under both AET signs and both triggers.
+    #[test]
+    fn clock_values_at_the_cap_run_to_completion() {
+        for sign in [AetSign::Positive, AetSign::Negative] {
+            for event_driven in [false, true] {
+                let mut config = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap())
+                    .with_dt(Dur(MAX_INPUT_TICKS))
+                    .with_horizon(Dur(MAX_INPUT_TICKS));
+                config.objective.aet_sign = sign;
+                if event_driven {
+                    config = config.event_driven();
+                }
+                for h in [Heuristic::Slrh1, Heuristic::Slrh2, Heuristic::Slrh3] {
+                    let mut req = request(h);
+                    req.config = SlrhConfig { variant: req.config.variant, ..config };
+                    set_tau(&mut req, MAX_INPUT_TICKS);
+                    let out = execute_map(1, &req, &mut RunContext::new(), &mut |_| {}).unwrap();
+                    assert!(out.report.contains("valid=yes"), "{h} {sign:?}: {}", out.report);
+                }
+                let mut req = open_request(MAX_INPUT_TICKS, MAX_INPUT_TICKS);
+                req.config = config;
+                let out = execute_open(1, &req, &mut RunContext::new(), &mut |_| {}).unwrap();
+                assert!(out.report.contains("valid=yes"), "open {sign:?}: {}", out.report);
+            }
+        }
+    }
+
     #[test]
     fn adaptive_map_reports_weight_lines_and_legacy_reports_do_not() {
         let plain = request(Heuristic::Slrh1);
@@ -473,19 +582,7 @@ mod tests {
 
     #[test]
     fn campaign_matches_run_campaign() {
-        let req = CampaignRequest {
-            client: "test".into(),
-            label: "sweep".into(),
-            tasks: 32,
-            etc_count: 1,
-            dag_count: 2,
-            heuristics: vec![Heuristic::Slrh1, Heuristic::MaxMax],
-            cases: vec![GridCase::A],
-            coarse: 0.25,
-            fine: 0.25,
-            searcher: grid_sweep::SearcherKind::Grid,
-            checkpoint: None,
-        };
+        let req = campaign_request(0.25, 0.25);
         let mut unit_events = 0;
         let out = execute_campaign(5, &req, &mut |e| {
             assert!(matches!(e, Event::Unit { .. }));

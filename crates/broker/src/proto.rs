@@ -20,7 +20,7 @@ use adhoc_grid::arrival::{BackgroundParams, JobArrival, OpenParams};
 use adhoc_grid::config::GridCase;
 use adhoc_grid::io::kv::{self, KvError};
 use adhoc_grid::io::wire::{FieldSink, Frame, FrameWriter};
-use adhoc_grid::units::Time;
+use adhoc_grid::units::{Time, MAX_INPUT_TICKS};
 use adhoc_grid::workload::{Scenario, ScenarioParams};
 use grid_sweep::heuristic::Heuristic;
 use grid_sweep::SearcherKind;
@@ -115,9 +115,12 @@ pub enum ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Materialize the scenario. Deterministic in the spec.
+    /// Materialize the scenario. Deterministic in the spec. The deadline
+    /// τ — overridden, scaled from `tasks`, or read from an inline
+    /// workload — is held to [`MAX_INPUT_TICKS`] here, the one place
+    /// every request's scenario comes from.
     pub fn build(&self) -> Result<Scenario, String> {
-        match self {
+        let scenario = match self {
             ScenarioSpec::Generate {
                 tasks,
                 case,
@@ -136,12 +139,16 @@ impl ScenarioSpec {
                 if let Some(tau) = tau {
                     params = params.with_tau(Time(*tau));
                 }
-                Ok(Scenario::generate(&params, *case, *etc, *dag))
+                Scenario::generate(&params, *case, *etc, *dag)
             }
             ScenarioSpec::Inline(text) => {
-                adhoc_grid::io::read(text).map_err(|e| format!("inline scenario: {e}"))
+                adhoc_grid::io::read(text).map_err(|e| format!("inline scenario: {e}"))?
             }
+        };
+        if scenario.tau.0 > MAX_INPUT_TICKS {
+            return Err(format!("tau must be at most {MAX_INPUT_TICKS} ticks"));
         }
+        Ok(scenario)
     }
 
     fn fields(&self, s: &mut impl FieldSink) {

@@ -4,10 +4,14 @@
 //! (a reply in flight is delivered in full), and the byte stream a
 //! client reads being exactly the typed encoding of the job's messages.
 
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
+use std::time::Duration;
 
+use adhoc_grid::arrival::{BackgroundParams, JobArrival, JobKind};
 use adhoc_grid::config::GridCase;
-use grid_broker::proto::{CampaignRequest, Event, MapRequest, ScenarioSpec};
+use adhoc_grid::units::{Dur, Time};
+use grid_broker::proto::{CampaignRequest, Event, MapRequest, OpenRequest, ScenarioSpec};
 use grid_broker::server::{serve, BrokerConfig, BrokerHandle};
 use grid_broker::{execute_map, Connection};
 use grid_sweep::heuristic::Heuristic;
@@ -191,6 +195,81 @@ fn campaign_request(checkpoint: &str) -> CampaignRequest {
         searcher: grid_sweep::SearcherKind::Grid,
         checkpoint: Some(checkpoint.into()),
     }
+}
+
+/// Well-formed frames that used to panic the worker executing them —
+/// search steps out of order (`assert!` in the weight search), clock
+/// values whose checked sums overflow (`Time overflow`) — and, the
+/// daemon having no `catch_unwind`, took its only worker with them.
+/// Each gets an error frame, and the worker is still there afterwards.
+#[test]
+fn requests_that_used_to_panic_the_worker_get_error_frames() {
+    // A client of a daemon whose only worker died waits forever; fail
+    // with a sentence instead of hanging the suite.
+    let (done, finished) = std::sync::mpsc::channel();
+    let body = std::thread::spawn(move || {
+        bad_requests_then_an_ordinary_job();
+        let _ = done.send(());
+    });
+    if finished.recv_timeout(Duration::from_secs(60)) == Err(RecvTimeoutError::Timeout) {
+        panic!("no answer within a minute: the daemon's only worker is gone");
+    }
+    if let Err(panic) = body.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+fn bad_requests_then_an_ordinary_job() {
+    let daemon = daemon(1);
+    let mut conn = Connection::connect(daemon.addr()).expect("connect");
+
+    let mut steps = campaign_request("unused");
+    steps.checkpoint = None;
+    (steps.coarse, steps.fine) = (0.1, 0.2);
+    let err = conn.submit_campaign(&steps, |_| {}).expect_err("disordered steps");
+    assert!(err.contains("fine <= coarse"), "{err}");
+
+    // `now + ΔT` past τ = u64::MAX: refused when the config string is decoded.
+    let mut clock = map_request("probe", Heuristic::Slrh1, 64, 1);
+    clock.config.dt = Dur(1 << 63);
+    let ScenarioSpec::Generate { tau, .. } = &mut clock.scenario else { unreachable!() };
+    *tau = Some(u64::MAX);
+    let err = conn.submit_map(&clock, |_| {}).expect_err("ΔT past the cap");
+    assert!(err.contains("at most 4611686018427387904 ticks"), "{err}");
+    // τ alone decodes and is refused by the worker building the scenario.
+    clock.config.dt = Dur(10);
+    let err = conn.submit_map(&clock, |_| {}).expect_err("τ past the cap");
+    assert!(err.contains("tau must be at most"), "{err}");
+
+    // `arrival + deadline` overflows: refused by the worker's open check.
+    let open = OpenRequest {
+        client: "probe".into(),
+        label: "open".into(),
+        config: clock.config,
+        case: GridCase::A,
+        seed: 1,
+        jobs: vec![JobArrival {
+            id: 1,
+            at: Time(1 << 63),
+            kind: JobKind::Dag,
+            tasks: 4,
+            deadline: Dur(u64::MAX),
+            budget: None,
+        }],
+        bg: BackgroundParams::none(),
+        losses: vec![],
+        arrivals: vec![],
+    };
+    let err = conn.submit_open(&open, |_| {}).expect_err("arrival + deadline overflows");
+    assert!(err.contains("job 1 arrives or is due past"), "{err}");
+
+    // The one worker survived all four and serves an ordinary job.
+    let good = map_request("probe", Heuristic::Slrh1, 8, 1);
+    let resp = conn.submit_map(&good, |_| {}).expect("valid submit");
+    assert_eq!(resp.report, local_report(&good));
+
+    conn.shutdown().expect("shutdown");
+    daemon.join();
 }
 
 fn temp_checkpoint(name: &str) -> String {

@@ -1,7 +1,7 @@
 //! SLRH configuration: variant, clock step ΔT, horizon H, objective,
 //! and the opt-in online weight [`Adaptation`] block.
 
-use adhoc_grid::units::Dur;
+use adhoc_grid::units::{Dur, MAX_INPUT_TICKS};
 use lagrange::online::OnlineProjection;
 use lagrange::step::StepRule;
 use lagrange::weights::{AetSign, Objective, Weights};
@@ -298,29 +298,6 @@ impl SlrhConfig {
         }
     }
 
-    /// A fluent, validating alternative to [`SlrhConfig::paper`] followed
-    /// by `with_*` calls. Knobs start at the paper defaults; invalid
-    /// combinations are reported by [`SlrhConfigBuilder::build`] instead
-    /// of panicking mid-construction.
-    ///
-    /// ```
-    /// use adhoc_grid::units::Dur;
-    /// use lagrange::weights::Weights;
-    /// use slrh::{SlrhConfig, SlrhVariant};
-    ///
-    /// let config = SlrhConfig::builder(SlrhVariant::V1, Weights::new(0.5, 0.2).unwrap())
-    ///     .dt(Dur(5))
-    ///     .horizon(Dur(200))
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(config.dt, Dur(5));
-    /// ```
-    pub fn builder(variant: SlrhVariant, weights: Weights) -> SlrhConfigBuilder {
-        SlrhConfigBuilder {
-            config: SlrhConfig::paper(variant, weights),
-        }
-    }
-
     /// Override the machine visit order (order ablation).
     pub fn with_machine_order(mut self, order: MachineOrder) -> SlrhConfig {
         self.machine_order = order;
@@ -339,16 +316,22 @@ impl SlrhConfig {
         self
     }
 
-    /// The one validity rule of a configuration, behind
-    /// [`SlrhConfigBuilder::build`], `FromStr`, the panicking `with_*`
-    /// setters and the CLI: ΔT and H of at least one tick, a well-formed
-    /// adaptation block, at least one machine cluster.
+    /// The one validity rule of a configuration, behind `FromStr`, the
+    /// panicking `with_*` setters, the CLI and the broker's executors: ΔT
+    /// and H of at least one tick and at most [`MAX_INPUT_TICKS`], a
+    /// well-formed adaptation block, at least one machine cluster.
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.dt.is_zero() {
             return Err(ConfigError::ZeroDt);
         }
         if self.horizon.is_zero() {
             return Err(ConfigError::ZeroHorizon);
+        }
+        if self.dt.0 > MAX_INPUT_TICKS {
+            return Err(ConfigError::DtTooLarge);
+        }
+        if self.horizon.0 > MAX_INPUT_TICKS {
+            return Err(ConfigError::HorizonTooLarge);
         }
         if let Some(adaptation) = &self.adaptation {
             adaptation.check()?;
@@ -366,8 +349,8 @@ impl SlrhConfig {
     /// Override ΔT (Figure 2 sweep).
     ///
     /// # Panics
-    /// Panics on a zero step; use [`SlrhConfigBuilder::dt`] for fallible
-    /// construction.
+    /// Panics on a step [`SlrhConfig::check`] rejects; set the field and
+    /// call `check` for fallible construction.
     pub fn with_dt(mut self, dt: Dur) -> SlrhConfig {
         self.dt = dt;
         self.checked()
@@ -376,8 +359,7 @@ impl SlrhConfig {
     /// Override the horizon (ablation A3).
     ///
     /// # Panics
-    /// Panics on a zero horizon; use [`SlrhConfigBuilder::horizon`] for
-    /// fallible construction.
+    /// Panics on a horizon [`SlrhConfig::check`] rejects.
     pub fn with_horizon(mut self, horizon: Dur) -> SlrhConfig {
         self.horizon = horizon;
         self.checked()
@@ -386,8 +368,7 @@ impl SlrhConfig {
     /// Enable online weight adaptation with the given block.
     ///
     /// # Panics
-    /// Panics on a malformed block; use
-    /// [`SlrhConfigBuilder::adaptation`] for fallible construction.
+    /// Panics on a malformed block.
     pub fn with_adaptation(mut self, adaptation: Adaptation) -> SlrhConfig {
         self.adaptation = Some(adaptation);
         self.checked()
@@ -397,8 +378,7 @@ impl SlrhConfig {
     /// approximate large-scale mode).
     ///
     /// # Panics
-    /// Panics on a malformed block; use [`SlrhConfigBuilder::scale`] for
-    /// fallible construction.
+    /// Panics on a malformed block.
     pub fn with_scale(mut self, scale: ScaleMode) -> SlrhConfig {
         self.scale = scale;
         self.checked()
@@ -636,7 +616,7 @@ fn parse_on_off(key: &str, value: &str) -> Result<bool, String> {
     }
 }
 
-/// A rejected [`SlrhConfigBuilder`] combination.
+/// Why [`SlrhConfig::check`] rejected a configuration.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum ConfigError {
     /// ΔT must be at least one tick: the clock would not advance.
@@ -644,6 +624,11 @@ pub enum ConfigError {
     /// H must be at least one tick: no candidate could ever start
     /// strictly within the horizon of a busy machine.
     ZeroHorizon,
+    /// ΔT is past [`MAX_INPUT_TICKS`]: `clock + ΔT` could overflow.
+    DtTooLarge,
+    /// H is past [`MAX_INPUT_TICKS`]: a start inside the horizon plus its
+    /// execution time could overflow.
+    HorizonTooLarge,
     /// The adaptation cadence must be at least one tick.
     ZeroAdaptEvery,
     /// The adaptation projection needs `0 < amin <= 1` and a finite
@@ -661,6 +646,12 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroDt => f.write_str("ΔT must be at least one tick"),
             ConfigError::ZeroHorizon => f.write_str("the horizon H must be at least one tick"),
+            ConfigError::DtTooLarge => {
+                write!(f, "ΔT (dt=) must be at most {MAX_INPUT_TICKS} ticks")
+            }
+            ConfigError::HorizonTooLarge => {
+                write!(f, "the horizon H (h=) must be at most {MAX_INPUT_TICKS} ticks")
+            }
             ConfigError::ZeroAdaptEvery => {
                 f.write_str("the adaptation cadence (every=) must be at least one tick")
             }
@@ -679,64 +670,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Builder returned by [`SlrhConfig::builder`]. Every knob defaults to
-/// the paper's value; [`SlrhConfigBuilder::build`] validates the
-/// combination.
-#[derive(Copy, Clone, Debug)]
-pub struct SlrhConfigBuilder {
-    config: SlrhConfig,
-}
-
-impl SlrhConfigBuilder {
-    /// Set when the heuristic re-runs (paper: the fixed clock).
-    pub fn trigger(mut self, trigger: Trigger) -> SlrhConfigBuilder {
-        self.config.trigger = trigger;
-        self
-    }
-
-    /// Set the per-tick machine visit order (paper: numerical).
-    pub fn machine_order(mut self, order: MachineOrder) -> SlrhConfigBuilder {
-        self.config.machine_order = order;
-        self
-    }
-
-    /// Set the clock step ΔT in ticks (paper: 10).
-    pub fn dt(mut self, dt: Dur) -> SlrhConfigBuilder {
-        self.config.dt = dt;
-        self
-    }
-
-    /// Set the receding horizon H in ticks (paper: 100).
-    pub fn horizon(mut self, horizon: Dur) -> SlrhConfigBuilder {
-        self.config.horizon = horizon;
-        self
-    }
-
-    /// Allow or forbid secondary versions (paper: allowed).
-    pub fn allow_secondary(mut self, allow: bool) -> SlrhConfigBuilder {
-        self.config.allow_secondary = allow;
-        self
-    }
-
-    /// Enable (or, with `None`, disable) online weight adaptation.
-    pub fn adaptation(mut self, adaptation: Option<Adaptation>) -> SlrhConfigBuilder {
-        self.config.adaptation = adaptation;
-        self
-    }
-
-    /// Set the frontier partitioning (default: exact, one cluster).
-    pub fn scale(mut self, scale: ScaleMode) -> SlrhConfigBuilder {
-        self.config.scale = scale;
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<SlrhConfig, ConfigError> {
-        self.config.check()?;
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -752,42 +685,43 @@ mod tests {
         assert_eq!(c.scale, ScaleMode::default());
     }
 
+    /// Every rejection of the one validity rule, by variant — the cases
+    /// the retired builder's tests pinned, plus the tick cap.
     #[test]
-    fn builder_defaults_match_paper() {
-        let w = Weights::new(0.5, 0.2).unwrap();
-        let built = SlrhConfig::builder(SlrhVariant::V2, w).build().unwrap();
-        assert_eq!(built, SlrhConfig::paper(SlrhVariant::V2, w));
-    }
+    fn check_names_each_broken_rule() {
+        let paper = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.2).unwrap());
+        assert_eq!(paper.check(), Ok(()));
+        let broken = |edit: &dyn Fn(&mut SlrhConfig)| {
+            let mut c = paper;
+            edit(&mut c);
+            c.check().unwrap_err()
+        };
+        let adapt = |a: Adaptation| move |c: &mut SlrhConfig| c.adaptation = Some(a);
+        assert_eq!(broken(&|c| c.dt = Dur::ZERO), ConfigError::ZeroDt);
+        assert_eq!(broken(&|c| c.horizon = Dur::ZERO), ConfigError::ZeroHorizon);
+        assert_eq!(broken(&|c| c.dt = Dur(MAX_INPUT_TICKS + 1)), ConfigError::DtTooLarge);
+        assert_eq!(broken(&|c| c.horizon = Dur(u64::MAX)), ConfigError::HorizonTooLarge);
+        assert_eq!(
+            broken(&adapt(Adaptation { every: 0, ..Adaptation::default() })),
+            ConfigError::ZeroAdaptEvery
+        );
+        assert_eq!(
+            broken(&adapt(Adaptation { max_multiplier: f64::INFINITY, ..Adaptation::default() })),
+            ConfigError::BadAdaptProjection
+        );
+        assert_eq!(broken(&|c| c.scale.clusters = 0), ConfigError::ZeroClusters);
 
-    #[test]
-    fn builder_sets_every_knob() {
-        let w = Weights::new(0.4, 0.3).unwrap();
-        let c = SlrhConfig::builder(SlrhVariant::V3, w)
-            .trigger(Trigger::MachineAvailable)
-            .machine_order(MachineOrder::Rotating)
-            .dt(Dur(3))
-            .horizon(Dur(42))
-            .allow_secondary(false)
-            .scale(ScaleMode { clusters: 4, spill_after: 2 })
-            .build()
-            .unwrap();
-        assert_eq!(c.trigger, Trigger::MachineAvailable);
-        assert_eq!(c.machine_order, MachineOrder::Rotating);
-        assert_eq!(c.dt, Dur(3));
-        assert_eq!(c.horizon, Dur(42));
-        assert!(!c.allow_secondary);
-        assert_eq!(c.scale, ScaleMode { clusters: 4, spill_after: 2 });
-    }
-
-    #[test]
-    fn builder_rejects_degenerate_knobs() {
-        let w = Weights::new(0.5, 0.2).unwrap();
-        let zero_dt = SlrhConfig::builder(SlrhVariant::V1, w).dt(Dur::ZERO).build();
-        assert_eq!(zero_dt.unwrap_err(), ConfigError::ZeroDt);
-        let zero_h = SlrhConfig::builder(SlrhVariant::V1, w)
-            .horizon(Dur::ZERO)
-            .build();
-        assert_eq!(zero_h.unwrap_err(), ConfigError::ZeroHorizon);
+        // The cap itself is a legal value, in the struct and in the string.
+        let widest = paper.with_dt(Dur(MAX_INPUT_TICKS)).with_horizon(Dur(MAX_INPUT_TICKS));
+        assert_eq!(widest.to_string().parse::<SlrhConfig>().expect("the cap parses"), widest);
+        for s in [
+            "SLRH-1; w=(0.5, 0.3); h=18446744073709551615",
+            "SLRH-1; w=(0.5, 0.3); h=4611686018427387905",
+            "SLRH-1; w=(0.5, 0.3); dt=9223372036854775808",
+        ] {
+            let err = s.parse::<SlrhConfig>().unwrap_err();
+            assert!(err.contains("at most 4611686018427387904 ticks"), "{s}: {err}");
+        }
     }
 
     #[test]
@@ -930,25 +864,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_adaptation() {
-        let w = Weights::new(0.5, 0.2).unwrap();
-        let bad = SlrhConfig::builder(SlrhVariant::V1, w)
-            .adaptation(Some(Adaptation {
-                every: 0,
-                ..Adaptation::default()
-            }))
-            .build();
-        assert_eq!(bad.unwrap_err(), ConfigError::ZeroAdaptEvery);
-        let bad = SlrhConfig::builder(SlrhVariant::V1, w)
-            .adaptation(Some(Adaptation {
-                max_multiplier: f64::INFINITY,
-                ..Adaptation::default()
-            }))
-            .build();
-        assert_eq!(bad.unwrap_err(), ConfigError::BadAdaptProjection);
-    }
-
-    #[test]
     fn scale_display_round_trips() {
         let c = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap()).with_scale(
             ScaleMode {
@@ -984,18 +899,6 @@ mod tests {
         assert!("SLRH-1; w=(0.5, 0.3); clusters=0"
             .parse::<SlrhConfig>()
             .is_err());
-    }
-
-    #[test]
-    fn builder_validates_scale() {
-        let w = Weights::new(0.5, 0.2).unwrap();
-        let bad = SlrhConfig::builder(SlrhVariant::V1, w)
-            .scale(ScaleMode {
-                clusters: 0,
-                ..ScaleMode::default()
-            })
-            .build();
-        assert_eq!(bad.unwrap_err(), ConfigError::ZeroClusters);
     }
 
     #[test]

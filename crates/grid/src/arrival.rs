@@ -26,7 +26,7 @@ use crate::dag::Dag;
 use crate::data::DataSizes;
 use crate::io::kv;
 use crate::seed;
-use crate::units::{Dur, Energy, Time};
+use crate::units::{Dur, Energy, Time, MAX_INPUT_TICKS};
 use crate::workload::{Scenario, ScenarioParams};
 
 /// Seed stream tag for arrival-process draws (inter-arrival gaps, job
@@ -346,8 +346,9 @@ impl OpenParams {
     /// The preconditions of an open-system run, checked here for the
     /// driver, the CLI, the broker and the stress harness alike: a
     /// non-empty trace of uniquely-numbered jobs, each with at least one
-    /// subtask and a positive deadline, under a background model the
-    /// inflation formula can bound.
+    /// subtask, a positive deadline and an arrival and deadline of at
+    /// most [`MAX_INPUT_TICKS`], under a background model the inflation
+    /// formula can bound.
     pub fn check(&self) -> Result<(), String> {
         if self.jobs.is_empty() {
             return Err("arrival trace needs at least one job".into());
@@ -363,6 +364,12 @@ impl OpenParams {
             }
             if j.deadline.0 == 0 {
                 return Err(format!("job {} has a zero deadline", j.id));
+            }
+            if j.at.0 > MAX_INPUT_TICKS || j.deadline.0 > MAX_INPUT_TICKS {
+                return Err(format!(
+                    "job {} arrives or is due past {MAX_INPUT_TICKS} ticks",
+                    j.id
+                ));
             }
         }
         if self.bg.max_util_eighths > 6 {
@@ -566,6 +573,13 @@ mod tests {
         assert_eq!(broken(&|p| p.jobs[1].id = 0), "duplicate job id in arrival trace");
         assert_eq!(broken(&|p| p.jobs[1].tasks = 0), "job 1 has no tasks");
         assert_eq!(broken(&|p| p.jobs[0].deadline = Dur(0)), "job 0 has a zero deadline");
+        let past_cap = format!("job 1 arrives or is due past {MAX_INPUT_TICKS} ticks");
+        assert_eq!(broken(&|p| p.jobs[1].at = Time(MAX_INPUT_TICKS + 1)), past_cap);
+        assert_eq!(broken(&|p| p.jobs[1].deadline = Dur(u64::MAX)), past_cap);
+        let mut at_cap = good.clone();
+        at_cap.jobs[1].at = Time(MAX_INPUT_TICKS);
+        at_cap.jobs[1].deadline = Dur(MAX_INPUT_TICKS);
+        assert_eq!(at_cap.check(), Ok(()));
         assert_eq!(
             broken(&|p| p.bg.max_util_eighths = 7),
             "background utilization capped at 6/8"

@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use crate::machine::{MachineClass, MachineSpec};
+use crate::machine::MachineSpec;
 use crate::units::Energy;
 
 /// Index of a machine within a [`GridConfig`].
@@ -178,25 +178,6 @@ impl GridConfig {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Remove machine `j`, returning the reduced grid (models an ad hoc
-    /// machine loss). Remaining machines keep their relative order and are
-    /// re-indexed densely.
-    ///
-    /// # Panics
-    /// Panics if `j` is out of range or the grid would become empty.
-    pub fn without_machine(&self, j: MachineId) -> GridConfig {
-        assert!(j.0 < self.machines.len(), "no such machine {j}");
-        assert!(self.machines.len() > 1, "cannot remove the last machine");
-        let machines = self
-            .machines
-            .iter()
-            .enumerate()
-            .filter(|&(idx, _)| idx != j.0)
-            .map(|(_, m)| *m)
-            .collect();
-        GridConfig { machines }
-    }
-
     /// Scale every battery by `factor` (used by reduced-scale suites to
     /// keep the energy-per-subtask regime of the full-scale experiment).
     ///
@@ -217,21 +198,12 @@ impl GridConfig {
             .collect();
         GridConfig { machines }
     }
-
-    /// Count of machines in each class, `(fast, slow)`.
-    pub fn class_counts(&self) -> (usize, usize) {
-        let fast = self
-            .machines
-            .iter()
-            .filter(|m| m.class == MachineClass::Fast)
-            .count();
-        (fast, self.machines.len() - fast)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::MachineClass;
 
     #[test]
     fn table1_counts() {
@@ -273,18 +245,6 @@ mod tests {
         assert!(GridConfig::case(GridCase::C)
             .total_system_energy()
             .approx_eq(Energy(696.0), 1e-9));
-    }
-
-    #[test]
-    fn removing_a_machine_reindexes() {
-        let a = GridConfig::case(GridCase::A);
-        // Removing slow machine id 3 yields Case B's mix.
-        let b = a.without_machine(MachineId(3));
-        assert_eq!(b.class_counts(), (2, 1));
-        // Removing fast machine id 0 yields Case C's mix.
-        let c = a.without_machine(MachineId(0));
-        assert_eq!(c.class_counts(), (1, 2));
-        assert_eq!(c.machine(MachineId(0)).class, MachineClass::Fast);
     }
 
     #[test]

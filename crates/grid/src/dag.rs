@@ -176,7 +176,8 @@ impl Dag {
     }
 
     /// Length (in edges) of the longest path — the DAG's depth minus one.
-    pub fn critical_path_edges(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn critical_path_edges(&self) -> usize {
         let order = self.topological_order().expect("Dag is acyclic");
         let mut depth = vec![0usize; self.len()];
         let mut best = 0;

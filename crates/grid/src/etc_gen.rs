@@ -105,11 +105,6 @@ impl EtcGenParams {
             "invalid slow factor range {lo}..{hi}"
         );
     }
-
-    /// Mean of the slow-machine multiplier distribution.
-    pub fn slow_factor_mean(&self) -> f64 {
-        (self.slow_factor.0 + self.slow_factor.1) / 2.0
-    }
 }
 
 /// Generate an ETC matrix for machines of the given classes.

@@ -124,11 +124,6 @@ impl MachineSpec {
         let bw = self.bandwidth_mbps.min(receiver.bandwidth_mbps);
         Dur::from_seconds_ceil(g.transfer_seconds(bw))
     }
-
-    /// Energy the *sender* pays to ship `g` megabits to `receiver`.
-    pub fn transfer_energy(&self, receiver: &MachineSpec, g: Megabits) -> Energy {
-        self.transmit_energy(self.transfer_dur(receiver, g))
-    }
 }
 
 /// The raw Table 2 values plus the experiment-wide time constraint.
@@ -199,13 +194,6 @@ mod tests {
         assert_eq!(f.transfer_dur(&s, Megabits(8.0)), Dur::from_seconds(2));
         // fast->fast runs at 8 Mb/s -> 1 s.
         assert_eq!(f.transfer_dur(&f, Megabits(8.0)), Dur::from_seconds(1));
-        // Sender pays at its own comm power.
-        assert!(f
-            .transfer_energy(&s, Megabits(8.0))
-            .approx_eq(Energy(0.4), 1e-9));
-        assert!(s
-            .transfer_energy(&f, Megabits(8.0))
-            .approx_eq(Energy(0.004), 1e-9));
     }
 
     #[test]

@@ -16,6 +16,16 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// Simulation ticks per simulated second (one tick = one 0.1 s clock cycle).
 pub const TICKS_PER_SECOND: u64 = 10;
 
+/// Largest tick count accepted from outside the program — a flag, a config
+/// string, a wire field — for any clock value: ΔT, H, τ, a job's arrival
+/// or deadline. [`Time`] and [`Dur`] arithmetic is checked, so an unbounded
+/// input would turn `arrival + deadline` or `τ + ΔT` into an overflow
+/// panic; under this cap any three such values (and the execution time on
+/// top) add without overflow. Each value's owner enforces it:
+/// `SlrhConfig::check`, `ScenarioSpec::build`, `OpenParams::check`.
+/// 2^62 ticks is about 10^10 simulated years.
+pub const MAX_INPUT_TICKS: u64 = 1 << 62;
+
 /// An absolute instant in simulated time, in ticks since the start of the run.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Time(pub u64);

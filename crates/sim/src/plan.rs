@@ -102,19 +102,6 @@ impl MappingPlan {
     pub fn finish(&self) -> Time {
         self.start + self.exec_dur
     }
-
-    /// Total *new* energy charged to the target machine by this plan
-    /// (execution plus worst-case outgoing reservations). This is exactly
-    /// the quantity the pool feasibility check compares to the machine's
-    /// available energy.
-    pub fn new_energy_on_target(&self) -> Energy {
-        self.exec_energy
-            + self
-                .child_reservations
-                .iter()
-                .map(|&(_, e)| e)
-                .sum::<Energy>()
-    }
 }
 
 /// Reusable buffers for the planner's transfer-placement search.

@@ -314,12 +314,13 @@ impl CaseSpec {
         }
         let weights = Weights::new(self.alpha, self.beta)
             .map_err(|_| format!("invalid weights ({}, {})", self.alpha, self.beta))?;
-        SlrhConfig::builder(SlrhVariant::V1, weights)
-            .dt(Dur(self.dt))
-            .horizon(Dur(self.horizon))
-            .adaptation(self.adaptation)
-            .build()
-            .map_err(|e| format!("config: {e}"))?;
+        let config = SlrhConfig {
+            dt: Dur(self.dt),
+            horizon: Dur(self.horizon),
+            adaptation: self.adaptation,
+            ..SlrhConfig::paper(SlrhVariant::V1, weights)
+        };
+        config.check().map_err(|e| format!("config: {e}"))?;
         if let Some(params) = self.open_params() {
             params.check().map_err(|e| format!("open: {e}"))?;
         }

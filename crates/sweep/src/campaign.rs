@@ -59,12 +59,6 @@ impl CampaignConfig {
         self.fine = fine;
         self
     }
-
-    /// Swap the per-scenario weight searcher.
-    pub fn with_searcher(mut self, searcher: SearcherKind) -> CampaignConfig {
-        self.searcher = searcher;
-        self
-    }
 }
 
 /// Canonical serialization of a whole campaign: one [`CaseRow::canonical`]

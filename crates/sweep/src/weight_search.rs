@@ -156,6 +156,22 @@ pub(crate) fn ordered(v: f64) -> i64 {
     (v * 1e9).round() as i64
 }
 
+/// The one rule for a pair of search steps, wherever they come from (a
+/// `tune` flag, a campaign frame, a caller): both positive and finite,
+/// the fine step no larger than the coarse one. The search functions
+/// assert it; anything that takes steps from outside calls it first.
+pub fn check_steps(coarse: f64, fine: f64) -> Result<(), String> {
+    // Written so NaN steps fail too (the comparisons come out false).
+    if coarse > 0.0 && coarse.is_finite() && fine > 0.0 && fine <= coarse {
+        Ok(())
+    } else {
+        Err(format!(
+            "search steps must be positive and finite with fine <= coarse \
+             (got coarse {coarse}, fine {fine})"
+        ))
+    }
+}
+
 /// Run the two-stage search for one heuristic on one scenario.
 ///
 /// Returns `None` when no weight pair lets the heuristic map every
@@ -185,7 +201,9 @@ pub fn optimal_weights_with_steps_in(
     fine: f64,
     ctx: &mut RunContext,
 ) -> Option<WeightSearchOutcome> {
-    assert!(coarse > 0.0 && fine > 0.0 && fine <= coarse);
+    if let Err(e) = check_steps(coarse, fine) {
+        panic!("{e}");
+    }
     let mut memo = EvalMemo::new();
     let coarse_points = grid(coarse, (0.0, 1.0), (0.0, 1.0));
     let mut evaluations = eval_fresh(heuristic, scenario, &coarse_points, &mut memo, ctx);
@@ -329,6 +347,36 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn step_rule_accepts_ordered_positive_finite_pairs_only() {
+        for (coarse, fine) in [(0.1, 0.02), (0.25, 0.25), (1.0, 1e-3)] {
+            assert_eq!(check_steps(coarse, fine), Ok(()), "{coarse}/{fine}");
+        }
+        for (coarse, fine) in [
+            (0.1, 0.2),
+            (0.0, 0.0),
+            (-0.1, 0.02),
+            (0.1, -0.02),
+            (0.1, 0.0),
+            (f64::INFINITY, 0.1),
+            (f64::INFINITY, f64::INFINITY),
+            (f64::NAN, 0.1),
+            (0.1, f64::NAN),
+        ] {
+            let err = check_steps(coarse, fine).unwrap_err();
+            assert!(err.contains("fine <= coarse"), "{coarse}/{fine}: {err}");
+        }
+    }
+
+    /// The library keeps the rule as its contract: a caller that skips
+    /// [`check_steps`] gets the same sentence as a panic.
+    #[test]
+    #[should_panic(expected = "fine <= coarse")]
+    fn search_panics_on_steps_the_rule_rejects() {
+        let sc = Scenario::generate(&ScenarioParams::paper_scaled(8), GridCase::A, 0, 0);
+        let _ = optimal_weights_with_steps(Heuristic::Greedy, &sc, 0.1, 0.2);
     }
 
     #[test]

@@ -24,9 +24,7 @@ use lrh_grid::slrh::{
 fn main() {
     let params = ScenarioParams::paper_scaled(192);
     let scenario = Scenario::generate(&params, GridCase::A, 0, 0);
-    let config = SlrhConfig::builder(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap())
-        .build()
-        .expect("paper defaults are valid");
+    let config = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap());
     let tau = scenario.tau;
 
     let arrivals = [

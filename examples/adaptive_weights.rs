@@ -35,9 +35,7 @@ fn main() {
         let scenario = Scenario::generate(&params, case, 0, 0);
         println!("\n== {case} ==");
 
-        let fixed_cfg = SlrhConfig::builder(SlrhVariant::V1, default_weights)
-            .build()
-            .expect("paper defaults are valid");
+        let fixed_cfg = SlrhConfig::paper(SlrhVariant::V1, default_weights);
         let fixed = run_slrh(&scenario, &fixed_cfg).metrics();
         println!(
             "fixed default {default_weights}: mapped {}/{} T100 {}",

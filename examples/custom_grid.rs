@@ -66,9 +66,7 @@ fn main() {
     };
 
     for variant in [SlrhVariant::V1, SlrhVariant::V3] {
-        let config = SlrhConfig::builder(variant, Weights::new(0.5, 0.25).unwrap())
-            .build()
-            .expect("paper defaults are valid");
+        let config = SlrhConfig::paper(variant, Weights::new(0.5, 0.25).unwrap());
         let out = run_slrh(&scenario, &config);
         let m = out.metrics();
         println!(

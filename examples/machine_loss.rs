@@ -19,9 +19,7 @@ use lrh_grid::slrh::{run_slrh, run_slrh_churn, MachineLossEvent, SlrhConfig, Slr
 fn main() {
     let params = ScenarioParams::paper_scaled(256);
     let scenario = Scenario::generate(&params, GridCase::A, 0, 0);
-    let config = SlrhConfig::builder(SlrhVariant::V1, Weights::new(0.5, 0.25).unwrap())
-        .build()
-        .expect("paper defaults are valid");
+    let config = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.25).unwrap());
 
     // Undisturbed baseline.
     let baseline = run_slrh(&scenario, &config);

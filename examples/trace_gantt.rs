@@ -18,9 +18,7 @@ use lrh_grid::slrh::{run_slrh, SlrhConfig, SlrhVariant};
 fn main() {
     let params = ScenarioParams::paper_scaled(96);
     let scenario = Scenario::generate(&params, GridCase::A, 0, 0);
-    let config = SlrhConfig::builder(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap())
-        .build()
-        .expect("paper defaults are valid");
+    let config = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap());
     let outcome = run_slrh(&scenario, &config);
     let m = outcome.metrics();
     println!(

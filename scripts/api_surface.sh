@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tripwire for the SLRH driver surface (DESIGN.md section 20): there is
-# one way to run SLRH and one owner per request check, and this script
+# one way to run SLRH, one way to build its configuration, one owner per
+# request check and one owner per performance number, and this script
 # fails when a second one grows back.
 #
-#  * none of the retired entry points, outcome types or validators
-#    reappears anywhere in the workspace's code;
+#  * none of the retired entry points, outcome types, validators or
+#    the config builder reappears anywhere in the workspace's code;
 #  * `slrh`'s root re-exports exactly the five run functions and the one
 #    SLRH outcome type;
 #  * the churn-trace messages live in one product source file (the
@@ -14,7 +15,11 @@
 #    the bounded chunk map that existed only to feed the kernel's
 #    never-executed parallel scan stays gone (DESIGN.md section 17) —
 #    the compile-time fact that replaced the 1- vs 4-thread kernel
-#    differentials.
+#    differentials;
+#  * timing has one owner per number (EXPERIMENTS.md, "Who owns which
+#    performance number"): no criterion dependency, no `benches/`
+#    directory or `[[bench]]` table under `crates/`, and neither the
+#    second history writer nor the cross-host ratchet comes back.
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -25,7 +30,7 @@ fail() {
     status=1
 }
 
-retired='run_slrh_in|run_slrh_observed|run_slrh_dynamic|run_slrh_churn_in|run_slrh_churn_observed|run_adaptive_slrh|AdaptiveConfig|AdaptiveOutcome|DynamicOutcome|validate_churn'
+retired='run_slrh_in|run_slrh_observed|run_slrh_dynamic|run_slrh_churn_in|run_slrh_churn_observed|run_adaptive_slrh|AdaptiveConfig|AdaptiveOutcome|DynamicOutcome|validate_churn|SlrhConfigBuilder'
 if hits=$(grep -rnwE "$retired" crates src tests examples --include='*.rs'); then
     fail "retired names are back:"$'\n'"$hits"
 fi
@@ -58,6 +63,18 @@ if hits=$(grep -n 'rayon' crates/{core,sim,grid,lagrange}/Cargo.toml); then
 fi
 if hits=$(grep -rn 'map_bounded' crates src tests examples benchmark/src --include='*.rs'); then
     fail "the bounded chunk map is back:"$'\n'"$hits"
+fi
+
+if hits=$(grep -n 'criterion' Cargo.toml crates/*/Cargo.toml crates/compat/*/Cargo.toml); then
+    fail "criterion is a dependency again:"$'\n'"$hits"
+fi
+hits=$(find crates -type d -name benches; grep -n '^\[\[bench\]\]' crates/*/Cargo.toml || true)
+if [ -n "$hits" ]; then
+    fail "a criterion-style bench target is back under crates/:"$'\n'"$hits"
+fi
+if hits=$(grep -rnE 'kernel_append|bench_ratchet' crates src scripts/*.sh .github Cargo.toml |
+    grep -v '^scripts/api_surface.sh:'); then
+    fail "a second perf-history writer or the cross-host ratchet is back:"$'\n'"$hits"
 fi
 
 [ "$status" -eq 0 ] && echo "api_surface: ok"

@@ -20,6 +20,7 @@ use adhoc_grid::config::GridCase;
 use adhoc_grid::units::Dur;
 use grid_broker::proto::{MapRequest, OpenRequest, ScenarioSpec};
 use grid_sweep::heuristic::Heuristic;
+use grid_sweep::weight_search::check_steps;
 use grid_sweep::{AnnealConfig, SearcherKind};
 use lagrange::step::StepRule;
 use lagrange::weights::Weights;
@@ -508,20 +509,24 @@ fn parse_open(cmd: &str, argv: &[String], remote: bool) -> Result<ParsedOpen, Cl
 
     let config = slrh_config(SlrhVariant::V1, (alpha, beta), dt, horizon, None)?;
 
+    let request = OpenRequest {
+        client: client.unwrap_or_else(|| "cli".into()),
+        label: label.unwrap_or_else(|| "open".into()),
+        config,
+        case,
+        seed: master_seed,
+        jobs: trace,
+        bg,
+        losses,
+        arrivals,
+    };
+    request
+        .open_params()
+        .check()
+        .map_err(|e| CliError::new(format!("bad arrival trace (--job): {e}")))?;
+
     Ok(ParsedOpen {
-        job: OpenJob {
-            request: OpenRequest {
-                client: client.unwrap_or_else(|| "cli".into()),
-                label: label.unwrap_or_else(|| "open".into()),
-                config,
-                case,
-                seed: master_seed,
-                jobs: trace,
-                bg,
-                losses,
-                arrivals,
-            },
-        },
+        job: OpenJob { request },
         addr: addr.unwrap_or_else(|| DEFAULT_ADDR.into()),
     })
 }
@@ -541,9 +546,14 @@ fn slrh_config(
     config.dt = dt.map_or(config.dt, Dur);
     config.horizon = horizon.map_or(config.horizon, Dur);
     config.adaptation = adaptation;
-    config
-        .check()
-        .map_err(|e| CliError::new(format!("invalid configuration: {e}")))?;
+    config.check().map_err(|e| {
+        let flag = match e {
+            ConfigError::ZeroDt | ConfigError::DtTooLarge => "--dt: ",
+            ConfigError::ZeroHorizon | ConfigError::HorizonTooLarge => "--horizon: ",
+            _ => "",
+        };
+        CliError::new(format!("invalid configuration: {flag}{e}"))
+    })?;
     Ok(config)
 }
 
@@ -648,9 +658,7 @@ fn parse_tune(argv: &[String]) -> Result<Tune, CliError> {
             other => return Err(CliError::new(format!("unknown flag {other:?} for tune"))),
         }
     }
-    if !(coarse > 0.0 && fine > 0.0) {
-        return Err(CliError::new("--coarse and --fine must be positive"));
-    }
+    check_steps(coarse, fine).map_err(|e| CliError::new(format!("--coarse/--fine: {e}")))?;
     let searcher = match (searcher, sa_seed, sa_iters) {
         (Some(s), None, None) => s,
         (None, None, None) => SearcherKind::Grid,
@@ -850,6 +858,35 @@ mod tests {
         ] {
             assert!(parse(&args(bad)).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    /// Well-typed values that used to reach a panic — search steps out
+    /// of order, clock values whose checked sums overflow — are usage
+    /// errors naming the flag, for the local and the remote spelling.
+    #[test]
+    fn values_that_used_to_panic_are_usage_errors_naming_the_flag() {
+        let argv = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+        let huge_job = "1@9223372036854775808;dag;4;18446744073709551615;-";
+        for (words, flag) in [
+            (vec!["tune", "--coarse", "0.1", "--fine", "0.2"], "--coarse/--fine"),
+            (vec!["tune", "--coarse", "inf"], "--coarse/--fine"),
+            (vec!["run", "--tasks", "64", "--horizon", "18446744073709551615"], "--horizon"),
+            (vec!["submit", "--horizon", "4611686018427387905"], "--horizon"),
+            (
+                vec!["run", "--tau", "18446744073709551615", "--dt", "9223372036854775808"],
+                "--dt",
+            ),
+            (vec!["open", "--dt", "9223372036854775808"], "--dt"),
+            (vec!["open", "--job", huge_job], "--job"),
+            (vec!["submit", "--open", "--job", huge_job], "--job"),
+        ] {
+            let err = parse(&argv(&words)).unwrap_err();
+            assert!(err.message.contains(flag), "{words:?}: {err}");
+        }
+        // The cap itself is accepted everywhere.
+        let cap = "4611686018427387904";
+        assert!(parse(&argv(&["run", "--dt", cap, "--horizon", cap, "--tau", cap])).is_ok());
+        assert!(parse(&argv(&["open", "--job", &format!("1@{cap};dag;4;{cap};-")])).is_ok());
     }
 
     #[test]

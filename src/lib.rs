@@ -30,9 +30,10 @@
 //!
 //! ## Quickstart
 //!
-//! The configuration surface ([`SlrhConfig`], its fluent
-//! [`SlrhConfig::builder`]) and the heuristic-agnostic result view
-//! ([`MappingOutcome`]) are re-exported at the crate root:
+//! The configuration surface ([`SlrhConfig`], built by
+//! [`SlrhConfig::paper`] and its `with_*` setters) and the
+//! heuristic-agnostic result view ([`MappingOutcome`]) are re-exported
+//! at the crate root:
 //!
 //! ```
 //! use lrh_grid::grid::{GridCase, ScenarioParams, Scenario};
@@ -43,12 +44,10 @@
 //! let params = ScenarioParams::paper_scaled(64);
 //! let scenario = Scenario::generate(&params, GridCase::A, 0, 0);
 //!
-//! // Map it with the baseline SLRH-1 heuristic. Builder knobs start at
-//! // the paper defaults (ΔT = 10 ticks, H = 100 ticks, secondaries on)
-//! // and the combination is validated at `build()`.
-//! let config = SlrhConfig::builder(SlrhVariant::V1, Weights::new(0.6, 0.2).unwrap())
-//!     .build()
-//!     .unwrap();
+//! // Map it with the baseline SLRH-1 heuristic at the paper defaults
+//! // (ΔT = 10 ticks, H = 100 ticks, secondaries on); the `with_*`
+//! // setters override one knob each and validate as they go.
+//! let config = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.6, 0.2).unwrap());
 //! let outcome = run_slrh(&scenario, &config);
 //! let m = outcome.metrics();
 //! println!("mapped {} of {} subtasks at the primary level", m.t100, scenario.tasks());
@@ -121,4 +120,4 @@ pub use slrh;
 pub mod cli;
 
 pub use gridsim::MappingOutcome;
-pub use slrh::{run_slrh, ConfigError, ScaleMode, SlrhConfig, SlrhConfigBuilder, SlrhVariant};
+pub use slrh::{run_slrh, ConfigError, ScaleMode, SlrhConfig, SlrhVariant};
