@@ -88,16 +88,16 @@ pub enum MachineOrder {
 
 impl MachineOrder {
     /// The visit order for a grid of `n` machines at clock-tick index
-    /// `tick` (0-based count of heuristic invocations).
-    pub fn order(self, n: usize, tick: u64) -> Vec<usize> {
-        match self {
-            MachineOrder::Numerical => (0..n).collect(),
-            MachineOrder::Reversed => (0..n).rev().collect(),
-            MachineOrder::Rotating => {
-                let shift = (tick % n.max(1) as u64) as usize;
-                (0..n).map(|i| (i + shift) % n).collect()
-            }
-        }
+    /// `tick` (0-based count of heuristic invocations), as a lazy
+    /// sequence of machine indices: the clock loop asks for it on every
+    /// swept tick, so it is not collected.
+    pub fn visit(self, n: usize, tick: u64) -> impl Iterator<Item = usize> {
+        let shift = (tick % n.max(1) as u64) as usize;
+        (0..n).map(move |i| match self {
+            MachineOrder::Numerical => i,
+            MachineOrder::Reversed => n - 1 - i,
+            MachineOrder::Rotating => (i + shift) % n,
+        })
     }
 }
 
@@ -724,14 +724,29 @@ mod tests {
         }
     }
 
+    /// The lazy visit order is the sequence the clock loop has always
+    /// walked: ids ascending, ids descending, and ids ascending rotated
+    /// left by the tick index.
     #[test]
     fn machine_orders() {
-        assert_eq!(MachineOrder::Numerical.order(4, 7), vec![0, 1, 2, 3]);
-        assert_eq!(MachineOrder::Reversed.order(4, 7), vec![3, 2, 1, 0]);
-        assert_eq!(MachineOrder::Rotating.order(4, 0), vec![0, 1, 2, 3]);
-        assert_eq!(MachineOrder::Rotating.order(4, 1), vec![1, 2, 3, 0]);
-        assert_eq!(MachineOrder::Rotating.order(4, 6), vec![2, 3, 0, 1]);
-        assert_eq!(MachineOrder::Rotating.order(1, 9), vec![0]);
+        for n in 1..=17usize {
+            for tick in 0..40u64 {
+                let visit = |order: MachineOrder| order.visit(n, tick).collect::<Vec<_>>();
+                let ascending: Vec<usize> = (0..n).collect();
+                let mut descending = ascending.clone();
+                descending.reverse();
+                let mut rotated = ascending.clone();
+                rotated.rotate_left(tick as usize % n);
+                assert_eq!(visit(MachineOrder::Numerical), ascending, "n={n} tick={tick}");
+                assert_eq!(visit(MachineOrder::Reversed), descending, "n={n} tick={tick}");
+                assert_eq!(visit(MachineOrder::Rotating), rotated, "n={n} tick={tick}");
+            }
+        }
+        let rotating = |n, tick| MachineOrder::Rotating.visit(n, tick).collect::<Vec<_>>();
+        assert_eq!(rotating(4, 1), [1, 2, 3, 0]);
+        assert_eq!(rotating(4, 6), [2, 3, 0, 1]);
+        assert_eq!(rotating(1, 9), [0]);
+        assert_eq!(rotating(0, 7), [0usize; 0]);
     }
 
     #[test]

@@ -135,6 +135,7 @@ impl Frontier {
             self.fresh[li].clear();
             self.waiting[li].clear();
             self.slog[li].clear();
+            self.slog_low[li] = 0;
             for k in 0..self.lists[li].len() {
                 let t = self.lists[li][k];
                 self.fresh[li].push((t, self.sgen[t.0]));

@@ -138,6 +138,13 @@ pub(crate) struct Frontier {
     /// lb cleared the horizon, in arrival order. Views consume it
     /// through their cursor; cleared on epoch bumps.
     slog: Vec<Vec<(TaskId, u32)>>,
+    /// Per-list low-water mark into `slog`: every record before it is
+    /// stale for good — `sgen` only grows and a task changes lists one
+    /// way (home → spill), so a record that stopped being current never
+    /// becomes current again. A view re-armed by a gate-row flush starts
+    /// its re-walk here instead of at index 0; raised by the walks
+    /// themselves, zeroed with the log.
+    slog_low: Vec<usize>,
 
     // ---- tables ----
     /// Per-task start lower bound `max_p finish(p)` ([`Time::MAX`] =
@@ -187,7 +194,9 @@ pub(crate) struct Frontier {
     ptuple_gen: u64,
     /// Reusable per-query candidate buffer.
     start_buf: Vec<TaskId>,
-    /// Reusable planner buffers for the query path.
+    /// Reusable planner storage for the query path: the costing's link
+    /// overlays, and the vectors of the one plan built per commit
+    /// (handed back by [`Kernel::recycle`]).
     scratch: PlanScratch,
 
     // ---- views + scan + latch ----
@@ -282,6 +291,7 @@ impl Frontier {
         refill_lists(&mut self.fresh, clusters + 1);
         refill_lists(&mut self.waiting, clusters + 1);
         refill_lists(&mut self.slog, clusters + 1);
+        refill(&mut self.slog_low, clusters + 1, 0);
 
         refill(&mut self.lb, tasks, Time::MAX);
         let floors = tasks.saturating_mul(machines);
@@ -385,6 +395,11 @@ impl Kernel for Frontier {
         for &t in &delta.newly_ready {
             self.insert(t);
         }
+    }
+
+    /// The committed plan's vectors become the next plan's storage.
+    fn recycle(&mut self, plan: MappingPlan) {
+        self.scratch.recycle(plan);
     }
 
     /// The best committable candidate for machine `j`: among the visible

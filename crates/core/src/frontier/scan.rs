@@ -67,8 +67,9 @@ impl Side {
     }
 }
 
-/// The incumbent of a scan: `(objective, task, plan)`.
-type Best = Option<(f64, TaskId, MappingPlan)>;
+/// The incumbent of a scan: `(objective, task, chosen version)`. Its
+/// plan is built once, after the walk.
+type Best = Option<(f64, TaskId, Version)>;
 
 /// Whether a candidate whose objective is at most `value` cannot
 /// displace the incumbent: strictly below it, or tied and losing the
@@ -140,8 +141,10 @@ impl Frontier {
     /// ties it and loses the task-id tie-break) — and since the true ub
     /// never exceeds that sum, the argmax is exactly the exhaustive
     /// scan's. Per entry: membership kill → per-entry tight bound → §IV
-    /// gate → lazy exact eval → exact-bound skip → floor defer → plan →
-    /// incumbent update.
+    /// gate → lazy exact eval → exact-bound skip → floor defer → costing
+    /// → incumbent update. Only the winner is planned: the state cannot
+    /// change during a query, so the plan built after the walk is the one
+    /// the walk would have kept.
     pub(super) fn scan(
         &mut self,
         b: &Bound<'_>,
@@ -222,20 +225,29 @@ impl Frontier {
                 s.remove(idx, Some(floor));
                 continue;
             }
-            let (obj, plan) = self.plan_chosen(q, t, stats);
-            if plan.start > q.horizon_end {
-                s.remove(idx, Some(plan.start));
+            let (obj, version, start) = self.cost_chosen(b, t, stats);
+            if start > q.horizon_end {
+                s.remove(idx, Some(start));
                 continue;
             }
             debug_assert!(obj <= ub, "upper bound {ub} below objective {obj} for {t}");
             if !loses(&best, obj, t) {
-                best = Some((obj, t, plan));
+                best = Some((obj, t, version));
             }
         }
         for (s, order) in sides.iter_mut().zip(orders) {
             *s.order() = order;
         }
-        best.map(|(_, _, plan)| plan)
+        best.map(|(obj, t, version)| {
+            let placement = Placement::Append { not_before: q.now };
+            let plan = q.state.plan_with(t, version, q.j, placement, &mut self.scratch);
+            debug_assert_eq!(
+                obj.to_bits(),
+                plan_objective(q.state, q.objective, &plan).to_bits(),
+                "the costing's score is not the plan's objective for {t}"
+            );
+            plan
+        })
     }
 
     /// Phase 4: fold what the scan learned back into the views — the
@@ -273,38 +285,40 @@ impl Frontier {
         }
     }
 
-    /// Plan `t` on the query's machine at the version
+    /// Cost `t` on the query's machine once and choose the version
     /// [`crate::pool::build_pool_with`] keeps: the gate version, unless
     /// the primary is allowed, fits the battery too and scores at least
     /// as well (ties go to the primary: `T100` is the study's
-    /// objective). The planned start — version-independent under
-    /// `Append` — is remembered as the pair's start floor.
-    fn plan_chosen(
+    /// objective). Both scores come from the one costing — an `Append`
+    /// plan's start and transfer energy do not depend on the version
+    /// ([`gridsim::plan::AppendCost`]) — and equal the two plans'
+    /// objectives bit for bit. Returns `(objective, version, start)`;
+    /// the start is remembered as the pair's start floor.
+    fn cost_chosen(
         &mut self,
-        q: &Query<'_>,
+        b: &Bound<'_>,
         t: TaskId,
         stats: &mut RunStats,
-    ) -> (f64, MappingPlan) {
+    ) -> (f64, Version, Time) {
         stats.candidates_evaluated += 1;
-        let placement = Placement::Append { not_before: q.now };
-        let gated = q.state.plan_with(t, q.gate_version, q.j, placement, &mut self.scratch);
-        let mut chosen = (plan_objective(q.state, q.objective, &gated), gated);
+        let q = &b.q;
+        let cost = q.state.cost_append(t, q.j, q.now, &mut self.scratch);
+        let mut chosen = (b.score(&cost.at(q.state, q.gate_version)), q.gate_version);
         if q.allow_secondary && q.state.version_feasible(t, Version::Primary, q.j) {
-            let primary = q.state.plan_with(t, Version::Primary, q.j, placement, &mut self.scratch);
-            let primary_obj = plan_objective(q.state, q.objective, &primary);
-            if primary_obj >= chosen.0 {
-                chosen = (primary_obj, primary);
+            let primary = b.score(&cost.at(q.state, Version::Primary));
+            if primary >= chosen.0 {
+                chosen = (primary, Version::Primary);
             }
         }
         debug_assert!(chosen.0.is_finite(), "objective values are finite");
-        self.raise_floor(t, q.j, chosen.1.start);
-        chosen
+        self.raise_floor(t, q.j, cost.start);
+        (chosen.0, chosen.1, cost.start)
     }
 
     /// SLRH-2's frozen walk order: every visible gate-passing
     /// *startable* candidate with its chosen version and objective,
     /// (objective desc, task asc) — what [`crate::pool::build_pool_with`]
-    /// freezes, without keeping the plans. Both visible lists are
+    /// freezes, without building the plans. Both visible lists are
     /// filtered from scratch like the resort scan's. The lb and floor
     /// prunes narrow membership relative to the frozen pool, but only by
     /// entries whose plans start past the horizon: the walk re-plans
@@ -317,13 +331,14 @@ impl Frontier {
         out: &mut Vec<(f64, TaskId, Version)>,
     ) {
         out.clear();
+        let bound = Bound::new(q);
         let mut cand = std::mem::take(&mut self.start_buf);
         for li in self.visible_lists(q.j) {
             self.collect_startable(q, li, &mut cand);
             for &t in &cand {
                 if self.floor_past_horizon(q, t).is_none() {
-                    let (obj, plan) = self.plan_chosen(q, t, stats);
-                    out.push((obj, t, plan.version));
+                    let (obj, version, _) = self.cost_chosen(&bound, t, stats);
+                    out.push((obj, t, version));
                 }
             }
         }

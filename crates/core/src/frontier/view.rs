@@ -8,6 +8,7 @@ use std::collections::BinaryHeap;
 use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::Time;
 use gridsim::metrics::Metrics;
+use gridsim::plan::PlanTotals;
 use lagrange::weights::{AetSign, Objective, ObjectiveInputs};
 
 use super::{Frontier, Query};
@@ -318,6 +319,18 @@ impl<'q> Bound<'q> {
         ub
     }
 
+    /// The objective of a plan with these totals:
+    /// [`crate::pool::plan_objective`]'s expression over the query's
+    /// metrics snapshot (the state cannot change during a query), so the
+    /// value is the plan's objective bit for bit.
+    pub(super) fn score(&self, totals: &PlanTotals) -> f64 {
+        self.q.objective.evaluate(&ObjectiveInputs {
+            t100_frac: totals.t100_after as f64 / self.tasks_f,
+            tec_frac: totals.tec_after / self.m.tse,
+            aet_frac: totals.aet_after.as_seconds() / self.tau_s,
+        })
+    }
+
     /// Smallest / largest exec duration over the versions `ub`
     /// maximises.
     fn durations(&self, t: TaskId) -> (u64, u64) {
@@ -425,19 +438,30 @@ impl Frontier {
         // grows with `now`, so an early defer can only revive early and
         // recheck.
         //
-        // A re-armed view re-walks the whole log, most of it stale, so
-        // each stale run is skipped by a call-free search: with `admit`
-        // (`&mut self`) inside that loop every table pointer is reloaded
-        // per record, which measured ~2 % of a 100 000 × 1000 run.
-        let mut k = v.log_cursor;
-        while let Some(run) =
-            self.slog[li][k..].iter().position(|&(t, g)| self.is_current(t, g, li))
-        {
-            let (t, g) = self.slog[li][k + run];
-            self.admit(v, q, t, g, true);
-            k += run + 1;
+        // A re-armed view re-walks the log from the list's low-water
+        // mark — everything before it is stale for good (see
+        // [`Frontier::slog_low`]) — and what is left is still mostly
+        // stale, so each stale run is skipped by a call-free search:
+        // with `admit` (`&mut self`) inside that loop every table pointer
+        // is reloaded per record, which measured ~2 % of a 100 000 × 1000
+        // run. A stale run that starts at the mark raises it.
+        let logged = self.slog[li].len();
+        let mut k = v.log_cursor.max(self.slog_low[li]);
+        while k < logged {
+            let run = self.slog[li][k..]
+                .iter()
+                .position(|&(t, g)| self.is_current(t, g, li))
+                .unwrap_or(logged - k);
+            if k == self.slog_low[li] {
+                self.slog_low[li] += run;
+            }
+            k += run;
+            if let Some(&(t, g)) = self.slog[li].get(k) {
+                self.admit(v, q, t, g, true);
+                k += 1;
+            }
         }
-        v.log_cursor = self.slog[li].len();
+        v.log_cursor = logged;
         // Deferred revival: floors are monotone within an epoch, so a
         // deferral sleeps until the horizon reaches its recorded floor,
         // then re-checks everything fresh (membership, gate, the cached
@@ -518,6 +542,75 @@ mod tests {
     use crate::pool::plan_objective;
     use lagrange::weights::Weights;
     use proptest::prelude::*;
+
+    /// A view re-armed while the log's head is stale re-walks from the
+    /// list's low-water mark, and admits exactly what the walk from
+    /// index 0 admits.
+    #[test]
+    fn a_rearmed_view_rewalks_from_the_low_water_mark() {
+        const N: usize = 4;
+        let sc = scenario(32);
+        let horizon_end = Time::ZERO + H;
+        let (m0, m1, m2) = (MachineId(0), MachineId(1), MachineId(2));
+        // Machine 0's view consumes the whole log (every root), then the
+        // log's first N tasks are committed elsewhere: a stale head.
+        let stale_head = |state: &mut SimState<'_>, fr: &mut Frontier| -> usize {
+            fr.begin_tick(state, 0);
+            assert!(ask(fr, state, m0, Time::ZERO, horizon_end).is_some());
+            let li = fr.visible_lists(m0)[0];
+            let head: Vec<TaskId> = fr.slog[li][..N].iter().map(|&(t, _)| t).collect();
+            for t in head {
+                commit_on(fr, state, t, Version::Secondary, m1, Time::ZERO);
+            }
+            assert_eq!(fr.slog_low[li], 0, "nothing has re-walked the log yet");
+            li
+        };
+        // What a gate-row flush does to a machine's views.
+        let rearm = |fr: &mut Frontier, j: MachineId| {
+            let Frontier { views, view_entries, .. } = fr;
+            for v in &mut views[j.0 * 2..j.0 * 2 + 2] {
+                v.retire(view_entries, false);
+            }
+            fr.idle[j.0] = None;
+        };
+        let members = |fr: &Frontier| {
+            let v = &fr.views[0];
+            let mut alive: Vec<(u32, u32)> = v.entries.iter().map(|e| (e.t, e.gen)).collect();
+            alive.sort_unstable();
+            let mut deferred: Vec<_> = v.deferred.iter().map(|r| r.0).collect();
+            deferred.sort_unstable();
+            (alive, deferred, v.log_cursor)
+        };
+
+        // The reference: machine 0's re-armed view walks from index 0.
+        let mut state_a = SimState::new(&sc);
+        let mut a = Frontier::new(&state_a, ScaleMode::default());
+        let li = stale_head(&mut state_a, &mut a);
+        rearm(&mut a, m0);
+        let from_zero = ask(&mut a, &state_a, m0, Time::ZERO, horizon_end);
+        assert_eq!(a.slog_low[li], N, "the walk itself found the stale head");
+
+        // Same history, but machine 2's first walk has raised the mark
+        // by the time machine 0's view is re-armed.
+        let mut state_b = SimState::new(&sc);
+        let mut b = Frontier::new(&state_b, ScaleMode::default());
+        assert_eq!(stale_head(&mut state_b, &mut b), li);
+        let pool = pool_answer(&state_b, m2, Time::ZERO, horizon_end);
+        assert_eq!(ask(&mut b, &state_b, m2, Time::ZERO, horizon_end), pool);
+        assert_eq!(b.slog_low[li], N);
+        rearm(&mut b, m0);
+        let from_mark = ask(&mut b, &state_b, m0, Time::ZERO, horizon_end);
+        assert_eq!(from_mark, from_zero);
+        assert_eq!(from_mark, pool_answer(&state_b, m0, Time::ZERO, horizon_end));
+        assert_eq!(members(&b), members(&a));
+        assert!(from_mark.is_some() && !members(&b).0.is_empty());
+
+        // An epoch bump clears the log, and the mark with it.
+        b.forget_occupation();
+        b.sync_list(&state_b, li, horizon_end);
+        assert_eq!(b.slog_low[li], 0);
+        assert!(b.slog[li].iter().all(|&(t, g)| b.is_current(t, g, li)));
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]

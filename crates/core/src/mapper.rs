@@ -182,6 +182,11 @@ pub(crate) fn gate_version(allow_secondary: bool) -> Version {
 /// driver runs the [`crate::frontier::Frontier`]; the trait exists so
 /// [`crate::reference`] can drive the *same* loop over the paper's
 /// from-scratch pool walk as an independent oracle.
+///
+/// A plan travels in a circle: [`Kernel::best_startable`] hands one
+/// out, the loop commits it, and [`Kernel::recycle`] takes it back as
+/// the storage of the next — so a kernel builds one plan per commit and
+/// a warm run allocates for none of them.
 pub(crate) trait Kernel {
     /// Start clock tick number `tick`.
     fn begin_tick(&mut self, state: &SimState<'_>, tick: u64);
@@ -190,6 +195,10 @@ pub(crate) trait Kernel {
     /// loop does not report (a machine-loss cascade between segments)
     /// are noticed through the state's revision counter.
     fn apply(&mut self, delta: &StateDelta);
+
+    /// Take a committed plan back: a kernel that plans on reusable
+    /// storage keeps the plan's vectors for its next plan.
+    fn recycle(&mut self, _plan: MappingPlan) {}
 
     /// The ready-to-commit plan of the visible, §IV-feasible candidate
     /// maximising the objective among those able to start on `j` by
@@ -333,10 +342,8 @@ pub(crate) fn drive<K: Kernel>(
         let mut every_live_machine_available = true;
 
         kernel.begin_tick(state, tick);
-        let order = config
-            .machine_order
-            .order(state.scenario().grid.len(), tick);
-        for j in order.into_iter().map(MachineId) {
+        let order = config.machine_order.visit(state.scenario().grid.len(), tick);
+        for j in order.map(MachineId) {
             if state.all_mapped() {
                 break;
             }
@@ -464,7 +471,7 @@ fn map_on_machine<K: Kernel>(
             if let Some(plan) =
                 kernel.best_startable(state, objective, j, now, horizon_end, secondary, stats)
             {
-                commit(state, stats, kernel, &plan);
+                commit(state, stats, kernel, plan);
             }
         }
         SlrhVariant::V2 => {
@@ -482,7 +489,7 @@ fn map_on_machine<K: Kernel>(
                 }
                 let plan = state.plan(t, v, j, Placement::Append { not_before: now });
                 if plan.start <= horizon_end {
-                    commit(state, stats, kernel, &plan);
+                    commit(state, stats, kernel, plan);
                 }
             }
         }
@@ -492,22 +499,26 @@ fn map_on_machine<K: Kernel>(
             while let Some(plan) =
                 kernel.best_startable(state, objective, j, now, horizon_end, secondary, stats)
             {
-                commit(state, stats, kernel, &plan);
+                commit(state, stats, kernel, plan);
             }
         }
     }
 }
 
-/// Commit a plan and feed the resulting delta into the kernel.
+/// Commit a plan, feed the resulting delta into the kernel, and hand
+/// the storage of both back to where the next ones are built: the loop
+/// commits once per subtask and allocates for none of them.
 fn commit<K: Kernel>(
     state: &mut SimState<'_>,
     stats: &mut RunStats,
     kernel: &mut K,
-    plan: &MappingPlan,
+    plan: MappingPlan,
 ) {
-    let delta = state.commit(plan);
+    let delta = state.commit(&plan);
     kernel.apply(&delta);
     stats.commits += 1;
+    state.recycle(delta);
+    kernel.recycle(plan);
 }
 
 /// Predicted constraint violations from a mid-run snapshot: the energy

@@ -170,16 +170,66 @@ pub struct PoissonParams {
     pub seed: u64,
 }
 
+/// Which rule of [`PoissonParams::check`] a draw's parameters break.
+/// `Display` is the message CLI users see after the flag's name.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum PoissonError {
+    /// The mean gap is zero or past [`MAX_INPUT_TICKS`].
+    MeanGap,
+    /// The subtask-count range is empty or starts at zero.
+    TaskRange,
+    /// A bag or budget rate is more than 8 out of 8.
+    Rate,
+}
+
+impl std::fmt::Display for PoissonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PoissonError::MeanGap => {
+                write!(f, "mean gap must be positive and at most {MAX_INPUT_TICKS} ticks")
+            }
+            PoissonError::TaskRange => {
+                f.write_str("the task range must start at 1 or more and not be empty")
+            }
+            PoissonError::Rate => f.write_str("x-in-8 rates are 0..=8"),
+        }
+    }
+}
+
+impl PoissonParams {
+    /// The one validity rule of a draw, for [`poisson_trace`] and the
+    /// CLI alike. The mean gap is a clock value like any other a request
+    /// carries, so it is held to the same [`MAX_INPUT_TICKS`] cap.
+    pub fn check(&self) -> Result<(), PoissonError> {
+        if self.mean_gap == 0 || self.mean_gap > MAX_INPUT_TICKS {
+            return Err(PoissonError::MeanGap);
+        }
+        if self.tasks.0 < 1 || self.tasks.0 > self.tasks.1 {
+            return Err(PoissonError::TaskRange);
+        }
+        if self.bag_in_8 > 8 || self.budget_in_8 > 8 {
+            return Err(PoissonError::Rate);
+        }
+        Ok(())
+    }
+}
+
 /// Draw a Poisson arrival trace: exponential inter-arrival gaps with
 /// mean [`PoissonParams::mean_gap`], rounded up to whole ticks. Job
 /// deadlines scale the paper's τ to the job's size and stretch it by a
 /// factor on the `[0.80, 1.55]` lattice (step 0.05); budgets price the
 /// job's subtasks at 150–400 grid-dollars each. Same seed ⇒ identical
-/// trace, bit for bit.
+/// trace, bit for bit. The arrival clock saturates at [`Time::MAX`]
+/// (a long tail of gaps near the cap; [`OpenParams::check`] rejects
+/// such a trace) instead of overflowing.
+///
+/// # Panics
+/// Panics with the [`PoissonError`] when [`PoissonParams::check`]
+/// rejects `p`.
 pub fn poisson_trace(p: &PoissonParams) -> Vec<JobArrival> {
-    assert!(p.mean_gap > 0, "mean gap must be positive");
-    assert!(p.tasks.0 >= 1 && p.tasks.0 <= p.tasks.1, "bad task range");
-    assert!(p.bag_in_8 <= 8 && p.budget_in_8 <= 8, "x-in-8 rates are 0..=8");
+    if let Err(e) = p.check() {
+        panic!("{e}");
+    }
     let mut rng = StdRng::seed_from_u64(seed::derive(p.seed, STREAM_ARRIVAL));
     let mut jobs = Vec::with_capacity(p.jobs as usize);
     let mut now = Time::ZERO;
@@ -187,7 +237,7 @@ pub fn poisson_trace(p: &PoissonParams) -> Vec<JobArrival> {
         // Exponential gap, quantized up so arrivals strictly advance.
         let u: f64 = rng.gen_range(0.0..1.0);
         let gap = (-(1.0 - u).ln() * p.mean_gap as f64).ceil().max(1.0) as u64;
-        now += Dur(gap);
+        now = now.saturating_add(Dur(gap));
         let tasks = rng.gen_range(p.tasks.0..=p.tasks.1);
         let kind = if rng.gen_range(0u8..8) < p.bag_in_8 {
             JobKind::Bag
@@ -442,6 +492,36 @@ mod tests {
             assert!((4..=12).contains(&j.tasks));
             assert!(j.deadline.0 > 0);
         }
+    }
+
+    /// Each rule of the draw's owner, and the cap: a mean gap is a clock
+    /// value, and at the cap the arrival clock saturates (a trace
+    /// `OpenParams::check` then rejects) where it used to overflow.
+    #[test]
+    fn draw_parameters_are_checked_and_the_clock_saturates() {
+        let broken = |edit: &dyn Fn(&mut PoissonParams)| {
+            let mut p = params(1);
+            edit(&mut p);
+            p.check().unwrap_err()
+        };
+        assert_eq!(params(1).check(), Ok(()));
+        assert_eq!(broken(&|p| p.mean_gap = 0), PoissonError::MeanGap);
+        assert_eq!(broken(&|p| p.mean_gap = MAX_INPUT_TICKS + 1), PoissonError::MeanGap);
+        assert_eq!(broken(&|p| p.tasks = (0, 4)), PoissonError::TaskRange);
+        assert_eq!(broken(&|p| p.tasks = (9, 4)), PoissonError::TaskRange);
+        assert_eq!(broken(&|p| p.bag_in_8 = 9), PoissonError::Rate);
+        assert_eq!(broken(&|p| p.budget_in_8 = 9), PoissonError::Rate);
+
+        let at_cap = PoissonParams {
+            jobs: 64,
+            mean_gap: MAX_INPUT_TICKS,
+            ..params(1)
+        };
+        assert_eq!(at_cap.check(), Ok(()));
+        let jobs = poisson_trace(&at_cap);
+        assert_eq!(jobs.len(), 64);
+        assert!(jobs.windows(2).all(|w| w[0].at <= w[1].at));
+        assert_eq!(jobs.last().unwrap().at, Time::MAX, "64 gaps of mean 2^62 pass u64::MAX");
     }
 
     #[test]

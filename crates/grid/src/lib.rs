@@ -43,7 +43,8 @@ pub mod units;
 pub mod workload;
 
 pub use arrival::{
-    poisson_trace, Background, BackgroundParams, JobArrival, JobKind, OpenParams, PoissonParams,
+    poisson_trace, Background, BackgroundParams, JobArrival, JobKind, OpenParams, PoissonError,
+    PoissonParams,
 };
 pub use config::{GridCase, GridConfig, MachineId};
 pub use dag::Dag;

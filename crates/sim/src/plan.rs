@@ -104,17 +104,89 @@ impl MappingPlan {
     }
 }
 
-/// Reusable buffers for the planner's transfer-placement search.
+/// The three global quantities a commit moves — what the SLRH objective
+/// is evaluated on.
+#[derive(Copy, Clone, PartialEq, Debug)]
+pub struct PlanTotals {
+    /// `T100` after the commit.
+    pub t100_after: usize,
+    /// Total energy committed across the grid after the commit (`TEC`).
+    pub tec_after: Energy,
+    /// Application execution time after the commit (`AET`).
+    pub aet_after: Time,
+}
+
+impl PlanTotals {
+    /// The one definition [`plan_mapping`] and [`AppendCost::at`] share:
+    /// `TEC + exec + Σ transfers` in exactly this association order, so
+    /// a costing's totals are the plan's, bit for bit.
+    fn after(
+        state: &SimState<'_>,
+        version: Version,
+        start: Time,
+        exec_dur: Dur,
+        exec_energy: Energy,
+        transfer_energy: Energy,
+    ) -> PlanTotals {
+        PlanTotals {
+            t100_after: state.t100() + usize::from(version.is_primary()),
+            tec_after: state.tec() + exec_energy + transfer_energy,
+            aet_after: state.aet().max(start + exec_dur),
+        }
+    }
+}
+
+/// The version-independent half of an [`Placement::Append`] plan for one
+/// `(task, machine)` pair: under `Append` the transfer slots depend only
+/// on the parents' placements and the links' occupation, and the
+/// execution is queued behind the machine's availability whatever its
+/// length — so neither the start nor the transfer energy changes with
+/// the version. (Under [`Placement::Insert`] the start is a gap search
+/// for the execution's own duration; there is no such half.)
 ///
-/// Every plan runs a first-fit search that accumulates
-/// per-plan link overlays; with a fresh `Vec` per call the SLRH inner
-/// loop — thousands of plans per run — spends a measurable share of its
+/// Produced by [`SimState::cost_append`] from the same
+/// transfer-placement walk [`SimState::plan_with`] runs, without
+/// building a [`MappingPlan`]; [`AppendCost::at`] completes it for a
+/// version.
+#[derive(Copy, Clone, PartialEq, Debug)]
+pub struct AppendCost {
+    /// The subtask costed.
+    pub task: TaskId,
+    /// The target machine.
+    pub machine: MachineId,
+    /// Execution start of either version's plan.
+    pub start: Time,
+    /// Energy the senders pay: the transfer energies summed in parent
+    /// order, as the plan sums them.
+    pub transfer_energy: Energy,
+}
+
+impl AppendCost {
+    /// The totals of the plan for `version`: equal to the
+    /// `t100_after` / `tec_after` / `aet_after` [`SimState::plan_with`]
+    /// reports for the same state, bit for bit.
+    pub fn at(&self, state: &SimState<'_>, version: Version) -> PlanTotals {
+        let sc = state.scenario();
+        let exec_dur = sc.etc.exec_dur(self.task, self.machine, version);
+        let exec_energy = sc.grid.machine(self.machine).compute_energy(exec_dur);
+        PlanTotals::after(state, version, self.start, exec_dur, exec_energy, self.transfer_energy)
+    }
+}
+
+/// Reusable storage for the planner: the transfer-placement search's
+/// per-plan link overlays, and the three vectors of the next
+/// [`MappingPlan`].
+///
+/// With fresh `Vec`s per call the SLRH inner loop — thousands of
+/// costings and one plan per commit — spends a measurable share of its
 /// time in the allocator. Callers that plan in a loop (the candidate
-/// kernels) hold one `PlanScratch` and pass it to
-/// [`SimState::plan_with`]; the buffers are cleared, never shrunk, so steady state performs no allocation at all.
+/// kernels) hold one `PlanScratch`, pass it to [`SimState::plan_with`] /
+/// [`SimState::cost_append`], and hand a plan's vectors back with
+/// [`PlanScratch::recycle`] once it is committed; the buffers are
+/// cleared, never shrunk, so steady state performs no allocation at all.
 ///
-/// The scratch carries no results across calls — only capacity. Using one
-/// scratch for every plan in a pool build is therefore observationally
+/// The scratch carries no results across calls — only capacity. Using
+/// one scratch for every plan of a run is therefore observationally
 /// identical to fresh buffers.
 #[derive(Default, Debug)]
 pub struct PlanScratch {
@@ -124,45 +196,67 @@ pub struct PlanScratch {
     rx_overlay: Vec<Interval>,
     /// Per-parent filter of `tx_overlays` down to one sender.
     tx_extra: Vec<Interval>,
+    /// Storage for the next plan's `transfers` / `settlements` /
+    /// `child_reservations` (see [`PlanScratch::recycle`]).
+    transfers: Vec<PlannedTransfer>,
+    settlements: Vec<EdgeSettlement>,
+    child_reservations: Vec<(TaskId, Energy)>,
 }
 
 impl PlanScratch {
-    fn reset(&mut self) {
-        self.tx_overlays.clear();
-        self.rx_overlay.clear();
-        self.tx_extra.clear();
+    /// Take a spent plan's vectors back as storage for the next plan
+    /// built on this scratch. Capacity only: the next plan clears them.
+    pub fn recycle(&mut self, plan: MappingPlan) {
+        self.transfers = plan.transfers;
+        self.settlements = plan.settlements;
+        self.child_reservations = plan.child_reservations;
     }
 }
 
-/// Plan mapping `(task, version)` onto `machine`. See
-/// [`SimState::plan`] for the public entry point.
+/// An empty vector on `spare`'s storage.
+pub(crate) fn emptied<T>(spare: &mut Vec<T>) -> Vec<T> {
+    let mut v = std::mem::take(spare);
+    v.clear();
+    v
+}
+
+/// What the transfer-placement walk establishes whoever consumes it.
+struct Inputs {
+    /// The instant every input item is on the target machine (never
+    /// before `not_before`).
+    arrival: Time,
+    /// The transfer energies, summed in parent order.
+    transfer_energy: Energy,
+}
+
+/// The transfer-placement walk: first-fit every cross-machine input of
+/// `task` onto the sender's transmit link and `machine`'s receive link,
+/// parent by parent, overlaying the slots already placed within this
+/// walk so two parents cannot share a link. `edge` sees every parent
+/// edge's settlement and, for a cross-machine parent, its slot — the
+/// planner keeps them, the costing does not.
 ///
 /// # Panics
-/// Panics if `task` is already mapped or any parent is unmapped.
-pub(crate) fn plan_mapping(
+/// Panics if any parent is unmapped.
+fn place_transfers(
     state: &SimState<'_>,
     task: TaskId,
-    version: Version,
     machine: MachineId,
-    placement: Placement,
+    not_before: Time,
     scratch: &mut PlanScratch,
-) -> MappingPlan {
+    mut edge: impl FnMut(EdgeSettlement, Option<PlannedTransfer>),
+) -> Inputs {
     let sc = state.scenario();
-    assert!(!state.is_mapped(task), "{task} is already mapped");
-    let not_before = placement.not_before();
-
-    // Plan incoming transfers parent-by-parent, overlaying slots already
-    // planned within this mapping so two parents cannot share the target's
-    // receive link.
-    let mut transfers = Vec::new();
-    let mut settlements = Vec::new();
-    scratch.reset();
     let PlanScratch {
         tx_overlays,
         rx_overlay,
         tx_extra,
+        ..
     } = scratch;
+    tx_overlays.clear();
+    rx_overlay.clear();
     let mut arrival = not_before;
+    let mut transfer_energy = Energy::ZERO;
 
     for &p in sc.dag.parents(task) {
         let pa = state
@@ -172,10 +266,13 @@ pub(crate) fn plan_mapping(
         if pa.machine == machine {
             // Same-machine data movement is instantaneous and free.
             arrival = arrival.max(pa.finish());
-            settlements.push(EdgeSettlement {
-                parent: p,
-                actual: Energy::ZERO,
-            });
+            edge(
+                EdgeSettlement {
+                    parent: p,
+                    actual: Energy::ZERO,
+                },
+                None,
+            );
             continue;
         }
         let size = sc.data.edge(&sc.dag, p, task).scaled(pa.version.data_factor());
@@ -203,23 +300,75 @@ pub(crate) fn plan_mapping(
         tx_overlays.push((pa.machine, iv));
         rx_overlay.push(iv);
         arrival = arrival.max(start + dur);
-        transfers.push(PlannedTransfer {
-            parent: p,
-            from: pa.machine,
-            size,
-            start,
-            dur,
-            energy,
-        });
-        settlements.push(EdgeSettlement { parent: p, actual: energy });
+        transfer_energy += energy;
+        edge(
+            EdgeSettlement { parent: p, actual: energy },
+            Some(PlannedTransfer {
+                parent: p,
+                from: pa.machine,
+                size,
+                start,
+                dur,
+                energy,
+            }),
+        );
     }
+    Inputs {
+        arrival,
+        transfer_energy,
+    }
+}
+
+/// Cost mapping `task` onto `machine` under `Append` without building
+/// the plan. See [`SimState::cost_append`] for the public entry point.
+pub(crate) fn cost_append(
+    state: &SimState<'_>,
+    task: TaskId,
+    machine: MachineId,
+    not_before: Time,
+    scratch: &mut PlanScratch,
+) -> AppendCost {
+    assert!(!state.is_mapped(task), "{task} is already mapped");
+    let inputs = place_transfers(state, task, machine, not_before, scratch, |_, _| {});
+    AppendCost {
+        task,
+        machine,
+        start: inputs.arrival.max(state.compute_ready(machine)),
+        transfer_energy: inputs.transfer_energy,
+    }
+}
+
+/// Plan mapping `(task, version)` onto `machine`. See
+/// [`SimState::plan`] for the public entry point.
+///
+/// # Panics
+/// Panics if `task` is already mapped or any parent is unmapped.
+pub(crate) fn plan_mapping(
+    state: &SimState<'_>,
+    task: TaskId,
+    version: Version,
+    machine: MachineId,
+    placement: Placement,
+    scratch: &mut PlanScratch,
+) -> MappingPlan {
+    let sc = state.scenario();
+    assert!(!state.is_mapped(task), "{task} is already mapped");
+
+    let mut transfers = emptied(&mut scratch.transfers);
+    let mut settlements = emptied(&mut scratch.settlements);
+    let not_before = placement.not_before();
+    let Inputs {
+        arrival,
+        transfer_energy,
+    } = place_transfers(state, task, machine, not_before, scratch, |settlement, slot| {
+        settlements.push(settlement);
+        transfers.extend(slot);
+    });
 
     // Place the execution.
     let exec_dur = sc.etc.exec_dur(task, machine, version);
     let start = match placement {
-        Placement::Append { not_before } => {
-            arrival.max(not_before).max(state.compute_ready(machine))
-        }
+        Placement::Append { .. } => arrival.max(state.compute_ready(machine)),
         Placement::Insert => state
             .compute_timeline(machine)
             .earliest_gap(arrival, exec_dur),
@@ -228,13 +377,14 @@ pub(crate) fn plan_mapping(
 
     // Worst-case outgoing reservations for every (necessarily unmapped)
     // child: assume the child lands across the grid's slowest link.
-    let child_reservations = worst_case_child_reservations(state, task, version, machine);
+    let mut child_reservations = emptied(&mut scratch.child_reservations);
+    child_reservations.extend(worst_case_child_reservations(state, task, version, machine));
 
-    let t100_after = state.t100() + usize::from(version.is_primary());
-    let tec_after = state.tec()
-        + exec_energy
-        + transfers.iter().map(|t| t.energy).sum::<Energy>();
-    let aet_after = state.aet().max(start + exec_dur);
+    let PlanTotals {
+        t100_after,
+        tec_after,
+        aet_after,
+    } = PlanTotals::after(state, version, start, exec_dur, exec_energy, transfer_energy);
 
     MappingPlan {
         task,
@@ -278,26 +428,22 @@ pub(crate) fn worst_case_out_energy(
 }
 
 /// Worst-case per-child outgoing reservations for `(task, version)` on
-/// `machine` — the §IV conservative bound used both for planning and for
-/// pool feasibility.
-pub(crate) fn worst_case_child_reservations(
-    state: &SimState<'_>,
+/// `machine`, in child order — the §IV conservative bound used both for
+/// planning and for pool feasibility.
+fn worst_case_child_reservations<'s>(
+    state: &SimState<'s>,
     task: TaskId,
     version: Version,
     machine: MachineId,
-) -> Vec<(TaskId, Energy)> {
+) -> impl Iterator<Item = (TaskId, Energy)> + 's {
     let sc = state.scenario();
     let spec = sc.grid.machine(machine);
     let min_bw = sc.grid.min_bandwidth_mbps();
-    sc.dag
-        .children(task)
-        .iter()
-        .map(|&c| {
-            let size = sc.data.edge(&sc.dag, task, c).scaled(version.data_factor());
-            let worst_dur = Dur::from_seconds_ceil(size.transfer_seconds(min_bw));
-            (c, spec.transmit_energy(worst_dur))
-        })
-        .collect()
+    sc.dag.children(task).iter().map(move |&c| {
+        let size = sc.data.edge(&sc.dag, task, c).scaled(version.data_factor());
+        let worst_dur = Dur::from_seconds_ceil(size.transfer_seconds(min_bw));
+        (c, spec.transmit_energy(worst_dur))
+    })
 }
 
 /// Earliest instant `>= not_before` at which a span of `dur` is free on
@@ -329,7 +475,63 @@ fn earliest_common_gap(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adhoc_grid::config::GridCase;
     use adhoc_grid::units::{Dur, Time};
+    use adhoc_grid::workload::{Scenario, ScenarioParams};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// On mid-run states — machines queued, links occupied, energy
+        /// spent — the one-walk costing is the plan's version-independent
+        /// half for every ready task × machine × version: the same start,
+        /// and `T100` / `TEC` / `AET` equal bit for bit. And a plan built
+        /// on recycled storage equals the plan built on fresh storage.
+        #[test]
+        fn the_costing_is_the_plan_without_its_vectors(
+            dag_id in 0usize..4,
+            commits in 0usize..24,
+            now in 0u64..400,
+        ) {
+            let sc = Scenario::generate(&ScenarioParams::paper_scaled(32), GridCase::A, 0, dag_id);
+            let mut state = SimState::new(&sc);
+            for step in 0..commits {
+                let Some(&t) = state.ready_tasks().first() else { break };
+                let j = MachineId(step % sc.grid.len());
+                let v = if step % 3 == 0 { Version::Primary } else { Version::Secondary };
+                if state.version_feasible(t, v, j) {
+                    let plan = state.plan(t, v, j, Placement::Append { not_before: Time::ZERO });
+                    state.commit(&plan);
+                }
+            }
+            let now = Time(now);
+            let placement = Placement::Append { not_before: now };
+            let mut scratch = PlanScratch::default();
+            for &t in state.ready_tasks() {
+                for j in sc.grid.ids() {
+                    let cost = state.cost_append(t, j, now, &mut scratch);
+                    prop_assert_eq!((cost.task, cost.machine), (t, j));
+                    for v in Version::BOTH {
+                        let fresh = state.plan(t, v, j, placement);
+                        let totals = cost.at(&state, v);
+                        prop_assert_eq!(cost.start, fresh.start);
+                        prop_assert_eq!(totals.t100_after, fresh.t100_after);
+                        prop_assert_eq!(totals.aet_after, fresh.aet_after);
+                        prop_assert_eq!(
+                            totals.tec_after.units().to_bits(),
+                            fresh.tec_after.units().to_bits()
+                        );
+                        // The scratch has held costings and other pairs'
+                        // plans by now; none of it shows.
+                        let recycled = state.plan_with(t, v, j, placement, &mut scratch);
+                        prop_assert_eq!(&recycled, &fresh);
+                        scratch.recycle(recycled);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn common_gap_alternation_converges() {

@@ -19,7 +19,7 @@
 //! Every mutation (`commit`, `unmap`, `mark_lost`, `block_until`) bumps a
 //! monotonic [`SimState::revision`] counter and returns a [`StateDelta`]
 //! describing exactly what changed: which tasks entered or left the ready
-//! set and which machines had a timeline or energy-ledger change.
+//! set.
 //! Incremental consumers (the `slrh` candidate frontier) key their
 //! maintenance off these deltas instead of rescanning the whole state;
 //! the revision counter lets them assert they have seen every mutation.
@@ -33,7 +33,7 @@ use adhoc_grid::workload::Scenario;
 
 use crate::ledger::EnergyLedger;
 use crate::metrics::Metrics;
-use crate::plan::{self, MappingPlan, Placement, PlanScratch};
+use crate::plan::{self, AppendCost, MappingPlan, Placement, PlanScratch};
 use crate::schedule::{Assignment, Schedule, Transfer};
 use crate::timeline::Timeline;
 
@@ -44,7 +44,7 @@ use crate::timeline::Timeline;
 /// energy), so first-fit planning results that still fit remain exact;
 /// [`DeltaKind::Unmap`] removes occupation (earlier gaps can open) and
 /// [`DeltaKind::MachineLost`] kills a machine outright, so conclusions
-/// about the touched machines must be discarded wholesale.
+/// drawn from the old occupation must be discarded wholesale.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum DeltaKind {
     /// [`SimState::commit`]: occupation added, ledger moved.
@@ -65,6 +65,10 @@ pub enum DeltaKind {
 /// counter *after* the mutation; deltas therefore arrive in an unbroken
 /// sequence `1, 2, 3, …` and a consumer that tracks the last revision it
 /// applied can detect a missed mutation.
+///
+/// A commit's delta is built on storage the state keeps for it; hand it
+/// back with [`SimState::recycle`] once consumed and a run's commits
+/// allocate nothing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StateDelta {
     /// Which mutation this is.
@@ -75,27 +79,10 @@ pub struct StateDelta {
     pub newly_ready: Vec<TaskId>,
     /// Tasks that left the ready set (mapped, or re-blocked by an unmap).
     pub invalidated: Vec<TaskId>,
-    /// Machines whose compute/link timelines or energy ledger changed,
-    /// ascending and deduplicated.
-    pub touched_machines: Vec<MachineId>,
     /// `unmap` only: parents whose worst-case re-reservation could not be
     /// afforded, in ascending task id (see [`SimState::unmap`]). The
     /// caller must cascade and unmap these too.
     pub starved_parents: Vec<TaskId>,
-}
-
-impl StateDelta {
-    /// True when machine `j` was touched by this mutation.
-    pub fn touches(&self, j: MachineId) -> bool {
-        self.touched_machines.binary_search(&j).is_ok()
-    }
-}
-
-/// Sorted, deduplicated machine list for a [`StateDelta`].
-fn sorted_machines(mut ms: Vec<MachineId>) -> Vec<MachineId> {
-    ms.sort_unstable_by_key(|j| j.0);
-    ms.dedup();
-    ms
 }
 
 /// The set of unmapped tasks whose parents are all mapped, with O(1)
@@ -188,6 +175,8 @@ pub struct StateBuffers {
     out_durs: Vec<Dur>,
     out_offsets: Vec<u32>,
     demand_ub: Vec<Energy>,
+    delta_ready: Vec<TaskId>,
+    delta_invalidated: Vec<TaskId>,
 }
 
 /// Cap on the precomputed feasibility-demand table, in entries
@@ -307,6 +296,10 @@ pub struct SimState<'a> {
     /// `bound ≤ limit` implies `demand ≤ limit` exactly and the gate's
     /// accept/reject set is unchanged bit for bit.
     demand_ub: Vec<Energy>,
+    /// Storage for the next commit's [`StateDelta::newly_ready`] and
+    /// [`StateDelta::invalidated`] (see [`SimState::recycle`]).
+    delta_ready: Vec<TaskId>,
+    delta_invalidated: Vec<TaskId>,
     t100: usize,
     aet: Time,
     /// The grid's total system energy (`TSE`), static per scenario but
@@ -353,6 +346,8 @@ impl<'a> SimState<'a> {
             mut out_durs,
             mut out_offsets,
             mut demand_ub,
+            delta_ready,
+            delta_invalidated,
         } = buffers;
         for timelines in [&mut compute, &mut tx, &mut rx] {
             for tl in timelines.iter_mut() {
@@ -385,6 +380,8 @@ impl<'a> SimState<'a> {
             out_durs: Vec::new(),
             out_offsets: Vec::new(),
             demand_ub: Vec::new(),
+            delta_ready,
+            delta_invalidated,
             t100: 0,
             aet: Time::ZERO,
             tse: sc.grid.total_system_energy(),
@@ -485,6 +482,8 @@ impl<'a> SimState<'a> {
             out_durs,
             out_offsets,
             demand_ub,
+            delta_ready,
+            delta_invalidated,
             ..
         } = self;
         StateBuffers {
@@ -500,6 +499,8 @@ impl<'a> SimState<'a> {
             out_durs,
             out_offsets,
             demand_ub,
+            delta_ready,
+            delta_invalidated,
         }
     }
 
@@ -623,7 +624,6 @@ impl<'a> SimState<'a> {
             revision: self.revision,
             newly_ready: Vec::new(),
             invalidated: Vec::new(),
-            touched_machines: vec![j],
             starved_parents: Vec::new(),
         }
     }
@@ -654,7 +654,6 @@ impl<'a> SimState<'a> {
             revision: self.revision,
             newly_ready: Vec::new(),
             invalidated: Vec::new(),
-            touched_machines: vec![j],
             starved_parents: Vec::new(),
         }
     }
@@ -758,12 +757,28 @@ impl<'a> SimState<'a> {
         plan::plan_mapping(self, t, v, j, placement, scratch)
     }
 
+    /// The version-independent half of planning `t` onto `j` under
+    /// [`Placement::Append`]`{ not_before }`: the execution start and the
+    /// transfer energy of both versions' plans, from the same
+    /// transfer-placement walk [`SimState::plan_with`] runs, without
+    /// building either. Pure. See [`AppendCost`].
+    ///
+    /// # Panics
+    /// Panics if `t` is mapped or any parent of `t` is unmapped.
+    pub fn cost_append(
+        &self,
+        t: TaskId,
+        j: MachineId,
+        not_before: Time,
+        scratch: &mut PlanScratch,
+    ) -> AppendCost {
+        plan::cost_append(self, t, j, not_before, scratch)
+    }
+
     /// Commit a plan produced by [`SimState::plan`] against the *current*
     /// state. The returned [`StateDelta`] lists the mapped task as
-    /// invalidated (it left the ready set), any children that became
-    /// ready, and every machine whose timelines or ledger changed (the
-    /// target plus all transfer senders — settlement-only parents always
-    /// share a machine with either the target or a sender).
+    /// invalidated (it left the ready set) and any children that became
+    /// ready.
     ///
     /// # Panics
     /// Panics if the plan no longer fits (timeline overlap or battery
@@ -771,8 +786,6 @@ impl<'a> SimState<'a> {
     pub fn commit(&mut self, plan: &MappingPlan) -> StateDelta {
         let j = plan.machine;
         assert!(self.is_alive(j), "committing onto lost machine {j}");
-        let mut touched = vec![j];
-        touched.extend(plan.transfers.iter().map(|tr| tr.from));
 
         // 1. Incoming transfers: occupy links, charge senders via their
         //    reservations.
@@ -815,7 +828,9 @@ impl<'a> SimState<'a> {
         self.t100 += usize::from(plan.version.is_primary());
         self.aet = self.aet.max(plan.finish());
         self.ready.remove(plan.task);
-        let mut newly_ready = Vec::new();
+        let mut invalidated = plan::emptied(&mut self.delta_invalidated);
+        invalidated.push(plan.task);
+        let mut newly_ready = plan::emptied(&mut self.delta_ready);
         for &c in self.sc.dag.children(plan.task) {
             self.unmapped_parents[c.0] -= 1;
             if self.unmapped_parents[c.0] == 0 {
@@ -830,10 +845,16 @@ impl<'a> SimState<'a> {
             kind: DeltaKind::Commit,
             revision: self.revision,
             newly_ready,
-            invalidated: vec![plan.task],
-            touched_machines: sorted_machines(touched),
+            invalidated,
             starved_parents: Vec::new(),
         }
+    }
+
+    /// Take a consumed delta's vectors back as storage for the next
+    /// commit's delta. Capacity only: the next commit clears them.
+    pub fn recycle(&mut self, delta: StateDelta) {
+        self.delta_ready = delta.newly_ready;
+        self.delta_invalidated = delta.invalidated;
     }
 
     /// Fully reverse the mapping of `t` (dynamic extension).
@@ -864,7 +885,6 @@ impl<'a> SimState<'a> {
             .schedule
             .unmap(t)
             .unwrap_or_else(|| panic!("{t} is not mapped"));
-        let mut touched = vec![a.machine];
 
         // Reverse the execution.
         self.compute[a.machine.0].remove(a.start, a.dur);
@@ -893,7 +913,6 @@ impl<'a> SimState<'a> {
             self.tx[tr.from.0].remove(tr.start, tr.dur);
             self.rx[tr.to.0].remove(tr.start, tr.dur);
             self.ledger.uncommit(tr.from, tr.energy);
-            touched.push(tr.from);
         }
 
         // `sc.dag.parents(t)` is ascending, so `starved_parents` is too —
@@ -912,7 +931,6 @@ impl<'a> SimState<'a> {
             let worst = self.sc.grid.machine(pj).transmit_energy(worst_dur);
             if self.is_alive(pj) && self.ledger.can_afford(pj, worst) {
                 self.ledger.reserve(pj, p, t, worst);
-                touched.push(pj);
             } else {
                 starved_parents.push(p);
             }
@@ -943,7 +961,6 @@ impl<'a> SimState<'a> {
             revision: self.revision,
             newly_ready,
             invalidated,
-            touched_machines: sorted_machines(touched),
             starved_parents,
         }
     }
@@ -1213,11 +1230,12 @@ mod tests {
         let d = st.mark_lost(m(2), Time(10));
         expected += 1;
         assert_eq!(d.revision, expected);
-        assert_eq!(d.touched_machines, vec![m(2)]);
+        assert_eq!(d.kind, DeltaKind::MachineLost);
+        assert!(d.newly_ready.is_empty() && d.invalidated.is_empty());
     }
 
     #[test]
-    fn commit_delta_reports_readiness_and_touched_machines() {
+    fn commit_delta_reports_readiness() {
         let sc = tiny_scenario();
         let mut st = SimState::new(&sc);
         let t = st.ready_tasks()[0];
@@ -1225,18 +1243,35 @@ mod tests {
             not_before: Time::ZERO,
         });
         let d = st.commit(&plan);
+        assert_eq!(d.kind, DeltaKind::Commit);
         assert_eq!(d.invalidated, vec![t]);
-        assert!(d.touches(m(0)));
-        assert_eq!(d.touched_machines, vec![m(0)], "root commit moves no data");
         for &c in &d.newly_ready {
             assert!(st.ready_tasks().contains(&c));
             assert!(sc.dag.parents(c).contains(&t));
         }
         assert!(d.starved_parents.is_empty());
+
+        // A delta handed back is storage only: the next commit's delta
+        // carries nothing of it.
+        st.recycle(d);
+        let t2 = st.ready_tasks()[0];
+        let plan = st.plan(t2, Version::Primary, m(0), Placement::Append {
+            not_before: Time::ZERO,
+        });
+        let on_recycled = st.clone().commit(&plan);
+        st.recycle(StateDelta {
+            kind: DeltaKind::Commit,
+            revision: 0,
+            newly_ready: Vec::new(),
+            invalidated: Vec::new(),
+            starved_parents: Vec::new(),
+        });
+        assert_eq!(st.commit(&plan), on_recycled);
+        assert_eq!(on_recycled.invalidated, vec![t2]);
     }
 
     #[test]
-    fn cross_machine_commit_touches_the_sender() {
+    fn cross_machine_commit_moves_the_senders_link_and_ledger() {
         let sc = tiny_scenario();
         let mut st = SimState::new(&sc);
         while st
@@ -1258,16 +1293,27 @@ mod tests {
         let plan = st.plan(child, Version::Primary, m(1), Placement::Append {
             not_before: Time::ZERO,
         });
+        assert!(!plan.transfers.is_empty(), "the parents sit on machine 0");
+        let sender_spent = st.ledger().committed(m(0));
+        let sender_link = st.tx_timeline(m(0)).ready_time();
         let d = st.commit(&plan);
-        assert!(d.touches(m(0)), "transfer sender must be touched");
-        assert!(d.touches(m(1)));
-        assert_eq!(d.touched_machines, vec![m(0), m(1)], "sorted and deduped");
+        assert_eq!(d.invalidated, vec![child]);
+        // The sender pays for the shipment and its transmit link carries it.
+        let shipped: Energy = plan.transfers.iter().map(|tr| tr.energy).sum();
+        assert!(shipped.units() > 0.0);
+        assert!(st.ledger().committed(m(0)).approx_eq(sender_spent + shipped, 1e-9));
+        let last_slot = plan.transfers.iter().map(|tr| tr.start + tr.dur).max().unwrap();
+        assert_eq!(st.tx_timeline(m(0)).ready_time(), sender_link.max(last_slot));
+        assert_eq!(st.rx_timeline(m(1)).ready_time(), last_slot);
 
-        // And unmapping it reports the same machines plus the child back
-        // in the ready set via `newly_ready`.
+        // Unmapping it gives both back and returns the child to the
+        // ready set via `newly_ready`.
         let du = st.unmap(child);
-        assert!(du.touches(m(0)) && du.touches(m(1)));
+        assert_eq!(du.kind, DeltaKind::Unmap);
         assert_eq!(du.newly_ready, vec![child]);
+        assert!(st.ledger().committed(m(0)).approx_eq(sender_spent, 1e-9));
+        assert_eq!(st.tx_timeline(m(0)).ready_time(), sender_link);
+        assert!(st.rx_timeline(m(1)).is_empty());
     }
 
     /// Run `st` to completion with the deterministic greedy policy the

@@ -16,6 +16,10 @@
 #    never-executed parallel scan stays gone (DESIGN.md section 17) —
 #    the compile-time fact that replaced the 1- vs 4-thread kernel
 #    differentials;
+#  * the tick loop allocates nothing in steady state (DESIGN.md section
+#    21): the delta field nobody read stays gone, and the machine visit
+#    order the loop asks for on every swept tick is not a collected
+#    `Vec` again;
 #  * timing has one owner per number (EXPERIMENTS.md, "Who owns which
 #    performance number"): no criterion dependency, no `benches/`
 #    directory or `[[bench]]` table under `crates/`, and neither the
@@ -30,7 +34,7 @@ fail() {
     status=1
 }
 
-retired='run_slrh_in|run_slrh_observed|run_slrh_dynamic|run_slrh_churn_in|run_slrh_churn_observed|run_adaptive_slrh|AdaptiveConfig|AdaptiveOutcome|DynamicOutcome|validate_churn|SlrhConfigBuilder'
+retired='run_slrh_in|run_slrh_observed|run_slrh_dynamic|run_slrh_churn_in|run_slrh_churn_observed|run_adaptive_slrh|AdaptiveConfig|AdaptiveOutcome|DynamicOutcome|validate_churn|SlrhConfigBuilder|touched_machines'
 if hits=$(grep -rnwE "$retired" crates src tests examples --include='*.rs'); then
     fail "retired names are back:"$'\n'"$hits"
 fi
@@ -63,6 +67,13 @@ if hits=$(grep -n 'rayon' crates/{core,sim,grid,lagrange}/Cargo.toml); then
 fi
 if hits=$(grep -rn 'map_bounded' crates src tests examples benchmark/src --include='*.rs'); then
     fail "the bounded chunk map is back:"$'\n'"$hits"
+fi
+
+if hits=$(grep -nE 'fn order\b.*-> *Vec<usize>' crates/core/src/config.rs); then
+    fail "MachineOrder hands the clock loop a collected visit order again:"$'\n'"$hits"
+fi
+if hits=$(grep -nE 'machine_order[^;]*(collect|to_vec|\.order\()' crates/core/src/mapper.rs); then
+    fail "the clock loop collects its machine visit order:"$'\n'"$hits"
 fi
 
 if hits=$(grep -n 'criterion' Cargo.toml crates/*/Cargo.toml crates/compat/*/Cargo.toml); then

@@ -15,7 +15,9 @@
 use std::fmt;
 use std::str::FromStr;
 
-use adhoc_grid::arrival::{poisson_trace, BackgroundParams, JobArrival, PoissonParams};
+use adhoc_grid::arrival::{
+    poisson_trace, BackgroundParams, JobArrival, PoissonError, PoissonParams,
+};
 use adhoc_grid::config::GridCase;
 use adhoc_grid::units::Dur;
 use grid_broker::proto::{MapRequest, OpenRequest, ScenarioSpec};
@@ -475,29 +477,27 @@ fn parse_open(cmd: &str, argv: &[String], remote: bool) -> Result<ParsedOpen, Cl
 
     let master_seed = seed.unwrap_or(adhoc_grid::seed::MASTER_SEED);
     let trace = if explicit.is_empty() {
-        if !(1..=tasks_max).contains(&tasks_min) {
-            return Err(CliError::new(
-                "--tasks-min must be at least 1 and at most --tasks-max",
-            ));
-        }
-        if mean_gap == 0 {
-            return Err(CliError::new("--mean-gap must be positive"));
-        }
-        if bags_in_8 > 8 || budgets_in_8 > 8 {
-            return Err(CliError::new("--bags-in-8/--budgets-in-8 are rates out of 8"));
-        }
         let n = jobs.unwrap_or(8);
         if n == 0 {
             return Err(CliError::new("--jobs must be positive"));
         }
-        poisson_trace(&PoissonParams {
+        let process = PoissonParams {
             jobs: n,
             mean_gap,
             tasks: (tasks_min, tasks_max),
             bag_in_8: bags_in_8,
             budget_in_8: budgets_in_8,
             seed: master_seed,
-        })
+        };
+        process.check().map_err(|e| {
+            let flag = match e {
+                PoissonError::MeanGap => "--mean-gap",
+                PoissonError::TaskRange => "--tasks-min/--tasks-max",
+                PoissonError::Rate => "--bags-in-8/--budgets-in-8",
+            };
+            CliError::new(format!("{flag}: {e}"))
+        })?;
+        poisson_trace(&process)
     } else {
         if jobs.is_some() {
             return Err(CliError::new(
@@ -877,6 +877,8 @@ mod tests {
                 "--dt",
             ),
             (vec!["open", "--dt", "9223372036854775808"], "--dt"),
+            (vec!["open", "--jobs", "4", "--mean-gap", "18446744073709551615"], "--mean-gap"),
+            (vec!["submit", "--open", "--mean-gap", "4611686018427387905"], "--mean-gap"),
             (vec!["open", "--job", huge_job], "--job"),
             (vec!["submit", "--open", "--job", huge_job], "--job"),
         ] {
