@@ -213,30 +213,49 @@ impl DowngradeGuard {
         by_slack.min(quota)
     }
 
-    /// Estimated number of secondary-level subtasks the grid can still
-    /// absorb if the candidate `(cost, exec_secs)` lands on machine `j`.
-    /// Each machine contributes the lesser of its energy-limited and
-    /// time-limited counts.
-    fn capacity_after(
-        &self,
-        state: &SimState<'_>,
-        j: adhoc_grid::config::MachineId,
-        cost: Energy,
-        exec_secs: f64,
-    ) -> f64 {
+    /// Secondary-level subtasks machine `m` can still absorb with
+    /// `energy` units and `time` seconds left: the lesser of its
+    /// energy-limited and time-limited counts.
+    fn capacity(&self, m: usize, energy: f64, time: f64) -> f64 {
+        (energy.max(0.0) / self.sec_energy[m]).min(time.max(0.0) / self.sec_seconds[m])
+    }
+
+    /// What every machine has left in `state`, and the capacity that
+    /// buys: `(energy, seconds before τ, capacity)` per machine.
+    fn headroom(&self, state: &SimState<'_>) -> Vec<(f64, f64, f64)> {
         let sc = state.scenario();
         let tau = sc.tau.as_seconds();
         sc.grid
             .ids()
             .map(|m| {
-                let mut energy = state.ledger().available(m).units();
-                let mut time = tau - state.compute_timeline(m).total_busy().as_seconds();
-                if m == j {
-                    energy -= cost.units();
-                    time -= exec_secs;
+                let energy = state.ledger().available(m).units();
+                let time = tau - state.compute_timeline(m).total_busy().as_seconds();
+                (energy, time, self.capacity(m.0, energy, time))
+            })
+            .collect()
+    }
+
+    /// Estimated number of secondary-level subtasks the grid can still
+    /// absorb if the candidate `(cost, exec_secs)` lands on machine `j`,
+    /// given the grid's [`headroom`](Self::headroom) without it: only
+    /// `j`'s term is costed again, and the terms are summed in machine
+    /// order as if all of them were.
+    fn capacity_after(
+        &self,
+        headroom: &[(f64, f64, f64)],
+        j: adhoc_grid::config::MachineId,
+        cost: Energy,
+        exec_secs: f64,
+    ) -> f64 {
+        headroom
+            .iter()
+            .enumerate()
+            .map(|(m, &(energy, time, capacity))| {
+                if m == j.0 {
+                    self.capacity(m, energy - cost.units(), time - exec_secs)
+                } else {
+                    capacity
                 }
-                (energy.max(0.0) / self.sec_energy[m.0])
-                    .min(time.max(0.0) / self.sec_seconds[m.0])
             })
             .sum()
     }
@@ -256,6 +275,9 @@ fn find_best_triplet(
 ) -> Option<MappingPlan> {
     let sc = state.scenario();
     let mut best: Option<(f64, MappingPlan)> = None;
+    // The state cannot change inside this search, so what the machines
+    // have left is read once, not once per triplet.
+    let headroom = guard.headroom(state);
 
     for &t in state.ready_tasks() {
         // Bottom-level slack gate (see module docs).
@@ -272,7 +294,7 @@ fn find_best_triplet(
                 // served from `SimState`'s precomputed demand table.
                 let cost = state.feasibility_demand(t, v, j);
                 let exec_secs = sc.etc.exec_dur(t, j, v).as_seconds();
-                if guard.capacity_after(state, j, cost, exec_secs) < (unmapped - 1) as f64 {
+                if guard.capacity_after(&headroom, j, cost, exec_secs) < (unmapped - 1) as f64 {
                     continue;
                 }
                 let plan = state.plan(t, v, j, Placement::Insert);

@@ -115,16 +115,32 @@ pub fn execute_map_counted(
                 ));
             }
             let churn = req.churn(scenario.grid.len()).map_err(|e| e.to_string())?;
+            // Mappings are sparse events on a dense clock: a commit-free
+            // tick is counted, not emitted, and rides the next tick frame
+            // as `idle` (see [`Event::Tick`]). `pending` is the latest
+            // commit-free tick not yet reported and how many precede it.
+            let mut pending: Option<(TickEvent, u64)> = None;
+            let tick_frame = |t: TickEvent, idle: u64| Event::Tick {
+                job,
+                clock: t.clock.0,
+                tick: t.tick,
+                mapped: t.mapped,
+                commits: t.commits,
+                idle,
+            };
             let mut observer = |t: TickEvent| {
-                emit(Event::Tick {
-                    job,
-                    clock: t.clock.0,
-                    tick: t.tick,
-                    mapped: t.mapped,
-                    commits: t.commits,
-                })
+                let idle = pending.take().map_or(0, |(_, before)| before + 1);
+                if t.commits == 0 {
+                    pending = Some((t, idle));
+                } else {
+                    emit(tick_frame(t, idle));
+                }
             };
             let out = run_slrh_with(&scenario, &req.config, &churn, ctx, Some(&mut observer));
+            // A run that ends on commit-free ticks closes with its last one.
+            if let Some((t, idle)) = pending {
+                emit(tick_frame(t, idle));
+            }
             let disruptions: Vec<(u64, usize)> =
                 out.disruptions.iter().map(|&(at, n)| (at.0, n)).collect();
             for &(at, invalidated) in &disruptions {

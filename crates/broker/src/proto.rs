@@ -14,7 +14,7 @@
 //! A daemon's messages state their fields once, against
 //! [`FieldSink`]: `to_frame()` collects them into a [`Frame`] (the typed
 //! API), [`ServerMsg::encode_into`] writes the same bytes straight into
-//! a reused buffer (the reply path: one message per clock tick).
+//! a reused buffer (the reply path: one message per committing tick).
 
 use adhoc_grid::arrival::{BackgroundParams, JobArrival, OpenParams};
 use adhoc_grid::config::GridCase;
@@ -493,18 +493,27 @@ pub enum Event {
         /// Job id.
         job: u64,
     },
-    /// One SLRH clock tick (from the mapper's observer hook).
+    /// One SLRH clock tick that committed mappings, standing also for
+    /// the `idle` commit-free ticks before it. A run that ends on
+    /// commit-free ticks closes with one frame for its last tick
+    /// (`commits: 0`), so over a job's tick frames Σ(1 + `idle`) is the
+    /// report's `clock-steps` and Σ `commits` its `commits`.
     Tick {
         /// Job id.
         job: u64,
         /// Simulation clock, in ticks.
         clock: u64,
-        /// 1-based tick ordinal.
+        /// 0-based tick ordinal ([`slrh::TickEvent::tick`]).
         tick: u64,
         /// Subtasks mapped so far.
         mapped: usize,
         /// Mappings committed during this tick.
         commits: u64,
+        /// Commit-free ticks since the job's previous tick frame. On
+        /// the wire the key is written only when non-zero and reads as
+        /// 0 when absent, so a session recorded before the key existed
+        /// still decodes.
+        idle: u64,
     },
     /// A churn disruption took effect.
     Disruption {
@@ -575,6 +584,7 @@ impl Event {
                 tick,
                 mapped,
                 commits,
+                idle,
                 ..
             } => {
                 s.put("event", "tick");
@@ -582,6 +592,9 @@ impl Event {
                 s.put("tick", tick);
                 s.put("mapped", mapped);
                 s.put("commits", commits);
+                if *idle != 0 {
+                    s.put("idle", idle);
+                }
             }
             Event::Disruption {
                 at, invalidated, ..
@@ -637,6 +650,7 @@ impl Event {
                 tick: num("tick")?,
                 mapped: count("mapped")?,
                 commits: num("commits")?,
+                idle: frame.parse_opt("idle", kv::parse_u64)?.unwrap_or(0),
             }),
             "disruption" => Ok(Event::Disruption {
                 job,
@@ -918,7 +932,7 @@ impl ServerMsg {
     /// Append the wire text of the message to `out`, whatever it
     /// already holds: the same bytes as `to_frame().encode()`, written
     /// without building the frame. This is the daemon's reply path — a
-    /// job streams one of these per clock tick.
+    /// job streams one of these per committing clock tick.
     pub fn encode_into(&self, out: &mut String) {
         let mut w = FrameWriter::begin(out, self.kind());
         self.fields(&mut w);

@@ -15,10 +15,10 @@
 //! ## The reply path
 //!
 //! A worker encodes each message of a job's reply (`started`, one event
-//! per clock tick, `done`, the response) into the job's [`Outbox`]; the
-//! connection thread takes whatever has accumulated — one chunk of
-//! bytes, not one message — and writes it through the connection's
-//! `BufWriter`. Nothing on this path allocates per event.
+//! per committing clock tick, `done`, the response) into the job's
+//! [`Outbox`]; the connection thread takes whatever has accumulated —
+//! one chunk of bytes, not one message — and writes it through the
+//! connection's `BufWriter`. Nothing on this path allocates per event.
 //!
 //! There is one flush rule: the connection thread flushes **before it
 //! blocks** — on an empty outbox, or on the socket for the next request
@@ -601,6 +601,7 @@ mod tests {
             tick: n,
             mapped: n as usize,
             commits: 1,
+            idle: n % 4,
         })
     }
 

@@ -58,10 +58,23 @@ fn local_report(req: &MapRequest) -> String {
         .report
 }
 
+/// The value of a `key=<integer>` line of a report.
+fn report_count(report: &str, key: &str) -> u64 {
+    report
+        .lines()
+        .find_map(|line| line.strip_prefix(key)?.strip_prefix('='))
+        .unwrap_or_else(|| panic!("no {key} line in {report}"))
+        .parse()
+        .expect("an integer")
+}
+
 /// Assert a submission's event stream is well-formed: Queued first,
 /// Started second, Done last, ticks in between with monotone clock and
-/// non-decreasing mapped count, and every event tagged with `job`.
-fn check_stream(events: &[Event], job: u64, expect_ticks: bool) {
+/// non-decreasing mapped count, and every event tagged with `job` — and
+/// that the tick frames account for the job's own `report`: each stands
+/// for itself and its `idle` predecessors, only the last may be
+/// commit-free, and together they cover every clock step and commit.
+fn check_stream(events: &[Event], job: u64, report: &str) {
     assert!(events.len() >= 3, "stream too short: {events:?}");
     assert!(matches!(events[0], Event::Queued { .. }), "{events:?}");
     assert!(matches!(events[1], Event::Started { .. }), "{events:?}");
@@ -75,17 +88,34 @@ fn check_stream(events: &[Event], job: u64, expect_ticks: bool) {
     let ticks: Vec<_> = events
         .iter()
         .filter_map(|e| match e {
-            Event::Tick { clock, mapped, .. } => Some((*clock, *mapped)),
+            Event::Tick { clock, mapped, commits, idle, .. } => {
+                Some((*clock, *mapped, *commits, *idle))
+            }
             _ => None,
         })
         .collect();
-    if expect_ticks {
-        assert!(!ticks.is_empty(), "SLRH job streamed no ticks");
-    }
     for pair in ticks.windows(2) {
-        assert!(pair[0].0 < pair[1].0, "clock went backwards: {ticks:?}");
-        assert!(pair[0].1 <= pair[1].1, "mapped count shrank: {ticks:?}");
+        let ((clock, mapped, commits, _), (next_clock, next_mapped, ..)) = (pair[0], pair[1]);
+        assert!(clock < next_clock, "clock went backwards: {ticks:?}");
+        assert!(mapped <= next_mapped, "mapped count shrank: {ticks:?}");
+        assert!(commits > 0, "a commit-free tick before the last: {ticks:?}");
     }
+    let commits = report_count(report, "commits");
+    assert_eq!(
+        ticks.iter().map(|&(.., idle)| 1 + idle).sum::<u64>(),
+        report_count(report, "clock-steps"),
+        "tick frames and their idle counts do not cover the clock: {ticks:?}"
+    );
+    assert_eq!(
+        ticks.iter().map(|&(_, _, commits, _)| commits).sum::<u64>(),
+        commits,
+        "{ticks:?}"
+    );
+    assert!(
+        ticks.len() as u64 <= commits + 1,
+        "{} tick frames for {commits} commits",
+        ticks.len()
+    );
 }
 
 #[test]
@@ -116,7 +146,7 @@ fn concurrent_submissions_match_local_execution() {
 
     for handle in handles {
         let (req, events, resp) = handle.join().expect("client thread");
-        check_stream(&events, resp.job, req.heuristic != Heuristic::MaxMax);
+        check_stream(&events, resp.job, &resp.report);
         // The daemon's report must be byte-identical to a local
         // one-shot run of the same request.
         assert_eq!(
@@ -146,7 +176,9 @@ fn one_connection_can_submit_sequential_jobs() {
     let mut job_ids = Vec::new();
     for seed in [1u64, 2, 3] {
         let req = map_request("serial", Heuristic::Slrh1, 12, seed);
-        let resp = conn.submit_map(&req, |_| {}).expect("submit");
+        let mut events = Vec::new();
+        let resp = conn.submit_map(&req, |e| events.push(e.clone())).expect("submit");
+        check_stream(&events, resp.job, &resp.report);
         assert_eq!(resp.report, local_report(&req));
         job_ids.push(resp.job);
     }
@@ -492,10 +524,11 @@ fn raw_reply_bytes_are_the_typed_encoding_of_the_jobs_messages() {
 }
 
 /// A shutdown that arrives while a paper-scale job is streaming its
-/// ten thousand and more events drains it: the client gets every event and the same
-/// report a local run renders. (That `join` also outlasts the last
-/// write is only observable from another process;
-/// `scripts/broker_smoke.sh` pins it through the real binary.)
+/// events (one per committing tick, about a thousand) drains it: the
+/// client gets every event and the same report a local run renders.
+/// (That `join` also outlasts the last write is only observable from
+/// another process; `scripts/broker_smoke.sh` pins it through the real
+/// binary.)
 #[test]
 fn shutdown_during_a_paper_scale_job_delivers_the_whole_stream() {
     let daemon = daemon(1);
@@ -525,9 +558,9 @@ fn shutdown_during_a_paper_scale_job_delivers_the_whole_stream() {
         .expect("local run");
 
     let (events, resp) = runner.join().expect("runner thread");
-    check_stream(&events, resp.job, true);
+    check_stream(&events, resp.job, &resp.report);
     assert!(
-        local_events > 10_000,
+        local_events > 500,
         "{local_events} events is not paper scale"
     );
     assert_eq!(

@@ -186,11 +186,19 @@ fn campaign_requests() -> impl Strategy<Value = CampaignRequest> {
 fn events() -> impl Strategy<Value = Event> {
     (
         (0usize..7, 1u64..1_000_000),
-        (0u64..1_000_000, 1u64..100_000, 0usize..10_000, 0u64..100),
+        (
+            (0u64..1_000_000, 1u64..100_000, 0usize..10_000, 0u64..100),
+            // Absent from the frame, small, and the widest there is.
+            prop::sample::select(&[0, 0, 1, 22, u64::MAX][..]),
+        ),
         (0usize..100, 1usize..100, heuristics(), cases(), 0.0f64..1e6),
     )
         .prop_map(
-            |((tag, job), (clock, tick, mapped, commits), (index, extra, h, c, t100))| match tag {
+            |(
+                (tag, job),
+                ((clock, tick, mapped, commits), idle),
+                (index, extra, h, c, t100),
+            )| match tag {
                 0 => Event::Queued { job },
                 1 => Event::Started { job },
                 2 => Event::Tick {
@@ -199,6 +207,7 @@ fn events() -> impl Strategy<Value = Event> {
                     tick,
                     mapped,
                     commits,
+                    idle,
                 },
                 3 => Event::Disruption {
                     job,
@@ -616,5 +625,34 @@ proptest! {
         // Same frames, then the same error (line and message) or the
         // same clean end.
         prop_assert_eq!(read_reusing(&bytes), read_fresh(&bytes));
+    }
+}
+
+/// `idle` is an optional key of the `tick` event (DESIGN.md §14,
+/// versioning rule 2): written only when non-zero, so a tick without
+/// idle predecessors encodes as it did before the key existed, and read
+/// as 0 when absent, so such a frame still decodes.
+#[test]
+fn a_ticks_idle_key_is_written_only_when_non_zero_and_read_as_zero_when_absent() {
+    let before_the_key =
+        "lrh-grid-wire v1 event\njob=7\nevent=tick\nclock=170\ntick=17\nmapped=5\ncommits=1\nend\n";
+    for idle in [0, 16, u64::MAX] {
+        let msg = ServerMsg::Event(Event::Tick {
+            job: 7,
+            clock: 170,
+            tick: 17,
+            mapped: 5,
+            commits: 1,
+            idle,
+        });
+        let text = match idle {
+            0 => before_the_key.to_string(),
+            n => before_the_key.replace("end\n", &format!("idle={n}\nend\n")),
+        };
+        assert_eq!(msg.to_frame().encode(), text);
+        let mut buf = String::from("# dirty\n");
+        msg.encode_into(&mut buf);
+        assert_eq!(buf, format!("# dirty\n{text}"));
+        assert_eq!(ServerMsg::from_frame(&Frame::decode(&text).unwrap()).unwrap(), msg);
     }
 }

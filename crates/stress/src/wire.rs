@@ -9,6 +9,8 @@
 //!   returns a value equal to `m`. This is the property the daemon's
 //!   byte-identity guarantee rides on: a frame that re-encodes
 //!   differently would make recorded sessions diverge from live ones.
+//!   Server messages are also written through the reply path's
+//!   `encode_into`, which must give the same bytes.
 //! * **no-panic oracle** — mutated, truncated and garbage inputs fed to
 //!   [`Frame::decode`], the streaming [`read_frame`] reader, and the
 //!   typed decoders must return `Ok` or `Err`, never panic. The daemon
@@ -127,14 +129,14 @@ fn round_trip_one(rng: &mut StdRng, failures: &mut Vec<String>) -> (&'static str
         }
         3 => {
             let msg = ServerMsg::Event(gen_event(rng));
-            ("event", check(&msg, ServerMsg::from_frame, msg.to_frame(), failures))
+            ("event", check_server(&msg, failures))
         }
         4 => {
             let msg = ServerMsg::Map(MapResponse {
                 job: rng.gen_range(1u64..1 << 40),
                 report: gen_report(rng),
             });
-            ("map-response", check(&msg, ServerMsg::from_frame, msg.to_frame(), failures))
+            ("map-response", check_server(&msg, failures))
         }
         5 => {
             let msg = ServerMsg::Campaign(CampaignResponse {
@@ -142,7 +144,7 @@ fn round_trip_one(rng: &mut StdRng, failures: &mut Vec<String>) -> (&'static str
                 resumed: rng.gen_range(0usize..64),
                 report: gen_report(rng),
             });
-            ("campaign-response", check(&msg, ServerMsg::from_frame, msg.to_frame(), failures))
+            ("campaign-response", check_server(&msg, failures))
         }
         6 => {
             let msg = ServerMsg::Status(StatusResponse {
@@ -151,7 +153,7 @@ fn round_trip_one(rng: &mut StdRng, failures: &mut Vec<String>) -> (&'static str
                 completed: rng.gen_range(0u64..1 << 32),
                 workers: rng.gen_range(1usize..16),
             });
-            ("status-response", check(&msg, ServerMsg::from_frame, msg.to_frame(), failures))
+            ("status-response", check_server(&msg, failures))
         }
         7 => {
             let msg = Request::Open(gen_open_request(rng));
@@ -162,7 +164,7 @@ fn round_trip_one(rng: &mut StdRng, failures: &mut Vec<String>) -> (&'static str
                 job: rng.gen_range(0u64..4).checked_sub(1).map(|j| j + 1),
                 message: gen_name(rng),
             });
-            ("error", check(&msg, ServerMsg::from_frame, msg.to_frame(), failures))
+            ("error", check_server(&msg, failures))
         }
     }
 }
@@ -196,6 +198,20 @@ where
             None
         }
     }
+}
+
+/// [`check`] for a server message, plus the reply path's own encoder:
+/// `encode_into` must write what `to_frame().encode()` does — for a
+/// tick, with and without its optional `idle` key.
+fn check_server(msg: &ServerMsg, failures: &mut Vec<String>) -> Option<String> {
+    let text = check(msg, ServerMsg::from_frame, msg.to_frame(), failures)?;
+    let mut direct = String::new();
+    msg.encode_into(&mut direct);
+    if direct != text {
+        failures.push(format!("encode_into diverged from to_frame().encode() for {msg:?}"));
+        return None;
+    }
+    Some(text)
 }
 
 /// The no-panic and reuse oracles: every decoder must return, not
@@ -416,6 +432,8 @@ fn gen_event(rng: &mut StdRng) -> Event {
             tick: rng.gen_range(0u64..1 << 20),
             mapped: rng.gen_range(0usize..10_000),
             commits: rng.gen_range(0u64..100),
+            // Absent from the frame, small, and the widest there is.
+            idle: [0, 0, 1, 22, u64::MAX][rng.gen_range(0usize..5)],
         },
         3 => Event::Disruption {
             job,
@@ -587,7 +605,7 @@ mod tests {
             let ev = gen_event(&mut rng);
             saw_job |= matches!(ev, Event::Job { .. });
             let msg = ServerMsg::Event(ev);
-            check(&msg, ServerMsg::from_frame, msg.to_frame(), &mut failures);
+            check_server(&msg, &mut failures);
         }
         assert!(saw_job, "the event generator never drew a job event");
         assert!(failures.is_empty(), "{failures:#?}");

@@ -25,6 +25,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use adhoc_grid::config::GridCase;
 use adhoc_grid::workload::{Scenario, ScenarioParams};
@@ -61,6 +62,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Whether the absolute budgets apply (see the module docs).
 const PINNED: bool = !cfg!(debug_assertions);
 
+/// One test at a time: the counter is process-wide, so what the other
+/// test allocates meanwhile would count against this one's budget.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+fn measuring() -> MutexGuard<'static, ()> {
+    // A failed budget must not fail the other test with a poison error.
+    MEASURING.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Allocations performed while running `f`.
 fn count_allocs(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -70,6 +80,7 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn reused_context_stays_within_allocation_budget() {
+    let _one_at_a_time = measuring();
     let sc = Scenario::generate(&ScenarioParams::paper_scaled(32), GridCase::A, 0, 0);
     let weights: Vec<Weights> = (0..10)
         .map(|i| Weights::new(0.05 * i as f64, 0.4).expect("simplex"))
@@ -130,6 +141,7 @@ fn reused_context_stays_within_allocation_budget() {
 /// recycled storage and the machine visit order is not collected.
 #[test]
 fn warm_paper_scale_map_loop_allocates_next_to_nothing() {
+    let _one_at_a_time = measuring();
     let params = ScenarioParams::paper_scaled(1024).with_seed(0x1234);
     let sc = Scenario::generate(&params, GridCase::A, 3, 7);
     let config = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.25).expect("simplex"));

@@ -4,11 +4,11 @@
 # 1. start a daemon, run three concurrent submissions, and diff every
 #    streamed report byte-for-byte against the one-shot CLI's output for
 #    the same flags;
-# 2. start a daemon, submit a paper-scale job (over ten thousand event
-#    frames), `stop` the daemon as soon as `status` shows the job
-#    running or just run, and require the submission to complete with
-#    the one-shot CLI's report: `serve` may exit only once the reply is
-#    on the wire.
+# 2. start a daemon, submit a paper-scale job (about a thousand event
+#    frames, one per committing tick), `stop` the daemon as soon as
+#    `status` shows the job running or just run, and require the
+#    submission to complete with the one-shot CLI's report: `serve` may
+#    exit only once the reply is on the wire.
 #
 # CI runs this in the RAYON_NUM_THREADS={1,4} matrix; the diffs must be
 # empty either way.
@@ -99,7 +99,7 @@ start_daemon 1
 SUBMIT_PID=$!
 
 # Stop the daemon the moment the job is seen running — or just run: the
-# worker is done in milliseconds, the reply trails it by far longer.
+# worker is done in milliseconds and its reply trails it.
 while :; do
     STATUS="$("$BIN" status --addr "$ADDR")"
     case "$STATUS" in

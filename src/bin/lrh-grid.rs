@@ -54,10 +54,11 @@ fn fail(msg: &str) -> i32 {
 fn run_local(job: &Job) -> i32 {
     let started = Instant::now();
     let mut ctx = RunContext::new();
-    let mut ticks = 0usize;
+    let mut ticks = 0u64;
     let mut invalidated = 0usize;
     let outcome = execute_map_counted(0, &job.request, &mut ctx, &mut |event| match event {
-        Event::Tick { .. } => ticks += 1,
+        // A tick frame stands for itself and the idle ticks before it.
+        Event::Tick { idle, .. } => ticks += 1 + idle,
         Event::Disruption {
             invalidated: n, ..
         } => invalidated += n,
@@ -249,8 +250,10 @@ fn narrate_event(event: &Event) {
             tick,
             mapped,
             commits,
+            idle,
         } => eprintln!(
-            "[job {job}] tick {tick} at clock {clock}: {mapped} mapped (+{commits})"
+            "[job {job}] tick {tick} at clock {clock}: {mapped} mapped (+{commits}) after {idle} \
+             idle ticks"
         ),
         Event::Disruption {
             job,
