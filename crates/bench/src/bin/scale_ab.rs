@@ -9,7 +9,7 @@
 //!
 //! * **resort** — the `slrh::reference` `Resort` oracle: the incremental
 //!   frontier with every cached bound order shed, re-gating and
-//!   re-sorting its visible lists every query.
+//!   re-sorting the ready list every query.
 //! * **cached** — the product kernel (`run_slrh`). This is the recorded
 //!   `after`; against `resort` it isolates the cached-order win.
 //!
@@ -29,15 +29,15 @@
 use adhoc_grid::scale::ScaleParams;
 use lagrange::weights::Weights;
 use slrh::reference::{self, Kind};
-use slrh::{run_slrh, Churn, RunContext, ScaleMode, SlrhConfig, SlrhVariant};
+use slrh::{run_slrh, Churn, RunContext, SlrhConfig, SlrhVariant};
 use std::time::Instant;
 
-/// (tasks, machines, clusters) of one case.
-type Size = (usize, usize, u32);
+/// (tasks, machines) of one case.
+type Size = (usize, usize);
 
-const AB_SIZES: [Size; 3] = [(1024, 16, 4), (16_384, 64, 8), (65_536, 256, 16)];
+const AB_SIZES: [Size; 3] = [(1024, 16), (16_384, 64), (65_536, 256)];
 /// The design-point size: one `cached` round, recorded end to end.
-const DESIGN_POINT: Size = (100_000, 1000, 64);
+const DESIGN_POINT: Size = (100_000, 1000);
 /// `--smoke` runs this size once and fails past `SMOKE_MAX_SECS`. A
 /// regime tripwire, not a ratchet: the frontier maps 65k in about 5 s,
 /// the per-query pool walk it replaced needed minutes.
@@ -46,12 +46,9 @@ const SMOKE_MAX_SECS: f64 = 30.0;
 
 const USAGE: &str = "usage: scale_ab [--smoke] [--rounds N] [--out PATH]";
 
-fn config(clusters: u32) -> SlrhConfig {
+fn config() -> SlrhConfig {
     let weights = Weights::new(0.5, 0.25).expect("static weights");
-    SlrhConfig::paper(SlrhVariant::V1, weights).with_scale(ScaleMode {
-        clusters,
-        ..ScaleMode::default()
-    })
+    SlrhConfig::paper(SlrhVariant::V1, weights)
 }
 
 /// The two arms, in within-round execution order.
@@ -92,9 +89,9 @@ struct CaseResult {
     cached_ms: Vec<f64>,
 }
 
-fn run_case((tasks, machines, clusters): Size, rounds: usize, arms: &[Arm]) -> CaseResult {
+fn run_case((tasks, machines): Size, rounds: usize, arms: &[Arm]) -> CaseResult {
     let sc = ScaleParams::new(tasks, machines).generate(0, 0);
-    let cfg = config(clusters);
+    let cfg = config();
     let mut case = CaseResult {
         name: format!("kernel_scale/{tasks}x{machines}"),
         resort_ms: Vec::new(),
@@ -144,9 +141,14 @@ fn render(existing: &str, commit: &str, date: &str, results: &[CaseResult], roun
          the product kernel (run_slrh) run back to back, {rounds} rounds per case, so \
          background-load drift hits both arms equally. 'after' is the product kernel; \
          resort-vs-cached isolates the cached-order win. The resort arm is an oracle timing, \
-         not a product number: from the PR 16 rounds on it filters each visible list per \
+         not a product number: from the PR 16 rounds on it filters the ready list per \
          query (its per-tick startable cache was deleted with the kernel's second \
-         startability structure), so its rounds are not comparable with earlier ones. The \
+         startability structure), so its rounds are not comparable with earlier ones. \
+         Rows from the PR 24 round (2026-10-05, stamped d5629b5-dirty) on are exact-mode: \
+         every commit is the paper's argmax over the whole ready list. Every row before it \
+         ran the since-deleted clustered approximate mode (clusters 4/8/16/64 at the four \
+         sizes) and is not comparable with them; the same-session exact-vs-clustered \
+         timing is in EXPERIMENTS.md (Scale benchmark). The \
          kernel is sequential: the chunked parallel scan earlier rounds could reach at 65k \
          and 100k was measured and removed (DESIGN.md section 17). Rounds stamped with \
          different commits come from different host sessions, so they are a trail, not an \

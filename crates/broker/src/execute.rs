@@ -261,9 +261,6 @@ pub fn execute_open(
     emit: &mut dyn FnMut(Event),
 ) -> Result<MapResponse, String> {
     req.config.check().map_err(|e| e.to_string())?;
-    if req.config.scale.clusters > 1 {
-        return Err("open-system runs do not support the clustered (clusters > 1) kernel".into());
-    }
     let params = req.open_params();
     params.check()?;
     let grid_len = adhoc_grid::config::GridConfig::case(req.case).len();

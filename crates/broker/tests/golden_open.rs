@@ -96,18 +96,22 @@ fn open_request() -> OpenRequest {
     }
 }
 
-/// Run the open request through the one-shot path and serialize the
+/// Run an open request through the one-shot path and serialize the
 /// report plus every event frame (re-encoded — frame encoding is a
 /// fixpoint, so this is byte-identical to the wire).
-fn record_open() -> String {
+fn record(req: &OpenRequest) -> String {
     let mut recording = String::new();
     let mut ctx = RunContext::new();
-    let resp = execute_open(1, &open_request(), &mut ctx, &mut |event| {
+    let resp = execute_open(1, req, &mut ctx, &mut |event| {
         recording.push_str(&event.to_frame().encode());
     })
     .expect("open run");
     recording.push_str(&resp.report);
     recording
+}
+
+fn record_open() -> String {
+    record(&open_request())
 }
 
 #[test]
@@ -151,18 +155,16 @@ fn dbc_report_matches_fixture_at_1_and_4_threads() {
     assert_golden("dbc_report.txt", &one);
 }
 
-/// The approximate clustered kernel has no open-mode oracle, so an open
-/// request naming it is refused up front (the exact kernel is what every
-/// other open test runs).
+/// The clustered kernel is gone and its config keys are retired: an
+/// open request recorded with `clusters=2` is no longer refused, it
+/// runs the one kernel and reports what the plain request reports.
 #[test]
-fn clustered_open_requests_are_rejected() {
+fn open_requests_naming_the_retired_clustered_kernel_run_the_exact_one() {
     let mut req = open_request();
-    req.config = req.config.with_scale(slrh::ScaleMode {
-        clusters: 2,
-        ..slrh::ScaleMode::default()
-    });
-    let err = execute_open(0, &req, &mut RunContext::new(), &mut |_| {}).unwrap_err();
-    assert!(err.contains("clusters > 1"), "{err}");
+    req.config = format!("{}; frontier=on; clusters=2; spill=8", req.config)
+        .parse()
+        .expect("retired keys parse");
+    assert_golden("open_report.txt", &record(&req));
 }
 
 /// Submitting the open request to a live daemon returns byte-for-byte

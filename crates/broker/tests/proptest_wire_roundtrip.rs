@@ -79,15 +79,14 @@ fn configs() -> impl Strategy<Value = SlrhConfig> {
         prop::sample::select(&[SlrhVariant::V1, SlrhVariant::V2, SlrhVariant::V3][..]),
         weights(),
         (1u64..500, 1u64..2000),
-        (any::<bool>(), 1u32..9, 0u64..32),
+        any::<bool>(),
         adaptations(),
     )
-        .prop_map(|(variant, w, (dt, h), (secondary, clusters, spill_after), adaptation)| {
+        .prop_map(|(variant, w, (dt, h), secondary, adaptation)| {
             let mut cfg = SlrhConfig::paper(variant, w);
             cfg.dt = Dur(dt);
             cfg.horizon = Dur(h);
             cfg.allow_secondary = secondary;
-            cfg.scale = slrh::ScaleMode { clusters, spill_after };
             cfg.adaptation = adaptation;
             cfg
         })

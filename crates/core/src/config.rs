@@ -203,53 +203,15 @@ impl Adaptation {
     }
 }
 
-/// The candidate-frontier kernel's partitioning knobs.
-///
-/// The clock loop keeps the ready/candidate frontier alive across ticks
-/// (maintained from the [`gridsim::state::StateDelta`] stream instead of
-/// re-scanned from the DAG). With `clusters > 1` it also partitions the
-/// machines into `clusters` groups by ETC-column similarity, homes
-/// contiguous DAG-region task blocks onto clusters, and costs candidates
-/// only against their home cluster's machines until they *spill* — after
-/// `spill_after` ticks on the frontier a candidate becomes visible to
-/// every cluster, so nothing can be stranded by the partition.
-///
-/// With `clusters = 1` (the default, and the only value
-/// [`SlrhConfig::paper`] produces) the partition is trivial and every
-/// commit is **exactly** the paper's pool walk — the argmax under the
-/// same tie-breaks; the stress harness proves this differentially
-/// against [`crate::reference`] on every generated case. With
-/// `clusters > 1` the schedule may differ (that is the point: each
-/// machine examines ~`|U|/clusters` candidates), which is why the
-/// approximate mode is opt-in.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+/// Retired and ignored: the clustered (approximate) frontier this block
+/// selected is gone, and every run uses the one exact kernel. The name
+/// and [`SlrhConfig::with_scale`] stay only so callers written against
+/// them keep compiling; nothing reads the value, [`SlrhConfig`] has no
+/// field for it and it never reaches a config string or the wire.
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct ScaleMode {
-    /// Number of machine clusters (>= 1; clamped to the machine count).
-    /// 1 disables partitioning and keeps the kernel exact.
+    /// Ignored.
     pub clusters: u32,
-    /// Ticks a ready candidate stays visible only to its home cluster
-    /// before spilling to every cluster (inert with one cluster).
-    pub spill_after: u64,
-}
-
-impl Default for ScaleMode {
-    /// The exact (cluster-free) frontier: incremental maintenance only.
-    fn default() -> ScaleMode {
-        ScaleMode {
-            clusters: 1,
-            spill_after: 8,
-        }
-    }
-}
-
-impl ScaleMode {
-    /// Validate the block.
-    pub fn check(&self) -> Result<(), ConfigError> {
-        if self.clusters == 0 {
-            return Err(ConfigError::ZeroClusters);
-        }
-        Ok(())
-    }
 }
 
 /// Full configuration of one SLRH run.
@@ -277,9 +239,6 @@ pub struct SlrhConfig {
     /// [`SlrhConfig::paper`] produces) keeps the legacy fixed-weight
     /// loop byte-identical.
     pub adaptation: Option<Adaptation>,
-    /// Frontier partitioning. [`ScaleMode::default`] (the only value
-    /// [`SlrhConfig::paper`] produces) is the exact kernel.
-    pub scale: ScaleMode,
 }
 
 impl SlrhConfig {
@@ -294,7 +253,6 @@ impl SlrhConfig {
             horizon: Dur(100),
             allow_secondary: true,
             adaptation: None,
-            scale: ScaleMode::default(),
         }
     }
 
@@ -319,7 +277,7 @@ impl SlrhConfig {
     /// The one validity rule of a configuration, behind `FromStr`, the
     /// panicking `with_*` setters, the CLI and the broker's executors: ΔT
     /// and H of at least one tick and at most [`MAX_INPUT_TICKS`], a
-    /// well-formed adaptation block, at least one machine cluster.
+    /// well-formed adaptation block.
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.dt.is_zero() {
             return Err(ConfigError::ZeroDt);
@@ -336,7 +294,7 @@ impl SlrhConfig {
         if let Some(adaptation) = &self.adaptation {
             adaptation.check()?;
         }
-        self.scale.check()
+        Ok(())
     }
 
     fn checked(self) -> SlrhConfig {
@@ -374,14 +332,9 @@ impl SlrhConfig {
         self.checked()
     }
 
-    /// Override the frontier partitioning (`clusters > 1` is the
-    /// approximate large-scale mode).
-    ///
-    /// # Panics
-    /// Panics on a malformed block.
-    pub fn with_scale(mut self, scale: ScaleMode) -> SlrhConfig {
-        self.scale = scale;
-        self.checked()
+    /// Retired and ignored (see [`ScaleMode`]): returns `self` unchanged.
+    pub fn with_scale(self, _: ScaleMode) -> SlrhConfig {
+        self
     }
 
     /// The run-local working copy a driver should start from: the
@@ -464,10 +417,9 @@ impl std::fmt::Display for SlrhConfig {
     /// fixture headers all name configurations through this one form.
     ///
     /// The adaptation components (`adapt=`, `every=`, `amin=`, `lmax=`,
-    /// `warm=`) and the scale components (`frontier=on; clusters=;
-    /// spill=`) are appended **only** when the respective block differs
-    /// from its default, so an exact fixed-weight configuration renders
-    /// as the bare prefix above.
+    /// `warm=`) are appended **only** when the configuration carries an
+    /// adaptation block, so a fixed-weight configuration renders as the
+    /// bare prefix above.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -494,13 +446,6 @@ impl std::fmt::Display for SlrhConfig {
                 write!(f, "; warm={w}")?;
             }
         }
-        if self.scale != ScaleMode::default() {
-            write!(
-                f,
-                "; frontier=on; clusters={}; spill={}",
-                self.scale.clusters, self.scale.spill_after
-            )?;
-        }
         Ok(())
     }
 }
@@ -514,9 +459,10 @@ impl std::str::FromStr for SlrhConfig {
     /// Unknown components and duplicate keys are hard errors.
     ///
     /// The retired kernel-selection components `cache=on|off`,
-    /// `frontier=on|off`, `scan=N` and `orders=on|off` are still
-    /// accepted (value shape checked) and discarded, so v1 requests and
-    /// fixture headers recorded while they existed keep parsing.
+    /// `frontier=on|off`, `orders=on|off`, `scan=N`, `clusters=N` and
+    /// `spill=N` are still accepted (value shape checked) and discarded,
+    /// so v1 requests and fixture headers recorded while they existed
+    /// keep parsing.
     fn from_str(s: &str) -> Result<SlrhConfig, String> {
         let mut parts = s.split(';').map(str::trim);
         let variant: SlrhVariant = parts
@@ -566,10 +512,15 @@ impl std::str::FromStr for SlrhConfig {
                 "cache" | "frontier" | "orders" => {
                     parse_on_off(key, value)?;
                 }
-                "scan" => {
+                "scan" | "clusters" => {
                     value
                         .parse::<u32>()
-                        .map_err(|e| format!("bad scan {value:?}: {e}"))?;
+                        .map_err(|e| format!("bad {key} {value:?}: {e}"))?;
+                }
+                "spill" => {
+                    value
+                        .parse::<u64>()
+                        .map_err(|e| format!("bad spill {value:?}: {e}"))?;
                 }
                 "adapt" => adapt_rule = Some(value.parse()?),
                 "every" => {
@@ -585,16 +536,6 @@ impl std::str::FromStr for SlrhConfig {
                         Some(value.parse().map_err(|e| format!("bad lmax {value:?}: {e}"))?)
                 }
                 "warm" => adapt_warm = Some(value.parse()?),
-                "clusters" => {
-                    config.scale.clusters = value
-                        .parse()
-                        .map_err(|e| format!("bad clusters {value:?}: {e}"))?
-                }
-                "spill" => {
-                    config.scale.spill_after = value
-                        .parse()
-                        .map_err(|e| format!("bad spill {value:?}: {e}"))?
-                }
                 other => return Err(format!("unknown SLRH config component {other:?}")),
             }
         }
@@ -634,8 +575,6 @@ pub enum ConfigError {
     /// The adaptation projection needs `0 < amin <= 1` and a finite
     /// `lmax > 0`.
     BadAdaptProjection,
-    /// The scale mode needs at least one machine cluster.
-    ZeroClusters,
     /// A cadence, projection bound or warm start was given without the
     /// step rule that switches adaptation on.
     AdaptWithoutRule,
@@ -658,9 +597,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadAdaptProjection => f.write_str(
                 "the adaptation projection needs 0 < amin <= 1 and a finite lmax > 0",
             ),
-            ConfigError::ZeroClusters => {
-                f.write_str("the scale mode (clusters=) needs at least one machine cluster")
-            }
             ConfigError::AdaptWithoutRule => f.write_str(
                 "the adaptation settings (every, amin, lmax, warm) require an adaptation rule",
             ),
@@ -682,7 +618,6 @@ mod tests {
         assert_eq!(c.variant, SlrhVariant::V1);
         assert_eq!(c.trigger, Trigger::Clock);
         assert!(c.allow_secondary);
-        assert_eq!(c.scale, ScaleMode::default());
     }
 
     /// Every rejection of the one validity rule, by variant — the cases
@@ -709,7 +644,6 @@ mod tests {
             broken(&adapt(Adaptation { max_multiplier: f64::INFINITY, ..Adaptation::default() })),
             ConfigError::BadAdaptProjection
         );
-        assert_eq!(broken(&|c| c.scale.clusters = 0), ConfigError::ZeroClusters);
 
         // The cap itself is a legal value, in the struct and in the string.
         let widest = paper.with_dt(Dur(MAX_INPUT_TICKS)).with_horizon(Dur(MAX_INPUT_TICKS));
@@ -878,42 +812,28 @@ mod tests {
         }
     }
 
+    /// The clustered kernel's keys outlive it the way `cache=` did: a
+    /// recorded request that carries them maps as the paper config.
     #[test]
-    fn scale_display_round_trips() {
-        let c = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap()).with_scale(
-            ScaleMode {
-                clusters: 16,
-                spill_after: 4,
-            },
-        );
-        let text = c.to_string();
+    fn retired_scale_components_parse_and_are_discarded() {
+        let paper = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap());
+        let c: SlrhConfig = "SLRH-1; w=(0.5, 0.3); frontier=on; clusters=16; spill=4"
+            .parse()
+            .expect("retired scale keys parse");
+        assert_eq!(c, paper);
         assert_eq!(
-            text,
+            c.to_string(),
             "SLRH-1; w=(α=0.5, β=0.3, γ=0.2); aet=+; trigger=clock; order=numerical; \
-             dt=10; h=100; secondary=on; frontier=on; clusters=16; spill=4"
+             dt=10; h=100; secondary=on"
         );
-        assert_eq!(text.parse::<SlrhConfig>().expect("scale config parses"), c);
-        // A non-default spill delay alone still round-trips.
-        let c = c.with_scale(ScaleMode {
-            clusters: 1,
-            spill_after: 4,
-        });
-        assert_eq!(c.to_string().parse::<SlrhConfig>().expect("parses"), c);
-    }
-
-    #[test]
-    fn scale_components_stand_alone() {
-        let c: SlrhConfig = "SLRH-1; w=(0.5, 0.3); clusters=4".parse().unwrap();
-        assert_eq!(
-            c.scale,
-            ScaleMode {
-                clusters: 4,
-                ..ScaleMode::default()
-            }
-        );
-        assert!("SLRH-1; w=(0.5, 0.3); clusters=0"
-            .parse::<SlrhConfig>()
-            .is_err());
+        assert_eq!(paper.with_scale(ScaleMode { clusters: 8 }), paper);
+        for s in [
+            "SLRH-1; w=(0.5, 0.3); clusters=x",
+            "SLRH-1; w=(0.5, 0.3); spill=-1",
+            "SLRH-1; w=(0.5, 0.3); clusters=2; clusters=2",
+        ] {
+            assert!(s.parse::<SlrhConfig>().is_err(), "accepted {s:?}");
+        }
     }
 
     #[test]

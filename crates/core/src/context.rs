@@ -25,7 +25,6 @@
 use adhoc_grid::workload::Scenario;
 use gridsim::state::{SimState, StateBuffers};
 
-use crate::config::ScaleMode;
 use crate::frontier::Frontier;
 
 /// Every buffer a heuristic run needs, reusable across consecutive runs.
@@ -70,8 +69,8 @@ impl RunContext {
 
     /// The context's candidate frontier, re-synchronised to `state` for
     /// a new run (see `Frontier::reset`).
-    pub(crate) fn frontier_for(&mut self, state: &SimState<'_>, mode: ScaleMode) -> &mut Frontier {
-        self.frontier.reset(state, mode);
+    pub(crate) fn frontier_for(&mut self, state: &SimState<'_>) -> &mut Frontier {
+        self.frontier.reset(state);
         &mut self.frontier
     }
 }

@@ -1,9 +1,9 @@
-//! The idle latch: a query that returns `None` proves both views
-//! drained empty (every scanned entry was planned, deferred past the
-//! horizon, or dropped), so the answer stays `None` until something that
-//! can resurrect a candidate happens — an epoch change, a gate-row
-//! flush, a new startable-log arrival on either visible list, or the
-//! horizon reaching the earliest deferred floor. The latch records
+//! The idle latch: a query that returns `None` proves the view drained
+//! empty (every scanned entry was planned, deferred past the horizon, or
+//! dropped), so the answer stays `None` until something that can
+//! resurrect a candidate happens — an epoch change, a gate-row flush, a
+//! new startable-log arrival, or the horizon reaching the earliest
+//! deferred floor. The latch records
 //! exactly those inputs, short-circuits the queries that repeat them,
 //! and tells the clock loop how long it may sleep (DESIGN.md §19).
 
@@ -14,21 +14,17 @@ use gridsim::state::SimState;
 use super::{Frontier, Query};
 
 impl Frontier {
-    /// Arm `j`'s latch after an incumbent-free scan of `lists`, whose
-    /// earliest deferred floor is `floor`.
-    pub(super) fn arm_latch(&mut self, j: MachineId, lists: [usize; 2], floor: Time) {
-        let logged = lists.map(|li| self.slog[li].len());
-        self.idle[j.0] = Some((self.view_epoch, logged[0], logged[1], floor));
+    /// Arm `j`'s latch after an incumbent-free scan whose earliest
+    /// deferred floor is `floor`.
+    pub(super) fn arm_latch(&mut self, j: MachineId, floor: Time) {
+        self.idle[j.0] = Some((self.view_epoch, self.slog.len(), floor));
     }
 
     /// Whether `j`'s latch still answers this query (a gate-row flush
     /// has already cleared it, see [`Frontier::gate_row_guard`]).
-    pub(super) fn latch_holds(&self, q: &Query<'_>, lists: [usize; 2]) -> bool {
-        self.idle[q.j.0].is_some_and(|(epoch, n0, n1, floor)| {
-            epoch == self.view_epoch
-                && n0 == self.slog[lists[0]].len()
-                && n1 == self.slog[lists[1]].len()
-                && floor > q.horizon_end
+    pub(super) fn latch_holds(&self, q: &Query<'_>) -> bool {
+        self.idle[q.j.0].is_some_and(|(epoch, logged, floor)| {
+            epoch == self.view_epoch && logged == self.slog.len() && floor > q.horizon_end
         })
     }
 
@@ -36,31 +32,24 @@ impl Frontier {
     /// While `j`'s latch stamp is current, `best_startable` keeps
     /// answering `None` without touching a view until the horizon
     /// reaches the latched deferred floor or the next `waiting`
-    /// candidate of a visible list (whose drain into the startable log
-    /// breaks the stamp). Everything else that breaks it — a commit or
-    /// unmap (revision, epoch, log arrivals, `fresh` inserts), an energy
-    /// refund lifting the afford limit over the gate row's watermark, a
-    /// spill promotion coming due — is checked here, so a `Some` is a
-    /// proof for exactly this `state`. SLRH-2 never latches and a shed
-    /// view never does either, so both are asked every tick.
+    /// candidate (whose drain into the startable log breaks the stamp).
+    /// Everything else that breaks it — a commit or unmap (revision,
+    /// epoch, log arrivals, `fresh` inserts), an energy refund lifting
+    /// the afford limit over the gate row's watermark — is checked
+    /// here, so a `Some` is a proof for exactly this `state`. SLRH-2
+    /// never latches and a shed view never does either, so both are
+    /// asked every tick.
     pub(super) fn latched_until(&self, state: &SimState<'_>, j: MachineId) -> Option<Time> {
-        let (epoch, n0, n1, floor) = self.idle[j.0]?;
-        let [l0, l1] = self.visible_lists(j);
-        let list_current = |li: usize, logged: usize| {
-            self.list_epoch[li] == self.view_epoch
-                && self.fresh[li].is_empty()
-                && self.slog[li].len() == logged
-        };
+        let (epoch, logged, floor) = self.idle[j.0]?;
         let current = !self.stale
             && state.revision() == self.last_revision
             && epoch == self.view_epoch
-            && list_current(l0, n0)
-            && list_current(l1, n1)
-            && state.ledger().afford_limit(j) <= self.gate_limit[j.0]
-            && self.pending.is_empty();
-        let next_waiting =
-            |li: usize| self.waiting[li].last().map_or(Time::MAX, |&(lb, _, _)| lb);
-        current.then(|| floor.min(next_waiting(l0)).min(next_waiting(l1)))
+            && self.list_epoch == self.view_epoch
+            && self.fresh.is_empty()
+            && self.slog.len() == logged
+            && state.ledger().afford_limit(j) <= self.gate_limit[j.0];
+        let next_waiting = self.waiting.last().map_or(Time::MAX, |&(lb, _, _)| lb);
+        current.then(|| floor.min(next_waiting))
     }
 }
 
@@ -74,32 +63,19 @@ mod tests {
 
     /// One sweep's worth of work for machine `j` at `clock`, as
     /// `mapper::drive` issues it.
-    fn query(
-        fr: &mut Frontier,
-        state: &SimState<'_>,
-        j: MachineId,
-        tick: u64,
-        clock: Time,
-    ) -> Option<MappingPlan> {
-        fr.begin_tick(state, tick);
+    fn query(fr: &mut Frontier, state: &SimState<'_>, j: MachineId, clock: Time) -> Option<MappingPlan> {
         ask(fr, state, j, clock, clock + H)
     }
 
-    /// Tick machine `j` over the unchanged `state` from `(tick, clock)`
-    /// until a plan appears and return that sweep's horizon end. Every
-    /// wake time reported on the way is held to its word: no plan while
-    /// the horizon is short of it.
-    fn first_plan_horizon(
-        fr: &mut Frontier,
-        state: &SimState<'_>,
-        j: MachineId,
-        mut tick: u64,
-        mut clock: Time,
-    ) -> Time {
+    /// Tick machine `j` over the unchanged `state` from `clock` until a
+    /// plan appears and return that sweep's horizon end. Every wake time
+    /// reported on the way is held to its word: no plan while the
+    /// horizon is short of it.
+    fn first_plan_horizon(fr: &mut Frontier, state: &SimState<'_>, j: MachineId, mut clock: Time) -> Time {
         let mut proven = Time::ZERO;
         loop {
             let horizon_end = clock + H;
-            if query(fr, state, j, tick, clock).is_some() {
+            if query(fr, state, j, clock).is_some() {
                 assert!(
                     horizon_end >= proven,
                     "a plan at horizon {horizon_end} inside a sleep proven to {proven}"
@@ -110,7 +86,6 @@ mod tests {
                 assert!(w > horizon_end, "a wake time in the past");
                 proven = proven.max(w);
             }
-            tick += 1;
             clock += DT;
             assert!(clock <= state.scenario().tau, "no plan before τ");
         }
@@ -131,7 +106,7 @@ mod tests {
     /// and goes to sleep.
     fn asleep(sc: &Scenario) -> (SimState<'_>, Frontier) {
         let (state, mut fr) = parked(sc, Time(3000));
-        assert!(query(&mut fr, &state, M0, 1, Time::ZERO).is_none());
+        assert!(query(&mut fr, &state, M0, Time::ZERO).is_none());
         assert!(fr.wake(&state, M0).is_some());
         (state, fr)
     }
@@ -140,13 +115,13 @@ mod tests {
     fn wake_is_the_earliest_waiting_lower_bound() {
         let sc = layered();
         let (state, mut fr) = asleep(&sc);
-        let &(next_lb, _, _) = fr.waiting[0].last().expect("every candidate waits on its lb");
+        let &(next_lb, _, _) = fr.waiting.last().expect("every candidate waits on its lb");
         assert!(next_lb >= Time(3000));
         let wake = fr.wake(&state, M0);
         assert_eq!(wake, Some(next_lb), "nothing deferred: the next lb is the wake time");
         // Other machines have not been asked, so nothing is proven of them.
         assert_eq!(fr.wake(&state, MachineId(2)), None);
-        let first = first_plan_horizon(&mut fr, &state, M0, 2, Time(10));
+        let first = first_plan_horizon(&mut fr, &state, M0, Time(10));
         assert_wake_is_sound(wake, first);
         assert!(first >= next_lb);
     }
@@ -161,15 +136,15 @@ mod tests {
         // the transfer still has to fit — it is deferred to its floor.
         let clock = Time(next_lb.0 - H.0);
         assert!(
-            query(&mut fr, &state, M0, 2, clock).is_none(),
+            query(&mut fr, &state, M0, clock).is_none(),
             "data-bound: cleared its lb, cannot start inside the horizon"
         );
         let &Reverse((floor, _, _)) = fr.views[0].deferred.peek().expect("one deferral");
         assert!(floor > next_lb);
-        let next_waiting = fr.waiting[0].last().map_or(Time::MAX, |&(lb, _, _)| lb);
+        let next_waiting = fr.waiting.last().map_or(Time::MAX, |&(lb, _, _)| lb);
         let wake = fr.wake(&state, M0);
         assert_eq!(wake, Some(floor.min(next_waiting)));
-        let first = first_plan_horizon(&mut fr, &state, M0, 3, clock + DT);
+        let first = first_plan_horizon(&mut fr, &state, M0, clock + DT);
         assert_wake_is_sound(wake, first);
     }
 
@@ -189,7 +164,7 @@ mod tests {
         }
         let wake = fr.wake(&state, M0);
         assert_eq!(wake, None, "an unscored arrival may start at once");
-        let first = first_plan_horizon(&mut fr, &state, M0, 2, Time(10));
+        let first = first_plan_horizon(&mut fr, &state, M0, Time(10));
         assert_wake_is_sound(wake, first);
     }
 
@@ -211,7 +186,7 @@ mod tests {
         assert_ne!(fr.view_epoch, epoch);
         let wake = fr.wake(&state, M0);
         assert_eq!(wake, None);
-        let first = first_plan_horizon(&mut fr, &state, M0, 2, Time(10));
+        let first = first_plan_horizon(&mut fr, &state, M0, Time(10));
         assert_eq!(first, Time(10) + H, "the unmapped root starts at once");
         // Unreported mutations (a loss cascade between segments) are
         // caught by the revision check instead.
@@ -224,8 +199,7 @@ mod tests {
     fn an_energy_refund_ends_the_sleep() {
         let sc = layered();
         let mut state = SimState::new(&sc);
-        let mut fr = Frontier::new(&state, ScaleMode::default());
-        fr.begin_tick(&state, 0);
+        let mut fr = Frontier::new(&state);
         // Drain machine 0's battery: it takes whatever still passes its
         // gate until no ready subtask does.
         while let Some((t, v)) = [Version::Primary, Version::Secondary].into_iter().find_map(|v| {
@@ -236,7 +210,7 @@ mod tests {
         }
         assert!(!state.ready_tasks().is_empty(), "the battery ran out first");
         let free = state.compute_ready(M0);
-        assert!(query(&mut fr, &state, M0, 1, free).is_none());
+        assert!(query(&mut fr, &state, M0, free).is_none());
         assert_eq!(
             fr.wake(&state, M0),
             Some(Time::MAX),
@@ -260,24 +234,5 @@ mod tests {
             "the refund lifted the limit over every recorded rejection"
         );
         assert_eq!(fr.wake(&state, M0), None);
-    }
-
-    #[test]
-    fn a_pending_spill_promotion_keeps_the_loop_ticking() {
-        let sc = layered();
-        let state = SimState::new(&sc);
-        let spill_after = 3;
-        let mut fr = Frontier::new(&state, ScaleMode { clusters: 2, spill_after });
-        // Every root is homed on cluster 0 (the low half of the ids): a
-        // cluster-1 machine sees nothing until they spill.
-        assert!(fr.lists[1].is_empty() && !fr.lists[0].is_empty());
-        let j = MachineId(fr.cluster_of.iter().position(|&c| c == 1).unwrap());
-        assert!(query(&mut fr, &state, j, 0, Time::ZERO).is_none());
-        assert!(fr.idle[j.0].is_some(), "latched: both visible lists are empty");
-        let wake = fr.wake(&state, j);
-        assert_eq!(wake, None, "a promotion is queued; the tick count, not the clock, brings it");
-        let first = first_plan_horizon(&mut fr, &state, j, 1, Time(10));
-        assert_eq!(first, Time(spill_after * DT.0) + H);
-        assert_wake_is_sound(wake, first);
     }
 }

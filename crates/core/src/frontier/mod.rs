@@ -6,7 +6,7 @@
 //! The paper's definition re-derives the candidate pool `U` from the
 //! ready set on every `(machine, tick)` query ([`crate::pool`]):
 //! O(|U|·|M|) planning work per tick, slow at the paper's 4–16 machines
-//! and fatal at 1000. The frontier attacks that product on five fronts,
+//! and fatal at 1000. The frontier attacks that product on four fronts,
 //! one sequential pipeline split over this module's layers:
 //!
 //! 1. **Incremental maintenance** (`membership`) — the frontier is kept
@@ -15,16 +15,7 @@
 //!    If a delta goes missing — drivers deliberately do not report a
 //!    machine-loss cascade — the frontier notices the revision gap and
 //!    lazily rebuilds from [`SimState::ready_tasks`].
-//! 2. **Hierarchical machine clustering** (`membership`) — machines are
-//!    partitioned into `clusters` groups by ETC-column similarity, and
-//!    contiguous task-id blocks (DAG regions: ids are topologically
-//!    ordered) are homed onto clusters. A machine costs only its own
-//!    cluster's slice plus the shared *spill* list: ~|U|/clusters
-//!    candidates per query. A candidate no home machine commits within
-//!    `spill_after` ticks is promoted to the spill list, where every
-//!    machine sees it — so the partition stays *complete*: at worst a
-//!    candidate is delayed, never stranded.
-//! 3. **Start-lower-bound pruning** (`tables`) — no plan for `t` can
+//! 2. **Start-lower-bound pruning** (`tables`) — no plan for `t` can
 //!    start before any parent's scheduled finish, on *any* machine, so
 //!    `lb(t) = max_p finish(p)` past the horizon prunes `t` *before*
 //!    planning, exactly. This is what kills the spin phase: SLRH maps
@@ -33,39 +24,35 @@
 //!    comparison instead of a placement search. A per-(task, machine)
 //!    start floor adds minimum transfer durations and the machine's
 //!    availability, discarding transfer-bound candidates too.
-//! 4. **Feasibility gating with memory** (`tables`) — newcomers run
+//! 3. **Feasibility gating with memory** (`tables`) — newcomers run
 //!    the §IV energy gate as one table lookup each
 //!    ([`SimState::gate_feasible`]), rejections are remembered in a
 //!    self-validating per-machine bitset, and only the survivors are
 //!    ever bounded or planned.
-//! 5. **Cached bound orders** (`view`, walked by `scan`, put to sleep by
-//!    `latch`) — each machine's two visible lists keep a permutation of
-//!    gate-passing candidates sorted by objective upper bound alive
-//!    across queries, served under a conservative drift bound, so a
-//!    query plans one or two candidates instead of re-gating,
-//!    re-bounding and re-sorting the frontier. A view shed by the memory
-//!    cap falls back to a per-query resort of its list, bit-identical to
-//!    the slice it replaces.
+//! 4. **Cached bound orders** (`view`, walked by `scan`, put to sleep by
+//!    `latch`) — each machine keeps a permutation of the gate-passing
+//!    candidates sorted by objective upper bound alive across queries,
+//!    served under a conservative drift bound, so a query plans one or
+//!    two candidates instead of re-gating, re-bounding and re-sorting
+//!    the frontier. A view shed by the memory cap falls back to a
+//!    per-query resort of the list, bit-identical to the order it
+//!    replaces.
 //!
-//! # Exactness at `clusters = 1`
+//! # Exactness
 //!
-//! With a single cluster every machine sees the whole frontier, and each
-//! query selects the candidate the paper's
-//! [`crate::pool::Pool::first_startable`] walk selects: an argmax over
-//! startable candidates under (objective desc, task asc), with the same
-//! tie-breaks, plans from the same [`SimState::plan_with`] and
-//! [`crate::pool::build_pool_with`]'s primary-competes version choice.
-//! The stress harness proves schedule identity against
-//! [`crate::reference`] on every generated case; `clusters > 1`
-//! intentionally trades that identity for the ÷k candidate count.
+//! Every machine sees the whole frontier, and each query selects the
+//! candidate the paper's [`crate::pool::Pool::first_startable`] walk
+//! selects: an argmax over startable candidates under (objective desc,
+//! task asc), with the same tie-breaks, plans from the same
+//! [`SimState::plan_with`] and [`crate::pool::build_pool_with`]'s
+//! primary-competes version choice. The stress harness proves schedule
+//! identity against [`crate::reference`] on every generated case.
 
 mod latch;
 mod membership;
 mod scan;
 mod tables;
 mod view;
-
-use std::collections::VecDeque;
 
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
@@ -74,49 +61,34 @@ use gridsim::plan::{MappingPlan, PlanScratch};
 use gridsim::state::{DeltaKind, SimState, StateDelta};
 use lagrange::weights::Objective;
 
-use crate::config::ScaleMode;
 use crate::mapper::{gate_version, Kernel, RunStats};
 
 use self::scan::{Side, SideBuf};
 use self::tables::{ParentCost, FLOOR_CACHE_MAX};
 use self::view::{Bound, View};
 
-/// Sentinel for "not on the frontier" in [`Frontier::list_of`].
+/// Sentinel for "not on the frontier" in [`Frontier::pos`].
 const ABSENT: u32 = u32::MAX;
 
-/// The live candidate frontier: every ready task, partitioned into
-/// per-cluster lists plus the shared spill list. See the module docs.
+/// The live candidate frontier: every ready task, on one list every
+/// machine sees. See the module docs.
 ///
 /// `Default` is detached storage synchronised to nothing — only useful
 /// as the donor for [`Frontier::reset`] ([`crate::RunContext`] keeps one
 /// per worker).
 #[derive(Default)]
 pub(crate) struct Frontier {
-    // ---- membership + spill ----
-    /// Ticks a candidate stays home-only before spilling.
-    spill_after: u64,
-    /// Per-machine cluster index (`< clusters`).
-    cluster_of: Vec<u32>,
-    /// Per-task home cluster (contiguous task-id blocks).
-    home_of: Vec<u32>,
-    /// `lists[c]`, `c < clusters`: candidates visible only to cluster
-    /// `c`. `lists[clusters]`: the spill list, visible to every machine.
-    lists: Vec<Vec<TaskId>>,
-    /// Which list each task is on (`ABSENT` when not on the frontier).
-    list_of: Vec<u32>,
-    /// Index of each frontier task within its list.
+    // ---- membership ----
+    /// Every ready task, in insertion order up to removal swaps.
+    list: Vec<TaskId>,
+    /// Index of each frontier task within `list` (`ABSENT` when not on
+    /// the frontier).
     pos: Vec<u32>,
-    /// FIFO of `(due_tick, task)` spill promotions; entries for tasks
-    /// that left the frontier in the meantime are skipped on pop.
-    /// Unused (kept empty) with a single cluster.
-    pending: VecDeque<(u64, TaskId)>,
-    /// Clock-tick index, advanced by [`Frontier::begin_tick`].
-    tick: u64,
-    /// The [`SimState::revision`] the lists are synchronised to.
+    /// The [`SimState::revision`] the list is synchronised to.
     last_revision: u64,
     /// Set on a delta-stream gap; forces a rebuild on the next query.
     stale: bool,
-    /// Generation counter for views, logs and per-list startability
+    /// Generation counter for views and the list's startability
     /// structures; bumped by rebuilds and unmap deltas. Starts at 1 so
     /// every epoch-0 structure is born stale.
     view_epoch: u64,
@@ -124,27 +96,26 @@ pub(crate) struct Frontier {
     /// waiting and view entries carry the generation they were made at
     /// and are stale on mismatch.
     sgen: Vec<u32>,
-    /// The [`Frontier::view_epoch`] each list's log/waiting/fresh
-    /// structures are valid for.
-    list_epoch: Vec<u64>,
-    /// Per-list inserts not yet scored against the horizon
-    /// (`(task, gen)`, drained by [`Frontier::sync_list`]).
-    fresh: Vec<Vec<(TaskId, u32)>>,
-    /// Per-list candidates whose start lower bound still exceeds the
-    /// horizon (`(lb, task, gen)`, sorted lb-descending so the tail is
-    /// the next to become startable).
-    waiting: Vec<Vec<(Time, TaskId, u32)>>,
-    /// Per-list append-only startable log (`(task, gen)`): tasks whose
-    /// lb cleared the horizon, in arrival order. Views consume it
-    /// through their cursor; cleared on epoch bumps.
-    slog: Vec<Vec<(TaskId, u32)>>,
-    /// Per-list low-water mark into `slog`: every record before it is
-    /// stale for good — `sgen` only grows and a task changes lists one
-    /// way (home → spill), so a record that stopped being current never
-    /// becomes current again. A view re-armed by a gate-row flush starts
-    /// its re-walk here instead of at index 0; raised by the walks
-    /// themselves, zeroed with the log.
-    slog_low: Vec<usize>,
+    /// The [`Frontier::view_epoch`] the log/waiting/fresh structures
+    /// are valid for.
+    list_epoch: u64,
+    /// Inserts not yet scored against the horizon (`(task, gen)`,
+    /// drained by [`Frontier::sync_list`]).
+    fresh: Vec<(TaskId, u32)>,
+    /// Candidates whose start lower bound still exceeds the horizon
+    /// (`(lb, task, gen)`, sorted lb-descending so the tail is the next
+    /// to become startable).
+    waiting: Vec<(Time, TaskId, u32)>,
+    /// The append-only startable log (`(task, gen)`): tasks whose lb
+    /// cleared the horizon, in arrival order. Views consume it through
+    /// their cursor; cleared on epoch bumps.
+    slog: Vec<(TaskId, u32)>,
+    /// Low-water mark into `slog`: every record before it is stale for
+    /// good — `sgen` only grows, so a record that stopped being current
+    /// never becomes current again. A view re-armed by a gate-row flush
+    /// starts its re-walk here instead of at index 0; raised by the
+    /// walks themselves, zeroed with the log.
+    slog_low: usize,
 
     // ---- tables ----
     /// Per-task start lower bound `max_p finish(p)` ([`Time::MAX`] =
@@ -200,37 +171,34 @@ pub(crate) struct Frontier {
     scratch: PlanScratch,
 
     // ---- views + scan + latch ----
-    /// Born-shed views: every list is served by the per-query resort
-    /// scan, as if the view memory cap were zero. Only
-    /// [`Frontier::resort_only`] (the reference oracle) sets it.
+    /// Born-shed views: every query is served by the resort scan, as if
+    /// the view memory cap were zero. Only [`Frontier::resort_only`]
+    /// (the reference oracle) sets it.
     shed_all: bool,
-    /// Per-(machine, visible-slot) views: `views[2j]` tracks machine
-    /// `j`'s home-cluster list, `views[2j + 1]` the spill list.
+    /// One view per machine.
     views: Vec<View>,
     /// Live entries (alive + deferred) across all views, for the view
     /// memory cap.
     view_entries: usize,
-    /// Reusable per-side scan buffers (scratch order, removals,
-    /// write-backs).
-    side_bufs: [SideBuf; 2],
+    /// Reusable scan buffers (scratch order, removals, write-backs).
+    side_buf: SideBuf,
     /// Per-machine idle latch (see the `latch` layer): the inputs of the
-    /// last `None` answer — `(epoch, slog_len(l0), slog_len(l1), min
-    /// deferred floor)`.
-    idle: Vec<Option<(u64, usize, usize, Time)>>,
+    /// last `None` answer — `(epoch, startable-log length, min deferred
+    /// floor)`.
+    idle: Vec<Option<(u64, usize, Time)>>,
 }
 
 impl Frontier {
-    /// Build the frontier for `state`'s current ready set, clustering
-    /// the scenario's machines by ETC-column similarity.
-    pub fn new(state: &SimState<'_>, mode: ScaleMode) -> Frontier {
+    /// Build the frontier for `state`'s current ready set.
+    pub fn new(state: &SimState<'_>) -> Frontier {
         let mut frontier = Frontier::default();
-        frontier.reset(state, mode);
+        frontier.reset(state);
         frontier
     }
 
-    /// Serve every query through the per-list resort scan instead of the
-    /// cached bound orders — the `Resort` reference oracle. Not
-    /// reachable from any configuration.
+    /// Serve every query through the resort scan instead of the cached
+    /// bound orders — the `Resort` reference oracle. Not reachable from
+    /// any configuration.
     pub fn resort_only(mut self) -> Frontier {
         self.shed_all = true;
         self
@@ -240,58 +208,26 @@ impl Frontier {
     /// re-derived from the scenario exactly as a fresh frontier would
     /// derive it, while the backing vectors keep their heap capacity —
     /// the [`crate::RunContext`] capacity-never-content contract.
-    pub fn reset(&mut self, state: &SimState<'_>, mode: ScaleMode) {
+    pub fn reset(&mut self, state: &SimState<'_>) {
         fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
             v.clear();
             v.resize(n, value);
         }
-        fn refill_lists<T>(v: &mut Vec<Vec<T>>, n: usize) {
-            v.resize_with(n, Vec::new);
-            v.iter_mut().for_each(Vec::clear);
-        }
         let sc = state.scenario();
         let machines = sc.grid.len();
         let tasks = sc.tasks();
-        let clusters = (mode.clusters.max(1) as usize).min(machines);
 
-        // ETC-similarity clustering: rank machines by mean column
-        // seconds (ties toward the lower id — deterministic) and cut the
-        // ranking into `clusters` near-equal contiguous groups.
-        let means = sc.etc.machine_mean_seconds();
-        let mut ranked: Vec<usize> = (0..machines).collect();
-        ranked.sort_by(|&a, &b| {
-            means[a]
-                .partial_cmp(&means[b])
-                .expect("ETC means are finite")
-                .then(a.cmp(&b))
-        });
-        refill(&mut self.cluster_of, machines, 0);
-        for (rank, &j) in ranked.iter().enumerate() {
-            self.cluster_of[j] = (rank * clusters / machines) as u32;
-        }
-
-        // DAG regions: task ids are topologically ordered, so contiguous
-        // id blocks are contiguous DAG regions; block `c` is homed on
-        // cluster `c`.
-        self.home_of.clear();
-        self.home_of
-            .extend((0..tasks).map(|t| (t * clusters / tasks) as u32));
-
-        self.spill_after = mode.spill_after;
-        refill_lists(&mut self.lists, clusters + 1);
-        refill(&mut self.list_of, tasks, ABSENT);
-        refill(&mut self.pos, tasks, 0);
-        self.pending.clear();
-        self.tick = 0;
+        self.list.clear();
+        refill(&mut self.pos, tasks, ABSENT);
         self.last_revision = state.revision();
         self.stale = false;
         self.view_epoch = 1;
         refill(&mut self.sgen, tasks, 0);
-        refill(&mut self.list_epoch, clusters + 1, 0);
-        refill_lists(&mut self.fresh, clusters + 1);
-        refill_lists(&mut self.waiting, clusters + 1);
-        refill_lists(&mut self.slog, clusters + 1);
-        refill(&mut self.slog_low, clusters + 1, 0);
+        self.list_epoch = 0;
+        self.fresh.clear();
+        self.waiting.clear();
+        self.slog.clear();
+        self.slog_low = 0;
 
         refill(&mut self.lb, tasks, Time::MAX);
         let floors = tasks.saturating_mul(machines);
@@ -303,12 +239,13 @@ impl Frontier {
         self.gate_row_words = tasks.div_ceil(64);
         refill(&mut self.gate_dead, machines * self.gate_row_words, 0);
         refill(&mut self.gate_limit, machines, f64::INFINITY);
-        refill_lists(&mut self.ptuples, tasks);
+        self.ptuples.resize_with(tasks, Vec::new);
+        self.ptuples.iter_mut().for_each(Vec::clear);
         refill(&mut self.ptuple_stamp, tasks, 0);
         self.ptuple_gen = 1;
 
         self.shed_all = false;
-        self.views.resize_with(machines * 2, View::default);
+        self.views.resize_with(machines, View::default);
         for v in &mut self.views {
             v.clear();
             // Stale against `view_epoch`: the first sync re-arms the view.
@@ -356,20 +293,6 @@ struct Query<'q> {
 }
 
 impl Kernel for Frontier {
-    /// Start a clock tick: record the tick index and promote every
-    /// candidate whose spill timer is due.
-    fn begin_tick(&mut self, state: &SimState<'_>, tick: u64) {
-        self.tick = tick;
-        self.resync(state);
-        while let Some(&(due, t)) = self.pending.front() {
-            if due > tick {
-                break;
-            }
-            self.pending.pop_front();
-            self.promote_to_spill(t);
-        }
-    }
-
     /// Ingest one [`StateDelta`]: the delta's `invalidated` tasks leave
     /// the frontier, its `newly_ready` tasks join it — the exact
     /// readiness semantics [`SimState`]'s mutators report. Machine-loss
@@ -402,12 +325,12 @@ impl Kernel for Frontier {
         self.scratch.recycle(plan);
     }
 
-    /// The best committable candidate for machine `j`: among the visible
+    /// The best committable candidate for machine `j`: among the
     /// candidates that pass the §IV gate and whose chosen-version plan
     /// can start within the horizon, the one maximising the objective
     /// (ties toward the lower task id), as a ready-to-commit plan —
     /// [`crate::pool::Pool::first_startable`]'s selection exactly (see
-    /// the module docs), in four phases over `j`'s two per-list views.
+    /// the module docs), in four phases over `j`'s view.
     /// The schedule is byte-identical to the all-views-shed resort scan —
     /// and so are the [`RunStats`] whenever the start-floor cache is
     /// active (below [`FLOOR_CACHE_MAX`]); past the cap the deferred
@@ -425,16 +348,16 @@ impl Kernel for Frontier {
     ) -> Option<MappingPlan> {
         stats.queries += 1;
         let q = self.open_query(state, objective, j, now, horizon_end, allow_secondary);
-        // Filled in place: returning the two views by value through an
-        // `Option<[Side; 2]>` measured ~5 % of a paper-scale job.
-        let mut sides = <[Side; 2]>::default();
-        if !self.reconcile(&q, &mut sides) {
+        // Filled in place: handing the view to the phases by value
+        // through an `Option` measured ~5 % of a paper-scale job.
+        let mut side = Side::default();
+        if !self.reconcile(&q, &mut side) {
             return None;
         }
         let bound = Bound::new(&q);
-        self.refresh(&bound, &mut sides);
-        let best = self.scan(&bound, &mut sides, stats);
-        self.settle(&bound, &mut sides, best.is_none());
+        self.refresh(&bound, &mut side);
+        let best = self.scan(&bound, &mut side, stats);
+        self.settle(&bound, &mut side, best.is_none());
         best
     }
 
@@ -455,10 +378,6 @@ impl Kernel for Frontier {
         self.freeze(&q, stats, out);
     }
 
-    /// Looks across the whole frontier, not just the lists visible to
-    /// `j`: a candidate homed elsewhere is invisible to `j` *today* but
-    /// spills within `spill_after` ticks, so only the all-machines ×
-    /// all-candidates product proves no future invocation can progress.
     fn any_gate_feasible(
         &mut self,
         state: &SimState<'_>,
@@ -466,9 +385,7 @@ impl Kernel for Frontier {
         j: MachineId,
     ) -> bool {
         self.resync(state);
-        self.lists
-            .iter()
-            .any(|list| state.any_feasible_candidate(list, gate_version, j))
+        state.any_feasible_candidate(&self.list, gate_version, j)
     }
 
     /// See [`Frontier::latched_until`].
@@ -479,8 +396,7 @@ impl Kernel for Frontier {
 
 #[cfg(test)]
 mod tests {
-    //! Fixtures shared by the layers' unit tests, and the test of the
-    //! one thing this file owns: [`Frontier::reset`]'s clustering.
+    //! Fixtures shared by the layers' unit tests.
 
     pub(super) use super::*;
     pub(super) use adhoc_grid::config::GridCase;
@@ -527,8 +443,7 @@ mod tests {
     /// child whose start lower bound sits at or past `park`.
     pub(super) fn parked<'a>(sc: &'a Scenario, park: Time) -> (SimState<'a>, Frontier) {
         let mut state = SimState::new(sc);
-        let mut fr = Frontier::new(&state, ScaleMode::default());
-        fr.begin_tick(&state, 0);
+        let mut fr = Frontier::new(&state);
         while let Some(&root) = state
             .ready_tasks()
             .iter()
@@ -562,20 +477,5 @@ mod tests {
         crate::pool::build_pool_with(state, &objective(), j, now, true)
             .first_startable(horizon_end)
             .map(|e| e.plan.clone())
-    }
-
-    /// Clustering is deterministic and clamped to the machine count.
-    #[test]
-    fn clustering_is_deterministic_and_clamped() {
-        let sc = scenario(16);
-        let state = SimState::new(&sc);
-        let a = Frontier::new(&state, ScaleMode { clusters: 99, spill_after: 8 });
-        let b = Frontier::new(&state, ScaleMode { clusters: 99, spill_after: 8 });
-        assert_eq!(a.cluster_of, b.cluster_of);
-        assert_eq!(a.clusters(), sc.grid.len(), "clamped to |M|");
-        // Every cluster is non-empty under the clamped partition.
-        for c in 0..a.clusters() {
-            assert!(a.cluster_of.iter().any(|&x| x as usize == c));
-        }
     }
 }

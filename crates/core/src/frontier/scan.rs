@@ -1,5 +1,5 @@
-//! Scan: the four phases of a query over a machine's two views —
-//! reconcile → refresh → scan → settle — and SLRH-2's frozen order.
+//! Scan: the four phases of a query over a machine's view — reconcile
+//! → refresh → scan → settle — and SLRH-2's frozen order.
 
 use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::Time;
@@ -10,10 +10,10 @@ use super::{Frontier, Query};
 use crate::mapper::RunStats;
 use crate::pool::plan_objective;
 
-/// Reusable per-side scan buffers.
+/// Reusable scan buffers.
 #[derive(Default)]
 pub(super) struct SideBuf {
-    /// The scratch bound order of a shed (resort-served) list.
+    /// The scratch bound order standing in for a shed view.
     order: Vec<ViewEntry>,
     /// Removal records from the scan: entry index plus `Some(floor)` to
     /// defer (floor past the horizon) or `None` to drop outright (stale
@@ -25,12 +25,10 @@ pub(super) struct SideBuf {
     wb: Vec<(u32, f64)>,
 }
 
-/// One visible list's share of a query: the list index, the machine's
-/// view of it (taken out of the frontier for the duration of the query)
-/// and a set of buffers.
+/// One query's working set: the machine's view (taken out of the
+/// frontier for the duration of the query) and the scan buffers.
 #[derive(Default)]
 pub(super) struct Side {
-    li: usize,
     view: View,
     buf: SideBuf,
     /// Every value was computed *this query* (a full refresh or a
@@ -39,7 +37,7 @@ pub(super) struct Side {
     fresh: bool,
     /// The refresh phase changed the alive set.
     touched: bool,
-    /// The view-level drift pad of a side that is not fresh.
+    /// The view-level drift pad when the values are not fresh.
     drift: f64,
     /// Lazy evaluations this scan — the expensive part of a visit.
     levals: usize,
@@ -80,67 +78,58 @@ fn loses(best: &Best, value: f64, t: TaskId) -> bool {
 }
 
 impl Frontier {
-    /// Phase 1: bring both visible lists' startability logs and the
-    /// machine's two views structurally up to date, the views taken out
-    /// into `sides` for the query. `false` (nothing taken) when the idle
-    /// latch proves the answer is still `None`.
-    pub(super) fn reconcile(&mut self, q: &Query<'_>, sides: &mut [Side; 2]) -> bool {
-        let lists = self.visible_lists(q.j);
-        for li in lists {
-            self.sync_list(q.state, li, q.horizon_end);
-        }
-        if self.latch_holds(q, lists) {
+    /// Phase 1: bring the startability log and the machine's view
+    /// structurally up to date, the view taken out into `s` for the
+    /// query. `false` (nothing taken) when the idle latch proves the
+    /// answer is still `None`.
+    pub(super) fn reconcile(&mut self, q: &Query<'_>, s: &mut Side) -> bool {
+        self.sync_list(q.state, q.horizon_end);
+        if self.latch_holds(q) {
             return false;
         }
         self.idle[q.j.0] = None;
-        for (k, s) in sides.iter_mut().enumerate() {
-            s.li = lists[k];
-            std::mem::swap(&mut s.view, &mut self.views[q.j.0 * 2 + k]);
-            std::mem::swap(&mut s.buf, &mut self.side_bufs[k]);
-            s.buf.removals.clear();
-            s.buf.wb.clear();
-            self.sync_view(&mut s.view, q, s.li);
-        }
+        std::mem::swap(&mut s.view, &mut self.views[q.j.0]);
+        std::mem::swap(&mut s.buf, &mut self.side_buf);
+        s.buf.removals.clear();
+        s.buf.wb.clear();
+        self.sync_view(&mut s.view, q);
         true
     }
 
-    /// Phase 2: make every bound value servable. A shed list gets its
+    /// Phase 2: make every bound value servable. A shed view gets its
     /// scratch order. A view due a full refresh — new or reset, the
     /// objective changed (online weight adaptation), or the last scan's
     /// cost signal — first purges stale membership (otherwise caught
     /// lazily at scan time: no point evaluating the dead) and is
     /// re-bounded; any other view only bounds its newcomers and is
     /// served under its drift pad.
-    pub(super) fn refresh(&mut self, b: &Bound<'_>, sides: &mut [Side; 2]) {
-        for s in sides {
-            if s.view.overflow {
-                self.build_scratch(b, s.li, &mut s.buf.order);
-                s.fresh = true;
-                continue;
-            }
-            s.fresh = s.view.ub_obj != Some(*b.q.objective) || s.view.refresh;
-            if s.fresh {
-                let before = s.view.entries.len();
-                s.view
-                    .entries
-                    .retain(|e| self.is_current(TaskId(e.t as usize), e.gen, s.li));
-                self.view_entries -= before - s.view.entries.len();
-            }
-            s.touched = s.view.evaluate(s.fresh, b);
-            if !s.fresh {
-                s.drift = s.view.drift(b);
-            }
+    pub(super) fn refresh(&mut self, b: &Bound<'_>, s: &mut Side) {
+        if s.view.overflow {
+            self.build_scratch(b, &mut s.buf.order);
+            s.fresh = true;
+            return;
+        }
+        s.fresh = s.view.ub_obj != Some(*b.q.objective) || s.view.refresh;
+        if s.fresh {
+            let before = s.view.entries.len();
+            s.view
+                .entries
+                .retain(|e| self.is_current(TaskId(e.t as usize), e.gen));
+            self.view_entries -= before - s.view.entries.len();
+        }
+        s.touched = s.view.evaluate(s.fresh, b);
+        if !s.fresh {
+            s.drift = s.view.drift(b);
         }
     }
 
-    /// Phase 3: walk the two bound orders merged by descending
-    /// drift-padded bound (ties toward the lower task id),
-    /// exact-evaluating and planning only the entries the incumbent
-    /// cannot already rule out. A candidate is skipped only when its
-    /// cached bound plus the drift sits strictly below the incumbent (or
-    /// ties it and loses the task-id tie-break) — and since the true ub
-    /// never exceeds that sum, the argmax is exactly the exhaustive
-    /// scan's. Per entry: membership kill → per-entry tight bound → §IV
+    /// Phase 3: walk the bound order by descending drift-padded bound
+    /// (ties toward the lower task id), exact-evaluating and planning
+    /// only the entries the incumbent cannot already rule out. A
+    /// candidate is skipped only when its cached bound plus the drift
+    /// sits strictly below the incumbent (or ties it and loses the
+    /// task-id tie-break) — and since the true ub never exceeds that
+    /// sum, the argmax is exactly the exhaustive scan's. Per entry: membership kill → per-entry tight bound → §IV
     /// gate → lazy exact eval → exact-bound skip → floor defer → costing
     /// → incumbent update. Only the winner is planned: the state cannot
     /// change during a query, so the plan built after the walk is the one
@@ -148,47 +137,31 @@ impl Frontier {
     pub(super) fn scan(
         &mut self,
         b: &Bound<'_>,
-        sides: &mut [Side; 2],
+        s: &mut Side,
         stats: &mut RunStats,
     ) -> Option<MappingPlan> {
         let q = &b.q;
-        // The walk's own state — the two orders (lent out of the sides
-        // until the walk ends), their drift pads and cursors — lives in
-        // locals: read through the `&mut` sides it is re-fetched from
-        // memory every step, ~2 % of a 65 536 × 256 run.
-        let orders = [std::mem::take(sides[0].order()), std::mem::take(sides[1].order())];
-        let drift = [sides[0].drift, sides[1].drift];
-        let mut next = [0usize; 2];
+        // The walk's own state — the order (lent out of the side until
+        // the walk ends) and its drift pad — lives in locals: read
+        // through the `&mut` side it is re-fetched from memory every
+        // step, ~2 % of a 65 536 × 256 run.
+        let order = std::mem::take(s.order());
+        let drift = s.drift;
         let mut best: Best = None;
-        loop {
-            // The next unvisited `(drift-padded bound, task)` per side.
-            let head = |k: usize| orders[k].get(next[k]).map(|e| (e.ub + drift[k], e.t));
-            let k = match (head(0), head(1)) {
-                (None, None) => break,
-                (Some(_), None) => 0,
-                (None, Some(_)) => 1,
-                (Some((bx, tx)), Some((by, ty))) => {
-                    usize::from(!(bx > by || (bx == by && tx < ty)))
-                }
-            };
-            let idx = next[k];
-            let e = orders[k][idx];
+        for (idx, &e) in order.iter().enumerate() {
             let t = TaskId(e.t as usize);
             // Sound early exit: every remaining entry's exact ub is at
             // most its drift-padded bound, so nothing left can beat (or
             // task-tie-break) the incumbent.
-            let padded = e.ub + drift[k];
+            let padded = e.ub + drift;
             if loses(&best, padded, t) {
                 break;
             }
-            next[k] += 1;
-            let s = &mut sides[k];
             if !s.fresh {
-                // Lazy membership: a committed (or re-homed) task's
-                // entry is dropped when the scan reaches it; until then
-                // its stale ub is a valid upper bound (the task can no
-                // longer win at all).
-                if !self.is_current(t, e.gen, s.li) {
+                // Lazy membership: a committed task's entry is dropped
+                // when the scan reaches it; until then its stale ub is a
+                // valid upper bound (the task can no longer win at all).
+                if !self.is_current(t, e.gen) {
                     s.remove(idx, None);
                     continue;
                 }
@@ -216,7 +189,7 @@ impl Frontier {
             debug_assert!(ub <= padded, "drift bound {padded} below exact ub {ub} for {t}");
             // Exact-bound skip: this candidate cannot win, but a later
             // lower-snapshot entry still might — keep scanning without
-            // planning it. (On a fresh side the padded bound *is* the
+            // planning it. (On a fresh order the padded bound *is* the
             // exact ub, so the early exit above already fired.)
             if loses(&best, ub, t) {
                 continue;
@@ -235,9 +208,7 @@ impl Frontier {
                 best = Some((obj, t, version));
             }
         }
-        for (s, order) in sides.iter_mut().zip(orders) {
-            *s.order() = order;
-        }
+        *s.order() = order;
         best.map(|(obj, t, version)| {
             let placement = Placement::Append { not_before: q.now };
             let plan = q.state.plan_with(t, version, q.j, placement, &mut self.scratch);
@@ -255,33 +226,28 @@ impl Frontier {
     /// reset its drift with a full refresh next query), write-backs,
     /// removals, the refolded drift basis — hand views and buffers back,
     /// and arm the idle latch after a `None`.
-    pub(super) fn settle(&mut self, b: &Bound<'_>, sides: &mut [Side; 2], idle: bool) {
-        let lists = [sides[0].li, sides[1].li];
-        let mut latch = idle.then_some(Time::MAX);
-        for (k, s) in sides.iter_mut().enumerate() {
-            let v = &mut s.view;
-            if v.overflow {
-                // A shed view proves nothing about the next query.
-                latch = None;
-            } else {
-                if !s.fresh && s.levals > 8 + v.entries.len() / 4 {
-                    v.refresh = true;
-                }
-                self.view_entries -= v.settle(&s.buf.wb, &s.buf.removals, b.basis());
-                if s.touched || !s.buf.removals.is_empty() || !s.buf.wb.is_empty() {
-                    v.refold_basis(b.basis());
-                }
-                debug_assert!(
-                    !idle || v.entries.is_empty(),
-                    "an incumbent-free scan consumes every entry"
-                );
-                latch = latch.map(|floor| floor.min(v.earliest_deferral()));
+    pub(super) fn settle(&mut self, b: &Bound<'_>, s: &mut Side, idle: bool) {
+        let v = &mut s.view;
+        // A shed view proves nothing about the next query.
+        let mut latch = None;
+        if !v.overflow {
+            if !s.fresh && s.levals > 8 + v.entries.len() / 4 {
+                v.refresh = true;
             }
-            std::mem::swap(&mut self.views[b.q.j.0 * 2 + k], &mut s.view);
-            std::mem::swap(&mut self.side_bufs[k], &mut s.buf);
+            self.view_entries -= v.settle(&s.buf.wb, &s.buf.removals, b.basis());
+            if s.touched || !s.buf.removals.is_empty() || !s.buf.wb.is_empty() {
+                v.refold_basis(b.basis());
+            }
+            debug_assert!(
+                !idle || v.entries.is_empty(),
+                "an incumbent-free scan consumes every entry"
+            );
+            latch = idle.then(|| v.earliest_deferral());
         }
+        std::mem::swap(&mut self.views[b.q.j.0], &mut s.view);
+        std::mem::swap(&mut self.side_buf, &mut s.buf);
         if let Some(floor) = latch {
-            self.arm_latch(b.q.j, lists, floor);
+            self.arm_latch(b.q.j, floor);
         }
     }
 
@@ -315,11 +281,11 @@ impl Frontier {
         (chosen.0, chosen.1, cost.start)
     }
 
-    /// SLRH-2's frozen walk order: every visible gate-passing
-    /// *startable* candidate with its chosen version and objective,
-    /// (objective desc, task asc) — what [`crate::pool::build_pool_with`]
-    /// freezes, without building the plans. Both visible lists are
-    /// filtered from scratch like the resort scan's. The lb and floor
+    /// SLRH-2's frozen walk order: every gate-passing *startable*
+    /// candidate with its chosen version and objective, (objective
+    /// desc, task asc) — what [`crate::pool::build_pool_with`] freezes,
+    /// without building the plans. The list is filtered from scratch
+    /// like the resort scan's. The lb and floor
     /// prunes narrow membership relative to the frozen pool, but only by
     /// entries whose plans start past the horizon: the walk re-plans
     /// after its own commits, those only push starts later, so it would
@@ -333,13 +299,11 @@ impl Frontier {
         out.clear();
         let bound = Bound::new(q);
         let mut cand = std::mem::take(&mut self.start_buf);
-        for li in self.visible_lists(q.j) {
-            self.collect_startable(q, li, &mut cand);
-            for &t in &cand {
-                if self.floor_past_horizon(q, t).is_none() {
-                    let (obj, version, _) = self.cost_chosen(&bound, t, stats);
-                    out.push((obj, t, version));
-                }
+        self.collect_startable(q, &mut cand);
+        for &t in &cand {
+            if self.floor_past_horizon(q, t).is_none() {
+                let (obj, version, _) = self.cost_chosen(&bound, t, stats);
+                out.push((obj, t, version));
             }
         }
         self.start_buf = cand;
@@ -356,18 +320,17 @@ mod tests {
     use super::super::tests::*;
     use crate::pool::build_pool_with;
 
-    /// The k = 1 frontier query must pick exactly the pool's
+    /// The frontier query must pick exactly the pool's
     /// `first_startable` entry, across an entire greedy drain.
     #[test]
     fn best_startable_matches_first_startable_across_a_drain() {
         let sc = scenario(32);
         let mut state = SimState::new(&sc);
-        let mut fr = Frontier::new(&state, ScaleMode::default());
+        let mut fr = Frontier::new(&state);
         let mut now = Time::ZERO;
         let mut guard = 0;
         let mut total_commits = 0u64;
         loop {
-            fr.begin_tick(&state, guard);
             let mut committed = false;
             for j in sc.grid.ids() {
                 let horizon_end = now.saturating_add(H);
@@ -397,7 +360,7 @@ mod tests {
 
     /// Regression: a child made ready by a commit *mid-tick* must be
     /// offered to the machines queried later in the same tick by the two
-    /// per-query paths that filter the lists themselves — SLRH-2's
+    /// per-query paths that filter the list themselves — SLRH-2's
     /// frozen order and the resort scan. (Both once read a per-tick
     /// startable cache that had to be patched on insert; now they walk
     /// the live list.)
@@ -407,13 +370,12 @@ mod tests {
         let wide = Time(sc.tau.0 * 4);
         for resort in [false, true] {
             let mut state = SimState::new(&sc);
-            let mut fr = Frontier::new(&state, ScaleMode::default());
+            let mut fr = Frontier::new(&state);
             if resort {
                 fr = fr.resort_only();
             }
             let mut stats = RunStats::default();
             let mut order = Vec::new();
-            fr.begin_tick(&state, 0);
             // Machine 0 is served first: whatever is cached per tick or
             // per list is built now, before the child exists.
             fr.frozen_order(&state, &objective(), MachineId(0), Time::ZERO, wide, true, &mut stats, &mut order);

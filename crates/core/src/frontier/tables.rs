@@ -68,7 +68,7 @@ impl Frontier {
         if self.floor_cache.is_empty() {
             return Time::ZERO;
         }
-        self.floor_cache[j.0 * self.list_of.len() + t.0]
+        self.floor_cache[j.0 * self.pos.len() + t.0]
     }
 
     /// Record that no `Append` plan for `(t, j)` can start before `to`.
@@ -76,7 +76,7 @@ impl Frontier {
         if self.floor_cache.is_empty() {
             return;
         }
-        let slot = &mut self.floor_cache[j.0 * self.list_of.len() + t.0];
+        let slot = &mut self.floor_cache[j.0 * self.pos.len() + t.0];
         *slot = (*slot).max(to);
     }
 
@@ -127,18 +127,15 @@ impl Frontier {
     /// afford limit and return the limit. A limit risen past the
     /// watermark (see [`Frontier::gate_limit`]) flushes the row — and,
     /// because the flush revives bit-excluded candidates, resets the
-    /// machine's two views (their alive sets must rebuild from the log;
-    /// the log itself and the list structures survive) and its idle
-    /// latch.
+    /// machine's view (its alive set must rebuild from the log; the log
+    /// itself and the list structures survive) and its idle latch.
     pub(super) fn gate_row_guard(&mut self, state: &SimState<'_>, j: MachineId) -> f64 {
         let limit = state.ledger().afford_limit(j);
         if limit > self.gate_limit[j.0] {
             let row = j.0 * self.gate_row_words;
             self.gate_dead[row..row + self.gate_row_words].fill(0);
             self.gate_limit[j.0] = f64::INFINITY;
-            for v in &mut self.views[j.0 * 2..j.0 * 2 + 2] {
-                v.retire(&mut self.view_entries, self.shed_all);
-            }
+            self.views[j.0].retire(&mut self.view_entries, self.shed_all);
             self.idle[j.0] = None;
         }
         limit
@@ -200,7 +197,7 @@ mod tests {
     fn reinserted_task_is_not_pruned_by_a_stale_floor() {
         let sc = scenario(24);
         let mut state = SimState::new(&sc);
-        let mut fr = Frontier::new(&state, ScaleMode::default());
+        let mut fr = Frontier::new(&state);
         let m0 = MachineId(0);
         let m1 = MachineId(1);
 
@@ -211,7 +208,6 @@ mod tests {
         let park = Time::from_seconds(1000);
         let mut committed: Vec<TaskId> = Vec::new();
         let mut child: Option<TaskId> = None;
-        fr.begin_tick(&state, 0);
         while child.is_none() {
             let p = *state
                 .ready_tasks()
@@ -224,7 +220,7 @@ mod tests {
         }
         let t = child.expect("loop exits with a ready child");
 
-        // A wide-horizon query plans every visible candidate — the
+        // A wide-horizon query plans every candidate — the
         // planning pass raises (t, m0)'s start floor to a start that
         // embeds machine 1's parked parent finish plus the transfer.
         let wide = Time(park.0 * 2);

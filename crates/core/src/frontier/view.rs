@@ -1,6 +1,6 @@
-//! Views: one cached bound order per (machine, visible list), the
-//! objective upper bound its entries are sorted by, and the drift bound
-//! under which stale entries are still served.
+//! Views: one cached bound order per machine, the objective upper
+//! bound its entries are sorted by, and the drift bound under which
+//! stale entries are still served.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -14,11 +14,11 @@ use lagrange::weights::{AetSign, Objective, ObjectiveInputs};
 use super::{Frontier, Query};
 
 /// Global cap on live cached-order entries (alive + floor-deferred)
-/// across every per-(machine, list) view, in entries — 64 bytes each
-/// alive (the size assertion below), so the worst case is 512 MiB. A
-/// view whose drain would push the total past the cap is *shed*: its
-/// storage is released and its list is served by the per-query resort
-/// scan until the next epoch, so worst-case memory is bounded without a
+/// across every machine's view, in entries — 64 bytes each alive (the
+/// size assertion below), so the worst case is 512 MiB. A view whose
+/// drain would push the total past the cap is *shed*: its storage is
+/// released and its machine is served by the per-query resort scan
+/// until the next epoch, so worst-case memory is bounded without a
 /// correctness cliff — the resort scan is the same bit-exact path the
 /// [`crate::reference`] `Resort` oracle forces on every view.
 const VIEW_ENTRY_CAP: usize = 1 << 23;
@@ -37,8 +37,8 @@ pub(super) struct Basis {
     t100: u32,
 }
 
-/// One alive candidate in a per-(machine, list) cached bound order:
-/// the §IV-gate-passing, floor-admissible startable task `t` with the
+/// One alive candidate in a machine's cached bound order: the
+/// §IV-gate-passing, floor-admissible startable task `t` with the
 /// objective upper bound any plan for it could reach on the view's
 /// machine. `gen` is the task's startable generation
 /// ([`Frontier::sgen`]) at entry time; a mismatch means the task left
@@ -65,11 +65,10 @@ pub(super) struct ViewEntry {
     basis: Basis,
 }
 
-/// A per-(machine, visible-list) cached bound order: the sorted alive
-/// permutation (`entries`, ordered ub desc / task asc), the candidates
+/// A machine's cached bound order: the sorted alive permutation (`entries`, ordered ub desc / task asc), the candidates
 /// excluded because their known start floor sits past the horizon
 /// (`deferred`, revived when the horizon catches up), and the cursor
-/// into the list's append-only startable log. Maintained incrementally
+/// into the append-only startable log. Maintained incrementally
 /// off [`gridsim::state::StateDelta`] inserts/removes and floor raises;
 /// invalidated wholesale by an epoch bump (rebuilds, unmap deltas) and
 /// per machine by a §IV gate-row flush.
@@ -77,7 +76,7 @@ pub(super) struct ViewEntry {
 pub(super) struct View {
     /// Matches [`Frontier::view_epoch`] when structurally valid.
     pub(super) epoch: u64,
-    /// Consumed prefix of the list's startable log.
+    /// Consumed prefix of the startable log.
     log_cursor: usize,
     /// Alive candidates, sorted (ub desc, task asc) after each sync.
     pub(super) entries: Vec<ViewEntry>,
@@ -98,15 +97,14 @@ pub(super) struct View {
     /// Set when the last scan visited enough entries that resetting
     /// the drift (a full refresh) is cheaper than lazy re-evaluation.
     pub(super) refresh: bool,
-    /// Shed by the memory cap: serve this list via the resort scan
+    /// Shed by the memory cap: serve this machine via the resort scan
     /// until the next epoch.
     pub(super) overflow: bool,
 }
 
 /// Re-establish the (ub desc, task asc) order if an update broke it —
 /// the scan's early exit depends on it, and it is a strict total order
-/// (a list holds a task once), so a two-way merge of per-list slices
-/// replays the global sort exactly. The sortedness check is the
+/// (the list holds a task once). The sortedness check is the
 /// steady-state fast path: appends usually land in bound order.
 pub(super) fn restore_sort(entries: &mut [ViewEntry]) {
     let before = |a: &ViewEntry, b: &ViewEntry| a.ub > b.ub || (a.ub == b.ub && a.t < b.t);
@@ -132,8 +130,8 @@ impl View {
     }
 
     /// [`View::clear`], handing the storage back to the frontier-wide
-    /// `live` count; a `shed` view serves its list through the resort
-    /// scan until the next epoch.
+    /// `live` count; a `shed` view serves its machine through the
+    /// resort scan until the next epoch.
     pub(super) fn retire(&mut self, live: &mut usize, shed: bool) {
         *live -= self.entries.len() + self.deferred.len();
         self.clear();
@@ -178,8 +176,8 @@ impl View {
     /// heap (floor past the horizon, probed or planned), `None` drops it
     /// outright (stale membership or gate-dead) — and restore the sort.
     /// Both record lists address the scanned layout; removal indices
-    /// arrive ascending (the scan consumes a side monotonically), so one
-    /// compaction pass preserves the order. Returns how many entries
+    /// arrive ascending (the scan consumes the order monotonically), so
+    /// one compaction pass preserves the order. Returns how many entries
     /// were dropped (the caller's storage accounting).
     pub(super) fn settle(
         &mut self,
@@ -420,7 +418,7 @@ impl Frontier {
     /// candidates, and a removed candidate's stale ub stays a valid
     /// upper bound for the early-exit logic until the scan reaches and
     /// drops it.
-    pub(super) fn sync_view(&mut self, v: &mut View, q: &Query<'_>, li: usize) {
+    pub(super) fn sync_view(&mut self, v: &mut View, q: &Query<'_>) {
         if v.epoch != self.view_epoch {
             v.retire(&mut self.view_entries, self.shed_all);
             v.epoch = self.view_epoch;
@@ -438,25 +436,25 @@ impl Frontier {
         // grows with `now`, so an early defer can only revive early and
         // recheck.
         //
-        // A re-armed view re-walks the log from the list's low-water
+        // A re-armed view re-walks the log from the low-water
         // mark — everything before it is stale for good (see
         // [`Frontier::slog_low`]) — and what is left is still mostly
         // stale, so each stale run is skipped by a call-free search:
         // with `admit` (`&mut self`) inside that loop every table pointer
         // is reloaded per record, which measured ~2 % of a 100 000 × 1000
         // run. A stale run that starts at the mark raises it.
-        let logged = self.slog[li].len();
-        let mut k = v.log_cursor.max(self.slog_low[li]);
+        let logged = self.slog.len();
+        let mut k = v.log_cursor.max(self.slog_low);
         while k < logged {
-            let run = self.slog[li][k..]
+            let run = self.slog[k..]
                 .iter()
-                .position(|&(t, g)| self.is_current(t, g, li))
+                .position(|&(t, g)| self.is_current(t, g))
                 .unwrap_or(logged - k);
-            if k == self.slog_low[li] {
-                self.slog_low[li] += run;
+            if k == self.slog_low {
+                self.slog_low += run;
             }
             k += run;
-            if let Some(&(t, g)) = self.slog[li].get(k) {
+            if let Some(&(t, g)) = self.slog.get(k) {
                 self.admit(v, q, t, g, true);
                 k += 1;
             }
@@ -473,23 +471,22 @@ impl Frontier {
             v.deferred.pop();
             self.view_entries -= 1;
             let t = TaskId(t as usize);
-            if self.is_current(t, g, li) {
+            if self.is_current(t, g) {
                 self.admit(v, q, t, g, false);
             }
         }
         // Gate the accepted newcomers at the current limit.
         v.pend.retain(|&(t, _)| self.gate_passes(q, TaskId(t as usize)));
         if self.view_entries + v.pend.len() > VIEW_ENTRY_CAP {
-            // Shed: release the storage and serve this list through the
-            // resort scan until the next epoch retries.
+            // Shed: release the storage and serve this machine through
+            // the resort scan until the next epoch retries.
             v.retire(&mut self.view_entries, true);
             return;
         }
         self.view_entries += v.pend.len();
     }
 
-    /// Admit a current `(task, generation)` record of the view's list
-    /// into `v`, unless it is gate-dead: deferred when its start floor —
+    /// Admit a current `(task, generation)` record into `v`, unless it is gate-dead: deferred when its start floor —
     /// the cached one, else (`probe`) the exact one — sits past the
     /// horizon, pended otherwise.
     fn admit(&mut self, v: &mut View, q: &Query<'_>, t: TaskId, g: u32, probe: bool) {
@@ -513,14 +510,14 @@ impl Frontier {
         }
     }
 
-    /// Build one list's sorted bound order from scratch — the resort
-    /// scan: collect → prune → gate → bound → sort, per query. Serves
-    /// lists whose view was shed by the memory cap (and every list of
-    /// the `Resort` reference oracle), bit-identical to the cached slice
-    /// it replaces.
-    pub(super) fn build_scratch(&mut self, b: &Bound<'_>, li: usize, out: &mut Vec<ViewEntry>) {
+    /// Build the sorted bound order from scratch — the resort scan:
+    /// collect → prune → gate → bound → sort, per query. Serves machines
+    /// whose view was shed by the memory cap (and every machine of the
+    /// `Resort` reference oracle), bit-identical to the cached order it
+    /// replaces.
+    pub(super) fn build_scratch(&mut self, b: &Bound<'_>, out: &mut Vec<ViewEntry>) {
         let mut cand = std::mem::take(&mut self.start_buf);
-        self.collect_startable(&b.q, li, &mut cand);
+        self.collect_startable(&b.q, &mut cand);
         out.clear();
         out.extend(cand.iter().map(|&t| ViewEntry {
             ub: b.ub(t),
@@ -544,7 +541,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// A view re-armed while the log's head is stale re-walks from the
-    /// list's low-water mark, and admits exactly what the walk from
+    /// low-water mark, and admits exactly what the walk from
     /// index 0 admits.
     #[test]
     fn a_rearmed_view_rewalks_from_the_low_water_mark() {
@@ -554,23 +551,17 @@ mod tests {
         let (m0, m1, m2) = (MachineId(0), MachineId(1), MachineId(2));
         // Machine 0's view consumes the whole log (every root), then the
         // log's first N tasks are committed elsewhere: a stale head.
-        let stale_head = |state: &mut SimState<'_>, fr: &mut Frontier| -> usize {
-            fr.begin_tick(state, 0);
+        let stale_head = |state: &mut SimState<'_>, fr: &mut Frontier| {
             assert!(ask(fr, state, m0, Time::ZERO, horizon_end).is_some());
-            let li = fr.visible_lists(m0)[0];
-            let head: Vec<TaskId> = fr.slog[li][..N].iter().map(|&(t, _)| t).collect();
+            let head: Vec<TaskId> = fr.slog[..N].iter().map(|&(t, _)| t).collect();
             for t in head {
                 commit_on(fr, state, t, Version::Secondary, m1, Time::ZERO);
             }
-            assert_eq!(fr.slog_low[li], 0, "nothing has re-walked the log yet");
-            li
+            assert_eq!(fr.slog_low, 0, "nothing has re-walked the log yet");
         };
-        // What a gate-row flush does to a machine's views.
+        // What a gate-row flush does to a machine's view.
         let rearm = |fr: &mut Frontier, j: MachineId| {
-            let Frontier { views, view_entries, .. } = fr;
-            for v in &mut views[j.0 * 2..j.0 * 2 + 2] {
-                v.retire(view_entries, false);
-            }
+            fr.views[j.0].retire(&mut fr.view_entries, false);
             fr.idle[j.0] = None;
         };
         let members = |fr: &Frontier| {
@@ -584,20 +575,20 @@ mod tests {
 
         // The reference: machine 0's re-armed view walks from index 0.
         let mut state_a = SimState::new(&sc);
-        let mut a = Frontier::new(&state_a, ScaleMode::default());
-        let li = stale_head(&mut state_a, &mut a);
+        let mut a = Frontier::new(&state_a);
+        stale_head(&mut state_a, &mut a);
         rearm(&mut a, m0);
         let from_zero = ask(&mut a, &state_a, m0, Time::ZERO, horizon_end);
-        assert_eq!(a.slog_low[li], N, "the walk itself found the stale head");
+        assert_eq!(a.slog_low, N, "the walk itself found the stale head");
 
         // Same history, but machine 2's first walk has raised the mark
         // by the time machine 0's view is re-armed.
         let mut state_b = SimState::new(&sc);
-        let mut b = Frontier::new(&state_b, ScaleMode::default());
-        assert_eq!(stale_head(&mut state_b, &mut b), li);
+        let mut b = Frontier::new(&state_b);
+        stale_head(&mut state_b, &mut b);
         let pool = pool_answer(&state_b, m2, Time::ZERO, horizon_end);
         assert_eq!(ask(&mut b, &state_b, m2, Time::ZERO, horizon_end), pool);
-        assert_eq!(b.slog_low[li], N);
+        assert_eq!(b.slog_low, N);
         rearm(&mut b, m0);
         let from_mark = ask(&mut b, &state_b, m0, Time::ZERO, horizon_end);
         assert_eq!(from_mark, from_zero);
@@ -607,9 +598,9 @@ mod tests {
 
         // An epoch bump clears the log, and the mark with it.
         b.forget_occupation();
-        b.sync_list(&state_b, li, horizon_end);
-        assert_eq!(b.slog_low[li], 0);
-        assert!(b.slog[li].iter().all(|&(t, g)| b.is_current(t, g, li)));
+        b.sync_list(&state_b, horizon_end);
+        assert_eq!(b.slog_low, 0);
+        assert!(b.slog.iter().all(|&(t, g)| b.is_current(t, g)));
     }
 
     proptest! {
@@ -633,7 +624,7 @@ mod tests {
         ) {
             let sc = Scenario::generate(&ScenarioParams::paper_scaled(32), GridCase::A, 0, dag_id);
             let mut state = SimState::new(&sc);
-            let mut fr = Frontier::new(&state, ScaleMode::default());
+            let mut fr = Frontier::new(&state);
             for step in 0..commits {
                 let Some(&t) = state.ready_tasks().first() else { break };
                 let j = MachineId(step % sc.grid.len());

@@ -34,7 +34,7 @@
 //!   maintained incrementally from the simulator's
 //!   [`gridsim::state::StateDelta`] stream, answering "best startable
 //!   candidate for machine `j` now" for every driver below, exactly as
-//!   the pool walk would at `clusters: 1`;
+//!   the pool walk would;
 //! * [`mapper`] — the Figure 1 clock loop, the three variants
 //!   SLRH-1 / SLRH-2 / SLRH-3, and the entry point;
 //! * [`dynamic`] — ad hoc machine churn *during* a run: the [`Churn`]

@@ -179,9 +179,7 @@ pub type JobHook<'a> = &'a mut dyn FnMut(&SimState<'_>, &OpenJobReport);
 /// stress harness's per-job oracle hook.
 ///
 /// # Panics
-/// Panics when [`OpenParams::check`] rejects the trace, and on a config
-/// with `clusters > 1` (the approximate clustered mode has no
-/// open-system oracle).
+/// Panics when [`OpenParams::check`] rejects the trace.
 pub fn run_open_in(
     params: &OpenParams,
     config: &SlrhConfig,
@@ -189,10 +187,6 @@ pub fn run_open_in(
     ctx: &mut RunContext,
     mut on_job: Option<JobHook<'_>>,
 ) -> OpenOutcome {
-    assert!(
-        config.scale.clusters <= 1,
-        "open-system runs do not support the clustered (clusters > 1) kernel"
-    );
     if let Err(e) = params.check() {
         panic!("{e}");
     }
@@ -227,7 +221,7 @@ pub fn run_open_in(
             }
         }
 
-        let frontier = ctx.frontier_for(&state, config.scale);
+        let frontier = ctx.frontier_for(&state);
         // First tick: the job's arrival rounded up to the ΔT lattice,
         // so every job shares the closed-system tick grid. Each job's
         // loop adapts (when configured) from the configured starting

@@ -9,13 +9,12 @@
 //! * [`Kind::Scratch`] — the paper's definition: rebuild the whole
 //!   candidate pool from the ready set on every query
 //!   ([`crate::pool::build_pool_with`]) and take its first startable
-//!   entry. Shares no code with the frontier. Exact-mode only: it is
-//!   what `clusters: 1` must replay bit for bit.
+//!   entry. Shares no code with the frontier, which must replay it
+//!   bit for bit.
 //! * [`Kind::Resort`] — the frontier with every cached bound order
-//!   shed, so each query re-gates, re-bounds and re-sorts its visible
-//!   lists from scratch. Same membership and clustering as the product
-//!   kernel (so it also checks `clusters > 1`), none of its view
-//!   caching.
+//!   shed, so each query re-gates, re-bounds and re-sorts the ready
+//!   list from scratch. Same membership as the product kernel, none of
+//!   its view caching.
 //!
 //! Nothing here is reachable from an [`SlrhConfig`] field, a config
 //! string, a wire key or a CLI flag; the callers are the stress
@@ -65,7 +64,7 @@ pub fn run<'a>(
     match kind {
         Kind::Scratch => drive_segments(state, config, losses, &mut Scratch, Time::ZERO, observer),
         Kind::Resort => {
-            let mut frontier = Frontier::new(&state, config.scale).resort_only();
+            let mut frontier = Frontier::new(&state).resort_only();
             drive_segments(state, config, losses, &mut frontier, Time::ZERO, observer)
         }
     }
@@ -91,8 +90,6 @@ impl Scratch {
 }
 
 impl Kernel for Scratch {
-    fn begin_tick(&mut self, _state: &SimState<'_>, _tick: u64) {}
-
     fn apply(&mut self, _delta: &StateDelta) {}
 
     fn best_startable(

@@ -7,7 +7,7 @@
 use adhoc_grid::units::Dur;
 use lagrange::weights::{AetSign, Weights};
 use proptest::prelude::*;
-use slrh::{MachineOrder, ScaleMode, SlrhConfig, SlrhVariant, Trigger};
+use slrh::{MachineOrder, SlrhConfig, SlrhVariant, Trigger};
 
 fn configs() -> impl Strategy<Value = SlrhConfig> {
     (
@@ -23,11 +23,9 @@ fn configs() -> impl Strategy<Value = SlrhConfig> {
             1u64..500,     // dt
             1u64..2000,    // horizon
             any::<bool>(), // secondary
-            1u32..6,       // clusters
-            0u64..20,      // spill delay
         ),
     )
-        .prop_map(|((v, a, b, aet, trig), (ord, dt, h, sec, clusters, spill_after))| {
+        .prop_map(|((v, a, b, aet, trig), (ord, dt, h, sec))| {
             let w = Weights::new(a, b.min(1.0 - a)).expect("on-simplex");
             let mut c = SlrhConfig::paper(SlrhVariant::ALL[v], w);
             c.objective.aet_sign = if aet { AetSign::Positive } else { AetSign::Negative };
@@ -40,7 +38,6 @@ fn configs() -> impl Strategy<Value = SlrhConfig> {
             c.dt = Dur(dt);
             c.horizon = Dur(h);
             c.allow_secondary = sec;
-            c.scale = ScaleMode { clusters, spill_after };
             c
         })
 }

@@ -72,24 +72,6 @@ impl EtcMatrix {
         self.secs.iter().sum::<f64>() / self.secs.len() as f64
     }
 
-    /// Per-machine column means, seconds — the ETC-similarity key the
-    /// scale kernel clusters machines by. One flat row-major pass over
-    /// the backing array (no per-element index arithmetic).
-    pub fn machine_mean_seconds(&self) -> Vec<f64> {
-        let mut acc = vec![0.0; self.machines];
-        for row in self.secs.chunks_exact(self.machines) {
-            for (a, &v) in acc.iter_mut().zip(row) {
-                *a += v;
-            }
-        }
-        if self.tasks > 0 {
-            for a in &mut acc {
-                *a /= self.tasks as f64;
-            }
-        }
-        acc
-    }
-
     /// Project the matrix onto a machine subset (models machine loss):
     /// column `keep[k]` of `self` becomes column `k` of the result.
     ///

@@ -40,22 +40,6 @@ impl MultiplierVector {
         }
     }
 
-    /// Start from explicit values *and* a completed-iteration count, so a
-    /// stateless caller can reconstruct the vector an ongoing schedule
-    /// would hold at iteration `k` and take exactly the `k+1`-th step.
-    /// The online weight controller rebuilds its multipliers from the
-    /// current weights on every tick; seeding the iteration keeps the
-    /// [`StepRule::Diminishing`] schedule advancing even though no
-    /// `MultiplierVector` survives between ticks.
-    ///
-    /// # Panics
-    /// Panics if any value is negative or non-finite.
-    pub fn from_values_at(lambda: Vec<f64>, iteration: usize) -> MultiplierVector {
-        let mut m = MultiplierVector::from_values(lambda);
-        m.iteration = iteration;
-        m
-    }
-
     /// The current values.
     pub fn values(&self) -> &[f64] {
         &self.lambda
@@ -125,21 +109,6 @@ mod tests {
         let s1 = m.ascend(&StepRule::Diminishing { a: 1.0 }, 0.0, &[1.0]);
         let s2 = m.ascend(&StepRule::Diminishing { a: 1.0 }, 0.0, &[1.0]);
         assert!(s2 < s1);
-    }
-
-    #[test]
-    fn seeded_iteration_matches_an_ongoing_schedule() {
-        // Walking one vector three steps and rebuilding a fresh vector at
-        // each iteration must take identical steps under Diminishing.
-        let rule = StepRule::Diminishing { a: 1.0 };
-        let mut ongoing = MultiplierVector::zeros(1);
-        for k in 0..3usize {
-            let mut rebuilt = MultiplierVector::from_values_at(ongoing.values().to_vec(), k);
-            let s_ongoing = ongoing.ascend(&rule, 0.0, &[1.0]);
-            let s_rebuilt = rebuilt.ascend(&rule, 0.0, &[1.0]);
-            assert_eq!(s_ongoing.to_bits(), s_rebuilt.to_bits(), "step {k}");
-            assert_eq!(rebuilt.values(), ongoing.values(), "values after step {k}");
-        }
     }
 
     #[test]

@@ -184,13 +184,12 @@ pub struct StateBuffers {
 /// orders of magnitude below it and always get the table; at the scale
 /// kernel's target sizes (100k tasks × 1000 machines) the table would be
 /// 1.6 GB and its precompute pass would dominate run setup, while the
-/// clustered frontier only ever gates a small slice of it — above the
-/// cap [`SimState::feasibility_demand`] evaluates the same expression
+/// frontier's rejection bits only ever gate a small slice of it — above
+/// the cap [`SimState::feasibility_demand`] evaluates the same expression
 /// lazily, bit-identically. The cap keeps paper-scale runs (1024 × 10,
 /// 20 480 entries) on the table while every scale-kernel size — where
 /// the precompute pass is a triple-digit-millisecond fixed cost that
-/// the clustered frontier's sparse gating never amortises — takes the
-/// lazy path.
+/// the frontier's sparse gating never amortises — takes the lazy path.
 const DEMAND_TABLE_MAX: usize = 1 << 20;
 
 /// Per-revision memo of the ledger's committed-energy sum (`TEC`).

@@ -37,12 +37,12 @@
 //! same verdict.
 //!
 //! A large-scenario mode ([`scale`], `--scale-seeds N`, capped by
-//! `--scale-max-tasks`) fuzzes the frontier/clustering scale path on
-//! grids far beyond the paper's cases — up to 100k subtasks and 1000
-//! machines — with machine losses mid-run, the invariant oracle battery
-//! on every final state, a cached-order-vs-resort differential at every
-//! clustering, and a frontier-vs-pool-walk arm on exact-mode cases small
-//! enough to afford the quadratic rebuild.
+//! `--scale-max-tasks`) fuzzes the frontier kernel on grids far beyond
+//! the paper's cases — up to 100k subtasks and 1000 machines — with
+//! machine losses mid-run, the invariant oracle battery on every final
+//! state, a cached-order-vs-resort differential, and a
+//! frontier-vs-pool-walk arm on every case small enough to afford the
+//! quadratic rebuild.
 //!
 //! A second fuzzing target ([`wire`], `--wire-seeds N`) hammers the
 //! broker's wire protocol instead of the churn machinery: generated

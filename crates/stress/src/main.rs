@@ -161,11 +161,10 @@ fn main() -> ExitCode {
         let report = stress::run_scale_seed(&case, &mut ctx);
         if report.passed() {
             println!(
-                "scale seed {seed}: ok ({} tasks, {} machines, k={}, {} losses, {} mapped, {} steps, \
+                "scale seed {seed}: ok ({} tasks, {} machines, {} losses, {} mapped, {} steps, \
                  {} elided)",
                 case.tasks,
                 case.machines,
-                case.clusters,
                 case.losses.len(),
                 report.mapped,
                 report.clock_steps,
@@ -174,11 +173,10 @@ fn main() -> ExitCode {
             continue;
         }
         println!(
-            "scale seed {seed}: FAILED ({} oracle failures) on {} tasks / {} machines / k={}",
+            "scale seed {seed}: FAILED ({} oracle failures) on {} tasks / {} machines",
             report.failures.len(),
             case.tasks,
-            case.machines,
-            case.clusters
+            case.machines
         );
         for f in &report.failures {
             println!("  {f}");

@@ -4,22 +4,21 @@
 //! tasks) where every heuristic and every differential arm is cheap. This
 //! module fuzzes the other end: thousands to 100k subtasks on grids of up
 //! to 1000 machines, built by [`adhoc_grid::scale::ScaleParams`], driven
-//! through the SLRH frontier kernel ([`slrh::SlrhConfig::with_scale`]) with
-//! machine losses mid-run. Oracles per seed:
+//! through the SLRH frontier kernel with machine losses mid-run. Oracles
+//! per seed:
 //!
 //! * **invariants** — the full [`crate::oracle::check_all`] battery on
 //!   the final state (independent validator, churn rules, battery
 //!   conservation, horizon gate, objective recomputation);
-//! * **differential, exact mode** — for cases small enough to afford the
-//!   quadratic pool walk (≤ [`DIFF_MAX_TASKS`] tasks), the
-//!   single-cluster frontier run must match the
-//!   [`Kind::Scratch`] reference byte-for-byte (schedule, metrics,
-//!   disruptions);
+//! * **differential, pool walk** — for cases small enough to afford the
+//!   quadratic pool walk (≤ [`DIFF_MAX_TASKS`] tasks), the frontier run
+//!   must match the [`Kind::Scratch`] reference byte-for-byte
+//!   (schedule, metrics, disruptions);
 //! * **differential, cached vs resort** — up to
 //!   [`ABLATION_DIFF_MAX_TASKS`] tasks, the [`Kind::Resort`] reference
 //!   (every view shed to the per-query resort scan) must replay the
-//!   main run byte-for-byte at every clustering: the cached bound
-//!   orders are a query-plan optimization with no output surface;
+//!   main run byte-for-byte: the cached bound orders are a query-plan
+//!   optimization with no output surface;
 //! * **progress** — a scale run must actually map work (a silently empty
 //!   schedule would pass every conservation oracle).
 //!
@@ -33,7 +32,7 @@ use lagrange::weights::Weights;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slrh::reference::{self, Kind};
-use slrh::{run_slrh_with, Churn, RunContext, ScaleMode, SlrhConfig, SlrhVariant};
+use slrh::{run_slrh_with, Churn, RunContext, SlrhConfig, SlrhVariant};
 
 use crate::oracle;
 use crate::runner::reference_mismatch;
@@ -65,10 +64,6 @@ pub struct ScaleCase {
     pub etc_id: usize,
     /// DAG suite id.
     pub dag_id: usize,
-    /// Frontier clustering degree (1 = exact mode).
-    pub clusters: u32,
-    /// Cross-cluster spill delay, ticks.
-    pub spill_after: u64,
     /// Objective weights.
     pub weights: Weights,
     /// Machine losses, `(machine, tick)`.
@@ -117,11 +112,6 @@ pub fn generate_scale(fuzz_seed: u64, max_tasks: usize) -> ScaleCase {
     let base = (tasks / 128).max(8);
     let machines = (base / 2 + rng.gen_range(0..=base)).clamp(8, 1000);
 
-    let clusters = *[1u32, 2, 4, 8, 16]
-        .get(rng.gen_range(0usize..5))
-        .unwrap();
-    let spill_after = *[1u64, 4, 16].get(rng.gen_range(0usize..3)).unwrap();
-
     let alpha = f64::from(rng.gen_range(8u32..=18)) * 0.05;
     let beta_max = ((1.0 - alpha) / 0.05).floor() as u32;
     let beta = f64::from(rng.gen_range(0u32..=beta_max)) * 0.05;
@@ -145,8 +135,6 @@ pub fn generate_scale(fuzz_seed: u64, max_tasks: usize) -> ScaleCase {
         machines,
         etc_id: rng.gen_range(0usize..10),
         dag_id: rng.gen_range(0usize..10),
-        clusters,
-        spill_after,
         weights,
         losses,
     }
@@ -158,10 +146,7 @@ pub fn run_scale_seed(case: &ScaleCase, ctx: &mut RunContext) -> ScaleReport {
     let churn = &Churn::from_pairs(case.losses.iter().copied(), [], case.machines)
         .expect("the generator loses each machine at most once and never all of them");
 
-    let config = SlrhConfig::paper(SlrhVariant::V1, case.weights).with_scale(ScaleMode {
-        clusters: case.clusters,
-        spill_after: case.spill_after,
-    });
+    let config = SlrhConfig::paper(SlrhVariant::V1, case.weights);
     let mut failures = Vec::new();
     let frontier = run_slrh_with(&sc, &config, churn, ctx, None);
     let metrics = frontier.state.metrics();
@@ -172,10 +157,10 @@ pub fn run_scale_seed(case: &ScaleCase, ctx: &mut RunContext) -> ScaleReport {
         failures.push(format!("scale: {f}"));
     }
 
-    // Exact-mode differential: at k = 1 the frontier is a pure
-    // optimization of the paper's pool walk and must replay it
-    // bit-for-bit. Bounded to sizes where the walk is affordable.
-    if case.tasks <= DIFF_MAX_TASKS && case.clusters == 1 {
+    // The frontier is a pure optimization of the paper's pool walk and
+    // must replay it bit-for-bit. Bounded to sizes where the walk is
+    // affordable.
+    if case.tasks <= DIFF_MAX_TASKS {
         let walk = reference::run(Kind::Scratch, &sc, &config, churn, ctx, None);
         failures.extend(reference_mismatch("scale", Kind::Scratch, &frontier, &walk));
         ctx.reclaim(walk.state);
@@ -183,7 +168,7 @@ pub fn run_scale_seed(case: &ScaleCase, ctx: &mut RunContext) -> ScaleReport {
 
     // The cached bound orders are a pure query-plan optimization, so
     // the resort reference must replay the main run's schedule, metrics
-    // and disruptions byte-for-byte at every clustering.
+    // and disruptions byte-for-byte.
     if case.tasks <= ABLATION_DIFF_MAX_TASKS {
         let resort = reference::run(Kind::Resort, &sc, &config, churn, ctx, None);
         failures.extend(reference_mismatch("scale", Kind::Resort, &frontier, &resort));

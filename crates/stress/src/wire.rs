@@ -289,12 +289,6 @@ fn gen_config(rng: &mut StdRng) -> SlrhConfig {
     cfg.horizon = adhoc_grid::units::Dur(rng.gen_range(1u64..5000));
     cfg.allow_secondary = rng.gen_range(0u32..2) == 0;
     if rng.gen_range(0u32..2) == 0 {
-        cfg.scale = slrh::ScaleMode {
-            clusters: rng.gen_range(1u32..9),
-            spill_after: rng.gen_range(0u64..32),
-        };
-    }
-    if rng.gen_range(0u32..2) == 0 {
         cfg.adaptation = Some(gen_adaptation(rng));
     }
     cfg

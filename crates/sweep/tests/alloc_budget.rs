@@ -31,7 +31,7 @@ use adhoc_grid::config::GridCase;
 use adhoc_grid::workload::{Scenario, ScenarioParams};
 use grid_sweep::Heuristic;
 use lagrange::weights::Weights;
-use slrh::{run_slrh_with, Churn, RunContext, SlrhConfig, SlrhVariant};
+use slrh::{run_slrh_with, Adaptation, Churn, RunContext, SlrhConfig, SlrhVariant};
 
 /// Counts every `alloc`/`realloc` served while delegating to [`System`].
 struct CountingAlloc;
@@ -138,30 +138,38 @@ fn reused_context_stays_within_allocation_budget() {
 /// `run_slrh_with`'s entry to its return. The loop costs some 1 850
 /// candidates, commits ~970 plans and sweeps ~6 100 ticks; on a warm
 /// context none of that allocates — plans and deltas are built on
-/// recycled storage and the machine visit order is not collected.
+/// recycled storage and the machine visit order is not collected. Nor
+/// does the same run under `--adapt-every 10` (`paper_churn`'s adaptive
+/// third): an adaptation step works on the stack.
 #[test]
 fn warm_paper_scale_map_loop_allocates_next_to_nothing() {
     let _one_at_a_time = measuring();
     let params = ScenarioParams::paper_scaled(1024).with_seed(0x1234);
     let sc = Scenario::generate(&params, GridCase::A, 3, 7);
-    let config = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.25).expect("simplex"));
+    let fixed = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.25).expect("simplex"));
+    let adaptive = fixed.with_adaptation(Adaptation { every: 10, ..Adaptation::default() });
     let frozen = Churn::default();
-    let mut ctx = RunContext::new();
-    let run = |ctx: &mut RunContext| {
-        let outcome = run_slrh_with(&sc, &config, &frozen, ctx, None);
-        let commits = outcome.stats.commits;
-        ctx.reclaim(outcome.state);
-        commits
-    };
-    let cold_commits = run(&mut ctx);
-    let mut warm_commits = 0;
-    let warm = count_allocs(|| warm_commits = run(&mut ctx));
-    assert!(cold_commits > 900 && warm_commits == cold_commits);
-    // Measured 2 (the frontier's reset ranks the machines); 18 614 when
-    // this budget was set.
-    const BUDGET: u64 = 64;
-    assert!(
-        !PINNED || warm <= BUDGET,
-        "a warm paper-scale run allocated {warm} times inside the map loop (budget {BUDGET})"
-    );
+    for config in [fixed, adaptive] {
+        let mut ctx = RunContext::new();
+        let run = |ctx: &mut RunContext| {
+            let outcome = run_slrh_with(&sc, &config, &frozen, ctx, None);
+            let stats = outcome.stats;
+            ctx.reclaim(outcome.state);
+            stats
+        };
+        let cold = run(&mut ctx);
+        let mut warm = cold;
+        let allocs = count_allocs(|| warm = run(&mut ctx));
+        assert!(cold.commits > 900 && warm == cold, "{config}");
+        assert_eq!(warm.weight_updates > 0, config.adaptation.is_some(), "{config}");
+        // Measured 0; 18 614 when this budget was first set, and 2 490
+        // more per adaptive run while every adaptation step built a
+        // multiplier vector.
+        const BUDGET: u64 = 8;
+        assert!(
+            !PINNED || allocs <= BUDGET,
+            "a warm paper-scale run allocated {allocs} times inside the map loop \
+             (budget {BUDGET}; {config})"
+        );
+    }
 }

@@ -1,19 +1,16 @@
 //! Frontier ≡ reference equivalence under churn cascades.
 //!
-//! The product kernel ([`slrh::ScaleMode`]) replaces the paper's
-//! per-query pool rebuild with worklist-driven frontier maintenance,
-//! cached start floors, the §IV gate-rejection bitset and cached
-//! bound-ordered candidate scans. At `clusters: 1` every one of those
-//! is a pure pruning of the same argmax, so a frontier run must replay
-//! the `slrh::reference` pool walk **byte-for-byte** — schedule,
-//! metrics, disruption counts, final weights, loop trajectory —
-//! including across machine-loss cascades that unmap most of the
-//! schedule and force frontier re-seeding, and under every loop knob
-//! (primary-only gate, event-driven trigger, machine visit orders). At
-//! `clusters > 1` the machine partition intentionally changes
-//! visibility, so equality with the pool walk is not required — but the
-//! cached bound orders must still replay the resort reference, and the
-//! run must be deterministic: bit-identical across repeats.
+//! The product kernel replaces the paper's per-query pool rebuild with
+//! worklist-driven frontier maintenance, cached start floors, the §IV
+//! gate-rejection bitset and cached bound-ordered candidate scans.
+//! Every one of those is a pure pruning of the same argmax, so a
+//! frontier run must replay the `slrh::reference` pool walk
+//! **byte-for-byte** — schedule, metrics, disruption counts, final
+//! weights, loop trajectory — including across machine-loss cascades
+//! that unmap most of the schedule and force frontier re-seeding, and
+//! under every loop knob (primary-only gate, event-driven trigger,
+//! machine visit orders); and the cached bound orders must replay the
+//! resort reference the same way.
 //!
 //! The product loop also *elides* sweeps the frontier has already
 //! answered (DESIGN.md §19) while both reference kernels are swept on
@@ -38,7 +35,7 @@ use proptest::prelude::*;
 use slrh::reference::{self, Kind};
 use slrh::{
     run_slrh, run_slrh_with, Adaptation, Churn, MachineArrivalEvent, MachineLossEvent,
-    MachineOrder, RunContext, ScaleMode, SlrhConfig, SlrhOutcome, SlrhVariant, TickEvent,
+    MachineOrder, RunContext, SlrhConfig, SlrhOutcome, SlrhVariant, TickEvent,
 };
 
 /// Deterministic full serialization of a churn run. `{:?}` on floats is
@@ -175,25 +172,21 @@ fn observe(
     (events, (st.clock_steps, st.queries), st.sweeps_elided)
 }
 
-fn run_case(case: &Case, scale: ScaleMode, kind: Option<Kind>) -> String {
-    let cfg = SlrhConfig::paper(SlrhVariant::V1, case.weights).with_scale(scale);
+fn run_case(case: &Case, kind: Option<Kind>) -> String {
+    let cfg = SlrhConfig::paper(SlrhVariant::V1, case.weights);
     run_with(case, &cfg, &[], kind)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Exact mode: the frontier at `clusters: 1` replays the reference
-    /// pool walk bit-for-bit through loss cascades.
+    /// The frontier replays the reference pool walk bit-for-bit through
+    /// loss cascades.
     #[test]
     fn frontier_matches_the_pool_walk_under_churn(case in case_strategy()) {
-        let exact = ScaleMode::default();
-        let walk = run_case(&case, exact, Some(Kind::Scratch));
-        let frontier = run_case(&case, exact, None);
-        prop_assert_eq!(
-            &walk, &frontier,
-            "frontier (k=1) diverged from the reference pool walk"
-        );
+        let walk = run_case(&case, Some(Kind::Scratch));
+        let frontier = run_case(&case, None);
+        prop_assert_eq!(&walk, &frontier, "frontier diverged from the reference pool walk");
     }
 
     /// The knobs only the frontier serves now: the primary-only gate,
@@ -274,33 +267,13 @@ proptest! {
         }
     }
 
-    /// Clustered mode: visibility partitioning may change the schedule,
-    /// but never determinism — repeats agree.
+    /// Serving queries from the cached per-machine bound orders is a
+    /// query-plan change only — the resort reference replays the same
+    /// run byte-for-byte through loss cascades.
     #[test]
-    fn clustered_frontier_is_deterministic(
-        case in case_strategy(),
-        clusters in 2u32..=8,
-        spill_after in prop::sample::select(&[1u64, 4, 16]),
-    ) {
-        let mode = ScaleMode { clusters, spill_after };
-        let first = run_case(&case, mode, None);
-        let again = run_case(&case, mode, None);
-        prop_assert_eq!(&first, &again, "clustered run is not reproducible");
-    }
-
-    /// Serving queries from the cached per-(machine, list) bound orders
-    /// is a query-plan change only — the resort reference replays the
-    /// same run byte-for-byte through loss cascades, at every
-    /// clustering.
-    #[test]
-    fn cached_views_match_resort_under_churn(
-        case in case_strategy(),
-        clusters in prop::sample::select(&[1u32, 2, 4, 8]),
-        spill_after in prop::sample::select(&[1u64, 4, 16]),
-    ) {
-        let mode = ScaleMode { clusters, spill_after };
-        let cached = run_case(&case, mode, None);
-        let resort = run_case(&case, mode, Some(Kind::Resort));
+    fn cached_views_match_resort_under_churn(case in case_strategy()) {
+        let cached = run_case(&case, None);
+        let resort = run_case(&case, Some(Kind::Resort));
         prop_assert_eq!(&cached, &resort, "cached-order run diverged from the resort reference");
     }
 }

@@ -20,6 +20,10 @@
 #    21): the delta field nobody read stays gone, and the machine visit
 #    order the loop asks for on every swept tick is not a collected
 #    `Vec` again;
+#  * there is one candidate kernel and it is exact: the names of the
+#    deleted clustered (approximate) frontier stay gone, and `ScaleMode`
+#    survives only as the inert shim the untouched `benchmark/` adapter
+#    still spells (DESIGN.md section 16) plus its two re-exports;
 #  * timing has one owner per number (EXPERIMENTS.md, "Who owns which
 #    performance number"): no criterion dependency, no `benches/`
 #    directory or `[[bench]]` table under `crates/`, and neither the
@@ -34,9 +38,14 @@ fail() {
     status=1
 }
 
-retired='run_slrh_in|run_slrh_observed|run_slrh_dynamic|run_slrh_churn_in|run_slrh_churn_observed|run_adaptive_slrh|AdaptiveConfig|AdaptiveOutcome|DynamicOutcome|validate_churn|SlrhConfigBuilder|touched_machines'
+retired='run_slrh_in|run_slrh_observed|run_slrh_dynamic|run_slrh_churn_in|run_slrh_churn_observed|run_adaptive_slrh|AdaptiveConfig|AdaptiveOutcome|DynamicOutcome|validate_churn|SlrhConfigBuilder|touched_machines|spill_after|promote_to_spill|visible_lists|cluster_of|home_of|machine_mean_seconds|ZeroClusters|from_values_at'
 if hits=$(grep -rnwE "$retired" crates src tests examples --include='*.rs'); then
     fail "retired names are back:"$'\n'"$hits"
+fi
+
+scale_mode=$(grep -rlw 'ScaleMode' crates/*/src src --include='*.rs' | sort | tr '\n' ' ')
+if [ "$scale_mode" != 'crates/core/src/config.rs crates/core/src/lib.rs src/lib.rs ' ]; then
+    fail "ScaleMode is named outside its shim and two re-exports: [ $scale_mode]"
 fi
 
 if [ -e crates/core/src/adaptive.rs ]; then

@@ -97,13 +97,11 @@
 //! inserts its newly-ready children), pruned by start lower bounds and
 //! cached §IV gate rejections, and served from cached per-machine bound
 //! orders so a query plans one or two candidates instead of the whole
-//! ready set. With one machine cluster (the default) each commit is
-//! exactly the paper's pool walk's pick; the from-scratch walk
+//! ready set. Each commit is exactly the paper's pool walk's pick, at
+//! every size up to 100k-subtask grids; the from-scratch walk
 //! ([`slrh::build_pool`]) survives only as the reference oracle the
 //! stress harness and the proptests compare against, and no
 //! configuration field, wire key or CLI flag can select it.
-//! [`ScaleMode`] `{ clusters > 1 }` opts into the approximate
-//! machine-clustered mode for 100k-subtask grids.
 
 pub use adhoc_grid as grid;
 pub use grid_baselines as baselines;
