@@ -30,7 +30,6 @@
 //! preconditions are checked ([`Churn::new`]), for the library, the
 //! CLI, the broker and the stress harness alike.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use adhoc_grid::config::MachineId;
@@ -340,40 +339,51 @@ pub(crate) fn drive_segments<'a, K: Kernel>(
 /// The cascade's deltas are not reported to the candidate kernel: it
 /// notices the revision gap on its next tick and rebuilds from the
 /// surviving ready set, once, however many subtasks were unmapped.
+///
+/// The working set (the closure's bitmap and worklist, the pending list,
+/// one round's snapshot, the walk stack) is allocated once per loss,
+/// sized to the task count, and every unmap's delta goes back to the
+/// state ([`SimState::recycle`]), so a loss allocates about five times
+/// however many subtasks it unmaps.
 pub fn apply_loss(state: &mut SimState<'_>, j: MachineId, at: Time) -> usize {
     state.mark_lost(j, at);
     let sc = state.scenario();
-    let invalid = invalidation_closure(state, sc, j, at);
+    let mut pending = Pending::new(invalidation_closure(state, sc, j, at));
 
     // Unmap children-first, visiting candidates in ascending task id so
     // the energy ledger sees one deterministic refund order (float sums
     // are order-sensitive). `unmap` can report parents that can no longer
     // afford their restored worst-case reservations; those cascade.
-    let mut pending: BTreeSet<TaskId> = invalid;
-    let mut total = pending.iter().filter(|&&t| state.is_mapped(t)).count();
-    while !pending.is_empty() {
+    let mut total = pending.list.iter().filter(|&&t| state.is_mapped(t)).count();
+    let mut round = Vec::with_capacity(pending.list.len());
+    let mut stack = Vec::with_capacity(sc.dag.len());
+    while !pending.list.is_empty() {
         let mut progressed = false;
-        let snapshot: Vec<TaskId> = pending.iter().copied().collect();
-        for t in snapshot {
+        // A round visits the members as of its start, ascending; the
+        // members it keeps or adds wait for the next round.
+        round.clear();
+        round.append(&mut pending.list);
+        round.sort_unstable();
+        for &t in &round {
             if !state.is_mapped(t) {
-                pending.remove(&t);
+                pending.member[t.0] = false;
                 progressed = true;
                 continue;
             }
             // Unmap only once every mapped child has been unmapped first
             // (children that are themselves pending will clear this later).
             if sc.dag.children(t).iter().all(|&c| !state.is_mapped(c)) {
-                // `starved_parents` arrives pre-sorted ascending (the
-                // documented `unmap` contract), so the ordered set absorbs
-                // it without any re-sort.
                 let delta = state.unmap(t);
-                pending.remove(&t);
-                for p in delta.starved_parents {
+                pending.member[t.0] = false;
+                for &p in &delta.starved_parents {
                     // A starved parent must re-run, so everything mapped
                     // downstream of it must re-run too.
-                    total += add_with_mapped_descendants(state, sc, &mut pending, p);
+                    total += add_with_mapped_descendants(state, sc, &mut pending, &mut stack, p);
                 }
+                state.recycle(delta);
                 progressed = true;
+            } else {
+                pending.list.push(t);
             }
         }
         assert!(progressed, "invalidation closure failed to make progress");
@@ -381,17 +391,48 @@ pub fn apply_loss(state: &mut SimState<'_>, j: MachineId, at: Time) -> usize {
     total
 }
 
+/// The loss cascade's set of subtasks still to unmap: `member[t]` is
+/// membership and `list` holds the members in no particular order (each
+/// round sorts its snapshot).
+struct Pending {
+    member: Vec<bool>,
+    list: Vec<TaskId>,
+}
+
+impl Pending {
+    /// The set whose membership bitmap is `member`. A task is a member at
+    /// most once, so the list never outgrows the task count.
+    fn new(member: Vec<bool>) -> Pending {
+        let mut list = Vec::with_capacity(member.len());
+        list.extend((0..member.len()).filter(|&i| member[i]).map(TaskId));
+        Pending { member, list }
+    }
+
+    /// Add `t`; false if it was already a member.
+    fn insert(&mut self, t: TaskId) -> bool {
+        let fresh = !self.member[t.0];
+        if fresh {
+            self.member[t.0] = true;
+            self.list.push(t);
+        }
+        fresh
+    }
+}
+
 /// Add `root` and every mapped descendant to `pending`; returns how many
 /// newly-added tasks were mapped. (A mapped task's ancestors are always
-/// mapped, so recursion can stop at the first unmapped node.)
+/// mapped, so recursion can stop at the first unmapped node.) `stack` is
+/// the walk's storage.
 fn add_with_mapped_descendants(
     state: &SimState<'_>,
     sc: &Scenario,
-    pending: &mut BTreeSet<TaskId>,
+    pending: &mut Pending,
+    stack: &mut Vec<TaskId>,
     root: TaskId,
 ) -> usize {
     let mut added = 0;
-    let mut stack = vec![root];
+    stack.clear();
+    stack.push(root);
     while let Some(t) = stack.pop() {
         if state.is_mapped(t) && pending.insert(t) {
             added += 1;
@@ -401,7 +442,8 @@ fn add_with_mapped_descendants(
     added
 }
 
-/// The fixpoint of the invalidation rules (see module docs).
+/// The fixpoint of the invalidation rules (see module docs), as a
+/// membership bitmap over the scenario's tasks.
 ///
 /// Computed as a seeded worklist walk over the DAG in O(V + E):
 /// each rule's *static* part (decidable from the frozen schedule alone)
@@ -413,12 +455,7 @@ fn add_with_mapped_descendants(
 /// whole-schedule rescan loop converged to. Edge-transfer lookups go
 /// through [`gridsim::schedule::Schedule::transfer_between`] (O(fan-in))
 /// instead of scanning the full transfer list per edge.
-fn invalidation_closure(
-    state: &SimState<'_>,
-    sc: &Scenario,
-    j: MachineId,
-    at: Time,
-) -> BTreeSet<TaskId> {
+fn invalidation_closure(state: &SimState<'_>, sc: &Scenario, j: MachineId, at: Time) -> Vec<bool> {
     let schedule = state.schedule();
     // A completed cross-machine shipment survives the loss of its sender.
     let delivered = |p: TaskId, c: TaskId| -> bool {
@@ -426,7 +463,8 @@ fn invalidation_closure(
     };
 
     let mut invalid = vec![false; schedule.tasks()];
-    let mut work: Vec<TaskId> = Vec::new();
+    // Each task enters the worklist at most once: sized to never grow.
+    let mut work: Vec<TaskId> = Vec::with_capacity(schedule.tasks());
 
     // Seeds: every mapped task condemned by a static rule.
     for a in schedule.assignments() {
@@ -490,10 +528,6 @@ fn invalidation_closure(
     }
 
     invalid
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &b)| b.then_some(TaskId(i)))
-        .collect()
 }
 
 /// Extra validation for churn runs: nothing may execute on, transmit

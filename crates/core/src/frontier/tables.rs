@@ -98,7 +98,7 @@ impl Frontier {
         if self.ptuple_stamp[t.0] != self.ptuple_gen {
             let tuples = &mut self.ptuples[t.0];
             tuples.clear();
-            for &p in sc.dag.parents(t) {
+            for (&p, e) in sc.dag.parents(t).iter().zip(sc.dag.in_edges(t)) {
                 let pa = state
                     .schedule()
                     .assignment(p)
@@ -106,7 +106,7 @@ impl Frontier {
                 tuples.push(ParentCost {
                     from: pa.machine,
                     fin: pa.finish(),
-                    size: sc.data.edge(&sc.dag, p, t).scaled(pa.version.data_factor()),
+                    size: sc.data.by_id(e).scaled(pa.version.data_factor()),
                 });
             }
             self.ptuple_stamp[t.0] = self.ptuple_gen;

@@ -5,6 +5,8 @@
 //! executing* until all its input data has been received from the machines
 //! its parents ran on (§III assumption (d)).
 
+use std::ops::Range;
+
 use crate::task::TaskId;
 
 /// An immutable DAG over `n` subtasks.
@@ -22,16 +24,29 @@ use crate::task::TaskId;
 /// adjacency lists for every readiness update, plan, reservation and loss
 /// cascade; the flat layout keeps those walks on one or two cache lines
 /// instead of chasing a `Vec<Vec<_>>` pointer per task.
+///
+/// # Edge ids
+///
+/// Every edge has one number in `0..edge_count()`: its position in the
+/// parent CSR. A task's in-edges are therefore the consecutive ids
+/// [`Dag::in_edges`], aligned with [`Dag::parents`]; its out-edge ids
+/// are stored once, aligned with [`Dag::children`] ([`Dag::out_edges`]).
+/// Per-edge quantities (data sizes, §IV worst-case durations, ledger
+/// reservations) are flat arrays indexed by this id, so walking either
+/// adjacency list reads them without any `(parent, child)` search.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Dag {
     /// Parents of `t` are `parent_edges[parent_off[t]..parent_off[t+1]]`,
-    /// ascending. `parent_off.len() == n + 1`.
+    /// ascending; the index into `parent_edges` is the edge id.
+    /// `parent_off.len() == n + 1`.
     parent_off: Vec<u32>,
     parent_edges: Vec<TaskId>,
     /// Children of `t` are `child_edges[child_off[t]..child_off[t+1]]`,
     /// ascending. `child_off.len() == n + 1`.
     child_off: Vec<u32>,
     child_edges: Vec<TaskId>,
+    /// `out_ids[k]` is the edge id of `child_edges[k]`'s edge.
+    out_ids: Vec<u32>,
 }
 
 /// Build one CSR direction from a sorted, deduplicated edge list given as
@@ -77,12 +92,24 @@ impl Dag {
         let mut rev: Vec<(TaskId, TaskId)> = fwd.iter().map(|&(u, v)| (v, u)).collect();
         rev.sort_unstable();
         let (parent_off, parent_edges) = csr_from_sorted(n, &rev);
+        // Out-edge ids: `fwd` visits each child's parents in ascending
+        // order, which is the order its in-edge ids run in.
+        let mut next_in: Vec<u32> = parent_off[..n].to_vec();
+        let out_ids = fwd
+            .iter()
+            .map(|&(_, v)| {
+                let id = next_in[v.0];
+                next_in[v.0] += 1;
+                id
+            })
+            .collect();
 
         let dag = Dag {
             parent_off,
             parent_edges,
             child_off,
             child_edges,
+            out_ids,
         };
         if dag.topological_order().is_none() {
             return Err("edge list contains a cycle".into());
@@ -97,6 +124,7 @@ impl Dag {
             parent_edges: Vec::new(),
             child_off: vec![0; n + 1],
             child_edges: Vec::new(),
+            out_ids: Vec::new(),
         }
     }
 
@@ -129,6 +157,32 @@ impl Dag {
     /// Children of `t` (its data sinks), in ascending id order.
     pub fn children(&self, t: TaskId) -> &[TaskId] {
         &self.child_edges[self.child_off[t.0] as usize..self.child_off[t.0 + 1] as usize]
+    }
+
+    /// Edge ids of `t`'s in-edges, aligned with [`Dag::parents`]: the
+    /// edge from `parents(t)[i]` is `in_edges(t).start + i`.
+    pub fn in_edges(&self, t: TaskId) -> Range<usize> {
+        self.parent_off[t.0] as usize..self.parent_off[t.0 + 1] as usize
+    }
+
+    /// Edge ids of `t`'s out-edges, aligned with [`Dag::children`].
+    pub fn out_edges(&self, t: TaskId) -> &[u32] {
+        &self.out_ids[self.child_off[t.0] as usize..self.child_off[t.0 + 1] as usize]
+    }
+
+    /// The id of the edge `parent -> child`, or `None` when it is not an
+    /// edge (or `child` is out of range). A binary search over `child`'s
+    /// parents — for lookups by endpoint pair; code walking an adjacency
+    /// list reads [`Dag::in_edges`] / [`Dag::out_edges`] instead.
+    pub fn edge_id(&self, parent: TaskId, child: TaskId) -> Option<usize> {
+        if child.0 >= self.len() {
+            return None;
+        }
+        let base = self.parent_off[child.0] as usize;
+        self.parents(child)
+            .binary_search(&parent)
+            .ok()
+            .map(|i| base + i)
     }
 
     /// All task ids.

@@ -21,9 +21,9 @@ use crate::units::Megabits;
 /// Per-edge data item sizes for one DAG.
 #[derive(Clone, PartialEq, Debug)]
 pub struct DataSizes {
-    /// `sizes[child][p]` is `g(parents(child)[p], child)` — indexed in the
-    /// same order as [`Dag::parents`].
-    sizes: Vec<Vec<Megabits>>,
+    /// `sizes[e]` is `g(i, k)` for the edge `i -> k` with id `e` (see
+    /// [`Dag`]'s "Edge ids").
+    sizes: Vec<Megabits>,
 }
 
 /// Parameters for data item generation.
@@ -55,14 +55,9 @@ impl DataSizes {
         params.validate();
         let mut rng = StdRng::seed_from_u64(seed);
         let (lo, hi) = params.size_mb;
-        let sizes = dag
-            .tasks()
-            .map(|t| {
-                dag.parents(t)
-                    .iter()
-                    .map(|_| Megabits(rng.gen_range(lo..=hi)))
-                    .collect()
-            })
+        // One draw per edge in id order — each task's parents in turn.
+        let sizes = (0..dag.edge_count())
+            .map(|_| Megabits(rng.gen_range(lo..=hi)))
             .collect();
         DataSizes { sizes }
     }
@@ -70,10 +65,7 @@ impl DataSizes {
     /// Uniform sizes (every edge carries `mb` megabits) — for tests.
     pub fn uniform(dag: &Dag, mb: f64) -> DataSizes {
         DataSizes {
-            sizes: dag
-                .tasks()
-                .map(|t| vec![Megabits(mb); dag.parents(t).len()])
-                .collect(),
+            sizes: vec![Megabits(mb); dag.edge_count()],
         }
     }
 
@@ -90,48 +82,49 @@ impl DataSizes {
                 dag.edge_count()
             ));
         }
-        let mut sizes: Vec<Vec<Option<Megabits>>> = dag
-            .tasks()
-            .map(|t| vec![None; dag.parents(t).len()])
-            .collect();
+        let mut sizes: Vec<Option<Megabits>> = vec![None; dag.edge_count()];
         for &(p, c, g) in edges {
             if g.value() <= 0.0 || !g.value().is_finite() {
                 return Err(format!("edge {p}->{c}: bad size {g}"));
             }
-            let idx = dag
-                .parents(c)
-                .iter()
-                .position(|&q| q == p)
+            let e = dag
+                .edge_id(p, c)
                 .ok_or_else(|| format!("{p}->{c} is not a DAG edge"))?;
-            if sizes[c.0][idx].replace(g).is_some() {
+            if sizes[e].replace(g).is_some() {
                 return Err(format!("duplicate size for edge {p}->{c}"));
             }
         }
         Ok(DataSizes {
             sizes: sizes
                 .into_iter()
-                .map(|row| row.into_iter().map(|g| g.expect("counted above")).collect())
+                .map(|g| g.expect("counted above"))
                 .collect(),
         })
     }
 
-    /// Size of the item sent from `parent` to `child` (primary version).
+    /// Size of the item on edge id `e` (primary version) — the read every
+    /// adjacency walk uses ([`Dag::in_edges`], [`Dag::out_edges`]).
+    pub fn by_id(&self, e: usize) -> Megabits {
+        self.sizes[e]
+    }
+
+    /// Size of the item sent from `parent` to `child` (primary version),
+    /// by endpoint pair — a search over `child`'s parents; walks over an
+    /// adjacency list use [`DataSizes::by_id`].
     ///
     /// # Panics
     /// Panics if `parent -> child` is not a DAG edge — callers must pass a
     /// real edge, looked up against the same [`Dag`] this was built from.
     pub fn edge(&self, dag: &Dag, parent: TaskId, child: TaskId) -> Megabits {
-        let idx = dag
-            .parents(child)
-            .iter()
-            .position(|&p| p == parent)
+        let e = dag
+            .edge_id(parent, child)
             .unwrap_or_else(|| panic!("{parent} is not a parent of {child}"));
-        self.sizes[child.0][idx]
+        self.sizes[e]
     }
 
     /// Total primary-version data volume over all edges.
     pub fn total(&self) -> Megabits {
-        self.sizes.iter().flatten().copied().sum()
+        self.sizes.iter().copied().sum()
     }
 }
 

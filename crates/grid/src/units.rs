@@ -73,9 +73,22 @@ impl Dur {
 
     /// Convert a real-valued duration in seconds to ticks, rounding *up* so
     /// a nonzero workload never collapses to a zero-length occupation.
+    ///
+    /// Equal to `(secs * 10.0).ceil() as u64` for every finite
+    /// non-negative `secs`, saturation at `u64::MAX` included, but the
+    /// ceiling is taken in integers: the saturating cast truncates, and a
+    /// truncation that lost a fraction adds one tick. (The baseline
+    /// x86-64 target has no rounding instruction, so `f64::ceil` is a
+    /// libm call on the planner's hot path.)
     pub fn from_seconds_ceil(secs: f64) -> Dur {
         assert!(secs >= 0.0 && secs.is_finite(), "invalid duration: {secs}");
-        Dur((secs * TICKS_PER_SECOND as f64).ceil() as u64)
+        let ticks = secs * TICKS_PER_SECOND as f64;
+        let whole = ticks as u64;
+        Dur(if (whole as f64) < ticks {
+            whole.saturating_add(1)
+        } else {
+            whole
+        })
     }
 
     /// The span expressed in (possibly fractional) seconds.
@@ -311,6 +324,83 @@ mod tests {
         assert_eq!(Dur::from_seconds_ceil(0.1).0, 1);
         assert_eq!(Dur::from_seconds_ceil(0.11).0, 2);
         assert_eq!(Dur::from_seconds_ceil(131.0).0, 1310);
+    }
+
+    /// What the integer ceiling must equal: the float expression it
+    /// replaced.
+    fn float_ceil(secs: f64) -> Dur {
+        Dur((secs * TICKS_PER_SECOND as f64).ceil() as u64)
+    }
+
+    #[test]
+    fn integer_ceil_matches_float_ceil_on_the_edges() {
+        let ulp_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let ulp_down = |x: f64| {
+            if x > 0.0 {
+                f64::from_bits(x.to_bits() - 1)
+            } else {
+                x
+            }
+        };
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MAX / 10.0,
+            f64::MAX,
+        ];
+        // k/10 s, i.e. exactly k ticks when the product rounds back, and
+        // one ulp either side of it.
+        for k in (0..2_000u64).chain([1 << 20, 1 << 40, 123_456_789]) {
+            let x = k as f64 / 10.0;
+            inputs.extend([ulp_down(x), x, ulp_up(x)]);
+        }
+        // 2^52, 2^53 ± 1, 2^63 and 2^64 ticks, with their neighbours.
+        for ticks in [
+            2f64.powi(52),
+            2f64.powi(53) - 1.0,
+            2f64.powi(53),
+            2f64.powi(53) + 2.0,
+            2f64.powi(63),
+            2f64.powi(64),
+        ] {
+            let x = ticks / 10.0;
+            inputs.extend([ulp_down(x), x, ulp_up(x)]);
+        }
+        for x in inputs {
+            assert_eq!(
+                Dur::from_seconds_ceil(x),
+                float_ceil(x),
+                "secs = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
+        assert_eq!(
+            Dur::from_seconds_ceil(f64::MAX),
+            Dur(u64::MAX),
+            "+inf product saturates"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn integer_ceil_matches_float_ceil_on_any_bits(bits in proptest::any::<u64>()) {
+            // Every finite non-negative f64: clear the sign, and map the
+            // all-ones exponent (inf / NaN) onto the finite range.
+            let mut bits = bits & !(1 << 63);
+            if bits >= f64::INFINITY.to_bits() {
+                bits -= f64::INFINITY.to_bits();
+            }
+            let x = f64::from_bits(bits);
+            proptest::prop_assert_eq!(Dur::from_seconds_ceil(x), float_ceil(x));
+            // And the same bits scaled into the tick range that matters.
+            let small = x % 1e7;
+            proptest::prop_assert_eq!(Dur::from_seconds_ceil(small), float_ceil(small));
+        }
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //!   reservation is *settled*: the actual transmission cost (zero for a
 //!   same-machine child) is committed and the remainder refunded.
 //!
+//! Reservations are keyed by the DAG's edge id (`Dag`'s "Edge ids"):
+//! one `Option<(machine, amount)>` slot per edge plus an outstanding
+//! count, so reserving, settling and cancelling are array writes — the
+//! commit path settles one reservation per parent edge and reserves one
+//! per child edge, and does so on every commit of every run.
+//!
 //! Hard invariants, enforced on every mutation:
 //!
 //! * `committed(j) + reserved(j) <= B(j)` — a battery can never be
@@ -21,10 +27,7 @@
 //!   which holds physically because every real link is at least as fast as
 //!   the slowest link in the grid.
 
-use std::collections::HashMap;
-
 use adhoc_grid::config::{GridConfig, MachineId};
-use adhoc_grid::task::TaskId;
 use adhoc_grid::units::Energy;
 
 /// Tolerance for floating-point energy comparisons.
@@ -39,30 +42,28 @@ pub struct EnergyLedger {
     battery: Vec<Energy>,
     committed: Vec<Energy>,
     reserved: Vec<Energy>,
-    /// Outstanding per-edge reservations: `(parent, child) -> (machine
-    /// holding the reservation, amount)`.
-    edges: HashMap<(TaskId, TaskId), (MachineId, Energy)>,
+    /// Outstanding reservations by edge id: `(machine holding the
+    /// reservation, amount)`.
+    edges: Vec<Option<(MachineId, Energy)>>,
+    /// Number of `Some` slots in `edges`.
+    outstanding: usize,
 }
 
 impl EnergyLedger {
-    /// A fresh ledger with every battery full.
-    pub fn new(grid: &GridConfig) -> EnergyLedger {
-        let mut ledger = EnergyLedger {
-            battery: Vec::new(),
-            committed: Vec::new(),
-            reserved: Vec::new(),
-            edges: HashMap::new(),
-        };
-        ledger.reset(grid);
+    /// A fresh ledger with every battery full, for a DAG of `edges`
+    /// edges.
+    pub fn new(grid: &GridConfig, edges: usize) -> EnergyLedger {
+        let mut ledger = EnergyLedger::default();
+        ledger.reset(grid, edges);
         ledger
     }
 
-    /// Restore the fresh-ledger state for `grid` (every battery full, no
-    /// commits, no reservations) in place, preserving heap capacity.
-    /// After a reset the ledger is indistinguishable from
-    /// [`EnergyLedger::new`]`(grid)` — the run-context reuse path depends
-    /// on that equivalence being exact.
-    pub fn reset(&mut self, grid: &GridConfig) {
+    /// Restore the fresh-ledger state for `grid` and a DAG of `edges`
+    /// edges (every battery full, no commits, no reservations) in place,
+    /// preserving heap capacity. After a reset the ledger is
+    /// indistinguishable from [`EnergyLedger::new`]`(grid, edges)` — the
+    /// run-context reuse path depends on that equivalence being exact.
+    pub fn reset(&mut self, grid: &GridConfig, edges: usize) {
         self.battery.clear();
         self.battery
             .extend(grid.machines().iter().map(|m| m.battery));
@@ -72,6 +73,8 @@ impl EnergyLedger {
         self.reserved.clear();
         self.reserved.resize(n, Energy::ZERO);
         self.edges.clear();
+        self.edges.resize(edges, None);
+        self.outstanding = 0;
     }
 
     /// Battery capacity `B(j)`.
@@ -126,42 +129,45 @@ impl EnergyLedger {
         self.committed[j.0] += amount;
     }
 
-    /// Reserve worst-case send energy on `j` for the edge `parent ->
-    /// child`.
+    /// Reserve worst-case send energy on `j` for the edge with id `edge`.
     ///
     /// # Panics
     /// Panics on overdraw or if the edge already holds a reservation.
-    pub fn reserve(&mut self, j: MachineId, parent: TaskId, child: TaskId, amount: Energy) {
+    pub fn reserve(&mut self, j: MachineId, edge: usize, amount: Energy) {
         assert!(amount.units() >= 0.0, "negative reservation {amount}");
         assert!(
             self.can_afford(j, amount),
             "battery overdraw on {j}: reserve {amount}, available {}",
             self.available(j)
         );
-        let prev = self.edges.insert((parent, child), (j, amount));
-        assert!(
-            prev.is_none(),
-            "duplicate reservation for edge {parent}->{child}"
-        );
+        let prev = self.edges[edge].replace((j, amount));
+        assert!(prev.is_none(), "duplicate reservation for edge #{edge}");
+        self.outstanding += 1;
         self.reserved[j.0] += amount;
     }
 
-    /// The outstanding reservation for `parent -> child`, if any.
-    pub fn edge_reservation(&self, parent: TaskId, child: TaskId) -> Option<(MachineId, Energy)> {
-        self.edges.get(&(parent, child)).copied()
+    /// The outstanding reservation for edge `edge`, if any.
+    pub fn edge_reservation(&self, edge: usize) -> Option<(MachineId, Energy)> {
+        self.edges[edge]
     }
 
-    /// Settle the reservation for `parent -> child`: commit the `actual`
-    /// transmission cost on the reserving machine and refund the remainder.
+    /// Remove and return edge `edge`'s reservation.
+    fn take(&mut self, edge: usize) -> (MachineId, Energy) {
+        let taken = self.edges[edge]
+            .take()
+            .unwrap_or_else(|| panic!("no reservation for edge #{edge}"));
+        self.outstanding -= 1;
+        taken
+    }
+
+    /// Settle edge `edge`'s reservation: commit the `actual` transmission
+    /// cost on the reserving machine and refund the remainder.
     ///
     /// # Panics
     /// Panics if no reservation exists or `actual` exceeds it (beyond
     /// floating-point tolerance).
-    pub fn settle(&mut self, parent: TaskId, child: TaskId, actual: Energy) {
-        let (j, reserved) = self
-            .edges
-            .remove(&(parent, child))
-            .unwrap_or_else(|| panic!("no reservation for edge {parent}->{child}"));
+    pub fn settle(&mut self, edge: usize, actual: Energy) {
+        let (j, reserved) = self.take(edge);
         assert!(
             actual.units() <= reserved.units() + ENERGY_EPS,
             "settlement {actual} exceeds reservation {reserved} on {j}"
@@ -190,16 +196,13 @@ impl EnergyLedger {
         self.committed[j.0] = self.committed[j.0].max(Energy::ZERO);
     }
 
-    /// Drop the reservation for `parent -> child` without committing
-    /// anything (dynamic remapping: the parent itself is being unmapped).
+    /// Drop edge `edge`'s reservation without committing anything
+    /// (dynamic remapping: the parent itself is being unmapped).
     ///
     /// # Panics
     /// Panics if no reservation exists for the edge.
-    pub fn cancel_reservation(&mut self, parent: TaskId, child: TaskId) -> (MachineId, Energy) {
-        let (j, reserved) = self
-            .edges
-            .remove(&(parent, child))
-            .unwrap_or_else(|| panic!("no reservation for edge {parent}->{child}"));
+    pub fn cancel_reservation(&mut self, edge: usize) -> (MachineId, Energy) {
+        let (j, reserved) = self.take(edge);
         self.reserved[j.0] -= reserved;
         self.reserved[j.0] = self.reserved[j.0].max(Energy::ZERO);
         (j, reserved)
@@ -207,7 +210,7 @@ impl EnergyLedger {
 
     /// Number of outstanding edge reservations.
     pub fn outstanding_reservations(&self) -> usize {
-        self.edges.len()
+        self.outstanding
     }
 
     /// Verify the ledger's internal invariants; returns a description of
@@ -224,9 +227,16 @@ impl EnergyLedger {
                 ));
             }
         }
+        let held = self.edges.iter().flatten().count();
+        if held != self.outstanding {
+            return Err(format!(
+                "{held} edge reservations held, {} counted",
+                self.outstanding
+            ));
+        }
         let by_machine: Vec<f64> = {
             let mut v = vec![0.0; self.battery.len()];
-            for &(j, e) in self.edges.values() {
+            for &(j, e) in self.edges.iter().flatten() {
                 v[j.0] += e.units();
             }
             v
@@ -248,14 +258,12 @@ mod tests {
     use super::*;
     use adhoc_grid::config::{GridCase, GridConfig};
 
+    /// Case A over a DAG of four edges (ids 0..4).
     fn ledger() -> EnergyLedger {
-        EnergyLedger::new(&GridConfig::case(GridCase::A))
+        EnergyLedger::new(&GridConfig::case(GridCase::A), 4)
     }
     fn m(j: usize) -> MachineId {
         MachineId(j)
-    }
-    fn t(i: usize) -> TaskId {
-        TaskId(i)
     }
 
     #[test]
@@ -278,10 +286,12 @@ mod tests {
     #[test]
     fn reserve_then_settle_with_refund() {
         let mut l = ledger();
-        l.reserve(m(0), t(1), t(2), Energy(10.0));
+        l.reserve(m(0), 2, Energy(10.0));
         assert!(l.available(m(0)).approx_eq(Energy(570.0), 1e-9));
-        assert_eq!(l.edge_reservation(t(1), t(2)), Some((m(0), Energy(10.0))));
-        l.settle(t(1), t(2), Energy(4.0));
+        assert_eq!(l.edge_reservation(2), Some((m(0), Energy(10.0))));
+        assert_eq!(l.edge_reservation(1), None);
+        assert_eq!(l.outstanding_reservations(), 1);
+        l.settle(2, Energy(4.0));
         assert!(l.committed(m(0)).approx_eq(Energy(4.0), 1e-9));
         assert!(l.reserved(m(0)).approx_eq(Energy::ZERO, 1e-9));
         assert!(l.available(m(0)).approx_eq(Energy(576.0), 1e-9));
@@ -291,8 +301,8 @@ mod tests {
     #[test]
     fn settle_zero_for_same_machine_child() {
         let mut l = ledger();
-        l.reserve(m(3), t(0), t(1), Energy(0.5));
-        l.settle(t(0), t(1), Energy::ZERO);
+        l.reserve(m(3), 0, Energy(0.5));
+        l.settle(0, Energy::ZERO);
         assert!(l.committed(m(3)).approx_eq(Energy::ZERO, 1e-9));
         assert!(l.available(m(3)).approx_eq(Energy(58.0), 1e-9));
     }
@@ -308,7 +318,7 @@ mod tests {
     #[should_panic(expected = "battery overdraw")]
     fn reserve_counts_toward_overdraw() {
         let mut l = ledger();
-        l.reserve(m(2), t(0), t(1), Energy(50.0));
+        l.reserve(m(2), 0, Energy(50.0));
         l.commit(m(2), Energy(10.0));
     }
 
@@ -316,23 +326,39 @@ mod tests {
     #[should_panic(expected = "duplicate reservation")]
     fn duplicate_edge_reservation_panics() {
         let mut l = ledger();
-        l.reserve(m(0), t(0), t(1), Energy(1.0));
-        l.reserve(m(1), t(0), t(1), Energy(1.0));
+        l.reserve(m(0), 3, Energy(1.0));
+        l.reserve(m(1), 3, Energy(1.0));
     }
 
     #[test]
     #[should_panic(expected = "exceeds reservation")]
     fn settlement_above_reservation_panics() {
         let mut l = ledger();
-        l.reserve(m(0), t(0), t(1), Energy(1.0));
-        l.settle(t(0), t(1), Energy(2.0));
+        l.reserve(m(0), 0, Energy(1.0));
+        l.settle(0, Energy(2.0));
     }
 
     #[test]
     #[should_panic(expected = "no reservation")]
     fn settling_unknown_edge_panics() {
         let mut l = ledger();
-        l.settle(t(0), t(1), Energy::ZERO);
+        l.settle(0, Energy::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "no reservation")]
+    fn settling_a_settled_edge_panics() {
+        let mut l = ledger();
+        l.reserve(m(0), 1, Energy(1.0));
+        l.settle(1, Energy(0.5));
+        l.settle(1, Energy(0.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "no reservation")]
+    fn cancelling_unknown_edge_panics() {
+        let mut l = ledger();
+        l.cancel_reservation(2);
     }
 
     #[test]
@@ -354,8 +380,8 @@ mod tests {
     #[test]
     fn cancel_reservation_restores_available() {
         let mut l = ledger();
-        l.reserve(m(1), t(0), t(1), Energy(7.0));
-        let (j, e) = l.cancel_reservation(t(0), t(1));
+        l.reserve(m(1), 0, Energy(7.0));
+        let (j, e) = l.cancel_reservation(0);
         assert_eq!(j, m(1));
         assert!(e.approx_eq(Energy(7.0), 1e-9));
         assert!(l.available(m(1)).approx_eq(Energy(580.0), 1e-9));
@@ -368,5 +394,18 @@ mod tests {
         l.commit(m(2), Energy(58.0));
         assert!(l.can_afford(m(2), Energy::ZERO));
         assert!(!l.can_afford(m(2), Energy(0.1)));
+    }
+
+    #[test]
+    fn reset_resizes_for_another_dag_and_drops_every_reservation() {
+        let mut l = ledger();
+        l.reserve(m(0), 3, Energy(2.0));
+        l.commit(m(1), Energy(5.0));
+        l.reset(&GridConfig::case(GridCase::B), 9);
+        assert_eq!(l.outstanding_reservations(), 0);
+        assert_eq!(l.edge_reservation(8), None);
+        assert_eq!(l.total_committed(), Energy::ZERO);
+        l.reserve(m(2), 8, Energy(1.0));
+        assert!(l.check_invariants().is_ok());
     }
 }

@@ -60,8 +60,9 @@ pub struct PlannedTransfer {
 /// The reservation settlement for one parent edge.
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub struct EdgeSettlement {
-    /// The parent whose outgoing reservation is settled.
-    pub parent: TaskId,
+    /// The id of the parent edge whose reservation is settled (`Dag`'s
+    /// "Edge ids").
+    pub edge: usize,
     /// Actual transmission energy (zero for a same-machine parent).
     pub actual: Energy,
 }
@@ -87,7 +88,8 @@ pub struct MappingPlan {
     /// at zero cost).
     pub settlements: Vec<EdgeSettlement>,
     /// Worst-case outgoing reservation charged to the target machine,
-    /// itemised per child edge.
+    /// itemised per child edge, in child order (so aligned with the
+    /// task's [`adhoc_grid::dag::Dag::out_edges`]).
     pub child_reservations: Vec<(TaskId, Energy)>,
     /// `T100` after committing this plan.
     pub t100_after: usize,
@@ -258,7 +260,7 @@ fn place_transfers(
     let mut arrival = not_before;
     let mut transfer_energy = Energy::ZERO;
 
-    for &p in sc.dag.parents(task) {
+    for (&p, e) in sc.dag.parents(task).iter().zip(sc.dag.in_edges(task)) {
         let pa = state
             .schedule()
             .assignment(p)
@@ -268,14 +270,14 @@ fn place_transfers(
             arrival = arrival.max(pa.finish());
             edge(
                 EdgeSettlement {
-                    parent: p,
+                    edge: e,
                     actual: Energy::ZERO,
                 },
                 None,
             );
             continue;
         }
-        let size = sc.data.edge(&sc.dag, p, task).scaled(pa.version.data_factor());
+        let size = sc.data.by_id(e).scaled(pa.version.data_factor());
         let from_spec = sc.grid.machine(pa.machine);
         let to_spec = sc.grid.machine(machine);
         let dur = from_spec.transfer_dur(to_spec, size);
@@ -302,7 +304,10 @@ fn place_transfers(
         arrival = arrival.max(start + dur);
         transfer_energy += energy;
         edge(
-            EdgeSettlement { parent: p, actual: energy },
+            EdgeSettlement {
+                edge: e,
+                actual: energy,
+            },
             Some(PlannedTransfer {
                 parent: p,
                 from: pa.machine,
@@ -413,37 +418,30 @@ pub(crate) fn worst_case_out_energy(
     version: Version,
     machine: MachineId,
 ) -> Energy {
-    let sc = state.scenario();
-    let spec = sc.grid.machine(machine);
-    let min_bw = sc.grid.min_bandwidth_mbps();
-    sc.dag
-        .children(task)
-        .iter()
-        .map(|&c| {
-            let size = sc.data.edge(&sc.dag, task, c).scaled(version.data_factor());
-            let worst_dur = Dur::from_seconds_ceil(size.transfer_seconds(min_bw));
-            spec.transmit_energy(worst_dur)
-        })
+    worst_case_child_reservations(state, task, version, machine)
+        .map(|(_, e)| e)
         .sum()
 }
 
 /// Worst-case per-child outgoing reservations for `(task, version)` on
 /// `machine`, in child order — the §IV conservative bound used both for
-/// planning and for pool feasibility.
-fn worst_case_child_reservations<'s>(
-    state: &SimState<'s>,
+/// planning and for pool feasibility: `machine`'s transmit energy over
+/// each out-edge's worst-case duration (the state's per-edge table).
+fn worst_case_child_reservations<'b>(
+    state: &'b SimState<'_>,
     task: TaskId,
     version: Version,
     machine: MachineId,
-) -> impl Iterator<Item = (TaskId, Energy)> + 's {
-    let sc = state.scenario();
-    let spec = sc.grid.machine(machine);
-    let min_bw = sc.grid.min_bandwidth_mbps();
-    sc.dag.children(task).iter().map(move |&c| {
-        let size = sc.data.edge(&sc.dag, task, c).scaled(version.data_factor());
-        let worst_dur = Dur::from_seconds_ceil(size.transfer_seconds(min_bw));
-        (c, spec.transmit_energy(worst_dur))
-    })
+) -> impl Iterator<Item = (TaskId, Energy)> + 'b {
+    let dag = &state.scenario().dag;
+    let spec = state.scenario().grid.machine(machine);
+    dag.children(task)
+        .iter()
+        .zip(dag.out_edges(task))
+        .map(move |(&c, &e)| {
+            let worst = state.worst_dur(e as usize, version);
+            (c, spec.transmit_energy(worst))
+        })
 }
 
 /// Earliest instant `>= not_before` at which a span of `dur` is free on

@@ -66,9 +66,9 @@ pub enum DeltaKind {
 /// sequence `1, 2, 3, …` and a consumer that tracks the last revision it
 /// applied can detect a missed mutation.
 ///
-/// A commit's delta is built on storage the state keeps for it; hand it
-/// back with [`SimState::recycle`] once consumed and a run's commits
-/// allocate nothing.
+/// A commit's or unmap's delta is built on storage the state keeps for
+/// it; hand it back with [`SimState::recycle`] once consumed and a run's
+/// commits and loss cascades allocate nothing per delta.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StateDelta {
     /// Which mutation this is.
@@ -147,8 +147,10 @@ impl ReadySet {
 /// scenario.
 ///
 /// A single run allocates a dozen-odd vectors (three timeline sets,
-/// ledger accounts, the schedule and its per-child transfer index,
-/// readiness bookkeeping, the feasibility-demand table). Campaign-style
+/// ledger accounts and per-edge reservations, the schedule and its
+/// per-child transfer index, readiness bookkeeping, the per-edge §IV
+/// duration table and the feasibility-demand table, the storage deltas
+/// are built on). Campaign-style
 /// drivers that execute thousands of runs back to back can instead keep
 /// one `StateBuffers`, build each run's state with [`SimState::new_in`],
 /// and reclaim the storage afterwards with [`SimState::into_buffers`] —
@@ -173,10 +175,11 @@ pub struct StateBuffers {
     lost: Vec<Option<Time>>,
     demand: Vec<Energy>,
     out_durs: Vec<Dur>,
-    out_offsets: Vec<u32>,
     demand_ub: Vec<Energy>,
     delta_ready: Vec<TaskId>,
     delta_invalidated: Vec<TaskId>,
+    delta_starved: Vec<TaskId>,
+    unmap_incoming: Vec<Transfer>,
 }
 
 /// Cap on the precomputed feasibility-demand table, in entries
@@ -190,6 +193,9 @@ pub struct StateBuffers {
 /// 20 480 entries) on the table while every scale-kernel size — where
 /// the precompute pass is a triple-digit-millisecond fixed cost that
 /// the frontier's sparse gating never amortises — takes the lazy path.
+/// Both paths read the per-edge duration table
+/// ([`SimState::out_durs`]), which every scenario gets: it is
+/// `2 × edges` entries whatever the grid size.
 const DEMAND_TABLE_MAX: usize = 1 << 20;
 
 /// Per-revision memo of the ledger's committed-energy sum (`TEC`).
@@ -266,27 +272,23 @@ pub struct SimState<'a> {
     /// [`DEMAND_TABLE_MAX`] entries; queries then evaluate the same
     /// expression lazily via [`SimState::demand_of`].
     demand: Vec<Energy>,
-    /// Precomputed §IV worst-case transfer durations for the lazy demand
-    /// path: for child `i` of task `t`, versions alternating fastest,
-    /// `out_durs[(out_offsets[t] + i) * 2 + version]` is
-    /// `Dur::from_seconds_ceil(size.scaled(v).transfer_seconds(min_bw))`
-    /// — the duration [`crate::plan::worst_case_out_energy`] derives per
-    /// child. The duration is machine-independent (`min_bw` is the
-    /// grid-wide minimum), so it is cached per `(task, child, version)`
-    /// and only the per-machine `transmit_energy` is applied per query,
-    /// in the same child order and fold — bit-identical to the uncached
-    /// expression without its O(fan-in) edge-size lookups. Built **only**
-    /// above [`DEMAND_TABLE_MAX`] (below it the demand table already
-    /// amortises the lookups); empty otherwise.
+    /// The §IV worst-case transfer duration of every DAG edge, indexed
+    /// `edge_id * 2 + version` (versions alternating fastest):
+    /// `Dur::from_seconds_ceil(size.scaled(v).transfer_seconds(min_bw))`,
+    /// the item shipped across the grid's slowest link. It is
+    /// machine-independent (`min_bw` is the grid-wide minimum) and static
+    /// per scenario, so it is built for **every** scenario at
+    /// construction, and this build is the one place `min_bandwidth_mbps`
+    /// and the §IV ceil are evaluated: the demand table (or the lazy
+    /// demand above the cap), the plan's per-child reservations and
+    /// `unmap`'s re-reservations all apply the per-machine
+    /// `transmit_energy` to these durations in child order.
     out_durs: Vec<Dur>,
-    /// Child-slice offsets into [`SimState::out_durs`], length
-    /// `tasks + 1` when built.
-    out_offsets: Vec<u32>,
     /// Per-`(task, version)` upper bound on the §IV demand across every
     /// machine (`demand_ub[t * 2 + version] ≥ demand_of(t, v, j)` for
-    /// all `j`), built alongside [`SimState::out_durs`] for above-cap
-    /// scenarios. The §IV gate compares it against the afford limit
-    /// first: a bound under the limit proves feasibility without
+    /// all `j`), built for above-cap scenarios only. The §IV gate
+    /// compares it against the afford limit first: a bound under the
+    /// limit proves feasibility without
     /// evaluating the per-machine demand — the common case on grids
     /// whose batteries are far from exhaustion, which is exactly where
     /// the lazy demand path would otherwise be the hottest loop. The
@@ -295,10 +297,15 @@ pub struct SimState<'a> {
     /// `bound ≤ limit` implies `demand ≤ limit` exactly and the gate's
     /// accept/reject set is unchanged bit for bit.
     demand_ub: Vec<Energy>,
-    /// Storage for the next commit's [`StateDelta::newly_ready`] and
-    /// [`StateDelta::invalidated`] (see [`SimState::recycle`]).
+    /// Storage for the next delta's [`StateDelta::newly_ready`],
+    /// [`StateDelta::invalidated`] and [`StateDelta::starved_parents`]
+    /// (see [`SimState::recycle`]).
     delta_ready: Vec<TaskId>,
     delta_invalidated: Vec<TaskId>,
+    delta_starved: Vec<TaskId>,
+    /// `unmap`'s copy of the unmapped task's incoming transfers
+    /// (capacity only, between calls).
+    unmap_incoming: Vec<Transfer>,
     t100: usize,
     aet: Time,
     /// The grid's total system energy (`TSE`), static per scenario but
@@ -323,8 +330,9 @@ impl<'a> SimState<'a> {
     /// capacity. Reclaim the storage after the run with
     /// [`SimState::into_buffers`].
     ///
-    /// The demand table is *recomputed* on every reset even though it is
-    /// static per scenario: buffers migrate between scenarios, and a
+    /// The per-edge duration table and the demand table are *recomputed*
+    /// on every reset even though they are static per scenario: buffers
+    /// migrate between scenarios, and a
     /// scenario's address is no stable identity (a dropped scenario's
     /// allocation can be reused), so caching keyed on provenance would be
     /// unsound. Recomputation uses the exact expression `new` uses, so
@@ -343,10 +351,11 @@ impl<'a> SimState<'a> {
             mut lost,
             mut demand,
             mut out_durs,
-            mut out_offsets,
             mut demand_ub,
             delta_ready,
             delta_invalidated,
+            delta_starved,
+            unmap_incoming,
         } = buffers;
         for timelines in [&mut compute, &mut tx, &mut rx] {
             for tl in timelines.iter_mut() {
@@ -354,7 +363,7 @@ impl<'a> SimState<'a> {
             }
             timelines.resize_with(m, Timeline::new);
         }
-        ledger.reset(&sc.grid);
+        ledger.reset(&sc.grid, sc.dag.edge_count());
         schedule.reset(n);
         unmapped_parents.clear();
         unmapped_parents.extend(sc.dag.tasks().map(|t| sc.dag.parents(t).len()));
@@ -362,9 +371,17 @@ impl<'a> SimState<'a> {
         lost.clear();
         lost.resize(m, None);
         demand.clear();
-        out_durs.clear();
-        out_offsets.clear();
         demand_ub.clear();
+        // The per-edge §IV durations (see the field docs), in edge-id
+        // order; everything below reads them.
+        let min_bw = sc.grid.min_bandwidth_mbps();
+        out_durs.clear();
+        out_durs.extend((0..sc.dag.edge_count()).flat_map(|e| {
+            let size = sc.data.by_id(e);
+            Version::BOTH.map(|v| {
+                Dur::from_seconds_ceil(size.scaled(v.data_factor()).transfer_seconds(min_bw))
+            })
+        }));
         let mut state = SimState {
             sc,
             compute,
@@ -376,11 +393,12 @@ impl<'a> SimState<'a> {
             ready,
             lost,
             demand: Vec::new(),
-            out_durs: Vec::new(),
-            out_offsets: Vec::new(),
+            out_durs,
             demand_ub: Vec::new(),
             delta_ready,
             delta_invalidated,
+            delta_starved,
+            unmap_incoming,
             t100: 0,
             aet: Time::ZERO,
             tse: sc.grid.total_system_energy(),
@@ -404,27 +422,6 @@ impl<'a> SimState<'a> {
                 }
             }
         } else {
-            // Above the cap every gate query evaluates the demand lazily;
-            // precompute the machine-independent per-(child, version)
-            // worst-case transfer durations (see the field docs) so the
-            // lazy path pays one `transmit_energy` per child instead of
-            // an edge-size lookup plus the ceil division.
-            let min_bw = sc.grid.min_bandwidth_mbps();
-            out_durs.reserve(sc.dag.edge_count() * 2);
-            out_offsets.reserve(n + 1);
-            out_offsets.push(0);
-            for t in sc.dag.tasks() {
-                for &c in sc.dag.children(t) {
-                    let size = sc.data.edge(&sc.dag, t, c);
-                    for v in Version::BOTH {
-                        let scaled = size.scaled(v.data_factor());
-                        out_durs.push(Dur::from_seconds_ceil(scaled.transfer_seconds(min_bw)));
-                    }
-                }
-                out_offsets.push(out_durs.len() as u32 / 2);
-            }
-            state.out_durs = out_durs;
-            state.out_offsets = out_offsets;
             // Grid-wide demand upper bound per (task, version) — see the
             // field docs. `transmit_energy` is linear in the machine's
             // communication power, so the shipment summand is maximised
@@ -449,11 +446,11 @@ impl<'a> SimState<'a> {
                         .ids()
                         .map(|j| state.exec_energy(t, v, j).units())
                         .fold(0.0f64, f64::max);
-                    let lo = state.out_offsets[t.0] as usize;
-                    let hi = state.out_offsets[t.0 + 1] as usize;
-                    let vbit = usize::from(!v.is_primary());
-                    let ship_max: Energy = (lo..hi)
-                        .map(|i| worst_spec.transmit_energy(state.out_durs[i * 2 + vbit]))
+                    let ship_max: Energy = sc
+                        .dag
+                        .out_edges(t)
+                        .iter()
+                        .map(|&e| worst_spec.transmit_energy(state.worst_dur(e as usize, v)))
                         .sum();
                     demand_ub.push(Energy(exec_max) + ship_max);
                 }
@@ -479,10 +476,11 @@ impl<'a> SimState<'a> {
             lost,
             demand,
             out_durs,
-            out_offsets,
             demand_ub,
             delta_ready,
             delta_invalidated,
+            delta_starved,
+            unmap_incoming,
             ..
         } = self;
         StateBuffers {
@@ -496,10 +494,11 @@ impl<'a> SimState<'a> {
             lost,
             demand,
             out_durs,
-            out_offsets,
             demand_ub,
             delta_ready,
             delta_invalidated,
+            delta_starved,
+            unmap_incoming,
         }
     }
 
@@ -511,24 +510,16 @@ impl<'a> SimState<'a> {
     /// The §IV demand expression: execution plus worst-case shipment of
     /// every output item. This is the **single definition** both the
     /// precomputed table and the above-cap lazy path evaluate, which is
-    /// what makes the two serving modes bit-identical. When the
-    /// per-(child, version) worst-duration cache is built (above-cap
-    /// scenarios only), the shipment sum applies `transmit_energy` to
-    /// the cached durations in the same child order and fold as
-    /// [`crate::plan::worst_case_out_energy`] — identical values, no
-    /// edge-size lookups.
+    /// what makes the two serving modes bit-identical.
     fn demand_of(&self, t: TaskId, v: Version, j: MachineId) -> Energy {
-        if self.out_durs.is_empty() {
-            return self.exec_energy(t, v, j) + self.worst_case_out_energy(t, v, j);
-        }
-        let spec = self.sc.grid.machine(j);
-        let lo = self.out_offsets[t.0] as usize;
-        let hi = self.out_offsets[t.0 + 1] as usize;
-        let vbit = usize::from(!v.is_primary());
-        let shipped: Energy = (lo..hi)
-            .map(|i| spec.transmit_energy(self.out_durs[i * 2 + vbit]))
-            .sum();
-        self.exec_energy(t, v, j) + shipped
+        self.exec_energy(t, v, j) + self.worst_case_out_energy(t, v, j)
+    }
+
+    /// The §IV worst-case duration of shipping edge `e`'s item, produced
+    /// at version `v`, across the grid's slowest link (see
+    /// [`SimState::out_durs`]).
+    pub(crate) fn worst_dur(&self, e: usize, v: Version) -> Dur {
+        self.out_durs[e * 2 + usize::from(!v.is_primary())]
     }
 
     /// The monotonic mutation counter: 0 for a fresh state, incremented
@@ -803,7 +794,7 @@ impl<'a> SimState<'a> {
             });
         }
         for s in &plan.settlements {
-            self.ledger.settle(s.parent, plan.task, s.actual);
+            self.ledger.settle(s.edge, s.actual);
         }
 
         // 2. The execution itself.
@@ -818,9 +809,11 @@ impl<'a> SimState<'a> {
             energy: plan.exec_energy,
         });
 
-        // 3. Worst-case reservations for the task's own outputs.
-        for &(child, e) in &plan.child_reservations {
-            self.ledger.reserve(j, plan.task, child, e);
+        // 3. Worst-case reservations for the task's own outputs, one per
+        //    out-edge (the plan lists them in child order).
+        let out_edges = self.sc.dag.out_edges(plan.task);
+        for (&(_, amount), &e) in plan.child_reservations.iter().zip(out_edges) {
+            self.ledger.reserve(j, e as usize, amount);
         }
 
         // 4. Readiness and global quantities.
@@ -845,15 +838,19 @@ impl<'a> SimState<'a> {
             revision: self.revision,
             newly_ready,
             invalidated,
-            starved_parents: Vec::new(),
+            // Empty, but on the recycled storage, so its capacity survives
+            // the commits between two unmaps.
+            starved_parents: plan::emptied(&mut self.delta_starved),
         }
     }
 
     /// Take a consumed delta's vectors back as storage for the next
-    /// commit's delta. Capacity only: the next commit clears them.
+    /// commit's or unmap's delta. Capacity only: the next one clears
+    /// them.
     pub fn recycle(&mut self, delta: StateDelta) {
         self.delta_ready = delta.newly_ready;
         self.delta_invalidated = delta.invalidated;
+        self.delta_starved = delta.starved_parents;
     }
 
     /// Fully reverse the mapping of `t` (dynamic extension).
@@ -895,9 +892,9 @@ impl<'a> SimState<'a> {
         // child-unmap could not afford the worst-case re-reservation and
         // reported this task as starved — it is being unmapped for exactly
         // that reason now.
-        for &c in self.sc.dag.children(t) {
-            if self.ledger.edge_reservation(t, c).is_some() {
-                self.ledger.cancel_reservation(t, c);
+        for &e in self.sc.dag.out_edges(t) {
+            if self.ledger.edge_reservation(e as usize).is_some() {
+                self.ledger.cancel_reservation(e as usize);
             }
         }
 
@@ -906,30 +903,31 @@ impl<'a> SimState<'a> {
         // parent id), exactly the order the old full-scan collect saw, so
         // the ledger refund order — and with it every downstream float —
         // is unchanged.
-        let incoming: Vec<Transfer> = self.schedule.incoming_transfers(t).copied().collect();
+        let mut incoming = plan::emptied(&mut self.unmap_incoming);
+        incoming.extend(self.schedule.incoming_transfers(t).copied());
         self.schedule.retain_transfers(|tr| tr.child != t);
         for tr in &incoming {
             self.tx[tr.from.0].remove(tr.start, tr.dur);
             self.rx[tr.to.0].remove(tr.start, tr.dur);
             self.ledger.uncommit(tr.from, tr.energy);
         }
+        self.unmap_incoming = incoming;
 
         // `sc.dag.parents(t)` is ascending, so `starved_parents` is too —
         // this is the documented order contract.
-        let mut starved_parents = Vec::new();
-        for &p in self.sc.dag.parents(t) {
+        let mut starved_parents = plan::emptied(&mut self.delta_starved);
+        for (&p, e) in self.sc.dag.parents(t).iter().zip(self.sc.dag.in_edges(t)) {
             let Some(pa) = self.schedule.assignment(p) else {
                 continue; // parent itself already unmapped by the cascade
             };
             let pj = pa.machine;
-            let pv = pa.version;
-            let size = self.sc.data.edge(&self.sc.dag, p, t).scaled(pv.data_factor());
-            let min_bw = self.sc.grid.min_bandwidth_mbps();
-            let worst_dur =
-                adhoc_grid::units::Dur::from_seconds_ceil(size.transfer_seconds(min_bw));
-            let worst = self.sc.grid.machine(pj).transmit_energy(worst_dur);
+            let worst = self
+                .sc
+                .grid
+                .machine(pj)
+                .transmit_energy(self.worst_dur(e, pa.version));
             if self.is_alive(pj) && self.ledger.can_afford(pj, worst) {
-                self.ledger.reserve(pj, p, t, worst);
+                self.ledger.reserve(pj, e, worst);
             } else {
                 starved_parents.push(p);
             }
@@ -937,14 +935,14 @@ impl<'a> SimState<'a> {
 
         // Readiness: t becomes unmapped; its children gain an unmapped
         // parent (and leave the ready set if they were in it).
-        let mut invalidated = Vec::new();
+        let mut invalidated = plan::emptied(&mut self.delta_invalidated);
         for &c in self.sc.dag.children(t) {
             if self.unmapped_parents[c.0] == 0 && self.ready.remove(c) {
                 invalidated.push(c);
             }
             self.unmapped_parents[c.0] += 1;
         }
-        let mut newly_ready = Vec::new();
+        let mut newly_ready = plan::emptied(&mut self.delta_ready);
         if self.parents_mapped(t) {
             self.ready.push(t);
             newly_ready.push(t);
@@ -1305,9 +1303,21 @@ mod tests {
         assert_eq!(st.tx_timeline(m(0)).ready_time(), sender_link.max(last_slot));
         assert_eq!(st.rx_timeline(m(1)).ready_time(), last_slot);
 
+        // An unmap's delta built on recycled, dirty storage carries none
+        // of it.
+        let on_fresh = st.clone().unmap(child);
+        st.recycle(StateDelta {
+            kind: DeltaKind::Commit,
+            revision: 0,
+            newly_ready: vec![TaskId(7); 3],
+            invalidated: vec![TaskId(8); 5],
+            starved_parents: vec![TaskId(9); 2],
+        });
+
         // Unmapping it gives both back and returns the child to the
         // ready set via `newly_ready`.
         let du = st.unmap(child);
+        assert_eq!(du, on_fresh);
         assert_eq!(du.kind, DeltaKind::Unmap);
         assert_eq!(du.newly_ready, vec![child]);
         assert!(st.ledger().committed(m(0)).approx_eq(sender_spent, 1e-9));

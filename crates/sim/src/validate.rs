@@ -23,7 +23,7 @@
 //! failures without parsing message text. Errors are emitted in a
 //! deterministic order for a given schedule.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::TaskId;
@@ -123,10 +123,18 @@ macro_rules! fail {
 pub fn validate_schedule(sc: &Scenario, schedule: &Schedule) -> Vec<ValidationError> {
     let mut errs = Vec::new();
 
-    // Index transfers by (parent, child).
-    let mut by_edge: HashMap<(TaskId, TaskId), usize> = HashMap::new();
+    // Index transfers by edge id: `by_edge[e]` is the position of the
+    // last transfer listed for edge `e`. Pairs that are not DAG edges
+    // are only remembered to report their duplicates; the off-DAG check
+    // below reports each such transfer.
+    let mut by_edge: Vec<Option<usize>> = vec![None; sc.dag.edge_count()];
+    let mut off_dag: BTreeSet<(TaskId, TaskId)> = BTreeSet::new();
     for (i, tr) in schedule.transfers().iter().enumerate() {
-        if by_edge.insert((tr.parent, tr.child), i).is_some() {
+        let duplicate = match sc.dag.edge_id(tr.parent, tr.child) {
+            Some(e) => by_edge[e].replace(i).is_some(),
+            None => !off_dag.insert((tr.parent, tr.child)),
+        };
+        if duplicate {
             fail!(
                 errs,
                 Invariant::TransferTopology,
@@ -165,7 +173,7 @@ pub fn validate_schedule(sc: &Scenario, schedule: &Schedule) -> Vec<ValidationEr
                 a.energy
             );
         }
-        for &p in sc.dag.parents(t) {
+        for (&p, e) in sc.dag.parents(t).iter().zip(sc.dag.in_edges(t)) {
             let Some(pa) = schedule.assignment(p) else {
                 fail!(
                     errs,
@@ -188,7 +196,7 @@ pub fn validate_schedule(sc: &Scenario, schedule: &Schedule) -> Vec<ValidationEr
                         pa.finish()
                     );
                 }
-                if by_edge.contains_key(&(p, t)) {
+                if by_edge[e].is_some() {
                     fail!(
                         errs,
                         Invariant::TransferTopology,
@@ -199,7 +207,7 @@ pub fn validate_schedule(sc: &Scenario, schedule: &Schedule) -> Vec<ValidationEr
                 }
                 continue;
             }
-            let Some(&idx) = by_edge.get(&(p, t)) else {
+            let Some(idx) = by_edge[e] else {
                 fail!(
                     errs,
                     Invariant::TransferTopology,
@@ -223,7 +231,7 @@ pub fn validate_schedule(sc: &Scenario, schedule: &Schedule) -> Vec<ValidationEr
                     a.machine
                 );
             }
-            let expect_size = sc.data.edge(&sc.dag, p, t).scaled(pa.version.data_factor());
+            let expect_size = sc.data.by_id(e).scaled(pa.version.data_factor());
             if (tr.size.value() - expect_size.value()).abs() > 1e-9 {
                 fail!(
                     errs,
@@ -549,5 +557,74 @@ mod tests {
             .find(|e| e.invariant == Invariant::Precedence)
             .expect("missing parent not caught");
         assert_eq!(hit.task, Some(child), "{errs:?}");
+    }
+
+    /// The transfer index keeps the error list exactly: a duplicated
+    /// edge transfer is reported once and checked by its last copy (the
+    /// first, sent before its parent finished, goes unchecked), and
+    /// transfers off the DAG are reported as duplicates and as non-edges
+    /// in list order. (The expected list was recorded on the hash-map
+    /// index this replaced.)
+    #[test]
+    fn duplicate_and_off_dag_transfers_keep_their_error_list() {
+        use crate::schedule::{Assignment, Schedule, Transfer};
+        use adhoc_grid::config::GridConfig;
+        use adhoc_grid::dag::Dag;
+        use adhoc_grid::data::DataSizes;
+        use adhoc_grid::etc::EtcMatrix;
+        use adhoc_grid::units::{Dur, Megabits};
+
+        let dag = Dag::from_edges(3, &[(TaskId(0), TaskId(1)), (TaskId(1), TaskId(2))]).unwrap();
+        let sc = Scenario {
+            case: GridCase::A,
+            grid: GridConfig::with_counts(2, 0),
+            etc: EtcMatrix::uniform(3, 2, 10.0),
+            data: DataSizes::uniform(&dag, 8.0),
+            dag,
+            tau: Time::from_seconds(100_000),
+            etc_id: 0,
+            dag_id: 0,
+        };
+        let mut s = Schedule::new(3);
+        for (task, machine, start) in [(0, 0, 0), (1, 1, 14), (2, 1, 30)] {
+            s.assign(Assignment {
+                task: TaskId(task),
+                version: Version::Primary,
+                machine: MachineId(machine),
+                start: Time::from_seconds(start),
+                dur: Dur::from_seconds(10),
+                energy: Energy(1.0),
+            });
+        }
+        for (parent, child, from, to, start) in [
+            (0, 1, 0, 1, 5),
+            (0, 2, 0, 1, 20),
+            (0, 1, 0, 1, 12),
+            (0, 2, 0, 1, 22),
+            (2, 0, 1, 0, 40),
+        ] {
+            s.add_transfer(Transfer {
+                parent: TaskId(parent),
+                child: TaskId(child),
+                from: MachineId(from),
+                to: MachineId(to),
+                size: Megabits(8.0),
+                start: Time::from_seconds(start),
+                dur: Dur::from_seconds(1),
+                energy: Energy(0.2),
+            });
+        }
+        let got: Vec<String> = validate_schedule(&sc, &s)
+            .iter()
+            .map(|e| format!("{:?} {:?} {e}", e.task, e.machine))
+            .collect();
+        let expected = [
+            "Some(TaskId(1)) Some(MachineId(1)) [transfer-topology] duplicate transfer for edge t0->t1",
+            "Some(TaskId(2)) Some(MachineId(1)) [transfer-topology] duplicate transfer for edge t0->t2",
+            "Some(TaskId(2)) Some(MachineId(1)) [transfer-topology] transfer t0->t2 is not a DAG edge",
+            "Some(TaskId(2)) Some(MachineId(1)) [transfer-topology] transfer t0->t2 is not a DAG edge",
+            "Some(TaskId(0)) Some(MachineId(0)) [transfer-topology] transfer t2->t0 is not a DAG edge",
+        ];
+        assert_eq!(got, expected);
     }
 }

@@ -27,7 +27,12 @@
 #  * timing has one owner per number (EXPERIMENTS.md, "Who owns which
 #    performance number"): no criterion dependency, no `benches/`
 #    directory or `[[bench]]` table under `crates/`, and neither the
-#    second history writer nor the cross-host ratchet comes back.
+#    second history writer nor the cross-host ratchet comes back;
+#  * per-edge quantities are read by edge id (DESIGN.md section 11,
+#    "Edge ids"): no `HashMap` in the energy ledger, no `HashMap` keyed
+#    by `(TaskId, TaskId)` in the validator, no `.edge(&` position-search
+#    lookup in the non-test code of `gridsim` or `slrh`, and the
+#    duplicate child offsets `out_offsets` stay gone.
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -95,6 +100,23 @@ fi
 if hits=$(grep -rnE 'kernel_append|bench_ratchet' crates src scripts/*.sh .github Cargo.toml |
     grep -v '^scripts/api_surface.sh:'); then
     fail "a second perf-history writer or the cross-host ratchet is back:"$'\n'"$hits"
+fi
+
+if hits=$(grep -n 'HashMap' crates/sim/src/ledger.rs); then
+    fail "the energy ledger hashes again:"$'\n'"$hits"
+fi
+if hits=$(grep -nE 'HashMap<\(TaskId, *TaskId\)' crates/sim/src/validate.rs); then
+    fail "the validator indexes transfers in a (TaskId, TaskId) hash map again:"$'\n'"$hits"
+fi
+# Non-test code only: each file is read up to its `#[cfg(test)]` module.
+for f in $(find crates/sim/src crates/core/src -name '*.rs' | sort); do
+    if hits=$(awk '/^#\[cfg\(test\)\]/ { exit } /\.edge\(&/ { print FILENAME ":" FNR ": " $0; found = 1 }
+                   END { exit !found }' "$f"); then
+        fail "a position-search edge lookup is back on the product path:"$'\n'"$hits"
+    fi
+done
+if hits=$(grep -rn 'out_offsets' crates src tests examples --include='*.rs'); then
+    fail "out_offsets is back:"$'\n'"$hits"
 fi
 
 [ "$status" -eq 0 ] && echo "api_surface: ok"
