@@ -1,11 +1,11 @@
 //! The thread engine behind the parallel iterators.
 //!
-//! Work arrives as one contiguous source (a borrowed slice or an owned
-//! `Vec`), is split into at most [`current_num_threads`] index-ordered
-//! chunks, and each chunk is folded **sequentially, in source order** on
-//! its own `std::thread::scope` worker. Per-chunk accumulators come back
-//! ordered by chunk index, so everything layered on top (collect,
-//! reduce) is order-preserving by construction.
+//! Work arrives as one borrowed slice, is split into at most
+//! [`current_num_threads`] index-ordered chunks, and each chunk is
+//! folded **sequentially, in source order** on its own
+//! `std::thread::scope` worker. Per-chunk accumulators come back
+//! ordered by chunk index, so `collect` on top is order-preserving by
+//! construction.
 //!
 //! Three policies live here:
 //!
@@ -25,8 +25,7 @@ use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Sources shorter than this never spawn: the items are too few for the
-/// thread setup cost to pay for itself, and a `scope` per tiny slice
-/// would dominate runtime in the weight-search inner loops.
+/// thread setup cost to pay for itself.
 pub(crate) const SPAWN_THRESHOLD: usize = 2;
 
 thread_local! {
@@ -81,23 +80,28 @@ pub(crate) fn effective_workers(items: usize) -> usize {
     }
 }
 
-/// Run `work` over every chunk on scoped threads; results return in
-/// chunk order. Callers guarantee `chunks.len() > 1`.
-pub(crate) fn run_chunks<C, A, F>(chunks: Vec<C>, work: F) -> Vec<A>
+/// Fold a borrowed slice in parallel chunks (driver for `par_iter`):
+/// one scoped thread per chunk, results in chunk order.
+pub(crate) fn fold_slice<'a, T, A, ID, F>(slice: &'a [T], init: &ID, fold: &F) -> Vec<A>
 where
-    C: Send,
+    T: Sync,
     A: Send,
-    F: Fn(C) -> A + Sync,
+    ID: Fn() -> A + Sync,
+    F: Fn(A, &'a T) -> A + Sync,
 {
+    let workers = effective_workers(slice.len());
+    if workers <= 1 {
+        return vec![slice.iter().fold(init(), fold)];
+    }
+    let per_chunk = slice.len().div_ceil(workers);
     std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = chunks
-            .into_iter()
+        let handles: Vec<_> = slice
+            .chunks(per_chunk)
             .enumerate()
             .map(|(index, chunk)| {
                 scope.spawn(move || {
                     WORKER_INDEX.with(|slot| slot.set(Some(index)));
-                    work(chunk)
+                    chunk.iter().fold(init(), fold)
                 })
             })
             .collect();
@@ -111,49 +115,6 @@ where
                 Err(payload) => std::panic::resume_unwind(payload),
             })
             .collect()
-    })
-}
-
-/// Fold a borrowed slice in parallel chunks (driver for `par_iter`).
-pub(crate) fn fold_slice<'a, T, A, ID, F>(slice: &'a [T], init: &ID, fold: &F) -> Vec<A>
-where
-    T: Sync,
-    A: Send,
-    ID: Fn() -> A + Sync,
-    F: Fn(A, &'a T) -> A + Sync,
-{
-    let workers = effective_workers(slice.len());
-    if workers <= 1 {
-        return vec![slice.iter().fold(init(), fold)];
-    }
-    let per_chunk = slice.len().div_ceil(workers);
-    run_chunks(slice.chunks(per_chunk).collect(), |chunk: &'a [T]| {
-        chunk.iter().fold(init(), fold)
-    })
-}
-
-/// Fold an owned `Vec` in parallel chunks (driver for `into_par_iter`).
-pub(crate) fn fold_vec<T, A, ID, F>(items: Vec<T>, init: &ID, fold: &F) -> Vec<A>
-where
-    T: Send,
-    A: Send,
-    ID: Fn() -> A + Sync,
-    F: Fn(A, T) -> A + Sync,
-{
-    let workers = effective_workers(items.len());
-    if workers <= 1 {
-        return vec![items.into_iter().fold(init(), fold)];
-    }
-    let per_chunk = items.len().div_ceil(workers);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
-    let mut rest = items;
-    while rest.len() > per_chunk {
-        let tail = rest.split_off(per_chunk);
-        chunks.push(std::mem::replace(&mut rest, tail));
-    }
-    chunks.push(rest);
-    run_chunks(chunks, |chunk: Vec<T>| {
-        chunk.into_iter().fold(init(), fold)
     })
 }
 
@@ -193,7 +154,7 @@ impl ThreadPoolBuilder {
 /// A handle forcing a thread count for the duration of
 /// [`install`](ThreadPool::install) — the in-process way to compare
 /// 1-thread and N-thread executions (the determinism differential tests
-/// and the `sweep_parallel` bench both rely on it).
+/// and the benchmark's one-thread `campaign_tune` both rely on it).
 #[derive(Clone, Debug)]
 pub struct ThreadPool {
     threads: usize,

@@ -1,13 +1,13 @@
-//! The parallel-iterator surface: entry traits, adaptors, consumers.
+//! The parallel-iterator surface: `par_iter` over slices, the `map` and
+//! `map_init` adaptors, and `collect`.
 //!
 //! Every chain bottoms out in [`ParallelIterator::fold_chunks`], the one
 //! driver primitive: fold each contiguous chunk of the source
 //! sequentially (in source order) on a worker and return the per-chunk
-//! accumulators ordered by chunk index. Adaptors (`map`, `filter_map`,
-//! `copied`, `cloned`) implement it by composing their transform into
-//! the fold closure — no intermediate allocation per stage — and the
-//! consumers (`collect`, `reduce_with`, `for_each`, `count`) stitch the
-//! ordered chunk results back together.
+//! accumulators ordered by chunk index. The adaptors implement it by
+//! composing their transform into the fold closure — no intermediate
+//! allocation per stage — and `collect` stitches the ordered chunk
+//! results back together.
 
 use crate::executor;
 
@@ -15,13 +15,9 @@ use crate::executor;
 ///
 /// # Determinism contract
 ///
-/// `collect` preserves source order exactly, and `reduce_with` applies
-/// the operator sequentially within each chunk and then across chunks in
-/// chunk order — so for an **associative** operator the result is
-/// identical to a sequential `reduce` regardless of thread count. Every
-/// `reduce_with` in this workspace is an argmax over a total order,
-/// which is associative; the sweep differential tests pin the resulting
-/// byte-for-byte report equality across thread counts.
+/// `collect` preserves source order exactly, whatever the thread count;
+/// the sweep differential tests pin the resulting byte-for-byte report
+/// equality across thread counts.
 pub trait ParallelIterator: Sized {
     /// The element type.
     type Item: Send;
@@ -44,16 +40,6 @@ pub trait ParallelIterator: Sized {
         Map { base: self, f }
     }
 
-    /// Transform every item, keeping only the `Some` results (their
-    /// relative order is preserved).
-    fn filter_map<R, F>(self, f: F) -> FilterMap<Self, F>
-    where
-        R: Send,
-        F: Fn(Self::Item) -> Option<R> + Sync,
-    {
-        FilterMap { base: self, f }
-    }
-
     /// [`ParallelIterator::map`] with mutable per-worker state: `init`
     /// creates one `T` per chunk (lazily, at the chunk's first item) and
     /// `f` receives `&mut T` alongside each item of that chunk.
@@ -73,24 +59,6 @@ pub trait ParallelIterator: Sized {
         MapInit { base: self, init, f }
     }
 
-    /// Copy out of a by-reference iterator (mirror of `Iterator::copied`).
-    fn copied<'a, T>(self) -> Copied<Self>
-    where
-        Self: ParallelIterator<Item = &'a T>,
-        T: Copy + Send + Sync + 'a,
-    {
-        Copied { base: self }
-    }
-
-    /// Clone out of a by-reference iterator (mirror of `Iterator::cloned`).
-    fn cloned<'a, T>(self) -> Cloned<Self>
-    where
-        Self: ParallelIterator<Item = &'a T>,
-        T: Clone + Send + Sync + 'a,
-    {
-        Cloned { base: self }
-    }
-
     /// Gather all items, preserving source order exactly.
     fn collect<C>(self) -> C
     where
@@ -103,42 +71,6 @@ pub trait ParallelIterator: Sized {
         .into_iter()
         .flatten()
         .collect()
-    }
-
-    /// Fold pairs of items with `op`; `None` for an empty iterator.
-    ///
-    /// Each chunk folds left-to-right, then the chunk results fold in
-    /// chunk order — identical to sequential `reduce` whenever `op` is
-    /// associative (see the trait-level determinism contract).
-    fn reduce_with<F>(self, op: F) -> Option<Self::Item>
-    where
-        F: Fn(Self::Item, Self::Item) -> Self::Item + Sync,
-    {
-        self.fold_chunks(
-            || None,
-            |acc: Option<Self::Item>, item| {
-                Some(match acc {
-                    Some(prev) => op(prev, item),
-                    None => item,
-                })
-            },
-        )
-        .into_iter()
-        .flatten()
-        .reduce(op)
-    }
-
-    /// Run `f` on every item (parallel side-effect loop).
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(Self::Item) + Sync,
-    {
-        self.fold_chunks(|| (), |(), item| f(item));
-    }
-
-    /// Count the items.
-    fn count(self) -> usize {
-        self.fold_chunks(|| 0usize, |acc, _| acc + 1).into_iter().sum()
     }
 }
 
@@ -159,26 +91,6 @@ impl<'a, T: Sync> ParallelIterator for ParIter<'a, T> {
         F: Fn(A, &'a T) -> A + Sync,
     {
         executor::fold_slice(self.slice, &init, &fold)
-    }
-}
-
-/// Owning parallel iterator — the result of
-/// [`IntoParallelIterator::into_par_iter`].
-#[derive(Clone, Debug)]
-pub struct IntoParIter<T> {
-    items: Vec<T>,
-}
-
-impl<T: Send> ParallelIterator for IntoParIter<T> {
-    type Item = T;
-
-    fn fold_chunks<A, ID, F>(self, init: ID, fold: F) -> Vec<A>
-    where
-        A: Send,
-        ID: Fn() -> A + Sync,
-        F: Fn(A, T) -> A + Sync,
-    {
-        executor::fold_vec(self.items, &init, &fold)
     }
 }
 
@@ -205,35 +117,6 @@ where
     {
         let Map { base, f } = self;
         base.fold_chunks(init, move |acc, item| fold(acc, f(item)))
-    }
-}
-
-/// See [`ParallelIterator::filter_map`].
-#[derive(Clone, Debug)]
-pub struct FilterMap<I, F> {
-    base: I,
-    f: F,
-}
-
-impl<I, R, F> ParallelIterator for FilterMap<I, F>
-where
-    I: ParallelIterator,
-    R: Send,
-    F: Fn(I::Item) -> Option<R> + Sync,
-{
-    type Item = R;
-
-    fn fold_chunks<A, ID, G>(self, init: ID, fold: G) -> Vec<A>
-    where
-        A: Send,
-        ID: Fn() -> A + Sync,
-        G: Fn(A, R) -> A + Sync,
-    {
-        let FilterMap { base, f } = self;
-        base.fold_chunks(init, move |acc, item| match f(item) {
-            Some(mapped) => fold(acc, mapped),
-            None => acc,
-        })
     }
 }
 
@@ -279,82 +162,6 @@ where
     }
 }
 
-/// See [`ParallelIterator::copied`].
-#[derive(Clone, Debug)]
-pub struct Copied<I> {
-    base: I,
-}
-
-impl<'a, T, I> ParallelIterator for Copied<I>
-where
-    T: Copy + Send + Sync + 'a,
-    I: ParallelIterator<Item = &'a T>,
-{
-    type Item = T;
-
-    fn fold_chunks<A, ID, G>(self, init: ID, fold: G) -> Vec<A>
-    where
-        A: Send,
-        ID: Fn() -> A + Sync,
-        G: Fn(A, T) -> A + Sync,
-    {
-        self.base.fold_chunks(init, move |acc, item| fold(acc, *item))
-    }
-}
-
-/// See [`ParallelIterator::cloned`].
-#[derive(Clone, Debug)]
-pub struct Cloned<I> {
-    base: I,
-}
-
-impl<'a, T, I> ParallelIterator for Cloned<I>
-where
-    T: Clone + Send + Sync + 'a,
-    I: ParallelIterator<Item = &'a T>,
-{
-    type Item = T;
-
-    fn fold_chunks<A, ID, G>(self, init: ID, fold: G) -> Vec<A>
-    where
-        A: Send,
-        ID: Fn() -> A + Sync,
-        G: Fn(A, T) -> A + Sync,
-    {
-        self.base
-            .fold_chunks(init, move |acc, item| fold(acc, item.clone()))
-    }
-}
-
-/// `into_par_iter()` for any owned iterable with `Send` items.
-///
-/// The source is gathered into a `Vec` first so it can be chunked; this
-/// is what real rayon's bridge does for non-indexed sources too.
-pub trait IntoParallelIterator {
-    /// The element type.
-    type Item: Send;
-    /// The produced parallel iterator.
-    type Iter: ParallelIterator<Item = Self::Item>;
-
-    /// Convert into a parallel iterator.
-    fn into_par_iter(self) -> Self::Iter;
-}
-
-impl<I> IntoParallelIterator for I
-where
-    I: IntoIterator,
-    I::Item: Send,
-{
-    type Item = I::Item;
-    type Iter = IntoParIter<I::Item>;
-
-    fn into_par_iter(self) -> IntoParIter<I::Item> {
-        IntoParIter {
-            items: self.into_iter().collect(),
-        }
-    }
-}
-
 /// `par_iter()` over slices (and `Vec`, arrays, … via deref).
 pub trait IntoParallelRefIterator<T: Sync> {
     /// Parallel iterator by reference.
@@ -364,61 +171,5 @@ pub trait IntoParallelRefIterator<T: Sync> {
 impl<T: Sync> IntoParallelRefIterator<T> for [T] {
     fn par_iter(&self) -> ParIter<'_, T> {
         ParIter { slice: self }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn map_init_matches_map_and_preserves_order() {
-        let items: Vec<usize> = (0..257).collect();
-        let out: Vec<usize> = items
-            .par_iter()
-            .map_init(
-                || 0usize,
-                |scratch, &x| {
-                    *scratch += 1; // mutable state must not affect results
-                    x * 2
-                },
-            )
-            .collect();
-        let expected: Vec<usize> = items.iter().map(|&x| x * 2).collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn map_init_creates_at_most_one_state_per_chunk() {
-        let inits = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..1000).collect();
-        let chunk_sums = items
-            .par_iter()
-            .map_init(
-                || {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                },
-                |_, &x| x,
-            )
-            .fold_chunks(|| 0usize, |acc, x| acc + x);
-        let total: usize = chunk_sums.iter().sum();
-        assert_eq!(total, 1000 * 999 / 2);
-        assert!(
-            inits.load(Ordering::Relaxed) <= chunk_sums.len(),
-            "state must be created lazily, at most once per chunk"
-        );
-    }
-
-    #[test]
-    fn map_init_composes_with_filter_map() {
-        let items: Vec<usize> = (0..100).collect();
-        let out: Vec<usize> = items
-            .par_iter()
-            .map_init(|| (), |(), &x| (x % 3 == 0).then_some(x))
-            .filter_map(|x| x)
-            .collect();
-        let expected: Vec<usize> = (0..100).filter(|x| x % 3 == 0).collect();
-        assert_eq!(out, expected);
     }
 }

@@ -28,9 +28,6 @@ impl Frontier {
         // waiting or view entry carrying the old one is now stale.
         self.sgen[t.0] = self.sgen[t.0].wrapping_add(1);
         self.fresh.push((t, self.sgen[t.0]));
-        // Reinsertion after a parent remap: the parents' placements may
-        // have changed, so any cached costing tuples are stale.
-        self.ptuple_stamp[t.0] = 0;
     }
 
     /// Take `t` off the list (no-op when absent).

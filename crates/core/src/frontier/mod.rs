@@ -64,7 +64,7 @@ use lagrange::weights::Objective;
 use crate::mapper::{gate_version, Kernel, RunStats};
 
 use self::scan::{Side, SideBuf};
-use self::tables::{ParentCost, FLOOR_CACHE_MAX};
+use self::tables::FLOOR_CACHE_MAX;
 use self::view::{Bound, View};
 
 /// Sentinel for "not on the frontier" in [`Frontier::pos`].
@@ -150,19 +150,6 @@ pub(crate) struct Frontier {
     /// Reservation settlement *refunds* energy, so the limit can rise; a
     /// query seeing it above the watermark flushes the row.
     gate_limit: Vec<f64>,
-    /// Per-task parent costing tuples for the floor probe, valid while
-    /// `ptuple_stamp[t] == ptuple_gen`: per parent, in parent order, the
-    /// assignment's machine and finish and the edge size scaled by the
-    /// mapped version. All static while `t` sits ready on the frontier
-    /// (any unmap of a parent removes and reinserts `t`, resetting the
-    /// stamp), so the probe skips the per-parent assignment and
-    /// O(fan-in) edge-size lookups.
-    ptuples: Vec<Vec<ParentCost>>,
-    ptuple_stamp: Vec<u64>,
-    /// Bumped whenever scheduled finishes can move (rebuilds, unmap
-    /// deltas) — the events that clear the start-floor cache. Starts at
-    /// 1 so stamp 0 is always stale.
-    ptuple_gen: u64,
     /// Reusable per-query candidate buffer.
     start_buf: Vec<TaskId>,
     /// Reusable planner storage for the query path: the costing's link
@@ -239,10 +226,6 @@ impl Frontier {
         self.gate_row_words = tasks.div_ceil(64);
         refill(&mut self.gate_dead, machines * self.gate_row_words, 0);
         refill(&mut self.gate_limit, machines, f64::INFINITY);
-        self.ptuples.resize_with(tasks, Vec::new);
-        self.ptuples.iter_mut().for_each(Vec::clear);
-        refill(&mut self.ptuple_stamp, tasks, 0);
-        self.ptuple_gen = 1;
 
         self.shed_all = false;
         self.views.resize_with(machines, View::default);

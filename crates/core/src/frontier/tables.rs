@@ -1,11 +1,10 @@
 //! Tables: the per-task start lower bound, the per-(task, machine)
-//! start floors with their parent costing tuples, and the §IV
-//! gate-rejection bits — everything a query consults to discard a
-//! candidate without planning it.
+//! start floors and the §IV gate-rejection bits — everything a query
+//! consults to discard a candidate without planning it.
 
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::TaskId;
-use adhoc_grid::units::{Megabits, Time};
+use adhoc_grid::units::Time;
 use gridsim::state::SimState;
 
 use super::{Frontier, Query};
@@ -15,17 +14,6 @@ use super::{Frontier, Query};
 /// for an opt-in scale run; past the cap the cache is disabled (every
 /// probe recomputes, bit-identical results, no memory cliff).
 pub(super) const FLOOR_CACHE_MAX: usize = 1 << 25;
-
-/// One parent's contribution to the start-floor probe.
-#[derive(Copy, Clone)]
-pub(super) struct ParentCost {
-    /// Machine the parent is mapped on.
-    from: MachineId,
-    /// The parent's scheduled finish.
-    fin: Time,
-    /// Edge size scaled by the parent's mapped version.
-    size: Megabits,
-}
 
 impl Frontier {
     /// The cached start lower bound of frontier task `t`: the latest
@@ -50,15 +38,14 @@ impl Frontier {
     }
 
     /// Occupation may have shrunk (an unmap, a rebuild): earlier gaps
-    /// can open, so every cached start floor and every cached parent
-    /// finish is suspect — and so is every floor copy a deferred view
-    /// entry holds, which would otherwise outlive the cleared cache and
-    /// wrongly exclude churn-reinserted tasks. Cached ubs and gate
+    /// can open, so every cached start floor is suspect — and so is
+    /// every floor copy a deferred view entry holds, which would
+    /// otherwise outlive the cleared cache and wrongly exclude
+    /// churn-reinserted tasks. Cached ubs and gate
     /// results would survive (they are revision-guarded), but the epoch
     /// bump is the one mechanism that reaches every deferred heap.
     pub(super) fn forget_occupation(&mut self) {
         self.floor_cache.fill(Time::ZERO);
-        self.ptuple_gen = self.ptuple_gen.wrapping_add(1);
         self.view_epoch = self.view_epoch.wrapping_add(1);
     }
 
@@ -85,39 +72,29 @@ impl Frontier {
     /// enforces (parent finishes, minimum cross-machine transfer
     /// durations, the machine's compute availability) without its
     /// channel-contention gap search, which can only push the start
-    /// later. O(fan-in) arithmetic over the per-task parent tuples
-    /// against an O(|timeline| log) full plan.
+    /// later. O(fan-in) arithmetic — per parent one assignment read, and
+    /// one edge-size read when it sits on another machine — against an
+    /// O(|timeline| log) full plan.
     pub(super) fn start_floor(
-        &mut self,
+        &self,
         state: &SimState<'_>,
         t: TaskId,
         j: MachineId,
         not_before: Time,
     ) -> Time {
         let sc = state.scenario();
-        if self.ptuple_stamp[t.0] != self.ptuple_gen {
-            let tuples = &mut self.ptuples[t.0];
-            tuples.clear();
-            for (&p, e) in sc.dag.parents(t).iter().zip(sc.dag.in_edges(t)) {
-                let pa = state
-                    .schedule()
-                    .assignment(p)
-                    .expect("frontier tasks are ready: every parent is mapped");
-                tuples.push(ParentCost {
-                    from: pa.machine,
-                    fin: pa.finish(),
-                    size: sc.data.by_id(e).scaled(pa.version.data_factor()),
-                });
-            }
-            self.ptuple_stamp[t.0] = self.ptuple_gen;
-        }
         let to_spec = sc.grid.machine(j);
         let mut floor = not_before.max(state.compute_ready(j));
-        for pc in &self.ptuples[t.0] {
-            floor = floor.max(if pc.from == j {
-                pc.fin
+        for (&p, e) in sc.dag.parents(t).iter().zip(sc.dag.in_edges(t)) {
+            let pa = state
+                .schedule()
+                .assignment(p)
+                .expect("frontier tasks are ready: every parent is mapped");
+            floor = floor.max(if pa.machine == j {
+                pa.finish()
             } else {
-                pc.fin.max(not_before) + sc.grid.machine(pc.from).transfer_dur(to_spec, pc.size)
+                let size = sc.data.by_id(e).scaled(pa.version.data_factor());
+                pa.finish().max(not_before) + sc.grid.machine(pa.machine).transfer_dur(to_spec, size)
             });
         }
         floor

@@ -24,7 +24,7 @@
 //! maintenance off these deltas instead of rescanning the whole state;
 //! the revision counter lets them assert they have seen every mutation.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
@@ -198,49 +198,8 @@ pub struct StateBuffers {
 /// `2 × edges` entries whatever the grid size.
 const DEMAND_TABLE_MAX: usize = 1 << 20;
 
-/// Per-revision memo of the ledger's committed-energy sum (`TEC`).
-///
-/// [`EnergyLedger::total_committed`] is an O(machines) fresh sum, and
-/// both the planner and the objective evaluation read `TEC` once per
-/// *plan* — the scale kernel plans millions of candidates per run, so
-/// the sum must not be recomputed under an unchanged ledger. The memo
-/// caches the **exact fresh sum** keyed by [`SimState::revision`]:
-/// served values are bit-identical to recomputation (an incrementally
-/// maintained total would round differently and shift golden fixtures).
-/// Atomics keep `SimState: Sync` for the parallel drivers; concurrent
-/// fills race benignly (every thread computes the same sum, and the
-/// `Release`/`Acquire` pair on `rev` publishes `bits` with it).
-#[derive(Debug)]
-struct TecMemo {
-    /// Revision `bits` was computed at (`u64::MAX` = empty).
-    rev: AtomicU64,
-    /// The memoised sum, as `f64` bits.
-    bits: AtomicU64,
-}
-
-impl TecMemo {
-    const EMPTY: u64 = u64::MAX;
-}
-
-impl Default for TecMemo {
-    fn default() -> TecMemo {
-        TecMemo {
-            rev: AtomicU64::new(TecMemo::EMPTY),
-            bits: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Clone for TecMemo {
-    /// Cloning drops the memo (it is only a cache): the clone starts
-    /// empty and refills on first use.
-    fn clone(&self) -> TecMemo {
-        TecMemo {
-            rev: AtomicU64::new(TecMemo::EMPTY),
-            bits: AtomicU64::new(0),
-        }
-    }
-}
+/// Key of an empty `TEC` memo (no revision reaches it).
+const TEC_MEMO_EMPTY: u64 = u64::MAX;
 
 /// Mutable simulation state for one scenario run.
 #[derive(Clone, Debug)]
@@ -312,8 +271,14 @@ pub struct SimState<'a> {
     /// an O(machines) sum — computed once here because the objective
     /// normalises by it on every plan evaluation.
     tse: Energy,
-    /// Per-revision `TEC` memo; see [`TecMemo`].
-    tec_memo: TecMemo,
+    /// `(revision, TEC)`: the ledger's committed-energy sum at that
+    /// revision. [`EnergyLedger::total_committed`] is an O(machines)
+    /// fresh sum and the planner and the objective read `TEC` once per
+    /// *plan*, so it must not be recomputed under an unchanged ledger.
+    /// The memo holds the **exact fresh sum**: served values are
+    /// bit-identical to recomputation (an incrementally maintained total
+    /// would round differently and shift golden fixtures).
+    tec_memo: Cell<(u64, f64)>,
     /// Bumped by every mutation; see the module docs.
     revision: u64,
 }
@@ -402,7 +367,7 @@ impl<'a> SimState<'a> {
             t100: 0,
             aet: Time::ZERO,
             tse: sc.grid.total_system_energy(),
-            tec_memo: TecMemo::default(),
+            tec_memo: Cell::new((TEC_MEMO_EMPTY, 0.0)),
             revision: 0,
         };
         // Precompute the static feasibility-demand table (see the field
@@ -964,17 +929,15 @@ impl<'a> SimState<'a> {
 
     /// Total energy committed across the grid — the paper's `TEC`.
     /// Bit-identical to [`EnergyLedger::total_committed`], served from
-    /// the per-revision memo (see [`TecMemo`]): the planner and the
+    /// the per-revision memo (`tec_memo`): the planner and the
     /// objective read this once per candidate plan.
     pub fn tec(&self) -> Energy {
-        if self.tec_memo.rev.load(Ordering::Acquire) == self.revision {
-            return Energy(f64::from_bits(self.tec_memo.bits.load(Ordering::Relaxed)));
+        let (rev, sum) = self.tec_memo.get();
+        if rev == self.revision {
+            return Energy(sum);
         }
         let total = self.ledger.total_committed();
-        self.tec_memo
-            .bits
-            .store(total.units().to_bits(), Ordering::Relaxed);
-        self.tec_memo.rev.store(self.revision, Ordering::Release);
+        self.tec_memo.set((self.revision, total.units()));
         total
     }
 

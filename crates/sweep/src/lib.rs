@@ -32,7 +32,6 @@ pub mod anneal;
 pub mod campaign;
 pub mod dt_sweep;
 pub mod heuristic;
-pub mod replicate;
 pub mod report;
 pub mod stats;
 pub mod weight_search;
@@ -41,7 +40,6 @@ pub use anneal::{anneal_weights, anneal_weights_in, AnnealConfig, SearcherKind};
 pub use campaign::{canonical_report, run_campaign, run_case_unit, CampaignConfig, CaseRow};
 pub use dt_sweep::{dt_sweep, horizon_sweep, SweepPoint};
 pub use heuristic::{Heuristic, RunResult};
-pub use replicate::{replicated_tuned_t100, Estimate, ReplicationConfig};
 pub use stats::Summary;
 pub use weight_search::{
     optimal_weights, optimal_weights_with_steps, optimal_weights_with_steps_in, weight_stats,

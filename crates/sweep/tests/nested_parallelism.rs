@@ -32,15 +32,17 @@ fn nested_par_iter_is_capped_and_inline() {
     let live = AtomicUsize::new(0);
     let peak = AtomicUsize::new(0);
 
+    let scenarios: Vec<usize> = (0..2 * POOL_THREADS).collect();
+    let candidates: Vec<usize> = (0..32).collect();
     let results: Vec<Vec<usize>> = pool().install(|| {
-        (0..2 * POOL_THREADS)
-            .into_par_iter()
-            .map(|scenario| {
+        scenarios
+            .par_iter()
+            .map(|&scenario| {
                 let outer_worker = rayon::current_thread_index()
                     .expect("outer items run on pool workers");
-                (0..32usize)
-                    .into_par_iter()
-                    .map(|candidate| {
+                candidates
+                    .par_iter()
+                    .map(|&candidate| {
                         let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                         peak.fetch_max(now, Ordering::SeqCst);
                         // Run-inline policy: the nested item stays on the

@@ -32,7 +32,13 @@
 #    "Edge ids"): no `HashMap` in the energy ledger, no `HashMap` keyed
 #    by `(TaskId, TaskId)` in the validator, no `.edge(&` position-search
 #    lookup in the non-test code of `gridsim` or `slrh`, and the
-#    duplicate child offsets `out_offsets` stay gone.
+#    duplicate child offsets `out_offsets` stay gone;
+#  * parallel code lives only where something runs in parallel: the
+#    never-called replication sweep (`crates/sweep/src/replicate.rs`)
+#    stays gone, the rayon shim offers no adaptor or consumer beyond
+#    `par_iter().map/map_init().collect()`, `SimState` holds no atomics
+#    (nothing needs it to be `Sync`), and the frontier's redundant
+#    parent-cost tuple cache stays gone.
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -117,6 +123,22 @@ for f in $(find crates/sim/src crates/core/src -name '*.rs' | sort); do
 done
 if hits=$(grep -rn 'out_offsets' crates src tests examples --include='*.rs'); then
     fail "out_offsets is back:"$'\n'"$hits"
+fi
+
+if [ -e crates/sweep/src/replicate.rs ]; then
+    fail "crates/sweep/src/replicate.rs is back"
+fi
+if hits=$(grep -rnwE 'replicated_tuned_t100|ReplicationConfig|t_critical_95' crates src tests examples --include='*.rs'); then
+    fail "the replication sweep is back:"$'\n'"$hits"
+fi
+if hits=$(grep -rnE 'fn (filter_map|copied|cloned|reduce_with|for_each|count|into_par_iter)\b' crates/compat/rayon/src); then
+    fail "the rayon shim grew an adaptor nothing calls:"$'\n'"$hits"
+fi
+if hits=$(grep -n 'Atomic' crates/sim/src/state.rs); then
+    fail "SimState holds atomics again:"$'\n'"$hits"
+fi
+if hits=$(grep -rnE 'ParentCost|ptuple' crates/core/src); then
+    fail "the frontier's parent-cost tuple cache is back:"$'\n'"$hits"
 fi
 
 [ "$status" -eq 0 ] && echo "api_surface: ok"
