@@ -4,7 +4,8 @@
 //! decides which kinds and keys exist and converts between frames and
 //! typed Rust values. Each type round-trips:
 //! `from_frame(&to_frame(&m)) == m`, property-tested in
-//! `tests/proptest_wire_roundtrip.rs` and fuzzed by the stress harness.
+//! `tests/proptest_wire_roundtrip.rs`, which also feeds every decoder
+//! mutated and garbage streams.
 //!
 //! Scalar values reuse the workspace's stable `Display`/`FromStr`
 //! pairs — [`Heuristic`], [`GridCase`], [`SlrhConfig`] (which carries

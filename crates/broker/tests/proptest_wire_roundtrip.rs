@@ -9,7 +9,14 @@
 //! `encode_into` a dirty buffer appends exactly `to_frame().encode()`,
 //! and one [`FrameReader`] reused across a stream returns what a fresh
 //! [`read_frame`] per frame returns — frames and errors alike, on valid
-//! streams and on mutated, truncated and spliced ones.
+//! streams and on mutated, truncated, spliced and garbage ones.
+//!
+//! The daemon feeds these decoders straight from a socket, so a
+//! panicking input is a remote crash: on every hostile stream
+//! `Frame::decode` and both typed decoders (run on every frame read from
+//! it) must return, not unwind. Generated values are ones their owners'
+//! checks accept, drawn from the value charset (`#` opens a comment and
+//! a newline ends an entry); hostile bytes enter only by mutation.
 
 use adhoc_grid::arrival::{BackgroundParams, JobArrival, JobKind};
 use adhoc_grid::config::GridCase;
@@ -35,8 +42,11 @@ fn heuristics() -> impl Strategy<Value = Heuristic> {
     prop::sample::select(&Heuristic::ALL[..])
 }
 
+/// Names (clients, labels, inline workload lines) over the value charset.
 fn names() -> impl Strategy<Value = String> {
-    prop::sample::select(&["cli", "alice", "bob-2", "smoke", "x"][..]).prop_map(str::to_string)
+    const CHARSET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789-_.";
+    prop::collection::vec(prop::sample::select(CHARSET), 1..16)
+        .prop_map(|bytes| String::from_utf8(bytes).expect("ASCII charset"))
 }
 
 fn weights() -> impl Strategy<Value = Weights> {
@@ -57,7 +67,8 @@ fn adaptations() -> impl Strategy<Value = Option<Adaptation>> {
         (any::<bool>(), any::<bool>()),
         step_rules(),
         1u64..16,
-        0.0f64..0.2,
+        // `Adaptation::check` wants the α floor in (0, 1]: draw (0, 0.2].
+        (0.0f64..0.2).prop_map(|x| 0.2 - x),
         1.0f64..32.0,
         weights(),
     )
@@ -108,15 +119,17 @@ fn churn() -> impl Strategy<Value = Vec<(usize, u64)>> {
 
 fn scenario_specs() -> impl Strategy<Value = ScenarioSpec> {
     (
-        1usize..2000,
-        cases(),
-        0usize..10,
-        0usize..10,
-        (any::<bool>(), 0u64..u64::MAX),
-        (any::<bool>(), 1u64..1_000_000),
+        0usize..4,
+        (1usize..2000, cases(), 0usize..10, 0usize..10),
+        ((any::<bool>(), 0u64..u64::MAX), (any::<bool>(), 1u64..1_000_000)),
+        prop::collection::vec(names(), 1..6),
     )
         .prop_map(
-            |(tasks, case, etc, dag, (with_seed, seed), (with_tau, tau))| {
+            |(tag, (tasks, case, etc, dag), ((with_seed, seed), (with_tau, tau)), lines)| {
+                if tag == 0 {
+                    // An inline workload: a raw block of 1–5 lines.
+                    return ScenarioSpec::Inline(lines.iter().map(|l| format!("{l}\n")).collect());
+                }
                 ScenarioSpec::Generate {
                     tasks,
                     case,
@@ -408,28 +421,34 @@ enum Mutation {
     Insert(Vec<u8>),
     DeleteLine,
     DuplicateLine,
+    /// Swap the chosen line with the line at this index (modulo the line
+    /// count): entries out of order, a header displaced.
+    SwapLines(usize),
     /// Append a prefix of the stream to itself.
     Splice,
 }
 
-/// Bytes a mutation injects: protocol syntax, and 0xff (never valid
-/// UTF-8).
-const HOSTILE: &[u8] = b"=@# 019azZ|/\\\"'\t\n\x7f\xff";
+/// Bytes a mutation injects: protocol syntax (`=`, `@`, `#`, spaces,
+/// digits) over-represented so mutants stay near-valid, and 0xff (never
+/// valid UTF-8).
+const HOSTILE: &[u8] = b"=@# 0123456789abcXYZz|/\\\"'\t\n~\x7f\xff";
 
 fn mutations() -> impl Strategy<Value = (Mutation, usize)> {
     (
-        0usize..6,
+        0usize..7,
         prop::sample::select(HOSTILE),
         prop::collection::vec(prop::sample::select(HOSTILE), 1..12),
         0usize..1 << 16,
+        0usize..1 << 16,
     )
-        .prop_map(|(tag, byte, run, at)| {
+        .prop_map(|(tag, byte, run, at, other)| {
             let mutation = match tag {
                 0 => Mutation::Truncate,
                 1 => Mutation::Replace(byte),
                 2 => Mutation::Insert(run),
                 3 => Mutation::DeleteLine,
                 4 => Mutation::DuplicateLine,
+                5 => Mutation::SwapLines(other),
                 _ => Mutation::Splice,
             };
             (mutation, at)
@@ -450,14 +469,18 @@ fn mutate(stream: &[u8], mutation: &Mutation, at: usize) -> Vec<u8> {
         Mutation::Insert(run) => {
             out.splice(pos..pos, run.iter().copied());
         }
-        Mutation::DeleteLine | Mutation::DuplicateLine => {
+        Mutation::DeleteLine | Mutation::DuplicateLine | Mutation::SwapLines(_) => {
             let mut lines: Vec<&[u8]> = stream.split_inclusive(|&b| b == b'\n').collect();
-            if !lines.is_empty() {
-                let i = at % lines.len();
-                if matches!(mutation, Mutation::DeleteLine) {
-                    lines.remove(i);
-                } else {
-                    lines.insert(i, lines[i]);
+            let n = lines.len();
+            if n > 0 {
+                let i = at % n;
+                match mutation {
+                    Mutation::DeleteLine => {
+                        lines.remove(i);
+                    }
+                    Mutation::DuplicateLine => lines.insert(i, lines[i]),
+                    Mutation::SwapLines(other) => lines.swap(i, other % n),
+                    _ => unreachable!("not a line edit"),
                 }
             }
             out = lines.concat();
@@ -465,6 +488,22 @@ fn mutate(stream: &[u8], mutation: &Mutation, at: usize) -> Vec<u8> {
         Mutation::Splice => out.extend_from_slice(&stream[..pos]),
     }
     out
+}
+
+/// Every decoder the daemon runs on socket bytes, run on `bytes`: the
+/// whole-text and streaming frame readers, then both typed decoders on
+/// every frame they return. Each must return rather than panic, and the
+/// reused reader must yield what a fresh one per frame yields: the same
+/// frames, then the same error (line and message) or the same clean end.
+fn decode_hostile(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let whole = Frame::decode(&String::from_utf8_lossy(bytes));
+    let fresh = read_fresh(bytes);
+    for frame in whole.iter().chain(&fresh.0) {
+        let _ = Request::from_frame(frame);
+        let _ = ServerMsg::from_frame(frame);
+    }
+    prop_assert_eq!(read_reusing(bytes), fresh);
+    Ok(())
 }
 
 /// Round-trip helper: typed → frame → text → frame → typed.
@@ -543,17 +582,15 @@ proptest! {
     }
 
     #[test]
-    fn request_envelope_dispatches(req in map_requests()) {
-        let envelope = Request::Map(req);
-        let back = wire_round_trip(&envelope, Request::from_frame, envelope.to_frame());
-        prop_assert_eq!(back, envelope);
+    fn request_envelope_dispatches(req in requests()) {
+        let back = wire_round_trip(&req, Request::from_frame, req.to_frame());
+        prop_assert_eq!(back, req);
     }
 
     #[test]
-    fn server_envelope_dispatches(event in events()) {
-        let envelope = ServerMsg::Event(event);
-        let back = wire_round_trip(&envelope, ServerMsg::from_frame, envelope.to_frame());
-        prop_assert_eq!(back, envelope);
+    fn server_envelope_dispatches(msg in server_msgs()) {
+        let back = wire_round_trip(&msg, ServerMsg::from_frame, msg.to_frame());
+        prop_assert_eq!(back, msg);
     }
 
     #[test]
@@ -621,9 +658,24 @@ proptest! {
         for (mutation, at) in &edits {
             bytes = mutate(&bytes, mutation, *at);
         }
-        // Same frames, then the same error (line and message) or the
-        // same clean end.
-        prop_assert_eq!(read_reusing(&bytes), read_fresh(&bytes));
+        decode_hostile(&bytes)?;
+    }
+
+    #[test]
+    fn garbage_never_panics_a_decoder(
+        lines in prop::collection::vec(
+            prop::collection::vec(prop::sample::select(HOSTILE), 0..40),
+            0..13,
+        ),
+        headed in any::<bool>(),
+    ) {
+        // Half the garbage opens with a real header to reach deeper code.
+        let mut bytes = if headed { b"lrh-grid-wire v1 map-request\n".to_vec() } else { Vec::new() };
+        for line in &lines {
+            bytes.extend_from_slice(line);
+            bytes.push(b'\n');
+        }
+        decode_hostile(&bytes)?;
     }
 }
 

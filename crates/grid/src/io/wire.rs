@@ -35,7 +35,9 @@
 //!
 //! [`FrameReader`] (and [`read_frame`] on top of it) enforces hard caps
 //! on line length, entry count and raw-block size so a malformed or
-//! hostile peer cannot make the daemon buffer unbounded input.
+//! hostile peer cannot make the daemon buffer unbounded input. A unit
+//! test pins each cap at its boundary, through a whole text and through
+//! a default `BufReader`.
 //!
 //! ## One text emitter, one parser
 //!
@@ -190,7 +192,8 @@ impl Frame {
     }
 
     /// Encode to the wire text. The result always re-parses to an equal
-    /// frame ([`Frame::decode`]), which the stress harness fuzzes.
+    /// frame ([`Frame::decode`]), which the broker's wire property suite
+    /// (`crates/broker/tests/proptest_wire_roundtrip.rs`) checks.
     pub fn encode(&self) -> String {
         let mut out = String::new();
         self.encode_into(&mut out);
@@ -467,7 +470,6 @@ fn read_line<'a>(
     buf: &'a mut Vec<u8>,
 ) -> Result<Option<&'a str>, KvError> {
     buf.clear();
-    let mut total = 0usize;
     loop {
         let chunk = reader.fill_buf().map_err(|e| KvError {
             line: at,
@@ -479,21 +481,16 @@ fn read_line<'a>(
             }
             break; // final unterminated line
         }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                buf.extend_from_slice(&chunk[..i]);
-                reader.consume(i + 1);
-                break;
-            }
-            None => {
-                total += chunk.len();
-                if total > MAX_LINE_BYTES {
-                    return super::kv::err(at, "line exceeds length cap");
-                }
-                buf.extend_from_slice(chunk);
-                let n = chunk.len();
-                reader.consume(n);
-            }
+        // Every chunk counts toward the cap, the one ending the line too.
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let n = newline.unwrap_or(chunk.len());
+        if buf.len() + n > MAX_LINE_BYTES {
+            return super::kv::err(at, "line exceeds length cap");
+        }
+        buf.extend_from_slice(&chunk[..n]);
+        reader.consume(n + usize::from(newline.is_some()));
+        if newline.is_some() {
+            break;
         }
     }
     std::str::from_utf8(buf).map(Some).map_err(|_| KvError {
@@ -622,6 +619,37 @@ mod tests {
             .all(|(k, v)| k.capacity() + v.capacity() <= SPARE_ENTRY_BYTES));
         assert!(frames.frame.entries.capacity() <= SPARE_ENTRIES);
         assert!(frames.line.capacity() <= SPARE_LINE_BYTES);
+    }
+
+    /// Decode `text` through [`Frame::decode`] and through a
+    /// default-capacity `BufReader`, as the daemon wraps its sockets: a
+    /// cap must hold however the input arrives in chunks.
+    fn decode_both_ways(text: &str) -> Result<Frame, KvError> {
+        let direct = Frame::decode(text);
+        let buffered = read_frame(&mut std::io::BufReader::new(text.as_bytes()));
+        assert_eq!(buffered, direct.clone().map(Some));
+        direct
+    }
+
+    #[test]
+    fn every_cap_accepts_its_value_and_rejects_one_past_it() {
+        let line = |bytes: usize| format!("lrh-grid-wire v1 x\nk={}\nend\n", "v".repeat(bytes - 2));
+        let entries = |n: usize| format!("lrh-grid-wire v1 x\n{}end\n", "k=v\n".repeat(n));
+        let block = |n: usize| format!("lrh-grid-wire v1 x\nraw b {n}\n{}end\n", "\n".repeat(n));
+        let past_block = format!("lrh-grid-wire v1 x\nraw b {}\n", MAX_BLOCK_LINES + 1);
+        let cases = [
+            (line(MAX_LINE_BYTES), line(MAX_LINE_BYTES + 1), "line exceeds length cap".into()),
+            (entries(MAX_ENTRIES), entries(MAX_ENTRIES + 1), "frame exceeds entry cap".into()),
+            (
+                block(MAX_BLOCK_LINES),
+                past_block,
+                format!("raw block of {} lines exceeds cap", MAX_BLOCK_LINES + 1),
+            ),
+        ];
+        for (at_cap, past_cap, message) in cases {
+            assert!(decode_both_ways(&at_cap).is_ok(), "{message}: the cap itself is refused");
+            assert_eq!(decode_both_ways(&past_cap).unwrap_err().message, message);
+        }
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //!   recomputed from the schedule alone;
 //! * **differential oracles** ([`runner`]) — fresh `RunContext` vs
 //!   reused, the frontier kernel vs the from-scratch pool walk and the
-//!   resort scan (`slrh::reference`), fresh vs reused baseline state
-//!   buffers, and the heuristic registry under
-//!   a 1-thread vs 4-thread rayon pool: all byte-identical, compared on
+//!   resort scan (`slrh::reference`), and fresh vs reused state buffers
+//!   for every static baseline: all byte-identical, compared on
 //!   bit-exact (`f64::to_bits`) canonical signatures.
 //!
 //! A failing seed is shrunk ([`shrink`]) to a minimal reproducer — churn
@@ -44,11 +43,9 @@
 //! frontier-vs-pool-walk arm on every case small enough to afford the
 //! quadratic rebuild.
 //!
-//! A second fuzzing target ([`wire`], `--wire-seeds N`) hammers the
-//! broker's wire protocol instead of the churn machinery: generated
-//! typed messages must round-trip bit-exactly through their encodings
-//! (the fixpoint the daemon's byte-identity guarantee rides on), and
-//! mutated/truncated/garbage frames must never panic a decoder.
+//! The crate fuzzes the scheduler and nothing else, and depends only on
+//! the crates it fuzzes: the broker's wire protocol has its own property
+//! suite (`crates/broker/tests/proptest_wire_roundtrip.rs`).
 //!
 //! About a third of the generated cases additionally carry an
 //! **open-system block** ([`spec::OpenSpec`]): a seeded Poisson job
@@ -71,11 +68,9 @@ pub mod runner;
 pub mod scale;
 pub mod shrink;
 pub mod spec;
-pub mod wire;
 
 pub use gen::generate;
 pub use runner::{run_seed, RunReport};
 pub use scale::{generate_scale, run_scale_seed, ScaleCase, ScaleReport};
 pub use shrink::shrink;
 pub use spec::{CaseSpec, ChurnEvent, OpenSpec};
-pub use wire::{fuzz_wire, WireReport};

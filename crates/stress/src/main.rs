@@ -4,7 +4,6 @@
 //! cargo run --release -p stress -- --seeds 256
 //! cargo run --release -p stress -- --seeds 64 --start-seed 1000 --ticks-budget 2000000
 //! cargo run --release -p stress -- --replay crates/stress/corpus/loss-arrival-same-tick.case
-//! cargo run --release -p stress -- --seeds 0 --wire-seeds 256
 //! ```
 //!
 //! Runs seeds `start..start+n` through every heuristic and every oracle.
@@ -25,7 +24,6 @@ struct Args {
     corpus: PathBuf,
     replay: Option<PathBuf>,
     shrink_budget: usize,
-    wire_seeds: u64,
     scale_seeds: u64,
     scale_max_tasks: usize,
 }
@@ -42,7 +40,6 @@ fn parse_args() -> Result<Args, String> {
         corpus: default_corpus(),
         replay: None,
         shrink_budget: 200,
-        wire_seeds: 0,
         scale_seeds: 0,
         scale_max_tasks: 16_384,
     };
@@ -58,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
             "--corpus" => args.corpus = PathBuf::from(value("--corpus")?),
             "--replay" => args.replay = Some(PathBuf::from(value("--replay")?)),
             "--shrink-budget" => args.shrink_budget = num(&value("--shrink-budget")?)? as usize,
-            "--wire-seeds" => args.wire_seeds = num(&value("--wire-seeds")?)?,
             "--scale-seeds" => args.scale_seeds = num(&value("--scale-seeds")?)?,
             "--scale-max-tasks" => {
                 args.scale_max_tasks = num(&value("--scale-max-tasks")?)? as usize
@@ -67,7 +63,6 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: stress [--seeds N] [--start-seed S] [--ticks-budget B]\n\
                      \x20             [--corpus DIR] [--shrink-budget N] [--replay FILE]\n\
-                     \x20             [--wire-seeds N]\n\
                      \x20             [--scale-seeds N] [--scale-max-tasks T]"
                 );
                 std::process::exit(0);
@@ -128,31 +123,6 @@ fn main() -> ExitCode {
             }
             ExitCode::FAILURE
         };
-    }
-
-    let mut wire_failing: Vec<u64> = Vec::new();
-    for seed in args.start_seed..args.start_seed + args.wire_seeds {
-        let report = stress::fuzz_wire(seed);
-        if report.passed() {
-            if seed.is_multiple_of(64) {
-                println!(
-                    "wire seed {seed}: ok ({} messages, {} mutants)",
-                    report.messages, report.mutants
-                );
-            }
-            continue;
-        }
-        println!(
-            "wire seed {seed}: FAILED ({} oracle failures)",
-            report.failures.len()
-        );
-        for f in &report.failures {
-            println!("  {f}");
-        }
-        wire_failing.push(seed);
-    }
-    if args.wire_seeds > 0 && wire_failing.is_empty() {
-        println!("all {} wire seeds green", args.wire_seeds);
     }
 
     let mut scale_failing: Vec<u64> = Vec::new();
@@ -250,10 +220,6 @@ fn main() -> ExitCode {
             "{} of {ran} seeds failed: {failing:?} ({ticks_spent} clock steps)",
             failing.len()
         );
-        return ExitCode::FAILURE;
-    }
-    if !wire_failing.is_empty() {
-        println!("{} wire seeds failed: {wire_failing:?}", wire_failing.len());
         return ExitCode::FAILURE;
     }
     if !scale_failing.is_empty() {

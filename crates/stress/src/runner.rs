@@ -18,8 +18,6 @@
 //!   trajectory (`candidates_evaluated` legitimately differs — the
 //!   frontier plans fewer candidates; that is the point).
 //! * **fresh vs reused state buffers** for every static baseline.
-//! * **1-thread vs 4-thread** execution of the whole heuristic registry
-//!   under forced rayon pools.
 //!
 //! All comparisons are byte-exact on canonical signatures: schedules
 //! sorted by task / edge, every float rendered as its `f64` bit pattern,
@@ -30,18 +28,16 @@ use std::fmt::Write as _;
 use adhoc_grid::arrival::{BackgroundParams, JobArrival, OpenParams};
 use adhoc_grid::units::{Energy, Time};
 use grid_baselines::{
-    run_greedy, run_greedy_in, run_heft, run_heft_in, run_lr_list, run_lr_list_in, run_maxmax,
-    run_maxmax_in, run_mct, run_mct_in, run_minmin, run_minmin_in, run_olb, run_olb_in,
-    LrListConfig, StaticOutcome,
+    run_dbc, run_dbc_in, run_greedy, run_greedy_in, run_heft, run_heft_in, run_lr_list,
+    run_lr_list_in, run_maxmax, run_maxmax_in, run_mct, run_mct_in, run_minmin, run_minmin_in,
+    run_olb, run_olb_in, DbcMode, LrListConfig, StaticOutcome,
 };
-use grid_sweep::heuristic::Heuristic;
 use gridsim::cost::schedule_cost;
 use gridsim::metrics::Metrics;
 use gridsim::schedule::Schedule;
 use gridsim::state::SimState;
 use lagrange::step::StepRule;
 use lagrange::weights::Objective;
-use rayon::prelude::*;
 use slrh::open::{run_open_in, OpenJobReport, COST_EPS};
 use slrh::reference::{self, Kind};
 use slrh::{run_slrh_with, Adaptation, Churn, RunContext, SlrhOutcome, SlrhVariant};
@@ -371,35 +367,16 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         run_lr_list(&sc, &lr_cfg),
         run_lr_list_in(&sc, &lr_cfg, ctx.buffers_mut())
     );
-
-    // --- the registry under 1-thread and 4-thread rayon pools ------------
-    let registry = |threads: usize| -> Vec<String> {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
-        pool.expect("thread pool").install(|| {
-            Heuristic::ALL
-                .par_iter()
-                .map(|&h| {
-                    let r = h.run(&sc, weights);
-                    let mut s = format!("{} work={} valid={} ", h.name(), r.work, r.valid);
-                    push_metrics(&mut s, &r.metrics);
-                    s
-                })
-                .collect()
-        })
-    };
-    let single = registry(1);
-    let quad = registry(4);
-    for (a, b) in single.iter().zip(quad.iter()) {
-        if a != b {
-            failures.push(format!(
-                "registry: differential-threads: 1-thread and 4-thread runs diverge on {}",
-                a.split(' ').next().unwrap_or("?")
-            ));
-        }
-    }
-    for line in &single {
-        fingerprint.update(line);
-    }
+    baseline_arm!(
+        "dbc-cost",
+        run_dbc(&sc, DbcMode::Cost),
+        run_dbc_in(&sc, DbcMode::Cost, ctx.buffers_mut())
+    );
+    baseline_arm!(
+        "dbc-time",
+        run_dbc(&sc, DbcMode::Time),
+        run_dbc_in(&sc, DbcMode::Time, ctx.buffers_mut())
+    );
 
     failures.sort();
     failures.dedup();

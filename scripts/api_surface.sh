@@ -38,7 +38,15 @@
 #    stays gone, the rayon shim offers no adaptor or consumer beyond
 #    `par_iter().map/map_init().collect()`, `SimState` holds no atomics
 #    (nothing needs it to be `Sync`), and the frontier's redundant
-#    parent-cost tuple cache stays gone.
+#    parent-cost tuple cache stays gone;
+#  * the stress harness fuzzes the scheduler and nothing else: the wire
+#    protocol has one fuzzer, the broker's property suite
+#    (`crates/broker/tests/proptest_wire_roundtrip.rs`), so the stress
+#    copy (`crates/stress/src/wire.rs`, `tests/wire_fuzz.rs`, its names
+#    and its `--wire-seeds` flag) stays gone; `stress` depends on
+#    neither `grid-broker`, `grid-sweep` nor rayon, and runs no
+#    `par_iter` (its 1- vs 4-thread registry rerun only ever re-ran
+#    sequential heuristics).
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -139,6 +147,22 @@ if hits=$(grep -n 'Atomic' crates/sim/src/state.rs); then
 fi
 if hits=$(grep -rnE 'ParentCost|ptuple' crates/core/src); then
     fail "the frontier's parent-cost tuple cache is back:"$'\n'"$hits"
+fi
+
+for f in crates/stress/src/wire.rs crates/stress/tests/wire_fuzz.rs; do
+    if [ -e "$f" ]; then
+        fail "$f is back"
+    fi
+done
+if hits=$(grep -rnE 'fuzz_wire|WireReport|STREAM_WIRE|--wire-seeds' crates scripts .github |
+    grep -v '^scripts/api_surface.sh:'); then
+    fail "the stress harness's wire fuzzer is back:"$'\n'"$hits"
+fi
+if hits=$(grep -nE 'grid-broker|grid-sweep|rayon' crates/stress/Cargo.toml); then
+    fail "stress depends on more than what it fuzzes:"$'\n'"$hits"
+fi
+if hits=$(grep -rn 'par_iter' crates/stress); then
+    fail "the stress harness runs a thread-pool arm again:"$'\n'"$hits"
 fi
 
 [ "$status" -eq 0 ] && echo "api_surface: ok"
