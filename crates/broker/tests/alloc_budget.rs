@@ -35,7 +35,11 @@ use slrh::{RunContext, SlrhConfig, SlrhVariant};
 
 /// Counts every `alloc`/`realloc` served while delegating to [`System`]:
 /// process-wide, and per thread (the test harness allocates on threads
-/// of its own while a test runs).
+/// of its own while a test runs). The per-job budget needs the
+/// process-wide count, because a daemon reply spans threads — the
+/// worker encodes, the connection thread writes, the client decodes —
+/// so unlike the sweep's pins, which each count their own thread, these
+/// tests run one at a time.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);

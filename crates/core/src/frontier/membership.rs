@@ -7,7 +7,7 @@ use adhoc_grid::task::TaskId;
 use adhoc_grid::units::Time;
 use gridsim::state::SimState;
 
-use super::{Frontier, Query, ABSENT};
+use super::{merge_sorted, Frontier, Query, ABSENT};
 
 impl Frontier {
     /// Total candidates currently on the frontier.
@@ -88,7 +88,8 @@ impl Frontier {
     /// the advancing horizon has reached into the log. Each candidate is
     /// scored once per frontier residence instead of being rescanned
     /// every tick; the log is the deterministic, append-only arrival
-    /// order all views consume.
+    /// order all views consume. New waiters are sorted among themselves
+    /// and merged into the waiting set, which is already in order.
     pub(super) fn sync_list(&mut self, state: &SimState<'_>, horizon_end: Time) {
         if self.list_epoch != self.view_epoch {
             self.fresh.clear();
@@ -102,7 +103,6 @@ impl Frontier {
             self.list_epoch = self.view_epoch;
         }
         if !self.fresh.is_empty() {
-            let mut waited = false;
             for k in 0..self.fresh.len() {
                 let (t, g) = self.fresh[k];
                 if !self.is_current(t, g) {
@@ -112,17 +112,14 @@ impl Frontier {
                 if lb <= horizon_end {
                     self.slog.push((t, g));
                 } else {
-                    self.waiting.push((lb, t, g));
-                    waited = true;
+                    self.new_waiting.push((lb, t, g));
                 }
             }
             self.fresh.clear();
-            if waited {
-                // Descending, so the tail is the next candidate the
-                // horizon will reach; full-tuple order keeps equal-lb
-                // drains deterministic.
-                self.waiting.sort_unstable_by(|a, b| b.cmp(a));
-            }
+            // Descending, so the tail is the next candidate the horizon
+            // will reach; full-tuple order keeps equal-lb drains
+            // deterministic.
+            merge_sorted(&mut self.waiting, &mut self.new_waiting, |a, b| b.cmp(a));
         }
         while let Some(&(lb, t, g)) = self.waiting.last() {
             if lb > horizon_end {
@@ -146,6 +143,7 @@ impl Frontier {
 #[cfg(test)]
 mod tests {
     use super::super::tests::*;
+    use proptest::prelude::*;
 
     /// Delta-maintained membership equals the state's ready set.
     #[test]
@@ -164,6 +162,36 @@ mod tests {
             let mut ready: Vec<TaskId> = state.ready_tasks().to_vec();
             ready.sort();
             assert_eq!(on_frontier, ready, "step {step}");
+        }
+    }
+
+    proptest! {
+        /// The waiting set's repair is the sort it replaces: a sorted
+        /// set plus any batch of new waiters, merged, is the whole set
+        /// sorted (lb desc, then task and generation desc) — with equal
+        /// lbs on distinct tasks, an empty set or batch, and a batch
+        /// that lands entirely before or entirely after the set.
+        #[test]
+        fn merging_new_waiters_is_sorting_the_waiting_set(
+            lbs in prop::collection::vec(0u64..6, 0..48),
+            cut in any::<usize>(),
+            placement in 0usize..3,
+        ) {
+            let waiters: Vec<(Time, TaskId, u32)> = lbs
+                .iter()
+                .enumerate()
+                .map(|(i, &lb)| (Time(100 + lb), TaskId(i * 37 % 64), i as u32 % 3))
+                .collect();
+            let n = waiters.len();
+            for split in [0, cut % (n + 1), n] {
+                // Interleaved with the set, all ahead of it, all behind it.
+                let tail: Vec<_> = waiters[split..]
+                    .iter()
+                    .map(|&(lb, t, g)| (Time([lb.0, lb.0 + 100, lb.0 - 100][placement]), t, g))
+                    .collect();
+                let (merged, sorted) = merged_and_sorted(&waiters[..split], &tail, |a, b| b.cmp(a));
+                prop_assert_eq!(merged, sorted);
+            }
         }
     }
 

@@ -54,6 +54,8 @@ mod scan;
 mod tables;
 mod view;
 
+use std::cmp::Ordering;
+
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::Time;
@@ -69,6 +71,35 @@ use self::view::{Bound, View};
 
 /// Sentinel for "not on the frontier" in [`Frontier::pos`].
 const ABSENT: u32 = u32::MAX;
+
+/// Repair a cached order after an update: `order` is sorted under the
+/// strict total order `cmp`, `moved` holds the entries that were
+/// appended or whose keys changed. Sorts only `moved`, then merges it
+/// into `order` from the back — each entry of `order` that sorts after
+/// the first moved one is shifted once — and leaves `moved` empty with
+/// its capacity kept. The result is what sorting the union would give.
+fn merge_sorted<T: Copy>(
+    order: &mut Vec<T>,
+    moved: &mut Vec<T>,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) {
+    if moved.is_empty() {
+        return;
+    }
+    moved.sort_unstable_by(&cmp);
+    let mut i = order.len();
+    order.extend_from_slice(moved);
+    for k in (0..order.len()).rev() {
+        let Some(&last) = moved.last() else { break };
+        if i > 0 && cmp(&order[i - 1], &last) == Ordering::Greater {
+            i -= 1;
+            order[k] = order[i];
+        } else {
+            order[k] = last;
+            moved.pop();
+        }
+    }
+}
 
 /// The live candidate frontier: every ready task, on one list every
 /// machine sees. See the module docs.
@@ -103,9 +134,13 @@ pub(crate) struct Frontier {
     /// drained by [`Frontier::sync_list`]).
     fresh: Vec<(TaskId, u32)>,
     /// Candidates whose start lower bound still exceeds the horizon
-    /// (`(lb, task, gen)`, sorted lb-descending so the tail is the next
-    /// to become startable).
+    /// (`(lb, task, gen)`, sorted descending so the tail is the next to
+    /// become startable). Kept sorted across syncs: each sync's new
+    /// waiters are merged in ([`merge_sorted`]), never re-sorted with
+    /// the rest.
     waiting: Vec<(Time, TaskId, u32)>,
+    /// Reusable merge buffer for `waiting`: one sync's new waiters.
+    new_waiting: Vec<(Time, TaskId, u32)>,
     /// The append-only startable log (`(task, gen)`): tasks whose lb
     /// cleared the horizon, in arrival order. Views consume it through
     /// their cursor; cleared on epoch bumps.
@@ -448,6 +483,23 @@ mod tests {
     ) -> Option<MappingPlan> {
         let mut stats = RunStats::default();
         fr.best_startable(state, &objective(), j, now, horizon_end, true, &mut stats)
+    }
+
+    /// [`merge_sorted`] of the sorted `prefix` and an unsorted `tail`,
+    /// next to the sort of the whole that it replaces.
+    pub(super) fn merged_and_sorted<T: Copy>(
+        prefix: &[T],
+        tail: &[T],
+        cmp: impl Fn(&T, &T) -> Ordering + Copy,
+    ) -> (Vec<T>, Vec<T>) {
+        let mut merged = prefix.to_vec();
+        merged.sort_unstable_by(cmp);
+        let mut moved = tail.to_vec();
+        merge_sorted(&mut merged, &mut moved, cmp);
+        assert!(moved.is_empty(), "the merge consumes what moved");
+        let mut sorted = [prefix, tail].concat();
+        sorted.sort_unstable_by(cmp);
+        (merged, sorted)
     }
 
     /// What the paper's pool walk answers for the same query.

@@ -23,6 +23,11 @@ pub(super) struct SideBuf {
     /// so the next query's per-entry drift starts from zero instead of
     /// re-paying the evaluation.
     wb: Vec<(u32, f64)>,
+    /// The entries a view update moved — newcomers, written-back
+    /// entries — on their way into the view's order
+    /// ([`super::merge_sorted`]); empty between updates. One buffer
+    /// serves every view.
+    moved: Vec<ViewEntry>,
 }
 
 /// One query's working set: the machine's view (taken out of the
@@ -117,7 +122,7 @@ impl Frontier {
                 .retain(|e| self.is_current(TaskId(e.t as usize), e.gen));
             self.view_entries -= before - s.view.entries.len();
         }
-        s.touched = s.view.evaluate(s.fresh, b);
+        s.touched = s.view.evaluate(s.fresh, b, &mut s.buf.moved);
         if !s.fresh {
             s.drift = s.view.drift(b);
         }
@@ -181,7 +186,7 @@ impl Frontier {
             let ub = if s.fresh {
                 e.ub
             } else {
-                let exact = b.ub(t);
+                let exact = b.ub(t, (e.dlo, e.dhi));
                 s.levals += 1;
                 s.buf.wb.push((idx as u32, exact));
                 exact
@@ -234,7 +239,7 @@ impl Frontier {
             if !s.fresh && s.levals > 8 + v.entries.len() / 4 {
                 v.refresh = true;
             }
-            self.view_entries -= v.settle(&s.buf.wb, &s.buf.removals, b.basis());
+            self.view_entries -= v.settle(&s.buf.wb, &s.buf.removals, b.basis(), &mut s.buf.moved);
             if s.touched || !s.buf.removals.is_empty() || !s.buf.wb.is_empty() {
                 v.refold_basis(b.basis());
             }

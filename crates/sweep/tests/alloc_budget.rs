@@ -7,8 +7,9 @@
 //! less than ten fresh-context evaluations (the whole per-run setup is
 //! recycled) and stay under a pinned absolute budget; the map loop of a
 //! warm paper-scale run must allocate next to nothing at all, and a warm
-//! churn run next to nothing per unmapped subtask; and generating a
-//! paper-scale scenario allocates per table, not per task.
+//! churn run next to nothing per unmapped subtask; a warm scale-path
+//! run allocates nothing; and generating a paper-scale scenario
+//! allocates per table, not per task.
 //!
 //! Gated behind the `alloc-counter` cargo feature because installing a
 //! process-global allocator wrapper should not ride along with ordinary
@@ -23,28 +24,46 @@
 //! inside every settlement (`debug_assert!(check_invariants())`, one
 //! scratch vector per audit — some 2 900 on a paper-scale run), so
 //! there only the fresh-versus-reused differential is asserted.
+//!
+//! Every measured run is sequential, so each test counts only what its
+//! own thread allocates: the tests run concurrently, and the harness
+//! allocates on a thread of its own whenever a test finishes.
 #![cfg(feature = "alloc-counter")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::cell::Cell;
 
 use adhoc_grid::config::GridCase;
+use adhoc_grid::scale::ScaleParams;
 use adhoc_grid::workload::{Scenario, ScenarioParams};
 use grid_sweep::Heuristic;
 use lagrange::weights::Weights;
 use slrh::{run_slrh_with, Adaptation, Churn, RunContext, SlrhConfig, SlrhVariant};
 
-/// Counts every `alloc`/`realloc` served while delegating to [`System`].
+/// Counts every `alloc`/`realloc` the measuring thread makes inside a
+/// [`count_allocs`] window, while delegating to [`System`].
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Set by [`count_allocs`] for the length of its window.
+    /// Const-initialised and without a destructor, so touching it from
+    /// inside the allocator never allocates.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+    /// What this thread allocated while `MEASURING` was set.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    if MEASURING.with(Cell::get) {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    }
+}
 
 // SAFETY: pure delegation to `System`; the counter increment has no
 // allocation-relevant side effects.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -53,7 +72,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -64,25 +83,17 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Whether the absolute budgets apply (see the module docs).
 const PINNED: bool = !cfg!(debug_assertions);
 
-/// One test at a time: the counter is process-wide, so what the other
-/// test allocates meanwhile would count against this one's budget.
-static MEASURING: Mutex<()> = Mutex::new(());
-
-fn measuring() -> MutexGuard<'static, ()> {
-    // A failed budget must not fail the other test with a poison error.
-    MEASURING.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Allocations performed while running `f`.
+/// Allocations the calling thread performed while running `f`.
 fn count_allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
+    MEASURING.with(|m| m.set(true));
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    MEASURING.with(|m| m.set(false));
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]
 fn reused_context_stays_within_allocation_budget() {
-    let _one_at_a_time = measuring();
     let sc = Scenario::generate(&ScenarioParams::paper_scaled(32), GridCase::A, 0, 0);
     let weights: Vec<Weights> = (0..10)
         .map(|i| Weights::new(0.05 * i as f64, 0.4).expect("simplex"))
@@ -146,7 +157,6 @@ fn reused_context_stays_within_allocation_budget() {
 /// third): an adaptation step works on the stack.
 #[test]
 fn warm_paper_scale_map_loop_allocates_next_to_nothing() {
-    let _one_at_a_time = measuring();
     let params = ScenarioParams::paper_scaled(1024).with_seed(0x1234);
     let sc = Scenario::generate(&params, GridCase::A, 3, 7);
     let fixed = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.25).expect("simplex"));
@@ -190,7 +200,6 @@ fn paper_scale_scenario() -> Scenario {
 /// before), and the DAG's CSR build a handful.
 #[test]
 fn paper_scale_scenario_generation_allocates_per_table() {
-    let _one_at_a_time = measuring();
     let mut sc = None;
     let allocs = count_allocs(|| sc = Some(paper_scale_scenario()));
     assert_eq!(sc.expect("generated").tasks(), 1024);
@@ -212,7 +221,6 @@ fn paper_scale_scenario_generation_allocates_per_table() {
 /// their own (it was 2 713, about four per unmap).
 #[test]
 fn warm_paper_scale_churn_run_allocates_per_loss_not_per_unmap() {
-    let _one_at_a_time = measuring();
     let sc = paper_scale_scenario();
     let config = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.25).expect("simplex"));
     let tau = sc.tau.0;
@@ -247,5 +255,37 @@ fn warm_paper_scale_churn_run_allocates_per_loss_not_per_unmap() {
         "a warm paper-scale churn run allocated {allocs} times for {} unmapped subtasks \
          (budget {BUDGET})",
         cold.1
+    );
+}
+
+/// The scale path, warm: a 4 096-subtask, 32-machine SLRH-1 run
+/// (`ScaleParams::new(4096, 32)` under the 16 384 × 64 benchmark's
+/// weights), twice on one context, the second counted from
+/// `run_slrh_with`'s entry to its return. Its views hold hundreds of
+/// entries, so this is where the frontier's cached orders would
+/// allocate if an update kept storage of its own instead of the
+/// context's.
+#[test]
+fn warm_scale_run_allocates_next_to_nothing() {
+    let sc = ScaleParams::new(4096, 32).generate(0, 0);
+    let config = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.25).expect("simplex"));
+    let frozen = Churn::default();
+    let mut ctx = RunContext::new();
+    let run = |ctx: &mut RunContext| {
+        let outcome = run_slrh_with(&sc, &config, &frozen, ctx, None);
+        let stats = outcome.stats;
+        ctx.reclaim(outcome.state);
+        stats
+    };
+    let cold = run(&mut ctx);
+    let mut warm = cold;
+    let allocs = count_allocs(|| warm = run(&mut ctx));
+    assert!(cold.commits == 4096 && warm == cold);
+    // Measured 0, before and after the cached orders were repaired by
+    // merging instead of re-sorting.
+    const BUDGET: u64 = 0;
+    assert!(
+        !PINNED || allocs <= BUDGET,
+        "a warm 4096x32 run allocated {allocs} times inside the map loop (budget {BUDGET})"
     );
 }
