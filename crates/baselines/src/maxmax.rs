@@ -18,21 +18,22 @@
 //! large hole in the existing schedule" fits it
 //! ([`gridsim::plan::Placement::Insert`]).
 //!
-//! Two interpretation choices the paper leaves implicit, both needed for
+//! Four interpretation choices the paper leaves implicit, all needed for
 //! the heuristic to ever satisfy the τ constraint:
 //!
-//! * a triplet whose execution would **finish after τ** is not mappable —
-//!   the static analogue of the SLRH clock loop stopping at τ (without
-//!   it, the positive γ·AET/τ term drives the schedule arbitrarily late
-//!   and no (α, β) pair is ever compliant);
-//! * equal-objective ties (ubiquitous when γ = 0, where every primary
-//!   placement raises the objective identically) break toward the
-//!   **earliest finish**, consistent with the heuristic's Min-Min
-//!   ancestry — a fixed arbitrary tie-break would serialize every subtask
-//!   onto one machine;
-//! * a **bottom-level slack gate**: a triplet must finish by τ minus the
-//!   optimistic critical path from the subtask to the DAG's sinks (each
-//!   descendant costed at its fastest secondary execution). The dynamic
+//! * a **τ gate**: a triplet whose execution would **finish after τ** is
+//!   not mappable — the static analogue of the SLRH clock loop stopping
+//!   at τ (without it, the positive γ·AET/τ term drives the schedule
+//!   arbitrarily late and no (α, β) pair is ever compliant);
+//! * **earliest-finish tie-breaks**: equal-objective ties (ubiquitous when
+//!   γ = 0, where every primary placement raises the objective
+//!   identically) break toward the earliest finish, consistent with the
+//!   heuristic's Min-Min ancestry — a fixed arbitrary tie-break would
+//!   serialize every subtask onto one machine;
+//! * a **deadline gate** tightening the τ gate per subtask: a triplet must
+//!   finish by τ minus the optimistic critical path from the subtask to
+//!   the DAG's sinks (each descendant costed at its fastest secondary
+//!   execution), and by its level's proportional share of τ. The dynamic
 //!   SLRH gets this for free — late slots are filled by subtasks that
 //!   *become ready* late, i.e. leaves — but a static greedy will happily
 //!   park an interior subtask against the deadline and strangle its
@@ -48,16 +49,36 @@
 //!   early primaries while the slow machines' timelines fill, and no
 //!   weight pair can ever map all subtasks — the paper's requirement for
 //!   a pair to count at all.
+//!
+//! **What a commit re-costs.** Every commit judges every feasible triplet
+//! afresh — feasibility, both guards, the deadline gate and the
+//! objective read the batteries and the grid-wide totals, which every
+//! commit moves — but where a triplet's execution would land is kept.
+//! Each ready (task, machine) pair is costed once
+//! ([`SimState::cost_insert`]: the transfer walk, which does not depend
+//! on the version) and completed per version ([`InsertCost::at`]: the
+//! execution's own gap search). A costing reads the transmit timelines of
+//! the task's parents' machines and the target's receive and compute
+//! timelines; a commit changes the committed machine's compute and
+//! receive timelines and its transfers' senders' transmit timelines, and
+//! stamps those machines, so a pair is costed again when its target or
+//! one of its task's parents' machines was stamped since. Only the winner is
+//! planned. [`reference::run`] is the per-triplet scan without any of
+//! this, the oracle the product must replay bit for bit (DESIGN.md §21).
 
-use adhoc_grid::task::Version;
-use adhoc_grid::units::Energy;
+use adhoc_grid::config::MachineId;
+use adhoc_grid::task::{TaskId, Version};
+use adhoc_grid::units::{Energy, Time};
 use adhoc_grid::workload::Scenario;
-use gridsim::plan::{MappingPlan, Placement};
+use gridsim::plan::{InsertCost, InsertSlot, MappingPlan, Placement, PlanScratch};
 use gridsim::state::{SimState, StateBuffers};
 use lagrange::weights::Objective;
-use slrh::pool::plan_objective;
+use slrh::pool::{plan_objective, totals_objective};
 
 use crate::outcome::StaticOutcome;
+
+#[doc(hidden)]
+pub mod reference;
 
 /// Run Max-Max to completion on `scenario`.
 ///
@@ -86,17 +107,15 @@ pub fn run_maxmax_in<'a>(
     let mut evaluated = 0u64;
 
     let guard = DowngradeGuard::new(scenario);
+    let mut scan = Scan::new(scenario);
     let mut unmapped = scenario.tasks();
 
-    loop {
-        let best = find_best_triplet(&state, objective, &guard, unmapped, &mut evaluated);
-        match best {
-            Some(plan) => {
-                unmapped -= 1;
-                state.commit(&plan);
-            }
-            None => break,
-        }
+    while let Some(plan) = scan.best(&state, objective, &guard, unmapped, &mut evaluated) {
+        unmapped -= 1;
+        scan.stamp(&plan);
+        let delta = state.commit(&plan);
+        state.recycle(delta);
+        scan.scratch.recycle(plan);
     }
 
     StaticOutcome {
@@ -199,15 +218,15 @@ impl DowngradeGuard {
     ///   the deadline on an energy-cheap slow machine, compressing every
     ///   descendant into an ever-thinner window until the schedule
     ///   strangles.
-    fn deadline(&self, state: &SimState<'_>, t: adhoc_grid::task::TaskId) -> adhoc_grid::units::Time {
+    fn deadline(&self, state: &SimState<'_>, t: TaskId) -> Time {
         let tau = state.scenario().tau;
         let slack = self.bottom_slack[t.0];
         let by_slack = if slack.0 >= tau.0 {
-            adhoc_grid::units::Time::ZERO
+            Time::ZERO
         } else {
             tau - slack
         };
-        let quota = adhoc_grid::units::Time(
+        let quota = Time(
             (tau.0 as u128 * (self.depth[t.0] as u128 + 1) / (self.max_depth as u128 + 1)) as u64,
         );
         by_slack.min(quota)
@@ -221,18 +240,18 @@ impl DowngradeGuard {
     }
 
     /// What every machine has left in `state`, and the capacity that
-    /// buys: `(energy, seconds before τ, capacity)` per machine.
-    fn headroom(&self, state: &SimState<'_>) -> Vec<(f64, f64, f64)> {
+    /// buys, into `out`: `(energy, seconds before τ, capacity)` per
+    /// machine. The state cannot change inside one search, so a search
+    /// reads this once, not once per triplet.
+    fn headroom(&self, state: &SimState<'_>, out: &mut Vec<(f64, f64, f64)>) {
         let sc = state.scenario();
         let tau = sc.tau.as_seconds();
-        sc.grid
-            .ids()
-            .map(|m| {
-                let energy = state.ledger().available(m).units();
-                let time = tau - state.compute_timeline(m).total_busy().as_seconds();
-                (energy, time, self.capacity(m.0, energy, time))
-            })
-            .collect()
+        out.clear();
+        out.extend(sc.grid.ids().map(|m| {
+            let energy = state.ledger().available(m).units();
+            let time = tau - state.compute_timeline(m).total_busy().as_seconds();
+            (energy, time, self.capacity(m.0, energy, time))
+        }));
     }
 
     /// Estimated number of secondary-level subtasks the grid can still
@@ -243,7 +262,7 @@ impl DowngradeGuard {
     fn capacity_after(
         &self,
         headroom: &[(f64, f64, f64)],
-        j: adhoc_grid::config::MachineId,
+        j: MachineId,
         cost: Energy,
         exec_secs: f64,
     ) -> f64 {
@@ -261,73 +280,181 @@ impl DowngradeGuard {
     }
 }
 
-/// The best feasible (task, version, machine) plan by objective value, or
-/// `None` when no feasible pair remains. Triplets finishing after τ are
-/// not mappable; equal objectives break toward the earliest finish, then
-/// the lower task id, primary version, and lower machine id — fully
-/// deterministic.
-fn find_best_triplet(
-    state: &SimState<'_>,
-    objective: &Objective,
-    guard: &DowngradeGuard,
-    unmapped: usize,
-    evaluated: &mut u64,
-) -> Option<MappingPlan> {
-    let sc = state.scenario();
-    let mut best: Option<(f64, MappingPlan)> = None;
-    // The state cannot change inside this search, so what the machines
-    // have left is read once, not once per triplet.
-    let headroom = guard.headroom(state);
+/// One kept costing: a (task, machine) pair's [`InsertCost`] and, once
+/// asked for, each version's [`InsertSlot`].
+#[derive(Copy, Clone)]
+struct Pair {
+    /// The epoch the costing was made at.
+    costed_at: u64,
+    cost: InsertCost,
+    /// Primary, secondary.
+    slots: [Option<InsertSlot>; 2],
+}
 
-    for &t in state.ready_tasks() {
-        // Bottom-level slack gate (see module docs).
-        let deadline = guard.deadline(state, t);
-        for j in sc.grid.ids() {
-            for v in Version::BOTH {
-                if !state.version_feasible(t, v, j) {
-                    continue;
-                }
-                // Downgrade guard (see module docs): committing this
-                // triplet must leave the grid able to absorb the rest of
-                // the workload at the secondary level.
-                // Same static quantity the feasibility gate compares —
-                // served from `SimState`'s precomputed demand table.
-                let cost = state.feasibility_demand(t, v, j);
-                let exec_secs = sc.etc.exec_dur(t, j, v).as_seconds();
-                if guard.capacity_after(&headroom, j, cost, exec_secs) < (unmapped - 1) as f64 {
-                    continue;
-                }
-                let plan = state.plan(t, v, j, Placement::Insert);
-                *evaluated += 1;
-                if plan.finish() > deadline {
-                    continue;
-                }
-                let obj = plan_objective(state, objective, &plan);
-                let better = match &best {
-                    None => true,
-                    Some((b, bp)) => {
-                        obj > *b
-                            || (obj == *b
-                                && (
-                                    plan.finish(),
-                                    plan.task,
-                                    !plan.version.is_primary(),
-                                    plan.machine,
-                                ) < (
-                                    bp.finish(),
-                                    bp.task,
-                                    !bp.version.is_primary(),
-                                    bp.machine,
-                                ))
+/// The product scan's memory across commits: the kept costings, the
+/// stamps that drop them, and the planner's recycled storage.
+#[derive(Default)]
+struct Scan {
+    /// Per (task, machine) pair, at `task * machines + machine`.
+    pairs: Vec<Option<Pair>>,
+    machines: usize,
+    /// Per machine, the epoch of the last commit onto it: its compute
+    /// and receive timelines changed then.
+    target_stamp: Vec<u64>,
+    /// Per machine, the epoch of the last commit it sent a transfer for:
+    /// its transmit timeline changed then.
+    sender_stamp: Vec<u64>,
+    /// One more than the commits so far, so a costing's epoch is above
+    /// every stamp set before it was made and not above any set after.
+    epoch: u64,
+    headroom: Vec<(f64, f64, f64)>,
+    scratch: PlanScratch,
+}
+
+impl Scan {
+    fn new(scenario: &Scenario) -> Scan {
+        let machines = scenario.grid.len();
+        Scan {
+            pairs: vec![None; scenario.tasks() * machines],
+            machines,
+            target_stamp: vec![0; machines],
+            sender_stamp: vec![0; machines],
+            epoch: 1,
+            headroom: Vec::with_capacity(machines),
+            ..Scan::default()
+        }
+    }
+
+    /// Stamp the machines whose timelines committing `plan` changes.
+    fn stamp(&mut self, plan: &MappingPlan) {
+        self.target_stamp[plan.machine.0] = self.epoch;
+        for tr in &plan.transfers {
+            self.sender_stamp[tr.from.0] = self.epoch;
+        }
+        self.epoch += 1;
+    }
+
+    /// The best feasible (task, version, machine) plan by objective value,
+    /// or `None` when no feasible pair remains: [`reference::run`]'s
+    /// choice and count. Triplets finishing after their deadline are not
+    /// mappable; equal objectives break toward the earliest finish, then
+    /// the lower task id, primary version, and lower machine id — fully
+    /// deterministic.
+    fn best(
+        &mut self,
+        state: &SimState<'_>,
+        objective: &Objective,
+        guard: &DowngradeGuard,
+        unmapped: usize,
+        evaluated: &mut u64,
+    ) -> Option<MappingPlan> {
+        let sc = state.scenario();
+        guard.headroom(state, &mut self.headroom);
+        let metrics = state.metrics();
+        let mut best: Option<(f64, (Time, TaskId, bool, MachineId))> = None;
+
+        for &t in state.ready_tasks() {
+            // Bottom-level slack gate (see module docs).
+            let deadline = guard.deadline(state, t);
+            let senders = self.senders(state, t);
+            for j in sc.grid.ids() {
+                for v in Version::BOTH {
+                    if !state.version_feasible(t, v, j) {
+                        continue;
                     }
-                };
-                if better {
-                    best = Some((obj, plan));
+                    // Downgrade guard (see module docs): committing this
+                    // triplet must leave the grid able to absorb the rest
+                    // of the workload at the secondary level.
+                    let cost = state.feasibility_demand(t, v, j);
+                    let exec_secs = sc.etc.exec_dur(t, j, v).as_seconds();
+                    if guard.capacity_after(&self.headroom, j, cost, exec_secs)
+                        < (unmapped - 1) as f64
+                    {
+                        continue;
+                    }
+                    *evaluated += 1;
+                    let slot = self.slot(state, t, j, v, senders);
+                    if slot.finish() > deadline {
+                        continue;
+                    }
+                    let obj = totals_objective(&metrics, objective, &slot.totals(state));
+                    let key = (slot.finish(), t, !v.is_primary(), j);
+                    let better = match best {
+                        None => true,
+                        Some((b, bk)) => obj > b || (obj == b && key < bk),
+                    };
+                    if better {
+                        best = Some((obj, key));
+                    }
                 }
             }
         }
+
+        let (obj, (finish, t, secondary, j)) = best?;
+        let v = if secondary {
+            Version::Secondary
+        } else {
+            Version::Primary
+        };
+        let plan = state.plan_with(t, v, j, Placement::Insert, &mut self.scratch);
+        debug_assert_eq!(plan.finish(), finish, "kept slot of {t} on {j} is stale");
+        debug_assert_eq!(
+            plan_objective(state, objective, &plan).to_bits(),
+            obj.to_bits(),
+            "score of {t} on {j} differs from its plan's objective"
+        );
+        Some(plan)
     }
-    best.map(|(_, p)| p)
+
+    /// The latest sender stamp over `t`'s parents' machines: the
+    /// transfer walk reads their transmit timelines. (A parent on the
+    /// target itself ships nothing, so its stamp may drop a costing that
+    /// was still current.)
+    fn senders(&self, state: &SimState<'_>, t: TaskId) -> u64 {
+        state
+            .scenario()
+            .dag
+            .parents(t)
+            .iter()
+            .map(|&p| {
+                let parent = state.schedule().assignment(p);
+                self.sender_stamp[parent.expect("a ready task's parents are mapped").machine.0]
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The costing kept for `(t, j)`, unless `j` or a sender to it
+    /// (`senders`, [`Scan::senders`]) was stamped at or after its epoch.
+    fn kept(&self, t: TaskId, j: MachineId, senders: u64) -> Option<&Pair> {
+        let stamp = self.target_stamp[j.0].max(senders);
+        self.pairs[t.0 * self.machines + j.0]
+            .as_ref()
+            .filter(|pair| pair.costed_at > stamp)
+    }
+
+    /// Where `(t, v)` lands on `j`: the kept slot, or a fresh one from
+    /// the kept costing, or from a fresh costing.
+    fn slot(
+        &mut self,
+        state: &SimState<'_>,
+        t: TaskId,
+        j: MachineId,
+        v: Version,
+        senders: u64,
+    ) -> InsertSlot {
+        let at = t.0 * self.machines + j.0;
+        if self.kept(t, j, senders).is_none() {
+            self.pairs[at] = Some(Pair {
+                costed_at: self.epoch,
+                cost: state.cost_insert(t, j, &mut self.scratch),
+                slots: [None; 2],
+            });
+        }
+        let pair = self.pairs[at].as_mut().expect("costed above");
+        let cost = pair.cost;
+        *pair.slots[usize::from(!v.is_primary())].get_or_insert_with(|| cost.at(state, v))
+    }
 }
 
 #[cfg(test)]
@@ -355,6 +482,52 @@ mod tests {
         let errs = validate(&out.state);
         assert!(errs.is_empty(), "{errs:?}");
         assert!(out.candidates_evaluated > 0);
+    }
+
+    /// Every costing and slot the stamps keep is what a fresh transfer
+    /// walk and gap search return, after each commit of a run, for every
+    /// ready task × machine. A memo that misses a timeline a commit
+    /// changed — the target's or a sender's — fails here even where it
+    /// changes no decision.
+    #[test]
+    fn kept_costings_equal_fresh_ones() {
+        for (case, tasks) in [(GridCase::A, 64), (GridCase::B, 96), (GridCase::C, 48)] {
+            let sc = Scenario::generate(&ScenarioParams::paper_scaled(tasks), case, 0, 0);
+            let objective = obj(0.5, 0.2);
+            let guard = DowngradeGuard::new(&sc);
+            let mut state = SimState::new(&sc);
+            let mut scan = Scan::new(&sc);
+            let (mut evaluated, mut unmapped, mut kept) = (0, sc.tasks(), 0);
+            while let Some(plan) = scan.best(&state, &objective, &guard, unmapped, &mut evaluated) {
+                unmapped -= 1;
+                scan.stamp(&plan);
+                state.commit(&plan);
+                for &t in state.ready_tasks() {
+                    let senders = scan.senders(&state, t);
+                    for j in sc.grid.ids() {
+                        let Some(pair) = scan.kept(t, j, senders).copied() else {
+                            continue;
+                        };
+                        let fresh = state.cost_insert(t, j, &mut scan.scratch);
+                        assert_eq!(pair.cost, fresh, "{case:?}: costing of {t} on {j}");
+                        for (slot, v) in pair.slots.iter().zip(Version::BOTH) {
+                            if let Some(slot) = slot {
+                                assert_eq!(
+                                    *slot,
+                                    fresh.at(&state, v),
+                                    "{case:?}: {t}/{v:?} on {j}"
+                                );
+                            }
+                        }
+                        kept += 1;
+                    }
+                }
+            }
+            assert!(
+                kept > 100,
+                "{case:?}: only {kept} costings were kept across commits"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 use adhoc_grid::config::GridCase;
 use adhoc_grid::workload::{Scenario, ScenarioParams};
 use grid_baselines::{
-    run_greedy, run_heft, run_lr_list, run_maxmax, run_minmin, run_olb, LrListConfig,
+    maxmax, run_greedy, run_heft, run_lr_list, run_maxmax, run_minmin, run_olb, LrListConfig,
+    StaticOutcome,
 };
 use gridsim::validate::validate;
 use lagrange::weights::{Objective, Weights};
@@ -14,6 +15,61 @@ use proptest::prelude::*;
 fn weights() -> impl Strategy<Value = Weights> {
     (0.0f64..1.0, 0.0f64..1.0)
         .prop_map(|(a, bf)| Weights::new(a, (1.0 - a) * bf).expect("on simplex"))
+}
+
+/// Interior points and the simplex's corners, α = 1 (β = γ = 0) among
+/// them: the corners are where objective ties are densest.
+fn weights_with_corners() -> impl Strategy<Value = Weights> {
+    (0usize..6, weights()).prop_map(|(pick, w)| match pick {
+        0 => Weights::new(1.0, 0.0).expect("corner"),
+        1 => Weights::new(0.0, 1.0).expect("corner"),
+        2 => Weights::new(0.0, 0.0).expect("corner"),
+        _ => w,
+    })
+}
+
+/// Everything a static run decided, floats as their exact `Debug`
+/// rendering: the assignments by task, the transfers in commit order,
+/// the metrics and the work counter.
+fn decisions(out: &StaticOutcome<'_>) -> String {
+    let schedule = out.state.schedule();
+    let mut assignments: Vec<_> = schedule.assignments().copied().collect();
+    assignments.sort_unstable_by_key(|a| a.task);
+    format!(
+        "{assignments:?}\n{:?}\n{:?}\ncandidates={}",
+        schedule.transfers(),
+        out.metrics(),
+        out.candidates_evaluated
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Max-Max's kept costings replay the per-triplet reference scan,
+    /// which plans every feasible triplet from scratch on every commit:
+    /// the same assignments, transfers, metrics bit for bit and
+    /// `candidates_evaluated`.
+    #[test]
+    fn maxmax_matches_its_reference(
+        tasks in 8usize..129,
+        case_idx in 0usize..3,
+        etc_id in 0usize..3,
+        dag_id in 0usize..3,
+        w in weights_with_corners(),
+    ) {
+        let sc = Scenario::generate(
+            &ScenarioParams::paper_scaled(tasks),
+            GridCase::ALL[case_idx],
+            etc_id,
+            dag_id,
+        );
+        let obj = Objective::paper(w);
+        prop_assert_eq!(
+            decisions(&run_maxmax(&sc, &obj)),
+            decisions(&maxmax::reference::run(&sc, &obj))
+        );
+    }
 }
 
 proptest! {

@@ -12,6 +12,7 @@ use gridsim::plan::PlanTotals;
 use lagrange::weights::{AetSign, Objective, ObjectiveInputs};
 
 use super::{merge_sorted, Frontier, Query};
+use crate::pool::totals_objective;
 
 /// Global cap on live cached-order entries (alive + floor-deferred)
 /// across every machine's view, in entries — 64 bytes each alive (the
@@ -351,15 +352,11 @@ impl<'q> Bound<'q> {
     }
 
     /// The objective of a plan with these totals:
-    /// [`crate::pool::plan_objective`]'s expression over the query's
-    /// metrics snapshot (the state cannot change during a query), so the
-    /// value is the plan's objective bit for bit.
+    /// [`totals_objective`] over the query's metrics snapshot (the state
+    /// cannot change during a query), so the value is the plan's
+    /// objective bit for bit.
     pub(super) fn score(&self, totals: &PlanTotals) -> f64 {
-        self.q.objective.evaluate(&ObjectiveInputs {
-            t100_frac: totals.t100_after as f64 / self.tasks_f,
-            tec_frac: totals.tec_after / self.m.tse,
-            aet_frac: totals.aet_after.as_seconds() / self.tau_s,
-        })
+        totals_objective(&self.m, self.q.objective, totals)
     }
 
     /// Smallest / largest exec duration over the versions `ub`

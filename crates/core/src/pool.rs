@@ -26,7 +26,8 @@
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::Time;
-use gridsim::plan::{MappingPlan, Placement, PlanScratch};
+use gridsim::metrics::Metrics;
+use gridsim::plan::{MappingPlan, Placement, PlanScratch, PlanTotals};
 use gridsim::state::SimState;
 use lagrange::weights::{Objective, ObjectiveInputs};
 
@@ -110,11 +111,23 @@ impl<'a> IntoIterator for &'a Pool {
 
 /// Evaluate the global objective a plan would produce.
 pub fn plan_objective(state: &SimState<'_>, objective: &Objective, plan: &MappingPlan) -> f64 {
-    let m = state.metrics();
+    let totals = PlanTotals {
+        t100_after: plan.t100_after,
+        tec_after: plan.tec_after,
+        aet_after: plan.aet_after,
+    };
+    totals_objective(&state.metrics(), objective, &totals)
+}
+
+/// The global objective of a commit that moves the state whose metrics
+/// are `m` to `totals`: the one expression [`plan_objective`] and every
+/// costing's score (the frontier's, Max-Max's) evaluate, so a costing
+/// scores its plan's objective bit for bit.
+pub fn totals_objective(m: &Metrics, objective: &Objective, totals: &PlanTotals) -> f64 {
     objective.evaluate(&ObjectiveInputs {
-        t100_frac: plan.t100_after as f64 / m.tasks as f64,
-        tec_frac: plan.tec_after / m.tse,
-        aet_frac: plan.aet_after.as_seconds() / m.tau.as_seconds(),
+        t100_frac: totals.t100_after as f64 / m.tasks as f64,
+        tec_frac: totals.tec_after / m.tse,
+        aet_frac: totals.aet_after.as_seconds() / m.tau.as_seconds(),
     })
 }
 

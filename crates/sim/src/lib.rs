@@ -50,7 +50,9 @@ pub use cost::schedule_cost;
 pub use ledger::EnergyLedger;
 pub use metrics::Metrics;
 pub use outcome::MappingOutcome;
-pub use plan::{AppendCost, MappingPlan, Placement, PlanScratch, PlanTotals};
+pub use plan::{
+    AppendCost, InsertCost, InsertSlot, MappingPlan, Placement, PlanScratch, PlanTotals,
+};
 pub use schedule::{Assignment, Schedule, Transfer};
 pub use state::{DeltaKind, SimState, StateBuffers, StateDelta};
 pub use trace::{EventTrace, ReplayOp, Trace};

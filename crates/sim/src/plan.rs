@@ -119,7 +119,8 @@ pub struct PlanTotals {
 }
 
 impl PlanTotals {
-    /// The one definition [`plan_mapping`] and [`AppendCost::at`] share:
+    /// The one definition [`plan_mapping`], [`AppendCost::at`] and
+    /// [`InsertSlot::totals`] share:
     /// `TEC + exec + Σ transfers` in exactly this association order, so
     /// a costing's totals are the plan's, bit for bit.
     fn after(
@@ -143,8 +144,8 @@ impl PlanTotals {
 /// on the parents' placements and the links' occupation, and the
 /// execution is queued behind the machine's availability whatever its
 /// length — so neither the start nor the transfer energy changes with
-/// the version. (Under [`Placement::Insert`] the start is a gap search
-/// for the execution's own duration; there is no such half.)
+/// the version. (Under [`Placement::Insert`] only the transfers are
+/// shared; see [`InsertCost`].)
 ///
 /// Produced by [`SimState::cost_append`] from the same
 /// transfer-placement walk [`SimState::plan_with`] runs, without
@@ -175,6 +176,89 @@ impl AppendCost {
     }
 }
 
+/// The version-independent half of a [`Placement::Insert`] plan for one
+/// `(task, machine)` pair: the transfer-placement walk from time zero.
+/// Its inputs are the parents' placements and the links' occupation, not
+/// the version of the task being placed, so the instant every input is
+/// on the machine and the transfer energy are the same for both
+/// versions. Only the execution's gap search depends on the version —
+/// a shorter secondary can fit a hole the primary cannot — and
+/// [`InsertCost::at`] runs it.
+///
+/// Produced by [`SimState::cost_insert`] without building a
+/// [`MappingPlan`].
+#[derive(Copy, Clone, PartialEq, Debug)]
+pub struct InsertCost {
+    /// The subtask costed.
+    pub task: TaskId,
+    /// The target machine.
+    pub machine: MachineId,
+    /// The instant every input item is on the machine: where the
+    /// execution's gap search starts.
+    pub arrival: Time,
+    /// Energy the senders pay: the transfer energies summed in parent
+    /// order, as the plan sums them.
+    pub transfer_energy: Energy,
+}
+
+impl InsertCost {
+    /// Where the plan for `version` puts its execution: the machine's
+    /// earliest compute gap of the execution's length from the arrival
+    /// instant — the plan's `start`, bit for bit.
+    pub fn at(&self, state: &SimState<'_>, version: Version) -> InsertSlot {
+        let sc = state.scenario();
+        let exec_dur = sc.etc.exec_dur(self.task, self.machine, version);
+        InsertSlot {
+            version,
+            start: state
+                .compute_timeline(self.machine)
+                .earliest_gap(self.arrival, exec_dur),
+            exec_dur,
+            exec_energy: sc.grid.machine(self.machine).compute_energy(exec_dur),
+            transfer_energy: self.transfer_energy,
+        }
+    }
+}
+
+/// One version's completion of an [`InsertCost`]. It reads the target's
+/// compute timeline and the costing, not the grid-wide totals, so it
+/// stays what the plan would do for as long as those two do;
+/// [`InsertSlot::totals`] reads the totals of the state it is given.
+#[derive(Copy, Clone, PartialEq, Debug)]
+pub struct InsertSlot {
+    /// The version placed.
+    pub version: Version,
+    /// Execution start.
+    pub start: Time,
+    /// Execution duration.
+    pub exec_dur: Dur,
+    /// Energy the execution commits on the target.
+    pub exec_energy: Energy,
+    /// The costing's transfer energy.
+    pub transfer_energy: Energy,
+}
+
+impl InsertSlot {
+    /// First tick after the execution completes.
+    pub fn finish(&self) -> Time {
+        self.start + self.exec_dur
+    }
+
+    /// The totals of the plan for this slot in `state`: equal to the
+    /// `t100_after` / `tec_after` / `aet_after` [`SimState::plan_with`]
+    /// reports for the same state, bit for bit.
+    pub fn totals(&self, state: &SimState<'_>) -> PlanTotals {
+        PlanTotals::after(
+            state,
+            self.version,
+            self.start,
+            self.exec_dur,
+            self.exec_energy,
+            self.transfer_energy,
+        )
+    }
+}
+
 /// Reusable storage for the planner: the transfer-placement search's
 /// per-plan link overlays, and the three vectors of the next
 /// [`MappingPlan`].
@@ -182,8 +266,9 @@ impl AppendCost {
 /// With fresh `Vec`s per call the SLRH inner loop — thousands of
 /// costings and one plan per commit — spends a measurable share of its
 /// time in the allocator. Callers that plan in a loop (the candidate
-/// kernels) hold one `PlanScratch`, pass it to [`SimState::plan_with`] /
-/// [`SimState::cost_append`], and hand a plan's vectors back with
+/// kernels, Max-Max) hold one `PlanScratch`, pass it to
+/// [`SimState::plan_with`] / [`SimState::cost_append`] /
+/// [`SimState::cost_insert`], and hand a plan's vectors back with
 /// [`PlanScratch::recycle`] once it is committed; the buffers are
 /// cleared, never shrunk, so steady state performs no allocation at all.
 ///
@@ -343,6 +428,25 @@ pub(crate) fn cost_append(
     }
 }
 
+/// Cost mapping `task` onto `machine` under `Insert` without building
+/// the plan. See [`SimState::cost_insert`] for the public entry point.
+pub(crate) fn cost_insert(
+    state: &SimState<'_>,
+    task: TaskId,
+    machine: MachineId,
+    scratch: &mut PlanScratch,
+) -> InsertCost {
+    assert!(!state.is_mapped(task), "{task} is already mapped");
+    let not_before = Placement::Insert.not_before();
+    let inputs = place_transfers(state, task, machine, not_before, scratch, |_, _| {});
+    InsertCost {
+        task,
+        machine,
+        arrival: inputs.arrival,
+        transfer_energy: inputs.transfer_energy,
+    }
+}
+
 /// Plan mapping `(task, version)` onto `machine`. See
 /// [`SimState::plan`] for the public entry point.
 ///
@@ -481,11 +585,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// On mid-run states — machines queued, links occupied, energy
-        /// spent — the one-walk costing is the plan's version-independent
-        /// half for every ready task × machine × version: the same start,
-        /// and `T100` / `TEC` / `AET` equal bit for bit. And a plan built
-        /// on recycled storage equals the plan built on fresh storage.
+        /// On mid-run states — machines queued, holes left by inserted
+        /// executions, links occupied, energy spent — the one-walk
+        /// costings are the plans' version-independent halves for every
+        /// ready task × machine × version, under both placements: the
+        /// same start, and `T100` / `TEC` / `AET` equal bit for bit. And
+        /// a plan built on recycled storage equals the plan built on
+        /// fresh storage.
         #[test]
         fn the_costing_is_the_plan_without_its_vectors(
             dag_id in 0usize..4,
@@ -498,8 +604,13 @@ mod tests {
                 let Some(&t) = state.ready_tasks().first() else { break };
                 let j = MachineId(step % sc.grid.len());
                 let v = if step % 3 == 0 { Version::Primary } else { Version::Secondary };
+                let placement = if step % 2 == 0 {
+                    Placement::Append { not_before: Time::ZERO }
+                } else {
+                    Placement::Insert
+                };
                 if state.version_feasible(t, v, j) {
-                    let plan = state.plan(t, v, j, Placement::Append { not_before: Time::ZERO });
+                    let plan = state.plan(t, v, j, placement);
                     state.commit(&plan);
                 }
             }
@@ -510,6 +621,8 @@ mod tests {
                 for j in sc.grid.ids() {
                     let cost = state.cost_append(t, j, now, &mut scratch);
                     prop_assert_eq!((cost.task, cost.machine), (t, j));
+                    let insert = state.cost_insert(t, j, &mut scratch);
+                    prop_assert_eq!((insert.task, insert.machine), (t, j));
                     for v in Version::BOTH {
                         let fresh = state.plan(t, v, j, placement);
                         let totals = cost.at(&state, v);
@@ -520,6 +633,20 @@ mod tests {
                             totals.tec_after.units().to_bits(),
                             fresh.tec_after.units().to_bits()
                         );
+
+                        let planned = state.plan(t, v, j, Placement::Insert);
+                        let slot = insert.at(&state, v);
+                        let totals = slot.totals(&state);
+                        prop_assert_eq!(slot.version, v);
+                        prop_assert_eq!(slot.start, planned.start);
+                        prop_assert_eq!(slot.finish(), planned.finish());
+                        prop_assert_eq!(totals.t100_after, planned.t100_after);
+                        prop_assert_eq!(totals.aet_after, planned.aet_after);
+                        prop_assert_eq!(
+                            totals.tec_after.units().to_bits(),
+                            planned.tec_after.units().to_bits()
+                        );
+
                         // The scratch has held costings and other pairs'
                         // plans by now; none of it shows.
                         let recycled = state.plan_with(t, v, j, placement, &mut scratch);

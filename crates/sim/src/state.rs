@@ -33,7 +33,7 @@ use adhoc_grid::workload::Scenario;
 
 use crate::ledger::EnergyLedger;
 use crate::metrics::Metrics;
-use crate::plan::{self, AppendCost, MappingPlan, Placement, PlanScratch};
+use crate::plan::{self, AppendCost, InsertCost, MappingPlan, Placement, PlanScratch};
 use crate::schedule::{Assignment, Schedule, Transfer};
 use crate::timeline::Timeline;
 
@@ -728,6 +728,17 @@ impl<'a> SimState<'a> {
         scratch: &mut PlanScratch,
     ) -> AppendCost {
         plan::cost_append(self, t, j, not_before, scratch)
+    }
+
+    /// The version-independent half of planning `t` onto `j` under
+    /// [`Placement::Insert`]: the transfer-placement walk from time zero
+    /// that [`SimState::plan_with`] runs, without building a plan; each
+    /// version's execution slot is [`InsertCost::at`]. Pure.
+    ///
+    /// # Panics
+    /// Panics if `t` is mapped or any parent of `t` is unmapped.
+    pub fn cost_insert(&self, t: TaskId, j: MachineId, scratch: &mut PlanScratch) -> InsertCost {
+        plan::cost_insert(self, t, j, scratch)
     }
 
     /// Commit a plan produced by [`SimState::plan`] against the *current*

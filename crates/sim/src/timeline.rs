@@ -103,21 +103,31 @@ impl Timeline {
     /// Like [`Timeline::earliest_gap`], but also avoiding the `extra`
     /// intervals (used when planning several transfers in one mapping
     /// before any of them is committed). `extra` need not be sorted.
+    ///
+    /// `t` only grows, so the base intervals ending by `t` never conflict
+    /// again: a cursor into the sorted base moves forward only — one step
+    /// per base conflict, one suffix search after an overlay bump — and a
+    /// hole search deep in a busy timeline (Max-Max's) is one binary
+    /// search and a walk.
     pub fn earliest_gap_with(&self, extra: &[Interval], not_before: Time, dur: Dur) -> Time {
         if dur.is_zero() {
             return not_before;
         }
         let mut t = not_before;
-        'search: loop {
-            let probe = Interval::new(t, dur);
-            // Conflict in the sorted base?
-            let idx = self.busy.partition_point(|iv| iv.end <= t);
-            if let Some(iv) = self.busy.get(idx) {
-                if iv.overlaps(&probe) {
-                    t = iv.end;
-                    continue 'search;
+        // Every base interval before `idx` ends by `t`.
+        let mut idx = self.busy.partition_point(|iv| iv.end <= t);
+        loop {
+            // Conflicts in the sorted base: `busy[idx]` ends after `t`, so
+            // it conflicts unless it starts at or after the probe's end,
+            // and then so does every later one.
+            while let Some(iv) = self.busy.get(idx) {
+                if t + dur <= iv.start {
+                    break;
                 }
+                t = iv.end;
+                idx += 1;
             }
+            let probe = Interval::new(t, dur);
             // Conflict in the (small, unsorted) overlay? Move past the
             // earliest-ending conflicting interval and rescan.
             let mut bumped = None::<Time>;
@@ -130,7 +140,10 @@ impl Timeline {
                 }
             }
             match bumped {
-                Some(b) => t = b,
+                Some(b) => {
+                    t = b;
+                    idx += self.busy[idx..].partition_point(|iv| iv.end <= t);
+                }
                 None => return t,
             }
         }

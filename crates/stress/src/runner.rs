@@ -18,6 +18,10 @@
 //!   trajectory (`candidates_evaluated` legitimately differs — the
 //!   frontier plans fewer candidates; that is the point).
 //! * **fresh vs reused state buffers** for every static baseline.
+//! * **Max-Max vs its reference scan** — the product keeps each (task,
+//!   machine) costing across commits; `grid_baselines::maxmax::reference`
+//!   re-plans every triplet on every commit. Schedule, metrics and
+//!   `candidates_evaluated` must agree byte for byte.
 //!
 //! All comparisons are byte-exact on canonical signatures: schedules
 //! sorted by task / edge, every float rendered as its `f64` bit pattern,
@@ -357,9 +361,21 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
     baseline_arm!("mct", run_mct(&sc), run_mct_in(&sc, ctx.buffers_mut()));
     baseline_arm!("minmin", run_minmin(&sc), run_minmin_in(&sc, ctx.buffers_mut()));
     baseline_arm!("heft", run_heft(&sc), run_heft_in(&sc, ctx.buffers_mut()));
+    // Max-Max keeps its costings across commits; the per-triplet scan
+    // it must replay re-plans everything on every commit.
+    let maxmax = run_maxmax(&sc, &objective);
+    let oracle = grid_baselines::maxmax::reference::run(&sc, &objective);
+    if static_signature(&maxmax) != static_signature(&oracle) {
+        failures.push(
+            "maxmax: differential-reference: kept costings and the per-triplet reference scan \
+             diverge"
+                .to_string(),
+        );
+    }
+    ctx.reclaim(oracle.state);
     baseline_arm!(
         "maxmax",
-        run_maxmax(&sc, &objective),
+        maxmax,
         run_maxmax_in(&sc, &objective, ctx.buffers_mut())
     );
     baseline_arm!(

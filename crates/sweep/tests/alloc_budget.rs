@@ -5,7 +5,8 @@
 //! counting global allocator: after a warm-up evaluation, ten further
 //! weight evaluations through the same context must allocate strictly
 //! less than ten fresh-context evaluations (the whole per-run setup is
-//! recycled) and stay under a pinned absolute budget; the map loop of a
+//! recycled) and stay under a pinned absolute budget, as must ten warm
+//! Max-Max evaluations (per evaluation, not per commit); the map loop of a
 //! warm paper-scale run must allocate next to nothing at all, and a warm
 //! churn run next to nothing per unmapped subtask; a warm scale-path
 //! run allocates nothing; and generating a paper-scale scenario
@@ -143,6 +144,36 @@ fn reused_context_stays_within_allocation_budget() {
     assert!(
         !PINNED || reused <= BUDGET,
         "10 reused-context evaluations allocated {reused} times (budget {BUDGET})"
+    );
+}
+
+/// Max-Max, the Figures 3–7 baseline, warm: the same ten 32-subtask
+/// evaluations through one context. A commit re-costs only the (task,
+/// machine) pairs whose timelines it changed, completes them per version
+/// without building a plan, and plans the winner alone on recycled
+/// storage; what is left is per evaluation — the run's guard tables and
+/// kept costings, validation and the result record.
+#[test]
+fn warm_maxmax_evaluations_allocate_per_evaluation() {
+    let sc = Scenario::generate(&ScenarioParams::paper_scaled(32), GridCase::A, 0, 0);
+    let weights: Vec<Weights> = (0..10)
+        .map(|i| Weights::new(0.05 * i as f64, 0.4).expect("simplex"))
+        .collect();
+    let mut ctx = RunContext::new();
+    let _ = Heuristic::MaxMax.run_in(&sc, weights[0], &mut ctx);
+    let allocs = count_allocs(|| {
+        for &w in &weights {
+            let r = Heuristic::MaxMax.run_in(&sc, w, &mut ctx);
+            assert!(r.valid);
+        }
+    });
+    // Measured 545, some 55 per evaluation; 23 833 while every commit
+    // planned every feasible triplet on fresh vectors. One allocation
+    // per commit coming back (320 over the ten) trips it.
+    const BUDGET: u64 = 640;
+    assert!(
+        !PINNED || allocs <= BUDGET,
+        "10 warm Max-Max evaluations allocated {allocs} times (budget {BUDGET})"
     );
 }
 

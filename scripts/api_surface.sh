@@ -46,7 +46,12 @@
 #    and its `--wire-seeds` flag) stays gone; `stress` depends on
 #    neither `grid-broker`, `grid-sweep` nor rayon, and runs no
 #    `par_iter` (its 1- vs 4-thread registry rerun only ever re-ran
-#    sequential heuristics).
+#    sequential heuristics);
+#  * Max-Max plans only the winner of each commit, on the run's recycled
+#    scratch (DESIGN.md section 21): the per-triplet `state.plan(` on a
+#    fresh `PlanScratch::default()` lives only in its test oracle,
+#    `crates/baselines/src/maxmax/reference.rs`, not in the non-test code
+#    of `maxmax.rs`.
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -163,6 +168,11 @@ if hits=$(grep -nE 'grid-broker|grid-sweep|rayon' crates/stress/Cargo.toml); the
 fi
 if hits=$(grep -rn 'par_iter' crates/stress); then
     fail "the stress harness runs a thread-pool arm again:"$'\n'"$hits"
+fi
+
+if hits=$(awk '/^#\[cfg\(test\)\]/ { exit } /state\.plan\(|PlanScratch::default\(\)/ { print FILENAME ":" FNR ": " $0; found = 1 }
+               END { exit !found }' crates/baselines/src/maxmax.rs); then
+    fail "Max-Max plans candidate triplets outside its reference scan again:"$'\n'"$hits"
 fi
 
 [ "$status" -eq 0 ] && echo "api_surface: ok"
