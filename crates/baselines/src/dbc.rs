@@ -22,13 +22,13 @@
 //! senders pay — so the sum over commits equals
 //! [`gridsim::cost::schedule_cost`] up to float summation order.
 
-use adhoc_grid::task::Version;
 use adhoc_grid::units::Time;
 use adhoc_grid::workload::Scenario;
 use gridsim::plan::{MappingPlan, Placement};
 use gridsim::state::{SimState, StateBuffers};
 
 use crate::outcome::StaticOutcome;
+use crate::simple::feasible_version;
 
 /// Which constraint a DBC run optimizes against (the other is spent).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -71,11 +71,7 @@ pub fn run_dbc_in<'a>(
         // (meets deadline, cost, finish, plan) per feasible machine.
         let mut best: Option<(bool, f64, Time, MappingPlan)> = None;
         for j in scenario.grid.ids() {
-            let v = if state.version_feasible(t, Version::Primary, j) {
-                Version::Primary
-            } else if state.version_feasible(t, Version::Secondary, j) {
-                Version::Secondary
-            } else {
+            let Some(v) = feasible_version(&state, t, j) else {
                 continue;
             };
             let plan = state.plan(t, v, j, Placement::Insert);
@@ -123,6 +119,7 @@ pub fn run_dbc_in<'a>(
 mod tests {
     use super::*;
     use adhoc_grid::config::GridCase;
+    use adhoc_grid::task::Version;
     use adhoc_grid::workload::ScenarioParams;
     use gridsim::cost::schedule_cost;
     use gridsim::validate::validate;

@@ -14,13 +14,14 @@
 //! and return a τ slightly above their level so the grid is load-balance
 //! constrained but not infeasible.
 
-use adhoc_grid::task::Version;
+use adhoc_grid::task::TaskId;
 use adhoc_grid::units::Time;
 use adhoc_grid::workload::Scenario;
-use gridsim::plan::Placement;
+use gridsim::plan::{MappingPlan, Placement};
 use gridsim::state::{SimState, StateBuffers};
 
 use crate::outcome::StaticOutcome;
+use crate::simple::feasible_version;
 
 /// Run the greedy minimum-completion-time heuristic.
 ///
@@ -33,47 +34,46 @@ pub fn run_greedy(scenario: &Scenario) -> StaticOutcome<'_> {
 
 /// [`run_greedy`] building its state on donated buffers (see
 /// [`StateBuffers`]); results are identical.
-#[allow(clippy::while_let_loop)] // the loop also breaks on placement failure
 pub fn run_greedy_in<'a>(scenario: &'a Scenario, buffers: &mut StateBuffers) -> StaticOutcome<'a> {
     let mut state = SimState::new_in(scenario, std::mem::take(buffers));
     let mut evaluated = 0u64;
 
-    loop {
-        let Some(&t) = state.ready_tasks().iter().min() else {
+    while let Some(t) = state.ready_tasks().iter().min().copied() {
+        // Energy-infeasible everywhere: leave it and the rest unmapped.
+        let Some(plan) = earliest_finish(&state, t, &mut evaluated) else {
             break;
         };
-        let mut best: Option<(Time, gridsim::plan::MappingPlan)> = None;
-        for j in scenario.grid.ids() {
-            let v = if state.version_feasible(t, Version::Primary, j) {
-                Version::Primary
-            } else if state.version_feasible(t, Version::Secondary, j) {
-                Version::Secondary
-            } else {
-                continue;
-            };
-            let plan = state.plan(t, v, j, Placement::Insert);
-            evaluated += 1;
-            let finish = plan.finish();
-            let better = match &best {
-                None => true,
-                Some((bf, bp)) => finish < *bf || (finish == *bf && plan.machine < bp.machine),
-            };
-            if better {
-                best = Some((finish, plan));
-            }
-        }
-        match best {
-            Some((_, plan)) => {
-                state.commit(&plan);
-            }
-            None => break, // energy-infeasible everywhere: leave unmapped
-        }
+        state.commit(&plan);
     }
 
     StaticOutcome {
         state,
         candidates_evaluated: evaluated,
     }
+}
+
+/// The MCT step MCT and HEFT share: plan `t` on every machine with its
+/// [`feasible_version`] and keep the earliest finish, the lower machine
+/// id on ties (machines are visited in id order, so a strict `<` keeps
+/// the first). `None` when no version fits anywhere; every plan built
+/// counts in `evaluated`.
+pub(crate) fn earliest_finish(
+    state: &SimState<'_>,
+    t: TaskId,
+    evaluated: &mut u64,
+) -> Option<MappingPlan> {
+    let mut best: Option<MappingPlan> = None;
+    for j in state.scenario().grid.ids() {
+        let Some(v) = feasible_version(state, t, j) else {
+            continue;
+        };
+        let plan = state.plan(t, v, j, Placement::Insert);
+        *evaluated += 1;
+        if best.as_ref().is_none_or(|b| plan.finish() < b.finish()) {
+            best = Some(plan);
+        }
+    }
+    best
 }
 
 /// Reproduce the paper's τ selection: run the greedy heuristic on the

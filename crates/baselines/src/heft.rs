@@ -13,12 +13,11 @@
 //! outgoing-communication reservation) cannot fund the primary, exactly
 //! like the other static baselines here.
 
-use adhoc_grid::task::{TaskId, Version};
-use adhoc_grid::units::Time;
+use adhoc_grid::task::TaskId;
 use adhoc_grid::workload::Scenario;
-use gridsim::plan::{MappingPlan, Placement};
 use gridsim::state::{SimState, StateBuffers};
 
+use crate::greedy::earliest_finish;
 use crate::outcome::StaticOutcome;
 
 /// Machine-averaged upward ranks, the HEFT priority.
@@ -99,32 +98,10 @@ pub fn run_heft_in<'a>(scenario: &'a Scenario, buffers: &mut StateBuffers) -> St
         };
 
         // Earliest finish over machines, primary preferred per machine.
-        let mut best: Option<(Time, MappingPlan)> = None;
-        for j in scenario.grid.ids() {
-            let v = if state.version_feasible(t, Version::Primary, j) {
-                Version::Primary
-            } else if state.version_feasible(t, Version::Secondary, j) {
-                Version::Secondary
-            } else {
-                continue;
-            };
-            let plan = state.plan(t, v, j, Placement::Insert);
-            evaluated += 1;
-            let finish = plan.finish();
-            let better = match &best {
-                None => true,
-                Some((bf, bp)) => finish < *bf || (finish == *bf && plan.machine < bp.machine),
-            };
-            if better {
-                best = Some((finish, plan));
-            }
-        }
-        match best {
-            Some((_, plan)) => {
-                state.commit(&plan);
-            }
-            None => break,
-        }
+        let Some(plan) = earliest_finish(&state, t, &mut evaluated) else {
+            break;
+        };
+        state.commit(&plan);
     }
 
     StaticOutcome {

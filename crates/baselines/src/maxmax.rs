@@ -55,22 +55,22 @@
 //! objective read the batteries and the grid-wide totals, which every
 //! commit moves — but where a triplet's execution would land is kept.
 //! Each ready (task, machine) pair is costed once
-//! ([`SimState::cost_insert`]: the transfer walk, which does not depend
-//! on the version) and completed per version ([`InsertCost::at`]: the
-//! execution's own gap search). A costing reads the transmit timelines of
-//! the task's parents' machines and the target's receive and compute
-//! timelines; a commit changes the committed machine's compute and
-//! receive timelines and its transfers' senders' transmit timelines, and
-//! stamps those machines, so a pair is costed again when its target or
-//! one of its task's parents' machines was stamped since. Only the winner is
-//! planned. [`reference::run`] is the per-triplet scan without any of
+//! ([`SimState::cost`] under [`Placement::Insert`]: the transfer walk,
+//! which does not depend on the version) and completed per version
+//! ([`Costing::at`]: the execution's own gap search). A costing reads
+//! the transmit timelines of the task's parents' machines and the
+//! target's receive and compute timelines; a commit changes the
+//! committed machine's compute and receive timelines and its transfers'
+//! senders' transmit timelines, and stamps those machines, so a pair is
+//! costed again when its target or one of its task's parents' machines
+//! was stamped since. Only the winner is planned. [`reference::run`] is the per-triplet scan without any of
 //! this, the oracle the product must replay bit for bit (DESIGN.md §21).
 
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::{Energy, Time};
 use adhoc_grid::workload::Scenario;
-use gridsim::plan::{InsertCost, InsertSlot, MappingPlan, Placement, PlanScratch};
+use gridsim::plan::{Costing, MappingPlan, Placement, PlanScratch, Slot};
 use gridsim::state::{SimState, StateBuffers};
 use lagrange::weights::Objective;
 use slrh::pool::{plan_objective, totals_objective};
@@ -280,15 +280,15 @@ impl DowngradeGuard {
     }
 }
 
-/// One kept costing: a (task, machine) pair's [`InsertCost`] and, once
-/// asked for, each version's [`InsertSlot`].
+/// One kept costing: a (task, machine) pair's [`Costing`] and, once
+/// asked for, each version's [`Slot`].
 #[derive(Copy, Clone)]
 struct Pair {
     /// The epoch the costing was made at.
     costed_at: u64,
-    cost: InsertCost,
+    cost: Costing,
     /// Primary, secondary.
-    slots: [Option<InsertSlot>; 2],
+    slots: [Option<Slot>; 2],
 }
 
 /// The product scan's memory across commits: the kept costings, the
@@ -442,12 +442,12 @@ impl Scan {
         j: MachineId,
         v: Version,
         senders: u64,
-    ) -> InsertSlot {
+    ) -> Slot {
         let at = t.0 * self.machines + j.0;
         if self.kept(t, j, senders).is_none() {
             self.pairs[at] = Some(Pair {
                 costed_at: self.epoch,
-                cost: state.cost_insert(t, j, &mut self.scratch),
+                cost: state.cost(t, j, Placement::Insert, &mut self.scratch),
                 slots: [None; 2],
             });
         }
@@ -508,7 +508,7 @@ mod tests {
                         let Some(pair) = scan.kept(t, j, senders).copied() else {
                             continue;
                         };
-                        let fresh = state.cost_insert(t, j, &mut scan.scratch);
+                        let fresh = state.cost(t, j, Placement::Insert, &mut scan.scratch);
                         assert_eq!(pair.cost, fresh, "{case:?}: costing of {t} on {j}");
                         for (slot, v) in pair.slots.iter().zip(Version::BOTH) {
                             if let Some(slot) = slot {

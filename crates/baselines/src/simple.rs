@@ -16,8 +16,10 @@ use gridsim::state::{SimState, StateBuffers};
 use crate::outcome::StaticOutcome;
 
 /// Pick the best-fitting version of `t` on `j`: primary when it fits,
-/// secondary when only it fits, `None` otherwise.
-fn feasible_version(state: &SimState<'_>, t: TaskId, j: MachineId) -> Option<Version> {
+/// secondary when only it fits, `None` otherwise. The one version rule
+/// of every primary-else-secondary baseline (MCT, HEFT, DBC, OLB,
+/// Min-Min).
+pub(crate) fn feasible_version(state: &SimState<'_>, t: TaskId, j: MachineId) -> Option<Version> {
     if state.version_feasible(t, Version::Primary, j) {
         Some(Version::Primary)
     } else if state.version_feasible(t, Version::Secondary, j) {

@@ -260,11 +260,11 @@ impl Frontier {
     /// [`crate::pool::build_pool_with`] keeps: the gate version, unless
     /// the primary is allowed, fits the battery too and scores at least
     /// as well (ties go to the primary: `T100` is the study's
-    /// objective). Both scores come from the one costing — an `Append`
-    /// plan's start and transfer energy do not depend on the version
-    /// ([`gridsim::plan::AppendCost`]) — and equal the two plans'
-    /// objectives bit for bit. Returns `(objective, version, start)`;
-    /// the start is remembered as the pair's start floor.
+    /// objective). Both scores come from the one costing
+    /// ([`gridsim::plan::Costing`]; under `Append` neither the start nor
+    /// the transfer energy depends on the version) and equal the two
+    /// plans' objectives bit for bit. Returns `(objective, version,
+    /// start)`; the start is remembered as the pair's start floor.
     fn cost_chosen(
         &mut self,
         b: &Bound<'_>,
@@ -273,17 +273,19 @@ impl Frontier {
     ) -> (f64, Version, Time) {
         stats.candidates_evaluated += 1;
         let q = &b.q;
-        let cost = q.state.cost_append(t, q.j, q.now, &mut self.scratch);
-        let mut chosen = (b.score(&cost.at(q.state, q.gate_version)), q.gate_version);
+        let placement = Placement::Append { not_before: q.now };
+        let cost = q.state.cost(t, q.j, placement, &mut self.scratch);
+        let gated = cost.at(q.state, q.gate_version);
+        let mut chosen = (b.score(&gated.totals(q.state)), q.gate_version);
         if q.allow_secondary && q.state.version_feasible(t, Version::Primary, q.j) {
-            let primary = b.score(&cost.at(q.state, Version::Primary));
+            let primary = b.score(&cost.at(q.state, Version::Primary).totals(q.state));
             if primary >= chosen.0 {
                 chosen = (primary, Version::Primary);
             }
         }
         debug_assert!(chosen.0.is_finite(), "objective values are finite");
-        self.raise_floor(t, q.j, cost.start);
-        (chosen.0, chosen.1, cost.start)
+        self.raise_floor(t, q.j, gated.start);
+        (chosen.0, chosen.1, gated.start)
     }
 
     /// SLRH-2's frozen walk order: every gate-passing *startable*

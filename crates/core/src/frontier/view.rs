@@ -9,7 +9,7 @@ use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::{Dur, Time};
 use gridsim::metrics::Metrics;
 use gridsim::plan::PlanTotals;
-use lagrange::weights::{AetSign, Objective, ObjectiveInputs};
+use lagrange::weights::{AetSign, Objective};
 
 use super::{merge_sorted, Frontier, Query};
 use crate::pool::totals_objective;
@@ -326,7 +326,9 @@ impl<'q> Bound<'q> {
 
     /// `(dlo, dhi)` are `t`'s exec durations on the query's machine,
     /// [`Bound::durations`]: a cached entry passes the pair it stores,
-    /// so re-evaluating it reads no ETC row.
+    /// so re-evaluating it reads no ETC row. Each version's bound is a
+    /// [`PlanTotals`] scored by [`Bound::score`], the plans' own
+    /// objective expression.
     pub(super) fn ub(&self, t: TaskId, (dlo, dhi): (u64, u64)) -> f64 {
         debug_assert_eq!(
             (dlo, dhi),
@@ -336,11 +338,10 @@ impl<'q> Bound<'q> {
         let (q, m) = (&self.q, &self.m);
         let machine = q.state.scenario().grid.machine(q.j);
         let ub_for = |v: Version, exec_dur: Dur| {
-            let exec_energy = machine.compute_energy(exec_dur);
-            q.objective.evaluate(&ObjectiveInputs {
-                t100_frac: (m.t100 + usize::from(v.is_primary())) as f64 / self.tasks_f,
-                tec_frac: (m.tec + exec_energy) / m.tse,
-                aet_frac: m.aet.max(self.start + exec_dur).as_seconds() / self.tau_s,
+            self.score(&PlanTotals {
+                t100_after: m.t100 + usize::from(v.is_primary()),
+                tec_after: m.tec + machine.compute_energy(exec_dur),
+                aet_after: m.aet.max(self.start + exec_dur),
             })
         };
         let mut ub = ub_for(q.gate_version, Dur(dlo));

@@ -111,18 +111,14 @@ impl<'a> IntoIterator for &'a Pool {
 
 /// Evaluate the global objective a plan would produce.
 pub fn plan_objective(state: &SimState<'_>, objective: &Objective, plan: &MappingPlan) -> f64 {
-    let totals = PlanTotals {
-        t100_after: plan.t100_after,
-        tec_after: plan.tec_after,
-        aet_after: plan.aet_after,
-    };
-    totals_objective(&state.metrics(), objective, &totals)
+    totals_objective(&state.metrics(), objective, &plan.totals)
 }
 
 /// The global objective of a commit that moves the state whose metrics
-/// are `m` to `totals`: the one expression [`plan_objective`] and every
-/// costing's score (the frontier's, Max-Max's) evaluate, so a costing
-/// scores its plan's objective bit for bit.
+/// are `m` to `totals`: the one expression [`plan_objective`], every
+/// costing's score (the frontier's, Max-Max's) and the frontier's
+/// objective bound evaluate, so a costing scores its plan's objective
+/// bit for bit.
 pub fn totals_objective(m: &Metrics, objective: &Objective, totals: &PlanTotals) -> f64 {
     objective.evaluate(&ObjectiveInputs {
         t100_frac: totals.t100_after as f64 / m.tasks as f64,

@@ -50,9 +50,7 @@ pub use cost::schedule_cost;
 pub use ledger::EnergyLedger;
 pub use metrics::Metrics;
 pub use outcome::MappingOutcome;
-pub use plan::{
-    AppendCost, InsertCost, InsertSlot, MappingPlan, Placement, PlanScratch, PlanTotals,
-};
+pub use plan::{Costing, MappingPlan, Placement, PlanScratch, PlanTotals, Slot};
 pub use schedule::{Assignment, Schedule, Transfer};
 pub use state::{DeltaKind, SimState, StateBuffers, StateDelta};
 pub use trace::{EventTrace, ReplayOp, Trace};

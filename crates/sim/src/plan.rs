@@ -91,12 +91,8 @@ pub struct MappingPlan {
     /// itemised per child edge, in child order (so aligned with the
     /// task's [`adhoc_grid::dag::Dag::out_edges`]).
     pub child_reservations: Vec<(TaskId, Energy)>,
-    /// `T100` after committing this plan.
-    pub t100_after: usize,
-    /// Total energy committed across the grid after committing (`TEC`).
-    pub tec_after: Energy,
-    /// Application execution time after committing (`AET`).
-    pub aet_after: Time,
+    /// `T100` / `TEC` / `AET` after committing this plan.
+    pub totals: PlanTotals,
 }
 
 impl MappingPlan {
@@ -118,101 +114,49 @@ pub struct PlanTotals {
     pub aet_after: Time,
 }
 
-impl PlanTotals {
-    /// The one definition [`plan_mapping`], [`AppendCost::at`] and
-    /// [`InsertSlot::totals`] share:
-    /// `TEC + exec + Σ transfers` in exactly this association order, so
-    /// a costing's totals are the plan's, bit for bit.
-    fn after(
-        state: &SimState<'_>,
-        version: Version,
-        start: Time,
-        exec_dur: Dur,
-        exec_energy: Energy,
-        transfer_energy: Energy,
-    ) -> PlanTotals {
-        PlanTotals {
-            t100_after: state.t100() + usize::from(version.is_primary()),
-            tec_after: state.tec() + exec_energy + transfer_energy,
-            aet_after: state.aet().max(start + exec_dur),
-        }
-    }
-}
-
-/// The version-independent half of an [`Placement::Append`] plan for one
-/// `(task, machine)` pair: under `Append` the transfer slots depend only
-/// on the parents' placements and the links' occupation, and the
-/// execution is queued behind the machine's availability whatever its
-/// length — so neither the start nor the transfer energy changes with
-/// the version. (Under [`Placement::Insert`] only the transfers are
-/// shared; see [`InsertCost`].)
+/// The version-independent half of a plan for one `(task, machine)`
+/// pair: the transfer-placement walk. Its inputs are the parents'
+/// placements and the links' occupation, not the version of the task
+/// being placed, so the instant every input is on the machine and the
+/// transfer energy are the same for both versions. [`Costing::at`]
+/// places the execution for one version.
 ///
-/// Produced by [`SimState::cost_append`] from the same
-/// transfer-placement walk [`SimState::plan_with`] runs, without
-/// building a [`MappingPlan`]; [`AppendCost::at`] completes it for a
-/// version.
+/// Produced by [`SimState::cost`] from the walk [`SimState::plan_with`]
+/// runs, without building a [`MappingPlan`].
 #[derive(Copy, Clone, PartialEq, Debug)]
-pub struct AppendCost {
+pub struct Costing {
     /// The subtask costed.
     pub task: TaskId,
     /// The target machine.
     pub machine: MachineId,
-    /// Execution start of either version's plan.
-    pub start: Time,
-    /// Energy the senders pay: the transfer energies summed in parent
-    /// order, as the plan sums them.
-    pub transfer_energy: Energy,
-}
-
-impl AppendCost {
-    /// The totals of the plan for `version`: equal to the
-    /// `t100_after` / `tec_after` / `aet_after` [`SimState::plan_with`]
-    /// reports for the same state, bit for bit.
-    pub fn at(&self, state: &SimState<'_>, version: Version) -> PlanTotals {
-        let sc = state.scenario();
-        let exec_dur = sc.etc.exec_dur(self.task, self.machine, version);
-        let exec_energy = sc.grid.machine(self.machine).compute_energy(exec_dur);
-        PlanTotals::after(state, version, self.start, exec_dur, exec_energy, self.transfer_energy)
-    }
-}
-
-/// The version-independent half of a [`Placement::Insert`] plan for one
-/// `(task, machine)` pair: the transfer-placement walk from time zero.
-/// Its inputs are the parents' placements and the links' occupation, not
-/// the version of the task being placed, so the instant every input is
-/// on the machine and the transfer energy are the same for both
-/// versions. Only the execution's gap search depends on the version —
-/// a shorter secondary can fit a hole the primary cannot — and
-/// [`InsertCost::at`] runs it.
-///
-/// Produced by [`SimState::cost_insert`] without building a
-/// [`MappingPlan`].
-#[derive(Copy, Clone, PartialEq, Debug)]
-pub struct InsertCost {
-    /// The subtask costed.
-    pub task: TaskId,
-    /// The target machine.
-    pub machine: MachineId,
-    /// The instant every input item is on the machine: where the
-    /// execution's gap search starts.
+    /// Where the execution may go.
+    pub placement: Placement,
+    /// The instant every input item is on the machine (never before the
+    /// placement's clock).
     pub arrival: Time,
     /// Energy the senders pay: the transfer energies summed in parent
     /// order, as the plan sums them.
     pub transfer_energy: Energy,
 }
 
-impl InsertCost {
-    /// Where the plan for `version` puts its execution: the machine's
-    /// earliest compute gap of the execution's length from the arrival
-    /// instant — the plan's `start`, bit for bit.
-    pub fn at(&self, state: &SimState<'_>, version: Version) -> InsertSlot {
+impl Costing {
+    /// Where the plan for `version` puts its execution — the plan's
+    /// `start`, bit for bit. `Append` queues it behind the machine's
+    /// availability, whatever its length; `Insert` takes the machine's
+    /// earliest compute gap of its length from the arrival instant (a
+    /// shorter secondary can fit a hole the primary cannot).
+    pub fn at(&self, state: &SimState<'_>, version: Version) -> Slot {
         let sc = state.scenario();
         let exec_dur = sc.etc.exec_dur(self.task, self.machine, version);
-        InsertSlot {
-            version,
-            start: state
+        let start = match self.placement {
+            Placement::Append { .. } => self.arrival.max(state.compute_ready(self.machine)),
+            Placement::Insert => state
                 .compute_timeline(self.machine)
                 .earliest_gap(self.arrival, exec_dur),
+        };
+        Slot {
+            version,
+            start,
             exec_dur,
             exec_energy: sc.grid.machine(self.machine).compute_energy(exec_dur),
             transfer_energy: self.transfer_energy,
@@ -220,12 +164,12 @@ impl InsertCost {
     }
 }
 
-/// One version's completion of an [`InsertCost`]. It reads the target's
+/// One version's completion of a [`Costing`]. It reads the target's
 /// compute timeline and the costing, not the grid-wide totals, so it
 /// stays what the plan would do for as long as those two do;
-/// [`InsertSlot::totals`] reads the totals of the state it is given.
+/// [`Slot::totals`] reads the totals of the state it is given.
 #[derive(Copy, Clone, PartialEq, Debug)]
-pub struct InsertSlot {
+pub struct Slot {
     /// The version placed.
     pub version: Version,
     /// Execution start.
@@ -238,24 +182,22 @@ pub struct InsertSlot {
     pub transfer_energy: Energy,
 }
 
-impl InsertSlot {
+impl Slot {
     /// First tick after the execution completes.
     pub fn finish(&self) -> Time {
         self.start + self.exec_dur
     }
 
-    /// The totals of the plan for this slot in `state`: equal to the
-    /// `t100_after` / `tec_after` / `aet_after` [`SimState::plan_with`]
-    /// reports for the same state, bit for bit.
+    /// The totals after committing this slot in `state`: the one
+    /// definition, which [`SimState::plan_with`] calls too, so a
+    /// costing's totals are the plan's bit for bit (`TEC + exec +
+    /// Σ transfers` in exactly this association order).
     pub fn totals(&self, state: &SimState<'_>) -> PlanTotals {
-        PlanTotals::after(
-            state,
-            self.version,
-            self.start,
-            self.exec_dur,
-            self.exec_energy,
-            self.transfer_energy,
-        )
+        PlanTotals {
+            t100_after: state.t100() + usize::from(self.version.is_primary()),
+            tec_after: state.tec() + self.exec_energy + self.transfer_energy,
+            aet_after: state.aet().max(self.finish()),
+        }
     }
 }
 
@@ -267,8 +209,8 @@ impl InsertSlot {
 /// costings and one plan per commit — spends a measurable share of its
 /// time in the allocator. Callers that plan in a loop (the candidate
 /// kernels, Max-Max) hold one `PlanScratch`, pass it to
-/// [`SimState::plan_with`] / [`SimState::cost_append`] /
-/// [`SimState::cost_insert`], and hand a plan's vectors back with
+/// [`SimState::plan_with`] / [`SimState::cost`], and hand a plan's
+/// vectors back with
 /// [`PlanScratch::recycle`] once it is committed; the buffers are
 /// cleared, never shrunk, so steady state performs no allocation at all.
 ///
@@ -307,32 +249,24 @@ pub(crate) fn emptied<T>(spare: &mut Vec<T>) -> Vec<T> {
     v
 }
 
-/// What the transfer-placement walk establishes whoever consumes it.
-struct Inputs {
-    /// The instant every input item is on the target machine (never
-    /// before `not_before`).
-    arrival: Time,
-    /// The transfer energies, summed in parent order.
-    transfer_energy: Energy,
-}
-
 /// The transfer-placement walk: first-fit every cross-machine input of
 /// `task` onto the sender's transmit link and `machine`'s receive link,
 /// parent by parent, overlaying the slots already placed within this
 /// walk so two parents cannot share a link. `edge` sees every parent
 /// edge's settlement and, for a cross-machine parent, its slot — the
-/// planner keeps them, the costing does not.
+/// planner keeps them, [`SimState::cost`] does not.
 ///
 /// # Panics
-/// Panics if any parent is unmapped.
-fn place_transfers(
+/// Panics if `task` is mapped or any parent is unmapped.
+pub(crate) fn cost(
     state: &SimState<'_>,
     task: TaskId,
     machine: MachineId,
-    not_before: Time,
+    placement: Placement,
     scratch: &mut PlanScratch,
     mut edge: impl FnMut(EdgeSettlement, Option<PlannedTransfer>),
-) -> Inputs {
+) -> Costing {
+    assert!(!state.is_mapped(task), "{task} is already mapped");
     let sc = state.scenario();
     let PlanScratch {
         tx_overlays,
@@ -342,6 +276,7 @@ fn place_transfers(
     } = scratch;
     tx_overlays.clear();
     rx_overlay.clear();
+    let not_before = placement.not_before();
     let mut arrival = not_before;
     let mut transfer_energy = Energy::ZERO;
 
@@ -403,52 +338,18 @@ fn place_transfers(
             }),
         );
     }
-    Inputs {
+    Costing {
+        task,
+        machine,
+        placement,
         arrival,
         transfer_energy,
     }
 }
 
-/// Cost mapping `task` onto `machine` under `Append` without building
-/// the plan. See [`SimState::cost_append`] for the public entry point.
-pub(crate) fn cost_append(
-    state: &SimState<'_>,
-    task: TaskId,
-    machine: MachineId,
-    not_before: Time,
-    scratch: &mut PlanScratch,
-) -> AppendCost {
-    assert!(!state.is_mapped(task), "{task} is already mapped");
-    let inputs = place_transfers(state, task, machine, not_before, scratch, |_, _| {});
-    AppendCost {
-        task,
-        machine,
-        start: inputs.arrival.max(state.compute_ready(machine)),
-        transfer_energy: inputs.transfer_energy,
-    }
-}
-
-/// Cost mapping `task` onto `machine` under `Insert` without building
-/// the plan. See [`SimState::cost_insert`] for the public entry point.
-pub(crate) fn cost_insert(
-    state: &SimState<'_>,
-    task: TaskId,
-    machine: MachineId,
-    scratch: &mut PlanScratch,
-) -> InsertCost {
-    assert!(!state.is_mapped(task), "{task} is already mapped");
-    let not_before = Placement::Insert.not_before();
-    let inputs = place_transfers(state, task, machine, not_before, scratch, |_, _| {});
-    InsertCost {
-        task,
-        machine,
-        arrival: inputs.arrival,
-        transfer_energy: inputs.transfer_energy,
-    }
-}
-
-/// Plan mapping `(task, version)` onto `machine`. See
-/// [`SimState::plan`] for the public entry point.
+/// Plan mapping `(task, version)` onto `machine`: the costing walk,
+/// recording every edge, completed by [`Costing::at`] and
+/// [`Slot::totals`]. See [`SimState::plan`] for the public entry point.
 ///
 /// # Panics
 /// Panics if `task` is already mapped or any parent is unmapped.
@@ -460,78 +361,38 @@ pub(crate) fn plan_mapping(
     placement: Placement,
     scratch: &mut PlanScratch,
 ) -> MappingPlan {
-    let sc = state.scenario();
-    assert!(!state.is_mapped(task), "{task} is already mapped");
-
     let mut transfers = emptied(&mut scratch.transfers);
     let mut settlements = emptied(&mut scratch.settlements);
-    let not_before = placement.not_before();
-    let Inputs {
-        arrival,
-        transfer_energy,
-    } = place_transfers(state, task, machine, not_before, scratch, |settlement, slot| {
+    let slot = cost(state, task, machine, placement, scratch, |settlement, slot| {
         settlements.push(settlement);
         transfers.extend(slot);
-    });
-
-    // Place the execution.
-    let exec_dur = sc.etc.exec_dur(task, machine, version);
-    let start = match placement {
-        Placement::Append { .. } => arrival.max(state.compute_ready(machine)),
-        Placement::Insert => state
-            .compute_timeline(machine)
-            .earliest_gap(arrival, exec_dur),
-    };
-    let exec_energy = sc.grid.machine(machine).compute_energy(exec_dur);
+    })
+    .at(state, version);
 
     // Worst-case outgoing reservations for every (necessarily unmapped)
     // child: assume the child lands across the grid's slowest link.
     let mut child_reservations = emptied(&mut scratch.child_reservations);
     child_reservations.extend(worst_case_child_reservations(state, task, version, machine));
 
-    let PlanTotals {
-        t100_after,
-        tec_after,
-        aet_after,
-    } = PlanTotals::after(state, version, start, exec_dur, exec_energy, transfer_energy);
-
     MappingPlan {
         task,
         version,
         machine,
-        start,
-        exec_dur,
-        exec_energy,
+        start: slot.start,
+        exec_dur: slot.exec_dur,
+        exec_energy: slot.exec_energy,
         transfers,
         settlements,
         child_reservations,
-        t100_after,
-        tec_after,
-        aet_after,
+        totals: slot.totals(state),
     }
-}
-
-/// Total §IV worst-case outgoing energy for `(task, version)` on
-/// `machine`: the sum of [`worst_case_child_reservations`] without
-/// materialising the per-child vector. Summation order is the child
-/// order, identical to summing the collected vector, so the result is
-/// bit-for-bit the same.
-pub(crate) fn worst_case_out_energy(
-    state: &SimState<'_>,
-    task: TaskId,
-    version: Version,
-    machine: MachineId,
-) -> Energy {
-    worst_case_child_reservations(state, task, version, machine)
-        .map(|(_, e)| e)
-        .sum()
 }
 
 /// Worst-case per-child outgoing reservations for `(task, version)` on
 /// `machine`, in child order — the §IV conservative bound used both for
 /// planning and for pool feasibility: `machine`'s transmit energy over
 /// each out-edge's worst-case duration (the state's per-edge table).
-fn worst_case_child_reservations<'b>(
+pub(crate) fn worst_case_child_reservations<'b>(
     state: &'b SimState<'_>,
     task: TaskId,
     version: Version,
@@ -586,12 +447,14 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// On mid-run states — machines queued, holes left by inserted
-        /// executions, links occupied, energy spent — the one-walk
-        /// costings are the plans' version-independent halves for every
-        /// ready task × machine × version, under both placements: the
-        /// same start, and `T100` / `TEC` / `AET` equal bit for bit. And
-        /// a plan built on recycled storage equals the plan built on
-        /// fresh storage.
+        /// executions, links occupied, energy spent — one costing per
+        /// ready task × machine, under either placement, completes to
+        /// each version's plan without its vectors: the same execution
+        /// slot, and every energy and total bit for bit. The slot is
+        /// also checked against the timelines directly: free, not before
+        /// the inputs arrive, and under `Append` behind the machine's
+        /// availability. And a plan built on recycled storage equals the
+        /// plan built on fresh storage.
         #[test]
         fn the_costing_is_the_plan_without_its_vectors(
             dag_id in 0usize..4,
@@ -614,44 +477,42 @@ mod tests {
                     state.commit(&plan);
                 }
             }
-            let now = Time(now);
-            let placement = Placement::Append { not_before: now };
+            let bits = |e: Energy| e.units().to_bits();
             let mut scratch = PlanScratch::default();
             for &t in state.ready_tasks() {
                 for j in sc.grid.ids() {
-                    let cost = state.cost_append(t, j, now, &mut scratch);
-                    prop_assert_eq!((cost.task, cost.machine), (t, j));
-                    let insert = state.cost_insert(t, j, &mut scratch);
-                    prop_assert_eq!((insert.task, insert.machine), (t, j));
-                    for v in Version::BOTH {
-                        let fresh = state.plan(t, v, j, placement);
-                        let totals = cost.at(&state, v);
-                        prop_assert_eq!(cost.start, fresh.start);
-                        prop_assert_eq!(totals.t100_after, fresh.t100_after);
-                        prop_assert_eq!(totals.aet_after, fresh.aet_after);
-                        prop_assert_eq!(
-                            totals.tec_after.units().to_bits(),
-                            fresh.tec_after.units().to_bits()
-                        );
+                    for placement in [Placement::Append { not_before: Time(now) }, Placement::Insert] {
+                        let cost = state.cost(t, j, placement, &mut scratch);
+                        prop_assert_eq!((cost.task, cost.machine, cost.placement), (t, j, placement));
+                        for v in Version::BOTH {
+                            let plan = state.plan(t, v, j, placement);
+                            let slot = cost.at(&state, v);
+                            prop_assert_eq!(slot.version, v);
+                            prop_assert_eq!(slot.start, plan.start);
+                            prop_assert_eq!(slot.finish(), plan.finish());
+                            prop_assert_eq!(slot.exec_dur, plan.exec_dur);
+                            prop_assert_eq!(bits(slot.exec_energy), bits(plan.exec_energy));
+                            let shipped: Energy = plan.transfers.iter().map(|tr| tr.energy).sum();
+                            prop_assert_eq!(bits(cost.transfer_energy), bits(shipped));
+                            let totals = slot.totals(&state);
+                            prop_assert_eq!(totals.t100_after, plan.totals.t100_after);
+                            prop_assert_eq!(totals.aet_after, plan.totals.aet_after);
+                            prop_assert_eq!(bits(totals.tec_after), bits(plan.totals.tec_after));
 
-                        let planned = state.plan(t, v, j, Placement::Insert);
-                        let slot = insert.at(&state, v);
-                        let totals = slot.totals(&state);
-                        prop_assert_eq!(slot.version, v);
-                        prop_assert_eq!(slot.start, planned.start);
-                        prop_assert_eq!(slot.finish(), planned.finish());
-                        prop_assert_eq!(totals.t100_after, planned.t100_after);
-                        prop_assert_eq!(totals.aet_after, planned.aet_after);
-                        prop_assert_eq!(
-                            totals.tec_after.units().to_bits(),
-                            planned.tec_after.units().to_bits()
-                        );
+                            let compute = state.compute_timeline(j);
+                            prop_assert!(compute.is_free(slot.start, slot.exec_dur));
+                            prop_assert!(slot.start >= cost.arrival);
+                            if let Placement::Append { not_before } = placement {
+                                prop_assert!(slot.start >= not_before);
+                                prop_assert!(slot.start >= state.compute_ready(j));
+                            }
 
-                        // The scratch has held costings and other pairs'
-                        // plans by now; none of it shows.
-                        let recycled = state.plan_with(t, v, j, placement, &mut scratch);
-                        prop_assert_eq!(&recycled, &fresh);
-                        scratch.recycle(recycled);
+                            // The scratch has held costings and other
+                            // pairs' plans by now; none of it shows.
+                            let recycled = state.plan_with(t, v, j, placement, &mut scratch);
+                            prop_assert_eq!(&recycled, &plan);
+                            scratch.recycle(recycled);
+                        }
                     }
                 }
             }

@@ -33,7 +33,7 @@ use adhoc_grid::workload::Scenario;
 
 use crate::ledger::EnergyLedger;
 use crate::metrics::Metrics;
-use crate::plan::{self, AppendCost, InsertCost, MappingPlan, Placement, PlanScratch};
+use crate::plan::{self, Costing, MappingPlan, Placement, PlanScratch};
 use crate::schedule::{Assignment, Schedule, Transfer};
 use crate::timeline::Timeline;
 
@@ -473,11 +473,23 @@ impl<'a> SimState<'a> {
     }
 
     /// The §IV demand expression: execution plus worst-case shipment of
-    /// every output item. This is the **single definition** both the
-    /// precomputed table and the above-cap lazy path evaluate, which is
-    /// what makes the two serving modes bit-identical.
+    /// every output item, summed in child order (as the plan itemises
+    /// it). This is the **single definition** both the precomputed table
+    /// and the above-cap lazy path evaluate, which is what makes the two
+    /// serving modes bit-identical.
     fn demand_of(&self, t: TaskId, v: Version, j: MachineId) -> Energy {
-        self.exec_energy(t, v, j) + self.worst_case_out_energy(t, v, j)
+        let out: Energy = plan::worst_case_child_reservations(self, t, v, j)
+            .map(|(_, e)| e)
+            .sum();
+        self.exec_energy(t, v, j) + out
+    }
+
+    /// Energy execution of `(t, v)` on `j` would commit.
+    fn exec_energy(&self, t: TaskId, v: Version, j: MachineId) -> Energy {
+        self.sc
+            .grid
+            .machine(j)
+            .compute_energy(self.sc.etc.exec_dur(t, j, v))
     }
 
     /// The §IV worst-case duration of shipping edge `e`'s item, produced
@@ -623,20 +635,6 @@ impl<'a> SimState<'a> {
         self.lost[j.0].is_none()
     }
 
-    /// Energy execution of `(t, v)` on `j` would commit.
-    pub fn exec_energy(&self, t: TaskId, v: Version, j: MachineId) -> Energy {
-        self.sc
-            .grid
-            .machine(j)
-            .compute_energy(self.sc.etc.exec_dur(t, j, v))
-    }
-
-    /// The §IV worst-case outgoing-communication energy for `(t, v)` on
-    /// `j`: every child assumed to land across the grid's slowest link.
-    pub fn worst_case_out_energy(&self, t: TaskId, v: Version, j: MachineId) -> Energy {
-        plan::worst_case_out_energy(self, t, v, j)
-    }
-
     /// The total energy mapping `(t, v)` on `j` must be able to afford:
     /// execution plus the §IV worst-case shipment of every output item.
     /// Served from the precomputed static table when one was built, and
@@ -681,8 +679,11 @@ impl<'a> SimState<'a> {
     ///
     /// The SLRH pool check (§IV) calls this with [`Version::Secondary`];
     /// Max-Max (§V) assesses each version independently. The demand side
-    /// is static for the whole run and served from a lookup table; only
-    /// liveness and the machine's remaining energy are read live.
+    /// is static for the whole run: served from a lookup table up to
+    /// `DEMAND_TABLE_MAX` entries and computed lazily behind the
+    /// per-(task, version) bound `demand_ub` above it (see
+    /// [`SimState::gate_feasible`]); only liveness and the machine's
+    /// remaining energy are read live.
     pub fn version_feasible(&self, t: TaskId, v: Version, j: MachineId) -> bool {
         self.is_alive(j) && self.gate_feasible(t, v, j, self.ledger.afford_limit(j))
     }
@@ -696,9 +697,10 @@ impl<'a> SimState<'a> {
         plan::plan_mapping(self, t, v, j, placement, &mut PlanScratch::default())
     }
 
-    /// [`SimState::plan`] with caller-provided scratch buffers, for tight
-    /// planning loops (the SLRH pool builders plan every ready task per
-    /// machine per tick). Produces exactly the same plan as
+    /// [`SimState::plan`] with caller-provided scratch buffers, for
+    /// planning loops (the reference pool plans every ready task per
+    /// machine per tick; the kernels and Max-Max plan one winner per
+    /// commit). Produces exactly the same plan as
     /// [`SimState::plan`]; the scratch only carries buffer capacity
     /// between calls, never results.
     pub fn plan_with(
@@ -713,32 +715,20 @@ impl<'a> SimState<'a> {
     }
 
     /// The version-independent half of planning `t` onto `j` under
-    /// [`Placement::Append`]`{ not_before }`: the execution start and the
-    /// transfer energy of both versions' plans, from the same
-    /// transfer-placement walk [`SimState::plan_with`] runs, without
-    /// building either. Pure. See [`AppendCost`].
+    /// `placement`: the transfer-placement walk [`SimState::plan_with`]
+    /// runs, without building a plan. Each version's execution slot is
+    /// [`Costing::at`]. Pure.
     ///
     /// # Panics
     /// Panics if `t` is mapped or any parent of `t` is unmapped.
-    pub fn cost_append(
+    pub fn cost(
         &self,
         t: TaskId,
         j: MachineId,
-        not_before: Time,
+        placement: Placement,
         scratch: &mut PlanScratch,
-    ) -> AppendCost {
-        plan::cost_append(self, t, j, not_before, scratch)
-    }
-
-    /// The version-independent half of planning `t` onto `j` under
-    /// [`Placement::Insert`]: the transfer-placement walk from time zero
-    /// that [`SimState::plan_with`] runs, without building a plan; each
-    /// version's execution slot is [`InsertCost::at`]. Pure.
-    ///
-    /// # Panics
-    /// Panics if `t` is mapped or any parent of `t` is unmapped.
-    pub fn cost_insert(&self, t: TaskId, j: MachineId, scratch: &mut PlanScratch) -> InsertCost {
-        plan::cost_insert(self, t, j, scratch)
+    ) -> Costing {
+        plan::cost(self, t, j, placement, scratch, |_, _| {})
     }
 
     /// Commit a plan produced by [`SimState::plan`] against the *current*
@@ -1391,7 +1381,7 @@ mod tests {
         for t in sc.dag.tasks() {
             for j in sc.grid.ids() {
                 for v in Version::BOTH {
-                    let lazy = st.exec_energy(t, v, j) + st.worst_case_out_energy(t, v, j);
+                    let lazy = st.demand_of(t, v, j);
                     assert_eq!(
                         st.feasibility_demand(t, v, j).units().to_bits(),
                         lazy.units().to_bits(),

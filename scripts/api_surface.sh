@@ -51,7 +51,12 @@
 #    scratch (DESIGN.md section 21): the per-triplet `state.plan(` on a
 #    fresh `PlanScratch::default()` lives only in its test oracle,
 #    `crates/baselines/src/maxmax/reference.rs`, not in the non-test code
-#    of `maxmax.rs`.
+#    of `maxmax.rs`;
+#  * there is one costing and one objective expression (DESIGN.md
+#    section 21): the per-placement costing twins (`AppendCost`,
+#    `InsertCost`, `InsertSlot`, `cost_append`, `cost_insert`) stay gone,
+#    and outside `crates/core/src/pool.rs` the non-test code of `slrh`,
+#    `grid-baselines` and `gridsim` builds no `ObjectiveInputs` of its own.
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -62,7 +67,7 @@ fail() {
     status=1
 }
 
-retired='run_slrh_in|run_slrh_observed|run_slrh_dynamic|run_slrh_churn_in|run_slrh_churn_observed|run_adaptive_slrh|AdaptiveConfig|AdaptiveOutcome|DynamicOutcome|validate_churn|SlrhConfigBuilder|touched_machines|spill_after|promote_to_spill|visible_lists|cluster_of|home_of|machine_mean_seconds|ZeroClusters|from_values_at'
+retired='run_slrh_in|run_slrh_observed|run_slrh_dynamic|run_slrh_churn_in|run_slrh_churn_observed|run_adaptive_slrh|AdaptiveConfig|AdaptiveOutcome|DynamicOutcome|validate_churn|SlrhConfigBuilder|touched_machines|spill_after|promote_to_spill|visible_lists|cluster_of|home_of|machine_mean_seconds|ZeroClusters|from_values_at|AppendCost|InsertCost|InsertSlot|cost_append|cost_insert'
 if hits=$(grep -rnwE "$retired" crates src tests examples --include='*.rs'); then
     fail "retired names are back:"$'\n'"$hits"
 fi
@@ -174,6 +179,14 @@ if hits=$(awk '/^#\[cfg\(test\)\]/ { exit } /state\.plan\(|PlanScratch::default\
                END { exit !found }' crates/baselines/src/maxmax.rs); then
     fail "Max-Max plans candidate triplets outside its reference scan again:"$'\n'"$hits"
 fi
+
+for f in $(find crates/core/src crates/baselines/src crates/sim/src -name '*.rs' | sort); do
+    [ "$f" = crates/core/src/pool.rs ] && continue
+    if hits=$(awk '/^#\[cfg\(test\)\]/ { exit } /ObjectiveInputs \{/ { print FILENAME ":" FNR ": " $0; found = 1 }
+                   END { exit !found }' "$f"); then
+        fail "the objective's fractions are built outside pool::totals_objective:"$'\n'"$hits"
+    fi
+done
 
 [ "$status" -eq 0 ] && echo "api_surface: ok"
 exit "$status"
