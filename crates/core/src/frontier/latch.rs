@@ -5,7 +5,9 @@
 //! new startable-log arrival, or the horizon reaching the earliest
 //! deferred floor. The latch records
 //! exactly those inputs, short-circuits the queries that repeat them,
-//! and tells the clock loop how long it may sleep (DESIGN.md §19).
+//! and tells the clock loop how long it may sleep (DESIGN.md §19). Only
+//! SLRH-1/3 query the kernel, so only their sweeps are ever elided:
+//! SLRH-2's frozen order and the stuck check read the state.
 
 use adhoc_grid::config::MachineId;
 use adhoc_grid::units::Time;
@@ -36,9 +38,8 @@ impl Frontier {
     /// Everything else that breaks it — a commit or unmap (revision,
     /// epoch, log arrivals, `fresh` inserts), an energy refund lifting
     /// the afford limit over the gate row's watermark — is checked
-    /// here, so a `Some` is a proof for exactly this `state`. SLRH-2
-    /// never latches and a shed view never does either, so both are
-    /// asked every tick.
+    /// here, so a `Some` is a proof for exactly this `state`. A shed
+    /// view never latches, so it is asked every tick.
     pub(super) fn latched_until(&self, state: &SimState<'_>, j: MachineId) -> Option<Time> {
         let (epoch, logged, floor) = self.idle[j.0]?;
         let current = !self.stale

@@ -1,7 +1,8 @@
 //! Membership: which ready tasks are on the frontier, and the list's
 //! startability log — the candidates whose start lower bound the
 //! horizon has reached, in the deterministic arrival order every view
-//! consumes.
+//! consumes. The list equals the state's ready set
+//! (`membership_tracks_the_ready_set`), which the stuck check and SLRH-2 read.
 
 use adhoc_grid::task::TaskId;
 use adhoc_grid::units::Time;
@@ -65,8 +66,8 @@ impl Frontier {
     }
 
     /// Collect the candidates that can matter to the query, from
-    /// scratch — the resort scan's and SLRH-2's per-query filter (the
-    /// cached views read the startable log instead): members whose
+    /// scratch — the resort scan's per-query filter (the cached views
+    /// read the startable log instead): members whose
     /// start lower bound and cached start floor clear the horizon and
     /// that pass the §IV gate.
     pub(super) fn collect_startable(&mut self, q: &Query<'_>, out: &mut Vec<TaskId>) {

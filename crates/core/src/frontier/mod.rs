@@ -349,11 +349,12 @@ impl Kernel for Frontier {
     /// (ties toward the lower task id), as a ready-to-commit plan —
     /// [`crate::pool::Pool::first_startable`]'s selection exactly (see
     /// the module docs), in four phases over `j`'s view.
-    /// The schedule is byte-identical to the all-views-shed resort scan —
-    /// and so are the [`RunStats`] whenever the start-floor cache is
-    /// active (below [`FLOOR_CACHE_MAX`]); past the cap the deferred
-    /// floors prune re-plans the resort scan repeats, so only
-    /// `candidates_evaluated` may drop.
+    /// The answer is the all-views-shed resort scan's, so the schedule
+    /// and the `commits`, `clock_steps` and `queries` counts are
+    /// byte-identical to it. `candidates_evaluated` is not: a cached
+    /// order is sorted by bounds from an earlier basis and walked in that
+    /// stale-bound order under a drift pad, so it can cost candidates a
+    /// freshly sorted order rules out first (it usually counts more).
     fn best_startable(
         &mut self,
         state: &SimState<'_>,
@@ -377,33 +378,6 @@ impl Kernel for Frontier {
         let best = self.scan(&bound, &mut side, stats);
         self.settle(&bound, &mut side, best.is_none());
         best
-    }
-
-    /// See [`Frontier::freeze`].
-    fn frozen_order(
-        &mut self,
-        state: &SimState<'_>,
-        objective: &Objective,
-        j: MachineId,
-        now: Time,
-        horizon_end: Time,
-        allow_secondary: bool,
-        stats: &mut RunStats,
-        out: &mut Vec<(f64, TaskId, Version)>,
-    ) {
-        stats.queries += 1;
-        let q = self.open_query(state, objective, j, now, horizon_end, allow_secondary);
-        self.freeze(&q, stats, out);
-    }
-
-    fn any_gate_feasible(
-        &mut self,
-        state: &SimState<'_>,
-        gate_version: Version,
-        j: MachineId,
-    ) -> bool {
-        self.resync(state);
-        state.any_feasible_candidate(&self.list, gate_version, j)
     }
 
     /// See [`Frontier::latched_until`].

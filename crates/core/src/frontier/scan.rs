@@ -1,13 +1,15 @@
 //! Scan: the four phases of a query over a machine's view — reconcile
-//! → refresh → scan → settle — and SLRH-2's frozen order.
+//! → refresh → scan → settle. Each candidate the walk cannot rule out is
+//! costed once and its version chosen by [`crate::mapper::choose_version`],
+//! the rule SLRH-2's frozen order applies too.
 
 use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::Time;
-use gridsim::plan::{MappingPlan, Placement};
+use gridsim::plan::{MappingPlan, Placement, Slot};
 
 use super::view::{Bound, View, ViewEntry};
 use super::{Frontier, Query};
-use crate::mapper::RunStats;
+use crate::mapper::{choose_version, RunStats};
 use crate::pool::plan_objective;
 
 /// Reusable scan buffers.
@@ -203,14 +205,14 @@ impl Frontier {
                 s.remove(idx, Some(floor));
                 continue;
             }
-            let (obj, version, start) = self.cost_chosen(b, t, stats);
-            if start > q.horizon_end {
-                s.remove(idx, Some(start));
+            let (obj, slot) = self.cost_chosen(b, t, stats);
+            if slot.start > q.horizon_end {
+                s.remove(idx, Some(slot.start));
                 continue;
             }
             debug_assert!(obj <= ub, "upper bound {ub} below objective {obj} for {t}");
             if !loses(&best, obj, t) {
-                best = Some((obj, t, version));
+                best = Some((obj, t, slot.version));
             }
         }
         *s.order() = order;
@@ -256,76 +258,25 @@ impl Frontier {
         }
     }
 
-    /// Cost `t` on the query's machine once and choose the version
-    /// [`crate::pool::build_pool_with`] keeps: the gate version, unless
-    /// the primary is allowed, fits the battery too and scores at least
-    /// as well (ties go to the primary: `T100` is the study's
-    /// objective). Both scores come from the one costing
-    /// ([`gridsim::plan::Costing`]; under `Append` neither the start nor
-    /// the transfer energy depends on the version) and equal the two
-    /// plans' objectives bit for bit. Returns `(objective, version,
-    /// start)`; the start is remembered as the pair's start floor.
-    fn cost_chosen(
-        &mut self,
-        b: &Bound<'_>,
-        t: TaskId,
-        stats: &mut RunStats,
-    ) -> (f64, Version, Time) {
+    /// Cost `t` on the query's machine once and choose its version
+    /// ([`choose_version`]). Both versions' scores come from the one
+    /// costing ([`gridsim::plan::Costing`]; under `Append` neither the
+    /// start nor the transfer energy depends on the version) and equal
+    /// the two plans' objectives bit for bit. The start is remembered as
+    /// the pair's start floor.
+    fn cost_chosen(&mut self, b: &Bound<'_>, t: TaskId, stats: &mut RunStats) -> (f64, Slot) {
         stats.candidates_evaluated += 1;
         let q = &b.q;
-        let placement = Placement::Append { not_before: q.now };
-        let cost = q.state.cost(t, q.j, placement, &mut self.scratch);
-        let gated = cost.at(q.state, q.gate_version);
-        let mut chosen = (b.score(&gated.totals(q.state)), q.gate_version);
-        if q.allow_secondary && q.state.version_feasible(t, Version::Primary, q.j) {
-            let primary = b.score(&cost.at(q.state, Version::Primary).totals(q.state));
-            if primary >= chosen.0 {
-                chosen = (primary, Version::Primary);
-            }
-        }
-        debug_assert!(chosen.0.is_finite(), "objective values are finite");
-        self.raise_floor(t, q.j, gated.start);
-        (chosen.0, chosen.1, gated.start)
-    }
-
-    /// SLRH-2's frozen walk order: every gate-passing *startable*
-    /// candidate with its chosen version and objective, (objective
-    /// desc, task asc) — what [`crate::pool::build_pool_with`] freezes,
-    /// without building the plans. The list is filtered from scratch
-    /// like the resort scan's. The lb and floor
-    /// prunes narrow membership relative to the frozen pool, but only by
-    /// entries whose plans start past the horizon: the walk re-plans
-    /// after its own commits, those only push starts later, so it would
-    /// reject them anyway and the commit sequence is unchanged.
-    pub(super) fn freeze(
-        &mut self,
-        q: &Query<'_>,
-        stats: &mut RunStats,
-        out: &mut Vec<(f64, TaskId, Version)>,
-    ) {
-        out.clear();
-        let bound = Bound::new(q);
-        let mut cand = std::mem::take(&mut self.start_buf);
-        self.collect_startable(q, &mut cand);
-        for &t in &cand {
-            if self.floor_past_horizon(q, t).is_none() {
-                let (obj, version, _) = self.cost_chosen(&bound, t, stats);
-                out.push((obj, t, version));
-            }
-        }
-        self.start_buf = cand;
-        out.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .expect("objective values are finite")
-                .then(a.1.cmp(&b.1))
-        });
+        let cost = q.state.cost(t, q.j, Placement::Append { not_before: q.now }, &mut self.scratch);
+        let chosen = choose_version(q.state, &cost, q.allow_secondary, |totals| b.score(totals));
+        self.raise_floor(t, q.j, chosen.1.start);
+        chosen
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::tests::*;
-    use crate::pool::build_pool_with;
 
     /// The frontier query must pick exactly the pool's
     /// `first_startable` entry, across an entire greedy drain.
@@ -366,11 +317,10 @@ mod tests {
     }
 
     /// Regression: a child made ready by a commit *mid-tick* must be
-    /// offered to the machines queried later in the same tick by the two
-    /// per-query paths that filter the list themselves — SLRH-2's
-    /// frozen order and the resort scan. (Both once read a per-tick
-    /// startable cache that had to be patched on insert; now they walk
-    /// the live list.)
+    /// offered to the machines queried later in the same tick, by the
+    /// cached views and by the resort scan, which filters the list
+    /// itself. (It once read a per-tick startable cache that had to be
+    /// patched on insert; now it walks the live list.)
     #[test]
     fn a_child_readied_mid_tick_is_offered_later_in_the_same_tick() {
         let sc = layered();
@@ -381,11 +331,8 @@ mod tests {
             if resort {
                 fr = fr.resort_only();
             }
-            let mut stats = RunStats::default();
-            let mut order = Vec::new();
             // Machine 0 is served first: whatever is cached per tick or
             // per list is built now, before the child exists.
-            fr.frozen_order(&state, &objective(), MachineId(0), Time::ZERO, wide, true, &mut stats, &mut order);
             assert!(ask(&mut fr, &state, MachineId(0), Time::ZERO, wide).is_some());
             // It commits until a child becomes ready, then takes every
             // other ready subtask too: the child is the sole candidate.
@@ -403,11 +350,6 @@ mod tests {
             assert_eq!(state.ready_tasks(), &[child]);
             // Same tick, next machine.
             let m1 = MachineId(1);
-            fr.frozen_order(&state, &objective(), m1, Time::ZERO, wide, true, &mut stats, &mut order);
-            let pool = build_pool_with(&state, &objective(), m1, Time::ZERO, true);
-            let frozen: Vec<_> = pool.iter().map(|e| (e.objective, e.task, e.version)).collect();
-            assert_eq!(frozen.len(), 1, "the child passes machine 1's gate");
-            assert_eq!(order, frozen, "frozen order (resort: {resort})");
             let got = ask(&mut fr, &state, m1, Time::ZERO, wide);
             assert_eq!(got.as_ref().map(|p| p.task), Some(child), "scan (resort: {resort})");
             assert_eq!(got, pool_answer(&state, m1, Time::ZERO, wide));

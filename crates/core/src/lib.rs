@@ -67,4 +67,4 @@ pub use context::RunContext;
 pub use dynamic::{run_slrh_churn, Churn, ChurnError, MachineArrivalEvent, MachineLossEvent};
 pub use mapper::{run_slrh, run_slrh_with, RunStats, SlrhOutcome, TickEvent};
 pub use open::{run_open, run_open_in, JobHook, OpenJobReport, OpenMetrics, OpenOutcome};
-pub use pool::{build_pool, build_pool_with, Pool, PoolEntry};
+pub use pool::{build_pool_with, Pool, PoolEntry};

@@ -8,7 +8,8 @@
 //! maximum-objective candidate able to start within the horizon `H` —
 //! as answered by the incremental frontier kernel. The variants differ
 //! only in how many pairs a machine may receive per invocation — see
-//! [`crate::config::SlrhVariant`].
+//! [`crate::config::SlrhVariant`]. SLRH-2 asks the kernel nothing: its
+//! frozen pool is one snapshot of the ready set, read off the state.
 //!
 //! The loop ends when every subtask is mapped, when the clock passes the
 //! deadline τ, or — a pure optimization, unreachable in the paper's
@@ -29,13 +30,14 @@ use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::{Dur, Time};
 use adhoc_grid::workload::Scenario;
 use gridsim::metrics::Metrics;
-use gridsim::plan::{MappingPlan, Placement};
+use gridsim::plan::{Costing, MappingPlan, Placement, PlanScratch, PlanTotals, Slot};
 use gridsim::state::{SimState, StateDelta};
 use lagrange::weights::{Objective, Weights};
 
 use crate::config::{SlrhConfig, SlrhVariant, Trigger};
 use crate::context::RunContext;
 use crate::dynamic::{drive_segments, Churn};
+use crate::pool::totals_objective;
 
 /// Counters describing one run's work (the paper's "heuristic execution
 /// time" proxy that is independent of the host machine).
@@ -43,13 +45,14 @@ use crate::dynamic::{drive_segments, Churn};
 pub struct RunStats {
     /// Clock-loop iterations executed.
     pub clock_steps: u64,
-    /// Kernel queries: one per "best startable candidate for machine
-    /// `j` now" question, plus one per machine probed by the stuck
-    /// check.
+    /// Candidate queries: one per "best startable candidate for machine
+    /// `j` now" question (SLRH-1/3) or SLRH-2 frozen order built, plus
+    /// one per machine probed by the stuck check.
     pub queries: u64,
-    /// Candidate (task, machine) pairs actually *planned* and evaluated
-    /// against the objective — everything the kernel's bounds could not
-    /// rule out first.
+    /// Candidate (task, machine) pairs evaluated against the objective:
+    /// for SLRH-1/3 everything the kernel's bounds could not rule out
+    /// first, for SLRH-2 every member of the frozen pool (each ready
+    /// subtask passing the walk's §IV gate).
     pub candidates_evaluated: u64,
     /// Mappings committed.
     pub commits: u64,
@@ -178,8 +181,74 @@ pub(crate) fn gate_version(allow_secondary: bool) -> Version {
     }
 }
 
-/// The candidate-selection kernel the clock loop queries. Every product
-/// driver runs the [`crate::frontier::Frontier`]; the trait exists so
+/// The version the paper's pool keeps for a costing, with its score and
+/// slot: the gate version, unless the primary is allowed, fits the
+/// battery too and scores (`score` of its totals) at least as well — ties
+/// go to the primary, `T100` being the study's objective. The pool oracle
+/// states the rule again on whole plans.
+pub(crate) fn choose_version(
+    state: &SimState<'_>,
+    cost: &Costing,
+    allow_secondary: bool,
+    score: impl Fn(&PlanTotals) -> f64,
+) -> (f64, Slot) {
+    let gated = cost.at(state, gate_version(allow_secondary));
+    let mut chosen = (score(&gated.totals(state)), gated);
+    if allow_secondary && state.version_feasible(cost.task, Version::Primary, cost.machine) {
+        let primary = cost.at(state, Version::Primary);
+        let value = score(&primary.totals(state));
+        if value >= chosen.0 {
+            chosen = (value, primary);
+        }
+    }
+    debug_assert!(chosen.0.is_finite(), "objective values are finite");
+    chosen
+}
+
+/// SLRH-2's frozen order for machine `j` at `now`, as `(objective, task,
+/// version)`, objective descending then task ascending: the
+/// [`crate::pool::build_pool_with`] entries that start within the
+/// horizon, each costed once under `Append { now }` with the version
+/// [`choose_version`] keeps. Every gated ready subtask is one evaluated
+/// candidate. The walk's commits only fill timelines, so an entry past
+/// the horizon now stays past it: leaving it out changes no commit.
+fn slrh2_order(
+    state: &SimState<'_>,
+    config: &SlrhConfig,
+    j: MachineId,
+    now: Time,
+    scratch: &mut PlanScratch,
+    stats: &mut RunStats,
+) -> Vec<(f64, TaskId, Version)> {
+    stats.queries += 1;
+    let horizon_end = now.saturating_add(config.horizon);
+    let gate = gate_version(config.allow_secondary);
+    let m = state.metrics();
+    let score = |totals: &PlanTotals| totals_objective(&m, &config.objective, totals);
+    let mut order = Vec::new();
+    for &t in state.ready_tasks() {
+        if !state.version_feasible(t, gate, j) {
+            continue;
+        }
+        stats.candidates_evaluated += 1;
+        // No start precedes a parent's finish: past the horizon, skip the costing.
+        let finish = |p: &TaskId| state.schedule().assignment(*p).map_or(Time::ZERO, |a| a.finish());
+        if state.scenario().dag.parents(t).iter().any(|p| finish(p) > horizon_end) {
+            continue;
+        }
+        let cost = state.cost(t, j, Placement::Append { not_before: now }, scratch);
+        let (objective, slot) = choose_version(state, &cost, config.allow_secondary, score);
+        if slot.start <= horizon_end {
+            order.push((objective, t, slot.version));
+        }
+    }
+    order.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite objectives").then(a.1.cmp(&b.1)));
+    order
+}
+
+/// The candidate-selection kernel the clock loop asks its one question:
+/// SLRH-1/3's best startable candidate. Every product driver runs the
+/// [`crate::frontier::Frontier`]; the trait exists so
 /// [`crate::reference`] can drive the *same* loop over the paper's
 /// from-scratch pool walk as an independent oracle.
 ///
@@ -212,26 +281,6 @@ pub(crate) trait Kernel {
         stats: &mut RunStats,
     ) -> Option<MappingPlan>;
 
-    /// SLRH-2's frozen walk: every visible feasible candidate with its
-    /// chosen version and objective, (objective desc, task asc).
-    #[allow(clippy::too_many_arguments)]
-    fn frozen_order(
-        &mut self,
-        state: &SimState<'_>,
-        objective: &Objective,
-        j: MachineId,
-        now: Time,
-        horizon_end: Time,
-        allow_secondary: bool,
-        stats: &mut RunStats,
-        out: &mut Vec<(f64, TaskId, Version)>,
-    );
-
-    /// Whether any ready candidate at all passes the §IV gate on `j`
-    /// (the stuck check — no planning).
-    fn any_gate_feasible(&mut self, state: &SimState<'_>, gate_version: Version, j: MachineId)
-        -> bool;
-
     /// After [`Kernel::best_startable`] answered `None` for available
     /// machine `j` on an unchanged `state`: the earliest horizon end at
     /// which that answer can change without a commit ([`Time::MAX`] =
@@ -255,7 +304,7 @@ pub(crate) trait Kernel {
 /// `stats.clock_steps`, which is monotone across the segments of a
 /// multi-segment (churn) run.
 ///
-/// Every candidate query goes through `kernel` and every commit's
+/// Every best-startable query goes through `kernel` and every commit's
 /// [`StateDelta`] is fed back into it. Multi-segment drivers build the
 /// kernel once per run (or per open-system job) and pass it to every
 /// segment, so what it has learned — bound orders, start floors, gate
@@ -372,20 +421,14 @@ pub(crate) fn drive<K: Kernel>(
         // neither of which the clock can change — so no future invocation
         // can make progress. (A gate-feasible candidate here means a
         // horizon miss, which the advancing clock *can* resolve.) The
-        // probe plans nothing.
+        // probe plans nothing and reads only the state.
         if !any_commit && every_live_machine_available && !state.all_mapped() {
-            let gate_version = gate_version(config.allow_secondary);
-            let mut stuck = true;
-            for j in state.scenario().grid.ids() {
-                if !state.is_alive(j) {
-                    continue;
-                }
+            let gate = gate_version(config.allow_secondary);
+            let mut live = state.scenario().grid.ids().filter(|&j| state.is_alive(j));
+            let stuck = !live.any(|j| {
                 stats.queries += 1;
-                if kernel.any_gate_feasible(state, gate_version, j) {
-                    stuck = false;
-                    break;
-                }
-            }
+                state.any_feasible_candidate(state.ready_tasks(), gate, j)
+            });
             if stuck {
                 return now;
             }
@@ -468,20 +511,16 @@ fn map_on_machine<K: Kernel>(
             }
         }
         SlrhVariant::V2 => {
-            // One candidate order, consumed as frozen; plans are re-made
-            // per entry because earlier commits shift the machine's
-            // availability, but membership, version choice and ordering
-            // are fixed up front — the defining simplification of SLRH-2.
-            let mut order = Vec::new();
-            kernel.frozen_order(
-                state, objective, j, now, horizon_end, secondary, stats, &mut order,
-            );
-            for &(_, t, v) in &order {
-                if state.is_mapped(t) || !state.version_feasible(t, v, j) {
-                    continue;
-                }
-                let plan = state.plan(t, v, j, Placement::Append { not_before: now });
-                if plan.start <= horizon_end {
+            // One frozen order; each entry is re-costed (earlier commits
+            // shift the machine's availability), but membership, versions and
+            // order are fixed up front — the defining simplification of SLRH-2.
+            let placement = Placement::Append { not_before: now };
+            let mut scratch = PlanScratch::default();
+            for (_, t, v) in slrh2_order(state, config, j, now, &mut scratch, stats) {
+                if state.version_feasible(t, v, j)
+                    && state.cost(t, j, placement, &mut scratch).at(state, v).start <= horizon_end
+                {
+                    let plan = state.plan_with(t, v, j, placement, &mut scratch);
                     commit(state, stats, kernel, plan);
                 }
             }
@@ -718,13 +757,62 @@ mod tests {
         assert_eq!(out.stats.weight_updates, 0);
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// SLRH-2's frozen order is the paper's pool cut at the horizon:
+        /// the [`crate::pool::build_pool_with`] entries whose plans start
+        /// by `horizon_end`, in order, objective bits and versions equal,
+        /// one evaluated candidate per pool member — on mid-run states,
+        /// under both `AET` signs and `allow_secondary` values, at drawn
+        /// weights and at γ = 1 (where a candidate finishing inside the
+        /// current `AET` ties its versions: the primary's tie-break).
+        #[test]
+        fn slrh2_order_is_the_pool_inside_the_horizon(
+            dag_id in 0usize..4,
+            commits in 0usize..24,
+            alpha in 2u32..=8,
+            now in 0u64..400,
+            horizon in 1u64..2000,
+        ) {
+            let sc = Scenario::generate(&ScenarioParams::paper_scaled(32), GridCase::A, 0, dag_id);
+            let mut state = SimState::new(&sc);
+            for step in 0..commits {
+                let Some(&t) = state.ready_tasks().first() else { break };
+                let j = MachineId(step % sc.grid.len());
+                let v = if step % 3 == 0 { Version::Primary } else { Version::Secondary };
+                if state.version_feasible(t, v, j) {
+                    state.commit(&state.plan(t, v, j, Placement::Append { not_before: Time::ZERO }));
+                }
+            }
+            let (now, mut cfg) = (Time(now), config(SlrhVariant::V2).with_horizon(Dur(horizon)));
+            for weights in [Weights::new(f64::from(alpha) * 0.1, 0.1).unwrap(), Weights::new(0.0, 0.0).unwrap()] {
+                for (aet_sign, secondary) in [(true, true), (true, false), (false, true), (false, false)] {
+                    use lagrange::weights::AetSign::{Negative, Positive};
+                    cfg.objective = Objective { weights, aet_sign: if aet_sign { Positive } else { Negative } };
+                    cfg.allow_secondary = secondary;
+                    for j in sc.grid.ids() {
+                        let pool = crate::pool::build_pool_with(&state, &cfg.objective, j, now, secondary);
+                        let inside = pool.iter().filter(|e| e.plan.start <= now + Dur(horizon));
+                        let expected: Vec<_> = inside.map(|e| (e.objective.to_bits(), e.task, e.version)).collect();
+                        let mut stats = RunStats::default();
+                        let order = slrh2_order(&state, &cfg, j, now, &mut PlanScratch::default(), &mut stats);
+                        let got: Vec<_> = order.iter().map(|&(obj, t, v)| (obj.to_bits(), t, v)).collect();
+                        proptest::prop_assert_eq!(got, expected, "{} {:?}", j, cfg);
+                        proptest::prop_assert_eq!(stats.candidates_evaluated, pool.len() as u64);
+                    }
+                }
+            }
+        }
+    }
+
     /// A kernel with nothing to offer and a scripted answer to "when
-    /// could that change": never a candidate, always a gate-feasible one
-    /// (so the stuck check never fires), every call recorded.
+    /// could that change": never a candidate, every query recorded. (The
+    /// stuck check reads the state, whose ready subtasks pass machine 0's
+    /// gate, so it never fires.)
     struct Scripted {
         wake: Option<Time>,
         queried: Vec<Time>,
-        probes: u64,
     }
 
     impl Kernel for Scripted {
@@ -745,25 +833,6 @@ mod tests {
             stats.queries += 1;
             self.queried.push(now);
             None
-        }
-
-        fn frozen_order(
-            &mut self,
-            _state: &SimState<'_>,
-            _objective: &Objective,
-            _j: MachineId,
-            _now: Time,
-            _horizon_end: Time,
-            _allow_secondary: bool,
-            _stats: &mut RunStats,
-            _out: &mut Vec<(f64, TaskId, Version)>,
-        ) {
-            unreachable!("the scripted runs are SLRH-1");
-        }
-
-        fn any_gate_feasible(&mut self, _: &SimState<'_>, _: Version, _: MachineId) -> bool {
-            self.probes += 1;
-            true
         }
 
         fn wake(&self, _state: &SimState<'_>, _j: MachineId) -> Option<Time> {
@@ -816,7 +885,6 @@ mod tests {
         let mut kernel = Scripted {
             wake,
             queried: Vec::new(),
-            probes: 0,
         };
         let mut stats = RunStats::default();
         let mut events = Vec::new();
@@ -892,12 +960,10 @@ mod tests {
         swept.dedup();
         assert_eq!(swept.len() as u64 + slept, eliding.stats.clock_steps);
         // The stuck probes the skipped sweeps would have made are in
-        // `queries` all the same (`assert_same_books`), though never made.
-        assert!(eliding.kernel.probes < ticking.kernel.probes);
-        assert_eq!(
-            ticking.kernel.probes,
-            clocks().filter(|&c| c >= ticking.busy_until).count() as u64
-        );
+        // `queries` all the same (`assert_same_books`): one per sweep
+        // once machine 0 is free, on top of the kernel's queries.
+        let probes = ticking.stats.queries - ticking.kernel.queried.len() as u64;
+        assert_eq!(probes, clocks().filter(|&c| c >= ticking.busy_until).count() as u64);
     }
 
     #[test]

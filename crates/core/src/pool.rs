@@ -127,23 +127,13 @@ pub fn totals_objective(m: &Metrics, objective: &Objective, totals: &PlanTotals)
     })
 }
 
-/// Build the ordered candidate pool for machine `j` at clock `now`.
+/// Build the ordered candidate pool for machine `j` at clock `now`,
+/// with the secondary version optionally disabled (ablation A5). With
+/// `allow_secondary = false` the feasibility gate requires the
+/// *primary* version to fit, and only primaries are evaluated.
 ///
-/// `placement` is [`Placement::Append`]`{ not_before: now }` — the SLRH
+/// Every plan is [`Placement::Append`]`{ not_before: now }` — the SLRH
 /// never looks backward in time.
-pub fn build_pool(
-    state: &SimState<'_>,
-    objective: &Objective,
-    j: MachineId,
-    now: Time,
-) -> Pool {
-    build_pool_with(state, objective, j, now, true)
-}
-
-/// [`build_pool`] with the secondary version optionally disabled
-/// (ablation A5). With `allow_secondary = false` the feasibility gate
-/// requires the *primary* version to fit, and only primaries are
-/// evaluated.
 pub fn build_pool_with(
     state: &SimState<'_>,
     objective: &Objective,
@@ -232,7 +222,7 @@ mod tests {
     fn pool_contains_only_ready_tasks() {
         let sc = scenario();
         let state = SimState::new(&sc);
-        let pool = build_pool(&state, &obj(0.6, 0.2), MachineId(0), Time::ZERO);
+        let pool = build_pool_with(&state, &obj(0.6, 0.2), MachineId(0), Time::ZERO, true);
         assert!(!pool.is_empty());
         for e in &pool {
             assert!(sc.dag.parents(e.task).is_empty(), "only roots are ready");
@@ -244,7 +234,7 @@ mod tests {
     fn pool_is_sorted_by_objective_desc() {
         let sc = scenario();
         let state = SimState::new(&sc);
-        let pool = build_pool(&state, &obj(0.6, 0.2), MachineId(2), Time::ZERO);
+        let pool = build_pool_with(&state, &obj(0.6, 0.2), MachineId(2), Time::ZERO, true);
         for w in pool.windows(2) {
             assert!(w[0].objective >= w[1].objective);
         }
@@ -255,7 +245,7 @@ mod tests {
         let sc = scenario();
         let state = SimState::new(&sc);
         // α = 1: only T100 matters, primary always wins when feasible.
-        let pool = build_pool(&state, &obj(1.0, 0.0), MachineId(0), Time::ZERO);
+        let pool = build_pool_with(&state, &obj(1.0, 0.0), MachineId(0), Time::ZERO, true);
         assert!(pool.iter().all(|e| e.version == Version::Primary));
     }
 
@@ -265,7 +255,7 @@ mod tests {
         let state = SimState::new(&sc);
         // β = 1: only energy matters, the 10x cheaper secondary wins on
         // the energy-expensive fast machine.
-        let pool = build_pool(&state, &obj(0.0, 1.0), MachineId(0), Time::ZERO);
+        let pool = build_pool_with(&state, &obj(0.0, 1.0), MachineId(0), Time::ZERO, true);
         assert!(pool.iter().all(|e| e.version == Version::Secondary));
     }
 
@@ -274,7 +264,7 @@ mod tests {
         let sc = scenario();
         let state = SimState::new(&sc);
         let now = Time::from_seconds(50);
-        let pool = build_pool(&state, &obj(0.6, 0.2), MachineId(1), now);
+        let pool = build_pool_with(&state, &obj(0.6, 0.2), MachineId(1), now, true);
         for e in &pool {
             assert!(e.plan.start >= now);
         }
@@ -288,7 +278,7 @@ mod tests {
         // the pool rejects everything.
         let mut guard = 0;
         loop {
-            let pool = build_pool(&state, &obj(1.0, 0.0), MachineId(2), Time::ZERO);
+            let pool = build_pool_with(&state, &obj(1.0, 0.0), MachineId(2), Time::ZERO, true);
             let Some(e) = pool.first() else { break };
             state.commit(&e.plan);
             guard += 1;
@@ -296,7 +286,7 @@ mod tests {
         }
         // Either all tasks mapped (energy was ample) or the gate closed.
         if !state.all_mapped() {
-            let pool = build_pool(&state, &obj(1.0, 0.0), MachineId(2), Time::ZERO);
+            let pool = build_pool_with(&state, &obj(1.0, 0.0), MachineId(2), Time::ZERO, true);
             assert!(pool.is_empty());
             assert!(!state.ready_tasks().is_empty());
         }

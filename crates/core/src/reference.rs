@@ -16,12 +16,15 @@
 //!   list from scratch. Same membership as the product kernel, none of
 //!   its view caching.
 //!
+//! SLRH-2 and the stuck check read the state, so under SLRH-2 all three
+//! kernels run the same code; the frozen order's oracle is `mapper`'s
+//! `slrh2_order_is_the_pool_inside_the_horizon` proptest.
+//!
 //! Nothing here is reachable from an [`SlrhConfig`] field, a config
 //! string, a wire key or a CLI flag; the callers are the stress
 //! harness, the proptests, the golden fixtures and the scale benchmark.
 
 use adhoc_grid::config::MachineId;
-use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::Time;
 use adhoc_grid::workload::Scenario;
 use gridsim::plan::MappingPlan;
@@ -33,7 +36,7 @@ use crate::context::RunContext;
 use crate::dynamic::{drive_segments, Churn};
 use crate::frontier::Frontier;
 use crate::mapper::{Kernel, RunStats, SlrhOutcome, TickEvent};
-use crate::pool::{build_pool_with, Pool};
+use crate::pool::build_pool_with;
 
 /// Which reference kernel to run.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -73,22 +76,6 @@ pub fn run<'a>(
 /// The stateless from-scratch kernel: every query rebuilds the pool.
 struct Scratch;
 
-impl Scratch {
-    fn pool(
-        state: &SimState<'_>,
-        objective: &Objective,
-        j: MachineId,
-        now: Time,
-        allow_secondary: bool,
-        stats: &mut RunStats,
-    ) -> Pool {
-        let pool = build_pool_with(state, objective, j, now, allow_secondary);
-        stats.queries += 1;
-        stats.candidates_evaluated += pool.len() as u64;
-        pool
-    }
-}
-
 impl Kernel for Scratch {
     fn apply(&mut self, _delta: &StateDelta) {}
 
@@ -102,37 +89,10 @@ impl Kernel for Scratch {
         allow_secondary: bool,
         stats: &mut RunStats,
     ) -> Option<MappingPlan> {
-        Scratch::pool(state, objective, j, now, allow_secondary, stats)
-            .first_startable(horizon_end)
-            .map(|e| e.plan.clone())
-    }
-
-    fn frozen_order(
-        &mut self,
-        state: &SimState<'_>,
-        objective: &Objective,
-        j: MachineId,
-        now: Time,
-        _horizon_end: Time,
-        allow_secondary: bool,
-        stats: &mut RunStats,
-        out: &mut Vec<(f64, TaskId, Version)>,
-    ) {
-        let pool = Scratch::pool(state, objective, j, now, allow_secondary, stats);
-        out.clear();
-        out.extend(pool.iter().map(|e| (e.objective, e.task, e.version)));
-    }
-
-    fn any_gate_feasible(
-        &mut self,
-        state: &SimState<'_>,
-        gate_version: Version,
-        j: MachineId,
-    ) -> bool {
-        state
-            .ready_tasks()
-            .iter()
-            .any(|&t| state.version_feasible(t, gate_version, j))
+        let pool = build_pool_with(state, objective, j, now, allow_secondary);
+        stats.queries += 1;
+        stats.candidates_evaluated += pool.len() as u64;
+        pool.first_startable(horizon_end).map(|e| e.plan.clone())
     }
 
     /// Stateless: nothing is remembered, so nothing is proven. Keeps

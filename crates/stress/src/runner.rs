@@ -16,7 +16,10 @@
 //!   must replay both bit-for-bit: identical schedule, metrics,
 //!   disruptions, final weights, commit count, query count and clock
 //!   trajectory (`candidates_evaluated` legitimately differs — the
-//!   frontier plans fewer candidates; that is the point).
+//!   kernels cost different candidates). SLRH-1 and SLRH-3 only: SLRH-2
+//!   queries no kernel and every kernel's `wake` is `None` there, so all
+//!   three arms would run the same code; its frozen order's oracle is
+//!   `slrh::mapper`'s `slrh2_order_is_the_pool_inside_the_horizon`.
 //! * **fresh vs reused state buffers** for every static baseline.
 //! * **Max-Max vs its reference scan** — the product keeps each (task,
 //!   machine) costing across commits; `grid_baselines::maxmax::reference`
@@ -119,10 +122,12 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
             ));
         }
 
-        for kind in [Kind::Scratch, Kind::Resort] {
-            let oracle = reference::run(kind, &sc, &config, churn, ctx, None);
-            failures.extend(reference_mismatch(&tag, kind, &fresh, &oracle));
-            ctx.reclaim(oracle.state);
+        if variant != SlrhVariant::V2 {
+            for kind in [Kind::Scratch, Kind::Resort] {
+                let oracle = reference::run(kind, &sc, &config, churn, ctx, None);
+                failures.extend(reference_mismatch(&tag, kind, &fresh, &oracle));
+                ctx.reclaim(oracle.state);
+            }
         }
 
         for f in oracle::check_all(&fresh.state, weights, Some(&config), churn) {

@@ -56,7 +56,16 @@
 #    section 21): the per-placement costing twins (`AppendCost`,
 #    `InsertCost`, `InsertSlot`, `cost_append`, `cost_insert`) stay gone,
 #    and outside `crates/core/src/pool.rs` the non-test code of `slrh`,
-#    `grid-baselines` and `gridsim` builds no `ObjectiveInputs` of its own.
+#    `grid-baselines` and `gridsim` builds no `ObjectiveInputs` of its own;
+#  * the clock loop asks its kernel one question, SLRH-1/3's best
+#    startable candidate (DESIGN.md section 17): SLRH-2's frozen order and
+#    the stuck check read the state, so the kernel methods that served
+#    them (`frozen_order`, `any_gate_feasible`), the one-argument-short
+#    `build_pool` wrapper and the frontier's private SLRH-2 pipeline
+#    (`fn freeze` under `crates/core/src/frontier`) stay gone, and the
+#    list's from-scratch filter `collect_startable` is called only by the
+#    resort scan (`frontier/view.rs`) next to its definition
+#    (`frontier/membership.rs`).
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -67,7 +76,7 @@ fail() {
     status=1
 }
 
-retired='run_slrh_in|run_slrh_observed|run_slrh_dynamic|run_slrh_churn_in|run_slrh_churn_observed|run_adaptive_slrh|AdaptiveConfig|AdaptiveOutcome|DynamicOutcome|validate_churn|SlrhConfigBuilder|touched_machines|spill_after|promote_to_spill|visible_lists|cluster_of|home_of|machine_mean_seconds|ZeroClusters|from_values_at|AppendCost|InsertCost|InsertSlot|cost_append|cost_insert'
+retired='run_slrh_in|run_slrh_observed|run_slrh_dynamic|run_slrh_churn_in|run_slrh_churn_observed|run_adaptive_slrh|AdaptiveConfig|AdaptiveOutcome|DynamicOutcome|validate_churn|SlrhConfigBuilder|touched_machines|spill_after|promote_to_spill|visible_lists|cluster_of|home_of|machine_mean_seconds|ZeroClusters|from_values_at|AppendCost|InsertCost|InsertSlot|cost_append|cost_insert|frozen_order|any_gate_feasible|build_pool'
 if hits=$(grep -rnwE "$retired" crates src tests examples --include='*.rs'); then
     fail "retired names are back:"$'\n'"$hits"
 fi
@@ -187,6 +196,14 @@ for f in $(find crates/core/src crates/baselines/src crates/sim/src -name '*.rs'
         fail "the objective's fractions are built outside pool::totals_objective:"$'\n'"$hits"
     fi
 done
+
+if hits=$(grep -rnw 'fn freeze' crates/core/src/frontier); then
+    fail "the frontier's private SLRH-2 pipeline is back:"$'\n'"$hits"
+fi
+if hits=$(grep -rn 'collect_startable(' crates src tests examples --include='*.rs' |
+    grep -vE '^crates/core/src/frontier/(membership|view)\.rs:'); then
+    fail "the list's from-scratch filter is called outside the resort scan:"$'\n'"$hits"
+fi
 
 [ "$status" -eq 0 ] && echo "api_surface: ok"
 exit "$status"

@@ -99,7 +99,7 @@
 //! orders so a query plans one or two candidates instead of the whole
 //! ready set. Each commit is exactly the paper's pool walk's pick, at
 //! every size up to 100k-subtask grids; the from-scratch walk
-//! ([`slrh::build_pool`]) survives only as the reference oracle the
+//! ([`slrh::build_pool_with`]) survives only as the reference oracle the
 //! stress harness and the proptests compare against, and no
 //! configuration field, wire key or CLI flag can select it.
 
