@@ -113,8 +113,7 @@ pub fn run_maxmax_in<'a>(
     while let Some(plan) = scan.best(&state, objective, &guard, unmapped, &mut evaluated) {
         unmapped -= 1;
         scan.stamp(&plan);
-        let delta = state.commit(&plan);
-        state.recycle(delta);
+        state.commit(&plan);
         scan.scratch.recycle(plan);
     }
 

@@ -336,15 +336,15 @@ pub(crate) fn drive_segments<'a, K: Kernel>(
 /// Invalidate everything machine `j`'s disappearance at `at` disrupts and
 /// unmap it. Returns the number of invalidated subtasks.
 ///
-/// The cascade's deltas are not reported to the candidate kernel: it
+/// The cascade's mutations are not reported to the candidate kernel: it
 /// notices the revision gap on its next tick and rebuilds from the
 /// surviving ready set, once, however many subtasks were unmapped.
 ///
 /// The working set (the closure's bitmap and worklist, the pending list,
 /// one round's snapshot, the walk stack) is allocated once per loss,
-/// sized to the task count, and every unmap's delta goes back to the
-/// state ([`SimState::recycle`]), so a loss allocates about five times
-/// however many subtasks it unmaps.
+/// sized to the task count, and an unmap's starved parents seed the walk
+/// stack straight from the state's own list, so a loss allocates about
+/// five times however many subtasks it unmaps.
 pub fn apply_loss(state: &mut SimState<'_>, j: MachineId, at: Time) -> usize {
     state.mark_lost(j, at);
     let sc = state.scenario();
@@ -373,14 +373,11 @@ pub fn apply_loss(state: &mut SimState<'_>, j: MachineId, at: Time) -> usize {
             // Unmap only once every mapped child has been unmapped first
             // (children that are themselves pending will clear this later).
             if sc.dag.children(t).iter().all(|&c| !state.is_mapped(c)) {
-                let delta = state.unmap(t);
+                // A starved parent must re-run, so everything mapped
+                // downstream of it must re-run too.
+                stack.extend_from_slice(state.unmap(t));
                 pending.member[t.0] = false;
-                for &p in &delta.starved_parents {
-                    // A starved parent must re-run, so everything mapped
-                    // downstream of it must re-run too.
-                    total += add_with_mapped_descendants(state, sc, &mut pending, &mut stack, p);
-                }
-                state.recycle(delta);
+                total += add_with_mapped_descendants(state, sc, &mut pending, &mut stack);
                 progressed = true;
             } else {
                 pending.list.push(t);
@@ -419,20 +416,17 @@ impl Pending {
     }
 }
 
-/// Add `root` and every mapped descendant to `pending`; returns how many
-/// newly-added tasks were mapped. (A mapped task's ancestors are always
-/// mapped, so recursion can stop at the first unmapped node.) `stack` is
-/// the walk's storage.
+/// Add the tasks on `stack` and every mapped descendant of them to
+/// `pending`, emptying the stack; returns how many newly-added tasks
+/// were mapped. (A mapped task's ancestors are always mapped, so the
+/// walk can stop at the first unmapped node.)
 fn add_with_mapped_descendants(
     state: &SimState<'_>,
     sc: &Scenario,
     pending: &mut Pending,
     stack: &mut Vec<TaskId>,
-    root: TaskId,
 ) -> usize {
     let mut added = 0;
-    stack.clear();
-    stack.push(root);
     while let Some(t) = stack.pop() {
         if state.is_mapped(t) && pending.insert(t) {
             added += 1;

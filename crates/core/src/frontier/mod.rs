@@ -10,11 +10,12 @@
 //! one sequential pipeline split over this module's layers:
 //!
 //! 1. **Incremental maintenance** (`membership`) — the frontier is kept
-//!    alive across ticks, updated from the [`StateDelta`] stream every
-//!    [`SimState`] mutation already emits (a worklist, never a rescan).
-//!    If a delta goes missing — drivers deliberately do not report a
-//!    machine-loss cascade — the frontier notices the revision gap and
-//!    lazily rebuilds from [`SimState::ready_tasks`].
+//!    alive across ticks and reads readiness from [`SimState`], which
+//!    owns the ready set; each commit reports the subtasks it readied
+//!    (a worklist, never a rescan). Any other mutation — drivers
+//!    deliberately do not report a machine-loss cascade — shows as a
+//!    revision the frontier has not counted, and it lazily rebuilds
+//!    from [`SimState::ready_tasks`].
 //! 2. **Start-lower-bound pruning** (`tables`) — no plan for `t` can
 //!    start before any parent's scheduled finish, on *any* machine, so
 //!    `lb(t) = max_p finish(p)` past the horizon prunes `t` *before*
@@ -35,7 +36,7 @@
 //!    served under a conservative drift bound, so a query plans one or
 //!    two candidates instead of re-gating, re-bounding and re-sorting
 //!    the frontier. A view shed by the memory cap falls back to a
-//!    per-query resort of the list, bit-identical to the order it
+//!    per-query resort of the ready set, bit-identical to the order it
 //!    replaces.
 //!
 //! # Exactness
@@ -60,7 +61,7 @@ use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::Time;
 use gridsim::plan::{MappingPlan, PlanScratch};
-use gridsim::state::{DeltaKind, SimState, StateDelta};
+use gridsim::state::SimState;
 use lagrange::weights::Objective;
 
 use crate::mapper::{gate_version, Kernel, RunStats};
@@ -68,9 +69,6 @@ use crate::mapper::{gate_version, Kernel, RunStats};
 use self::scan::{Side, SideBuf};
 use self::tables::FLOOR_CACHE_MAX;
 use self::view::{Bound, View};
-
-/// Sentinel for "not on the frontier" in [`Frontier::pos`].
-const ABSENT: u32 = u32::MAX;
 
 /// Repair a cached order after an update: `order` is sorted under the
 /// strict total order `cmp`, `moved` holds the entries that were
@@ -101,8 +99,8 @@ fn merge_sorted<T: Copy>(
     }
 }
 
-/// The live candidate frontier: every ready task, on one list every
-/// machine sees. See the module docs.
+/// The live candidate frontier: every ready task, seen by every
+/// machine. See the module docs.
 ///
 /// `Default` is detached storage synchronised to nothing — only useful
 /// as the donor for [`Frontier::reset`] ([`crate::RunContext`] keeps one
@@ -110,18 +108,12 @@ fn merge_sorted<T: Copy>(
 #[derive(Default)]
 pub(crate) struct Frontier {
     // ---- membership ----
-    /// Every ready task, in insertion order up to removal swaps.
-    list: Vec<TaskId>,
-    /// Index of each frontier task within `list` (`ABSENT` when not on
-    /// the frontier).
-    pos: Vec<u32>,
-    /// The [`SimState::revision`] the list is synchronised to.
+    /// The [`SimState::revision`] the frontier is synchronised to: the
+    /// last rebuild's plus one per reported commit.
     last_revision: u64,
-    /// Set on a delta-stream gap; forces a rebuild on the next query.
-    stale: bool,
-    /// Generation counter for views and the list's startability
-    /// structures; bumped by rebuilds and unmap deltas. Starts at 1 so
-    /// every epoch-0 structure is born stale.
+    /// Generation counter for views and the startability structures;
+    /// bumped by rebuilds. Starts at 1 so every epoch-0 structure is
+    /// born stale.
     view_epoch: u64,
     /// Per-task startable generation, bumped on every (re)insert; log,
     /// waiting and view entries carry the generation they were made at
@@ -165,8 +157,8 @@ pub(crate) struct Frontier {
     /// only advances, so a once observed plan start is a valid floor for
     /// every later tick — which stops the query loop from re-planning
     /// the same contention-bound candidate on every tick of a spin
-    /// phase. Cleared whenever occupation can shrink (rebuilds, unmap
-    /// deltas); empty above [`FLOOR_CACHE_MAX`].
+    /// phase. Cleared by every rebuild, the only path on which
+    /// occupation can shrink; empty above [`FLOOR_CACHE_MAX`].
     floor_cache: Vec<Time>,
     /// Per-(machine, task) §IV gate-rejection bitset, rows of
     /// `gate_row_words` words per machine. A set bit means the gate
@@ -174,7 +166,7 @@ pub(crate) struct Frontier {
     /// query. Demand is static per scenario, so the rejection stays
     /// valid until the limit *rises* above the value it had when the bit
     /// was set — which `gate_limit` watches, making the cache
-    /// self-validating: no delta hooks, no segment-boundary clears.
+    /// self-validating: no mutation hooks, no segment-boundary clears.
     gate_dead: Vec<u64>,
     /// `tasks.div_ceil(64)`: rows are word-aligned, so a flush is one
     /// slice fill.
@@ -239,10 +231,7 @@ impl Frontier {
         let machines = sc.grid.len();
         let tasks = sc.tasks();
 
-        self.list.clear();
-        refill(&mut self.pos, tasks, ABSENT);
         self.last_revision = state.revision();
-        self.stale = false;
         self.view_epoch = 1;
         refill(&mut self.sgen, tasks, 0);
         self.list_epoch = 0;
@@ -311,29 +300,16 @@ struct Query<'q> {
 }
 
 impl Kernel for Frontier {
-    /// Ingest one [`StateDelta`]: the delta's `invalidated` tasks leave
-    /// the frontier, its `newly_ready` tasks join it — the exact
-    /// readiness semantics [`SimState`]'s mutators report. Machine-loss
-    /// and blocking deltas change no readiness and touch nothing. A gap
-    /// in the revision stream marks the frontier stale (rebuilt on the
-    /// next query) instead of serving a drifted list.
-    fn apply(&mut self, delta: &StateDelta) {
-        if delta.revision != self.last_revision + 1 {
-            self.last_revision = delta.revision;
-            self.stale = true;
-            return;
-        }
-        self.last_revision = delta.revision;
-        // Loss and blocking add (or merely flag) occupation; floors can
-        // only rise, so the start-floor cache stays valid — and neither
-        // reports a readiness change.
-        if delta.kind == DeltaKind::Unmap {
-            self.forget_occupation();
-        }
-        for &t in &delta.invalidated {
-            self.remove(t);
-        }
-        for &t in &delta.newly_ready {
+    /// Count one commit and start a startable generation for each
+    /// subtask it readied. The committed subtask left the state's ready
+    /// set, which is what every record of it is checked against
+    /// ([`Frontier::is_current`]). A commit only adds occupation, so
+    /// every start floor stays valid. A mutation that was not reported
+    /// leaves the count behind the state's revision, and the next query
+    /// rebuilds ([`Frontier::resync`]).
+    fn apply(&mut self, newly_ready: &[TaskId]) {
+        self.last_revision += 1;
+        for &t in newly_ready {
             self.insert(t);
         }
     }
@@ -415,7 +391,7 @@ mod tests {
     }
 
     /// Commit `t` at the end of machine `j`'s queue and tell the
-    /// frontier.
+    /// frontier; returns the subtasks the commit readied.
     pub(super) fn commit_on(
         fr: &mut Frontier,
         state: &mut SimState<'_>,
@@ -423,11 +399,11 @@ mod tests {
         v: Version,
         j: MachineId,
         not_before: Time,
-    ) -> StateDelta {
+    ) -> Vec<TaskId> {
         let plan = state.plan(t, v, j, Placement::Append { not_before });
-        let delta = state.commit(&plan);
-        fr.apply(&delta);
-        delta
+        let newly_ready = state.commit(&plan);
+        fr.apply(newly_ready);
+        newly_ready.to_vec()
     }
 
     /// A state the clock has to wait on: every root is committed on

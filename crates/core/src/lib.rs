@@ -31,8 +31,8 @@
 //!   defines what the kernel must answer and survives as the reference
 //!   oracle;
 //! * `frontier` (private) — the one product kernel: the ready frontier
-//!   maintained incrementally from the simulator's
-//!   [`gridsim::state::StateDelta`] stream, answering "best startable
+//!   maintained incrementally from the subtasks each
+//!   [`gridsim::state::SimState::commit`] readies, answering "best startable
 //!   candidate for machine `j` now" for every driver below, exactly as
 //!   the pool walk would;
 //! * [`mapper`] — the Figure 1 clock loop, the three variants

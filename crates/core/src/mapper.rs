@@ -31,7 +31,7 @@ use adhoc_grid::units::{Dur, Time};
 use adhoc_grid::workload::Scenario;
 use gridsim::metrics::Metrics;
 use gridsim::plan::{Costing, MappingPlan, Placement, PlanScratch, PlanTotals, Slot};
-use gridsim::state::{SimState, StateDelta};
+use gridsim::state::SimState;
 use lagrange::weights::{Objective, Weights};
 
 use crate::config::{SlrhConfig, SlrhVariant, Trigger};
@@ -257,10 +257,11 @@ fn slrh2_order(
 /// the storage of the next — so a kernel builds one plan per commit and
 /// a warm run allocates for none of them.
 pub(crate) trait Kernel {
-    /// Ingest the delta of a commit the loop just made. Mutations the
-    /// loop does not report (a machine-loss cascade between segments)
-    /// are noticed through the state's revision counter.
-    fn apply(&mut self, delta: &StateDelta);
+    /// Ingest a commit the loop just made: the subtasks it readied.
+    /// Mutations the loop does not report (a machine-loss cascade
+    /// between segments) are noticed through the state's revision
+    /// counter.
+    fn apply(&mut self, newly_ready: &[TaskId]);
 
     /// Take a committed plan back: a kernel that plans on reusable
     /// storage keeps the plan's vectors for its next plan.
@@ -305,7 +306,7 @@ pub(crate) trait Kernel {
 /// multi-segment (churn) run.
 ///
 /// Every best-startable query goes through `kernel` and every commit's
-/// [`StateDelta`] is fed back into it. Multi-segment drivers build the
+/// readied subtasks are fed back into it. Multi-segment drivers build the
 /// kernel once per run (or per open-system job) and pass it to every
 /// segment, so what it has learned — bound orders, start floors, gate
 /// rejections — survives segment boundaries, and a zero-tick segment
@@ -537,19 +538,17 @@ fn map_on_machine<K: Kernel>(
     }
 }
 
-/// Commit a plan, feed the resulting delta into the kernel, and hand
-/// the storage of both back to where the next ones are built: the loop
-/// commits once per subtask and allocates for none of them.
+/// Commit a plan, report the subtasks it readied to the kernel, and
+/// hand the plan's storage back to where the next one is built: the
+/// loop commits once per subtask and allocates for none of them.
 fn commit<K: Kernel>(
     state: &mut SimState<'_>,
     stats: &mut RunStats,
     kernel: &mut K,
     plan: MappingPlan,
 ) {
-    let delta = state.commit(&plan);
-    kernel.apply(&delta);
+    kernel.apply(state.commit(&plan));
     stats.commits += 1;
-    state.recycle(delta);
     kernel.recycle(plan);
 }
 
@@ -816,7 +815,7 @@ mod tests {
     }
 
     impl Kernel for Scripted {
-        fn apply(&mut self, _delta: &StateDelta) {
+        fn apply(&mut self, _newly_ready: &[TaskId]) {
             unreachable!("the scripted kernel never offers a plan to commit");
         }
 

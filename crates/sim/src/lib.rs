@@ -25,10 +25,9 @@
 //! Heuristics never touch timelines or the ledger directly: they ask
 //! [`state::SimState`] to *plan* a mapping ([`plan::MappingPlan`], a pure
 //! computation) and then *commit* it. Every mutation bumps the state's
-//! monotonic revision counter and returns a [`state::StateDelta`]
-//! describing exactly which tasks and machines it affected, which is what
-//! lets the SLRH candidate frontier stay current incrementally instead of
-//! rescanning. The [`validate`] module re-checks finished schedules from
+//! monotonic revision counter, and a commit returns the subtasks it
+//! readied, which is what lets the SLRH candidate frontier stay current
+//! incrementally instead of rescanning. The [`validate`] module re-checks finished schedules from
 //! scratch, so every experiment run can assert its output obeys the
 //! physical model.
 
@@ -52,7 +51,7 @@ pub use metrics::Metrics;
 pub use outcome::MappingOutcome;
 pub use plan::{Costing, MappingPlan, Placement, PlanScratch, PlanTotals, Slot};
 pub use schedule::{Assignment, Schedule, Transfer};
-pub use state::{DeltaKind, SimState, StateBuffers, StateDelta};
+pub use state::{SimState, StateBuffers};
 pub use trace::{EventTrace, ReplayOp, Trace};
 pub use timeline::Timeline;
 pub use validate::{validate, validate_schedule, Invariant, ValidationError};

@@ -102,8 +102,7 @@ proptest! {
 
         // Re-plan the victim's exact mapping so we can re-commit it.
         let a = *st.schedule().assignment(victim).unwrap();
-        let starved = st.unmap(victim).starved_parents;
-        prop_assert!(starved.is_empty(), "fresh unmap cannot starve parents");
+        prop_assert!(st.unmap(victim).is_empty(), "fresh unmap cannot starve parents");
         prop_assert!(!st.is_mapped(victim));
 
         // Re-commit the same (version, machine) pair. The slot may

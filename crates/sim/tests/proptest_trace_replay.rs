@@ -29,8 +29,7 @@ fn unmap_cascade(sc: &Scenario, st: &mut SimState<'_>, rec: &mut EventTrace, t: 
         return;
     }
     rec.record(ReplayOp::Unmap(t));
-    let delta = st.unmap(t);
-    for p in delta.starved_parents {
+    for p in st.unmap(t).to_vec() {
         if st.is_mapped(p) {
             unmap_cascade(sc, st, rec, p);
         }

@@ -17,8 +17,8 @@
 //!   the extensions too — a checked churn trace ([`slrh::Churn`]) for
 //!   machines leaving and joining mid-run, an [`slrh::Adaptation`] block
 //!   for online multiplier adjustment — plus the open-system job stream;
-//! * [`baselines`] — static comparators: Max-Max, greedy, MCT/OLB/Min-Min
-//!   and a Lagrangian-relaxation list scheduler;
+//! * [`baselines`] — static comparators: Max-Max, greedy (MCT),
+//!   OLB/Min-Min and a Lagrangian-relaxation list scheduler;
 //! * [`bounds`] — the equivalent-computing-cycles upper bound;
 //! * [`sweep`] — the experiment harness regenerating every paper table
 //!   and figure;
@@ -84,17 +84,17 @@
 //! assert!(Churn::from_pairs([(99, 10)], [], scenario.grid.len()).is_err());
 //! ```
 //!
-//! ## Revisions, deltas, and the one candidate kernel
+//! ## Revisions and the one candidate kernel
 //!
-//! Every mutation of the simulator's [`sim::SimState`] — committing a
-//! plan, unmapping a subtask, losing a machine, blocking a timeline —
-//! bumps a monotonic revision counter and returns a
-//! [`sim::StateDelta`] naming exactly the subtasks and machines it
-//! affected. Every SLRH run — frozen grid or churn, fixed or adapted
-//! weights, one job or the open stream — answers "best startable
-//! candidate for machine *j* now" through one kernel: the ready *frontier*, kept alive across
-//! clock ticks from that delta stream (a commit removes one task and
-//! inserts its newly-ready children), pruned by start lower bounds and
+//! The simulator's [`sim::SimState`] owns the ready set, and every
+//! mutation of it — committing a plan, unmapping a subtask, losing a
+//! machine, blocking a timeline — bumps a monotonic revision counter. A
+//! commit returns the subtasks it readied. Every SLRH run — frozen grid
+//! or churn, fixed or adapted weights, one job or the open stream —
+//! answers "best startable candidate for machine *j* now" through one
+//! kernel: the ready *frontier*, kept alive across clock ticks from
+//! what each commit readied (a revision it did not count, such as a
+//! loss cascade, makes it rebuild from the state), pruned by start lower bounds and
 //! cached §IV gate rejections, and served from cached per-machine bound
 //! orders so a query plans one or two candidates instead of the whole
 //! ready set. Each commit is exactly the paper's pool walk's pick, at
