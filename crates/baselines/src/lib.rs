@@ -4,10 +4,11 @@
 //!   static heuristic driven by the same global objective, with per-version
 //!   feasibility and schedule-hole insertion;
 //! * [`greedy`] — the "simple greedy static heuristic" the authors used to
-//!   pick the τ = 34 075 s time constraint (§III), plus the
+//!   pick the τ = 34 075 s time constraint (§III), which is the
+//!   literature's minimum-completion-time list heuristic (MCT), plus the
 //!   [`greedy::calibrate_tau`] helper that reproduces that selection;
-//! * [`simple`] — the classic list heuristics of the heterogeneous
-//!   computing literature (MCT, OLB, Min-Min) as additional context
+//! * [`simple`] — two more classic list heuristics of the heterogeneous
+//!   computing literature (OLB, Min-Min) as additional context
 //!   baselines;
 //! * [`heft`] — Heterogeneous Earliest Finish Time (Topcuoglu et al.),
 //!   the canonical upward-rank DAG list scheduler, adapted to the grid's
@@ -41,4 +42,4 @@ pub use heft::{run_heft, run_heft_in};
 pub use lr_list::{run_lr_list, run_lr_list_in, LrListConfig};
 pub use maxmax::{run_maxmax, run_maxmax_in};
 pub use outcome::StaticOutcome;
-pub use simple::{run_mct, run_mct_in, run_minmin, run_minmin_in, run_olb, run_olb_in};
+pub use simple::{run_minmin, run_minmin_in, run_olb, run_olb_in};

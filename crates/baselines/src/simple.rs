@@ -1,10 +1,11 @@
-//! Classic list-scheduling baselines: MCT, OLB, Min-Min.
+//! Classic list-scheduling baselines: OLB, Min-Min.
 //!
 //! These are the standard comparators of the heterogeneous-computing
-//! mapping literature (Ibarra & Kim [IbK77] and descendants). They are not
-//! in the paper's study but provide context for where the SLRH and
-//! Max-Max land; all use primary versions when the battery allows,
-//! falling back to the secondary, and all schedule with hole insertion.
+//! mapping literature (Ibarra & Kim [IbK77] and descendants), next to the
+//! greedy (MCT) of [`crate::greedy`]. They are not in the paper's study
+//! but provide context for where the SLRH and Max-Max land; all use
+//! primary versions when the battery allows, falling back to the
+//! secondary, and all schedule with hole insertion.
 
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
@@ -17,8 +18,8 @@ use crate::outcome::StaticOutcome;
 
 /// Pick the best-fitting version of `t` on `j`: primary when it fits,
 /// secondary when only it fits, `None` otherwise. The one version rule
-/// of every primary-else-secondary baseline (MCT, HEFT, DBC, OLB,
-/// Min-Min).
+/// of every primary-else-secondary baseline (greedy (MCT), HEFT, DBC,
+/// OLB, Min-Min).
 pub(crate) fn feasible_version(state: &SimState<'_>, t: TaskId, j: MachineId) -> Option<Version> {
     if state.version_feasible(t, Version::Primary, j) {
         Some(Version::Primary)
@@ -27,19 +28,6 @@ pub(crate) fn feasible_version(state: &SimState<'_>, t: TaskId, j: MachineId) ->
     } else {
         None
     }
-}
-
-/// Minimum Completion Time: ready tasks in id order, each to the machine
-/// finishing it earliest. (Identical policy to [`crate::greedy`] but kept
-/// as its own named entry point for the comparison tables.)
-pub fn run_mct(scenario: &Scenario) -> StaticOutcome<'_> {
-    crate::greedy::run_greedy(scenario)
-}
-
-/// [`run_mct`] building its state on donated buffers (see
-/// [`StateBuffers`]); results are identical.
-pub fn run_mct_in<'a>(scenario: &'a Scenario, buffers: &mut StateBuffers) -> StaticOutcome<'a> {
-    crate::greedy::run_greedy_in(scenario, buffers)
 }
 
 /// Opportunistic Load Balancing: ready tasks in id order, each to the
@@ -150,13 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn all_three_produce_valid_full_mappings() {
+    fn olb_and_minmin_produce_valid_full_mappings() {
         let sc = scenario(48);
-        for (name, out) in [
-            ("mct", run_mct(&sc)),
-            ("olb", run_olb(&sc)),
-            ("minmin", run_minmin(&sc)),
-        ] {
+        for (name, out) in [("olb", run_olb(&sc)), ("minmin", run_minmin(&sc))] {
             assert!(out.metrics().fully_mapped(), "{name} left tasks unmapped");
             let errs = validate(&out.state);
             assert!(errs.is_empty(), "{name}: {errs:?}");

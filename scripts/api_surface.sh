@@ -65,7 +65,14 @@
 #    (`fn freeze` under `crates/core/src/frontier`) stay gone, and the
 #    list's from-scratch filter `collect_startable` is called only by the
 #    resort scan (`frontier/view.rs`) next to its definition
-#    (`frontier/membership.rs`).
+#    (`frontier/membership.rs`);
+#  * `SimState` is the one owner of readiness and a commit reports only
+#    the subtasks it readied (DESIGN.md section 16): the state delta
+#    (`StateDelta`, `DeltaKind`, its `delta_invalidated` buffer) and the
+#    `run_mct` alias of the greedy stay gone, the frontier's non-test
+#    code keeps no ready set of its own (no `swap_remove` under
+#    `crates/core/src/frontier`), and `SimState` takes no delta back
+#    (no `fn recycle(&mut self, delta` in `crates/sim/src/state.rs`).
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -76,7 +83,7 @@ fail() {
     status=1
 }
 
-retired='run_slrh_in|run_slrh_observed|run_slrh_dynamic|run_slrh_churn_in|run_slrh_churn_observed|run_adaptive_slrh|AdaptiveConfig|AdaptiveOutcome|DynamicOutcome|validate_churn|SlrhConfigBuilder|touched_machines|spill_after|promote_to_spill|visible_lists|cluster_of|home_of|machine_mean_seconds|ZeroClusters|from_values_at|AppendCost|InsertCost|InsertSlot|cost_append|cost_insert|frozen_order|any_gate_feasible|build_pool'
+retired='run_slrh_in|run_slrh_observed|run_slrh_dynamic|run_slrh_churn_in|run_slrh_churn_observed|run_adaptive_slrh|AdaptiveConfig|AdaptiveOutcome|DynamicOutcome|validate_churn|SlrhConfigBuilder|touched_machines|spill_after|promote_to_spill|visible_lists|cluster_of|home_of|machine_mean_seconds|ZeroClusters|from_values_at|AppendCost|InsertCost|InsertSlot|cost_append|cost_insert|frozen_order|any_gate_feasible|build_pool|StateDelta|DeltaKind|delta_invalidated|run_mct|run_mct_in'
 if hits=$(grep -rnwE "$retired" crates src tests examples --include='*.rs'); then
     fail "retired names are back:"$'\n'"$hits"
 fi
@@ -203,6 +210,16 @@ fi
 if hits=$(grep -rn 'collect_startable(' crates src tests examples --include='*.rs' |
     grep -vE '^crates/core/src/frontier/(membership|view)\.rs:'); then
     fail "the list's from-scratch filter is called outside the resort scan:"$'\n'"$hits"
+fi
+
+for f in $(find crates/core/src/frontier -name '*.rs' | sort); do
+    if hits=$(awk '/^#\[cfg\(test\)\]/ { exit } /swap_remove/ { print FILENAME ":" FNR ": " $0; found = 1 }
+                   END { exit !found }' "$f"); then
+        fail "the frontier keeps a ready set of its own again:"$'\n'"$hits"
+    fi
+done
+if hits=$(grep -n 'fn recycle(&mut self, delta' crates/sim/src/state.rs); then
+    fail "SimState takes a delta back again:"$'\n'"$hits"
 fi
 
 [ "$status" -eq 0 ] && echo "api_surface: ok"

@@ -41,7 +41,7 @@ workload options (run, tune, export, replay, churn, submit, watch):
   --in FILE           read the workload from FILE instead of generating
 
 mapping options (run, replay, churn, submit, watch):
-  --heuristic NAME    slrh1|slrh2|slrh3|maxmax|greedy|olb|minmin|heft|lrlist
+  --heuristic NAME    slrh1|slrh2|slrh3|maxmax|greedy|olb|minmin|heft|lrlist|dbccost|dbctime
   --alpha X --beta Y  objective weights (default 0.5, 0.3)
   --dt T --horizon T  receding-horizon knobs in ticks (paper defaults)
   --lose M@T          machine M lost at tick T (repeatable; SLRH only)
@@ -1083,5 +1083,18 @@ mod tests {
         assert!(parse(&args("tune --searcher grid --sa-seed 1")).is_err());
         assert!(parse(&args("tune --sa-iters 0")).is_err());
         assert!(parse(&args("tune --searcher nosuch")).is_err());
+    }
+
+    #[test]
+    fn usage_names_every_heuristic() {
+        let line = USAGE
+            .lines()
+            .find(|l| l.trim_start().starts_with("--heuristic NAME"))
+            .expect("a --heuristic line");
+        let names: Vec<&str> = line.split_whitespace().last().unwrap().split('|').collect();
+        for h in Heuristic::ALL {
+            let name = h.flag_name();
+            assert!(names.contains(&name), "{name} missing from {line:?}");
+        }
     }
 }
