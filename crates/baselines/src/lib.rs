@@ -39,7 +39,7 @@ pub mod simple;
 pub use dbc::{plan_cost, run_dbc, run_dbc_in, DbcMode};
 pub use greedy::{calibrate_tau, run_greedy, run_greedy_in};
 pub use heft::{run_heft, run_heft_in};
-pub use lr_list::{run_lr_list, run_lr_list_in, LrListConfig};
+pub use lr_list::{run_lr_list, run_lr_list_in};
 pub use maxmax::{run_maxmax, run_maxmax_in};
 pub use outcome::StaticOutcome;
 pub use simple::{run_minmin, run_minmin_in, run_olb, run_olb_in};

@@ -26,34 +26,17 @@ use adhoc_grid::task::Version;
 use adhoc_grid::workload::Scenario;
 use gridsim::plan::Placement;
 use gridsim::state::{SimState, StateBuffers};
-use lagrange::dual::{Choice, SeparableProblem, Selection};
+use lagrange::dual::{Choice, Selection, SeparableProblem};
 use lagrange::step::StepRule;
-use lagrange::subgradient::SubgradientSolver;
 use lagrange::weights::Weights;
 
 use crate::outcome::StaticOutcome;
 
-/// Configuration of the LR + list-scheduling mapper.
-#[derive(Copy, Clone, PartialEq, Debug)]
-pub struct LrListConfig {
-    /// Objective weights: α rewards primaries, β discounts energy (the γ
-    /// time term is handled by the τ capacity constraint instead).
-    pub weights: Weights,
-    /// Subgradient iterations for the dual phase.
-    pub dual_iters: usize,
-    /// Subgradient step numerator (diminishing schedule `a/√k`).
-    pub step: f64,
-}
+/// Subgradient iterations for the dual phase.
+const DUAL_ITERS: usize = 120;
 
-impl Default for LrListConfig {
-    fn default() -> LrListConfig {
-        LrListConfig {
-            weights: Weights::new(0.6, 0.2).expect("static weights are valid"),
-            dual_iters: 120,
-            step: 0.5,
-        }
-    }
-}
+/// The dual phase's step schedule, `0.5/√k`.
+const DUAL_STEP: StepRule = StepRule::Diminishing { a: 0.5 };
 
 /// Option index layout: `machine * 2 + (0 primary | 1 secondary)`.
 fn decode(option: usize) -> (MachineId, Version) {
@@ -112,27 +95,17 @@ fn build_problem(scenario: &Scenario, weights: &Weights) -> SeparableProblem {
 
 /// The marginal (priced) value of every task's relaxed option — the list
 /// scheduling priority.
-fn marginal_values(
-    problem: &SeparableProblem,
-    lambda: &[f64],
-    selection: &Selection,
-) -> Vec<f64> {
+fn marginal_values(problem: &SeparableProblem, lambda: &[f64], selection: &Selection) -> Vec<f64> {
     (0..problem.items())
-        .map(|i| {
-            let c = &problem.options_of(i)[selection.0[i]];
-            c.value
-                - c.usage
-                    .iter()
-                    .zip(lambda)
-                    .map(|(u, l)| u * l)
-                    .sum::<f64>()
-        })
+        .map(|i| problem.options_of(i)[selection.0[i]].reduced(lambda))
         .collect()
 }
 
-/// Run the static LR + list-scheduling mapper.
-pub fn run_lr_list<'a>(scenario: &'a Scenario, config: &LrListConfig) -> StaticOutcome<'a> {
-    run_lr_list_in(scenario, config, &mut StateBuffers::default())
+/// Run the static LR + list-scheduling mapper. Of the objective
+/// `weights`, α rewards primaries and β discounts energy; the γ time term
+/// is handled by the τ capacity constraint instead.
+pub fn run_lr_list<'a>(scenario: &'a Scenario, weights: &Weights) -> StaticOutcome<'a> {
+    run_lr_list_in(scenario, weights, &mut StateBuffers::default())
 }
 
 /// [`run_lr_list`] building its state on donated buffers (see
@@ -140,22 +113,17 @@ pub fn run_lr_list<'a>(scenario: &'a Scenario, config: &LrListConfig) -> StaticO
 #[allow(clippy::while_let_loop)] // the loop also breaks on placement failure
 pub fn run_lr_list_in<'a>(
     scenario: &'a Scenario,
-    config: &LrListConfig,
+    weights: &Weights,
     buffers: &mut StateBuffers,
 ) -> StaticOutcome<'a> {
     // Phase 1–2: price the capacities.
-    let problem = build_problem(scenario, &config.weights);
-    let solver = SubgradientSolver {
-        rule: StepRule::Diminishing { a: config.step },
-        max_iters: config.dual_iters,
-        tol: 1e-12,
-    };
-    let dual = problem.solve_dual(&solver, vec![0.0; problem.resources()]);
+    let problem = build_problem(scenario, weights);
+    let dual = problem.minimize_dual(DUAL_STEP, DUAL_ITERS, vec![0.0; problem.resources()]);
     let priority = marginal_values(&problem, &dual.lambda, &dual.selection);
 
     // Phase 3: precedence-respecting repair.
     let mut state = SimState::new_in(scenario, std::mem::take(buffers));
-    let mut evaluated = dual.solver.history.len() as u64 * scenario.tasks() as u64;
+    let mut evaluated = dual.iterations as u64 * scenario.tasks() as u64;
 
     loop {
         // Highest-priority ready task first.
@@ -183,11 +151,7 @@ pub fn run_lr_list_in<'a>(
                     }
                     let p = state.plan(t, v, j, Placement::Insert);
                     evaluated += 1;
-                    let better = match &best {
-                        None => true,
-                        Some(b) => p.finish() < b.finish(),
-                    };
-                    if better {
+                    if best.as_ref().is_none_or(|b| p.finish() < b.finish()) {
                         best = Some(p);
                     }
                 }
@@ -195,12 +159,8 @@ pub fn run_lr_list_in<'a>(
             best
         };
 
-        match plan {
-            Some(p) => {
-                state.commit(&p);
-            }
-            None => break,
-        }
+        let Some(p) = plan else { break };
+        state.commit(&p);
     }
 
     StaticOutcome {
@@ -220,6 +180,10 @@ mod tests {
         Scenario::generate(&ScenarioParams::paper_scaled(tasks), GridCase::A, 0, 0)
     }
 
+    fn weights() -> Weights {
+        Weights::new(0.6, 0.2).unwrap()
+    }
+
     #[test]
     fn decode_layout() {
         assert_eq!(decode(0), (MachineId(0), Version::Primary));
@@ -230,7 +194,7 @@ mod tests {
     #[test]
     fn problem_dimensions() {
         let sc = scenario(16);
-        let p = build_problem(&sc, &Weights::new(0.6, 0.2).unwrap());
+        let p = build_problem(&sc, &weights());
         assert_eq!(p.items(), 16);
         assert_eq!(p.resources(), 2 * sc.grid.len());
         for i in 0..16 {
@@ -241,7 +205,7 @@ mod tests {
     #[test]
     fn maps_everything_and_validates() {
         let sc = scenario(64);
-        let out = run_lr_list(&sc, &LrListConfig::default());
+        let out = run_lr_list(&sc, &weights());
         assert!(out.metrics().fully_mapped());
         let errs = validate(&out.state);
         assert!(errs.is_empty(), "{errs:?}");
@@ -250,10 +214,9 @@ mod tests {
     #[test]
     fn deterministic() {
         let sc = scenario(32);
-        let cfg = LrListConfig::default();
         assert_eq!(
-            run_lr_list(&sc, &cfg).metrics(),
-            run_lr_list(&sc, &cfg).metrics()
+            run_lr_list(&sc, &weights()).metrics(),
+            run_lr_list(&sc, &weights()).metrics()
         );
     }
 }

@@ -5,8 +5,7 @@
 use adhoc_grid::config::GridCase;
 use adhoc_grid::workload::{Scenario, ScenarioParams};
 use grid_baselines::{
-    maxmax, run_greedy, run_heft, run_lr_list, run_maxmax, run_minmin, run_olb, LrListConfig,
-    StaticOutcome,
+    maxmax, run_greedy, run_heft, run_lr_list, run_maxmax, run_minmin, run_olb, StaticOutcome,
 };
 use gridsim::validate::validate;
 use lagrange::weights::{Objective, Weights};
@@ -90,14 +89,13 @@ proptest! {
             dag_id,
         );
         let obj = Objective::paper(w);
-        let lr = LrListConfig { weights: w, ..LrListConfig::default() };
         let outs = [
             ("maxmax", run_maxmax(&sc, &obj)),
             ("greedy", run_greedy(&sc)),
             ("olb", run_olb(&sc)),
             ("minmin", run_minmin(&sc)),
             ("heft", run_heft(&sc)),
-            ("lrlist", run_lr_list(&sc, &lr)),
+            ("lrlist", run_lr_list(&sc, &w)),
         ];
         for (name, out) in outs {
             let errs = validate(&out.state);

@@ -21,7 +21,10 @@
 //! way are typically infeasible and are repaired downstream by list
 //! scheduling (see the `grid-baselines` crate).
 
-use crate::subgradient::{SubgradientResult, SubgradientSolver};
+use crate::step::StepRule;
+
+/// [`SeparableProblem::minimize_dual`] stops when `‖g‖` or `s·‖g‖` is below this.
+const TOL: f64 = 1e-12;
 
 /// One selectable option of an item.
 #[derive(Clone, PartialEq, Debug)]
@@ -31,6 +34,13 @@ pub struct Choice {
     /// Resource usage per capacity constraint (same length as the
     /// problem's `capacities`).
     pub usage: Vec<f64>,
+}
+
+impl Choice {
+    /// The reduced value `value − λ·usage` at prices λ.
+    pub fn reduced(&self, lambda: &[f64]) -> f64 {
+        self.value - self.usage.iter().zip(lambda).map(|(u, l)| u * l).sum::<f64>()
+    }
 }
 
 /// A selection: the chosen option index for every item.
@@ -54,8 +64,8 @@ pub struct DualOutcome {
     /// The relaxed selection at [`DualOutcome::lambda`] (may be
     /// infeasible — marginal-cost prices for a downstream repair stage).
     pub selection: Selection,
-    /// Raw solver diagnostics.
-    pub solver: SubgradientResult,
+    /// Dual evaluations made: `1..=max_iters`, or 0 when `max_iters` is 0.
+    pub iterations: usize,
 }
 
 impl SeparableProblem {
@@ -91,11 +101,6 @@ impl SeparableProblem {
         self.capacities.len()
     }
 
-    /// The capacities.
-    pub fn capacities(&self) -> &[f64] {
-        &self.capacities
-    }
-
     /// The options of item `i`.
     pub fn options_of(&self, i: usize) -> &[Choice] {
         &self.options[i]
@@ -113,12 +118,7 @@ impl SeparableProblem {
                     let mut best = 0usize;
                     let mut best_v = f64::NEG_INFINITY;
                     for (o, c) in opts.iter().enumerate() {
-                        let reduced = c.value
-                            - c.usage
-                                .iter()
-                                .zip(lambda)
-                                .map(|(u, l)| u * l)
-                                .sum::<f64>();
+                        let reduced = c.reduced(lambda);
                         if reduced > best_v {
                             best_v = reduced;
                             best = o;
@@ -184,25 +184,52 @@ impl SeparableProblem {
         (relaxed_value, violations)
     }
 
-    /// Minimize the dual upper bound `q(λ)` with projected subgradient
-    /// descent from `lambda0`.
-    pub fn solve_dual(&self, solver: &SubgradientSolver, lambda0: Vec<f64>) -> DualOutcome {
-        // Our solver maximizes; minimize q by maximizing −q. The
-        // subgradient of −q at λ is `usage − cap` of the relaxed
-        // maximizer, which is exactly the ascent direction for λ.
-        let mut oracle = |lambda: &[f64]| {
-            let (q, viol) = self.dual(lambda);
-            (-q, viol)
-        };
-        let result = solver.maximize(&mut oracle, lambda0);
-        let lambda = result.best_lambda.clone();
-        let upper_bound = -result.best_value;
-        let selection = self.relaxed_selection(&lambda);
+    /// Minimize the dual upper bound `q(λ)` by projected subgradient
+    /// descent from `lambda0`, keeping the best iterate (the method is not
+    /// monotone): for `k = 1..=max_iters`, evaluate `(q, g) = self.dual(λ)`
+    /// and step with [`StepRule::ascend`]. The violations `g` are a
+    /// subgradient of `−q`, so the rule sees `value = −q`, and a
+    /// [`StepRule::Polyak`] `target` estimates `−q*`.
+    ///
+    /// ```
+    /// use lagrange::{dual::Choice, SeparableProblem, StepRule};
+    ///
+    /// // Two items contend for one unit (taking it is worth 3 or 2): optimum 3.
+    /// let take = |value| Choice { value, usage: vec![1.0] };
+    /// let skip = Choice { value: 0.0, usage: vec![0.0] };
+    /// let items = vec![vec![take(3.0), skip.clone()], vec![take(2.0), skip]];
+    /// let rule = StepRule::Polyak { target: -3.0, max_step: 10.0 };
+    /// let out = SeparableProblem::new(items, vec![1.0]).minimize_dual(rule, 100, vec![0.0]);
+    /// assert_eq!(out.upper_bound, 3.0);
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if an entry of `lambda0` is negative or non-finite, or its
+    /// length is not [`SeparableProblem::resources`].
+    pub fn minimize_dual(&self, rule: StepRule, max_iters: usize, lambda0: Vec<f64>) -> DualOutcome {
+        for &l in &lambda0 {
+            assert!(l >= 0.0 && l.is_finite(), "invalid multiplier {l}");
+        }
+        let mut lambda = lambda0;
+        let (mut best, mut upper_bound) = (lambda.clone(), f64::INFINITY);
+        let mut iterations = 0;
+        for k in 1..=max_iters {
+            iterations = k;
+            let (q, g) = self.dual(&lambda);
+            if q < upper_bound {
+                upper_bound = q;
+                best.clone_from(&lambda);
+            }
+            let norm = g.iter().map(|g| g * g).sum::<f64>().sqrt();
+            if norm <= TOL || rule.ascend(k, -q, &mut lambda, &g) * norm <= TOL {
+                break;
+            }
+        }
         DualOutcome {
-            lambda,
+            selection: self.relaxed_selection(&best),
+            lambda: best,
             upper_bound,
-            selection,
-            solver: result,
+            iterations,
         }
     }
 }
@@ -210,7 +237,6 @@ impl SeparableProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step::StepRule;
 
     /// Two items, one resource of capacity 1. Each item may take the
     /// resource (value 3 or 2, usage 1) or skip (value 0). Optimum: item 0
@@ -264,18 +290,8 @@ mod tests {
 
     #[test]
     fn subgradient_finds_near_tight_bound() {
-        let p = contention();
-        let solver = SubgradientSolver {
-            rule: StepRule::Diminishing { a: 1.0 },
-            max_iters: 500,
-            tol: 1e-12,
-        };
-        let out = p.solve_dual(&solver, vec![0.0]);
-        assert!(
-            out.upper_bound < 3.3,
-            "bound {} not near optimum 3",
-            out.upper_bound
-        );
+        let out = contention().minimize_dual(StepRule::Diminishing { a: 1.0 }, 500, vec![0.0]);
+        assert!(out.upper_bound < 3.3, "bound {} not near optimum 3", out.upper_bound);
         assert!(out.upper_bound >= 3.0 - 1e-9);
     }
 
@@ -300,18 +316,42 @@ mod tests {
             })
             .collect();
         let p = SeparableProblem::new(items, vec![5.0, 2.0]);
-        let solver = SubgradientSolver {
-            rule: StepRule::Diminishing { a: 2.0 },
-            max_iters: 800,
-            tol: 1e-12,
-        };
-        let out = p.solve_dual(&solver, vec![0.0, 0.0]);
+        let out = p.minimize_dual(StepRule::Diminishing { a: 2.0 }, 800, vec![0.0, 0.0]);
         // A feasible hand solution: items 3 and 4 take big (usage 4,2),
         // one more item takes small (usage 1,0) -> value 7+8+2 = 17, usage (5,2).
         assert!(out.upper_bound >= 17.0 - 1e-6);
         assert!(out.upper_bound <= 19.5, "bound {} too loose", out.upper_bound);
         // Prices should be meaningfully positive for the scarce resources.
         assert!(out.lambda.iter().any(|&l| l > 0.0));
+    }
+
+    #[test]
+    fn polyak_with_the_optimal_target_converges_in_two_steps() {
+        // q(0) = 5 with violation 1: the step (5 − 3)/1 lands on the tight λ = 2.
+        let rule = StepRule::Polyak { target: -3.0, max_step: 10.0 };
+        let out = contention().minimize_dual(rule, 100, vec![0.0]);
+        assert_eq!((out.upper_bound, out.lambda, out.iterations), (3.0, vec![2.0], 2));
+    }
+
+    #[test]
+    fn the_best_iterate_is_kept_not_the_last() {
+        // Constant steps of 4 visit λ = 0 (q = 5), 4 (q = 4), then 0 again.
+        let out = contention().minimize_dual(StepRule::Constant { a: 4.0 }, 3, vec![0.0]);
+        assert_eq!((out.upper_bound, out.lambda, out.iterations), (4.0, vec![4.0], 3));
+        assert_eq!(out.selection.0, vec![1, 1], "the selection is the best iterate's");
+    }
+
+    #[test]
+    fn a_start_without_violation_stops_after_one_iteration() {
+        // At λ = 2.5 item 0 takes and item 1 skips: usage = capacity.
+        let out = contention().minimize_dual(StepRule::Constant { a: 0.1 }, 100, vec![2.5]);
+        assert_eq!((out.upper_bound, out.lambda, out.iterations), (3.0, vec![2.5], 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid multiplier")]
+    fn negative_start_rejected() {
+        contention().minimize_dual(StepRule::Constant { a: 0.1 }, 1, vec![-1.0]);
     }
 
     #[test]

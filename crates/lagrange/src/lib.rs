@@ -11,35 +11,30 @@
 //!   simplex and the paper's global objective function
 //!   `ObjFn = α·T100/|T| − β·TEC/TSE + γ·AET/τ`;
 //! * [`step`] — classic subgradient step-size rules (constant,
-//!   diminishing `a/√k`, Polyak);
-//! * [`multipliers`] — projected multiplier vectors `λ ≥ 0` with
-//!   subgradient updates, the building block of dual ascent and of the
-//!   online weight controller;
+//!   diminishing `a/√k`, Polyak) and the one projected multiplier update
+//!   `λ ← max(0, λ + s·g)`, [`StepRule::ascend`], that both the dual
+//!   solver and the online weight controller take;
 //! * [`online`] — the online weight controller itself: a stateless,
 //!   lattice-snapped projected subgradient step mapping the live
 //!   objective weights and one tick's constraint violations to the next
 //!   tick's weights (the §VIII "on-the-fly adjustment", wired into the
 //!   SLRH clock loop by the `slrh` crate);
-//! * [`subgradient`] — a projected subgradient solver for concave dual
-//!   functions exposed through the [`subgradient::DualOracle`] trait;
 //! * [`dual`] — Lagrangian relaxation of *separable* selection problems
 //!   (each item independently picks one option once the coupling
-//!   capacity constraints are priced), the structure used by the
-//!   [LuH93]-style static scheduling baseline.
+//!   capacity constraints are priced) and its one solver,
+//!   [`SeparableProblem::minimize_dual`], which returns the Lagrangian
+//!   upper bound directly; the structure used by the [LuH93]-style static
+//!   scheduling baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dual;
-pub mod multipliers;
 pub mod online;
 pub mod step;
-pub mod subgradient;
 pub mod weights;
 
 pub use dual::{SeparableProblem, Selection};
-pub use multipliers::MultiplierVector;
 pub use online::{adapt_step, OnlineProjection};
 pub use step::StepRule;
-pub use subgradient::{DualOracle, SubgradientResult, SubgradientSolver};
 pub use weights::{AetSign, Objective, ObjectiveInputs, WeightError, Weights};

@@ -8,8 +8,8 @@
 //! This module runs that correspondence both ways so the receding-horizon
 //! loop can store nothing but the weights themselves: at tick `k` it
 //! reconstructs the multipliers from the live weights, takes one
-//! projected ascent step ([`crate::MultiplierVector::ascend`]'s, on two
-//! components) along the observed constraint violations, and maps back.
+//! projected ascent step ([`StepRule::ascend`], on two components) along
+//! the observed constraint violations, and maps back.
 //! Statelessness is the determinism contract — reusing a `RunContext`,
 //! splitting a run into churn segments, or replaying a prefix cannot
 //! change the update, because there is no hidden accumulator to drift.
@@ -109,8 +109,7 @@ pub fn snap_to_lattice(alpha: f64, beta: f64, min_alpha: f64) -> Weights {
 /// One online adaptation step: the weights the mapper should use from
 /// tick `k` onward, given the weights it used up to now and the
 /// constraint violations `g = [g_e, g_t]` observed at this tick
-/// (positive = violated, in the sense of
-/// [`crate::MultiplierVector::ascend`]).
+/// (positive = violated, in the sense of [`StepRule::ascend`]).
 ///
 /// `k` is 1-based and must advance monotonically across a run (the SLRH
 /// loop passes `tick / every`); the [`StepRule::Diminishing`] schedule
@@ -132,20 +131,14 @@ pub fn adapt_step(
 ) -> Weights {
     assert!(k >= 1, "adaptation steps are 1-based");
     proj.validate();
-    let lambda = multipliers_of(current, proj.min_alpha);
-    let lambda = [
-        lambda[0].clamp(0.0, proj.max_multiplier),
-        lambda[1].clamp(0.0, proj.max_multiplier),
-    ];
-    // The `k`-th `MultiplierVector::ascend` step, expression for
-    // expression, on the stack: this runs once per adaptation step of
-    // the clock loop, which allocates nothing per tick.
-    let [ge, gt] = violations;
-    let s = rule.step(k as usize, 0.0, ge * ge + gt * gt);
-    if s == 0.0 {
+    // On the stack: this runs once per adaptation step of the clock
+    // loop, which allocates nothing per tick.
+    let mut lambda =
+        multipliers_of(current, proj.min_alpha).map(|l| l.clamp(0.0, proj.max_multiplier));
+    if rule.ascend(k as usize, 0.0, &mut lambda, &violations) == 0.0 {
         return current;
     }
-    weights_of([(lambda[0] + s * ge).max(0.0), (lambda[1] + s * gt).max(0.0)], proj)
+    weights_of(lambda, proj)
 }
 
 #[cfg(test)]
@@ -242,32 +235,14 @@ mod tests {
         assert_eq!(back.beta().to_bits(), w.beta().to_bits());
     }
 
-    /// Step `k` is the step an ongoing [`MultiplierVector`] takes at its
-    /// `k`-th iteration: the [`StepRule::Diminishing`] schedule keeps
-    /// advancing although nothing survives between calls.
+    /// `diminishing(1)` at `k = 4` steps `1/2`: λ = (0.6, 0.4) moves along
+    /// (0.4, −0.2) to (0.8, 0.3), so (α, β) = (1, 0.8)/2.1, snapped.
     #[test]
-    fn step_k_matches_an_ongoing_schedule() {
-        use crate::multipliers::MultiplierVector;
-        let rule = StepRule::Diminishing { a: 1.0 };
-        let g = [0.4, -0.2];
-        let mut w = Weights::new(0.5, 0.3).unwrap();
-        for k in 1..=4u64 {
-            let mut ongoing =
-                MultiplierVector::from_values(multipliers_of(w, proj().min_alpha).to_vec());
-            for _ in 1..k {
-                // No violation, no movement: only the schedule advances.
-                assert_eq!(ongoing.ascend(&rule, 0.0, &[0.0, 0.0]), 0.0);
-            }
-            let s = ongoing.ascend(&rule, 0.0, &g);
-            assert_eq!(s.to_bits(), (1.0 / (k as f64).sqrt()).to_bits(), "step {k}");
-            let l = ongoing.values();
-            let expected = weights_of([l[0], l[1]], &proj());
-            let got = adapt_step(&rule, &proj(), w, k, g);
-            assert_eq!(got.alpha().to_bits(), expected.alpha().to_bits(), "step {k}");
-            assert_eq!(got.beta().to_bits(), expected.beta().to_bits(), "step {k}");
-            assert_ne!(got, w, "step {k} moved the weights");
-            w = got;
-        }
+    fn step_k_reads_the_diminishing_schedule() {
+        let w = Weights::new(0.5, 0.3).unwrap();
+        let got = adapt_step(&StepRule::Diminishing { a: 1.0 }, &proj(), w, 4, [0.4, -0.2]);
+        assert_eq!(got.alpha(), 0.476190476);
+        assert_eq!(got.beta(), 0.380952381);
     }
 
     #[test]

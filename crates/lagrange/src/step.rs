@@ -58,6 +58,22 @@ impl StepRule {
             }
         }
     }
+
+    /// The `k`-th projected ascent step `λ ← max(0, λ + s·g)` along the
+    /// constraint violations `g` (positive = violated); returns the step
+    /// `s`. The one projected multiplier update, shared by the dual solver
+    /// and the online weight controller.
+    ///
+    /// # Panics
+    /// Panics on a dimension mismatch, or when `k == 0`.
+    pub fn ascend(&self, k: usize, value: f64, lambda: &mut [f64], g: &[f64]) -> f64 {
+        assert_eq!(g.len(), lambda.len(), "violation vector dimension mismatch");
+        let s = self.step(k, value, g.iter().map(|g| g * g).sum());
+        for (l, g) in lambda.iter_mut().zip(g) {
+            *l = (*l + s * g).max(0.0);
+        }
+        s
+    }
 }
 
 impl fmt::Display for StepRule {
@@ -173,6 +189,24 @@ mod tests {
             max_step: 0.1,
         };
         assert_eq!(r.step(1, 0.0, 1.0), 0.1);
+    }
+
+    #[test]
+    fn ascent_moves_along_violations_and_projects() {
+        let mut lambda = [0.0, 0.0];
+        assert_eq!(StepRule::Constant { a: 0.5 }.ascend(1, 0.0, &mut lambda, &[2.0, -1.0]), 0.5);
+        assert_eq!(lambda, [1.0, 0.0], "projection keeps λ >= 0");
+        let mut lambda = [1.0];
+        for k in 1..=10 {
+            StepRule::Constant { a: 0.2 }.ascend(k, 0.0, &mut lambda, &[-1.0]);
+        }
+        assert_eq!(lambda, [0.0], "satisfied constraints drive λ to 0");
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn ascend_dimension_mismatch_panics() {
+        StepRule::Constant { a: 1.0 }.ascend(1, 0.0, &mut [0.0, 0.0], &[1.0]);
     }
 
     #[test]

@@ -97,9 +97,9 @@ impl Weights {
         (1.0 - self.alpha - self.beta).max(0.0)
     }
 
-    /// Shift by `(dα, dβ)`, clamping back onto the simplex — the primitive
-    /// the online weight controller uses. Clamping keeps α and β in
-    /// `[0, 1]` and shrinks β first if the pair would overflow the simplex.
+    /// Shift by `(dα, dβ)`, clamping back onto the simplex. Clamping keeps
+    /// α and β in `[0, 1]` and shrinks β first if the pair would overflow
+    /// the simplex.
     pub fn shifted(&self, d_alpha: f64, d_beta: f64) -> Weights {
         let alpha = (self.alpha + d_alpha).clamp(0.0, 1.0);
         let beta = (self.beta + d_beta).clamp(0.0, 1.0 - alpha);

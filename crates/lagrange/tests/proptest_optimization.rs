@@ -2,9 +2,7 @@
 //! projection, and objective bounds.
 
 use lagrange::dual::{Choice, SeparableProblem};
-use lagrange::multipliers::MultiplierVector;
 use lagrange::step::StepRule;
-use lagrange::subgradient::SubgradientSolver;
 use lagrange::weights::{Objective, ObjectiveInputs, Weights};
 use proptest::prelude::*;
 
@@ -61,21 +59,35 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Weak duality: q(λ) >= optimum for every λ >= 0, and therefore the
-    /// optimized bound dominates the brute-force optimum.
+    /// optimized bound dominates the brute-force optimum. The outcome
+    /// also agrees with itself: the bound is the dual at the returned
+    /// multipliers, the selection is the relaxed one there, and the start
+    /// is an upper limit. A shorter budget runs a prefix of the same
+    /// iterates, so it reports exactly that budget and a bound no better
+    /// than a longer one's: the best iterate is kept, not the last.
     #[test]
     fn weak_duality_holds(p in problems(), l0 in 0.0f64..5.0, l1 in 0.0f64..5.0) {
         let opt = brute_force(&p);
         let (q, _) = p.dual(&[l0, l1]);
         prop_assert!(q >= opt - 1e-9, "q({l0},{l1}) = {q} below optimum {opt}");
 
-        let solver = SubgradientSolver {
-            rule: StepRule::Diminishing { a: 1.0 },
-            max_iters: 150,
-            tol: 1e-12,
-        };
-        let out = p.solve_dual(&solver, vec![0.0, 0.0]);
+        let rule = StepRule::Diminishing { a: 1.0 };
+        let out = p.minimize_dual(rule, 150, vec![0.0, 0.0]);
         prop_assert!(out.upper_bound >= opt - 1e-9,
             "optimized bound {} below optimum {opt}", out.upper_bound);
+        prop_assert_eq!(out.upper_bound.to_bits(), p.dual(&out.lambda).0.to_bits());
+        prop_assert_eq!(&out.selection, &p.relaxed_selection(&out.lambda));
+        prop_assert!(out.upper_bound <= p.dual(&[0.0, 0.0]).0);
+        prop_assert!((1..=150).contains(&out.iterations), "{} iterations", out.iterations);
+
+        let mut bound = f64::INFINITY;
+        for n in (1..=out.iterations).step_by(10).chain([out.iterations]) {
+            let prefix = p.minimize_dual(rule, n, vec![0.0, 0.0]);
+            prop_assert_eq!(prefix.iterations, n);
+            prop_assert!(prefix.upper_bound <= bound, "budget {n} lost the bound {bound}");
+            bound = prefix.upper_bound;
+        }
+        prop_assert_eq!(bound.to_bits(), out.upper_bound.to_bits());
     }
 
     /// The relaxed selection at λ = 0 picks each item's maximum-value
@@ -99,14 +111,13 @@ proptest! {
             prop::collection::vec(-5.0f64..5.0, 3), 1..40),
         step in 0.01f64..2.0,
     ) {
-        let mut m = MultiplierVector::zeros(3);
-        for g in &violations {
-            m.ascend(&StepRule::Constant { a: step }, 0.0, g);
-            for &l in m.values() {
+        let mut lambda = [0.0; 3];
+        for (k, g) in violations.iter().enumerate() {
+            StepRule::Constant { a: step }.ascend(k + 1, 0.0, &mut lambda, g);
+            for &l in &lambda {
                 prop_assert!(l >= 0.0);
             }
         }
-        prop_assert_eq!(m.iteration(), violations.len());
     }
 
     /// ObjFn stays within [-1, 1] for all simplex weights and unit-range

@@ -37,7 +37,7 @@ use adhoc_grid::units::{Energy, Time};
 use grid_baselines::{
     run_dbc, run_dbc_in, run_greedy, run_greedy_in, run_heft, run_heft_in, run_lr_list,
     run_lr_list_in, run_maxmax, run_maxmax_in, run_minmin, run_minmin_in, run_olb, run_olb_in,
-    DbcMode, LrListConfig, StaticOutcome,
+    DbcMode, StaticOutcome,
 };
 use gridsim::cost::schedule_cost;
 use gridsim::metrics::Metrics;
@@ -338,10 +338,6 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
 
     // --- static baselines: fresh vs reused state buffers -----------------
     let objective = Objective::paper(weights);
-    let lr_cfg = LrListConfig {
-        weights,
-        ..LrListConfig::default()
-    };
     macro_rules! baseline_arm {
         ($name:literal, $fresh:expr, $reused:expr) => {{
             let fresh = $fresh;
@@ -384,8 +380,8 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
     );
     baseline_arm!(
         "lrlist",
-        run_lr_list(&sc, &lr_cfg),
-        run_lr_list_in(&sc, &lr_cfg, ctx.buffers_mut())
+        run_lr_list(&sc, &weights),
+        run_lr_list_in(&sc, &weights, ctx.buffers_mut())
     );
     baseline_arm!(
         "dbc-cost",

@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 use adhoc_grid::workload::Scenario;
 use grid_baselines::{
     run_dbc_in, run_greedy_in, run_heft_in, run_lr_list_in, run_maxmax_in, run_minmin_in,
-    run_olb_in, DbcMode, LrListConfig,
+    run_olb_in, DbcMode,
 };
 use gridsim::metrics::Metrics;
 use gridsim::MappingOutcome;
@@ -164,13 +164,7 @@ impl Heuristic {
             Heuristic::Olb => run_olb_in(scenario, buffers),
             Heuristic::MinMin => run_minmin_in(scenario, buffers),
             Heuristic::Heft => run_heft_in(scenario, buffers),
-            Heuristic::LrList => {
-                let cfg = LrListConfig {
-                    weights,
-                    ..LrListConfig::default()
-                };
-                run_lr_list_in(scenario, &cfg, buffers)
-            }
+            Heuristic::LrList => run_lr_list_in(scenario, &weights, buffers),
             Heuristic::DbcCost => run_dbc_in(scenario, DbcMode::Cost, buffers),
             Heuristic::DbcTime => run_dbc_in(scenario, DbcMode::Time, buffers),
             Heuristic::Slrh1 | Heuristic::Slrh2 | Heuristic::Slrh3 => {

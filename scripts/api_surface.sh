@@ -72,7 +72,14 @@
 #    `run_mct` alias of the greedy stay gone, the frontier's non-test
 #    code keeps no ready set of its own (no `swap_remove` under
 #    `crates/core/src/frontier`), and `SimState` takes no delta back
-#    (no `fn recycle(&mut self, delta` in `crates/sim/src/state.rs`).
+#    (no `fn recycle(&mut self, delta` in `crates/sim/src/state.rs`);
+#  * there is one projected multiplier update, `StepRule::ascend`, and
+#    one dual solver, `SeparableProblem::minimize_dual`: nothing outside
+#    `crates/lagrange/src/step.rs` calls `.step(`, the retired stack
+#    (`MultiplierVector`, `SubgradientSolver`, `SubgradientResult`,
+#    `DualOracle`, `solve_dual`, and `crates/lagrange/src/{multipliers,
+#    subgradient}.rs`) stays gone, and so do LR-list's unused knobs
+#    (`LrListConfig`, `dual_iters`).
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -84,6 +91,7 @@ fail() {
 }
 
 retired='run_slrh_in|run_slrh_observed|run_slrh_dynamic|run_slrh_churn_in|run_slrh_churn_observed|run_adaptive_slrh|AdaptiveConfig|AdaptiveOutcome|DynamicOutcome|validate_churn|SlrhConfigBuilder|touched_machines|spill_after|promote_to_spill|visible_lists|cluster_of|home_of|machine_mean_seconds|ZeroClusters|from_values_at|AppendCost|InsertCost|InsertSlot|cost_append|cost_insert|frozen_order|any_gate_feasible|build_pool|StateDelta|DeltaKind|delta_invalidated|run_mct|run_mct_in'
+retired+='|MultiplierVector|SubgradientSolver|SubgradientResult|DualOracle|solve_dual|LrListConfig|dual_iters'
 if hits=$(grep -rnwE "$retired" crates src tests examples --include='*.rs'); then
     fail "retired names are back:"$'\n'"$hits"
 fi
@@ -220,6 +228,16 @@ for f in $(find crates/core/src/frontier -name '*.rs' | sort); do
 done
 if hits=$(grep -n 'fn recycle(&mut self, delta' crates/sim/src/state.rs); then
     fail "SimState takes a delta back again:"$'\n'"$hits"
+fi
+
+for f in crates/lagrange/src/multipliers.rs crates/lagrange/src/subgradient.rs; do
+    if [ -e "$f" ]; then
+        fail "$f is back"
+    fi
+done
+if hits=$(grep -rn '\.step(' crates src tests examples --include='*.rs' |
+    grep -v '^crates/lagrange/src/step.rs:'); then
+    fail "a projected multiplier update is spelled outside StepRule::ascend:"$'\n'"$hits"
 fi
 
 [ "$status" -eq 0 ] && echo "api_surface: ok"

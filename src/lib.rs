@@ -10,8 +10,8 @@
 //!   matrices and their deterministic generators;
 //! * [`sim`] — the clock-driven grid simulator: timelines, communication
 //!   links, the energy ledger, schedules, validation and metrics;
-//! * [`lagrange`] — the Lagrangian optimization substrate: multiplier
-//!   state, subgradient methods, dual decomposition;
+//! * [`lagrange`] — the Lagrangian optimization substrate: the objective,
+//!   one projected multiplier update, dual decomposition;
 //! * [`slrh`] — the paper's core contribution: the SLRH-1/2/3 heuristics
 //!   behind one entry point, [`slrh::run_slrh_with`], whose inputs cover
 //!   the extensions too — a checked churn trace ([`slrh::Churn`]) for
