@@ -1,5 +1,5 @@
 //! Shared job execution: one function per job type, used by both the
-//! daemon's workers and the one-shot CLI.
+//! daemon's connection threads and the one-shot CLI.
 //!
 //! This is where the broker's byte-identity guarantee comes from: the
 //! daemon does not re-implement `lrh-grid run` — both call
@@ -502,7 +502,7 @@ mod tests {
         }
     }
 
-    /// What a well-formed frame can carry that used to panic the worker
+    /// What a well-formed frame can carry that used to panic the thread
     /// running it: search steps out of order, and clock values whose
     /// checked sums overflow. Each is refused by its owner's rule.
     #[test]

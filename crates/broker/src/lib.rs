@@ -2,9 +2,10 @@
 //!
 //! A long-running broker daemon that accepts workload submissions (a
 //! scenario spec, a heuristic, an [`slrh::SlrhConfig`] and a deadline)
-//! over a line-delimited, versioned TCP wire protocol, executes them on
-//! a pool of worker threads, and streams progress events and a final
-//! deterministic report back to the client.
+//! over a line-delimited, versioned TCP wire protocol, executes each on
+//! the thread of the connection that submitted it, at most `workers` at
+//! once, and streams progress events and a final deterministic report
+//! back to the client.
 //!
 //! Modules, bottom-up:
 //!
@@ -12,15 +13,16 @@
 //!   [`proto::Event`], responses) over the generic frame codec in
 //!   `adhoc_grid::io::wire`; every type round-trips through its frame.
 //! * [`execute`] — shared job execution. The one-shot CLI and the
-//!   daemon's workers call the same functions, which is what makes a
-//!   submitted job's report byte-identical to a local run.
-//! * [`queue`] — the fair job queue: FIFO per client, round-robin
-//!   across clients.
+//!   daemon call the same functions, which is what makes a submitted
+//!   job's report byte-identical to a local run.
+//! * [`queue`] — the fair queue the daemon grants execution slots in:
+//!   FIFO per client, round-robin across clients.
 //! * [`checkpoint`] — campaign batch-job checkpoints: one canonical row
 //!   per completed unit, so a killed daemon resumes without re-running
 //!   finished cells.
-//! * [`server`] — the daemon: accept/connection/worker threads, one
-//!   recycled [`slrh::RunContext`] per worker, graceful shutdown.
+//! * [`server`] — the daemon: accept and connection threads, one
+//!   recycled [`slrh::RunContext`] per execution slot, graceful
+//!   shutdown.
 //! * [`client`] — the blocking client used by `lrh-grid
 //!   submit`/`watch`/`status` and the tests.
 

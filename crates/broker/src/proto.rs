@@ -480,8 +480,8 @@ impl CampaignRequest {
 
 /// A progress event streamed while a job runs. Event payloads are
 /// deterministic in the job — they never name wall-clock times or
-/// worker identities, so the stream a client sees is byte-identical
-/// regardless of daemon thread count.
+/// thread identities, so the stream a client sees is byte-identical
+/// regardless of the daemon's slot count.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Event {
     /// The job was accepted and queued.
@@ -489,7 +489,7 @@ pub enum Event {
         /// Daemon-assigned job id.
         job: u64,
     },
-    /// A worker started executing the job.
+    /// The job took an execution slot and started executing.
     Started {
         /// Job id.
         job: u64,
@@ -757,7 +757,7 @@ pub struct StatusResponse {
     pub running: usize,
     /// Jobs completed since the daemon started.
     pub completed: u64,
-    /// Worker threads in the pool.
+    /// Execution slots: jobs executing at once.
     pub workers: usize,
 }
 

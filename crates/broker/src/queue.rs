@@ -1,11 +1,12 @@
 //! The daemon's job queue: FIFO per client, round-robin across clients.
 //!
 //! One client flooding the daemon with submissions cannot starve
-//! another — workers take the next job from each client's queue in
-//! turn. The queue is a plain `Mutex` + `Condvar`; workers block in
-//! [`JobQueue::pop`] until a job arrives or the queue is closed.
-//! Closing stops admissions but lets workers drain what was already
-//! queued, which is what a graceful shutdown wants.
+//! another — the next entry is taken from each client's queue in turn.
+//! The daemon queues its connections' turns for an execution slot here
+//! and grants them with [`JobQueue::try_pop`]; [`JobQueue::pop`] blocks
+//! until an entry arrives or the queue is closed. Closing stops
+//! admissions but lets what was already queued drain, which is what a
+//! graceful shutdown wants.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -20,6 +21,25 @@ struct Inner<T> {
     queued: usize,
     /// False once closed: no further admissions.
     open: bool,
+}
+
+impl<T> Inner<T> {
+    /// The next job round-robin across clients, FIFO within one.
+    fn take(&mut self) -> Option<T> {
+        if self.queued == 0 {
+            return None;
+        }
+        let n = self.clients.len();
+        for step in 0..n {
+            let i = (self.cursor + step) % n;
+            if let Some(job) = self.clients[i].1.pop_front() {
+                self.cursor = (i + 1) % n;
+                self.queued -= 1;
+                return Some(job);
+            }
+        }
+        unreachable!("queued count out of sync with client queues");
+    }
 }
 
 /// A multi-client fair job queue.
@@ -74,23 +94,25 @@ impl<T> JobQueue<T> {
     pub fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         loop {
-            if inner.queued > 0 {
-                let n = inner.clients.len();
-                for step in 0..n {
-                    let i = (inner.cursor + step) % n;
-                    if let Some(job) = inner.clients[i].1.pop_front() {
-                        inner.cursor = (i + 1) % n;
-                        inner.queued -= 1;
-                        return Some(job);
-                    }
-                }
-                unreachable!("queued count out of sync with client queues");
+            if let Some(job) = inner.take() {
+                return Some(job);
             }
             if !inner.open {
                 return None;
             }
             inner = self.ready.wait(inner).expect("queue poisoned");
         }
+    }
+
+    /// Dequeue the next job in [`JobQueue::pop`]'s order, or `None` at
+    /// once if nothing is queued.
+    pub fn try_pop(&self) -> Option<T> {
+        self.inner.lock().expect("queue poisoned").take()
+    }
+
+    /// False once [`JobQueue::close`] has been called.
+    pub fn is_open(&self) -> bool {
+        self.inner.lock().expect("queue poisoned").open
     }
 
     /// Jobs currently queued.
@@ -103,8 +125,8 @@ impl<T> JobQueue<T> {
         self.len() == 0
     }
 
-    /// Stop admissions and wake every blocked worker. Queued jobs still
-    /// drain through [`JobQueue::pop`].
+    /// Stop admissions and wake every blocked [`JobQueue::pop`]. Queued
+    /// jobs still drain.
     pub fn close(&self) {
         self.inner.lock().expect("queue poisoned").open = false;
         self.ready.notify_all();

@@ -3,9 +3,8 @@
 //!
 //! A job's reply is one frame per committing clock tick — over a
 //! hundred for a 128-subtask job, about a thousand at paper scale — so
-//! the path an event takes (encode on the worker, hand-off to the
-//! connection thread, decode on the client) must not allocate per
-//! event. This test pins that with a counting global allocator:
+//! the path an event takes (encode and buffered write on the connection
+//! thread, decode on the client) must not allocate per event. This test pins that with a counting global allocator:
 //! encoding a tick into a warm buffer and decoding one through a warm
 //! reader allocate nothing, and a whole daemon job's reply costs a fixed
 //! number of allocations however many events it streams.
@@ -37,9 +36,9 @@ use slrh::{RunContext, SlrhConfig, SlrhVariant};
 /// process-wide, and per thread (the test harness allocates on threads
 /// of its own while a test runs). The per-job budget needs the
 /// process-wide count, because a daemon reply spans threads — the
-/// worker encodes, the connection thread writes, the client decodes —
-/// so unlike the sweep's pins, which each count their own thread, these
-/// tests run one at a time.
+/// daemon's connection thread runs the job and writes its reply, the
+/// client decodes it — so unlike the sweep's pins, which each count
+/// their own thread, these tests run one at a time.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -181,15 +180,15 @@ fn a_daemon_jobs_reply_path_stays_within_its_per_job_budget() {
     let mut conn = Connection::connect(daemon.addr()).expect("connect");
     let mut ctx = RunContext::new();
 
-    // Warm both sides alike: the worker's context and the connection's
-    // buffers on one, the local context on the other.
+    // Warm both sides alike: the daemon's execution slot and the
+    // connection's buffers on one, the local context on the other.
     for _ in 0..2 {
         conn.submit_map(&req, |_| {}).expect("warm-up submit");
         execute_map(0, &req, &mut ctx, &mut |_| {}).expect("warm-up run");
     }
 
     // The job itself (scenario generation, mapping, validation, report)
-    // allocates the same in the worker as here; what a submit allocates
+    // allocates the same in the daemon as here; what a submit allocates
     // beyond it is the reply path plus one request's round trip.
     let executing = count_allocs(|| {
         execute_map(0, &req, &mut ctx, &mut |_| {}).expect("local run");
@@ -203,13 +202,13 @@ fn a_daemon_jobs_reply_path_stays_within_its_per_job_budget() {
 
     assert!(events > 100, "a 128-subtask job streams {events} events");
     let reply_path = submitting.saturating_sub(executing);
-    // Measured 60 allocations for 122 events, and 61 when the same job
-    // streamed 1 038 (one frame per clock tick): all of it is per job
-    // (the request's round trip, the outbox, the response), none per
-    // event, so the budget is a count per job whatever it streams.
+    // Measured 47 allocations for 122 events, and 47 for a 1 024-subtask
+    // job's 994: all of it is per job (the request's round trip and the
+    // response), none per event, so the budget is a count per job
+    // whatever it streams.
     assert!(
-        reply_path <= 72,
+        reply_path <= 56,
         "the reply path allocated {reply_path} times for a job of {events} events \
-         ({submitting} submitting, {executing} executing): budget 72 per job"
+         ({submitting} submitting, {executing} executing): budget 56 per job"
     );
 }

@@ -13,7 +13,7 @@ use adhoc_grid::config::GridCase;
 use adhoc_grid::units::{Dur, Time};
 use grid_broker::proto::{CampaignRequest, Event, MapRequest, OpenRequest, ScenarioSpec};
 use grid_broker::server::{serve, BrokerConfig, BrokerHandle};
-use grid_broker::{execute_map, Connection};
+use grid_broker::{execute_campaign, execute_map, Connection};
 use grid_sweep::heuristic::Heuristic;
 use lagrange::weights::Weights;
 use slrh::{RunContext, SlrhConfig, SlrhVariant};
@@ -169,6 +169,57 @@ fn concurrent_submissions_match_local_execution() {
     daemon.join();
 }
 
+/// Three clients on one execution slot: each waits its turn, none runs
+/// beside another, and every report is the local one. A campaign's
+/// `started` frame leaves as its job takes the slot, so the k-th job to
+/// start must find k - 1 jobs completed.
+#[test]
+fn one_slot_serves_concurrent_clients_one_job_at_a_time() {
+    let daemon = daemon(1);
+    let addr = daemon.addr();
+    let clients: Vec<_> = [("dora", 10), ("eve", 12), ("finn", 14)]
+        .into_iter()
+        .map(|(client, tasks)| {
+            std::thread::spawn(move || {
+                let req = CampaignRequest {
+                    client: client.into(),
+                    label: format!("{client}-batch"),
+                    tasks,
+                    checkpoint: None,
+                    ..campaign_request("")
+                };
+                let mut status = Connection::connect(addr).expect("connect");
+                let mut completed_at_start = None;
+                let mut conn = Connection::connect(addr).expect("connect");
+                let resp = conn
+                    .submit_campaign(&req, |e| {
+                        if let Event::Started { .. } = e {
+                            completed_at_start = Some(status.status().expect("status").completed);
+                        }
+                    })
+                    .expect("submit");
+                let local = execute_campaign(0, &req, &mut |_| {}).expect("local run");
+                assert_eq!(resp.report, local.report, "{client}");
+                completed_at_start.expect("a started frame")
+            })
+        })
+        .collect();
+    let mut completed_at_start: Vec<u64> = clients
+        .into_iter()
+        .map(|client| client.join().expect("client thread"))
+        .collect();
+    completed_at_start.sort_unstable();
+    for (k, completed) in completed_at_start.into_iter().enumerate() {
+        assert!(completed >= k as u64, "job {} started beside another", k + 1);
+    }
+
+    let mut conn = Connection::connect(addr).expect("connect");
+    let status = conn.status().expect("status");
+    assert_eq!((status.completed, status.queued, status.running), (3, 0, 0));
+    conn.shutdown().expect("shutdown");
+    daemon.join();
+}
+
 #[test]
 fn one_connection_can_submit_sequential_jobs() {
     let daemon = daemon(1);
@@ -229,14 +280,14 @@ fn campaign_request(checkpoint: &str) -> CampaignRequest {
     }
 }
 
-/// Well-formed frames that used to panic the worker executing them —
+/// Well-formed frames that used to panic the thread executing them —
 /// search steps out of order (`assert!` in the weight search), clock
-/// values whose checked sums overflow (`Time overflow`) — and, the
-/// daemon having no `catch_unwind`, took its only worker with them.
-/// Each gets an error frame, and the worker is still there afterwards.
+/// values whose checked sums overflow (`Time overflow`) — and, before
+/// the daemon had `catch_unwind`, took its only worker thread with them.
+/// Each gets an error frame, and the slot still serves afterwards.
 #[test]
 fn requests_that_used_to_panic_the_worker_get_error_frames() {
-    // A client of a daemon whose only worker died waits forever; fail
+    // A client of a daemon that lost its only slot waits forever; fail
     // with a sentence instead of hanging the suite.
     let (done, finished) = std::sync::mpsc::channel();
     let body = std::thread::spawn(move || {
@@ -244,7 +295,7 @@ fn requests_that_used_to_panic_the_worker_get_error_frames() {
         let _ = done.send(());
     });
     if finished.recv_timeout(Duration::from_secs(60)) == Err(RecvTimeoutError::Timeout) {
-        panic!("no answer within a minute: the daemon's only worker is gone");
+        panic!("no answer within a minute: the daemon's only slot is gone");
     }
     if let Err(panic) = body.join() {
         std::panic::resume_unwind(panic);
@@ -268,12 +319,12 @@ fn bad_requests_then_an_ordinary_job() {
     *tau = Some(u64::MAX);
     let err = conn.submit_map(&clock, |_| {}).expect_err("ΔT past the cap");
     assert!(err.contains("at most 4611686018427387904 ticks"), "{err}");
-    // τ alone decodes and is refused by the worker building the scenario.
+    // τ alone decodes and is refused by the job building the scenario.
     clock.config.dt = Dur(10);
     let err = conn.submit_map(&clock, |_| {}).expect_err("τ past the cap");
     assert!(err.contains("tau must be at most"), "{err}");
 
-    // `arrival + deadline` overflows: refused by the worker's open check.
+    // `arrival + deadline` overflows: refused by the job's open check.
     let open = OpenRequest {
         client: "probe".into(),
         label: "open".into(),
@@ -295,7 +346,7 @@ fn bad_requests_then_an_ordinary_job() {
     let err = conn.submit_open(&open, |_| {}).expect_err("arrival + deadline overflows");
     assert!(err.contains("job 1 arrives or is due past"), "{err}");
 
-    // The one worker survived all four and serves an ordinary job.
+    // The one slot survived all four and serves an ordinary job.
     let good = map_request("probe", Heuristic::Slrh1, 8, 1);
     let resp = conn.submit_map(&good, |_| {}).expect("valid submit");
     assert_eq!(resp.report, local_report(&good));
@@ -428,7 +479,7 @@ fn shutdown_refuses_new_work_but_drains_accepted_jobs() {
     let daemon = Arc::new(daemon(1));
     let addr = daemon.addr();
 
-    // Occupy the single worker with a job, then shut down while it runs.
+    // Occupy the single slot with a job, then shut down while it runs.
     let runner = std::thread::spawn(move || {
         let req = map_request("drain", Heuristic::Slrh1, 48, 3);
         let mut conn = Connection::connect(addr).expect("connect");
@@ -601,7 +652,7 @@ fn disconnecting_client_does_not_kill_the_job() {
         // Dropping the stream here abandons the job mid-flight.
     }
 
-    // The worker must finish the campaign anyway: poll the checkpoint
+    // The daemon must finish the campaign anyway: poll the checkpoint
     // until both units are recorded.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     loop {

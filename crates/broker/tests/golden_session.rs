@@ -3,8 +3,8 @@
 //! One fixed [`MapRequest`] is submitted to a live daemon and every
 //! frame the client receives is recorded (re-encoded — frame encoding
 //! is a fixpoint, so this is byte-identical to the wire). The recording
-//! must match the committed fixture under a 1-worker daemon **and**
-//! under a 4-worker daemon: event payloads carry no worker identities
+//! must match the committed fixture under a 1-slot daemon **and**
+//! under a 4-slot daemon: event payloads carry no thread identities
 //! or wall-clock readings, so daemon parallelism must not move a byte.
 //!
 //! Regenerate with `GOLDEN_BLESS=1 cargo test -p grid-broker --test
@@ -46,7 +46,7 @@ fn request() -> MapRequest {
     }
 }
 
-/// Run the session against a fresh daemon with `workers` workers and
+/// Run the session against a fresh daemon with `workers` slots and
 /// return the concatenated frames the client received.
 fn record_session(workers: usize) -> String {
     let daemon = serve(&BrokerConfig {
@@ -85,7 +85,7 @@ fn session_matches_fixture_at_1_and_4_workers() {
     let four = record_session(4);
     assert_eq!(
         one, four,
-        "worker count changed the session byte stream"
+        "slot count changed the session byte stream"
     );
 
     if std::env::var_os("GOLDEN_BLESS").is_some() {

@@ -79,7 +79,11 @@
 #    (`MultiplierVector`, `SubgradientSolver`, `SubgradientResult`,
 #    `DualOracle`, `solve_dual`, and `crates/lagrange/src/{multipliers,
 #    subgradient}.rs`) stays gone, and so do LR-list's unused knobs
-#    (`LrListConfig`, `dual_iters`).
+#    (`LrListConfig`, `dual_iters`);
+#  * a daemon job runs on its connection's thread (DESIGN.md section 14,
+#    "Architecture"): the worker threads and the worker-to-connection
+#    hand-off (`Outbox`, `pump_until_finished`, `worker_loop`,
+#    `OUTBOX_BLOCK_BYTES`, `OUTBOX_SPARE_BLOCKS`) stay gone.
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -92,6 +96,7 @@ fail() {
 
 retired='run_slrh_in|run_slrh_observed|run_slrh_dynamic|run_slrh_churn_in|run_slrh_churn_observed|run_adaptive_slrh|AdaptiveConfig|AdaptiveOutcome|DynamicOutcome|validate_churn|SlrhConfigBuilder|touched_machines|spill_after|promote_to_spill|visible_lists|cluster_of|home_of|machine_mean_seconds|ZeroClusters|from_values_at|AppendCost|InsertCost|InsertSlot|cost_append|cost_insert|frozen_order|any_gate_feasible|build_pool|StateDelta|DeltaKind|delta_invalidated|run_mct|run_mct_in'
 retired+='|MultiplierVector|SubgradientSolver|SubgradientResult|DualOracle|solve_dual|LrListConfig|dual_iters'
+retired+='|Outbox|pump_until_finished|worker_loop|OUTBOX_BLOCK_BYTES|OUTBOX_SPARE_BLOCKS'
 if hits=$(grep -rnwE "$retired" crates src tests examples --include='*.rs'); then
     fail "retired names are back:"$'\n'"$hits"
 fi

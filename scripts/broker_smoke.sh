@@ -27,7 +27,7 @@ fi
 SERVE_PID=
 trap 'kill $SERVE_PID 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
-# Start a daemon with $1 workers and wait for its listener.
+# Start a daemon with $1 execution slots and wait for its listener.
 start_daemon() {
     "$BIN" serve --addr "$ADDR" --workers "$1" 2>>"$WORK/serve.log" &
     SERVE_PID=$!
@@ -99,7 +99,7 @@ start_daemon 1
 SUBMIT_PID=$!
 
 # Stop the daemon the moment the job is seen running — or just run: the
-# worker is done in milliseconds and its reply trails it.
+# job is done in milliseconds and its reply trails it.
 while :; do
     STATUS="$("$BIN" status --addr "$ADDR")"
     case "$STATUS" in

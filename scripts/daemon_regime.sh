@@ -4,9 +4,9 @@
 # 20 ms. The two regimes are far apart — about 44 ms when every event
 # frame is its own write on a socket with Nagle on (each small write
 # waits for the client's delayed ACK), under 5 ms with the buffered,
-# flush-when-dry reply path (DESIGN.md section 14, "Transport";
-# typically 0.9 ms now that only committing ticks are frames) — so the
-# ceiling sits between them, not on a noise edge.
+# flush-before-blocking reply path (DESIGN.md section 14, "Transport";
+# typically 0.6 ms now that a job runs on its connection's thread) — so
+# the ceiling sits between them, not on a noise edge.
 set -euo pipefail
 
 CEILING_MS=20

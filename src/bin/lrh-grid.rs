@@ -50,7 +50,7 @@ fn fail(msg: &str) -> i32 {
 }
 
 /// Execute a mapping job locally through the same code path the daemon
-/// workers use. The deterministic report is the only stdout.
+/// runs submitted jobs on. The deterministic report is the only stdout.
 fn run_local(job: &Job) -> i32 {
     let started = Instant::now();
     let mut ctx = RunContext::new();
@@ -83,7 +83,7 @@ fn run_local(job: &Job) -> i32 {
 }
 
 /// Execute an open-system streaming job locally through the same code
-/// path the daemon workers use.
+/// path the daemon runs submitted jobs on.
 fn run_open_local(job: &OpenJob) -> i32 {
     let started = Instant::now();
     let mut ctx = RunContext::new();
@@ -205,7 +205,7 @@ fn run_serve(opts: &Serve) -> i32 {
         Err(e) => return fail(&format!("binding {}: {e}", opts.addr)),
     };
     eprintln!(
-        "lrh-grid broker listening on {} ({} workers)",
+        "lrh-grid broker listening on {} ({} execution slots)",
         handle.addr(),
         opts.workers
     );

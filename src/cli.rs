@@ -89,7 +89,7 @@ commands:
            (with --open: identical stdout to `open`)
            [--addr HOST:PORT, --client NAME]
   watch    submit, narrating queue/tick/disruption events to stderr
-  status   print the daemon's queue/worker counters
+  status   print the daemon's queue/slot counters
   stop     ask the daemon to shut down gracefully";
 
 /// Default daemon address for `serve`/`submit`/`watch`/`status`/`stop`.
@@ -209,7 +209,7 @@ pub struct Export {
 pub struct Serve {
     /// Bind address.
     pub addr: String,
-    /// Worker threads.
+    /// Execution slots: jobs executing at once.
     pub workers: usize,
 }
 
