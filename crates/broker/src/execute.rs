@@ -10,6 +10,7 @@
 //! counters), never wall-clock times or thread identities.
 
 use adhoc_grid::io::kv;
+use adhoc_grid::units::check_input_tasks;
 use gridsim::metrics::Metrics;
 use gridsim::validate::validate;
 use grid_sweep::campaign::{canonical_report, run_case_unit, CampaignConfig, CaseRow};
@@ -308,6 +309,7 @@ pub fn execute_campaign(
     if req.tasks == 0 {
         return Err("tasks must be positive".into());
     }
+    check_input_tasks(req.tasks)?;
     check_steps(req.coarse, req.fine)?;
     let cfg = CampaignConfig {
         set: ScenarioSet::new(ScenarioParams::paper_scaled(req.tasks), req.etc_count, req.dag_count),
@@ -537,6 +539,27 @@ mod tests {
             let err = execute_campaign(1, &campaign_request(coarse, fine), &mut |_| {}).unwrap_err();
             assert!(err.contains("fine <= coarse"), "{coarse}/{fine}: {err}");
         }
+    }
+
+    /// A task count past the cap is refused whichever request carries
+    /// it, before its scenarios are generated.
+    #[test]
+    fn task_counts_past_the_cap_are_errors() {
+        use adhoc_grid::units::MAX_INPUT_TASKS;
+        let past = MAX_INPUT_TASKS + 1;
+        let refusal = format!("tasks must be at most {MAX_INPUT_TASKS}");
+        let mut map = request(Heuristic::Slrh1);
+        let ScenarioSpec::Generate { tasks, .. } = &mut map.scenario else { unreachable!() };
+        *tasks = past;
+        let err = execute_map(1, &map, &mut RunContext::new(), &mut |_| {}).unwrap_err();
+        assert_eq!(err, refusal);
+        let mut open = open_request(0, 100);
+        open.jobs[0].tasks = past;
+        let err = execute_open(1, &open, &mut RunContext::new(), &mut |_| {}).unwrap_err();
+        assert_eq!(err, format!("job 1: {refusal}"));
+        let mut campaign = campaign_request(0.1, 0.05);
+        campaign.tasks = past;
+        assert_eq!(execute_campaign(1, &campaign, &mut |_| {}).unwrap_err(), refusal);
     }
 
     /// The largest ΔT, H, τ, arrival and deadline the rules accept run to

@@ -21,7 +21,7 @@ use adhoc_grid::arrival::{BackgroundParams, JobArrival, OpenParams};
 use adhoc_grid::config::GridCase;
 use adhoc_grid::io::kv::{self, KvError};
 use adhoc_grid::io::wire::{FieldSink, Frame, FrameWriter};
-use adhoc_grid::units::{Time, MAX_INPUT_TICKS};
+use adhoc_grid::units::{check_input_tasks, Time, MAX_INPUT_TICKS};
 use adhoc_grid::workload::{Scenario, ScenarioParams};
 use grid_sweep::heuristic::Heuristic;
 use grid_sweep::SearcherKind;
@@ -119,7 +119,9 @@ impl ScenarioSpec {
     /// Materialize the scenario. Deterministic in the spec. The deadline
     /// τ — overridden, scaled from `tasks`, or read from an inline
     /// workload — is held to [`MAX_INPUT_TICKS`] here, the one place
-    /// every request's scenario comes from.
+    /// every request's scenario comes from, and `tasks` to
+    /// [`adhoc_grid::units::MAX_INPUT_TASKS`] before anything is
+    /// generated (an inline workload's reader checks its own header).
     pub fn build(&self) -> Result<Scenario, String> {
         let scenario = match self {
             ScenarioSpec::Generate {
@@ -133,6 +135,7 @@ impl ScenarioSpec {
                 if *tasks == 0 {
                     return Err("tasks must be positive".into());
                 }
+                check_input_tasks(*tasks)?;
                 let mut params = ScenarioParams::paper_scaled(*tasks);
                 if let Some(seed) = seed {
                     params = params.with_seed(*seed);
@@ -1004,6 +1007,20 @@ mod tests {
         assert_eq!(back, req);
         let rebuilt = back.scenario.build().unwrap();
         assert_eq!(rebuilt.etc, sc.etc);
+    }
+
+    #[test]
+    fn a_task_count_past_the_cap_is_refused_before_anything_is_built() {
+        use adhoc_grid::units::MAX_INPUT_TASKS;
+        let past = MAX_INPUT_TASKS + 1;
+        let refusal = format!("tasks must be at most {MAX_INPUT_TASKS}");
+        let mut spec = map_request().scenario;
+        let ScenarioSpec::Generate { tasks, .. } = &mut spec else { unreachable!() };
+        *tasks = past;
+        assert_eq!(spec.build().unwrap_err(), refusal);
+        let inline = format!("lrh-grid-scenario v1\ncase A\ntau 100\netc 0 {past} 4\n");
+        let err = ScenarioSpec::Inline(inline).build().unwrap_err();
+        assert!(err.ends_with(&refusal), "{err}");
     }
 
     #[test]

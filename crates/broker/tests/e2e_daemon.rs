@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use adhoc_grid::arrival::{BackgroundParams, JobArrival, JobKind};
 use adhoc_grid::config::GridCase;
-use adhoc_grid::units::{Dur, Time};
+use adhoc_grid::units::{Dur, Time, MAX_INPUT_TASKS};
 use grid_broker::proto::{CampaignRequest, Event, MapRequest, OpenRequest, ScenarioSpec};
 use grid_broker::server::{serve, BrokerConfig, BrokerHandle};
 use grid_broker::{execute_campaign, execute_map, Connection};
@@ -287,11 +287,16 @@ fn campaign_request(checkpoint: &str) -> CampaignRequest {
 /// Each gets an error frame, and the slot still serves afterwards.
 #[test]
 fn requests_that_used_to_panic_the_worker_get_error_frames() {
-    // A client of a daemon that lost its only slot waits forever; fail
-    // with a sentence instead of hanging the suite.
+    within_a_minute(bad_requests_then_an_ordinary_job);
+}
+
+/// Run `body` against a one-slot daemon. A client of a daemon that lost
+/// its only slot waits forever; fail with a sentence instead of hanging
+/// the suite.
+fn within_a_minute(body: fn()) {
     let (done, finished) = std::sync::mpsc::channel();
     let body = std::thread::spawn(move || {
-        bad_requests_then_an_ordinary_job();
+        body();
         let _ = done.send(());
     });
     if finished.recv_timeout(Duration::from_secs(60)) == Err(RecvTimeoutError::Timeout) {
@@ -352,6 +357,66 @@ fn bad_requests_then_an_ordinary_job() {
     assert_eq!(resp.report, local_report(&good));
 
     conn.shutdown().expect("shutdown");
+    daemon.join();
+}
+
+/// A task count past `MAX_INPUT_TASKS` would have the job size
+/// gigabytes before it ran, and a failed allocation aborts the whole
+/// daemon — no `catch_unwind` answers it. Every request that carries a
+/// task count gets an error frame naming the limit instead, and the next
+/// client's job on the one slot still completes.
+#[test]
+fn task_counts_past_the_cap_get_error_frames_and_the_next_client_is_served() {
+    within_a_minute(over_cap_requests_then_another_clients_job);
+}
+
+fn over_cap_requests_then_another_clients_job() {
+    let daemon = daemon(1);
+    let past = MAX_INPUT_TASKS + 1;
+    let refusal = format!("tasks must be at most {MAX_INPUT_TASKS}");
+    let mut conn = Connection::connect(daemon.addr()).expect("connect");
+
+    let mut map = map_request("greedy", Heuristic::Slrh1, past, 1);
+    let err = conn.submit_map(&map, |_| {}).expect_err("generated scenario past the cap");
+    assert!(err.contains(&refusal), "{err}");
+    let header = format!("lrh-grid-scenario v1\ncase A\ntau 100\netc 0 {past} 4\n");
+    map.scenario = ScenarioSpec::Inline(header);
+    let err = conn.submit_map(&map, |_| {}).expect_err("inline scenario past the cap");
+    assert!(err.contains(&refusal), "{err}");
+
+    let mut campaign = campaign_request("unused");
+    campaign.checkpoint = None;
+    campaign.tasks = past;
+    let err = conn.submit_campaign(&campaign, |_| {}).expect_err("campaign past the cap");
+    assert!(err.contains(&refusal), "{err}");
+
+    let open = OpenRequest {
+        client: "greedy".into(),
+        label: "open".into(),
+        config: map.config,
+        case: GridCase::A,
+        seed: 1,
+        jobs: vec![JobArrival {
+            id: 1,
+            at: Time(0),
+            kind: JobKind::Bag,
+            tasks: past,
+            deadline: Dur(1000),
+            budget: None,
+        }],
+        bg: BackgroundParams::none(),
+        losses: vec![],
+        arrivals: vec![],
+    };
+    let err = conn.submit_open(&open, |_| {}).expect_err("open job past the cap");
+    assert!(err.contains(&refusal), "{err}");
+
+    let mut next = Connection::connect(daemon.addr()).expect("connect");
+    let good = map_request("next", Heuristic::Slrh1, 8, 1);
+    let resp = next.submit_map(&good, |_| {}).expect("valid submit");
+    assert_eq!(resp.report, local_report(&good));
+
+    next.shutdown().expect("shutdown");
     daemon.join();
 }
 

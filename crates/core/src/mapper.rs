@@ -19,11 +19,12 @@
 //! only mappings can change).
 //!
 //! The clock keeps its ΔT lattice, but the *work* is event-triggered: a
-//! sweep that committed nothing is not repeated until the kernel's
-//! answer can have changed ([`Kernel::wake`]); the ticks in between run
-//! as bookkeeping only, with every counter and observer event exactly
-//! what the repeated sweep would have produced
-//! ([`RunStats::sweeps_elided`], DESIGN.md §19).
+//! sweep that committed nothing is not repeated until a busy machine
+//! frees up or the kernel's answer for an available one can have changed
+//! ([`Kernel::wake`]) — so a sweep that found every machine busy sleeps
+//! until the first release. The ticks in between run as bookkeeping
+//! only, with every counter and observer event exactly what the repeated
+//! sweep would have produced ([`RunStats::sweeps_elided`], DESIGN.md §19).
 
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
@@ -60,11 +61,12 @@ pub struct RunStats {
     /// (zero whenever [`crate::config::SlrhConfig::adaptation`] is off
     /// — and also when every step was a fixed point).
     pub weight_updates: u64,
-    /// Clock ticks run as bookkeeping only: the kernel had already
-    /// proven the machine sweep's outcome (every query `None`), so the
-    /// loop skipped it. Counted inside [`RunStats::clock_steps`]; a
-    /// kernel work counter like `candidates_evaluated`, so the
-    /// reference oracles — which never elide — legitimately report 0.
+    /// Clock ticks run as bookkeeping only: the last sweep had already
+    /// proven this one's outcome — every live machine still busy, or
+    /// every available one's query latched at `None` — so the loop
+    /// skipped it. Counted inside [`RunStats::clock_steps`]; a kernel
+    /// work counter like `candidates_evaluated`, so the reference
+    /// oracles — which never elide — legitimately report 0.
     pub sweeps_elided: u64,
 }
 
@@ -257,6 +259,12 @@ fn slrh2_order(
 /// the storage of the next — so a kernel builds one plan per commit and
 /// a warm run allocates for none of them.
 pub(crate) trait Kernel {
+    /// Whether the loop may skip the sweeps a commit-free sweep proved
+    /// idle (DESIGN.md §19). `false` only for the reference oracles
+    /// ([`crate::reference`]): they sweep every tick, so their
+    /// differentials against the product loop catch a wrong skip.
+    const ELIDES: bool = true;
+
     /// Ingest a commit the loop just made: the subtasks it readied.
     /// Mutations the loop does not report (a machine-loss cascade
     /// between segments) are noticed through the state's revision
@@ -288,7 +296,9 @@ pub(crate) trait Kernel {
     /// only a commit can change it). The loop does not query `j` again
     /// — and counts the queries it skipped — until its horizon gets
     /// there. `None` means "ask me every tick".
-    fn wake(&self, state: &SimState<'_>, j: MachineId) -> Option<Time>;
+    fn wake(&self, _state: &SimState<'_>, _j: MachineId) -> Option<Time> {
+        None
+    }
 }
 
 /// Advance the SLRH clock loop on an existing state from `start_clock`
@@ -323,10 +333,11 @@ pub(crate) fn drive<K: Kernel>(
 ) -> Time {
     let tau = state.scenario().tau;
     let mut now = start_clock;
-    // Wake-time elision (DESIGN.md §19): after a sweep that queried the
-    // kernel and committed nothing, `wake` is the earliest clock at
-    // which any live machine's answer can change, and `idle_queries`
-    // is what every sweep before it would add to `stats.queries`.
+    // Wake-time elision (DESIGN.md §19): after a sweep that committed
+    // nothing, `wake` is the earliest clock at which a busy machine
+    // frees up or an available machine's answer can change, and
+    // `idle_queries` is what every sweep before it would add to
+    // `stats.queries`.
     // Locals on purpose: nothing proven about one segment survives a
     // loss cascade or a job boundary.
     let mut wake = Time::ZERO;
@@ -365,10 +376,10 @@ pub(crate) fn drive<K: Kernel>(
                 }
             }
         }
-        // The kernel has already answered this sweep: the same machines
-        // are available, each would be told `None` again, and the stuck
-        // probes would find the same gate-feasible candidate. Keep the
-        // books and the observer exactly as the sweep would have.
+        // The last sweep has already answered this one: the same machines
+        // are busy, each available one would be told `None` again, and
+        // the stuck probes would find the same gate-feasible candidate.
+        // Keep the books and the observer exactly as the sweep would have.
         if now < wake {
             stats.sweeps_elided += 1;
             stats.queries += idle_queries;
@@ -435,10 +446,8 @@ pub(crate) fn drive<K: Kernel>(
             }
         }
 
-        // A sweep that asked the kernel nothing (no live machine
-        // available) proves nothing and is re-run every tick.
         wake = Time::ZERO;
-        if !any_commit && stats.queries > queries_before && config.trigger == Trigger::Clock {
+        if !any_commit && K::ELIDES && config.trigger == Trigger::Clock {
             idle_queries = stats.queries - queries_before;
             wake = sweep_wake(state, config, kernel, now);
         }
@@ -467,7 +476,7 @@ pub(crate) fn drive<K: Kernel>(
 /// `state` can differ from the commit-free one just run at `now`: a busy
 /// machine frees up, or an available machine's horizon reaches the point
 /// the kernel named. [`Time::ZERO`] as soon as one machine's kernel
-/// answer carries no such proof.
+/// answer carries no such proof; [`Time::MAX`] when no machine is alive.
 fn sweep_wake<K: Kernel>(
     state: &SimState<'_>,
     config: &SlrhConfig,
@@ -839,9 +848,20 @@ mod tests {
         }
     }
 
+    /// The loop a scripted run drives: the reference oracles' loop,
+    /// which sweeps every tick ([`crate::reference::Ticking`]), or the
+    /// product's, with the kernel's scripted answer to "when could that
+    /// `None` change".
+    #[derive(Copy, Clone)]
+    enum Loop {
+        Ticking,
+        Eliding(Option<Time>),
+    }
+
     /// What one scripted `drive` call left behind.
     struct ScriptedRun {
-        kernel: Scripted,
+        /// The clock of every kernel query, in order.
+        queried: Vec<Time>,
         stats: RunStats,
         events: Vec<TickEvent>,
         end: Time,
@@ -849,20 +869,30 @@ mod tests {
         /// When machine 0 — busy with the one pre-committed subtask —
         /// frees up.
         busy_until: Time,
+        /// When the first machine frees up.
+        first_release: Time,
     }
 
     /// Drive the scripted kernel over a state with one subtask already
     /// committed on machine 0 (a busy machine, and progress for the
-    /// adaptation step to extrapolate from).
+    /// adaptation step to extrapolate from) — after, with `block` given,
+    /// every machine `j` was blocked until `block + j` ticks.
     fn scripted_run(
-        wake: Option<Time>,
+        mode: Loop,
+        block: Option<Time>,
         stop_at: Option<Time>,
         adapt_every: Option<u64>,
     ) -> ScriptedRun {
         use crate::config::Adaptation;
+        use crate::reference::Ticking;
         use lagrange::step::StepRule;
         let sc = scenario(16);
         let mut state = SimState::new(&sc);
+        if let Some(at) = block {
+            for j in sc.grid.ids() {
+                state.block_until(j, Time(at.0 + j.0 as u64));
+            }
+        }
         let root = state.ready_tasks()[0];
         let plan = state.plan(
             root,
@@ -872,6 +902,7 @@ mod tests {
         );
         state.commit(&plan);
         let busy_until = state.compute_ready(MachineId(0));
+        let first_release = sc.grid.ids().map(|j| state.compute_ready(j)).min().unwrap();
         let mut cfg = config(SlrhVariant::V1);
         if let Some(every) = adapt_every {
             cfg = cfg.with_adaptation(Adaptation {
@@ -882,27 +913,33 @@ mod tests {
         }
         let mut run = cfg.armed();
         let mut kernel = Scripted {
-            wake,
+            wake: None,
             queried: Vec::new(),
         };
         let mut stats = RunStats::default();
         let mut events = Vec::new();
-        let end = drive(
-            &mut state,
-            &mut run,
-            &mut stats,
-            &mut kernel,
-            Time::ZERO,
-            stop_at,
-            Some(&mut |e| events.push(e)),
-        );
+        let mut observer = |e| events.push(e);
+        let obs = Some(&mut observer as &mut dyn FnMut(TickEvent));
+        let end = match mode {
+            Loop::Ticking => {
+                let mut ticking = Ticking(kernel);
+                let end = drive(&mut state, &mut run, &mut stats, &mut ticking, Time::ZERO, stop_at, obs);
+                kernel = ticking.0;
+                end
+            }
+            Loop::Eliding(wake) => {
+                kernel.wake = wake;
+                drive(&mut state, &mut run, &mut stats, &mut kernel, Time::ZERO, stop_at, obs)
+            }
+        };
         ScriptedRun {
-            kernel,
+            queried: kernel.queried,
             stats,
             events,
             end,
             weights: run.objective.weights,
             busy_until,
+            first_release,
         }
     }
 
@@ -931,14 +968,14 @@ mod tests {
     #[test]
     fn a_scripted_wake_elides_exactly_the_sweeps_before_it() {
         let cfg = config(SlrhVariant::V1);
-        let ticking = scripted_run(None, None, None);
+        let ticking = scripted_run(Loop::Ticking, None, None, None);
         // The kernel names a horizon end past the busy machine's release,
         // so the loop sleeps twice: until machine 0 frees up, then until
         // the horizon reaches the scripted point; from there on the
         // answer is stale at once and every tick is swept again.
         let horizon_end = Time(ticking.busy_until.0 + 4000);
         let second_wake = Time(horizon_end.0 - cfg.horizon.0);
-        let eliding = scripted_run(Some(horizon_end), None, None);
+        let eliding = scripted_run(Loop::Eliding(Some(horizon_end)), None, None, None);
         assert_same_books(&ticking, &eliding);
         let tau = scenario(16).tau;
         assert_eq!(ticking.end.0, tau.0 / cfg.dt.0 * cfg.dt.0 + cfg.dt.0, "τ exit");
@@ -954,14 +991,14 @@ mod tests {
         assert_eq!(eliding.stats.sweeps_elided, slept);
         // Not one kernel call inside a span, and every other tick is
         // swept (a sweep always has an idle machine to ask here).
-        assert!(eliding.kernel.queried.iter().all(|&c| !asleep(c)));
-        let mut swept = eliding.kernel.queried.clone();
+        assert!(eliding.queried.iter().all(|&c| !asleep(c)));
+        let mut swept = eliding.queried.clone();
         swept.dedup();
         assert_eq!(swept.len() as u64 + slept, eliding.stats.clock_steps);
         // The stuck probes the skipped sweeps would have made are in
         // `queries` all the same (`assert_same_books`): one per sweep
         // once machine 0 is free, on top of the kernel's queries.
-        let probes = ticking.stats.queries - ticking.kernel.queried.len() as u64;
+        let probes = ticking.stats.queries - ticking.queried.len() as u64;
         assert_eq!(probes, clocks().filter(|&c| c >= ticking.busy_until).count() as u64);
     }
 
@@ -969,9 +1006,9 @@ mod tests {
     fn an_elided_span_keeps_the_stop_and_the_adaptation_schedule() {
         // `Time::MAX`: only a commit could change the answer, so after
         // machine 0 frees up the loop sleeps to whichever exit comes first.
-        let forever = Some(Time::MAX);
-        let ticking = scripted_run(None, None, Some(7));
-        let eliding = scripted_run(forever, None, Some(7));
+        let forever = Loop::Eliding(Some(Time::MAX));
+        let ticking = scripted_run(Loop::Ticking, None, None, Some(7));
+        let eliding = scripted_run(forever, None, None, Some(7));
         assert_same_books(&ticking, &eliding);
         assert!(eliding.stats.sweeps_elided > eliding.stats.clock_steps / 2);
         assert!(
@@ -984,11 +1021,44 @@ mod tests {
         // lattice.
         for past_release in [1000, 1003] {
             let stop = Time(ticking.busy_until.0 + past_release);
-            let ticking = scripted_run(None, Some(stop), Some(7));
-            let eliding = scripted_run(forever, Some(stop), Some(7));
+            let ticking = scripted_run(Loop::Ticking, None, Some(stop), Some(7));
+            let eliding = scripted_run(forever, None, Some(stop), Some(7));
             assert_same_books(&ticking, &eliding);
             assert!(eliding.end >= stop && eliding.end.0 < stop.0 + 10);
             assert!(eliding.stats.sweeps_elided > 0);
+        }
+    }
+
+    #[test]
+    fn an_all_busy_span_elides_exactly_the_ticks_before_the_first_release() {
+        // Every machine busy from the start — blocked, and machine 0 then
+        // runs the root — and a kernel that asks to be queried every
+        // tick: the only sweeps the loop may skip are the ones that would
+        // find no machine available.
+        let block = Some(Time(1503));
+        let ticking = scripted_run(Loop::Ticking, block, None, Some(7));
+        let eliding = scripted_run(Loop::Eliding(None), block, None, Some(7));
+        assert_same_books(&ticking, &eliding);
+        let release = eliding.first_release;
+        assert_eq!(release, Time(1504), "machine 1 frees up first");
+        let in_span = |clock: Time| clock > Time::ZERO && clock < release;
+        let span: Vec<_> = ticking.events.iter().filter(|e| in_span(e.clock)).collect();
+        assert_eq!(eliding.stats.sweeps_elided, span.len() as u64);
+        assert!(eliding.queried.first().is_some_and(|&c| c >= release));
+        assert!(
+            span.windows(2).any(|w| w[0].weights != w[1].weights),
+            "an adaptation step landed inside the span"
+        );
+
+        // A segment boundary inside the span, on and off the ΔT lattice:
+        // only the first tick is swept.
+        for stop in [Time(700), Time(703)] {
+            let ticking = scripted_run(Loop::Ticking, block, Some(stop), Some(7));
+            let eliding = scripted_run(Loop::Eliding(None), block, Some(stop), Some(7));
+            assert_same_books(&ticking, &eliding);
+            assert_eq!(eliding.end, Time(stop.0.div_ceil(10) * 10));
+            assert_eq!(eliding.stats.sweeps_elided, eliding.stats.clock_steps - 1);
+            assert!(eliding.queried.is_empty());
         }
     }
 

@@ -498,6 +498,46 @@ mod tests {
     }
 
     #[test]
+    fn a_job_blocked_behind_an_earlier_one_elides_its_blocked_ticks() {
+        // Job 1 arrives while job 0 still holds every machine, so every
+        // tick after its first finds the grid all busy until the first
+        // machine is released to it.
+        let first = job(0, 0, JobKind::Dag, 32, 400_000);
+        let second = job(1, 10, JobKind::Dag, 16, 400_000);
+        let mut release = Time::MAX;
+        let alone = run_open_in(
+            &open_params(vec![first], BackgroundParams::none()),
+            &config(),
+            &Churn::default(),
+            &mut RunContext::new(),
+            Some(&mut |state: &SimState<'_>, _: &OpenJobReport| {
+                let mut last = vec![Time::ZERO; state.scenario().grid.len()];
+                for a in state.schedule().assignments() {
+                    last[a.machine.0] = last[a.machine.0].max(a.finish());
+                }
+                for tr in state.schedule().transfers() {
+                    last[tr.from.0] = last[tr.from.0].max(tr.finish());
+                    last[tr.to.0] = last[tr.to.0].max(tr.finish());
+                }
+                release = last.into_iter().min().unwrap();
+            }),
+        );
+        let both = run_open(
+            &open_params(vec![first, second], BackgroundParams::none()),
+            &config(),
+            &Churn::default(),
+        );
+        assert!(both.jobs.iter().all(|r| r.completed), "{:?}", both.jobs);
+
+        // Job 0 runs the same in both traces, so the difference is job 1.
+        let elided = both.stats.sweeps_elided - alone.stats.sweeps_elided;
+        let dt = config().dt.0;
+        let blocked = release.0.div_ceil(dt) - second.at.0.div_ceil(dt) - 1;
+        assert!(blocked > 100, "job 1 waits {blocked} ticks");
+        assert!(elided >= blocked, "{elided} sweeps elided, {blocked} ticks blocked");
+    }
+
+    #[test]
     #[should_panic(expected = "duplicate job id")]
     fn duplicate_job_ids_rejected() {
         let jobs = vec![

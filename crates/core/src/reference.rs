@@ -16,6 +16,10 @@
 //!   set from scratch. Same membership as the product kernel, none of
 //!   its view caching.
 //!
+//! Both run under [`Ticking`], which switches wake-time elision off: the
+//! oracle loop sweeps every tick the product loop skips, so the
+//! differentials also prove the skips exact (DESIGN.md §19).
+//!
 //! SLRH-2 and the stuck check read the state, so under SLRH-2 all three
 //! kernels run the same code; the frozen order's oracle is `mapper`'s
 //! `slrh2_order_is_the_pool_inside_the_horizon` proptest.
@@ -52,9 +56,9 @@ pub enum Kind {
 /// by reference `kind`. Schedule, metrics, disruptions, `clock_steps` and
 /// `commits` must equal the product run's — and so must the
 /// [`TickEvent`] stream `observer` sees, tick for tick, adapted weights
-/// included: neither reference kernel ever hands the loop a wake time,
-/// so they run every sweep the product loop elides. The work counters
-/// legitimately differ.
+/// included: both reference loops run under [`Ticking`], so they sweep
+/// every tick the product loop elides. The work counters legitimately
+/// differ.
 pub fn run<'a>(
     kind: Kind,
     scenario: &'a Scenario,
@@ -66,11 +70,42 @@ pub fn run<'a>(
     let state = churn.initial_state(scenario, ctx);
     let losses = churn.losses();
     match kind {
-        Kind::Scratch => drive_segments(state, config, losses, &mut Scratch, Time::ZERO, observer),
-        Kind::Resort => {
-            let mut frontier = Frontier::new(&state).resort_only();
-            drive_segments(state, config, losses, &mut frontier, Time::ZERO, observer)
+        Kind::Scratch => {
+            drive_segments(state, config, losses, &mut Ticking(Scratch), Time::ZERO, observer)
         }
+        Kind::Resort => {
+            let mut resort = Ticking(Frontier::new(&state).resort_only());
+            drive_segments(state, config, losses, &mut resort, Time::ZERO, observer)
+        }
+    }
+}
+
+/// Kernel `K` with wake-time elision off: the loop sweeps every tick,
+/// all-busy ones included, and never asks for a wake time.
+pub(crate) struct Ticking<K>(pub(crate) K);
+
+impl<K: Kernel> Kernel for Ticking<K> {
+    const ELIDES: bool = false;
+
+    fn apply(&mut self, newly_ready: &[TaskId]) {
+        self.0.apply(newly_ready);
+    }
+
+    fn recycle(&mut self, plan: MappingPlan) {
+        self.0.recycle(plan);
+    }
+
+    fn best_startable(
+        &mut self,
+        state: &SimState<'_>,
+        objective: &Objective,
+        j: MachineId,
+        now: Time,
+        horizon_end: Time,
+        allow_secondary: bool,
+        stats: &mut RunStats,
+    ) -> Option<MappingPlan> {
+        self.0.best_startable(state, objective, j, now, horizon_end, allow_secondary, stats)
     }
 }
 
@@ -94,13 +129,5 @@ impl Kernel for Scratch {
         stats.queries += 1;
         stats.candidates_evaluated += pool.len() as u64;
         pool.first_startable(horizon_end).map(|e| e.plan.clone())
-    }
-
-    /// Stateless: nothing is remembered, so nothing is proven. Keeps
-    /// the oracle ticking every tick, which is what makes its
-    /// `clock_steps`/`queries`/event-stream differentials against the
-    /// eliding product loop a proof that elision is exact.
-    fn wake(&self, _state: &SimState<'_>, _j: MachineId) -> Option<Time> {
-        None
     }
 }

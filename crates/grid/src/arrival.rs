@@ -26,7 +26,7 @@ use crate::dag::Dag;
 use crate::data::DataSizes;
 use crate::io::kv;
 use crate::seed;
-use crate::units::{Dur, Energy, Time, MAX_INPUT_TICKS};
+use crate::units::{check_input_tasks, Dur, Energy, Time, MAX_INPUT_TICKS};
 use crate::workload::{Scenario, ScenarioParams};
 
 /// Seed stream tag for arrival-process draws (inter-arrival gaps, job
@@ -396,8 +396,9 @@ impl OpenParams {
     /// The preconditions of an open-system run, checked here for the
     /// driver, the CLI, the broker and the stress harness alike: a
     /// non-empty trace of uniquely-numbered jobs, each with at least one
-    /// subtask, a positive deadline and an arrival and deadline of at
-    /// most [`MAX_INPUT_TICKS`], under a background model the inflation
+    /// and at most [`crate::units::MAX_INPUT_TASKS`] subtasks, a positive
+    /// deadline and an arrival and deadline of at most
+    /// [`MAX_INPUT_TICKS`], under a background model the inflation
     /// formula can bound.
     pub fn check(&self) -> Result<(), String> {
         if self.jobs.is_empty() {
@@ -412,6 +413,7 @@ impl OpenParams {
             if j.tasks == 0 {
                 return Err(format!("job {} has no tasks", j.id));
             }
+            check_input_tasks(j.tasks).map_err(|e| format!("job {}: {e}", j.id))?;
             if j.deadline.0 == 0 {
                 return Err(format!("job {} has a zero deadline", j.id));
             }
@@ -652,6 +654,11 @@ mod tests {
         assert_eq!(broken(&|p| p.jobs.clear()), "arrival trace needs at least one job");
         assert_eq!(broken(&|p| p.jobs[1].id = 0), "duplicate job id in arrival trace");
         assert_eq!(broken(&|p| p.jobs[1].tasks = 0), "job 1 has no tasks");
+        use crate::units::MAX_INPUT_TASKS;
+        assert_eq!(
+            broken(&|p| p.jobs[1].tasks = MAX_INPUT_TASKS + 1),
+            format!("job 1: tasks must be at most {MAX_INPUT_TASKS}")
+        );
         assert_eq!(broken(&|p| p.jobs[0].deadline = Dur(0)), "job 0 has a zero deadline");
         let past_cap = format!("job 1 arrives or is due past {MAX_INPUT_TICKS} ticks");
         assert_eq!(broken(&|p| p.jobs[1].at = Time(MAX_INPUT_TICKS + 1)), past_cap);
@@ -659,6 +666,7 @@ mod tests {
         let mut at_cap = good.clone();
         at_cap.jobs[1].at = Time(MAX_INPUT_TICKS);
         at_cap.jobs[1].deadline = Dur(MAX_INPUT_TICKS);
+        at_cap.jobs[1].tasks = MAX_INPUT_TASKS;
         assert_eq!(at_cap.check(), Ok(()));
         assert_eq!(
             broken(&|p| p.bg.max_util_eighths = 7),

@@ -37,7 +37,7 @@ use crate::data::DataSizes;
 use crate::etc::EtcMatrix;
 use crate::machine::{MachineClass, MachineSpec};
 use crate::task::TaskId;
-use crate::units::{Energy, Megabits, Time};
+use crate::units::{check_input_tasks, Energy, Megabits, Time};
 use crate::workload::Scenario;
 
 /// Errors from parsing a scenario file. An alias of the shared
@@ -167,8 +167,13 @@ pub fn read(text: &str) -> Result<Scenario, ParseError> {
     }
     let etc_id: usize = parse_num(n, parts[1])?;
     let tasks: usize = parse_num(n, parts[2])?;
+    check_input_tasks(tasks).map_err(|message| ParseError { line: n, message })?;
     let machines: usize = parse_num(n, parts[3])?;
-    let mut secs = Vec::with_capacity(tasks * machines);
+    // Capacities read off a header are capped by the input's length:
+    // every counted item takes at least one byte of it, so a forged
+    // count cannot size an allocation.
+    let hint = |count: usize| count.min(text.len());
+    let mut secs = Vec::with_capacity(hint(tasks.saturating_mul(machines)));
     for _ in 0..tasks {
         let (n, row) = next("etc row")?;
         let vals: Vec<&str> = row.split_whitespace().collect();
@@ -193,7 +198,7 @@ pub fn read(text: &str) -> Result<Scenario, ParseError> {
     if count != machines {
         return err(n, format!("machine count {count} != etc columns {machines}"));
     }
-    let mut specs = Vec::with_capacity(count);
+    let mut specs = Vec::with_capacity(hint(count));
     for _ in 0..count {
         let (n, line) = next("machine")?;
         let p: Vec<&str> = line.split_whitespace().collect();
@@ -227,8 +232,8 @@ pub fn read(text: &str) -> Result<Scenario, ParseError> {
         return err(n, format!("dag task count {dag_tasks} != etc rows {tasks}"));
     }
     let edge_count: usize = parse_num(n, p[3])?;
-    let mut edges = Vec::with_capacity(edge_count);
-    let mut sizes = Vec::with_capacity(edge_count);
+    let mut edges = Vec::with_capacity(hint(edge_count));
+    let mut sizes = Vec::with_capacity(hint(edge_count));
     for _ in 0..edge_count {
         let (n, line) = next("edge")?;
         let p: Vec<&str> = line.split_whitespace().collect();
@@ -327,6 +332,25 @@ mod tests {
         // Find an edge line and break its parent id.
         let bad = text.replacen("edge ", "edge x", 1);
         assert!(read(&bad).is_err());
+    }
+
+    #[test]
+    fn forged_header_counts_size_no_allocation() {
+        use crate::units::MAX_INPUT_TASKS;
+        let head = "lrh-grid-scenario v1\ncase A\ntau 100\n";
+        let e = read(&format!("{head}etc 0 {} 4\n", MAX_INPUT_TASKS + 1)).unwrap_err();
+        assert_eq!((e.line, e.message), (4, format!("tasks must be at most {MAX_INPUT_TASKS}")));
+        // At the cap the header passes and the missing rows are the error.
+        let e = read(&format!("{head}etc 0 {MAX_INPUT_TASKS} 4\n")).unwrap_err();
+        assert!(e.message.contains("expected etc row"), "{e}");
+        // Forged machine and edge counts fail on the text, not an allocation.
+        let e = read(&format!("{head}etc 0 2 {}\n1 2\n", 1u64 << 60)).unwrap_err();
+        assert!(e.message.contains("entries, expected"), "{e}");
+        let text = write(&scenario());
+        let dag = text.lines().find(|l| l.starts_with("dag ")).unwrap();
+        let forged = format!("dag 2 24 {}", 1u64 << 60);
+        let e = read(&text.replace(dag, &forged)).unwrap_err();
+        assert!(e.message.contains("bad edge line") || e.message.contains("expected edge"), "{e}");
     }
 
     #[test]

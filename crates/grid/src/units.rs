@@ -26,6 +26,25 @@ pub const TICKS_PER_SECOND: u64 = 10;
 /// 2^62 ticks is about 10^10 simulated years.
 pub const MAX_INPUT_TICKS: u64 = 1 << 62;
 
+/// Largest subtask count accepted from outside the program for one
+/// scenario — a wire field, an inline workload's header, an open job.
+/// A scenario's storage grows with it (the ETC matrix alone holds one
+/// `f64` per subtask and machine), and a failed allocation aborts the
+/// whole process, which no `catch_unwind` can answer; so each count's
+/// owner refuses a larger one with [`check_input_tasks`] before sizing
+/// anything: `ScenarioSpec::build`, `io::read`, `OpenParams::check` and
+/// the campaign executor. 2^16 is above every size a request in this
+/// repository carries (the largest is an 8 192-subtask export).
+pub const MAX_INPUT_TASKS: usize = 1 << 16;
+
+/// The one refusal of a subtask count past [`MAX_INPUT_TASKS`].
+pub fn check_input_tasks(tasks: usize) -> Result<(), String> {
+    if tasks > MAX_INPUT_TASKS {
+        return Err(format!("tasks must be at most {MAX_INPUT_TASKS}"));
+    }
+    Ok(())
+}
+
 /// An absolute instant in simulated time, in ticks since the start of the run.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Time(pub u64);

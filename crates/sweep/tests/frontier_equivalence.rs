@@ -280,10 +280,13 @@ proptest! {
 
 /// The differentials above prove elision exact only if it happens. On
 /// the paper-scale Case A job (`paper_suite`'s weights) the clock spends
-/// most of its ticks waiting on scheduled finishes to drift inside the
-/// horizon, and the product loop must sleep through at least half of
-/// them; the two reference kernels and SLRH-2 (whose frozen walk never
-/// latches) must not sleep at all — same clock steps, every one swept.
+/// most of its ticks waiting — on busy machines, or on scheduled finishes
+/// to drift inside the horizon — and the product loop must sleep through
+/// at least half of them; the two reference kernels must not sleep at
+/// all — same clock steps, every one swept. SLRH-2 asks the kernel
+/// nothing, so it sleeps only through the ticks that find every machine
+/// busy: its run must equal the same configuration under a reference
+/// loop, which sweeps them, event for event.
 #[test]
 fn the_paper_scale_job_elides_most_sweeps_and_the_oracles_none() {
     let sc = Scenario::generate(&ScenarioParams::paper_scaled(1024), GridCase::A, 0, 0);
@@ -304,11 +307,21 @@ fn the_paper_scale_job_elides_most_sweeps_and_the_oracles_none() {
             "{kind:?}"
         );
     }
+
     let frozen = SlrhConfig {
         variant: SlrhVariant::V2,
         ..cfg
     };
-    let v2 = run_slrh(&sc, &frozen).stats;
-    assert!(v2.clock_steps > 0);
-    assert_eq!(v2.sweeps_elided, 0, "SLRH-2 never latches");
+    let observed = |kind: Option<Kind>| {
+        let mut events = Vec::new();
+        let out = run_observed(&sc, &frozen, &Churn::default(), kind, Some(&mut |e| events.push(e)));
+        (canonical(&out), events, out.stats)
+    };
+    let (v2_run, v2_events, v2) = observed(None);
+    let (swept_run, swept_events, swept) = observed(Some(Kind::Scratch));
+    assert_eq!(swept.sweeps_elided, 0);
+    assert!(v2.sweeps_elided > 0, "SLRH-2 sleeps through its all-busy ticks");
+    assert_eq!(v2_events, swept_events);
+    assert_eq!((v2.clock_steps, v2.queries), (swept.clock_steps, swept.queries));
+    assert_eq!(v2_run, swept_run);
 }
