@@ -317,7 +317,6 @@ pub fn execute_campaign(
         cases: req.cases.clone(),
         coarse: req.coarse,
         fine: req.fine,
-        searcher: req.searcher,
     };
     let units = req.units();
     let mut checkpoint = match &req.checkpoint {
@@ -499,7 +498,7 @@ mod tests {
             cases: vec![GridCase::A],
             coarse,
             fine,
-            searcher: grid_sweep::SearcherKind::Grid,
+            searcher: Default::default(),
             checkpoint: None,
         }
     }
@@ -634,7 +633,6 @@ mod tests {
             cases: req.cases.clone(),
             coarse: 0.25,
             fine: 0.25,
-            searcher: grid_sweep::SearcherKind::Grid,
         };
         let rows = grid_sweep::campaign::run_campaign(&cfg);
         assert_eq!(out.report, canonical_report(&rows));

@@ -380,10 +380,9 @@ pub struct CampaignRequest {
     pub coarse: f64,
     /// Fine weight-search step.
     pub fine: f64,
-    /// Per-unit weight searcher. [`SearcherKind::Grid`] is the legacy
-    /// Figure-3 two-pass grid refinement and is omitted from the wire
-    /// frame and the fingerprint, so old clients, daemons, and
-    /// checkpoints interoperate unchanged.
+    /// Per-unit weight searcher: always the Figure 3 grid, which never
+    /// rides the wire or the fingerprint. A frame naming any other
+    /// searcher is refused.
     pub searcher: SearcherKind,
     /// Checkpoint file path on the daemon host; units already recorded
     /// there are not re-run.
@@ -395,7 +394,7 @@ impl CampaignRequest {
     /// the checkpoint header so a checkpoint can only resume the
     /// campaign that wrote it.
     pub fn fingerprint(&self) -> String {
-        let mut fp = format!(
+        format!(
             "tasks={};etc={};dag={};heuristics={};cases={};coarse={};fine={}",
             self.tasks,
             self.etc_count,
@@ -412,11 +411,7 @@ impl CampaignRequest {
                 .join(","),
             kv::format_f64(self.coarse),
             kv::format_f64(self.fine),
-        );
-        if self.searcher != SearcherKind::Grid {
-            fp.push_str(&format!(";searcher={}", self.searcher));
-        }
-        fp
+        )
     }
 
     /// The (heuristic, case) unit grid, in execution order.
@@ -437,9 +432,6 @@ impl CampaignRequest {
         s.put("dag-count", self.dag_count);
         s.put("coarse", kv::format_f64(self.coarse));
         s.put("fine", kv::format_f64(self.fine));
-        if self.searcher != SearcherKind::Grid {
-            s.put("searcher", self.searcher);
-        }
         for h in &self.heuristics {
             s.put("heuristic", h.flag_name());
         }
@@ -475,9 +467,22 @@ impl CampaignRequest {
             cases,
             coarse: frame.parse("coarse", kv::parse_f64)?,
             fine: frame.parse("fine", kv::parse_f64)?,
-            searcher: frame.parse_opt("searcher", str::parse)?.unwrap_or(SearcherKind::Grid),
+            searcher: frame.parse_opt("searcher", parse_searcher)?.unwrap_or_default(),
             checkpoint: frame.get("checkpoint").map(str::to_string),
         })
+    }
+}
+
+/// Decode a `searcher=` value. `grid` is the only searcher (and never
+/// emitted); `anneal(S, N)` selected a seeded annealing searcher that
+/// was retired. That value changed results, so unlike a retired kernel
+/// selector it is refused, never run as the grid.
+fn parse_searcher(s: &str) -> Result<SearcherKind, String> {
+    match s {
+        "grid" => Ok(SearcherKind::Grid),
+        _ => Err(format!(
+            "{s:?} is not a searcher: the annealing searcher was retired and grid is the only one"
+        )),
     }
 }
 
@@ -1152,8 +1157,8 @@ mod tests {
     }
 
     #[test]
-    fn campaign_searcher_rides_the_wire_and_the_fingerprint() {
-        let mut req = CampaignRequest {
+    fn a_retired_searcher_is_refused_not_run_as_the_grid() {
+        let req = CampaignRequest {
             client: "cli".into(),
             label: "sweep".into(),
             tasks: 32,
@@ -1163,20 +1168,31 @@ mod tests {
             cases: vec![GridCase::A],
             coarse: 0.25,
             fine: 0.25,
-            searcher: SearcherKind::Anneal { seed: 7, iterations: 24 },
+            searcher: SearcherKind::Grid,
             checkpoint: None,
         };
-        let fp = req.fingerprint();
-        assert!(fp.ends_with(";searcher=anneal(7, 24)"), "{fp}");
-        let back = CampaignRequest::from_frame(&Frame::decode(&req.to_frame().encode()).unwrap())
-            .unwrap();
-        assert_eq!(back, req);
-        // A grid request never emits the key, so a frame without it
-        // (from an old client) decodes to the grid searcher.
-        req.searcher = SearcherKind::Grid;
-        let legacy = CampaignRequest::from_frame(&Frame::decode(&req.to_frame().encode()).unwrap())
-            .unwrap();
-        assert_eq!(legacy.searcher, SearcherKind::Grid);
-        assert_ne!(fp, legacy.fingerprint(), "searcher changes the checkpoint identity");
+        let frame = req.to_frame();
+        assert_eq!(frame.get("searcher"), None, "grid never rides the wire");
+        let fp = "tasks=32;etc=2;dag=2;heuristics=slrh1;cases=Case A;coarse=0.25;fine=0.25";
+        assert_eq!(req.fingerprint(), fp, "grid checkpoints keep resuming");
+
+        // An explicit `grid` decodes to the same request and fingerprint
+        // as the absent key.
+        let with = |value: &str| {
+            let mut f = frame.clone();
+            f.push("searcher", value);
+            CampaignRequest::from_frame(&Frame::decode(&f.encode()).unwrap())
+        };
+        let explicit = with("grid").unwrap();
+        assert_eq!(explicit, req);
+        assert_eq!(explicit.fingerprint(), fp);
+
+        for retired in ["anneal(7, 24)", "anneal(24301, 48)", "anneal", "Grid", ""] {
+            let err = with(retired).unwrap_err().to_string();
+            assert!(
+                err.contains("searcher: ") && err.contains("annealing searcher was retired"),
+                "{retired:?}: {err}"
+            );
+        }
     }
 }

@@ -103,16 +103,6 @@ fn configs() -> impl Strategy<Value = SlrhConfig> {
         })
 }
 
-fn searchers() -> impl Strategy<Value = SearcherKind> {
-    (any::<bool>(), any::<u64>(), 1u32..256).prop_map(|(grid, seed, iterations)| {
-        if grid {
-            SearcherKind::Grid
-        } else {
-            SearcherKind::Anneal { seed, iterations }
-        }
-    })
-}
-
 fn churn() -> impl Strategy<Value = Vec<(usize, u64)>> {
     prop::collection::vec((0usize..8, 1u64..100_000), 0..4)
 }
@@ -168,7 +158,6 @@ fn campaign_requests() -> impl Strategy<Value = CampaignRequest> {
             prop::collection::vec(cases(), 1..4),
             0.01f64..0.5,
             0.01f64..0.5,
-            searchers(),
             (
                 any::<bool>(),
                 prop::sample::select(&["/tmp/cp.txt", "sweep.ckpt", "runs/a-b_c.d"][..]),
@@ -178,7 +167,7 @@ fn campaign_requests() -> impl Strategy<Value = CampaignRequest> {
         .prop_map(
             |(
                 (client, tasks, etc_count, dag_count),
-                (heuristics, cases, coarse, fine, searcher, (with_cp, cp)),
+                (heuristics, cases, coarse, fine, (with_cp, cp)),
             )| CampaignRequest {
                 client,
                 label: "sweep".into(),
@@ -189,7 +178,7 @@ fn campaign_requests() -> impl Strategy<Value = CampaignRequest> {
                 cases,
                 coarse,
                 fine,
-                searcher,
+                searcher: SearcherKind::Grid,
                 checkpoint: with_cp.then(|| cp.to_string()),
             },
         )

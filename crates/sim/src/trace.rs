@@ -19,9 +19,7 @@
 use adhoc_grid::config::{GridConfig, MachineId};
 use adhoc_grid::task::TaskId;
 use adhoc_grid::units::{Dur, Energy, Time};
-use adhoc_grid::workload::Scenario;
 
-use crate::plan::MappingPlan;
 use crate::schedule::Schedule;
 use crate::state::SimState;
 
@@ -268,99 +266,6 @@ impl Trace {
     }
 }
 
-/// One recorded [`SimState`] mutation, replayable against a fresh state.
-///
-/// The four variants cover the state's entire mutation surface
-/// ([`SimState::commit`], [`SimState::unmap`], [`SimState::mark_lost`],
-/// [`SimState::block_until`]); a faithful op recording therefore pins the
-/// whole evolution of a run, not just its final schedule.
-#[derive(Clone, PartialEq, Debug)]
-pub enum ReplayOp {
-    /// A committed [`MappingPlan`] (stored whole: committing a clone on a
-    /// state in the same pre-op condition is exact).
-    Commit(MappingPlan),
-    /// A task unmapped (e.g. by a churn invalidation cascade).
-    Unmap(TaskId),
-    /// A machine lost at a time (battery exhaustion / departure).
-    MarkLost(MachineId, Time),
-    /// An arriving machine blocked until its arrival time.
-    BlockUntil(MachineId, Time),
-}
-
-/// A recorded sequence of state mutations.
-///
-/// Because the simulator is deterministic and every mutation bumps the
-/// state's revision by exactly one, replaying a recording against a fresh
-/// [`SimState`] of the same scenario reproduces the original final state
-/// bit-for-bit: same revision, same metrics, same schedule. The stress
-/// harness and the proptest round-trip suite rely on this to audit that
-/// no mutation path has hidden inputs.
-#[derive(Clone, Default, Debug)]
-pub struct EventTrace {
-    ops: Vec<ReplayOp>,
-}
-
-impl EventTrace {
-    /// An empty recording.
-    pub fn new() -> EventTrace {
-        EventTrace::default()
-    }
-
-    /// Append one op.
-    pub fn record(&mut self, op: ReplayOp) {
-        self.ops.push(op);
-    }
-
-    /// Append a commit (clones the plan).
-    pub fn record_commit(&mut self, plan: &MappingPlan) {
-        self.ops.push(ReplayOp::Commit(plan.clone()));
-    }
-
-    /// The recorded ops, in application order.
-    pub fn ops(&self) -> &[ReplayOp] {
-        &self.ops
-    }
-
-    /// Number of recorded ops.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Replay the recording against a fresh state of `sc` and return the
-    /// final state. `sc` must be the scenario the ops were recorded on.
-    pub fn replay<'a>(&self, sc: &'a Scenario) -> SimState<'a> {
-        let mut st = SimState::new(sc);
-        self.replay_onto(&mut st);
-        st
-    }
-
-    /// Apply every op, in order, to `state` (which must be in the same
-    /// condition the recording started from — normally fresh).
-    pub fn replay_onto(&self, state: &mut SimState<'_>) {
-        for op in &self.ops {
-            match op {
-                ReplayOp::Commit(plan) => {
-                    state.commit(plan);
-                }
-                ReplayOp::Unmap(t) => {
-                    state.unmap(*t);
-                }
-                ReplayOp::MarkLost(j, at) => {
-                    state.mark_lost(*j, *at);
-                }
-                ReplayOp::BlockUntil(j, at) => {
-                    state.block_until(*j, *at);
-                }
-            }
-        }
-    }
-}
-
 /// Sort ends before starts at the same tick.
 fn event_order(e: &TraceEvent) -> u8 {
     match e {
@@ -464,54 +369,6 @@ mod tests {
             assert!(line.contains('|'));
             assert!(line.contains('#'), "every machine got work in round-robin");
         }
-    }
-
-    #[test]
-    fn event_trace_round_trips_with_churn() {
-        let sc = Scenario::generate(&ScenarioParams::paper_scaled(16), GridCase::A, 0, 0);
-        let mut st = SimState::new(&sc);
-        let mut rec = EventTrace::new();
-
-        // Map everything onto machines 0/1, leaving 2 and 3 untouched so
-        // the churn ops below stay legal.
-        let mut i = 0;
-        while let Some(&t) = st.ready_tasks().first() {
-            let j = MachineId(i % 2);
-            i += 1;
-            if !st.version_feasible(t, Version::Secondary, j) {
-                continue;
-            }
-            let plan = st.plan(t, Version::Secondary, j, Placement::Append {
-                not_before: Time::ZERO,
-            });
-            rec.record_commit(&plan);
-            st.commit(&plan);
-        }
-        // A leaf (no children) can be unmapped without cascading.
-        let Some(&leaf) = (0..sc.tasks())
-            .map(adhoc_grid::task::TaskId)
-            .collect::<Vec<_>>()
-            .iter()
-            .find(|&&t| sc.dag.children(t).is_empty())
-        else {
-            panic!("DAG has no leaf");
-        };
-        rec.record(ReplayOp::Unmap(leaf));
-        st.unmap(leaf);
-        rec.record(ReplayOp::MarkLost(MachineId(2), Time(50)));
-        st.mark_lost(MachineId(2), Time(50));
-        rec.record(ReplayOp::BlockUntil(MachineId(3), Time(70)));
-        st.block_until(MachineId(3), Time(70));
-
-        let replayed = rec.replay(&sc);
-        assert_eq!(replayed.revision(), st.revision());
-        assert_eq!(replayed.metrics(), st.metrics());
-        assert_eq!(
-            replayed.schedule().assignments().collect::<Vec<_>>(),
-            st.schedule().assignments().collect::<Vec<_>>()
-        );
-        assert_eq!(replayed.schedule().transfers(), st.schedule().transfers());
-        assert_eq!(replayed.lost_at(MachineId(2)), st.lost_at(MachineId(2)));
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! Property tests for the simulation state: arbitrary feasible commit
-//! sequences keep every invariant, every produced schedule validates, and
-//! unmapping is an exact inverse of committing.
+//! sequences keep every invariant, every produced schedule validates,
+//! unmapping is an exact inverse of committing, and any legal mix of
+//! commits, unmap cascades, losses and arrivals bumps the revision once
+//! per mutation and lands on the same state whether it starts fresh or
+//! on recycled buffers.
 
 use adhoc_grid::config::{GridCase, MachineId};
-use adhoc_grid::task::Version;
+use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::Time;
 use adhoc_grid::workload::{Scenario, ScenarioParams};
 use gridsim::plan::Placement;
 use gridsim::state::SimState;
 use gridsim::validate::validate;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Drive a state with a deterministic pseudo-random policy derived from
 /// `decisions`: at each step pick a ready task, machine and version from
@@ -143,5 +147,209 @@ proptest! {
                 st.ledger().battery(j)
             );
         }
+    }
+}
+
+/// Unmap `t` and honour the [`SimState::unmap`] contract: mapped
+/// children come off first (reverse topological order) and starved
+/// parents are cascaded. Counts every unmap in `mutations`.
+fn unmap_cascade(sc: &Scenario, st: &mut SimState<'_>, mutations: &mut u64, t: TaskId) {
+    while let Some(c) = sc.dag.children(t).iter().copied().find(|&c| st.is_mapped(c)) {
+        unmap_cascade(sc, st, mutations, c);
+    }
+    if !st.is_mapped(t) {
+        return;
+    }
+    *mutations += 1;
+    for p in st.unmap(t).to_vec() {
+        if st.is_mapped(p) {
+            unmap_cascade(sc, st, mutations, p);
+        }
+    }
+}
+
+/// Commit a ready task picked from the stream, skipping infeasible picks
+/// (lost machines fail feasibility) and machines in `pending`. Returns
+/// whether it committed.
+fn commit_pick(
+    sc: &Scenario,
+    st: &mut SimState<'_>,
+    next: &mut impl FnMut() -> u8,
+    pending: &[MachineId],
+) -> bool {
+    let ready = st.ready_tasks();
+    if ready.is_empty() {
+        return false;
+    }
+    let t = ready[next() as usize % ready.len()];
+    let j = MachineId(next() as usize % sc.grid.len());
+    if pending.contains(&j) {
+        return false;
+    }
+    let v = if next().is_multiple_of(3) {
+        Version::Primary
+    } else {
+        Version::Secondary
+    };
+    if !st.version_feasible(t, v, j) {
+        return false;
+    }
+    let plan = st.plan(t, v, j, Placement::Append {
+        not_before: Time::ZERO,
+    });
+    st.commit(&plan);
+    true
+}
+
+/// Drive `st` with a deterministic pseudo-random policy that mixes every
+/// mutation kind: arrivals rolled up front, then mostly commits, unmap
+/// cascades and losses. Returns the number of mutations applied.
+fn drive_mixed(sc: &Scenario, st: &mut SimState<'_>, decisions: &[u8]) -> u64 {
+    let mut d = decisions.iter().copied().cycle();
+    let mut next = move || d.next().unwrap();
+    let mut mutations = 0;
+
+    // Arrivals must precede any work on the machine, so roll them first,
+    // keeping machines 0 and 1 immediately available.
+    for j in 2..sc.grid.len() {
+        if next().is_multiple_of(4) {
+            let at = Time(10 + u64::from(next()) % 90);
+            st.block_until(MachineId(j), at);
+            mutations += 1;
+        }
+    }
+
+    let mut alive = sc.grid.len();
+    for _ in 0..decisions.len() * 4 {
+        match next() % 16 {
+            0..=11 => mutations += u64::from(commit_pick(sc, st, &mut next, &[])),
+            // Unmap a mapped task with no mapped children, cascading
+            // any starved parents the unmap reports.
+            12 | 13 => {
+                let victim = sc
+                    .dag
+                    .tasks()
+                    .filter(|&t| st.is_mapped(t))
+                    .find(|&t| sc.dag.children(t).iter().all(|&c| !st.is_mapped(c)));
+                if let Some(t) = victim {
+                    unmap_cascade(sc, st, &mut mutations, t);
+                }
+            }
+            // Lose an alive machine, keeping at least one alive.
+            14 => {
+                let j = MachineId(next() as usize % sc.grid.len());
+                if alive <= 1 || !st.is_alive(j) {
+                    continue;
+                }
+                st.mark_lost(j, Time(u64::from(next()) % 200));
+                mutations += 1;
+                alive -= 1;
+            }
+            _ => {}
+        }
+    }
+    mutations
+}
+
+/// Drive `st` with arrivals *interleaved* with losses and commits (the
+/// open-system regime: a machine may join after others were lost).
+/// Commits skip machines whose arrival has not been rolled yet. Returns
+/// the number of mutations applied.
+fn drive_interleaved(sc: &Scenario, st: &mut SimState<'_>, decisions: &[u8]) -> u64 {
+    let mut d = decisions.iter().copied().cycle();
+    let mut next = move || d.next().unwrap();
+    let mut mutations = 0;
+
+    // Machines 1.. start pending and join when the loop rolls their
+    // arrival; machine 0 is available from the start.
+    let mut pending: Vec<MachineId> = sc.grid.ids().skip(1).collect();
+    let mut alive = sc.grid.len();
+    for _ in 0..decisions.len() * 4 {
+        match next() % 16 {
+            0..=9 => mutations += u64::from(commit_pick(sc, st, &mut next, &pending)),
+            10..=12 => {
+                if pending.is_empty() {
+                    continue;
+                }
+                let j = pending.swap_remove(next() as usize % pending.len());
+                st.block_until(j, Time(10 + u64::from(next()) % 190));
+                mutations += 1;
+            }
+            // Lose an arrived machine, keeping at least one alive.
+            13 | 14 => {
+                let j = MachineId(next() as usize % sc.grid.len());
+                if alive <= 1 || !st.is_alive(j) || pending.contains(&j) {
+                    continue;
+                }
+                st.mark_lost(j, Time(u64::from(next()) % 200));
+                mutations += 1;
+                alive -= 1;
+            }
+            _ => {}
+        }
+    }
+    mutations
+}
+
+type Driver = fn(&Scenario, &mut SimState<'_>, &[u8]) -> u64;
+
+/// Run `drive` on a fresh state, then on buffers recycled from a run of
+/// the reversed decisions. Each run bumps the revision once per mutation
+/// and keeps the ledger consistent, and the two land on the same state.
+fn counted_and_repeatable(
+    sc: &Scenario,
+    decisions: &[u8],
+    drive: Driver,
+) -> Result<(), TestCaseError> {
+    let mut fresh = SimState::new(sc);
+    let mutations = drive(sc, &mut fresh, decisions);
+    prop_assert_eq!(fresh.revision(), mutations);
+    prop_assert_eq!(fresh.ledger().check_invariants(), Ok(()));
+
+    let mut donor = SimState::new(sc);
+    let reversed: Vec<u8> = decisions.iter().rev().copied().collect();
+    drive(sc, &mut donor, &reversed);
+    let mut recycled = SimState::new_in(sc, donor.into_buffers());
+    prop_assert_eq!(drive(sc, &mut recycled, decisions), mutations);
+    prop_assert_eq!(recycled.ledger().check_invariants(), Ok(()));
+
+    prop_assert_eq!(recycled.revision(), fresh.revision());
+    prop_assert_eq!(recycled.metrics(), fresh.metrics());
+    prop_assert_eq!(recycled.ready_tasks(), fresh.ready_tasks());
+    prop_assert_eq!(
+        recycled.schedule().assignments().collect::<Vec<_>>(),
+        fresh.schedule().assignments().collect::<Vec<_>>()
+    );
+    prop_assert_eq!(recycled.schedule().transfers(), fresh.schedule().transfers());
+    for j in sc.grid.ids() {
+        prop_assert_eq!(recycled.lost_at(j), fresh.lost_at(j));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Commits, unmap cascades and losses after up-front arrivals.
+    #[test]
+    fn mixed_mutations_are_counted_and_repeatable(
+        decisions in prop::collection::vec(any::<u8>(), 32..220),
+        case_idx in 0usize..3,
+        etc_id in 0usize..3,
+        dag_id in 0usize..3,
+    ) {
+        let sc = scenario(20, GridCase::ALL[case_idx], (etc_id, dag_id));
+        counted_and_repeatable(&sc, &decisions, drive_mixed)?;
+    }
+
+    /// Arrivals landing between commits and losses, not only before them.
+    #[test]
+    fn interleaved_arrivals_are_counted_and_repeatable(
+        decisions in prop::collection::vec(any::<u8>(), 48..220),
+        case_idx in 0usize..3,
+        dag_id in 0usize..3,
+    ) {
+        let sc = scenario(20, GridCase::ALL[case_idx], (1, dag_id));
+        counted_and_repeatable(&sc, &decisions, drive_interleaved)?;
     }
 }

@@ -16,7 +16,6 @@ use rayon::prelude::*;
 
 use slrh::RunContext;
 
-use crate::anneal::{anneal_weights_in, SearcherKind};
 use crate::heuristic::Heuristic;
 use crate::weight_search::optimal_weights_with_steps_in;
 
@@ -29,15 +28,12 @@ pub struct CampaignConfig {
     pub heuristics: Vec<Heuristic>,
     /// Cases to evaluate.
     pub cases: Vec<GridCase>,
-    /// Coarse weight-search step (paper: 0.1). The grid searcher
-    /// refines from it; the annealing searcher uses it as the seeding
-    /// grid.
+    /// Coarse weight-search step (paper: 0.1): the first stage of the
+    /// Figure 3 grid search.
     pub coarse: f64,
-    /// Fine weight-search step (paper: 0.02; ignored by the annealing
-    /// searcher, whose chain does the refining).
+    /// Fine weight-search step (paper: 0.02): the second stage, around
+    /// the coarse winner.
     pub fine: f64,
-    /// Which per-scenario weight searcher tunes phase 1.
-    pub searcher: SearcherKind,
 }
 
 impl CampaignConfig {
@@ -49,7 +45,6 @@ impl CampaignConfig {
             cases: GridCase::ALL.to_vec(),
             coarse: 0.1,
             fine: 0.02,
-            searcher: SearcherKind::Grid,
         }
     }
 
@@ -237,17 +232,7 @@ pub fn run_case_unit(
         .map_init(RunContext::new, |ctx, &(e, d)| {
             let sc = cfg.set.scenario(case, e, d);
             if h.uses_weights() {
-                match cfg.searcher {
-                    SearcherKind::Grid => {
-                        optimal_weights_with_steps_in(h, &sc, cfg.coarse, cfg.fine, ctx)
-                            .map(|o| o.weights)
-                    }
-                    SearcherKind::Anneal { seed, iterations } => {
-                        let acfg =
-                            SearcherKind::anneal_config(seed, iterations, cfg.coarse, e, d);
-                        anneal_weights_in(h, &sc, &acfg, ctx).map(|o| o.weights)
-                    }
-                }
+                optimal_weights_with_steps_in(h, &sc, cfg.coarse, cfg.fine, ctx).map(|o| o.weights)
             } else {
                 // Weightless heuristics: any placeholder works.
                 Some(lagrange::weights::Weights::new(0.5, 0.3).expect("static"))
@@ -321,7 +306,6 @@ mod tests {
             cases: vec![GridCase::A, GridCase::C],
             coarse: 0.25,
             fine: 0.25,
-            searcher: SearcherKind::Grid,
         };
         let rows = run_campaign(&cfg);
         assert_eq!(rows.len(), 4);
@@ -362,28 +346,6 @@ mod tests {
         }
     }
 
-    /// The annealing searcher drops into the same campaign machinery:
-    /// rows come out feasible and byte-stable across reruns.
-    #[test]
-    fn annealed_campaign_is_deterministic() {
-        let set = ScenarioSet::new(ScenarioParams::paper_scaled(32), 1, 2);
-        let cfg = CampaignConfig {
-            set,
-            heuristics: vec![Heuristic::Slrh1],
-            cases: vec![GridCase::A],
-            coarse: 0.25,
-            fine: 0.25,
-            searcher: SearcherKind::Anneal {
-                seed: 7,
-                iterations: 16,
-            },
-        };
-        let a = canonical_report(&run_campaign(&cfg));
-        let b = canonical_report(&run_campaign(&cfg));
-        assert_eq!(a, b);
-        assert!(a.contains("feasible=2/2"), "{a}");
-    }
-
     #[test]
     fn parse_canonical_rejects_malformed_rows() {
         for bad in [
@@ -420,7 +382,6 @@ mod tests {
             cases: vec![GridCase::A],
             coarse: 0.25,
             fine: 0.25,
-            searcher: SearcherKind::Grid,
         };
         let rows = run_campaign(&cfg);
         assert_eq!(rows.len(), 2);

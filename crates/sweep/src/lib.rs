@@ -5,12 +5,9 @@
 //! * [`heuristic`] — a uniform registry over every mapper in the
 //!   workspace (SLRH variants, Max-Max, the extra baselines), with
 //!   validated, wall-clock-timed runs;
-//! * [`weight_search`] — the (α, β) optimality search: a coarse 0.1 grid
-//!   refined at 0.02, accepting only runs that map all subtasks within
-//!   both constraints (Figure 3);
-//! * [`anneal`] — a seeded simulated-annealing alternative to the grid
-//!   search, sharing its evaluation memo and tie-break so it dedups
-//!   against the coarse grid and stays deterministic per seed;
+//! * [`weight_search`] — the one (α, β) optimality search: a coarse 0.1
+//!   grid refined at 0.02, accepting only runs that map all subtasks
+//!   within both constraints (Figure 3);
 //! * [`campaign`] — the full 10 ETC × 10 DAG × 3 case study behind
 //!   Figures 4–7, with genuinely parallel tuning (the workspace rayon
 //!   executor; thread count via `RAYON_NUM_THREADS`) and a
@@ -28,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod ablate;
-pub mod anneal;
 pub mod campaign;
 pub mod dt_sweep;
 pub mod heuristic;
@@ -36,12 +32,11 @@ pub mod report;
 pub mod stats;
 pub mod weight_search;
 
-pub use anneal::{anneal_weights, anneal_weights_in, AnnealConfig, SearcherKind};
 pub use campaign::{canonical_report, run_campaign, run_case_unit, CampaignConfig, CaseRow};
 pub use dt_sweep::{dt_sweep, horizon_sweep, SweepPoint};
 pub use heuristic::{Heuristic, RunResult};
 pub use stats::Summary;
 pub use weight_search::{
     optimal_weights, optimal_weights_with_steps, optimal_weights_with_steps_in, weight_stats,
-    WeightSearchOutcome, WeightStats,
+    SearcherKind, WeightSearchOutcome, WeightStats,
 };

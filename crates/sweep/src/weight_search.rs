@@ -39,6 +39,16 @@ pub struct WeightSearchOutcome {
     pub evaluations: usize,
 }
 
+/// Retired selector: the two-stage grid search is the only weight
+/// searcher. This one-variant enum stays only so callers that spell
+/// `SearcherKind::Grid` in a campaign request keep compiling.
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
+pub enum SearcherKind {
+    /// The Figure 3 two-stage grid search.
+    #[default]
+    Grid,
+}
+
 /// Enumerate the valid simplex grid points with the given step.
 ///
 /// No two returned pairs compare equal under the [`ordered`] key: float
@@ -46,7 +56,7 @@ pub struct WeightSearchOutcome {
 /// degenerate (tiny or denormal) step, and downstream memoisation keys
 /// on that lattice. First occurrence wins, which leaves the output
 /// bit-identical for any step coarser than the 1e-9 lattice.
-pub(crate) fn grid(step: f64, alpha_range: (f64, f64), beta_range: (f64, f64)) -> Vec<Weights> {
+fn grid(step: f64, alpha_range: (f64, f64), beta_range: (f64, f64)) -> Vec<Weights> {
     let snap = |v: f64| (v / step).round() as i64;
     let mut points = Vec::new();
     let mut seen = HashSet::new();
@@ -66,18 +76,18 @@ pub(crate) fn grid(step: f64, alpha_range: (f64, f64), beta_range: (f64, f64)) -
 /// Per-scenario evaluation memo: snapped weight pair → compliant `T100`
 /// (`None` records an invalid or constraint-violating run, so it is not
 /// retried either).
-pub(crate) type EvalMemo = HashMap<(i64, i64), Option<usize>>;
+type EvalMemo = HashMap<(i64, i64), Option<usize>>;
 
 /// The memo key: weights snapped to the 1e-9 [`ordered`] lattice. Coarse
 /// and fine reconstructions of the same grid point differ in the last few
 /// ulps (3 × 0.1 vs 15 × 0.02) but share this key.
-pub(crate) fn memo_key(w: &Weights) -> (i64, i64) {
+fn memo_key(w: &Weights) -> (i64, i64) {
     (ordered(w.alpha()), ordered(w.beta()))
 }
 
 /// Run `heuristic` once and score the outcome: `Some(t100)` iff the
 /// mapping validated and met both constraints.
-pub(crate) fn score(
+fn score(
     heuristic: Heuristic,
     scenario: &Scenario,
     w: Weights,
@@ -97,7 +107,7 @@ pub(crate) fn score(
 /// campaign fans out over scenarios, not weights) the batch is evaluated
 /// inline on the caller's context instead — same results, and the
 /// caller's buffers keep amortising.
-pub(crate) fn eval_fresh(
+fn eval_fresh(
     heuristic: Heuristic,
     scenario: &Scenario,
     candidates: &[Weights],
@@ -138,7 +148,7 @@ pub(crate) fn eval_fresh(
 /// own float bits are reported, not the bits the score was computed
 /// under; the two differ by under 1e-9, within the heuristics'
 /// weight-resolution (pinned by `tests/golden_run_context.rs`).
-pub(crate) fn best_from_memo(candidates: &[Weights], memo: &EvalMemo) -> Option<(Weights, usize)> {
+fn best_from_memo(candidates: &[Weights], memo: &EvalMemo) -> Option<(Weights, usize)> {
     let key = |(w, t): &(Weights, usize)| {
         (*t, Reverse(ordered(w.alpha())), Reverse(ordered(w.beta())))
     };
@@ -152,7 +162,7 @@ pub(crate) fn best_from_memo(candidates: &[Weights], memo: &EvalMemo) -> Option<
 }
 
 /// Total order for weight tie-breaking (weights are always finite).
-pub(crate) fn ordered(v: f64) -> i64 {
+fn ordered(v: f64) -> i64 {
     (v * 1e9).round() as i64
 }
 

@@ -44,7 +44,6 @@ fn campaign_report_is_byte_identical_across_thread_counts() {
             cases: vec![GridCase::A, GridCase::C],
             coarse: 0.25,
             fine: 0.25,
-            searcher: grid_sweep::SearcherKind::Grid,
         };
         canonical_report(&run_campaign(&cfg))
     };
@@ -114,7 +113,6 @@ fn campaign_rejects_invocation_from_a_worker() {
                         cases: vec![GridCase::A],
                         coarse: 0.5,
                         fine: 0.5,
-                        searcher: grid_sweep::SearcherKind::Grid,
                     };
                     run_campaign(&cfg).len()
                 })

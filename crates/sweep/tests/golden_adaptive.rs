@@ -1,6 +1,6 @@
-//! Golden fixtures for the online-adaptation loop and the SA searcher.
+//! Golden fixtures for the online-adaptation loop.
 //!
-//! Three committed references pin the behaviour bit-for-bit:
+//! Two committed references pin the behaviour bit-for-bit:
 //!
 //! * `golden/adaptive_run.txt` — a churn run with a live adaptation
 //!   block: full schedule, stats (including `weight_updates`), the
@@ -9,9 +9,7 @@
 //!   stats and schedule the retired trace-recording front end
 //!   produced, blessed from it at the last commit that had it (PR 14)
 //!   and reproduced here by the one entry point plus an observer. Never
-//!   re-bless this one: its producer is gone;
-//! * `golden/sa_search.txt` — the seeded annealing search's winner,
-//!   `T100` and unique-evaluation count across a small scenario grid.
+//!   re-bless this one: its producer is gone.
 //!
 //! A third test re-runs the *legacy* churn fixture's exact trajectory
 //! with an inert (zero-step) adaptation block and compares it against
@@ -27,8 +25,7 @@ use std::path::PathBuf;
 
 use adhoc_grid::config::{GridCase, MachineId};
 use adhoc_grid::units::Time;
-use adhoc_grid::workload::{Scenario, ScenarioParams, ScenarioSet};
-use grid_sweep::{anneal_weights, AnnealConfig, Heuristic};
+use adhoc_grid::workload::{Scenario, ScenarioParams};
 use lagrange::step::StepRule;
 use lagrange::weights::Weights;
 use rayon::ThreadPool;
@@ -223,26 +220,6 @@ fn the_retired_trace_front_end_is_reproduced_by_an_observer() {
             "{threads} thread(s): the observer no longer reproduces the retired front end"
         );
     }
-}
-
-#[test]
-fn sa_search_matches_blessed_reference() {
-    assert_golden_differential("sa_search.txt", || {
-        let set = ScenarioSet::new(ScenarioParams::paper_scaled(32), 2, 2);
-        let mut out = String::new();
-        for case in [GridCase::A, GridCase::B] {
-            for (e, d) in set.ids() {
-                let sc = set.scenario(case, e, d);
-                let cfg = AnnealConfig {
-                    iterations: 24,
-                    ..AnnealConfig::default()
-                };
-                let found = anneal_weights(Heuristic::Slrh1, &sc, &cfg);
-                out.push_str(&format!("{case} {e} {d}: {found:?}\n"));
-            }
-        }
-        out
-    });
 }
 
 #[test]

@@ -121,7 +121,6 @@ fn campaign_matches_pre_refactor_reference() {
             cases: vec![GridCase::A, GridCase::C],
             coarse: 0.25,
             fine: 0.25,
-            searcher: grid_sweep::SearcherKind::Grid,
         };
         canonical_report(&run_campaign(&cfg))
     });

@@ -114,7 +114,6 @@ fn campaign_two_stage_matches_pre_reuse_reference() {
             cases: vec![GridCase::A, GridCase::C],
             coarse: 0.2,
             fine: 0.05,
-            searcher: grid_sweep::SearcherKind::Grid,
         };
         canonical_report(&run_campaign(&cfg))
     });

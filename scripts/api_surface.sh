@@ -83,7 +83,17 @@
 #  * a daemon job runs on its connection's thread (DESIGN.md section 14,
 #    "Architecture"): the worker threads and the worker-to-connection
 #    hand-off (`Outbox`, `pump_until_finished`, `worker_loop`,
-#    `OUTBOX_BLOCK_BYTES`, `OUTBOX_SPARE_BLOCKS`) stay gone.
+#    `OUTBOX_BLOCK_BYTES`, `OUTBOX_SPARE_BLOCKS`) stay gone;
+#  * there is one weight searcher, the paper's two-stage grid (DESIGN.md
+#    section 15): the seeded annealing searcher (`anneal_weights`,
+#    `AnnealConfig`, `SearcherKind::Anneal`, `anneal_config`, `tune`'s
+#    `--sa-seed`/`--sa-iters`, `sa_determinism`, `sa_search.txt`) stays
+#    gone, and `SearcherKind` survives only as a one-variant shim named
+#    at its definition, its re-export and the campaign request the
+#    untouched `benchmark/` adapter still fills in;
+#  * the replay log nothing replayed (`EventTrace`, `ReplayOp`,
+#    `proptest_trace_replay.rs`) stays gone: a stress reproducer replays
+#    by re-running its case.
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -97,6 +107,7 @@ fail() {
 retired='run_slrh_in|run_slrh_observed|run_slrh_dynamic|run_slrh_churn_in|run_slrh_churn_observed|run_adaptive_slrh|AdaptiveConfig|AdaptiveOutcome|DynamicOutcome|validate_churn|SlrhConfigBuilder|touched_machines|spill_after|promote_to_spill|visible_lists|cluster_of|home_of|machine_mean_seconds|ZeroClusters|from_values_at|AppendCost|InsertCost|InsertSlot|cost_append|cost_insert|frozen_order|any_gate_feasible|build_pool|StateDelta|DeltaKind|delta_invalidated|run_mct|run_mct_in'
 retired+='|MultiplierVector|SubgradientSolver|SubgradientResult|DualOracle|solve_dual|LrListConfig|dual_iters'
 retired+='|Outbox|pump_until_finished|worker_loop|OUTBOX_BLOCK_BYTES|OUTBOX_SPARE_BLOCKS'
+retired+='|anneal_weights|anneal_weights_in|AnnealConfig|anneal_config|EventTrace|ReplayOp'
 if hits=$(grep -rnwE "$retired" crates src tests examples --include='*.rs'); then
     fail "retired names are back:"$'\n'"$hits"
 fi
@@ -104,6 +115,37 @@ fi
 scale_mode=$(grep -rlw 'ScaleMode' crates/*/src src --include='*.rs' | sort | tr '\n' ' ')
 if [ "$scale_mode" != 'crates/core/src/config.rs crates/core/src/lib.rs src/lib.rs ' ]; then
     fail "ScaleMode is named outside its shim and two re-exports: [ $scale_mode]"
+fi
+
+for f in crates/sweep/src/anneal.rs crates/sweep/tests/sa_determinism.rs \
+    crates/sweep/tests/golden/sa_search.txt crates/sim/tests/proptest_trace_replay.rs; do
+    if [ -e "$f" ]; then
+        fail "$f is back"
+    fi
+done
+if hits=$(grep -rnE 'SearcherKind::Anneal|sa_determinism|sa_search\.txt' \
+    crates src tests examples scripts .github | grep -v '^scripts/api_surface.sh:'); then
+    fail "the annealing searcher is back:"$'\n'"$hits"
+fi
+# The flags in scripts, CI and non-test Rust code: the CLI's rejection
+# test names them on purpose.
+if hits=$(grep -rnE -- '--sa-(seed|iters)' scripts .github | grep -v '^scripts/api_surface.sh:'); then
+    fail "tune's annealing flags are back:"$'\n'"$hits"
+fi
+for f in $(find crates/*/src src -name '*.rs' | sort); do
+    if hits=$(awk '/^#\[cfg\(test\)\]/ { exit } /--sa-(seed|iters)/ { print FILENAME ":" FNR ": " $0; found = 1 }
+                   END { exit !found }' "$f"); then
+        fail "tune's annealing flags are back:"$'\n'"$hits"
+    fi
+done
+searcher=$(grep -rlw 'SearcherKind' crates/*/src src --include='*.rs' | sort | tr '\n' ' ')
+if [ "$searcher" != 'crates/broker/src/proto.rs crates/sweep/src/lib.rs crates/sweep/src/weight_search.rs ' ]; then
+    fail "SearcherKind is named outside its shim, its re-export and CampaignRequest: [ $searcher]"
+fi
+variants=$(awk '/pub enum SearcherKind/ { on = 1; next } on && /^}/ { exit } on && /^ *[A-Z]/ { print $1 }' \
+    crates/sweep/src/weight_search.rs | tr '\n' ' ')
+if [ "$variants" != 'Grid, ' ]; then
+    fail "SearcherKind has variants [ $variants] (want [ Grid, ])"
 fi
 
 if [ -e crates/core/src/adaptive.rs ]; then

@@ -19,7 +19,6 @@ use lrh_grid::grid::io;
 use lrh_grid::sim::trace::Trace;
 use lrh_grid::slrh::{run_slrh_with, RunContext, SlrhConfig};
 use lrh_grid::sweep::weight_search::optimal_weights_with_steps;
-use lrh_grid::sweep::{anneal_weights, AnnealConfig, SearcherKind};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -145,22 +144,7 @@ fn run_tune(tune: &Tune) -> i32 {
         Ok(scenario) => scenario,
         Err(e) => return fail(&e),
     };
-    let found = match tune.searcher {
-        SearcherKind::Grid => {
-            optimal_weights_with_steps(tune.heuristic, &scenario, tune.coarse, tune.fine)
-        }
-        SearcherKind::Anneal { seed, iterations } => anneal_weights(
-            tune.heuristic,
-            &scenario,
-            &AnnealConfig {
-                seed,
-                iterations: iterations as usize,
-                coarse: tune.coarse,
-                ..AnnealConfig::default()
-            },
-        ),
-    };
-    match found {
+    match optimal_weights_with_steps(tune.heuristic, &scenario, tune.coarse, tune.fine) {
         Some(o) => {
             println!(
                 "{} on {}: best compliant weights {} -> T100 = {} ({} runs searched)",

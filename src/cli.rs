@@ -23,7 +23,6 @@ use adhoc_grid::units::Dur;
 use grid_broker::proto::{MapRequest, OpenRequest, ScenarioSpec};
 use grid_sweep::heuristic::Heuristic;
 use grid_sweep::weight_search::check_steps;
-use grid_sweep::{AnnealConfig, SearcherKind};
 use lagrange::step::StepRule;
 use lagrange::weights::Weights;
 use slrh::{Adaptation, ConfigError, SlrhConfig, SlrhVariant};
@@ -76,9 +75,8 @@ open-system options (open; submit/watch with --open):
 commands:
   run      map the workload locally; deterministic report on stdout
   tune     search the compliant (alpha, beta) maximizing T100
+           over the paper's two-stage grid
            [--coarse X --fine Y  search steps (default 0.1, 0.02)]
-           [--searcher grid|anneal(SEED, ITERS)  (default grid)]
-           [--sa-seed S --sa-iters N  shorthand for an annealing searcher]
   export   write the generated workload to --out FILE
   replay   map a workload read from --in FILE (alias of run --in)
   churn    run --heuristic slrh1 with churn events and a Gantt chart
@@ -191,8 +189,6 @@ pub struct Tune {
     pub coarse: f64,
     /// Fine refinement step.
     pub fine: f64,
-    /// Which weight searcher to run.
-    pub searcher: SearcherKind,
 }
 
 /// `export` arguments.
@@ -641,9 +637,6 @@ fn parse_tune(argv: &[String]) -> Result<Tune, CliError> {
     let mut heuristic = Heuristic::Slrh1;
     let mut coarse = 0.1f64;
     let mut fine = 0.02f64;
-    let mut searcher: Option<SearcherKind> = None;
-    let mut sa_seed: Option<u64> = None;
-    let mut sa_iters: Option<u32> = None;
     while let Some(flag) = cursor.next_flag()? {
         if workload.accept(flag, &mut cursor)? {
             continue;
@@ -652,40 +645,15 @@ fn parse_tune(argv: &[String]) -> Result<Tune, CliError> {
             "--heuristic" => heuristic = typed(flag, cursor.value(flag)?)?,
             "--coarse" => coarse = typed(flag, cursor.value(flag)?)?,
             "--fine" => fine = typed(flag, cursor.value(flag)?)?,
-            "--searcher" => searcher = Some(typed(flag, cursor.value(flag)?)?),
-            "--sa-seed" => sa_seed = Some(parse_seed(flag, cursor.value(flag)?)?),
-            "--sa-iters" => sa_iters = Some(typed(flag, cursor.value(flag)?)?),
             other => return Err(CliError::new(format!("unknown flag {other:?} for tune"))),
         }
     }
     check_steps(coarse, fine).map_err(|e| CliError::new(format!("--coarse/--fine: {e}")))?;
-    let searcher = match (searcher, sa_seed, sa_iters) {
-        (Some(s), None, None) => s,
-        (None, None, None) => SearcherKind::Grid,
-        (None, seed, iters) => {
-            // The shorthand flags imply an annealing searcher with the
-            // defaults of `AnnealConfig` for whichever knob is absent.
-            let d = AnnealConfig::default();
-            SearcherKind::Anneal {
-                seed: seed.unwrap_or(d.seed),
-                iterations: iters.unwrap_or(d.iterations as u32),
-            }
-        }
-        (Some(_), _, _) => {
-            return Err(CliError::new(
-                "--sa-seed/--sa-iters cannot be combined with --searcher",
-            ));
-        }
-    };
-    if sa_iters == Some(0) {
-        return Err(CliError::new("--sa-iters must be positive"));
-    }
     Ok(Tune {
         scenario: workload.build()?,
         heuristic,
         coarse,
         fine,
-        searcher,
     })
 }
 
@@ -794,18 +762,20 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_hard_errors() {
-        for (cmd, flag) in [
-            ("run", "--addr"),      // remote-only flag on a local command
-            ("run", "--frobnicate"),
-            ("tune", "--gantt"),
-            ("serve", "--tasks"),
-            ("status", "--workers"),
+        for line in [
+            "run --addr x", // remote-only flag on a local command
+            "run --frobnicate x",
+            "tune --gantt x",
+            // The retired annealing searcher's flags, the grid selector
+            // included: there is nothing left to select.
+            "tune --sa-seed 1",
+            "tune --sa-iters 8",
+            "tune --searcher grid",
+            "serve --tasks x",
+            "status --workers x",
         ] {
-            let err = parse(&args(&format!("{cmd} {flag} x"))).unwrap_err();
-            assert!(
-                err.message.contains("unknown flag"),
-                "{cmd} {flag}: {err}"
-            );
+            let err = parse(&args(line)).unwrap_err();
+            assert!(err.message.contains("unknown flag"), "{line}: {err}");
         }
     }
 
@@ -1048,41 +1018,18 @@ mod tests {
 
     #[test]
     fn tune_searcher_flags_parse() {
+        // The grid search is the only searcher; its two steps are its
+        // only knobs.
         let Command::Tune(grid) = parse(&args("tune")).unwrap() else {
             panic!()
         };
-        assert_eq!(grid.searcher, SearcherKind::Grid);
+        assert_eq!((grid.coarse, grid.fine), (0.1, 0.02));
+        assert_eq!(grid.heuristic, Heuristic::Slrh1);
 
-        // The searcher value contains a space, so build the argv by hand
-        // (a real shell passes it as one quoted word).
-        let argv: Vec<String> = ["tune", "--searcher", "anneal(7, 24)"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let Command::Tune(t) = parse(&argv).unwrap() else {
+        let Command::Tune(t) = parse(&args("tune --coarse 0.25 --fine 0.05")).unwrap() else {
             panic!()
         };
-        assert_eq!(t.searcher, SearcherKind::Anneal { seed: 7, iterations: 24 });
-
-        let Command::Tune(short) = parse(&args("tune --sa-seed 0x2a --sa-iters 12")).unwrap()
-        else {
-            panic!()
-        };
-        assert_eq!(short.searcher, SearcherKind::Anneal { seed: 42, iterations: 12 });
-
-        // Shorthand halves default the other knob from AnnealConfig.
-        let Command::Tune(seeded) = parse(&args("tune --sa-seed 9")).unwrap() else {
-            panic!()
-        };
-        let d = AnnealConfig::default();
-        assert_eq!(
-            seeded.searcher,
-            SearcherKind::Anneal { seed: 9, iterations: d.iterations as u32 }
-        );
-
-        assert!(parse(&args("tune --searcher grid --sa-seed 1")).is_err());
-        assert!(parse(&args("tune --sa-iters 0")).is_err());
-        assert!(parse(&args("tune --searcher nosuch")).is_err());
+        assert_eq!((t.coarse, t.fine), (0.25, 0.05));
     }
 
     #[test]
