@@ -10,13 +10,15 @@
 //! counters), never wall-clock times or thread identities.
 
 use adhoc_grid::io::kv;
-use adhoc_grid::units::check_input_tasks;
+use adhoc_grid::units::{check_input_tasks, MAX_INPUT_SUITE};
 use gridsim::metrics::Metrics;
 use gridsim::validate::validate;
 use grid_sweep::campaign::{canonical_report, run_case_unit, CampaignConfig, CaseRow};
 use grid_sweep::weight_search::check_steps;
 use adhoc_grid::workload::{ScenarioParams, ScenarioSet};
 use slrh::open::{run_open_in, OpenOutcome};
+use gridsim::state::SimState;
+use slrh::dynamic::{validate_arrivals, validate_loss};
 use slrh::{run_slrh_with, Churn, RunContext, RunStats, TickEvent};
 
 use crate::checkpoint::Checkpoint;
@@ -151,7 +153,7 @@ pub fn execute_map_counted(
                     invalidated,
                 });
             }
-            let valid = validate(&out.state).is_empty();
+            let valid = schedule_valid(&out.state, &churn);
             let report = render_report(
                 req,
                 &ReportBody {
@@ -195,6 +197,15 @@ pub fn execute_map_counted(
         }
     };
     Ok((MapResponse { job, report }, stats))
+}
+
+/// A report's `valid=`: the independent validator finds nothing, no
+/// work remains on a lost machine past its loss, and nothing touches an
+/// arriving machine before its arrival.
+fn schedule_valid(state: &SimState<'_>, churn: &Churn) -> bool {
+    validate(state).is_empty()
+        && validate_loss(state, churn.losses()).is_empty()
+        && validate_arrivals(state, churn.arrivals()).is_empty()
 }
 
 /// Render the deterministic report for a finished open-system run.
@@ -275,7 +286,7 @@ pub fn execute_open(
         &churn,
         ctx,
         Some(&mut |state: &gridsim::state::SimState<'_>, r: &slrh::open::OpenJobReport| {
-            all_valid &= validate(state).is_empty();
+            all_valid &= schedule_valid(state, &churn);
             emit(Event::Job {
                 job,
                 id: r.job.id,
@@ -297,6 +308,19 @@ pub fn execute_open(
     Ok(MapResponse { job, report })
 }
 
+/// Refuse an empty suite (which `ScenarioSet::new` would assert on) and
+/// one of more than [`MAX_INPUT_SUITE`] scenarios, before anything is
+/// sized by it.
+fn check_suite(etc_count: usize, dag_count: usize) -> Result<(), String> {
+    if etc_count == 0 || dag_count == 0 {
+        return Err("etc-count and dag-count must be positive".into());
+    }
+    match etc_count.checked_mul(dag_count) {
+        Some(n) if n <= MAX_INPUT_SUITE => Ok(()),
+        _ => Err(format!("etc-count x dag-count must be at most {MAX_INPUT_SUITE}")),
+    }
+}
+
 /// Execute a campaign batch job, one [`run_case_unit`] per
 /// (heuristic, case) cell, emitting a [`Event::Unit`] after each and
 /// recording it in the checkpoint (when one was requested) so a killed
@@ -310,6 +334,7 @@ pub fn execute_campaign(
         return Err("tasks must be positive".into());
     }
     check_input_tasks(req.tasks)?;
+    check_suite(req.etc_count, req.dag_count)?;
     check_steps(req.coarse, req.fine)?;
     let cfg = CampaignConfig {
         set: ScenarioSet::new(ScenarioParams::paper_scaled(req.tasks), req.etc_count, req.dag_count),
@@ -561,6 +586,54 @@ mod tests {
         assert_eq!(execute_campaign(1, &campaign, &mut |_| {}).unwrap_err(), refusal);
     }
 
+    /// An empty suite used to reach `ScenarioSet::new`'s `assert!` and
+    /// answer "job panicked"; a huge one would have sized its id pairs
+    /// before running anything. Both are refused up front: the huge ones
+    /// return at once, so this test allocates nothing per suite member.
+    #[test]
+    fn suite_sizes_that_are_empty_or_past_the_cap_are_errors() {
+        let suite = |etc_count, dag_count| {
+            let mut req = campaign_request(0.1, 0.05);
+            (req.etc_count, req.dag_count) = (etc_count, dag_count);
+            execute_campaign(1, &req, &mut |_| panic!("no unit may run")).unwrap_err()
+        };
+        for (e, d) in [(0, 2), (2, 0), (0, 0)] {
+            assert_eq!(suite(e, d), "etc-count and dag-count must be positive", "{e}x{d}");
+        }
+        let refusal = format!("etc-count x dag-count must be at most {MAX_INPUT_SUITE}");
+        for (e, d) in [(MAX_INPUT_SUITE + 1, 1), (1 << 20, 1 << 20), (usize::MAX, 2)] {
+            assert_eq!(suite(e, d), refusal, "{e}x{d}");
+        }
+    }
+
+    /// `valid=` applies the churn rules: a schedule the validator passes
+    /// is still invalid when work on a machine outlives its loss.
+    #[test]
+    fn schedule_validity_checks_the_loss_and_arrival_rules() {
+        use adhoc_grid::config::MachineId;
+        use adhoc_grid::task::Version;
+        use adhoc_grid::workload::Scenario;
+        use gridsim::plan::Placement;
+
+        let sc = Scenario::generate(&ScenarioParams::paper_scaled(8), GridCase::A, 0, 0);
+        let mut st = SimState::new(&sc);
+        let &t = st.ready_tasks().first().expect("roots");
+        let plan = st.plan(t, Version::Secondary, MachineId(0), Placement::Append {
+            not_before: Time(100),
+        });
+        st.commit(&plan);
+        let none = Churn::from_pairs([], [], sc.grid.len()).unwrap();
+        assert!(schedule_valid(&st, &none));
+        // Machine 0 is lost at tick 110, before that work finishes.
+        let lost = Churn::from_pairs([(0, 110)], [], sc.grid.len()).unwrap();
+        st.mark_lost(MachineId(0), Time(110));
+        assert!(validate(&st).is_empty(), "the validator alone does not see the loss");
+        assert!(!schedule_valid(&st, &lost));
+        // A trace that has machine 0 arrive after the work started.
+        let late = Churn::from_pairs([], [(0, 150)], sc.grid.len()).unwrap();
+        assert!(!schedule_valid(&st, &late));
+    }
+
     /// The largest ΔT, H, τ, arrival and deadline the rules accept run to
     /// completion, under both AET signs and both triggers.
     #[test]
@@ -600,7 +673,6 @@ mod tests {
         req.config = req.config.with_adaptation(slrh::Adaptation {
             rule: lagrange::step::StepRule::Constant { a: 0.5 },
             every: 2,
-            ..slrh::Adaptation::default()
         });
         let a = execute_map(2, &req, &mut RunContext::new(), &mut |_| {}).unwrap();
         assert!(a.report.contains("weight-updates="), "{}", a.report);

@@ -639,6 +639,61 @@ fn raw_reply_bytes_are_the_typed_encoding_of_the_jobs_messages() {
     daemon.join();
 }
 
+/// The adaptation bounds and the warm start are retired. A config line
+/// the daemon used to accept names them; the daemon refuses any value
+/// but the two constants with an error frame naming the knob, keeps the
+/// connection, and runs the legacy `; amin=0.05; lmax=8.0` line as the
+/// same job a bare adaptive line is.
+#[test]
+fn retired_adaptation_keys_get_error_frames_on_a_live_connection() {
+    use grid_broker::proto::Request;
+    use std::io::Write;
+
+    let mut req = map_request("retired", Heuristic::Slrh1, 24, 3);
+    req.config = req.config.with_adaptation(slrh::Adaptation {
+        rule: lagrange::step::StepRule::Diminishing { a: 0.5 },
+        every: 10,
+    });
+    let frame = Request::Map(req.clone()).to_frame().encode();
+    let config_line = format!("config={}\n", req.config);
+    assert!(frame.contains(&config_line), "{frame}");
+    let with_tail = |tail: &str| {
+        frame.replace(&config_line, &format!("config={}; {tail}\n", req.config))
+    };
+
+    let daemon = daemon(1);
+    let stream = std::net::TcpStream::connect(daemon.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = std::io::BufReader::new(stream);
+    let mut answer = |text: &str| {
+        writer.write_all(text.as_bytes()).expect("send");
+        loop {
+            let frame = adhoc_grid::io::wire::read_frame(&mut reader)
+                .expect("read")
+                .expect("a reply");
+            if frame.kind != "event" {
+                return frame;
+            }
+        }
+    };
+    for (tail, names) in [
+        ("amin=0.1", "amin=0.1 is retired"),
+        ("lmax=4", "lmax=4 is retired"),
+        ("warm=(0.4, 0.2)", "put the starting weights in w= instead"),
+    ] {
+        let reply = answer(&with_tail(tail));
+        assert_eq!(reply.kind, "error", "{tail}");
+        let message = reply.raw("message").expect("message block");
+        assert!(message.contains(names), "{tail}: {message}");
+    }
+    let reply = answer(&with_tail("amin=0.05; lmax=8.0"));
+    assert_eq!(reply.kind, "map-response");
+    assert_eq!(reply.raw("report").expect("report block"), local_report(&req));
+
+    daemon.shutdown();
+    daemon.join();
+}
+
 /// A shutdown that arrives while a paper-scale job is streaming its
 /// events (one per committing tick, about a thousand) drains it: the
 /// client gets every event and the same report a local run renders.

@@ -63,26 +63,8 @@ fn step_rules() -> impl Strategy<Value = StepRule> {
 }
 
 fn adaptations() -> impl Strategy<Value = Option<Adaptation>> {
-    (
-        (any::<bool>(), any::<bool>()),
-        step_rules(),
-        1u64..16,
-        // `Adaptation::check` wants the α floor in (0, 1]: draw (0, 0.2].
-        (0.0f64..0.2).prop_map(|x| 0.2 - x),
-        1.0f64..32.0,
-        weights(),
-    )
-        .prop_map(
-            |((on, warm), rule, every, min_alpha, max_multiplier, w)| {
-                on.then_some(Adaptation {
-                    rule,
-                    every,
-                    min_alpha,
-                    max_multiplier,
-                    warm_start: warm.then_some(w),
-                })
-            },
-        )
+    (any::<bool>(), step_rules(), 1u64..16)
+        .prop_map(|(on, rule, every)| on.then_some(Adaptation { rule, every }))
 }
 
 fn configs() -> impl Strategy<Value = SlrhConfig> {

@@ -2,7 +2,7 @@
 //! and the opt-in online weight [`Adaptation`] block.
 
 use adhoc_grid::units::{Dur, MAX_INPUT_TICKS};
-use lagrange::online::OnlineProjection;
+use lagrange::online::{MAX_MULTIPLIER, MIN_ALPHA};
 use lagrange::step::StepRule;
 use lagrange::weights::{AetSign, Objective, Weights};
 
@@ -107,9 +107,10 @@ impl MachineOrder {
 /// When a configuration carries an `Adaptation`, the mapper re-derives
 /// the constraint violations every `every`-th clock tick and replaces
 /// the objective weights with one projected subgradient step
-/// ([`lagrange::online::adapt_step`]). With `adaptation: None` — the
-/// default everywhere — the loop is byte-identical to the legacy
-/// fixed-weight path.
+/// ([`lagrange::online::adapt_step`]; its α floor and multiplier cap
+/// are constants of that module). A run starts from the objective's
+/// weights. With `adaptation: None` — the default everywhere — the loop
+/// is byte-identical to the legacy fixed-weight path.
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub struct Adaptation {
     /// Subgradient step-size schedule.
@@ -118,71 +119,39 @@ pub struct Adaptation {
     /// first update happens at tick `every` — tick 0 always runs on the
     /// starting weights.
     pub every: u64,
-    /// Floor on α after each update (must be in `(0, 1]`).
-    pub min_alpha: f64,
-    /// Ceiling on each multiplier `λ_e`, `λ_t` (must be positive).
-    pub max_multiplier: f64,
-    /// Weights to start the run from, overriding the objective's.
-    /// `None` starts from the configured weights — the warm-start slot
-    /// exists so a grid-searched or previously-adapted triple can seed a
-    /// new run, per the paper's motivation for the Lagrangian approach.
-    pub warm_start: Option<Weights>,
 }
 
 impl Default for Adaptation {
     /// Defaults established by the EXPERIMENTS.md Cases A/B/C study: a
     /// constant step (the right schedule for a drifting target), updated
-    /// every tick, with a 5 % α floor and multipliers capped at 8.
+    /// every tick.
     fn default() -> Adaptation {
         Adaptation {
             rule: StepRule::Constant { a: 0.25 },
             every: 1,
-            min_alpha: 0.05,
-            max_multiplier: 8.0,
-            warm_start: None,
         }
     }
 }
 
 impl Adaptation {
-    /// The projection bounds as the lagrange-level type.
-    pub fn projection(&self) -> OnlineProjection {
-        OnlineProjection {
-            min_alpha: self.min_alpha,
-            max_multiplier: self.max_multiplier,
-        }
-    }
-
     /// Assemble a block from the optional parts every textual surface
     /// carries (config string, CLI flags, corpus keys): no rule means no
-    /// adaptation, and then no other part may be present; with a rule,
-    /// missing parts take [`Adaptation::default`]'s values and the
-    /// result is [checked](Adaptation::check).
+    /// adaptation, and then no cadence may be present; with a rule, a
+    /// missing cadence takes [`Adaptation::default`]'s and the result is
+    /// [checked](Adaptation::check).
     pub fn from_parts(
         rule: Option<StepRule>,
         every: Option<u64>,
-        min_alpha: Option<f64>,
-        max_multiplier: Option<f64>,
-        warm_start: Option<Weights>,
     ) -> Result<Option<Adaptation>, ConfigError> {
         let Some(rule) = rule else {
-            let orphan = every.is_some()
-                || min_alpha.is_some()
-                || max_multiplier.is_some()
-                || warm_start.is_some();
-            return if orphan {
-                Err(ConfigError::AdaptWithoutRule)
-            } else {
-                Ok(None)
+            return match every {
+                Some(_) => Err(ConfigError::AdaptWithoutRule),
+                None => Ok(None),
             };
         };
-        let defaults = Adaptation::default();
         let adaptation = Adaptation {
             rule,
-            every: every.unwrap_or(defaults.every),
-            min_alpha: min_alpha.unwrap_or(defaults.min_alpha),
-            max_multiplier: max_multiplier.unwrap_or(defaults.max_multiplier),
-            warm_start,
+            every: every.unwrap_or(Adaptation::default().every),
         };
         adaptation.check()?;
         Ok(Some(adaptation))
@@ -192,12 +161,6 @@ impl Adaptation {
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.every == 0 {
             return Err(ConfigError::ZeroAdaptEvery);
-        }
-        // Written so NaN bounds fail too (the comparisons come out false).
-        let alpha_ok = self.min_alpha > 0.0 && self.min_alpha <= 1.0;
-        let multiplier_ok = self.max_multiplier > 0.0 && self.max_multiplier.is_finite();
-        if !alpha_ok || !multiplier_ok {
-            return Err(ConfigError::BadAdaptProjection);
         }
         Ok(())
     }
@@ -336,22 +299,6 @@ impl SlrhConfig {
     pub fn with_scale(self, _: ScaleMode) -> SlrhConfig {
         self
     }
-
-    /// The run-local working copy a driver should start from: the
-    /// adaptation block's warm-start weights (when any) applied to the
-    /// objective. Every SLRH entry point makes exactly one such copy per
-    /// run and lets the clock loop mutate its weights in place, so the
-    /// adapted weights persist across churn segments but never escape
-    /// into the caller's configuration.
-    pub(crate) fn armed(&self) -> SlrhConfig {
-        let mut run = *self;
-        if let Some(adaptation) = run.adaptation {
-            if let Some(w) = adaptation.warm_start {
-                run.objective.weights = w;
-            }
-        }
-        run
-    }
 }
 
 impl Trigger {
@@ -416,8 +363,8 @@ impl std::fmt::Display for SlrhConfig {
     /// configuration exactly — the CLI, the broker wire protocol and
     /// fixture headers all name configurations through this one form.
     ///
-    /// The adaptation components (`adapt=`, `every=`, `amin=`, `lmax=`,
-    /// `warm=`) are appended **only** when the configuration carries an
+    /// The adaptation components (`adapt=`, `every=`) are appended
+    /// **only** when the configuration carries an
     /// adaptation block, so a fixed-weight configuration renders as the
     /// bare prefix above.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -437,14 +384,7 @@ impl std::fmt::Display for SlrhConfig {
             if self.allow_secondary { "on" } else { "off" },
         )?;
         if let Some(a) = &self.adaptation {
-            write!(
-                f,
-                "; adapt={}; every={}; amin={:?}; lmax={:?}",
-                a.rule, a.every, a.min_alpha, a.max_multiplier
-            )?;
-            if let Some(w) = &a.warm_start {
-                write!(f, "; warm={w}")?;
-            }
+            write!(f, "; adapt={}; every={}", a.rule, a.every)?;
         }
         Ok(())
     }
@@ -463,6 +403,12 @@ impl std::str::FromStr for SlrhConfig {
     /// `spill=N` are still accepted (value shape checked) and discarded,
     /// so v1 requests and fixture headers recorded while they existed
     /// keep parsing.
+    ///
+    /// The retired adaptation bounds `amin=` and `lmax=` are accepted
+    /// and discarded at the only values an adaptive line ever rendered
+    /// (`amin=0.05`, `lmax=8.0`, the constants of
+    /// [`lagrange::online`]); any other value, and the retired warm
+    /// start `warm=`, would have changed the run and is refused.
     fn from_str(s: &str) -> Result<SlrhConfig, String> {
         let mut parts = s.split(';').map(str::trim);
         let variant: SlrhVariant = parts
@@ -475,9 +421,6 @@ impl std::str::FromStr for SlrhConfig {
         let mut seen: Vec<String> = Vec::new();
         let mut adapt_rule: Option<StepRule> = None;
         let mut adapt_every: Option<u64> = None;
-        let mut adapt_amin: Option<f64> = None;
-        let mut adapt_lmax: Option<f64> = None;
-        let mut adapt_warm: Option<Weights> = None;
         for part in parts {
             if part.is_empty() {
                 continue;
@@ -527,25 +470,32 @@ impl std::str::FromStr for SlrhConfig {
                     adapt_every =
                         Some(value.parse().map_err(|e| format!("bad every {value:?}: {e}"))?)
                 }
-                "amin" => {
-                    adapt_amin =
-                        Some(value.parse().map_err(|e| format!("bad amin {value:?}: {e}"))?)
+                "amin" => retired_bound(key, value, MIN_ALPHA, "the α floor")?,
+                "lmax" => retired_bound(key, value, MAX_MULTIPLIER, "the multiplier cap")?,
+                "warm" => {
+                    return Err(format!(
+                        "warm={value} is retired: the warm start is gone, \
+                         put the starting weights in w= instead"
+                    ))
                 }
-                "lmax" => {
-                    adapt_lmax =
-                        Some(value.parse().map_err(|e| format!("bad lmax {value:?}: {e}"))?)
-                }
-                "warm" => adapt_warm = Some(value.parse()?),
                 other => return Err(format!("unknown SLRH config component {other:?}")),
             }
         }
         config.objective.weights =
             weights.ok_or_else(|| format!("SLRH config {s:?} names no weights (w=...)"))?;
         config.adaptation =
-            Adaptation::from_parts(adapt_rule, adapt_every, adapt_amin, adapt_lmax, adapt_warm)
-                .map_err(|e| e.to_string())?;
+            Adaptation::from_parts(adapt_rule, adapt_every).map_err(|e| e.to_string())?;
         config.check().map_err(|e| e.to_string())?;
         Ok(config)
+    }
+}
+
+/// Accept a retired adaptation bound (`amin=`, `lmax=`) only at the
+/// constant that replaced it.
+fn retired_bound(key: &str, value: &str, fixed: f64, what: &str) -> Result<(), String> {
+    match value.parse::<f64>() {
+        Ok(v) if v.to_bits() == fixed.to_bits() => Ok(()),
+        _ => Err(format!("{key}={value} is retired: {what} is fixed at {fixed:?}")),
     }
 }
 
@@ -572,11 +522,8 @@ pub enum ConfigError {
     HorizonTooLarge,
     /// The adaptation cadence must be at least one tick.
     ZeroAdaptEvery,
-    /// The adaptation projection needs `0 < amin <= 1` and a finite
-    /// `lmax > 0`.
-    BadAdaptProjection,
-    /// A cadence, projection bound or warm start was given without the
-    /// step rule that switches adaptation on.
+    /// A cadence was given without the step rule that switches
+    /// adaptation on.
     AdaptWithoutRule,
 }
 
@@ -594,12 +541,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroAdaptEvery => {
                 f.write_str("the adaptation cadence (every=) must be at least one tick")
             }
-            ConfigError::BadAdaptProjection => f.write_str(
-                "the adaptation projection needs 0 < amin <= 1 and a finite lmax > 0",
-            ),
-            ConfigError::AdaptWithoutRule => f.write_str(
-                "the adaptation settings (every, amin, lmax, warm) require an adaptation rule",
-            ),
+            ConfigError::AdaptWithoutRule => {
+                f.write_str("the adaptation cadence (every) requires an adaptation rule")
+            }
         }
     }
 }
@@ -639,10 +583,6 @@ mod tests {
         assert_eq!(
             broken(&adapt(Adaptation { every: 0, ..Adaptation::default() })),
             ConfigError::ZeroAdaptEvery
-        );
-        assert_eq!(
-            broken(&adapt(Adaptation { max_multiplier: f64::INFINITY, ..Adaptation::default() })),
-            ConfigError::BadAdaptProjection
         );
 
         // The cap itself is a legal value, in the struct and in the string.
@@ -761,21 +701,38 @@ mod tests {
                 max_step: 0.25,
             },
             every: 4,
-            min_alpha: 0.1,
-            max_multiplier: 6.5,
-            warm_start: Some(Weights::new(0.4, 0.2).unwrap()),
         });
         let text = c.to_string();
-        assert!(text.contains("adapt=polyak(1.5, 0.25)"), "{text}");
-        assert!(text.contains("warm=(α=0.4"), "{text}");
+        assert!(text.ends_with("; adapt=polyak(1.5, 0.25); every=4"), "{text}");
         let back: SlrhConfig = text.parse().expect("adaptive config parses");
         assert_eq!(back, c);
+    }
 
-        // Without warm start the warm component is omitted entirely.
-        c.adaptation.as_mut().unwrap().warm_start = None;
-        let text = c.to_string();
-        assert!(!text.contains("warm="), "{text}");
-        assert_eq!(text.parse::<SlrhConfig>().expect("parses"), c);
+    /// Every adaptive line the retired bounds were rendered into ends
+    /// `; amin=0.05; lmax=8.0`: it parses to the same run. Any other
+    /// bound, and any warm start, names the retired knob and is refused.
+    #[test]
+    fn retired_adaptation_bounds_parse_only_at_their_constants() {
+        let c = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap())
+            .with_adaptation(Adaptation {
+                rule: StepRule::Diminishing { a: 0.5 },
+                every: 10,
+            });
+        let legacy = format!("{c}; amin=0.05; lmax=8.0");
+        assert_eq!(legacy.parse::<SlrhConfig>().expect("legacy line parses"), c);
+        assert_eq!(format!("{c}; lmax=8").parse::<SlrhConfig>(), Ok(c));
+        // Without a rule the constants change nothing either.
+        let paper = SlrhConfig { adaptation: None, ..c };
+        assert_eq!(format!("{paper}; amin=0.05").parse::<SlrhConfig>(), Ok(paper));
+        for (tail, names) in [
+            ("amin=0.1", "amin=0.1 is retired"),
+            ("lmax=4", "lmax=4 is retired"),
+            ("amin=x", "amin=x is retired"),
+            ("warm=(0.4, 0.2)", "put the starting weights in w= instead"),
+        ] {
+            let err = format!("{c}; {tail}").parse::<SlrhConfig>().unwrap_err();
+            assert!(err.contains(names), "{tail}: {err}");
+        }
     }
 
     #[test]
@@ -787,16 +744,9 @@ mod tests {
     }
 
     #[test]
-    fn adapt_satellite_keys_require_the_rule() {
-        for s in [
-            "SLRH-1; w=(0.5, 0.3); every=2",
-            "SLRH-1; w=(0.5, 0.3); amin=0.1",
-            "SLRH-1; w=(0.5, 0.3); lmax=4.0",
-            "SLRH-1; w=(0.5, 0.3); warm=(0.4, 0.2)",
-        ] {
-            let err = s.parse::<SlrhConfig>().unwrap_err();
-            assert_eq!(err, ConfigError::AdaptWithoutRule.to_string(), "{s}");
-        }
+    fn a_cadence_requires_the_rule() {
+        let err = "SLRH-1; w=(0.5, 0.3); every=2".parse::<SlrhConfig>().unwrap_err();
+        assert_eq!(err, ConfigError::AdaptWithoutRule.to_string());
     }
 
     #[test]
@@ -804,8 +754,8 @@ mod tests {
         for s in [
             "SLRH-1; w=(0.5, 0.3); adapt=constant(0.25); every=0",
             "SLRH-1; w=(0.5, 0.3); adapt=constant(0.25); amin=0.0",
-            "SLRH-1; w=(0.5, 0.3); adapt=constant(0.25); amin=1.5",
             "SLRH-1; w=(0.5, 0.3); adapt=constant(0.25); lmax=0.0",
+            "SLRH-1; w=(0.5, 0.3); adapt=constant(0.25); amin=0.05; amin=0.05",
             "SLRH-1; w=(0.5, 0.3); adapt=newton(0.25)",
         ] {
             assert!(s.parse::<SlrhConfig>().is_err(), "accepted {s:?}");
@@ -834,21 +784,5 @@ mod tests {
         ] {
             assert!(s.parse::<SlrhConfig>().is_err(), "accepted {s:?}");
         }
-    }
-
-    #[test]
-    fn armed_applies_the_warm_start_only() {
-        let w = Weights::new(0.5, 0.3).unwrap();
-        let warm = Weights::new(0.4, 0.2).unwrap();
-        let base = SlrhConfig::paper(SlrhVariant::V1, w);
-        // No adaptation: armed is an identity copy.
-        assert_eq!(base.armed(), base);
-        let adaptive = base.with_adaptation(Adaptation {
-            warm_start: Some(warm),
-            ..Adaptation::default()
-        });
-        let armed = adaptive.armed();
-        assert_eq!(armed.objective.weights, warm);
-        assert_eq!(armed.adaptation, adaptive.adaptation);
     }
 }

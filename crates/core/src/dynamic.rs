@@ -301,9 +301,10 @@ pub(crate) fn drive_segments<'a, K: Kernel>(
     let mut stats = RunStats::default();
     let mut disruptions = Vec::new();
     let mut now = start;
-    // One armed copy spans every segment, so adapted weights (and the
-    // tick schedule carried by `stats.clock_steps`) survive loss events.
-    let mut run = config.armed();
+    // One run-local copy spans every segment, so adapted weights (and
+    // the tick schedule carried by `stats.clock_steps`) survive loss
+    // events but never escape into the caller's configuration.
+    let mut run = *config;
 
     for ev in losses {
         // Manual reborrow: `as_deref_mut` would pin the trait object's

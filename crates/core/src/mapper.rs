@@ -83,8 +83,8 @@ pub struct SlrhOutcome<'a> {
     pub disruptions: Vec<(Time, usize)>,
     /// The objective weights in force when the run ended. Identical to
     /// the configured weights unless online adaptation moved them; one
-    /// armed configuration spans the whole run, so adapted weights carry
-    /// *across* loss segments.
+    /// run-local configuration spans the whole run, so adapted weights
+    /// carry *across* loss segments.
     pub final_weights: Weights,
 }
 
@@ -309,8 +309,8 @@ pub(crate) trait Kernel {
 ///
 /// The configuration is mutable because online adaptation (when the
 /// config carries an [`crate::config::Adaptation`] block) rewrites the
-/// objective weights in place; callers hand in a run-local
-/// [`SlrhConfig::armed`] copy, never their own configuration. Tick
+/// objective weights in place; callers hand in a run-local copy, never
+/// their own configuration. Tick
 /// indices — and therefore the adaptation schedule — are carried by
 /// `stats.clock_steps`, which is monotone across the segments of a
 /// multi-segment (churn) run.
@@ -365,7 +365,6 @@ pub(crate) fn drive<K: Kernel>(
                 let g = predicted_violations(state, now);
                 let next = lagrange::online::adapt_step(
                     &ad.rule,
-                    &ad.projection(),
                     config.objective.weights,
                     tick / ad.every,
                     g,
@@ -741,14 +740,13 @@ mod tests {
         let cfg = config(SlrhVariant::V1).with_adaptation(Adaptation {
             rule: StepRule::Constant { a: 0.5 },
             every: 2,
-            ..Adaptation::default()
         });
         let out = run_slrh(&sc, &cfg);
         let errs = validate(&out.state);
         assert!(errs.is_empty(), "{errs:?}");
         assert!(out.stats.weight_updates > 0, "no weight ever moved");
         assert_ne!(out.final_weights, cfg.objective.weights);
-        // The caller's configuration is never mutated (armed copies only).
+        // The caller's configuration is never mutated (run-local copies only).
         assert_eq!(cfg.objective.weights, config(SlrhVariant::V1).objective.weights);
         // Determinism: the adaptive trajectory replays exactly.
         let again = run_slrh(&sc, &cfg);
@@ -908,10 +906,9 @@ mod tests {
             cfg = cfg.with_adaptation(Adaptation {
                 rule: StepRule::Constant { a: 0.5 },
                 every,
-                ..Adaptation::default()
             });
         }
-        let mut run = cfg.armed();
+        let mut run = cfg;
         let mut kernel = Scripted {
             wake: None,
             queried: Vec::new(),

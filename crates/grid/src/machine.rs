@@ -73,22 +73,6 @@ impl MachineSpec {
         }
     }
 
-    /// This spec with the battery scaled by `factor` (reduced-scale
-    /// suites and custom grids).
-    ///
-    /// # Panics
-    /// Panics unless `factor` is positive and finite.
-    pub fn scale_battery(&self, factor: f64) -> MachineSpec {
-        assert!(
-            factor > 0.0 && factor.is_finite(),
-            "invalid battery scale {factor}"
-        );
-        MachineSpec {
-            battery: self.battery * factor,
-            ..*self
-        }
-    }
-
     /// Energy consumed by computing for `d` on this machine: `E(j) · d`.
     pub fn compute_energy(&self, d: Dur) -> Energy {
         Energy(self.compute_power * d.as_seconds())

@@ -37,6 +37,16 @@ pub const MAX_INPUT_TICKS: u64 = 1 << 62;
 /// repository carries (the largest is an 8 192-subtask export).
 pub const MAX_INPUT_TASKS: usize = 1 << 16;
 
+/// Largest scenario suite (`etc_count × dag_count` scenarios per case)
+/// accepted from outside the program for one campaign. A campaign unit
+/// holds one id pair, one tuned weight and one set of measurements per
+/// suite member before it reports, so a product nobody bounded would let
+/// one small frame size vectors past any memory, and that allocation
+/// failure aborts the process like an oversized scenario does. 2^12 is
+/// about 40 times the paper's 10 × 10 suite; the campaign executor
+/// refuses a larger (or overflowing) product before sizing anything.
+pub const MAX_INPUT_SUITE: usize = 1 << 12;
+
 /// The one refusal of a subtask count past [`MAX_INPUT_TASKS`].
 pub fn check_input_tasks(tasks: usize) -> Result<(), String> {
     if tasks > MAX_INPUT_TASKS {

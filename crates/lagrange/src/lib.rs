@@ -35,6 +35,6 @@ pub mod step;
 pub mod weights;
 
 pub use dual::{SeparableProblem, Selection};
-pub use online::{adapt_step, OnlineProjection};
+pub use online::adapt_step;
 pub use step::StepRule;
 pub use weights::{AetSign, Objective, ObjectiveInputs, WeightError, Weights};

@@ -16,15 +16,18 @@
 //!
 //! Three projection rules keep the update well-posed:
 //!
-//! * multipliers are clamped into `[0, max_multiplier]` (the dual cone,
+//! * multipliers are clamped into `[0, MAX_MULTIPLIER]` (the dual cone,
 //!   bounded so one catastrophic violation estimate cannot saturate the
 //!   weights forever);
-//! * `α` is floored at `min_alpha > 0`, so the `T100` reward never
+//! * `α` is floored at [`MIN_ALPHA`], so the `T100` reward never
 //!   vanishes and the weight→multiplier direction (`λ = (β, γ)/α`)
 //!   stays defined;
 //! * the result is snapped to the global 1e-9 weight lattice (the same
 //!   `round(v·1e9)` key the sweep's evaluation memo uses), so adapted
 //!   weights compare, memoize, and serialize exactly.
+//!
+//! The floor and the cap are constants, not settings: every caller and
+//! every recorded study ran at these two values.
 //!
 //! A vanishing step — zero violations, or an inert
 //! [`StepRule::Constant`] with `a = 0` — returns the input weights
@@ -38,52 +41,34 @@ use crate::weights::Weights;
 /// sweep's evaluation-memo key.
 const LATTICE: f64 = 1e9;
 
-/// Projection bounds for the online update.
-#[derive(Copy, Clone, PartialEq, Debug)]
-pub struct OnlineProjection {
-    /// Floor on α after the update (must be in `(0, 1]`).
-    pub min_alpha: f64,
-    /// Ceiling on each multiplier `λ_e`, `λ_t` (must be positive).
-    pub max_multiplier: f64,
-}
+/// Floor on α after each update: the `T100` reward never vanishes and
+/// `λ = (β, γ)/α` stays defined on the whole simplex.
+pub const MIN_ALPHA: f64 = 0.05;
 
-impl OnlineProjection {
-    fn validate(&self) {
-        assert!(
-            self.min_alpha > 0.0 && self.min_alpha <= 1.0,
-            "min_alpha {} outside (0, 1]",
-            self.min_alpha
-        );
-        assert!(
-            self.max_multiplier > 0.0 && self.max_multiplier.is_finite(),
-            "max_multiplier {} must be positive and finite",
-            self.max_multiplier
-        );
-    }
-}
+/// Ceiling on each multiplier `λ_e`, `λ_t` after each update.
+pub const MAX_MULTIPLIER: f64 = 8.0;
 
 /// The multipliers `[λ_e, λ_t]` a weight triple encodes:
-/// `λ_e = β/α`, `λ_t = γ/α`, with `α` floored at `min_alpha` so the
+/// `λ_e = β/α`, `λ_t = γ/α`, with `α` floored at [`MIN_ALPHA`] so the
 /// direction is defined on the whole simplex.
-pub fn multipliers_of(w: Weights, min_alpha: f64) -> [f64; 2] {
-    let a = w.alpha().max(min_alpha);
+pub fn multipliers_of(w: Weights) -> [f64; 2] {
+    let a = w.alpha().max(MIN_ALPHA);
     [w.beta() / a, w.gamma() / a]
 }
 
 /// The weight triple a multiplier pair encodes, projected and snapped:
 /// `(α, β, γ) = (1, λ_e, λ_t) / (1 + λ_e + λ_t)`, rescaled so
-/// `α >= min_alpha`, then rounded onto the 1e-9 lattice.
+/// `α >= MIN_ALPHA`, then rounded onto the 1e-9 lattice.
 ///
 /// Snapping is idempotent: feeding the result's `(α, β)` back through
 /// the lattice rounding reproduces it exactly.
-pub fn weights_of(lambda: [f64; 2], proj: &OnlineProjection) -> Weights {
-    proj.validate();
-    let le = lambda[0].clamp(0.0, proj.max_multiplier);
-    let lt = lambda[1].clamp(0.0, proj.max_multiplier);
+pub fn weights_of(lambda: [f64; 2]) -> Weights {
+    let le = lambda[0].clamp(0.0, MAX_MULTIPLIER);
+    let lt = lambda[1].clamp(0.0, MAX_MULTIPLIER);
     let mut denom = 1.0 + le + lt;
     // Enforce the α floor by shrinking both multipliers radially: the
     // dual *direction* is preserved, only its magnitude is capped.
-    let max_denom = 1.0 / proj.min_alpha;
+    let max_denom = 1.0 / MIN_ALPHA;
     let le = if denom > max_denom {
         let scale = (max_denom - 1.0) / (le + lt);
         denom = max_denom;
@@ -93,13 +78,13 @@ pub fn weights_of(lambda: [f64; 2], proj: &OnlineProjection) -> Weights {
     };
     let alpha = 1.0 / denom;
     let beta = le / denom;
-    snap_to_lattice(alpha, beta, proj.min_alpha)
+    snap_to_lattice(alpha, beta)
 }
 
 /// Round `(α, β)` onto the 1e-9 lattice in integer space, keeping
-/// `α >= min_alpha` and `α + β <= 1`.
-pub fn snap_to_lattice(alpha: f64, beta: f64, min_alpha: f64) -> Weights {
-    let min_ai = (min_alpha * LATTICE).round() as i64;
+/// `α >= MIN_ALPHA` and `α + β <= 1`.
+pub fn snap_to_lattice(alpha: f64, beta: f64) -> Weights {
+    let min_ai = (MIN_ALPHA * LATTICE).round() as i64;
     let ai = ((alpha * LATTICE).round() as i64).clamp(min_ai, LATTICE as i64);
     let bi = ((beta * LATTICE).round() as i64).clamp(0, LATTICE as i64 - ai);
     Weights::new(ai as f64 / LATTICE, bi as f64 / LATTICE)
@@ -114,50 +99,35 @@ pub fn snap_to_lattice(alpha: f64, beta: f64, min_alpha: f64) -> Weights {
 /// `k` is 1-based and must advance monotonically across a run (the SLRH
 /// loop passes `tick / every`); the [`StepRule::Diminishing`] schedule
 /// reads it directly, so the update is a pure function of
-/// `(rule, proj, current, k, g)` with no state between calls.
+/// `(rule, current, k, g)` with no state between calls.
 ///
 /// A zero step (vanishing violations, or a rule that yields 0) returns
 /// `current` **unchanged, bit for bit** — no projection, no lattice
 /// snap — so satisfied constraints are an exact fixed point.
 ///
 /// # Panics
-/// Panics when `k == 0` or the projection bounds are malformed.
-pub fn adapt_step(
-    rule: &StepRule,
-    proj: &OnlineProjection,
-    current: Weights,
-    k: u64,
-    violations: [f64; 2],
-) -> Weights {
+/// Panics when `k == 0`.
+pub fn adapt_step(rule: &StepRule, current: Weights, k: u64, violations: [f64; 2]) -> Weights {
     assert!(k >= 1, "adaptation steps are 1-based");
-    proj.validate();
     // On the stack: this runs once per adaptation step of the clock
     // loop, which allocates nothing per tick.
-    let mut lambda =
-        multipliers_of(current, proj.min_alpha).map(|l| l.clamp(0.0, proj.max_multiplier));
+    let mut lambda = multipliers_of(current).map(|l| l.clamp(0.0, MAX_MULTIPLIER));
     if rule.ascend(k as usize, 0.0, &mut lambda, &violations) == 0.0 {
         return current;
     }
-    weights_of(lambda, proj)
+    weights_of(lambda)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn proj() -> OnlineProjection {
-        OnlineProjection {
-            min_alpha: 0.05,
-            max_multiplier: 8.0,
-        }
-    }
-
     #[test]
     fn zero_violations_are_a_bitexact_fixed_point() {
         // An off-lattice weight triple must come back untouched: no snap,
         // no projection.
         let w = Weights::new(1.0 / 3.0, 1.0 / 3.0).unwrap();
-        let out = adapt_step(&StepRule::Constant { a: 0.25 }, &proj(), w, 5, [0.0, 0.0]);
+        let out = adapt_step(&StepRule::Constant { a: 0.25 }, w, 5, [0.0, 0.0]);
         assert_eq!(out.alpha().to_bits(), w.alpha().to_bits());
         assert_eq!(out.beta().to_bits(), w.beta().to_bits());
     }
@@ -165,7 +135,7 @@ mod tests {
     #[test]
     fn inert_rule_is_a_bitexact_fixed_point() {
         let w = Weights::new(0.6000000000000001, 0.2).unwrap();
-        let out = adapt_step(&StepRule::Constant { a: 0.0 }, &proj(), w, 1, [1.5, -0.3]);
+        let out = adapt_step(&StepRule::Constant { a: 0.0 }, w, 1, [1.5, -0.3]);
         assert_eq!(out.alpha().to_bits(), w.alpha().to_bits());
         assert_eq!(out.beta().to_bits(), w.beta().to_bits());
     }
@@ -174,7 +144,7 @@ mod tests {
     fn violations_raise_the_matching_penalty_weight() {
         let w = Weights::new(0.5, 0.3).unwrap();
         // Energy overdraw: β must rise relative to α.
-        let out = adapt_step(&StepRule::Constant { a: 0.5 }, &proj(), w, 1, [1.0, 0.0]);
+        let out = adapt_step(&StepRule::Constant { a: 0.5 }, w, 1, [1.0, 0.0]);
         assert!(
             out.beta() / out.alpha() > w.beta() / w.alpha(),
             "β/α {} -> {}",
@@ -182,23 +152,17 @@ mod tests {
             out.beta() / out.alpha()
         );
         // Slack on both constraints: both multipliers decay, α rises.
-        let out = adapt_step(&StepRule::Constant { a: 0.5 }, &proj(), w, 1, [-1.0, -1.0]);
+        let out = adapt_step(&StepRule::Constant { a: 0.5 }, w, 1, [-1.0, -1.0]);
         assert!(out.alpha() > w.alpha());
     }
 
     #[test]
     fn alpha_floor_holds_under_extreme_violations() {
         let w = Weights::new(0.1, 0.45).unwrap();
-        let out = adapt_step(
-            &StepRule::Constant { a: 100.0 },
-            &proj(),
-            w,
-            1,
-            [1000.0, 1000.0],
-        );
-        assert!(out.alpha() >= 0.05 - 1e-12, "α {} under the floor", out.alpha());
-        // The multiplier ceiling bounds how far from α = min the result
-        // can sit: λ <= 8 each, so α >= 1/17.
+        let out = adapt_step(&StepRule::Constant { a: 100.0 }, w, 1, [1000.0, 1000.0]);
+        assert!(out.alpha() >= MIN_ALPHA - 1e-12, "α {} under the floor", out.alpha());
+        // The multiplier ceiling bounds how far from the floor the
+        // result can sit: λ <= 8 each, so α >= 1/17.
         assert!(out.alpha() >= 1.0 / 17.0 - 1e-9);
     }
 
@@ -209,8 +173,8 @@ mod tests {
         #[allow(clippy::excessive_precision)]
         let cases = [(0.1234567891, 0.555_111_512_312_578_27), (0.05, 0.0), (0.9999999999, 0.0)];
         for (a, b) in cases {
-            let w = snap_to_lattice(a, b, 0.05);
-            let again = snap_to_lattice(w.alpha(), w.beta(), 0.05);
+            let w = snap_to_lattice(a, b);
+            let again = snap_to_lattice(w.alpha(), w.beta());
             assert_eq!(again.alpha().to_bits(), w.alpha().to_bits());
             assert_eq!(again.beta().to_bits(), w.beta().to_bits());
         }
@@ -219,7 +183,7 @@ mod tests {
     #[test]
     fn update_lands_on_the_lattice() {
         let w = Weights::new(1.0 / 3.0, 1.0 / 3.0).unwrap();
-        let out = adapt_step(&StepRule::Diminishing { a: 0.7 }, &proj(), w, 3, [0.4, -0.2]);
+        let out = adapt_step(&StepRule::Diminishing { a: 0.7 }, w, 3, [0.4, -0.2]);
         for v in [out.alpha(), out.beta()] {
             let snapped = (v * 1e9).round() / 1e9;
             assert_eq!(snapped.to_bits(), v.to_bits(), "{v} off the 1e-9 lattice");
@@ -228,9 +192,8 @@ mod tests {
 
     #[test]
     fn roundtrip_through_multipliers_is_stable_on_lattice_points() {
-        let w = snap_to_lattice(0.5, 0.3, 0.05);
-        let l = multipliers_of(w, 0.05);
-        let back = weights_of(l, &proj());
+        let w = snap_to_lattice(0.5, 0.3);
+        let back = weights_of(multipliers_of(w));
         assert_eq!(back.alpha().to_bits(), w.alpha().to_bits());
         assert_eq!(back.beta().to_bits(), w.beta().to_bits());
     }
@@ -240,7 +203,7 @@ mod tests {
     #[test]
     fn step_k_reads_the_diminishing_schedule() {
         let w = Weights::new(0.5, 0.3).unwrap();
-        let got = adapt_step(&StepRule::Diminishing { a: 1.0 }, &proj(), w, 4, [0.4, -0.2]);
+        let got = adapt_step(&StepRule::Diminishing { a: 1.0 }, w, 4, [0.4, -0.2]);
         assert_eq!(got.alpha(), 0.476190476);
         assert_eq!(got.beta(), 0.380952381);
     }
@@ -249,6 +212,6 @@ mod tests {
     #[should_panic(expected = "1-based")]
     fn zeroth_step_rejected() {
         let w = Weights::new(0.5, 0.3).unwrap();
-        adapt_step(&StepRule::Constant { a: 0.1 }, &proj(), w, 0, [0.0, 0.0]);
+        adapt_step(&StepRule::Constant { a: 0.1 }, w, 0, [0.0, 0.0]);
     }
 }

@@ -4,15 +4,15 @@
 //!
 //! * **projection** — whatever the rule, the tick, or the violation
 //!   vector, the updated weights stay on the simplex, respect the `α`
-//!   floor, and land exactly on the 1e-9 lattice (the sweep's memo key);
+//!   floor and the multiplier cap, and land exactly on the 1e-9 lattice
+//!   (the sweep's memo key);
 //! * **fixed point** — zero violations (or an inert rule) return the
 //!   input weights bit-identically, so "no signal" cannot perturb a run;
-//! * **purity** — the update is a function of `(rule, proj, weights, k,
-//!   g)` alone: calling it twice, in any interleaving, gives the same
-//!   bits. This is what makes churn-segmented runs, recycled
+//! * **purity** — the update is a function of `(rule, weights, k, g)`
+//!   alone: calling it twice, in any interleaving, gives the same bits. This is what makes churn-segmented runs, recycled
 //!   `RunContext`s, and replayed prefixes agree.
 
-use lagrange::online::{adapt_step, multipliers_of, weights_of, OnlineProjection};
+use lagrange::online::{adapt_step, multipliers_of, weights_of, MAX_MULTIPLIER, MIN_ALPHA};
 use lagrange::step::StepRule;
 use lagrange::weights::Weights;
 use proptest::prelude::*;
@@ -43,18 +43,15 @@ proptest! {
         pair in (0.0f64..=1.0, 0.0f64..=1.0),
         k in 1u64..1000,
         g in (-10.0f64..10.0, -10.0f64..10.0),
-        bounds in (0.001f64..0.5, 0.5f64..32.0),
     ) {
         let rule = rule_of(rule_raw.0, rule_raw.1, rule_raw.2);
-        let (min_alpha, max_multiplier) = bounds;
-        let proj = OnlineProjection { min_alpha, max_multiplier };
         let w = weights_on_simplex(pair.0, pair.1);
-        let out = adapt_step(&rule, &proj, w, k, [g.0, g.1]);
+        let out = adapt_step(&rule, w, k, [g.0, g.1]);
         if out != w {
             // A real step: the result is projected and lattice-snapped.
             // The floor itself is lattice-rounded, so allow half a unit.
-            prop_assert!(out.alpha() >= min_alpha - 0.5e-9,
-                "alpha {} under the {} floor", out.alpha(), min_alpha);
+            prop_assert!(out.alpha() >= MIN_ALPHA - 0.5e-9,
+                "alpha {} under the {} floor", out.alpha(), MIN_ALPHA);
             prop_assert!(on_lattice(out.alpha()), "alpha {} off-lattice", out.alpha());
             // On the simplex boundary `Weights::new` stores
             // `β = fl(1 − α)`, which may sit one ulp off the lattice;
@@ -63,9 +60,9 @@ proptest! {
             prop_assert!(on_lattice(out.beta()) || boundary,
                 "beta {} off-lattice away from the simplex boundary", out.beta());
             // The multiplier ceiling bounds how small alpha can get:
-            // alpha = 1/(1 + le + lt) >= 1/(1 + 2*max_multiplier).
+            // alpha = 1/(1 + le + lt) >= 1/(1 + 2*MAX_MULTIPLIER).
             prop_assert!(
-                out.alpha() >= 1.0 / (1.0 + 2.0 * max_multiplier) - 1e-9,
+                out.alpha() >= 1.0 / (1.0 + 2.0 * MAX_MULTIPLIER) - 1e-9,
                 "alpha {} below the multiplier-ceiling bound", out.alpha()
             );
         }
@@ -81,10 +78,9 @@ proptest! {
         k in 1u64..1000,
     ) {
         let rule = rule_of(rule_raw.0, rule_raw.1, rule_raw.2);
-        let proj = OnlineProjection { min_alpha: 0.05, max_multiplier: 8.0 };
         // Deliberately off-lattice input: the fixed point must not snap.
         let w = weights_on_simplex(pair.0, pair.1);
-        let out = adapt_step(&rule, &proj, w, k, [0.0, 0.0]);
+        let out = adapt_step(&rule, w, k, [0.0, 0.0]);
         prop_assert_eq!(out.alpha().to_bits(), w.alpha().to_bits());
         prop_assert_eq!(out.beta().to_bits(), w.beta().to_bits());
     }
@@ -95,9 +91,8 @@ proptest! {
         k in 1u64..1000,
         g in (-10.0f64..10.0, -10.0f64..10.0),
     ) {
-        let proj = OnlineProjection { min_alpha: 0.05, max_multiplier: 8.0 };
         let w = weights_on_simplex(pair.0, pair.1);
-        let out = adapt_step(&StepRule::Constant { a: 0.0 }, &proj, w, k, [g.0, g.1]);
+        let out = adapt_step(&StepRule::Constant { a: 0.0 }, w, k, [g.0, g.1]);
         prop_assert_eq!(out.alpha().to_bits(), w.alpha().to_bits());
         prop_assert_eq!(out.beta().to_bits(), w.beta().to_bits());
     }
@@ -110,12 +105,11 @@ proptest! {
         g in (-10.0f64..10.0, -10.0f64..10.0),
     ) {
         let rule = rule_of(rule_raw.0, rule_raw.1, rule_raw.2);
-        let proj = OnlineProjection { min_alpha: 0.05, max_multiplier: 8.0 };
         let w = weights_on_simplex(pair.0, pair.1);
-        let first = adapt_step(&rule, &proj, w, k, [g.0, g.1]);
+        let first = adapt_step(&rule, w, k, [g.0, g.1]);
         // Interleave an unrelated update — no hidden state may leak.
-        let _ = adapt_step(&rule, &proj, weights_on_simplex(pair.1, pair.0), k + 1, [g.1, g.0]);
-        let second = adapt_step(&rule, &proj, w, k, [g.0, g.1]);
+        let _ = adapt_step(&rule, weights_on_simplex(pair.1, pair.0), k + 1, [g.1, g.0]);
+        let second = adapt_step(&rule, w, k, [g.0, g.1]);
         prop_assert_eq!(first.alpha().to_bits(), second.alpha().to_bits());
         prop_assert_eq!(first.beta().to_bits(), second.beta().to_bits());
     }
@@ -130,10 +124,9 @@ proptest! {
         // Applying the update to its own output with zero violations is
         // the identity: once the signal is gone the weights freeze.
         let rule = rule_of(rule_raw.0, rule_raw.1, rule_raw.2);
-        let proj = OnlineProjection { min_alpha: 0.05, max_multiplier: 8.0 };
         let w = weights_on_simplex(pair.0, pair.1);
-        let stepped = adapt_step(&rule, &proj, w, k, [g.0, g.1]);
-        let frozen = adapt_step(&rule, &proj, stepped, k + 1, [0.0, 0.0]);
+        let stepped = adapt_step(&rule, w, k, [g.0, g.1]);
+        let frozen = adapt_step(&rule, stepped, k + 1, [0.0, 0.0]);
         prop_assert_eq!(frozen.alpha().to_bits(), stepped.alpha().to_bits());
         prop_assert_eq!(frozen.beta().to_bits(), stepped.beta().to_bits());
     }
@@ -144,9 +137,8 @@ proptest! {
     ) {
         // weights_of is a projection: applying it to the multipliers its
         // own output encodes reproduces the output bit-for-bit.
-        let proj = OnlineProjection { min_alpha: 0.05, max_multiplier: 8.0 };
-        let w = weights_of([lambda.0, lambda.1], &proj);
-        let back = weights_of(multipliers_of(w, proj.min_alpha), &proj);
+        let w = weights_of([lambda.0, lambda.1]);
+        let back = weights_of(multipliers_of(w));
         prop_assert_eq!(back.alpha().to_bits(), w.alpha().to_bits());
         prop_assert_eq!(back.beta().to_bits(), w.beta().to_bits());
     }

@@ -13,7 +13,6 @@ use adhoc_grid::config::GridCase;
 use adhoc_grid::seed;
 use adhoc_grid::workload::ScenarioParams;
 use lagrange::step::StepRule;
-use lagrange::weights::Weights;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slrh::Adaptation;
@@ -115,8 +114,7 @@ fn gen_open(rng: &mut StdRng) -> Option<OpenSpec> {
 }
 
 /// Sample the adaptive mode for about half the cases, covering every
-/// step rule, off-lattice update intervals, tight and loose projections,
-/// and warm starts away from the case's own (α, β).
+/// step rule and off-lattice update intervals.
 fn gen_adaptation(rng: &mut StdRng) -> Option<Adaptation> {
     if rng.gen_bool(0.5) {
         return None;
@@ -136,20 +134,9 @@ fn gen_adaptation(rng: &mut StdRng) -> Option<Adaptation> {
             max_step: f64::from(rng.gen_range(1u32..=4)) * 0.25,
         },
     };
-    let warm_start = if rng.gen_bool(0.25) {
-        let alpha = f64::from(rng.gen_range(4u32..=16)) * 0.05;
-        let beta_max = ((1.0 - alpha) / 0.05).floor() as u32;
-        let beta = f64::from(rng.gen_range(0u32..=beta_max)) * 0.05;
-        Some(Weights::new(alpha, beta).expect("warm start on the simplex"))
-    } else {
-        None
-    };
     Some(Adaptation {
         rule,
         every: rng.gen_range(1u64..=7),
-        min_alpha: f64::from(rng.gen_range(1u32..=4)) * 0.025,
-        max_multiplier: f64::from(rng.gen_range(1u32..=8)),
-        warm_start,
     })
 }
 
@@ -299,9 +286,6 @@ mod tests {
         assert!(specs
             .iter()
             .any(|s| matches!(s.adaptation, Some(Adaptation { rule: StepRule::Polyak { .. }, .. }))));
-        assert!(specs
-            .iter()
-            .any(|s| matches!(s.adaptation, Some(Adaptation { warm_start: Some(_), .. }))));
         assert!(specs
             .iter()
             .any(|s| matches!(s.adaptation, Some(Adaptation { every, .. }) if every > 1)));

@@ -168,27 +168,9 @@ impl CaseSpec {
         }
         if let Some(ad) = &self.adaptation {
             // The rule rides its canonical Display form (Rust float
-            // `{:?}` output round-trips bit-exactly); projection floats
-            // use the same bit-pattern codec as the weights.
+            // `{:?}` output round-trips bit-exactly).
             s.push_str(&format!("adapt_rule={}\n", ad.rule));
             s.push_str(&format!("adapt_every={}\n", ad.every));
-            s.push_str(&format!(
-                "adapt_amin={} # {}\n",
-                kv::format_f64_bits(ad.min_alpha),
-                ad.min_alpha
-            ));
-            s.push_str(&format!(
-                "adapt_lmax={} # {}\n",
-                kv::format_f64_bits(ad.max_multiplier),
-                ad.max_multiplier
-            ));
-            if let Some(w) = ad.warm_start {
-                s.push_str(&format!(
-                    "adapt_warm={},{} # {w}\n",
-                    kv::format_f64_bits(w.alpha()),
-                    kv::format_f64_bits(w.beta()),
-                ));
-            }
         }
         if let Some(open) = &self.open {
             // Jobs and background ride their own one-line codecs
@@ -221,9 +203,6 @@ impl CaseSpec {
         let mut arrivals = Vec::new();
         let mut adapt_rule = None;
         let mut adapt_every = None;
-        let mut adapt_amin = None;
-        let mut adapt_lmax = None;
-        let mut adapt_warm = None;
         let mut open_jobs = Vec::new();
         let mut open_bg = None;
 
@@ -256,20 +235,8 @@ impl CaseSpec {
                     adapt_rule = Some(value.parse::<lagrange::step::StepRule>().map_err(ctx)?)
                 }
                 "adapt_every" => adapt_every = Some(kv::parse_u64(value).map_err(ctx)?),
-                "adapt_amin" => adapt_amin = Some(kv::parse_f64_bits(value).map_err(ctx)?),
-                "adapt_lmax" => adapt_lmax = Some(kv::parse_f64_bits(value).map_err(ctx)?),
                 "open_job" => open_jobs.push(JobArrival::decode(value).map_err(ctx)?),
                 "open_bg" => open_bg = Some(BackgroundParams::decode(value).map_err(ctx)?),
-                "adapt_warm" => {
-                    let (a, b) = value.split_once(',').ok_or_else(|| {
-                        format!("line {no}: adapt_warm: expected ALPHA_BITS,BETA_BITS")
-                    })?;
-                    let a = kv::parse_f64_bits(a.trim()).map_err(&ctx)?;
-                    let b = kv::parse_f64_bits(b.trim()).map_err(&ctx)?;
-                    adapt_warm = Some(
-                        Weights::new(a, b).map_err(|e| ctx(format!("{e}")))?,
-                    );
-                }
                 other => return Err(format!("line {no}: unknown key {other:?}")),
             }
         }
@@ -277,9 +244,8 @@ impl CaseSpec {
         fn req<T>(name: &str, v: Option<T>) -> Result<T, String> {
             v.ok_or_else(|| format!("missing {name}"))
         }
-        let adaptation =
-            Adaptation::from_parts(adapt_rule, adapt_every, adapt_amin, adapt_lmax, adapt_warm)
-                .map_err(|e| format!("adaptation: {e}"))?;
+        let adaptation = Adaptation::from_parts(adapt_rule, adapt_every)
+            .map_err(|e| format!("adaptation: {e}"))?;
         let open = match (open_jobs.is_empty(), open_bg) {
             (false, Some(bg)) => Some(OpenSpec { jobs: open_jobs, bg }),
             (true, None) => None,
@@ -408,14 +374,10 @@ mod tests {
         spec.adaptation = Some(Adaptation {
             rule: StepRule::Polyak { target: 0.1 + 0.2, max_step: 0.25 },
             every: 3,
-            min_alpha: 0.07,
-            max_multiplier: 6.5,
-            warm_start: Some(Weights::new(0.45, 0.25).unwrap()),
         });
         let decoded = CaseSpec::decode(&spec.encode()).expect("decode");
         assert_eq!(decoded, spec);
         let ad = decoded.adaptation.unwrap();
-        assert_eq!(ad.min_alpha.to_bits(), 0.07f64.to_bits());
         // The rule's floats ride the Display form and still round-trip
         // bit-exactly (0.1 + 0.2 is not representable as a short literal).
         assert_eq!(
@@ -433,7 +395,7 @@ mod tests {
         let text = format!("{}adapt_every=3\n", spec.encode());
         assert!(CaseSpec::decode(&text)
             .unwrap_err()
-            .contains("require an adaptation rule"));
+            .contains("requires an adaptation rule"));
         let mut bad = sample();
         bad.adaptation = Some(Adaptation { every: 0, ..Adaptation::default() });
         assert!(bad.check().unwrap_err().contains("adaptation"));

@@ -254,7 +254,6 @@ proptest! {
         let adaptive = fixed.with_adaptation(Adaptation {
             rule: StepRule::Diminishing { a: 0.2 },
             every: adapt_every,
-            ..Adaptation::default()
         });
         for cfg in [fixed, adaptive] {
             let (walk_events, walk_counters, walk_elided) =

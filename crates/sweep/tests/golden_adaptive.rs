@@ -141,7 +141,6 @@ fn adaptive_churn_run_matches_blessed_reference() {
             .with_adaptation(Adaptation {
                 rule: StepRule::Constant { a: 0.5 },
                 every: 2,
-                ..Adaptation::default()
             });
         let out = run_slrh_churn(&sc, &cfg, &losses, &arrivals);
         assert!(

@@ -32,9 +32,14 @@ fn main() {
         comm_power: 0.001,
         bandwidth_mbps: 16.0,
     };
+    // Table 2's machines at the scaled suite's eighth of a battery.
+    let eighth = |spec: MachineSpec| MachineSpec {
+        battery: spec.battery * 0.125,
+        ..spec
+    };
     let grid = GridConfig::from_machines(vec![
-        MachineSpec::fast().scale_battery(0.125), // one notebook (scaled suite)
-        MachineSpec::slow().scale_battery(0.125), // one PDA
+        eighth(MachineSpec::fast()), // one notebook
+        eighth(MachineSpec::slow()), // one PDA
         sensor_hub,
     ]);
     println!(

@@ -93,7 +93,14 @@
 #    untouched `benchmark/` adapter still fills in;
 #  * the replay log nothing replayed (`EventTrace`, `ReplayOp`,
 #    `proptest_trace_replay.rs`) stays gone: a stress reproducer replays
-#    by re-running its case.
+#    by re-running its case;
+#  * online adaptation has one projection, two constants in
+#    `lagrange::online` (DESIGN.md section 15): the settable projection
+#    (`OnlineProjection`, `BadAdaptProjection`), the warm start
+#    (`warm_start`, the config's `fn armed` that applied it), the CLI
+#    flags `--adapt-amin`/`--adapt-lmax`/`--adapt-warm` outside the CLI's
+#    rejection test, and the corpus keys `adapt_amin`/`adapt_lmax`/
+#    `adapt_warm` stay gone.
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -108,6 +115,7 @@ retired='run_slrh_in|run_slrh_observed|run_slrh_dynamic|run_slrh_churn_in|run_sl
 retired+='|MultiplierVector|SubgradientSolver|SubgradientResult|DualOracle|solve_dual|LrListConfig|dual_iters'
 retired+='|Outbox|pump_until_finished|worker_loop|OUTBOX_BLOCK_BYTES|OUTBOX_SPARE_BLOCKS'
 retired+='|anneal_weights|anneal_weights_in|AnnealConfig|anneal_config|EventTrace|ReplayOp'
+retired+='|OnlineProjection|BadAdaptProjection|warm_start'
 if hits=$(grep -rnwE "$retired" crates src tests examples --include='*.rs'); then
     fail "retired names are back:"$'\n'"$hits"
 fi
@@ -286,6 +294,25 @@ if hits=$(grep -rn '\.step(' crates src tests examples --include='*.rs' |
     grep -v '^crates/lagrange/src/step.rs:'); then
     fail "a projected multiplier update is spelled outside StepRule::ascend:"$'\n'"$hits"
 fi
+
+if hits=$(grep -rnw 'fn armed' crates src --include='*.rs'); then
+    fail "the warm start's armed copy is back:"$'\n'"$hits"
+fi
+if hits=$(grep -rnE 'adapt_(amin|lmax|warm)' crates src tests examples scripts .github |
+    grep -v '^scripts/api_surface.sh:'); then
+    fail "a retired adaptation corpus key is back:"$'\n'"$hits"
+fi
+# The flags in scripts, CI and non-test Rust code: the CLI's rejection
+# test names them on purpose.
+if hits=$(grep -rnE -- '--adapt-(amin|lmax|warm)' scripts .github | grep -v '^scripts/api_surface.sh:'); then
+    fail "a retired adaptation flag is back:"$'\n'"$hits"
+fi
+for f in $(find crates/*/src src -name '*.rs' | sort); do
+    if hits=$(awk '/^#\[cfg\(test\)\]/ { exit } /--adapt-(amin|lmax|warm)/ { print FILENAME ":" FNR ": " $0; found = 1 }
+                   END { exit !found }' "$f"); then
+        fail "a retired adaptation flag is back:"$'\n'"$hits"
+    fi
+done
 
 [ "$status" -eq 0 ] && echo "api_surface: ok"
 exit "$status"

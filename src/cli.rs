@@ -53,10 +53,9 @@ mapping options (run, replay, churn, submit, watch):
 adaptation options (run, replay, churn, submit, watch; SLRH only):
   --adapt RULE        online weight adaptation: constant(A)|diminishing(A)|
                       polyak(TARGET, MAX)
-  --adapt-every N     ticks between updates (default 1)
-  --adapt-amin X      alpha floor of the projection (default 0.05)
-  --adapt-lmax X      multiplier cap of the projection (default 8)
-  --adapt-warm A,B    start from these weights instead of --alpha/--beta
+  --adapt-every N     ticks between updates (default 1); a run starts
+                      from --alpha/--beta, alpha stays >= 0.05 and each
+                      multiplier <= 8
 
 open-system options (open; submit/watch with --open):
   --case A|B|C        shared grid case (default A)
@@ -318,17 +317,6 @@ fn parse_event(flag: &str, raw: &str) -> Result<(usize, u64), CliError> {
     Ok((typed(flag, m)?, typed(flag, t)?))
 }
 
-/// Parse a weight pair `A,B` (γ is implied by the simplex).
-fn parse_weight_pair(flag: &str, raw: &str) -> Result<Weights, CliError> {
-    let Some((a, b)) = raw.split_once(',') else {
-        return Err(CliError::new(format!(
-            "bad value {raw:?} for {flag}: expected ALPHA,BETA"
-        )));
-    };
-    Weights::new(typed(flag, a.trim())?, typed(flag, b.trim())?)
-        .map_err(|e| CliError::new(format!("bad value {raw:?} for {flag}: {e}")))
-}
-
 /// Workload flags shared by every scenario-consuming command.
 #[derive(Default)]
 struct WorkloadFlags {
@@ -569,9 +557,6 @@ fn parse_job(cmd: &str, argv: &[String], remote: bool) -> Result<ParsedJob, CliE
     let mut addr: Option<String> = None;
     let mut adapt_rule: Option<StepRule> = None;
     let mut adapt_every: Option<u64> = None;
-    let mut adapt_amin: Option<f64> = None;
-    let mut adapt_lmax: Option<f64> = None;
-    let mut adapt_warm: Option<Weights> = None;
 
     while let Some(flag) = cursor.next_flag()? {
         if workload.accept(flag, &mut cursor)? {
@@ -587,9 +572,6 @@ fn parse_job(cmd: &str, argv: &[String], remote: bool) -> Result<ParsedJob, CliE
             "--join" => arrivals.push(parse_event(flag, cursor.value(flag)?)?),
             "--adapt" => adapt_rule = Some(typed(flag, cursor.value(flag)?)?),
             "--adapt-every" => adapt_every = Some(typed(flag, cursor.value(flag)?)?),
-            "--adapt-amin" => adapt_amin = Some(typed(flag, cursor.value(flag)?)?),
-            "--adapt-lmax" => adapt_lmax = Some(typed(flag, cursor.value(flag)?)?),
-            "--adapt-warm" => adapt_warm = Some(parse_weight_pair(flag, cursor.value(flag)?)?),
             "--gantt" => gantt = true,
             "--label" => label = Some(parse_name(flag, cursor.value(flag)?)?),
             "--client" if remote => client = Some(parse_name(flag, cursor.value(flag)?)?),
@@ -603,15 +585,12 @@ fn parse_job(cmd: &str, argv: &[String], remote: bool) -> Result<ParsedJob, CliE
     // Baselines read only the weights out of the config; the variant
     // field is inert for them.
     let variant = heuristic.slrh_variant().unwrap_or(SlrhVariant::V1);
-    let adaptation =
-        Adaptation::from_parts(adapt_rule, adapt_every, adapt_amin, adapt_lmax, adapt_warm)
-            .map_err(|e| match e {
-                ConfigError::AdaptWithoutRule => CliError::new(
-                    "--adapt-every/--adapt-amin/--adapt-lmax/--adapt-warm \
-                     require --adapt RULE",
-                ),
-                e => CliError::new(format!("invalid adaptation: {e}")),
-            })?;
+    let adaptation = Adaptation::from_parts(adapt_rule, adapt_every).map_err(|e| match e {
+        ConfigError::AdaptWithoutRule => {
+            CliError::new("--adapt-every sets a cadence: adaptive runs require --adapt RULE")
+        }
+        e => CliError::new(format!("invalid adaptation: {e}")),
+    })?;
     let config = slrh_config(variant, (alpha, beta), dt, horizon, adaptation)?;
 
     Ok(ParsedJob {
@@ -771,6 +750,11 @@ mod tests {
             "tune --sa-seed 1",
             "tune --sa-iters 8",
             "tune --searcher grid",
+            // The retired adaptation bounds and warm start: the floor
+            // and the cap are constants, and --alpha/--beta start a run.
+            "run --adapt constant(0.25) --adapt-amin 0.1",
+            "run --adapt constant(0.25) --adapt-lmax 4",
+            "run --adapt constant(0.25) --adapt-warm 0.4,0.4",
             "serve --tasks x",
             "status --workers x",
         ] {
@@ -923,21 +907,16 @@ mod tests {
         };
         assert_eq!(plain.request.config.adaptation, None);
 
-        let Command::Run(job) = parse(&args(
-            "run --adapt constant(0.25) --adapt-every 4 --adapt-amin 0.1 \
-             --adapt-lmax 4 --adapt-warm 0.4,0.4",
-        ))
-        .unwrap() else {
+        let Command::Run(job) =
+            parse(&args("run --adapt constant(0.25) --adapt-every 4")).unwrap()
+        else {
             panic!()
         };
         let ad = job.request.config.adaptation.expect("adaptation set");
         assert_eq!(ad.rule, StepRule::Constant { a: 0.25 });
         assert_eq!(ad.every, 4);
-        assert_eq!(ad.min_alpha, 0.1);
-        assert_eq!(ad.max_multiplier, 4.0);
-        assert_eq!(ad.warm_start, Some(Weights::new(0.4, 0.4).unwrap()));
 
-        // Satellites without --adapt are hard errors, mirroring the
+        // A cadence without --adapt is a hard error, mirroring the
         // config FromStr contract.
         let err = parse(&args("run --adapt-every 4")).unwrap_err();
         assert!(err.message.contains("require --adapt"), "{err}");
