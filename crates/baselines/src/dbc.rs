@@ -85,8 +85,7 @@ pub fn run_dbc_in<'a>(
                     // Deadline first, then price, then finish, then the
                     // lowest machine id so ties are deterministic.
                     DbcMode::Cost => {
-                        (in_time, cost, finish, plan.machine)
-                            < (*bin, *bcost, *bfin, bplan.machine)
+                        (in_time, cost, finish, plan.machine) < (*bin, *bcost, *bfin, bplan.machine)
                     }
                     // Finish first, then price, then machine id. A
                     // placement past the deadline still loses to any

@@ -150,9 +150,7 @@ mod tests {
 
     #[test]
     fn calibrated_tau_is_feasible_for_greedy() {
-        let scenarios: Vec<Scenario> = (0..2)
-            .map(|i| scenario(48, i, i))
-            .collect();
+        let scenarios: Vec<Scenario> = (0..2).map(|i| scenario(48, i, i)).collect();
         let tau = calibrate_tau(&scenarios, 1.05);
         for sc in &scenarios {
             let aet = run_greedy(sc).metrics().aet;

@@ -140,12 +140,8 @@ mod tests {
         let sc = scenario(32);
         let rank = upward_ranks(&sc);
         for t in sc.dag.sinks() {
-            let mean = sc
-                .grid
-                .ids()
-                .map(|j| sc.etc.seconds(t, j))
-                .sum::<f64>()
-                / sc.grid.len() as f64;
+            let mean =
+                sc.grid.ids().map(|j| sc.etc.seconds(t, j)).sum::<f64>() / sc.grid.len() as f64;
             assert!((rank[t.0] - mean).abs() < 1e-9);
         }
     }

@@ -147,12 +147,7 @@ impl DowngradeGuard {
             let secs: f64 = scenario
                 .dag
                 .tasks()
-                .map(|t| {
-                    scenario
-                        .etc
-                        .exec_dur(t, j, Version::Secondary)
-                        .as_seconds()
-                })
+                .map(|t| scenario.etc.exec_dur(t, j, Version::Secondary).as_seconds())
                 .sum::<f64>()
                 / n;
             sec_seconds.push(secs);

@@ -101,7 +101,11 @@ fn main() {
             std::process::exit(2);
         }
     }
-    eprintln!("\n[{}] done in {}", scale.label(), fmt_duration(started.elapsed()));
+    eprintln!(
+        "\n[{}] done in {}",
+        scale.label(),
+        fmt_duration(started.elapsed())
+    );
 }
 
 fn heading(title: &str) {
@@ -111,7 +115,11 @@ fn heading(title: &str) {
 /// Table 1: simulation configurations.
 fn table1() {
     heading("Table 1. Simulation configurations");
-    let mut t = Table::new(["Configuration", "# \"Fast\" Machines", "# \"Slow\" Machines"]);
+    let mut t = Table::new([
+        "Configuration",
+        "# \"Fast\" Machines",
+        "# \"Slow\" Machines",
+    ]);
     for case in GridCase::ALL {
         let (f, s) = case.counts();
         t.row([case.name().to_string(), f.to_string(), s.to_string()]);
@@ -178,7 +186,11 @@ fn table3(scale: Scale) {
                     case.name().to_string(),
                     cell(1),
                     cell(2),
-                    if case == GridCase::A { cell(3) } else { "-".into() },
+                    if case == GridCase::A {
+                        cell(3)
+                    } else {
+                        "-".into()
+                    },
                 ]);
             }
             GridCase::C => {
@@ -213,7 +225,9 @@ fn table4(scale: Scale) {
             cells.push(ub.t100.to_string());
         }
         let etc_c = etc_gen::generate_for_case(&params.etc, GridCase::C, s);
-        cells.push(upper_bound_sound(&etc_c, &GridConfig::case(GridCase::C), params.tau).to_string());
+        cells.push(
+            upper_bound_sound(&etc_c, &GridConfig::case(GridCase::C), params.tau).to_string(),
+        );
         t.row(cells);
     }
     print!("{}", t.render());
@@ -234,7 +248,13 @@ fn fig2(scale: Scale) {
     heading("Figure 2. Impact of dT on SLRH-1 (ETC 0, DAGs 0 and 1, Case A)");
     let params = scale.params();
     let dts = [1u64, 2, 5, 10, 20, 50, 100, 200, 500];
-    let mut t = Table::new(["dT (cycles)", "T100 (DAG 0)", "time (DAG 0)", "T100 (DAG 1)", "time (DAG 1)"]);
+    let mut t = Table::new([
+        "dT (cycles)",
+        "T100 (DAG 0)",
+        "time (DAG 0)",
+        "T100 (DAG 1)",
+        "time (DAG 1)",
+    ]);
     let mut rows: Vec<Vec<String>> = dts.iter().map(|d| vec![d.to_string()]).collect();
     for dag in [0usize, 1] {
         let sc = Scenario::generate(&params, GridCase::A, 0, dag.min(scale.dag_count() - 1));
@@ -256,16 +276,33 @@ fn fig3(scale: Scale) {
     heading("Figure 3. Optimal objective weights (avg [min, max])");
     let set = scale.set();
     let (coarse, fine) = scale.search_steps();
-    let mut t = Table::new(["Heuristic", "Case", "alpha avg [min,max]", "beta avg [min,max]", "feasible"]);
-    for h in [Heuristic::Slrh1, Heuristic::Slrh3, Heuristic::MaxMax, Heuristic::Slrh2] {
+    let mut t = Table::new([
+        "Heuristic",
+        "Case",
+        "alpha avg [min,max]",
+        "beta avg [min,max]",
+        "feasible",
+    ]);
+    for h in [
+        Heuristic::Slrh1,
+        Heuristic::Slrh3,
+        Heuristic::MaxMax,
+        Heuristic::Slrh2,
+    ] {
         for case in GridCase::ALL {
             match weight_stats(h, case, &set, coarse, fine) {
                 Some(ws) => {
                     t.row([
                         h.name().to_string(),
                         case.name().to_string(),
-                        format!("{:.2} [{:.2}, {:.2}]", ws.alpha.mean, ws.alpha.min, ws.alpha.max),
-                        format!("{:.2} [{:.2}, {:.2}]", ws.beta.mean, ws.beta.min, ws.beta.max),
+                        format!(
+                            "{:.2} [{:.2}, {:.2}]",
+                            ws.alpha.mean, ws.alpha.min, ws.alpha.max
+                        ),
+                        format!(
+                            "{:.2} [{:.2}, {:.2}]",
+                            ws.beta.mean, ws.beta.min, ws.beta.max
+                        ),
                         format!("{}/{}", ws.feasible, ws.total),
                     ]);
                 }
@@ -328,7 +365,10 @@ fn figs4_to_7(scale: Scale) {
     for (title, value) in figs {
         let mut chart = BarChart::new(title);
         for r in &rows {
-            chart.bar(format!("{} {}", r.heuristic.name(), r.case.name()), value(r));
+            chart.bar(
+                format!("{} {}", r.heuristic.name(), r.case.name()),
+                value(r),
+            );
         }
         println!("\n{}", chart.render(48));
     }
@@ -451,7 +491,10 @@ fn ablate_trigger(scale: Scale) {
         let sc = Scenario::generate(&params, case, 0, 0);
         let w = tuned_weights(scale, &sc);
         let (cm, c_steps, em, e_steps) = ablate::trigger_mode(&sc, w);
-        for (mode, m, steps) in [("clock (paper)", cm, c_steps), ("event-driven", em, e_steps)] {
+        for (mode, m, steps) in [
+            ("clock (paper)", cm, c_steps),
+            ("event-driven", em, e_steps),
+        ] {
             t.row([
                 case.name().to_string(),
                 mode.to_string(),
@@ -462,8 +505,10 @@ fn ablate_trigger(scale: Scale) {
         }
     }
     print!("{}", t.render());
-    println!("(the paper's concern: real deployments may be forced into large dT; event-driven\n\
-         triggering reaches similar T100 with far fewer heuristic invocations)");
+    println!(
+        "(the paper's concern: real deployments may be forced into large dT; event-driven\n\
+         triggering reaches similar T100 with far fewer heuristic invocations)"
+    );
 }
 
 fn ablate_consistency(scale: Scale) {
@@ -484,7 +529,9 @@ fn ablate_consistency(scale: Scale) {
         }
     }
     print!("{}", t.render());
-    println!("(the paper's regime is inconsistent; consistent matrices fix the machine speed order)");
+    println!(
+        "(the paper's regime is inconsistent; consistent matrices fix the machine speed order)"
+    );
 }
 
 fn ablate_order(scale: Scale) {
@@ -505,8 +552,10 @@ fn ablate_order(scale: Scale) {
         }
     }
     print!("{}", t.render());
-    println!("(the paper visits machines in numerical order; the pool's best candidate always goes\n\
-         to the earliest-visited available machine)");
+    println!(
+        "(the paper visits machines in numerical order; the pool's best candidate always goes\n\
+         to the earliest-visited available machine)"
+    );
 }
 
 const _: () = {

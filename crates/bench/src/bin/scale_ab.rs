@@ -101,7 +101,11 @@ fn run_case((tasks, machines): Size, rounds: usize, arms: &[Arm]) -> CaseResult 
         for &arm in arms {
             let t = Instant::now();
             let (label, mapped, rounds_ms) = match arm {
-                Arm::Cached => ("cached", run_slrh(&sc, &cfg).metrics().mapped, &mut case.cached_ms),
+                Arm::Cached => (
+                    "cached",
+                    run_slrh(&sc, &cfg).metrics().mapped,
+                    &mut case.cached_ms,
+                ),
                 Arm::Resort => {
                     let ctx = &mut RunContext::new();
                     let out = reference::run(Kind::Resort, &sc, &cfg, &Churn::default(), ctx, None);
@@ -128,13 +132,23 @@ fn history_lines(text: &str) -> Vec<&str> {
 }
 
 fn join_ms(rounds: &[f64], sep: &str) -> String {
-    rounds.iter().map(f64::to_string).collect::<Vec<_>>().join(sep)
+    rounds
+        .iter()
+        .map(f64::to_string)
+        .collect::<Vec<_>>()
+        .join(sep)
 }
 
 /// The whole of BENCH_scale.json for one round: fresh `cases` blocks,
 /// and `existing`'s history rows carried forward byte for byte with one
 /// `{commit, date, case, after_min_ms}` row appended per case.
-fn render(existing: &str, commit: &str, date: &str, results: &[CaseResult], rounds: usize) -> String {
+fn render(
+    existing: &str,
+    commit: &str,
+    date: &str,
+    results: &[CaseResult],
+    rounds: usize,
+) -> String {
     let methodology = format!(
         "Interleaved A/B from one binary on the same host: per round, the resort reference \
          (slrh::reference Kind::Resort: the frontier with every cached bound order shed) and \
@@ -249,7 +263,11 @@ fn main() {
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage_error("--rounds needs a positive integer"))
             }
-            "--out" => out = args.next().unwrap_or_else(|| usage_error("--out needs a path")),
+            "--out" => {
+                out = args
+                    .next()
+                    .unwrap_or_else(|| usage_error("--out needs a path"))
+            }
             other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
@@ -277,7 +295,11 @@ fn main() {
     eprintln!("wrote {out}");
     for case in &results {
         if case.resort_ms.is_empty() {
-            println!("{} after: {:.2} s", case.name, min_of(&case.cached_ms) / 1e3);
+            println!(
+                "{} after: {:.2} s",
+                case.name,
+                min_of(&case.cached_ms) / 1e3
+            );
         } else {
             println!(
                 "{}: resort {:.2} ms -> cached {:.2} ms (min)",
@@ -313,7 +335,11 @@ mod tests {
         let results = [
             case("kernel_scale/1024x16", &[14.5, 12.83], &[6.98, 5.96]),
             case("kernel_scale/16384x64", &[448.47, 405.6], &[365.86, 331.53]),
-            case("kernel_scale/65536x256", &[6491.51, 6901.53], &[5039.46, 4635.17]),
+            case(
+                "kernel_scale/65536x256",
+                &[6491.51, 6901.53],
+                &[5039.46, 4635.17],
+            ),
             case("kernel_scale/100000x1000", &[], &[11012.25]),
         ];
         let text = render(&existing, "abc1234-dirty", "2026-10-02", &results, 2);
@@ -335,6 +361,9 @@ mod tests {
         }
         assert!(text.ends_with("}\n  ]\n}\n"), "{text}");
         // No history yet (first run, unreadable file): the round's rows alone.
-        assert_eq!(history_lines(&render("", "abc1234", "2026-10-02", &results, 2)).len(), 4);
+        assert_eq!(
+            history_lines(&render("", "abc1234", "2026-10-02", &results, 2)).len(),
+            4
+        );
     }
 }

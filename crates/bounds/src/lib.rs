@@ -70,10 +70,7 @@ pub fn min_ratios(etc: &EtcMatrix) -> Vec<f64> {
 /// The total equivalent computing cycles `TECC = Σ_j τ / MR(j)`, in
 /// reference-machine seconds.
 pub fn tecc(etc: &EtcMatrix, tau: Time) -> f64 {
-    min_ratios(etc)
-        .iter()
-        .map(|mr| tau.as_seconds() / mr)
-        .sum()
+    min_ratios(etc).iter().map(|mr| tau.as_seconds() / mr).sum()
 }
 
 /// Compute the §VI upper bound for one ETC matrix on one grid.
@@ -223,8 +220,7 @@ pub fn min_ratio_stats(etcs: &[EtcMatrix]) -> Vec<(f64, f64)> {
             let vals: Vec<f64> = per_matrix.iter().map(|m| m[j]).collect();
             let mean = vals.iter().sum::<f64>() / vals.len() as f64;
             let std = if vals.len() > 1 {
-                (vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>()
-                    / (vals.len() - 1) as f64)
+                (vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (vals.len() - 1) as f64)
                     .sqrt()
             } else {
                 0.0

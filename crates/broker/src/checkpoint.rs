@@ -92,10 +92,7 @@ impl Checkpoint {
             }
         }
         if !seen_fingerprint {
-            return Err(format!(
-                "checkpoint {} names no campaign",
-                path.display()
-            ));
+            return Err(format!("checkpoint {} names no campaign", path.display()));
         }
         Ok(Checkpoint { path, rows })
     }
@@ -142,7 +139,8 @@ mod tests {
     }
 
     fn temp_path(name: &str) -> String {
-        let dir = std::env::temp_dir().join(format!("lrh-checkpoint-{}-{name}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("lrh-checkpoint-{}-{name}", std::process::id()));
         dir.to_string_lossy().into_owned()
     }
 

@@ -467,7 +467,9 @@ impl CampaignRequest {
             cases,
             coarse: frame.parse("coarse", kv::parse_f64)?,
             fine: frame.parse("fine", kv::parse_f64)?,
-            searcher: frame.parse_opt("searcher", parse_searcher)?.unwrap_or_default(),
+            searcher: frame
+                .parse_opt("searcher", parse_searcher)?
+                .unwrap_or_default(),
             checkpoint: frame.get("checkpoint").map(str::to_string),
         })
     }
@@ -839,10 +841,7 @@ impl ErrorResponse {
         expect_kind(frame, KIND_ERROR)?;
         Ok(ErrorResponse {
             job: frame.parse_opt("job", kv::parse_u64)?,
-            message: frame
-                .req_raw("message")?
-                .trim_end_matches('\n')
-                .to_string(),
+            message: frame.req_raw("message")?.trim_end_matches('\n').to_string(),
         })
     }
 }
@@ -953,9 +952,7 @@ impl ServerMsg {
         match frame.kind.as_str() {
             KIND_EVENT => Event::from_frame(frame).map(ServerMsg::Event),
             KIND_MAP_RESPONSE => MapResponse::from_frame(frame).map(ServerMsg::Map),
-            KIND_CAMPAIGN_RESPONSE => {
-                CampaignResponse::from_frame(frame).map(ServerMsg::Campaign)
-            }
+            KIND_CAMPAIGN_RESPONSE => CampaignResponse::from_frame(frame).map(ServerMsg::Campaign),
             KIND_STATUS_RESPONSE => StatusResponse::from_frame(frame).map(ServerMsg::Status),
             KIND_ERROR => ErrorResponse::from_frame(frame).map(ServerMsg::Error),
             KIND_OK => Ok(ServerMsg::Ok),
@@ -999,12 +996,7 @@ mod tests {
 
     #[test]
     fn inline_scenario_round_trips() {
-        let sc = Scenario::generate(
-            &ScenarioParams::paper_scaled(16),
-            GridCase::B,
-            1,
-            1,
-        );
+        let sc = Scenario::generate(&ScenarioParams::paper_scaled(16), GridCase::B, 1, 1);
         let mut req = map_request();
         req.scenario = ScenarioSpec::Inline(adhoc_grid::io::write(&sc));
         let text = req.to_frame().encode();
@@ -1020,7 +1012,9 @@ mod tests {
         let past = MAX_INPUT_TASKS + 1;
         let refusal = format!("tasks must be at most {MAX_INPUT_TASKS}");
         let mut spec = map_request().scenario;
-        let ScenarioSpec::Generate { tasks, .. } = &mut spec else { unreachable!() };
+        let ScenarioSpec::Generate { tasks, .. } = &mut spec else {
+            unreachable!()
+        };
         *tasks = past;
         assert_eq!(spec.build().unwrap_err(), refusal);
         let inline = format!("lrh-grid-scenario v1\ncase A\ntau 100\netc 0 {past} 4\n");
@@ -1072,7 +1066,9 @@ mod tests {
 
         // An empty trace is rejected.
         req.jobs.clear();
-        assert!(OpenRequest::from_frame(&Frame::decode(&req.to_frame().encode()).unwrap()).is_err());
+        assert!(
+            OpenRequest::from_frame(&Frame::decode(&req.to_frame().encode()).unwrap()).is_err()
+        );
     }
 
     #[test]
@@ -1088,7 +1084,9 @@ mod tests {
         let text = ev.to_frame().encode();
         let back = Event::from_frame(&Frame::decode(&text).unwrap()).unwrap();
         assert_eq!(back, ev);
-        let Event::Job { cost, .. } = back else { unreachable!() };
+        let Event::Job { cost, .. } = back else {
+            unreachable!()
+        };
         assert_eq!(cost.to_bits(), 1234.5678901234567f64.to_bits());
     }
 
@@ -1121,14 +1119,25 @@ mod tests {
             ("arrival", "x", "2@3"),
             ("tasks", "x", ""),
         ];
-        let open = [("config", "x", cfg), ("case", "x", "B"), ("seed", "x", "7"), ("background", "x", "")];
-        for (kind, rows, keyed) in [(KIND_MAP_REQUEST, &map[..], 5), (KIND_OPEN_REQUEST, &open[..], 3)] {
+        let open = [
+            ("config", "x", cfg),
+            ("case", "x", "B"),
+            ("seed", "x", "7"),
+            ("background", "x", ""),
+        ];
+        for (kind, rows, keyed) in [
+            (KIND_MAP_REQUEST, &map[..], 5),
+            (KIND_OPEN_REQUEST, &open[..], 3),
+        ] {
             for (i, (key, ..)) in rows.iter().enumerate().take(keyed) {
                 let msg = first_error(kind, rows, i);
                 assert!(msg.starts_with(&format!("{key}: ")), "{key}: {msg}");
             }
         }
-        assert_eq!(first_error(KIND_OPEN_REQUEST, &open, 3), "open-request needs at least one job");
+        assert_eq!(
+            first_error(KIND_OPEN_REQUEST, &open, 3),
+            "open-request needs at least one job"
+        );
     }
 
     #[test]
@@ -1148,9 +1157,12 @@ mod tests {
         };
         let fp = req.fingerprint();
         assert!(!fp.contains('\n') && !fp.contains('#'), "{fp}");
-        assert!(!fp.contains("searcher"), "grid keeps the legacy fingerprint: {fp}");
-        let back = CampaignRequest::from_frame(&Frame::decode(&req.to_frame().encode()).unwrap())
-            .unwrap();
+        assert!(
+            !fp.contains("searcher"),
+            "grid keeps the legacy fingerprint: {fp}"
+        );
+        let back =
+            CampaignRequest::from_frame(&Frame::decode(&req.to_frame().encode()).unwrap()).unwrap();
         assert_eq!(back, req);
         assert_eq!(back.fingerprint(), fp);
         assert_eq!(back.units().len(), 4);

@@ -50,7 +50,10 @@ fn assert_golden(name: &str, actual: &str) {
     }
     let expected = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing fixture {path:?} ({e}); run with GOLDEN_BLESS=1"));
-    assert_eq!(actual, expected, "{name}: output differs from the blessed reference");
+    assert_eq!(
+        actual, expected,
+        "{name}: output differs from the blessed reference"
+    );
 }
 
 fn open_request() -> OpenRequest {
@@ -206,9 +209,7 @@ fn daemon_open_submission_matches_one_shot_execution() {
         .collect();
     assert_eq!(ids, vec![0, 1, 2]);
     assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, Event::Disruption { .. })),
+        events.iter().any(|e| matches!(e, Event::Disruption { .. })),
         "the machine loss emitted no disruption event"
     );
 }

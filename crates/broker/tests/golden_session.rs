@@ -70,7 +70,9 @@ fn record_session(workers: usize) -> String {
 }
 
 fn golden(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
 }
 
 fn read_golden(name: &str) -> String {
@@ -83,10 +85,7 @@ fn read_golden(name: &str) -> String {
 fn session_matches_fixture_at_1_and_4_workers() {
     let one = record_session(1);
     let four = record_session(4);
-    assert_eq!(
-        one, four,
-        "slot count changed the session byte stream"
-    );
+    assert_eq!(one, four, "slot count changed the session byte stream");
 
     if std::env::var_os("GOLDEN_BLESS").is_some() {
         std::fs::write(golden("session.txt"), &one).unwrap();
@@ -112,10 +111,24 @@ fn the_per_tick_recording_still_decodes_and_folds_to_the_fixture() {
     let mut ticks = 0;
     while let Some(frame) = frames.read(&mut input).expect("a well-formed frame") {
         let msg = match ServerMsg::from_frame(frame).expect("a current server message") {
-            ServerMsg::Event(Event::Tick { job, clock, tick, mapped, commits, idle: recorded }) => {
+            ServerMsg::Event(Event::Tick {
+                job,
+                clock,
+                tick,
+                mapped,
+                commits,
+                idle: recorded,
+            }) => {
                 assert_eq!(recorded, 0, "a per-tick recording has no idle key");
                 ticks += 1;
-                let msg = ServerMsg::Event(Event::Tick { job, clock, tick, mapped, commits, idle });
+                let msg = ServerMsg::Event(Event::Tick {
+                    job,
+                    clock,
+                    tick,
+                    mapped,
+                    commits,
+                    idle,
+                });
                 if commits == 0 {
                     idle += 1;
                     closing = Some(msg);
@@ -132,7 +145,10 @@ fn the_per_tick_recording_still_decodes_and_folds_to_the_fixture() {
         }
         folded.push_str(&msg.to_frame().encode());
     }
-    assert!(ticks > 500, "{ticks} tick frames is not the per-tick recording");
+    assert!(
+        ticks > 500,
+        "{ticks} tick frames is not the per-tick recording"
+    );
     assert!(closing.is_none(), "the recording ends with its response");
     assert_eq!(
         folded,

@@ -58,7 +58,10 @@ fn step_rules() -> impl Strategy<Value = StepRule> {
     (0usize..3, 0.01f64..2.0, 0.0f64..4.0).prop_map(|(tag, a, target)| match tag {
         0 => StepRule::Constant { a },
         1 => StepRule::Diminishing { a },
-        _ => StepRule::Polyak { target, max_step: a },
+        _ => StepRule::Polyak {
+            target,
+            max_step: a,
+        },
     })
 }
 
@@ -93,7 +96,10 @@ fn scenario_specs() -> impl Strategy<Value = ScenarioSpec> {
     (
         0usize..4,
         (1usize..2000, cases(), 0usize..10, 0usize..10),
-        ((any::<bool>(), 0u64..u64::MAX), (any::<bool>(), 1u64..1_000_000)),
+        (
+            (any::<bool>(), 0u64..u64::MAX),
+            (any::<bool>(), 1u64..1_000_000),
+        ),
         prop::collection::vec(names(), 1..6),
     )
         .prop_map(
@@ -177,42 +183,40 @@ fn events() -> impl Strategy<Value = Event> {
         (0usize..100, 1usize..100, heuristics(), cases(), 0.0f64..1e6),
     )
         .prop_map(
-            |(
-                (tag, job),
-                ((clock, tick, mapped, commits), idle),
-                (index, extra, h, c, t100),
-            )| match tag {
-                0 => Event::Queued { job },
-                1 => Event::Started { job },
-                2 => Event::Tick {
-                    job,
-                    clock,
-                    tick,
-                    mapped,
-                    commits,
-                    idle,
-                },
-                3 => Event::Disruption {
-                    job,
-                    at: clock,
-                    invalidated: mapped,
-                },
-                4 => Event::Unit {
-                    job,
-                    index,
-                    total: index + extra,
-                    // A realistic canonical row as the payload.
-                    row: format!("{h}|{c}|t100={t100:?}|ub_frac=0.5|feasible=2/2"),
-                },
-                5 => Event::Job {
-                    job,
-                    id: tick,
-                    mapped: mapped.min(extra),
-                    tasks: extra,
-                    hit: commits % 2 == 0,
-                    cost: t100,
-                },
-                _ => Event::Done { job },
+            |((tag, job), ((clock, tick, mapped, commits), idle), (index, extra, h, c, t100))| {
+                match tag {
+                    0 => Event::Queued { job },
+                    1 => Event::Started { job },
+                    2 => Event::Tick {
+                        job,
+                        clock,
+                        tick,
+                        mapped,
+                        commits,
+                        idle,
+                    },
+                    3 => Event::Disruption {
+                        job,
+                        at: clock,
+                        invalidated: mapped,
+                    },
+                    4 => Event::Unit {
+                        job,
+                        index,
+                        total: index + extra,
+                        // A realistic canonical row as the payload.
+                        row: format!("{h}|{c}|t100={t100:?}|ub_frac=0.5|feasible=2/2"),
+                    },
+                    5 => Event::Job {
+                        job,
+                        id: tick,
+                        mapped: mapped.min(extra),
+                        tasks: extra,
+                        hit: commits % 2 == 0,
+                        cost: t100,
+                    },
+                    _ => Event::Done { job },
+                }
             },
         )
 }
@@ -484,8 +488,8 @@ where
     T: std::fmt::Debug,
 {
     let text = frame.encode();
-    let decoded = Frame::decode(&text)
-        .unwrap_or_else(|e| panic!("frame for {msg:?} does not re-parse: {e}"));
+    let decoded =
+        Frame::decode(&text).unwrap_or_else(|e| panic!("frame for {msg:?} does not re-parse: {e}"));
     assert_eq!(decoded.encode(), text, "encode is not a fixpoint");
     from_frame(&decoded).unwrap_or_else(|e| panic!("typed decode of {msg:?} failed: {e}"))
 }
@@ -675,6 +679,9 @@ fn a_ticks_idle_key_is_written_only_when_non_zero_and_read_as_zero_when_absent()
         let mut buf = String::from("# dirty\n");
         msg.encode_into(&mut buf);
         assert_eq!(buf, format!("# dirty\n{text}"));
-        assert_eq!(ServerMsg::from_frame(&Frame::decode(&text).unwrap()).unwrap(), msg);
+        assert_eq!(
+            ServerMsg::from_frame(&Frame::decode(&text).unwrap()).unwrap(),
+            msg
+        );
     }
 }

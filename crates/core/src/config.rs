@@ -51,7 +51,9 @@ impl std::str::FromStr for SlrhVariant {
             "slrh-1" | "slrh1" | "v1" => Ok(SlrhVariant::V1),
             "slrh-2" | "slrh2" | "v2" => Ok(SlrhVariant::V2),
             "slrh-3" | "slrh3" | "v3" => Ok(SlrhVariant::V3),
-            other => Err(format!("unknown SLRH variant {other:?} (expected SLRH-1|2|3)")),
+            other => Err(format!(
+                "unknown SLRH variant {other:?} (expected SLRH-1|2|3)"
+            )),
         }
     }
 }
@@ -445,7 +447,9 @@ impl std::str::FromStr for SlrhConfig {
                 "trigger" => config.trigger = value.parse()?,
                 "order" => config.machine_order = value.parse()?,
                 "dt" => {
-                    config.dt = Dur(value.parse().map_err(|e| format!("bad dt {value:?}: {e}"))?)
+                    config.dt = Dur(value
+                        .parse()
+                        .map_err(|e| format!("bad dt {value:?}: {e}"))?)
                 }
                 "h" => {
                     config.horizon =
@@ -467,8 +471,11 @@ impl std::str::FromStr for SlrhConfig {
                 }
                 "adapt" => adapt_rule = Some(value.parse()?),
                 "every" => {
-                    adapt_every =
-                        Some(value.parse().map_err(|e| format!("bad every {value:?}: {e}"))?)
+                    adapt_every = Some(
+                        value
+                            .parse()
+                            .map_err(|e| format!("bad every {value:?}: {e}"))?,
+                    )
                 }
                 "amin" => retired_bound(key, value, MIN_ALPHA, "the α floor")?,
                 "lmax" => retired_bound(key, value, MAX_MULTIPLIER, "the multiplier cap")?,
@@ -495,7 +502,9 @@ impl std::str::FromStr for SlrhConfig {
 fn retired_bound(key: &str, value: &str, fixed: f64, what: &str) -> Result<(), String> {
     match value.parse::<f64>() {
         Ok(v) if v.to_bits() == fixed.to_bits() => Ok(()),
-        _ => Err(format!("{key}={value} is retired: {what} is fixed at {fixed:?}")),
+        _ => Err(format!(
+            "{key}={value} is retired: {what} is fixed at {fixed:?}"
+        )),
     }
 }
 
@@ -536,7 +545,10 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "ΔT (dt=) must be at most {MAX_INPUT_TICKS} ticks")
             }
             ConfigError::HorizonTooLarge => {
-                write!(f, "the horizon H (h=) must be at most {MAX_INPUT_TICKS} ticks")
+                write!(
+                    f,
+                    "the horizon H (h=) must be at most {MAX_INPUT_TICKS} ticks"
+                )
             }
             ConfigError::ZeroAdaptEvery => {
                 f.write_str("the adaptation cadence (every=) must be at least one tick")
@@ -578,23 +590,43 @@ mod tests {
         let adapt = |a: Adaptation| move |c: &mut SlrhConfig| c.adaptation = Some(a);
         assert_eq!(broken(&|c| c.dt = Dur::ZERO), ConfigError::ZeroDt);
         assert_eq!(broken(&|c| c.horizon = Dur::ZERO), ConfigError::ZeroHorizon);
-        assert_eq!(broken(&|c| c.dt = Dur(MAX_INPUT_TICKS + 1)), ConfigError::DtTooLarge);
-        assert_eq!(broken(&|c| c.horizon = Dur(u64::MAX)), ConfigError::HorizonTooLarge);
         assert_eq!(
-            broken(&adapt(Adaptation { every: 0, ..Adaptation::default() })),
+            broken(&|c| c.dt = Dur(MAX_INPUT_TICKS + 1)),
+            ConfigError::DtTooLarge
+        );
+        assert_eq!(
+            broken(&|c| c.horizon = Dur(u64::MAX)),
+            ConfigError::HorizonTooLarge
+        );
+        assert_eq!(
+            broken(&adapt(Adaptation {
+                every: 0,
+                ..Adaptation::default()
+            })),
             ConfigError::ZeroAdaptEvery
         );
 
         // The cap itself is a legal value, in the struct and in the string.
-        let widest = paper.with_dt(Dur(MAX_INPUT_TICKS)).with_horizon(Dur(MAX_INPUT_TICKS));
-        assert_eq!(widest.to_string().parse::<SlrhConfig>().expect("the cap parses"), widest);
+        let widest = paper
+            .with_dt(Dur(MAX_INPUT_TICKS))
+            .with_horizon(Dur(MAX_INPUT_TICKS));
+        assert_eq!(
+            widest
+                .to_string()
+                .parse::<SlrhConfig>()
+                .expect("the cap parses"),
+            widest
+        );
         for s in [
             "SLRH-1; w=(0.5, 0.3); h=18446744073709551615",
             "SLRH-1; w=(0.5, 0.3); h=4611686018427387905",
             "SLRH-1; w=(0.5, 0.3); dt=9223372036854775808",
         ] {
             let err = s.parse::<SlrhConfig>().unwrap_err();
-            assert!(err.contains("at most 4611686018427387904 ticks"), "{s}: {err}");
+            assert!(
+                err.contains("at most 4611686018427387904 ticks"),
+                "{s}: {err}"
+            );
         }
     }
 
@@ -611,8 +643,16 @@ mod tests {
                 descending.reverse();
                 let mut rotated = ascending.clone();
                 rotated.rotate_left(tick as usize % n);
-                assert_eq!(visit(MachineOrder::Numerical), ascending, "n={n} tick={tick}");
-                assert_eq!(visit(MachineOrder::Reversed), descending, "n={n} tick={tick}");
+                assert_eq!(
+                    visit(MachineOrder::Numerical),
+                    ascending,
+                    "n={n} tick={tick}"
+                );
+                assert_eq!(
+                    visit(MachineOrder::Reversed),
+                    descending,
+                    "n={n} tick={tick}"
+                );
                 assert_eq!(visit(MachineOrder::Rotating), rotated, "n={n} tick={tick}");
             }
         }
@@ -625,8 +665,7 @@ mod tests {
 
     #[test]
     fn event_driven_builder() {
-        let c = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.2).unwrap())
-            .event_driven();
+        let c = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.2).unwrap()).event_driven();
         assert_eq!(c.trigger, Trigger::MachineAvailable);
     }
 
@@ -642,8 +681,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one tick")]
     fn zero_dt_rejected() {
-        let _ = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.2).unwrap())
-            .with_dt(Dur::ZERO);
+        let _ =
+            SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.2).unwrap()).with_dt(Dur::ZERO);
     }
 
     #[test]
@@ -703,7 +742,10 @@ mod tests {
             every: 4,
         });
         let text = c.to_string();
-        assert!(text.ends_with("; adapt=polyak(1.5, 0.25); every=4"), "{text}");
+        assert!(
+            text.ends_with("; adapt=polyak(1.5, 0.25); every=4"),
+            "{text}"
+        );
         let back: SlrhConfig = text.parse().expect("adaptive config parses");
         assert_eq!(back, c);
     }
@@ -722,8 +764,14 @@ mod tests {
         assert_eq!(legacy.parse::<SlrhConfig>().expect("legacy line parses"), c);
         assert_eq!(format!("{c}; lmax=8").parse::<SlrhConfig>(), Ok(c));
         // Without a rule the constants change nothing either.
-        let paper = SlrhConfig { adaptation: None, ..c };
-        assert_eq!(format!("{paper}; amin=0.05").parse::<SlrhConfig>(), Ok(paper));
+        let paper = SlrhConfig {
+            adaptation: None,
+            ..c
+        };
+        assert_eq!(
+            format!("{paper}; amin=0.05").parse::<SlrhConfig>(),
+            Ok(paper)
+        );
         for (tail, names) in [
             ("amin=0.1", "amin=0.1 is retired"),
             ("lmax=4", "lmax=4 is retired"),
@@ -745,7 +793,9 @@ mod tests {
 
     #[test]
     fn a_cadence_requires_the_rule() {
-        let err = "SLRH-1; w=(0.5, 0.3); every=2".parse::<SlrhConfig>().unwrap_err();
+        let err = "SLRH-1; w=(0.5, 0.3); every=2"
+            .parse::<SlrhConfig>()
+            .unwrap_err();
         assert_eq!(err, ConfigError::AdaptWithoutRule.to_string());
     }
 

@@ -63,7 +63,12 @@ mod tests {
 
     /// One sweep's worth of work for machine `j` at `clock`, as
     /// `mapper::drive` issues it.
-    fn query(fr: &mut Frontier, state: &SimState<'_>, j: MachineId, clock: Time) -> Option<MappingPlan> {
+    fn query(
+        fr: &mut Frontier,
+        state: &SimState<'_>,
+        j: MachineId,
+        clock: Time,
+    ) -> Option<MappingPlan> {
         ask(fr, state, j, clock, clock + H)
     }
 
@@ -71,7 +76,12 @@ mod tests {
     /// plan appears and return that sweep's horizon end. Every wake time
     /// reported on the way is held to its word: no plan while the
     /// horizon is short of it.
-    fn first_plan_horizon(fr: &mut Frontier, state: &SimState<'_>, j: MachineId, mut clock: Time) -> Time {
+    fn first_plan_horizon(
+        fr: &mut Frontier,
+        state: &SimState<'_>,
+        j: MachineId,
+        mut clock: Time,
+    ) -> Time {
         let mut proven = Time::ZERO;
         loop {
             let horizon_end = clock + H;
@@ -96,7 +106,10 @@ mod tests {
     /// plan.
     fn assert_wake_is_sound(wake: Option<Time>, first_plan: Time) {
         if let Some(w) = wake {
-            assert!(w <= first_plan, "slept to {w}, past the plan at {first_plan}");
+            assert!(
+                w <= first_plan,
+                "slept to {w}, past the plan at {first_plan}"
+            );
         }
     }
 
@@ -118,7 +131,11 @@ mod tests {
         let &(next_lb, _, _) = fr.waiting.last().expect("every candidate waits on its lb");
         assert!(next_lb >= Time(3000));
         let wake = fr.wake(&state, M0);
-        assert_eq!(wake, Some(next_lb), "nothing deferred: the next lb is the wake time");
+        assert_eq!(
+            wake,
+            Some(next_lb),
+            "nothing deferred: the next lb is the wake time"
+        );
         // Other machines have not been asked, so nothing is proven of them.
         assert_eq!(fr.wake(&state, MachineId(2)), None);
         let first = first_plan_horizon(&mut fr, &state, M0, Time(10));
@@ -155,9 +172,18 @@ mod tests {
         // Another machine commits ready subtasks until one of them
         // readies a child: a new arrival machine 0 has not seen.
         loop {
-            let &t = state.ready_tasks().first().expect("a child is readied first");
-            let readied =
-                commit_on(&mut fr, &mut state, t, Version::Secondary, MachineId(1), Time::ZERO);
+            let &t = state
+                .ready_tasks()
+                .first()
+                .expect("a child is readied first");
+            let readied = commit_on(
+                &mut fr,
+                &mut state,
+                t,
+                Version::Secondary,
+                MachineId(1),
+                Time::ZERO,
+            );
             if !readied.is_empty() {
                 break;
             }
@@ -199,10 +225,16 @@ mod tests {
         let mut fr = Frontier::new(&state);
         // Drain machine 0's battery: it takes whatever still passes its
         // gate until no ready subtask does.
-        while let Some((t, v)) = [Version::Primary, Version::Secondary].into_iter().find_map(|v| {
-            let ready = state.ready_tasks().iter();
-            ready.copied().find(|&t| state.version_feasible(t, v, M0)).map(|t| (t, v))
-        }) {
+        while let Some((t, v)) = [Version::Primary, Version::Secondary]
+            .into_iter()
+            .find_map(|v| {
+                let ready = state.ready_tasks().iter();
+                ready
+                    .copied()
+                    .find(|&t| state.version_feasible(t, v, M0))
+                    .map(|t| (t, v))
+            })
+        {
             commit_on(&mut fr, &mut state, t, v, M0, Time::ZERO);
         }
         assert!(!state.ready_tasks().is_empty(), "the battery ran out first");
@@ -218,14 +250,26 @@ mod tests {
         // A child of a machine-0 subtask lands on machine 1: the
         // worst-case transfer reservation machine 0 held for that edge
         // settles at the real link's cost and the rest comes back.
-        let on_m0 = |p: &TaskId| state.schedule().assignment(*p).is_some_and(|a| a.machine == M0);
+        let on_m0 = |p: &TaskId| {
+            state
+                .schedule()
+                .assignment(*p)
+                .is_some_and(|a| a.machine == M0)
+        };
         let child = state
             .ready_tasks()
             .iter()
             .copied()
             .find(|&c| sc.dag.parents(c).iter().any(on_m0))
             .expect("a ready child of a machine-0 subtask");
-        commit_on(&mut fr, &mut state, child, Version::Secondary, MachineId(1), Time::ZERO);
+        commit_on(
+            &mut fr,
+            &mut state,
+            child,
+            Version::Secondary,
+            MachineId(1),
+            Time::ZERO,
+        );
         assert!(
             state.ledger().afford_limit(M0) > watermark,
             "the refund lifted the limit over every recorded rejection"

@@ -76,11 +76,7 @@ use self::view::{Bound, View};
 /// into `order` from the back — each entry of `order` that sorts after
 /// the first moved one is shifted once — and leaves `moved` empty with
 /// its capacity kept. The result is what sorting the union would give.
-fn merge_sorted<T: Copy>(
-    order: &mut Vec<T>,
-    moved: &mut Vec<T>,
-    cmp: impl Fn(&T, &T) -> Ordering,
-) {
+fn merge_sorted<T: Copy>(order: &mut Vec<T>, moved: &mut Vec<T>, cmp: impl Fn(&T, &T) -> Ordering) {
     if moved.is_empty() {
         return;
     }
@@ -280,7 +276,16 @@ impl Frontier {
         self.resync(state);
         let gate_version = gate_version(allow_secondary);
         let limit = self.gate_row_guard(state, j);
-        Query { state, objective, j, now, horizon_end, allow_secondary, gate_version, limit }
+        Query {
+            state,
+            objective,
+            j,
+            now,
+            horizon_end,
+            allow_secondary,
+            gate_version,
+            limit,
+        }
     }
 }
 
@@ -417,7 +422,14 @@ mod tests {
             .iter()
             .find(|&&t| sc.dag.parents(t).is_empty())
         {
-            commit_on(&mut fr, &mut state, root, Version::Secondary, MachineId(1), park);
+            commit_on(
+                &mut fr,
+                &mut state,
+                root,
+                Version::Secondary,
+                MachineId(1),
+                park,
+            );
         }
         assert!(!state.ready_tasks().is_empty(), "the roots have children");
         (state, fr)

@@ -193,7 +193,10 @@ impl Frontier {
                 s.buf.wb.push((idx as u32, exact));
                 exact
             };
-            debug_assert!(ub <= padded, "drift bound {padded} below exact ub {ub} for {t}");
+            debug_assert!(
+                ub <= padded,
+                "drift bound {padded} below exact ub {ub} for {t}"
+            );
             // Exact-bound skip: this candidate cannot win, but a later
             // lower-snapshot entry still might — keep scanning without
             // planning it. (On a fresh order the padded bound *is* the
@@ -218,7 +221,9 @@ impl Frontier {
         *s.order() = order;
         best.map(|(obj, t, version)| {
             let placement = Placement::Append { not_before: q.now };
-            let plan = q.state.plan_with(t, version, q.j, placement, &mut self.scratch);
+            let plan = q
+                .state
+                .plan_with(t, version, q.j, placement, &mut self.scratch);
             debug_assert_eq!(
                 obj.to_bits(),
                 plan_objective(q.state, q.objective, &plan).to_bits(),
@@ -267,7 +272,12 @@ impl Frontier {
     fn cost_chosen(&mut self, b: &Bound<'_>, t: TaskId, stats: &mut RunStats) -> (f64, Slot) {
         stats.candidates_evaluated += 1;
         let q = &b.q;
-        let cost = q.state.cost(t, q.j, Placement::Append { not_before: q.now }, &mut self.scratch);
+        let cost = q.state.cost(
+            t,
+            q.j,
+            Placement::Append { not_before: q.now },
+            &mut self.scratch,
+        );
         let chosen = choose_version(q.state, &cost, q.allow_secondary, |totals| b.score(totals));
         self.raise_floor(t, q.j, chosen.1.start);
         chosen
@@ -338,19 +348,36 @@ mod tests {
             let mut child = None;
             while child.is_none() {
                 let &t = state.ready_tasks().first().expect("a root readies a child");
-                let readied =
-                    commit_on(&mut fr, &mut state, t, Version::Secondary, MachineId(0), Time::ZERO);
+                let readied = commit_on(
+                    &mut fr,
+                    &mut state,
+                    t,
+                    Version::Secondary,
+                    MachineId(0),
+                    Time::ZERO,
+                );
                 child = readied.first().copied();
             }
             let child = child.unwrap();
             while let Some(&r) = state.ready_tasks().iter().find(|&&r| r != child) {
-                commit_on(&mut fr, &mut state, r, Version::Secondary, MachineId(0), Time::ZERO);
+                commit_on(
+                    &mut fr,
+                    &mut state,
+                    r,
+                    Version::Secondary,
+                    MachineId(0),
+                    Time::ZERO,
+                );
             }
             assert_eq!(state.ready_tasks(), &[child]);
             // Same tick, next machine.
             let m1 = MachineId(1);
             let got = ask(&mut fr, &state, m1, Time::ZERO, wide);
-            assert_eq!(got.as_ref().map(|p| p.task), Some(child), "scan (resort: {resort})");
+            assert_eq!(
+                got.as_ref().map(|p| p.task),
+                Some(child),
+                "scan (resort: {resort})"
+            );
             assert_eq!(got, pool_answer(&state, m1, Time::ZERO, wide));
         }
     }

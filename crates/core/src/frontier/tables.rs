@@ -94,7 +94,8 @@ impl Frontier {
                 pa.finish()
             } else {
                 let size = sc.data.by_id(e).scaled(pa.version.data_factor());
-                pa.finish().max(not_before) + sc.grid.machine(pa.machine).transfer_dur(to_spec, size)
+                pa.finish().max(not_before)
+                    + sc.grid.machine(pa.machine).transfer_dur(to_spec, size)
             });
         }
         floor
@@ -247,7 +248,9 @@ mod tests {
                 t,
                 Version::Secondary,
                 m0,
-                Placement::Append { not_before: Time::ZERO },
+                Placement::Append {
+                    not_before: Time::ZERO,
+                },
             )
             .start;
         assert!(

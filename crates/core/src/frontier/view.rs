@@ -120,7 +120,10 @@ fn view_order(a: &ViewEntry, b: &ViewEntry) -> Ordering {
 /// in instead ([`merge_sorted`]). The sortedness check skips the sort
 /// when the new keys kept their order.
 fn restore_sort(entries: &mut [ViewEntry]) {
-    if !entries.windows(2).all(|w| view_order(&w[0], &w[1]) == Ordering::Less) {
+    if !entries
+        .windows(2)
+        .all(|w| view_order(&w[0], &w[1]) == Ordering::Less)
+    {
         entries.sort_unstable_by(view_order);
     }
 }
@@ -180,7 +183,14 @@ impl View {
             let task = TaskId(t as usize);
             let (dlo, dhi) = b.durations(task);
             let ub = b.ub(task, (dlo, dhi));
-            dest.push(ViewEntry { ub, t, gen, dlo, dhi, basis });
+            dest.push(ViewEntry {
+                ub,
+                t,
+                gen,
+                dlo,
+                dhi,
+                basis,
+            });
         }
         self.pend.clear();
         if full {
@@ -210,10 +220,15 @@ impl View {
         basis: Basis,
         moved: &mut Vec<ViewEntry>,
     ) -> usize {
-        let View { entries, deferred, .. } = self;
+        let View {
+            entries, deferred, ..
+        } = self;
         let (mut wbs, mut rms) = (wb.iter().peekable(), removals.iter().peekable());
         // Everything before the first record stays where it is.
-        let heads = [wb.first().map(|w| w.0 as usize), removals.first().map(|r| r.0 as usize)];
+        let heads = [
+            wb.first().map(|w| w.0 as usize),
+            removals.first().map(|r| r.0 as usize),
+        ];
         let first = heads.into_iter().flatten().min().unwrap_or(entries.len());
         let (mut kept, mut dropped) = (first, 0);
         for i in first..entries.len() {
@@ -261,7 +276,9 @@ impl View {
     /// The earliest floor a deferred entry waits on ([`Time::MAX`]:
     /// none).
     pub(super) fn earliest_deferral(&self) -> Time {
-        self.deferred.peek().map_or(Time::MAX, |&Reverse((f, _, _))| f)
+        self.deferred
+            .peek()
+            .map_or(Time::MAX, |&Reverse((f, _, _))| f)
     }
 
     /// The view-level drift bound (see [`Bound::drift`]): how much *any*
@@ -437,7 +454,11 @@ impl<'q> Bound<'q> {
             let cur = self.m.aet.0.max(self.q.horizon_end.0.saturating_add(d));
             cur.saturating_sub(e.basis.aet.max(e.basis.h.saturating_add(d)))
         };
-        let aet_rise = if self.positive { rise(e.dlo).max(rise(e.dhi)) } else { 0 };
+        let aet_rise = if self.positive {
+            rise(e.dlo).max(rise(e.dhi))
+        } else {
+            0
+        };
         self.drift(&e.basis, aet_rise)
     }
 }
@@ -511,7 +532,8 @@ impl Frontier {
             }
         }
         // Gate the accepted newcomers at the current limit.
-        v.pend.retain(|&(t, _)| self.gate_passes(q, TaskId(t as usize)));
+        v.pend
+            .retain(|&(t, _)| self.gate_passes(q, TaskId(t as usize)));
         if self.view_entries + v.pend.len() > VIEW_ENTRY_CAP {
             // Shed: release the storage and serve this machine through
             // the resort scan until the next epoch retries.
@@ -630,7 +652,10 @@ mod tests {
         rearm(&mut b, m0);
         let from_mark = ask(&mut b, &state_b, m0, Time::ZERO, horizon_end);
         assert_eq!(from_mark, from_zero);
-        assert_eq!(from_mark, pool_answer(&state_b, m0, Time::ZERO, horizon_end));
+        assert_eq!(
+            from_mark,
+            pool_answer(&state_b, m0, Time::ZERO, horizon_end)
+        );
         assert_eq!(members(&b), members(&a));
         assert!(from_mark.is_some() && !members(&b).0.is_empty());
 
@@ -646,7 +671,14 @@ mod tests {
     fn entry(ub: u8, i: usize) -> ViewEntry {
         let t = (i * 37 % 64) as u32;
         let (dlo, dhi) = (u64::from(t), u64::from(t) + 1);
-        ViewEntry { ub: f64::from(ub) * 0.25, t, gen: t % 3, dlo, dhi, basis: Basis::default() }
+        ViewEntry {
+            ub: f64::from(ub) * 0.25,
+            t,
+            gen: t % 3,
+            dlo,
+            dhi,
+            basis: Basis::default(),
+        }
     }
 
     /// Every field of an entry, bit for bit.
@@ -656,7 +688,17 @@ mod tests {
             .map(|e| {
                 let b = e.basis;
                 let (t, gen, t100) = (e.t.into(), e.gen.into(), b.t100.into());
-                [e.ub.to_bits(), t, gen, e.dlo, e.dhi, t100, b.tec.to_bits(), b.aet, b.h]
+                [
+                    e.ub.to_bits(),
+                    t,
+                    gen,
+                    e.dlo,
+                    e.dhi,
+                    t100,
+                    b.tec.to_bits(),
+                    b.aet,
+                    b.h,
+                ]
             })
             .collect()
     }
@@ -676,7 +718,9 @@ mod tests {
             e.basis = basis;
         }
         let (mut i, mut next, mut dropped) = (0, 0, 0);
-        let View { entries, deferred, .. } = v;
+        let View {
+            entries, deferred, ..
+        } = v;
         entries.retain(|e| {
             let removed = removals.get(next).is_some_and(|r| r.0 == i);
             if removed {

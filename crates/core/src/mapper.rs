@@ -124,7 +124,13 @@ impl gridsim::MappingOutcome for SlrhOutcome<'_> {
 /// assert!(m.t100 <= m.mapped);
 /// ```
 pub fn run_slrh<'a>(scenario: &'a Scenario, config: &SlrhConfig) -> SlrhOutcome<'a> {
-    run_slrh_with(scenario, config, &Churn::default(), &mut RunContext::new(), None)
+    run_slrh_with(
+        scenario,
+        config,
+        &Churn::default(),
+        &mut RunContext::new(),
+        None,
+    )
 }
 
 /// One executed clock tick, as seen by [`run_slrh_with`]'s observer.
@@ -170,7 +176,14 @@ pub fn run_slrh_with<'a>(
 ) -> SlrhOutcome<'a> {
     let state = churn.initial_state(scenario, ctx);
     let frontier = ctx.frontier_for(&state);
-    drive_segments(state, config, churn.losses(), frontier, Time::ZERO, observer)
+    drive_segments(
+        state,
+        config,
+        churn.losses(),
+        frontier,
+        Time::ZERO,
+        observer,
+    )
 }
 
 /// The version the §IV gate tests: at least the cheapest admissible
@@ -234,8 +247,19 @@ fn slrh2_order(
         }
         stats.candidates_evaluated += 1;
         // No start precedes a parent's finish: past the horizon, skip the costing.
-        let finish = |p: &TaskId| state.schedule().assignment(*p).map_or(Time::ZERO, |a| a.finish());
-        if state.scenario().dag.parents(t).iter().any(|p| finish(p) > horizon_end) {
+        let finish = |p: &TaskId| {
+            state
+                .schedule()
+                .assignment(*p)
+                .map_or(Time::ZERO, |a| a.finish())
+        };
+        if state
+            .scenario()
+            .dag
+            .parents(t)
+            .iter()
+            .any(|p| finish(p) > horizon_end)
+        {
             continue;
         }
         let cost = state.cost(t, j, Placement::Append { not_before: now }, scratch);
@@ -244,7 +268,11 @@ fn slrh2_order(
             order.push((objective, t, slot.version));
         }
     }
-    order.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite objectives").then(a.1.cmp(&b.1)));
+    order.sort_by(|a, b| {
+        b.0.partial_cmp(&a.0)
+            .expect("finite objectives")
+            .then(a.1.cmp(&b.1))
+    });
     order
 }
 
@@ -398,7 +426,9 @@ pub(crate) fn drive<K: Kernel>(
         let queries_before = stats.queries;
         let mut every_live_machine_available = true;
 
-        let order = config.machine_order.visit(state.scenario().grid.len(), tick);
+        let order = config
+            .machine_order
+            .visit(state.scenario().grid.len(), tick);
         for j in order.map(MachineId) {
             if state.all_mapped() {
                 break;
@@ -476,12 +506,7 @@ pub(crate) fn drive<K: Kernel>(
 /// machine frees up, or an available machine's horizon reaches the point
 /// the kernel named. [`Time::ZERO`] as soon as one machine's kernel
 /// answer carries no such proof; [`Time::MAX`] when no machine is alive.
-fn sweep_wake<K: Kernel>(
-    state: &SimState<'_>,
-    config: &SlrhConfig,
-    kernel: &K,
-    now: Time,
-) -> Time {
+fn sweep_wake<K: Kernel>(state: &SimState<'_>, config: &SlrhConfig, kernel: &K, now: Time) -> Time {
     let mut wake = Time::MAX;
     for j in state.scenario().grid.ids().filter(|&j| state.is_alive(j)) {
         let ready = state.compute_ready(j);
@@ -616,7 +641,10 @@ mod tests {
                 &mut RunContext::new(),
                 Some(&mut |e| events.push(e)),
             );
-            assert_eq!(format!("{:?}", observed.state.schedule()), format!("{:?}", plain.state.schedule()));
+            assert_eq!(
+                format!("{:?}", observed.state.schedule()),
+                format!("{:?}", plain.state.schedule())
+            );
             assert_eq!(observed.stats, plain.stats);
             assert_eq!(events.len() as u64, plain.stats.clock_steps, "{variant}");
             for w in events.windows(2) {
@@ -747,7 +775,10 @@ mod tests {
         assert!(out.stats.weight_updates > 0, "no weight ever moved");
         assert_ne!(out.final_weights, cfg.objective.weights);
         // The caller's configuration is never mutated (run-local copies only).
-        assert_eq!(cfg.objective.weights, config(SlrhVariant::V1).objective.weights);
+        assert_eq!(
+            cfg.objective.weights,
+            config(SlrhVariant::V1).objective.weights
+        );
         // Determinism: the adaptive trajectory replays exactly.
         let again = run_slrh(&sc, &cfg);
         assert_eq!(again.stats, out.stats);
@@ -896,7 +927,9 @@ mod tests {
             root,
             Version::Primary,
             MachineId(0),
-            Placement::Append { not_before: Time::ZERO },
+            Placement::Append {
+                not_before: Time::ZERO,
+            },
         );
         state.commit(&plan);
         let busy_until = state.compute_ready(MachineId(0));
@@ -920,13 +953,29 @@ mod tests {
         let end = match mode {
             Loop::Ticking => {
                 let mut ticking = Ticking(kernel);
-                let end = drive(&mut state, &mut run, &mut stats, &mut ticking, Time::ZERO, stop_at, obs);
+                let end = drive(
+                    &mut state,
+                    &mut run,
+                    &mut stats,
+                    &mut ticking,
+                    Time::ZERO,
+                    stop_at,
+                    obs,
+                );
                 kernel = ticking.0;
                 end
             }
             Loop::Eliding(wake) => {
                 kernel.wake = wake;
-                drive(&mut state, &mut run, &mut stats, &mut kernel, Time::ZERO, stop_at, obs)
+                drive(
+                    &mut state,
+                    &mut run,
+                    &mut stats,
+                    &mut kernel,
+                    Time::ZERO,
+                    stop_at,
+                    obs,
+                )
             }
         };
         ScriptedRun {
@@ -975,7 +1024,11 @@ mod tests {
         let eliding = scripted_run(Loop::Eliding(Some(horizon_end)), None, None, None);
         assert_same_books(&ticking, &eliding);
         let tau = scenario(16).tau;
-        assert_eq!(ticking.end.0, tau.0 / cfg.dt.0 * cfg.dt.0 + cfg.dt.0, "τ exit");
+        assert_eq!(
+            ticking.end.0,
+            tau.0 / cfg.dt.0 * cfg.dt.0 + cfg.dt.0,
+            "τ exit"
+        );
 
         let asleep = |clock: Time| {
             (clock > Time::ZERO && clock < ticking.busy_until)
@@ -984,7 +1037,10 @@ mod tests {
         };
         let clocks = || ticking.events.iter().map(|e| e.clock);
         let slept = clocks().filter(|&c| asleep(c)).count() as u64;
-        assert!(slept > 100, "the script leaves two real spans ({slept} ticks)");
+        assert!(
+            slept > 100,
+            "the script leaves two real spans ({slept} ticks)"
+        );
         assert_eq!(eliding.stats.sweeps_elided, slept);
         // Not one kernel call inside a span, and every other tick is
         // swept (a sweep always has an idle machine to ask here).
@@ -996,7 +1052,10 @@ mod tests {
         // `queries` all the same (`assert_same_books`): one per sweep
         // once machine 0 is free, on top of the kernel's queries.
         let probes = ticking.stats.queries - ticking.queried.len() as u64;
-        assert_eq!(probes, clocks().filter(|&c| c >= ticking.busy_until).count() as u64);
+        assert_eq!(
+            probes,
+            clocks().filter(|&c| c >= ticking.busy_until).count() as u64
+        );
     }
 
     #[test]

@@ -70,9 +70,14 @@ pub fn run<'a>(
     let state = churn.initial_state(scenario, ctx);
     let losses = churn.losses();
     match kind {
-        Kind::Scratch => {
-            drive_segments(state, config, losses, &mut Ticking(Scratch), Time::ZERO, observer)
-        }
+        Kind::Scratch => drive_segments(
+            state,
+            config,
+            losses,
+            &mut Ticking(Scratch),
+            Time::ZERO,
+            observer,
+        ),
         Kind::Resort => {
             let mut resort = Ticking(Frontier::new(&state).resort_only());
             drive_segments(state, config, losses, &mut resort, Time::ZERO, observer)
@@ -105,7 +110,15 @@ impl<K: Kernel> Kernel for Ticking<K> {
         allow_secondary: bool,
         stats: &mut RunStats,
     ) -> Option<MappingPlan> {
-        self.0.best_startable(state, objective, j, now, horizon_end, allow_secondary, stats)
+        self.0.best_startable(
+            state,
+            objective,
+            j,
+            now,
+            horizon_end,
+            allow_secondary,
+            stats,
+        )
     }
 }
 

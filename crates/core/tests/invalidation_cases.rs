@@ -44,9 +44,14 @@ fn scenario(edges: &[(usize, usize)], tasks: usize) -> Scenario {
 }
 
 fn map(state: &mut SimState<'_>, task: usize, machine: usize) {
-    let plan = state.plan(t(task), Version::Primary, m(machine), Placement::Append {
-        not_before: Time::ZERO,
-    });
+    let plan = state.plan(
+        t(task),
+        Version::Primary,
+        m(machine),
+        Placement::Append {
+            not_before: Time::ZERO,
+        },
+    );
     state.commit(&plan);
 }
 
@@ -58,7 +63,7 @@ fn kills_unfinished_keeps_finished() {
     let mut st = SimState::new(&sc);
     map(&mut st, 0, 0); // m0: [0, 100)
     map(&mut st, 1, 0); // m0: [100, 200)
-    // Lose m0 at t = 150 s: task 0 finished, task 1 mid-execution.
+                        // Lose m0 at t = 150 s: task 0 finished, task 1 mid-execution.
     let n = apply_loss(&mut st, m(0), Time::from_seconds(150));
     assert_eq!(n, 1);
     assert!(st.is_mapped(t(0)), "finished work survives");
@@ -72,7 +77,7 @@ fn finished_parent_with_unmapped_child_dies() {
     let sc = scenario(&[(0, 1)], 2);
     let mut st = SimState::new(&sc);
     map(&mut st, 0, 0); // parent on m0: [0, 100)
-    // Child not yet mapped. Lose m0 well after the parent finished.
+                        // Child not yet mapped. Lose m0 well after the parent finished.
     let n = apply_loss(&mut st, m(0), Time::from_seconds(500));
     assert_eq!(n, 1, "the parent's output is stranded on the dead machine");
     assert!(!st.is_mapped(t(0)));
@@ -103,8 +108,8 @@ fn inflight_transfer_starves_consumer() {
     let mut st = SimState::new(&sc);
     map(&mut st, 0, 0); // parent m0: [0, 100); transfer starts at 100
     map(&mut st, 1, 1); // child m1 after the transfer
-    // Lose m0 at exactly t = 100 s: parent finished (half-open interval)
-    // but the transfer to the child dies at birth.
+                        // Lose m0 at exactly t = 100 s: parent finished (half-open interval)
+                        // but the transfer to the child dies at birth.
     let n = apply_loss(&mut st, m(0), Time::from_seconds(100));
     assert_eq!(n, 2, "child loses its input; parent must re-run elsewhere");
     assert!(!st.is_mapped(t(0)));
@@ -122,8 +127,8 @@ fn cascade_spares_independent_branches() {
     map(&mut st, 3, 1); // independent task on m1: [0, 100)
     map(&mut st, 1, 1); // chain middle on m1 (after transfer from m0)
     map(&mut st, 2, 1); // chain tail on m1
-    // Kill m0 while the root executes: the whole chain must unwind, the
-    // independent task must not.
+                        // Kill m0 while the root executes: the whole chain must unwind, the
+                        // independent task must not.
     let n = apply_loss(&mut st, m(0), Time::from_seconds(50));
     assert_eq!(n, 3);
     assert!(!st.is_mapped(t(0)));

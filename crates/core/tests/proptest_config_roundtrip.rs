@@ -28,8 +28,16 @@ fn configs() -> impl Strategy<Value = SlrhConfig> {
         .prop_map(|((v, a, b, aet, trig), (ord, dt, h, sec))| {
             let w = Weights::new(a, b.min(1.0 - a)).expect("on-simplex");
             let mut c = SlrhConfig::paper(SlrhVariant::ALL[v], w);
-            c.objective.aet_sign = if aet { AetSign::Positive } else { AetSign::Negative };
-            c.trigger = if trig { Trigger::Clock } else { Trigger::MachineAvailable };
+            c.objective.aet_sign = if aet {
+                AetSign::Positive
+            } else {
+                AetSign::Negative
+            };
+            c.trigger = if trig {
+                Trigger::Clock
+            } else {
+                Trigger::MachineAvailable
+            };
             c.machine_order = [
                 MachineOrder::Numerical,
                 MachineOrder::Reversed,
@@ -70,14 +78,17 @@ fn malformed_configs_are_rejected() {
     for bad in [
         "",
         "SLRH-9; w=(0.5, 0.3)",
-        "SLRH-1",                              // no weights
-        "SLRH-1; w=(0.5, 0.3); dt=0",          // degenerate clock
-        "SLRH-1; w=(0.5, 0.3); h=0",           // degenerate horizon
-        "SLRH-1; w=(0.5, 0.3); warp=9",        // unknown component
-        "SLRH-1; w=(0.5, 0.3); dt=5; dt=6",    // duplicate component
-        "SLRH-1; w=(0.9, 0.9)",                // off-simplex weights
-        "SLRH-1; w=(0.5, 0.3); aet=0",         // bad sign
+        "SLRH-1",                           // no weights
+        "SLRH-1; w=(0.5, 0.3); dt=0",       // degenerate clock
+        "SLRH-1; w=(0.5, 0.3); h=0",        // degenerate horizon
+        "SLRH-1; w=(0.5, 0.3); warp=9",     // unknown component
+        "SLRH-1; w=(0.5, 0.3); dt=5; dt=6", // duplicate component
+        "SLRH-1; w=(0.9, 0.9)",             // off-simplex weights
+        "SLRH-1; w=(0.5, 0.3); aet=0",      // bad sign
     ] {
-        assert!(bad.parse::<SlrhConfig>().is_err(), "{bad:?} should not parse");
+        assert!(
+            bad.parse::<SlrhConfig>().is_err(),
+            "{bad:?} should not parse"
+        );
     }
 }

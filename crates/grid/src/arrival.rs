@@ -186,7 +186,10 @@ impl std::fmt::Display for PoissonError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PoissonError::MeanGap => {
-                write!(f, "mean gap must be positive and at most {MAX_INPUT_TICKS} ticks")
+                write!(
+                    f,
+                    "mean gap must be positive and at most {MAX_INPUT_TICKS} ticks"
+                )
             }
             PoissonError::TaskRange => {
                 f.write_str("the task range must start at 1 or more and not be empty")
@@ -344,7 +347,10 @@ impl Background {
     /// Panics when `max_util_eighths > 6` (the inflation formula needs
     /// `8 − e ≥ 2` to stay bounded).
     pub fn generate(machines: usize, p: &BackgroundParams) -> Background {
-        assert!(p.max_util_eighths <= 6, "background utilization capped at 6/8");
+        assert!(
+            p.max_util_eighths <= 6,
+            "background utilization capped at 6/8"
+        );
         let mut rng = StdRng::seed_from_u64(seed::derive(p.seed, STREAM_BG));
         let mut offset = Vec::with_capacity(machines);
         let mut util_eighths = Vec::with_capacity(machines);
@@ -508,7 +514,10 @@ mod tests {
         };
         assert_eq!(params(1).check(), Ok(()));
         assert_eq!(broken(&|p| p.mean_gap = 0), PoissonError::MeanGap);
-        assert_eq!(broken(&|p| p.mean_gap = MAX_INPUT_TICKS + 1), PoissonError::MeanGap);
+        assert_eq!(
+            broken(&|p| p.mean_gap = MAX_INPUT_TICKS + 1),
+            PoissonError::MeanGap
+        );
         assert_eq!(broken(&|p| p.tasks = (0, 4)), PoissonError::TaskRange);
         assert_eq!(broken(&|p| p.tasks = (9, 4)), PoissonError::TaskRange);
         assert_eq!(broken(&|p| p.bag_in_8 = 9), PoissonError::Rate);
@@ -523,7 +532,11 @@ mod tests {
         let jobs = poisson_trace(&at_cap);
         assert_eq!(jobs.len(), 64);
         assert!(jobs.windows(2).all(|w| w[0].at <= w[1].at));
-        assert_eq!(jobs.last().unwrap().at, Time::MAX, "64 gaps of mean 2^62 pass u64::MAX");
+        assert_eq!(
+            jobs.last().unwrap().at,
+            Time::MAX,
+            "64 gaps of mean 2^62 pass u64::MAX"
+        );
     }
 
     #[test]
@@ -651,17 +664,29 @@ mod tests {
             edit(&mut p);
             p.check().unwrap_err()
         };
-        assert_eq!(broken(&|p| p.jobs.clear()), "arrival trace needs at least one job");
-        assert_eq!(broken(&|p| p.jobs[1].id = 0), "duplicate job id in arrival trace");
+        assert_eq!(
+            broken(&|p| p.jobs.clear()),
+            "arrival trace needs at least one job"
+        );
+        assert_eq!(
+            broken(&|p| p.jobs[1].id = 0),
+            "duplicate job id in arrival trace"
+        );
         assert_eq!(broken(&|p| p.jobs[1].tasks = 0), "job 1 has no tasks");
         use crate::units::MAX_INPUT_TASKS;
         assert_eq!(
             broken(&|p| p.jobs[1].tasks = MAX_INPUT_TASKS + 1),
             format!("job 1: tasks must be at most {MAX_INPUT_TASKS}")
         );
-        assert_eq!(broken(&|p| p.jobs[0].deadline = Dur(0)), "job 0 has a zero deadline");
+        assert_eq!(
+            broken(&|p| p.jobs[0].deadline = Dur(0)),
+            "job 0 has a zero deadline"
+        );
         let past_cap = format!("job 1 arrives or is due past {MAX_INPUT_TICKS} ticks");
-        assert_eq!(broken(&|p| p.jobs[1].at = Time(MAX_INPUT_TICKS + 1)), past_cap);
+        assert_eq!(
+            broken(&|p| p.jobs[1].at = Time(MAX_INPUT_TICKS + 1)),
+            past_cap
+        );
         assert_eq!(broken(&|p| p.jobs[1].deadline = Dur(u64::MAX)), past_cap);
         let mut at_cap = good.clone();
         at_cap.jobs[1].at = Time(MAX_INPUT_TICKS);

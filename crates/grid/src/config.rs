@@ -112,7 +112,10 @@ impl GridConfig {
     /// # Panics
     /// Panics if `machines` is empty.
     pub fn from_machines(machines: Vec<MachineSpec>) -> GridConfig {
-        assert!(!machines.is_empty(), "grid must contain at least one machine");
+        assert!(
+            !machines.is_empty(),
+            "grid must contain at least one machine"
+        );
         GridConfig { machines }
     }
 

@@ -212,10 +212,7 @@ impl Dag {
     pub fn topological_order(&self) -> Option<Vec<TaskId>> {
         let n = self.len();
         let mut indegree: Vec<usize> = (0..n).map(|t| self.parents(TaskId(t)).len()).collect();
-        let mut queue: Vec<TaskId> = (0..n)
-            .filter(|&t| indegree[t] == 0)
-            .map(TaskId)
-            .collect();
+        let mut queue: Vec<TaskId> = (0..n).filter(|&t| indegree[t] == 0).map(TaskId).collect();
         let mut order = Vec::with_capacity(n);
         while let Some(t) = queue.pop() {
             order.push(t);
@@ -268,8 +265,8 @@ mod tests {
         // 1   2
         //  \ /
         //   3
-        let d = Dag::from_edges(4, &[(t(0), t(1)), (t(0), t(2)), (t(1), t(3)), (t(2), t(3))])
-            .unwrap();
+        let d =
+            Dag::from_edges(4, &[(t(0), t(1)), (t(0), t(2)), (t(1), t(3)), (t(2), t(3))]).unwrap();
         assert_eq!(d.parents(t(3)), &[t(1), t(2)]);
         assert_eq!(d.children(t(0)), &[t(1), t(2)]);
         assert_eq!(d.roots().collect::<Vec<_>>(), vec![t(0)]);
@@ -281,8 +278,8 @@ mod tests {
 
     #[test]
     fn topological_order_respects_edges() {
-        let d = Dag::from_edges(5, &[(t(0), t(2)), (t(1), t(2)), (t(2), t(3)), (t(2), t(4))])
-            .unwrap();
+        let d =
+            Dag::from_edges(5, &[(t(0), t(2)), (t(1), t(2)), (t(2), t(3)), (t(2), t(4))]).unwrap();
         let order = d.topological_order().unwrap();
         // Invert the permutation once instead of `iter().position` per
         // query (which made this helper O(n^2) on large DAGs).

@@ -39,7 +39,9 @@ impl DataGenParams {
     /// units from a fast sender — negligible next to multi-second,
     /// multi-unit subtask executions, as the paper requires.
     pub fn paper() -> DataGenParams {
-        DataGenParams { size_mb: (0.1, 1.0) }
+        DataGenParams {
+            size_mb: (0.1, 1.0),
+        }
     }
 
     fn validate(&self) {

@@ -120,7 +120,10 @@ mod tests {
     #[test]
     fn secondary_never_free() {
         let m = EtcMatrix::uniform(1, 1, 0.01);
-        assert_eq!(m.exec_dur(TaskId(0), MachineId(0), Version::Secondary), Dur(1));
+        assert_eq!(
+            m.exec_dur(TaskId(0), MachineId(0), Version::Secondary),
+            Dur(1)
+        );
     }
 
     #[test]

@@ -24,9 +24,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{GridCase, MachineId};
-use crate::machine::MachineClass;
 use crate::etc::EtcMatrix;
 use crate::gamma::Gamma;
+use crate::machine::MachineClass;
 
 pub use crate::machine::paper_constants::MEAN_ETC_SECONDS;
 
@@ -98,12 +98,12 @@ impl EtcGenParams {
     fn validate(&self) {
         assert!(self.tasks > 0, "need at least one task");
         assert!(self.fast_mean_secs > 0.0, "fast mean must be positive");
-        assert!(self.v_task > 0.0 && self.v_mach > 0.0, "CVs must be positive");
-        let (lo, hi) = self.slow_factor;
         assert!(
-            0.0 < lo && lo <= hi,
-            "invalid slow factor range {lo}..{hi}"
+            self.v_task > 0.0 && self.v_mach > 0.0,
+            "CVs must be positive"
         );
+        let (lo, hi) = self.slow_factor;
+        assert!(0.0 < lo && lo <= hi, "invalid slow factor range {lo}..{hi}");
     }
 }
 
@@ -311,7 +311,10 @@ mod tests {
                 cross_class_inversion = true;
             }
         }
-        assert!(cross_class_inversion, "semi-consistent degenerated to consistent");
+        assert!(
+            cross_class_inversion,
+            "semi-consistent degenerated to consistent"
+        );
     }
 
     #[test]

@@ -178,7 +178,10 @@ pub fn read(text: &str) -> Result<Scenario, ParseError> {
         let (n, row) = next("etc row")?;
         let vals: Vec<&str> = row.split_whitespace().collect();
         if vals.len() != machines {
-            return err(n, format!("etc row has {} entries, expected {machines}", vals.len()));
+            return err(
+                n,
+                format!("etc row has {} entries, expected {machines}", vals.len()),
+            );
         }
         for v in vals {
             secs.push(parse_num::<f64>(n, v)?);
@@ -196,7 +199,10 @@ pub fn read(text: &str) -> Result<Scenario, ParseError> {
             message: format!("bad machines header {m_line:?}"),
         })?;
     if count != machines {
-        return err(n, format!("machine count {count} != etc columns {machines}"));
+        return err(
+            n,
+            format!("machine count {count} != etc columns {machines}"),
+        );
     }
     let mut specs = Vec::with_capacity(hint(count));
     for _ in 0..count {
@@ -245,7 +251,10 @@ pub fn read(text: &str) -> Result<Scenario, ParseError> {
         edges.push((u, v));
         sizes.push((u, v, Megabits(parse_num(n, p[3])?)));
     }
-    let dag = Dag::from_edges(tasks, &edges).map_err(|m| ParseError { line: n, message: m })?;
+    let dag = Dag::from_edges(tasks, &edges).map_err(|m| ParseError {
+        line: n,
+        message: m,
+    })?;
     let data = DataSizes::from_edge_list(&dag, &sizes).map_err(|m| ParseError {
         line: n,
         message: m,
@@ -339,7 +348,10 @@ mod tests {
         use crate::units::MAX_INPUT_TASKS;
         let head = "lrh-grid-scenario v1\ncase A\ntau 100\n";
         let e = read(&format!("{head}etc 0 {} 4\n", MAX_INPUT_TASKS + 1)).unwrap_err();
-        assert_eq!((e.line, e.message), (4, format!("tasks must be at most {MAX_INPUT_TASKS}")));
+        assert_eq!(
+            (e.line, e.message),
+            (4, format!("tasks must be at most {MAX_INPUT_TASKS}"))
+        );
         // At the cap the header passes and the missing rows are the error.
         let e = read(&format!("{head}etc 0 {MAX_INPUT_TASKS} 4\n")).unwrap_err();
         assert!(e.message.contains("expected etc row"), "{e}");
@@ -350,7 +362,10 @@ mod tests {
         let dag = text.lines().find(|l| l.starts_with("dag ")).unwrap();
         let forged = format!("dag 2 24 {}", 1u64 << 60);
         let e = read(&text.replace(dag, &forged)).unwrap_err();
-        assert!(e.message.contains("bad edge line") || e.message.contains("expected edge"), "{e}");
+        assert!(
+            e.message.contains("bad edge line") || e.message.contains("expected edge"),
+            "{e}"
+        );
     }
 
     #[test]

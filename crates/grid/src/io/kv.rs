@@ -86,12 +86,10 @@ impl<'a> Iterator for Lines<'a> {
 
 /// Split a meaningful line into a trimmed `(key, value)` pair.
 pub fn split_pair(line_no: usize, line: &str) -> Result<(&str, &str), KvError> {
-    let (key, value) = line
-        .split_once('=')
-        .ok_or_else(|| KvError {
-            line: line_no,
-            message: format!("expected key=value, got {line:?}"),
-        })?;
+    let (key, value) = line.split_once('=').ok_or_else(|| KvError {
+        line: line_no,
+        message: format!("expected key=value, got {line:?}"),
+    })?;
     Ok((key.trim(), value.trim()))
 }
 

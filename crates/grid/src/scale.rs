@@ -81,8 +81,7 @@ impl ScaleParams {
     /// Battery scale holding the paper's energy-per-subtask-per-machine
     /// regime: `(|T| / 1024) · (4 / |M|)`.
     pub fn battery_scale(&self) -> f64 {
-        (self.tasks as f64 / paper_constants::NUM_SUBTASKS as f64)
-            * (4.0 / self.machines() as f64)
+        (self.tasks as f64 / paper_constants::NUM_SUBTASKS as f64) * (4.0 / self.machines() as f64)
     }
 
     /// DAG generator parameters: the paper's layered family with layer
@@ -161,7 +160,10 @@ mod tests {
         // Per-machine battery stays in the paper band (a fast machine has
         // 580 eu at full scale).
         let per_machine = sc.grid.machine(crate::config::MachineId(0)).battery;
-        assert!(per_machine.approx_eq(Energy(580.0), 1e-6), "{per_machine:?}");
+        assert!(
+            per_machine.approx_eq(Energy(580.0), 1e-6),
+            "{per_machine:?}"
+        );
     }
 
     #[test]

@@ -39,7 +39,13 @@ pub struct Choice {
 impl Choice {
     /// The reduced value `value − λ·usage` at prices λ.
     pub fn reduced(&self, lambda: &[f64]) -> f64 {
-        self.value - self.usage.iter().zip(lambda).map(|(u, l)| u * l).sum::<f64>()
+        self.value
+            - self
+                .usage
+                .iter()
+                .zip(lambda)
+                .map(|(u, l)| u * l)
+                .sum::<f64>()
     }
 }
 
@@ -165,11 +171,7 @@ impl SeparableProblem {
         let sel = self.relaxed_selection(lambda);
         let usage = self.total_usage(&sel);
         let relaxed_value: f64 = self.total_value(&sel)
-            - usage
-                .iter()
-                .zip(lambda)
-                .map(|(u, l)| u * l)
-                .sum::<f64>()
+            - usage.iter().zip(lambda).map(|(u, l)| u * l).sum::<f64>()
             + self
                 .capacities
                 .iter()
@@ -206,7 +208,12 @@ impl SeparableProblem {
     /// # Panics
     /// Panics if an entry of `lambda0` is negative or non-finite, or its
     /// length is not [`SeparableProblem::resources`].
-    pub fn minimize_dual(&self, rule: StepRule, max_iters: usize, lambda0: Vec<f64>) -> DualOutcome {
+    pub fn minimize_dual(
+        &self,
+        rule: StepRule,
+        max_iters: usize,
+        lambda0: Vec<f64>,
+    ) -> DualOutcome {
         for &l in &lambda0 {
             assert!(l >= 0.0 && l.is_finite(), "invalid multiplier {l}");
         }
@@ -291,7 +298,11 @@ mod tests {
     #[test]
     fn subgradient_finds_near_tight_bound() {
         let out = contention().minimize_dual(StepRule::Diminishing { a: 1.0 }, 500, vec![0.0]);
-        assert!(out.upper_bound < 3.3, "bound {} not near optimum 3", out.upper_bound);
+        assert!(
+            out.upper_bound < 3.3,
+            "bound {} not near optimum 3",
+            out.upper_bound
+        );
         assert!(out.upper_bound >= 3.0 - 1e-9);
     }
 
@@ -320,7 +331,11 @@ mod tests {
         // A feasible hand solution: items 3 and 4 take big (usage 4,2),
         // one more item takes small (usage 1,0) -> value 7+8+2 = 17, usage (5,2).
         assert!(out.upper_bound >= 17.0 - 1e-6);
-        assert!(out.upper_bound <= 19.5, "bound {} too loose", out.upper_bound);
+        assert!(
+            out.upper_bound <= 19.5,
+            "bound {} too loose",
+            out.upper_bound
+        );
         // Prices should be meaningfully positive for the scarce resources.
         assert!(out.lambda.iter().any(|&l| l > 0.0));
     }
@@ -328,24 +343,40 @@ mod tests {
     #[test]
     fn polyak_with_the_optimal_target_converges_in_two_steps() {
         // q(0) = 5 with violation 1: the step (5 − 3)/1 lands on the tight λ = 2.
-        let rule = StepRule::Polyak { target: -3.0, max_step: 10.0 };
+        let rule = StepRule::Polyak {
+            target: -3.0,
+            max_step: 10.0,
+        };
         let out = contention().minimize_dual(rule, 100, vec![0.0]);
-        assert_eq!((out.upper_bound, out.lambda, out.iterations), (3.0, vec![2.0], 2));
+        assert_eq!(
+            (out.upper_bound, out.lambda, out.iterations),
+            (3.0, vec![2.0], 2)
+        );
     }
 
     #[test]
     fn the_best_iterate_is_kept_not_the_last() {
         // Constant steps of 4 visit λ = 0 (q = 5), 4 (q = 4), then 0 again.
         let out = contention().minimize_dual(StepRule::Constant { a: 4.0 }, 3, vec![0.0]);
-        assert_eq!((out.upper_bound, out.lambda, out.iterations), (4.0, vec![4.0], 3));
-        assert_eq!(out.selection.0, vec![1, 1], "the selection is the best iterate's");
+        assert_eq!(
+            (out.upper_bound, out.lambda, out.iterations),
+            (4.0, vec![4.0], 3)
+        );
+        assert_eq!(
+            out.selection.0,
+            vec![1, 1],
+            "the selection is the best iterate's"
+        );
     }
 
     #[test]
     fn a_start_without_violation_stops_after_one_iteration() {
         // At λ = 2.5 item 0 takes and item 1 skips: usage = capacity.
         let out = contention().minimize_dual(StepRule::Constant { a: 0.1 }, 100, vec![2.5]);
-        assert_eq!((out.upper_bound, out.lambda, out.iterations), (3.0, vec![2.5], 1));
+        assert_eq!(
+            (out.upper_bound, out.lambda, out.iterations),
+            (3.0, vec![2.5], 1)
+        );
     }
 
     #[test]

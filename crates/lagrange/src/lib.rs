@@ -34,7 +34,7 @@ pub mod online;
 pub mod step;
 pub mod weights;
 
-pub use dual::{SeparableProblem, Selection};
+pub use dual::{Selection, SeparableProblem};
 pub use online::adapt_step;
 pub use step::StepRule;
 pub use weights::{AetSign, Objective, ObjectiveInputs, WeightError, Weights};

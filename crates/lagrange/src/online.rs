@@ -160,7 +160,11 @@ mod tests {
     fn alpha_floor_holds_under_extreme_violations() {
         let w = Weights::new(0.1, 0.45).unwrap();
         let out = adapt_step(&StepRule::Constant { a: 100.0 }, w, 1, [1000.0, 1000.0]);
-        assert!(out.alpha() >= MIN_ALPHA - 1e-12, "α {} under the floor", out.alpha());
+        assert!(
+            out.alpha() >= MIN_ALPHA - 1e-12,
+            "α {} under the floor",
+            out.alpha()
+        );
         // The multiplier ceiling bounds how far from the floor the
         // result can sit: λ <= 8 each, so α >= 1/17.
         assert!(out.alpha() >= 1.0 / 17.0 - 1e-9);
@@ -171,7 +175,11 @@ mod tests {
         // The second pair's β is an off-lattice double (≈2^-52-scale
         // tail) that must snap cleanly.
         #[allow(clippy::excessive_precision)]
-        let cases = [(0.1234567891, 0.555_111_512_312_578_27), (0.05, 0.0), (0.9999999999, 0.0)];
+        let cases = [
+            (0.1234567891, 0.555_111_512_312_578_27),
+            (0.05, 0.0),
+            (0.9999999999, 0.0),
+        ];
         for (a, b) in cases {
             let w = snap_to_lattice(a, b);
             let again = snap_to_lattice(w.alpha(), w.beta());

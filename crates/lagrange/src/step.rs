@@ -194,7 +194,10 @@ mod tests {
     #[test]
     fn ascent_moves_along_violations_and_projects() {
         let mut lambda = [0.0, 0.0];
-        assert_eq!(StepRule::Constant { a: 0.5 }.ascend(1, 0.0, &mut lambda, &[2.0, -1.0]), 0.5);
+        assert_eq!(
+            StepRule::Constant { a: 0.5 }.ascend(1, 0.0, &mut lambda, &[2.0, -1.0]),
+            0.5
+        );
         assert_eq!(lambda, [1.0, 0.0], "projection keeps λ >= 0");
         let mut lambda = [1.0];
         for k in 1..=10 {

@@ -390,7 +390,10 @@ mod tests {
     fn from_str_rejects_malformed_and_inconsistent() {
         assert!("".parse::<Weights>().is_err());
         assert!("(α=0.5)".parse::<Weights>().is_err());
-        assert!("(α=0.5, β=0.3, γ=0.9)".parse::<Weights>().is_err(), "wrong γ");
+        assert!(
+            "(α=0.5, β=0.3, γ=0.9)".parse::<Weights>().is_err(),
+            "wrong γ"
+        );
         assert!("(α=0.9, β=0.9)".parse::<Weights>().is_err(), "off simplex");
         assert!("(q=0.5, β=0.3)".parse::<Weights>().is_err());
         assert!("(α=0.5, α=0.5, β=0.3)".parse::<Weights>().is_err());

@@ -22,7 +22,10 @@ fn rule_of(tag: usize, a: f64, target: f64) -> StepRule {
     match tag % 3 {
         0 => StepRule::Constant { a },
         1 => StepRule::Diminishing { a },
-        _ => StepRule::Polyak { target, max_step: a },
+        _ => StepRule::Polyak {
+            target,
+            max_step: a,
+        },
     }
 }
 

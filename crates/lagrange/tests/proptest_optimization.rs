@@ -10,8 +10,12 @@ use proptest::prelude::*;
 /// feasible selection always exists.
 fn problems() -> impl Strategy<Value = SeparableProblem> {
     let item = prop::collection::vec((0.0f64..10.0, 0.0f64..3.0, 0.0f64..3.0), 1..4);
-    (prop::collection::vec(item, 1..8), 1.0f64..10.0, 1.0f64..10.0).prop_map(
-        |(items, cap0, cap1)| {
+    (
+        prop::collection::vec(item, 1..8),
+        1.0f64..10.0,
+        1.0f64..10.0,
+    )
+        .prop_map(|(items, cap0, cap1)| {
             let options = items
                 .into_iter()
                 .map(|opts| {
@@ -30,8 +34,7 @@ fn problems() -> impl Strategy<Value = SeparableProblem> {
                 })
                 .collect();
             SeparableProblem::new(options, vec![cap0, cap1])
-        },
-    )
+        })
 }
 
 /// Brute-force the true optimum (instances are tiny by construction).

@@ -52,6 +52,6 @@ pub use outcome::MappingOutcome;
 pub use plan::{Costing, MappingPlan, Placement, PlanScratch, PlanTotals, Slot};
 pub use schedule::{Assignment, Schedule, Transfer};
 pub use state::{SimState, StateBuffers};
-pub use trace::Trace;
 pub use timeline::Timeline;
+pub use trace::Trace;
 pub use validate::{validate, validate_schedule, Invariant, ValidationError};

@@ -363,10 +363,17 @@ pub(crate) fn plan_mapping(
 ) -> MappingPlan {
     let mut transfers = emptied(&mut scratch.transfers);
     let mut settlements = emptied(&mut scratch.settlements);
-    let slot = cost(state, task, machine, placement, scratch, |settlement, slot| {
-        settlements.push(settlement);
-        transfers.extend(slot);
-    })
+    let slot = cost(
+        state,
+        task,
+        machine,
+        placement,
+        scratch,
+        |settlement, slot| {
+            settlements.push(settlement);
+            transfers.extend(slot);
+        },
+    )
     .at(state, version);
 
     // Worst-case outgoing reservations for every (necessarily unmapped)

@@ -87,9 +87,7 @@ impl Timeline {
         let probe = Interval::new(start, dur);
         // First interval with end > start could overlap; binary search on end.
         let idx = self.busy.partition_point(|iv| iv.end <= probe.start);
-        self.busy
-            .get(idx)
-            .is_none_or(|iv| !iv.overlaps(&probe))
+        self.busy.get(idx).is_none_or(|iv| !iv.overlaps(&probe))
     }
 
     /// Earliest `t >= not_before` such that `[t, t+dur)` is free.

@@ -238,16 +238,12 @@ impl Trace {
     pub fn render_gantt(&self, schedule: &Schedule, width: usize) -> String {
         assert!(width > 0, "gantt width must be positive");
         let span = self.aet.0.max(1);
-        let mut rows: Vec<Vec<u8>> = self
-            .summaries
-            .iter()
-            .map(|_| vec![b'.'; width])
-            .collect();
+        let mut rows: Vec<Vec<u8>> = self.summaries.iter().map(|_| vec![b'.'; width]).collect();
         for a in schedule.assignments() {
             let row = &mut rows[a.machine.0];
             let lo = (a.start.0 as u128 * width as u128 / span as u128) as usize;
-            let hi = ((a.finish().0 as u128 * width as u128).div_ceil(span as u128) as usize)
-                .min(width);
+            let hi =
+                ((a.finish().0 as u128 * width as u128).div_ceil(span as u128) as usize).min(width);
             for c in row.iter_mut().take(hi).skip(lo) {
                 *c = b'#';
             }
@@ -277,10 +273,10 @@ fn event_order(e: &TraceEvent) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::Placement;
     use adhoc_grid::config::GridCase;
     use adhoc_grid::task::Version;
     use adhoc_grid::workload::{Scenario, ScenarioParams};
-    use crate::plan::Placement;
 
     fn mapped_state(sc: &Scenario) -> SimState<'_> {
         let mut st = SimState::new(sc);
@@ -291,9 +287,14 @@ mod tests {
             if !st.version_feasible(t, Version::Secondary, j) {
                 continue;
             }
-            let plan = st.plan(t, Version::Secondary, j, Placement::Append {
-                not_before: Time::ZERO,
-            });
+            let plan = st.plan(
+                t,
+                Version::Secondary,
+                j,
+                Placement::Append {
+                    not_before: Time::ZERO,
+                },
+            );
             st.commit(&plan);
         }
         st

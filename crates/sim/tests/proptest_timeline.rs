@@ -157,9 +157,7 @@ proptest! {
 #[test]
 fn abutting_overlay_wall() {
     let tl = Timeline::new();
-    let wall: Vec<Interval> = (0..100)
-        .map(|k| Interval::new(Time(k), Dur(1)))
-        .collect();
+    let wall: Vec<Interval> = (0..100).map(|k| Interval::new(Time(k), Dur(1))).collect();
     assert_eq!(tl.earliest_gap_with(&wall, Time(0), Dur(1)), Time(100));
     assert_eq!(tl.earliest_gap_with(&wall, Time(0), Dur(37)), Time(100));
     // A one-tick hole in the wall admits exactly a one-tick probe.

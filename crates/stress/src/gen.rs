@@ -95,7 +95,9 @@ fn gen_open(rng: &mut StdRng) -> Option<OpenSpec> {
     }
     let jobs = poisson_trace(&PoissonParams {
         jobs: rng.gen_range(2u32..=5),
-        mean_gap: *[50u64, 200, 800, 3_000].get(rng.gen_range(0usize..4)).unwrap(),
+        mean_gap: *[50u64, 200, 800, 3_000]
+            .get(rng.gen_range(0usize..4))
+            .unwrap(),
         tasks: (3, rng.gen_range(6usize..=10)),
         bag_in_8: rng.gen_range(0u8..=8),
         budget_in_8: rng.gen_range(0u8..=8),
@@ -234,8 +236,8 @@ mod tests {
         // open-system blocks (budgets as f64 bit patterns) included.
         for s in 0..128 {
             let spec = generate(s);
-            let decoded = CaseSpec::decode(&spec.encode())
-                .unwrap_or_else(|e| panic!("seed {s}: {e}"));
+            let decoded =
+                CaseSpec::decode(&spec.encode()).unwrap_or_else(|e| panic!("seed {s}: {e}"));
             assert_eq!(decoded, spec, "seed {s}");
         }
     }
@@ -244,10 +246,9 @@ mod tests {
     fn generation_covers_the_adversarial_regimes() {
         let specs: Vec<CaseSpec> = (0..512).map(generate).collect();
         // Off-lattice losses (mid-transfer regime).
-        assert!(specs.iter().any(|s| s
-            .losses
+        assert!(specs
             .iter()
-            .any(|l| s.dt > 1 && l.at % s.dt != 0)));
+            .any(|s| s.losses.iter().any(|l| s.dt > 1 && l.at % s.dt != 0)));
         // Same-tick loss + arrival on different machines.
         assert!(specs.iter().any(|s| s.losses.iter().any(|l| s
             .arrivals
@@ -280,12 +281,20 @@ mod tests {
             s.adaptation,
             Some(Adaptation { rule: StepRule::Constant { a }, .. }) if a > 0.0
         )));
-        assert!(specs
-            .iter()
-            .any(|s| matches!(s.adaptation, Some(Adaptation { rule: StepRule::Diminishing { .. }, .. }))));
-        assert!(specs
-            .iter()
-            .any(|s| matches!(s.adaptation, Some(Adaptation { rule: StepRule::Polyak { .. }, .. }))));
+        assert!(specs.iter().any(|s| matches!(
+            s.adaptation,
+            Some(Adaptation {
+                rule: StepRule::Diminishing { .. },
+                ..
+            })
+        )));
+        assert!(specs.iter().any(|s| matches!(
+            s.adaptation,
+            Some(Adaptation {
+                rule: StepRule::Polyak { .. },
+                ..
+            })
+        )));
         assert!(specs
             .iter()
             .any(|s| matches!(s.adaptation, Some(Adaptation { every, .. }) if every > 1)));
@@ -298,8 +307,12 @@ mod tests {
         assert!(specs.iter().any(|s| s.open.is_none()));
         assert!(opens.iter().any(|o| o.bg.is_none()));
         assert!(opens.iter().any(|o| !o.bg.is_none()));
-        assert!(opens.iter().any(|o| o.jobs.iter().any(|j| j.budget.is_some())));
-        assert!(opens.iter().any(|o| o.jobs.iter().all(|j| j.budget.is_none())));
+        assert!(opens
+            .iter()
+            .any(|o| o.jobs.iter().any(|j| j.budget.is_some())));
+        assert!(opens
+            .iter()
+            .any(|o| o.jobs.iter().all(|j| j.budget.is_none())));
         for kind in [JobKind::Dag, JobKind::Bag] {
             assert!(opens.iter().any(|o| o.jobs.iter().any(|j| j.kind == kind)));
         }

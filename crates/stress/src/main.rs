@@ -45,9 +45,7 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
+        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
             "--seeds" => args.seeds = num(&value("--seeds")?)?,
             "--start-seed" => args.start_seed = num(&value("--start-seed")?)?,
@@ -165,9 +163,7 @@ fn main() -> ExitCode {
     for seed in args.start_seed..args.start_seed + args.seeds {
         if let Some(budget) = args.ticks_budget {
             if ticks_spent >= budget {
-                println!(
-                    "ticks budget exhausted ({ticks_spent} >= {budget}) after {ran} seeds"
-                );
+                println!("ticks budget exhausted ({ticks_spent} >= {budget}) after {ran} seeds");
                 break;
             }
         }
@@ -191,7 +187,10 @@ fn main() -> ExitCode {
             continue;
         }
 
-        println!("seed {seed}: FAILED ({} oracle failures)", report.failures.len());
+        println!(
+            "seed {seed}: FAILED ({} oracle failures)",
+            report.failures.len()
+        );
         for f in &report.failures {
             println!("  {f}");
         }
@@ -223,7 +222,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if !scale_failing.is_empty() {
-        println!("{} scale seeds failed: {scale_failing:?}", scale_failing.len());
+        println!(
+            "{} scale seeds failed: {scale_failing:?}",
+            scale_failing.len()
+        );
         return ExitCode::FAILURE;
     }
     // The frontier ≡ reference differentials are the proof that eliding

@@ -83,8 +83,7 @@ pub fn shrink(spec: &CaseSpec, budget: usize) -> CaseSpec {
         // 0c. Neutralize the background model.
         if best.open.as_ref().is_some_and(|o| !o.bg.is_none()) {
             let mut candidate = best.clone();
-            candidate.open.as_mut().unwrap().bg =
-                adhoc_grid::arrival::BackgroundParams::none();
+            candidate.open.as_mut().unwrap().bg = adhoc_grid::arrival::BackgroundParams::none();
             if evals >= budget {
                 break 'outer;
             }

@@ -209,9 +209,8 @@ impl CaseSpec {
         for (no, line) in kv::Lines::new(text) {
             let (key, value) = kv::split_pair(no, line).map_err(|e| e.to_string())?;
             let ctx = |e: String| format!("line {no}: {key}: {e}");
-            let event = |s: &str| {
-                kv::parse_at_pair(s).map(|(machine, at)| ChurnEvent { machine, at })
-            };
+            let event =
+                |s: &str| kv::parse_at_pair(s).map(|(machine, at)| ChurnEvent { machine, at });
             match key {
                 "version" => {
                     if value != "1" {
@@ -247,7 +246,10 @@ impl CaseSpec {
         let adaptation = Adaptation::from_parts(adapt_rule, adapt_every)
             .map_err(|e| format!("adaptation: {e}"))?;
         let open = match (open_jobs.is_empty(), open_bg) {
-            (false, Some(bg)) => Some(OpenSpec { jobs: open_jobs, bg }),
+            (false, Some(bg)) => Some(OpenSpec {
+                jobs: open_jobs,
+                bg,
+            }),
             (true, None) => None,
             (false, None) => return Err("open_job lines require open_bg".into()),
             (true, Some(_)) => return Err("open_bg requires open_job lines".into()),
@@ -323,8 +325,14 @@ mod tests {
             horizon: 100,
             alpha: 0.55,
             beta: 0.2,
-            losses: vec![ChurnEvent { machine: 1, at: 333 }],
-            arrivals: vec![ChurnEvent { machine: 2, at: 333 }],
+            losses: vec![ChurnEvent {
+                machine: 1,
+                at: 333,
+            }],
+            arrivals: vec![ChurnEvent {
+                machine: 2,
+                at: 333,
+            }],
             adaptation: None,
             open: None,
         }
@@ -372,7 +380,10 @@ mod tests {
         use lagrange::step::StepRule;
         let mut spec = sample();
         spec.adaptation = Some(Adaptation {
-            rule: StepRule::Polyak { target: 0.1 + 0.2, max_step: 0.25 },
+            rule: StepRule::Polyak {
+                target: 0.1 + 0.2,
+                max_step: 0.25,
+            },
             every: 3,
         });
         let decoded = CaseSpec::decode(&spec.encode()).expect("decode");
@@ -382,7 +393,10 @@ mod tests {
         // bit-exactly (0.1 + 0.2 is not representable as a short literal).
         assert_eq!(
             ad.rule,
-            StepRule::Polyak { target: 0.1 + 0.2, max_step: 0.25 }
+            StepRule::Polyak {
+                target: 0.1 + 0.2,
+                max_step: 0.25
+            }
         );
         // The adaptation reaches the config; the legacy config strips it.
         assert!(decoded.config(SlrhVariant::V1).adaptation.is_some());
@@ -397,7 +411,10 @@ mod tests {
             .unwrap_err()
             .contains("requires an adaptation rule"));
         let mut bad = sample();
-        bad.adaptation = Some(Adaptation { every: 0, ..Adaptation::default() });
+        bad.adaptation = Some(Adaptation {
+            every: 0,
+            ..Adaptation::default()
+        });
         assert!(bad.check().unwrap_err().contains("adaptation"));
     }
 
@@ -456,7 +473,9 @@ mod tests {
         assert!(CaseSpec::decode("nonsense\n").is_err());
         assert!(CaseSpec::decode("unknown_key=1\n").is_err());
         // Missing required keys.
-        assert!(CaseSpec::decode("seed=1\n").unwrap_err().contains("missing"));
+        assert!(CaseSpec::decode("seed=1\n")
+            .unwrap_err()
+            .contains("missing"));
     }
 
     #[test]
@@ -470,7 +489,10 @@ mod tests {
         ];
         assert!(spec.check().unwrap_err().contains("every machine"));
         let mut spec = sample();
-        spec.arrivals = vec![ChurnEvent { machine: 1, at: 400 }];
+        spec.arrivals = vec![ChurnEvent {
+            machine: 1,
+            at: 400,
+        }];
         assert!(spec.check().unwrap_err().contains("before arriving"));
     }
 

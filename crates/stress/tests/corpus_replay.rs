@@ -20,8 +20,7 @@ fn corpus_cases() -> Vec<(PathBuf, CaseSpec)> {
             continue;
         }
         let text = std::fs::read_to_string(&path).expect("readable corpus file");
-        let spec = CaseSpec::decode(&text)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let spec = CaseSpec::decode(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         cases.push((path, spec));
     }
     cases.sort_by(|(a, _), (b, _)| a.cmp(b));

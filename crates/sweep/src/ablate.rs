@@ -15,8 +15,8 @@
 //!   recovers tuned performance without a per-case exhaustive search.
 
 use adhoc_grid::config::GridCase;
-use adhoc_grid::etc_gen::Consistency;
 use adhoc_grid::data::DataGenParams;
+use adhoc_grid::etc_gen::Consistency;
 use adhoc_grid::workload::{Scenario, ScenarioParams};
 use gridsim::metrics::Metrics;
 use lagrange::weights::{AetSign, Weights};
@@ -94,10 +94,7 @@ pub fn secondary_availability(scenario: &Scenario, weights: Weights) -> (Metrics
 /// Trigger-mode ablation: the paper's clock-driven design (§IV) against
 /// the event-driven alternative it names. Returns
 /// `(clock_metrics, clock_steps, event_metrics, event_steps)`.
-pub fn trigger_mode(
-    scenario: &Scenario,
-    weights: Weights,
-) -> (Metrics, u64, Metrics, u64) {
+pub fn trigger_mode(scenario: &Scenario, weights: Weights) -> (Metrics, u64, Metrics, u64) {
     let clock_cfg = SlrhConfig::paper(SlrhVariant::V1, weights);
     let event_cfg = clock_cfg.event_driven();
     let mut ctx = RunContext::new();
@@ -140,10 +137,7 @@ pub fn consistency_classes(
 
 /// Machine-visit-order ablation (§IV checks machines "in simple numerical
 /// order"). Returns `(order, metrics)` for each policy.
-pub fn machine_order(
-    scenario: &Scenario,
-    weights: Weights,
-) -> Vec<(MachineOrder, Metrics)> {
+pub fn machine_order(scenario: &Scenario, weights: Weights) -> Vec<(MachineOrder, Metrics)> {
     let mut ctx = RunContext::new();
     [
         MachineOrder::Numerical,
@@ -214,7 +208,12 @@ mod tests {
         // easier: coverage and primary count must not improve.
         let (base, big) = (&rows[0].1, &rows[1].1);
         assert!(base.mapped > 0);
-        assert!(big.mapped <= base.mapped, "{} > {}", big.mapped, base.mapped);
+        assert!(
+            big.mapped <= base.mapped,
+            "{} > {}",
+            big.mapped,
+            base.mapped
+        );
         assert!(big.t100 <= base.t100);
     }
 

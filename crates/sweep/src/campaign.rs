@@ -104,7 +104,12 @@ impl CaseRow {
     pub fn canonical(&self) -> String {
         let mut line = format!(
             "{}|{}|t100={:?}|ub_frac={:?}|feasible={}/{}",
-            self.heuristic, self.case, self.mean_t100, self.mean_ub_fraction, self.feasible, self.total
+            self.heuristic,
+            self.case,
+            self.mean_t100,
+            self.mean_ub_fraction,
+            self.feasible,
+            self.total
         );
         // Cost-pricing heuristics carry a trailing cost column; every
         // other row keeps the legacy five-field form byte for byte.
@@ -325,7 +330,12 @@ mod tests {
 
         for row in &rows {
             assert_eq!(row.total, 2);
-            assert!(row.feasible > 0, "{} {} infeasible", row.heuristic, row.case);
+            assert!(
+                row.feasible > 0,
+                "{} {} infeasible",
+                row.heuristic,
+                row.case
+            );
             assert!(row.mean_t100 > 0.0);
             // Note: at reduced scale the paper's §VI bound can be exceeded
             // when cycles bind (see grid-bounds docs), so only positivity
@@ -341,7 +351,10 @@ mod tests {
             assert_eq!(parsed.heuristic, row.heuristic);
             assert_eq!(parsed.case, row.case);
             assert_eq!(parsed.mean_t100.to_bits(), row.mean_t100.to_bits());
-            assert_eq!(parsed.mean_ub_fraction.to_bits(), row.mean_ub_fraction.to_bits());
+            assert_eq!(
+                parsed.mean_ub_fraction.to_bits(),
+                row.mean_ub_fraction.to_bits()
+            );
             assert_eq!((parsed.feasible, parsed.total), (row.feasible, row.total));
         }
     }

@@ -83,7 +83,10 @@ mod tests {
         assert!(points[1].clock_steps > points[2].clock_steps);
         // Mid-range T100 is insensitive; extreme ΔT can only hurt.
         assert!(points[3].t100 <= points[0].t100);
-        assert_eq!(points[0].t100, points[1].t100.max(points[0].t100).min(points[0].t100));
+        assert_eq!(
+            points[0].t100,
+            points[1].t100.max(points[0].t100).min(points[0].t100)
+        );
     }
 
     #[test]
@@ -94,6 +97,9 @@ mod tests {
         let t100s: Vec<usize> = points.iter().map(|p| p.t100).collect();
         let spread = t100s.iter().max().unwrap() - t100s.iter().min().unwrap();
         // The paper found H's impact negligible; allow a small wobble.
-        assert!(spread * 10 <= sc.tasks(), "horizon spread {spread} too large");
+        assert!(
+            spread * 10 <= sc.tasks(),
+            "horizon spread {spread} too large"
+        );
     }
 }

@@ -52,8 +52,7 @@ impl Heuristic {
 
     /// The heuristics reported in Figures 4–7 (SLRH-2 was dropped after
     /// failing to produce constraint-compliant mappings).
-    pub const REPORTED: [Heuristic; 3] =
-        [Heuristic::Slrh1, Heuristic::Slrh3, Heuristic::MaxMax];
+    pub const REPORTED: [Heuristic; 3] = [Heuristic::Slrh1, Heuristic::Slrh3, Heuristic::MaxMax];
 
     /// Every heuristic in the workspace.
     pub const ALL: [Heuristic; 11] = [
@@ -215,7 +214,10 @@ impl std::str::FromStr for Heuristic {
             .find(|h| key == h.name().to_ascii_lowercase() || key == h.flag_name())
             .ok_or_else(|| {
                 let known: Vec<&str> = Heuristic::ALL.iter().map(|h| h.flag_name()).collect();
-                format!("unknown heuristic {s:?} (expected one of {})", known.join("|"))
+                format!(
+                    "unknown heuristic {s:?} (expected one of {})",
+                    known.join("|")
+                )
             })
     }
 }

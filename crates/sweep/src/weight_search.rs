@@ -149,9 +149,8 @@ fn eval_fresh(
 /// under; the two differ by under 1e-9, within the heuristics'
 /// weight-resolution (pinned by `tests/golden_run_context.rs`).
 fn best_from_memo(candidates: &[Weights], memo: &EvalMemo) -> Option<(Weights, usize)> {
-    let key = |(w, t): &(Weights, usize)| {
-        (*t, Reverse(ordered(w.alpha())), Reverse(ordered(w.beta())))
-    };
+    let key =
+        |(w, t): &(Weights, usize)| (*t, Reverse(ordered(w.alpha())), Reverse(ordered(w.beta())));
     candidates
         .iter()
         .filter_map(|&w| Some((w, (*memo.get(&memo_key(&w))?)?)))

@@ -191,7 +191,10 @@ fn warm_paper_scale_map_loop_allocates_next_to_nothing() {
     let params = ScenarioParams::paper_scaled(1024).with_seed(0x1234);
     let sc = Scenario::generate(&params, GridCase::A, 3, 7);
     let fixed = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.25).expect("simplex"));
-    let adaptive = fixed.with_adaptation(Adaptation { every: 10, ..Adaptation::default() });
+    let adaptive = fixed.with_adaptation(Adaptation {
+        every: 10,
+        ..Adaptation::default()
+    });
     let frozen = Churn::default();
     for config in [fixed, adaptive] {
         let mut ctx = RunContext::new();
@@ -205,7 +208,11 @@ fn warm_paper_scale_map_loop_allocates_next_to_nothing() {
         let mut warm = cold;
         let allocs = count_allocs(|| warm = run(&mut ctx));
         assert!(cold.commits > 900 && warm == cold, "{config}");
-        assert_eq!(warm.weight_updates > 0, config.adaptation.is_some(), "{config}");
+        assert_eq!(
+            warm.weight_updates > 0,
+            config.adaptation.is_some(),
+            "{config}"
+        );
         // Measured 0; 18 614 when this budget was first set, and 2 490
         // more per adaptive run while every adaptation step built a
         // multiplier vector.

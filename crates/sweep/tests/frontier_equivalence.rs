@@ -313,14 +313,26 @@ fn the_paper_scale_job_elides_most_sweeps_and_the_oracles_none() {
     };
     let observed = |kind: Option<Kind>| {
         let mut events = Vec::new();
-        let out = run_observed(&sc, &frozen, &Churn::default(), kind, Some(&mut |e| events.push(e)));
+        let out = run_observed(
+            &sc,
+            &frozen,
+            &Churn::default(),
+            kind,
+            Some(&mut |e| events.push(e)),
+        );
         (canonical(&out), events, out.stats)
     };
     let (v2_run, v2_events, v2) = observed(None);
     let (swept_run, swept_events, swept) = observed(Some(Kind::Scratch));
     assert_eq!(swept.sweeps_elided, 0);
-    assert!(v2.sweeps_elided > 0, "SLRH-2 sleeps through its all-busy ticks");
+    assert!(
+        v2.sweeps_elided > 0,
+        "SLRH-2 sleeps through its all-busy ticks"
+    );
     assert_eq!(v2_events, swept_events);
-    assert_eq!((v2.clock_steps, v2.queries), (swept.clock_steps, swept.queries));
+    assert_eq!(
+        (v2.clock_steps, v2.queries),
+        (swept.clock_steps, swept.queries)
+    );
     assert_eq!(v2_run, swept_run);
 }

@@ -56,7 +56,10 @@ fn assert_golden(name: &str, actual: &str) {
     }
     let expected = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing fixture {path:?} ({e}); run with GOLDEN_BLESS=1"));
-    assert_eq!(actual, expected, "{name}: output differs from the blessed reference");
+    assert_eq!(
+        actual, expected,
+        "{name}: output differs from the blessed reference"
+    );
 }
 
 fn assert_golden_differential<F: Fn() -> String>(name: &str, f: F) {
@@ -110,11 +113,7 @@ fn adaptive_canonical(out: &SlrhOutcome<'_>) -> String {
 
 /// The legacy churn fixture's exact scenario and event trace
 /// (`golden_kernel_refactor.rs::churn_matches_pre_refactor_reference`).
-fn legacy_churn_setup() -> (
-    Scenario,
-    [MachineLossEvent; 2],
-    [MachineArrivalEvent; 1],
-) {
+fn legacy_churn_setup() -> (Scenario, [MachineLossEvent; 2], [MachineArrivalEvent; 1]) {
     let sc = Scenario::generate(&ScenarioParams::paper_scaled(192), GridCase::A, 0, 0);
     let arrivals = [MachineArrivalEvent {
         machine: MachineId(3),
@@ -170,7 +169,13 @@ fn weight_trace(sc: &Scenario, cfg: &SlrhConfig, out: &mut String) {
         }
         last = Some(e);
     };
-    let run = run_slrh_with(sc, cfg, &Churn::default(), &mut RunContext::new(), Some(&mut observer));
+    let run = run_slrh_with(
+        sc,
+        cfg,
+        &Churn::default(),
+        &mut RunContext::new(),
+        Some(&mut observer),
+    );
     let last = last.expect("the run ticked");
     if trace.last().map(|&(_, w)| w) != Some(last.weights) {
         trace.push((last.clock + cfg.dt, last.weights));
@@ -178,8 +183,14 @@ fn weight_trace(sc: &Scenario, cfg: &SlrhConfig, out: &mut String) {
     assert_eq!(run.final_weights, last.weights);
 
     for (at, w) in &trace {
-        writeln!(out, "trace {} {:016x} {:016x}", at.0, w.alpha().to_bits(), w.beta().to_bits())
-            .unwrap();
+        writeln!(
+            out,
+            "trace {} {:016x} {:016x}",
+            at.0,
+            w.alpha().to_bits(),
+            w.beta().to_bits()
+        )
+        .unwrap();
     }
     // The legacy serialization minus its final-weights and disruptions
     // lines: the trace ends on the former, a frozen grid has none of the
@@ -228,14 +239,16 @@ fn inert_adaptation_reproduces_the_legacy_churn_fixture() {
     // untouched. Deliberately read-only — blessing happens in
     // golden_kernel_refactor.rs, never here.
     let path = golden_path("churn.txt");
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing fixture {path:?} ({e}); bless golden_kernel_refactor first"));
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing fixture {path:?} ({e}); bless golden_kernel_refactor first")
+    });
     let (sc, losses, arrivals) = legacy_churn_setup();
-    let cfg = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap())
-        .with_adaptation(Adaptation {
+    let cfg = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap()).with_adaptation(
+        Adaptation {
             rule: StepRule::Constant { a: 0.0 },
             ..Adaptation::default()
-        });
+        },
+    );
     let out = run_slrh_churn(&sc, &cfg, &losses, &arrivals);
     // The legacy serialization has no final-weights line; strip ours.
     let canonical: String = adaptive_canonical(&out)

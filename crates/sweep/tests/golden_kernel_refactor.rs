@@ -184,7 +184,14 @@ fn churn_through_the_reference_walk_matches_pre_refactor_reference() {
             at: Time(sc.tau.0 / 3),
         }];
         let churn = Churn::new(&losses, &[], sc.grid.len()).expect("one loss on four machines");
-        let out = reference::run(Kind::Scratch, &sc, &cfg, &churn, &mut RunContext::new(), None);
+        let out = reference::run(
+            Kind::Scratch,
+            &sc,
+            &cfg,
+            &churn,
+            &mut RunContext::new(),
+            None,
+        );
         churn_canonical(&out)
     });
 }

@@ -38,8 +38,8 @@ fn nested_par_iter_is_capped_and_inline() {
         scenarios
             .par_iter()
             .map(|&scenario| {
-                let outer_worker = rayon::current_thread_index()
-                    .expect("outer items run on pool workers");
+                let outer_worker =
+                    rayon::current_thread_index().expect("outer items run on pool workers");
                 candidates
                     .par_iter()
                     .map(|&candidate| {

@@ -45,8 +45,11 @@ fn main() {
         let tuned_weights = optimal_weights_with_steps(Heuristic::Slrh1, &scenario, 0.2, 0.1)
             .map(|o| o.weights)
             .unwrap_or(default_weights);
-        let tuned = run_slrh(&scenario, &SlrhConfig::paper(SlrhVariant::V1, tuned_weights))
-            .metrics();
+        let tuned = run_slrh(
+            &scenario,
+            &SlrhConfig::paper(SlrhVariant::V1, tuned_weights),
+        )
+        .metrics();
         println!(
             "fixed tuned   {tuned_weights}: mapped {}/{} T100 {}",
             tuned.mapped, tuned.tasks, tuned.t100

@@ -10,14 +10,14 @@
 //! SLRH-3. Demonstrates the public API for custom machines, custom
 //! generator parameters, and scenario assembly from parts.
 
-use lrh_grid::grid::{
-    Dag, DataSizes, EtcMatrix, GridCase, GridConfig, MachineClass, MachineSpec, Scenario,
-    TaskId, Time,
-};
 use lrh_grid::grid::dag_gen::{self, DagGenParams};
 use lrh_grid::grid::data::DataGenParams;
 use lrh_grid::grid::etc_gen::{self, EtcGenParams};
 use lrh_grid::grid::units::Energy;
+use lrh_grid::grid::{
+    Dag, DataSizes, EtcMatrix, GridCase, GridConfig, MachineClass, MachineSpec, Scenario, TaskId,
+    Time,
+};
 use lrh_grid::lagrange::weights::Weights;
 use lrh_grid::sim::validate::validate_schedule;
 use lrh_grid::{run_slrh, SlrhConfig, SlrhVariant};

@@ -30,7 +30,14 @@ fn main() {
     );
 
     let mut table = Table::new([
-        "heuristic", "mapped", "T100", "T100/UB", "AET (s)", "TEC (eu)", "time", "T100/sec",
+        "heuristic",
+        "mapped",
+        "T100",
+        "T100/UB",
+        "AET (s)",
+        "TEC (eu)",
+        "time",
+        "T100/sec",
     ]);
     for h in Heuristic::ALL {
         let r = h.run(&scenario, weights);

@@ -52,7 +52,10 @@ fn main() {
         .iter()
         .max_by(|a, b| a.energy_used.partial_cmp(&b.energy_used).unwrap())
         .expect("grid is non-empty");
-    let series = trace.battery_series(busiest.machine, scenario.grid.machine(busiest.machine).battery);
+    let series = trace.battery_series(
+        busiest.machine,
+        scenario.grid.machine(busiest.machine).battery,
+    );
     println!(
         "\nbattery drain on {} ({} drains, showing every {}th):",
         busiest.machine,

@@ -58,9 +58,7 @@ fn run_local(job: &Job) -> i32 {
     let outcome = execute_map_counted(0, &job.request, &mut ctx, &mut |event| match event {
         // A tick frame stands for itself and the idle ticks before it.
         Event::Tick { idle, .. } => ticks += 1 + idle,
-        Event::Disruption {
-            invalidated: n, ..
-        } => invalidated += n,
+        Event::Disruption { invalidated: n, .. } => invalidated += n,
         _ => {}
     });
     match outcome {
@@ -90,9 +88,7 @@ fn run_open_local(job: &OpenJob) -> i32 {
     let mut invalidated = 0usize;
     let outcome = execute_open(0, &job.request, &mut ctx, &mut |event| match event {
         Event::Job { .. } => jobs += 1,
-        Event::Disruption {
-            invalidated: n, ..
-        } => invalidated += n,
+        Event::Disruption { invalidated: n, .. } => invalidated += n,
         _ => {}
     });
     match outcome {

@@ -105,8 +105,8 @@
 
 pub use adhoc_grid as grid;
 pub use grid_baselines as baselines;
-pub use grid_broker as broker;
 pub use grid_bounds as bounds;
+pub use grid_broker as broker;
 pub use grid_sweep as sweep;
 pub use gridsim as sim;
 pub use lagrange;

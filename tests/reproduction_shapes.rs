@@ -7,9 +7,9 @@
 //! guard the shapes against regressions.
 
 use lrh_grid::bounds::{upper_bound, Limit};
+use lrh_grid::grid::etc_gen::EtcGenParams;
 use lrh_grid::grid::machine::paper_constants;
 use lrh_grid::grid::{etc_gen, GridCase, GridConfig, Scenario, ScenarioParams, Time};
-use lrh_grid::grid::etc_gen::EtcGenParams;
 use lrh_grid::lagrange::weights::Weights;
 use lrh_grid::slrh::{run_slrh, SlrhConfig, SlrhVariant};
 use lrh_grid::sweep::dt_sweep::dt_sweep;
@@ -141,7 +141,6 @@ fn secondaries_extend_coverage() {
     let sc = Scenario::generate(&ScenarioParams::paper_scaled(96), GridCase::C, 0, 0);
     let w = Weights::new(0.5, 0.3).unwrap();
     let with = run_slrh(&sc, &SlrhConfig::paper(SlrhVariant::V1, w)).metrics();
-    let without =
-        run_slrh(&sc, &SlrhConfig::paper(SlrhVariant::V1, w).primary_only()).metrics();
+    let without = run_slrh(&sc, &SlrhConfig::paper(SlrhVariant::V1, w).primary_only()).metrics();
     assert!(with.mapped >= without.mapped);
 }
