@@ -9,7 +9,6 @@ use adhoc_grid::workload::{Scenario, ScenarioParams};
 use gridsim::validate::validate;
 use lagrange::weights::Weights;
 use proptest::prelude::*;
-use slrh::dynamic::validate_loss;
 use slrh::reference::{self, Kind};
 use slrh::{
     run_slrh, run_slrh_churn, run_slrh_with, Adaptation, Churn, MachineLossEvent, RunContext,
@@ -95,9 +94,7 @@ proptest! {
         }
         let out = run_slrh_churn(&sc, &cfg, &events, &[]);
         let errs = validate(&out.state);
-        prop_assert!(errs.is_empty(), "physical: {errs:?}");
-        let loss_errs = validate_loss(&out.state, &events);
-        prop_assert!(loss_errs.is_empty(), "loss: {loss_errs:?}");
+        prop_assert!(errs.is_empty(), "{errs:?}");
         prop_assert!(out.state.ledger().check_invariants().is_ok());
     }
 

@@ -11,12 +11,11 @@
 //! registered heuristic through it, and checks two oracle families:
 //!
 //! * **invariant oracles** ([`oracle`]) — the independent validator
-//!   (`gridsim::validate`), the churn validators (nothing touches a lost
-//!   machine after its loss or an arriving machine before its arrival),
-//!   battery conservation replayed event-by-event against the trace
-//!   (never negative, never above the ledger's committed total), the
-//!   receding-horizon gate on every SLRH commit, and the objective
-//!   recomputed from the schedule alone;
+//!   (`gridsim::validate`: physics, precedence, exclusivity, batteries,
+//!   each machine's availability window — nothing touches a machine
+//!   before it joined or after it was lost — and the metrics and each
+//!   machine's ledger account against the schedule) and the
+//!   receding-horizon gate on every SLRH commit;
 //! * **differential oracles** ([`runner`]) — fresh `RunContext` vs
 //!   reused, the frontier kernel vs the from-scratch pool walk and the
 //!   resort scan (`slrh::reference`), and fresh vs reused state buffers

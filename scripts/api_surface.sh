@@ -100,7 +100,14 @@
 #    (`warm_start`, the config's `fn armed` that applied it), the CLI
 #    flags `--adapt-amin`/`--adapt-lmax`/`--adapt-warm` outside the CLI's
 #    rejection test, and the corpus keys `adapt_amin`/`adapt_lmax`/
-#    `adapt_warm` stay gone.
+#    `adapt_warm` stay gone;
+#  * "is this finished run valid?" has one answer, `gridsim::validate`,
+#    which reads each machine's availability window from the state
+#    (DESIGN.md section 13): the churn validators (`validate_loss`,
+#    `validate_arrivals`), the broker's `schedule_valid`, the stress
+#    oracles that re-checked what `validate` checks (`check_churn`,
+#    `check_battery`, `check_objective`) and the CLI's decimal-only
+#    `M@T` parser `parse_event` stay gone.
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -116,6 +123,7 @@ retired+='|MultiplierVector|SubgradientSolver|SubgradientResult|DualOracle|solve
 retired+='|Outbox|pump_until_finished|worker_loop|OUTBOX_BLOCK_BYTES|OUTBOX_SPARE_BLOCKS'
 retired+='|anneal_weights|anneal_weights_in|AnnealConfig|anneal_config|EventTrace|ReplayOp'
 retired+='|OnlineProjection|BadAdaptProjection|warm_start'
+retired+='|validate_loss|validate_arrivals|schedule_valid|check_churn|check_battery|check_objective|parse_event'
 if hits=$(grep -rnwE "$retired" crates src tests examples --include='*.rs'); then
     fail "retired names are back:"$'\n'"$hits"
 fi
