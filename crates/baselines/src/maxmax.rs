@@ -103,6 +103,39 @@ pub fn run_maxmax_in<'a>(
     objective: &Objective,
     buffers: &mut StateBuffers,
 ) -> StaticOutcome<'a> {
+    map(scenario, objective, buffers, 0)
+}
+
+/// The weight search's run, and nothing else's: [`run_maxmax_in`],
+/// abandoned before the first commit at which
+/// [`SimState::t100_ceiling`] is strictly below `floor`. Every commit is
+/// final, so the ceiling only falls, and a run it puts below `floor`
+/// can never reach `floor`. Such a run (cut, or finished below `floor`)
+/// is `None`, its state's storage handed back to `buffers`; any other is
+/// exactly [`run_maxmax_in`]'s. `floor` 0 never cuts.
+#[doc(hidden)]
+pub fn run_maxmax_floored<'a>(
+    scenario: &'a Scenario,
+    objective: &Objective,
+    buffers: &mut StateBuffers,
+    floor: usize,
+) -> Option<StaticOutcome<'a>> {
+    let out = map(scenario, objective, buffers, floor);
+    if out.state.t100_ceiling() < floor {
+        *buffers = out.state.into_buffers();
+        return None;
+    }
+    Some(out)
+}
+
+/// The one Max-Max loop: commit the best triplet until none is left or,
+/// with a non-zero `floor`, the ceiling falls below it.
+fn map<'a>(
+    scenario: &'a Scenario,
+    objective: &Objective,
+    buffers: &mut StateBuffers,
+    floor: usize,
+) -> StaticOutcome<'a> {
     let mut state = SimState::new_in(scenario, std::mem::take(buffers));
     let mut evaluated = 0u64;
 
@@ -110,7 +143,10 @@ pub fn run_maxmax_in<'a>(
     let mut scan = Scan::new(scenario);
     let mut unmapped = scenario.tasks();
 
-    while let Some(plan) = scan.best(&state, objective, &guard, unmapped, &mut evaluated) {
+    while floor == 0 || state.t100_ceiling() >= floor {
+        let Some(plan) = scan.best(&state, objective, &guard, unmapped, &mut evaluated) else {
+            break;
+        };
         unmapped -= 1;
         scan.stamp(&plan);
         state.commit(&plan);

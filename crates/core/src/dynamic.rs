@@ -329,6 +329,7 @@ pub(crate) fn drive_segments<'a, K: Kernel>(
             now,
             Some(ev.at),
             obs,
+            0,
         );
         // The loss takes effect at the clock tick the driver stopped on.
         // Every event is applied, even past τ: mappings only happen at
@@ -340,7 +341,7 @@ pub(crate) fn drive_segments<'a, K: Kernel>(
         disruptions.push((effective, apply_loss(&mut state, ev.machine, effective)));
     }
     drive(
-        &mut state, &mut run, &mut stats, kernel, now, None, observer,
+        &mut state, &mut run, &mut stats, kernel, now, None, observer, 0,
     );
 
     SlrhOutcome {

@@ -186,6 +186,46 @@ pub fn run_slrh_with<'a>(
     )
 }
 
+/// The weight search's run, and nothing else's: [`run_slrh_with`] on a
+/// frozen grid with no observer, abandoned at the first tick where
+/// [`SimState::t100_ceiling`] is strictly below `floor`. Every commit is
+/// final on a frozen grid, so the ceiling only falls, and a run it puts
+/// below `floor` can never reach `floor`. Such a run (cut, or finished
+/// below `floor`) is `None`, its state reclaimed into `ctx`; any other
+/// is exactly [`run_slrh_with`]'s. `floor` 0 never cuts.
+#[doc(hidden)]
+pub fn run_slrh_floored<'a>(
+    scenario: &'a Scenario,
+    config: &SlrhConfig,
+    ctx: &mut RunContext,
+    floor: usize,
+) -> Option<SlrhOutcome<'a>> {
+    let mut state = ctx.state(scenario);
+    let mut run = *config;
+    let mut stats = RunStats::default();
+    let frontier = ctx.frontier_for(&state);
+    drive(
+        &mut state,
+        &mut run,
+        &mut stats,
+        frontier,
+        Time::ZERO,
+        None,
+        None,
+        floor,
+    );
+    if state.t100_ceiling() < floor {
+        ctx.reclaim(state);
+        return None;
+    }
+    Some(SlrhOutcome {
+        state,
+        stats,
+        disruptions: Vec::new(),
+        final_weights: run.objective.weights,
+    })
+}
+
 /// The version the §IV gate tests: at least the cheapest admissible
 /// version must fit the machine's remaining energy.
 pub(crate) fn gate_version(allow_secondary: bool) -> Version {
@@ -330,7 +370,9 @@ pub(crate) trait Kernel {
 }
 
 /// Advance the SLRH clock loop on an existing state from `start_clock`
-/// until completion, τ, or `stop_at` (exclusive). Returns the clock value
+/// until completion, τ, `stop_at` (exclusive), or — with a non-zero
+/// `floor`, which only [`run_slrh_floored`] passes — the first tick whose
+/// [`SimState::t100_ceiling`] is below `floor`. Returns the clock value
 /// at which the loop stopped. This is the building block under
 /// [`crate::dynamic::drive_segments`], which every driver (closed, churn,
 /// open, reference) goes through.
@@ -350,6 +392,7 @@ pub(crate) trait Kernel {
 /// rejections — survives segment boundaries, and a zero-tick segment
 /// costs nothing. Weight updates invalidate nothing structural: the
 /// frontier re-bounds its views when it sees a new objective.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<K: Kernel>(
     state: &mut SimState<'_>,
     config: &mut SlrhConfig,
@@ -358,6 +401,7 @@ pub(crate) fn drive<K: Kernel>(
     start_clock: Time,
     stop_at: Option<Time>,
     mut observer: Option<&mut dyn FnMut(TickEvent)>,
+    floor: usize,
 ) -> Time {
     let tau = state.scenario().tau;
     let mut now = start_clock;
@@ -378,6 +422,9 @@ pub(crate) fn drive<K: Kernel>(
             if now >= stop {
                 return now;
             }
+        }
+        if floor > 0 && state.t100_ceiling() < floor {
+            return now;
         }
         let tick = stats.clock_steps;
         stats.clock_steps += 1;
@@ -961,6 +1008,7 @@ mod tests {
                     Time::ZERO,
                     stop_at,
                     obs,
+                    0,
                 );
                 kernel = ticking.0;
                 end
@@ -975,6 +1023,7 @@ mod tests {
                     Time::ZERO,
                     stop_at,
                     obs,
+                    0,
                 )
             }
         };

@@ -533,6 +533,13 @@ impl<'a> SimState<'a> {
         self.t100
     }
 
+    /// [`SimState::t100`] plus the subtasks still unmapped: the highest
+    /// `T100` the run can still reach while nothing is unmapped, since
+    /// each further commit adds at most one primary.
+    pub fn t100_ceiling(&self) -> usize {
+        self.t100 + (self.sc.tasks() - self.mapped_count())
+    }
+
     /// Current application execution time (finish of the latest mapping).
     pub fn aet(&self) -> Time {
         self.aet

@@ -37,7 +37,7 @@ use std::cell::Cell;
 use adhoc_grid::config::GridCase;
 use adhoc_grid::scale::ScaleParams;
 use adhoc_grid::workload::{Scenario, ScenarioParams};
-use grid_sweep::Heuristic;
+use grid_sweep::{optimal_weights_with_steps_in, Heuristic};
 use lagrange::weights::Weights;
 use slrh::{run_slrh_with, Adaptation, Churn, RunContext, SlrhConfig, SlrhVariant};
 
@@ -175,6 +175,43 @@ fn warm_maxmax_evaluations_allocate_per_evaluation() {
         !PINNED || allocs <= BUDGET,
         "10 warm Max-Max evaluations allocated {allocs} times (budget {BUDGET})"
     );
+}
+
+/// A warm weight search, on one rayon thread (how the benchmark's
+/// campaigns run): the paper's 0.1 → 0.02 search on a 32-subtask
+/// scenario, through the caller's context, for SLRH-1 and Max-Max. Both
+/// batches run as one chunk on the caller's warm context, a run that can
+/// no longer reach the incumbent is cut and never validated, and a
+/// finished run is validated only when its metrics already score.
+///
+/// Measured 77 for SLRH-1 (its warm runs allocate nothing; what is left
+/// is the search's grids, memo and batches and the few runs validated),
+/// 2 901 for Max-Max (its per-run guard tables and kept costings). Each
+/// of these coming back trips a budget: validating every finished run
+/// (SLRH-1 1 100), a cold context per batch (SLRH-1 330, Max-Max 3 029),
+/// running cut runs to the end (Max-Max 3 124).
+#[test]
+fn warm_weight_search_validates_only_runs_that_can_score() {
+    let sc = Scenario::generate(&ScenarioParams::paper_scaled(32), GridCase::A, 0, 0);
+    let one = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("pool");
+    for (h, budget) in [(Heuristic::Slrh1, 96u64), (Heuristic::MaxMax, 3_000)] {
+        let mut ctx = RunContext::new();
+        let search = |ctx: &mut RunContext| {
+            one.install(|| optimal_weights_with_steps_in(h, &sc, 0.1, 0.02, ctx))
+                .map(|o| (o.weights, o.t100, o.evaluations))
+        };
+        let cold = search(&mut ctx);
+        let mut warm = None;
+        let allocs = count_allocs(|| warm = search(&mut ctx));
+        assert!(cold.is_some() && warm == cold, "{h}");
+        assert!(
+            !PINNED || allocs <= budget,
+            "a warm {h} weight search allocated {allocs} times (budget {budget})"
+        );
+    }
 }
 
 /// The map loop itself, at paper scale: one warm 1 024-subtask Case A
