@@ -27,8 +27,8 @@ use adhoc_grid::workload::Scenario;
 use gridsim::plan::{MappingPlan, Placement};
 use gridsim::state::{SimState, StateBuffers};
 
+use crate::greedy::feasible_version;
 use crate::outcome::StaticOutcome;
-use crate::simple::feasible_version;
 
 /// Which constraint a DBC run optimizes against (the other is spent).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]

@@ -14,14 +14,27 @@
 //! and return a τ slightly above their level so the grid is load-balance
 //! constrained but not infeasible.
 
-use adhoc_grid::task::TaskId;
+use adhoc_grid::config::MachineId;
+use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::Time;
 use adhoc_grid::workload::Scenario;
 use gridsim::plan::{MappingPlan, Placement};
 use gridsim::state::{SimState, StateBuffers};
 
 use crate::outcome::StaticOutcome;
-use crate::simple::feasible_version;
+
+/// Pick the best-fitting version of `t` on `j`: primary when it fits,
+/// secondary when only it fits, `None` otherwise. The one version rule
+/// of the primary-else-secondary baselines (greedy (MCT) and DBC).
+pub(crate) fn feasible_version(state: &SimState<'_>, t: TaskId, j: MachineId) -> Option<Version> {
+    if state.version_feasible(t, Version::Primary, j) {
+        Some(Version::Primary)
+    } else if state.version_feasible(t, Version::Secondary, j) {
+        Some(Version::Secondary)
+    } else {
+        None
+    }
+}
 
 /// Run the greedy minimum-completion-time heuristic.
 ///
@@ -52,16 +65,12 @@ pub fn run_greedy_in<'a>(scenario: &'a Scenario, buffers: &mut StateBuffers) -> 
     }
 }
 
-/// The MCT step MCT and HEFT share: plan `t` on every machine with its
-/// [`feasible_version`] and keep the earliest finish, the lower machine
-/// id on ties (machines are visited in id order, so a strict `<` keeps
-/// the first). `None` when no version fits anywhere; every plan built
-/// counts in `evaluated`.
-pub(crate) fn earliest_finish(
-    state: &SimState<'_>,
-    t: TaskId,
-    evaluated: &mut u64,
-) -> Option<MappingPlan> {
+/// The MCT step: plan `t` on every machine with its [`feasible_version`]
+/// and keep the earliest finish, the lower machine id on ties (machines
+/// are visited in id order, so a strict `<` keeps the first). `None`
+/// when no version fits anywhere; every plan built counts in
+/// `evaluated`.
+fn earliest_finish(state: &SimState<'_>, t: TaskId, evaluated: &mut u64) -> Option<MappingPlan> {
     let mut best: Option<MappingPlan> = None;
     for j in state.scenario().grid.ids() {
         let Some(v) = feasible_version(state, t, j) else {

@@ -425,7 +425,7 @@ mod tests {
 
     #[test]
     fn map_reports_are_deterministic_and_context_independent() {
-        for h in [Heuristic::Slrh1, Heuristic::MaxMax, Heuristic::Heft] {
+        for h in [Heuristic::Slrh1, Heuristic::MaxMax, Heuristic::Greedy] {
             let req = request(h);
             let mut events_a = Vec::new();
             let mut events_b = Vec::new();

@@ -1140,6 +1140,48 @@ mod tests {
         );
     }
 
+    /// OLB, Min-Min and HEFT are retired. Their schedules differed from
+    /// every remaining heuristic's, so a frame naming one is refused
+    /// with a message naming the retirement, never run as another.
+    #[test]
+    fn a_retired_heuristic_is_refused_not_run_as_another() {
+        let map = map_request().to_frame().encode();
+        let campaign = CampaignRequest {
+            client: "cli".into(),
+            label: "sweep".into(),
+            tasks: 32,
+            etc_count: 2,
+            dag_count: 2,
+            heuristics: vec![Heuristic::Slrh1],
+            cases: vec![GridCase::A],
+            coarse: 0.25,
+            fine: 0.25,
+            searcher: SearcherKind::Grid,
+            checkpoint: None,
+        }
+        .to_frame()
+        .encode();
+        for (retired, name) in [
+            ("heft", "HEFT"),
+            ("HEFT", "HEFT"),
+            ("minmin", "Min-Min"),
+            ("Min-Min", "Min-Min"),
+            ("olb", "OLB"),
+        ] {
+            for text in [&map, &campaign] {
+                let swapped = text.replace("heuristic=slrh1\n", &format!("heuristic={retired}\n"));
+                assert_ne!(&swapped, text, "the frame names its heuristic");
+                let err = Request::from_frame(&Frame::decode(&swapped).unwrap()).unwrap_err();
+                assert!(
+                    err.message.starts_with("heuristic: ")
+                        && err.message.contains(&format!("{name} was retired")),
+                    "{retired:?}: {}",
+                    err.message
+                );
+            }
+        }
+    }
+
     #[test]
     fn campaign_fingerprint_is_single_line() {
         let req = CampaignRequest {

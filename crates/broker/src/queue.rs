@@ -3,13 +3,12 @@
 //! One client flooding the daemon with submissions cannot starve
 //! another — the next entry is taken from each client's queue in turn.
 //! The daemon queues its connections' turns for an execution slot here
-//! and grants them with [`JobQueue::try_pop`]; [`JobQueue::pop`] blocks
-//! until an entry arrives or the queue is closed. Closing stops
-//! admissions but lets what was already queued drain, which is what a
-//! graceful shutdown wants.
+//! and grants them with [`JobQueue::pop`], which never blocks. Closing
+//! stops admissions but lets what was already queued drain, which is
+//! what a graceful shutdown wants.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 struct Inner<T> {
     /// Per-client FIFO queues, in first-seen order. Entries persist for
@@ -45,7 +44,6 @@ impl<T> Inner<T> {
 /// A multi-client fair job queue.
 pub struct JobQueue<T> {
     inner: Mutex<Inner<T>>,
-    ready: Condvar,
 }
 
 impl<T> Default for JobQueue<T> {
@@ -64,7 +62,6 @@ impl<T> JobQueue<T> {
                 queued: 0,
                 open: true,
             }),
-            ready: Condvar::new(),
         }
     }
 
@@ -84,29 +81,12 @@ impl<T> JobQueue<T> {
             }
         }
         inner.queued += 1;
-        self.ready.notify_one();
         true
     }
 
-    /// Dequeue the next job, blocking while the queue is empty and open.
-    /// Clients are served round-robin; within a client, FIFO. Returns
-    /// `None` only when the queue is closed *and* drained.
+    /// Dequeue the next job, or `None` at once if nothing is queued.
+    /// Clients are served round-robin; within a client, FIFO.
     pub fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        loop {
-            if let Some(job) = inner.take() {
-                return Some(job);
-            }
-            if !inner.open {
-                return None;
-            }
-            inner = self.ready.wait(inner).expect("queue poisoned");
-        }
-    }
-
-    /// Dequeue the next job in [`JobQueue::pop`]'s order, or `None` at
-    /// once if nothing is queued.
-    pub fn try_pop(&self) -> Option<T> {
         self.inner.lock().expect("queue poisoned").take()
     }
 
@@ -125,18 +105,15 @@ impl<T> JobQueue<T> {
         self.len() == 0
     }
 
-    /// Stop admissions and wake every blocked [`JobQueue::pop`]. Queued
-    /// jobs still drain.
+    /// Stop admissions. Queued jobs still drain.
     pub fn close(&self) {
         self.inner.lock().expect("queue poisoned").open = false;
-        self.ready.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn fifo_within_a_client() {
@@ -170,21 +147,5 @@ mod tests {
         assert!(!q.push("a", 2), "closed queue must refuse jobs");
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn blocked_workers_wake_on_close() {
-        let q = Arc::new(JobQueue::<i32>::new());
-        let handles: Vec<_> = (0..3)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || q.pop())
-            })
-            .collect();
-        q.push("a", 7);
-        q.close();
-        let mut got: Vec<Option<i32>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        got.sort();
-        assert_eq!(got, vec![None, None, Some(7)]);
     }
 }

@@ -177,7 +177,7 @@ impl Slots {
     fn release(&self, ctx: RunContext) {
         let mut pool = self.lock();
         pool.completed += 1;
-        match self.turns.try_pop() {
+        match self.turns.pop() {
             Some(turn) => turn.grant(ctx),
             None => pool.free.push(ctx),
         }

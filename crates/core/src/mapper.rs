@@ -28,7 +28,7 @@
 
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
-use adhoc_grid::units::{Dur, Time};
+use adhoc_grid::units::Time;
 use adhoc_grid::workload::Scenario;
 use gridsim::metrics::Metrics;
 use gridsim::plan::{Costing, MappingPlan, Placement, PlanScratch, PlanTotals, Slot};
@@ -649,16 +649,11 @@ pub(crate) fn predicted_violations(state: &SimState<'_>, now: Time) -> [f64; 2] 
     [e_pred - 1.0, t_pred - 1.0]
 }
 
-/// Convenience: ΔT expressed in ticks for a given number of clock cycles
-/// (1 cycle = 1 tick = 0.1 s).
-pub fn cycles(n: u64) -> Dur {
-    Dur(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use adhoc_grid::config::GridCase;
+    use adhoc_grid::units::Dur;
     use adhoc_grid::workload::{Scenario, ScenarioParams};
     use gridsim::validate::validate;
     use lagrange::weights::Weights;

@@ -49,6 +49,16 @@ impl GridCase {
         }
     }
 
+    /// The bare letter ("A" …): how scenario files and stress corpus
+    /// files spell the case.
+    pub fn letter(self) -> &'static str {
+        match self {
+            GridCase::A => "A",
+            GridCase::B => "B",
+            GridCase::C => "C",
+        }
+    }
+
     /// Human-readable name ("Case A" …).
     pub fn name(self) -> &'static str {
         match self {

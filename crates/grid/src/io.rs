@@ -64,7 +64,7 @@ use kv::err;
 pub fn write(sc: &Scenario) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "lrh-grid-scenario v1");
-    let _ = writeln!(out, "case {}", case_tag(sc.case));
+    let _ = writeln!(out, "case {}", sc.case.letter());
     let _ = writeln!(out, "tau {}", sc.tau.0);
     let _ = writeln!(
         out,
@@ -107,14 +107,6 @@ pub fn write(sc: &Scenario) -> String {
     }
     let _ = writeln!(out, "end");
     out
-}
-
-fn case_tag(case: GridCase) -> &'static str {
-    match case {
-        GridCase::A => "A",
-        GridCase::B => "B",
-        GridCase::C => "C",
-    }
 }
 
 /// Parse a scenario from the v1 text format.

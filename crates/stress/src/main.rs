@@ -178,7 +178,7 @@ fn main() -> ExitCode {
                 println!(
                     "seed {seed}: ok ({} tasks, case {}, {} losses, {} arrivals, sig {})",
                     spec.tasks,
-                    stress::spec::case_name(spec.case),
+                    spec.case.letter(),
                     spec.losses.len(),
                     spec.arrivals.len(),
                     report.signature

@@ -35,9 +35,8 @@ use std::fmt::Write as _;
 use adhoc_grid::arrival::{BackgroundParams, JobArrival, OpenParams};
 use adhoc_grid::units::{Energy, Time};
 use grid_baselines::{
-    run_dbc, run_dbc_in, run_greedy, run_greedy_in, run_heft, run_heft_in, run_lr_list,
-    run_lr_list_in, run_maxmax, run_maxmax_in, run_minmin, run_minmin_in, run_olb, run_olb_in,
-    DbcMode, StaticOutcome,
+    run_dbc, run_dbc_in, run_greedy, run_greedy_in, run_lr_list, run_lr_list_in, run_maxmax,
+    run_maxmax_in, DbcMode, StaticOutcome,
 };
 use gridsim::cost::schedule_cost;
 use gridsim::metrics::Metrics;
@@ -357,13 +356,6 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         run_greedy(&sc),
         run_greedy_in(&sc, ctx.buffers_mut())
     );
-    baseline_arm!("olb", run_olb(&sc), run_olb_in(&sc, ctx.buffers_mut()));
-    baseline_arm!(
-        "minmin",
-        run_minmin(&sc),
-        run_minmin_in(&sc, ctx.buffers_mut())
-    );
-    baseline_arm!("heft", run_heft(&sc), run_heft_in(&sc, ctx.buffers_mut()));
     // Max-Max keeps its costings across commits; the per-triplet scan
     // it must replay re-plans everything on every commit.
     let maxmax = run_maxmax(&sc, &objective);

@@ -143,7 +143,7 @@ impl CaseSpec {
         s.push_str("version=1\n");
         s.push_str(&format!("seed={}\n", self.seed));
         s.push_str(&format!("tasks={}\n", self.tasks));
-        s.push_str(&format!("case={}\n", case_name(self.case)));
+        s.push_str(&format!("case={}\n", self.case.letter()));
         s.push_str(&format!("etc_id={}\n", self.etc_id));
         s.push_str(&format!("dag_id={}\n", self.dag_id));
         s.push_str(&format!("master_seed={:#018x}\n", self.master_seed));
@@ -294,17 +294,6 @@ impl CaseSpec {
         }
         self.churn().map_err(|e| e.to_string())?;
         Ok(())
-    }
-}
-
-/// Stable corpus name of a grid case (the bare letter; the corpus
-/// predates [`GridCase`]'s `Display`, whose `"Case A"` form would churn
-/// every checked-in reproducer).
-pub fn case_name(case: GridCase) -> &'static str {
-    match case {
-        GridCase::A => "A",
-        GridCase::B => "B",
-        GridCase::C => "C",
     }
 }
 

@@ -4,17 +4,12 @@ use std::time::{Duration, Instant};
 
 use adhoc_grid::workload::Scenario;
 use grid_baselines::maxmax::run_maxmax_floored;
-use grid_baselines::{
-    run_dbc_in, run_greedy_in, run_heft_in, run_lr_list_in, run_maxmax_in, run_minmin_in,
-    run_olb_in, DbcMode,
-};
+use grid_baselines::{run_dbc_in, run_greedy_in, run_lr_list_in, run_maxmax_in, DbcMode};
 use gridsim::metrics::Metrics;
 use gridsim::MappingOutcome;
 use lagrange::weights::{Objective, Weights};
 use slrh::mapper::run_slrh_floored;
 use slrh::{run_slrh_with, Churn, RunContext, SlrhConfig, SlrhVariant};
-
-use crate::weight_search::Score;
 
 /// Every heuristic the harness can run.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -29,12 +24,6 @@ pub enum Heuristic {
     MaxMax,
     /// Greedy minimum-completion-time (the τ-calibration heuristic).
     Greedy,
-    /// Opportunistic load balancing.
-    Olb,
-    /// Classic Min-Min.
-    MinMin,
-    /// Heterogeneous Earliest Finish Time (upward-rank list scheduling).
-    Heft,
     /// Static Lagrangian relaxation + list scheduling.
     LrList,
     /// Deadline-and-budget-constrained cost optimization (Buyya et al.):
@@ -59,15 +48,12 @@ impl Heuristic {
     pub const REPORTED: [Heuristic; 3] = [Heuristic::Slrh1, Heuristic::Slrh3, Heuristic::MaxMax];
 
     /// Every heuristic in the workspace.
-    pub const ALL: [Heuristic; 11] = [
+    pub const ALL: [Heuristic; 8] = [
         Heuristic::Slrh1,
         Heuristic::Slrh2,
         Heuristic::Slrh3,
         Heuristic::MaxMax,
         Heuristic::Greedy,
-        Heuristic::Olb,
-        Heuristic::MinMin,
-        Heuristic::Heft,
         Heuristic::LrList,
         Heuristic::DbcCost,
         Heuristic::DbcTime,
@@ -81,9 +67,6 @@ impl Heuristic {
             Heuristic::Slrh3 => "SLRH-3",
             Heuristic::MaxMax => "Max-Max",
             Heuristic::Greedy => "Greedy",
-            Heuristic::Olb => "OLB",
-            Heuristic::MinMin => "Min-Min",
-            Heuristic::Heft => "HEFT",
             Heuristic::LrList => "LR-List",
             Heuristic::DbcCost => "DBC-Cost",
             Heuristic::DbcTime => "DBC-Time",
@@ -99,9 +82,6 @@ impl Heuristic {
             Heuristic::Slrh3 => "slrh3",
             Heuristic::MaxMax => "maxmax",
             Heuristic::Greedy => "greedy",
-            Heuristic::Olb => "olb",
-            Heuristic::MinMin => "minmin",
-            Heuristic::Heft => "heft",
             Heuristic::LrList => "lrlist",
             Heuristic::DbcCost => "dbccost",
             Heuristic::DbcTime => "dbctime",
@@ -161,27 +141,24 @@ impl Heuristic {
         .expect("a run without a floor is never cut")
     }
 
-    /// The weight search's score of one run. SLRH and Max-Max run through
-    /// their search-only entry points, which stop a run, or drop a
-    /// finished one, once its `T100` is out of `floor`'s reach
-    /// ([`Score::Below`]). A run is validated only when it met both
-    /// constraints.
+    /// The weight search's score of one run: its `T100` when it mapped
+    /// every subtask within both constraints and validated, `None`
+    /// otherwise. SLRH and Max-Max run through their search-only entry
+    /// points, which stop a run, or drop a finished one, once its `T100`
+    /// is out of `floor`'s reach; such a run is `None` too. A run is
+    /// validated only when it met both constraints.
     pub(crate) fn score_in(
         self,
         scenario: &Scenario,
         weights: Weights,
         ctx: &mut RunContext,
         floor: usize,
-    ) -> Score {
+    ) -> Option<usize> {
         self.map_in(scenario, weights, ctx, Some(floor), |out| {
             let m = out.metrics();
-            if m.constraints_met() && out.is_valid() {
-                Score::Scored(m.t100)
-            } else {
-                Score::Failed
-            }
+            (m.constraints_met() && out.is_valid()).then_some(m.t100)
         })
-        .unwrap_or(Score::Below(floor))
+        .flatten()
     }
 
     /// Map `scenario` on `ctx`'s buffers, hand the outcome to `read`, and
@@ -219,9 +196,6 @@ impl Heuristic {
                 }
             }
             Heuristic::Greedy => run_greedy_in(scenario, buffers),
-            Heuristic::Olb => run_olb_in(scenario, buffers),
-            Heuristic::MinMin => run_minmin_in(scenario, buffers),
-            Heuristic::Heft => run_heft_in(scenario, buffers),
             Heuristic::LrList => run_lr_list_in(scenario, &weights, buffers),
             Heuristic::DbcCost => run_dbc_in(scenario, DbcMode::Cost, buffers),
             Heuristic::DbcTime => run_dbc_in(scenario, DbcMode::Time, buffers),
@@ -255,6 +229,13 @@ impl std::fmt::Display for Heuristic {
     }
 }
 
+/// The list schedulers the workspace once ran, by flag and display
+/// name. At the paper's scale none of them met τ on a single scenario
+/// (EXPERIMENTS.md, "Context baselines"). Their schedules differed from
+/// every remaining heuristic's, so a name from this list is refused, not
+/// run as something else (DESIGN.md §14, "Versioning rules").
+const RETIRED: [(&str, &str); 3] = [("olb", "OLB"), ("minmin", "Min-Min"), ("heft", "HEFT")];
+
 impl std::str::FromStr for Heuristic {
     type Err = String;
 
@@ -262,19 +243,25 @@ impl std::str::FromStr for Heuristic {
     /// form (so `h.to_string().parse()` always round-trips) and the terse
     /// [`Heuristic::flag_name`] form, both case-insensitively — the CLI,
     /// the broker wire protocol and checkpoint files all go through this
-    /// one parser.
+    /// one parser. A retired heuristic's name is an error that says so.
     fn from_str(s: &str) -> Result<Heuristic, String> {
         let key = s.trim().to_ascii_lowercase();
-        Heuristic::ALL
+        let named = |flag: &str, name: &str| key == flag || key == name.to_ascii_lowercase();
+        if let Some(h) = Heuristic::ALL
             .into_iter()
-            .find(|h| key == h.name().to_ascii_lowercase() || key == h.flag_name())
-            .ok_or_else(|| {
-                let known: Vec<&str> = Heuristic::ALL.iter().map(|h| h.flag_name()).collect();
-                format!(
-                    "unknown heuristic {s:?} (expected one of {})",
-                    known.join("|")
-                )
-            })
+            .find(|h| named(h.flag_name(), h.name()))
+        {
+            return Ok(h);
+        }
+        let known: Vec<&str> = Heuristic::ALL.iter().map(|h| h.flag_name()).collect();
+        let known = known.join("|");
+        match RETIRED.iter().find(|(flag, name)| named(flag, name)) {
+            Some((_, name)) => Err(format!(
+                "{s:?} names a retired heuristic: {name} was retired because it met τ on no \
+                 scenario at the paper's scale (expected one of {known})"
+            )),
+            None => Err(format!("unknown heuristic {s:?} (expected one of {known})")),
+        }
     }
 }
 
@@ -325,7 +312,7 @@ mod tests {
         assert_eq!(Heuristic::STUDY.len(), 4);
         assert_eq!(Heuristic::REPORTED.len(), 3);
         assert!(Heuristic::Slrh1.uses_weights());
-        assert!(!Heuristic::Olb.uses_weights());
+        assert!(!Heuristic::Greedy.uses_weights());
         assert_eq!(Heuristic::MaxMax.to_string(), "Max-Max");
     }
 
@@ -338,6 +325,13 @@ mod tests {
         }
         let e = "quantum".parse::<Heuristic>().unwrap_err();
         assert!(e.contains("slrh1") && e.contains("lrlist"), "{e}");
+        for (retired, name) in [("olb", "OLB"), ("Min-Min", "Min-Min"), (" HEFT ", "HEFT")] {
+            let e = retired.parse::<Heuristic>().unwrap_err();
+            assert!(
+                e.contains(&format!("{name} was retired")),
+                "{retired:?}: {e}"
+            );
+        }
     }
 
     #[test]

@@ -19,24 +19,17 @@
 //! bound). On a frozen grid every commit is final, so a run's `T100`
 //! never exceeds its current primaries plus its unmapped subtasks
 //! (`SimState::t100_ceiling`). Each batch is scored against a running
-//! incumbent, raised as scores arrive, one per executor chunk. It starts
-//! at the best score the memo already holds for the batch's own
-//! candidates, so it never exceeds the batch's winning `T100`. SLRH
-//! checks the ceiling once per clock tick and Max-Max once per commit,
-//! and a run whose ceiling falls strictly below the incumbent stops: it
-//! goes into the memo as `Score::Below` that floor. A tie is never cut.
-//! Fresh points run α-descending, then β-ascending, so a high incumbent
-//! appears early, while [`best_from_memo`] still folds in grid order. A
-//! run is validated only when it met both constraints, since validation
-//! is the costliest thing a warm run allocates for.
-//!
-//! A coarse point cut below floor `f` is re-run in the fine stage only
-//! when `f` is above the fine stage's starting incumbent. When the fine
-//! step divides the coarse one, the fine window holds the coarse winner,
-//! whose `T100` is the highest in the memo, so this never happens. With
-//! other steps (0.25 → 0.1, say) the coarse winner is not a fine point,
-//! the fine winner may score below it, and a coarse point cut above the
-//! fine winner's `T100` has to run again.
+//! incumbent, raised as scores arrive, one per executor chunk. The coarse
+//! batch starts it at 0 and the fine batch at the coarse winner's
+//! `T100`, and the coarse winner competes in the fine argmax, so the
+//! incumbent never exceeds the batch's winning `T100`. SLRH checks the
+//! ceiling once per clock tick and Max-Max once per commit, and a run
+//! whose ceiling falls strictly below the incumbent stops: it goes into
+//! the memo as not scored, since it could never win. A tie is never
+//! cut. Fresh points run α-descending, then β-ascending, so a high
+//! incumbent appears early, while [`best_from_memo`] still folds in grid
+//! order. A run is validated only when it met both constraints, since
+//! validation is the costliest thing a warm run allocates for.
 //!
 //! The contract: the winning weights, their `T100` and `evaluations` are
 //! those of the unpruned search, for any steps and at any thread count
@@ -106,23 +99,11 @@ fn grid(step: f64, alpha_range: (f64, f64), beta_range: (f64, f64)) -> Vec<Weigh
     points
 }
 
-/// What one run showed the search.
-#[derive(Copy, Clone, Debug)]
-pub(crate) enum Score {
-    /// Mapped every subtask within both constraints and validated: its
-    /// `T100`.
-    Scored(usize),
-    /// Finished outside a constraint, or invalid: never a winner.
-    Failed,
-    /// Stopped once it could no longer reach this floor: if the run
-    /// scores at all, its `T100` is below it.
-    Below(usize),
-}
-
-/// Per-scenario evaluation memo: snapped weight pair → what its run
-/// showed (so a pair is not run again unless it was cut too early to
-/// tell).
-type EvalMemo = HashMap<(i64, i64), Score>;
+/// Per-scenario evaluation memo: snapped weight pair → its `T100` when
+/// the run scored (mapped every subtask within both constraints and
+/// validated), `None` when it failed or was cut. A pair is never run
+/// twice.
+type EvalMemo = HashMap<(i64, i64), Option<usize>>;
 
 /// The memo key: weights snapped to the 1e-9 [`ordered`] lattice. Coarse
 /// and fine reconstructions of the same grid point differ in the last few
@@ -131,20 +112,19 @@ fn memo_key(w: &Weights) -> (i64, i64) {
     (ordered(w.alpha()), ordered(w.beta()))
 }
 
-/// Run every candidate the memo cannot yet rule on and record the
-/// scores. Returns the number of pairs run for the first time.
+/// Run every candidate the memo has no entry for and record the scores.
+/// Returns the number of pairs run.
 ///
-/// The incumbent starts at the best `T100` the memo holds for
-/// `candidates`, which cannot exceed this batch's winning `T100`. A
-/// candidate is run when the memo has no entry for it, or when it was
-/// cut below a floor above that incumbent (it might still win here).
-/// Fresh points run α-descending, then β-ascending: the T100-rich end of
-/// the simplex first, so a high incumbent appears early. Each executor
-/// chunk carries its own incumbent, raised by every score the chunk
-/// records, and passes it to [`Heuristic::score_in`] as the floor. Every
-/// point cut is strictly below the batch's winning `T100`, so
-/// [`best_from_memo`] picks the same winner whatever the chunking; only
-/// the number of runs cut depends on it.
+/// `incumbent` is a `T100` the caller already holds (0 for the coarse
+/// batch, the coarse winner's for the fine one), so it never exceeds this
+/// batch's winning `T100`. Fresh points run α-descending, then
+/// β-ascending: the T100-rich end of the simplex first, so a high
+/// incumbent appears early. Each executor chunk carries its own
+/// incumbent, raised by every score the chunk records, and passes it to
+/// [`Heuristic::score_in`] as the floor. Every point cut is strictly
+/// below the batch's winning `T100`, so [`best_from_memo`] picks the same
+/// winner whatever the chunking; only the number of runs cut depends on
+/// it.
 ///
 /// The first chunk to start takes the caller's context, so a batch that
 /// runs as one chunk (on a one-thread pool, or inline on a worker when a
@@ -153,26 +133,18 @@ fn eval_fresh(
     heuristic: Heuristic,
     scenario: &Scenario,
     candidates: &[Weights],
+    incumbent: usize,
     memo: &mut EvalMemo,
     ctx: &mut RunContext,
 ) -> usize {
-    let incumbent = best_from_memo(candidates, memo).map_or(0, |(_, t100)| t100);
     let mut fresh: Vec<Weights> = candidates
         .iter()
         .copied()
-        .filter(|w| match memo.get(&memo_key(w)) {
-            None => true,
-            Some(Score::Below(floor)) => *floor > incumbent,
-            Some(_) => false,
-        })
-        .collect();
-    let first_runs = fresh
-        .iter()
         .filter(|w| !memo.contains_key(&memo_key(w)))
-        .count();
+        .collect();
     fresh.sort_by_key(|w| (Reverse(ordered(w.alpha())), ordered(w.beta())));
     let caller = Mutex::new(Some(ctx));
-    let scored: Vec<((i64, i64), Score)> = fresh
+    let scored: Vec<((i64, i64), Option<usize>)> = fresh
         .par_iter()
         .map_init(
             || {
@@ -182,7 +154,7 @@ fn eval_fresh(
             |(caller, own, incumbent), &w| {
                 let ctx = caller.as_deref_mut().unwrap_or(own);
                 let score = heuristic.score_in(scenario, w, ctx, *incumbent);
-                if let Score::Scored(t100) = score {
+                if let Some(t100) = score {
                     *incumbent = (*incumbent).max(t100);
                 }
                 (memo_key(&w), score)
@@ -190,7 +162,7 @@ fn eval_fresh(
         )
         .collect();
     memo.extend(scored);
-    first_runs
+    fresh.len()
 }
 
 /// Pick the best compliant candidate from the memo. "Best" = highest
@@ -198,22 +170,22 @@ fn eval_fresh(
 ///
 /// This is the same argmax the search historically computed with a
 /// parallel `reduce_with`, now a sequential fold over the candidates in
-/// grid order: the comparator is a total order (no two candidates share
-/// a key — [`grid`] never repeats a pair on the [`ordered`] lattice), so
-/// the winner is identical — pinned by the differential tests in
+/// grid order: the comparator is a total order on the [`ordered`]
+/// lattice, and a pair listed twice keeps its first copy, so the winner
+/// is identical — pinned by the differential tests in
 /// `tests/differential_determinism.rs`. On a memo hit the candidate's
 /// own float bits are reported, not the bits the score was computed
 /// under; the two differ by under 1e-9, within the heuristics'
 /// weight-resolution (pinned by `tests/golden_run_context.rs`).
-fn best_from_memo(candidates: &[Weights], memo: &EvalMemo) -> Option<(Weights, usize)> {
+fn best_from_memo<'a>(
+    candidates: impl IntoIterator<Item = &'a Weights>,
+    memo: &EvalMemo,
+) -> Option<(Weights, usize)> {
     let key =
         |(w, t): &(Weights, usize)| (*t, Reverse(ordered(w.alpha())), Reverse(ordered(w.beta())));
     candidates
-        .iter()
-        .filter_map(|&w| match memo.get(&memo_key(&w))? {
-            Score::Scored(t100) => Some((w, *t100)),
-            _ => None,
-        })
+        .into_iter()
+        .filter_map(|&w| Some((w, (*memo.get(&memo_key(&w))?)?)))
         .fold(None, |best: Option<(Weights, usize)>, cand| match best {
             Some(b) if key(&cand) <= key(&b) => Some(b),
             _ => Some(cand),
@@ -250,9 +222,9 @@ pub fn optimal_weights(heuristic: Heuristic, scenario: &Scenario) -> Option<Weig
 }
 
 /// [`optimal_weights`] with explicit coarse/fine steps. The answer is the
-/// best point of the fine window around the coarse winner; when the fine
-/// step does not divide the coarse one, the window need not hold the
-/// coarse winner, and the search is `None` if no point in it complies.
+/// best of the fine window around the coarse winner and the coarse
+/// winner itself, which the window holds whenever the fine step divides
+/// the coarse one.
 pub fn optimal_weights_with_steps(
     heuristic: Heuristic,
     scenario: &Scenario,
@@ -278,16 +250,19 @@ pub fn optimal_weights_with_steps_in(
     }
     let mut memo = EvalMemo::new();
     let coarse_points = grid(coarse, (0.0, 1.0), (0.0, 1.0));
-    let mut evaluations = eval_fresh(heuristic, scenario, &coarse_points, &mut memo, ctx);
-    let (cw, _) = best_from_memo(&coarse_points, &memo)?;
+    let mut evaluations = eval_fresh(heuristic, scenario, &coarse_points, 0, &mut memo, ctx);
+    let (cw, cw_t100) = best_from_memo(&coarse_points, &memo)?;
 
     let fine_points = grid(
         fine,
         (cw.alpha() - coarse, cw.alpha() + coarse),
         (cw.beta() - coarse, cw.beta() + coarse),
     );
-    evaluations += eval_fresh(heuristic, scenario, &fine_points, &mut memo, ctx);
-    let (weights, t100) = best_from_memo(&fine_points, &memo)?;
+    evaluations += eval_fresh(heuristic, scenario, &fine_points, cw_t100, &mut memo, ctx);
+    // The coarse winner folds in last: when the window holds it, the
+    // window's copy (its own float bits) comes first and wins the tie.
+    let (weights, t100) =
+        best_from_memo(fine_points.iter().chain([&cw]), &memo).expect("the coarse winner scored");
     Some(WeightSearchOutcome {
         weights,
         t100,
@@ -462,6 +437,27 @@ mod tests {
             .expect("Greedy maps everything");
         assert_eq!(out.weights, Weights::new(0.0, 0.0).unwrap());
         assert_eq!(out.evaluations, 66 + 36 - 4);
+    }
+
+    /// With a fine step that does not divide the coarse one, the fine
+    /// window around the coarse winner (0.75, 0.25) holds no point that
+    /// scores as high; the coarse winner still competes, so refining
+    /// never answers worse than the coarse stage found (`tune --tasks 16
+    /// --case C --etc 0 --dag 1 --heuristic maxmax --coarse 0.25 --fine
+    /// 0.1`).
+    #[test]
+    fn the_coarse_winner_competes_in_the_fine_argmax() {
+        let sc = Scenario::generate(&ScenarioParams::paper_scaled(16), GridCase::C, 0, 1);
+        let coarse = optimal_weights_with_steps(Heuristic::MaxMax, &sc, 0.25, 0.25).unwrap();
+        let refined = optimal_weights_with_steps(Heuristic::MaxMax, &sc, 0.25, 0.1).unwrap();
+        assert_eq!(
+            (coarse.weights, coarse.t100),
+            (Weights::new(0.75, 0.25).unwrap(), 10)
+        );
+        assert_eq!(
+            (refined.weights, refined.t100),
+            (coarse.weights, coarse.t100)
+        );
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!
 //! Besides the paper's 0.1 → 0.02, two step pairs whose fine step does
 //! not divide the coarse one (0.25 → 0.1, 0.1 → 0.03): there the fine
-//! window need not hold the coarse winner, the fine winner may score
-//! below it, and a coarse point the coarse stage cut may be the fine
-//! winner.
+//! window need not hold the coarse winner, which competes in the fine
+//! argmax all the same (folded in after the window, so a window copy of
+//! it wins the tie).
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -76,7 +76,9 @@ fn reference(
     };
     let (cw, _) = best(&grid(coarse, (0.0, 1.0), (0.0, 1.0)))?;
     let window = |v: f64| (v - coarse, v + coarse);
-    let (w, t) = best(&grid(fine, window(cw.alpha()), window(cw.beta())))?;
+    let mut finalists = grid(fine, window(cw.alpha()), window(cw.beta()));
+    finalists.push(cw);
+    let (w, t) = best(&finalists)?;
     Some((w, t, scores.len()))
 }
 

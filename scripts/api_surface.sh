@@ -107,7 +107,17 @@
 #    `validate_arrivals`), the broker's `schedule_valid`, the stress
 #    oracles that re-checked what `validate` checks (`check_churn`,
 #    `check_battery`, `check_objective`) and the CLI's decimal-only
-#    `M@T` parser `parse_event` stay gone.
+#    `M@T` parser `parse_event` stay gone;
+#  * a context baseline that never met τ at the paper's scale is not
+#    kept (EXPERIMENTS.md, "Context baselines"): OLB, Min-Min and HEFT
+#    (`crates/baselines/src/{heft,simple}.rs`, `run_heft*`,
+#    `run_minmin*`, `run_olb*`, `upward_ranks`, and the `Heuristic`
+#    variants `Heft`, `MinMin`, `Olb`) stay gone; their names survive
+#    only as strings the heuristic parser refuses as retired;
+#  * code nothing calls stays gone: the daemon's job queue has one
+#    non-blocking `pop` (no `try_pop` beside a blocking twin) and
+#    `slrh::mapper` no `fn cycles`; the bare case letter is written
+#    once, in `GridCase::letter` (`crates/grid/src/config.rs`).
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -124,6 +134,7 @@ retired+='|Outbox|pump_until_finished|worker_loop|OUTBOX_BLOCK_BYTES|OUTBOX_SPAR
 retired+='|anneal_weights|anneal_weights_in|AnnealConfig|anneal_config|EventTrace|ReplayOp'
 retired+='|OnlineProjection|BadAdaptProjection|warm_start'
 retired+='|validate_loss|validate_arrivals|schedule_valid|check_churn|check_battery|check_objective|parse_event'
+retired+='|upward_ranks|try_pop'
 if hits=$(grep -rnwE "$retired" crates src tests examples --include='*.rs'); then
     fail "retired names are back:"$'\n'"$hits"
 fi
@@ -162,6 +173,29 @@ variants=$(awk '/pub enum SearcherKind/ { on = 1; next } on && /^}/ { exit } on 
     crates/sweep/src/weight_search.rs | tr '\n' ' ')
 if [ "$variants" != 'Grid, ' ]; then
     fail "SearcherKind has variants [ $variants] (want [ Grid, ])"
+fi
+
+for f in crates/baselines/src/heft.rs crates/baselines/src/simple.rs; do
+    if [ -e "$f" ]; then
+        fail "$f is back"
+    fi
+done
+if hits=$(grep -rnE '\brun_(heft|minmin|olb)|Heuristic::(Heft|MinMin|Olb)\b' \
+    crates src tests examples benchmark/src --include='*.rs'); then
+    fail "a retired context baseline (OLB, Min-Min, HEFT) is back:"$'\n'"$hits"
+fi
+variants=$(awk '/pub enum Heuristic / { on = 1; next } on && /^}/ { exit } on && /^ *[A-Z]/ { print $1 }' \
+    crates/sweep/src/heuristic.rs | tr '\n' ' ')
+if grep -qwE 'Heft|MinMin|Olb' <<<"$variants"; then
+    fail "Heuristic has a retired variant again: [ $variants]"
+fi
+if hits=$(grep -rnw 'fn cycles' crates src tests examples --include='*.rs'); then
+    fail "the uncalled ΔT helper is back:"$'\n'"$hits"
+fi
+letters=$(grep -rnE '\bA *=> *"A"' crates src tests examples benchmark/src --include='*.rs' |
+    grep -v '^crates/grid/src/config.rs:' || true)
+if [ -n "$letters" ]; then
+    fail "the bare case letter is written outside GridCase::letter:"$'\n'"$letters"
 fi
 
 if [ -e crates/core/src/adaptive.rs ]; then

@@ -41,7 +41,7 @@ workload options (run, tune, export, replay, churn, submit, watch):
   --in FILE           read the workload from FILE instead of generating
 
 mapping options (run, replay, churn, submit, watch):
-  --heuristic NAME    slrh1|slrh2|slrh3|maxmax|greedy|olb|minmin|heft|lrlist|dbccost|dbctime
+  --heuristic NAME    slrh1|slrh2|slrh3|maxmax|greedy|lrlist|dbccost|dbctime
   --alpha X --beta Y  objective weights (default 0.5, 0.3)
   --dt T --horizon T  receding-horizon knobs in ticks (paper defaults)
   --lose M@T          machine M lost at tick T (repeatable; SLRH only)
@@ -1058,6 +1058,27 @@ mod tests {
             panic!()
         };
         assert_eq!((t.coarse, t.fine), (0.25, 0.05));
+    }
+
+    /// OLB, Min-Min and HEFT are retired: naming one is a usage error
+    /// that says so, on every command that takes `--heuristic`.
+    #[test]
+    fn retired_heuristics_are_usage_errors_naming_the_retirement() {
+        for (cmd, name, display) in [
+            ("run", "heft", "HEFT"),
+            ("replay --in x.lrh", "minmin", "Min-Min"),
+            ("submit", "olb", "OLB"),
+            ("tune", "HEFT", "HEFT"),
+        ] {
+            let line = format!("{cmd} --heuristic {name}");
+            let err = parse(&args(&line)).unwrap_err();
+            assert!(
+                err.message.contains("--heuristic")
+                    && err.message.contains(&format!("{display} was retired")),
+                "{line}: {err}"
+            );
+        }
+        assert!(!USAGE.contains("heft") && !USAGE.contains("minmin") && !USAGE.contains("olb"));
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   the extensions too — a checked churn trace ([`slrh::Churn`]) for
 //!   machines leaving and joining mid-run, an [`slrh::Adaptation`] block
 //!   for online multiplier adjustment — plus the open-system job stream;
-//! * [`baselines`] — static comparators: Max-Max, greedy (MCT),
-//!   OLB/Min-Min and a Lagrangian-relaxation list scheduler;
+//! * [`baselines`] — static comparators: Max-Max, greedy (MCT), a
+//!   Lagrangian-relaxation list scheduler and the DBC cost/time
+//!   optimizers;
 //! * [`bounds`] — the equivalent-computing-cycles upper bound;
 //! * [`sweep`] — the experiment harness regenerating every paper table
 //!   and figure;
