@@ -8,8 +8,7 @@
 //!   fig2 fig3 fig4 fig5 fig6 fig7      the paper's figures
 //!   ablate-gamma-sign ablate-comm      ablations beyond the paper
 //!   ablate-horizon ablate-secondary
-//!   ablate-adaptive ablate-trigger
-//!   ablate-consistency ablate-order
+//!   ablate-adaptive ablate-consistency
 //!   all                                everything above in order
 //! ```
 //!
@@ -73,9 +72,7 @@ fn main() {
         "ablate-horizon" => ablate_horizon(scale),
         "ablate-secondary" => ablate_secondary(scale),
         "ablate-adaptive" => ablate_adaptive(scale),
-        "ablate-trigger" => ablate_trigger(scale),
         "ablate-consistency" => ablate_consistency(scale),
-        "ablate-order" => ablate_order(scale),
         "all" => {
             table1();
             table2();
@@ -89,14 +86,12 @@ fn main() {
             ablate_horizon(scale);
             ablate_secondary(scale);
             ablate_adaptive(scale);
-            ablate_trigger(scale);
             ablate_consistency(scale);
-            ablate_order(scale);
         }
         _ => {
             eprintln!(
                 "usage: repro <table1|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|fig7|\
-                 ablate-gamma-sign|ablate-comm|ablate-horizon|ablate-secondary|ablate-adaptive|ablate-trigger|ablate-consistency|ablate-order|all> [--full]"
+                 ablate-gamma-sign|ablate-comm|ablate-horizon|ablate-secondary|ablate-adaptive|ablate-consistency|all> [--full]"
             );
             std::process::exit(2);
         }
@@ -483,34 +478,6 @@ fn ablate_adaptive(scale: Scale) {
     println!("(paper's future work: online alpha adjustment should recover tuned performance)");
 }
 
-fn ablate_trigger(scale: Scale) {
-    heading("Ablation A6. Clock-driven vs event-driven trigger (SLRH-1)");
-    let params = scale.params();
-    let mut t = Table::new(["Case", "mode", "T100", "mapped", "heuristic iterations"]);
-    for case in GridCase::ALL {
-        let sc = Scenario::generate(&params, case, 0, 0);
-        let w = tuned_weights(scale, &sc);
-        let (cm, c_steps, em, e_steps) = ablate::trigger_mode(&sc, w);
-        for (mode, m, steps) in [
-            ("clock (paper)", cm, c_steps),
-            ("event-driven", em, e_steps),
-        ] {
-            t.row([
-                case.name().to_string(),
-                mode.to_string(),
-                m.t100.to_string(),
-                m.mapped.to_string(),
-                steps.to_string(),
-            ]);
-        }
-    }
-    print!("{}", t.render());
-    println!(
-        "(the paper's concern: real deployments may be forced into large dT; event-driven\n\
-         triggering reaches similar T100 with far fewer heuristic invocations)"
-    );
-}
-
 fn ablate_consistency(scale: Scale) {
     heading("Ablation A7. ETC consistency class (SLRH-1)");
     let params = scale.params();
@@ -531,30 +498,6 @@ fn ablate_consistency(scale: Scale) {
     print!("{}", t.render());
     println!(
         "(the paper's regime is inconsistent; consistent matrices fix the machine speed order)"
-    );
-}
-
-fn ablate_order(scale: Scale) {
-    heading("Ablation A8. Machine visit order (SLRH-1)");
-    let params = scale.params();
-    let mut t = Table::new(["Case", "order", "T100", "mapped", "AET (s)"]);
-    for case in GridCase::ALL {
-        let sc = Scenario::generate(&params, case, 0, 0);
-        let w = tuned_weights(scale, &sc);
-        for (order, m) in ablate::machine_order(&sc, w) {
-            t.row([
-                case.name().to_string(),
-                format!("{order:?}"),
-                m.t100.to_string(),
-                m.mapped.to_string(),
-                format!("{:.0}", m.aet.as_seconds()),
-            ]);
-        }
-    }
-    print!("{}", t.render());
-    println!(
-        "(the paper visits machines in numerical order; the pool's best candidate always goes\n\
-         to the earliest-visited available machine)"
     );
 }
 

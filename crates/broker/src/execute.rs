@@ -367,6 +367,17 @@ pub fn execute_campaign(
             units.len()
         ));
     }
+    // A recorded row stands in for its unit only if it is that unit's.
+    let total = cfg.set.len();
+    for (index, (row, &(h, case))) in rows.iter().zip(&units).enumerate() {
+        if (row.heuristic, row.case, row.total) != (h, case, total) {
+            return Err(format!(
+                "checkpoint row {index} is {} on {} over {} scenarios, \
+                 but unit {index} is {h} on {case} over {total}",
+                row.heuristic, row.case, row.total
+            ));
+        }
+    }
     let resumed = rows.len();
 
     // One warm timing context across the campaign's units — the same
@@ -674,42 +685,36 @@ mod tests {
     }
 
     /// The largest ΔT, H, τ, arrival and deadline the rules accept run to
-    /// completion, under both AET signs and both triggers.
+    /// completion, under both AET signs.
     #[test]
     fn clock_values_at_the_cap_run_to_completion() {
         for sign in [AetSign::Positive, AetSign::Negative] {
-            for event_driven in [false, true] {
-                let mut config =
-                    SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap())
-                        .with_dt(Dur(MAX_INPUT_TICKS))
-                        .with_horizon(Dur(MAX_INPUT_TICKS));
-                config.objective.aet_sign = sign;
-                if event_driven {
-                    config = config.event_driven();
-                }
-                for h in [Heuristic::Slrh1, Heuristic::Slrh2, Heuristic::Slrh3] {
-                    let mut req = request(h);
-                    req.config = SlrhConfig {
-                        variant: req.config.variant,
-                        ..config
-                    };
-                    set_tau(&mut req, MAX_INPUT_TICKS);
-                    let out = execute_map(1, &req, &mut RunContext::new(), &mut |_| {}).unwrap();
-                    assert!(
-                        out.report.contains("valid=yes"),
-                        "{h} {sign:?}: {}",
-                        out.report
-                    );
-                }
-                let mut req = open_request(MAX_INPUT_TICKS, MAX_INPUT_TICKS);
-                req.config = config;
-                let out = execute_open(1, &req, &mut RunContext::new(), &mut |_| {}).unwrap();
+            let mut config = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap())
+                .with_dt(Dur(MAX_INPUT_TICKS))
+                .with_horizon(Dur(MAX_INPUT_TICKS));
+            config.objective.aet_sign = sign;
+            for h in [Heuristic::Slrh1, Heuristic::Slrh2, Heuristic::Slrh3] {
+                let mut req = request(h);
+                req.config = SlrhConfig {
+                    variant: req.config.variant,
+                    ..config
+                };
+                set_tau(&mut req, MAX_INPUT_TICKS);
+                let out = execute_map(1, &req, &mut RunContext::new(), &mut |_| {}).unwrap();
                 assert!(
                     out.report.contains("valid=yes"),
-                    "open {sign:?}: {}",
+                    "{h} {sign:?}: {}",
                     out.report
                 );
             }
+            let mut req = open_request(MAX_INPUT_TICKS, MAX_INPUT_TICKS);
+            req.config = config;
+            let out = execute_open(1, &req, &mut RunContext::new(), &mut |_| {}).unwrap();
+            assert!(
+                out.report.contains("valid=yes"),
+                "open {sign:?}: {}",
+                out.report
+            );
         }
     }
 
@@ -734,6 +739,47 @@ mod tests {
             MapRequest::from_frame(&adhoc_grid::io::wire::Frame::decode(&text).unwrap()).unwrap();
         let b = execute_map(2, &back, &mut RunContext::new(), &mut |_| {}).unwrap();
         assert_eq!(a.report, b.report);
+    }
+
+    /// A checkpoint whose rows are out of unit order (or count another
+    /// suite) is refused, not spliced into the report under the wrong
+    /// unit.
+    #[test]
+    fn resuming_from_swapped_rows_is_an_error() {
+        let path = std::env::temp_dir().join(format!(
+            "lrh-execute-swapped-{}.checkpoint",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let mut req = campaign_request(0.25, 0.25);
+        req.checkpoint = Some(path.to_string_lossy().into_owned());
+        let first = execute_campaign(1, &req, &mut |_| {}).unwrap();
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (rows, head): (Vec<&str>, Vec<&str>) =
+            text.lines().partition(|l| l.starts_with("row="));
+        assert_eq!(rows.len(), 2, "{text}");
+        let rewrite = |rows: [&str; 2]| {
+            let lines = head.iter().chain(&rows).map(|l| format!("{l}\n"));
+            std::fs::write(&path, lines.collect::<String>()).unwrap();
+        };
+
+        rewrite([rows[1], rows[0]]);
+        let err = execute_campaign(2, &req, &mut |_| {}).unwrap_err();
+        assert!(
+            err.contains("checkpoint row 0 is Max-Max on Case A over 2 scenarios"),
+            "{err}"
+        );
+        let other_suite = rows[1].replace("/2", "/3");
+        rewrite([rows[0], &other_suite]);
+        let err = execute_campaign(3, &req, &mut |_| {}).unwrap_err();
+        assert!(err.contains("checkpoint row 1"), "{err}");
+
+        // In order, the same rows resume the whole campaign.
+        rewrite([rows[0], rows[1]]);
+        let resumed = execute_campaign(4, &req, &mut |_| {}).unwrap();
+        assert_eq!((resumed.resumed, &resumed.report), (2, &first.report));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

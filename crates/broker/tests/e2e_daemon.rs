@@ -811,6 +811,60 @@ fn retired_heuristics_get_error_frames_on_a_live_connection() {
     daemon.join();
 }
 
+/// The event trigger and the non-numerical visit orders are retired. A
+/// map request whose `config=` names one gets an error frame naming the
+/// retirement, and the same connection then runs the next job.
+#[test]
+fn retired_loop_knobs_get_error_frames_on_a_live_connection() {
+    use grid_broker::proto::Request;
+    use std::io::Write;
+
+    let req = map_request("retired", Heuristic::Slrh1, 24, 3);
+    let frame = Request::Map(req.clone()).to_frame().encode();
+    assert!(
+        frame.contains("; trigger=clock; order=numerical; "),
+        "{frame}"
+    );
+
+    let daemon = daemon(1);
+    let stream = std::net::TcpStream::connect(daemon.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = std::io::BufReader::new(stream);
+    let mut answer = |text: &str| {
+        writer.write_all(text.as_bytes()).expect("send");
+        loop {
+            let frame = adhoc_grid::io::wire::read_frame(&mut reader)
+                .expect("read")
+                .expect("a reply");
+            if frame.kind != "event" {
+                return frame;
+            }
+        }
+    };
+    for (paper, retired) in [
+        ("trigger=clock", "trigger=machine-available"),
+        ("order=numerical", "order=reversed"),
+        ("order=numerical", "order=rotating"),
+    ] {
+        let reply = answer(&frame.replace(paper, retired));
+        assert_eq!(reply.kind, "error", "{retired}");
+        let message = reply.raw("message").expect("message block");
+        assert!(
+            message.contains(&format!("{retired} is retired")),
+            "{retired}: {message}"
+        );
+    }
+    let reply = answer(&frame);
+    assert_eq!(reply.kind, "map-response");
+    assert_eq!(
+        reply.raw("report").expect("report block"),
+        local_report(&req)
+    );
+
+    daemon.shutdown();
+    daemon.join();
+}
+
 /// A shutdown that arrives while a paper-scale job is streaming its
 /// events (one per committing tick, about a thousand) drains it: the
 /// client gets every event and the same report a local run renders.

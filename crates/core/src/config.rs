@@ -58,51 +58,6 @@ impl std::str::FromStr for SlrhVariant {
     }
 }
 
-/// When the heuristic re-runs (§IV: "the heuristic is executed at
-/// specified time intervals as opposed to whenever a machine becomes
-/// available" — this knob implements both sides of that sentence).
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum Trigger {
-    /// The paper's design: a fixed clock step ΔT.
-    #[default]
-    Clock,
-    /// The alternative the paper names and rejects: jump the clock to the
-    /// next instant a machine becomes available (falling back to ΔT when
-    /// every machine is already idle, e.g. while waiting out a horizon
-    /// miss).
-    MachineAvailable,
-}
-
-/// The order in which the per-tick loop visits machines (§IV: "the
-/// machines were checked in simple numerical order" — with fast machines
-/// first by the grid convention, numerical order is fast-first).
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum MachineOrder {
-    /// The paper's choice: machine ids ascending (fast machines first).
-    #[default]
-    Numerical,
-    /// Machine ids descending (slow machines first).
-    Reversed,
-    /// Rotate the starting machine by one position each tick, so no
-    /// machine is structurally favoured for the pool's best candidates.
-    Rotating,
-}
-
-impl MachineOrder {
-    /// The visit order for a grid of `n` machines at clock-tick index
-    /// `tick` (0-based count of heuristic invocations), as a lazy
-    /// sequence of machine indices: the clock loop asks for it on every
-    /// swept tick, so it is not collected.
-    pub fn visit(self, n: usize, tick: u64) -> impl Iterator<Item = usize> {
-        let shift = (tick % n.max(1) as u64) as usize;
-        (0..n).map(move |i| match self {
-            MachineOrder::Numerical => i,
-            MachineOrder::Reversed => n - 1 - i,
-            MachineOrder::Rotating => (i + shift) % n,
-        })
-    }
-}
-
 /// Opt-in online weight adaptation (the paper's §VIII "on-the-fly
 /// adjustment of the Lagrangian parameters", wired into the clock loop).
 ///
@@ -186,10 +141,6 @@ pub struct SlrhConfig {
     pub variant: SlrhVariant,
     /// The objective function (weights + AET sign).
     pub objective: Objective,
-    /// When the heuristic re-runs.
-    pub trigger: Trigger,
-    /// Machine visit order per invocation.
-    pub machine_order: MachineOrder,
     /// Clock step ΔT between heuristic invocations, in ticks
     /// (paper: 10 clock cycles = 1 s, established by the Figure 2 sweep).
     pub dt: Dur,
@@ -212,25 +163,11 @@ impl SlrhConfig {
         SlrhConfig {
             variant,
             objective: Objective::paper(weights),
-            trigger: Trigger::Clock,
-            machine_order: MachineOrder::Numerical,
             dt: Dur(10),
             horizon: Dur(100),
             allow_secondary: true,
             adaptation: None,
         }
-    }
-
-    /// Override the machine visit order (order ablation).
-    pub fn with_machine_order(mut self, order: MachineOrder) -> SlrhConfig {
-        self.machine_order = order;
-        self
-    }
-
-    /// Switch to the event-driven trigger (trigger-mode ablation).
-    pub fn event_driven(mut self) -> SlrhConfig {
-        self.trigger = Trigger::MachineAvailable;
-        self
     }
 
     /// Disable secondary versions (ablation A5).
@@ -303,56 +240,6 @@ impl SlrhConfig {
     }
 }
 
-impl Trigger {
-    /// Stable name used by [`SlrhConfig`]'s `Display`/`FromStr` pair.
-    pub fn name(self) -> &'static str {
-        match self {
-            Trigger::Clock => "clock",
-            Trigger::MachineAvailable => "machine-available",
-        }
-    }
-}
-
-impl std::str::FromStr for Trigger {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Trigger, String> {
-        match s.trim() {
-            "clock" => Ok(Trigger::Clock),
-            "machine-available" => Ok(Trigger::MachineAvailable),
-            other => Err(format!(
-                "unknown trigger {other:?} (expected clock|machine-available)"
-            )),
-        }
-    }
-}
-
-impl MachineOrder {
-    /// Stable name used by [`SlrhConfig`]'s `Display`/`FromStr` pair.
-    pub fn name(self) -> &'static str {
-        match self {
-            MachineOrder::Numerical => "numerical",
-            MachineOrder::Reversed => "reversed",
-            MachineOrder::Rotating => "rotating",
-        }
-    }
-}
-
-impl std::str::FromStr for MachineOrder {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<MachineOrder, String> {
-        match s.trim() {
-            "numerical" => Ok(MachineOrder::Numerical),
-            "reversed" => Ok(MachineOrder::Reversed),
-            "rotating" => Ok(MachineOrder::Rotating),
-            other => Err(format!(
-                "unknown machine order {other:?} (expected numerical|reversed|rotating)"
-            )),
-        }
-    }
-}
-
 impl std::fmt::Display for SlrhConfig {
     /// The canonical one-line rendering of a full configuration:
     ///
@@ -364,6 +251,8 @@ impl std::fmt::Display for SlrhConfig {
     /// `config.to_string().parse::<SlrhConfig>()` reproduces the
     /// configuration exactly — the CLI, the broker wire protocol and
     /// fixture headers all name configurations through this one form.
+    /// `trigger=clock; order=numerical` is fixed text: the loop has one
+    /// clock and one visit order, and the v1 line keeps its shape.
     ///
     /// The adaptation components (`adapt=`, `every=`) are appended
     /// **only** when the configuration carries an
@@ -372,15 +261,13 @@ impl std::fmt::Display for SlrhConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}; w={}; aet={}; trigger={}; order={}; dt={}; h={}; secondary={}",
+            "{}; w={}; aet={}; trigger=clock; order=numerical; dt={}; h={}; secondary={}",
             self.variant,
             self.objective.weights,
             match self.objective.aet_sign {
                 AetSign::Positive => "+",
                 AetSign::Negative => "-",
             },
-            self.trigger.name(),
-            self.machine_order.name(),
             self.dt.0,
             self.horizon.0,
             if self.allow_secondary { "on" } else { "off" },
@@ -411,6 +298,11 @@ impl std::str::FromStr for SlrhConfig {
     /// (`amin=0.05`, `lmax=8.0`, the constants of
     /// [`lagrange::online`]); any other value, and the retired warm
     /// start `warm=`, would have changed the run and is refused.
+    ///
+    /// `trigger=` and `order=` parse only at the loop's one clock and one
+    /// visit order (`clock`, `numerical`) and are discarded; the retired
+    /// event trigger (`machine-available`) and visit orders (`reversed`,
+    /// `rotating`) changed the run and are refused by name.
     fn from_str(s: &str) -> Result<SlrhConfig, String> {
         let mut parts = s.split(';').map(str::trim);
         let variant: SlrhVariant = parts
@@ -444,8 +336,8 @@ impl std::str::FromStr for SlrhConfig {
                         other => return Err(format!("bad aet sign {other:?} (expected + or -)")),
                     }
                 }
-                "trigger" => config.trigger = value.parse()?,
-                "order" => config.machine_order = value.parse()?,
+                "trigger" => retired_knob(key, value, "clock", &["machine-available"])?,
+                "order" => retired_knob(key, value, "numerical", &["reversed", "rotating"])?,
                 "dt" => {
                     config.dt = Dur(value
                         .parse()
@@ -505,6 +397,21 @@ fn retired_bound(key: &str, value: &str, fixed: f64, what: &str) -> Result<(), S
         _ => Err(format!(
             "{key}={value} is retired: {what} is fixed at {fixed:?}"
         )),
+    }
+}
+
+/// Accept a retired loop knob (`trigger=`, `order=`) only at the value
+/// the loop still runs; name a retired value as retired.
+fn retired_knob(key: &str, value: &str, kept: &str, retired: &[&str]) -> Result<(), String> {
+    if value == kept {
+        Ok(())
+    } else if retired.contains(&value) {
+        Err(format!(
+            "{key}={value} is retired: the loop runs one clock on the ΔT lattice \
+             and visits machines in numerical order ({key}={kept})"
+        ))
+    } else {
+        Err(format!("unknown {key} {value:?} (expected {kept})"))
     }
 }
 
@@ -572,7 +479,6 @@ mod tests {
         assert_eq!(c.dt, Dur(10));
         assert_eq!(c.horizon, Dur(100));
         assert_eq!(c.variant, SlrhVariant::V1);
-        assert_eq!(c.trigger, Trigger::Clock);
         assert!(c.allow_secondary);
     }
 
@@ -628,45 +534,6 @@ mod tests {
                 "{s}: {err}"
             );
         }
-    }
-
-    /// The lazy visit order is the sequence the clock loop has always
-    /// walked: ids ascending, ids descending, and ids ascending rotated
-    /// left by the tick index.
-    #[test]
-    fn machine_orders() {
-        for n in 1..=17usize {
-            for tick in 0..40u64 {
-                let visit = |order: MachineOrder| order.visit(n, tick).collect::<Vec<_>>();
-                let ascending: Vec<usize> = (0..n).collect();
-                let mut descending = ascending.clone();
-                descending.reverse();
-                let mut rotated = ascending.clone();
-                rotated.rotate_left(tick as usize % n);
-                assert_eq!(
-                    visit(MachineOrder::Numerical),
-                    ascending,
-                    "n={n} tick={tick}"
-                );
-                assert_eq!(
-                    visit(MachineOrder::Reversed),
-                    descending,
-                    "n={n} tick={tick}"
-                );
-                assert_eq!(visit(MachineOrder::Rotating), rotated, "n={n} tick={tick}");
-            }
-        }
-        let rotating = |n, tick| MachineOrder::Rotating.visit(n, tick).collect::<Vec<_>>();
-        assert_eq!(rotating(4, 1), [1, 2, 3, 0]);
-        assert_eq!(rotating(4, 6), [2, 3, 0, 1]);
-        assert_eq!(rotating(1, 9), [0]);
-        assert_eq!(rotating(0, 7), [0usize; 0]);
-    }
-
-    #[test]
-    fn event_driven_builder() {
-        let c = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.2).unwrap()).event_driven();
-        assert_eq!(c.trigger, Trigger::MachineAvailable);
     }
 
     #[test]
@@ -748,6 +615,39 @@ mod tests {
         );
         let back: SlrhConfig = text.parse().expect("adaptive config parses");
         assert_eq!(back, c);
+    }
+
+    /// The loop's one clock and one visit order parse and round-trip;
+    /// the retired event trigger and visit orders changed the run, so
+    /// each is refused by name.
+    #[test]
+    fn retired_loop_knobs_parse_only_at_the_paper_values() {
+        let paper = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap());
+        let c: SlrhConfig = "SLRH-1; w=(0.5, 0.3); trigger=clock; order=numerical"
+            .parse()
+            .expect("the paper's loop knobs parse");
+        assert_eq!(c, paper);
+        assert_eq!(c.to_string().parse::<SlrhConfig>(), Ok(c));
+        for (tail, names) in [
+            (
+                "trigger=machine-available",
+                "trigger=machine-available is retired",
+            ),
+            ("order=reversed", "order=reversed is retired"),
+            ("order=rotating", "order=rotating is retired"),
+        ] {
+            let err = format!("SLRH-1; w=(0.5, 0.3); {tail}")
+                .parse::<SlrhConfig>()
+                .unwrap_err();
+            assert!(err.contains(names), "{tail}: {err}");
+        }
+        for s in [
+            "SLRH-1; w=(0.5, 0.3); trigger=event",
+            "SLRH-1; w=(0.5, 0.3); order=",
+            "SLRH-1; w=(0.5, 0.3); trigger=clock; trigger=clock",
+        ] {
+            assert!(s.parse::<SlrhConfig>().is_err(), "accepted {s:?}");
+        }
     }
 
     /// Every adaptive line the retired bounds were rendered into ends

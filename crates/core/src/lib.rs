@@ -62,9 +62,7 @@ pub mod pool;
 #[doc(hidden)]
 pub mod reference;
 
-pub use config::{
-    Adaptation, ConfigError, MachineOrder, ScaleMode, SlrhConfig, SlrhVariant, Trigger,
-};
+pub use config::{Adaptation, ConfigError, ScaleMode, SlrhConfig, SlrhVariant};
 pub use context::RunContext;
 pub use dynamic::{run_slrh_churn, Churn, ChurnError, MachineArrivalEvent, MachineLossEvent};
 pub use mapper::{run_slrh, run_slrh_with, RunStats, SlrhOutcome, TickEvent};

@@ -35,7 +35,7 @@ use gridsim::plan::{Costing, MappingPlan, Placement, PlanScratch, PlanTotals, Sl
 use gridsim::state::SimState;
 use lagrange::weights::{Objective, Weights};
 
-use crate::config::{SlrhConfig, SlrhVariant, Trigger};
+use crate::config::{SlrhConfig, SlrhVariant};
 use crate::context::RunContext;
 use crate::dynamic::{drive_segments, Churn};
 use crate::pool::totals_objective;
@@ -473,10 +473,7 @@ pub(crate) fn drive<K: Kernel>(
         let queries_before = stats.queries;
         let mut every_live_machine_available = true;
 
-        let order = config
-            .machine_order
-            .visit(state.scenario().grid.len(), tick);
-        for j in order.map(MachineId) {
+        for j in state.scenario().grid.ids() {
             if state.all_mapped() {
                 break;
             }
@@ -523,28 +520,11 @@ pub(crate) fn drive<K: Kernel>(
         }
 
         wake = Time::ZERO;
-        if !any_commit && K::ELIDES && config.trigger == Trigger::Clock {
+        if !any_commit && K::ELIDES {
             idle_queries = stats.queries - queries_before;
             wake = sweep_wake(state, config, kernel, now);
         }
-
-        now = match config.trigger {
-            Trigger::Clock => now + config.dt,
-            Trigger::MachineAvailable => {
-                // Jump to the next instant a machine frees up; fall back
-                // to the clock step when every machine is already idle
-                // (waiting out a horizon miss only time can resolve).
-                state
-                    .scenario()
-                    .grid
-                    .ids()
-                    .filter(|&j| state.is_alive(j))
-                    .map(|j| state.compute_ready(j))
-                    .filter(|&t| t > now)
-                    .min()
-                    .unwrap_or(now + config.dt)
-            }
-        };
+        now += config.dt;
     }
 }
 

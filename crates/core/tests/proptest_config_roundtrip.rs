@@ -7,7 +7,7 @@
 use adhoc_grid::units::Dur;
 use lagrange::weights::{AetSign, Weights};
 use proptest::prelude::*;
-use slrh::{MachineOrder, SlrhConfig, SlrhVariant, Trigger};
+use slrh::{SlrhConfig, SlrhVariant};
 
 fn configs() -> impl Strategy<Value = SlrhConfig> {
     (
@@ -16,16 +16,14 @@ fn configs() -> impl Strategy<Value = SlrhConfig> {
             0.0f64..=1.0,  // alpha
             0.0f64..=1.0,  // beta (projected)
             any::<bool>(), // aet sign
-            any::<bool>(), // trigger
         ),
         (
-            0usize..3,     // machine order
             1u64..500,     // dt
             1u64..2000,    // horizon
             any::<bool>(), // secondary
         ),
     )
-        .prop_map(|((v, a, b, aet, trig), (ord, dt, h, sec))| {
+        .prop_map(|((v, a, b, aet), (dt, h, sec))| {
             let w = Weights::new(a, b.min(1.0 - a)).expect("on-simplex");
             let mut c = SlrhConfig::paper(SlrhVariant::ALL[v], w);
             c.objective.aet_sign = if aet {
@@ -33,16 +31,6 @@ fn configs() -> impl Strategy<Value = SlrhConfig> {
             } else {
                 AetSign::Negative
             };
-            c.trigger = if trig {
-                Trigger::Clock
-            } else {
-                Trigger::MachineAvailable
-            };
-            c.machine_order = [
-                MachineOrder::Numerical,
-                MachineOrder::Reversed,
-                MachineOrder::Rotating,
-            ][ord];
             c.dt = Dur(dt);
             c.horizon = Dur(h);
             c.allow_secondary = sec;

@@ -159,24 +159,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The event-driven trigger and the rotating machine order preserve
-    /// validity and never change which invariants hold.
-    #[test]
-    fn alternate_knobs_validate(w in weights(), rotate in any::<bool>(), event in any::<bool>()) {
-        let sc = Scenario::generate(&ScenarioParams::paper_scaled(24), GridCase::A, 2, 2);
-        let mut cfg = SlrhConfig::paper(SlrhVariant::V1, w);
-        if rotate {
-            cfg = cfg.with_machine_order(slrh::MachineOrder::Rotating);
-        }
-        if event {
-            cfg = cfg.event_driven();
-        }
-        let out = run_slrh(&sc, &cfg);
-        let errs = validate(&out.state);
-        prop_assert!(errs.is_empty(), "{errs:?}");
-        prop_assert!(out.state.ledger().check_invariants().is_ok());
-    }
-
     /// The adaptive controller keeps every physical invariant for any
     /// starting weights and control interval.
     #[test]

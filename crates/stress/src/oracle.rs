@@ -14,7 +14,7 @@
 
 use gridsim::state::SimState;
 use gridsim::validate::validate;
-use slrh::{SlrhConfig, Trigger};
+use slrh::SlrhConfig;
 
 /// The independent schedule validator ([`gridsim::validate::validate`]).
 pub fn check_validator(state: &SimState<'_>) -> Vec<String> {
@@ -24,15 +24,12 @@ pub fn check_validator(state: &SimState<'_>) -> Vec<String> {
         .collect()
 }
 
-/// The receding-horizon gate. Under the paper's clock trigger every
-/// commit happens at a clock tick `c` (a multiple of ΔT with `c ≤ τ`),
-/// with the committed subtask starting in `[c, c + H]`. So for each
-/// assignment there must *exist* an admissible tick: the smallest
-/// multiple of ΔT that is ≥ `start − H` must be ≤ `min(start, τ)`.
+/// The receding-horizon gate. Every commit happens at a clock tick `c`
+/// (a multiple of ΔT with `c ≤ τ`), with the committed subtask starting
+/// in `[c, c + H]`. So for each assignment there must *exist* an
+/// admissible tick: the smallest multiple of ΔT that is ≥ `start − H`
+/// must be ≤ `min(start, τ)`.
 pub fn check_horizon_gate(state: &SimState<'_>, config: &SlrhConfig) -> Vec<String> {
-    if config.trigger != Trigger::Clock {
-        return Vec::new();
-    }
     let (dt, h) = (config.dt.0, config.horizon.0);
     let tau = state.scenario().tau.0;
     let mut failures = Vec::new();

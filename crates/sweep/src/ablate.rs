@@ -20,23 +20,16 @@ use adhoc_grid::etc_gen::Consistency;
 use adhoc_grid::workload::{Scenario, ScenarioParams};
 use gridsim::metrics::Metrics;
 use lagrange::weights::{AetSign, Weights};
-use slrh::{
-    run_slrh_with, Adaptation, Churn, MachineOrder, RunContext, SlrhConfig, SlrhOutcome,
-    SlrhVariant,
-};
+use slrh::{run_slrh_with, Adaptation, Churn, RunContext, SlrhConfig, SlrhVariant};
 
 /// Run SLRH on the context's recycled buffers and keep only the metrics.
 /// Every ablation arm below runs the mapper several times back to back;
 /// sharing one [`RunContext`] keeps those arms allocation-flat.
 fn metrics_in(scenario: &Scenario, cfg: &SlrhConfig, ctx: &mut RunContext) -> Metrics {
-    let out = run_in(scenario, cfg, ctx);
+    let out = run_slrh_with(scenario, cfg, &Churn::default(), ctx, None);
     let m = out.metrics();
     ctx.reclaim(out.state);
     m
-}
-
-fn run_in<'a>(scenario: &'a Scenario, cfg: &SlrhConfig, ctx: &mut RunContext) -> SlrhOutcome<'a> {
-    run_slrh_with(scenario, cfg, &Churn::default(), ctx, None)
 }
 
 /// A2: run SLRH-1 with both AET-term signs at the same weights.
@@ -91,22 +84,6 @@ pub fn secondary_availability(scenario: &Scenario, weights: Weights) -> (Metrics
     )
 }
 
-/// Trigger-mode ablation: the paper's clock-driven design (§IV) against
-/// the event-driven alternative it names. Returns
-/// `(clock_metrics, clock_steps, event_metrics, event_steps)`.
-pub fn trigger_mode(scenario: &Scenario, weights: Weights) -> (Metrics, u64, Metrics, u64) {
-    let clock_cfg = SlrhConfig::paper(SlrhVariant::V1, weights);
-    let event_cfg = clock_cfg.event_driven();
-    let mut ctx = RunContext::new();
-    let clock = run_in(scenario, &clock_cfg, &mut ctx);
-    let (clock_metrics, clock_steps) = (clock.metrics(), clock.stats.clock_steps);
-    ctx.reclaim(clock.state);
-    let event = run_in(scenario, &event_cfg, &mut ctx);
-    let (event_metrics, event_steps) = (event.metrics(), event.stats.clock_steps);
-    ctx.reclaim(event.state);
-    (clock_metrics, clock_steps, event_metrics, event_steps)
-}
-
 /// Consistency-class ablation: regenerate the scenario's ETC matrix in
 /// each consistency class and run SLRH-1. The paper's regime is
 /// inconsistent; consistent matrices concentrate the best placements on
@@ -131,23 +108,6 @@ pub fn consistency_classes(
         p.etc = p.etc.with_consistency(consistency);
         let sc = Scenario::generate(&p, case, etc_id, dag_id);
         (consistency, metrics_in(&sc, &cfg, &mut ctx))
-    })
-    .collect()
-}
-
-/// Machine-visit-order ablation (§IV checks machines "in simple numerical
-/// order"). Returns `(order, metrics)` for each policy.
-pub fn machine_order(scenario: &Scenario, weights: Weights) -> Vec<(MachineOrder, Metrics)> {
-    let mut ctx = RunContext::new();
-    [
-        MachineOrder::Numerical,
-        MachineOrder::Reversed,
-        MachineOrder::Rotating,
-    ]
-    .into_iter()
-    .map(|order| {
-        let cfg = SlrhConfig::paper(SlrhVariant::V1, weights).with_machine_order(order);
-        (order, metrics_in(scenario, &cfg, &mut ctx))
     })
     .collect()
 }
@@ -230,30 +190,9 @@ mod tests {
     }
 
     #[test]
-    fn event_trigger_does_less_clock_work() {
-        let sc = scenario(GridCase::A);
-        let (cm, c_steps, em, e_steps) = trigger_mode(&sc, Weights::new(0.5, 0.3).unwrap());
-        assert!(cm.mapped > 0 && em.mapped > 0);
-        assert!(
-            e_steps <= c_steps,
-            "event-driven did more iterations ({e_steps}) than clock-driven ({c_steps})"
-        );
-    }
-
-    #[test]
     fn consistency_classes_all_run() {
         let params = ScenarioParams::paper_scaled(32);
         let rows = consistency_classes(&params, GridCase::A, 0, 0, Weights::new(0.5, 0.3).unwrap());
-        assert_eq!(rows.len(), 3);
-        for (_, m) in &rows {
-            assert!(m.mapped > 0);
-        }
-    }
-
-    #[test]
-    fn machine_order_changes_little_at_tuned_weights() {
-        let sc = scenario(GridCase::A);
-        let rows = machine_order(&sc, Weights::new(0.5, 0.3).unwrap());
         assert_eq!(rows.len(), 3);
         for (_, m) in &rows {
             assert!(m.mapped > 0);

@@ -1,11 +1,12 @@
 //! The full evaluation campaign behind Figures 4–7.
 //!
 //! For every (heuristic, case, scenario): find the optimal (α, β) pair
-//! (Figure 3 search), then run the heuristic once more with those weights
-//! on a dedicated single-threaded timing pass, and compare its `T100`
-//! against the §VI upper bound. Aggregates are means over the scenarios
-//! with compliant weights, exactly as the paper averages "the outcomes
-//! from all 100 ETC/DAG combinations".
+//! (Figure 3 search; a heuristic that ignores the weights runs once),
+//! then run the heuristic once more with those weights on a dedicated
+//! single-threaded timing pass, and compare its `T100` against the §VI
+//! upper bound. A scenario counts only when its run met both of §VII's
+//! constraints; aggregates are means over those scenarios, as the paper
+//! averages "the outcomes from all 100 ETC/DAG combinations".
 
 use std::time::Duration;
 
@@ -79,13 +80,14 @@ pub struct CaseRow {
     pub case: GridCase,
     /// Mean `T100` over compliant scenarios (Figure 4).
     pub mean_t100: f64,
-    /// Mean `T100 / upper bound` (Figure 5).
+    /// Mean `T100 / upper bound` over compliant scenarios (Figure 5).
     pub mean_ub_fraction: f64,
     /// Mean heuristic wall-clock time (Figure 6).
     pub mean_wall: Duration,
     /// Mean `T100` per second of heuristic execution (Figure 7).
     pub mean_t100_per_second: f64,
-    /// Scenarios with compliant weights / total scenarios.
+    /// Scenarios whose run met both constraints (for a weighted
+    /// heuristic: with compliant weights) / total scenarios.
     pub feasible: usize,
     /// Total scenarios attempted.
     pub total: usize,
@@ -168,6 +170,22 @@ impl CaseRow {
         if parts.next().is_some() {
             return Err(format!("trailing fields in canonical row {line:?}"));
         }
+        let feasible: usize = feasible.parse().map_err(|e| format!("bad feasible: {e}"))?;
+        let total: usize = total.parse().map_err(|e| format!("bad total: {e}"))?;
+        if feasible > total {
+            return Err(format!(
+                "canonical row {line:?} counts {feasible} feasible of {total}"
+            ));
+        }
+        // A mean of non-negative finite samples is non-negative and finite.
+        for (key, v) in [("t100", mean_t100), ("ub_frac", mean_ub_fraction)]
+            .into_iter()
+            .chain(mean_cost.map(|c| ("cost", c)))
+        {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!("bad {key}: {v:?} is not a mean of compliant runs"));
+            }
+        }
         Ok(CaseRow {
             heuristic,
             case,
@@ -175,8 +193,8 @@ impl CaseRow {
             mean_ub_fraction,
             mean_wall: Duration::ZERO,
             mean_t100_per_second: 0.0,
-            feasible: feasible.parse().map_err(|e| format!("bad feasible: {e}"))?,
-            total: total.parse().map_err(|e| format!("bad total: {e}"))?,
+            feasible,
+            total,
             mean_cost,
         })
     }
@@ -232,16 +250,13 @@ pub fn run_case_unit(
     // Phase 1 (parallel): tune weights per scenario. Each
     // executor chunk carries one RunContext, so every heuristic
     // run in a chunk's searches recycles the same buffers.
+    // A scenario without compliant weights (for a weightless heuristic:
+    // whose one run broke a constraint) is not counted.
     let tuned: Vec<Option<lagrange::weights::Weights>> = ids
         .par_iter()
         .map_init(RunContext::new, |ctx, &(e, d)| {
             let sc = cfg.set.scenario(case, e, d);
-            if h.uses_weights() {
-                optimal_weights_with_steps_in(h, &sc, cfg.coarse, cfg.fine, ctx).map(|o| o.weights)
-            } else {
-                // Weightless heuristics: any placeholder works.
-                Some(lagrange::weights::Weights::new(0.5, 0.3).expect("static"))
-            }
+            optimal_weights_with_steps_in(h, &sc, cfg.coarse, cfg.fine, ctx).map(|o| o.weights)
         })
         .collect();
 
@@ -255,7 +270,12 @@ pub fn run_case_unit(
         let Some(w) = weights else { continue };
         let sc = cfg.set.scenario(case, e, d);
         let r = h.run_in(&sc, *w, timing_ctx);
+        // The search already scored this run: it must still score.
         assert!(r.valid, "{h} produced an invalid schedule on {case}");
+        assert!(
+            r.metrics.constraints_met(),
+            "{h} broke a constraint at its searched weights on {case}"
+        );
         let ub = upper_bound(&sc.etc, &sc.grid, sc.tau);
         t100s.push(r.metrics.t100 as f64);
         ub_fracs.push(r.metrics.t100 as f64 / ub.t100.max(1) as f64);
@@ -267,26 +287,21 @@ pub fn run_case_unit(
     }
 
     let n = t100s.len();
-    if n == 0 {
-        return CaseRow {
-            heuristic: h,
-            case,
-            mean_t100: 0.0,
-            mean_ub_fraction: 0.0,
-            mean_wall: Duration::ZERO,
-            mean_t100_per_second: 0.0,
-            feasible: 0,
-            total: ids.len(),
-            mean_cost: h.prices_cost().then_some(0.0),
-        };
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+    // A row with no compliant run reads 0.0 in every mean (an empty f64
+    // sum may be -0.0, which would render differently).
+    let mean = |v: &[f64]| {
+        if v.is_empty() {
+            0.0
+        } else {
+            v.iter().sum::<f64>() / v.len() as f64
+        }
+    };
     CaseRow {
         heuristic: h,
         case,
         mean_t100: mean(&t100s),
         mean_ub_fraction: mean(&ub_fracs),
-        mean_wall: walls.iter().sum::<Duration>() / n as u32,
+        mean_wall: walls.iter().sum::<Duration>() / n.max(1) as u32,
         mean_t100_per_second: mean(&rates),
         feasible: n,
         total: ids.len(),
@@ -373,6 +388,17 @@ mod tests {
             "NOSUCH|Case A|t100=1.0|ub_frac=0.5|feasible=2/2",
             "SLRH-1|Case Z|t100=1.0|ub_frac=0.5|feasible=2/2",
             "SLRH-1|Case A|t100=nope|ub_frac=0.5|feasible=2/2",
+            // What a torn or hand-edited checkpoint could hold: more
+            // feasible scenarios than the suite, or a mean no set of
+            // runs can have.
+            "SLRH-1|Case A|t100=1.0|ub_frac=0.5|feasible=5/2",
+            "SLRH-1|Case A|t100=NaN|ub_frac=0.5|feasible=2/2",
+            "SLRH-1|Case A|t100=1.0|ub_frac=-3|feasible=2/2",
+            "SLRH-1|Case A|t100=NaN|ub_frac=-3|feasible=2/2",
+            "SLRH-1|Case A|t100=inf|ub_frac=0.5|feasible=2/2",
+            "SLRH-1|Case A|t100=-1.0|ub_frac=0.5|feasible=2/2",
+            "DBC-Cost|Case A|t100=1.0|ub_frac=0.5|feasible=2/2|cost=-1.0",
+            "DBC-Cost|Case A|t100=1.0|ub_frac=0.5|feasible=2/2|cost=inf",
             // The cost column belongs to cost-pricing heuristics only,
             // and they must always carry it.
             "SLRH-1|Case A|t100=1.0|ub_frac=0.5|feasible=2/2|cost=3.0",
@@ -385,19 +411,23 @@ mod tests {
     }
 
     /// Cost-pricing heuristics produce rows with the trailing cost
-    /// column; the column round-trips through the canonical codec.
+    /// column; the column round-trips through the canonical codec. On
+    /// this 4-subtask Case B suite DBC-Time meets both constraints on
+    /// both scenarios and DBC-Cost on ETC 1 only, so each row's cost is
+    /// a mean over compliant runs.
     #[test]
     fn dbc_rows_carry_the_cost_column() {
-        let set = ScenarioSet::new(ScenarioParams::paper_scaled(24), 1, 1);
+        let set = ScenarioSet::new(ScenarioParams::paper_scaled(4), 2, 1);
         let cfg = CampaignConfig {
             set,
             heuristics: vec![Heuristic::DbcCost, Heuristic::DbcTime],
-            cases: vec![GridCase::A],
+            cases: vec![GridCase::B],
             coarse: 0.25,
             fine: 0.25,
         };
         let rows = run_campaign(&cfg);
-        assert_eq!(rows.len(), 2);
+        let counts: Vec<_> = rows.iter().map(|r| (r.feasible, r.total)).collect();
+        assert_eq!(counts, [(1, 2), (2, 2)]);
         for row in &rows {
             let cost = row.mean_cost.expect("DBC rows price cost");
             assert!(cost > 0.0, "{}", row.heuristic);
@@ -407,5 +437,25 @@ mod tests {
             assert_eq!(parsed.canonical(), line);
             assert_eq!(parsed.mean_cost.unwrap().to_bits(), cost.to_bits());
         }
+    }
+
+    /// A weightless heuristic's row counts a scenario only when its one
+    /// run met both constraints, and its means are over those runs:
+    /// Greedy and DBC-Cost break τ on every 256-subtask Case B scenario
+    /// of the 3 × 3 suite, so both rows are empty.
+    #[test]
+    fn weightless_rows_count_only_compliant_runs() {
+        let cfg = CampaignConfig {
+            set: ScenarioSet::new(ScenarioParams::paper_scaled(256), 3, 3),
+            heuristics: vec![Heuristic::Greedy, Heuristic::DbcCost],
+            cases: vec![GridCase::B],
+            coarse: 0.25,
+            fine: 0.25,
+        };
+        assert_eq!(
+            canonical_report(&run_campaign(&cfg)),
+            "Greedy|Case B|t100=0.0|ub_frac=0.0|feasible=0/9\n\
+             DBC-Cost|Case B|t100=0.0|ub_frac=0.0|feasible=0/9|cost=0.0\n"
+        );
     }
 }

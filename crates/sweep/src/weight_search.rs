@@ -224,7 +224,9 @@ pub fn optimal_weights(heuristic: Heuristic, scenario: &Scenario) -> Option<Weig
 /// [`optimal_weights`] with explicit coarse/fine steps. The answer is the
 /// best of the fine window around the coarse winner and the coarse
 /// winner itself, which the window holds whenever the fine step divides
-/// the coarse one.
+/// the coarse one. A heuristic that ignores the weights
+/// ([`Heuristic::uses_weights`]) is run once, at (0, 0): `Some` only
+/// when that run met both constraints and validated.
 pub fn optimal_weights_with_steps(
     heuristic: Heuristic,
     scenario: &Scenario,
@@ -247,6 +249,17 @@ pub fn optimal_weights_with_steps_in(
 ) -> Option<WeightSearchOutcome> {
     if let Err(e) = check_steps(coarse, fine) {
         panic!("{e}");
+    }
+    if !heuristic.uses_weights() {
+        // Every pair maps the same schedule: the search is its one run,
+        // reported at the grid's first point.
+        let weights = Weights::new(0.0, 0.0).expect("the simplex corner");
+        let t100 = heuristic.score_in(scenario, weights, ctx, 0)?;
+        return Some(WeightSearchOutcome {
+            weights,
+            t100,
+            evaluations: 1,
+        });
     }
     let mut memo = EvalMemo::new();
     let coarse_points = grid(coarse, (0.0, 1.0), (0.0, 1.0));
@@ -427,16 +440,37 @@ mod tests {
 
     #[test]
     fn fine_stage_skips_coarse_aligned_points() {
-        // Greedy ignores weights, so every pair is compliant and the
-        // coarse winner is (0, 0). Coarse 0.1 yields the 66-point
-        // simplex; the fine ±0.1 window at step 0.02 is a 6×6 block of
-        // which 4 corners — (0,0), (0,0.1), (0.1,0), (0.1,0.1) — are
-        // step-aligned with the coarse grid and must not be re-run.
+        // SLRH-1's coarse winner here is the corner (1, 0), and no fine
+        // point beats it. Coarse 0.1 yields the 66-point simplex; the
+        // fine ±0.1 window at step 0.02, clipped to α ≤ 1 and α + β ≤ 1,
+        // holds the 21 points with α ≥ 0.9 and β ≤ 0.1, of which 3 —
+        // (0.9, 0), (1, 0), (0.9, 0.1) — are step-aligned with the coarse
+        // grid and must not be re-run.
         let sc = Scenario::generate(&ScenarioParams::paper_scaled(16), GridCase::A, 0, 0);
-        let out = optimal_weights_with_steps(Heuristic::Greedy, &sc, 0.1, 0.02)
-            .expect("Greedy maps everything");
-        assert_eq!(out.weights, Weights::new(0.0, 0.0).unwrap());
-        assert_eq!(out.evaluations, 66 + 36 - 4);
+        let out = optimal_weights_with_steps(Heuristic::Slrh1, &sc, 0.1, 0.02)
+            .expect("SLRH-1 has compliant weights");
+        assert_eq!(out.weights, Weights::new(1.0, 0.0).unwrap());
+        assert_eq!(out.evaluations, 66 + 21 - 3);
+    }
+
+    /// A heuristic that ignores the weights is searched by its one run:
+    /// `Some` at (0, 0) when that run complies, `None` when it does not.
+    #[test]
+    fn a_weightless_heuristic_is_searched_by_its_one_run() {
+        let sc = Scenario::generate(&ScenarioParams::paper_scaled(16), GridCase::A, 0, 0);
+        let out = optimal_weights_with_steps(Heuristic::DbcTime, &sc, 0.1, 0.02)
+            .expect("DBC-Time meets both constraints here");
+        let run = Heuristic::DbcTime.run(&sc, out.weights);
+        assert!(run.valid && run.metrics.constraints_met());
+        assert_eq!(
+            (out.weights, out.t100, out.evaluations),
+            (Weights::new(0.0, 0.0).unwrap(), run.metrics.t100, 1)
+        );
+        assert!(!Heuristic::DbcCost
+            .run(&sc, out.weights)
+            .metrics
+            .constraints_met());
+        assert!(optimal_weights_with_steps(Heuristic::DbcCost, &sc, 0.1, 0.02).is_none());
     }
 
     /// With a fine step that does not divide the coarse one, the fine

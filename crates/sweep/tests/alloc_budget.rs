@@ -220,7 +220,7 @@ fn warm_weight_search_validates_only_runs_that_can_score() {
 /// `run_slrh_with`'s entry to its return. The loop costs some 1 850
 /// candidates, commits ~970 plans and sweeps ~6 100 ticks; on a warm
 /// context none of that allocates — plans and deltas are built on
-/// recycled storage and the machine visit order is not collected. Nor
+/// recycled storage. Nor
 /// does the same run under `--adapt-every 10` (`paper_churn`'s adaptive
 /// third): an adaptation step works on the stack.
 #[test]

@@ -8,9 +8,8 @@
 //! **byte-for-byte** — schedule, metrics, disruption counts, final
 //! weights, loop trajectory — including across machine-loss cascades
 //! that unmap most of the schedule and force frontier re-seeding, and
-//! under every loop knob (primary-only gate, event-driven trigger,
-//! machine visit orders); and the cached bound orders must replay the
-//! resort reference the same way.
+//! under the primary-only gate; and the cached bound orders must replay
+//! the resort reference the same way.
 //!
 //! The product loop also *elides* sweeps the frontier has already
 //! answered (DESIGN.md §19) while both reference kernels are swept on
@@ -34,8 +33,8 @@ use lagrange::weights::Weights;
 use proptest::prelude::*;
 use slrh::reference::{self, Kind};
 use slrh::{
-    run_slrh, run_slrh_with, Adaptation, Churn, MachineArrivalEvent, MachineLossEvent,
-    MachineOrder, RunContext, SlrhConfig, SlrhOutcome, SlrhVariant, TickEvent,
+    run_slrh, run_slrh_with, Adaptation, Churn, MachineArrivalEvent, MachineLossEvent, RunContext,
+    SlrhConfig, SlrhOutcome, SlrhVariant, TickEvent,
 };
 
 /// Deterministic full serialization of a churn run. `{:?}` on floats is
@@ -189,11 +188,9 @@ proptest! {
         prop_assert_eq!(&walk, &frontier, "frontier diverged from the reference pool walk");
     }
 
-    /// The knobs only the frontier serves now: the primary-only gate,
-    /// the event-driven trigger and the non-default machine visit
-    /// orders, alone and combined, through one loss and one arrival —
-    /// still the pool walk's schedule, metrics, disruptions and loop
-    /// trajectory.
+    /// The one loop knob, the primary-only gate, through one loss and
+    /// one arrival — still the pool walk's schedule, metrics,
+    /// disruptions and loop trajectory.
     #[test]
     fn frontier_matches_the_pool_walk_under_every_loop_knob(
         case in case_strategy(),
@@ -209,20 +206,10 @@ proptest! {
             machine: MachineId((lost + 1) % case.machines),
             at: Time(((tau * arrival_frac) as u64).max(1)),
         }];
-        let base = SlrhConfig::paper(variant, case.weights);
-        let knobs = [
-            base.primary_only(),
-            base.event_driven(),
-            base.with_machine_order(MachineOrder::Reversed),
-            base.with_machine_order(MachineOrder::Rotating),
-            base.primary_only().event_driven().with_machine_order(MachineOrder::Reversed),
-            base.primary_only().event_driven().with_machine_order(MachineOrder::Rotating),
-        ];
-        for cfg in &knobs {
-            let walk = run_with(&case, cfg, &arrivals, Some(Kind::Scratch));
-            let frontier = run_with(&case, cfg, &arrivals, None);
-            prop_assert_eq!(&walk, &frontier, "frontier diverged from the pool walk under {}", cfg);
-        }
+        let cfg = SlrhConfig::paper(variant, case.weights).primary_only();
+        let walk = run_with(&case, &cfg, &arrivals, Some(Kind::Scratch));
+        let frontier = run_with(&case, &cfg, &arrivals, None);
+        prop_assert_eq!(&walk, &frontier, "frontier diverged from the pool walk under {}", cfg);
     }
 
     /// The observer cannot tell an elided sweep from a swept one: the

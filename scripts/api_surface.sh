@@ -17,9 +17,13 @@
 #    the compile-time fact that replaced the 1- vs 4-thread kernel
 #    differentials;
 #  * the tick loop allocates nothing in steady state (DESIGN.md section
-#    21): the delta field nobody read stays gone, and the machine visit
-#    order the loop asks for on every swept tick is not a collected
-#    `Vec` again;
+#    21): the delta field nobody read stays gone;
+#  * the clock loop has one clock and one visit order (DESIGN.md section
+#    19): the event trigger and the machine visit orders (`enum Trigger`,
+#    `MachineAvailable`, `MachineOrder`, `event_driven`,
+#    `with_machine_order`), their ablation (`trigger_mode`) and the
+#    `repro` targets `ablate-trigger`/`ablate-order` stay gone; their
+#    values survive only as config-string values refused as retired;
 #  * there is one candidate kernel and it is exact: the names of the
 #    deleted clustered (approximate) frontier stay gone, and `ScaleMode`
 #    survives only as the inert shim the untouched `benchmark/` adapter
@@ -228,11 +232,13 @@ if hits=$(grep -rn 'map_bounded' crates src tests examples benchmark/src --inclu
     fail "the bounded chunk map is back:"$'\n'"$hits"
 fi
 
-if hits=$(grep -nE 'fn order\b.*-> *Vec<usize>' crates/core/src/config.rs); then
-    fail "MachineOrder hands the clock loop a collected visit order again:"$'\n'"$hits"
+if hits=$(grep -rnE '\benum Trigger\b|\b(MachineAvailable|MachineOrder|event_driven|with_machine_order|trigger_mode)\b' \
+    crates src tests examples benchmark/src --include='*.rs'); then
+    fail "a retired loop knob (the event trigger, a machine visit order) is back:"$'\n'"$hits"
 fi
-if hits=$(grep -nE 'machine_order[^;]*(collect|to_vec|\.order\()' crates/core/src/mapper.rs); then
-    fail "the clock loop collects its machine visit order:"$'\n'"$hits"
+if hits=$(grep -rnE 'ablate[-_](trigger|order)' crates src tests examples scripts .github |
+    grep -v '^scripts/api_surface.sh:'); then
+    fail "a retired loop-knob ablation is back:"$'\n'"$hits"
 fi
 
 if hits=$(grep -n 'criterion' Cargo.toml crates/*/Cargo.toml crates/compat/*/Cargo.toml); then
