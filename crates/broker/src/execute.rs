@@ -123,7 +123,10 @@ pub fn execute_map_counted(
             // Mappings are sparse events on a dense clock: a commit-free
             // tick is counted, not emitted, and rides the next tick frame
             // as `idle` (see [`Event::Tick`]). `pending` is the latest
-            // commit-free tick not yet reported and how many precede it.
+            // commit-free tick not yet reported and how many precede it;
+            // a sleeping span of n ticks folds in one step, as its last
+            // tick with n − 1 more before it.
+            let dt = req.config.dt;
             let mut pending: Option<(TickEvent, u64)> = None;
             let tick_frame = |t: TickEvent, idle: u64| Event::Tick {
                 job,
@@ -136,7 +139,8 @@ pub fn execute_map_counted(
             let mut observer = |t: TickEvent| {
                 let idle = pending.take().map_or(0, |(_, before)| before + 1);
                 if t.commits == 0 {
-                    pending = Some((t, idle));
+                    let last = t.ticks(dt).next_back().expect("an event spans a tick");
+                    pending = Some((last, idle + t.span - 1));
                 } else {
                     emit(tick_frame(t, idle));
                 }

@@ -10,7 +10,8 @@
 //! There is one way to run it: [`run_slrh_with`] takes the scenario, the
 //! configuration, a checked churn trace ([`Churn`] — empty for the
 //! paper's frozen grid), a reusable [`RunContext`] and an optional
-//! per-tick observer, and returns the one outcome type,
+//! observer of the swept ticks and slept spans ([`TickEvent`]), and
+//! returns the one outcome type,
 //! [`SlrhOutcome`]. [`run_slrh`] (frozen grid) and [`run_slrh_churn`]
 //! (event slices) are its two conveniences on a throwaway context. A
 //! fixed-weight run is the adaptation that never steps: online weight

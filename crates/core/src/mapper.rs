@@ -22,13 +22,14 @@
 //! sweep that committed nothing is not repeated until a busy machine
 //! frees up or the kernel's answer for an available one can have changed
 //! ([`Kernel::wake`]) — so a sweep that found every machine busy sleeps
-//! until the first release. The ticks in between run as bookkeeping
-//! only, with every counter and observer event exactly what the repeated
-//! sweep would have produced ([`RunStats::sweeps_elided`], DESIGN.md §19).
+//! until the first release. The loop crosses the ticks in between in one
+//! step, with every counter exactly what the repeated sweeps would have
+//! produced and one observer event standing for the whole span
+//! ([`RunStats::sweeps_elided`], [`TickEvent::span`], DESIGN.md §19).
 
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
-use adhoc_grid::units::Time;
+use adhoc_grid::units::{Dur, Time};
 use adhoc_grid::workload::Scenario;
 use gridsim::metrics::Metrics;
 use gridsim::plan::{Costing, MappingPlan, Placement, PlanScratch, PlanTotals, Slot};
@@ -61,12 +62,13 @@ pub struct RunStats {
     /// (zero whenever [`crate::config::SlrhConfig::adaptation`] is off
     /// — and also when every step was a fixed point).
     pub weight_updates: u64,
-    /// Clock ticks run as bookkeeping only: the last sweep had already
-    /// proven this one's outcome — every live machine still busy, or
-    /// every available one's query latched at `None` — so the loop
-    /// skipped it. Counted inside [`RunStats::clock_steps`]; a kernel
-    /// work counter like `candidates_evaluated`, so the reference
-    /// oracles — which never elide — legitimately report 0.
+    /// Clock ticks slept through: the last sweep had already proven
+    /// this one's outcome — every live machine still busy, or every
+    /// available one's query latched at `None` — so the loop crossed it
+    /// without a sweep, a whole span in one step. Counted inside
+    /// [`RunStats::clock_steps`]; a kernel work counter like
+    /// `candidates_evaluated`, so the reference oracles — which never
+    /// elide — legitimately report 0.
     pub sweeps_elided: u64,
 }
 
@@ -133,33 +135,60 @@ pub fn run_slrh<'a>(scenario: &'a Scenario, config: &SlrhConfig) -> SlrhOutcome<
     )
 }
 
-/// One executed clock tick, as seen by [`run_slrh_with`]'s observer.
+/// Executed clock ticks, as seen by [`run_slrh_with`]'s observer: one
+/// swept tick, or one sleeping span of ticks the loop crossed in one
+/// step (DESIGN.md §19).
 ///
-/// Emitted once per tick the loop actually ran, in clock order (across
-/// loss boundaries too), after the tick's machine sweep. Observation is
-/// pure: an observed run is bit-identical to the same run without an
-/// observer.
+/// Emitted in clock order (across loss boundaries too): once per swept
+/// tick, after its machine sweep, and once per sleeping span, at the
+/// span's first tick. A span holds at most one adaptation tick, its
+/// first, so sampling `tick.is_multiple_of(every)` sees every weight
+/// update. [`TickEvent::ticks`] expands an event into the per-tick
+/// events a loop sweeping every tick reports. Observation is pure: an
+/// observed run is bit-identical to the same run without an observer.
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub struct TickEvent {
-    /// The clock value the tick ran at.
+    /// The clock value the (first) tick ran at.
     pub clock: Time,
-    /// 0-based tick index ([`RunStats::clock_steps`] − 1 at emission).
+    /// 0-based index of the (first) tick: [`RunStats::clock_steps`]
+    /// − `span` at emission.
     pub tick: u64,
     /// Cumulative subtasks mapped after the tick.
     pub mapped: usize,
-    /// Mappings committed during this tick.
+    /// Mappings committed during this tick (0 across a span).
     pub commits: u64,
     /// The objective weights the tick's sweep ran on — after the tick's
-    /// adaptation step, when it had one. Sampling this is how a caller
-    /// records the weight trajectory of an adaptive run.
+    /// adaptation step, when it had one; a span runs on one set
+    /// throughout. Sampling this is how a caller records the weight
+    /// trajectory of an adaptive run.
     pub weights: Weights,
+    /// How many consecutive ticks, ΔT apart, the event stands for: 1
+    /// for a swept tick, n ≥ 1 for a sleeping span.
+    pub span: u64,
+}
+
+impl TickEvent {
+    /// The per-tick events this one stands for, in clock order, `dt`
+    /// (the run's [`SlrhConfig::dt`]) apart: the event itself for a
+    /// swept tick, `span` commit-free ticks for a sleeping span. From
+    /// the back it is O(1): `ticks(dt).next_back()` is a span's last
+    /// tick.
+    pub fn ticks(self, dt: Dur) -> impl DoubleEndedIterator<Item = TickEvent> {
+        (0..self.span).map(move |k| TickEvent {
+            clock: self.clock + dt * k,
+            tick: self.tick + k,
+            span: 1,
+            ..self
+        })
+    }
 }
 
 /// The one way to run SLRH: map `scenario` under `config` while the grid
 /// churns per `churn` (the default [`Churn`] is the paper's frozen
-/// grid), on `ctx`'s recycled buffers, reporting every executed clock
-/// tick to `observer` when one is given — the hook the broker daemon
-/// uses to stream live progress while a mapping runs.
+/// grid), on `ctx`'s recycled buffers, reporting every swept clock tick
+/// and every sleeping span to `observer` when one is given ([`TickEvent`];
+/// [`TickEvent::ticks`] expands a span into its ticks) — the hook the
+/// broker daemon uses to stream live progress while a mapping runs.
 ///
 /// The state and the candidate frontier are built on the context's
 /// storage instead of fresh allocations; results are bit-identical
@@ -453,10 +482,22 @@ pub(crate) fn drive<K: Kernel>(
         // The last sweep has already answered this one: the same machines
         // are busy, each available one would be told `None` again, and
         // the stuck probes would find the same gate-feasible candidate.
-        // Keep the books and the observer exactly as the sweep would have.
+        // So would every tick up to the first of `wake`, τ's exit, the
+        // stop and the next adaptation step (which reads the clock):
+        // cross that span in one step, keeping the books exactly as its
+        // sweeps would have, and report it as one event.
         if now < wake {
-            stats.sweeps_elided += 1;
-            stats.queries += idle_queries;
+            let mut end = wake.min(Time(tau.0.saturating_add(1)));
+            if let Some(stop) = stop_at {
+                end = end.min(stop);
+            }
+            let mut span = (end.0 - now.0).div_ceil(config.dt.0);
+            if let Some(ad) = config.adaptation.filter(|ad| ad.every > 0) {
+                span = span.min(ad.every - tick % ad.every);
+            }
+            stats.clock_steps += span - 1;
+            stats.sweeps_elided += span;
+            stats.queries += span * idle_queries;
             if let Some(obs) = observer.as_mut() {
                 obs(TickEvent {
                     clock: now,
@@ -464,9 +505,10 @@ pub(crate) fn drive<K: Kernel>(
                     mapped: state.mapped_count(),
                     commits: 0,
                     weights: config.objective.weights,
+                    span,
                 });
             }
-            now += config.dt;
+            now += config.dt * span;
             continue;
         }
         let commits_before = stats.commits;
@@ -496,6 +538,7 @@ pub(crate) fn drive<K: Kernel>(
                 mapped: state.mapped_count(),
                 commits: stats.commits - commits_before,
                 weights: config.objective.weights,
+                span: 1,
             });
         }
 
@@ -646,28 +689,42 @@ mod tests {
         SlrhConfig::paper(variant, Weights::new(0.5, 0.2).unwrap())
     }
 
+    /// The per-tick stream an observed run stands for: every sleeping
+    /// span expanded into its ticks ([`TickEvent::ticks`]).
+    fn expand(events: &[TickEvent], dt: Dur) -> Vec<TickEvent> {
+        events.iter().flat_map(|e| e.ticks(dt)).collect()
+    }
+
     /// The observer is pure: an observed run produces a bit-identical
-    /// schedule and stats, and the event stream is internally consistent
-    /// (clock-ordered ticks, monotone mapped counts, commits adding up).
+    /// schedule and stats, and the expanded event stream is internally
+    /// consistent (one event per clock step, clock-ordered ticks,
+    /// monotone mapped counts, commits adding up), as is the stream as
+    /// reported (each event starts where the one before it ends).
     #[test]
     fn observed_run_is_bit_identical_and_consistent() {
         let sc = scenario(48);
         for variant in SlrhVariant::ALL {
             let cfg = config(variant);
             let plain = run_slrh(&sc, &cfg);
-            let mut events = Vec::new();
+            let mut reported = Vec::new();
             let observed = run_slrh_with(
                 &sc,
                 &cfg,
                 &Churn::default(),
                 &mut RunContext::new(),
-                Some(&mut |e| events.push(e)),
+                Some(&mut |e| reported.push(e)),
             );
             assert_eq!(
                 format!("{:?}", observed.state.schedule()),
                 format!("{:?}", plain.state.schedule())
             );
             assert_eq!(observed.stats, plain.stats);
+            for w in reported.windows(2) {
+                assert_eq!(w[0].tick + w[0].span, w[1].tick, "{variant}");
+                assert_eq!(w[0].clock + cfg.dt * w[0].span, w[1].clock, "{variant}");
+            }
+            assert!(reported.iter().all(|e| e.span == 1 || e.commits == 0));
+            let events = expand(&reported, cfg.dt);
             assert_eq!(events.len() as u64, plain.stats.clock_steps, "{variant}");
             for w in events.windows(2) {
                 assert!(w[0].clock < w[1].clock, "{variant}: clock not increasing");
@@ -680,6 +737,31 @@ mod tests {
             assert!(events.iter().all(|e| e.weights == cfg.objective.weights));
             assert!(plain.disruptions.is_empty());
         }
+    }
+
+    /// The sleep is O(1) in the span's length: on the paper-scale Case A
+    /// job, where the loop sleeps through most ticks, the observer gets
+    /// one event per swept tick and at most one per sleeping span (each
+    /// span follows a commit-free sweep), not one per clock step.
+    #[test]
+    fn the_paper_scale_job_sleeps_each_span_in_one_event() {
+        let sc = scenario(1024);
+        let cfg = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.25).unwrap());
+        let mut events = 0u64;
+        let out = run_slrh_with(
+            &sc,
+            &cfg,
+            &Churn::default(),
+            &mut RunContext::new(),
+            Some(&mut |_| events += 1),
+        );
+        let swept = out.stats.clock_steps - out.stats.sweeps_elided;
+        assert!(out.stats.sweeps_elided > out.stats.clock_steps / 2);
+        assert!(
+            events <= 2 * swept + 1,
+            "{events} events for {swept} swept of {} clock steps",
+            out.stats.clock_steps
+        );
     }
 
     #[test]
@@ -1014,10 +1096,15 @@ mod tests {
     }
 
     /// Everything an elided span must leave exactly as the ticking loop
-    /// leaves it: counters, the observer's stream, the exit clock and
-    /// the adapted weights.
-    fn assert_same_books(ticking: &ScriptedRun, eliding: &ScriptedRun) {
+    /// leaves it: counters, the observer's stream once expanded, the
+    /// exit clock and the adapted weights. The ticking loop reports
+    /// every tick on its own; the eliding one reports a span as one
+    /// event, and every adaptation tick (a multiple of `adapt_every`) as
+    /// the first tick of an event, where a sampling observer sees it.
+    fn assert_same_books(ticking: &ScriptedRun, eliding: &ScriptedRun, adapt_every: Option<u64>) {
+        let dt = config(SlrhVariant::V1).dt;
         assert_eq!(ticking.stats.sweeps_elided, 0);
+        assert!(ticking.events.iter().all(|e| e.span == 1));
         assert_eq!(
             RunStats {
                 sweeps_elided: 0,
@@ -1025,14 +1112,24 @@ mod tests {
             },
             ticking.stats
         );
-        assert_eq!(eliding.events, ticking.events);
+        assert_eq!(expand(&eliding.events, dt), ticking.events);
         assert_eq!(eliding.end, ticking.end);
         assert_eq!(eliding.weights, ticking.weights);
-        for w in eliding.events.windows(2) {
+        for w in ticking.events.windows(2) {
             assert_eq!(w[0].tick + 1, w[1].tick);
             assert!(w[0].clock < w[1].clock);
         }
         assert!(eliding.events.iter().all(|e| e.commits == 0));
+        if let Some(every) = adapt_every {
+            let sampled = |events: &[TickEvent]| -> Vec<_> {
+                events
+                    .iter()
+                    .filter(|e| e.tick.is_multiple_of(every))
+                    .map(|e| (e.clock, e.weights))
+                    .collect()
+            };
+            assert_eq!(sampled(&eliding.events), sampled(&ticking.events));
+        }
     }
 
     #[test]
@@ -1046,7 +1143,7 @@ mod tests {
         let horizon_end = Time(ticking.busy_until.0 + 4000);
         let second_wake = Time(horizon_end.0 - cfg.horizon.0);
         let eliding = scripted_run(Loop::Eliding(Some(horizon_end)), None, None, None);
-        assert_same_books(&ticking, &eliding);
+        assert_same_books(&ticking, &eliding, None);
         let tau = scenario(16).tau;
         assert_eq!(
             ticking.end.0,
@@ -1066,6 +1163,12 @@ mod tests {
             "the script leaves two real spans ({slept} ticks)"
         );
         assert_eq!(eliding.stats.sweeps_elided, slept);
+        // Each span crossed in one step: one event per swept tick, one
+        // per span.
+        assert_eq!(
+            eliding.events.len() as u64,
+            eliding.stats.clock_steps - slept + 2
+        );
         // Not one kernel call inside a span, and every other tick is
         // swept (a sweep always has an idle machine to ask here).
         assert!(eliding.queried.iter().all(|&c| !asleep(c)));
@@ -1089,8 +1192,11 @@ mod tests {
         let forever = Loop::Eliding(Some(Time::MAX));
         let ticking = scripted_run(Loop::Ticking, None, None, Some(7));
         let eliding = scripted_run(forever, None, None, Some(7));
-        assert_same_books(&ticking, &eliding);
+        assert_same_books(&ticking, &eliding, Some(7));
         assert!(eliding.stats.sweeps_elided > eliding.stats.clock_steps / 2);
+        // A span ends at the next adaptation tick, and no sooner.
+        assert!(eliding.events.iter().any(|e| e.span == 7));
+        assert!(eliding.events.iter().all(|e| e.span <= 7));
         assert!(
             eliding.stats.weight_updates > 0
                 && eliding.weights != config(SlrhVariant::V1).objective.weights,
@@ -1103,7 +1209,7 @@ mod tests {
             let stop = Time(ticking.busy_until.0 + past_release);
             let ticking = scripted_run(Loop::Ticking, None, Some(stop), Some(7));
             let eliding = scripted_run(forever, None, Some(stop), Some(7));
-            assert_same_books(&ticking, &eliding);
+            assert_same_books(&ticking, &eliding, Some(7));
             assert!(eliding.end >= stop && eliding.end.0 < stop.0 + 10);
             assert!(eliding.stats.sweeps_elided > 0);
         }
@@ -1118,7 +1224,7 @@ mod tests {
         let block = Some(Time(1503));
         let ticking = scripted_run(Loop::Ticking, block, None, Some(7));
         let eliding = scripted_run(Loop::Eliding(None), block, None, Some(7));
-        assert_same_books(&ticking, &eliding);
+        assert_same_books(&ticking, &eliding, Some(7));
         let release = eliding.first_release;
         assert_eq!(release, Time(1504), "machine 1 frees up first");
         let in_span = |clock: Time| clock > Time::ZERO && clock < release;
@@ -1135,10 +1241,14 @@ mod tests {
         for stop in [Time(700), Time(703)] {
             let ticking = scripted_run(Loop::Ticking, block, Some(stop), Some(7));
             let eliding = scripted_run(Loop::Eliding(None), block, Some(stop), Some(7));
-            assert_same_books(&ticking, &eliding);
+            assert_same_books(&ticking, &eliding, Some(7));
             assert_eq!(eliding.end, Time(stop.0.div_ceil(10) * 10));
             assert_eq!(eliding.stats.sweeps_elided, eliding.stats.clock_steps - 1);
             assert!(eliding.queried.is_empty());
+            // The swept first tick, then one span from tick 1 and one
+            // from each adaptation tick after it.
+            let adaptation_ticks = (eliding.stats.clock_steps - 1) / 7;
+            assert_eq!(eliding.events.len() as u64, 2 + adaptation_ticks);
         }
     }
 

@@ -49,18 +49,17 @@ pub struct Dag {
     out_ids: Vec<u32>,
 }
 
-/// Build one CSR direction from a sorted, deduplicated edge list given as
-/// `(source, target)` pairs sorted by `(source, target)`.
-fn csr_from_sorted(n: usize, edges: &[(TaskId, TaskId)]) -> (Vec<u32>, Vec<TaskId>) {
+/// Per-task bucket ends for a counting sort of `keys` over `0..n`: entry
+/// `t` is one past the last slot of `t`'s bucket, entry `n` the total.
+fn ends(n: usize, keys: impl Iterator<Item = TaskId>) -> Vec<u32> {
     let mut off = vec![0u32; n + 1];
-    for &(u, _) in edges {
-        off[u.0 + 1] += 1;
+    for k in keys {
+        off[k.0] += 1;
     }
-    for i in 0..n {
-        off[i + 1] += off[i];
+    for i in 1..=n {
+        off[i] += off[i - 1];
     }
-    let flat = edges.iter().map(|&(_, v)| v).collect();
-    (off, flat)
+    off
 }
 
 impl Dag {
@@ -69,12 +68,19 @@ impl Dag {
     /// Duplicate edges are collapsed. Returns an error message if any
     /// endpoint is out of range, an edge is a self-loop, or the edges form
     /// a cycle.
+    ///
+    /// O(n + E) but for sorting each task's (short) parent list: both CSR
+    /// directions are filled by counting. An edge list whose every edge
+    /// runs from a lower id to a higher one is acyclic by construction
+    /// (the layered generator's always is), so only other lists pay for
+    /// the cycle check.
     pub fn from_edges(n: usize, edges: &[(TaskId, TaskId)]) -> Result<Dag, String> {
         assert!(
             n < u32::MAX as usize,
             "CSR offsets are u32: at most {} tasks supported",
             u32::MAX
         );
+        let mut ascending = true;
         for &(u, v) in edges {
             if u.0 >= n || v.0 >= n {
                 return Err(format!("edge {u}->{v} out of range for n={n}"));
@@ -82,27 +88,47 @@ impl Dag {
             if u == v {
                 return Err(format!("self-loop on {u}"));
             }
+            ascending &= u < v;
         }
-        // Children direction: sort by (parent, child), dedup.
-        let mut fwd: Vec<(TaskId, TaskId)> = edges.to_vec();
-        fwd.sort_unstable();
-        fwd.dedup();
-        let (child_off, child_edges) = csr_from_sorted(n, &fwd);
-        // Parents direction: the same edges keyed by (child, parent).
-        let mut rev: Vec<(TaskId, TaskId)> = fwd.iter().map(|&(u, v)| (v, u)).collect();
-        rev.sort_unstable();
-        let (parent_off, parent_edges) = csr_from_sorted(n, &rev);
-        // Out-edge ids: `fwd` visits each child's parents in ascending
-        // order, which is the order its in-edge ids run in.
-        let mut next_in: Vec<u32> = parent_off[..n].to_vec();
-        let out_ids = fwd
-            .iter()
-            .map(|&(_, v)| {
-                let id = next_in[v.0];
-                next_in[v.0] += 1;
-                id
-            })
-            .collect();
+        // Parents direction: bucket the parents by child (each offset
+        // counts up to its bucket's end, then the fill counts it back
+        // down to the start), then sort and dedup each bucket, closing
+        // the gaps the duplicates leave.
+        let mut parent_off = ends(n, edges.iter().map(|&(_, v)| v));
+        let mut parent_edges = vec![TaskId(0); edges.len()];
+        for &(u, v) in edges {
+            parent_off[v.0] -= 1;
+            parent_edges[parent_off[v.0] as usize] = u;
+        }
+        let mut kept = 0;
+        for v in 0..n {
+            let bucket = parent_off[v] as usize..parent_off[v + 1] as usize;
+            parent_edges[bucket.clone()].sort_unstable();
+            parent_off[v] = kept as u32;
+            for i in bucket {
+                let u = parent_edges[i];
+                if kept == parent_off[v] as usize || parent_edges[kept - 1] != u {
+                    parent_edges[kept] = u;
+                    kept += 1;
+                }
+            }
+        }
+        parent_off[n] = kept as u32;
+        parent_edges.truncate(kept);
+        // Children direction, the same way: walking the children from
+        // the highest down fills each parent's list from its end, so it
+        // comes out ascending, each entry next to its edge id.
+        let mut child_off = ends(n, parent_edges.iter().copied());
+        let mut child_edges = vec![TaskId(0); kept];
+        let mut out_ids = vec![0u32; kept];
+        for v in (0..n).rev() {
+            for id in parent_off[v]..parent_off[v + 1] {
+                let u = parent_edges[id as usize];
+                child_off[u.0] -= 1;
+                child_edges[child_off[u.0] as usize] = TaskId(v);
+                out_ids[child_off[u.0] as usize] = id;
+            }
+        }
 
         let dag = Dag {
             parent_off,
@@ -111,7 +137,7 @@ impl Dag {
             child_edges,
             out_ids,
         };
-        if dag.topological_order().is_none() {
+        if !ascending && dag.topological_order().is_none() {
             return Err("edge list contains a cycle".into());
         }
         Ok(dag)
@@ -253,9 +279,113 @@ impl Dag {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn t(i: usize) -> TaskId {
         TaskId(i)
+    }
+
+    /// The sort-based builder [`Dag::from_edges`] replaced, kept as its
+    /// oracle: sort and dedup the edges by `(parent, child)` for the
+    /// child lists and by `(child, parent)` for the parent lists, number
+    /// the out-edges by walking the first sort, and always run Kahn's
+    /// pass for the cycle check.
+    fn from_edges_sorted(n: usize, edges: &[(TaskId, TaskId)]) -> Result<Dag, String> {
+        fn csr_from_sorted(n: usize, edges: &[(TaskId, TaskId)]) -> (Vec<u32>, Vec<TaskId>) {
+            let mut off = vec![0u32; n + 1];
+            for &(u, _) in edges {
+                off[u.0 + 1] += 1;
+            }
+            for i in 0..n {
+                off[i + 1] += off[i];
+            }
+            (off, edges.iter().map(|&(_, v)| v).collect())
+        }
+        for &(u, v) in edges {
+            if u.0 >= n || v.0 >= n {
+                return Err(format!("edge {u}->{v} out of range for n={n}"));
+            }
+            if u == v {
+                return Err(format!("self-loop on {u}"));
+            }
+        }
+        let mut fwd: Vec<(TaskId, TaskId)> = edges.to_vec();
+        fwd.sort_unstable();
+        fwd.dedup();
+        let (child_off, child_edges) = csr_from_sorted(n, &fwd);
+        let mut rev: Vec<(TaskId, TaskId)> = fwd.iter().map(|&(u, v)| (v, u)).collect();
+        rev.sort_unstable();
+        let (parent_off, parent_edges) = csr_from_sorted(n, &rev);
+        let mut next_in: Vec<u32> = parent_off[..n].to_vec();
+        let out_ids = fwd
+            .iter()
+            .map(|&(_, v)| {
+                let id = next_in[v.0];
+                next_in[v.0] += 1;
+                id
+            })
+            .collect();
+        let dag = Dag {
+            parent_off,
+            parent_edges,
+            child_off,
+            child_edges,
+            out_ids,
+        };
+        if dag.topological_order().is_none() {
+            return Err("edge list contains a cycle".into());
+        }
+        Ok(dag)
+    }
+
+    /// The counting builder is the sort-based one: all five arrays and
+    /// the Ok/Err verdict agree on random edge lists — ascending ones
+    /// (which skip Kahn's pass), ones running both ways (acyclic or
+    /// not), with duplicates, and with the odd self-loop or
+    /// out-of-range endpoint.
+    #[test]
+    fn the_counting_builder_is_the_sort_based_one() {
+        let mut rng = StdRng::seed_from_u64(0xDA6);
+        let (mut acyclic, mut cyclic) = (0, 0);
+        for round in 0..3000 {
+            let n = rng.gen_range(0..40usize);
+            let m = if n == 0 { 0 } else { rng.gen_range(0..3 * n) };
+            let mut edges: Vec<(TaskId, TaskId)> = Vec::with_capacity(m + 2);
+            for _ in 0..m {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                match round % 4 {
+                    // Ascending only, duplicates included.
+                    0 | 1 if a != b => edges.push((t(a.min(b)), t(a.max(b)))),
+                    // Either way round: some of these close a cycle.
+                    2 if a != b => edges.push((t(a), t(b))),
+                    3 if a != b => edges.push((t(a.max(b)), t(a.min(b)))),
+                    _ => {}
+                }
+                if rng.gen_range(0..8) == 0 && !edges.is_empty() {
+                    let dup = edges[rng.gen_range(0..edges.len())];
+                    edges.push(dup);
+                }
+            }
+            if n > 0 && rng.gen_range(0..20) == 0 {
+                let a = rng.gen_range(0..n);
+                edges.push((t(a), t(a)));
+            }
+            if rng.gen_range(0..20) == 0 {
+                edges.push((t(rng.gen_range(0..n + 1)), t(n + rng.gen_range(0..3))));
+            }
+            let counted = Dag::from_edges(n, &edges);
+            assert_eq!(counted, from_edges_sorted(n, &edges), "n={n} {edges:?}");
+            match counted {
+                Ok(_) => acyclic += 1,
+                Err(e) if e.contains("cycle") => cyclic += 1,
+                Err(_) => {}
+            }
+        }
+        assert!(
+            acyclic > 1000 && cyclic > 100,
+            "{acyclic} acyclic, {cyclic} cyclic"
+        );
     }
 
     #[test]

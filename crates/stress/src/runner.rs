@@ -16,10 +16,13 @@
 //!   must replay both bit-for-bit: identical schedule, metrics,
 //!   disruptions, final weights, commit count, query count and clock
 //!   trajectory (`candidates_evaluated` legitimately differs — the
-//!   kernels cost different candidates). SLRH-1 and SLRH-3 only: SLRH-2
-//!   queries no kernel and every kernel's `wake` is `None` there, so all
-//!   three arms would run the same code; its frozen order's oracle is
-//!   `slrh::mapper`'s `slrh2_order_is_the_pool_inside_the_horizon`.
+//!   kernels cost different candidates). The product run is observed,
+//!   and its `TickEvent` stream, each sleeping span expanded into its
+//!   ticks, must equal the reference loop's, which sweeps and reports
+//!   every tick. SLRH-2 queries no kernel, so it runs only the pool-walk
+//!   arm, which differs from the product loop in sleeping through no
+//!   all-busy tick; its frozen order's oracle is `slrh::mapper`'s
+//!   `slrh2_order_is_the_pool_inside_the_horizon`.
 //! * **fresh vs reused state buffers** for every static baseline.
 //! * **Max-Max vs its reference scan** — the product keeps each (task,
 //!   machine) costing across commits; `grid_baselines::maxmax::reference`
@@ -114,7 +117,14 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         let tag = format!("slrh-{variant:?}");
         let config = spec.config(variant);
 
-        let fresh = run_slrh_with(&sc, &config, churn, &mut RunContext::new(), None);
+        let mut events = Vec::new();
+        let fresh = run_slrh_with(
+            &sc,
+            &config,
+            churn,
+            &mut RunContext::new(),
+            Some(&mut |e| events.push(e)),
+        );
         let reused = run_slrh_with(&sc, &config, churn, ctx, None);
         let fresh_sig = dynamic_signature(&fresh, true);
         let reused_sig = dynamic_signature(&reused, true);
@@ -124,12 +134,32 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
             ));
         }
 
-        if variant != SlrhVariant::V2 {
-            for kind in [Kind::Scratch, Kind::Resort] {
-                let oracle = reference::run(kind, &sc, &config, churn, ctx, None);
-                failures.extend(reference_mismatch(&tag, kind, &fresh, &oracle));
-                ctx.reclaim(oracle.state);
+        let kinds: &[Kind] = match variant {
+            SlrhVariant::V2 => &[Kind::Scratch],
+            _ => &[Kind::Scratch, Kind::Resort],
+        };
+        for &kind in kinds {
+            // The reference loop reports every tick on its own; the
+            // product's stream, each sleeping span expanded, must match
+            // it tick for tick.
+            let mut expected = events.iter().flat_map(|e| e.ticks(config.dt));
+            let mut diverged = false;
+            let oracle = reference::run(
+                kind,
+                &sc,
+                &config,
+                churn,
+                ctx,
+                Some(&mut |e| diverged |= expected.next() != Some(e)),
+            );
+            if diverged || expected.next().is_some() {
+                failures.push(format!(
+                    "{tag}: differential-observer: the expanded event stream differs from \
+                     the {kind:?} reference's"
+                ));
             }
+            failures.extend(reference_mismatch(&tag, kind, &fresh, &oracle));
+            ctx.reclaim(oracle.state);
         }
 
         for f in oracle::check_all(&fresh.state, Some(&config)) {

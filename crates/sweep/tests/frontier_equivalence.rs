@@ -156,9 +156,16 @@ fn run_with(
     canonical(&run_observed(&sc, cfg, &churn, kind, None))
 }
 
-/// [`run_with`] observed: the `TickEvent` stream — clock, commits and
-/// the weights each tick ran on — the loop's counters (`clock_steps`,
-/// `queries`) and how many of the ticks were elided.
+/// The per-tick stream an observed run stands for: every sleeping span
+/// expanded into its ticks ([`TickEvent::ticks`]). A reference loop
+/// reports every tick on its own, so its stream expands to itself.
+fn expand(events: &[TickEvent], cfg: &SlrhConfig) -> Vec<TickEvent> {
+    events.iter().flat_map(|e| e.ticks(cfg.dt)).collect()
+}
+
+/// [`run_with`] observed: the `TickEvent` stream as reported — clock,
+/// commits, the weights each tick ran on, spans — the loop's counters
+/// (`clock_steps`, `queries`) and how many of the ticks were elided.
 fn observe(
     case: &Case,
     cfg: &SlrhConfig,
@@ -213,11 +220,12 @@ proptest! {
     }
 
     /// The observer cannot tell an elided sweep from a swept one: the
-    /// product's `TickEvent` stream equals the pool walk's (which is
-    /// swept on every tick) event for event, and so do the counters an
-    /// elided tick has to keep — through one loss and one arrival (three
-    /// segments, each opening with a real sweep), fixed weights and
-    /// online adaptation (whose steps land inside elided spans). Every
+    /// product's `TickEvent` stream, each sleeping span expanded into
+    /// its ticks, equals the pool walk's (which is swept on every tick
+    /// and reports each on its own) event for event, and so do the
+    /// counters an elided tick has to keep — through one loss and one
+    /// arrival (three segments, each opening with a real sweep), fixed
+    /// weights and online adaptation (whose steps open spans). Every
     /// event carries the weights its tick ran on, so stream equality
     /// also proves the adapted weights agree with the reference's tick
     /// for tick, not just at the end of the run.
@@ -247,7 +255,9 @@ proptest! {
                 observe(&case, &cfg, &arrivals, Some(Kind::Scratch));
             let (events, counters, _) = observe(&case, &cfg, &arrivals, None);
             prop_assert_eq!(walk_elided, 0, "the reference never elides");
-            prop_assert_eq!(events.len() as u64, counters.0, "one event per clock step");
+            prop_assert_eq!(walk_events.len() as u64, counters.0, "one event per clock step");
+            prop_assert!(walk_events.iter().all(|e| e.span == 1), "the reference never sleeps");
+            let events = expand(&events, &cfg);
             prop_assert_eq!(&events, &walk_events, "event streams differ under {}", cfg);
             prop_assert_eq!(counters, walk_counters, "(clock_steps, queries) differ under {}", cfg);
         }
@@ -272,7 +282,7 @@ proptest! {
 /// all — same clock steps, every one swept. SLRH-2 asks the kernel
 /// nothing, so it sleeps only through the ticks that find every machine
 /// busy: its run must equal the same configuration under a reference
-/// loop, which sweeps them, event for event.
+/// loop, which sweeps them, event for event once its spans are expanded.
 #[test]
 fn the_paper_scale_job_elides_most_sweeps_and_the_oracles_none() {
     let sc = Scenario::generate(&ScenarioParams::paper_scaled(1024), GridCase::A, 0, 0);
@@ -316,7 +326,11 @@ fn the_paper_scale_job_elides_most_sweeps_and_the_oracles_none() {
         v2.sweeps_elided > 0,
         "SLRH-2 sleeps through its all-busy ticks"
     );
-    assert_eq!(v2_events, swept_events);
+    assert!(
+        v2_events.len() < swept_events.len(),
+        "each span is one event"
+    );
+    assert_eq!(expand(&v2_events, &frozen), swept_events);
     assert_eq!(
         (v2.clock_steps, v2.queries),
         (swept.clock_steps, swept.queries)

@@ -156,18 +156,22 @@ fn adaptive_churn_run_matches_blessed_reference() {
 /// just finished ran on, then — if the last adaptation step moved them —
 /// the final weights at the clock the loop stopped on. The in-loop
 /// controller steps at the *start* of each boundary tick, so the weights
-/// sampled from that tick's event are the next boundary's entry.
+/// sampled from that tick's event are the next boundary's entry. The
+/// stream is read per tick, each sleeping span expanded into its ticks,
+/// so the stop clock is the one after the last tick the loop crossed.
 fn weight_trace(sc: &Scenario, cfg: &SlrhConfig, out: &mut String) {
     let every = cfg.adaptation.expect("an adaptive configuration").every;
     let mut trace = Vec::new();
     let mut sampled = cfg.objective.weights;
     let mut last: Option<TickEvent> = None;
     let mut observer = |e: TickEvent| {
-        if e.tick.is_multiple_of(every) {
-            trace.push((e.clock, sampled));
-            sampled = e.weights;
+        for e in e.ticks(cfg.dt) {
+            if e.tick.is_multiple_of(every) {
+                trace.push((e.clock, sampled));
+                sampled = e.weights;
+            }
+            last = Some(e);
         }
-        last = Some(e);
     };
     let run = run_slrh_with(
         sc,

@@ -17,7 +17,9 @@
 //!
 //! and prints how close adaptation gets to the tuned optimum without any
 //! per-case search. The weight trajectory is what an observer samples
-//! from the loop's per-tick events.
+//! from the loop's events at the adaptation ticks: the loop reports one
+//! event per swept tick and one per span of ticks it slept through, and
+//! a span starts at its only adaptation tick.
 
 use lrh_grid::grid::{GridCase, Scenario, ScenarioParams};
 use lrh_grid::lagrange::weights::Weights;

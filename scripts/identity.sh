@@ -1,0 +1,50 @@
+#!/usr/bin/env bash
+# Writes the stdout digest of one `lrh-grid run` per row to
+# scripts/identity.txt (or to $1): SLRH-1/2/3 and Max-Max at 256 and
+# 1 024 subtasks in Cases A, B and C, and each SLRH row twice more,
+# under churn (`--lose`/`--join`) and with online adaptation. A change
+# that must not move any report regenerates the file and diffs it:
+#
+#   cargo build --release --bin lrh-grid
+#   scripts/identity.sh && git diff --exit-code -- scripts/identity.txt
+#
+# A row is `heuristic tasks case mode sha256-prefix`; the report is the
+# deterministic stdout block (wall-clock timing goes to stderr).
+set -euo pipefail
+
+BIN="${BIN:-target/release/lrh-grid}"
+OUT="${1:-scripts/identity.txt}"
+
+if [[ ! -x "$BIN" ]]; then
+    echo "identity: $BIN not built" >&2
+    exit 2
+fi
+
+# Cases B and C have three machines, so every churn event names one of
+# machines 0..2.
+CHURN=(--lose 0@1500 --join 2@800)
+ADAPT=(--adapt "diminishing(0.5)" --adapt-every 10)
+
+row() {
+    local heuristic=$1 tasks=$2 case=$3 mode=$4
+    shift 4
+    local digest
+    digest=$("$BIN" run --heuristic "$heuristic" --tasks "$tasks" --case "$case" "$@" 2>/dev/null \
+        | sha256sum | cut -c1-16)
+    echo "$heuristic $tasks $case $mode $digest"
+}
+
+{
+    echo "# lrh-grid run stdout digests; regenerate with scripts/identity.sh"
+    for heuristic in slrh1 slrh2 slrh3 maxmax; do
+        for tasks in 256 1024; do
+            for case in A B C; do
+                row "$heuristic" "$tasks" "$case" plain
+                if [[ $heuristic == slrh* ]]; then
+                    row "$heuristic" "$tasks" "$case" churn "${CHURN[@]}"
+                    row "$heuristic" "$tasks" "$case" adapt "${ADAPT[@]}"
+                fi
+            done
+        done
+    done
+} >"$OUT"

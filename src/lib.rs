@@ -57,8 +57,11 @@
 //! [`run_slrh`] is the frozen-grid convenience over the one full-signature
 //! entry. The same call with everything spelled out — a churn trace
 //! checked once by [`slrh::Churn`], online weight adaptation switched on
-//! in the configuration, a reusable context and a per-tick observer
-//! sampling the weight trajectory:
+//! in the configuration, a reusable context and an observer sampling the
+//! weight trajectory. The observer gets one event per swept tick and one
+//! per span of ticks the loop slept through, reported at the span's
+//! first tick; a span holds no adaptation tick but its first, so
+//! sampling the adaptation ticks sees every weight update:
 //!
 //! ```
 //! use lrh_grid::grid::{GridCase, ScenarioParams, Scenario};
@@ -77,7 +80,11 @@
 //!     &config,
 //!     &churn,
 //!     &mut RunContext::new(),
-//!     Some(&mut |e: TickEvent| trajectory.push((e.clock, e.weights))),
+//!     Some(&mut |e: TickEvent| {
+//!         if e.tick.is_multiple_of(50) {
+//!             trajectory.push((e.clock, e.weights));
+//!         }
+//!     }),
 //! );
 //! assert_eq!(outcome.disruptions.len(), 1);
 //! assert_eq!(trajectory.last().unwrap().1, outcome.final_weights);
