@@ -7,8 +7,8 @@
 //!   table1 table2 table3 table4        the paper's tables
 //!   fig2 fig3 fig4 fig5 fig6 fig7      the paper's figures
 //!   ablate-gamma-sign ablate-comm      ablations beyond the paper
-//!   ablate-horizon ablate-secondary
-//!   ablate-adaptive ablate-consistency
+//!   ablate-horizon ablate-adaptive
+//!   ablate-consistency
 //!   all                                everything above in order
 //! ```
 //!
@@ -70,7 +70,6 @@ fn main() {
         "ablate-gamma-sign" => ablate_gamma_sign(scale),
         "ablate-comm" => ablate_comm(scale),
         "ablate-horizon" => ablate_horizon(scale),
-        "ablate-secondary" => ablate_secondary(scale),
         "ablate-adaptive" => ablate_adaptive(scale),
         "ablate-consistency" => ablate_consistency(scale),
         "all" => {
@@ -84,14 +83,13 @@ fn main() {
             ablate_gamma_sign(scale);
             ablate_comm(scale);
             ablate_horizon(scale);
-            ablate_secondary(scale);
             ablate_adaptive(scale);
             ablate_consistency(scale);
         }
         _ => {
             eprintln!(
                 "usage: repro <table1|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|fig7|\
-                 ablate-gamma-sign|ablate-comm|ablate-horizon|ablate-secondary|ablate-adaptive|ablate-consistency|all> [--full]"
+                 ablate-gamma-sign|ablate-comm|ablate-horizon|ablate-adaptive|ablate-consistency|all> [--full]"
             );
             std::process::exit(2);
         }
@@ -432,27 +430,6 @@ fn ablate_horizon(scale: Scale) {
     }
     print!("{}", t.render());
     println!("(paper's claim: negligible impact of H on both T100 and execution time)");
-}
-
-fn ablate_secondary(scale: Scale) {
-    heading("Ablation A5. Secondary-version availability (SLRH-1)");
-    let params = scale.params();
-    let mut t = Table::new(["Case", "mode", "T100", "mapped", "AET (s)"]);
-    for case in GridCase::ALL {
-        let sc = Scenario::generate(&params, case, 0, 0);
-        let w = tuned_weights(scale, &sc);
-        let (with, without) = ablate::secondary_availability(&sc, w);
-        for (mode, m) in [("with secondaries", with), ("primary only", without)] {
-            t.row([
-                case.name().to_string(),
-                mode.to_string(),
-                m.t100.to_string(),
-                m.mapped.to_string(),
-                format!("{:.0}", m.aet.as_seconds()),
-            ]);
-        }
-    }
-    print!("{}", t.render());
 }
 
 fn ablate_adaptive(scale: Scale) {

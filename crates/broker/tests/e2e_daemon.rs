@@ -811,18 +811,19 @@ fn retired_heuristics_get_error_frames_on_a_live_connection() {
     daemon.join();
 }
 
-/// The event trigger and the non-numerical visit orders are retired. A
-/// map request whose `config=` names one gets an error frame naming the
-/// retirement, and the same connection then runs the next job.
+/// The event trigger, the non-numerical visit orders and the
+/// primary-only gate are retired. A map request whose `config=` names
+/// one gets an error frame naming the retirement, and the same
+/// connection then runs the next job.
 #[test]
-fn retired_loop_knobs_get_error_frames_on_a_live_connection() {
+fn retired_knobs_get_error_frames_on_a_live_connection() {
     use grid_broker::proto::Request;
     use std::io::Write;
 
     let req = map_request("retired", Heuristic::Slrh1, 24, 3);
     let frame = Request::Map(req.clone()).to_frame().encode();
     assert!(
-        frame.contains("; trigger=clock; order=numerical; "),
+        frame.contains("; trigger=clock; order=numerical; ") && frame.contains("; secondary=on"),
         "{frame}"
     );
 
@@ -845,6 +846,7 @@ fn retired_loop_knobs_get_error_frames_on_a_live_connection() {
         ("trigger=clock", "trigger=machine-available"),
         ("order=numerical", "order=reversed"),
         ("order=numerical", "order=rotating"),
+        ("secondary=on", "secondary=off"),
     ] {
         let reply = answer(&frame.replace(paper, retired));
         assert_eq!(reply.kind, "error", "{retired}");

@@ -75,14 +75,12 @@ fn configs() -> impl Strategy<Value = SlrhConfig> {
         prop::sample::select(&[SlrhVariant::V1, SlrhVariant::V2, SlrhVariant::V3][..]),
         weights(),
         (1u64..500, 1u64..2000),
-        any::<bool>(),
         adaptations(),
     )
-        .prop_map(|(variant, w, (dt, h), secondary, adaptation)| {
+        .prop_map(|(variant, w, (dt, h), adaptation)| {
             let mut cfg = SlrhConfig::paper(variant, w);
             cfg.dt = Dur(dt);
             cfg.horizon = Dur(h);
-            cfg.allow_secondary = secondary;
             cfg.adaptation = adaptation;
             cfg
         })

@@ -147,10 +147,6 @@ pub struct SlrhConfig {
     /// Receding horizon H: a candidate must be able to *start* within
     /// `H` of the current clock (paper: 100 clock cycles = 10 s).
     pub horizon: Dur,
-    /// Whether secondary versions may be mapped (paper: yes). Disabling
-    /// them is the secondary-availability ablation: the pool's
-    /// feasibility gate then requires the *primary* version to fit.
-    pub allow_secondary: bool,
     /// Online weight adaptation. `None` (the default, and the only value
     /// [`SlrhConfig::paper`] produces) keeps the legacy fixed-weight
     /// loop byte-identical.
@@ -158,22 +154,15 @@ pub struct SlrhConfig {
 }
 
 impl SlrhConfig {
-    /// Paper defaults: ΔT = 10 cycles, H = 100 cycles, secondaries on.
+    /// Paper defaults: ΔT = 10 cycles, H = 100 cycles.
     pub fn paper(variant: SlrhVariant, weights: Weights) -> SlrhConfig {
         SlrhConfig {
             variant,
             objective: Objective::paper(weights),
             dt: Dur(10),
             horizon: Dur(100),
-            allow_secondary: true,
             adaptation: None,
         }
-    }
-
-    /// Disable secondary versions (ablation A5).
-    pub fn primary_only(mut self) -> SlrhConfig {
-        self.allow_secondary = false;
-        self
     }
 
     /// The one validity rule of a configuration, behind `FromStr`, the
@@ -251,8 +240,10 @@ impl std::fmt::Display for SlrhConfig {
     /// `config.to_string().parse::<SlrhConfig>()` reproduces the
     /// configuration exactly — the CLI, the broker wire protocol and
     /// fixture headers all name configurations through this one form.
-    /// `trigger=clock; order=numerical` is fixed text: the loop has one
-    /// clock and one visit order, and the v1 line keeps its shape.
+    /// `trigger=clock; order=numerical` and `secondary=on` are fixed
+    /// text: the loop has one clock and one visit order, the §IV gate
+    /// always tests the secondary version, and the v1 line keeps its
+    /// shape.
     ///
     /// The adaptation components (`adapt=`, `every=`) are appended
     /// **only** when the configuration carries an
@@ -261,7 +252,7 @@ impl std::fmt::Display for SlrhConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}; w={}; aet={}; trigger=clock; order=numerical; dt={}; h={}; secondary={}",
+            "{}; w={}; aet={}; trigger=clock; order=numerical; dt={}; h={}; secondary=on",
             self.variant,
             self.objective.weights,
             match self.objective.aet_sign {
@@ -270,7 +261,6 @@ impl std::fmt::Display for SlrhConfig {
             },
             self.dt.0,
             self.horizon.0,
-            if self.allow_secondary { "on" } else { "off" },
         )?;
         if let Some(a) = &self.adaptation {
             write!(f, "; adapt={}; every={}", a.rule, a.every)?;
@@ -302,7 +292,9 @@ impl std::str::FromStr for SlrhConfig {
     /// `trigger=` and `order=` parse only at the loop's one clock and one
     /// visit order (`clock`, `numerical`) and are discarded; the retired
     /// event trigger (`machine-available`) and visit orders (`reversed`,
-    /// `rotating`) changed the run and are refused by name.
+    /// `rotating`) changed the run and are refused by name. Likewise
+    /// `secondary=` parses only at `on`: the retired primary-only gate
+    /// (`secondary=off`) is refused by name.
     fn from_str(s: &str) -> Result<SlrhConfig, String> {
         let mut parts = s.split(';').map(str::trim);
         let variant: SlrhVariant = parts
@@ -336,8 +328,7 @@ impl std::str::FromStr for SlrhConfig {
                         other => return Err(format!("bad aet sign {other:?} (expected + or -)")),
                     }
                 }
-                "trigger" => retired_knob(key, value, "clock", &["machine-available"])?,
-                "order" => retired_knob(key, value, "numerical", &["reversed", "rotating"])?,
+                "trigger" | "order" | "secondary" => retired_knob(key, value)?,
                 "dt" => {
                     config.dt = Dur(value
                         .parse()
@@ -347,9 +338,10 @@ impl std::str::FromStr for SlrhConfig {
                     config.horizon =
                         Dur(value.parse().map_err(|e| format!("bad h {value:?}: {e}"))?)
                 }
-                "secondary" => config.allow_secondary = parse_on_off("secondary", value)?,
                 "cache" | "frontier" | "orders" => {
-                    parse_on_off(key, value)?;
+                    if !matches!(value, "on" | "off") {
+                        return Err(format!("bad {key} value {value:?} (expected on|off)"));
+                    }
                 }
                 "scan" | "clusters" => {
                     value
@@ -400,26 +392,33 @@ fn retired_bound(key: &str, value: &str, fixed: f64, what: &str) -> Result<(), S
     }
 }
 
-/// Accept a retired loop knob (`trigger=`, `order=`) only at the value
-/// the loop still runs; name a retired value as retired.
-fn retired_knob(key: &str, value: &str, kept: &str, retired: &[&str]) -> Result<(), String> {
+/// Accept a retired knob (`trigger=`, `order=`, `secondary=`) only at
+/// the value SLRH still runs; name a retired value as retired, saying
+/// why the kept value is the only one.
+fn retired_knob(key: &str, value: &str) -> Result<(), String> {
+    let (kept, retired, why): (&str, &[&str], &str) = match key {
+        "trigger" => (
+            "clock",
+            &["machine-available"],
+            "the loop runs one clock on the ΔT lattice",
+        ),
+        "order" => (
+            "numerical",
+            &["reversed", "rotating"],
+            "the loop visits machines in numerical order",
+        ),
+        _ => (
+            "on",
+            &["off"],
+            "the §IV gate tests the secondary version, and the primary competes when it fits too",
+        ),
+    };
     if value == kept {
         Ok(())
     } else if retired.contains(&value) {
-        Err(format!(
-            "{key}={value} is retired: the loop runs one clock on the ΔT lattice \
-             and visits machines in numerical order ({key}={kept})"
-        ))
+        Err(format!("{key}={value} is retired: {why} ({key}={kept})"))
     } else {
         Err(format!("unknown {key} {value:?} (expected {kept})"))
-    }
-}
-
-fn parse_on_off(key: &str, value: &str) -> Result<bool, String> {
-    match value {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        other => Err(format!("bad {key} value {other:?} (expected on|off)")),
     }
 }
 
@@ -479,7 +478,6 @@ mod tests {
         assert_eq!(c.dt, Dur(10));
         assert_eq!(c.horizon, Dur(100));
         assert_eq!(c.variant, SlrhVariant::V1);
-        assert!(c.allow_secondary);
     }
 
     /// Every rejection of the one validity rule, by variant — the cases
@@ -617,17 +615,19 @@ mod tests {
         assert_eq!(back, c);
     }
 
-    /// The loop's one clock and one visit order parse and round-trip;
-    /// the retired event trigger and visit orders changed the run, so
-    /// each is refused by name.
+    /// The loop's one clock and one visit order and the one version
+    /// rule parse and round-trip; the retired event trigger, visit
+    /// orders and primary-only gate changed the run, so each is refused
+    /// by name.
     #[test]
-    fn retired_loop_knobs_parse_only_at_the_paper_values() {
+    fn retired_knobs_parse_only_at_the_paper_values() {
         let paper = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap());
-        let c: SlrhConfig = "SLRH-1; w=(0.5, 0.3); trigger=clock; order=numerical"
+        let c: SlrhConfig = "SLRH-1; w=(0.5, 0.3); trigger=clock; order=numerical; secondary=on"
             .parse()
             .expect("the paper's loop knobs parse");
         assert_eq!(c, paper);
         assert_eq!(c.to_string().parse::<SlrhConfig>(), Ok(c));
+        assert!(c.to_string().ends_with("; secondary=on"), "{c}");
         for (tail, names) in [
             (
                 "trigger=machine-available",
@@ -635,6 +635,7 @@ mod tests {
             ),
             ("order=reversed", "order=reversed is retired"),
             ("order=rotating", "order=rotating is retired"),
+            ("secondary=off", "secondary=off is retired"),
         ] {
             let err = format!("SLRH-1; w=(0.5, 0.3); {tail}")
                 .parse::<SlrhConfig>()
@@ -645,6 +646,8 @@ mod tests {
             "SLRH-1; w=(0.5, 0.3); trigger=event",
             "SLRH-1; w=(0.5, 0.3); order=",
             "SLRH-1; w=(0.5, 0.3); trigger=clock; trigger=clock",
+            "SLRH-1; w=(0.5, 0.3); secondary=maybe",
+            "SLRH-1; w=(0.5, 0.3); secondary=on; secondary=on",
         ] {
             assert!(s.parse::<SlrhConfig>().is_err(), "accepted {s:?}");
         }

@@ -58,13 +58,13 @@ mod view;
 use std::cmp::Ordering;
 
 use adhoc_grid::config::MachineId;
-use adhoc_grid::task::{TaskId, Version};
+use adhoc_grid::task::TaskId;
 use adhoc_grid::units::Time;
 use gridsim::plan::{MappingPlan, PlanScratch};
 use gridsim::state::SimState;
 use lagrange::weights::Objective;
 
-use crate::mapper::{gate_version, Kernel, RunStats};
+use crate::mapper::{Kernel, RunStats};
 
 use self::scan::{Side, SideBuf};
 use self::tables::FLOOR_CACHE_MAX;
@@ -270,11 +270,9 @@ impl Frontier {
         j: MachineId,
         now: Time,
         horizon_end: Time,
-        allow_secondary: bool,
     ) -> Query<'q> {
         debug_assert!(state.is_alive(j), "drivers never query a lost machine");
         self.resync(state);
-        let gate_version = gate_version(allow_secondary);
         let limit = self.gate_row_guard(state, j);
         Query {
             state,
@@ -282,8 +280,6 @@ impl Frontier {
             j,
             now,
             horizon_end,
-            allow_secondary,
-            gate_version,
             limit,
         }
     }
@@ -297,9 +293,6 @@ struct Query<'q> {
     j: MachineId,
     now: Time,
     horizon_end: Time,
-    allow_secondary: bool,
-    /// The version the §IV gate tests ([`gate_version`]).
-    gate_version: Version,
     /// `j`'s afford limit, its gate-rejection row validated against it.
     limit: f64,
 }
@@ -343,11 +336,10 @@ impl Kernel for Frontier {
         j: MachineId,
         now: Time,
         horizon_end: Time,
-        allow_secondary: bool,
         stats: &mut RunStats,
     ) -> Option<MappingPlan> {
         stats.queries += 1;
-        let q = self.open_query(state, objective, j, now, horizon_end, allow_secondary);
+        let q = self.open_query(state, objective, j, now, horizon_end);
         // Filled in place: handing the view to the phases by value
         // through an `Option` measured ~5 % of a paper-scale job.
         let mut side = Side::default();
@@ -373,6 +365,7 @@ mod tests {
 
     pub(super) use super::*;
     pub(super) use adhoc_grid::config::GridCase;
+    pub(super) use adhoc_grid::task::Version;
     pub(super) use adhoc_grid::units::Dur;
     pub(super) use adhoc_grid::workload::{Scenario, ScenarioParams};
     pub(super) use gridsim::plan::Placement;
@@ -444,7 +437,7 @@ mod tests {
         horizon_end: Time,
     ) -> Option<MappingPlan> {
         let mut stats = RunStats::default();
-        fr.best_startable(state, &objective(), j, now, horizon_end, true, &mut stats)
+        fr.best_startable(state, &objective(), j, now, horizon_end, &mut stats)
     }
 
     /// [`merge_sorted`] of the sorted `prefix` and an unsorted `tail`,
@@ -471,7 +464,7 @@ mod tests {
         now: Time,
         horizon_end: Time,
     ) -> Option<MappingPlan> {
-        crate::pool::build_pool_with(state, &objective(), j, now, true)
+        crate::pool::build_pool_with(state, &objective(), j, now)
             .first_startable(horizon_end)
             .map(|e| e.plan.clone())
     }

@@ -278,7 +278,7 @@ impl Frontier {
             Placement::Append { not_before: q.now },
             &mut self.scratch,
         );
-        let chosen = choose_version(q.state, &cost, q.allow_secondary, |totals| b.score(totals));
+        let chosen = choose_version(q.state, &cost, |totals| b.score(totals));
         self.raise_floor(t, q.j, chosen.1.start);
         chosen
     }

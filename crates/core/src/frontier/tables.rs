@@ -8,6 +8,7 @@ use adhoc_grid::units::Time;
 use gridsim::state::SimState;
 
 use super::{Frontier, Query};
+use crate::mapper::GATE_VERSION;
 
 /// Cap on the per-(task, machine) start-floor cache, in entries. At the
 /// 65k × 256 design point the cache is 128 MiB of `Time` — acceptable
@@ -135,7 +136,7 @@ impl Frontier {
         if self.gate_dead_bit(t, q.j) {
             return false;
         }
-        let pass = q.state.gate_feasible(t, q.gate_version, q.j, q.limit);
+        let pass = q.state.gate_feasible(t, GATE_VERSION, q.j, q.limit);
         if !pass {
             // It stays infeasible until the limit rises past `q.limit`.
             self.gate_dead[q.j.0 * self.gate_row_words + t.0 / 64] |= 1 << (t.0 % 64);

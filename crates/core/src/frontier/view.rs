@@ -12,6 +12,7 @@ use gridsim::plan::PlanTotals;
 use lagrange::weights::{AetSign, Objective};
 
 use super::{merge_sorted, Frontier, Query};
+use crate::mapper::GATE_VERSION;
 use crate::pool::totals_objective;
 
 /// Global cap on live cached-order entries (alive + floor-deferred)
@@ -361,10 +362,7 @@ impl<'q> Bound<'q> {
                 aet_after: m.aet.max(self.start + exec_dur),
             })
         };
-        let mut ub = ub_for(q.gate_version, Dur(dlo));
-        if q.allow_secondary {
-            ub = ub.max(ub_for(Version::Primary, Dur(dhi)));
-        }
+        let ub = ub_for(GATE_VERSION, Dur(dlo)).max(ub_for(Version::Primary, Dur(dhi)));
         debug_assert!(ub.is_finite(), "objective bounds are finite");
         ub
     }
@@ -378,16 +376,11 @@ impl<'q> Bound<'q> {
     }
 
     /// Smallest / largest exec duration over the versions `ub`
-    /// maximises: the gate version's and the primary's. With
-    /// secondaries allowed the gate version is the secondary, a fraction
-    /// of the primary (rounded up, so never longer); otherwise both are
-    /// the primary's.
+    /// maximises: the gate version's (the secondary, a fraction of the
+    /// primary rounded up, so never longer) and the primary's.
     fn durations(&self, t: TaskId) -> (u64, u64) {
         let etc = &self.q.state.scenario().etc;
-        let d = etc.exec_dur(t, self.q.j, self.q.gate_version).0;
-        if !self.q.allow_secondary {
-            return (d, d);
-        }
+        let d = etc.exec_dur(t, self.q.j, GATE_VERSION).0;
         let p = etc.exec_dur(t, self.q.j, Version::Primary).0;
         debug_assert!(d <= p, "a secondary outlasts its primary for {t}");
         (d, p)
@@ -813,12 +806,12 @@ mod tests {
 
         /// The single bound function dominates the planner's objective
         /// for every gate-passing candidate and every version the scan
-        /// may choose, under both `AET` signs and both `allow_secondary`
-        /// values — on mid-run states, where `T100`, `TEC`, `AET` and the
-        /// machines' queues are all non-trivial. (Under the positive
-        /// sign the bound assumes the latest admissible start, so only
-        /// plans that start inside the horizon are covered — the scan
-        /// rejects the others before comparing.)
+        /// may choose, under both `AET` signs — on mid-run states, where
+        /// `T100`, `TEC`, `AET` and the machines' queues are all
+        /// non-trivial. (Under the positive sign the bound assumes the
+        /// latest admissible start, so only plans that start inside the
+        /// horizon are covered — the scan rejects the others before
+        /// comparing.)
         #[test]
         fn the_bound_dominates_every_plan_it_stands_for(
             dag_id in 0usize..4,
@@ -843,29 +836,25 @@ mod tests {
             let placement = Placement::Append { not_before: now };
             for aet_sign in [AetSign::Positive, AetSign::Negative] {
                 let objective = Objective { weights, aet_sign };
-                for allow_secondary in [true, false] {
-                    let versions = [Version::Primary, Version::Secondary];
-                    let versions = &versions[..1 + usize::from(allow_secondary)];
-                    for j in sc.grid.ids() {
-                        let q = fr.open_query(&state, &objective, j, now, horizon_end, allow_secondary);
-                        let b = Bound::new(&q);
-                        for &t in state.ready_tasks() {
-                            if !state.version_feasible(t, q.gate_version, j) {
+                for j in sc.grid.ids() {
+                    let q = fr.open_query(&state, &objective, j, now, horizon_end);
+                    let b = Bound::new(&q);
+                    for &t in state.ready_tasks() {
+                        if !state.version_feasible(t, GATE_VERSION, j) {
+                            continue;
+                        }
+                        for v in [Version::Primary, Version::Secondary] {
+                            let plan = state.plan(t, v, j, placement);
+                            if aet_sign == AetSign::Positive && plan.start > horizon_end {
                                 continue;
                             }
-                            for &v in versions {
-                                let plan = state.plan(t, v, j, placement);
-                                if aet_sign == AetSign::Positive && plan.start > horizon_end {
-                                    continue;
-                                }
-                                let obj = plan_objective(&state, &objective, &plan);
-                                let ub = b.ub(t, b.durations(t));
-                                prop_assert!(
-                                    ub >= obj,
-                                    "ub {} < objective {} for {} {:?} on {} ({:?}, secondary {})",
-                                    ub, obj, t, v, j, aet_sign, allow_secondary
-                                );
-                            }
+                            let obj = plan_objective(&state, &objective, &plan);
+                            let ub = b.ub(t, b.durations(t));
+                            prop_assert!(
+                                ub >= obj,
+                                "ub {} < objective {} for {} {:?} on {} ({:?})",
+                                ub, obj, t, v, j, aet_sign
+                            );
                         }
                     }
                 }

@@ -255,30 +255,23 @@ pub fn run_slrh_floored<'a>(
     })
 }
 
-/// The version the §IV gate tests: at least the cheapest admissible
-/// version must fit the machine's remaining energy.
-pub(crate) fn gate_version(allow_secondary: bool) -> Version {
-    if allow_secondary {
-        Version::Secondary
-    } else {
-        Version::Primary
-    }
-}
+/// The version the §IV gate tests: at least the cheapest version, the
+/// secondary, must fit the machine's remaining energy.
+pub(crate) const GATE_VERSION: Version = Version::Secondary;
 
 /// The version the paper's pool keeps for a costing, with its score and
-/// slot: the gate version, unless the primary is allowed, fits the
-/// battery too and scores (`score` of its totals) at least as well — ties
-/// go to the primary, `T100` being the study's objective. The pool oracle
-/// states the rule again on whole plans.
+/// slot: the gate version, unless the primary fits the battery too and
+/// scores (`score` of its totals) at least as well — ties go to the
+/// primary, `T100` being the study's objective. The pool oracle states
+/// the rule again on whole plans.
 pub(crate) fn choose_version(
     state: &SimState<'_>,
     cost: &Costing,
-    allow_secondary: bool,
     score: impl Fn(&PlanTotals) -> f64,
 ) -> (f64, Slot) {
-    let gated = cost.at(state, gate_version(allow_secondary));
+    let gated = cost.at(state, GATE_VERSION);
     let mut chosen = (score(&gated.totals(state)), gated);
-    if allow_secondary && state.version_feasible(cost.task, Version::Primary, cost.machine) {
+    if state.version_feasible(cost.task, Version::Primary, cost.machine) {
         let primary = cost.at(state, Version::Primary);
         let value = score(&primary.totals(state));
         if value >= chosen.0 {
@@ -306,12 +299,11 @@ fn slrh2_order(
 ) -> Vec<(f64, TaskId, Version)> {
     stats.queries += 1;
     let horizon_end = now.saturating_add(config.horizon);
-    let gate = gate_version(config.allow_secondary);
     let m = state.metrics();
     let score = |totals: &PlanTotals| totals_objective(&m, &config.objective, totals);
     let mut order = Vec::new();
     for &t in state.ready_tasks() {
-        if !state.version_feasible(t, gate, j) {
+        if !state.version_feasible(t, GATE_VERSION, j) {
             continue;
         }
         stats.candidates_evaluated += 1;
@@ -332,7 +324,7 @@ fn slrh2_order(
             continue;
         }
         let cost = state.cost(t, j, Placement::Append { not_before: now }, scratch);
-        let (objective, slot) = choose_version(state, &cost, config.allow_secondary, score);
+        let (objective, slot) = choose_version(state, &cost, score);
         if slot.start <= horizon_end {
             order.push((objective, t, slot.version));
         }
@@ -375,7 +367,6 @@ pub(crate) trait Kernel {
     /// The ready-to-commit plan of the visible, §IV-feasible candidate
     /// maximising the objective among those able to start on `j` by
     /// `horizon_end` (ties toward the lower task id), if any.
-    #[allow(clippy::too_many_arguments)]
     fn best_startable(
         &mut self,
         state: &SimState<'_>,
@@ -383,7 +374,6 @@ pub(crate) trait Kernel {
         j: MachineId,
         now: Time,
         horizon_end: Time,
-        allow_secondary: bool,
         stats: &mut RunStats,
     ) -> Option<MappingPlan>;
 
@@ -551,11 +541,10 @@ pub(crate) fn drive<K: Kernel>(
         // horizon miss, which the advancing clock *can* resolve.) The
         // probe plans nothing and reads only the state.
         if !any_commit && every_live_machine_available && !state.all_mapped() {
-            let gate = gate_version(config.allow_secondary);
             let mut live = state.scenario().grid.ids().filter(|&j| state.is_alive(j));
             let stuck = !live.any(|j| {
                 stats.queries += 1;
-                state.any_feasible_candidate(state.ready_tasks(), gate, j)
+                state.any_feasible_candidate(state.ready_tasks(), GATE_VERSION, j)
             });
             if stuck {
                 return now;
@@ -605,11 +594,9 @@ fn map_on_machine<K: Kernel>(
 ) {
     let horizon_end = now.saturating_add(config.horizon);
     let objective = &config.objective;
-    let secondary = config.allow_secondary;
     match config.variant {
         SlrhVariant::V1 => {
-            if let Some(plan) =
-                kernel.best_startable(state, objective, j, now, horizon_end, secondary, stats)
+            if let Some(plan) = kernel.best_startable(state, objective, j, now, horizon_end, stats)
             {
                 commit(state, stats, kernel, plan);
             }
@@ -633,7 +620,7 @@ fn map_on_machine<K: Kernel>(
             // Re-query after every assignment, admitting newly-ready
             // children immediately.
             while let Some(plan) =
-                kernel.best_startable(state, objective, j, now, horizon_end, secondary, stats)
+                kernel.best_startable(state, objective, j, now, horizon_end, stats)
             {
                 commit(state, stats, kernel, plan);
             }
@@ -905,9 +892,9 @@ mod tests {
         /// the [`crate::pool::build_pool_with`] entries whose plans start
         /// by `horizon_end`, in order, objective bits and versions equal,
         /// one evaluated candidate per pool member — on mid-run states,
-        /// under both `AET` signs and `allow_secondary` values, at drawn
-        /// weights and at γ = 1 (where a candidate finishing inside the
-        /// current `AET` ties its versions: the primary's tie-break).
+        /// under both `AET` signs, at drawn weights and at γ = 1 (where a
+        /// candidate finishing inside the current `AET` ties its
+        /// versions: the primary's tie-break).
         #[test]
         fn slrh2_order_is_the_pool_inside_the_horizon(
             dag_id in 0usize..4,
@@ -928,12 +915,11 @@ mod tests {
             }
             let (now, mut cfg) = (Time(now), config(SlrhVariant::V2).with_horizon(Dur(horizon)));
             for weights in [Weights::new(f64::from(alpha) * 0.1, 0.1).unwrap(), Weights::new(0.0, 0.0).unwrap()] {
-                for (aet_sign, secondary) in [(true, true), (true, false), (false, true), (false, false)] {
-                    use lagrange::weights::AetSign::{Negative, Positive};
-                    cfg.objective = Objective { weights, aet_sign: if aet_sign { Positive } else { Negative } };
-                    cfg.allow_secondary = secondary;
+                use lagrange::weights::AetSign::{Negative, Positive};
+                for aet_sign in [Positive, Negative] {
+                    cfg.objective = Objective { weights, aet_sign };
                     for j in sc.grid.ids() {
-                        let pool = crate::pool::build_pool_with(&state, &cfg.objective, j, now, secondary);
+                        let pool = crate::pool::build_pool_with(&state, &cfg.objective, j, now);
                         let inside = pool.iter().filter(|e| e.plan.start <= now + Dur(horizon));
                         let expected: Vec<_> = inside.map(|e| (e.objective.to_bits(), e.task, e.version)).collect();
                         let mut stats = RunStats::default();
@@ -968,7 +954,6 @@ mod tests {
             _j: MachineId,
             now: Time,
             _horizon_end: Time,
-            _allow_secondary: bool,
             stats: &mut RunStats,
         ) -> Option<MappingPlan> {
             stats.queries += 1;

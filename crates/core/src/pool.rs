@@ -127,10 +127,7 @@ pub fn totals_objective(m: &Metrics, objective: &Objective, totals: &PlanTotals)
     })
 }
 
-/// Build the ordered candidate pool for machine `j` at clock `now`,
-/// with the secondary version optionally disabled (ablation A5). With
-/// `allow_secondary = false` the feasibility gate requires the
-/// *primary* version to fit, and only primaries are evaluated.
+/// Build the ordered candidate pool for machine `j` at clock `now`.
 ///
 /// Every plan is [`Placement::Append`]`{ not_before: now }` — the SLRH
 /// never looks backward in time.
@@ -139,7 +136,6 @@ pub fn build_pool_with(
     objective: &Objective,
     j: MachineId,
     now: Time,
-    allow_secondary: bool,
 ) -> Pool {
     let placement = Placement::Append { not_before: now };
     // One scratch for the whole build: every plan below reuses its
@@ -148,47 +144,33 @@ pub fn build_pool_with(
     let mut pool: Vec<PoolEntry> = Vec::new();
 
     for &t in state.ready_tasks() {
-        // Feasibility gate (§IV): at least the cheapest admissible
-        // version must fit.
-        let gate_version = if allow_secondary {
-            Version::Secondary
-        } else {
-            Version::Primary
-        };
-        if !state.version_feasible(t, gate_version, j) {
+        // Feasibility gate (§IV): at least the cheapest version, the
+        // secondary, must fit.
+        if !state.version_feasible(t, Version::Secondary, j) {
             continue;
         }
-        let gated = state.plan_with(t, gate_version, j, placement, &mut scratch);
-        let gated_obj = plan_objective(state, objective, &gated);
+        let secondary = state.plan_with(t, Version::Secondary, j, placement, &mut scratch);
+        let mut best = PoolEntry {
+            task: t,
+            version: Version::Secondary,
+            objective: plan_objective(state, objective, &secondary),
+            plan: secondary,
+        };
 
         // The primary is considered only when it fits the battery too.
-        let best = if allow_secondary && state.version_feasible(t, Version::Primary, j) {
+        if state.version_feasible(t, Version::Primary, j) {
             let primary = state.plan_with(t, Version::Primary, j, placement, &mut scratch);
             let primary_obj = plan_objective(state, objective, &primary);
             // Ties go to the primary: T100 is the study's objective.
-            if primary_obj >= gated_obj {
-                PoolEntry {
+            if primary_obj >= best.objective {
+                best = PoolEntry {
                     task: t,
                     version: Version::Primary,
                     plan: primary,
                     objective: primary_obj,
-                }
-            } else {
-                PoolEntry {
-                    task: t,
-                    version: Version::Secondary,
-                    plan: gated,
-                    objective: gated_obj,
-                }
+                };
             }
-        } else {
-            PoolEntry {
-                task: t,
-                version: gate_version,
-                plan: gated,
-                objective: gated_obj,
-            }
-        };
+        }
         pool.push(best);
     }
 
@@ -222,7 +204,7 @@ mod tests {
     fn pool_contains_only_ready_tasks() {
         let sc = scenario();
         let state = SimState::new(&sc);
-        let pool = build_pool_with(&state, &obj(0.6, 0.2), MachineId(0), Time::ZERO, true);
+        let pool = build_pool_with(&state, &obj(0.6, 0.2), MachineId(0), Time::ZERO);
         assert!(!pool.is_empty());
         for e in &pool {
             assert!(sc.dag.parents(e.task).is_empty(), "only roots are ready");
@@ -234,7 +216,7 @@ mod tests {
     fn pool_is_sorted_by_objective_desc() {
         let sc = scenario();
         let state = SimState::new(&sc);
-        let pool = build_pool_with(&state, &obj(0.6, 0.2), MachineId(2), Time::ZERO, true);
+        let pool = build_pool_with(&state, &obj(0.6, 0.2), MachineId(2), Time::ZERO);
         for w in pool.windows(2) {
             assert!(w[0].objective >= w[1].objective);
         }
@@ -245,7 +227,7 @@ mod tests {
         let sc = scenario();
         let state = SimState::new(&sc);
         // α = 1: only T100 matters, primary always wins when feasible.
-        let pool = build_pool_with(&state, &obj(1.0, 0.0), MachineId(0), Time::ZERO, true);
+        let pool = build_pool_with(&state, &obj(1.0, 0.0), MachineId(0), Time::ZERO);
         assert!(pool.iter().all(|e| e.version == Version::Primary));
     }
 
@@ -255,7 +237,7 @@ mod tests {
         let state = SimState::new(&sc);
         // β = 1: only energy matters, the 10x cheaper secondary wins on
         // the energy-expensive fast machine.
-        let pool = build_pool_with(&state, &obj(0.0, 1.0), MachineId(0), Time::ZERO, true);
+        let pool = build_pool_with(&state, &obj(0.0, 1.0), MachineId(0), Time::ZERO);
         assert!(pool.iter().all(|e| e.version == Version::Secondary));
     }
 
@@ -264,7 +246,7 @@ mod tests {
         let sc = scenario();
         let state = SimState::new(&sc);
         let now = Time::from_seconds(50);
-        let pool = build_pool_with(&state, &obj(0.6, 0.2), MachineId(1), now, true);
+        let pool = build_pool_with(&state, &obj(0.6, 0.2), MachineId(1), now);
         for e in &pool {
             assert!(e.plan.start >= now);
         }
@@ -278,7 +260,7 @@ mod tests {
         // the pool rejects everything.
         let mut guard = 0;
         loop {
-            let pool = build_pool_with(&state, &obj(1.0, 0.0), MachineId(2), Time::ZERO, true);
+            let pool = build_pool_with(&state, &obj(1.0, 0.0), MachineId(2), Time::ZERO);
             let Some(e) = pool.first() else { break };
             state.commit(&e.plan);
             guard += 1;
@@ -286,7 +268,7 @@ mod tests {
         }
         // Either all tasks mapped (energy was ample) or the gate closed.
         if !state.all_mapped() {
-            let pool = build_pool_with(&state, &obj(1.0, 0.0), MachineId(2), Time::ZERO, true);
+            let pool = build_pool_with(&state, &obj(1.0, 0.0), MachineId(2), Time::ZERO);
             assert!(pool.is_empty());
             assert!(!state.ready_tasks().is_empty());
         }

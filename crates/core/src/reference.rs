@@ -107,18 +107,10 @@ impl<K: Kernel> Kernel for Ticking<K> {
         j: MachineId,
         now: Time,
         horizon_end: Time,
-        allow_secondary: bool,
         stats: &mut RunStats,
     ) -> Option<MappingPlan> {
-        self.0.best_startable(
-            state,
-            objective,
-            j,
-            now,
-            horizon_end,
-            allow_secondary,
-            stats,
-        )
+        self.0
+            .best_startable(state, objective, j, now, horizon_end, stats)
     }
 }
 
@@ -135,10 +127,9 @@ impl Kernel for Scratch {
         j: MachineId,
         now: Time,
         horizon_end: Time,
-        allow_secondary: bool,
         stats: &mut RunStats,
     ) -> Option<MappingPlan> {
-        let pool = build_pool_with(state, objective, j, now, allow_secondary);
+        let pool = build_pool_with(state, objective, j, now);
         stats.queries += 1;
         stats.candidates_evaluated += pool.len() as u64;
         pool.first_startable(horizon_end).map(|e| e.plan.clone())

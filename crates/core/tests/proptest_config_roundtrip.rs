@@ -18,12 +18,11 @@ fn configs() -> impl Strategy<Value = SlrhConfig> {
             any::<bool>(), // aet sign
         ),
         (
-            1u64..500,     // dt
-            1u64..2000,    // horizon
-            any::<bool>(), // secondary
+            1u64..500,  // dt
+            1u64..2000, // horizon
         ),
     )
-        .prop_map(|((v, a, b, aet), (dt, h, sec))| {
+        .prop_map(|((v, a, b, aet), (dt, h))| {
             let w = Weights::new(a, b.min(1.0 - a)).expect("on-simplex");
             let mut c = SlrhConfig::paper(SlrhVariant::ALL[v], w);
             c.objective.aet_sign = if aet {
@@ -33,7 +32,6 @@ fn configs() -> impl Strategy<Value = SlrhConfig> {
             };
             c.dt = Dur(dt);
             c.horizon = Dur(h);
-            c.allow_secondary = sec;
             c
         })
 }

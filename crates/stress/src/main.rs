@@ -124,10 +124,13 @@ fn main() -> ExitCode {
     }
 
     let mut scale_failing: Vec<u64> = Vec::new();
+    let (mut scale_steps, mut scale_elided) = (0u64, 0u64);
     for seed in args.start_seed..args.start_seed + args.scale_seeds {
         let case = stress::generate_scale(seed, args.scale_max_tasks);
         let report = stress::run_scale_seed(&case, &mut ctx);
         if report.passed() {
+            scale_steps += report.clock_steps;
+            scale_elided += report.sweeps_elided;
             println!(
                 "scale seed {seed}: ok ({} tasks, {} machines, {} losses, {} mapped, {} steps, \
                  {} elided)",
@@ -152,7 +155,10 @@ fn main() -> ExitCode {
         scale_failing.push(seed);
     }
     if args.scale_seeds > 0 && scale_failing.is_empty() {
-        println!("all {} scale seeds green", args.scale_seeds);
+        println!(
+            "all {} scale seeds green ({scale_steps} clock steps, {scale_elided} sweeps elided)",
+            args.scale_seeds
+        );
     }
 
     let mut ticks_spent = 0u64;

@@ -9,8 +9,6 @@
 //!   energy was "a negligible factor"; scaling the data item sizes shows
 //!   where that stops being true and the conservative worst-case pool
 //!   check starts to bite;
-//! * **secondary availability** (A5) — how much of the mapping
-//!   feasibility comes from the 10 % fallback versions;
 //! * **adaptive weights** (A4) — whether online multiplier adaptation
 //!   recovers tuned performance without a per-case exhaustive search.
 
@@ -70,18 +68,6 @@ pub fn comm_scale(
             (k, metrics_in(&sc, &cfg, &mut ctx))
         })
         .collect()
-}
-
-/// A5: run SLRH-1 with and without secondary versions.
-/// Returns `(with_secondaries, primary_only)`.
-pub fn secondary_availability(scenario: &Scenario, weights: Weights) -> (Metrics, Metrics) {
-    let with = SlrhConfig::paper(SlrhVariant::V1, weights);
-    let without = with.primary_only();
-    let mut ctx = RunContext::new();
-    (
-        metrics_in(scenario, &with, &mut ctx),
-        metrics_in(scenario, &without, &mut ctx),
-    )
 }
 
 /// Consistency-class ablation: regenerate the scenario's ETC matrix in
@@ -175,18 +161,6 @@ mod tests {
             base.mapped
         );
         assert!(big.t100 <= base.t100);
-    }
-
-    #[test]
-    fn secondaries_never_reduce_coverage() {
-        let sc = scenario(GridCase::C);
-        let (with, without) = secondary_availability(&sc, Weights::new(0.5, 0.3).unwrap());
-        assert!(
-            with.mapped >= without.mapped,
-            "secondaries available: {} mapped vs {} without",
-            with.mapped,
-            without.mapped
-        );
     }
 
     #[test]

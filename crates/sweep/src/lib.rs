@@ -17,7 +17,7 @@
 //! * [`dt_sweep`] — the ΔT and horizon sensitivity sweeps (Figure 2,
 //!   ablation A3);
 //! * [`ablate`] — ablations beyond the paper: γ-sign, communication
-//!   scale, secondary-version availability, adaptive weights;
+//!   scale, adaptive weights, ETC consistency;
 //! * [`stats`], [`report`] — summary statistics and fixed-width text
 //!   tables shaped like the paper's.
 

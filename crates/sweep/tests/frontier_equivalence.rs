@@ -7,9 +7,9 @@
 //! frontier run must replay the `slrh::reference` pool walk
 //! **byte-for-byte** — schedule, metrics, disruption counts, final
 //! weights, loop trajectory — including across machine-loss cascades
-//! that unmap most of the schedule and force frontier re-seeding, and
-//! under the primary-only gate; and the cached bound orders must replay
-//! the resort reference the same way.
+//! that unmap most of the schedule and force frontier re-seeding, for
+//! every variant; and the cached bound orders must replay the resort
+//! reference the same way.
 //!
 //! The product loop also *elides* sweeps the frontier has already
 //! answered (DESIGN.md §19) while both reference kernels are swept on
@@ -121,6 +121,23 @@ fn losses(case: &Case, tau: u64) -> Vec<MachineLossEvent> {
         .collect()
 }
 
+/// At most one arrival, `(machine index, tick fraction of tau)`, moved
+/// to the first machine from that index on that the case never loses.
+fn arrivals(case: &Case, arrival: Option<(usize, f64)>) -> Vec<MachineArrivalEvent> {
+    let tau = ScaleParams::new(case.tasks, case.machines).tau().0;
+    let lost = losses(case, tau);
+    arrival
+        .into_iter()
+        .map(|(m, frac)| MachineArrivalEvent {
+            machine: (0..case.machines)
+                .map(|k| MachineId((m + k) % case.machines))
+                .find(|&j| lost.iter().all(|l| l.machine != j))
+                .expect("at least one machine is never lost"),
+            at: Time(((tau as f64 * frac) as u64).max(1)),
+        })
+        .collect()
+}
+
 /// The case's scale scenario and its checked churn trace.
 fn scenario_and_churn(case: &Case, arrivals: &[MachineArrivalEvent]) -> (Scenario, Churn) {
     let params = ScaleParams::new(case.tasks, case.machines);
@@ -186,34 +203,19 @@ fn run_case(case: &Case, kind: Option<Kind>) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The frontier replays the reference pool walk bit-for-bit through
-    /// loss cascades.
+    /// The frontier replays the reference pool walk bit-for-bit — the
+    /// schedule, metrics, disruptions and loop trajectory — through loss
+    /// cascades and at most one arrival, for every variant.
     #[test]
-    fn frontier_matches_the_pool_walk_under_churn(case in case_strategy()) {
-        let walk = run_case(&case, Some(Kind::Scratch));
-        let frontier = run_case(&case, None);
-        prop_assert_eq!(&walk, &frontier, "frontier diverged from the reference pool walk");
-    }
-
-    /// The one loop knob, the primary-only gate, through one loss and
-    /// one arrival — still the pool walk's schedule, metrics,
-    /// disruptions and loop trajectory.
-    #[test]
-    fn frontier_matches_the_pool_walk_under_every_loop_knob(
+    fn frontier_matches_the_pool_walk_under_churn(
         case in case_strategy(),
         variant in prop::sample::select(&SlrhVariant::ALL[..]),
-        lost in 0usize..12,
-        loss_frac in 0.3f64..0.9,
+        arrive in any::<bool>(),
+        arrival_machine in 0usize..12,
         arrival_frac in 0.02f64..0.25,
     ) {
-        let tau = ScaleParams::new(case.tasks, case.machines).tau().0 as f64;
-        let lost = lost % case.machines;
-        let case = Case { losses: vec![(lost, loss_frac)], ..case };
-        let arrivals = [MachineArrivalEvent {
-            machine: MachineId((lost + 1) % case.machines),
-            at: Time(((tau * arrival_frac) as u64).max(1)),
-        }];
-        let cfg = SlrhConfig::paper(variant, case.weights).primary_only();
+        let cfg = SlrhConfig::paper(variant, case.weights);
+        let arrivals = arrivals(&case, arrive.then_some((arrival_machine, arrival_frac)));
         let walk = run_with(&case, &cfg, &arrivals, Some(Kind::Scratch));
         let frontier = run_with(&case, &cfg, &arrivals, None);
         prop_assert_eq!(&walk, &frontier, "frontier diverged from the pool walk under {}", cfg);

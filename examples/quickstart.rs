@@ -34,8 +34,8 @@ fn main() {
     // (0.5, 0.3) is a constraint-compliant point for this scenario; the
     // paper tunes the pair per scenario — see `repro fig3`.
     let weights = Weights::new(0.5, 0.3).expect("weights on the simplex");
-    // The paper defaults (ΔT = 10, H = 100, secondaries on); the
-    // `with_*` setters override one knob each and validate as they go.
+    // The paper defaults (ΔT = 10, H = 100); the `with_*` setters
+    // override one knob each and validate as they go.
     let config = SlrhConfig::paper(SlrhVariant::V1, weights);
 
     let outcome = run_slrh(&scenario, &config);

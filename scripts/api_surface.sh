@@ -24,6 +24,12 @@
 #    `with_machine_order`), their ablation (`trigger_mode`) and the
 #    `repro` targets `ablate-trigger`/`ablate-order` stay gone; their
 #    values survive only as config-string values refused as retired;
+#  * SLRH has one version rule (the §IV gate tests the secondary, and
+#    the primary competes when it fits too): the primary-only gate
+#    (`allow_secondary`, `primary_only`, a `fn gate_version`), its
+#    ablation (`secondary_availability`) and the `repro` target
+#    `ablate-secondary` stay gone; `secondary=on` survives only as fixed
+#    config-string text and `secondary=off` is refused as retired;
 #  * there is one candidate kernel and it is exact: the names of the
 #    deleted clustered (approximate) frontier stay gone, and `ScaleMode`
 #    survives only as the inert shim the untouched `benchmark/` adapter
@@ -239,6 +245,10 @@ fi
 if hits=$(grep -rnE 'ablate[-_](trigger|order)' crates src tests examples scripts .github |
     grep -v '^scripts/api_surface.sh:'); then
     fail "a retired loop-knob ablation is back:"$'\n'"$hits"
+fi
+if hits=$(grep -rnE 'allow_secondary|primary_only|secondary_availability|fn gate_version|ablate[-_]secondary' \
+    crates src tests examples scripts .github | grep -v '^scripts/api_surface.sh:'); then
+    fail "the retired primary-only gate is back (SLRH has one version rule):"$'\n'"$hits"
 fi
 
 if hits=$(grep -n 'criterion' Cargo.toml crates/*/Cargo.toml crates/compat/*/Cargo.toml); then

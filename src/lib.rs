@@ -46,8 +46,8 @@
 //! let scenario = Scenario::generate(&params, GridCase::A, 0, 0);
 //!
 //! // Map it with the baseline SLRH-1 heuristic at the paper defaults
-//! // (ΔT = 10 ticks, H = 100 ticks, secondaries on); the `with_*`
-//! // setters override one knob each and validate as they go.
+//! // (ΔT = 10 ticks, H = 100 ticks); the `with_*` setters override one
+//! // knob each and validate as they go.
 //! let config = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.6, 0.2).unwrap());
 //! let outcome = run_slrh(&scenario, &config);
 //! let m = outcome.metrics();

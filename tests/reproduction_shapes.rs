@@ -133,14 +133,3 @@ fn slrh2_does_not_dominate_slrh1() {
         );
     }
 }
-
-/// The paper's secondary-version rationale: disabling secondaries must
-/// not increase coverage under energy pressure.
-#[test]
-fn secondaries_extend_coverage() {
-    let sc = Scenario::generate(&ScenarioParams::paper_scaled(96), GridCase::C, 0, 0);
-    let w = Weights::new(0.5, 0.3).unwrap();
-    let with = run_slrh(&sc, &SlrhConfig::paper(SlrhVariant::V1, w)).metrics();
-    let without = run_slrh(&sc, &SlrhConfig::paper(SlrhVariant::V1, w).primary_only()).metrics();
-    assert!(with.mapped >= without.mapped);
-}
