@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Writes the stdout digest of one `lrh-grid run` per row to
-# scripts/identity.txt (or to $1): SLRH-1/2/3 and Max-Max at 256 and
-# 1 024 subtasks in Cases A, B and C, and each SLRH row twice more,
-# under churn (`--lose`/`--join`) and with online adaptation. A change
+# scripts/identity.txt (or to $1): SLRH-1/2/3, Max-Max, Greedy and
+# DBC-Cost at 256 and 1 024 subtasks in Cases A, B and C, and each SLRH
+# row twice more, under churn (`--lose`/`--join`) and with online
+# adaptation. Greedy and DBC-Cost share one list walk, so their rows pin
+# it for both keys. A change
 # that must not move any report regenerates the file and diffs it:
 #
 #   cargo build --release --bin lrh-grid
@@ -36,7 +38,7 @@ row() {
 
 {
     echo "# lrh-grid run stdout digests; regenerate with scripts/identity.sh"
-    for heuristic in slrh1 slrh2 slrh3 maxmax; do
+    for heuristic in slrh1 slrh2 slrh3 maxmax greedy dbccost; do
         for tasks in 256 1024; do
             for case in A B C; do
                 row "$heuristic" "$tasks" "$case" plain
