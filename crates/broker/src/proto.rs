@@ -1167,6 +1167,7 @@ mod tests {
             ("minmin", "Min-Min"),
             ("Min-Min", "Min-Min"),
             ("olb", "OLB"),
+            ("dbctime", "DBC-Time"),
         ] {
             for text in [&map, &campaign] {
                 let swapped = text.replace("heuristic=slrh1\n", &format!("heuristic={retired}\n"));

@@ -791,7 +791,12 @@ fn retired_heuristics_get_error_frames_on_a_live_connection() {
             }
         }
     };
-    for (retired, name) in [("heft", "HEFT"), ("minmin", "Min-Min"), ("olb", "OLB")] {
+    for (retired, name) in [
+        ("heft", "HEFT"),
+        ("minmin", "Min-Min"),
+        ("olb", "OLB"),
+        ("dbctime", "DBC-Time"),
+    ] {
         let reply = answer(&frame.replace("heuristic=greedy\n", &format!("heuristic={retired}\n")));
         assert_eq!(reply.kind, "error", "{retired}");
         let message = reply.raw("message").expect("message block");

@@ -39,7 +39,7 @@ use adhoc_grid::arrival::{BackgroundParams, JobArrival, OpenParams};
 use adhoc_grid::units::{Energy, Time};
 use grid_baselines::{
     run_dbc, run_dbc_in, run_greedy, run_greedy_in, run_lr_list, run_lr_list_in, run_maxmax,
-    run_maxmax_in, DbcMode, StaticOutcome,
+    run_maxmax_in, StaticOutcome,
 };
 use gridsim::cost::schedule_cost;
 use gridsim::metrics::Metrics;
@@ -408,16 +408,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         run_lr_list(&sc, &weights),
         run_lr_list_in(&sc, &weights, ctx.buffers_mut())
     );
-    baseline_arm!(
-        "dbc-cost",
-        run_dbc(&sc, DbcMode::Cost),
-        run_dbc_in(&sc, DbcMode::Cost, ctx.buffers_mut())
-    );
-    baseline_arm!(
-        "dbc-time",
-        run_dbc(&sc, DbcMode::Time),
-        run_dbc_in(&sc, DbcMode::Time, ctx.buffers_mut())
-    );
+    baseline_arm!("dbc-cost", run_dbc(&sc), run_dbc_in(&sc, ctx.buffers_mut()));
 
     failures.sort();
     failures.dedup();

@@ -4,7 +4,7 @@ use std::time::{Duration, Instant};
 
 use adhoc_grid::workload::Scenario;
 use grid_baselines::maxmax::run_maxmax_floored;
-use grid_baselines::{run_dbc_in, run_greedy_in, run_lr_list_in, run_maxmax_in, DbcMode};
+use grid_baselines::{run_dbc_in, run_greedy_in, run_lr_list_in, run_maxmax_in};
 use gridsim::metrics::Metrics;
 use gridsim::MappingOutcome;
 use lagrange::weights::{Objective, Weights};
@@ -29,9 +29,6 @@ pub enum Heuristic {
     /// Deadline-and-budget-constrained cost optimization (Buyya et al.):
     /// cheapest placement that still meets τ.
     DbcCost,
-    /// Deadline-and-budget-constrained time optimization: fastest
-    /// placement, cheaper machine on ties.
-    DbcTime,
 }
 
 impl Heuristic {
@@ -48,7 +45,7 @@ impl Heuristic {
     pub const REPORTED: [Heuristic; 3] = [Heuristic::Slrh1, Heuristic::Slrh3, Heuristic::MaxMax];
 
     /// Every heuristic in the workspace.
-    pub const ALL: [Heuristic; 8] = [
+    pub const ALL: [Heuristic; 7] = [
         Heuristic::Slrh1,
         Heuristic::Slrh2,
         Heuristic::Slrh3,
@@ -56,7 +53,6 @@ impl Heuristic {
         Heuristic::Greedy,
         Heuristic::LrList,
         Heuristic::DbcCost,
-        Heuristic::DbcTime,
     ];
 
     /// Display name.
@@ -69,7 +65,6 @@ impl Heuristic {
             Heuristic::Greedy => "Greedy",
             Heuristic::LrList => "LR-List",
             Heuristic::DbcCost => "DBC-Cost",
-            Heuristic::DbcTime => "DBC-Time",
         }
     }
 
@@ -84,14 +79,13 @@ impl Heuristic {
             Heuristic::Greedy => "greedy",
             Heuristic::LrList => "lrlist",
             Heuristic::DbcCost => "dbccost",
-            Heuristic::DbcTime => "dbctime",
         }
     }
 
     /// True when the heuristic prices machine time in grid-dollars —
     /// its campaign rows carry a mean-cost column.
     pub fn prices_cost(self) -> bool {
-        matches!(self, Heuristic::DbcCost | Heuristic::DbcTime)
+        matches!(self, Heuristic::DbcCost)
     }
 
     /// The SLRH variant behind the heuristic, when there is one.
@@ -197,8 +191,7 @@ impl Heuristic {
             }
             Heuristic::Greedy => run_greedy_in(scenario, buffers),
             Heuristic::LrList => run_lr_list_in(scenario, &weights, buffers),
-            Heuristic::DbcCost => run_dbc_in(scenario, DbcMode::Cost, buffers),
-            Heuristic::DbcTime => run_dbc_in(scenario, DbcMode::Time, buffers),
+            Heuristic::DbcCost => run_dbc_in(scenario, buffers),
             Heuristic::Slrh1 | Heuristic::Slrh2 | Heuristic::Slrh3 => {
                 unreachable!("the SLRH variants returned above")
             }
@@ -234,7 +227,12 @@ impl std::fmt::Display for Heuristic {
 /// (EXPERIMENTS.md, "Context baselines"). Their schedules differed from
 /// every remaining heuristic's, so a name from this list is refused, not
 /// run as something else (DESIGN.md §14, "Versioning rules").
-const RETIRED: [(&str, &str); 3] = [("olb", "OLB"), ("minmin", "Min-Min"), ("heft", "HEFT")];
+const RETIRED: [(&str, &str); 4] = [
+    ("olb", "OLB"),
+    ("minmin", "Min-Min"),
+    ("heft", "HEFT"),
+    ("dbctime", "DBC-Time"),
+];
 
 impl std::str::FromStr for Heuristic {
     type Err = String;
@@ -325,7 +323,12 @@ mod tests {
         }
         let e = "quantum".parse::<Heuristic>().unwrap_err();
         assert!(e.contains("slrh1") && e.contains("lrlist"), "{e}");
-        for (retired, name) in [("olb", "OLB"), ("Min-Min", "Min-Min"), (" HEFT ", "HEFT")] {
+        for (retired, name) in [
+            ("olb", "OLB"),
+            ("Min-Min", "Min-Min"),
+            (" HEFT ", "HEFT"),
+            ("dbctime", "DBC-Time"),
+        ] {
             let e = retired.parse::<Heuristic>().unwrap_err();
             assert!(
                 e.contains(&format!("{name} was retired")),

@@ -458,9 +458,9 @@ mod tests {
     #[test]
     fn a_weightless_heuristic_is_searched_by_its_one_run() {
         let sc = Scenario::generate(&ScenarioParams::paper_scaled(16), GridCase::A, 0, 0);
-        let out = optimal_weights_with_steps(Heuristic::DbcTime, &sc, 0.1, 0.02)
-            .expect("DBC-Time meets both constraints here");
-        let run = Heuristic::DbcTime.run(&sc, out.weights);
+        let out = optimal_weights_with_steps(Heuristic::Greedy, &sc, 0.1, 0.02)
+            .expect("the greedy meets both constraints here");
+        let run = Heuristic::Greedy.run(&sc, out.weights);
         assert!(run.valid && run.metrics.constraints_met());
         assert_eq!(
             (out.weights, out.t100, out.evaluations),

@@ -6,7 +6,7 @@
 //!
 //! Runs the paper's heuristics (SLRH-1/2/3, Max-Max) and the context
 //! baselines (greedy MCT, Lagrangian-relaxation list scheduling, DBC
-//! cost/time) on the same Case A scenario, printing the paper's metrics
+//! cost) on the same Case A scenario, printing the paper's metrics
 //! plus the §VI upper bound, wall-clock time and the Figure 7 value
 //! metric. EXPERIMENTS.md ("Context baselines") records the same
 //! baselines over the full suite, where none of them meets τ.

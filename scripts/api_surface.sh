@@ -124,6 +124,11 @@
 #    `run_minmin*`, `run_olb*`, `upward_ranks`, and the `Heuristic`
 #    variants `Heft`, `MinMin`, `Olb`) stay gone; their names survive
 #    only as strings the heuristic parser refuses as retired;
+#  * the greedy and DBC-Cost are one list walk under two keys: DBC-Time
+#    (the greedy with a price tie-break, retired by the same rule), its
+#    mode switch (`DbcMode`, `DbcTime`, the stress harness's "dbc-time"
+#    arm) and the greedy's own copy of the walk (`fn earliest_finish`)
+#    stay gone; `dbctime` survives only as a name the parser refuses;
 #  * code nothing calls stays gone: the daemon's job queue has one
 #    non-blocking `pop` (no `try_pop` beside a blocking twin) and
 #    `slrh::mapper` no `fn cycles`; the bare case letter is written
@@ -198,6 +203,10 @@ variants=$(awk '/pub enum Heuristic / { on = 1; next } on && /^}/ { exit } on &&
     crates/sweep/src/heuristic.rs | tr '\n' ' ')
 if grep -qwE 'Heft|MinMin|Olb' <<<"$variants"; then
     fail "Heuristic has a retired variant again: [ $variants]"
+fi
+if hits=$(grep -rnE '\b(DbcMode|DbcTime)\b|fn earliest_finish\b|"dbc-time"' \
+    crates src tests examples benchmark/src --include='*.rs'); then
+    fail "DBC-Time or a second list walk is back (the greedy and DBC-Cost share one):"$'\n'"$hits"
 fi
 if hits=$(grep -rnw 'fn cycles' crates src tests examples --include='*.rs'); then
     fail "the uncalled ΔT helper is back:"$'\n'"$hits"

@@ -41,7 +41,7 @@ workload options (run, tune, export, replay, churn, submit, watch):
   --in FILE           read the workload from FILE instead of generating
 
 mapping options (run, replay, churn, submit, watch):
-  --heuristic NAME    slrh1|slrh2|slrh3|maxmax|greedy|lrlist|dbccost|dbctime
+  --heuristic NAME    slrh1|slrh2|slrh3|maxmax|greedy|lrlist|dbccost
   --alpha X --beta Y  objective weights (default 0.5, 0.3)
   --dt T --horizon T  receding-horizon knobs in ticks (paper defaults)
   --lose M@T          machine M lost at tick T (repeatable; SLRH only)
@@ -1069,6 +1069,7 @@ mod tests {
             ("replay --in x.lrh", "minmin", "Min-Min"),
             ("submit", "olb", "OLB"),
             ("tune", "HEFT", "HEFT"),
+            ("run", "dbctime", "DBC-Time"),
         ] {
             let line = format!("{cmd} --heuristic {name}");
             let err = parse(&args(&line)).unwrap_err();
@@ -1078,7 +1079,9 @@ mod tests {
                 "{line}: {err}"
             );
         }
-        assert!(!USAGE.contains("heft") && !USAGE.contains("minmin") && !USAGE.contains("olb"));
+        for retired in ["heft", "minmin", "olb", "dbctime"] {
+            assert!(!USAGE.contains(retired), "{retired}");
+        }
     }
 
     #[test]

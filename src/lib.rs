@@ -18,8 +18,7 @@
 //!   machines leaving and joining mid-run, an [`slrh::Adaptation`] block
 //!   for online multiplier adjustment — plus the open-system job stream;
 //! * [`baselines`] — static comparators: Max-Max, greedy (MCT), a
-//!   Lagrangian-relaxation list scheduler and the DBC cost/time
-//!   optimizers;
+//!   Lagrangian-relaxation list scheduler and the DBC cost optimizer;
 //! * [`bounds`] — the equivalent-computing-cycles upper bound;
 //! * [`sweep`] — the experiment harness regenerating every paper table
 //!   and figure;
