@@ -50,11 +50,22 @@
 //!   weight pair can ever map all subtasks — the paper's requirement for
 //!   a pair to count at all.
 //!
-//! **What a commit re-costs.** Every commit judges every feasible triplet
-//! afresh — feasibility, both guards, the deadline gate and the
-//! objective read the batteries and the grid-wide totals, which every
-//! commit moves — but where a triplet's execution would land is kept.
-//! Each ready (task, machine) pair is costed once
+//! **What a commit judges.** Judging a triplet means the downgrade
+//! guard, the kept or fresh slot, the deadline gate and the objective;
+//! the guards and the objective read the batteries and the grid-wide
+//! totals, which every commit moves. A commit judges a triplet only when
+//! a cheap upper bound on its objective is not below the best score
+//! judged so far (`Search::bound`: the objective of its totals without
+//! the transfer energy and, under +γ, with the AET at its deadline).
+//! Nothing in the bound but the execution energy depends on the machine,
+//! so each (task, version) walks its machines by ascending execution
+//! energy, sorted once per run, and stops at the first bound below the
+//! incumbent. The task with the highest bound is judged first, to set
+//! the incumbent. A skipped triplet can neither beat nor tie the winner,
+//! so the winner and its tie-break are the full scan's.
+//!
+//! **What a commit re-costs.** Where a judged triplet's execution would
+//! land is kept. Each ready (task, machine) pair is costed once
 //! ([`SimState::cost`] under [`Placement::Insert`]: the transfer walk,
 //! which does not depend on the version) and completed per version
 //! ([`Costing::at`]: the execution's own gap search). A costing reads
@@ -63,16 +74,18 @@
 //! committed machine's compute and receive timelines and its transfers'
 //! senders' transmit timelines, and stamps those machines, so a pair is
 //! costed again when its target or one of its task's parents' machines
-//! was stamped since. Only the winner is planned. [`reference::run`] is the per-triplet scan without any of
-//! this, the oracle the product must replay bit for bit (DESIGN.md §21).
+//! was stamped since. Only the winner is planned. [`reference::run`] is
+//! the per-triplet scan without any of this, the oracle the product must
+//! replay bit for bit (DESIGN.md §21).
 
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::{Energy, Time};
 use adhoc_grid::workload::Scenario;
-use gridsim::plan::{Costing, MappingPlan, Placement, PlanScratch, Slot};
+use gridsim::metrics::Metrics;
+use gridsim::plan::{Costing, MappingPlan, Placement, PlanScratch, PlanTotals, Slot};
 use gridsim::state::{SimState, StateBuffers};
-use lagrange::weights::Objective;
+use lagrange::weights::{AetSign, Objective};
 use slrh::pool::{plan_objective, totals_objective};
 
 use crate::outcome::StaticOutcome;
@@ -160,113 +173,92 @@ fn map<'a>(
 }
 
 /// Static guard data: per-machine mean secondary footprints (downgrade
-/// guard) and per-task bottom-level slacks (deadline gate).
+/// guard) and per-task latest admissible finishes (deadline gate).
 struct DowngradeGuard {
-    /// Mean secondary execution energy per machine.
-    sec_energy: Vec<f64>,
-    /// Mean secondary execution seconds per machine.
-    sec_seconds: Vec<f64>,
-    /// Optimistic critical path from each task (exclusive) to the sinks,
-    /// in ticks: each descendant costed at its fastest secondary run.
-    bottom_slack: Vec<adhoc_grid::units::Dur>,
-    /// Precedence depth (ASAP level) per task.
-    depth: Vec<usize>,
-    /// Maximum depth over all tasks.
-    max_depth: usize,
-}
-
-impl DowngradeGuard {
-    fn new(scenario: &Scenario) -> DowngradeGuard {
-        let n = scenario.tasks() as f64;
-        let (mut sec_energy, mut sec_seconds) = (Vec::new(), Vec::new());
-        for (j, spec) in scenario.grid.iter() {
-            let secs: f64 = scenario
-                .dag
-                .tasks()
-                .map(|t| scenario.etc.exec_dur(t, j, Version::Secondary).as_seconds())
-                .sum::<f64>()
-                / n;
-            sec_seconds.push(secs);
-            sec_energy.push(secs * spec.compute_power);
-        }
-
-        // Bottom-level slack in reverse topological order.
-        let min_sec_ticks: Vec<u64> = scenario
-            .dag
-            .tasks()
-            .map(|t| {
-                scenario
-                    .grid
-                    .ids()
-                    .map(|j| scenario.etc.exec_dur(t, j, Version::Secondary).0)
-                    .min()
-                    .expect("grid is non-empty")
-            })
-            .collect();
-        let order = scenario
-            .dag
-            .topological_order()
-            .expect("scenario DAGs are acyclic");
-        let mut bottom_slack = vec![adhoc_grid::units::Dur::ZERO; scenario.tasks()];
-        for &t in order.iter().rev() {
-            let slack = scenario
-                .dag
-                .children(t)
-                .iter()
-                .map(|&c| bottom_slack[c.0].0 + min_sec_ticks[c.0])
-                .max()
-                .unwrap_or(0);
-            bottom_slack[t.0] = adhoc_grid::units::Dur(slack);
-        }
-
-        // ASAP level per task.
-        let mut depth = vec![0usize; scenario.tasks()];
-        let mut max_depth = 0;
-        for &t in &order {
-            for &c in scenario.dag.children(t) {
-                depth[c.0] = depth[c.0].max(depth[t.0] + 1);
-                max_depth = max_depth.max(depth[c.0]);
-            }
-        }
-
-        DowngradeGuard {
-            sec_energy,
-            sec_seconds,
-            bottom_slack,
-            depth,
-            max_depth,
-        }
-    }
-
-    /// Latest admissible finish for `t`: the lesser of
+    /// Mean secondary execution `(energy, seconds)` per machine.
+    secondary: Vec<(f64, f64)>,
+    /// Latest admissible finish per task: the lesser of
     ///
     /// * τ minus its descendants' optimistic remaining work (critical-path
-    ///   slack), and
+    ///   slack: each descendant costed at its fastest secondary run), and
     /// * the proportional level quota `τ·(depth+1)/(max_depth+1)` — the
     ///   wave structure the dynamic SLRH gets from its advancing clock.
     ///   Without it, an interior subtask may legally occupy a slot against
     ///   the deadline on an energy-cheap slow machine, compressing every
     ///   descendant into an ever-thinner window until the schedule
     ///   strangles.
-    fn deadline(&self, state: &SimState<'_>, t: TaskId) -> Time {
-        let tau = state.scenario().tau;
-        let slack = self.bottom_slack[t.0];
-        let by_slack = if slack.0 >= tau.0 {
-            Time::ZERO
-        } else {
-            tau - slack
+    deadline: Vec<Time>,
+}
+
+impl DowngradeGuard {
+    fn new(scenario: &Scenario) -> DowngradeGuard {
+        let (dag, etc) = (&scenario.dag, &scenario.etc);
+        let n = scenario.tasks() as f64;
+        let mut secondary = Vec::with_capacity(scenario.grid.len());
+        for (j, spec) in scenario.grid.iter() {
+            let secs: f64 = dag
+                .tasks()
+                .map(|t| etc.exec_dur(t, j, Version::Secondary).as_seconds())
+                .sum::<f64>()
+                / n;
+            secondary.push((secs * spec.compute_power, secs));
+        }
+
+        // Upward rank in reverse topological order — a task's fastest
+        // secondary run plus the optimistic critical path below it, in
+        // ticks — kept in the deadline table until the last pass.
+        let fastest = |t: TaskId| {
+            scenario
+                .grid
+                .ids()
+                .map(|j| etc.exec_dur(t, j, Version::Secondary).0)
+                .min()
+                .expect("grid is non-empty")
         };
-        let quota = Time(
-            (tau.0 as u128 * (self.depth[t.0] as u128 + 1) / (self.max_depth as u128 + 1)) as u64,
-        );
-        by_slack.min(quota)
+        let below = |deadline: &[Time], t: TaskId| {
+            dag.children(t)
+                .iter()
+                .map(|&c| deadline[c.0].0)
+                .max()
+                .unwrap_or(0)
+        };
+        let order = dag.topological_order().expect("scenario DAGs are acyclic");
+        let mut deadline = vec![Time::ZERO; scenario.tasks()];
+        for &t in order.iter().rev() {
+            deadline[t.0] = Time(below(&deadline, t) + fastest(t));
+        }
+
+        // ASAP level per task.
+        let mut depth = vec![0usize; scenario.tasks()];
+        let mut max_depth = 0;
+        for &t in &order {
+            for &c in dag.children(t) {
+                depth[c.0] = depth[c.0].max(depth[t.0] + 1);
+                max_depth = max_depth.max(depth[c.0]);
+            }
+        }
+
+        // In topological order a task's children still hold their rank,
+        // the largest of which is the task's bottom-level slack.
+        let tau = scenario.tau.0;
+        for &t in &order {
+            let by_slack = Time(tau.saturating_sub(below(&deadline, t)));
+            let quota = (tau as u128 * (depth[t.0] as u128 + 1) / (max_depth as u128 + 1)) as u64;
+            deadline[t.0] = by_slack.min(Time(quota));
+        }
+
+        DowngradeGuard {
+            secondary,
+            deadline,
+        }
     }
 
     /// Secondary-level subtasks machine `m` can still absorb with
     /// `energy` units and `time` seconds left: the lesser of its
     /// energy-limited and time-limited counts.
     fn capacity(&self, m: usize, energy: f64, time: f64) -> f64 {
-        (energy.max(0.0) / self.sec_energy[m]).min(time.max(0.0) / self.sec_seconds[m])
+        let (sec_energy, sec_seconds) = self.secondary[m];
+        (energy.max(0.0) / sec_energy).min(time.max(0.0) / sec_seconds)
     }
 
     /// What every machine has left in `state`, and the capacity that
@@ -321,13 +313,79 @@ struct Pair {
     slots: [Option<Slot>; 2],
 }
 
-/// The product scan's memory across commits: the kept costings, the
-/// stamps that drop them, and the planner's recycled storage.
+/// A triplet's tie-break key: `(finish, task, secondary, machine)`.
+type Key = (Time, TaskId, bool, MachineId);
+
+/// One commit's search: what every triplet is judged against, and the
+/// best triplet judged so far.
+struct Search<'s, 'a> {
+    state: &'s SimState<'a>,
+    objective: &'s Objective,
+    guard: &'s DowngradeGuard,
+    /// The state's metrics: no commit happens inside a search.
+    metrics: Metrics,
+    /// The subtasks left after this commit, which the downgrade guard
+    /// requires the grid to absorb.
+    rest: f64,
+    /// The incumbent's score and key.
+    best: Option<(f64, Key)>,
+}
+
+impl Search<'_, '_> {
+    /// An upper bound on the score of every slot of `(t, v)` the deadline
+    /// gate admits on a machine where its execution energy is `exec`: its
+    /// totals without the transfer energy (which is never negative) and,
+    /// under +γ, with an AET of at least `t`'s deadline, which no admitted
+    /// slot finishes after (under −γ a later AET only lowers the score).
+    /// The weights are non-negative and rounding is monotone, so the bound
+    /// is at or above the exact score bit for bit, and falls as `exec`
+    /// rises.
+    fn bound(&self, t: TaskId, v: Version, exec: Energy) -> f64 {
+        let m = &self.metrics;
+        let aet_after = match self.objective.aet_sign {
+            AetSign::Positive => m.aet.max(self.guard.deadline[t.0]),
+            AetSign::Negative => m.aet,
+        };
+        let totals = PlanTotals {
+            t100_after: m.t100 + usize::from(v.is_primary()),
+            tec_after: m.tec + exec,
+            aet_after,
+        };
+        totals_objective(m, self.objective, &totals)
+    }
+
+    /// Whether a triplet bounded by `bound` can neither beat nor tie the
+    /// incumbent.
+    fn below_incumbent(&self, bound: f64) -> bool {
+        self.best.is_some_and(|(best, _)| bound < best)
+    }
+
+    /// Make the triplet scoring `obj` with tie-break `key` the incumbent
+    /// if it beats it: a higher score, or an equal one with a lower key.
+    fn offer(&mut self, obj: f64, key: Key) {
+        let better = match self.best {
+            None => true,
+            Some((b, bk)) => obj > b || (obj == b && key < bk),
+        };
+        if better {
+            self.best = Some((obj, key));
+        }
+    }
+}
+
+/// The product scan's memory across commits: the machine orders the
+/// bounds fall along, the kept costings, the stamps that drop them, and
+/// the planner's recycled storage.
 #[derive(Default)]
 struct Scan {
     /// Per (task, machine) pair, at `task * machines + machine`.
     pairs: Vec<Option<Pair>>,
     machines: usize,
+    /// Per (task, version), every machine with the execution energy of
+    /// the task there, by ascending energy (ties by id), at
+    /// `(task * 2 + secondary) * machines`: the order along which
+    /// [`Search::bound`] only falls.
+    by_energy: Vec<(Energy, MachineId)>,
     /// Per machine, the epoch of the last commit onto it: its compute
     /// and receive timelines changed then.
     target_stamp: Vec<u64>,
@@ -344,9 +402,26 @@ struct Scan {
 impl Scan {
     fn new(scenario: &Scenario) -> Scan {
         let machines = scenario.grid.len();
+        let mut by_energy = Vec::with_capacity(scenario.tasks() * 2 * machines);
+        for t in scenario.dag.tasks() {
+            for v in Version::BOTH {
+                let from = by_energy.len();
+                // What a slot of (t, v) on j commits there, wherever it lands.
+                by_energy.extend(
+                    scenario
+                        .grid
+                        .iter()
+                        .map(|(j, spec)| (spec.compute_energy(scenario.etc.exec_dur(t, j, v)), j)),
+                );
+                by_energy[from..].sort_unstable_by(|(ea, a), (eb, b)| {
+                    ea.units().total_cmp(&eb.units()).then(a.cmp(b))
+                });
+            }
+        }
         Scan {
             pairs: vec![None; scenario.tasks() * machines],
             machines,
+            by_energy,
             target_stamp: vec![0; machines],
             sender_stamp: vec![0; machines],
             epoch: 1,
@@ -364,12 +439,26 @@ impl Scan {
         self.epoch += 1;
     }
 
+    /// `(t, v)`'s machines by ascending execution energy, each with that
+    /// energy.
+    fn by_energy(&self, t: TaskId, v: Version) -> &[(Energy, MachineId)] {
+        let from = (t.0 * 2 + usize::from(!v.is_primary())) * self.machines;
+        &self.by_energy[from..from + self.machines]
+    }
+
     /// The best feasible (task, version, machine) plan by objective value,
     /// or `None` when no feasible pair remains: [`reference::run`]'s
-    /// choice and count. Triplets finishing after their deadline are not
-    /// mappable; equal objectives break toward the earliest finish, then
-    /// the lower task id, primary version, and lower machine id — fully
+    /// choice. Triplets finishing after their deadline are not mappable;
+    /// equal objectives break toward the earliest finish, then the lower
+    /// task id, primary version, and lower machine id — fully
     /// deterministic.
+    ///
+    /// Only triplets whose [`Search::bound`] reaches the incumbent are
+    /// judged, and `evaluated` counts those that pass the downgrade
+    /// guard. The task with the highest bound is judged first, to set an
+    /// incumbent; every other ready task is then judged up to the first
+    /// machine, per version, whose bound falls below the incumbent. A
+    /// triplet skipped so can neither beat nor tie the winner.
     fn best(
         &mut self,
         state: &SimState<'_>,
@@ -378,49 +467,33 @@ impl Scan {
         unmapped: usize,
         evaluated: &mut u64,
     ) -> Option<MappingPlan> {
-        let sc = state.scenario();
         guard.headroom(state, &mut self.headroom);
-        let metrics = state.metrics();
-        let mut best: Option<(f64, (Time, TaskId, bool, MachineId))> = None;
-
+        let mut search = Search {
+            state,
+            objective,
+            guard,
+            metrics: state.metrics(),
+            // No task is ready once none is unmapped.
+            rest: unmapped.saturating_sub(1) as f64,
+            best: None,
+        };
+        let mut first: Option<(f64, TaskId)> = None;
         for &t in state.ready_tasks() {
-            // Bottom-level slack gate (see module docs).
-            let deadline = guard.deadline(state, t);
-            let senders = self.senders(state, t);
-            for j in sc.grid.ids() {
-                for v in Version::BOTH {
-                    if !state.version_feasible(t, v, j) {
-                        continue;
-                    }
-                    // Downgrade guard (see module docs): committing this
-                    // triplet must leave the grid able to absorb the rest
-                    // of the workload at the secondary level.
-                    let cost = state.feasibility_demand(t, v, j);
-                    let exec_secs = sc.etc.exec_dur(t, j, v).as_seconds();
-                    if guard.capacity_after(&self.headroom, j, cost, exec_secs)
-                        < (unmapped - 1) as f64
-                    {
-                        continue;
-                    }
-                    *evaluated += 1;
-                    let slot = self.slot(state, t, j, v, senders);
-                    if slot.finish() > deadline {
-                        continue;
-                    }
-                    let obj = totals_objective(&metrics, objective, &slot.totals(state));
-                    let key = (slot.finish(), t, !v.is_primary(), j);
-                    let better = match best {
-                        None => true,
-                        Some((b, bk)) => obj > b || (obj == b && key < bk),
-                    };
-                    if better {
-                        best = Some((obj, key));
-                    }
+            if let Some(bound) = self.task_bound(&search, t) {
+                if first.is_none_or(|(b, _)| bound > b) {
+                    first = Some((bound, t));
                 }
             }
         }
+        let (_, first) = first?;
+        self.judge(&mut search, first, evaluated);
+        for &t in state.ready_tasks() {
+            if t != first {
+                self.judge(&mut search, t, evaluated);
+            }
+        }
 
-        let (obj, (finish, t, secondary, j)) = best?;
+        let (obj, (finish, t, secondary, j)) = search.best?;
         let v = if secondary {
             Version::Secondary
         } else {
@@ -434,6 +507,66 @@ impl Scan {
             "score of {t} on {j} differs from its plan's objective"
         );
         Some(plan)
+    }
+
+    /// The highest bound over `t`'s feasible triplets — each version's
+    /// at its first feasible machine in [`Scan::by_energy`] order — or
+    /// `None` when no version of `t` fits any battery.
+    fn task_bound(&self, search: &Search<'_, '_>, t: TaskId) -> Option<f64> {
+        Version::BOTH
+            .into_iter()
+            .filter_map(|v| {
+                let &(exec, _) = self
+                    .by_energy(t, v)
+                    .iter()
+                    .find(|&&(_, j)| search.state.version_feasible(t, v, j))?;
+                Some(search.bound(t, v, exec))
+            })
+            .reduce(f64::max)
+    }
+
+    /// Judge `t`'s feasible triplets, per version in
+    /// [`Scan::by_energy`] order, until the bound falls below the
+    /// incumbent: the downgrade guard, the kept or fresh slot, the
+    /// deadline gate and the objective.
+    fn judge(&mut self, search: &mut Search<'_, '_>, t: TaskId, evaluated: &mut u64) {
+        let state = search.state;
+        let sc = state.scenario();
+        let deadline = search.guard.deadline[t.0];
+        let mut senders = None;
+        for v in Version::BOTH {
+            for k in 0..self.machines {
+                let (exec, j) = self.by_energy(t, v)[k];
+                if !state.version_feasible(t, v, j) {
+                    continue;
+                }
+                // The bound only falls along this order, so no later
+                // machine can beat or tie the incumbent either.
+                if search.below_incumbent(search.bound(t, v, exec)) {
+                    break;
+                }
+                // Downgrade guard (see module docs): committing this
+                // triplet must leave the grid able to absorb the rest
+                // of the workload at the secondary level.
+                let cost = state.feasibility_demand(t, v, j);
+                let exec_secs = sc.etc.exec_dur(t, j, v).as_seconds();
+                if search
+                    .guard
+                    .capacity_after(&self.headroom, j, cost, exec_secs)
+                    < search.rest
+                {
+                    continue;
+                }
+                *evaluated += 1;
+                let senders = *senders.get_or_insert_with(|| self.senders(state, t));
+                let slot = self.slot(state, t, j, v, senders);
+                if slot.finish() > deadline {
+                    continue;
+                }
+                let obj = totals_objective(&search.metrics, search.objective, &slot.totals(state));
+                search.offer(obj, (slot.finish(), t, !v.is_primary(), j));
+            }
+        }
     }
 
     /// The latest sender stamp over `t`'s parents' machines: the
@@ -557,6 +690,101 @@ mod tests {
                 kept > 100,
                 "{case:?}: only {kept} costings were kept across commits"
             );
+        }
+    }
+
+    /// After every commit of a run, every feasible ready triplet's bound
+    /// is at or above the exact score of its slot — under +γ for the
+    /// slots the deadline gate admits, the only ones scored — and falls
+    /// along its (task, version)'s machine order, at the simplex's corners
+    /// and inside it, under both AET signs. The scan skips a triplet on
+    /// its bound alone, so this is what makes the skip exact.
+    #[test]
+    fn the_bound_dominates_every_slot_it_stands_for() {
+        let objectives: Vec<Objective> =
+            [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.5, 0.25), (0.2, 0.6)]
+                .into_iter()
+                .flat_map(|(a, b)| {
+                    [AetSign::Positive, AetSign::Negative].map(|aet_sign| Objective {
+                        weights: Weights::new(a, b).unwrap(),
+                        aet_sign,
+                    })
+                })
+                .collect();
+        for tasks in [32, 64, 128] {
+            for case in GridCase::ALL {
+                let sc = Scenario::generate(&ScenarioParams::paper_scaled(tasks), case, 0, 0);
+                let guard = DowngradeGuard::new(&sc);
+                let mut state = SimState::new(&sc);
+                let mut scan = Scan::new(&sc);
+                let (mut evaluated, mut unmapped, mut checked) = (0, sc.tasks(), 0);
+                while let Some(plan) =
+                    scan.best(&state, &obj(0.5, 0.25), &guard, unmapped, &mut evaluated)
+                {
+                    unmapped -= 1;
+                    scan.stamp(&plan);
+                    state.commit(&plan);
+                    let searches: Vec<Search<'_, '_>> = objectives
+                        .iter()
+                        .map(|objective| Search {
+                            state: &state,
+                            objective,
+                            guard: &guard,
+                            metrics: state.metrics(),
+                            rest: 0.0,
+                            best: None,
+                        })
+                        .collect();
+                    for &t in state.ready_tasks() {
+                        for v in Version::BOTH {
+                            for search in &searches {
+                                let bounds = scan
+                                    .by_energy(t, v)
+                                    .iter()
+                                    .map(|&(exec, _)| search.bound(t, v, exec));
+                                let falls = bounds.clone().zip(bounds.skip(1)).all(|(a, b)| a >= b);
+                                assert!(
+                                    falls,
+                                    "{case:?}: bounds of {t}/{v:?} rise along the order"
+                                );
+                            }
+                            for j in sc.grid.ids() {
+                                if !state.version_feasible(t, v, j) {
+                                    continue;
+                                }
+                                let cost = state.cost(t, j, Placement::Insert, &mut scan.scratch);
+                                let slot = cost.at(&state, v);
+                                let &(exec, _) =
+                                    scan.by_energy(t, v).iter().find(|e| e.1 == j).unwrap();
+                                assert_eq!(exec, slot.exec_energy, "{case:?}: {t}/{v:?} on {j}");
+                                let admitted = slot.finish() <= guard.deadline[t.0];
+                                for search in &searches {
+                                    if search.objective.aet_sign == AetSign::Positive && !admitted {
+                                        continue;
+                                    }
+                                    let exact = totals_objective(
+                                        &search.metrics,
+                                        search.objective,
+                                        &slot.totals(&state),
+                                    );
+                                    let bound = search.bound(t, v, exec);
+                                    assert!(
+                                        bound >= exact,
+                                        "{case:?}, {tasks} tasks: bound {bound} < score {exact} \
+                                         of {t}/{v:?} on {j} under {:?}",
+                                        search.objective
+                                    );
+                                    checked += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+                assert!(
+                    checked > 1000,
+                    "{case:?}, {tasks} tasks: only {checked} slots checked"
+                );
+            }
         }
     }
 

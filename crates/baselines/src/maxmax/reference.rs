@@ -3,9 +3,12 @@
 //! (task, version, machine) triplet from scratch with
 //! [`SimState::plan`] and scores the plan with
 //! [`slrh::pool::plan_objective`]. Nothing is carried from one commit
-//! to the next, so it is the definition the product's kept costings must
-//! replay: the same assignments, transfers, metrics bit for bit and
-//! `candidates_evaluated`.
+//! to the next and nothing is skipped on a bound, so it is the definition
+//! the product's bound-ordered scan over kept costings must replay: the
+//! same assignments, transfers and metrics bit for bit. Its
+//! `candidates_evaluated` counts every triplet that passes the downgrade
+//! guard, so it is at least the product's, which counts only the
+//! triplets its bounds let it judge.
 
 use adhoc_grid::task::Version;
 use adhoc_grid::workload::Scenario;
@@ -59,7 +62,7 @@ fn find_best_triplet(
     guard.headroom(state, headroom);
 
     for &t in state.ready_tasks() {
-        let deadline = guard.deadline(state, t);
+        let deadline = guard.deadline[t.0];
         for j in sc.grid.ids() {
             for v in Version::BOTH {
                 if !state.version_feasible(t, v, j) {

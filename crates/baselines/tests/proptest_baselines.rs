@@ -6,7 +6,7 @@ use adhoc_grid::config::GridCase;
 use adhoc_grid::workload::{Scenario, ScenarioParams};
 use grid_baselines::{maxmax, run_greedy, run_lr_list, run_maxmax, StaticOutcome};
 use gridsim::validate::validate;
-use lagrange::weights::{Objective, Weights};
+use lagrange::weights::{AetSign, Objective, Weights};
 use proptest::prelude::*;
 
 fn weights() -> impl Strategy<Value = Weights> {
@@ -26,34 +26,35 @@ fn weights_with_corners() -> impl Strategy<Value = Weights> {
 }
 
 /// Everything a static run decided, floats as their exact `Debug`
-/// rendering: the assignments by task, the transfers in commit order,
-/// the metrics and the work counter.
+/// rendering: the assignments by task, the transfers in commit order and
+/// the metrics.
 fn decisions(out: &StaticOutcome<'_>) -> String {
     let schedule = out.state.schedule();
     let mut assignments: Vec<_> = schedule.assignments().copied().collect();
     assignments.sort_unstable_by_key(|a| a.task);
     format!(
-        "{assignments:?}\n{:?}\n{:?}\ncandidates={}",
+        "{assignments:?}\n{:?}\n{:?}",
         schedule.transfers(),
-        out.metrics(),
-        out.candidates_evaluated
+        out.metrics()
     )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Max-Max's kept costings replay the per-triplet reference scan,
-    /// which plans every feasible triplet from scratch on every commit:
-    /// the same assignments, transfers, metrics bit for bit and
-    /// `candidates_evaluated`.
+    /// Max-Max's bound-ordered scan over kept costings replays the
+    /// per-triplet reference scan, which plans every feasible triplet
+    /// from scratch on every commit, under both AET signs: the same
+    /// assignments, transfers and metrics bit for bit, having judged no
+    /// more triplets than the reference evaluates.
     #[test]
     fn maxmax_matches_its_reference(
         tasks in 8usize..129,
         case_idx in 0usize..3,
         etc_id in 0usize..3,
         dag_id in 0usize..3,
-        w in weights_with_corners(),
+        weights in weights_with_corners(),
+        negative in any::<bool>(),
     ) {
         let sc = Scenario::generate(
             &ScenarioParams::paper_scaled(tasks),
@@ -61,10 +62,16 @@ proptest! {
             etc_id,
             dag_id,
         );
-        let obj = Objective::paper(w);
-        prop_assert_eq!(
-            decisions(&run_maxmax(&sc, &obj)),
-            decisions(&maxmax::reference::run(&sc, &obj))
+        let aet_sign = if negative { AetSign::Negative } else { AetSign::Positive };
+        let obj = Objective { weights, aet_sign };
+        let product = run_maxmax(&sc, &obj);
+        let reference = maxmax::reference::run(&sc, &obj);
+        prop_assert_eq!(decisions(&product), decisions(&reference));
+        prop_assert!(
+            product.candidates_evaluated <= reference.candidates_evaluated,
+            "judged {} triplets, the reference evaluated {}",
+            product.candidates_evaluated,
+            reference.candidates_evaluated
         );
     }
 }

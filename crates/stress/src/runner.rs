@@ -24,10 +24,12 @@
 //!   all-busy tick; its frozen order's oracle is `slrh::mapper`'s
 //!   `slrh2_order_is_the_pool_inside_the_horizon`.
 //! * **fresh vs reused state buffers** for every static baseline.
-//! * **Max-Max vs its reference scan** — the product keeps each (task,
-//!   machine) costing across commits; `grid_baselines::maxmax::reference`
-//!   re-plans every triplet on every commit. Schedule, metrics and
-//!   `candidates_evaluated` must agree byte for byte.
+//! * **Max-Max vs its reference scan**, under both AET signs — the
+//!   product judges only the triplets whose objective bound reaches the
+//!   incumbent, on (task, machine) costings kept across commits;
+//!   `grid_baselines::maxmax::reference` re-plans every triplet on every
+//!   commit. Schedule and metrics must agree byte for byte, and the
+//!   product's `candidates_evaluated` must not exceed the reference's.
 //!
 //! All comparisons are byte-exact on canonical signatures: schedules
 //! sorted by task / edge, every float rendered as its `f64` bit pattern,
@@ -46,7 +48,7 @@ use gridsim::metrics::Metrics;
 use gridsim::schedule::Schedule;
 use gridsim::state::SimState;
 use lagrange::step::StepRule;
-use lagrange::weights::Objective;
+use lagrange::weights::{AetSign, Objective};
 use slrh::open::{run_open_in, OpenJobReport, COST_EPS};
 use slrh::reference::{self, Kind};
 use slrh::{run_slrh_with, Adaptation, Churn, RunContext, SlrhOutcome, SlrhVariant};
@@ -386,21 +388,36 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         run_greedy(&sc),
         run_greedy_in(&sc, ctx.buffers_mut())
     );
-    // Max-Max keeps its costings across commits; the per-triplet scan
-    // it must replay re-plans everything on every commit.
-    let maxmax = run_maxmax(&sc, &objective);
-    let oracle = grid_baselines::maxmax::reference::run(&sc, &objective);
-    if static_signature(&maxmax) != static_signature(&oracle) {
-        failures.push(
-            "maxmax: differential-reference: kept costings and the per-triplet reference scan \
-             diverge"
-                .to_string(),
-        );
+    // Max-Max judges only the triplets whose objective bound reaches the
+    // incumbent, on costings kept across commits; the per-triplet scan it
+    // must replay re-plans everything on every commit, so it evaluates at
+    // least as many triplets. Both AET signs, since the bound differs.
+    for aet_sign in [AetSign::Positive, AetSign::Negative] {
+        let objective = Objective {
+            aet_sign,
+            ..objective
+        };
+        let product = run_maxmax(&sc, &objective);
+        let oracle = grid_baselines::maxmax::reference::run(&sc, &objective);
+        if decision_signature(&product) != decision_signature(&oracle) {
+            failures.push(format!(
+                "maxmax: differential-reference: the bound-ordered scan and the per-triplet \
+                 reference scan diverge ({aet_sign:?})"
+            ));
+        }
+        if product.candidates_evaluated > oracle.candidates_evaluated {
+            failures.push(format!(
+                "maxmax: differential-reference: judged {} triplets, more than the \
+                 reference's {} ({aet_sign:?})",
+                product.candidates_evaluated, oracle.candidates_evaluated
+            ));
+        }
+        ctx.reclaim(oracle.state);
+        ctx.reclaim(product.state);
     }
-    ctx.reclaim(oracle.state);
     baseline_arm!(
         "maxmax",
-        maxmax,
+        run_maxmax(&sc, &objective),
         run_maxmax_in(&sc, &objective, ctx.buffers_mut())
     );
     baseline_arm!(
@@ -485,10 +502,17 @@ pub(crate) fn dynamic_signature(out: &SlrhOutcome<'_>, with_stats: bool) -> Stri
 
 /// Canonical signature of a static baseline outcome.
 fn static_signature(out: &StaticOutcome<'_>) -> String {
+    let mut s = decision_signature(out);
+    let _ = write!(s, "cand={} ", out.candidates_evaluated);
+    s
+}
+
+/// What a static run decided: [`static_signature`] without the work
+/// counter.
+fn decision_signature(out: &StaticOutcome<'_>) -> String {
     let mut s = String::new();
     push_schedule(&mut s, out.state.schedule());
     push_metrics(&mut s, &out.state.metrics());
-    let _ = write!(s, "cand={} ", out.candidates_evaluated);
     s
 }
 
