@@ -2,8 +2,9 @@
 # Writes the stdout digest of one `lrh-grid run` per row to
 # scripts/identity.txt (or to $1): SLRH-1/2/3, Max-Max, Greedy and
 # DBC-Cost at 256 and 1 024 subtasks in Cases A, B and C, and each SLRH
-# row twice more, under churn (`--lose`/`--join`) and with online
-# adaptation. Greedy and DBC-Cost share one list walk, so their rows pin
+# row three more times: under churn (`--lose`/`--join`), under a loss
+# early enough to cascade through a large share of the schedule, and
+# with online adaptation. Greedy and DBC-Cost share one list walk, so their rows pin
 # it for both keys. A change
 # that must not move any report regenerates the file and diffs it:
 #
@@ -25,6 +26,14 @@ fi
 # Cases B and C have three machines, so every churn event names one of
 # machines 0..2.
 CHURN=(--lose 0@1500 --join 2@800)
+# The cascade rows lose machine 0 at tau/6 after machine 2 joins at
+# tau/8 (tau = 85 190 ticks at 256 subtasks, 340 750 at 1 024): the
+# loss invalidates 167-248 subtasks of SLRH-1's schedule at 256 and
+# 781-957 at 1 024, so the rows pin deep unmap cascades.
+declare -A CASCADE=(
+    [256]="--lose 0@14198 --join 2@10648"
+    [1024]="--lose 0@56791 --join 2@42593"
+)
 ADAPT=(--adapt "diminishing(0.5)" --adapt-every 10)
 
 row() {
@@ -44,6 +53,8 @@ row() {
                 row "$heuristic" "$tasks" "$case" plain
                 if [[ $heuristic == slrh* ]]; then
                     row "$heuristic" "$tasks" "$case" churn "${CHURN[@]}"
+                    # shellcheck disable=SC2086 # the flags split on spaces
+                    row "$heuristic" "$tasks" "$case" cascade ${CASCADE[$tasks]}
                     row "$heuristic" "$tasks" "$case" adapt "${ADAPT[@]}"
                 fi
             done
