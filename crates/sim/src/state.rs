@@ -814,7 +814,7 @@ impl<'a> SimState<'a> {
         // is unchanged.
         let mut incoming = plan::emptied(&mut self.unmap_incoming);
         incoming.extend(self.schedule.incoming_transfers(t).copied());
-        self.schedule.retain_transfers(|tr| tr.child != t);
+        self.schedule.remove_transfers_to(t);
         for tr in &incoming {
             self.tx[tr.from.0].remove(tr.start, tr.dur);
             self.rx[tr.to.0].remove(tr.start, tr.dur);
@@ -852,8 +852,11 @@ impl<'a> SimState<'a> {
             self.ready.push(t);
         }
 
-        // AET may shrink; recompute from the schedule.
-        self.aet = self.schedule.aet();
+        // AET may shrink, but only when `t` finished last; the max over
+        // the other assignments is otherwise unchanged (integer ticks).
+        if a.finish() == self.aet {
+            self.aet = self.schedule.aet();
+        }
 
         debug_assert!(self.ledger.check_invariants().is_ok());
         self.revision += 1;
