@@ -42,6 +42,9 @@ impl Interval {
 pub struct Timeline {
     /// Sorted by start; pairwise disjoint.
     busy: Vec<Interval>,
+    /// Sum of the intervals' lengths, kept by `insert`/`remove`/`clear`
+    /// so [`Timeline::total_busy`] reads no interval.
+    busy_total: Dur,
 }
 
 impl Timeline {
@@ -55,6 +58,7 @@ impl Timeline {
     /// between consecutive runs).
     pub fn clear(&mut self) {
         self.busy.clear();
+        self.busy_total = Dur::ZERO;
     }
 
     /// Number of busy intervals.
@@ -174,6 +178,7 @@ impl Timeline {
             );
         }
         self.busy.insert(idx, iv);
+        self.busy_total += dur;
     }
 
     /// Remove a previously inserted occupation (used by the dynamic
@@ -196,11 +201,13 @@ impl Timeline {
             "interval at {start:?} has a different duration"
         );
         self.busy.remove(idx);
+        self.busy_total = self.busy_total - dur;
     }
 
-    /// Total busy span.
+    /// Total busy span. O(1): a running total, equal to the sum of the
+    /// intervals' lengths (integer ticks, so exactly).
     pub fn total_busy(&self) -> Dur {
-        self.busy.iter().map(|iv| iv.end.since(iv.start)).sum()
+        self.busy_total
     }
 }
 
@@ -302,6 +309,21 @@ mod tests {
         tl.remove(t(20), d(5));
         assert!(tl.is_empty());
         tl.remove(t(0), Dur::ZERO); // no-op
+    }
+
+    #[test]
+    fn total_busy_follows_insert_remove_and_clear() {
+        let mut tl = Timeline::new();
+        tl.insert(t(10), d(5));
+        tl.insert(t(20), d(7));
+        tl.insert(t(30), Dur::ZERO);
+        assert_eq!(tl.total_busy(), d(12));
+        tl.remove(t(10), d(5));
+        assert_eq!(tl.total_busy(), d(7));
+        tl.clear();
+        assert_eq!(tl.total_busy(), Dur::ZERO);
+        tl.insert(t(0), d(3));
+        assert_eq!(tl.total_busy(), d(3));
     }
 
     #[test]

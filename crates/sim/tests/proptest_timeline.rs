@@ -74,7 +74,8 @@ proptest! {
     }
 
     /// remove() exactly reverses insert(): the timeline returns to its
-    /// previous contents regardless of removal order.
+    /// previous contents regardless of removal order, and the running
+    /// busy total matches a fresh sum after every removal.
     #[test]
     fn remove_roundtrips(reqs in requests(), removal_seed in 0u64..1000) {
         let mut tl = Timeline::new();
@@ -94,8 +95,11 @@ proptest! {
         for &i in &order {
             let (start, dur) = placed[i];
             tl.remove(start, dur);
+            let total: u64 = tl.intervals().iter().map(|i| i.end.0 - i.start.0).sum();
+            prop_assert_eq!(total, tl.total_busy().0);
         }
         prop_assert!(tl.is_empty());
+        prop_assert_eq!(tl.total_busy(), Dur::ZERO);
     }
 
     /// The overlay-aware gap search agrees with physically inserting the
