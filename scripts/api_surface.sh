@@ -132,7 +132,12 @@
 #  * code nothing calls stays gone: the daemon's job queue has one
 #    non-blocking `pop` (no `try_pop` beside a blocking twin) and
 #    `slrh::mapper` no `fn cycles`; the bare case letter is written
-#    once, in `GridCase::letter` (`crates/grid/src/config.rs`).
+#    once, in `GridCase::letter` (`crates/grid/src/config.rs`);
+#  * an unmap costs what it touches (DESIGN.md section 11): the schedule
+#    drops a child's transfers with `Schedule::remove_transfers_to`, and
+#    the whole-list `retain_transfers` with its full index rebuild lives
+#    only as that method's test oracle, not in the non-test code of
+#    `crates/sim/src`.
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -283,6 +288,12 @@ for f in $(find crates/sim/src crates/core/src -name '*.rs' | sort); do
     if hits=$(awk '/^#\[cfg\(test\)\]/ { exit } /\.edge\(&/ { print FILENAME ":" FNR ": " $0; found = 1 }
                    END { exit !found }' "$f"); then
         fail "a position-search edge lookup is back on the product path:"$'\n'"$hits"
+    fi
+done
+for f in $(find crates/sim/src -name '*.rs' | sort); do
+    if hits=$(awk '/^#\[cfg\(test\)\]/ { exit } /retain_transfers/ { print FILENAME ":" FNR ": " $0; found = 1 }
+                   END { exit !found }' "$f"); then
+        fail "the whole-list transfer rebuild is back on the product path:"$'\n'"$hits"
     fi
 done
 if hits=$(grep -rn 'out_offsets' crates src tests examples --include='*.rs'); then
