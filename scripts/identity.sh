@@ -5,7 +5,10 @@
 # row three more times: under churn (`--lose`/`--join`), under a loss
 # early enough to cascade through a large share of the schedule, and
 # with online adaptation. Greedy and DBC-Cost share one list walk, so their rows pin
-# it for both keys. A change
+# it for both keys. The `tune` rows digest one `lrh-grid tune` per
+# SLRH-1/SLRH-3/Max-Max x 32/256 subtasks x Case A/B/C at the paper's
+# 0.1 -> 0.02 steps: the winning weights, their T100 and the number of
+# runs searched. A change
 # that must not move any report regenerates the file and diffs it:
 #
 #   cargo build --release --bin lrh-grid
@@ -39,8 +42,11 @@ ADAPT=(--adapt "diminishing(0.5)" --adapt-every 10)
 row() {
     local heuristic=$1 tasks=$2 case=$3 mode=$4
     shift 4
-    local digest
-    digest=$("$BIN" run --heuristic "$heuristic" --tasks "$tasks" --case "$case" "$@" 2>/dev/null \
+    local command=run digest
+    if [[ $mode == tune ]]; then
+        command=tune
+    fi
+    digest=$("$BIN" "$command" --heuristic "$heuristic" --tasks "$tasks" --case "$case" "$@" 2>/dev/null \
         | sha256sum | cut -c1-16)
     echo "$heuristic $tasks $case $mode $digest"
 }
@@ -57,6 +63,13 @@ row() {
                     row "$heuristic" "$tasks" "$case" cascade ${CASCADE[$tasks]}
                     row "$heuristic" "$tasks" "$case" adapt "${ADAPT[@]}"
                 fi
+            done
+        done
+    done
+    for heuristic in slrh1 slrh3 maxmax; do
+        for tasks in 32 256; do
+            for case in A B C; do
+                row "$heuristic" "$tasks" "$case" tune --coarse 0.1 --fine 0.02
             done
         done
     done
