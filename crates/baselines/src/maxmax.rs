@@ -85,6 +85,7 @@ use adhoc_grid::workload::Scenario;
 use gridsim::metrics::Metrics;
 use gridsim::plan::{Costing, MappingPlan, Placement, PlanScratch, PlanTotals, Slot};
 use gridsim::state::{SimState, StateBuffers};
+use gridsim::tables::ScenarioTables;
 use lagrange::weights::{AetSign, Objective};
 use slrh::pool::{plan_objective, totals_objective};
 
@@ -116,11 +117,34 @@ pub fn run_maxmax_in<'a>(
     objective: &Objective,
     buffers: &mut StateBuffers,
 ) -> StaticOutcome<'a> {
-    map(scenario, objective, buffers, 0)
+    let state = SimState::new_in(scenario, std::mem::take(buffers));
+    map(state, &Statics::new(scenario), objective, 0)
 }
 
-/// The weight search's run, and nothing else's: [`run_maxmax_in`],
-/// abandoned before the first commit at which
+/// What every Max-Max run of one scenario reads and none writes: the
+/// scenario's [`ScenarioTables`], the downgrade guard's tables and each
+/// (task, version)'s machines by execution energy. A single run builds
+/// its statics inline; the weight search builds this once per scenario
+/// and lends it to every run ([`run_maxmax_floored`]). It borrows the
+/// scenario, so it can only describe the scenario it was built from.
+pub struct Prepared<'a> {
+    tables: ScenarioTables<'a>,
+    statics: Statics,
+}
+
+impl<'a> Prepared<'a> {
+    /// Build `scenario`'s tables and Max-Max statics.
+    pub fn new(scenario: &'a Scenario) -> Prepared<'a> {
+        Prepared {
+            tables: ScenarioTables::new(scenario),
+            statics: Statics::new(scenario),
+        }
+    }
+}
+
+/// The weight search's run, and nothing else's: [`run_maxmax_in`] on
+/// `prepared`'s scenario, reading its statics from `prepared`, abandoned
+/// before the first commit at which
 /// [`SimState::t100_ceiling`] is strictly below `floor`. Every commit is
 /// final, so the ceiling only falls, and a run it puts below `floor`
 /// can never reach `floor`. Such a run (cut, or finished below `floor`)
@@ -128,12 +152,13 @@ pub fn run_maxmax_in<'a>(
 /// exactly [`run_maxmax_in`]'s. `floor` 0 never cuts.
 #[doc(hidden)]
 pub fn run_maxmax_floored<'a>(
-    scenario: &'a Scenario,
+    prepared: &'a Prepared<'a>,
     objective: &Objective,
     buffers: &mut StateBuffers,
     floor: usize,
 ) -> Option<StaticOutcome<'a>> {
-    let out = map(scenario, objective, buffers, floor);
+    let state = SimState::with_tables(&prepared.tables, std::mem::take(buffers));
+    let out = map(state, &prepared.statics, objective, floor);
     if out.state.t100_ceiling() < floor {
         *buffers = out.state.into_buffers();
         return None;
@@ -141,23 +166,21 @@ pub fn run_maxmax_floored<'a>(
     Some(out)
 }
 
-/// The one Max-Max loop: commit the best triplet until none is left or,
-/// with a non-zero `floor`, the ceiling falls below it.
+/// The one Max-Max loop on a fresh `state`: commit the best triplet
+/// until none is left or, with a non-zero `floor`, the ceiling falls
+/// below it. The scenario's statics come from the caller.
 fn map<'a>(
-    scenario: &'a Scenario,
+    mut state: SimState<'a>,
+    statics: &Statics,
     objective: &Objective,
-    buffers: &mut StateBuffers,
     floor: usize,
 ) -> StaticOutcome<'a> {
-    let mut state = SimState::new_in(scenario, std::mem::take(buffers));
     let mut evaluated = 0u64;
-
-    let guard = DowngradeGuard::new(scenario);
-    let mut scan = Scan::new(scenario);
-    let mut unmapped = scenario.tasks();
+    let mut scan = Scan::new(state.scenario());
+    let mut unmapped = state.scenario().tasks();
 
     while floor == 0 || state.t100_ceiling() >= floor {
-        let Some(plan) = scan.best(&state, objective, &guard, unmapped, &mut evaluated) else {
+        let Some(plan) = scan.best(&state, objective, statics, unmapped, &mut evaluated) else {
             break;
         };
         unmapped -= 1;
@@ -302,6 +325,52 @@ impl DowngradeGuard {
     }
 }
 
+/// A scenario's Max-Max statics: the downgrade guard and the machine
+/// orders the scan's bounds fall along.
+struct Statics {
+    guard: DowngradeGuard,
+    machines: usize,
+    /// Per (task, version), every machine with the execution energy of
+    /// the task there, by ascending energy (ties by id), at
+    /// `(task * 2 + secondary) * machines`: the order along which
+    /// [`Search::bound`] only falls.
+    by_energy: Vec<(Energy, MachineId)>,
+}
+
+impl Statics {
+    fn new(scenario: &Scenario) -> Statics {
+        let machines = scenario.grid.len();
+        let mut by_energy = Vec::with_capacity(scenario.tasks() * 2 * machines);
+        for t in scenario.dag.tasks() {
+            for v in Version::BOTH {
+                let from = by_energy.len();
+                // What a slot of (t, v) on j commits there, wherever it lands.
+                by_energy.extend(
+                    scenario
+                        .grid
+                        .iter()
+                        .map(|(j, spec)| (spec.compute_energy(scenario.etc.exec_dur(t, j, v)), j)),
+                );
+                by_energy[from..].sort_unstable_by(|(ea, a), (eb, b)| {
+                    ea.units().total_cmp(&eb.units()).then(a.cmp(b))
+                });
+            }
+        }
+        Statics {
+            guard: DowngradeGuard::new(scenario),
+            machines,
+            by_energy,
+        }
+    }
+
+    /// `(t, v)`'s machines by ascending execution energy, each with that
+    /// energy.
+    fn by_energy(&self, t: TaskId, v: Version) -> &[(Energy, MachineId)] {
+        let from = (t.0 * 2 + usize::from(!v.is_primary())) * self.machines;
+        &self.by_energy[from..from + self.machines]
+    }
+}
+
 /// One kept costing: a (task, machine) pair's [`Costing`] and, once
 /// asked for, each version's [`Slot`].
 #[derive(Copy, Clone)]
@@ -321,7 +390,7 @@ type Key = (Time, TaskId, bool, MachineId);
 struct Search<'s, 'a> {
     state: &'s SimState<'a>,
     objective: &'s Objective,
-    guard: &'s DowngradeGuard,
+    statics: &'s Statics,
     /// The state's metrics: no commit happens inside a search.
     metrics: Metrics,
     /// The subtasks left after this commit, which the downgrade guard
@@ -343,7 +412,7 @@ impl Search<'_, '_> {
     fn bound(&self, t: TaskId, v: Version, exec: Energy) -> f64 {
         let m = &self.metrics;
         let aet_after = match self.objective.aet_sign {
-            AetSign::Positive => m.aet.max(self.guard.deadline[t.0]),
+            AetSign::Positive => m.aet.max(self.statics.guard.deadline[t.0]),
             AetSign::Negative => m.aet,
         };
         let totals = PlanTotals {
@@ -373,19 +442,13 @@ impl Search<'_, '_> {
     }
 }
 
-/// The product scan's memory across commits: the machine orders the
-/// bounds fall along, the kept costings, the stamps that drop them, and
-/// the planner's recycled storage.
+/// The product scan's memory across commits: the kept costings, the
+/// stamps that drop them, and the planner's recycled storage.
 #[derive(Default)]
 struct Scan {
     /// Per (task, machine) pair, at `task * machines + machine`.
     pairs: Vec<Option<Pair>>,
     machines: usize,
-    /// Per (task, version), every machine with the execution energy of
-    /// the task there, by ascending energy (ties by id), at
-    /// `(task * 2 + secondary) * machines`: the order along which
-    /// [`Search::bound`] only falls.
-    by_energy: Vec<(Energy, MachineId)>,
     /// Per machine, the epoch of the last commit onto it: its compute
     /// and receive timelines changed then.
     target_stamp: Vec<u64>,
@@ -402,26 +465,9 @@ struct Scan {
 impl Scan {
     fn new(scenario: &Scenario) -> Scan {
         let machines = scenario.grid.len();
-        let mut by_energy = Vec::with_capacity(scenario.tasks() * 2 * machines);
-        for t in scenario.dag.tasks() {
-            for v in Version::BOTH {
-                let from = by_energy.len();
-                // What a slot of (t, v) on j commits there, wherever it lands.
-                by_energy.extend(
-                    scenario
-                        .grid
-                        .iter()
-                        .map(|(j, spec)| (spec.compute_energy(scenario.etc.exec_dur(t, j, v)), j)),
-                );
-                by_energy[from..].sort_unstable_by(|(ea, a), (eb, b)| {
-                    ea.units().total_cmp(&eb.units()).then(a.cmp(b))
-                });
-            }
-        }
         Scan {
             pairs: vec![None; scenario.tasks() * machines],
             machines,
-            by_energy,
             target_stamp: vec![0; machines],
             sender_stamp: vec![0; machines],
             epoch: 1,
@@ -437,13 +483,6 @@ impl Scan {
             self.sender_stamp[tr.from.0] = self.epoch;
         }
         self.epoch += 1;
-    }
-
-    /// `(t, v)`'s machines by ascending execution energy, each with that
-    /// energy.
-    fn by_energy(&self, t: TaskId, v: Version) -> &[(Energy, MachineId)] {
-        let from = (t.0 * 2 + usize::from(!v.is_primary())) * self.machines;
-        &self.by_energy[from..from + self.machines]
     }
 
     /// The best feasible (task, version, machine) plan by objective value,
@@ -463,15 +502,15 @@ impl Scan {
         &mut self,
         state: &SimState<'_>,
         objective: &Objective,
-        guard: &DowngradeGuard,
+        statics: &Statics,
         unmapped: usize,
         evaluated: &mut u64,
     ) -> Option<MappingPlan> {
-        guard.headroom(state, &mut self.headroom);
+        statics.guard.headroom(state, &mut self.headroom);
         let mut search = Search {
             state,
             objective,
-            guard,
+            statics,
             metrics: state.metrics(),
             // No task is ready once none is unmapped.
             rest: unmapped.saturating_sub(1) as f64,
@@ -510,13 +549,14 @@ impl Scan {
     }
 
     /// The highest bound over `t`'s feasible triplets — each version's
-    /// at its first feasible machine in [`Scan::by_energy`] order — or
+    /// at its first feasible machine in [`Statics::by_energy`] order — or
     /// `None` when no version of `t` fits any battery.
     fn task_bound(&self, search: &Search<'_, '_>, t: TaskId) -> Option<f64> {
         Version::BOTH
             .into_iter()
             .filter_map(|v| {
-                let &(exec, _) = self
+                let &(exec, _) = search
+                    .statics
                     .by_energy(t, v)
                     .iter()
                     .find(|&&(_, j)| search.state.version_feasible(t, v, j))?;
@@ -526,17 +566,18 @@ impl Scan {
     }
 
     /// Judge `t`'s feasible triplets, per version in
-    /// [`Scan::by_energy`] order, until the bound falls below the
+    /// [`Statics::by_energy`] order, until the bound falls below the
     /// incumbent: the downgrade guard, the kept or fresh slot, the
     /// deadline gate and the objective.
     fn judge(&mut self, search: &mut Search<'_, '_>, t: TaskId, evaluated: &mut u64) {
         let state = search.state;
         let sc = state.scenario();
-        let deadline = search.guard.deadline[t.0];
+        let statics = search.statics;
+        let deadline = statics.guard.deadline[t.0];
         let mut senders = None;
         for v in Version::BOTH {
             for k in 0..self.machines {
-                let (exec, j) = self.by_energy(t, v)[k];
+                let (exec, j) = statics.by_energy(t, v)[k];
                 if !state.version_feasible(t, v, j) {
                     continue;
                 }
@@ -550,7 +591,7 @@ impl Scan {
                 // of the workload at the secondary level.
                 let cost = state.feasibility_demand(t, v, j);
                 let exec_secs = sc.etc.exec_dur(t, j, v).as_seconds();
-                if search
+                if statics
                     .guard
                     .capacity_after(&self.headroom, j, cost, exec_secs)
                     < search.rest
@@ -657,11 +698,12 @@ mod tests {
         for (case, tasks) in [(GridCase::A, 64), (GridCase::B, 96), (GridCase::C, 48)] {
             let sc = Scenario::generate(&ScenarioParams::paper_scaled(tasks), case, 0, 0);
             let objective = obj(0.5, 0.2);
-            let guard = DowngradeGuard::new(&sc);
+            let statics = Statics::new(&sc);
             let mut state = SimState::new(&sc);
             let mut scan = Scan::new(&sc);
             let (mut evaluated, mut unmapped, mut kept) = (0, sc.tasks(), 0);
-            while let Some(plan) = scan.best(&state, &objective, &guard, unmapped, &mut evaluated) {
+            while let Some(plan) = scan.best(&state, &objective, &statics, unmapped, &mut evaluated)
+            {
                 unmapped -= 1;
                 scan.stamp(&plan);
                 state.commit(&plan);
@@ -714,12 +756,12 @@ mod tests {
         for tasks in [32, 64, 128] {
             for case in GridCase::ALL {
                 let sc = Scenario::generate(&ScenarioParams::paper_scaled(tasks), case, 0, 0);
-                let guard = DowngradeGuard::new(&sc);
+                let statics = Statics::new(&sc);
                 let mut state = SimState::new(&sc);
                 let mut scan = Scan::new(&sc);
                 let (mut evaluated, mut unmapped, mut checked) = (0, sc.tasks(), 0);
                 while let Some(plan) =
-                    scan.best(&state, &obj(0.5, 0.25), &guard, unmapped, &mut evaluated)
+                    scan.best(&state, &obj(0.5, 0.25), &statics, unmapped, &mut evaluated)
                 {
                     unmapped -= 1;
                     scan.stamp(&plan);
@@ -729,7 +771,7 @@ mod tests {
                         .map(|objective| Search {
                             state: &state,
                             objective,
-                            guard: &guard,
+                            statics: &statics,
                             metrics: state.metrics(),
                             rest: 0.0,
                             best: None,
@@ -738,7 +780,7 @@ mod tests {
                     for &t in state.ready_tasks() {
                         for v in Version::BOTH {
                             for search in &searches {
-                                let bounds = scan
+                                let bounds = statics
                                     .by_energy(t, v)
                                     .iter()
                                     .map(|&(exec, _)| search.bound(t, v, exec));
@@ -755,9 +797,9 @@ mod tests {
                                 let cost = state.cost(t, j, Placement::Insert, &mut scan.scratch);
                                 let slot = cost.at(&state, v);
                                 let &(exec, _) =
-                                    scan.by_energy(t, v).iter().find(|e| e.1 == j).unwrap();
+                                    statics.by_energy(t, v).iter().find(|e| e.1 == j).unwrap();
                                 assert_eq!(exec, slot.exec_energy, "{case:?}: {t}/{v:?} on {j}");
-                                let admitted = slot.finish() <= guard.deadline[t.0];
+                                let admitted = slot.finish() <= statics.guard.deadline[t.0];
                                 for search in &searches {
                                     if search.objective.aet_sign == AetSign::Positive && !admitted {
                                         continue;
@@ -784,6 +826,45 @@ mod tests {
                     checked > 1000,
                     "{case:?}, {tasks} tasks: only {checked} slots checked"
                 );
+            }
+        }
+    }
+
+    /// The weight search lends one scenario's statics to every run: each
+    /// run over the coarse grid of weights, on buffers the previous run
+    /// handed back, equals a run that built its own statics — the same
+    /// assignments, transfers and judged triplets.
+    #[test]
+    fn shared_statics_replay_runs_that_build_their_own() {
+        for case in GridCase::ALL {
+            let sc = Scenario::generate(&ScenarioParams::paper_scaled(32), case, 0, 0);
+            let prepared = Prepared::new(&sc);
+            let mut buffers = StateBuffers::default();
+            let weights = (0..=10).flat_map(|a| (0..=10).map(move |b| (a, b)));
+            for w in weights.filter_map(|(a, b)| Weights::new(a as f64 * 0.1, b as f64 * 0.1).ok())
+            {
+                let objective = Objective::paper(w);
+                let own = run_maxmax(&sc, &objective);
+                let shared = run_maxmax_floored(&prepared, &objective, &mut buffers, 0)
+                    .expect("floor 0 never cuts");
+                let what = format!("{case:?} at {w:?}");
+                assert_eq!(
+                    shared.candidates_evaluated, own.candidates_evaluated,
+                    "{what}"
+                );
+                assert_eq!(
+                    shared.state.schedule().transfers(),
+                    own.state.schedule().transfers(),
+                    "{what}"
+                );
+                for t in sc.dag.tasks() {
+                    assert_eq!(
+                        shared.state.schedule().assignment(t),
+                        own.state.schedule().assignment(t),
+                        "{what}: {t}"
+                    );
+                }
+                buffers = shared.state.into_buffers();
             }
         }
     }

@@ -16,7 +16,10 @@
 //! The context carries **capacity, never content**: every run begins by
 //! resetting each buffer from the scenario ([`SimState::new_in`],
 //! `Frontier::reset`), re-deriving all values exactly as the fresh
-//! constructors do. The golden differential suite
+//! constructors do. What one scenario fixes for all its runs — its
+//! `ScenarioTables` — is content, so it never rides in the context: a
+//! driver that maps a scenario many times builds the tables once and
+//! lends them by borrow ([`RunContext::state_on`]). The golden differential suite
 //! (`grid-sweep/tests/golden_run_context.rs`) pins byte-identical
 //! campaign and weight-search reports against pre-reuse references, at
 //! 1 and 4 worker threads, and the stress harness compares a fresh
@@ -24,6 +27,7 @@
 
 use adhoc_grid::workload::Scenario;
 use gridsim::state::{SimState, StateBuffers};
+use gridsim::tables::ScenarioTables;
 
 use crate::frontier::Frontier;
 
@@ -52,6 +56,13 @@ impl RunContext {
     /// [`RunContext::reclaim`] when the run is finished.
     pub fn state<'a>(&mut self, scenario: &'a Scenario) -> SimState<'a> {
         SimState::new_in(scenario, std::mem::take(&mut self.buffers))
+    }
+
+    /// [`RunContext::state`] reading the scenario's static tables from
+    /// `tables` ([`SimState::with_tables`]): for a driver that maps one
+    /// scenario many times and builds its tables once.
+    pub fn state_on<'a>(&mut self, tables: &'a ScenarioTables<'a>) -> SimState<'a> {
+        SimState::with_tables(tables, std::mem::take(&mut self.buffers))
     }
 
     /// The raw state buffers, for drivers that construct their own

@@ -34,6 +34,7 @@ use adhoc_grid::workload::Scenario;
 use gridsim::metrics::Metrics;
 use gridsim::plan::{Costing, MappingPlan, Placement, PlanScratch, PlanTotals, Slot};
 use gridsim::state::SimState;
+use gridsim::tables::ScenarioTables;
 use lagrange::weights::{Objective, Weights};
 
 use crate::config::{SlrhConfig, SlrhVariant};
@@ -216,7 +217,9 @@ pub fn run_slrh_with<'a>(
 }
 
 /// The weight search's run, and nothing else's: [`run_slrh_with`] on a
-/// frozen grid with no observer, abandoned at the first tick where
+/// frozen grid with no observer, reading the scenario's static tables
+/// from `tables` (built once per search, see
+/// [`SimState::with_tables`]), abandoned at the first tick where
 /// [`SimState::t100_ceiling`] is strictly below `floor`. Every commit is
 /// final on a frozen grid, so the ceiling only falls, and a run it puts
 /// below `floor` can never reach `floor`. Such a run (cut, or finished
@@ -224,12 +227,12 @@ pub fn run_slrh_with<'a>(
 /// is exactly [`run_slrh_with`]'s. `floor` 0 never cuts.
 #[doc(hidden)]
 pub fn run_slrh_floored<'a>(
-    scenario: &'a Scenario,
+    tables: &'a ScenarioTables<'a>,
     config: &SlrhConfig,
     ctx: &mut RunContext,
     floor: usize,
 ) -> Option<SlrhOutcome<'a>> {
-    let mut state = ctx.state(scenario);
+    let mut state = ctx.state_on(tables);
     let mut run = *config;
     let mut stats = RunStats::default();
     let frontier = ctx.frontier_for(&state);

@@ -176,11 +176,13 @@ impl Dag {
     }
 
     /// Parents of `t` (its data sources), in ascending id order.
+    #[inline]
     pub fn parents(&self, t: TaskId) -> &[TaskId] {
         &self.parent_edges[self.parent_off[t.0] as usize..self.parent_off[t.0 + 1] as usize]
     }
 
     /// Children of `t` (its data sinks), in ascending id order.
+    #[inline]
     pub fn children(&self, t: TaskId) -> &[TaskId] {
         &self.child_edges[self.child_off[t.0] as usize..self.child_off[t.0 + 1] as usize]
     }
@@ -192,6 +194,7 @@ impl Dag {
     }
 
     /// Edge ids of `t`'s out-edges, aligned with [`Dag::children`].
+    #[inline]
     pub fn out_edges(&self, t: TaskId) -> &[u32] {
         &self.out_ids[self.child_off[t.0] as usize..self.child_off[t.0 + 1] as usize]
     }
@@ -200,6 +203,7 @@ impl Dag {
     /// edge (or `child` is out of range). A binary search over `child`'s
     /// parents — for lookups by endpoint pair; code walking an adjacency
     /// list reads [`Dag::in_edges`] / [`Dag::out_edges`] instead.
+    #[inline]
     pub fn edge_id(&self, parent: TaskId, child: TaskId) -> Option<usize> {
         if child.0 >= self.len() {
             return None;

@@ -63,6 +63,7 @@ impl EtcMatrix {
 
     /// Execution duration of `(task, version)` on machine `j`, in ticks
     /// (rounded up, so a secondary version is never free).
+    #[inline]
     pub fn exec_dur(&self, i: TaskId, j: MachineId, v: Version) -> Dur {
         Dur::from_seconds_ceil(self.seconds(i, j) * v.time_factor())
     }

@@ -104,6 +104,7 @@ impl MachineSpec {
     /// The paper defines the per-bit cost as `CMT(i,j) = 1/min(BW_i, BW_j)`,
     /// so the whole item takes `g / min(BW_i, BW_j)` seconds, rounded up to
     /// whole ticks.
+    #[inline]
     pub fn transfer_dur(&self, receiver: &MachineSpec, g: Megabits) -> Dur {
         let bw = self.bandwidth_mbps.min(receiver.bandwidth_mbps);
         Dur::from_seconds_ceil(g.transfer_seconds(bw))

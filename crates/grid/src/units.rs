@@ -109,6 +109,7 @@ impl Dur {
     /// truncation that lost a fraction adds one tick. (The baseline
     /// x86-64 target has no rounding instruction, so `f64::ceil` is a
     /// libm call on the planner's hot path.)
+    #[inline]
     pub fn from_seconds_ceil(secs: f64) -> Dur {
         assert!(secs >= 0.0 && secs.is_finite(), "invalid duration: {secs}");
         let ticks = secs * TICKS_PER_SECOND as f64;
@@ -133,12 +134,14 @@ impl Dur {
 
 impl Add<Dur> for Time {
     type Output = Time;
+    #[inline]
     fn add(self, rhs: Dur) -> Time {
         Time(self.0.checked_add(rhs.0).expect("Time overflow"))
     }
 }
 
 impl AddAssign<Dur> for Time {
+    #[inline]
     fn add_assign(&mut self, rhs: Dur) {
         *self = *self + rhs;
     }
@@ -146,6 +149,7 @@ impl AddAssign<Dur> for Time {
 
 impl Sub<Dur> for Time {
     type Output = Time;
+    #[inline]
     fn sub(self, rhs: Dur) -> Time {
         Time(self.0.checked_sub(rhs.0).expect("Time underflow"))
     }
@@ -153,12 +157,14 @@ impl Sub<Dur> for Time {
 
 impl Add for Dur {
     type Output = Dur;
+    #[inline]
     fn add(self, rhs: Dur) -> Dur {
         Dur(self.0.checked_add(rhs.0).expect("Dur overflow"))
     }
 }
 
 impl AddAssign for Dur {
+    #[inline]
     fn add_assign(&mut self, rhs: Dur) {
         *self = *self + rhs;
     }
@@ -166,6 +172,7 @@ impl AddAssign for Dur {
 
 impl Sub for Dur {
     type Output = Dur;
+    #[inline]
     fn sub(self, rhs: Dur) -> Dur {
         Dur(self.0.checked_sub(rhs.0).expect("Dur underflow"))
     }
@@ -173,6 +180,7 @@ impl Sub for Dur {
 
 impl Mul<u64> for Dur {
     type Output = Dur;
+    #[inline]
     fn mul(self, rhs: u64) -> Dur {
         Dur(self.0.checked_mul(rhs).expect("Dur overflow"))
     }
@@ -306,6 +314,7 @@ impl Megabits {
     /// Transfer time in seconds over an effective bandwidth of
     /// `bw_mbps` megabits per second. This is `g · CMT` with
     /// `CMT = 1 / min(BW_i, BW_j)` resolved by the caller.
+    #[inline]
     pub fn transfer_seconds(self, bw_mbps: f64) -> f64 {
         assert!(bw_mbps > 0.0, "bandwidth must be positive");
         self.0 / bw_mbps

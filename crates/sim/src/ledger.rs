@@ -93,6 +93,7 @@ impl EnergyLedger {
     }
 
     /// Energy still uncommitted and unreserved on `j`.
+    #[inline]
     pub fn available(&self, j: MachineId) -> Energy {
         (self.battery[j.0] - self.committed[j.0] - self.reserved[j.0]).max(Energy::ZERO)
     }
@@ -105,6 +106,7 @@ impl EnergyLedger {
     /// The affordability threshold [`EnergyLedger::can_afford`] compares
     /// against, hoisted for batch feasibility gating:
     /// `can_afford(j, e)` ⇔ `e.units() <= afford_limit(j)`.
+    #[inline]
     pub fn afford_limit(&self, j: MachineId) -> f64 {
         self.available(j).units() + ENERGY_EPS
     }

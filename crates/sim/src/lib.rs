@@ -41,6 +41,7 @@ pub mod outcome;
 pub mod plan;
 pub mod schedule;
 pub mod state;
+pub mod tables;
 pub mod timeline;
 pub mod trace;
 pub mod validate;
@@ -52,6 +53,7 @@ pub use outcome::MappingOutcome;
 pub use plan::{Costing, MappingPlan, Placement, PlanScratch, PlanTotals, Slot};
 pub use schedule::{Assignment, Schedule, Transfer};
 pub use state::{SimState, StateBuffers};
+pub use tables::ScenarioTables;
 pub use timeline::Timeline;
 pub use trace::Trace;
 pub use validate::{validate, validate_schedule, Invariant, ValidationError};

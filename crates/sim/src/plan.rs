@@ -97,6 +97,7 @@ pub struct MappingPlan {
 
 impl MappingPlan {
     /// First tick after the execution completes.
+    #[inline]
     pub fn finish(&self) -> Time {
         self.start + self.exec_dur
     }
@@ -184,6 +185,7 @@ pub struct Slot {
 
 impl Slot {
     /// First tick after the execution completes.
+    #[inline]
     pub fn finish(&self) -> Time {
         self.start + self.exec_dur
     }
@@ -379,7 +381,7 @@ pub(crate) fn plan_mapping(
     // Worst-case outgoing reservations for every (necessarily unmapped)
     // child: assume the child lands across the grid's slowest link.
     let mut child_reservations = emptied(&mut scratch.child_reservations);
-    child_reservations.extend(worst_case_child_reservations(state, task, version, machine));
+    child_reservations.extend(state.tables().child_reservations(task, version, machine));
 
     MappingPlan {
         task,
@@ -393,27 +395,6 @@ pub(crate) fn plan_mapping(
         child_reservations,
         totals: slot.totals(state),
     }
-}
-
-/// Worst-case per-child outgoing reservations for `(task, version)` on
-/// `machine`, in child order — the §IV conservative bound used both for
-/// planning and for pool feasibility: `machine`'s transmit energy over
-/// each out-edge's worst-case duration (the state's per-edge table).
-pub(crate) fn worst_case_child_reservations<'b>(
-    state: &'b SimState<'_>,
-    task: TaskId,
-    version: Version,
-    machine: MachineId,
-) -> impl Iterator<Item = (TaskId, Energy)> + 'b {
-    let dag = &state.scenario().dag;
-    let spec = state.scenario().grid.machine(machine);
-    dag.children(task)
-        .iter()
-        .zip(dag.out_edges(task))
-        .map(move |(&c, &e)| {
-            let worst = state.worst_dur(e as usize, version);
-            (c, spec.transmit_energy(worst))
-        })
 }
 
 /// Earliest instant `>= not_before` at which a span of `dur` is free on

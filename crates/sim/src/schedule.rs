@@ -24,6 +24,7 @@ pub struct Assignment {
 
 impl Assignment {
     /// First tick after execution completes.
+    #[inline]
     pub fn finish(&self) -> Time {
         self.start + self.dur
     }
@@ -52,6 +53,7 @@ pub struct Transfer {
 
 impl Transfer {
     /// First tick after the data has fully arrived.
+    #[inline]
     pub fn finish(&self) -> Time {
         self.start + self.dur
     }

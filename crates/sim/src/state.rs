@@ -28,13 +28,14 @@ use std::cell::Cell;
 
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
-use adhoc_grid::units::{Dur, Energy, Time};
+use adhoc_grid::units::{Energy, Time};
 use adhoc_grid::workload::Scenario;
 
 use crate::ledger::EnergyLedger;
 use crate::metrics::Metrics;
 use crate::plan::{self, Costing, MappingPlan, Placement, PlanScratch};
 use crate::schedule::{Assignment, Schedule, Transfer};
+use crate::tables::{ScenarioTables, TableBuffers};
 use crate::timeline::Timeline;
 
 /// The set of unmapped tasks whose parents are all mapped, with O(1)
@@ -99,8 +100,8 @@ impl ReadySet {
 ///
 /// A single run allocates a dozen-odd vectors (three timeline sets,
 /// ledger accounts and per-edge reservations, the schedule and its
-/// per-child transfer index, readiness bookkeeping, the per-edge §IV
-/// duration table and the feasibility-demand table, the lists a commit
+/// per-child transfer index, readiness bookkeeping, the scenario's
+/// [`ScenarioTables`] when the run builds its own, the lists a commit
 /// and an unmap return). Campaign-style
 /// drivers that execute thousands of runs back to back can instead keep
 /// one `StateBuffers`, build each run's state with [`SimState::new_in`],
@@ -112,7 +113,9 @@ impl ReadySet {
 /// and re-derives every field from the scenario exactly as
 /// [`SimState::new`] does, so a state built from recycled buffers is
 /// indistinguishable from a fresh one (the `recycled_buffers_*` tests
-/// pin this down to demand-table bit patterns). Donating buffers sized
+/// pin this down to demand-table bit patterns). A scenario's content
+/// that outlives one run is a [`ScenarioTables`] lent by borrow
+/// ([`SimState::with_tables`]), never a buffer. Donating buffers sized
 /// for a different scenario is fine — everything is resized.
 #[derive(Debug, Default)]
 pub struct StateBuffers {
@@ -125,32 +128,23 @@ pub struct StateBuffers {
     ready: ReadySet,
     available: Vec<Time>,
     lost: Vec<Option<Time>>,
-    demand: Vec<Energy>,
-    out_durs: Vec<Dur>,
-    demand_ub: Vec<Energy>,
+    tables: TableBuffers,
     newly_ready: Vec<TaskId>,
     starved: Vec<TaskId>,
     unmap_incoming: Vec<Transfer>,
 }
 
-/// Cap on the precomputed feasibility-demand table, in entries
-/// (`tasks × machines × 2`). Paper-scale scenarios (1024 × 10) sit four
-/// orders of magnitude below it and always get the table; at the scale
-/// kernel's target sizes (100k tasks × 1000 machines) the table would be
-/// 1.6 GB and its precompute pass would dominate run setup, while the
-/// frontier's rejection bits only ever gate a small slice of it — above
-/// the cap [`SimState::feasibility_demand`] evaluates the same expression
-/// lazily, bit-identically. The cap keeps paper-scale runs (1024 × 10,
-/// 20 480 entries) on the table while every scale-kernel size — where
-/// the precompute pass is a triple-digit-millisecond fixed cost that
-/// the frontier's sparse gating never amortises — takes the lazy path.
-/// Both paths read the per-edge duration table
-/// ([`SimState::out_durs`]), which every scenario gets: it is
-/// `2 × edges` entries whatever the grid size.
-const DEMAND_TABLE_MAX: usize = 1 << 20;
-
 /// Key of an empty `TEC` memo (no revision reaches it).
 const TEC_MEMO_EMPTY: u64 = u64::MAX;
+
+/// Where a state's [`ScenarioTables`] live: built for the run on its
+/// buffers, or lent by the caller, the run's own table storage then
+/// kept aside for [`SimState::into_buffers`].
+#[derive(Clone, Debug)]
+enum Tables<'a> {
+    Own(ScenarioTables<'a>),
+    Lent(&'a ScenarioTables<'a>, TableBuffers),
+}
 
 /// Mutable simulation state for one scenario run.
 #[derive(Clone, Debug)]
@@ -172,46 +166,10 @@ pub struct SimState<'a> {
     available: Vec<Time>,
     /// Machines lost to the grid (dynamic extension), with loss time.
     lost: Vec<Option<Time>>,
-    /// Precomputed §IV feasibility demand, indexed
-    /// `(t * machines + j) * 2 + version`: execution energy plus the
-    /// worst-case outgoing-communication energy for mapping `(t, v)` on
-    /// `j`. Both summands depend only on the scenario's static tables
-    /// (ETC entry, children's item sizes, the grid's lowest bandwidth),
-    /// never on the clock, timelines or ledger — so the whole table is
-    /// computed once at construction and [`SimState::version_feasible`]
-    /// becomes one lookup and one ledger compare. The clock loop
-    /// evaluates that gate for every ready task on every machine on
-    /// every tick (including the long tail of ticks where nothing fits),
-    /// which made the recomputation the single hottest path in the SLRH
-    /// kernel. **Empty** (no table) for scenarios above
-    /// [`DEMAND_TABLE_MAX`] entries; queries then evaluate the same
-    /// expression lazily via [`SimState::demand_of`].
-    demand: Vec<Energy>,
-    /// The §IV worst-case transfer duration of every DAG edge, indexed
-    /// `edge_id * 2 + version` (versions alternating fastest):
-    /// `Dur::from_seconds_ceil(size.scaled(v).transfer_seconds(min_bw))`,
-    /// the item shipped across the grid's slowest link. It is
-    /// machine-independent (`min_bw` is the grid-wide minimum) and static
-    /// per scenario, so it is built for **every** scenario at
-    /// construction, and this build is the one place `min_bandwidth_mbps`
-    /// and the §IV ceil are evaluated: the demand table (or the lazy
-    /// demand above the cap), the plan's per-child reservations and
-    /// `unmap`'s re-reservations all apply the per-machine
-    /// `transmit_energy` to these durations in child order.
-    out_durs: Vec<Dur>,
-    /// Per-`(task, version)` upper bound on the §IV demand across every
-    /// machine (`demand_ub[t * 2 + version] ≥ demand_of(t, v, j)` for
-    /// all `j`), built for above-cap scenarios only. The §IV gate
-    /// compares it against the afford limit first: a bound under the
-    /// limit proves feasibility without
-    /// evaluating the per-machine demand — the common case on grids
-    /// whose batteries are far from exhaustion, which is exactly where
-    /// the lazy demand path would otherwise be the hottest loop. The
-    /// bound is the sum of the machine-wise maxima of the two demand
-    /// summands; `f64` addition and `max` are monotone, so
-    /// `bound ≤ limit` implies `demand ≤ limit` exactly and the gate's
-    /// accept/reject set is unchanged bit for bit.
-    demand_ub: Vec<Energy>,
+    /// The scenario's static §IV tables (per-edge worst-case durations,
+    /// the feasibility-demand table): built for this run, or lent by a
+    /// driver that maps the scenario many times.
+    tables: Tables<'a>,
     /// The subtasks the last commit readied (see [`SimState::commit`]).
     newly_ready: Vec<TaskId>,
     /// The parents the last unmap starved (see [`SimState::unmap`]).
@@ -249,14 +207,27 @@ impl<'a> SimState<'a> {
     /// capacity. Reclaim the storage after the run with
     /// [`SimState::into_buffers`].
     ///
-    /// The per-edge duration table and the demand table are *recomputed*
-    /// on every reset even though they are static per scenario: buffers
-    /// migrate between scenarios, and a
-    /// scenario's address is no stable identity (a dropped scenario's
-    /// allocation can be reused), so caching keyed on provenance would be
-    /// unsound. Recomputation uses the exact expression `new` uses, so
+    /// The run builds the scenario's [`ScenarioTables`] on the buffers.
+    /// A driver that maps one scenario many times builds them once
+    /// instead and lends them to every run with
+    /// [`SimState::with_tables`]: the tables borrow the scenario, so the
+    /// borrow is their provenance and no run can read another
+    /// scenario's tables. Both paths evaluate the same expressions, so
     /// the values are bit-identical either way.
-    pub fn new_in(sc: &'a Scenario, buffers: StateBuffers) -> SimState<'a> {
+    pub fn new_in(sc: &'a Scenario, mut buffers: StateBuffers) -> SimState<'a> {
+        let tables = ScenarioTables::build(sc, std::mem::take(&mut buffers.tables));
+        SimState::assemble(sc, Tables::Own(tables), buffers)
+    }
+
+    /// [`SimState::new_in`] reading the scenario's static tables from
+    /// `tables` instead of building them: bit-identical to a state built
+    /// on its own tables.
+    pub fn with_tables(tables: &'a ScenarioTables<'a>, mut buffers: StateBuffers) -> SimState<'a> {
+        let spare = std::mem::take(&mut buffers.tables);
+        SimState::assemble(tables.scenario(), Tables::Lent(tables, spare), buffers)
+    }
+
+    fn assemble(sc: &'a Scenario, tables: Tables<'a>, buffers: StateBuffers) -> SimState<'a> {
         let n = sc.tasks();
         let m = sc.grid.len();
         let StateBuffers {
@@ -269,9 +240,7 @@ impl<'a> SimState<'a> {
             mut ready,
             mut available,
             mut lost,
-            mut demand,
-            mut out_durs,
-            mut demand_ub,
+            tables: _,
             newly_ready,
             starved,
             unmap_incoming,
@@ -291,19 +260,7 @@ impl<'a> SimState<'a> {
         available.resize(m, Time::ZERO);
         lost.clear();
         lost.resize(m, None);
-        demand.clear();
-        demand_ub.clear();
-        // The per-edge §IV durations (see the field docs), in edge-id
-        // order; everything below reads them.
-        let min_bw = sc.grid.min_bandwidth_mbps();
-        out_durs.clear();
-        out_durs.extend((0..sc.dag.edge_count()).flat_map(|e| {
-            let size = sc.data.by_id(e);
-            Version::BOTH.map(|v| {
-                Dur::from_seconds_ceil(size.scaled(v.data_factor()).transfer_seconds(min_bw))
-            })
-        }));
-        let mut state = SimState {
+        SimState {
             sc,
             compute,
             tx,
@@ -314,9 +271,7 @@ impl<'a> SimState<'a> {
             ready,
             available,
             lost,
-            demand: Vec::new(),
-            out_durs,
-            demand_ub: Vec::new(),
+            tables,
             newly_ready,
             starved,
             unmap_incoming,
@@ -325,61 +280,7 @@ impl<'a> SimState<'a> {
             tse: sc.grid.total_system_energy(),
             tec_memo: Cell::new((TEC_MEMO_EMPTY, 0.0)),
             revision: 0,
-        };
-        // Precompute the static feasibility-demand table (see the field
-        // docs) with the exact expression `version_feasible` used to
-        // evaluate per query, so the cached values are bit-identical.
-        // Above the size cap the table is skipped and the same expression
-        // is evaluated lazily per query ([`SimState::feasibility_demand`])
-        // — bit-identical by construction, since both paths call
-        // [`SimState::demand_of`].
-        if n * m * 2 <= DEMAND_TABLE_MAX {
-            demand.reserve(n * m * 2);
-            for t in sc.dag.tasks() {
-                for j in sc.grid.ids() {
-                    for v in Version::BOTH {
-                        demand.push(state.demand_of(t, v, j));
-                    }
-                }
-            }
-        } else {
-            // Grid-wide demand upper bound per (task, version) — see the
-            // field docs. `transmit_energy` is linear in the machine's
-            // communication power, so the shipment summand is maximised
-            // machine-wise by the highest-power machine applied to the
-            // same cached durations; the execution summand is maximised
-            // by direct scan.
-            let worst_comm = sc
-                .grid
-                .ids()
-                .max_by(|&a, &b| {
-                    let ea = sc.grid.machine(a).transmit_energy(Dur(1)).units();
-                    let eb = sc.grid.machine(b).transmit_energy(Dur(1)).units();
-                    ea.partial_cmp(&eb).expect("powers are finite")
-                })
-                .expect("grids are non-empty");
-            let worst_spec = sc.grid.machine(worst_comm);
-            demand_ub.reserve(n * 2);
-            for t in sc.dag.tasks() {
-                for v in Version::BOTH {
-                    let exec_max = sc
-                        .grid
-                        .ids()
-                        .map(|j| state.exec_energy(t, v, j).units())
-                        .fold(0.0f64, f64::max);
-                    let ship_max: Energy = sc
-                        .dag
-                        .out_edges(t)
-                        .iter()
-                        .map(|&e| worst_spec.transmit_energy(state.worst_dur(e as usize, v)))
-                        .sum();
-                    demand_ub.push(Energy(exec_max) + ship_max);
-                }
-            }
-            state.demand_ub = demand_ub;
         }
-        state.demand = demand;
-        state
     }
 
     /// Detach the state's backing storage for reuse by a later
@@ -396,9 +297,7 @@ impl<'a> SimState<'a> {
             ready,
             available,
             lost,
-            demand,
-            out_durs,
-            demand_ub,
+            tables,
             newly_ready,
             starved,
             unmap_incoming,
@@ -414,45 +313,23 @@ impl<'a> SimState<'a> {
             ready,
             available,
             lost,
-            demand,
-            out_durs,
-            demand_ub,
+            tables: match tables {
+                Tables::Own(tables) => tables.into_buffers(),
+                Tables::Lent(_, spare) => spare,
+            },
             newly_ready,
             starved,
             unmap_incoming,
         }
     }
 
-    /// Index into [`SimState::demand`]: versions alternate fastest.
-    fn demand_idx(&self, t: TaskId, v: Version, j: MachineId) -> usize {
-        (t.0 * self.sc.grid.len() + j.0) * 2 + usize::from(!v.is_primary())
-    }
-
-    /// The §IV demand expression: execution plus worst-case shipment of
-    /// every output item, summed in child order (as the plan itemises
-    /// it). This is the **single definition** both the precomputed table
-    /// and the above-cap lazy path evaluate, which is what makes the two
-    /// serving modes bit-identical.
-    fn demand_of(&self, t: TaskId, v: Version, j: MachineId) -> Energy {
-        let out: Energy = plan::worst_case_child_reservations(self, t, v, j)
-            .map(|(_, e)| e)
-            .sum();
-        self.exec_energy(t, v, j) + out
-    }
-
-    /// Energy execution of `(t, v)` on `j` would commit.
-    fn exec_energy(&self, t: TaskId, v: Version, j: MachineId) -> Energy {
-        self.sc
-            .grid
-            .machine(j)
-            .compute_energy(self.sc.etc.exec_dur(t, j, v))
-    }
-
-    /// The §IV worst-case duration of shipping edge `e`'s item, produced
-    /// at version `v`, across the grid's slowest link (see
-    /// [`SimState::out_durs`]).
-    pub(crate) fn worst_dur(&self, e: usize, v: Version) -> Dur {
-        self.out_durs[e * 2 + usize::from(!v.is_primary())]
+    /// The scenario's static §IV tables this run reads.
+    #[inline]
+    pub(crate) fn tables(&self) -> &ScenarioTables<'a> {
+        match &self.tables {
+            Tables::Own(tables) => tables,
+            Tables::Lent(tables, _) => tables,
+        }
     }
 
     /// The monotonic mutation counter: 0 for a fresh state, incremented
@@ -493,6 +370,7 @@ impl<'a> SimState<'a> {
 
     /// First instant at which machine `j` has no scheduled computation —
     /// the SLRH "availability time".
+    #[inline]
     pub fn compute_ready(&self, j: MachineId) -> Time {
         self.compute[j.0].ready_time()
     }
@@ -599,33 +477,20 @@ impl<'a> SimState<'a> {
     }
 
     /// The total energy mapping `(t, v)` on `j` must be able to afford:
-    /// execution plus the §IV worst-case shipment of every output item.
-    /// Served from the precomputed static table when one was built, and
-    /// evaluated lazily (same expression, bit-identical values) for
-    /// scenarios above the table-size cap — see
-    /// [`SimState::version_feasible`].
+    /// execution plus the §IV worst-case shipment of every output item
+    /// (see [`ScenarioTables`]).
+    #[inline]
     pub fn feasibility_demand(&self, t: TaskId, v: Version, j: MachineId) -> Energy {
-        if self.demand.is_empty() {
-            return self.demand_of(t, v, j);
-        }
-        self.demand[self.demand_idx(t, v, j)]
+        self.tables().feasibility_demand(t, v, j)
     }
 
     /// The §IV demand-vs-`limit` predicate for one candidate, with
     /// liveness and the machine's afford limit hoisted by the caller
     /// (the scale kernel re-checks cached candidates against a fallen
-    /// limit with this). Table-backed it is one strided lookup and one
-    /// compare; above the table cap the grid-wide per-(task, version)
-    /// demand bound settles most candidates with one compare and the
-    /// exact per-machine demand is only evaluated when the bound is
-    /// inconclusive — same accept set either way, since the bound
-    /// dominates the demand (see [`SimState::demand_ub`]).
+    /// limit with this); see [`ScenarioTables`].
+    #[inline]
     pub fn gate_feasible(&self, t: TaskId, v: Version, j: MachineId, limit: f64) -> bool {
-        if self.demand.is_empty() {
-            return self.demand_ub[t.0 * 2 + usize::from(!v.is_primary())].units() <= limit
-                || self.demand_of(t, v, j).units() <= limit;
-        }
-        self.demand[self.demand_idx(t, v, j)].units() <= limit
+        self.tables().gate_feasible(t, v, j, limit)
     }
 
     /// Whether *any* task of `tasks` passes the `(v, j)` feasibility
@@ -642,11 +507,9 @@ impl<'a> SimState<'a> {
     ///
     /// The SLRH pool check (§IV) calls this with [`Version::Secondary`];
     /// Max-Max (§V) assesses each version independently. The demand side
-    /// is static for the whole run: served from a lookup table up to
-    /// `DEMAND_TABLE_MAX` entries and computed lazily behind the
-    /// per-(task, version) bound `demand_ub` above it (see
-    /// [`SimState::gate_feasible`]); only liveness and the machine's
-    /// remaining energy are read live.
+    /// is static per scenario ([`ScenarioTables`]); only
+    /// liveness and the machine's remaining energy are read live.
+    #[inline]
     pub fn version_feasible(&self, t: TaskId, v: Version, j: MachineId) -> bool {
         self.is_alive(j) && self.gate_feasible(t, v, j, self.ledger.afford_limit(j))
     }
@@ -834,7 +697,7 @@ impl<'a> SimState<'a> {
                 .sc
                 .grid
                 .machine(pj)
-                .transmit_energy(self.worst_dur(e, pa.version));
+                .transmit_energy(self.tables().worst_dur(e, pa.version));
             if self.is_alive(pj) && self.ledger.can_afford(pj, worst) {
                 self.ledger.reserve(pj, e, worst);
             } else {
@@ -878,6 +741,7 @@ impl<'a> SimState<'a> {
     }
 
     /// Snapshot the run's metrics.
+    #[inline]
     pub fn metrics(&self) -> Metrics {
         Metrics {
             tasks: self.sc.tasks(),
@@ -1368,21 +1232,34 @@ mod tests {
     }
 
     #[test]
-    fn demand_table_matches_the_lazy_expression_bitwise() {
-        // The table and the above-cap lazy path must serve the same
-        // bits: both are defined by `demand_of`, and this pins the table
-        // entries to one fresh evaluation of that expression.
+    fn lent_tables_produce_identical_runs() {
         let sc = tiny_scenario();
-        let st = SimState::new(&sc);
-        for t in sc.dag.tasks() {
-            for j in sc.grid.ids() {
-                for v in Version::BOTH {
-                    let lazy = st.demand_of(t, v, j);
-                    assert_eq!(
-                        st.feasibility_demand(t, v, j).units().to_bits(),
-                        lazy.units().to_bits(),
-                        "table and expression disagree at ({t}, {v:?}, {j})"
-                    );
+        let mut own = SimState::new(&sc);
+        drain_onto_m0(&mut own);
+
+        // A lent run on buffers dirtied by another scenario, then an own
+        // run on the buffers the lent run hands back.
+        let other = Scenario::generate(&ScenarioParams::paper_scaled(24), GridCase::B, 1, 1);
+        let mut dirty = SimState::new(&other);
+        drain_onto_m0(&mut dirty);
+        let tables = ScenarioTables::new(&sc);
+        let mut lent = SimState::with_tables(&tables, dirty.into_buffers());
+        drain_onto_m0(&mut lent);
+        let mut after = SimState::new_in(&sc, lent.clone().into_buffers());
+        drain_onto_m0(&mut after);
+
+        for st in [&lent, &after] {
+            assert_eq!(st.metrics(), own.metrics());
+            assert_eq!(st.schedule().transfers(), own.schedule().transfers());
+            for t in sc.dag.tasks() {
+                assert_eq!(st.schedule().assignment(t), own.schedule().assignment(t));
+                for j in sc.grid.ids() {
+                    for v in Version::BOTH {
+                        assert_eq!(
+                            st.feasibility_demand(t, v, j).units().to_bits(),
+                            own.feasibility_demand(t, v, j).units().to_bits()
+                        );
+                    }
                 }
             }
         }

@@ -78,6 +78,7 @@ impl Timeline {
 
     /// The first instant after which the timeline is free forever —
     /// `Time::ZERO` when empty. This is the machine's "availability time".
+    #[inline]
     pub fn ready_time(&self) -> Time {
         self.busy.last().map_or(Time::ZERO, |iv| iv.end)
     }

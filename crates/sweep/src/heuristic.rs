@@ -3,13 +3,25 @@
 use std::time::{Duration, Instant};
 
 use adhoc_grid::workload::Scenario;
-use grid_baselines::maxmax::run_maxmax_floored;
+use grid_baselines::maxmax::{self, run_maxmax_floored};
 use grid_baselines::{run_dbc_in, run_greedy_in, run_lr_list_in, run_maxmax_in};
 use gridsim::metrics::Metrics;
-use gridsim::MappingOutcome;
+use gridsim::{MappingOutcome, ScenarioTables};
 use lagrange::weights::{Objective, Weights};
 use slrh::mapper::run_slrh_floored;
 use slrh::{run_slrh_with, Churn, RunContext, SlrhConfig, SlrhVariant};
+
+/// One scenario prepared for a weight search: what every run of the
+/// search reads and none writes, built once ([`Heuristic::prepare`]) and
+/// lent to each run ([`Heuristic::score_in`]).
+pub(crate) enum Prepared<'a> {
+    /// An SLRH variant's: the scenario's static §IV tables.
+    Slrh(ScenarioTables<'a>),
+    /// Max-Max's: the tables plus its guard and machine orders.
+    MaxMax(maxmax::Prepared<'a>),
+    /// Every other heuristic builds its state per run.
+    PerRun(&'a Scenario),
+}
 
 /// Every heuristic the harness can run.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -125,70 +137,89 @@ impl Heuristic {
     /// carries capacity, never content.
     pub fn run_in(self, scenario: &Scenario, weights: Weights, ctx: &mut RunContext) -> RunResult {
         let start = Instant::now();
-        self.map_in(scenario, weights, ctx, None, |out| {
+        self.map_in(scenario, weights, ctx, |out| {
             let mut result = snapshot(out, start);
             if self.prices_cost() {
                 result.cost = Some(gridsim::cost::schedule_cost(scenario, out.schedule()));
             }
             result
         })
-        .expect("a run without a floor is never cut")
     }
 
-    /// The weight search's score of one run: its `T100` when it mapped
+    /// `scenario` prepared for this heuristic's weight search: the
+    /// static tables its runs share, when it has search-only runs.
+    pub(crate) fn prepare(self, scenario: &Scenario) -> Prepared<'_> {
+        match self {
+            Heuristic::Slrh1 | Heuristic::Slrh2 | Heuristic::Slrh3 => {
+                Prepared::Slrh(ScenarioTables::new(scenario))
+            }
+            Heuristic::MaxMax => Prepared::MaxMax(maxmax::Prepared::new(scenario)),
+            Heuristic::Greedy | Heuristic::LrList | Heuristic::DbcCost => {
+                Prepared::PerRun(scenario)
+            }
+        }
+    }
+
+    /// The weight search's score of one run on `prepared` (this
+    /// heuristic's [`Heuristic::prepare`]): its `T100` when it mapped
     /// every subtask within both constraints and validated, `None`
     /// otherwise. SLRH and Max-Max run through their search-only entry
-    /// points, which stop a run, or drop a finished one, once its `T100`
-    /// is out of `floor`'s reach; such a run is `None` too. A run is
-    /// validated only when it met both constraints.
+    /// points, which read the shared tables and stop a run, or drop a
+    /// finished one, once its `T100` is out of `floor`'s reach; such a
+    /// run is `None` too. A run is validated only when it met both
+    /// constraints.
     pub(crate) fn score_in(
         self,
-        scenario: &Scenario,
+        prepared: &Prepared<'_>,
         weights: Weights,
         ctx: &mut RunContext,
         floor: usize,
     ) -> Option<usize> {
-        self.map_in(scenario, weights, ctx, Some(floor), |out| {
+        let score = |out: &dyn MappingOutcome| {
             let m = out.metrics();
             (m.constraints_met() && out.is_valid()).then_some(m.t100)
-        })
-        .flatten()
+        };
+        match prepared {
+            Prepared::Slrh(tables) => {
+                let variant = self.slrh_variant().expect("prepared for an SLRH variant");
+                let config = SlrhConfig::paper(variant, weights);
+                let out = run_slrh_floored(tables, &config, ctx, floor)?;
+                let result = score(&out);
+                ctx.reclaim(out.state);
+                result
+            }
+            Prepared::MaxMax(prepared) => {
+                let objective = Objective::paper(weights);
+                let out = run_maxmax_floored(prepared, &objective, ctx.buffers_mut(), floor)?;
+                let result = score(&out);
+                ctx.reclaim(out.state);
+                result
+            }
+            Prepared::PerRun(scenario) => self.map_in(scenario, weights, ctx, score),
+        }
     }
 
-    /// Map `scenario` on `ctx`'s buffers, hand the outcome to `read`, and
-    /// reclaim the state. With `Some(floor)` (the weight search) SLRH and
-    /// Max-Max run through their floored entry points, and the result is
-    /// `None` when the run fell below `floor`; with `None` every heuristic
-    /// runs through its ordinary entry point.
+    /// Map `scenario` on `ctx`'s buffers through the heuristic's ordinary
+    /// entry point, hand the outcome to `read`, and reclaim the state.
     fn map_in<R>(
         self,
         scenario: &Scenario,
         weights: Weights,
         ctx: &mut RunContext,
-        floor: Option<usize>,
         read: impl FnOnce(&dyn MappingOutcome) -> R,
-    ) -> Option<R> {
+    ) -> R {
         if let Some(variant) = self.slrh_variant() {
             let config = SlrhConfig::paper(variant, weights);
-            let out = match floor {
-                None => run_slrh_with(scenario, &config, &Churn::default(), ctx, None),
-                Some(floor) => run_slrh_floored(scenario, &config, ctx, floor)?,
-            };
+            let out = run_slrh_with(scenario, &config, &Churn::default(), ctx, None);
             let result = read(&out);
             ctx.reclaim(out.state);
-            return Some(result);
+            return result;
         }
         // Every baseline returns the same outcome type: pick it, then
         // read it and hand the state's buffers back once.
         let buffers = ctx.buffers_mut();
         let out = match self {
-            Heuristic::MaxMax => {
-                let objective = Objective::paper(weights);
-                match floor {
-                    None => run_maxmax_in(scenario, &objective, buffers),
-                    Some(floor) => run_maxmax_floored(scenario, &objective, buffers, floor)?,
-                }
-            }
+            Heuristic::MaxMax => run_maxmax_in(scenario, &Objective::paper(weights), buffers),
             Heuristic::Greedy => run_greedy_in(scenario, buffers),
             Heuristic::LrList => run_lr_list_in(scenario, &weights, buffers),
             Heuristic::DbcCost => run_dbc_in(scenario, buffers),
@@ -198,7 +229,7 @@ impl Heuristic {
         };
         let result = read(&out);
         ctx.reclaim(out.state);
-        Some(result)
+        result
     }
 }
 

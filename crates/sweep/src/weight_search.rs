@@ -31,6 +31,13 @@
 //! order. A run is validated only when it met both constraints, since
 //! validation is the costliest thing a warm run allocates for.
 //!
+//! Every run of one search maps the same scenario, so what only the
+//! scenario decides is built once per search ([`Heuristic`]'s
+//! `prepare`): the §IV tables every SLRH and Max-Max state reads, and
+//! Max-Max's downgrade guard and machine energy orders. The runs borrow
+//! it and recycle only capacity from the context, so each reads the
+//! values it would have built itself.
+//!
 //! The contract: the winning weights, their `T100` and `evaluations` are
 //! those of the unpruned search, for any steps and at any thread count
 //! (`tests/pruned_search_oracle.rs`). How many runs are cut depends on
@@ -50,7 +57,7 @@ use lagrange::weights::Weights;
 use rayon::prelude::*;
 use slrh::RunContext;
 
-use crate::heuristic::Heuristic;
+use crate::heuristic::{Heuristic, Prepared};
 use crate::stats::Summary;
 
 /// The outcome of one scenario's weight search.
@@ -131,7 +138,7 @@ fn memo_key(w: &Weights) -> (i64, i64) {
 /// campaign fans out over scenarios) keeps the caller's buffers warm.
 fn eval_fresh(
     heuristic: Heuristic,
-    scenario: &Scenario,
+    prepared: &Prepared<'_>,
     candidates: &[Weights],
     incumbent: usize,
     memo: &mut EvalMemo,
@@ -153,7 +160,7 @@ fn eval_fresh(
             },
             |(caller, own, incumbent), &w| {
                 let ctx = caller.as_deref_mut().unwrap_or(own);
-                let score = heuristic.score_in(scenario, w, ctx, *incumbent);
+                let score = heuristic.score_in(prepared, w, ctx, *incumbent);
                 if let Some(t100) = score {
                     *incumbent = (*incumbent).max(t100);
                 }
@@ -254,16 +261,18 @@ pub fn optimal_weights_with_steps_in(
         // Every pair maps the same schedule: the search is its one run,
         // reported at the grid's first point.
         let weights = Weights::new(0.0, 0.0).expect("the simplex corner");
-        let t100 = heuristic.score_in(scenario, weights, ctx, 0)?;
+        let t100 = heuristic.score_in(&heuristic.prepare(scenario), weights, ctx, 0)?;
         return Some(WeightSearchOutcome {
             weights,
             t100,
             evaluations: 1,
         });
     }
+    // What only the scenario decides is built once and lent to every run.
+    let prepared = heuristic.prepare(scenario);
     let mut memo = EvalMemo::new();
     let coarse_points = grid(coarse, (0.0, 1.0), (0.0, 1.0));
-    let mut evaluations = eval_fresh(heuristic, scenario, &coarse_points, 0, &mut memo, ctx);
+    let mut evaluations = eval_fresh(heuristic, &prepared, &coarse_points, 0, &mut memo, ctx);
     let (cw, cw_t100) = best_from_memo(&coarse_points, &memo)?;
 
     let fine_points = grid(
@@ -271,7 +280,7 @@ pub fn optimal_weights_with_steps_in(
         (cw.alpha() - coarse, cw.alpha() + coarse),
         (cw.beta() - coarse, cw.beta() + coarse),
     );
-    evaluations += eval_fresh(heuristic, scenario, &fine_points, cw_t100, &mut memo, ctx);
+    evaluations += eval_fresh(heuristic, &prepared, &fine_points, cw_t100, &mut memo, ctx);
     // The coarse winner folds in last: when the window holds it, the
     // window's copy (its own float bits) comes first and wins the tie.
     let (weights, t100) =

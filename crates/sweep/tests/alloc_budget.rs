@@ -186,13 +186,15 @@ fn warm_maxmax_evaluations_allocate_per_evaluation() {
 /// no longer reach the incumbent is cut and never validated, and a
 /// finished run is validated only when its metrics already score.
 ///
-/// Measured 77 for SLRH-1 (its warm runs allocate nothing; what is left
-/// is the search's grids, memo and batches and the few runs validated),
-/// 2 775 for Max-Max (its per-run guard tables, machine orders and kept
-/// costings; 2 901 before the guard's tables were merged). Each of these
-/// coming back trips a budget: validating every finished run (SLRH-1
-/// 1 100), a cold context per batch (SLRH-1 330, Max-Max 128 more),
-/// running cut runs to the end (Max-Max 2 998).
+/// Measured 79 for SLRH-1 (its warm runs allocate nothing; what is left
+/// is the search's grids, memo and batches, the scenario's tables built
+/// once, and the few runs validated), 1 527 for Max-Max (its per-run
+/// kept costings; 2 775 while every run built its own guard tables and
+/// machine orders, 2 901 before the guard's tables were merged). Each of
+/// these coming back trips a budget: validating every finished run
+/// (SLRH-1 1 100), a cold context per batch (SLRH-1 330, Max-Max 128
+/// more), running every run to the end at floor 0 (Max-Max 5 166),
+/// building the statics per run again (Max-Max 2 775).
 #[test]
 fn warm_weight_search_validates_only_runs_that_can_score() {
     let sc = Scenario::generate(&ScenarioParams::paper_scaled(32), GridCase::A, 0, 0);
@@ -200,7 +202,7 @@ fn warm_weight_search_validates_only_runs_that_can_score() {
         .num_threads(1)
         .build()
         .expect("pool");
-    for (h, budget) in [(Heuristic::Slrh1, 96u64), (Heuristic::MaxMax, 2_880)] {
+    for (h, budget) in [(Heuristic::Slrh1, 96u64), (Heuristic::MaxMax, 1_600)] {
         let mut ctx = RunContext::new();
         let search = |ctx: &mut RunContext| {
             one.install(|| optimal_weights_with_steps_in(h, &sc, 0.1, 0.02, ctx))

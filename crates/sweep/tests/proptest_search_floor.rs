@@ -1,7 +1,8 @@
 //! Soundness of the weight search's cut.
 //!
 //! The search-only entry points `slrh::mapper::run_slrh_floored` and
-//! `grid_baselines::maxmax::run_maxmax_floored` stop a run once its
+//! `grid_baselines::maxmax::run_maxmax_floored` read the scenario's
+//! statics from a value the search builds once, and stop a run once its
 //! `T100` can no longer reach `floor`. The floor only ever stops a run,
 //! never steers one: a floored run that is not cut is the unfloored run,
 //! schedule, metrics and counters alike, and a cut run is one the
@@ -10,10 +11,11 @@
 
 use adhoc_grid::config::GridCase;
 use adhoc_grid::workload::{Scenario, ScenarioParams};
-use grid_baselines::maxmax::run_maxmax_floored;
+use grid_baselines::maxmax::{run_maxmax_floored, Prepared};
 use grid_baselines::run_maxmax_in;
 use gridsim::metrics::Metrics;
 use gridsim::state::StateBuffers;
+use gridsim::tables::ScenarioTables;
 use lagrange::weights::{Objective, Weights};
 use proptest::prelude::*;
 use slrh::mapper::run_slrh_floored;
@@ -41,7 +43,9 @@ fn runs(
             )
         };
         let full = read(&run_maxmax_in(sc, &objective, &mut buffers));
-        let floored = run_maxmax_floored(sc, &objective, &mut buffers, floor).map(|o| read(&o));
+        let prepared = Prepared::new(sc);
+        let floored =
+            run_maxmax_floored(&prepared, &objective, &mut buffers, floor).map(|o| read(&o));
         return (full, floored);
     };
     let config = SlrhConfig::paper(variant, w);
@@ -57,7 +61,8 @@ fn runs(
         &mut ctx,
         None,
     ));
-    let floored = run_slrh_floored(sc, &config, &mut ctx, floor).map(|o| read(&o));
+    let tables = ScenarioTables::new(sc);
+    let floored = run_slrh_floored(&tables, &config, &mut ctx, floor).map(|o| read(&o));
     (full, floored)
 }
 

@@ -137,7 +137,11 @@
 #    drops a child's transfers with `Schedule::remove_transfers_to`, and
 #    the whole-list `retain_transfers` with its full index rebuild lives
 #    only as that method's test oracle, not in the non-test code of
-#    `crates/sim/src`.
+#    `crates/sim/src`;
+#  * a weight search prepares its scenario once (DESIGN.md section 12):
+#    Max-Max's per-run loop (`fn map` and the `Scan` it drives) reads the
+#    downgrade guard and the machine energy orders from the statics it
+#    is handed and never builds them itself.
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -335,6 +339,15 @@ fi
 if hits=$(awk '/^#\[cfg\(test\)\]/ { exit } /state\.plan\(|PlanScratch::default\(\)/ { print FILENAME ":" FNR ": " $0; found = 1 }
                END { exit !found }' crates/baselines/src/maxmax.rs); then
     fail "Max-Max plans candidate triplets outside its reference scan again:"$'\n'"$hits"
+fi
+
+if hits=$(awk '/^#\[cfg\(test\)\]/ { exit }
+               /^fn map</ || /^impl Scan \{/ { body = 1 }
+               body && /(DowngradeGuard|Statics|Prepared)::new\(|sort_unstable_by|compute_energy/ {
+                   print FILENAME ":" FNR ": " $0; found = 1 }
+               body && /^}/ { body = 0 }
+               END { exit !found }' crates/baselines/src/maxmax.rs); then
+    fail "a Max-Max run builds the scenario's statics itself again:"$'\n'"$hits"
 fi
 
 for f in $(find crates/core/src crates/baselines/src crates/sim/src -name '*.rs' | sort); do
