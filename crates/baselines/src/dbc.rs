@@ -23,7 +23,7 @@
 use adhoc_grid::units::Time;
 use adhoc_grid::workload::Scenario;
 use gridsim::plan::MappingPlan;
-use gridsim::state::StateBuffers;
+use slrh::RunContext;
 
 use crate::greedy::list_walk;
 use crate::outcome::StaticOutcome;
@@ -42,14 +42,14 @@ pub fn plan_cost(sc: &Scenario, plan: &MappingPlan) -> f64 {
 
 /// Run DBC cost optimization. See the module docs.
 pub fn run_dbc(scenario: &Scenario) -> StaticOutcome<'_> {
-    run_dbc_in(scenario, &mut StateBuffers::default())
+    run_dbc_in(scenario, &mut RunContext::new())
 }
 
-/// [`run_dbc`] building its state on donated buffers (see
-/// [`StateBuffers`]); results are identical.
-pub fn run_dbc_in<'a>(scenario: &'a Scenario, buffers: &mut StateBuffers) -> StaticOutcome<'a> {
+/// [`run_dbc`] building its state on `ctx`'s recycled storage; results
+/// are identical.
+pub fn run_dbc_in<'a>(scenario: &'a Scenario, ctx: &mut RunContext) -> StaticOutcome<'a> {
     let tau = scenario.tau;
-    list_walk(scenario, buffers, |plan| {
+    list_walk(scenario, ctx, |plan| {
         let (finish, cost) = (plan.finish(), plan_cost(scenario, plan));
         if finish <= tau {
             Rank::InTime { cost, finish }
@@ -234,11 +234,11 @@ mod tests {
     fn buffers_round_trip_identically() {
         let sc = scenario(40, 1, 0);
         let fresh = run_dbc(&sc);
-        let mut buffers = StateBuffers::default();
-        let a = run_dbc_in(&sc, &mut buffers);
+        let mut ctx = RunContext::new();
+        let a = run_dbc_in(&sc, &mut ctx);
         let m = a.metrics();
         drop(a);
-        let b = run_dbc_in(&sc, &mut buffers);
+        let b = run_dbc_in(&sc, &mut ctx);
         assert_eq!(m, b.metrics());
         assert_eq!(m, fresh.metrics());
     }

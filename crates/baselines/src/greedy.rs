@@ -19,7 +19,8 @@ use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::Time;
 use adhoc_grid::workload::Scenario;
 use gridsim::plan::{MappingPlan, Placement};
-use gridsim::state::{SimState, StateBuffers};
+use gridsim::state::SimState;
+use slrh::RunContext;
 
 use crate::outcome::StaticOutcome;
 
@@ -40,13 +41,13 @@ pub(crate) fn feasible_version(state: &SimState<'_>, t: TaskId, j: MachineId) ->
 /// keyed by finish time, so each subtask is committed where it
 /// completes earliest.
 pub fn run_greedy(scenario: &Scenario) -> StaticOutcome<'_> {
-    run_greedy_in(scenario, &mut StateBuffers::default())
+    run_greedy_in(scenario, &mut RunContext::new())
 }
 
-/// [`run_greedy`] building its state on donated buffers (see
-/// [`StateBuffers`]); results are identical.
-pub fn run_greedy_in<'a>(scenario: &'a Scenario, buffers: &mut StateBuffers) -> StaticOutcome<'a> {
-    list_walk(scenario, buffers, MappingPlan::finish)
+/// [`run_greedy`] building its state on `ctx`'s recycled storage;
+/// results are identical.
+pub fn run_greedy_in<'a>(scenario: &'a Scenario, ctx: &mut RunContext) -> StaticOutcome<'a> {
+    list_walk(scenario, ctx, MappingPlan::finish)
 }
 
 /// The list walk of the weightless baselines (the greedy and DBC-Cost):
@@ -58,10 +59,10 @@ pub fn run_greedy_in<'a>(scenario: &'a Scenario, buffers: &mut StateBuffers) -> 
 /// the rest unmapped; every plan built counts as a candidate.
 pub(crate) fn list_walk<'a, K: PartialOrd>(
     scenario: &'a Scenario,
-    buffers: &mut StateBuffers,
+    ctx: &mut RunContext,
     mut key: impl FnMut(&MappingPlan) -> K,
 ) -> StaticOutcome<'a> {
-    let mut state = SimState::new_in(scenario, std::mem::take(buffers));
+    let mut state = ctx.state(scenario);
     let mut evaluated = 0u64;
 
     while let Some(t) = state.ready_tasks().iter().min().copied() {

@@ -25,10 +25,10 @@ use adhoc_grid::config::MachineId;
 use adhoc_grid::task::Version;
 use adhoc_grid::workload::Scenario;
 use gridsim::plan::Placement;
-use gridsim::state::{SimState, StateBuffers};
 use lagrange::dual::{Choice, Selection, SeparableProblem};
 use lagrange::step::StepRule;
 use lagrange::weights::Weights;
+use slrh::RunContext;
 
 use crate::outcome::StaticOutcome;
 
@@ -105,16 +105,16 @@ fn marginal_values(problem: &SeparableProblem, lambda: &[f64], selection: &Selec
 /// `weights`, α rewards primaries and β discounts energy; the γ time term
 /// is handled by the τ capacity constraint instead.
 pub fn run_lr_list<'a>(scenario: &'a Scenario, weights: &Weights) -> StaticOutcome<'a> {
-    run_lr_list_in(scenario, weights, &mut StateBuffers::default())
+    run_lr_list_in(scenario, weights, &mut RunContext::new())
 }
 
-/// [`run_lr_list`] building its state on donated buffers (see
-/// [`StateBuffers`]); results are identical.
+/// [`run_lr_list`] building its state on `ctx`'s recycled storage;
+/// results are identical.
 #[allow(clippy::while_let_loop)] // the loop also breaks on placement failure
 pub fn run_lr_list_in<'a>(
     scenario: &'a Scenario,
     weights: &Weights,
-    buffers: &mut StateBuffers,
+    ctx: &mut RunContext,
 ) -> StaticOutcome<'a> {
     // Phase 1–2: price the capacities.
     let problem = build_problem(scenario, weights);
@@ -122,7 +122,7 @@ pub fn run_lr_list_in<'a>(
     let priority = marginal_values(&problem, &dual.lambda, &dual.selection);
 
     // Phase 3: precedence-respecting repair.
-    let mut state = SimState::new_in(scenario, std::mem::take(buffers));
+    let mut state = ctx.state(scenario);
     let mut evaluated = dual.iterations as u64 * scenario.tasks() as u64;
 
     loop {

@@ -84,10 +84,11 @@ use adhoc_grid::units::{Energy, Time};
 use adhoc_grid::workload::Scenario;
 use gridsim::metrics::Metrics;
 use gridsim::plan::{Costing, MappingPlan, Placement, PlanScratch, PlanTotals, Slot};
-use gridsim::state::{SimState, StateBuffers};
+use gridsim::state::SimState;
 use gridsim::tables::ScenarioTables;
 use lagrange::weights::{AetSign, Objective};
 use slrh::pool::{plan_objective, totals_objective};
+use slrh::RunContext;
 
 use crate::outcome::StaticOutcome;
 
@@ -107,17 +108,17 @@ pub mod reference;
 /// assert!(out.metrics().aet <= sc.tau, "Max-Max never schedules past tau");
 /// ```
 pub fn run_maxmax<'a>(scenario: &'a Scenario, objective: &Objective) -> StaticOutcome<'a> {
-    run_maxmax_in(scenario, objective, &mut StateBuffers::default())
+    run_maxmax_in(scenario, objective, &mut RunContext::new())
 }
 
-/// [`run_maxmax`] building its state on donated buffers (see
-/// [`StateBuffers`]); results are identical.
+/// [`run_maxmax`] building its state on `ctx`'s recycled storage;
+/// results are identical.
 pub fn run_maxmax_in<'a>(
     scenario: &'a Scenario,
     objective: &Objective,
-    buffers: &mut StateBuffers,
+    ctx: &mut RunContext,
 ) -> StaticOutcome<'a> {
-    let state = SimState::new_in(scenario, std::mem::take(buffers));
+    let state = ctx.state(scenario);
     map(state, &Statics::new(scenario), objective, 0)
 }
 
@@ -148,19 +149,19 @@ impl<'a> Prepared<'a> {
 /// [`SimState::t100_ceiling`] is strictly below `floor`. Every commit is
 /// final, so the ceiling only falls, and a run it puts below `floor`
 /// can never reach `floor`. Such a run (cut, or finished below `floor`)
-/// is `None`, its state's storage handed back to `buffers`; any other is
+/// is `None`, its state's storage handed back to `ctx`; any other is
 /// exactly [`run_maxmax_in`]'s. `floor` 0 never cuts.
 #[doc(hidden)]
 pub fn run_maxmax_floored<'a>(
     prepared: &'a Prepared<'a>,
     objective: &Objective,
-    buffers: &mut StateBuffers,
+    ctx: &mut RunContext,
     floor: usize,
 ) -> Option<StaticOutcome<'a>> {
-    let state = SimState::with_tables(&prepared.tables, std::mem::take(buffers));
+    let state = ctx.state_on(&prepared.tables);
     let out = map(state, &prepared.statics, objective, floor);
     if out.state.t100_ceiling() < floor {
-        *buffers = out.state.into_buffers();
+        ctx.reclaim(out.state);
         return None;
     }
     Some(out)
@@ -839,13 +840,13 @@ mod tests {
         for case in GridCase::ALL {
             let sc = Scenario::generate(&ScenarioParams::paper_scaled(32), case, 0, 0);
             let prepared = Prepared::new(&sc);
-            let mut buffers = StateBuffers::default();
+            let mut ctx = RunContext::new();
             let weights = (0..=10).flat_map(|a| (0..=10).map(move |b| (a, b)));
             for w in weights.filter_map(|(a, b)| Weights::new(a as f64 * 0.1, b as f64 * 0.1).ok())
             {
                 let objective = Objective::paper(w);
                 let own = run_maxmax(&sc, &objective);
-                let shared = run_maxmax_floored(&prepared, &objective, &mut buffers, 0)
+                let shared = run_maxmax_floored(&prepared, &objective, &mut ctx, 0)
                     .expect("floor 0 never cuts");
                 let what = format!("{case:?} at {w:?}");
                 assert_eq!(
@@ -864,7 +865,7 @@ mod tests {
                         "{what}: {t}"
                     );
                 }
-                buffers = shared.state.into_buffers();
+                ctx.reclaim(shared.state);
             }
         }
     }

@@ -2,7 +2,6 @@
 
 use gridsim::metrics::Metrics;
 use gridsim::state::SimState;
-use gridsim::MappingOutcome;
 
 /// The result of a static mapping run.
 #[derive(Debug)]
@@ -18,15 +17,5 @@ impl StaticOutcome<'_> {
     /// The run's metrics.
     pub fn metrics(&self) -> Metrics {
         self.state.metrics()
-    }
-}
-
-impl MappingOutcome for StaticOutcome<'_> {
-    fn state(&self) -> &SimState<'_> {
-        &self.state
-    }
-
-    fn candidates_evaluated(&self) -> u64 {
-        self.candidates_evaluated
     }
 }

@@ -521,7 +521,6 @@ mod tests {
     use crate::proto::{CampaignResponse, MapRequest, MapResponse, ScenarioSpec};
     use adhoc_grid::config::GridCase;
     use grid_sweep::heuristic::Heuristic;
-    use gridsim::state::StateBuffers;
     use lagrange::weights::Weights;
     use slrh::{SlrhConfig, SlrhVariant};
     use std::sync::mpsc;
@@ -800,7 +799,7 @@ mod tests {
 
     #[test]
     fn a_panicking_job_answers_an_error_and_its_slot_gets_a_fresh_context() {
-        let fresh = format!("{:?}", StateBuffers::default());
+        let fresh = format!("{:?}", RunContext::new());
         let scenario = small_map_request().scenario.build().expect("a scenario");
         let shared = test_shared(1);
         let (mut out, ops) = recorded();
@@ -814,7 +813,7 @@ mod tests {
                 // Leave something in the context, then die.
                 let state = ctx.state(&scenario);
                 ctx.reclaim(state);
-                assert_ne!(format!("{:?}", ctx.buffers_mut()), fresh);
+                assert_ne!(format!("{ctx:?}"), fresh);
                 panic!("a bug in the job");
             },
         )
@@ -836,10 +835,10 @@ mod tests {
         let status = shared.slots.status();
         assert_eq!((status.queued, status.running, status.completed), (0, 0, 1));
         assert_eq!(shared.slots.lock().free.len(), 1, "the slot is back");
-        let Some(Ok(mut ctx)) = shared.slots.admit("next") else {
+        let Some(Ok(ctx)) = shared.slots.admit("next") else {
             panic!("the slot is free");
         };
-        assert_eq!(format!("{:?}", ctx.buffers_mut()), fresh, "a fresh context");
+        assert_eq!(format!("{ctx:?}"), fresh, "a fresh context");
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Reusable per-run storage for campaign-style drivers.
 //!
-//! A single SLRH (or baseline) run allocates a [`SimState`]'s dozen-odd
-//! backing vectors plus the candidate frontier's per-task and
-//! per-(task, machine) tables and planner scratch. The Figure 3 weight
-//! search executes *hundreds* of complete runs per scenario, the
-//! campaign thousands overall, and an open-system stream one run per
-//! arriving job, so that per-run churn dominates the allocator. A
-//! [`RunContext`] owns all of it once: build each run's state on the
-//! context ([`RunContext::state`]), run, snapshot what you need, and
-//! hand the state back ([`RunContext::reclaim`]) so the next run
-//! recycles the same footprint.
+//! A single SLRH run allocates a [`SimState`]'s dozen-odd backing
+//! vectors plus the candidate frontier's per-task and per-(task,
+//! machine) tables and planner scratch; a baseline run, the state's.
+//! The Figure 3 weight search executes *hundreds* of complete runs per
+//! scenario, the campaign thousands overall, and an open-system stream
+//! one run per arriving job, so that per-run churn dominates the
+//! allocator. A [`RunContext`] owns all of it once: build each run's
+//! state on the context ([`RunContext::state`]), run, snapshot what you
+//! need, and hand the state back ([`RunContext::reclaim`]) so the next
+//! run recycles the same footprint.
 //!
 //! # Why reuse cannot leak state between runs
 //!
@@ -32,6 +32,10 @@ use gridsim::tables::ScenarioTables;
 use crate::frontier::Frontier;
 
 /// Every buffer a heuristic run needs, reusable across consecutive runs.
+///
+/// It is the one context type of the workspace: the SLRH entry points
+/// and the baselines' `run_*_in` (which depend on this crate) all map
+/// on it, so one context serves every heuristic in turn.
 ///
 /// A context is plain storage with no run-to-run semantics: using one
 /// context for a thousand runs and a fresh context per run produce
@@ -65,13 +69,6 @@ impl RunContext {
         SimState::with_tables(tables, std::mem::take(&mut self.buffers))
     }
 
-    /// The raw state buffers, for drivers that construct their own
-    /// [`SimState`] via [`SimState::new_in`] (the baseline crate's
-    /// `run_*_in` entry points take these without depending on `slrh`).
-    pub fn buffers_mut(&mut self) -> &mut StateBuffers {
-        &mut self.buffers
-    }
-
     /// Reclaim the backing storage of a finished run's state. The run's
     /// results are discarded — snapshot metrics first.
     pub fn reclaim(&mut self, state: SimState<'_>) {
@@ -83,5 +80,14 @@ impl RunContext {
     pub(crate) fn frontier_for(&mut self, state: &SimState<'_>) -> &mut Frontier {
         self.frontier.reset(state);
         &mut self.frontier
+    }
+}
+
+/// Shows the state buffers; the frontier is re-synchronised per run.
+impl std::fmt::Debug for RunContext {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RunContext")
+            .field("buffers", &self.buffers)
+            .finish_non_exhaustive()
     }
 }

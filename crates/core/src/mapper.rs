@@ -98,16 +98,6 @@ impl SlrhOutcome<'_> {
     }
 }
 
-impl gridsim::MappingOutcome for SlrhOutcome<'_> {
-    fn state(&self) -> &SimState<'_> {
-        &self.state
-    }
-
-    fn candidates_evaluated(&self) -> u64 {
-        self.stats.candidates_evaluated
-    }
-}
-
 /// Run the configured SLRH variant to completion on `scenario`, on a
 /// frozen grid: [`run_slrh_with`] with no churn, a throwaway context
 /// and no observer.

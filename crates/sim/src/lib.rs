@@ -37,7 +37,6 @@
 pub mod cost;
 pub mod ledger;
 pub mod metrics;
-pub mod outcome;
 pub mod plan;
 pub mod schedule;
 pub mod state;
@@ -49,7 +48,6 @@ pub mod validate;
 pub use cost::schedule_cost;
 pub use ledger::EnergyLedger;
 pub use metrics::Metrics;
-pub use outcome::MappingOutcome;
 pub use plan::{Costing, MappingPlan, Placement, PlanScratch, PlanTotals, Slot};
 pub use schedule::{Assignment, Schedule, Transfer};
 pub use state::{SimState, StateBuffers};

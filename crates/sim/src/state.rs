@@ -98,16 +98,16 @@ impl ReadySet {
 /// The heap allocations behind a [`SimState`], detached from any
 /// scenario.
 ///
-/// A single run allocates a dozen-odd vectors (three timeline sets,
-/// ledger accounts and per-edge reservations, the schedule and its
-/// per-child transfer index, readiness bookkeeping, the scenario's
-/// [`ScenarioTables`] when the run builds its own, the lists a commit
-/// and an unmap return). Campaign-style
-/// drivers that execute thousands of runs back to back can instead keep
-/// one `StateBuffers`, build each run's state with [`SimState::new_in`],
-/// and reclaim the storage afterwards with [`SimState::into_buffers`] —
-/// the steady state then recycles one allocation footprint instead of
-/// churning the allocator per run.
+/// A state holds all of its recyclable storage as one `StateBuffers`:
+/// three timeline sets, ledger accounts and per-edge reservations, the
+/// schedule and its per-child transfer index, readiness bookkeeping, the
+/// storage of the scenario's [`ScenarioTables`] and the lists a commit
+/// and an unmap return. A campaign or search that executes thousands of
+/// runs back to back keeps one (inside `slrh::RunContext`, the one
+/// context every heuristic runs on), builds each run's state with
+/// [`SimState::new_in`] and reclaims the storage afterwards with
+/// [`SimState::into_buffers`]; the steady state then recycles one
+/// allocation footprint instead of churning the allocator per run.
 ///
 /// The buffers carry **capacity only, never content**: `new_in` clears
 /// and re-derives every field from the scenario exactly as
@@ -115,41 +115,11 @@ impl ReadySet {
 /// indistinguishable from a fresh one (the `recycled_buffers_*` tests
 /// pin this down to demand-table bit patterns). A scenario's content
 /// that outlives one run is a [`ScenarioTables`] lent by borrow
-/// ([`SimState::with_tables`]), never a buffer. Donating buffers sized
+/// ([`SimState::with_tables`]), never a buffer; a lent run leaves the
+/// table storage untouched and hands it back. Donating buffers sized
 /// for a different scenario is fine — everything is resized.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct StateBuffers {
-    compute: Vec<Timeline>,
-    tx: Vec<Timeline>,
-    rx: Vec<Timeline>,
-    ledger: EnergyLedger,
-    schedule: Schedule,
-    unmapped_parents: Vec<usize>,
-    ready: ReadySet,
-    available: Vec<Time>,
-    lost: Vec<Option<Time>>,
-    tables: TableBuffers,
-    newly_ready: Vec<TaskId>,
-    starved: Vec<TaskId>,
-    unmap_incoming: Vec<Transfer>,
-}
-
-/// Key of an empty `TEC` memo (no revision reaches it).
-const TEC_MEMO_EMPTY: u64 = u64::MAX;
-
-/// Where a state's [`ScenarioTables`] live: built for the run on its
-/// buffers, or lent by the caller, the run's own table storage then
-/// kept aside for [`SimState::into_buffers`].
-#[derive(Clone, Debug)]
-enum Tables<'a> {
-    Own(ScenarioTables<'a>),
-    Lent(&'a ScenarioTables<'a>, TableBuffers),
-}
-
-/// Mutable simulation state for one scenario run.
-#[derive(Clone, Debug)]
-pub struct SimState<'a> {
-    sc: &'a Scenario,
     compute: Vec<Timeline>,
     tx: Vec<Timeline>,
     rx: Vec<Timeline>,
@@ -166,10 +136,9 @@ pub struct SimState<'a> {
     available: Vec<Time>,
     /// Machines lost to the grid (dynamic extension), with loss time.
     lost: Vec<Option<Time>>,
-    /// The scenario's static §IV tables (per-edge worst-case durations,
-    /// the feasibility-demand table): built for this run, or lent by a
-    /// driver that maps the scenario many times.
-    tables: Tables<'a>,
+    /// The storage of the scenario's tables: empty while a run owns its
+    /// tables (they were built on it), kept aside while they are lent.
+    tables: TableBuffers,
     /// The subtasks the last commit readied (see [`SimState::commit`]).
     newly_ready: Vec<TaskId>,
     /// The parents the last unmap starved (see [`SimState::unmap`]).
@@ -177,6 +146,29 @@ pub struct SimState<'a> {
     /// `unmap`'s copy of the unmapped task's incoming transfers
     /// (capacity only, between calls).
     unmap_incoming: Vec<Transfer>,
+}
+
+/// Key of an empty `TEC` memo (no revision reaches it).
+const TEC_MEMO_EMPTY: u64 = u64::MAX;
+
+/// Where a state's [`ScenarioTables`] live: built for the run on its
+/// buffers, or lent by the caller.
+#[derive(Clone, Debug)]
+enum Tables<'a> {
+    Own(ScenarioTables<'a>),
+    Lent(&'a ScenarioTables<'a>),
+}
+
+/// Mutable simulation state for one scenario run.
+#[derive(Clone, Debug)]
+pub struct SimState<'a> {
+    sc: &'a Scenario,
+    /// The run's recyclable storage.
+    buf: StateBuffers,
+    /// The scenario's static §IV tables (per-edge worst-case durations,
+    /// the feasibility-demand table): built for this run, or lent by a
+    /// driver that maps the scenario many times.
+    tables: Tables<'a>,
     t100: usize,
     aet: Time,
     /// The grid's total system energy (`TSE`), static per scenario but
@@ -222,59 +214,33 @@ impl<'a> SimState<'a> {
     /// [`SimState::new_in`] reading the scenario's static tables from
     /// `tables` instead of building them: bit-identical to a state built
     /// on its own tables.
-    pub fn with_tables(tables: &'a ScenarioTables<'a>, mut buffers: StateBuffers) -> SimState<'a> {
-        let spare = std::mem::take(&mut buffers.tables);
-        SimState::assemble(tables.scenario(), Tables::Lent(tables, spare), buffers)
+    pub fn with_tables(tables: &'a ScenarioTables<'a>, buffers: StateBuffers) -> SimState<'a> {
+        SimState::assemble(tables.scenario(), Tables::Lent(tables), buffers)
     }
 
-    fn assemble(sc: &'a Scenario, tables: Tables<'a>, buffers: StateBuffers) -> SimState<'a> {
+    fn assemble(sc: &'a Scenario, tables: Tables<'a>, mut buf: StateBuffers) -> SimState<'a> {
         let n = sc.tasks();
         let m = sc.grid.len();
-        let StateBuffers {
-            mut compute,
-            mut tx,
-            mut rx,
-            mut ledger,
-            mut schedule,
-            mut unmapped_parents,
-            mut ready,
-            mut available,
-            mut lost,
-            tables: _,
-            newly_ready,
-            starved,
-            unmap_incoming,
-        } = buffers;
-        for timelines in [&mut compute, &mut tx, &mut rx] {
+        for timelines in [&mut buf.compute, &mut buf.tx, &mut buf.rx] {
             for tl in timelines.iter_mut() {
                 tl.clear();
             }
             timelines.resize_with(m, Timeline::new);
         }
-        ledger.reset(&sc.grid, sc.dag.edge_count());
-        schedule.reset(n);
-        unmapped_parents.clear();
-        unmapped_parents.extend(sc.dag.tasks().map(|t| sc.dag.parents(t).len()));
-        ready.reset(n, sc.dag.roots());
-        available.clear();
-        available.resize(m, Time::ZERO);
-        lost.clear();
-        lost.resize(m, None);
+        buf.ledger.reset(&sc.grid, sc.dag.edge_count());
+        buf.schedule.reset(n);
+        buf.unmapped_parents.clear();
+        buf.unmapped_parents
+            .extend(sc.dag.tasks().map(|t| sc.dag.parents(t).len()));
+        buf.ready.reset(n, sc.dag.roots());
+        buf.available.clear();
+        buf.available.resize(m, Time::ZERO);
+        buf.lost.clear();
+        buf.lost.resize(m, None);
         SimState {
             sc,
-            compute,
-            tx,
-            rx,
-            ledger,
-            schedule,
-            unmapped_parents,
-            ready,
-            available,
-            lost,
+            buf,
             tables,
-            newly_ready,
-            starved,
-            unmap_incoming,
             t100: 0,
             aet: Time::ZERO,
             tse: sc.grid.total_system_energy(),
@@ -287,40 +253,11 @@ impl<'a> SimState<'a> {
     /// [`SimState::new_in`]. The run's results are discarded; snapshot
     /// [`SimState::metrics`] (or whatever else is needed) first.
     pub fn into_buffers(self) -> StateBuffers {
-        let SimState {
-            compute,
-            tx,
-            rx,
-            ledger,
-            schedule,
-            unmapped_parents,
-            ready,
-            available,
-            lost,
-            tables,
-            newly_ready,
-            starved,
-            unmap_incoming,
-            ..
-        } = self;
-        StateBuffers {
-            compute,
-            tx,
-            rx,
-            ledger,
-            schedule,
-            unmapped_parents,
-            ready,
-            available,
-            lost,
-            tables: match tables {
-                Tables::Own(tables) => tables.into_buffers(),
-                Tables::Lent(_, spare) => spare,
-            },
-            newly_ready,
-            starved,
-            unmap_incoming,
+        let mut buf = self.buf;
+        if let Tables::Own(tables) = self.tables {
+            buf.tables = tables.into_buffers();
         }
+        buf
     }
 
     /// The scenario's static §IV tables this run reads.
@@ -328,7 +265,7 @@ impl<'a> SimState<'a> {
     pub(crate) fn tables(&self) -> &ScenarioTables<'a> {
         match &self.tables {
             Tables::Own(tables) => tables,
-            Tables::Lent(tables, _) => tables,
+            Tables::Lent(tables) => tables,
         }
     }
 
@@ -345,49 +282,49 @@ impl<'a> SimState<'a> {
 
     /// The schedule built so far.
     pub fn schedule(&self) -> &Schedule {
-        &self.schedule
+        &self.buf.schedule
     }
 
     /// The energy ledger.
     pub fn ledger(&self) -> &EnergyLedger {
-        &self.ledger
+        &self.buf.ledger
     }
 
     /// Compute timeline of machine `j`.
     pub fn compute_timeline(&self, j: MachineId) -> &Timeline {
-        &self.compute[j.0]
+        &self.buf.compute[j.0]
     }
 
     /// Transmit-link timeline of machine `j`.
     pub fn tx_timeline(&self, j: MachineId) -> &Timeline {
-        &self.tx[j.0]
+        &self.buf.tx[j.0]
     }
 
     /// Receive-link timeline of machine `j`.
     pub fn rx_timeline(&self, j: MachineId) -> &Timeline {
-        &self.rx[j.0]
+        &self.buf.rx[j.0]
     }
 
     /// First instant at which machine `j` has no scheduled computation —
     /// the SLRH "availability time".
     #[inline]
     pub fn compute_ready(&self, j: MachineId) -> Time {
-        self.compute[j.0].ready_time()
+        self.buf.compute[j.0].ready_time()
     }
 
     /// True when `t` has been mapped.
     pub fn is_mapped(&self, t: TaskId) -> bool {
-        self.schedule.is_mapped(t)
+        self.buf.schedule.is_mapped(t)
     }
 
     /// True when every parent of `t` has been mapped.
     pub fn parents_mapped(&self, t: TaskId) -> bool {
-        self.unmapped_parents[t.0] == 0
+        self.buf.unmapped_parents[t.0] == 0
     }
 
     /// Number of mapped subtasks.
     pub fn mapped_count(&self) -> usize {
-        self.schedule.mapped_count()
+        self.buf.schedule.mapped_count()
     }
 
     /// True when every subtask is mapped.
@@ -398,12 +335,12 @@ impl<'a> SimState<'a> {
     /// Unmapped tasks whose precedence constraints are satisfied —
     /// the universe the SLRH candidate pool is drawn from.
     pub fn ready_tasks(&self) -> &[TaskId] {
-        self.ready.as_slice()
+        self.buf.ready.as_slice()
     }
 
     /// True when `t` is in [`SimState::ready_tasks`].
     pub fn is_ready(&self, t: TaskId) -> bool {
-        self.ready.pos[t.0] != ABSENT
+        self.buf.ready.pos[t.0] != ABSENT
     }
 
     /// Current number of primary-version mappings.
@@ -429,8 +366,8 @@ impl<'a> SimState<'a> {
     /// [`crate::validate::validate`] reports any that is left finishing
     /// after `at`.
     pub fn mark_lost(&mut self, j: MachineId, at: Time) {
-        assert!(self.lost[j.0].is_none(), "{j} already lost");
-        self.lost[j.0] = Some(at);
+        assert!(self.buf.lost[j.0].is_none(), "{j} already lost");
+        self.buf.lost[j.0] = Some(at);
         self.revision += 1;
     }
 
@@ -447,14 +384,16 @@ impl<'a> SimState<'a> {
     pub fn block_until(&mut self, j: MachineId, at: Time) {
         assert!(at > Time::ZERO, "arrival at time zero is a no-op");
         assert!(
-            self.compute[j.0].is_empty() && self.tx[j.0].is_empty() && self.rx[j.0].is_empty(),
+            self.buf.compute[j.0].is_empty()
+                && self.buf.tx[j.0].is_empty()
+                && self.buf.rx[j.0].is_empty(),
             "{j} already has scheduled work"
         );
         let span = at.since(Time::ZERO);
-        self.compute[j.0].insert(Time::ZERO, span);
-        self.tx[j.0].insert(Time::ZERO, span);
-        self.rx[j.0].insert(Time::ZERO, span);
-        self.available[j.0] = at;
+        self.buf.compute[j.0].insert(Time::ZERO, span);
+        self.buf.tx[j.0].insert(Time::ZERO, span);
+        self.buf.rx[j.0].insert(Time::ZERO, span);
+        self.buf.available[j.0] = at;
         self.revision += 1;
     }
 
@@ -462,18 +401,18 @@ impl<'a> SimState<'a> {
     /// [`SimState::block_until`] opened it later. Nothing may start on,
     /// send from or reach `j` before it.
     pub fn available_from(&self, j: MachineId) -> Time {
-        self.available[j.0]
+        self.buf.available[j.0]
     }
 
     /// When was machine `j` lost, if ever? Nothing may finish on, send
     /// from or reach `j` after it.
     pub fn lost_at(&self, j: MachineId) -> Option<Time> {
-        self.lost[j.0]
+        self.buf.lost[j.0]
     }
 
     /// True when machine `j` is still part of the grid.
     pub fn is_alive(&self, j: MachineId) -> bool {
-        self.lost[j.0].is_none()
+        self.buf.lost[j.0].is_none()
     }
 
     /// The total energy mapping `(t, v)` on `j` must be able to afford:
@@ -497,7 +436,7 @@ impl<'a> SimState<'a> {
     /// gate ([`SimState::version_feasible`]'s accept set, liveness and
     /// the limit hoisted out of the loop) — the clock loop's stuck check.
     pub fn any_feasible_candidate(&self, tasks: &[TaskId], v: Version, j: MachineId) -> bool {
-        let limit = self.ledger.afford_limit(j);
+        let limit = self.buf.ledger.afford_limit(j);
         self.is_alive(j) && tasks.iter().any(|&t| self.gate_feasible(t, v, j, limit))
     }
 
@@ -511,7 +450,7 @@ impl<'a> SimState<'a> {
     /// liveness and the machine's remaining energy are read live.
     #[inline]
     pub fn version_feasible(&self, t: TaskId, v: Version, j: MachineId) -> bool {
-        self.is_alive(j) && self.gate_feasible(t, v, j, self.ledger.afford_limit(j))
+        self.is_alive(j) && self.gate_feasible(t, v, j, self.buf.ledger.afford_limit(j))
     }
 
     /// Plan mapping `(t, v)` onto `j` under `placement`. Pure: no state
@@ -571,9 +510,9 @@ impl<'a> SimState<'a> {
         // 1. Incoming transfers: occupy links, charge senders via their
         //    reservations.
         for tr in &plan.transfers {
-            self.tx[tr.from.0].insert(tr.start, tr.dur);
-            self.rx[j.0].insert(tr.start, tr.dur);
-            self.schedule.add_transfer(Transfer {
+            self.buf.tx[tr.from.0].insert(tr.start, tr.dur);
+            self.buf.rx[j.0].insert(tr.start, tr.dur);
+            self.buf.schedule.add_transfer(Transfer {
                 parent: tr.parent,
                 child: plan.task,
                 from: tr.from,
@@ -585,13 +524,13 @@ impl<'a> SimState<'a> {
             });
         }
         for s in &plan.settlements {
-            self.ledger.settle(s.edge, s.actual);
+            self.buf.ledger.settle(s.edge, s.actual);
         }
 
         // 2. The execution itself.
-        self.compute[j.0].insert(plan.start, plan.exec_dur);
-        self.ledger.commit(j, plan.exec_energy);
-        self.schedule.assign(Assignment {
+        self.buf.compute[j.0].insert(plan.start, plan.exec_dur);
+        self.buf.ledger.commit(j, plan.exec_energy);
+        self.buf.schedule.assign(Assignment {
             task: plan.task,
             version: plan.version,
             machine: j,
@@ -604,25 +543,25 @@ impl<'a> SimState<'a> {
         //    out-edge (the plan lists them in child order).
         let out_edges = self.sc.dag.out_edges(plan.task);
         for (&(_, amount), &e) in plan.child_reservations.iter().zip(out_edges) {
-            self.ledger.reserve(j, e as usize, amount);
+            self.buf.ledger.reserve(j, e as usize, amount);
         }
 
         // 4. Readiness and global quantities.
         self.t100 += usize::from(plan.version.is_primary());
         self.aet = self.aet.max(plan.finish());
-        self.ready.remove(plan.task);
-        self.newly_ready.clear();
+        self.buf.ready.remove(plan.task);
+        self.buf.newly_ready.clear();
         for &c in self.sc.dag.children(plan.task) {
-            self.unmapped_parents[c.0] -= 1;
-            if self.unmapped_parents[c.0] == 0 {
-                self.ready.push(c);
-                self.newly_ready.push(c);
+            self.buf.unmapped_parents[c.0] -= 1;
+            if self.buf.unmapped_parents[c.0] == 0 {
+                self.buf.ready.push(c);
+                self.buf.newly_ready.push(c);
             }
         }
 
-        debug_assert!(self.ledger.check_invariants().is_ok());
+        debug_assert!(self.buf.ledger.check_invariants().is_ok());
         self.revision += 1;
-        &self.newly_ready
+        &self.buf.newly_ready
     }
 
     /// Fully reverse the mapping of `t` (dynamic extension).
@@ -650,13 +589,14 @@ impl<'a> SimState<'a> {
             );
         }
         let a = self
+            .buf
             .schedule
             .unmap(t)
             .unwrap_or_else(|| panic!("{t} is not mapped"));
 
         // Reverse the execution.
-        self.compute[a.machine.0].remove(a.start, a.dur);
-        self.ledger.uncommit(a.machine, a.energy);
+        self.buf.compute[a.machine.0].remove(a.start, a.dur);
+        self.buf.ledger.uncommit(a.machine, a.energy);
         self.t100 -= usize::from(a.version.is_primary());
 
         // Cancel the task's own outgoing reservations (children unmapped).
@@ -665,8 +605,8 @@ impl<'a> SimState<'a> {
         // reported this task as starved — it is being unmapped for exactly
         // that reason now.
         for &e in self.sc.dag.out_edges(t) {
-            if self.ledger.edge_reservation(e as usize).is_some() {
-                self.ledger.cancel_reservation(e as usize);
+            if self.buf.ledger.edge_reservation(e as usize).is_some() {
+                self.buf.ledger.cancel_reservation(e as usize);
             }
         }
 
@@ -675,21 +615,21 @@ impl<'a> SimState<'a> {
         // parent id), exactly the order the old full-scan collect saw, so
         // the ledger refund order — and with it every downstream float —
         // is unchanged.
-        let mut incoming = plan::emptied(&mut self.unmap_incoming);
-        incoming.extend(self.schedule.incoming_transfers(t).copied());
-        self.schedule.remove_transfers_to(t);
+        let mut incoming = plan::emptied(&mut self.buf.unmap_incoming);
+        incoming.extend(self.buf.schedule.incoming_transfers(t).copied());
+        self.buf.schedule.remove_transfers_to(t);
         for tr in &incoming {
-            self.tx[tr.from.0].remove(tr.start, tr.dur);
-            self.rx[tr.to.0].remove(tr.start, tr.dur);
-            self.ledger.uncommit(tr.from, tr.energy);
+            self.buf.tx[tr.from.0].remove(tr.start, tr.dur);
+            self.buf.rx[tr.to.0].remove(tr.start, tr.dur);
+            self.buf.ledger.uncommit(tr.from, tr.energy);
         }
-        self.unmap_incoming = incoming;
+        self.buf.unmap_incoming = incoming;
 
         // `sc.dag.parents(t)` is ascending, so the starved list is too —
         // this is the documented order contract.
-        self.starved.clear();
+        self.buf.starved.clear();
         for (&p, e) in self.sc.dag.parents(t).iter().zip(self.sc.dag.in_edges(t)) {
-            let Some(pa) = self.schedule.assignment(p) else {
+            let Some(pa) = self.buf.schedule.assignment(p) else {
                 continue; // parent itself already unmapped by the cascade
             };
             let pj = pa.machine;
@@ -698,32 +638,32 @@ impl<'a> SimState<'a> {
                 .grid
                 .machine(pj)
                 .transmit_energy(self.tables().worst_dur(e, pa.version));
-            if self.is_alive(pj) && self.ledger.can_afford(pj, worst) {
-                self.ledger.reserve(pj, e, worst);
+            if self.is_alive(pj) && self.buf.ledger.can_afford(pj, worst) {
+                self.buf.ledger.reserve(pj, e, worst);
             } else {
-                self.starved.push(p);
+                self.buf.starved.push(p);
             }
         }
 
         // Readiness: t becomes unmapped; its children gain an unmapped
         // parent (and leave the ready set if they were in it).
         for &c in self.sc.dag.children(t) {
-            self.ready.remove(c);
-            self.unmapped_parents[c.0] += 1;
+            self.buf.ready.remove(c);
+            self.buf.unmapped_parents[c.0] += 1;
         }
         if self.parents_mapped(t) {
-            self.ready.push(t);
+            self.buf.ready.push(t);
         }
 
         // AET may shrink, but only when `t` finished last; the max over
         // the other assignments is otherwise unchanged (integer ticks).
         if a.finish() == self.aet {
-            self.aet = self.schedule.aet();
+            self.aet = self.buf.schedule.aet();
         }
 
-        debug_assert!(self.ledger.check_invariants().is_ok());
+        debug_assert!(self.buf.ledger.check_invariants().is_ok());
         self.revision += 1;
-        &self.starved
+        &self.buf.starved
     }
 
     /// Total energy committed across the grid — the paper's `TEC`.
@@ -735,7 +675,7 @@ impl<'a> SimState<'a> {
         if rev == self.revision {
             return Energy(sum);
         }
-        let total = self.ledger.total_committed();
+        let total = self.buf.ledger.total_committed();
         self.tec_memo.set((self.revision, total.units()));
         total
     }
@@ -1242,8 +1182,14 @@ mod tests {
         let other = Scenario::generate(&ScenarioParams::paper_scaled(24), GridCase::B, 1, 1);
         let mut dirty = SimState::new(&other);
         drain_onto_m0(&mut dirty);
+        let built = dirty.into_buffers();
+        let storage = built.tables.storage();
+        assert!(
+            storage.iter().any(|&(_, cap)| cap > 0),
+            "the own run built tables"
+        );
         let tables = ScenarioTables::new(&sc);
-        let mut lent = SimState::with_tables(&tables, dirty.into_buffers());
+        let mut lent = SimState::with_tables(&tables, built);
         drain_onto_m0(&mut lent);
         let mut after = SimState::new_in(&sc, lent.clone().into_buffers());
         drain_onto_m0(&mut after);
@@ -1263,6 +1209,9 @@ mod tests {
                 }
             }
         }
+        // The lent run kept the own run's table storage aside and hands
+        // it back whole, for the next own-table run to build on.
+        assert_eq!(lent.into_buffers().tables.storage(), storage);
     }
 
     #[test]

@@ -291,6 +291,17 @@ mod tests {
     use adhoc_grid::scale::ScaleParams;
     use adhoc_grid::workload::ScenarioParams;
 
+    impl TableBuffers {
+        /// Each vector's heap address and capacity: which storage this is.
+        pub(crate) fn storage(&self) -> [(*const u8, usize); 3] {
+            [
+                (self.demand.as_ptr().cast(), self.demand.capacity()),
+                (self.out_durs.as_ptr().cast(), self.out_durs.capacity()),
+                (self.demand_ub.as_ptr().cast(), self.demand_ub.capacity()),
+            ]
+        }
+    }
+
     /// The tables as every run built them before they could be shared,
     /// with the per-machine execution fold: the oracle the shared build
     /// must equal bit for bit. Returns `(demand, out_durs, demand_ub)`.

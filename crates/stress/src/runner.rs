@@ -362,7 +362,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         fingerprint.update(&sig);
     }
 
-    // --- static baselines: fresh vs reused state buffers -----------------
+    // --- static baselines: fresh vs reused context ------------------------
     let objective = Objective::paper(weights);
     macro_rules! baseline_arm {
         ($name:literal, $fresh:expr, $reused:expr) => {{
@@ -383,11 +383,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
             ctx.reclaim(fresh.state);
         }};
     }
-    baseline_arm!(
-        "greedy",
-        run_greedy(&sc),
-        run_greedy_in(&sc, ctx.buffers_mut())
-    );
+    baseline_arm!("greedy", run_greedy(&sc), run_greedy_in(&sc, ctx));
     // Max-Max judges only the triplets whose objective bound reaches the
     // incumbent, on costings kept across commits; the per-triplet scan it
     // must replay re-plans everything on every commit, so it evaluates at
@@ -418,14 +414,14 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
     baseline_arm!(
         "maxmax",
         run_maxmax(&sc, &objective),
-        run_maxmax_in(&sc, &objective, ctx.buffers_mut())
+        run_maxmax_in(&sc, &objective, ctx)
     );
     baseline_arm!(
         "lrlist",
         run_lr_list(&sc, &weights),
-        run_lr_list_in(&sc, &weights, ctx.buffers_mut())
+        run_lr_list_in(&sc, &weights, ctx)
     );
-    baseline_arm!("dbc-cost", run_dbc(&sc), run_dbc_in(&sc, ctx.buffers_mut()));
+    baseline_arm!("dbc-cost", run_dbc(&sc), run_dbc_in(&sc, ctx));
 
     failures.sort();
     failures.dedup();

@@ -6,7 +6,7 @@ use adhoc_grid::workload::Scenario;
 use grid_baselines::maxmax::{self, run_maxmax_floored};
 use grid_baselines::{run_dbc_in, run_greedy_in, run_lr_list_in, run_maxmax_in};
 use gridsim::metrics::Metrics;
-use gridsim::{MappingOutcome, ScenarioTables};
+use gridsim::{validate, ScenarioTables, SimState};
 use lagrange::weights::{Objective, Weights};
 use slrh::mapper::run_slrh_floored;
 use slrh::{run_slrh_with, Churn, RunContext, SlrhConfig, SlrhVariant};
@@ -137,10 +137,10 @@ impl Heuristic {
     /// carries capacity, never content.
     pub fn run_in(self, scenario: &Scenario, weights: Weights, ctx: &mut RunContext) -> RunResult {
         let start = Instant::now();
-        self.map_in(scenario, weights, ctx, |out| {
-            let mut result = snapshot(out, start);
+        self.map_in(scenario, weights, ctx, |state, work| {
+            let mut result = snapshot(state, work, start);
             if self.prices_cost() {
-                result.cost = Some(gridsim::cost::schedule_cost(scenario, out.schedule()));
+                result.cost = Some(gridsim::cost::schedule_cost(scenario, state.schedule()));
             }
             result
         })
@@ -175,74 +175,72 @@ impl Heuristic {
         ctx: &mut RunContext,
         floor: usize,
     ) -> Option<usize> {
-        let score = |out: &dyn MappingOutcome| {
-            let m = out.metrics();
-            (m.constraints_met() && out.is_valid()).then_some(m.t100)
+        let score = |state: &SimState<'_>| {
+            let m = state.metrics();
+            (m.constraints_met() && validate(state).is_empty()).then_some(m.t100)
         };
         match prepared {
             Prepared::Slrh(tables) => {
                 let variant = self.slrh_variant().expect("prepared for an SLRH variant");
                 let config = SlrhConfig::paper(variant, weights);
                 let out = run_slrh_floored(tables, &config, ctx, floor)?;
-                let result = score(&out);
+                let result = score(&out.state);
                 ctx.reclaim(out.state);
                 result
             }
             Prepared::MaxMax(prepared) => {
                 let objective = Objective::paper(weights);
-                let out = run_maxmax_floored(prepared, &objective, ctx.buffers_mut(), floor)?;
-                let result = score(&out);
+                let out = run_maxmax_floored(prepared, &objective, ctx, floor)?;
+                let result = score(&out.state);
                 ctx.reclaim(out.state);
                 result
             }
-            Prepared::PerRun(scenario) => self.map_in(scenario, weights, ctx, score),
+            Prepared::PerRun(scenario) => self.map_in(scenario, weights, ctx, |st, _| score(st)),
         }
     }
 
-    /// Map `scenario` on `ctx`'s buffers through the heuristic's ordinary
-    /// entry point, hand the outcome to `read`, and reclaim the state.
+    /// Map `scenario` on `ctx` through the heuristic's ordinary entry
+    /// point, hand the final state and the candidates evaluated to
+    /// `read`, and reclaim the state.
     fn map_in<R>(
         self,
         scenario: &Scenario,
         weights: Weights,
         ctx: &mut RunContext,
-        read: impl FnOnce(&dyn MappingOutcome) -> R,
+        read: impl FnOnce(&SimState<'_>, u64) -> R,
     ) -> R {
-        if let Some(variant) = self.slrh_variant() {
+        let (state, work) = if let Some(variant) = self.slrh_variant() {
             let config = SlrhConfig::paper(variant, weights);
             let out = run_slrh_with(scenario, &config, &Churn::default(), ctx, None);
-            let result = read(&out);
-            ctx.reclaim(out.state);
-            return result;
-        }
-        // Every baseline returns the same outcome type: pick it, then
-        // read it and hand the state's buffers back once.
-        let buffers = ctx.buffers_mut();
-        let out = match self {
-            Heuristic::MaxMax => run_maxmax_in(scenario, &Objective::paper(weights), buffers),
-            Heuristic::Greedy => run_greedy_in(scenario, buffers),
-            Heuristic::LrList => run_lr_list_in(scenario, &weights, buffers),
-            Heuristic::DbcCost => run_dbc_in(scenario, buffers),
-            Heuristic::Slrh1 | Heuristic::Slrh2 | Heuristic::Slrh3 => {
-                unreachable!("the SLRH variants returned above")
-            }
+            (out.state, out.stats.candidates_evaluated)
+        } else {
+            let out = match self {
+                Heuristic::MaxMax => run_maxmax_in(scenario, &Objective::paper(weights), ctx),
+                Heuristic::Greedy => run_greedy_in(scenario, ctx),
+                Heuristic::LrList => run_lr_list_in(scenario, &weights, ctx),
+                Heuristic::DbcCost => run_dbc_in(scenario, ctx),
+                Heuristic::Slrh1 | Heuristic::Slrh2 | Heuristic::Slrh3 => {
+                    unreachable!("the SLRH variants took the branch above")
+                }
+            };
+            (out.state, out.candidates_evaluated)
         };
-        let result = read(&out);
-        ctx.reclaim(out.state);
+        let result = read(&state, work);
+        ctx.reclaim(state);
         result
     }
 }
 
-/// Snapshot a finished mapping outcome into a [`RunResult`] (no cost),
-/// stopping the wall clock first so validation stays outside the timed
-/// section (matching [`Heuristic::run`]'s historical contract).
-fn snapshot(out: &dyn MappingOutcome, start: Instant) -> RunResult {
+/// Snapshot a finished run's state and work count into a [`RunResult`]
+/// (no cost), stopping the wall clock first so validation stays outside
+/// the timed section (matching [`Heuristic::run`]'s historical contract).
+fn snapshot(state: &SimState<'_>, work: u64, start: Instant) -> RunResult {
     let wall = start.elapsed();
     RunResult {
-        metrics: out.metrics(),
+        metrics: state.metrics(),
         wall,
-        work: out.candidates_evaluated(),
-        valid: out.is_valid(),
+        work,
+        valid: validate(state).is_empty(),
         cost: None,
     }
 }

@@ -14,7 +14,6 @@ use adhoc_grid::workload::{Scenario, ScenarioParams};
 use grid_baselines::maxmax::{run_maxmax_floored, Prepared};
 use grid_baselines::run_maxmax_in;
 use gridsim::metrics::Metrics;
-use gridsim::state::StateBuffers;
 use gridsim::tables::ScenarioTables;
 use lagrange::weights::{Objective, Weights};
 use proptest::prelude::*;
@@ -32,9 +31,9 @@ fn runs(
     w: Weights,
     floor: usize,
 ) -> (Run, Option<Run>) {
+    let mut ctx = RunContext::new();
     let Some(variant) = variant else {
         let objective = Objective::paper(w);
-        let mut buffers = StateBuffers::default();
         let read = |o: &grid_baselines::StaticOutcome| {
             (
                 o.metrics(),
@@ -42,10 +41,9 @@ fn runs(
                 o.candidates_evaluated.to_string(),
             )
         };
-        let full = read(&run_maxmax_in(sc, &objective, &mut buffers));
+        let full = read(&run_maxmax_in(sc, &objective, &mut ctx));
         let prepared = Prepared::new(sc);
-        let floored =
-            run_maxmax_floored(&prepared, &objective, &mut buffers, floor).map(|o| read(&o));
+        let floored = run_maxmax_floored(&prepared, &objective, &mut ctx, floor).map(|o| read(&o));
         return (full, floored);
     };
     let config = SlrhConfig::paper(variant, w);
@@ -53,7 +51,6 @@ fn runs(
         let stats = format!("{:?} {:?} {:?}", o.stats, o.disruptions, o.final_weights);
         (o.metrics(), format!("{:?}", o.state.schedule()), stats)
     };
-    let mut ctx = RunContext::new();
     let full = read(&run_slrh_with(
         sc,
         &config,

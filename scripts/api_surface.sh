@@ -141,7 +141,13 @@
 #  * a weight search prepares its scenario once (DESIGN.md section 12):
 #    Max-Max's per-run loop (`fn map` and the `Scan` it drives) reads the
 #    downgrade guard and the machine energy orders from the statics it
-#    is handed and never builds them itself.
+#    is handed and never builds them itself;
+#  * a run has one lifecycle (DESIGN.md section 12): every heuristic
+#    maps on `slrh::RunContext`, so the context's raw-buffer accessor
+#    (`fn buffers_mut`) stays gone and the non-test code of
+#    `crates/baselines/src` never names `StateBuffers`; a finished run is
+#    read from its final `SimState`, so the outcome trait
+#    (`MappingOutcome`, `crates/sim/src/outcome.rs`) stays gone.
 #
 # Plain grep, run from the repository root.
 set -euo pipefail
@@ -402,6 +408,22 @@ for f in $(find crates/*/src src -name '*.rs' | sort); do
     if hits=$(awk '/^#\[cfg\(test\)\]/ { exit } /--adapt-(amin|lmax|warm)/ { print FILENAME ":" FNR ": " $0; found = 1 }
                    END { exit !found }' "$f"); then
         fail "a retired adaptation flag is back:"$'\n'"$hits"
+    fi
+done
+
+if [ -e crates/sim/src/outcome.rs ]; then
+    fail "crates/sim/src/outcome.rs is back"
+fi
+if hits=$(grep -rnw 'MappingOutcome' crates src tests examples benchmark/src --include='*.rs'); then
+    fail "the outcome trait is back (read the final SimState):"$'\n'"$hits"
+fi
+if hits=$(grep -rnw 'fn buffers_mut' crates src tests examples --include='*.rs'); then
+    fail "the context's raw-buffer accessor is back (map on RunContext):"$'\n'"$hits"
+fi
+for f in $(find crates/baselines/src -name '*.rs' | sort); do
+    if hits=$(awk '/^#\[cfg\(test\)\]/ { exit } /StateBuffers/ { print FILENAME ":" FNR ": " $0; found = 1 }
+                   END { exit !found }' "$f"); then
+        fail "a baseline takes raw state buffers again (map on RunContext):"$'\n'"$hits"
     fi
 done
 

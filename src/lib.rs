@@ -31,9 +31,9 @@
 //! ## Quickstart
 //!
 //! The configuration surface ([`SlrhConfig`], built by
-//! [`SlrhConfig::paper`] and its `with_*` setters) and the
-//! heuristic-agnostic result view ([`MappingOutcome`]) are re-exported
-//! at the crate root:
+//! [`SlrhConfig::paper`] and its `with_*` setters) is re-exported at the
+//! crate root. Every mapper returns an outcome that holds the final
+//! [`sim::SimState`]: read its metrics, schedule and validation there.
 //!
 //! ```
 //! use lrh_grid::grid::{GridCase, ScenarioParams, Scenario};
@@ -119,10 +119,8 @@ pub use gridsim as sim;
 pub use lagrange;
 pub use slrh;
 
-// The configuration surface and the heuristic-agnostic result view are
-// re-exported at the crate root: they are what almost every user of the
-// library touches first.
+// The configuration surface is re-exported at the crate root: it is
+// what almost every user of the library touches first.
 pub mod cli;
 
-pub use gridsim::MappingOutcome;
 pub use slrh::{run_slrh, ConfigError, ScaleMode, SlrhConfig, SlrhVariant};
